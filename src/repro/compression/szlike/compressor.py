@@ -54,6 +54,7 @@ import numpy as np
 from repro.compression.szlike.codebook_cache import CodebookCache
 from repro.compression.szlike.huffman import (
     HuffmanCodebook,
+    chunk_meta_nbytes,
     entropy_bits_from_hist,
     histogram,
     huffman_decode,
@@ -128,7 +129,9 @@ class CompressedTensor:
         """Compressed footprint: payload + outliers + codebook + header.
 
         Every section is charged at its exact serialized size, so
-        ``nbytes == len(serialize.dumps(self)) - wire_header + HEADER_BYTES``.
+        ``nbytes == len(serialize.dumps(self)) - wire_header + HEADER_BYTES``
+        (chunk metadata is one ``uint16`` bit length per decode chunk of
+        :func:`~repro.compression.szlike.huffman.chunk_size_for` symbols).
         A shared codebook (``codebook_shared``) is charged by its owning
         container, not here — the serialized chunk likewise carries only
         a reference.
@@ -137,7 +140,7 @@ class CompressedTensor:
         if self.codebook is not None and not self.codebook_shared:
             n += self.codebook.nbytes
         if self.chunk_offsets is not None:
-            n += self.chunk_offsets.size * 8  # serialized as int64 bit offsets
+            n += chunk_meta_nbytes(self.count)  # serialized as per-chunk bit lengths
         return n
 
     @property
@@ -558,8 +561,8 @@ class SZCompressor:
             # outlier re-injection + per-axis cumulative sums, fused on
             # compiled backends).
             q = self._kernels.quantize_decode(
-                codes.astype(np.uint32),
-                ct.outliers.astype(np.int64),
+                codes.astype(np.uint32, copy=False),
+                ct.outliers.astype(np.int64, copy=False),
                 ct.radius,
                 ct.shape,
                 ct.lorenzo_ndim,
@@ -594,8 +597,6 @@ class SZCompressor:
         estimate and the code statistics, and runs over the same pooled
         scratch as :meth:`compress`.
         """
-        from repro.compression.szlike.huffman import DEFAULT_CHUNK
-
         x = np.asarray(x)
         eb = float(error_bound) if error_bound is not None else self.resolve_error_bound(x)
         with ExitStack() as stack:
@@ -604,9 +605,8 @@ class SZCompressor:
             bits = entropy_bits_from_hist(hist)
             est = bits / 8.0 + _pack_outliers(qr.outliers).nbytes + HEADER_BYTES
             if self.entropy in ("huffman", "huffman+zlib"):
-                # one length byte per alphabet symbol + int64 chunk offsets
-                est += self.dict_size
-                est += 8 * (-(-qr.codes.size // DEFAULT_CHUNK))
+                # one length byte per alphabet symbol + per-chunk bit lengths
+                est += self.dict_size + chunk_meta_nbytes(qr.codes.size)
         return est
 
     # Registry-facing alias (the unified Codec API name).

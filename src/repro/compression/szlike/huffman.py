@@ -19,15 +19,21 @@ direction needs a Python-level per-symbol loop:
   faces.  Two data-parallel decoders are provided:
 
   - *chunked* (default, and what cuSZ itself does): the encoder records
-    the bit offset of every fixed-size symbol chunk; chunks decode
-    independently, and the decoder iterates over symbol slots while
-    processing **all chunks simultaneously**.  Each step reads the
-    current codeword's L-bit window directly out of the packed payload
-    (three byte gathers + shifts), so no bit-expanded or per-offset
-    prefix array is ever materialized — scratch is O(#chunks) per step
-    plus the dense decode table, which is **cached on the codebook**
-    (one table build per codebook lifetime, amortized by the
-    cross-iteration :class:`~repro.compression.szlike.codebook_cache.CodebookCache`).
+    the bit offset of every symbol chunk; chunks decode independently,
+    and the decoder iterates over symbol slots while processing **all
+    chunks simultaneously**.  Each step reads the current codeword's
+    L-bit window out of a 24-bit window-at-byte view of the payload (one
+    gather + shift + mask), so scratch is ~4x the payload plus
+    O(#chunks) per step plus the dense decode table, which is **cached
+    on the codebook** (one table build per codebook lifetime, amortized
+    by the cross-iteration
+    :class:`~repro.compression.szlike.codebook_cache.CodebookCache`).
+    cuSZ sizes its chunks so that *chunks ~ hardware lanes*; here the
+    "hardware" is one vectorized call, so the geometry is **per tensor**
+    (:func:`chunk_size_for`): ``chunk_size ~ sqrt(count)`` makes lanes
+    and Python-level steps both ~``sqrt(count)``.  It is a pure function
+    of the symbol count, so encoder, decoder and the byte accounting
+    agree by construction and a blob carries no chunk-size field.
   - *pointer jumping*: offset-metadata-free fallback that decodes
     speculatively at every bit offset via a dense ``2^L`` prefix table
     and recovers the true codeword chain with recursive doubling —
@@ -60,6 +66,9 @@ __all__ = [
     "histogram",
     "huffman_encode",
     "huffman_decode",
+    "chunk_size_for",
+    "chunk_layout",
+    "chunk_meta_nbytes",
     "entropy_bits",
     "entropy_bits_from_hist",
 ]
@@ -205,11 +214,34 @@ def build_codebook(symbols: np.ndarray, alphabet_size: int) -> HuffmanCodebook:
     return HuffmanCodebook.from_frequencies(histogram(symbols, alphabet_size))
 
 
-DEFAULT_CHUNK = 4096
+#: largest symbols-per-chunk :func:`chunk_size_for` picks.  Measured on
+#: the six ``train_sz`` activations (16k-131k codes) against the former
+#: fixed 4096: 4096 -> 128-256 steps per call, 283 -> 12 ms of decode
+#: per training step, for 2 metadata bytes per chunk instead of 8
+#: (0.012 vs 0.002 bytes per symbol).
+DEFAULT_CHUNK = 256
 
-# ENCODE_BLOCK (symbols per encode block, a multiple of DEFAULT_CHUNK)
-# now lives in repro.kernels.numpy_backend with the packing loop; it is
-# re-exported above for compatibility.
+
+def chunk_size_for(count: int) -> int:
+    """Symbols per decode chunk of a *count*-symbol stream: the smallest
+    power of two >= ``sqrt(count)``, clamped to ``[16, DEFAULT_CHUNK]``."""
+    return min(DEFAULT_CHUNK, max(16, 1 << ((count - 1).bit_length() + 1) // 2))
+
+
+def chunk_layout(count: int) -> tuple:
+    """``(chunk_size, n_chunks, dtype)`` of the serialized chunk metadata:
+    one bit length per chunk, ``uint16`` unless a chunk of maximal
+    codewords could overflow it."""
+    chunk_size = chunk_size_for(count)
+    wide = chunk_size * MAX_CODE_LENGTH > np.iinfo(np.uint16).max
+    return chunk_size, -(-count // chunk_size), np.dtype(np.uint32 if wide else np.uint16)
+
+
+def chunk_meta_nbytes(count: int) -> int:
+    """Serialized chunk-metadata bytes of a *count*-symbol stream (what
+    ``CompressedTensor.nbytes`` and the size estimates charge)."""
+    _, n_chunks, dtype = chunk_layout(count)
+    return n_chunks * dtype.itemsize
 
 
 def _encode_bitplane(symbols: np.ndarray, codebook: HuffmanCodebook, chunk_size: int):
@@ -238,32 +270,19 @@ def _encode_bitplane(symbols: np.ndarray, codebook: HuffmanCodebook, chunk_size:
     return np.packbits(bits).tobytes(), total_bits, chunk_offsets
 
 
-def _encode_words(symbols: np.ndarray, codebook: HuffmanCodebook, chunk_size: int, kernels=None):
-    """Word-packed blocked encoder (the low-allocation hot path).
-
-    The packing loop is a backend kernel (``huffman_pack_words``): the
-    NumPy reference shifts each <= 16-bit codeword into a 32-bit window
-    at its absolute bit position and merges per-word contributions with
-    ``bincount`` (disjoint bits make integer addition equal bitwise OR);
-    the compiled backend streams branch-per-symbol through a small
-    accumulator.  Both produce identical big-endian bytes.
-    """
-    kernels = kernels if kernels is not None else get_backend("numpy")
-    return kernels.huffman_pack_words(symbols, codebook.lengths, codebook.codes, chunk_size)
-
-
 def huffman_encode(
     symbols: np.ndarray,
     codebook: HuffmanCodebook,
-    chunk_size: int = DEFAULT_CHUNK,
+    chunk_size: Optional[int] = None,
     packer: str = "words",
     kernels=None,
 ):
     """Encode *symbols* -> ``(payload bytes, total_bits, chunk_offsets)``.
 
     ``chunk_offsets`` records the starting bit of every *chunk_size*-symbol
-    chunk (cuSZ's coarse-grained decode metadata); pass ``chunk_size=0``
-    to skip it.  ``packer`` selects the kernel: ``"words"`` (default,
+    chunk (cuSZ's coarse-grained decode metadata); ``None`` derives the
+    size from the symbol count (:func:`chunk_size_for`), ``0`` skips the
+    metadata.  ``packer`` selects the kernel: ``"words"`` (default,
     blocked word-packing with O(block) scratch) or ``"bitplane"`` (the
     legacy 8x-payload bit-expansion, kept as the reference oracle).
     Both produce identical bytes.  *kernels* is a
@@ -273,8 +292,11 @@ def huffman_encode(
     symbols = symbols.reshape(-1)
     if symbols.size == 0:
         return b"", 0, np.zeros(0, dtype=np.int64)
+    if chunk_size is None:
+        chunk_size = chunk_size_for(symbols.size)
     if packer == "words":
-        return _encode_words(symbols, codebook, chunk_size, kernels)
+        kernels = kernels if kernels is not None else get_backend("numpy")
+        return kernels.huffman_pack_words(symbols, codebook.lengths, codebook.codes, chunk_size)
     if packer == "bitplane":
         return _encode_bitplane(symbols, codebook, chunk_size)
     raise ValueError(f"packer must be 'words' or 'bitplane', got {packer!r}")
@@ -308,7 +330,7 @@ def _decode_chunked(
     count: int,
     codebook: HuffmanCodebook,
     chunk_offsets: np.ndarray,
-    chunk_size: int,
+    chunk_size: Optional[int] = None,
     kernels=None,
 ) -> np.ndarray:
     """Data-parallel chunked decode reading L-bit windows in place.
@@ -317,10 +339,10 @@ def _decode_chunked(
     errors on every backend); the window-gather loop is a backend
     kernel (``huffman_unpack_window``).  The NumPy reference advances
     all chunks one symbol per vectorized step, gathering each codeword's
-    window directly from the packed payload (three bytes cover any
-    16-bit codeword at any bit phase) — no 8x bit expansion, no 32x
-    per-offset prefix array; the compiled backend walks each chunk
-    sequentially.
+    window from a 24-bit window-at-byte view of the payload (three bytes
+    cover any 16-bit codeword at any bit phase) — no 8x bit expansion,
+    no 32x per-offset prefix array; the compiled backend walks each
+    chunk sequentially.
     """
     L = codebook.max_length
     if L == 0:
@@ -328,10 +350,12 @@ def _decode_chunked(
     if 8 * len(payload) < total_bits:
         raise ValueError(f"payload holds {8 * len(payload)} bits, expected {total_bits}")
     tsym, tlen = codebook.decode_tables()
+    if chunk_size is None:
+        chunk_size = chunk_size_for(count)
     n_chunks = chunk_offsets.size
     if n_chunks != -(-count // chunk_size):
         raise ValueError("chunk metadata inconsistent with symbol count")
-    pos = chunk_offsets.astype(np.int64)
+    pos = chunk_offsets.astype(np.int64, copy=False)  # the kernel works on its own copy
     if pos.size and (int(pos.min()) < 0 or int(pos.max()) >= max(total_bits, 1)):
         raise ValueError("chunk offsets out of range")
     kernels = kernels if kernels is not None else get_backend("numpy")
@@ -346,14 +370,15 @@ def huffman_decode(
     count: int,
     codebook: HuffmanCodebook,
     chunk_offsets: np.ndarray = None,
-    chunk_size: int = DEFAULT_CHUNK,
+    chunk_size: Optional[int] = None,
     kernels=None,
 ) -> np.ndarray:
     """Decode *count* symbols from *payload*.
 
     With ``chunk_offsets`` the chunked data-parallel decoder runs (all
-    chunks advance one symbol per vectorized step, windows gathered
-    straight from the packed bytes); without it the pointer-jumping
+    chunks advance one symbol per vectorized step; ``chunk_size=None``
+    derives the geometry from *count* exactly as the encoder did);
+    without it the pointer-jumping
     decoder reconstructs the codeword chain from scratch.  *kernels*
     selects the chunked inner loop's backend (default: NumPy reference).
     """

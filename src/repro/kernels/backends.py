@@ -22,10 +22,16 @@ Selection semantics:
 A selected numba backend additionally degrades *per call*: a kernel
 that raises at runtime falls back to the reference implementation for
 that call (``runtime_fallbacks`` in :func:`kernel_stats`).
+
+Both degradations are also logged on ``repro.kernels`` (the library
+configures no handler or level): the first ``"auto"`` -> numpy fallback
+of a process at INFO with the probe error, every runtime fallback at
+WARNING with the kernel name.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -77,11 +83,13 @@ _lock = threading.Lock()
 #: probe state: None = not probed yet; (backend | None, error | None)
 _probe: Optional[tuple] = None
 _counters = {"auto_fallbacks": 0, "runtime_fallbacks": 0, "warmups": 0}
+_log = logging.getLogger("repro.kernels")
 
 
 def _note_runtime_fallback(kernel: str) -> None:
     with _lock:
         _counters["runtime_fallbacks"] += 1
+    _log.warning("compiled kernel %s raised; NumPy reference used for this call", kernel, exc_info=True)
 
 
 def warmup_backend(backend: KernelBackend, reference: KernelBackend = _NUMPY) -> None:
@@ -171,10 +179,13 @@ def get_backend(name: str = "numpy") -> KernelBackend:
             )
         return backend
     if name == "auto":
-        backend, _ = _probe_numba()
+        backend, error = _probe_numba()
         if backend is None:
             with _lock:
                 _counters["auto_fallbacks"] += 1
+                first = _counters["auto_fallbacks"] == 1
+            if first:
+                _log.info("kernel backend 'auto' degraded to numpy: %s", error)
             return _NUMPY
         return backend
     raise ValueError(

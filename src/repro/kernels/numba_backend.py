@@ -160,11 +160,12 @@ def _pack_pass2(symbols, lengths, codes64, chunk_size, out8, chunk_offsets):
     return byte_i
 
 
-def _unpack_loop(buf, offsets, chunk_size, count, total_bits, tsym, tlen, L, out):
+def _unpack_loop(buf, offsets, chunk_size, count, tsym, tlen, L, out):
     """Per-chunk sequential window decode: gather 3 bytes around the
     bit cursor, index the dense tables, advance.  Chunks are
-    independent; positions clamp to ``total_bits`` exactly like the
-    reference (the 4 guard bytes make the clamped gather safe)."""
+    independent; *buf* carries the reference's ``2 * chunk_size + 4``
+    guard bytes, so a cursor that over-runs a corrupt stream reads the
+    same zeros the reference reads."""
     mask = (1 << L) - 1
     for j in range(offsets.size):
         pos = offsets[j]
@@ -182,8 +183,6 @@ def _unpack_loop(buf, offsets, chunk_size, count, total_bits, tsym, tlen, L, out
             p = (window >> (24 - (pos & 7) - L)) & mask
             out[base + i] = tsym[p]
             pos = pos + tlen[p]
-            if pos > total_bits:
-                pos = total_bits
 
 
 LOOP_NAMES = (
@@ -334,14 +333,13 @@ def make_kernel_functions(loops, on_fallback):
 
     def huffman_unpack_window(payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size):
         try:
-            buf = np.frombuffer(payload + b"\x00\x00\x00\x00", dtype=np.uint8)
+            buf = np.frombuffer(payload + bytes(2 * chunk_size + 4), dtype=np.uint8)
             out = np.empty(count, dtype=np.uint32)
             loops["unpack_loop"](
                 buf,
                 np.ascontiguousarray(chunk_offsets, dtype=np.int64),
                 chunk_size,
                 count,
-                total_bits,
                 tsym,
                 tlen,
                 L,

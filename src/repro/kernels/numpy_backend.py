@@ -43,9 +43,11 @@ __all__ = [
     "codes_dtype_for_radius",
 ]
 
-#: symbols per encode block for :func:`pack_words` (a multiple of the
-#: 4096-symbol decode chunk so chunk-offset sampling never straddles a
-#: block boundary); bounds the per-block temporaries regardless of size
+#: symbols per encode block for :func:`pack_words` (a multiple of every
+#: per-tensor decode chunk size — powers of two up to 256 — so
+#: chunk-offset sampling never straddles a block boundary; other sizes
+#: round the block down to a multiple); bounds the per-block temporaries
+#: regardless of size
 ENCODE_BLOCK = 1 << 14
 
 
@@ -272,33 +274,35 @@ def unpack_window(
 ) -> np.ndarray:
     """Data-parallel chunked decode reading L-bit windows in place.
 
-    All chunks advance one symbol per vectorized step; the current
-    codeword's window is gathered directly from the packed payload
-    (three bytes cover any 16-bit codeword at any bit phase), so the
-    only allocations are the padded payload copy, the output array, and
-    O(#chunks) per-step temporaries.  The caller validated the chunk
-    metadata and built the dense ``(tsym, tlen)`` tables.
+    All chunks advance one symbol per vectorized step — ``min(chunk_size,
+    count)`` steps over ``n_chunks`` lanes, so callers want chunks of
+    ~``sqrt(count)`` symbols.  The 24-bit big-endian window starting at
+    every payload byte (three bytes cover any 16-bit codeword at any bit
+    phase) is built once per call, making each step one gather + shift +
+    mask; scratch is that window array (4x the payload), the output, and
+    O(#chunks) per-step temporaries.  The buffer is padded by what a
+    chunk of maximal codewords can over-run (2 bytes per step, +4 for
+    the window), so no cursor — not even one started by a hostile offset
+    just below ``total_bits`` — can gather out of bounds.  The caller
+    validated the chunk metadata and built the dense ``(tsym, tlen)``
+    tables.
     """
     n_chunks = chunk_offsets.size
-    # 4 guard bytes: a clamped position may gather up to 3 bytes past the
-    # last payload bit's byte.
-    buf = np.frombuffer(payload + b"\x00\x00\x00\x00", dtype=np.uint8)
-    out = np.empty(n_chunks * chunk_size, dtype=np.uint32)
-    pos = chunk_offsets.astype(np.int64).copy()
-    slot = np.arange(n_chunks, dtype=np.int64) * chunk_size
+    buf = np.frombuffer(payload + bytes(2 * chunk_size + 4), dtype=np.uint8)
+    win = buf[:-2].astype(np.int32)
+    win <<= 8
+    win |= buf[1:-1]
+    win <<= 8
+    win |= buf[2:]
+    out = np.empty((n_chunks, chunk_size), dtype=np.uint32)
+    pos = chunk_offsets.astype(np.int64)
+    base = 24 - L
     mask = (1 << L) - 1
-    for i in range(chunk_size):
-        byte = pos >> 3
-        window = (
-            (buf[byte].astype(np.int64) << 16)
-            | (buf[byte + 1].astype(np.int64) << 8)
-            | buf[byte + 2]
-        )
-        p = (window >> (24 - (pos & 7) - L)) & mask
-        out[slot + i] = tsym[p]
+    for i in range(min(chunk_size, count)):
+        p = (win[pos >> 3] >> (base - (pos & 7))) & mask
+        out[:, i] = tsym[p]
         pos += tlen[p]
-        np.minimum(pos, total_bits, out=pos)
-    return out[:count]
+    return out.reshape(-1)[:count]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,16 @@ from repro.compression.szlike import (
     huffman_decode,
     huffman_encode,
 )
-from repro.compression.szlike.huffman import MAX_CODE_LENGTH
+from repro.compression.szlike.huffman import (
+    DEFAULT_CHUNK,
+    MAX_CODE_LENGTH,
+    chunk_layout,
+    chunk_meta_nbytes,
+    chunk_size_for,
+)
+from repro.kernels import get_backend
+from repro.kernels.backends import KernelBackend
+from repro.kernels.numba_backend import make_kernel_functions, python_loops
 
 
 def _roundtrip(symbols, alphabet, chunked=True):
@@ -90,8 +99,6 @@ class TestRoundtrip:
         assert np.array_equal(_roundtrip(syms, 8), syms)
 
     def test_exact_chunk_multiple(self, rng):
-        from repro.compression.szlike.huffman import DEFAULT_CHUNK
-
         syms = rng.integers(0, 16, size=2 * DEFAULT_CHUNK).astype(np.uint16)
         assert np.array_equal(_roundtrip(syms, 16), syms)
 
@@ -189,6 +196,105 @@ class TestWordPackedEncoder:
         assert np.array_equal(
             huffman_decode(payload, bits, syms.size, clone, chunk_offsets=chunks), syms
         )
+
+
+GEOMETRY_COUNTS = [1, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 70_000, 2**20]
+#: the pointer-jumping decoder holds O(total_bits) int64 arrays and the
+#: uncompiled numba loops cost ~1 us per symbol per pass: both stop at
+#: 70 000 symbols, which already has the 2**20 geometry (256 x lanes)
+#: and crosses an ENCODE_BLOCK boundary
+SLOW_PATH_MAX = 70_000
+COUNT_X_BACKEND = [
+    (count, backend)
+    for count in GEOMETRY_COUNTS
+    for backend in ("numpy", "python-loops")
+    if backend == "numpy" or count <= SLOW_PATH_MAX
+]
+
+
+def _alphabet(kind, count, deep_codebook):
+    """``(symbols, codebook)`` for one of the three geometry alphabets."""
+    rng = np.random.default_rng(count)
+    if kind == "single":
+        syms = np.full(count, 7, dtype=np.uint16)
+        return syms, build_codebook(syms, 16)
+    if kind == "relu":  # one dominant symbol -> one 1-bit code
+        syms = np.where(
+            rng.random(count) < 0.8, 512, rng.integers(480, 544, size=count)
+        ).astype(np.uint16)
+        cb = HuffmanCodebook.from_frequencies(
+            np.bincount(syms, minlength=1024) + (np.arange(1024) == 512) * (count + 64)
+        )
+        assert cb.lengths[512] == 1
+        return syms, cb
+    # uniform over 1024 symbols under a complete book with L = 16
+    return rng.integers(0, 1024, size=count).astype(np.uint16), deep_codebook
+
+
+def _python_loops_backend():
+    fns = make_kernel_functions(python_loops(), lambda name: pytest.fail(f"fallback in {name}"))
+    return KernelBackend(name="python-loops", **fns)
+
+
+class TestChunkGeometry:
+    """Per-tensor chunk geometry: one rule shared by encoder, decoder
+    and the byte accounting, identical on every backend."""
+
+    def test_chunk_size_rule(self):
+        sizes = [chunk_size_for(n) for n in range(0, 70_000)] + [
+            chunk_size_for(n) for n in (2**17, 2**20, 2**31, 2**40)
+        ]
+        assert all(16 <= s <= DEFAULT_CHUNK == 256 and s & (s - 1) == 0 for s in sizes)
+        assert sizes == sorted(sizes)  # non-decreasing in count
+        assert [chunk_size_for(n) for n in (1, 216, 256, 257, 16_384, 65_536, 131_072)] == [
+            16, 16, 16, 32, 128, 256, 256,
+        ]
+        for n in (1, 216, 4097, 2**20):  # smallest power of two >= sqrt(n), clamped
+            s = chunk_size_for(n)
+            assert s == 16 or (s // 2) ** 2 < n
+            assert s == DEFAULT_CHUNK or s * s >= n
+
+    def test_layout_is_two_bytes_per_chunk(self):
+        for n in (1, 216, 16_384, 131_072):
+            size, n_chunks, dtype = chunk_layout(n)
+            assert (size, n_chunks, dtype) == (chunk_size_for(n), -(-n // size), np.uint16)
+            assert chunk_meta_nbytes(n) == 2 * n_chunks
+
+    @pytest.mark.parametrize("kind", ["single", "relu", "uniform16"])
+    @pytest.mark.parametrize("count,backend", COUNT_X_BACKEND)
+    def test_roundtrip_matches_oracles(self, count, kind, backend, deep_codebook):
+        kernels = get_backend("numpy") if backend == "numpy" else _python_loops_backend()
+        syms, cb = _alphabet(kind, count, deep_codebook)
+        payload, bits, offsets = huffman_encode(syms, cb, kernels=kernels)
+        oracle = huffman_encode(syms, cb, packer="bitplane")
+        assert (payload, bits) == oracle[:2]
+        np.testing.assert_array_equal(offsets, oracle[2])
+        assert offsets.size == chunk_layout(count)[1]
+        decoded = huffman_decode(payload, bits, count, cb, chunk_offsets=offsets, kernels=kernels)
+        np.testing.assert_array_equal(decoded, syms)
+        if count <= SLOW_PATH_MAX:
+            np.testing.assert_array_equal(huffman_decode(payload, bits, count, cb), decoded)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python-loops"])
+    @pytest.mark.parametrize("chunk_size", [7, 16, 1000])
+    @pytest.mark.parametrize("count", [1, 17, 1000, 4097])
+    def test_explicit_chunk_size_still_roundtrips(self, count, chunk_size, backend, deep_codebook):
+        kernels = get_backend("numpy") if backend == "numpy" else _python_loops_backend()
+        syms, cb = _alphabet("uniform16", count, deep_codebook)
+        payload, bits, offsets = huffman_encode(syms, cb, chunk_size, kernels=kernels)
+        assert offsets.size == -(-count // chunk_size)
+        decoded = huffman_decode(payload, bits, count, cb, offsets, chunk_size, kernels=kernels)
+        np.testing.assert_array_equal(decoded, syms)
+        # 0 = no offsets: the pointer-jumping decoder takes over
+        payload0, bits0, none = huffman_encode(syms, cb, 0, kernels=kernels)
+        assert (payload0, bits0, none.size) == (payload, bits, 0)
+        np.testing.assert_array_equal(huffman_decode(payload, bits, count, cb, none), syms)
+
+    def test_mismatched_geometry_rejected(self):
+        syms, cb = _alphabet("relu", 5000, None)
+        payload, bits, offsets = huffman_encode(syms, cb)
+        with pytest.raises(ValueError, match="chunk metadata inconsistent"):
+            huffman_decode(payload, bits, syms.size, cb, offsets, chunk_size=4096)
 
 
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=3000))

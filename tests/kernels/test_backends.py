@@ -9,6 +9,7 @@ suite over the *compiled* loops.
 
 from __future__ import annotations
 
+import logging
 import sys
 from contextlib import ExitStack
 
@@ -23,6 +24,7 @@ from repro.kernels import (
 )
 from repro.kernels.backends import (
     KernelBackend,
+    _note_runtime_fallback,
     _reset_probe_for_tests,
     warmup_backend,
 )
@@ -179,6 +181,63 @@ class TestBitIdentity:
         np.testing.assert_array_equal(s2, symbols.astype(np.uint32))
 
 
+class _CountingTable(np.ndarray):
+    """A decode table that counts how often the kernel gathers from it
+    (one gather per vectorized step)."""
+
+    gathers = 0
+
+    def __getitem__(self, index):
+        type(self).gathers += 1
+        return np.asarray(self.view(np.ndarray)[index])
+
+
+class TestUnpackLoopShape:
+    def test_small_stream_decodes_in_sqrt_count_steps(self, deep_codebook):
+        """A 216-code gradient tensor used to cost 4096 Python-level
+        steps; the per-tensor geometry makes it 16."""
+        from repro.compression.szlike.huffman import chunk_size_for, huffman_encode
+
+        book = deep_codebook
+        symbols = np.random.default_rng(1).integers(0, 1024, size=216).astype(np.uint16)
+        payload, total_bits, offsets = huffman_encode(symbols, book)
+        tsym, tlen = book.decode_tables()
+        _CountingTable.gathers = 0
+        out = get_backend("numpy").huffman_unpack_window(
+            payload, total_bits, 216, tsym, tlen.view(_CountingTable), 16,
+            offsets, chunk_size_for(216),
+        )
+        np.testing.assert_array_equal(out, symbols)
+        assert 0 < _CountingTable.gathers <= 16
+        # an explicit oversized chunk iterates over the symbols, not the chunk
+        payload, total_bits, offsets = huffman_encode(symbols[:5], book, 1000)
+        _CountingTable.gathers = 0
+        out = get_backend("numpy").huffman_unpack_window(
+            payload, total_bits, 5, tsym, tlen.view(_CountingTable), 16, offsets, 1000
+        )
+        np.testing.assert_array_equal(out, symbols[:5])
+        assert _CountingTable.gathers == 5
+
+    @pytest.mark.parametrize("chunk_size", [16, 256])
+    def test_hostile_offset_never_reads_out_of_bounds(self, chunk_size, deep_codebook):
+        """Chunks that start at the head, the middle and the last bit of
+        an all-ones payload (16-bit codewords throughout) all over-run
+        the stream; the cursors stay inside the guard bytes and both
+        backends decode the same symbols."""
+        tsym, tlen = deep_codebook.decode_tables()
+        count = 3 * chunk_size
+        payload = b"\xff" * 64
+        total_bits = 8 * len(payload)
+        offsets = np.array([0, total_bits // 2, total_bits - 1], dtype=np.int64)
+        outs = [
+            b.huffman_unpack_window(payload, total_bits, count, tsym, tlen, 16, offsets, chunk_size)
+            for b in (get_backend("numpy"), python_backend())
+        ]
+        assert outs[0].shape == (count,)
+        np.testing.assert_array_equal(outs[0], outs[1])
+        assert outs[0][0] == 1023 and offsets[0] == 0  # caller's array untouched
+
+
 class TestDegradation:
     def test_contract_errors_raise_identically_without_fallback(self):
         fallbacks = []
@@ -216,6 +275,44 @@ class TestDegradation:
         np.testing.assert_array_equal(c_alt, c_ref)
         np.testing.assert_array_equal(o_alt, o_ref)
         assert fallbacks == ["quantize_encode"]
+
+
+class TestLogging:
+    """Degradations are counted *and* logged on ``repro.kernels``."""
+
+    def test_auto_degradation_logged_once_at_info(self, fresh_probe, monkeypatch, caplog):
+        monkeypatch.setitem(sys.modules, "numba", None)
+        with caplog.at_level(logging.INFO, logger="repro.kernels"):
+            assert get_backend("auto").name == "numpy"
+            assert get_backend("auto").name == "numpy"
+        (record,) = [r for r in caplog.records if r.name == "repro.kernels"]
+        assert record.levelno == logging.INFO
+        assert kernel_stats()["probe_error"] in record.getMessage()
+        assert kernel_stats()["auto_fallbacks"] == 2  # counted every time
+
+    def test_runtime_fallback_logged_at_warning_with_kernel_name(self, fresh_probe, caplog):
+        loops = numba_backend.python_loops()
+
+        def boom(x, denom, out):
+            raise RuntimeError("simulated miscompile")
+
+        loops["quantize_grid"] = boom
+        fns = numba_backend.make_kernel_functions(loops, _note_runtime_fallback)
+        alt = KernelBackend(name="python-loops", **fns)
+        x = np.random.default_rng(3).standard_normal((2, 4, 4)).astype(np.float32)
+        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
+            encode_with(alt, x)
+            encode_with(alt, x)
+        records = [r for r in caplog.records if r.name == "repro.kernels"]
+        assert [r.levelno for r in records] == [logging.WARNING] * 2
+        assert all("quantize_encode" in r.getMessage() for r in records)
+        assert records[0].exc_info[0] is RuntimeError
+        assert kernel_stats()["runtime_fallbacks"] == 2
+
+    def test_library_configures_no_handler_or_level(self):
+        for name in ("repro", "repro.kernels"):
+            logger = logging.getLogger(name)
+            assert logger.handlers == [] and logger.level == logging.NOTSET
 
 
 class TestCompressorIntegration:
