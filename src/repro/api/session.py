@@ -149,7 +149,8 @@ class Session:
     def param_store(self):
         if self.compressed is not None and self.compressed.param_store is not None:
             return self.compressed.param_store
-        return self.trainer.param_store
+        # a distributed coordinator has no resident trainer: its ranks own the stores
+        return self.trainer.param_store if self.trainer is not None else None
 
     @property
     def engine(self):

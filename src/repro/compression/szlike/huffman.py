@@ -151,7 +151,11 @@ class HuffmanCodebook:
 
     @classmethod
     def from_lengths(cls, lengths: np.ndarray) -> "HuffmanCodebook":
-        lengths = np.asarray(lengths, dtype=np.uint8)
+        lengths = np.asarray(lengths)
+        # decode tables have 2^L entries: one flipped length byte must not size them
+        if lengths.size and not 0 <= int(lengths.min()) <= int(lengths.max()) <= MAX_CODE_LENGTH:
+            raise ValueError(f"codebook length outside [0, MAX_CODE_LENGTH = {MAX_CODE_LENGTH}]")
+        lengths = lengths.astype(np.uint8)
         return cls(lengths=lengths, codes=_canonical_codes(lengths))
 
     @property

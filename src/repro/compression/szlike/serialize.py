@@ -144,9 +144,7 @@ def _loads(data: bytes) -> CompressedTensor:
         asz = 2 * header["radius"]
         lengths = np.frombuffer(data[pos : pos + asz], dtype=np.uint8).copy()
         pos += asz
-        if int(lengths.max(initial=0)) > MAX_CODE_LENGTH:  # 2^L-entry decode tables
-            raise ValueError("codebook length above MAX_CODE_LENGTH")
-        codebook = HuffmanCodebook.from_lengths(lengths)
+        codebook = HuffmanCodebook.from_lengths(lengths)  # rejects lengths above MAX_CODE_LENGTH
     if pos != len(data):
         raise ValueError(f"trailing bytes in serialized tensor ({len(data) - pos})")
     return CompressedTensor(

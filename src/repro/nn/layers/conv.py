@@ -5,9 +5,12 @@ compresses.  ``im2col`` patches are recomputed during backward rather than
 saved (they are ``k*k`` times larger than the activation), matching how
 training frameworks checkpoint convolutions.
 
-The forward pass extracts patches with ``sliding_window_view`` (zero-copy
-strided view, per the HPC guides' "views, not copies") and reduces to one
-GEMM; backward is two GEMMs plus a strided scatter-add (col2im).
+The patch matrix is channel-major, ``(C*k*k, N*Ho*Wo)``: it is filled by
+``k*k`` slab copies out of a zero-bordered buffer, each one a strided view
+whose rows stay contiguous along ``W``, so no element-wise gather is ever
+made.  Forward is the one GEMM ``W(Cout, C*k*k) @ cols``; backward is
+``dW = dmat @ cols.T`` and ``dcols = W.T @ dmat`` plus :func:`col2im`,
+which scatter-adds the same ``k*k`` slabs.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.init import kaiming_uniform
 
-__all__ = ["Conv2D", "im2col", "col2im", "conv_output_hw"]
+__all__ = ["Conv2D", "im2col", "col2im", "conv_output_hw", "padded", "slabs"]
 
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> Tuple[int, int]:
@@ -34,16 +36,35 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> Tu
     return ho, wo
 
 
+def padded(x: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
+    """``x`` inside a border of ``fill`` on both spatial axes (``x`` itself
+    when there is no padding)."""
+    if not padding:
+        return x
+    n, c, h, w = x.shape
+    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), fill, dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    return xp
+
+
+def slabs(xp: np.ndarray, kernel: int, stride: int, ho: int, wo: int):
+    """The ``k*k`` strided views ``xp[..., i::s, j::s]`` of a padded
+    buffer, one per window offset in row-major ``(i, j)`` order; view
+    ``i*k + j`` holds element ``(i, j)`` of every window."""
+    for i in range(kernel):
+        for j in range(kernel):
+            yield xp[..., i : i + stride * ho : stride, j : j + stride * wo : stride]
+
+
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Extract conv patches: ``(N, C, H, W) -> (N*Ho*Wo, C*k*k)``."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    n, c = x.shape[:2]
-    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, C, Ho, Wo, k, k)
-    ho, wo = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kernel * kernel)
-    return np.ascontiguousarray(cols)
+    """Extract conv patches: ``(N, C, H, W) -> (C*k*k, N*Ho*Wo)``."""
+    n, c, h, w = x.shape
+    ho, wo = conv_output_hw(h, w, kernel, stride, padding)
+    xp = padded(x, padding).transpose(1, 0, 2, 3)
+    cols = np.empty((c, kernel * kernel, n, ho, wo), dtype=x.dtype)
+    for t, slab in enumerate(slabs(xp, kernel, stride, ho, wo)):
+        cols[:, t] = slab
+    return cols.reshape(c * kernel * kernel, n * ho * wo)
 
 
 def col2im(
@@ -56,17 +77,11 @@ def col2im(
     """Adjoint of :func:`im2col`: scatter-add patch gradients back."""
     n, c, h, w = x_shape
     ho, wo = conv_output_hw(h, w, kernel, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dxp = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, ho, wo, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kernel):
-        for j in range(kernel):
-            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += d6[
-                :, :, :, :, i, j
-            ]
-    if padding:
-        return dxp[:, :, padding : padding + h, padding : padding + w]
-    return dxp
+    dxp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
+    d5 = dcols.reshape(c, kernel * kernel, n, ho, wo)
+    for t, slab in enumerate(slabs(dxp, kernel, stride, ho, wo)):
+        slab += d5[:, t]
+    return dxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
 
 
 class Conv2D(Layer):
@@ -111,27 +126,27 @@ class Conv2D(Layer):
         n = x.shape[0]
         ho, wo = conv_output_hw(x.shape[2], x.shape[3], self.kernel, self.stride, self.padding)
         cols = im2col(x, self.kernel, self.stride, self.padding)
-        wmat = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ wmat.T
+        out = self.weight.data.reshape(self.out_channels, -1) @ cols
         if self.bias is not None:
-            out += self.bias.data
-        out = out.reshape(n, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
+            out += self.bias.data[:, None]
         if self.training:
             self._save("x", x)
             self._x_shape = x.shape
-        return np.ascontiguousarray(out)
+        return np.ascontiguousarray(
+            out.reshape(self.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
+        )
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x = self._pop("x")
-        n, _, ho, wo = dout.shape
-        dmat = dout.transpose(0, 2, 3, 1).reshape(n * ho * wo, self.out_channels)
+        dmat = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         cols = im2col(x, self.kernel, self.stride, self.padding)
         wmat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (dmat.T @ cols).reshape(self.weight.data.shape)
+        # dW = dmat @ cols.T, taken as (cols @ dmat.T).T: BLAS streams the long
+        # N*Ho*Wo axis of the big operand row by row instead of column by column.
+        self.weight.grad += (cols @ dmat.T).T.reshape(self.weight.data.shape)
         if self.bias is not None:
-            self.bias.grad += dmat.sum(axis=0)
-        dcols = dmat @ wmat
-        return col2im(dcols, x.shape, self.kernel, self.stride, self.padding)
+            self.bias.grad += dmat.sum(axis=1)
+        return col2im(wmat.T @ dmat, x.shape, self.kernel, self.stride, self.padding)
 
     def output_shape(self, in_shape):
         n, c, h, w = in_shape

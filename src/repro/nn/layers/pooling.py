@@ -3,23 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.layers.base import Layer
-from repro.nn.layers.conv import conv_output_hw
+from repro.nn.layers.conv import conv_output_hw, padded, slabs
 
 __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
-
-
-def _windows(x: np.ndarray, kernel: int, stride: int, padding: int, pad_value: float):
-    if padding:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            constant_values=pad_value,
-        )
-    w = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    return x, w  # padded input, (N, C, Ho, Wo, k, k) view
 
 
 class MaxPool2D(Layer):
@@ -36,34 +24,34 @@ class MaxPool2D(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"{self.name}: expected 4-D input, got {x.shape}")
-        _, w = _windows(x, self.kernel, self.stride, self.padding, -np.inf)
-        n, c, ho, wo = w.shape[:4]
-        flat = w.reshape(n, c, ho, wo, -1)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        k, s, p = self.kernel, self.stride, self.padding
+        ho, wo = conv_output_hw(x.shape[2], x.shape[3], k, s, p)
+        # Running max over the k*k window offsets; a strict ``>`` keeps the
+        # first of tied elements (post-ReLU windows are mostly ties).
+        views = slabs(padded(x, p, -np.inf), k, s, ho, wo)
+        out = next(views).copy()
+        idx = np.zeros(out.shape, dtype=np.int16)
+        for t, slab in enumerate(views, 1):
+            idx[slab > out] = t
+            np.maximum(out, slab, out=out)
         if self.training:
-            self._save("idx", idx.astype(np.int16))
+            self._save("idx", idx)
             self._x_shape = x.shape
-        return np.ascontiguousarray(out)
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        idx = self._pop("idx").astype(np.int64)
+        idx = self._pop("idx")
         n, c, h, w = self._x_shape
         k, s, p = self.kernel, self.stride, self.padding
         ho, wo = conv_output_hw(h, w, k, s, p)
-        hp, wp = h + 2 * p, w + 2 * p
-        # Window-local argmax -> absolute padded coordinates, then one
-        # flat scatter-add (windows may overlap when stride < kernel).
-        di, dj = idx // k, idx % k
-        base_i = (np.arange(ho) * s)[None, None, :, None]
-        base_j = (np.arange(wo) * s)[None, None, None, :]
-        rows = base_i + di
-        cols = base_j + dj
-        plane = (np.arange(n * c) * (hp * wp)).reshape(n, c, 1, 1)
-        flat_idx = (plane + rows * wp + cols).reshape(-1)
-        dxp = np.zeros(n * c * hp * wp, dtype=dout.dtype)
-        np.add.at(dxp, flat_idx, dout.reshape(-1))
-        dxp = dxp.reshape(n, c, hp, wp)
+        dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype)
+        # Offset t of every window lands on distinct cells, so one slab is
+        # written whole; slabs overlap each other only when stride < kernel.
+        for t, slab in enumerate(slabs(dxp, k, s, ho, wo)):
+            if s >= k:
+                np.multiply(dout, idx == t, out=slab)
+            else:
+                slab += dout * (idx == t)
         return dxp[:, :, p : p + h, p : p + w] if p else dxp
 
     def output_shape(self, in_shape):
@@ -89,11 +77,12 @@ class AvgPool2D(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"{self.name}: expected 4-D input, got {x.shape}")
-        _, w = _windows(x, self.kernel, self.stride, self.padding, 0.0)
-        out = w.mean(axis=(-2, -1))
+        k, s, p = self.kernel, self.stride, self.padding
+        ho, wo = conv_output_hw(x.shape[2], x.shape[3], k, s, p)
+        out = sum(slabs(padded(x, p), k, s, ho, wo)) / (k * k)
         if self.training:
             self._x_shape = x.shape
-        return np.ascontiguousarray(out)
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         n, c, h, w = self._x_shape
@@ -102,9 +91,8 @@ class AvgPool2D(Layer):
         hp, wp = h + 2 * p, w + 2 * p
         dxp = np.zeros((n, c, hp, wp), dtype=dout.dtype)
         g = dout / (k * k)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += g
+        for slab in slabs(dxp, k, s, ho, wo):
+            slab += g
         return dxp[:, :, p : p + h, p : p + w] if p else dxp
 
     def output_shape(self, in_shape):

@@ -57,6 +57,21 @@ class TestCodebook:
         assert cb.max_length <= MAX_CODE_LENGTH
         assert cb.kraft_sum() <= 1.0 + 1e-12
 
+    def test_from_lengths_rejects_lengths_above_the_limit(self, deep_codebook):
+        """The decode tables have 2^L entries, so every way of building a
+        book from stored lengths (a blob's own, the chunked container's
+        shared one, a direct caller) must refuse L > MAX_CODE_LENGTH."""
+        assert deep_codebook.max_length == MAX_CODE_LENGTH  # the limit itself is fine
+        for bad in (MAX_CODE_LENGTH + 1, 24, 255):
+            hostile = deep_codebook.lengths.copy()
+            hostile[3] = bad
+            with pytest.raises(ValueError, match="MAX_CODE_LENGTH"):
+                HuffmanCodebook.from_lengths(hostile)
+        for unrepresentable in ([1, 1, 300], [1, -1]):  # would wrap in uint8
+            with pytest.raises(ValueError, match="MAX_CODE_LENGTH"):
+                HuffmanCodebook.from_lengths(np.array(unrepresentable))
+        assert HuffmanCodebook.from_lengths(np.zeros(0, dtype=np.uint8)).max_length == 0
+
     def test_prefix_free(self, rng):
         syms = rng.integers(0, 100, size=2000).astype(np.uint16)
         cb = build_codebook(syms, 128)

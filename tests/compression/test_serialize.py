@@ -197,6 +197,25 @@ class TestLoadsRejectsMalformedBlobs:
         with pytest.raises(ValueError, match="chunk bit lengths"):
             loads(hostile)
 
+    def test_codebook_length_byte_above_the_limit(self, blob):
+        """A flipped length byte (17..255) would size a 2^L-entry table."""
+        assert loads(blob).codebook is not None
+        for bad in (MAX_CODE_LENGTH + 1, 24, 200):
+            with pytest.raises(ValueError, match="MAX_CODE_LENGTH"):
+                loads(blob[:-1] + bytes([bad]))  # the codebook is the last section
+
+    def test_chunked_container_shared_codebook_length_byte(self):
+        from repro.compression import registry
+        from repro.compression.registry import ChunkedCodec
+
+        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 13, error_bound=1e-3)
+        cct = ck.compress(_relu_field((8, 8, 16, 16)))
+        assert len(cct.chunks) > 1 and cct.shared_codebook is not None
+        data = registry.dumps(cct)  # the shared length table is written last
+        assert registry.loads(data).shared_codebook.max_length <= MAX_CODE_LENGTH
+        with pytest.raises(ValueError, match="MAX_CODE_LENGTH"):
+            registry.loads(data[:-1] + bytes([MAX_CODE_LENGTH + 8]))
+
     def test_header_must_be_self_consistent(self, blob):
         for changes in (
             dict(count=217), dict(shape=[6, 6, 7]), dict(shape=[2.4, 90]), dict(entropy="huffmao"),

@@ -223,6 +223,15 @@ class TestSurfaceAndGuards:
             assert "world_size=2" in repr(s)
             assert s.world_size == 2
 
+    def test_rank_side_accessors_read_none_on_the_coordinator(self):
+        """Regression: ``param_store`` dereferenced the trainer the
+        coordinator does not have and raised AttributeError."""
+        with build_session(make_net(), ddp_config()) as s:
+            assert s.param_store is None
+            assert s.tracker is None and s.engine is None and s.policy_table is None
+            s.train(data(1))
+            assert s.param_store is None
+
     def test_batch_smaller_than_world_size_raises(self):
         cfg = ddp_config(world_size=4)
         with build_session(make_net(), cfg) as s:
