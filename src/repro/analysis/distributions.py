@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["sigma_within_fraction", "DistributionReport", "describe_sample"]
 
@@ -41,17 +40,19 @@ def describe_sample(sample: np.ndarray, uniform_bound: float = None) -> Distribu
     e = np.asarray(sample, dtype=np.float64).reshape(-1)
     if e.size < 8:
         raise ValueError("sample too small to characterize")
+    from scipy.stats import kstest
+
     sd = e.std()
     if sd > 0:
         # Subsample for the KS test: at full size the test rejects any
         # infinitesimal deviation from the reference distribution.
         sub = e if e.size <= 5000 else e[:: e.size // 5000]
-        normal_p = float(stats.kstest((sub - sub.mean()) / sd, "norm").pvalue)
+        normal_p = float(kstest((sub - sub.mean()) / sd, "norm").pvalue)
     else:
         normal_p = 0.0
     if uniform_bound is not None and uniform_bound > 0:
         sub = e if e.size <= 5000 else e[:: e.size // 5000]
-        uni_p = float(stats.kstest(sub, "uniform", args=(-uniform_bound, 2 * uniform_bound)).pvalue)
+        uni_p = float(kstest(sub, "uniform", args=(-uniform_bound, 2 * uniform_bound)).pvalue)
     else:
         uni_p = float("nan")
     return DistributionReport(

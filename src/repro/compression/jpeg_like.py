@@ -15,11 +15,13 @@ paper argues against (Section 2.1).
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
+
+from repro.compression.lossless import inflate
 
 __all__ = ["JpegLikeCompressor", "JpegCompressedTensor", "JPEG_LUMINANCE_Q"]
 
@@ -109,6 +111,11 @@ class JpegLikeCompressor:
     """
 
     def __init__(self, quality: int = 50, zlib_level: int = 6):
+        # scipy.fft is paid by whoever builds a jpeg codec, not by
+        # ``import repro`` and not inside a step or on a worker thread
+        from scipy.fft import dctn, idctn
+
+        self._dctn, self._idctn = dctn, idctn
         self.quality = int(quality)
         self.qmatrix = _quality_scale(self.quality)
         self.zlib_level = int(zlib_level)
@@ -122,7 +129,7 @@ class JpegLikeCompressor:
         amax = float(np.abs(x).max())
         scale = amax / 127.0 if amax > 0 else 1.0
         tiled, hw = _blockify(x.astype(np.float64) / scale)
-        coeffs = dctn(tiled, axes=(-2, -1), norm="ortho")
+        coeffs = self._dctn(tiled, axes=(-2, -1), norm="ortho")
         quant = np.rint(coeffs / self.qmatrix)
         info = np.iinfo(np.int16)
         coeff_dtype = "int16" if (quant.min() >= info.min and quant.max() <= info.max) else "int32"
@@ -139,10 +146,11 @@ class JpegLikeCompressor:
         )
 
     def decompress(self, ct: JpegCompressedTensor) -> np.ndarray:
-        quant = np.frombuffer(zlib.decompress(ct.payload), dtype=ct.coeff_dtype)
+        coeff_nbytes = math.prod(ct.padded_shape) * np.dtype(ct.coeff_dtype).itemsize
+        quant = np.frombuffer(inflate(ct.payload, coeff_nbytes), dtype=ct.coeff_dtype)
         quant = quant.reshape(ct.padded_shape).astype(np.float64)
         coeffs = quant * self.qmatrix
-        tiled = idctn(coeffs, axes=(-2, -1), norm="ortho")
+        tiled = self._idctn(coeffs, axes=(-2, -1), norm="ortho")
         hw = (ct.shape[-2], ct.shape[-1])
         plane = _unblockify(tiled, hw)
         return (plane * ct.scale).astype(np.dtype(ct.dtype))

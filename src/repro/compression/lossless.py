@@ -12,6 +12,7 @@ Two codecs are provided:
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -20,6 +21,23 @@ import numpy as np
 __all__ = ["DeflateCompressor", "SparseLosslessCompressor", "LosslessCompressedTensor"]
 
 HEADER_BYTES = 32
+
+
+def inflate(payload: bytes, nbytes: int) -> bytes:
+    """Inflate *payload*, which must hold exactly *nbytes*.
+
+    The output is capped one byte past *nbytes*, so a corrupt stream can
+    neither allocate more than its header promised nor pass for a whole
+    one; any damage raises ``ValueError``.
+    """
+    stream = zlib.decompressobj()
+    try:
+        raw = stream.decompress(payload, nbytes + 1)
+    except zlib.error as exc:
+        raise ValueError(f"corrupt deflate payload: {exc}") from exc
+    if len(raw) != nbytes or not stream.eof or stream.unused_data:
+        raise ValueError("deflate payload inconsistent with the recorded shape")
+    return raw
 
 
 @dataclass
@@ -37,7 +55,7 @@ class LosslessCompressedTensor:
 
     @property
     def original_nbytes(self) -> int:
-        return int(np.prod(self.shape)) * np.dtype(self.dtype).itemsize
+        return math.prod(self.shape) * np.dtype(self.dtype).itemsize
 
     @property
     def nbytes(self) -> int:
@@ -62,7 +80,7 @@ class DeflateCompressor:
         )
 
     def decompress(self, ct: LosslessCompressedTensor) -> np.ndarray:
-        raw = zlib.decompress(ct.payload)
+        raw = inflate(ct.payload, ct.original_nbytes)
         return np.frombuffer(raw, dtype=ct.dtype).reshape(ct.shape).copy()
 
     def roundtrip(self, x: np.ndarray) -> np.ndarray:
@@ -87,9 +105,12 @@ class SparseLosslessCompressor:
         )
 
     def decompress(self, ct: LosslessCompressedTensor) -> np.ndarray:
-        n = int(np.prod(ct.shape))
+        n = math.prod(ct.shape)
+        if len(ct.bitmap) != -(-n // 8):
+            raise ValueError("zero bitmap inconsistent with the recorded shape")
         nz_mask = np.unpackbits(np.frombuffer(ct.bitmap, dtype=np.uint8))[:n].astype(bool)
-        values = np.frombuffer(zlib.decompress(ct.payload), dtype=ct.dtype)
+        nnz_bytes = np.count_nonzero(nz_mask) * np.dtype(ct.dtype).itemsize
+        values = np.frombuffer(inflate(ct.payload, nnz_bytes), dtype=ct.dtype)
         flat = np.zeros(n, dtype=ct.dtype)
         flat[nz_mask] = values
         return flat.reshape(ct.shape)

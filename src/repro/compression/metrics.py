@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "compression_ratio",
@@ -47,7 +46,7 @@ def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
         return float("inf")
     vrange = float(original.max() - original.min())
     if vrange == 0:
-        return float("inf")
+        return float("-inf")
     return 10.0 * np.log10(vrange**2 / m)
 
 
@@ -64,13 +63,28 @@ class ErrorStats:
 
 
 def error_stats(errors: np.ndarray) -> ErrorStats:
+    """Moments of an error sample (biased estimators, as ``scipy.stats``
+    defaults).  A constant sample has zero skew and kurtosis."""
     e = np.asarray(errors, dtype=np.float64).reshape(-1)
+    if e.size == 0:
+        return ErrorStats(mean=0.0, std=0.0, max_abs=0.0, skew=0.0, kurtosis=0.0, n=0)
+    mean = float(e.mean())
+    d = e - mean
+    d2 = d * d
+    m2 = float(d2.mean())
+    skew = kurtosis = 0.0
+    # constant up to the rounding of the mean counts as constant
+    if m2 > (np.finfo(np.float64).eps * mean) ** 2:
+        if e.size > 2:
+            skew = float((d2 * d).mean()) / m2**1.5
+        if e.size > 3:
+            kurtosis = float((d2 * d2).mean()) / m2**2 - 3.0
     return ErrorStats(
-        mean=float(e.mean()),
-        std=float(e.std()),
-        max_abs=float(np.abs(e).max()) if e.size else 0.0,
-        skew=float(stats.skew(e)) if e.size > 2 else 0.0,
-        kurtosis=float(stats.kurtosis(e)) if e.size > 3 else 0.0,
+        mean=mean,
+        std=float(np.sqrt(m2)),
+        max_abs=float(np.abs(e).max()),
+        skew=skew,
+        kurtosis=kurtosis,
         n=int(e.size),
     )
 
@@ -83,7 +97,11 @@ def uniformity_pvalue(errors: np.ndarray, bound: float) -> float:
     e = np.asarray(errors, dtype=np.float64).reshape(-1)
     if e.size == 0:
         raise ValueError("empty error sample")
-    return float(stats.kstest(e, "uniform", args=(-bound, 2 * bound)).pvalue)
+    if not bound > 0:
+        raise ValueError(f"bound must be positive, got {bound}")
+    from scipy.stats import kstest
+
+    return float(kstest(e, "uniform", args=(-bound, 2 * bound)).pvalue)
 
 
 def normality_pvalue(errors: np.ndarray) -> float:
@@ -94,4 +112,6 @@ def normality_pvalue(errors: np.ndarray) -> float:
     s = e.std()
     if s == 0:
         return 0.0
-    return float(stats.kstest((e - e.mean()) / s, "norm").pvalue)
+    from scipy.stats import kstest
+
+    return float(kstest((e - e.mean()) / s, "norm").pvalue)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import inspect
 import json
 import struct
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
@@ -287,7 +287,16 @@ def _dumps_generic(magic: bytes, header: dict, sections: List[bytes]) -> bytes:
 def _split_generic(data: bytes) -> Tuple[dict, int]:
     (hlen,) = struct.unpack_from("<I", data, 4)
     header = json.loads(data[_GENERIC_FRAMING_BYTES : _GENERIC_FRAMING_BYTES + hlen].decode())
+    if not isinstance(header, dict):
+        raise ValueError("serialized tensor header is not an object")
     return header, _GENERIC_FRAMING_BYTES + hlen
+
+
+def _sizes(*values) -> tuple:
+    """Header lengths and dimensions: non-negative ints, nothing else."""
+    if any(type(v) is not int or v < 0 for v in values):
+        raise ValueError("length or shape field malformed")
+    return values
 
 
 def dumps(ct: Any) -> bytes:
@@ -333,42 +342,59 @@ def dumps(ct: Any) -> bytes:
 
 
 def loads(data: bytes) -> Any:
-    """Inverse of :func:`dumps` (dispatch on the 4-byte magic)."""
+    """Inverse of :func:`dumps` (dispatch on the 4-byte magic).
+
+    Lengths, shapes and dtypes are checked before anything is sized from
+    them; a malformed or truncated blob raises ``ValueError``.
+    """
+    try:
+        return _loads(data)
+    except (KeyError, TypeError, struct.error) as exc:
+        raise ValueError(f"malformed serialized tensor: {exc!r}") from exc
+
+
+def _loads(data: bytes) -> Any:
     magic = bytes(data[:4])
     if magic == _szser._MAGIC:
         return _szser.loads(data)
     if magic == _JPEG_MAGIC:
         header, pos = _split_generic(data)
-        payload = bytes(data[pos : pos + header["plen"]])
-        if pos + header["plen"] != len(data):
+        (plen,) = _sizes(header["plen"])
+        shape = _sizes(*header["shape"])
+        padded_shape = tuple(header["padded_shape"])
+        if pos + plen != len(data):
             raise ValueError("trailing bytes in serialized tensor")
+        if (
+            header["coeff_dtype"] not in ("int16", "int32")
+            or len(shape) < 2
+            or padded_shape != (*shape[:-2], -(-shape[-2] // 8), -(-shape[-1] // 8), 8, 8)
+        ):
+            raise ValueError("coefficient layout inconsistent with the shape")
         return JpegCompressedTensor(
-            shape=tuple(header["shape"]),
-            dtype=header["dtype"],
+            shape=shape,
+            dtype=str(np.dtype(header["dtype"])),
             quality=header["quality"],
-            scale=header["scale"],
-            payload=payload,
+            scale=float(header["scale"]),
+            payload=bytes(data[pos:]),
             coeff_dtype=header["coeff_dtype"],
-            padded_shape=tuple(header["padded_shape"]),
+            padded_shape=padded_shape,
         )
     if magic == _LOSSLESS_MAGIC:
         header, pos = _split_generic(data)
-        payload = bytes(data[pos : pos + header["plen"]])
-        pos += header["plen"]
-        bitmap = bytes(data[pos : pos + header["blen"]])
-        if pos + header["blen"] != len(data):
+        plen, blen = _sizes(header["plen"], header["blen"])
+        if pos + plen + blen != len(data):
             raise ValueError("trailing bytes in serialized tensor")
         return LosslessCompressedTensor(
-            shape=tuple(header["shape"]),
-            dtype=header["dtype"],
+            shape=_sizes(*header["shape"]),
+            dtype=str(np.dtype(header["dtype"])),
             scheme=header["scheme"],
-            payload=payload,
-            bitmap=bitmap,
+            payload=bytes(data[pos : pos + plen]),
+            bitmap=bytes(data[pos + plen :]),
         )
     if magic == _CHUNKED_MAGIC:
         header, pos = _split_generic(data)
         chunks = []
-        for length in header["chunk_lengths"]:
+        for length in _sizes(*header["chunk_lengths"]):
             chunks.append(loads(data[pos : pos + length]))
             pos += length
         shared = None
@@ -618,6 +644,8 @@ class ChunkedCodec:
         if executor == "process" and self.workers > 1:
             # workers == 1 always takes _run's inline path; don't fork a
             # pool that could never be used.
+            from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
             self._pool.submit(int).result()
 

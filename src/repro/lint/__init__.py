@@ -30,6 +30,9 @@ BKD001    backend-discipline      ``compression/szlike/`` reaches the hot
                                   kernels via ``get_backend(...)``, never the
                                   private ``_numpy_*`` implementations
                                   (see :mod:`.rules_backend`).
+IMP001    heavy-import            ``scipy`` is imported inside the function
+                                  that uses it, never at module level
+                                  (see :mod:`.rules_imports`).
 LINT000   parse-error             The file failed to parse at all.
 ========  ======================  ==============================================
 """

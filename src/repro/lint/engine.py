@@ -271,6 +271,7 @@ def default_rules() -> List[Rule]:
     from repro.lint.rules_backend import BackendDisciplineRule
     from repro.lint.rules_bounds import ErrorBoundExactnessRule
     from repro.lint.rules_determinism import DeterminismRule
+    from repro.lint.rules_imports import HeavyImportRule
     from repro.lint.rules_lifecycle import ResourceLifecycleRule
     from repro.lint.rules_locks import LockDisciplineRule
     from repro.lint.rules_registry import RegistryHygieneRule
@@ -282,6 +283,7 @@ def default_rules() -> List[Rule]:
         DeterminismRule(),
         RegistryHygieneRule(),
         BackendDisciplineRule(),
+        HeavyImportRule(),
     ]
 
 

@@ -1,5 +1,7 @@
 """Compression metrics and distribution tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.compression import (
     psnr,
     uniformity_pvalue,
 )
+from repro.compression.metrics import ErrorStats
 
 
 class TestBasicMetrics:
@@ -52,6 +55,52 @@ class TestErrorStats:
         assert s.std == pytest.approx(2.0, rel=0.05)
         assert abs(s.kurtosis) < 0.2
         assert s.n == 100_000
+
+
+    def test_skew_and_kurtosis_equal_scipy(self, rng):
+        """The NumPy central moments against the implementation they replaced."""
+        from scipy import stats
+
+        for e in (rng.exponential(1e-3, 5000) + 5.0, rng.uniform(-1e-3, 1e-3, 777)):
+            s = error_stats(e)
+            assert s.skew == pytest.approx(stats.skew(e), abs=1e-12)
+            assert s.kurtosis == pytest.approx(stats.kurtosis(e), abs=1e-12)
+            assert (s.mean, s.std) == (e.mean(), e.std())
+
+
+class TestDegenerateSamples:
+    """Silent wrong values and warnings on degenerate input, every
+    warning promoted to an error."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_psnr_of_a_wrong_reconstruction_of_constant_data(self):
+        assert psnr(np.zeros(4), np.ones(4)) == -np.inf
+        assert psnr(np.zeros(4), np.zeros(4)) == np.inf
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, -3e7])
+    def test_constant_sample_has_zero_skew_and_kurtosis(self, value):
+        # all-zero errors are what every lossless codec produces; 0.1 is a
+        # constant whose mean does not round back to it
+        s = error_stats(np.full(1000, value))
+        assert (s.skew, s.kurtosis, s.n) == (0.0, 0.0, 1000)
+        assert s.mean == pytest.approx(value) and s.std < 1e-9 and s.max_abs == abs(value)
+
+    def test_empty_sample(self):
+        assert error_stats(np.array([])) == ErrorStats(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+
+    def test_tiny_samples_keep_zero_higher_moments(self):
+        assert error_stats([2.0]).kurtosis == 0.0
+        assert (error_stats([1.0, 2.0]).skew, error_stats([1.0, 2.0, 4.0]).kurtosis) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bound", [0.0, -1e-3, float("nan")])
+    def test_uniformity_needs_a_positive_bound(self, bound, rng):
+        with pytest.raises(ValueError, match="positive"):
+            uniformity_pvalue(rng.uniform(-1, 1, 100), bound)
 
 
 class TestDistributionTests:

@@ -5,6 +5,11 @@ error-bound behaviour, and nbytes/serialization parity — so the
 compressing context can swap codecs freely.
 """
 
+import json
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
@@ -120,6 +125,62 @@ class TestCodecContract:
         est = codec.estimate_nbytes(activation_tensor, error_bound=1e-3)
         actual = codec.compress(activation_tensor, error_bound=1e-3).nbytes
         assert 0.5 * actual < est < 1.5 * actual
+
+
+@pytest.mark.parametrize("name", ["lossless", "sparse-lossless", "jpeg"])
+class TestCorruptBlobs:
+    """A damaged jpeg / lossless blob ends in ValueError or in an array
+    of the shape and dtype its header records — never in ``zlib.error``,
+    ``KeyError``, ``TypeError`` or an inflate larger than that array."""
+
+    @pytest.fixture
+    def blob(self, name, rng):
+        x = np.maximum(rng.standard_normal((2, 3, 9, 10)), 0).astype(np.float32)
+        return dumps(get_codec(name).compress(x))
+
+    def test_every_single_byte_flip(self, name, blob):
+        codec = get_codec(name)
+        rejected = 0
+        for i in range(len(blob)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(blob)
+                damaged[i] ^= mask
+                try:
+                    ct = loads(bytes(damaged))
+                    out = codec.decompress(ct)
+                except ValueError:
+                    rejected += 1
+                    continue
+                assert isinstance(out, np.ndarray)
+                assert (out.shape, out.dtype) == (tuple(ct.shape), np.dtype(ct.dtype))
+        assert rejected > len(blob)  # deflate's checksum catches payload damage
+
+    def test_every_truncation(self, name, blob):
+        codec = get_codec(name)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                codec.decompress(loads(blob[:cut]))
+
+    def test_header_fields_of_the_wrong_type(self, name, blob):
+        (hlen,) = struct.unpack_from("<I", blob, 4)
+        header = json.loads(blob[8 : 8 + hlen])
+        for key, bad in [("shape", None), ("shape", [2, "3", 9, 10]), ("shape", [2, 3, 9, -10]),
+                         ("plen", 1.5), ("dtype", 7), ("dtype", "float33")]:
+            hbytes = json.dumps({**header, key: bad}).encode()
+            with pytest.raises(ValueError):
+                loads(blob[:4] + struct.pack("<I", len(hbytes)) + hbytes + blob[8 + hlen :])
+
+    def test_inflate_is_capped_at_the_recorded_size(self, name, blob):
+        """A payload that inflates to 64 MiB behind a 2 KiB header."""
+        ct = loads(blob)
+        ct.payload = zlib.compress(bytes(64 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="inconsistent"):
+                get_codec(name).decompress(ct)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestChunkedCodec:

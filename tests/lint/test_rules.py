@@ -74,9 +74,18 @@ def test_bkd001_flags_private_kernel_references():
     assert "_numpy_huffman_pack_words" in violations[2].message
 
 
+def test_imp001_flags_import_time_scipy_only():
+    violations = lint_fixture("imp001_bad.py")
+    assert ids_and_lines(violations) == [("IMP001", 4), ("IMP001", 7), ("IMP001", 13)]
+    assert "'scipy'" in violations[0].message
+    assert "'scipy.fft'" in violations[1].message
+    assert "inside the function" in violations[2].message
+
+
 def test_clean_fixtures_have_no_violations():
     violations = lint_fixture(
         "clean.py",
+        "imp001_good.py",
         os.path.join("compression", "clean.py"),
         os.path.join("compression", "szlike", "clean.py"),
     )
@@ -106,5 +115,5 @@ def test_cli_json_output_and_exit_code():
 def test_cli_list_rules():
     proc = _run_cli("--list-rules")
     assert proc.returncode == 0
-    for rule_id in ("LCK001", "REL001", "EBD001", "DET001", "REG001", "BKD001"):
+    for rule_id in ("LCK001", "REL001", "EBD001", "DET001", "REG001", "BKD001", "IMP001"):
         assert rule_id in proc.stdout
