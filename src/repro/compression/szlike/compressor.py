@@ -34,15 +34,20 @@ check (rebuild beyond a ``codebook_delta`` excess over the fresh-book
 floor, or every ``codebook_refresh`` uses) and an unconditional
 correctness escape — symbols with no codeword under a cached book are
 demoted to the outlier channel, so the error bound never depends on
-cache freshness.  The whole hot path is also allocation-lean: the
-quantize/predict/code intermediates live in a reusable
-:class:`~repro.utils.scratch.ScratchPool` and the entropy kernels are
-the word-packed/blocked variants in
-:mod:`~repro.compression.szlike.huffman`.
+cache freshness.  The whole hot path is also allocation-lean and moves
+few bytes per value: the quantize/predict/code intermediates live in a
+reusable :class:`~repro.utils.scratch.ScratchPool` in the narrowest
+integer dtype that is exact for the tensor (``int32`` unless a guard
+computed from the data selects ``int64``, see
+:mod:`repro.kernels.numpy_backend`), the entropy kernels are the
+pair-packed/blocked variants in :mod:`~repro.compression.szlike.huffman`,
+and decompression multiplies the grid indices straight into the output
+dtype.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import zlib
 from contextlib import ExitStack
@@ -51,6 +56,7 @@ from typing import Hashable, Optional, Union
 
 import numpy as np
 
+from repro.compression.lossless import inflate
 from repro.compression.szlike.codebook_cache import CodebookCache
 from repro.compression.szlike.huffman import (
     HuffmanCodebook,
@@ -60,10 +66,7 @@ from repro.compression.szlike.huffman import (
     huffman_decode,
     huffman_encode,
 )
-from repro.compression.szlike.quantizer import (
-    QuantizedResiduals,
-    reconstruct,
-)
+from repro.compression.szlike.quantizer import QuantizedResiduals
 from repro.kernels import KERNEL_BACKENDS, get_backend
 from repro.utils import profiler
 from repro.utils.scratch import ScratchPool
@@ -118,7 +121,7 @@ class CompressedTensor:
 
     @property
     def original_nbytes(self) -> int:
-        return int(np.prod(self.shape)) * np.dtype(self.dtype).itemsize if self.shape else 0
+        return math.prod(self.shape) * np.dtype(self.dtype).itemsize if self.shape else 0
 
     #: fixed header charge; ``nbytes`` == serialized length with the wire
     #: header swapped for this constant (see :data:`HEADER_BYTES`).
@@ -377,36 +380,33 @@ class SZCompressor:
         The histogram answers "is anything uncovered?" in O(alphabet) —
         the common warm-cache case pays no per-element work here.  When
         demotion is needed, *codes* is mutated in place (uncovered
-        positions become the marker code 0) and the merged
-        positional-order outlier array is returned; otherwise ``None``.
+        positions become the marker code 0) and ``(outliers, n_escape,
+        hist)`` carries the merged positional-order outlier array and
+        the histogram of the mutated codes (corrected in O(alphabet),
+        not re-counted); otherwise ``(None, 0, hist)``.
         Requires the marker symbol itself to be covered — the
         cache/viability checks guarantee that before reuse is allowed.
         """
         lengths = codebook.lengths
-        if lengths.size >= hist.size:
-            bad_syms = (hist > 0) & (lengths[: hist.size] == 0)
-            n_escape = int(hist[bad_syms].sum())
-        else:
-            bad_syms = (hist[: lengths.size] > 0) & (lengths == 0)
-            n_escape = int(hist[: lengths.size][bad_syms].sum() + hist[lengths.size :].sum())
+        # symbols beyond an injected book's smaller alphabet stay uncovered
+        bad_syms = hist > 0
+        bad_syms[: lengths.size] &= lengths[: hist.size] == 0
+        n_escape = int(hist[bad_syms].sum())
         if n_escape == 0:
-            return None, 0
+            return None, 0, hist
         if lengths[0] == 0:
             raise ValueError(
                 "codebook lacks the outlier marker codeword; cannot demote "
                 "uncovered symbols (rebuild the codebook instead)"
             )
-        if lengths.size >= hist.size:
-            uncovered = lengths[codes] == 0
-        else:  # defensive: injected book over a smaller alphabet
-            clipped = np.minimum(codes, lengths.size - 1)
-            uncovered = (codes >= lengths.size) | (lengths[clipped] == 0)
-        codes[uncovered] = 0
+        codes[bad_syms[codes]] = 0
+        hist = np.where(bad_syms, 0, hist)
+        hist[0] += n_escape
         # Recompute the outlier stream in positional order: existing
         # markers and the freshly demoted positions interleave exactly as
         # residuals_from_codes will consume them.
         outliers = flat_delta[codes.reshape(-1) == 0].astype(np.int64)
-        return outliers, n_escape
+        return outliers, n_escape, hist
 
     # -- API -------------------------------------------------------------
     def compress(
@@ -461,7 +461,7 @@ class SZCompressor:
                         )
                     if reused:
                         try:
-                            escaped, n_escape = self._demote_uncovered(
+                            escaped, n_escape, hist = self._demote_uncovered(
                                 qr.codes, flat_delta, hist, out_codebook
                             )
                         except ValueError:
@@ -476,7 +476,7 @@ class SZCompressor:
                             if self.codebook_cache is not None and codebook is None:
                                 self.codebook_cache.note_escapes(n_escape)
                     payload, total_bits, chunk_offsets = huffman_encode(
-                        qr.codes, out_codebook, kernels=self._kernels
+                        qr.codes, out_codebook, kernels=self._kernels, hist=hist
                     )
                     if self.entropy == "huffman+zlib":
                         payload = zlib.compress(payload, self.zlib_level)
@@ -543,7 +543,7 @@ class SZCompressor:
                     )
                 payload = ct.payload
                 if ct.entropy == "huffman+zlib":
-                    payload = zlib.decompress(payload)
+                    payload = inflate(payload, (ct.total_bits + 7) >> 3)
                 codes = huffman_decode(
                     payload,
                     ct.total_bits,
@@ -552,22 +552,27 @@ class SZCompressor:
                     chunk_offsets=ct.chunk_offsets,
                     kernels=self._kernels,
                 )
-            elif ct.entropy == "zlib":
-                codes = np.frombuffer(zlib.decompress(ct.payload), dtype=ct.raw_codes_dtype)
             else:
-                codes = np.frombuffer(ct.payload, dtype=ct.raw_codes_dtype)
+                codes_dtype = np.dtype(ct.raw_codes_dtype)
+                if codes_dtype.kind != "u":
+                    raise ValueError(f"quantization codes cannot be {codes_dtype}")
+                payload = ct.payload
+                if ct.entropy == "zlib":
+                    payload = inflate(payload, ct.count * codes_dtype.itemsize)
+                codes = np.frombuffer(payload, dtype=codes_dtype)
+                if codes.size != ct.count:
+                    raise ValueError(f"payload holds {codes.size} codes, expected {ct.count}")
 
             # The back half is one backend kernel (``quantize_decode``:
             # outlier re-injection + per-axis cumulative sums, fused on
-            # compiled backends).
+            # compiled backends); the kernel picks the grid dtype.
             q = self._kernels.quantize_decode(
-                codes.astype(np.uint32, copy=False),
-                ct.outliers.astype(np.int64, copy=False),
-                ct.radius,
-                ct.shape,
-                ct.lorenzo_ndim,
+                codes, ct.outliers, ct.radius, ct.shape, ct.lorenzo_ndim
             )
-            x = reconstruct(q, ct.error_bound, dtype=np.dtype(ct.dtype))
+            # ``reconstruct`` without its temporaries: the same float64
+            # product, rounded once into the output dtype.
+            x = np.empty(ct.shape, dtype=ct.dtype)
+            np.multiply(q, 2.0 * ct.error_bound, out=x, dtype=np.float64, casting="unsafe")
         if self.emulate_zero_drift:
             zeros = q == 0
             n_zero = int(zeros.sum())
@@ -575,9 +580,17 @@ class SZCompressor:
                 with self._rng_lock:
                     drift = self._rng.uniform(-ct.error_bound, ct.error_bound, n_zero)
                 x[zeros] = drift.astype(x.dtype)
-        if ct.zero_filter:
-            # Paper Section 4.4: re-zero anything within the error bound so
-            # ReLU zeros survive compression exactly.
+        # Paper Section 4.4: re-zero anything within the error bound so
+        # ReLU zeros survive compression exactly.  On this integer
+        # pipeline the filter is the identity unless drift is emulated:
+        # q = 0 reconstructs to exactly +0.0, and |q| >= 1 to at least
+        # 2*eb rounded into the output dtype, which exceeds eb rounded
+        # into it whenever eb is at least that dtype's smallest normal
+        # (both roundings are monotonic and a normal float doubles
+        # exactly).  A bound below the dtype's resolution keeps the pass.
+        if ct.zero_filter and (
+            self.emulate_zero_drift or ct.error_bound < np.finfo(x.dtype).tiny
+        ):
             x[np.abs(x) <= ct.error_bound] = 0
         return x
 

@@ -4,15 +4,16 @@ cuSZ's entropy stage is a customized Huffman coder over the quantization
 codes.  We reproduce it with HPC-flavoured twists so that neither
 direction needs a Python-level per-symbol loop:
 
-* **Encode** is *word-packed and blocked*: symbols are processed in
-  fixed-size blocks; within a block every codeword (<= 16 bits, so it
-  spans at most two adjacent 16-bit output words) is shifted to its
-  absolute bit position and the per-word contributions are merged with
-  one ``bincount`` — disjoint bits make integer addition equal to
-  bitwise OR.  Peak scratch is one output-sized word array plus O(block)
-  temporaries, versus the 8x-payload bit-expansion the previous
-  bit-plane encoder materialized (kept as ``packer="bitplane"``, the
-  reference implementation the packed path is property-tested against).
+* **Encode** is *pair-packed and blocked*: symbols are processed in
+  fixed-size blocks; within a block adjacent codewords (<= 16 bits each)
+  merge into pairs of <= 32 bits, each pair (it spans at most two
+  adjacent 32-bit output words) is shifted to its bit position and the
+  per-word contributions are merged with ``bincount`` — disjoint bits
+  make integer addition equal to bitwise OR.  Peak scratch is one
+  output-sized word array plus O(block) temporaries, versus the
+  8x-payload bit-expansion the previous bit-plane encoder materialized
+  (kept as ``packer="bitplane"``, the reference implementation the
+  packed path is property-tested against).
 
 * **Decode** is sequential in nature (each codeword's start depends on
   the previous lengths), which is the same obstacle cuSZ's GPU decoder
@@ -24,9 +25,9 @@ direction needs a Python-level per-symbol loop:
     chunks simultaneously**.  Each step reads the current codeword's
     L-bit window out of a 24-bit window-at-byte view of the payload (one
     gather + shift + mask), so scratch is ~4x the payload plus
-    O(#chunks) per step plus the dense decode table, which is **cached
-    on the codebook** (one table build per codebook lifetime, amortized
-    by the cross-iteration
+    O(#chunks) per step plus the dense decode table (3 bytes per
+    prefix), which is **cached on the codebook** (one table build per
+    codebook lifetime, amortized by the cross-iteration
     :class:`~repro.compression.szlike.codebook_cache.CodebookCache`).
     cuSZ sizes its chunks so that *chunks ~ hardware lanes*; here the
     "hardware" is one vectorized call, so the geometry is **per tensor**
@@ -179,14 +180,19 @@ class HuffmanCodebook:
         return float(np.sum(2.0 ** -nz))
 
     def decode_tables(self) -> tuple:
-        """Dense decode tables ``(tsym uint32, tlen int64)`` over all
-        ``2^L`` L-bit prefixes, built once and cached on the codebook."""
+        """Dense decode tables ``(tsym, tlen)`` over all ``2^L`` L-bit
+        prefixes, built once and cached on the codebook: ``tsym`` in the
+        narrowest dtype that holds a symbol (``uint16`` up to a 65 536
+        symbol alphabet), ``tlen`` as ``uint8`` — 3 bytes per prefix, so
+        a 16-bit book costs 192 KiB and stays cache-resident while the
+        decoder gathers from it."""
         if self._tables is None:
             L = self.max_length
             if L == 0:
                 raise ValueError("codebook is empty")
-            tsym = np.zeros(1 << L, dtype=np.uint32)
-            tlen = np.ones(1 << L, dtype=np.int64)
+            sym_dtype = np.uint16 if self.lengths.size <= 1 << 16 else np.uint32
+            tsym = np.zeros(1 << L, dtype=sym_dtype)
+            tlen = np.ones(1 << L, dtype=np.uint8)
             for s in np.nonzero(self.lengths)[0]:
                 l = int(self.lengths[s])
                 c = int(self.codes[s])
@@ -280,6 +286,7 @@ def huffman_encode(
     chunk_size: Optional[int] = None,
     packer: str = "words",
     kernels=None,
+    hist: Optional[np.ndarray] = None,
 ):
     """Encode *symbols* -> ``(payload bytes, total_bits, chunk_offsets)``.
 
@@ -291,7 +298,10 @@ def huffman_encode(
     legacy 8x-payload bit-expansion, kept as the reference oracle).
     Both produce identical bytes.  *kernels* is a
     :class:`~repro.kernels.backends.KernelBackend` for the ``"words"``
-    inner loop (default: the NumPy reference).
+    inner loop (default: the NumPy reference); *hist* is the
+    :func:`histogram` of *symbols* when the caller already holds it (it
+    sizes the payload and vets codeword coverage without a pass over
+    the stream).
     """
     symbols = symbols.reshape(-1)
     if symbols.size == 0:
@@ -300,7 +310,9 @@ def huffman_encode(
         chunk_size = chunk_size_for(symbols.size)
     if packer == "words":
         kernels = kernels if kernels is not None else get_backend("numpy")
-        return kernels.huffman_pack_words(symbols, codebook.lengths, codebook.codes, chunk_size)
+        return kernels.huffman_pack_words(
+            symbols, codebook.lengths, codebook.codes, chunk_size, hist=hist
+        )
     if packer == "bitplane":
         return _encode_bitplane(symbols, codebook, chunk_size)
     raise ValueError(f"packer must be 'words' or 'bitplane', got {packer!r}")

@@ -20,18 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.numpy_backend import (
-    apply_outliers,
-    bounded_codes_into,
-    prequantize_grid_into,
-)
+from repro.kernels.numpy_backend import apply_outliers
 
 __all__ = [
     "prequantize",
-    "prequantize_into",
     "reconstruct",
     "codes_from_residuals",
-    "codes_from_residuals_into",
     "residuals_from_codes",
     "QuantizedResiduals",
 ]
@@ -44,20 +38,6 @@ def prequantize(x: np.ndarray, error_bound: float) -> np.ndarray:
     # rint keeps ties-to-even like cuSZ's round; int64 avoids overflow for
     # small error bounds on large-magnitude data.
     return np.rint(np.asarray(x, dtype=np.float64) / (2.0 * error_bound)).astype(np.int64)
-
-
-def prequantize_into(x: np.ndarray, error_bound: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Allocation-free :func:`prequantize` over caller-owned buffers.
-
-    Bit-identical to :func:`prequantize` (same float64 divide + rint +
-    int64 cast), but the float64 staging array (*work*) and the int64
-    result (*out*) come from the caller — typically a
-    :class:`~repro.utils.scratch.ScratchPool` — so the steady-state
-    compress path allocates nothing here.
-    """
-    # The loop body lives in the kernels layer (the reference backend's
-    # building block); this wrapper keeps the historical public API.
-    return prequantize_grid_into(x, error_bound, out, work)
 
 
 def reconstruct(q: np.ndarray, error_bound: float, dtype=np.float32) -> np.ndarray:
@@ -113,29 +93,6 @@ def codes_from_residuals(delta: np.ndarray, radius: int = 512) -> QuantizedResid
     dtype = np.uint16 if 2 * radius <= np.iinfo(np.uint16).max else np.uint32
     codes = np.where(inlier, shifted, 0).astype(dtype)
     outliers = flat[~inlier].astype(np.int64)
-    return QuantizedResiduals(codes=codes, outliers=outliers, radius=radius, shape=delta.shape)
-
-
-def codes_from_residuals_into(
-    delta: np.ndarray,
-    radius: int,
-    *,
-    shifted: np.ndarray,
-    mask: np.ndarray,
-    work_mask: np.ndarray,
-    codes: np.ndarray,
-) -> QuantizedResiduals:
-    """Allocation-lean :func:`codes_from_residuals` over caller buffers.
-
-    *shifted* (int64), *mask*/*work_mask* (bool), and *codes* (the
-    output dtype, ``uint16``/``uint32``) are flat buffers of
-    ``delta.size`` elements, typically pooled scratch; only the (small)
-    outlier array is freshly allocated.  Semantics are identical to
-    :func:`codes_from_residuals`.
-    """
-    codes, outliers = bounded_codes_into(
-        delta, radius, shifted=shifted, mask=mask, work_mask=work_mask, codes=codes
-    )
     return QuantizedResiduals(codes=codes, outliers=outliers, radius=radius, shape=delta.shape)
 
 

@@ -409,5 +409,11 @@ class CompressingContext(BaseCompressionContext):
             np.maximum(out, 0, out=out)
             eb = getattr(handle.compressed, "error_bound", None)
             if eb is not None:
-                out[out <= eb] = 0
+                # ``out[out <= eb] = 0`` without the boolean-mask store
+                # (~4 ns per element on a half-sparse mask): multiply by
+                # the keep-mask, then ``+ 0.0`` turns a zeroed ``-0.0``
+                # back into ``+0.0``.  NaN and +inf pass through as they
+                # do in the masked form.
+                np.multiply(out, out > eb, out=out)
+                out += 0.0
         return out

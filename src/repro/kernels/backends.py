@@ -23,10 +23,15 @@ A selected numba backend additionally degrades *per call*: a kernel
 that raises at runtime falls back to the reference implementation for
 that call (``runtime_fallbacks`` in :func:`kernel_stats`).
 
-Both degradations are also logged on ``repro.kernels`` (the library
-configures no handler or level): the first ``"auto"`` -> numpy fallback
-of a process at INFO with the probe error, every runtime fallback at
-WARNING with the kernel name.
+The NumPy reference degrades *per tensor* instead: a tensor whose grid
+indices are not provably ``int32``-exact takes the same code in
+``int64`` at about twice the cost (``wide_grid_calls``).
+
+All three are also logged on ``repro.kernels`` (the library configures
+no handler or level): the first ``"auto"`` -> numpy fallback of a
+process at INFO with the probe error, every runtime fallback at WARNING
+with the kernel name, the first wide-grid call at INFO with the tensor's
+shape, error bound and grid magnitude.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ _NUMPY = _numpy_backend()
 _lock = threading.Lock()
 #: probe state: None = not probed yet; (backend | None, error | None)
 _probe: Optional[tuple] = None
-_counters = {"auto_fallbacks": 0, "runtime_fallbacks": 0, "warmups": 0}
+_counters = {"auto_fallbacks": 0, "runtime_fallbacks": 0, "warmups": 0, "wide_grid_calls": 0}
 _log = logging.getLogger("repro.kernels")
 
 
@@ -90,6 +95,19 @@ def _note_runtime_fallback(kernel: str) -> None:
     with _lock:
         _counters["runtime_fallbacks"] += 1
     _log.warning("compiled kernel %s raised; NumPy reference used for this call", kernel, exc_info=True)
+
+
+def note_wide_grid(kernel: str, shape, error_bound, magnitude: float) -> None:
+    """Count a reference-kernel call that needed ``int64`` grid indices."""
+    with _lock:
+        _counters["wide_grid_calls"] += 1
+        first = _counters["wide_grid_calls"] == 1
+    if first:
+        _log.info(
+            "%s took the wide (int64) grid path, about 2x the int32 cost: "
+            "shape %s, error bound %s, grid magnitude %.3g (needs < 2^31)",
+            kernel, tuple(shape), error_bound, magnitude,
+        )
 
 
 def warmup_backend(backend: KernelBackend, reference: KernelBackend = _NUMPY) -> None:
@@ -115,9 +133,8 @@ def warmup_backend(backend: KernelBackend, reference: KernelBackend = _NUMPY) ->
         cw = np.arange(2 * radius, dtype=np.uint32)
         payload, total_bits, chunk_offsets = b.huffman_pack_words(codes, lengths, cw, 16)
         L = 4
-        tsym = np.zeros(1 << L, dtype=np.uint32)
-        tlen = np.full(1 << L, 4, dtype=np.int64)
-        tsym[:] = np.arange(1 << L)
+        tsym = np.arange(1 << L, dtype=np.uint16)  # the dtypes decode_tables() builds
+        tlen = np.full(1 << L, 4, dtype=np.uint8)
         syms = b.huffman_unpack_window(
             payload, total_bits, int(codes.size), tsym, tlen, L, chunk_offsets, 16
         )

@@ -309,7 +309,9 @@ def make_kernel_functions(loops, on_fallback):
             on_fallback("lorenzo_predict")
             return _numpy_lorenzo_predict(q, ndim, out=out, work=work)
 
-    def huffman_pack_words(symbols, lengths, codes, chunk_size):
+    def huffman_pack_words(symbols, lengths, codes, chunk_size, hist=None):
+        # *hist* is the reference packer's shortcut; the compiled sizing
+        # pass is already one cheap loop, so it is accepted and unused
         first_bad = None
         try:
             sym = np.ascontiguousarray(symbols).reshape(-1)
@@ -325,7 +327,7 @@ def make_kernel_functions(loops, on_fallback):
                 return out8.tobytes(), total_bits, chunk_offsets
         except Exception:
             on_fallback("huffman_pack_words")
-            return _numpy_huffman_pack_words(symbols, lengths, codes, chunk_size)
+            return _numpy_huffman_pack_words(symbols, lengths, codes, chunk_size, hist)
         raise ValueError(
             f"symbol {int(np.ascontiguousarray(symbols).reshape(-1)[first_bad])} "
             f"has no codeword in this codebook"
@@ -334,7 +336,7 @@ def make_kernel_functions(loops, on_fallback):
     def huffman_unpack_window(payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size):
         try:
             buf = np.frombuffer(payload + bytes(2 * chunk_size + 4), dtype=np.uint8)
-            out = np.empty(count, dtype=np.uint32)
+            out = np.empty(count, dtype=tsym.dtype)
             loops["unpack_loop"](
                 buf,
                 np.ascontiguousarray(chunk_offsets, dtype=np.int64),

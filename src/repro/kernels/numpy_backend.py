@@ -1,15 +1,14 @@
 """Reference NumPy implementations of the five hot kernels.
 
 This module is the single source of truth for the inner loops of the
-SZ pipeline's hot path — extracted, behavior-identical, from
-``compression/szlike/quantizer.py`` / ``lorenzo.py`` / ``huffman.py``
-(which now delegate here).  Two layers live in this file:
+SZ pipeline's hot path.  Two layers live in this file:
 
-* **Building blocks** (public names): ``prequantize_grid_into``,
-  ``bounded_codes_into``, ``apply_outliers``, ``diff_axes`` /
-  ``cumsum_axes``, ``pack_words``, ``unpack_window``.  The szlike
+* **Building blocks** (public names): ``apply_outliers``, ``diff_axes``
+  / ``cumsum_axes``, ``pack_words``, ``unpack_window``.  The szlike
   modules call these to keep their public reference API
-  (``prequantize_into``, ``lorenzo_encode``, ...) working unchanged.
+  (``lorenzo_encode``, ``residuals_from_codes``, ...) working; each is
+  dtype-generic — the reference API runs it in ``int64``, the hot path
+  in the narrowest dtype that is *exact* for the tensor at hand.
 * **The backend contract** (``_numpy_*`` names): the five kernels every
   :class:`~repro.kernels.backends.KernelBackend` exposes —
   ``quantize_encode`` (fused quantize→predict→codes over pooled
@@ -20,19 +19,33 @@ SZ pipeline's hot path — extracted, behavior-identical, from
   private names (reprolint rule BKD001) — so a configured backend is
   never silently bypassed.
 
+**Dtype rules.**  After the first division everything is integer work on
+values that usually fit in 10-17 bits, so grid indices and Lorenzo
+residuals are ``int32`` whenever a guard computed from the data proves
+they fit, else ``int64`` through the *same* code (counted in
+``kernel_stats()["wide_grid_calls"]``, logged once):
+
+* encode: ``max|q| * 2^ndim + radius < 2^31`` — a Lorenzo residual over
+  ``ndim`` axes is a signed sum of ``2^ndim`` grid indices, and the code
+  mapping adds the radius;
+* decode: ``span * max(radius, max code - radius, max|outlier|) < 2^31``
+  with ``span`` the element count of the predicted axes — every prefix
+  sum of every axis adds at most ``span`` residuals, so a hostile
+  outlier selects ``int64``, never an overflow.
+
 This module imports only numpy and the stage profiler: the kernels
 layer sits *below* the codec layer and must never import from it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.utils import profiler
 
 __all__ = [
-    "prequantize_grid_into",
-    "bounded_codes_into",
     "apply_outliers",
     "validate_lorenzo",
     "diff_axes",
@@ -61,66 +74,34 @@ def codes_dtype_for_radius(radius: int) -> np.dtype:
 # ---------------------------------------------------------------------------
 
 
-def prequantize_grid_into(x: np.ndarray, error_bound: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """``round(x / 2eb)`` onto int64 *out* via the float64 staging *work*.
+def _grid_dtype(magnitude, kernel: str, shape, error_bound=None) -> np.dtype:
+    """``int32`` when *magnitude* (a bound on every intermediate of the
+    kernel, see the module docstring) proves it exact, else ``int64`` —
+    counted and logged, because the wide path costs about twice the time."""
+    if magnitude < 1 << 31:
+        return np.dtype(np.int32)
+    from repro.kernels.backends import note_wide_grid  # backends imports this module
 
-    dtype=float64 forces the division loop into double precision even
-    for float32 input — the same arithmetic the allocating
-    ``prequantize`` performs, so the two paths quantize bit-identically
-    (rint keeps ties-to-even like cuSZ's round).
-    """
-    if error_bound <= 0:
-        raise ValueError(f"error bound must be positive, got {error_bound}")
-    np.divide(x, 2.0 * error_bound, out=work, dtype=np.float64)
-    np.rint(work, out=work)
-    np.copyto(out, work, casting="unsafe")  # values are integral floats
-    return out
+    note_wide_grid(kernel, shape, error_bound, magnitude)
+    return np.dtype(np.int64)
 
 
-def bounded_codes_into(
-    delta: np.ndarray,
-    radius: int,
-    *,
-    shifted: np.ndarray,
-    mask: np.ndarray,
-    work_mask: np.ndarray,
-    codes: np.ndarray,
-):
-    """Map residuals to codes ``delta + radius`` in ``(0, 2*radius)``.
-
-    Residuals outside the code range escape into the returned int64
-    outlier array (marker code 0); all large buffers are caller-owned.
-    Returns ``(codes, outliers)``.
-    """
-    if radius < 2:
-        raise ValueError(f"radius must be >= 2, got {radius}")
-    flat = delta.reshape(-1)
-    np.add(flat, radius, out=shifted)
-    np.greater(shifted, 0, out=mask)
-    np.less(shifted, 2 * radius, out=work_mask)
-    np.logical_and(mask, work_mask, out=mask)
-    codes[...] = 0
-    np.copyto(codes, shifted, where=mask, casting="unsafe")
-    np.logical_not(mask, out=work_mask)
-    outliers = flat[work_mask].astype(np.int64)
-    return codes, outliers
-
-
-def apply_outliers(codes: np.ndarray, outliers: np.ndarray, radius: int) -> np.ndarray:
-    """Invert :func:`bounded_codes_into`: flat int64 residuals from codes.
+def apply_outliers(codes: np.ndarray, outliers: np.ndarray, radius: int, dtype=np.int64) -> np.ndarray:
+    """Flat *dtype* residuals ``code - radius`` from codes (the inverse of
+    the code mapping; the caller picked a *dtype* that holds them).
 
     Marker positions (code 0) take their residual from *outliers* in
     order of appearance; a marker/outlier count mismatch is corruption.
     """
-    delta = codes.reshape(-1).astype(np.int64) - radius
-    mask = codes.reshape(-1) == 0
-    n_out = int(mask.sum())
+    flat = codes.reshape(-1)
+    delta = np.subtract(flat, radius, dtype=dtype, casting="unsafe")
+    n_out = flat.size - int(np.count_nonzero(flat))
     if n_out != outliers.size:
         raise ValueError(
             f"outlier bookkeeping mismatch: {n_out} markers vs {outliers.size} stored values"
         )
     if n_out:
-        delta[mask] = outliers
+        delta[flat == 0] = outliers
     return delta
 
 
@@ -144,13 +125,21 @@ def validate_lorenzo(arr: np.ndarray, ndim: int) -> int:
 def _diff_into(src: np.ndarray, axis: int, dst: np.ndarray) -> None:
     """Finite difference along *axis* from *src* into *dst* (boundary
     element copied).  *dst* must not alias *src*."""
-    hi = [slice(None)] * src.ndim
-    lo = [slice(None)] * src.ndim
     first = [slice(None)] * src.ndim
-    hi[axis] = slice(1, None)
-    lo[axis] = slice(None, -1)
     first[axis] = slice(0, 1)
-    np.subtract(src[tuple(hi)], src[tuple(lo)], out=dst[tuple(hi)])
+    if src.flags.c_contiguous and dst.flags.c_contiguous:
+        # One long lagged subtract over the flat buffers instead of one
+        # short one per row; what it writes across a boundary is
+        # overwritten by the boundary copy below.
+        lag = math.prod(src.shape[axis + 1 :])
+        s, d = src.reshape(-1), dst.reshape(-1)
+        np.subtract(s[lag:], s[: s.size - lag], out=d[lag:])
+    else:
+        hi = [slice(None)] * src.ndim
+        lo = [slice(None)] * src.ndim
+        hi[axis] = slice(1, None)
+        lo[axis] = slice(None, -1)
+        np.subtract(src[tuple(hi)], src[tuple(lo)], out=dst[tuple(hi)])
     dst[tuple(first)] = src[tuple(first)]
 
 
@@ -173,12 +162,13 @@ def diff_axes_alloc(q: np.ndarray, ndim: int) -> np.ndarray:
     return res
 
 
-def cumsum_axes(delta: np.ndarray, ndim: int) -> np.ndarray:
-    """Invert :func:`diff_axes` (cumulative sums along each axis)."""
-    out = delta
+def cumsum_axes(delta: np.ndarray, ndim: int, out: np.ndarray = None) -> np.ndarray:
+    """Invert :func:`diff_axes` (cumulative sums along each axis);
+    ``out=delta`` accumulates in place."""
+    res = delta
     for axis in range(delta.ndim - ndim, delta.ndim):
-        out = np.cumsum(out, axis=axis, dtype=delta.dtype)
-    return out
+        res = np.cumsum(res, axis=axis, dtype=delta.dtype, out=out)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -186,73 +176,104 @@ def cumsum_axes(delta: np.ndarray, ndim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pack_words(symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chunk_size: int):
-    """Word-packed blocked encoder (the low-allocation hot path).
+def pack_words(symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chunk_size: int, hist=None):
+    """Pair-packed blocked encoder (the low-allocation hot path).
 
-    Every codeword is <= 16 bits, so it spans at most two adjacent
-    big-endian 16-bit output words.  Per block: shift each codeword into
-    a 32-bit window at its absolute bit position, split into (high word,
-    low word) halves, and merge all contributions per word with
-    ``bincount`` — codewords occupy disjoint bits, so integer addition
-    *is* bitwise OR (and the float64 weight sums stay exact: each word's
-    total is < 2^16).
+    One gather from a fused ``(code << 8) | length`` table, then adjacent
+    codewords merge into *pairs* of <= 32 bits (``c_even << len_odd |
+    c_odd``), so everything below runs over n/2 elements.  A pair spans
+    at most two adjacent big-endian 32-bit output words: shift it into a
+    64-bit window at its bit position, split into (high word, low word)
+    halves, and merge all contributions per word with ``bincount`` —
+    pairs occupy disjoint bits, so integer addition *is* bitwise OR (and
+    the float64 weight sums stay exact: each word's total is < 2^32).
 
-    Two passes over the symbol stream (a cheap per-block length sum
-    sizes the output exactly), O(block) temporaries, and one
-    output-sized uint16 word array: peak scratch is ~1x the packed
-    payload plus a constant, versus the bit-plane encoder's 8x.
+    *hist* is the symbol histogram when the caller already holds it
+    (``compress`` does); it sizes the output exactly and answers "does
+    every symbol have a codeword?" in O(alphabet).  Without it one
+    ``bincount`` over the stream rebuilds it.  Scratch is O(block)
+    temporaries plus one output-sized word array: ~1x the packed payload
+    plus a constant, versus the bit-plane encoder's 8x.
 
     Returns ``(payload bytes, total_bits, chunk_offsets int64)``.
     """
-    codes64 = codes.astype(np.int64)
     n = symbols.size
     block = ENCODE_BLOCK if not chunk_size else max(
         chunk_size, (ENCODE_BLOCK // chunk_size) * chunk_size
     )
+    if hist is None:
+        hist = np.zeros(lengths.size, dtype=np.int64)
+        for a in range(0, n, block):  # block by block: bincount widens its input to intp
+            part = np.bincount(symbols[a : a + block])
+            if part.size > hist.size:  # a symbol beyond the codebook: raised below
+                hist = np.pad(hist, (0, part.size - hist.size))
+            hist[: part.size] += part
+    if hist[lengths.size :].any():
+        raise IndexError(f"symbol beyond the {lengths.size}-entry codebook")
+    hist = hist[: lengths.size]
+    used = lengths[: hist.size]
+    if ((hist > 0) & (used == 0)).any():
+        bad = int(symbols[lengths[symbols] == 0][0])
+        raise ValueError(f"symbol {bad} has no codeword in this codebook")
+    total_bits = int(np.dot(hist, used.astype(np.int64)))
 
-    # Pass 1: per-block bit totals -> exact output size, no O(n) scratch.
-    total_bits = 0
-    for a in range(0, n, block):
-        lens = lengths[symbols[a : a + block]]
-        if not lens.all():
-            sl = symbols[a : a + block]
-            bad = int(sl[lens == 0][0])
-            raise ValueError(f"symbol {bad} has no codeword in this codebook")
-        total_bits += int(lens.sum(dtype=np.int64))
-
-    n_words = (total_bits + 15) >> 4
+    table = (codes.astype(np.uint32) << 8) | lengths
+    if chunk_size:
+        # block is a multiple of chunk_size, so every chunk starts at the
+        # same block-local symbols: pair starts[i] >> 1, and — only for an
+        # odd chunk_size — that pair's second codeword
+        starts = np.arange(0, min(block, n), chunk_size)
+        start_pair, start_odd = starts >> 1, starts & 1
     # The word array doubles as the output byte buffer: a uint8 array
-    # viewed as big-endian uint16 for the merge writes, sliced to the
+    # viewed as big-endian uint32 for the merge writes, sliced to the
     # exact payload length at the end — no byteswap copy, no trim copy.
-    out8 = np.zeros(2 * (n_words + 1), dtype=np.uint8)  # +1 word: lo spill
-    words = out8.view(">u2")
+    out8 = np.zeros(4 * (((total_bits + 31) >> 5) + 1), dtype=np.uint8)  # +1 word: lo spill
+    words = out8.view(">u4")
     chunk_parts = []
     base_bits = 0
     for a in range(0, n, block):
         s = symbols[a : a + block]
-        lens = lengths[s].astype(np.int64)
-        off = np.empty(s.size, dtype=np.int64)
-        off[0] = base_bits
-        np.cumsum(lens[:-1], out=off[1:])
-        off[1:] += base_bits
-        block_bits = int(off[-1] - base_bits + lens[-1])
+        m = s.size
+        half = (m + 1) >> 1
+        if m & 1:  # pad the last pair with an empty codeword
+            cl = np.zeros(2 * half, dtype=np.uint32)
+            table.take(s, out=cl[:m])
+        else:
+            cl = table.take(s)
+        even, odd = cl[0::2], cl[1::2]
+        pair = ((even >> 8) << (odd & 0xFF)) | (odd >> 8)
+        # Bit positions relative to the block's first output word w0, so
+        # they fit uint32 (a block holds at most 16 * block bits): one
+        # in-place cumsum turns [r0, len_0, len_1, ...] into every pair's
+        # start and, in the last slot, the block's end.
+        w0, r0 = base_bits >> 5, base_bits & 31
+        ends = np.empty(half + 1, dtype=np.uint32)
+        ends[0] = r0
+        plen = ends[1:]
+        np.add(even, odd, out=plen)
+        plen &= 0xFF  # lengths are <= 16 each: the sum never carries out of the low byte
+        shift = 64 - plen  # before the cumsum overwrites the lengths
+        np.cumsum(ends, out=ends)
+        off = ends[:-1]
         if chunk_size:
-            # block is a multiple of chunk_size, so every chunk start
-            # falls on a block-local index multiple of chunk_size
-            chunk_parts.append(off[::chunk_size].copy())
-        w = off >> 4
-        w0 = int(w[0])
-        # 32-bit window: bit r = off & 15 within word w, so the codeword
-        # sits at shift (32 - r - len); top half lands in word w, bottom
-        # half in word w + 1.
-        val32 = codes64[s] << (32 - (off & 15) - lens)
-        w -= w0
+            n_here = -(-m // chunk_size)
+            part = off[start_pair[:n_here]].astype(np.int64)
+            if chunk_size & 1:
+                part += start_odd[:n_here] * (even[start_pair[:n_here]] & 0xFF)
+            part += base_bits - r0
+            chunk_parts.append(part)
+        # 64-bit window: bit r = off & 31 within word w, so the pair sits
+        # at shift (64 - r - len); top half lands in word w, bottom half
+        # in word w + 1.
+        w = off >> 5
+        shift -= off & 31
+        val = pair.astype(np.uint64) << shift.astype(np.uint64)
         n_local = int(w[-1]) + 2
-        acc = np.bincount(w, weights=val32 >> 16, minlength=n_local)
-        lo = np.bincount(w, weights=val32 & 0xFFFF, minlength=n_local)
+        acc = np.bincount(w, weights=val >> 32, minlength=n_local)
+        lo = np.bincount(w, weights=val & 0xFFFFFFFF, minlength=n_local)
         acc[1:] += lo[:-1]
-        words[w0 : w0 + n_local] |= acc.astype(">u2")
-        base_bits += block_bits
+        words[w0 : w0 + n_local] |= acc.astype(">u4")
+        base_bits += int(ends[-1]) - r0
 
     payload = out8[: (total_bits + 7) >> 3].tobytes()
     if chunk_parts:
@@ -285,7 +306,7 @@ def unpack_window(
     the window), so no cursor — not even one started by a hostile offset
     just below ``total_bits`` — can gather out of bounds.  The caller
     validated the chunk metadata and built the dense ``(tsym, tlen)``
-    tables.
+    tables; the symbols come back in ``tsym``'s dtype.
     """
     n_chunks = chunk_offsets.size
     buf = np.frombuffer(payload + bytes(2 * chunk_size + 4), dtype=np.uint8)
@@ -294,7 +315,7 @@ def unpack_window(
     win |= buf[1:-1]
     win <<= 8
     win |= buf[2:]
-    out = np.empty((n_chunks, chunk_size), dtype=np.uint32)
+    out = np.empty((n_chunks, chunk_size), dtype=tsym.dtype)
     pos = chunk_offsets.astype(np.int64)
     base = 24 - L
     mask = (1 << L) - 1
@@ -319,32 +340,58 @@ def _numpy_quantize_encode(x, error_bound, radius, ndim, pool, stack):
     pipeline: "quantize" covers the grid round, "predict" the residual
     transform and code mapping.
     """
+    if error_bound <= 0:
+        raise ValueError(f"error bound must be positive, got {error_bound}")
+    if radius < 2:
+        raise ValueError(f"radius must be >= 2, got {radius}")
     take = pool.take
     with profiler.stage("quantize"):
+        # dtype=float64 forces the division into double precision even
+        # for float32 input — the arithmetic of the allocating
+        # ``prequantize``, so the two quantize bit-identically (rint keeps
+        # ties-to-even like cuSZ's round).
         work = stack.enter_context(take(x.shape, np.float64))
-        qa = stack.enter_context(take(x.shape, np.int64))
-        prequantize_grid_into(x, error_bound, out=qa, work=work)
+        np.divide(x, 2.0 * error_bound, out=work, dtype=np.float64)
+        np.rint(work, out=work)
+        # dividing by a positive and rint are monotonic, so the extreme
+        # grid indices belong to the extreme inputs (half the bytes to scan)
+        q_max = np.rint(max(-float(x.min()), float(x.max())) / (2.0 * error_bound))
+        dtype = _grid_dtype(q_max * 2.0**ndim + radius, "quantize_encode", x.shape, error_bound)
+        qa = stack.enter_context(take(x.shape, dtype))
+        np.copyto(qa, work, casting="unsafe")  # values are integral floats
     with profiler.stage("predict"):
-        qb = stack.enter_context(take(x.shape, np.int64))
-        # Ping-pong between the two int64 buffers; qa's contents are
+        qb = stack.enter_context(take(x.shape, dtype))
+        # Ping-pong between the two integer buffers; qa's contents are
         # disposable once the first difference lands in qb.
         delta = diff_axes(qa, ndim, out=qb, work=qa)
         flat = delta.reshape(-1)
-        other = (qa if delta is qb else qb).reshape(-1)
-        mask = stack.enter_context(take(flat.shape, bool))
-        work_mask = stack.enter_context(take(flat.shape, bool))
+        shifted = (qa if delta is qb else qb).reshape(-1)
+        inlier = stack.enter_context(take(flat.shape, bool))
         codes = stack.enter_context(take(flat.shape, codes_dtype_for_radius(radius)))
-        codes, outliers = bounded_codes_into(
-            delta, radius, shifted=other, mask=mask, work_mask=work_mask, codes=codes
-        )
+        # code = delta + radius where 0 < code < 2r, i.e. where
+        # unsigned(code - 1) < 2r - 1: one compare instead of two and an and
+        np.add(flat, radius - 1, out=shifted)
+        np.less(shifted.view(f"u{dtype.itemsize}"), 2 * radius - 1, out=inlier)
+        np.add(flat, radius, out=codes, casting="unsafe")
+        if inlier.all():  # the usual case: nothing escapes
+            outliers = np.empty(0, dtype=np.int64)
+        else:
+            escaped = np.logical_not(inlier, out=inlier)
+            codes[escaped] = 0
+            outliers = flat[escaped].astype(np.int64)
     return codes, outliers, flat
 
 
 def _numpy_quantize_decode(codes, outliers, radius, shape, ndim):
-    """Invert the encode front half: codes + outliers → int64 grid indices."""
-    delta = apply_outliers(codes, outliers, radius).reshape(shape)
+    """Invert the encode front half: codes + outliers → grid indices."""
+    span = math.prod(shape[max(len(shape) - ndim, 0) :])
+    big = max(radius, int(codes.max()) - radius) if codes.size else radius
+    if outliers.size:
+        big = max(big, -int(outliers.min()), int(outliers.max()))
+    dtype = _grid_dtype(span * big, "quantize_decode", shape)
+    delta = apply_outliers(codes, outliers, radius, dtype).reshape(shape)
     validate_lorenzo(delta, ndim)
-    return cumsum_axes(delta, ndim)
+    return cumsum_axes(delta, ndim, out=delta)
 
 
 def _numpy_lorenzo_predict(q, ndim, out=None, work=None):
@@ -357,8 +404,8 @@ def _numpy_lorenzo_predict(q, ndim, out=None, work=None):
     return diff_axes(q, ndim, out=out, work=work)
 
 
-def _numpy_huffman_pack_words(symbols, lengths, codes, chunk_size):
-    return pack_words(symbols, lengths, codes, chunk_size)
+def _numpy_huffman_pack_words(symbols, lengths, codes, chunk_size, hist=None):
+    return pack_words(symbols, lengths, codes, chunk_size, hist)
 
 
 def _numpy_huffman_unpack_window(payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size):

@@ -9,7 +9,7 @@ private entry points bypass backend selection ("auto" probing, one-shot
 warmup, counted fallback), so a direct call silently pins the NumPy
 reference even when the session asked for a compiled backend.
 
-Shared *building blocks* (``prequantize_grid_into``, ``diff_axes``,
+Shared *building blocks* (``apply_outliers``, ``diff_axes``,
 ``pack_words``, ...) are exempt: they are the reference pieces the
 historical public szlike API is defined in terms of, and they carry no
 backend dispatch of their own.

@@ -1,0 +1,96 @@
+"""Generator of the committed format-v2 golden blobs (run by hand).
+
+    PYTHONPATH=src python tests/compression/golden/make_golden.py
+
+writes, per case in :data:`CASES`, ``<name>.blob`` (``serialize.dumps``
+of the compressed tensor) and ``<name>.npy`` (its reconstruction) next
+to this file.  ``test_golden_blobs.py`` re-derives both from the same
+seeded inputs on every backend and compares byte for byte / bit for
+bit, so the files are rewritten only when a format or arithmetic change
+is *meant* — regenerate, review the diff, and say so in CHANGES.md.
+The committed files were written by the commit before the codec's hot
+path moved to narrow dtypes (PR 21's parent).
+
+Each case is ``(codec options, [(x, error_bound), ...])``: the tensors
+are compressed in order under one cache key and the **last** one is the
+golden (earlier ones only warm the codebook cache).
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+
+
+def _relu(seed: int, shape: tuple, scale: float = 1.0) -> np.ndarray:
+    """A post-ReLU activation: ~half zeros, smooth-ish positives."""
+    x = np.random.default_rng(seed).standard_normal(shape) * scale
+    return np.maximum(x, 0).astype(np.float32)
+
+
+def _cached_book_demoted():
+    # the second tensor is 1.3x wider than the one the cached book was
+    # built on: 68 symbols without a codeword are demoted to outliers
+    # (under the cache's 2% escape ceiling, so the book is reused)
+    opts = {"codebook_cache": True, "codebook_refresh": 0, "codebook_delta": 1e9}
+    return opts, [(_relu(10, (2, 8, 16, 16)), 0.04), (_relu(11, (2, 8, 16, 16), 1.3), 0.04)]
+
+
+def _wide_grid():
+    # |x| / eb ~ 2^33: grid indices overflow int32, the int64 path is mandatory
+    x = np.random.default_rng(12).standard_normal((2, 3, 8, 8)) * 1e6
+    return {}, [(x, 1e-4)]
+
+
+CASES = {
+    # the three spatial classes of the train_sz activations (32 / 16 / 8)
+    "relu_f32_32x32": lambda: ({}, [(_relu(1, (4, 8, 32, 32)), 0.045)]),
+    "relu_f32_16x16": lambda: ({}, [(_relu(2, (4, 16, 16, 16), 8.0), 0.035)]),  # a few outliers
+    "relu_f32_8x8": lambda: ({}, [(_relu(3, (4, 32, 8, 8)), 0.032)]),
+    "dense_f64": lambda: (
+        {}, [(np.random.default_rng(4).standard_normal((2, 4, 12, 12)), 1e-3)]
+    ),
+    # odd symbol count that also straddles an encode-block boundary
+    "odd_count": lambda: ({}, [(_relu(5, (3, 7, 33, 29)), 0.02)]),
+    "one_element": lambda: ({}, [(np.array([0.3], dtype=np.float32), 1e-2)]),
+    "constant": lambda: ({}, [(np.full((2, 3, 8, 8), 1.5, dtype=np.float32), 1e-3)]),
+    "all_zero": lambda: ({}, [(np.zeros((2, 4, 8, 8), dtype=np.float32), 1e-3)]),
+    "outlier_heavy_r8": lambda: (
+        {"dict_size": 16},
+        [((np.random.default_rng(8).standard_normal((2, 4, 10, 10)) * 5).astype(np.float32), 1e-2)],
+    ),
+    "lorenzo3_none": lambda: (
+        {"lorenzo_ndim": 3, "entropy": "none"}, [(_relu(9, (2, 3, 6, 6)), 1e-2)]
+    ),
+    "cached_book_demoted": _cached_book_demoted,
+    "wide_grid_int64": _wide_grid,
+}
+
+
+def compress_case(name: str, codec_factory):
+    """The golden compressed tensor of case *name*; *codec_factory* builds
+    the codec from the case's options (the test injects its backend)."""
+    options, calls = CASES[name]()
+    codec = codec_factory(**options)
+    for x, eb in calls:
+        ct = codec.compress(x, error_bound=eb, cache_key="golden")
+    return codec, ct
+
+
+def main() -> None:
+    from repro.compression.szlike import SZCompressor
+    from repro.compression.szlike.serialize import dumps, loads
+
+    for name in CASES:
+        codec, ct = compress_case(name, lambda **kw: SZCompressor(kernel_backend="numpy", **kw))
+        blob = dumps(ct)
+        (HERE / f"{name}.blob").write_bytes(blob)
+        np.save(HERE / f"{name}.npy", codec.decompress(loads(blob)))
+        print(f"{name}: {len(blob)} B blob, nbytes {ct.nbytes}, {ct.outliers.size} outliers")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -306,3 +307,52 @@ class TestBlobFuzz:
         back, out = self._decode_or_value_error(comp, dumps(ct), ct.count)
         assert back is None or out.shape == (32,)
         np.testing.assert_array_equal(loads(dumps(ct)).chunk_offsets, [0, 256])
+
+    @pytest.mark.parametrize("entropy", ["zlib", "huffman+zlib"])
+    def test_every_byte_flip_and_truncation_of_a_deflated_blob(self, entropy):
+        """The deflate stages inflate through ``lossless.inflate`` with
+        the size the header implies: damage anywhere ends in ValueError
+        (never ``zlib.error``) or in a tensor of the recorded shape."""
+        comp = SZCompressor(1e-2, entropy=entropy, dict_size=64)
+        x = _relu_field((2, 3, 6, 6))
+        x[0, 0, 0, 0] = 1e4  # a real outlier section
+        blob = dumps(comp.compress(x))
+        decoded = 0
+        damaged_blobs = [blob[:cut] for cut in range(len(blob))]
+        for i in range(len(blob)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(blob)
+                damaged[i] ^= mask
+                damaged_blobs.append(bytes(damaged))
+        for damaged in damaged_blobs:
+            try:
+                ct = loads(damaged)
+                out = comp.decompress(ct)
+            except ValueError:
+                continue
+            decoded += 1
+            assert out.shape == tuple(ct.shape) and out.dtype == np.dtype(ct.dtype)
+        assert 0 < decoded < len(damaged_blobs) // 2  # e.g. a flipped outlier byte still decodes
+
+    def test_deflate_bomb_behind_a_small_header_is_not_inflated(self):
+        """64 MiB of zeros deflate to ~64 KiB; the header promises 4 KiB
+        of codes, so the inflate stops there."""
+        from repro.compression.szlike import CompressedTensor
+
+        deflater = zlib.compressobj(9)
+        bomb = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(64)) + deflater.flush()
+        assert len(bomb) < 128 << 10
+        ct = CompressedTensor(
+            shape=(2048,), dtype="float32", error_bound=1e-3, radius=512, lorenzo_ndim=1,
+            entropy="zlib", payload=bomb, total_bits=0, count=2048,
+            outliers=np.zeros(0, dtype=np.int32), raw_codes_dtype="uint16",
+        )
+        blob = dumps(ct)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="deflate payload"):
+                SZCompressor(1e-3).decompress(loads(blob))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -309,6 +309,29 @@ class TestLogging:
         assert records[0].exc_info[0] is RuntimeError
         assert kernel_stats()["runtime_fallbacks"] == 2
 
+    def test_wide_grid_counted_every_time_logged_once_at_info(self, fresh_probe, caplog):
+        """A tensor whose grid indices need int64 costs ~2x in both
+        halves: counted per kernel call, announced once per process."""
+        ref = get_backend("numpy")
+        narrow = np.linspace(-1, 1, 64, dtype=np.float32).reshape(4, 16)
+        wide = narrow.astype(np.float64) * 1e7  # |x| / (2 eb) ~ 5e9 > 2^31
+        with caplog.at_level(logging.INFO, logger="repro.kernels"):
+            c, o, f = encode_with(ref, narrow, eb=1e-3)
+            assert f.dtype == np.int32
+            assert ref.quantize_decode(c, o, 512, narrow.shape, 2).dtype == np.int32
+            assert kernel_stats()["wide_grid_calls"] == 0 and not caplog.records
+            c, o, f = encode_with(ref, wide, eb=1e-3)
+            assert f.dtype == np.int64 and o.size
+            q = ref.quantize_decode(c, o, 512, wide.shape, 2)  # the outliers are wide too
+            assert q.dtype == np.int64
+            np.testing.assert_array_equal(q, np.rint(wide / 2e-3).astype(np.int64))
+            encode_with(ref, wide, eb=1e-3)
+        assert kernel_stats()["wide_grid_calls"] == 3
+        (record,) = [r for r in caplog.records if r.name == "repro.kernels"]
+        assert record.levelno == logging.INFO
+        message = record.getMessage()
+        assert "quantize_encode" in message and "(4, 16)" in message and "0.001" in message
+
     def test_library_configures_no_handler_or_level(self):
         for name in ("repro", "repro.kernels"):
             logger = logging.getLogger(name)
