@@ -1,13 +1,47 @@
 """Lossless baselines: the <= ~2x ceiling the paper cites (Section 2.1).
 
-Two codecs are provided:
+Float mantissas are noise: DEFLATE over raw float32 bytes searches three
+incompressible bytes per value and reaches 1.10x on network parameters.
+What does compress is the sign/exponent byte and the exact zeros, so
+``lossless`` (:class:`DeflateCompressor`, zeros elided when at most
+``elide_below`` of the elements are non-zero) and ``sparse-lossless``
+(:class:`SparseLosslessCompressor`, always) share one plane coder: the
+byte shuffle of HDF5 / Blosc plus the zero bitmap of CDMA (Rhu et al.,
+HPCA 2018).  A blob's sections, in wire order, by ``scheme``:
 
-* :class:`DeflateCompressor` — plain DEFLATE over the raw float bytes
-  (GZIP-class, the generic lossless baseline).
-* :class:`SparseLosslessCompressor` — sparsity-aware: a zero bitmap plus
-  DEFLATE-compressed non-zero payload, modeling CDMA-style "compressing
-  DMA engine" schemes (Rhu et al., HPCA 2018) that exploit ReLU-induced
-  activation sparsity.  Exactly lossless, bounded by the non-zero ratio.
+``planes`` (float arrays of at least ``MIN_PLANE_BYTES``)
+  * ``payload``: the most-significant byte of every kept element as a
+    Huffman-only DEFLATE stream, or stored when that is not smaller;
+  * ``bitmap``: packed non-zero mask over the elements' *bit patterns*
+    (``-0.0`` is not a zero), deflated at ``level`` or stored, whichever
+    is smaller; empty when nothing was elided;
+  * ``planes``: the other ``itemsize - 1`` byte planes of the kept
+    elements, raw, one after another (plane ``k`` is bits ``8k..8k+7``,
+    taken by shifts, whatever the byte order).
+``plain`` (every other dtype, and small arrays such as a 32-byte bias)
+  * ``payload``: the array's bytes, deflated at ``level`` or stored.
+
+A section is stored exactly when it has the length its neighbours imply,
+so no flag says which; ``crc`` is the CRC-32 of the sections as written,
+because stored bytes have no DEFLATE checksum behind them.
+
+Why one plane, Huffman-only: on the 16 ``train_ooc`` parameter tensors
+(206 144 bytes; 2-core numba-less container, best of 30 passes) the
+largest exponent plane holds 16 distinct bytes at 2.2 bits of entropy
+and nothing for a match search to find —
+
+=========================  =========  =========  ============
+exponent planes, 51 512 B  encode ms  decode ms  stored bytes
+=========================  =========  =========  ============
+DEFLATE level 6            5.93       0.26       19 206
+DEFLATE level 3            1.76       0.25       20 066
+DEFLATE level 1            0.97       0.30       20 765
+Huffman-only (this coder)  0.45       0.31       15 594
+=========================  =========  =========  ============
+
+against 7.5 ms / 188 746 bytes for level 6 over the raw bytes; the whole
+coder writes 169 601 section bytes in 0.86 ms and reads them in 0.59.
+``level`` therefore steers only the bitmap and the ``plain`` scheme.
 """
 
 from __future__ import annotations
@@ -21,6 +55,8 @@ import numpy as np
 __all__ = ["DeflateCompressor", "SparseLosslessCompressor", "LosslessCompressedTensor"]
 
 HEADER_BYTES = 32
+#: float arrays smaller than this take the ``plain`` scheme
+MIN_PLANE_BYTES = 64
 
 
 def inflate(payload: bytes, nbytes: int) -> bytes:
@@ -40,6 +76,18 @@ def inflate(payload: bytes, nbytes: int) -> bytes:
     return raw
 
 
+def _shrink(raw: bytes, level: int, strategy: int = zlib.Z_DEFAULT_STRATEGY) -> bytes:
+    """*raw* deflated, or *raw* itself when deflating does not shrink it."""
+    stream = zlib.compressobj(level, zlib.DEFLATED, zlib.MAX_WBITS, 8, strategy)
+    packed = stream.compress(raw) + stream.flush()
+    return packed if len(packed) < len(raw) else raw
+
+
+def _expand(section: bytes, nbytes: int) -> bytes:
+    """Inverse of :func:`_shrink` for a section that must hold *nbytes*."""
+    return section if len(section) == nbytes else inflate(section, nbytes)
+
+
 @dataclass
 class LosslessCompressedTensor:
     shape: tuple
@@ -47,6 +95,8 @@ class LosslessCompressedTensor:
     scheme: str
     payload: bytes
     bitmap: bytes = b""
+    planes: bytes = b""
+    crc: int = 0
 
     #: fixed header charge used by ``nbytes`` (accounting convention
     #: shared with the SZ-style codec: sections at exact serialized
@@ -59,61 +109,80 @@ class LosslessCompressedTensor:
 
     @property
     def nbytes(self) -> int:
-        return len(self.payload) + len(self.bitmap) + HEADER_BYTES
+        return len(self.payload) + len(self.bitmap) + len(self.planes) + HEADER_BYTES
 
     @property
     def compression_ratio(self) -> float:
         return self.original_nbytes / self.nbytes
 
+    def checksum(self) -> int:
+        """CRC-32 of the sections as written (what ``crc`` must equal)."""
+        return zlib.crc32(self.planes, zlib.crc32(self.bitmap, zlib.crc32(self.payload)))
+
 
 class DeflateCompressor:
-    """GZIP-class lossless compression of the raw tensor bytes."""
+    """Plane-coded lossless compression; zeros elided when they pay."""
 
-    def __init__(self, level: int = 6):
+    #: elide zeros when at most this share of the elements is non-zero
+    elide_below = 0.9
+
+    def __init__(self, level: int = 1):
         self.level = int(level)
 
     def compress(self, x: np.ndarray) -> LosslessCompressedTensor:
-        x = np.ascontiguousarray(x)
-        return LosslessCompressedTensor(
-            shape=x.shape, dtype=str(x.dtype), scheme="deflate",
-            payload=zlib.compress(x.tobytes(), self.level),
-        )
+        x = np.asarray(x)
+        flat = np.ascontiguousarray(x).reshape(-1)
+        size = flat.dtype.itemsize
+        ct = LosslessCompressedTensor(x.shape, str(x.dtype), "plain", b"")
+        if flat.dtype.kind != "f" or size > 8 or flat.nbytes < MIN_PLANE_BYTES:
+            ct.payload = _shrink(flat.tobytes(), self.level)
+        else:
+            ct.scheme = "planes"
+            bits = flat.view(f"u{size}")
+            if np.count_nonzero(bits) <= self.elide_below * bits.size:
+                mask = bits != 0
+                ct.bitmap = _shrink(np.packbits(mask).tobytes(), self.level)
+                bits = bits[mask]
+            planes = np.empty((size, bits.size), dtype=np.uint8)
+            for k in range(size):
+                planes[k] = bits >> (8 * k)
+            ct.payload = _shrink(planes[-1].tobytes(), self.level, zlib.Z_HUFFMAN_ONLY)
+            ct.planes = planes[:-1].tobytes()
+        ct.crc = ct.checksum()
+        return ct
 
     def decompress(self, ct: LosslessCompressedTensor) -> np.ndarray:
-        raw = inflate(ct.payload, ct.original_nbytes)
-        return np.frombuffer(raw, dtype=ct.dtype).reshape(ct.shape).copy()
+        dtype = np.dtype(ct.dtype)
+        count, size = math.prod(ct.shape), dtype.itemsize
+        if ct.checksum() != ct.crc:
+            raise ValueError("lossless sections do not match their checksum")
+        if ct.scheme == "plain":
+            raw = _expand(ct.payload, count * size)
+            return np.frombuffer(raw, dtype=dtype).reshape(ct.shape).copy()
+        if ct.scheme != "planes" or dtype.kind != "f" or size > 8:
+            raise ValueError(f"unknown lossless scheme {ct.scheme!r} for dtype {ct.dtype}")
+        kept = count
+        if ct.bitmap:
+            packed = np.frombuffer(_expand(ct.bitmap, -(-count // 8)), dtype=np.uint8)
+            mask = np.unpackbits(packed, count=count).view(bool)
+            kept = np.count_nonzero(mask)
+        if len(ct.planes) != kept * (size - 1):
+            raise ValueError("byte planes inconsistent with the zero bitmap and shape")
+        bits = np.frombuffer(_expand(ct.payload, kept), dtype=np.uint8).astype(f"u{size}")
+        for plane in np.frombuffer(ct.planes, dtype=np.uint8).reshape(size - 1, kept)[::-1]:
+            bits <<= 8
+            bits |= plane
+        if ct.bitmap:
+            dense = np.zeros(count, dtype=bits.dtype)
+            dense[mask] = bits
+            bits = dense
+        return bits.view(dtype).reshape(ct.shape)
 
     def roundtrip(self, x: np.ndarray) -> np.ndarray:
         return self.decompress(self.compress(x))
 
 
-class SparseLosslessCompressor:
-    """Zero-bitmap + DEFLATE(non-zeros): CDMA-style sparsity exploitation."""
+class SparseLosslessCompressor(DeflateCompressor):
+    """The same coder, zero bitmap always on: CDMA-style sparsity exploitation."""
 
-    def __init__(self, level: int = 6):
-        self.level = int(level)
-
-    def compress(self, x: np.ndarray) -> LosslessCompressedTensor:
-        x = np.ascontiguousarray(x)
-        flat = x.reshape(-1)
-        nz_mask = flat != 0
-        bitmap = np.packbits(nz_mask).tobytes()
-        payload = zlib.compress(flat[nz_mask].tobytes(), self.level)
-        return LosslessCompressedTensor(
-            shape=x.shape, dtype=str(x.dtype), scheme="sparse",
-            payload=payload, bitmap=bitmap,
-        )
-
-    def decompress(self, ct: LosslessCompressedTensor) -> np.ndarray:
-        n = math.prod(ct.shape)
-        if len(ct.bitmap) != -(-n // 8):
-            raise ValueError("zero bitmap inconsistent with the recorded shape")
-        nz_mask = np.unpackbits(np.frombuffer(ct.bitmap, dtype=np.uint8))[:n].astype(bool)
-        nnz_bytes = np.count_nonzero(nz_mask) * np.dtype(ct.dtype).itemsize
-        values = np.frombuffer(inflate(ct.payload, nnz_bytes), dtype=ct.dtype)
-        flat = np.zeros(n, dtype=ct.dtype)
-        flat[nz_mask] = values
-        return flat.reshape(ct.shape)
-
-    def roundtrip(self, x: np.ndarray) -> np.ndarray:
-        return self.decompress(self.compress(x))
+    elide_below = 1.0

@@ -321,8 +321,9 @@ def dumps(ct: Any) -> bytes:
             "scheme": ct.scheme,
             "plen": len(ct.payload),
             "blen": len(ct.bitmap),
+            "crc": ct.crc,
         }
-        return _dumps_generic(_LOSSLESS_MAGIC, header, [ct.payload, ct.bitmap])
+        return _dumps_generic(_LOSSLESS_MAGIC, header, [ct.payload, ct.bitmap, ct.planes])
     if isinstance(ct, ChunkedCompressedTensor):
         blobs = [dumps(c) for c in ct.chunks]
         header = {
@@ -381,15 +382,19 @@ def _loads(data: bytes) -> Any:
         )
     if magic == _LOSSLESS_MAGIC:
         header, pos = _split_generic(data)
-        plen, blen = _sizes(header["plen"], header["blen"])
-        if pos + plen + blen != len(data):
-            raise ValueError("trailing bytes in serialized tensor")
+        plen, blen, crc = _sizes(header["plen"], header["blen"], header["crc"])
+        if pos + plen + blen > len(data):
+            raise ValueError("serialized tensor shorter than its sections")
+        # the byte planes are the rest of the blob; the decoder holds
+        # their length to the shape and the zero bitmap
         return LosslessCompressedTensor(
             shape=_sizes(*header["shape"]),
             dtype=str(np.dtype(header["dtype"])),
             scheme=header["scheme"],
             payload=bytes(data[pos : pos + plen]),
-            bitmap=bytes(data[pos + plen :]),
+            bitmap=bytes(data[pos + plen : pos + plen + blen]),
+            planes=bytes(data[pos + plen + blen :]),
+            crc=crc,
         )
     if magic == _CHUNKED_MAGIC:
         header, pos = _split_generic(data)

@@ -214,7 +214,6 @@ class ParamStore:
 
     # -- serialization -----------------------------------------------------
     def _encode(self, arr: np.ndarray) -> bytes:
-        arr = np.ascontiguousarray(arr)
         if self.codec is None:
             return arr.tobytes()
         return _codec_dumps(self.codec.compress(arr))
@@ -223,8 +222,8 @@ class ParamStore:
         if self.codec is None:
             out = np.frombuffer(data, dtype=entry.dtype).reshape(entry.shape)
             return out.copy()  # frombuffer views are read-only
-        out = self.codec.decompress(_codec_loads(data))
-        return np.ascontiguousarray(out.reshape(entry.shape))
+        # codecs record the shape and hand back a fresh writable array
+        return self.codec.decompress(_codec_loads(data))
 
     # -- entry lifecycle ---------------------------------------------------
     def adopt(self, name: str, arr: np.ndarray, layer_name: str = "") -> StoredEntry:

@@ -102,5 +102,5 @@ class TestLossless:
 
     def test_nbytes_fields(self, activation_tensor):
         ct = SparseLosslessCompressor().compress(activation_tensor)
-        assert ct.nbytes == len(ct.payload) + len(ct.bitmap) + 32
+        assert ct.nbytes == len(ct.payload) + len(ct.bitmap) + len(ct.planes) + 32
         assert ct.original_nbytes == activation_tensor.nbytes

@@ -127,19 +127,47 @@ class TestCodecContract:
         assert 0.5 * actual < est < 1.5 * actual
 
 
-@pytest.mark.parametrize("name", ["lossless", "sparse-lossless", "jpeg"])
+def _relu_activation(rng):
+    return np.maximum(rng.standard_normal((2, 3, 9, 10)), 0).astype(np.float32)
+
+
+def _dead_rows(rng):
+    x = rng.standard_normal((40, 24)).astype(np.float32)
+    x[rng.random(40) < 0.5] = 0
+    return x
+
+
+#: case -> (codec, input).  Between them the lossless cases write every
+#: section both ways: a stored and a deflated bitmap, a deflated and a
+#: stored exponent plane, raw byte planes, the ``plain`` scheme deflated
+#: and stored (``test_corrupt_cases_write_every_section_form``).
+CORRUPT_CASES = {
+    "lossless": ("lossless", _relu_activation),
+    "sparse-lossless": ("sparse-lossless", _relu_activation),
+    "lossless-dead-rows": ("lossless", _dead_rows),
+    "lossless-int16": ("lossless", lambda rng: rng.integers(0, 4, size=(9, 31)).astype(np.int16)),
+    "lossless-bias": ("lossless", lambda rng: rng.standard_normal(8).astype(np.float32)),
+    "lossless-16-floats": ("lossless", lambda rng: rng.standard_normal(16).astype(np.float32)),
+    "jpeg": ("jpeg", _relu_activation),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_CASES)
 class TestCorruptBlobs:
     """A damaged jpeg / lossless blob ends in ValueError or in an array
     of the shape and dtype its header records — never in ``zlib.error``,
     ``KeyError``, ``TypeError`` or an inflate larger than that array."""
 
     @pytest.fixture
-    def blob(self, name, rng):
-        x = np.maximum(rng.standard_normal((2, 3, 9, 10)), 0).astype(np.float32)
-        return dumps(get_codec(name).compress(x))
+    def codec(self, case):
+        return get_codec(CORRUPT_CASES[case][0])
 
-    def test_every_single_byte_flip(self, name, blob):
-        codec = get_codec(name)
+    @pytest.fixture
+    def blob(self, case, codec, rng):
+        return dumps(codec.compress(CORRUPT_CASES[case][1](rng)))
+
+    def test_every_single_byte_flip(self, case, codec, blob):
+        sections = wire_header_nbytes(blob)
         rejected = 0
         for i in range(len(blob)):
             for mask in (0x01, 0x80, 0xFF):
@@ -151,36 +179,118 @@ class TestCorruptBlobs:
                 except ValueError:
                     rejected += 1
                     continue
+                # the lossless sections sit behind a CRC-32: stored
+                # planes have no deflate checksum to catch the damage
+                assert case == "jpeg" or i < sections
                 assert isinstance(out, np.ndarray)
                 assert (out.shape, out.dtype) == (tuple(ct.shape), np.dtype(ct.dtype))
-        assert rejected > len(blob)  # deflate's checksum catches payload damage
+        assert rejected > len(blob)
 
-    def test_every_truncation(self, name, blob):
-        codec = get_codec(name)
+    def test_every_truncation(self, case, codec, blob):
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
                 codec.decompress(loads(blob[:cut]))
 
-    def test_header_fields_of_the_wrong_type(self, name, blob):
+    def test_header_fields_of_the_wrong_type(self, case, blob):
         (hlen,) = struct.unpack_from("<I", blob, 4)
         header = json.loads(blob[8 : 8 + hlen])
-        for key, bad in [("shape", None), ("shape", [2, "3", 9, 10]), ("shape", [2, 3, 9, -10]),
+        shape = header["shape"]
+        for key, bad in [("shape", None), ("shape", [*shape[:-1], str(shape[-1])]),
+                         ("shape", [*shape[:-1], -shape[-1]]),
                          ("plen", 1.5), ("dtype", 7), ("dtype", "float33")]:
             hbytes = json.dumps({**header, key: bad}).encode()
             with pytest.raises(ValueError):
                 loads(blob[:4] + struct.pack("<I", len(hbytes)) + hbytes + blob[8 + hlen :])
 
-    def test_inflate_is_capped_at_the_recorded_size(self, name, blob):
-        """A payload that inflates to 64 MiB behind a 2 KiB header."""
-        ct = loads(blob)
-        ct.payload = zlib.compress(bytes(64 << 20))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="inconsistent"):
-                get_codec(name).decompress(ct)
-            assert tracemalloc.get_traced_memory()[1] < 1 << 20
-        finally:
-            tracemalloc.stop()
+    def test_inflate_is_capped_at_the_recorded_size(self, case, codec, blob):
+        """Each deflated section in turn inflates to 64 MiB behind a 2 KiB
+        header."""
+        for section in ("payload", "bitmap"):
+            ct = loads(blob)
+            if not getattr(ct, section, b""):
+                continue
+            setattr(ct, section, zlib.compress(bytes(64 << 20)))
+            if case != "jpeg":
+                ct.crc = ct.checksum()  # past the CRC, to the inflate itself
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="inconsistent"):
+                    codec.decompress(ct)
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            finally:
+                tracemalloc.stop()
+
+
+def test_corrupt_cases_write_every_section_form(rng):
+    forms = set()
+    for case, (name, make_input) in CORRUPT_CASES.items():
+        if name == "jpeg":
+            continue
+        x = make_input(rng)
+        ct = get_codec(name).compress(x)
+        kept = len(ct.planes) // 3 if ct.scheme == "planes" else x.nbytes
+        forms.add((ct.scheme, "payload", "stored" if len(ct.payload) == kept else "deflated"))
+        if ct.bitmap:
+            stored = len(ct.bitmap) == -(-x.size // 8)
+            forms.add((ct.scheme, "bitmap", "stored" if stored else "deflated"))
+    assert forms == {
+        ("planes", "payload", "deflated"), ("planes", "payload", "stored"),
+        ("planes", "bitmap", "stored"),
+        ("planes", "bitmap", "deflated"), ("plain", "payload", "deflated"),
+        ("plain", "payload", "stored"),
+    }
+
+
+@pytest.mark.parametrize("name", ["lossless", "sparse-lossless"])
+class TestCorruptLosslessSections:
+    """Damage that keeps the CRC (a forged or mis-assembled blob): every
+    length is still held to the shape and the zero bitmap."""
+
+    @pytest.fixture
+    def ct(self, name, rng):
+        ct = get_codec(name).compress(_relu_activation(rng))
+        assert ct.scheme == "planes" and len(ct.bitmap) == -(-540 // 8)  # stored bitmap
+        return ct
+
+    def resealed(self, ct, **fields):
+        for key, value in fields.items():
+            setattr(ct, key, value)
+        ct.crc = ct.checksum()
+        return loads(dumps(ct))
+
+    def test_bitmap_popcount_must_match_the_planes(self, name, ct):
+        more = bytearray(ct.bitmap)
+        more[0] = 0xFF if more[0] != 0xFF else 0x00
+        with pytest.raises(ValueError, match="inconsistent"):
+            get_codec(name).decompress(self.resealed(ct, bitmap=bytes(more)))
+
+    def test_bitmap_of_the_wrong_length(self, name, ct):
+        """Not the stored length, so it is read as a deflate stream."""
+        with pytest.raises(ValueError, match="corrupt deflate"):
+            get_codec(name).decompress(self.resealed(ct, bitmap=ct.bitmap + b"\0"))
+
+    def test_exponent_plane_of_the_wrong_length(self, name, ct):
+        kept = len(ct.planes) // 3
+        longer = zlib.compress(bytes(kept + 1))
+        with pytest.raises(ValueError, match="inconsistent"):
+            get_codec(name).decompress(self.resealed(ct, payload=longer))
+
+    def test_sections_the_scheme_does_not_have(self, name, ct):
+        with pytest.raises(ValueError, match="inconsistent"):  # the plane is not the array
+            get_codec(name).decompress(self.resealed(ct, scheme="plain"))
+        with pytest.raises(ValueError, match="unknown lossless scheme"):
+            get_codec(name).decompress(self.resealed(ct, scheme="deflate"))
+        with pytest.raises(ValueError, match="unknown lossless scheme"):
+            get_codec(name).decompress(self.resealed(ct, dtype="int32"))
+
+    def test_crc_field_must_be_a_size(self, name, ct):
+        blob = dumps(ct)
+        (hlen,) = struct.unpack_from("<I", blob, 4)
+        header = json.loads(blob[8 : 8 + hlen])
+        for bad in (-1, "7", 1.5, None):
+            hbytes = json.dumps({**header, "crc": bad}).encode()
+            with pytest.raises(ValueError):
+                loads(blob[:4] + struct.pack("<I", len(hbytes)) + hbytes + blob[8 + hlen :])
 
 
 class TestChunkedCodec:

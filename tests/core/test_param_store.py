@@ -27,7 +27,7 @@ def small_net(rng=42):
     return build_scaled_model("alexnet", num_classes=8, image_size=16, rng=rng)
 
 
-def train_run(opt_cls, opt_kwargs, param_store=None, iters=4, batch=4):
+def train_run(opt_cls, opt_kwargs, param_store=None, iters=4, batch=4, before_detach=None):
     net = small_net()
     opt = opt_cls(net.parameters(), **opt_kwargs)
     if param_store is not None:
@@ -37,6 +37,8 @@ def train_run(opt_cls, opt_kwargs, param_store=None, iters=4, batch=4):
     trainer.train(batches(dataset, batch, iters, seed=1))
     losses = trainer.history.losses.copy()
     if param_store is not None:
+        if before_detach is not None:
+            before_detach(param_store)
         param_store.detach()
     weights = np.concatenate([p.data.ravel() for p in net.parameters()])
     slots = {
@@ -177,12 +179,24 @@ class TestTrainingEquivalence:
             for slot in ("exp_avg", "exp_avg_sq"):
                 np.testing.assert_array_equal(base[2][name][slot], oov[2][name][slot])
 
-    def test_lossless_codec_training_bit_identical(self):
-        kw = dict(lr=0.01, momentum=0.9)
-        base = train_run(SGD, kw)
-        oov = train_run(SGD, kw, ParamStore(budget_bytes=0, codec="lossless"))
-        np.testing.assert_array_equal(base[0], oov[0])
-        np.testing.assert_array_equal(base[1], oov[1])
+    @pytest.mark.parametrize("opt_cls, kw", [(SGD, dict(lr=0.01, momentum=0.9)), (Adam, dict(lr=1e-3))])
+    def test_lossless_codec_training_bit_identical(self, opt_cls, kw):
+        """Bit patterns, not values: ``assert_array_equal`` would let a
+        ``-0.0`` come back as ``+0.0``."""
+        sizes = {}
+
+        def measure(store):
+            sizes.update(stored=store.stored_nbytes, raw=store.raw_nbytes)
+
+        base = train_run(opt_cls, kw)
+        oov = train_run(opt_cls, kw, ParamStore(budget_bytes=0, codec="lossless"),
+                        before_detach=measure)
+        assert np.array_equal(base[0].view(np.uint64), oov[0].view(np.uint64))  # losses
+        assert np.array_equal(base[1].view(np.uint32), oov[1].view(np.uint32))
+        for name, slots in base[2].items():
+            for slot, value in slots.items():
+                assert np.array_equal(value.view(np.uint32), oov[2][name][slot].view(np.uint32))
+        assert 0 < sizes["stored"] < sizes["raw"]
 
     def test_spill_and_reload_mid_epoch(self):
         """A tight budget forces spill + reload within a single epoch."""
