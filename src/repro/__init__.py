@@ -46,6 +46,12 @@ see :mod:`repro.core.framework` — and ``SessionConfig.from_json`` makes
 any run reproducible from a committed file.)
 """
 
+import os
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]
+
+if os.environ.get("REPRO_SANITIZE"):
+    # read when the sanitizer is imported: load it before anything is constructed
+    import repro.core.sanitizer  # noqa: F401

@@ -26,7 +26,8 @@ afterwards swaps in instrumented internals:
 
 The sanitizer is process-wide and sticky: :func:`enable` affects objects
 constructed *after* the call (``build_session`` enables it before
-constructing anything).  It never changes behavior when disabled — the
+constructing anything), plus the one pool built at import: the conv /
+pool workspace of ``repro.nn``.  It never changes behavior when disabled — the
 production classes only expose tiny hook points
 (``ByteArena._copy_in``/``_on_release``) that default to no-ops.
 """
@@ -34,6 +35,7 @@ production classes only expose tiny hook points
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import traceback
 from typing import Dict, List, Optional, Set
@@ -228,6 +230,7 @@ def enable(
     _STATE.poison = poison
     _STATE.lock_order = lock_order
     _STATE.trap_double_release = trap_double_release
+    _instrument_nn_workspace()
 
 
 def disable() -> None:
@@ -357,6 +360,14 @@ def _instrument_scratch(pool) -> None:
         pool._give = give
 
 
+def _instrument_nn_workspace() -> None:
+    """The one pool that outlives sessions: built when ``repro.nn`` is
+    imported, so usually before anything enables the sanitizer."""
+    conv = sys.modules.get("repro.nn.layers.conv")
+    if conv is not None and "_give" not in vars(conv.WORKSPACE):
+        maybe_instrument(conv.WORKSPACE, "scratch")
+
+
 def maybe_instrument(obj, kind: str) -> None:
     """Constructor hook: swap in instrumented internals when enabled.
 
@@ -380,3 +391,7 @@ def maybe_instrument(obj, kind: str) -> None:
     elif kind == "engine" and _STATE.lock_order:
         _track_lock(obj, "_ema_lock", f"engine-ema-{id(obj):#x}", reentrant=False)
     _STATE.instrumented += 1
+
+
+if _STATE.enabled:  # REPRO_SANITIZE=1, and a pool was built before this import
+    _instrument_nn_workspace()

@@ -33,6 +33,10 @@ BKD001    backend-discipline      ``compression/szlike/`` reaches the hot
 IMP001    heavy-import            ``scipy`` is imported inside the function
                                   that uses it, never at module level
                                   (see :mod:`.rules_imports`).
+ALLOC001  layer-allocation        In ``nn/layers/``, an array allocated in
+                                  ``forward`` / ``backward`` is returned or
+                                  saved; temporaries come from the workspace
+                                  (see :mod:`.rules_alloc`).
 LINT000   parse-error             The file failed to parse at all.
 ========  ======================  ==============================================
 """

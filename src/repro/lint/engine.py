@@ -268,6 +268,7 @@ def load_module(path: str) -> Tuple[Optional[LintModule], Optional[Violation]]:
 
 
 def default_rules() -> List[Rule]:
+    from repro.lint.rules_alloc import LayerAllocationRule
     from repro.lint.rules_backend import BackendDisciplineRule
     from repro.lint.rules_bounds import ErrorBoundExactnessRule
     from repro.lint.rules_determinism import DeterminismRule
@@ -284,6 +285,7 @@ def default_rules() -> List[Rule]:
         RegistryHygieneRule(),
         BackendDisciplineRule(),
         HeavyImportRule(),
+        LayerAllocationRule(),
     ]
 
 

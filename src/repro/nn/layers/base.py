@@ -75,6 +75,10 @@ class Layer:
     #: True for layers cheap to recompute from their input (ReLU, pool),
     #: eligible for the recomputation policy of Section 2.1.
     recomputable = False
+    #: False only while a ``Trainer`` runs the backward of the layer that
+    #: reads the data batch: nobody consumes that gradient, so ``backward``
+    #: may return ``None`` instead of computing it.
+    needs_input_grad = True
 
     _instance_counter = 0
 

@@ -10,19 +10,28 @@ The patch matrix is channel-major, ``(C*k*k, N*Ho*Wo)``: it is filled by
 whose rows stay contiguous along ``W``, so no element-wise gather is ever
 made.  Forward is the one GEMM ``W(Cout, C*k*k) @ cols``; backward is
 ``dW = dmat @ cols.T`` and ``dcols = W.T @ dmat`` plus :func:`col2im`,
-which scatter-adds the same ``k*k`` slabs.
+which scatter-adds the same ``k*k`` slabs.  Every array that does not
+outlive the call is borrowed from :data:`WORKSPACE`.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from contextlib import contextmanager
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.init import kaiming_uniform
+from repro.utils.scratch import ScratchPool
 
-__all__ = ["Conv2D", "im2col", "col2im", "conv_output_hw", "padded", "slabs"]
+__all__ = ["Conv2D", "WORKSPACE", "im2col", "col2im", "conv_output_hw", "padded", "slabs"]
+
+#: Conv and pooling layers borrow here every array that dies inside one
+#: ``forward`` / ``backward`` (best fit by capacity: the largest layer's set,
+#: not one per layer).  What a layer returns or saves is never pooled: those
+#: are the tensors compression exists to free.
+WORKSPACE = ScratchPool()
 
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> Tuple[int, int]:
@@ -36,15 +45,18 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> Tu
     return ho, wo
 
 
-def padded(x: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
-    """``x`` inside a border of ``fill`` on both spatial axes (``x`` itself
-    when there is no padding)."""
+@contextmanager
+def padded(x: np.ndarray, padding: int, fill: float = 0.0) -> Iterator[np.ndarray]:
+    """``x`` inside a border of ``fill`` on both spatial axes, in a
+    borrowed buffer (``x`` itself when there is no padding)."""
     if not padding:
-        return x
+        yield x
+        return
     n, c, h, w = x.shape
-    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), fill, dtype=x.dtype)
-    xp[:, :, padding : padding + h, padding : padding + w] = x
-    return xp
+    with WORKSPACE.take((n, c, h + 2 * padding, w + 2 * padding), x.dtype) as xp:
+        xp.fill(fill)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+        yield xp
 
 
 def slabs(xp: np.ndarray, kernel: int, stride: int, ho: int, wo: int):
@@ -56,15 +68,18 @@ def slabs(xp: np.ndarray, kernel: int, stride: int, ho: int, wo: int):
             yield xp[..., i : i + stride * ho : stride, j : j + stride * wo : stride]
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Extract conv patches: ``(N, C, H, W) -> (C*k*k, N*Ho*Wo)``."""
+def im2col(x: np.ndarray, kernel: int, stride: int, padding: int, out=None) -> np.ndarray:
+    """Extract conv patches: ``(N, C, H, W) -> (C*k*k, N*Ho*Wo)``, into
+    ``out`` when given."""
     n, c, h, w = x.shape
     ho, wo = conv_output_hw(h, w, kernel, stride, padding)
-    xp = padded(x, padding).transpose(1, 0, 2, 3)
-    cols = np.empty((c, kernel * kernel, n, ho, wo), dtype=x.dtype)
-    for t, slab in enumerate(slabs(xp, kernel, stride, ho, wo)):
-        cols[:, t] = slab
-    return cols.reshape(c * kernel * kernel, n * ho * wo)
+    if out is None:
+        out = np.empty((c * kernel * kernel, n * ho * wo), dtype=x.dtype)
+    cols = out.reshape(c, kernel * kernel, n, ho, wo)
+    with padded(x, padding) as xp:
+        for t, slab in enumerate(slabs(xp.transpose(1, 0, 2, 3), kernel, stride, ho, wo)):
+            cols[:, t] = slab
+    return out
 
 
 def col2im(
@@ -77,11 +92,12 @@ def col2im(
     """Adjoint of :func:`im2col`: scatter-add patch gradients back."""
     n, c, h, w = x_shape
     ho, wo = conv_output_hw(h, w, kernel, stride, padding)
-    dxp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
     d5 = dcols.reshape(c, kernel * kernel, n, ho, wo)
-    for t, slab in enumerate(slabs(dxp, kernel, stride, ho, wo)):
-        slab += d5[:, t]
-    return dxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+    with WORKSPACE.take((c, n, h + 2 * padding, w + 2 * padding), dcols.dtype) as dxp:
+        dxp.fill(0)
+        for t, slab in enumerate(slabs(dxp, kernel, stride, ho, wo)):
+            slab += d5[:, t]
+        return dxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3).copy()
 
 
 class Conv2D(Layer):
@@ -125,28 +141,41 @@ class Conv2D(Layer):
             )
         n = x.shape[0]
         ho, wo = conv_output_hw(x.shape[2], x.shape[3], self.kernel, self.stride, self.padding)
-        cols = im2col(x, self.kernel, self.stride, self.padding)
-        out = self.weight.data.reshape(self.out_channels, -1) @ cols
-        if self.bias is not None:
-            out += self.bias.data[:, None]
+        wmat = self.weight.data.reshape(self.out_channels, -1)
+        with WORKSPACE.take((wmat.shape[1], n * ho * wo), x.dtype) as cols, WORKSPACE.take(
+            (self.out_channels, n * ho * wo), np.result_type(wmat, x)
+        ) as mat:
+            im2col(x, self.kernel, self.stride, self.padding, out=cols)
+            np.matmul(wmat, cols, out=mat)
+            if self.bias is not None:
+                mat += self.bias.data[:, None]
+            out = mat.reshape(self.out_channels, n, ho, wo).transpose(1, 0, 2, 3).copy()
         if self.training:
             self._save("x", x)
             self._x_shape = x.shape
-        return np.ascontiguousarray(
-            out.reshape(self.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
-        )
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x = self._pop("x")
-        dmat = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
-        cols = im2col(x, self.kernel, self.stride, self.padding)
-        wmat = self.weight.data.reshape(self.out_channels, -1)
-        # dW = dmat @ cols.T, taken as (cols @ dmat.T).T: BLAS streams the long
-        # N*Ho*Wo axis of the big operand row by row instead of column by column.
-        self.weight.grad += (cols @ dmat.T).T.reshape(self.weight.data.shape)
-        if self.bias is not None:
-            self.bias.grad += dmat.sum(axis=1)
-        return col2im(wmat.T @ dmat, x.shape, self.kernel, self.stride, self.padding)
+        n, cout, ho, wo = dout.shape
+        wmat = self.weight.data.reshape(cout, -1)
+        cols_shape = (wmat.shape[1], n * ho * wo)
+        with WORKSPACE.take((cout, n, ho, wo), dout.dtype) as d4:
+            d4[...] = dout.transpose(1, 0, 2, 3)
+            dmat = d4.reshape(cout, -1)
+            with WORKSPACE.take(cols_shape, x.dtype) as cols:
+                im2col(x, self.kernel, self.stride, self.padding, out=cols)
+                # dW = dmat @ cols.T, taken as (cols @ dmat.T).T: BLAS streams the long
+                # N*Ho*Wo axis of the big operand row by row instead of column by column.
+                self.weight.grad += (cols @ dmat.T).T.reshape(self.weight.data.shape)
+            if self.bias is not None:
+                self.bias.grad += dmat.sum(axis=1)
+            if not self.needs_input_grad:
+                return None
+            # dW is taken: the pool hands the patch buffer straight back for dcols
+            with WORKSPACE.take(cols_shape, np.result_type(wmat, dmat)) as dcols:
+                np.matmul(wmat.T, dmat, out=dcols)
+                return col2im(dcols, x.shape, self.kernel, self.stride, self.padding)
 
     def output_shape(self, in_shape):
         n, c, h, w = in_shape

@@ -21,6 +21,7 @@ class Dropout(Layer):
         self._rng = ensure_rng(rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self.clear_saved()  # an identity pass leaves no earlier mask for backward to find
         if not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p

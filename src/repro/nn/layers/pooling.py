@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers.base import Layer
-from repro.nn.layers.conv import conv_output_hw, padded, slabs
+from repro.nn.layers.conv import WORKSPACE, conv_output_hw, padded, slabs
 
 __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 
@@ -28,12 +28,16 @@ class MaxPool2D(Layer):
         ho, wo = conv_output_hw(x.shape[2], x.shape[3], k, s, p)
         # Running max over the k*k window offsets; a strict ``>`` keeps the
         # first of tied elements (post-ReLU windows are mostly ties).
-        views = slabs(padded(x, p, -np.inf), k, s, ho, wo)
-        out = next(views).copy()
-        idx = np.zeros(out.shape, dtype=np.int16)
-        for t, slab in enumerate(views, 1):
-            idx[slab > out] = t
-            np.maximum(out, slab, out=out)
+        with padded(x, p, -np.inf) as xp, WORKSPACE.take(x.shape[:2] + (ho, wo), np.int16) as won:
+            views = slabs(xp, k, s, ho, wo)
+            out = next(views).copy()
+            idx = np.zeros(out.shape, dtype=np.int16)
+            for t, slab in enumerate(views, 1):
+                # idx = t where slab > out: t exceeds every offset seen so far,
+                # so two dense passes do what a boolean-mask scatter did
+                np.greater(slab, out, out=won)
+                np.maximum(idx, np.multiply(won, t, out=won), out=idx)
+                np.maximum(out, slab, out=out)
         if self.training:
             self._save("idx", idx)
             self._x_shape = x.shape
@@ -47,11 +51,13 @@ class MaxPool2D(Layer):
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype)
         # Offset t of every window lands on distinct cells, so one slab is
         # written whole; slabs overlap each other only when stride < kernel.
-        for t, slab in enumerate(slabs(dxp, k, s, ho, wo)):
-            if s >= k:
-                np.multiply(dout, idx == t, out=slab)
-            else:
-                slab += dout * (idx == t)
+        with WORKSPACE.take(idx.shape, bool) as hit, WORKSPACE.take(dout.shape, dout.dtype) as part:
+            for t, slab in enumerate(slabs(dxp, k, s, ho, wo)):
+                np.equal(idx, t, out=hit)
+                if s >= k:
+                    np.multiply(dout, hit, out=slab)
+                else:
+                    slab += np.multiply(dout, hit, out=part)
         return dxp[:, :, p : p + h, p : p + w] if p else dxp
 
     def output_shape(self, in_shape):
@@ -79,7 +85,11 @@ class AvgPool2D(Layer):
             raise ValueError(f"{self.name}: expected 4-D input, got {x.shape}")
         k, s, p = self.kernel, self.stride, self.padding
         ho, wo = conv_output_hw(x.shape[2], x.shape[3], k, s, p)
-        out = sum(slabs(padded(x, p), k, s, ho, wo)) / (k * k)
+        with padded(x, p) as xp, WORKSPACE.take(x.shape[:2] + (ho, wo), x.dtype) as total:
+            total.fill(0)
+            for slab in slabs(xp, k, s, ho, wo):
+                total += slab
+            out = total / (k * k)
         if self.training:
             self._x_shape = x.shape
         return out
@@ -90,9 +100,10 @@ class AvgPool2D(Layer):
         ho, wo = conv_output_hw(h, w, k, s, p)
         hp, wp = h + 2 * p, w + 2 * p
         dxp = np.zeros((n, c, hp, wp), dtype=dout.dtype)
-        g = dout / (k * k)
-        for slab in slabs(dxp, k, s, ho, wo):
-            slab += g
+        with WORKSPACE.take(dout.shape, dout.dtype) as g:
+            np.divide(dout, k * k, out=g)
+            for slab in slabs(dxp, k, s, ho, wo):
+                slab += g
         return dxp[:, :, p : p + h, p : p + w] if p else dxp
 
     def output_shape(self, in_shape):

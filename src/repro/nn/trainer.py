@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.nn.layers.base import Layer
 from repro.nn.layers.loss import SoftmaxCrossEntropy
+from repro.nn.network import Residual, Sequential
 from repro.nn.optim import SGD
 
 __all__ = ["IterationRecord", "TrainHistory", "Trainer"]
@@ -189,7 +190,16 @@ class Trainer:
         logits = self.network.forward(images)
         loss_value, dlogits = self.loss.forward(logits, labels)
         acc = self.loss.accuracy(logits, labels)
-        self.network.backward(dlogits)
+        # Nothing reads the data batch's gradient, so the layer fed by the batch
+        # alone may skip it; a ``Residual`` root sums its two branches' and cannot.
+        first = self.network
+        while isinstance(first, Sequential) and first.layers:
+            first = first.layers[0]
+        first.needs_input_grad = isinstance(first, Residual)
+        try:
+            self.network.backward(dlogits)
+        finally:
+            first.needs_input_grad = True
         self.last_loss_value = loss_value
 
         record = IterationRecord(
@@ -234,11 +244,12 @@ class Trainer:
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
         """Top-1 accuracy on a held-out set (eval mode, no saved tensors)."""
+        was_training = self.network.training
         self.network.train(False)
         correct = 0
         for start in range(0, images.shape[0], batch_size):
             sl = slice(start, start + batch_size)
             logits = self.network.forward(images[sl])
             correct += int((logits.argmax(axis=1) == labels[sl]).sum())
-        self.network.train(True)
+        self.network.train(was_training)
         return correct / images.shape[0]

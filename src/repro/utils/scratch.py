@@ -26,6 +26,8 @@ empty one): the buffers are pure caches.
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List
@@ -60,9 +62,13 @@ class ScratchPool:
         self.misses = 0
         self.cross_dtype_hits = 0
         self.free_bytes = 0
-        from repro.core.sanitizer import maybe_instrument
-
-        maybe_instrument(self, "scratch")
+        # Looked up, not imported: ``repro.nn`` builds its workspace pool
+        # while ``repro.core`` (which imports ``repro.nn``) cannot be imported
+        # yet.  A sanitizer nobody has loaded cannot be enabled either; it
+        # picks that pool up itself when it is (``sanitizer.enable``).
+        sanitizer = sys.modules.get("repro.core.sanitizer")
+        if sanitizer is not None:
+            sanitizer.maybe_instrument(self, "scratch")
 
     def _borrow(self, size: int, dtype: np.dtype) -> np.ndarray:
         """Pop a free buffer with capacity for ``size`` ``dtype`` elements.
@@ -125,7 +131,7 @@ class ScratchPool:
         """Yield a writable ``shape``/*dtype* array view (contents
         undefined); the backing buffer returns to the pool on exit."""
         dtype = np.dtype(dtype)
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         buf = self._borrow(size, dtype)
         try:
             if buf.dtype == dtype:

@@ -96,6 +96,27 @@ def test_scratch_buffers_poisoned_on_return(sanitized):
     assert np.isnan(view).all()
 
 
+def test_enable_reaches_the_nn_workspace_built_before_it(monkeypatch):
+    """The conv / pool workspace is built when ``repro.nn`` is imported;
+    instrumenting only what is constructed after ``enable()`` would leave
+    the one pool whose buffers every layer shares unpoisoned."""
+    from repro.nn.layers import conv
+
+    pool = ScratchPool()  # built with the sanitizer off, as at import
+    monkeypatch.setattr(conv, "WORKSPACE", pool)
+    sanitizer.enable()
+    try:
+        sanitizer.enable()  # a second session: still one poisoning wrapper
+        before = sanitizer.report()["poisoned_buffers"]
+        with pool.take((4,), np.float32) as buf:
+            buf[:] = 1.0
+        assert np.isnan(buf).all()
+        assert sanitizer.report()["poisoned_buffers"] == before + 1
+        assert isinstance(pool._lock, TrackedLock)
+    finally:
+        sanitizer.disable()
+
+
 def test_lock_order_cycle_detected(sanitized):
     monitor = LockOrderMonitor()
     lock_a = TrackedLock(threading.Lock(), "a", False, monitor)

@@ -82,10 +82,19 @@ def test_imp001_flags_import_time_scipy_only():
     assert "inside the function" in violations[2].message
 
 
+def test_alloc001_flags_temporaries_allocated_in_forward_and_backward():
+    violations = lint_fixture(os.path.join("nn", "layers", "alloc001_bad.py"))
+    # the returned ``dx`` and the saved ``np.full`` are not flagged
+    assert ids_and_lines(violations) == [("ALLOC001", 8), ("ALLOC001", 10), ("ALLOC001", 16)]
+    assert "np.zeros(...) in forward()" in violations[0].message
+    assert "WORKSPACE.take" in violations[2].message
+
+
 def test_clean_fixtures_have_no_violations():
     violations = lint_fixture(
         "clean.py",
         "imp001_good.py",
+        os.path.join("nn", "layers", "alloc001_good.py"),
         os.path.join("compression", "clean.py"),
         os.path.join("compression", "szlike", "clean.py"),
     )
@@ -115,5 +124,7 @@ def test_cli_json_output_and_exit_code():
 def test_cli_list_rules():
     proc = _run_cli("--list-rules")
     assert proc.returncode == 0
-    for rule_id in ("LCK001", "REL001", "EBD001", "DET001", "REG001", "BKD001", "IMP001"):
+    for rule_id in (
+        "LCK001", "REL001", "EBD001", "DET001", "REG001", "BKD001", "IMP001", "ALLOC001"
+    ):  # fmt: skip
         assert rule_id in proc.stdout

@@ -1,0 +1,328 @@
+"""The conv / pool workspace: what is borrowed, what escapes, who shares it.
+
+Every test swaps the process-wide pool for a fresh one that overwrites a
+buffer with ``0xFF`` bytes (NaN as a float) the moment it comes back, as
+the runtime sanitizer does: a stale border, a stale tail or a returned
+view of a pooled buffer shows up as NaN instead of as yesterday's
+plausible numbers.
+"""
+
+import os
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.models import build_scaled_model
+from repro.nn import (
+    SGD,
+    AvgPool2D,
+    Conv2D,
+    MaxPool2D,
+    SyntheticImageDataset,
+    Trainer,
+    batches,
+    iter_layers,
+)
+from repro.nn.layers import col2im, conv, conv_output_hw, im2col, pooling
+from repro.utils.scratch import ScratchPool
+
+TOL = {np.dtype(np.float32): dict(rtol=1e-4, atol=1e-4), np.dtype(np.float64): dict(rtol=1e-10, atol=1e-10)}
+
+GEOMETRIES = [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in (0, 1, 2)]
+
+
+class PoisoningPool(ScratchPool):
+    """Remembers every buffer it hands out, counts the ones still out,
+    and poisons each on return."""
+
+    def __init__(self):
+        super().__init__()
+        self.buffers, self.out = [], 0
+
+    def _borrow(self, size, dtype):
+        buf = super()._borrow(size, dtype)
+        self.out += 1
+        if not any(buf is seen for seen in self.buffers):
+            self.buffers.append(buf)
+        return buf
+
+    def _give(self, buf):
+        buf.view(np.uint8).fill(0xFF)
+        self.out -= 1
+        super()._give(buf)
+
+    def shares_memory_with(self, arr) -> bool:
+        return any(np.shares_memory(arr, buf) for buf in self.buffers)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    fresh = PoisoningPool()
+    monkeypatch.setattr(conv, "WORKSPACE", fresh)
+    monkeypatch.setattr(pooling, "WORKSPACE", fresh)
+    return fresh
+
+
+# ------------------------------------------------- fresh-allocation oracles
+def fresh_slabs(xp, k, s, ho, wo):
+    return [xp[..., i : i + s * ho : s, j : j + s * wo : s] for i in range(k) for j in range(k)]
+
+
+def col2im_fresh(d, x_shape, k, s, p):
+    n, c, h, w = x_shape
+    ho, wo = conv_output_hw(h, w, k, s, p)
+    dxp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=d.dtype)
+    for t, slab in enumerate(fresh_slabs(dxp, k, s, ho, wo)):
+        slab += d.reshape(c, k * k, n, ho, wo)[:, t]
+    return dxp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+
+
+def conv_fresh(x, w, b, k, s, p):
+    """The convolution with every temporary freshly allocated (``np.pad``,
+    ``np.stack``, ``@``): the same operands, no workspace."""
+    n, c, h, wd = x.shape
+    cout = w.shape[0]
+    ho, wo = conv_output_hw(h, wd, k, s, p)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
+    cols = np.stack(fresh_slabs(xp, k, s, ho, wo), axis=1).reshape(c * k * k, n * ho * wo)
+    wmat = w.reshape(cout, -1)
+    out = (wmat @ cols + b[:, None]).reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
+
+    def grads(dout):
+        dmat = dout.transpose(1, 0, 2, 3).reshape(cout, -1)
+        dx = col2im_fresh(wmat.T @ dmat, x.shape, k, s, p)
+        return (dmat @ cols.T).reshape(w.shape), dmat.sum(axis=1), dx
+
+    return cols, out, grads
+
+
+def maxpool_fresh(x, k, s, p):
+    ho, wo = conv_output_hw(x.shape[2], x.shape[3], k, s, p)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
+    stack = np.stack(fresh_slabs(xp, k, s, ho, wo))
+    idx = stack.argmax(axis=0)  # first of tied elements, like the strict ``>``
+
+    def grad(dout):
+        dxp = np.zeros(xp.shape, dtype=dout.dtype)
+        for t, slab in enumerate(fresh_slabs(dxp, k, s, ho, wo)):
+            slab += dout * (idx == t)
+        return dxp[:, :, p : p + x.shape[2], p : p + x.shape[3]]
+
+    return stack.max(axis=0), grad
+
+
+def avgpool_fresh(x, k, s, p):
+    ho, wo = conv_output_hw(x.shape[2], x.shape[3], k, s, p)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+
+    def grad(dout):
+        dxp = np.zeros(xp.shape, dtype=dout.dtype)
+        for slab in fresh_slabs(dxp, k, s, ho, wo):
+            slab += dout / (k * k)
+        return dxp[:, :, p : p + x.shape[2], p : p + x.shape[3]]
+
+    return sum(fresh_slabs(xp, k, s, ho, wo)) / (k * k), grad
+
+
+# ----------------------------------------------------------- (a) footprint
+def conv_temporaries_nbytes(layer, in_shape):
+    """Bordered input + patch matrix + GEMM output of one float32 conv
+    pass: what the layer holds at once."""
+    n, c, h, w = in_shape
+    _, cout, ho, wo = layer.output_shape(in_shape)
+    p, k = layer.padding, layer.kernel
+    return 4 * (n * c * (h + 2 * p) * (w + 2 * p) + (c * k * k + cout) * n * ho * wo)
+
+
+def test_steady_state_borrows_nothing_new_and_holds_one_layers_worth(pool):
+    shape = (8, 3, 32, 32)
+    net = build_scaled_model("vgg16", num_classes=4, image_size=32, batch=8, rng=0)
+    per_conv = []
+    for layer in iter_layers(net):
+        if isinstance(layer, Conv2D):
+            per_conv.append(conv_temporaries_nbytes(layer, shape))
+        shape = layer.output_shape(shape)
+    trainer = Trainer(net, SGD(net.parameters(), lr=0.01))
+    data = batches(SyntheticImageDataset(num_classes=4, image_size=32, seed=1), 8, 12, seed=2)
+    for _ in range(2):
+        trainer.train_step(*next(data))
+    misses, hits = pool.misses, pool.hits
+    for _ in range(10):
+        assert np.isfinite(trainer.train_step(*next(data)).loss)
+    assert pool.misses == misses and pool.hits > hits and pool.out == 0
+    # best fit by capacity: the largest layer's set (plus the smaller buffers
+    # that were allocated before it came along), far from one set per layer
+    assert len(per_conv) > 4
+    assert pool.free_bytes <= 1.5 * max(per_conv)
+    assert pool.free_bytes < 0.5 * sum(per_conv)
+
+
+# -------------------------------------------- (b) stale borders, stale tails
+def checked_forward(pool, rng, layer, x):
+    """Forward (and the bare data movement) against the oracle; returns
+    what :func:`checked_backward` needs."""
+    geometry = (layer.kernel, layer.stride, layer.padding)
+    cols, want, grads = conv_fresh(x, layer.weight.data, layer.bias.data, *geometry)
+    # bit for bit, into a buffer that holds the previous pass's poisoned bytes
+    with pool.take(cols.shape, x.dtype) as buf:
+        np.testing.assert_array_equal(im2col(x, *geometry, out=buf), cols)
+    d = rng.standard_normal(cols.shape).astype(x.dtype)
+    np.testing.assert_array_equal(col2im(d, x.shape, *geometry), col2im_fresh(d, x.shape, *geometry))
+    out = layer.forward(x)
+    assert out.dtype == want.dtype
+    np.testing.assert_allclose(out, want, **TOL[out.dtype])
+    return grads, rng.standard_normal(out.shape).astype(np.float32)
+
+
+def checked_backward(layer, grads, dout):
+    for prm in layer.parameters():
+        prm.zero_grad()
+    dx = layer.backward(dout)
+    dw, db, dx_want = grads(dout)
+    np.testing.assert_allclose(dx, dx_want, **TOL[dx.dtype])
+    np.testing.assert_allclose(layer.weight.grad, dw, rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(layer.bias.grad, db, rtol=1e-4, atol=1e-4)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+def test_interleaved_layers_on_one_pool_match_fresh_allocation(pool, rng, kernel, stride, padding):
+    wide = Conv2D(5, 6, kernel, stride=stride, padding=padding, rng=1)
+    narrow = Conv2D(2, 3, kernel, stride=stride, padding=padding, rng=2)
+    for layer in (wide, narrow):
+        layer.bias.data[:] = rng.standard_normal(layer.out_channels)
+    strided = rng.standard_normal((3, 2, 14, 18))[:, ::-1, ::2, 1::2]  # float64, not contiguous
+    assert not strided.flags.c_contiguous
+    shapes = ((2, 5, 11, 13), (1, 5, 9, 10), (4, 2, 6, 5))
+    f32 = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+    # f32 -> f64 -> f32 through the same buffers, each layer's backward
+    # between the other's forward and backward
+    for (a, xa), (b, xb) in [
+        ((wide, f32[0]), (narrow, strided)),
+        ((wide, f32[1]), (narrow, f32[2])),
+        ((narrow, strided), (wide, f32[0])),
+    ]:
+        pass_a = checked_forward(pool, rng, a, xa)
+        pass_b = checked_forward(pool, rng, b, xb)
+        checked_backward(a, *pass_a)
+        checked_backward(b, *pass_b)
+    assert pool.out == 0
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [g for g in GEOMETRIES if g[2] <= g[0] // 2])
+def test_pools_on_a_poisoned_pool_match_fresh_allocation_bit_for_bit(pool, rng, kernel, stride, padding):
+    big, small = (2, 3, 11, 13), (1, 2, 7, 9)
+    for shape, dtype in [(big, np.float32), (small, np.float64), (big, np.float32)]:
+        # post-ReLU: windows full of ties
+        x = np.maximum(rng.standard_normal(shape), 0).astype(dtype)
+        for cls, fresh in ((MaxPool2D, maxpool_fresh), (AvgPool2D, avgpool_fresh)):
+            layer = cls(kernel, stride=stride, padding=padding)
+            want, grad = fresh(x, kernel, stride, padding)
+            out = layer.forward(x)
+            np.testing.assert_array_equal(out, want)
+            dout = rng.standard_normal(out.shape).astype(dtype)
+            np.testing.assert_array_equal(layer.backward(dout), grad(dout))
+    assert pool.out == 0
+
+
+# ------------------------------------------------------- (c) nothing escapes
+@pytest.mark.parametrize(
+    "make,x_shape",
+    [
+        (lambda: Conv2D(3, 4, 3, padding=1, rng=0), (2, 3, 6, 5)),
+        # a single image / a single filter: the NCHW transpose of the GEMM
+        # output is already contiguous, so "make it contiguous" would be a view
+        (lambda: Conv2D(3, 4, 3, rng=0), (1, 3, 6, 5)),
+        (lambda: Conv2D(2, 1, 1, rng=0), (3, 2, 4, 4)),
+        (lambda: MaxPool2D(2), (2, 3, 6, 4)),
+        (lambda: MaxPool2D(3, stride=2, padding=1), (2, 3, 7, 5)),
+        (lambda: AvgPool2D(2), (2, 3, 6, 4)),
+        (lambda: AvgPool2D(3, stride=1, padding=1), (2, 3, 5, 5)),
+    ],
+)
+def test_what_a_layer_returns_or_saves_is_never_a_pooled_buffer(pool, rng, make, x_shape):
+    layer = make()
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    out = layer.forward(x)
+    saved = [v for v in layer._saved.values() if isinstance(v, np.ndarray)]
+    dout = rng.standard_normal(out.shape).astype(np.float32)
+    dx = layer.backward(dout)
+    assert pool.buffers and pool.out == 0
+    for arr in [out, dx] + saved:
+        assert not pool.shares_memory_with(arr)
+    # ... and every pooled byte is 0xFF by now, so the values had to be copies
+    assert np.isfinite(out).all() and np.isfinite(dx).all()
+    assert all(buf.view(np.uint8).min() == 0xFF for buf in pool.buffers)
+
+
+# ------------------------------------------------- (d) errors return buffers
+def test_an_error_in_the_middle_of_a_pass_returns_every_buffer(pool, rng):
+    layer = Conv2D(3, 4, 3, padding=1, rng=0)
+    x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+    with pytest.raises(ValueError, match="expected"):
+        layer.forward(x[:, :2])  # wrong channel count
+    with pytest.raises(ValueError, match="does not fit"):
+        Conv2D(3, 4, 7, rng=0).forward(x)
+    with pytest.raises(ValueError, match="does not fit"):
+        MaxPool2D(8).forward(x)
+    good_bias, layer.bias.data = layer.bias.data, np.zeros(5, dtype=np.float32)
+    with pytest.raises(ValueError):  # raised with the patch matrix and the GEMM output borrowed
+        layer.forward(x)
+    assert pool.buffers and pool.out == 0
+    layer.bias.data = good_bias
+    layer.forward(x)
+    with pytest.raises(ValueError):  # wrong upstream gradient: raised inside backward
+        layer.backward(np.zeros((2, 4, 5, 5), dtype=np.float32))
+    assert pool.out == 0
+    want = conv_fresh(x, layer.weight.data, layer.bias.data, 3, 1, 1)[1]
+    np.testing.assert_allclose(layer.forward(x), want, **TOL[np.dtype(np.float32)])
+
+
+# ------------------------------------------------------ (e) one pool, shared
+def run_trainer(seed, steps, losses):
+    net = build_scaled_model("vgg16", num_classes=4, image_size=16, batch=4, rng=seed)
+    trainer = Trainer(net, SGD(net.parameters(), lr=0.01, momentum=0.9))
+    data = batches(SyntheticImageDataset(num_classes=4, image_size=16, seed=seed), 4, steps, seed=seed)
+    for images, labels in data:
+        losses.append(trainer.train_step(images, labels).loss)
+
+
+def test_two_trainers_on_two_threads_share_the_pool_bit_for_bit(pool):
+    steps = 8
+    alone = {seed: [] for seed in (11, 12)}
+    for seed, losses in alone.items():
+        run_trainer(seed, steps, losses)
+    together = {seed: [] for seed in alone}
+    threads = [threading.Thread(target=run_trainer, args=(seed, steps, together[seed])) for seed in alone]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter over in the middle of passes
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone and all(len(v) == steps for v in together.values())
+    assert pool.out == 0
+
+
+# ------------------------------------------------- the import cycle is gone
+@pytest.mark.parametrize("sanitize", ["", "1"])
+def test_the_pool_is_built_while_nn_is_imported_without_repro_core(sanitize):
+    """``ScratchPool()`` used to import ``repro.core.sanitizer``, i.e. the
+    ``repro.core`` package, which imports ``repro.nn`` back."""
+    code = (
+        "import sys, numpy as np\n"
+        "from repro.nn.layers.conv import WORKSPACE\n"
+        f"assert ('repro.core' in sys.modules) == {bool(sanitize)}\n"
+        "with WORKSPACE.take((4,), np.float32) as buf:\n"
+        "    buf[:] = 1.0\n"
+        f"assert bool(np.isnan(buf).all()) == {bool(sanitize)}\n"
+    )
+    env = dict(os.environ, REPRO_SANITIZE=sanitize, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
