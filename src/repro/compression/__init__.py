@@ -1,6 +1,7 @@
 """Compression substrate: SZ-style error-bounded compressor, baselines,
 and the unified codec registry (:mod:`repro.compression.registry`)."""
 
+from repro.compression.errors import CorruptBlobError
 from repro.compression.szlike import (
     CodebookCache,
     CompressedTensor,
@@ -32,6 +33,7 @@ from repro.compression.metrics import (
 )
 
 __all__ = [
+    "CorruptBlobError",
     "SZCompressor",
     "CodebookCache",
     "SharedCodebookCache",

@@ -52,6 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compression.errors import CorruptBlobError
+
 __all__ = ["DeflateCompressor", "SparseLosslessCompressor", "LosslessCompressedTensor"]
 
 HEADER_BYTES = 32
@@ -64,27 +66,27 @@ def inflate(payload: bytes, nbytes: int) -> bytes:
 
     The output is capped one byte past *nbytes*, so a corrupt stream can
     neither allocate more than its header promised nor pass for a whole
-    one; any damage raises ``ValueError``.
+    one; any damage raises :class:`CorruptBlobError`.
     """
     stream = zlib.decompressobj()
     try:
         raw = stream.decompress(payload, nbytes + 1)
     except zlib.error as exc:
-        raise ValueError(f"corrupt deflate payload: {exc}") from exc
+        raise CorruptBlobError(f"corrupt deflate payload: {exc}") from exc
     if len(raw) != nbytes or not stream.eof or stream.unused_data:
-        raise ValueError("deflate payload inconsistent with the recorded shape")
+        raise CorruptBlobError("deflate payload inconsistent with the recorded shape")
     return raw
 
 
-def _shrink(raw: bytes, level: int, strategy: int = zlib.Z_DEFAULT_STRATEGY) -> bytes:
+def shrink(raw: bytes, level: int, strategy: int = zlib.Z_DEFAULT_STRATEGY) -> bytes:
     """*raw* deflated, or *raw* itself when deflating does not shrink it."""
     stream = zlib.compressobj(level, zlib.DEFLATED, zlib.MAX_WBITS, 8, strategy)
     packed = stream.compress(raw) + stream.flush()
     return packed if len(packed) < len(raw) else raw
 
 
-def _expand(section: bytes, nbytes: int) -> bytes:
-    """Inverse of :func:`_shrink` for a section that must hold *nbytes*."""
+def expand(section: bytes, nbytes: int) -> bytes:
+    """Inverse of :func:`shrink` for a section that must hold *nbytes*."""
     return section if len(section) == nbytes else inflate(section, nbytes)
 
 
@@ -135,18 +137,18 @@ class DeflateCompressor:
         size = flat.dtype.itemsize
         ct = LosslessCompressedTensor(x.shape, str(x.dtype), "plain", b"")
         if flat.dtype.kind != "f" or size > 8 or flat.nbytes < MIN_PLANE_BYTES:
-            ct.payload = _shrink(flat.tobytes(), self.level)
+            ct.payload = shrink(flat.tobytes(), self.level)
         else:
             ct.scheme = "planes"
             bits = flat.view(f"u{size}")
             if np.count_nonzero(bits) <= self.elide_below * bits.size:
                 mask = bits != 0
-                ct.bitmap = _shrink(np.packbits(mask).tobytes(), self.level)
+                ct.bitmap = shrink(np.packbits(mask).tobytes(), self.level)
                 bits = bits[mask]
             planes = np.empty((size, bits.size), dtype=np.uint8)
             for k in range(size):
                 planes[k] = bits >> (8 * k)
-            ct.payload = _shrink(planes[-1].tobytes(), self.level, zlib.Z_HUFFMAN_ONLY)
+            ct.payload = shrink(planes[-1].tobytes(), self.level, zlib.Z_HUFFMAN_ONLY)
             ct.planes = planes[:-1].tobytes()
         ct.crc = ct.checksum()
         return ct
@@ -155,20 +157,20 @@ class DeflateCompressor:
         dtype = np.dtype(ct.dtype)
         count, size = math.prod(ct.shape), dtype.itemsize
         if ct.checksum() != ct.crc:
-            raise ValueError("lossless sections do not match their checksum")
+            raise CorruptBlobError("lossless sections do not match their checksum")
         if ct.scheme == "plain":
-            raw = _expand(ct.payload, count * size)
+            raw = expand(ct.payload, count * size)
             return np.frombuffer(raw, dtype=dtype).reshape(ct.shape).copy()
         if ct.scheme != "planes" or dtype.kind != "f" or size > 8:
-            raise ValueError(f"unknown lossless scheme {ct.scheme!r} for dtype {ct.dtype}")
+            raise CorruptBlobError(f"unknown lossless scheme {ct.scheme!r} for dtype {ct.dtype}")
         kept = count
         if ct.bitmap:
-            packed = np.frombuffer(_expand(ct.bitmap, -(-count // 8)), dtype=np.uint8)
+            packed = np.frombuffer(expand(ct.bitmap, -(-count // 8)), dtype=np.uint8)
             mask = np.unpackbits(packed, count=count).view(bool)
             kept = np.count_nonzero(mask)
         if len(ct.planes) != kept * (size - 1):
-            raise ValueError("byte planes inconsistent with the zero bitmap and shape")
-        bits = np.frombuffer(_expand(ct.payload, kept), dtype=np.uint8).astype(f"u{size}")
+            raise CorruptBlobError("byte planes inconsistent with the zero bitmap and shape")
+        bits = np.frombuffer(expand(ct.payload, kept), dtype=np.uint8).astype(f"u{size}")
         for plane in np.frombuffer(ct.planes, dtype=np.uint8).reshape(size - 1, kept)[::-1]:
             bits <<= 8
             bits |= plane

@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, runtime
 import numpy as np
 
 from repro.utils import profiler as _profiler
+from repro.compression.errors import CorruptBlobError
 from repro.compression.jpeg_like import JpegCompressedTensor, JpegLikeCompressor
 from repro.compression.lossless import (
     DeflateCompressor,
@@ -288,14 +289,14 @@ def _split_generic(data: bytes) -> Tuple[dict, int]:
     (hlen,) = struct.unpack_from("<I", data, 4)
     header = json.loads(data[_GENERIC_FRAMING_BYTES : _GENERIC_FRAMING_BYTES + hlen].decode())
     if not isinstance(header, dict):
-        raise ValueError("serialized tensor header is not an object")
+        raise CorruptBlobError("serialized tensor header is not an object")
     return header, _GENERIC_FRAMING_BYTES + hlen
 
 
 def _sizes(*values) -> tuple:
     """Header lengths and dimensions: non-negative ints, nothing else."""
     if any(type(v) is not int or v < 0 for v in values):
-        raise ValueError("length or shape field malformed")
+        raise CorruptBlobError("length or shape field malformed")
     return values
 
 
@@ -334,10 +335,9 @@ def dumps(ct: Any) -> bytes:
         }
         sections = list(blobs)
         if ct.shared_codebook is not None:
-            # the shared length table is written once, after the chunks
-            lengths = np.asarray(ct.shared_codebook.lengths, dtype=np.uint8)
-            header["shared_codebook_len"] = int(lengths.size)
-            sections.append(lengths.tobytes())
+            # the shared codebook section is written once, after the chunks
+            sections.append(ct.shared_codebook.section())
+            header["shared_codebook_len"] = len(sections[-1])
         return _dumps_generic(_CHUNKED_MAGIC, header, sections)
     raise TypeError(f"don't know how to serialize {type(ct).__name__}")
 
@@ -346,12 +346,14 @@ def loads(data: bytes) -> Any:
     """Inverse of :func:`dumps` (dispatch on the 4-byte magic).
 
     Lengths, shapes and dtypes are checked before anything is sized from
-    them; a malformed or truncated blob raises ``ValueError``.
+    them; a malformed or truncated blob raises :class:`CorruptBlobError`.
     """
     try:
         return _loads(data)
-    except (KeyError, TypeError, struct.error) as exc:
-        raise ValueError(f"malformed serialized tensor: {exc!r}") from exc
+    except CorruptBlobError:
+        raise
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise CorruptBlobError(f"malformed serialized tensor: {exc!r}") from exc
 
 
 def _loads(data: bytes) -> Any:
@@ -364,13 +366,13 @@ def _loads(data: bytes) -> Any:
         shape = _sizes(*header["shape"])
         padded_shape = tuple(header["padded_shape"])
         if pos + plen != len(data):
-            raise ValueError("trailing bytes in serialized tensor")
+            raise CorruptBlobError("trailing bytes in serialized tensor")
         if (
             header["coeff_dtype"] not in ("int16", "int32")
             or len(shape) < 2
             or padded_shape != (*shape[:-2], -(-shape[-2] // 8), -(-shape[-1] // 8), 8, 8)
         ):
-            raise ValueError("coefficient layout inconsistent with the shape")
+            raise CorruptBlobError("coefficient layout inconsistent with the shape")
         return JpegCompressedTensor(
             shape=shape,
             dtype=str(np.dtype(header["dtype"])),
@@ -384,7 +386,7 @@ def _loads(data: bytes) -> Any:
         header, pos = _split_generic(data)
         plen, blen, crc = _sizes(header["plen"], header["blen"], header["crc"])
         if pos + plen + blen > len(data):
-            raise ValueError("serialized tensor shorter than its sections")
+            raise CorruptBlobError("serialized tensor shorter than its sections")
         # the byte planes are the rest of the blob; the decoder holds
         # their length to the shape and the zero bitmap
         return LosslessCompressedTensor(
@@ -403,20 +405,20 @@ def _loads(data: bytes) -> Any:
             chunks.append(loads(data[pos : pos + length]))
             pos += length
         shared = None
-        cb_len = header.get("shared_codebook_len", 0)
+        (cb_len,) = _sizes(header.get("shared_codebook_len", 0))
         if cb_len:
-            from repro.compression.szlike import HuffmanCodebook
-
-            lengths = np.frombuffer(data[pos : pos + cb_len], dtype=np.uint8).copy()
+            # the container owns the book of every chunk that serialized
+            # only a reference; they share one alphabet of 2 * radius codes
+            users = [c for c in chunks if getattr(c, "codebook_shared", False)]
+            if not users:
+                raise CorruptBlobError("shared codebook without a chunk that refers to it")
+            shared = _szser.codebook_from_section(data[pos : pos + cb_len], 2 * users[0].radius)
             pos += cb_len
-            shared = HuffmanCodebook.from_lengths(lengths)
-            # re-attach the container-owned book to every chunk that
-            # serialized only a reference
-            for c in chunks:
-                if getattr(c, "codebook_shared", False) and c.codebook is None:
+            for c in users:
+                if c.codebook is None:
                     c.codebook = shared
         if pos != len(data):
-            raise ValueError("trailing bytes in serialized tensor")
+            raise CorruptBlobError("trailing bytes in serialized tensor")
         return ChunkedCompressedTensor(
             shape=tuple(header["shape"]),
             dtype=header["dtype"],
@@ -424,7 +426,7 @@ def _loads(data: bytes) -> Any:
             chunks=chunks,
             shared_codebook=shared,
         )
-    raise ValueError("not a serialized compressed tensor (bad magic)")
+    raise CorruptBlobError("not a serialized compressed tensor (bad magic)")
 
 
 def wire_header_nbytes(data: bytes) -> int:
@@ -436,7 +438,7 @@ def wire_header_nbytes(data: bytes) -> int:
     if magic in (_JPEG_MAGIC, _LOSSLESS_MAGIC, _CHUNKED_MAGIC):
         (hlen,) = struct.unpack_from("<I", data, 4)
         return _GENERIC_FRAMING_BYTES + hlen
-    raise ValueError("not a serialized compressed tensor (bad magic)")
+    raise CorruptBlobError("not a serialized compressed tensor (bad magic)")
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +491,8 @@ def _chunk_decompress(args):
 
 
 def _chunk_estimate(args):
-    codec, part, error_bound = args
-    return codec.estimate_nbytes(part, error_bound=error_bound)
+    codec, part, error_bound, kwargs = args
+    return codec.estimate_nbytes(part, error_bound=error_bound, **kwargs)
 
 
 @dataclass
@@ -803,29 +805,22 @@ class ChunkedCodec:
 
     def estimate_nbytes(self, x: np.ndarray, error_bound: Optional[float] = None) -> float:
         """Expected compressed footprint, cache-aware: under codebook
-        sharing the container-owned book is charged **once**, matching
-        :attr:`ChunkedCompressedTensor.nbytes` (each per-chunk estimate
-        charges a private book; actual shared-book chunks carry only a
-        reference)."""
+        sharing the container-owned book is charged **once**, with the
+        first chunk, matching :attr:`ChunkedCompressedTensor.nbytes`
+        (shared-book chunks carry only a reference)."""
         x = np.asarray(x)
         if error_bound is None and hasattr(self.inner, "resolve_error_bound"):
             error_bound = self.inner.resolve_error_bound(x)
         n = self._num_chunks(x)
         parts = np.array_split(x, n, axis=0) if n > 1 else [x]
+        shares = self.share_codebook and getattr(self.inner, "supports_codebook_sharing", False)
+        bookless = {"own_codebook": False} if shares else {}
         ests = self._run(
             _chunk_estimate,
-            [(p, error_bound) for p in parts],
-            lambda p, eb: self.inner.estimate_nbytes(p, error_bound=eb),
+            [(p, error_bound, bookless if i else {}) for i, p in enumerate(parts)],
+            lambda p, eb, kw: self.inner.estimate_nbytes(p, error_bound=eb, **kw),
         )
-        est = float(sum(ests)) + CHUNK_HEADER_BYTES
-        if (
-            n > 1
-            and self.share_codebook
-            and getattr(self.inner, "supports_codebook_sharing", False)
-            and getattr(self.inner, "entropy", "") in ("huffman", "huffman+zlib")
-        ):
-            est -= (n - 1) * self.inner.dict_size
-        return est
+        return float(sum(ests)) + CHUNK_HEADER_BYTES
 
     def roundtrip(self, x: np.ndarray, error_bound: Optional[float] = None) -> np.ndarray:
         return self.decompress(self.compress(x, error_bound))

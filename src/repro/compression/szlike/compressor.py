@@ -61,6 +61,7 @@ from repro.compression.szlike.codebook_cache import CodebookCache
 from repro.compression.szlike.huffman import (
     HuffmanCodebook,
     chunk_meta_nbytes,
+    codebook_nbytes_estimate,
     entropy_bits_from_hist,
     histogram,
     huffman_decode,
@@ -133,8 +134,9 @@ class CompressedTensor:
 
         Every section is charged at its exact serialized size, so
         ``nbytes == len(serialize.dumps(self)) - wire_header + HEADER_BYTES``
-        (chunk metadata is one ``uint16`` bit length per decode chunk of
-        :func:`~repro.compression.szlike.huffman.chunk_size_for` symbols).
+        (the chunk table is bit-packed, the codebook its deflated length
+        table: :func:`~repro.compression.szlike.huffman.chunk_meta_nbytes`,
+        :attr:`HuffmanCodebook.nbytes`).
         A shared codebook (``codebook_shared``) is charged by its owning
         container, not here — the serialized chunk likewise carries only
         a reference.
@@ -143,7 +145,7 @@ class CompressedTensor:
         if self.codebook is not None and not self.codebook_shared:
             n += self.codebook.nbytes
         if self.chunk_offsets is not None:
-            n += chunk_meta_nbytes(self.count)  # serialized as per-chunk bit lengths
+            n += chunk_meta_nbytes(self.count)
         return n
 
     @property
@@ -598,17 +600,22 @@ class SZCompressor:
         """Convenience: decompress(compress(x))."""
         return self.decompress(self.compress(x, error_bound))
 
-    def estimate_compressed_nbytes(self, x: np.ndarray, error_bound: Optional[float] = None) -> float:
+    def estimate_compressed_nbytes(
+        self, x: np.ndarray, error_bound: Optional[float] = None, *, own_codebook: bool = True
+    ) -> float:
         """Entropy-based size estimate (no bitstream materialization).
 
         Used by the adaptive controller's monitoring path where only the
         expected ratio is needed.  Charges every section at the same rate
         ``CompressedTensor.nbytes`` does: outliers at their packed
-        itemsize, plus the codebook and chunk-offset metadata the Huffman
-        stages serialize — only the payload itself is estimated (at its
-        Shannon lower bound).  Shares one histogram between the entropy
-        estimate and the code statistics, and runs over the same pooled
-        scratch as :meth:`compress`.
+        itemsize and the chunk table through the same helper; the payload
+        is estimated at its Shannon lower bound and the codebook section
+        (left out with ``own_codebook=False``, for a chunk whose
+        container owns the book) by
+        :func:`~repro.compression.szlike.huffman.codebook_nbytes_estimate`
+        — there is a histogram here, not a book.  Shares one histogram
+        between the estimates, and runs over the same pooled scratch as
+        :meth:`compress`.
         """
         x = np.asarray(x)
         eb = float(error_bound) if error_bound is not None else self.resolve_error_bound(x)
@@ -618,8 +625,9 @@ class SZCompressor:
             bits = entropy_bits_from_hist(hist)
             est = bits / 8.0 + _pack_outliers(qr.outliers).nbytes + HEADER_BYTES
             if self.entropy in ("huffman", "huffman+zlib"):
-                # one length byte per alphabet symbol + per-chunk bit lengths
-                est += self.dict_size + chunk_meta_nbytes(qr.codes.size)
+                est += chunk_meta_nbytes(qr.codes.size)
+                if own_codebook:
+                    est += codebook_nbytes_estimate(hist)
         return est
 
     # Registry-facing alias (the unified Codec API name).

@@ -30,11 +30,31 @@ direction needs a Python-level per-symbol loop:
     codebook lifetime, amortized by the cross-iteration
     :class:`~repro.compression.szlike.codebook_cache.CodebookCache`).
     cuSZ sizes its chunks so that *chunks ~ hardware lanes*; here the
-    "hardware" is one vectorized call, so the geometry is **per tensor**
-    (:func:`chunk_size_for`): ``chunk_size ~ sqrt(count)`` makes lanes
-    and Python-level steps both ~``sqrt(count)``.  It is a pure function
-    of the symbol count, so encoder, decoder and the byte accounting
-    agree by construction and a blob carries no chunk-size field.
+    "hardware" is one vectorized call that costs
+    ``3.8 us x steps + 12.4 ns x symbols``, so the geometry is **per
+    tensor** (:func:`chunk_size_for`): as many lanes as the fixed cost
+    per step asks for, as few as the bytes of the chunk table allow.
+    It is a pure function of the symbol count, so encoder, decoder and
+    the byte accounting agree by construction and a blob carries no
+    chunk-size field.  Decode ms by chunk size (best of 15, one vCPU of
+    the numba-less dev container; the payload bytes are the same at
+    every size):
+
+    ===============================  =====  =====  =====  =====
+    symbols                           c=32   c=64  c=128  c=256
+    ===============================  =====  =====  =====  =====
+    327 680 in six tensors, step 0    3.40   4.34   5.47   9.01
+    the same six tensors, step 39     3.14   4.02   5.48   8.56
+    262 144, one stream, 7 bits/sym   2.88   2.53   2.80   3.41
+    524 288, one stream, 7 bits/sym   7.86   8.98   6.94   6.64
+    ===============================  =====  =====  =====  =====
+
+    The six tensors are the ``train_sz`` activations (16 384 to 131 072
+    symbols each; the sqrt rule gave them 256, one of them 128): 64
+    takes a training step from 1 408 to 384 vectorized steps, and 32
+    would buy ~0.9 ms more for twice the table.  Past ~2 048 lanes a
+    step's gathers leave the cache and more lanes are *slower*, so the
+    chunk doubles with the count from there.
   - *pointer jumping*: offset-metadata-free fallback that decodes
     speculatively at every bit offset via a dense ``2^L`` prefix table
     and recovers the true codeword chain with recursive doubling —
@@ -57,6 +77,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.compression.lossless import shrink
 from repro.kernels import get_backend
 from repro.kernels.numpy_backend import ENCODE_BLOCK as ENCODE_BLOCK  # noqa: F401 (re-export)
 
@@ -70,6 +91,7 @@ __all__ = [
     "chunk_size_for",
     "chunk_layout",
     "chunk_meta_nbytes",
+    "codebook_nbytes_estimate",
     "entropy_bits",
     "entropy_bits_from_hist",
 ]
@@ -144,6 +166,8 @@ class HuffmanCodebook:
     #: prefixes) — cached here so a codebook reused across iterations (or
     #: shared across chunks) pays the table-build loop exactly once
     _tables: Optional[tuple] = field(default=None, repr=False, compare=False)
+    #: the serialized length table (:meth:`section`), deflated once
+    _section: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_frequencies(cls, freqs: np.ndarray, max_length: int = MAX_CODE_LENGTH) -> "HuffmanCodebook":
@@ -164,16 +188,26 @@ class HuffmanCodebook:
         nz = self.lengths[self.lengths > 0]
         return int(nz.max()) if nz.size else 0
 
+    def section(self) -> bytes:
+        """The serialized codebook: one length byte per alphabet symbol
+        (canonical codes follow from the lengths), deflated — most of a
+        1 024-entry table is zeros — or raw when that is not larger;
+        a reader tells the two apart by the section's length.  Built
+        once per codebook and cached beside the decode tables."""
+        if self._section is None:
+            self._section = shrink(np.asarray(self.lengths, dtype=np.uint8).tobytes(), 6)
+        return self._section
+
     @property
     def nbytes(self) -> int:
-        """Serialized size: one length byte per alphabet symbol.
+        """Serialized size: the length of :meth:`section`, which is what
+        :func:`repro.compression.szlike.serialize.dumps` writes."""
+        return len(self.section())
 
-        Canonical codes are fully determined by the length array, and
-        that is exactly what :func:`repro.compression.szlike.serialize.dumps`
-        writes — so this matches the on-the-wire codebook section
-        byte-for-byte.
-        """
-        return int(self.lengths.size)
+    @property
+    def symbol_dtype(self) -> np.dtype:
+        """What every decode path returns: the narrowest dtype holding a symbol."""
+        return np.dtype(np.uint16 if self.lengths.size <= 1 << 16 else np.uint32)
 
     def kraft_sum(self) -> float:
         nz = self.lengths[self.lengths > 0].astype(np.float64)
@@ -181,17 +215,15 @@ class HuffmanCodebook:
 
     def decode_tables(self) -> tuple:
         """Dense decode tables ``(tsym, tlen)`` over all ``2^L`` L-bit
-        prefixes, built once and cached on the codebook: ``tsym`` in the
-        narrowest dtype that holds a symbol (``uint16`` up to a 65 536
-        symbol alphabet), ``tlen`` as ``uint8`` — 3 bytes per prefix, so
+        prefixes, built once and cached on the codebook: ``tsym`` in
+        :attr:`symbol_dtype`, ``tlen`` as ``uint8`` — 3 bytes per prefix, so
         a 16-bit book costs 192 KiB and stays cache-resident while the
         decoder gathers from it."""
         if self._tables is None:
             L = self.max_length
             if L == 0:
                 raise ValueError("codebook is empty")
-            sym_dtype = np.uint16 if self.lengths.size <= 1 << 16 else np.uint32
-            tsym = np.zeros(1 << L, dtype=sym_dtype)
+            tsym = np.zeros(1 << L, dtype=self.symbol_dtype)
             tlen = np.ones(1 << L, dtype=np.uint8)
             for s in np.nonzero(self.lengths)[0]:
                 l = int(self.lengths[s])
@@ -203,14 +235,11 @@ class HuffmanCodebook:
 
     # The cached tables are derived state: drop them when pickling (the
     # process-pool chunked codec ships codebooks to workers) so the wire
-    # cost stays one length byte per symbol.
+    # cost stays about one length byte per symbol.
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_tables"] = None
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
 
 def histogram(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
@@ -224,34 +253,46 @@ def build_codebook(symbols: np.ndarray, alphabet_size: int) -> HuffmanCodebook:
     return HuffmanCodebook.from_frequencies(histogram(symbols, alphabet_size))
 
 
-#: largest symbols-per-chunk :func:`chunk_size_for` picks.  Measured on
-#: the six ``train_sz`` activations (16k-131k codes) against the former
-#: fixed 4096: 4096 -> 128-256 steps per call, 283 -> 12 ms of decode
-#: per training step, for 2 metadata bytes per chunk instead of 8
-#: (0.012 vs 0.002 bytes per symbol).
+#: largest symbols-per-chunk :func:`chunk_size_for` picks, reached at
+#: 2^18 + 1 symbols: from there a step already spreads its ~3.8 us over
+#: >= 1 024 lanes (see the table in the module docstring).
 DEFAULT_CHUNK = 256
 
 
 def chunk_size_for(count: int) -> int:
-    """Symbols per decode chunk of a *count*-symbol stream: the smallest
-    power of two >= ``sqrt(count)``, clamped to ``[16, DEFAULT_CHUNK]``."""
-    return min(DEFAULT_CHUNK, max(16, 1 << ((count - 1).bit_length() + 1) // 2))
+    """Symbols per decode chunk of a *count*-symbol stream, a power of
+    two in ``[16, DEFAULT_CHUNK]`` that never falls as *count* grows:
+    the smallest one >= ``sqrt(count)`` while that is <= 64 (lanes ~
+    steps), 64 up to 2^17 symbols, then the smallest that keeps the
+    lanes at or under 2 048 (128 up to 2^18)."""
+    bits = (count - 1).bit_length()
+    return max(16, min(64, 1 << (bits + 1) // 2), min(DEFAULT_CHUNK, 1 << max(bits - 11, 0)))
 
 
 def chunk_layout(count: int) -> tuple:
-    """``(chunk_size, n_chunks, dtype)`` of the serialized chunk metadata:
-    one bit length per chunk, ``uint16`` unless a chunk of maximal
-    codewords could overflow it."""
+    """``(chunk_size, n_chunks, width)`` of the serialized chunk table:
+    every chunk's bit length minus one (1 .. ``chunk_size *
+    MAX_CODE_LENGTH`` bits) in exactly *width* bits — 8 at 16 symbols
+    per chunk, 10 at 64, 12 at 256."""
     chunk_size = chunk_size_for(count)
-    wide = chunk_size * MAX_CODE_LENGTH > np.iinfo(np.uint16).max
-    return chunk_size, -(-count // chunk_size), np.dtype(np.uint32 if wide else np.uint16)
+    return chunk_size, -(-count // chunk_size), (chunk_size * MAX_CODE_LENGTH - 1).bit_length()
 
 
 def chunk_meta_nbytes(count: int) -> int:
-    """Serialized chunk-metadata bytes of a *count*-symbol stream (what
+    """Serialized chunk-table bytes of a *count*-symbol stream (what
     ``CompressedTensor.nbytes`` and the size estimates charge)."""
-    _, n_chunks, dtype = chunk_layout(count)
-    return n_chunks * dtype.itemsize
+    _, n_chunks, width = chunk_layout(count)
+    return -(-n_chunks * width // 8)
+
+
+def codebook_nbytes_estimate(hist: np.ndarray) -> int:
+    """Proxy for :attr:`HuffmanCodebook.nbytes` of the book *hist* would
+    build, for callers that hold a histogram and no book: 56 bytes plus
+    a quarter byte per used symbol, at most 224 (a full 1 024-entry table
+    of few distinct lengths deflates to 125-262) or the raw table —
+    within 2x of the section from 64 used symbols up, 1.3x on the
+    ``train_sz`` books."""
+    return min(int(hist.size), 224, 56 + int(np.count_nonzero(hist)) // 4)
 
 
 def _encode_bitplane(symbols: np.ndarray, codebook: HuffmanCodebook, chunk_size: int):
@@ -399,7 +440,7 @@ def huffman_decode(
     selects the chunked inner loop's backend (default: NumPy reference).
     """
     if count == 0:
-        return np.zeros(0, dtype=np.uint32)
+        return np.zeros(0, dtype=codebook.symbol_dtype)
 
     if chunk_offsets is not None and chunk_offsets.size:
         return _decode_chunked(

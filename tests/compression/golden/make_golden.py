@@ -1,4 +1,4 @@
-"""Generator of the committed format-v2 golden blobs (run by hand).
+"""Generator of the committed format-v3 golden blobs (run by hand).
 
     PYTHONPATH=src python tests/compression/golden/make_golden.py
 
@@ -8,8 +8,13 @@ to this file.  ``test_golden_blobs.py`` re-derives both from the same
 seeded inputs on every backend and compares byte for byte / bit for
 bit, so the files are rewritten only when a format or arithmetic change
 is *meant* — regenerate, review the diff, and say so in CHANGES.md.
-The committed files were written by the commit before the codec's hot
-path moved to narrow dtypes (PR 21's parent).
+The ``.npy`` reconstructions were written by the commit before the
+codec's hot path moved to narrow dtypes (PR 21's parent) and have not
+changed since.  The ``.blob`` files were rewritten once, on purpose, for
+format v3 (PR 24: 64-symbol decode chunks, a bit-packed chunk table, a
+deflated codebook section): the container moved, the payload section of
+every case is byte-identical to its v2 blob — ``test_golden_blobs.py``
+re-encodes each code stream at the v2 chunk geometry to pin that.
 
 Each case is ``(codec options, [(x, error_bound), ...])``: the tensors
 are compressed in order under one cache key and the **last** one is the

@@ -1,11 +1,13 @@
-"""Format v2 is bytes, not behaviour: the committed golden blobs.
+"""Format v3 is bytes, not behaviour: the committed golden blobs.
 
-``golden/`` holds ``serialize.dumps`` bytes and reconstructions written
-by ``golden/make_golden.py`` at the commit *before* the codec's hot path
+``golden/`` holds ``serialize.dumps`` bytes written by
+``golden/make_golden.py`` when the container became format v3, and
+reconstructions written at the commit *before* the codec's hot path
 moved to narrow dtypes.  Every backend must reproduce them byte for byte
 and decode them bit for bit, so a change of format, chunk geometry or
 arithmetic is a deliberate act (regenerate the files and say so), never
-a side effect.
+a side effect.  Format v3 was such an act on the container alone: the
+Huffman bitstream of every case is the one its v2 blob carried.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 from repro.compression.szlike import SZCompressor
 from repro.compression.szlike.compressor import HEADER_BYTES
+from repro.compression.szlike.huffman import chunk_size_for, huffman_decode, huffman_encode
 from repro.compression.szlike.serialize import dumps, loads, wire_header_nbytes
 from repro.kernels import available_backends
 from repro.kernels.backends import KernelBackend
@@ -53,6 +56,33 @@ def test_golden_blob_reproduced_and_decoded(name, backend):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
     assert getattr(codec, "fallbacks", []) == []  # the loops ran, not the reference
+
+
+def _v2_chunk_size(count: int) -> int:
+    """Format v2's geometry: smallest power of two >= sqrt(count) in [16, 256]."""
+    return min(256, max(16, 1 << ((count - 1).bit_length() + 1) // 2))
+
+
+HUFFMAN_CASES = [
+    name for name, case in make_golden.CASES.items()
+    if case()[0].get("entropy", "huffman") == "huffman"
+]
+
+
+@pytest.mark.parametrize("name", HUFFMAN_CASES)
+def test_payload_section_is_the_bitstream_of_the_v2_geometry(name):
+    """The container changed, the bitstream did not: a blob's payload
+    section is what ``huffman_encode`` writes for its code stream at the
+    parent format's chunk size, and the v3 chunk table samples that same
+    stream four times as often."""
+    ct = loads((GOLDEN / f"{name}.blob").read_bytes())
+    codes = huffman_decode(ct.payload, ct.total_bits, ct.count, ct.codebook, ct.chunk_offsets)
+    v2 = _v2_chunk_size(ct.count)
+    payload, total_bits, offsets = huffman_encode(codes, ct.codebook, v2)
+    assert (payload, total_bits) == (ct.payload, ct.total_bits)
+    finer = v2 // chunk_size_for(ct.count)  # every v2 chunk start is a v3 chunk start
+    assert finer == (1 if ct.count <= 4096 else v2 // 64)
+    np.testing.assert_array_equal(ct.chunk_offsets[::finer], offsets)
 
 
 def test_every_case_has_its_files_and_no_strays():

@@ -19,7 +19,7 @@ from repro.compression.szlike.huffman import (
     chunk_meta_nbytes,
     chunk_size_for,
 )
-from repro.kernels import get_backend
+from repro.kernels import available_backends, get_backend
 from repro.kernels.backends import KernelBackend
 from repro.kernels.numba_backend import make_kernel_functions, python_loops
 
@@ -130,7 +130,12 @@ class TestRoundtrip:
         payload, bits, chunks = huffman_encode(np.zeros(0, dtype=np.uint16), cb)
         assert payload == b""
         out = huffman_decode(payload, bits, 0, cb)
-        assert out.size == 0
+        # one symbol dtype on every path: empty, chunked, pointer-jumping
+        syms = np.array([0, 1, 1], dtype=np.uint16)
+        decoded = [huffman_decode(*huffman_encode(syms, cb)[:2], 3, cb, offsets)
+                   for offsets in (np.zeros(1, dtype=np.int64), None)]
+        assert out.size == 0 and {out.dtype, *(d.dtype for d in decoded)} == {cb.symbol_dtype}
+        assert cb.symbol_dtype == cb.decode_tables()[0].dtype == np.uint16
 
 
 class TestCompression:
@@ -213,17 +218,20 @@ class TestWordPackedEncoder:
         )
 
 
-GEOMETRY_COUNTS = [1, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 70_000, 2**20]
+GEOMETRY_COUNTS = [
+    1, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 70_000, 2**17, 2**17 + 1, 2**20,
+]
 #: the pointer-jumping decoder holds O(total_bits) int64 arrays and the
 #: uncompiled numba loops cost ~1 us per symbol per pass: both stop at
-#: 70 000 symbols, which already has the 2**20 geometry (256 x lanes)
-#: and crosses an ENCODE_BLOCK boundary
+#: 70 000 symbols, which has the 64-symbol chunk of every stream from
+#: 4 096 to 2**17 symbols and crosses an ENCODE_BLOCK boundary; the
+#: 128- and 256-symbol chunks beyond run on NumPy alone
 SLOW_PATH_MAX = 70_000
 COUNT_X_BACKEND = [
     (count, backend)
     for count in GEOMETRY_COUNTS
-    for backend in ("numpy", "python-loops")
-    if backend == "numpy" or count <= SLOW_PATH_MAX
+    for backend in (*available_backends(), "python-loops")  # numba on the CI leg that has it
+    if backend != "python-loops" or count <= SLOW_PATH_MAX
 ]
 
 
@@ -256,29 +264,44 @@ class TestChunkGeometry:
     and the byte accounting, identical on every backend."""
 
     def test_chunk_size_rule(self):
-        sizes = [chunk_size_for(n) for n in range(0, 70_000)] + [
-            chunk_size_for(n) for n in (2**17, 2**20, 2**31, 2**40)
-        ]
+        counts = [*range(70_000), *(2**k + d for k in range(17, 41) for d in (-1, 0, 1))]
+        sizes = [chunk_size_for(n) for n in counts]
         assert all(16 <= s <= DEFAULT_CHUNK == 256 and s & (s - 1) == 0 for s in sizes)
         assert sizes == sorted(sizes)  # non-decreasing in count
-        assert [chunk_size_for(n) for n in (1, 216, 256, 257, 16_384, 65_536, 131_072)] == [
-            16, 16, 16, 32, 128, 256, 256,
-        ]
-        for n in (1, 216, 4097, 2**20):  # smallest power of two >= sqrt(n), clamped
+        # the sqrt rule below 4 096 symbols ...
+        for n in range(1, 4097):
             s = chunk_size_for(n)
-            assert s == 16 or (s // 2) ** 2 < n
-            assert s == DEFAULT_CHUNK or s * s >= n
+            assert s * s >= n and (s == 16 or (s // 2) ** 2 < n)
+        assert [chunk_size_for(n) for n in (0, 1, 216, 256, 257, 1024, 1025, 4096)] == [
+            16, 16, 16, 16, 32, 32, 64, 64,
+        ]
+        # ... 64 up to 2**17, which covers the six train_sz activations ...
+        assert {chunk_size_for(n) for n in range(4096, 70_000)} == {64}
+        train_sz = (49_152, 131_072, 32_768, 65_536, 16_384, 32_768)
+        assert {chunk_size_for(n) for n in train_sz} == {64}
+        # ... then at most 2 048 lanes until the chunk is DEFAULT_CHUNK
+        assert [chunk_size_for(n) for n in (2**17 + 1, 2**18, 2**18 + 1, 2**19, 2**40)] == [
+            128, 128, 256, 256, 256,
+        ]
+        assert all(-(-n // chunk_size_for(n)) <= 2048 for n in counts if n <= 2**19)
 
-    def test_layout_is_two_bytes_per_chunk(self):
-        for n in (1, 216, 16_384, 131_072):
-            size, n_chunks, dtype = chunk_layout(n)
-            assert (size, n_chunks, dtype) == (chunk_size_for(n), -(-n // size), np.uint16)
-            assert chunk_meta_nbytes(n) == 2 * n_chunks
+    def test_layout_is_the_bit_width_of_a_full_chunk(self):
+        """One table entry holds ``bits - 1`` of a chunk of maximal
+        codewords and not one bit more: 8 bits at 16 symbols, 10 at 64."""
+        for n, size, width in ((1, 16, 8), (216, 16, 8), (1000, 32, 9), (16_384, 64, 10),
+                               (131_072, 64, 10), (2**18, 128, 11), (2**19, 256, 12)):
+            n_chunks = -(-n // size)
+            assert chunk_layout(n) == (size, n_chunks, width)
+            assert (1 << width) == size * MAX_CODE_LENGTH
+            assert chunk_meta_nbytes(n) == -(-n_chunks * width // 8)
+        # four times the chunks of format v2's 256-symbol geometry in 5/8 of
+        # the bytes per chunk
+        assert chunk_meta_nbytes(131_072) == 2560 and 2 * (131_072 // 256) == 1024
 
     @pytest.mark.parametrize("kind", ["single", "relu", "uniform16"])
     @pytest.mark.parametrize("count,backend", COUNT_X_BACKEND)
     def test_roundtrip_matches_oracles(self, count, kind, backend, deep_codebook):
-        kernels = get_backend("numpy") if backend == "numpy" else _python_loops_backend()
+        kernels = _python_loops_backend() if backend == "python-loops" else get_backend(backend)
         syms, cb = _alphabet(kind, count, deep_codebook)
         payload, bits, offsets = huffman_encode(syms, cb, kernels=kernels)
         oracle = huffman_encode(syms, cb, packer="bitplane")

@@ -221,6 +221,35 @@ class TestCorruptBlobs:
                 tracemalloc.stop()
 
 
+def test_every_reader_raises_the_one_typed_error(rng):
+    """``CorruptBlobError`` is what ``registry.loads``, ``wire_header_nbytes``
+    and the lossless decoders raise; it is a ``ValueError``, so callers
+    that caught that keep working."""
+    from repro.compression import CorruptBlobError
+
+    assert issubclass(CorruptBlobError, ValueError)
+    for case, (name, make_input) in CORRUPT_CASES.items():
+        codec = get_codec(name)
+        blob = dumps(codec.compress(make_input(rng)))
+        (hlen,) = struct.unpack_from("<I", blob, 4)
+        for damaged in (b"XXXX" + blob[4:], blob[: 8 + hlen // 2], blob[:4] + b"\xff" * 4 + blob[8:],
+                        blob[:8] + b"[]" + blob[10:]):
+            with pytest.raises(CorruptBlobError):
+                loads(damaged)
+        with pytest.raises(CorruptBlobError, match="bad magic"):
+            wire_header_nbytes(b"XXXX" + blob[4:])
+        if name != "jpeg":
+            ct = loads(blob)
+            ct.crc ^= 1
+            with pytest.raises(CorruptBlobError, match="checksum"):
+                codec.decompress(ct)
+            ct = loads(blob)
+            ct.scheme = "bitplanes"
+            ct.crc = ct.checksum()
+            with pytest.raises(CorruptBlobError, match="scheme|deflate payload"):
+                codec.decompress(ct)
+
+
 def test_corrupt_cases_write_every_section_form(rng):
     forms = set()
     for case, (name, make_input) in CORRUPT_CASES.items():
@@ -462,8 +491,15 @@ class TestCacheAwareEstimate:
         assert n > 1, "test needs an actually-chunked tensor"
         est_shared = shared.estimate_nbytes(x)
         est_private = private.estimate_nbytes(x)
-        # exactly (n-1) per-chunk codebook charges removed
-        assert est_private - est_shared == (n - 1) * shared.inner.dict_size
+        # exactly the (n-1) later chunks' codebook charges removed
+        sz = shared.inner
+        books = [
+            sz.estimate_nbytes(p, error_bound=1e-3)
+            - sz.estimate_nbytes(p, error_bound=1e-3, own_codebook=False)
+            for p in np.array_split(x, n)[1:]
+        ]
+        assert all(56 < b <= 224 for b in books)
+        assert est_private - est_shared == pytest.approx(sum(books), abs=1e-6)
 
     def test_estimate_pins_actual_nbytes_under_sharing(self):
         """Regression: estimate vs actual for the shared-codebook path.

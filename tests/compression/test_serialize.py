@@ -8,10 +8,24 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.compression import SZCompressor
+from repro.compression import CorruptBlobError, SZCompressor
 from repro.compression.szlike.compressor import HEADER_BYTES
-from repro.compression.szlike.huffman import DEFAULT_CHUNK, MAX_CODE_LENGTH, chunk_meta_nbytes
-from repro.compression.szlike.serialize import dumps, loads, wire_header_nbytes
+from repro.compression.szlike.huffman import (
+    DEFAULT_CHUNK,
+    MAX_CODE_LENGTH,
+    chunk_layout,
+    chunk_meta_nbytes,
+    codebook_nbytes_estimate,
+)
+from repro.compression.szlike.serialize import (
+    _pack_uints,
+    _unpack_uints,
+    dumps,
+    loads,
+    wire_header_nbytes,
+)
+from repro.kernels.backends import KernelBackend
+from repro.kernels.numba_backend import make_kernel_functions, python_loops
 
 
 @pytest.mark.parametrize("entropy", ["huffman", "zlib", "huffman+zlib", "none"])
@@ -75,10 +89,23 @@ def test_trailing_garbage_rejected(activation_tensor):
 
 
 # ---------------------------------------------------------------------------
-# Format v2: per-chunk bit lengths, validated before anything is decoded
+# Format v3: bit-packed chunk table + deflated codebook section, validated
+# before anything is decoded
 # ---------------------------------------------------------------------------
 
-GEOMETRY_SHAPES = {1: (1,), 216: (6, 6, 6), 16_384: (4, 4, 32, 32), 131_072: (8, 16, 32, 32)}
+GEOMETRY_SHAPES = {
+    1: (1,), 216: (6, 6, 6), 16_384: (4, 4, 32, 32), 131_072: (8, 16, 32, 32),
+    2**19: (8, 16, 64, 64),
+}
+BACKENDS = ["numpy", "python-loops"]
+
+
+def _codec(backend, *args, **kw):
+    comp = SZCompressor(*args, kernel_backend="numpy", **kw)
+    if backend == "python-loops":
+        fns = make_kernel_functions(python_loops(), lambda name: pytest.fail(f"fallback in {name}"))
+        comp._kernels = KernelBackend(name="python-loops", **fns)
+    return comp
 
 
 def _relu_field(shape, seed=5):
@@ -89,15 +116,15 @@ def _relu_field(shape, seed=5):
 def _sections(blob):
     """Byte offset of every section boundary of a szlike blob, in order:
     magic, header-length word, header, payload-length word, payload,
-    outliers, chunk metadata, codebook (== len(blob))."""
+    outliers, chunk table, codebook (the rest: == len(blob))."""
     (hlen,) = struct.unpack_from("<I", blob, 4)
     header = json.loads(blob[8 : 8 + hlen])
     (plen,) = struct.unpack_from("<Q", blob, 8 + hlen)
     bounds = [0, 4, 8, 8 + hlen, 16 + hlen, 16 + hlen + plen]
     bounds.append(bounds[-1] + header["outlier_count"] * np.dtype(header["outlier_dtype"]).itemsize)
     bounds.append(bounds[-1] + chunk_meta_nbytes(header["count"]) * bool(header["chunk_count"]))
-    bounds.append(bounds[-1] + 2 * header["radius"] * header["has_codebook"])
-    assert bounds[-1] == len(blob)
+    assert header["has_codebook"] or bounds[-1] == len(blob)
+    bounds.append(len(blob))
     return header, bounds
 
 
@@ -108,27 +135,75 @@ def _reheader(blob, **changes):
     return blob[:4] + struct.pack("<I", len(hbytes)) + hbytes + blob[bounds[3] :]
 
 
+def _with_table(blob, lens):
+    """*blob* with its chunk table rewritten to the bit lengths *lens*."""
+    header, bounds = _sections(blob)
+    table = _pack_uints(np.asarray(lens) - 1, chunk_layout(header["count"])[2])
+    return blob[: bounds[6]] + table + blob[bounds[7] :]
+
+
+def _table(blob):
+    header, bounds = _sections(blob)
+    _, n_chunks, width = chunk_layout(header["count"])
+    return _unpack_uints(blob[bounds[6] : bounds[7]], n_chunks, width).astype(np.int64) + 1
+
+
+@pytest.mark.parametrize("width", range(8, 17))
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 255, 2048, 5000])
+def test_table_packing_equals_the_bit_matrix_oracle(n, width):
+    """Arithmetic packing against ``np.packbits`` over the (n, width) bit
+    matrix, the all-ones value included; exact size, exact inverse."""
+    values = np.random.default_rng(n * width).integers(0, 1 << width, n)
+    values[n // 2] = (1 << width) - 1
+    bits = (values[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    packed = _pack_uints(values, width)
+    assert packed == np.packbits(bits.astype(np.uint8).reshape(-1)).tobytes()
+    assert len(packed) == -(-n * width // 8)
+    np.testing.assert_array_equal(_unpack_uints(packed, n, width), values)
+
+
 @pytest.mark.parametrize("count", sorted(GEOMETRY_SHAPES))
-def test_estimate_charges_the_blobs_chunk_metadata(count):
-    """estimate_compressed_nbytes, CompressedTensor.nbytes and dumps agree
-    on the chunk-metadata bytes (it was a hard-coded 8 per 4096 symbols)."""
+def test_estimate_charges_the_blobs_sections(count):
+    """estimate_compressed_nbytes charges the chunk table through the
+    helper ``nbytes`` and ``dumps`` use, and the codebook section — it
+    holds a histogram, not a book — by the stated proxy."""
     x = _relu_field(GEOMETRY_SHAPES[count])
     comp = SZCompressor(1e-3, entropy="huffman")
     ct = comp.compress(x)
     header, bounds = _sections(dumps(ct))
     on_the_wire = bounds[7] - bounds[6]
     charged = ct.nbytes - len(ct.payload) - ct.outliers.nbytes - ct.codebook.nbytes - HEADER_BYTES
-    # the zlib stage's estimate is the same sum minus codebook and metadata
-    estimated = (
-        comp.estimate_compressed_nbytes(x)
-        - SZCompressor(1e-3, entropy="zlib").estimate_compressed_nbytes(x)
-        - comp.dict_size
-    )
+    bookless = comp.estimate_compressed_nbytes(x, own_codebook=False)
+    # the zlib stage's estimate is the same sum minus codebook and table
+    estimated = bookless - SZCompressor(1e-3, entropy="zlib").estimate_compressed_nbytes(x)
     assert count == ct.count and on_the_wire == charged == round(estimated, 6)
-    assert on_the_wire == 2 * header["chunk_count"] == chunk_meta_nbytes(count)
+    assert on_the_wire == chunk_meta_nbytes(count) == -(-header["chunk_count"] * chunk_layout(count)[2] // 8)
+    proxy = comp.estimate_compressed_nbytes(x) - bookless
+    used = np.count_nonzero(ct.codebook.lengths)
+    assert proxy == min(224, 56 + used // 4)
+    assert bounds[8] - bounds[7] == ct.codebook.nbytes <= 1024
+    assert ct.codebook.nbytes / 2 <= proxy <= ct.codebook.nbytes * 2 or used < 64
 
 
-def test_chunked_estimate_inherits_the_chunk_metadata_charge():
+def test_codebook_proxy_brackets_the_section_from_sparse_to_full_books():
+    """The stated tolerance of ``codebook_nbytes_estimate``: within 2x of
+    the deflated section for bell-shaped histograms of 64+ used symbols,
+    never above the raw table."""
+    from repro.compression.szlike import HuffmanCodebook
+
+    rng = np.random.default_rng(3)
+    seen = []
+    for sigma in (8, 15, 30, 60, 120, 400):
+        codes = np.clip(np.rint(rng.standard_normal(60_000) * sigma) + 512, 0, 1023).astype(int)
+        hist = np.bincount(codes, minlength=1024)
+        actual, proxy = HuffmanCodebook.from_frequencies(hist).nbytes, codebook_nbytes_estimate(hist)
+        seen.append(np.count_nonzero(hist))
+        assert seen[-1] >= 64 and actual / 2 <= proxy <= actual * 2
+    assert seen[0] < 100 and seen[-1] == 1024
+    assert codebook_nbytes_estimate(np.ones(16, dtype=np.int64)) == 16
+
+
+def test_chunked_estimate_charges_one_book_and_every_chunk_table():
     from repro.compression import ChunkedCodec
 
     x = _relu_field(GEOMETRY_SHAPES[16_384])
@@ -136,29 +211,53 @@ def test_chunked_estimate_inherits_the_chunk_metadata_charge():
     huff, zl = ChunkedCodec("szlike", **kw), ChunkedCodec("szlike", entropy="zlib", **kw)
     chunks = huff.compress(x).chunks
     assert len(chunks) > 1
-    # one shared codebook + every chunk's own per-chunk bit lengths
-    estimated = huff.estimate_nbytes(x) - zl.estimate_nbytes(x) - huff.inner.dict_size
-    assert round(estimated, 6) == sum(chunk_meta_nbytes(c.count) for c in chunks)
+    # the first chunk's book proxy + every chunk's own bit-packed table
+    first = np.array_split(x, len(chunks))[0]
+    book = huff.inner.estimate_nbytes(first) - huff.inner.estimate_nbytes(first, own_codebook=False)
+    estimated = huff.estimate_nbytes(x) - zl.estimate_nbytes(x) - book
+    assert book > 64 and round(estimated, 6) == sum(chunk_meta_nbytes(c.count) for c in chunks)
 
 
-def test_roundtrip_keeps_nbytes_byte_exact_szlike_and_chunked():
+@pytest.mark.parametrize("count", sorted(GEOMETRY_SHAPES))
+def test_nbytes_is_the_blob_byte_for_byte_szlike_and_chunked(count):
     from repro.compression import ChunkedCodec
     from repro.compression import registry
 
-    x = _relu_field(GEOMETRY_SHAPES[16_384])
+    x = _relu_field(GEOMETRY_SHAPES[count])
     ct = SZCompressor(1e-3).compress(x)
-    back = loads(dumps(ct))
-    assert back.nbytes == ct.nbytes
+    blob = dumps(ct)
+    back = loads(blob)
+    assert back.nbytes == ct.nbytes == len(blob) - wire_header_nbytes(blob) + HEADER_BYTES
     np.testing.assert_array_equal(back.chunk_offsets, ct.chunk_offsets)
+    np.testing.assert_array_equal(back.codebook.lengths, ct.codebook.lengths)
+    assert back.codebook.section() == ct.codebook.section() == blob[_sections(blob)[1][7] :]
+    if count < 16_384:
+        return
     ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 13, error_bound=1e-3)
     cct = ck.compress(x)
-    assert len(cct.chunks) > 1
-    cback = registry.loads(registry.dumps(cct))
+    assert len(cct.chunks) > 1 and cct.shared_codebook is not None
+    data = registry.dumps(cct)
+    cback = registry.loads(data)
     assert cback.nbytes == cct.nbytes
+    assert cct.nbytes == len(data) - registry.wire_header_nbytes(data) + cct.header_nbytes + sum(
+        HEADER_BYTES - wire_header_nbytes(dumps(c)) for c in cct.chunks
+    )
     for chunk in cback.chunks:
         blob = dumps(chunk)
         assert chunk.nbytes == len(blob) - wire_header_nbytes(blob) + HEADER_BYTES
     np.testing.assert_array_equal(ck.decompress(cback), ck.decompress(cct))
+
+
+def test_small_tensors_store_the_codebook_raw_when_deflate_does_not_pay():
+    """Section length tells the forms apart: a 16-symbol alphabet's table
+    stays 16 raw bytes, a 1 024-symbol one deflates."""
+    x = (np.random.default_rng(8).standard_normal((2, 4, 10, 10)) * 5).astype(np.float32)
+    small = SZCompressor(1e-2, dict_size=16).compress(x)
+    assert small.codebook.section() == small.codebook.lengths.tobytes() and small.codebook.nbytes == 16
+    big = SZCompressor(1e-2).compress(x)
+    assert big.codebook.nbytes < 1024 == len(zlib.decompress(big.codebook.section()))
+    for ct in (small, big):
+        np.testing.assert_array_equal(loads(dumps(ct)).codebook.lengths, ct.codebook.lengths)
 
 
 class TestLoadsRejectsMalformedBlobs:
@@ -166,17 +265,18 @@ class TestLoadsRejectsMalformedBlobs:
     def blob(self):
         return dumps(SZCompressor(1e-3).compress(_relu_field(GEOMETRY_SHAPES[216])))
 
-    def test_v1_blob(self, blob):
-        with pytest.raises(ValueError, match="unsupported version 1"):
-            loads(_reheader(blob, v=1))
+    def test_older_format_blob(self, blob):
+        for old in (1, 2):  # no v1 or v2 reader is kept
+            with pytest.raises(CorruptBlobError, match=f"unsupported version {old}"):
+                loads(_reheader(blob, v=old))
 
     def test_chunk_count_must_follow_from_the_symbol_count(self, blob):
         header, _ = _sections(blob)
         assert header["chunk_count"] == 14  # 216 symbols in chunks of 16
         for bad in (0, 13, 15, 1):
-            with pytest.raises(ValueError, match="chunk count"):
+            with pytest.raises(CorruptBlobError, match="chunk count"):
                 loads(_reheader(blob, chunk_count=bad))
-        with pytest.raises(ValueError, match="chunk count"):
+        with pytest.raises(CorruptBlobError, match="chunk count"):
             loads(_reheader(dumps(SZCompressor(1e-3, entropy="zlib").compress(
                 _relu_field(GEOMETRY_SHAPES[216]))), chunk_count=14))
 
@@ -184,57 +284,118 @@ class TestLoadsRejectsMalformedBlobs:
         header, bounds = _sections(blob)
         meta = bytearray(blob)
         meta[bounds[6]] ^= 0x01
-        with pytest.raises(ValueError, match="chunk bit lengths"):
+        with pytest.raises(CorruptBlobError, match="chunk bit lengths"):
             loads(bytes(meta))
-        with pytest.raises(ValueError, match="chunk bit lengths"):
-            loads(_reheader(blob, total_bits=header["total_bits"] + 1))
+        lens = _table(blob)
+        lens[3] += 1
+        with pytest.raises(CorruptBlobError, match="chunk bit lengths"):
+            loads(_with_table(blob, lens))
+        lens[4] -= 1  # the sum is right again: only the offsets moved
+        assert loads(_with_table(blob, lens)).total_bits == header["total_bits"]
+        with pytest.raises(CorruptBlobError, match="payload length|chunk bit lengths"):
+            loads(_reheader(blob, total_bits=header["total_bits"] + 8))
 
-    def test_bit_length_above_a_full_chunk_of_maximal_codewords(self, blob):
+    def test_bit_length_above_what_the_last_chunks_symbols_allow(self, deep_codebook):
+        """A full chunk's entry cannot exceed ``chunk_size * 16`` by
+        construction (the width is exact); the short last chunk's can."""
+        from repro.compression.szlike import CompressedTensor
+
+        def blob_with(last_start):
+            return dumps(CompressedTensor(
+                shape=(17,), dtype="float32", error_bound=1e-3, radius=512, lorenzo_ndim=1,
+                entropy="huffman", payload=b"\xff" * 33, total_bits=257, count=17,
+                outliers=np.zeros(0, dtype=np.int32),
+                chunk_offsets=np.array([0, last_start], dtype=np.int64), codebook=deep_codebook,
+            ))
+
+        np.testing.assert_array_equal(_table(blob_with(241)), [241, 16])
+        assert loads(blob_with(241)).count == 17  # one 16-bit codeword fits
+        with pytest.raises(CorruptBlobError, match="chunk bit lengths"):
+            loads(blob_with(240))
+
+    def test_codebook_section_is_held_to_the_alphabet_and_the_length_limit(self, blob):
+        """A flipped length byte (17..255) would size a 2^L-entry table; a
+        section that inflates to anything but ``2 * radius`` bytes is not
+        a codebook; neither reaches ``from_lengths`` or an allocation."""
         header, bounds = _sections(blob)
-        lens = np.frombuffer(blob[bounds[6] : bounds[7]], dtype=np.uint16).copy()
-        lens[0] += 16 * MAX_CODE_LENGTH  # sum kept consistent below
-        hostile = blob[: bounds[6]] + lens.tobytes() + blob[bounds[7] :]
-        hostile = _reheader(hostile, total_bits=header["total_bits"] + 16 * MAX_CODE_LENGTH)
-        with pytest.raises(ValueError, match="chunk bit lengths"):
-            loads(hostile)
-
-    def test_codebook_length_byte_above_the_limit(self, blob):
-        """A flipped length byte (17..255) would size a 2^L-entry table."""
-        assert loads(blob).codebook is not None
+        body, lengths = blob[: bounds[7]], loads(blob).codebook.lengths
+        assert lengths.size == 2 * header["radius"] == 1024
+        for section in (lengths.tobytes(), zlib.compress(lengths.tobytes(), 1)):  # raw, deflated
+            np.testing.assert_array_equal(loads(body + section).codebook.lengths, lengths)
         for bad in (MAX_CODE_LENGTH + 1, 24, 200):
-            with pytest.raises(ValueError, match="MAX_CODE_LENGTH"):
-                loads(blob[:-1] + bytes([bad]))  # the codebook is the last section
+            hostile = lengths.copy()
+            hostile[-1] = bad
+            for section in (hostile.tobytes(), zlib.compress(hostile.tobytes())):
+                with pytest.raises(CorruptBlobError, match="MAX_CODE_LENGTH"):
+                    loads(body + section)
+        sections = (
+            zlib.compress(bytes(1023)), zlib.compress(bytes(1025)), bytes(1023), bytes(1025),
+            zlib.compress(bytes(64 << 20)), zlib.compress(lengths.tobytes()) + b"junk", b"",
+        )
+        tracemalloc.start()
+        try:
+            for section in sections:
+                with pytest.raises(CorruptBlobError, match="deflate payload"):
+                    loads(body + section)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
-    def test_chunked_container_shared_codebook_length_byte(self):
+    def test_chunked_container_shared_codebook_section(self):
         from repro.compression import registry
         from repro.compression.registry import ChunkedCodec
 
         ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 13, error_bound=1e-3)
         cct = ck.compress(_relu_field((8, 8, 16, 16)))
         assert len(cct.chunks) > 1 and cct.shared_codebook is not None
-        data = registry.dumps(cct)  # the shared length table is written last
-        assert registry.loads(data).shared_codebook.max_length <= MAX_CODE_LENGTH
-        with pytest.raises(ValueError, match="MAX_CODE_LENGTH"):
-            registry.loads(data[:-1] + bytes([MAX_CODE_LENGTH + 8]))
+        data = registry.dumps(cct)  # the shared codebook section is written last
+        (hlen,) = struct.unpack_from("<I", data, 4)
+        header = json.loads(data[8 : 8 + hlen])
+        body = data[8 + hlen : len(data) - header["shared_codebook_len"]]
+        assert data[len(data) - header["shared_codebook_len"] :] == cct.shared_codebook.section()
+
+        def container(section, **changes):
+            hbytes = json.dumps({**header, "shared_codebook_len": len(section), **changes}).encode()
+            return data[:4] + struct.pack("<I", len(hbytes)) + hbytes + body + section
+
+        lengths = cct.shared_codebook.lengths
+        back = registry.loads(container(lengths.tobytes()))  # stored raw: same book
+        np.testing.assert_array_equal(back.shared_codebook.lengths, lengths)
+        hostile = lengths.copy()
+        hostile[-1] = MAX_CODE_LENGTH + 8
+        with pytest.raises(CorruptBlobError, match="MAX_CODE_LENGTH"):
+            registry.loads(container(zlib.compress(hostile.tobytes())))
+        for section in (zlib.compress(bytes(1025)), zlib.compress(bytes(64 << 20)), bytes(100)):
+            with pytest.raises(CorruptBlobError, match="deflate payload"):
+                registry.loads(container(section))
+        with pytest.raises(CorruptBlobError):
+            registry.loads(container(lengths.tobytes(), shared_codebook_len=-1024))
 
     def test_header_must_be_self_consistent(self, blob):
         for changes in (
             dict(count=217), dict(shape=[6, 6, 7]), dict(shape=[2.4, 90]), dict(entropy="huffmao"),
             dict(dtype="float33"), dict(outlier_dtype="int31"), dict(count="216"),
+            dict(radius=-512), dict(radius=512.0), dict(outlier_count=-1), dict(total_bits=None),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(CorruptBlobError):
                 SZCompressor(1e-3).decompress(loads(_reheader(blob, **changes)))
         header, _ = _sections(blob)
         del header["radius"]
         hbytes = json.dumps(header).encode()
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(CorruptBlobError, match="malformed"):
             loads(blob[:4] + struct.pack("<I", len(hbytes)) + hbytes + blob[_sections(blob)[1][3] :])
+        for not_json in (b"\xff\xfe", b"[1, 2]", b"{"):
+            with pytest.raises(CorruptBlobError, match="malformed"):
+                loads(blob[:4] + struct.pack("<I", len(not_json)) + not_json + blob[_sections(blob)[1][3] :])
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestBlobFuzz:
     """Deterministic fuzz: a damaged blob either still decodes to its
-    header's tensor or raises ValueError — no other exception, and no
-    allocation sized by anything but the (validated) symbol count."""
+    header's tensor or raises CorruptBlobError / ValueError — no other
+    exception, and no allocation sized by anything but the (validated)
+    symbol count.  Damage to the container is caught by ``loads``, before
+    any decode."""
 
     #: decode-side bytes per symbol (codes, residuals, grid, float
     #: staging, output) plus the dense 2^16-entry decode tables
@@ -254,28 +415,28 @@ class TestBlobFuzz:
         assert out.shape == tuple(ct.shape)
         return ct, out
 
-    def test_truncation_at_every_section_boundary(self):
-        comp = SZCompressor(1e-3)
+    def test_truncation_at_every_section_boundary(self, backend):
+        comp = _codec(backend, 1e-3)
         x = _relu_field((4, 8, 12, 12))
         x[0, 0, 0, 0] = 1e6  # a real outlier section
         blob = dumps(comp.compress(x))
         _, bounds = _sections(blob)
         assert len(set(bounds)) == len(bounds)  # every section is non-empty
-        for b in bounds[:-1]:
-            for cut in {max(b - 1, 0), b, b + 1}:
-                with pytest.raises(ValueError):
-                    comp.decompress(loads(blob[:cut]))
+        for b in bounds:
+            for cut in {max(b - 1, 0), b, b + 1} - {len(blob)}:
+                with pytest.raises(CorruptBlobError):
+                    loads((blob + b"\0")[:cut])
         np.testing.assert_array_equal(comp.decompress(loads(blob)), comp.decompress(comp.compress(x)))
 
-    def test_seeded_bit_flips_in_header_and_metadata(self):
-        comp = SZCompressor(1e-3)
+    def test_seeded_bit_flips_in_header_and_metadata(self, backend):
+        comp = _codec(backend, 1e-3)
         x = _relu_field((4, 8, 12, 12))
         ct = comp.compress(x)
         want = comp.decompress(ct)
         blob = dumps(ct)
         _, bounds = _sections(blob)
-        # framing words + JSON header + chunk metadata
-        region = list(range(4, bounds[4])) + list(range(bounds[6], bounds[7]))
+        # framing words + JSON header + chunk table + codebook section
+        region = list(range(4, bounds[4])) + list(range(bounds[6], bounds[8]))
         rng = np.random.default_rng(17)
         outcomes = {"rejected": 0, "decoded": 0}
         for _ in range(200):
@@ -288,12 +449,13 @@ class TestBlobFuzz:
             ) == (ct.error_bound, ct.radius, ct.lorenzo_ndim, ct.dtype, ct.zero_filter)
             if same_grid:  # the flip missed every value-bearing field
                 np.testing.assert_array_equal(out, want)
-        # every flip in the chunk metadata changes the sum: most are rejected
+        # a flip in the chunk table changes the sum, one in the deflated
+        # codebook its Adler-32: most are rejected
         assert outcomes["rejected"] > 100
 
-    def test_hostile_last_offset_over_an_all_ones_payload(self, deep_codebook):
-        """lens = [256, 1] passes validation (sum == total_bits, each <=
-        16 * MAX_CODE_LENGTH) and starts the second chunk on the last
+    def test_hostile_last_offset_over_an_all_ones_payload(self, backend, deep_codebook):
+        """lens = [256, 1] passes validation (sum == total_bits, the last
+        within one codeword) and starts the second chunk on the last
         declared bit of a 0xff payload that ends 7 bits later."""
         from repro.compression.szlike import CompressedTensor
 
@@ -303,17 +465,17 @@ class TestBlobFuzz:
             outliers=np.zeros(0, dtype=np.int32),
             chunk_offsets=np.array([0, 256], dtype=np.int64), codebook=deep_codebook,
         )
-        comp = SZCompressor(1e-3)
+        comp = _codec(backend, 1e-3)
         back, out = self._decode_or_value_error(comp, dumps(ct), ct.count)
         assert back is None or out.shape == (32,)
         np.testing.assert_array_equal(loads(dumps(ct)).chunk_offsets, [0, 256])
 
     @pytest.mark.parametrize("entropy", ["zlib", "huffman+zlib"])
-    def test_every_byte_flip_and_truncation_of_a_deflated_blob(self, entropy):
+    def test_every_byte_flip_and_truncation_of_a_deflated_blob(self, backend, entropy):
         """The deflate stages inflate through ``lossless.inflate`` with
         the size the header implies: damage anywhere ends in ValueError
         (never ``zlib.error``) or in a tensor of the recorded shape."""
-        comp = SZCompressor(1e-2, entropy=entropy, dict_size=64)
+        comp = _codec(backend, 1e-2, entropy=entropy, dict_size=64)
         x = _relu_field((2, 3, 6, 6))
         x[0, 0, 0, 0] = 1e4  # a real outlier section
         blob = dumps(comp.compress(x))
@@ -334,25 +496,26 @@ class TestBlobFuzz:
             assert out.shape == tuple(ct.shape) and out.dtype == np.dtype(ct.dtype)
         assert 0 < decoded < len(damaged_blobs) // 2  # e.g. a flipped outlier byte still decodes
 
-    def test_deflate_bomb_behind_a_small_header_is_not_inflated(self):
-        """64 MiB of zeros deflate to ~64 KiB; the header promises 4 KiB
-        of codes, so the inflate stops there."""
-        from repro.compression.szlike import CompressedTensor
 
-        deflater = zlib.compressobj(9)
-        bomb = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(64)) + deflater.flush()
-        assert len(bomb) < 128 << 10
-        ct = CompressedTensor(
-            shape=(2048,), dtype="float32", error_bound=1e-3, radius=512, lorenzo_ndim=1,
-            entropy="zlib", payload=bomb, total_bits=0, count=2048,
-            outliers=np.zeros(0, dtype=np.int32), raw_codes_dtype="uint16",
-        )
-        blob = dumps(ct)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="deflate payload"):
-                SZCompressor(1e-3).decompress(loads(blob))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+def test_deflate_bomb_behind_a_small_header_is_not_inflated():
+    """64 MiB of zeros deflate to ~64 KiB; the header promises 4 KiB
+    of codes, so the inflate stops there."""
+    from repro.compression.szlike import CompressedTensor
+
+    deflater = zlib.compressobj(9)
+    bomb = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(64)) + deflater.flush()
+    assert len(bomb) < 128 << 10
+    ct = CompressedTensor(
+        shape=(2048,), dtype="float32", error_bound=1e-3, radius=512, lorenzo_ndim=1,
+        entropy="zlib", payload=bomb, total_bits=0, count=2048,
+        outliers=np.zeros(0, dtype=np.int32), raw_codes_dtype="uint16",
+    )
+    blob = dumps(ct)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptBlobError, match="deflate payload"):
+            SZCompressor(1e-3).decompress(loads(blob))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

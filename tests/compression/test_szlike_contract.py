@@ -7,7 +7,9 @@ into the output dtype).  The oracle is the allocating int64 / float64
 reference API the repo keeps for exactly this purpose — ``prequantize``
 -> ``lorenzo_encode`` -> ``codes_from_residuals`` -> ``_encode_bitplane``
 and back through ``reconstruct`` with the explicit Section 4.4 zero
-filter — and the contract is equality of every byte and every bit.
+filter — and the contract is equality of every byte and every bit,
+down to the serialized container: the format-v3 chunk table against a
+``np.packbits`` bit matrix, the codebook section against ``zlib``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,15 @@ from repro.compression.szlike import (
     reconstruct,
     residuals_from_codes,
 )
-from repro.compression.szlike.compressor import _pack_outliers
+from repro.compression.szlike.compressor import HEADER_BYTES, _pack_outliers
 from repro.compression.szlike.huffman import (
+    MAX_CODE_LENGTH,
     _encode_bitplane,
     chunk_size_for,
     histogram,
     huffman_encode,
 )
+from repro.compression.szlike.serialize import dumps, loads, wire_header_nbytes
 from repro.core.activation_store import CompressingContext, PackedActivation
 from repro.kernels import available_backends, get_backend, kernel_stats
 from repro.utils.scratch import ScratchPool
@@ -113,6 +117,7 @@ def test_bytes_and_bits_equal_the_int64_float64_reference(backend, tensor, dict_
     want_outliers = _pack_outliers(qr_ref.outliers)
     assert ct.outliers.dtype == want_outliers.dtype
     np.testing.assert_array_equal(ct.outliers, want_outliers)
+    blob = dumps(ct)
     if entropy.startswith("huffman"):
         payload, total_bits, offsets = _encode_bitplane(
             qr_ref.codes, ct.codebook, chunk_size_for(x.size)
@@ -120,9 +125,23 @@ def test_bytes_and_bits_equal_the_int64_float64_reference(backend, tensor, dict_
         got = zlib.decompress(ct.payload) if entropy == "huffman+zlib" else ct.payload
         assert (got, ct.total_bits) == (payload, total_bits)
         np.testing.assert_array_equal(ct.chunk_offsets, offsets)
+        # the container: table and book sections close the blob
+        width = (chunk_size_for(x.size) * MAX_CODE_LENGTH - 1).bit_length()
+        lens = np.diff(np.append(offsets, total_bits))
+        bits = ((lens - 1)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+        table = np.packbits(bits.astype(np.uint8).reshape(-1)).tobytes()
+        raw = ct.codebook.lengths.tobytes()
+        book = blob[len(blob) - ct.codebook.nbytes :]
+        assert blob.endswith(table + book) and len(raw) == dict_size
+        assert book == raw if len(book) == dict_size else zlib.decompress(book) == raw
+        assert len(book) == min(dict_size, len(zlib.compress(raw, 6)))
+        back = loads(blob)
+        np.testing.assert_array_equal(back.chunk_offsets, offsets)
+        np.testing.assert_array_equal(back.codebook.lengths, ct.codebook.lengths)
     else:
         got = zlib.decompress(ct.payload) if entropy == "zlib" else ct.payload
         assert got == qr_ref.codes.tobytes()
+    assert loads(blob).nbytes == ct.nbytes == len(blob) - wire_header_nbytes(blob) + HEADER_BYTES
 
     # the reconstruction, bit for bit (sign of zeros included)
     y = codec.decompress(ct)

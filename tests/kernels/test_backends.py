@@ -218,6 +218,25 @@ class TestUnpackLoopShape:
         np.testing.assert_array_equal(out, symbols[:5])
         assert _CountingTable.gathers == 5
 
+    def test_largest_train_sz_activation_decodes_in_64_steps(self, deep_codebook):
+        """131 072 codes were 512 lanes x 256 steps; the step's fixed
+        cost (~3.8 us) outweighed its lane work, so it is 2 048 x 64."""
+        from repro.compression.szlike.huffman import huffman_decode, huffman_encode
+
+        book = deep_codebook
+        symbols = np.random.default_rng(2).integers(0, 1024, size=131_072).astype(np.uint16)
+        payload, total_bits, offsets = huffman_encode(symbols, book)
+        assert offsets.size == 2048
+        tsym, tlen = book.decode_tables()
+        book._tables = (tsym, tlen.view(_CountingTable))
+        _CountingTable.gathers = 0
+        try:
+            out = huffman_decode(payload, total_bits, symbols.size, book, offsets)
+        finally:
+            book._tables = (tsym, tlen)
+        np.testing.assert_array_equal(out, symbols)
+        assert 0 < _CountingTable.gathers <= 64
+
     @pytest.mark.parametrize("chunk_size", [16, 256])
     def test_hostile_offset_never_reads_out_of_bounds(self, chunk_size, deep_codebook):
         """Chunks that start at the head, the middle and the last bit of
