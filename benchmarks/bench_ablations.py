@@ -105,9 +105,9 @@ class TestDecoderAblation:
 
 def test_ablation_w_interval(benchmark):
     """Section 4.1: larger W -> fewer collections, ratio barely moves."""
-    from repro.core import AdaptiveConfig, CompressedTraining
+    from repro.api import AdaptiveSpec, SessionConfig, build_session
     from repro.models import build_scaled_model
-    from repro.nn import SGD, SyntheticImageDataset, Trainer, batches
+    from repro.nn import SyntheticImageDataset, batches
 
     ds = SyntheticImageDataset(num_classes=8, image_size=32, signal=0.4, seed=7)
 
@@ -115,13 +115,10 @@ def test_ablation_w_interval(benchmark):
         out = {}
         for W in (10, 40):
             net = build_scaled_model("alexnet", num_classes=8, image_size=32, rng=42)
-            opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-            tr = Trainer(net, opt)
-            sess = CompressedTraining(
-                net, opt, config=AdaptiveConfig(W=W, warmup_iterations=3)
-            ).attach(tr)
-            tr.train(batches(ds, 32, 60, seed=1))
-            out[W] = (sess.controller.updates, sess.tracker.overall_ratio)
+            cfg = SessionConfig(adaptive=AdaptiveSpec(W=W, warmup_iterations=3))
+            with build_session(net, cfg) as s:
+                s.train(batches(ds, 32, 60, seed=1))
+                out[W] = (s.compressed.controller.updates, s.tracker.overall_ratio)
         return out
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)

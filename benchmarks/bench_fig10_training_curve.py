@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from _common import write_report
-from repro.core import AdaptiveConfig, CompressedTraining
+from repro.api import AdaptiveSpec, OptimizerSpec, SessionConfig, build_session
 from repro.models import build_scaled_model
-from repro.nn import SGD, SyntheticImageDataset, Trainer, batches
+from repro.nn import SyntheticImageDataset, batches
 
 ITERS = 150
 
@@ -20,16 +20,15 @@ def dataset():
 
 def run(dataset, compress, seed=1):
     net = build_scaled_model("alexnet", num_classes=8, image_size=32, rng=42 + seed)
-    opt = SGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=5e-4)
-    tr = Trainer(net, opt)
-    sess = None
-    if compress:
-        sess = CompressedTraining(
-            net, opt, config=AdaptiveConfig(W=25, warmup_iterations=3)
-        ).attach(tr)
-    tr.train(batches(dataset, 32, ITERS, seed=seed))
-    acc = tr.evaluate(*dataset.fixed_eval_set(512))
-    return tr, sess, acc
+    cfg = SessionConfig(
+        compress_activations=compress,
+        adaptive=AdaptiveSpec(W=25, warmup_iterations=3),
+        optimizer=OptimizerSpec(lr=0.01, momentum=0.9, weight_decay=5e-4),
+    )
+    with build_session(net, cfg) as session:
+        session.train(batches(dataset, 32, ITERS, seed=seed))
+        acc = session.evaluate(*dataset.fixed_eval_set(512))
+    return session.trainer, session.compressed, acc
 
 
 def test_fig10_report(dataset, benchmark):

@@ -8,21 +8,28 @@ memory tracker therefore reports physically real bytes (the exact
 serialized lengths), not accounting estimates, and the run demonstrates
 the chunked parallel codec on the pack/unpack hot path.
 
-With ``engine="async"`` the compression pipeline overlaps training:
-packing runs on a worker pool while the next layer's forward computes,
-and spilled bytes are prefetched from disk in reverse pack order before
-backpropagation asks for them — with bit-identical results to the sync
-engine.
+With ``EngineSpec(kind="async")`` the compression pipeline overlaps
+training: packing runs on a worker pool while the next layer's forward
+computes, and spilled bytes are prefetched from disk in reverse pack
+order before backpropagation asks for them — with bit-identical results
+to the sync engine.
 
     python examples/arena_out_of_core.py
 """
 
 import os
 
-from repro.compression import ChunkedCodec, get_codec
-from repro.core import AdaptiveConfig, ByteArena, CompressedTraining
+from repro.api import (
+    AdaptiveSpec,
+    CodecSpec,
+    EngineSpec,
+    OptimizerSpec,
+    SessionConfig,
+    StorageSpec,
+    build_session,
+)
 from repro.models import build_scaled_model
-from repro.nn import SGD, SyntheticImageDataset, Trainer, batches
+from repro.nn import SyntheticImageDataset, batches
 
 ITERATIONS = int(os.environ.get("REPRO_EXAMPLE_ITERS", "40"))
 BATCH = 32
@@ -32,40 +39,35 @@ BUDGET = 96 << 10  # 96 KiB in-memory arena: small enough to force spills
 def main():
     dataset = SyntheticImageDataset(num_classes=8, image_size=32, signal=0.4, seed=7)
     net = build_scaled_model("alexnet", num_classes=8, image_size=32, rng=42)
-    opt = SGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=5e-4)
-    trainer = Trainer(net, opt)
-
-    codec = ChunkedCodec(
-        get_codec("szlike", entropy="zlib", zero_filter=True),
-        workers=4,
-        min_chunk_nbytes=1 << 18,
+    cfg = SessionConfig(
+        codec=CodecSpec("chunked", {
+            "inner": "szlike", "entropy": "zlib", "zero_filter": True,
+            "workers": 4, "min_chunk_nbytes": 1 << 18,
+        }),
+        storage=StorageSpec(activations="arena", budget_bytes=BUDGET),
+        engine=EngineSpec(kind="async"),  # overlap packing; prefetch spills for backward
+        adaptive=AdaptiveSpec(W=10, warmup_iterations=3),
+        optimizer=OptimizerSpec(lr=0.01, momentum=0.9, weight_decay=5e-4),
     )
-    with ByteArena(budget_bytes=BUDGET) as arena:
-        session = CompressedTraining(
-            net, opt,
-            compressor=codec,
-            config=AdaptiveConfig(W=10, warmup_iterations=3),
-            storage=arena,
-            engine="async",  # overlap packing; prefetch spills for backward
-        ).attach(trainer)
 
-        print(f"training with a {BUDGET >> 10} KiB arena budget "
-              f"for {ITERATIONS} iterations (batch {BATCH})...")
-        trainer.train(batches(dataset, BATCH, ITERATIONS, seed=1))
-        trainer.close()  # stop the engine's workers
+    print(f"training with a {BUDGET >> 10} KiB arena budget "
+          f"for {ITERATIONS} iterations (batch {BATCH})...")
+    with build_session(net, cfg) as session:  # close() stops the engine's workers
+        session.train(batches(dataset, BATCH, ITERATIONS, seed=1))
 
-        print(f"\nfinal loss: {trainer.history.losses[-1]:.3f}")
-        print(f"activation memory reduction: {session.tracker.overall_ratio:.1f}x "
-              "(physical serialized bytes)")
-        print(f"arena peak in-memory: {arena.peak_in_memory_nbytes >> 10} KiB "
-              f"(budget {BUDGET >> 10} KiB)")
-        print(f"arena peak incl. disk: {arena.peak_total_nbytes >> 10} KiB, "
-              f"spilled {arena.spill_count} activations "
-              f"({arena.prefetch_count} prefetched back for backward)")
-        print(f"engine: {session.engine.packs_overlapped}/"
-              f"{session.engine.packs_submitted} packs overlapped, "
-              f"{session.engine.prefetch_hits} prefetch hits")
-        assert len(arena) == 0, "all packed activations released"
+    arena = session.compressed.ctx.storage
+    print(f"\nfinal loss: {session.history.losses[-1]:.3f}")
+    print(f"activation memory reduction: {session.tracker.overall_ratio:.1f}x "
+          "(physical serialized bytes)")
+    print(f"arena peak in-memory: {arena.peak_in_memory_nbytes >> 10} KiB "
+          f"(budget {BUDGET >> 10} KiB)")
+    print(f"arena peak incl. disk: {arena.peak_total_nbytes >> 10} KiB, "
+          f"spilled {arena.spill_count} activations "
+          f"({arena.prefetch_count} prefetched back for backward)")
+    print(f"engine: {session.engine.packs_overlapped}/"
+          f"{session.engine.packs_submitted} packs overlapped, "
+          f"{session.engine.prefetch_hits} prefetch hits")
+    assert len(arena) == 0, "all packed activations released"
 
 
 if __name__ == "__main__":

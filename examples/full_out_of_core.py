@@ -21,9 +21,16 @@ round-trip is lossless by construction) — the only cost is wall clock.
 
 import os
 
-from repro.core import AdaptiveConfig, ByteArena, CompressedTraining, ParamStore
+from repro.api import (
+    AdaptiveSpec,
+    EngineSpec,
+    OptimizerSpec,
+    SessionConfig,
+    StorageSpec,
+    build_session,
+)
 from repro.models import build_scaled_model
-from repro.nn import SGD, SyntheticImageDataset, Trainer, batches
+from repro.nn import SyntheticImageDataset, batches
 
 ITERATIONS = int(os.environ.get("REPRO_EXAMPLE_ITERS", "20"))
 BATCH = 16
@@ -34,25 +41,22 @@ PARAM_BUDGET = 64 << 10  # in-memory ceiling for weights + momentum
 def main():
     dataset = SyntheticImageDataset(num_classes=8, image_size=32, signal=0.4, seed=7)
     net = build_scaled_model("vgg16", num_classes=8, image_size=32, rng=42)
-    opt = SGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=5e-4)
-    trainer = Trainer(net, opt)
 
     param_bytes = sum(p.size * 4 for p in net.parameters())
     state_bytes = 2 * param_bytes  # weights + momentum slots
     assert PARAM_BUDGET < param_bytes, "demo wants a budget below the footprint"
 
-    store = ParamStore(budget_bytes=PARAM_BUDGET)
-    with ByteArena(budget_bytes=ACT_BUDGET) as act_arena:
-        session = CompressedTraining(
-            net,
-            opt,
-            compressor="szlike",
-            config=AdaptiveConfig(W=10, warmup_iterations=3),
-            storage=act_arena,
-            param_storage=store,
-            engine="async",
-        ).attach(trainer)
-
+    cfg = SessionConfig(
+        storage=StorageSpec(
+            activations="arena", budget_bytes=ACT_BUDGET,
+            params="arena", param_budget_bytes=PARAM_BUDGET,
+        ),
+        engine=EngineSpec(kind="async"),
+        adaptive=AdaptiveSpec(W=10, warmup_iterations=3),
+        optimizer=OptimizerSpec(lr=0.01, momentum=0.9, weight_decay=5e-4),
+    )
+    with build_session(net, cfg) as session:
+        store = session.param_store
         print(
             f"model: vgg16-scaled, {param_bytes >> 10} KiB of weights "
             f"({state_bytes >> 10} KiB with momentum) under a "
@@ -60,10 +64,10 @@ def main():
             f"{ACT_BUDGET >> 10} KiB activation budget"
         )
         print(f"training {ITERATIONS} iterations (batch {BATCH})...")
-        trainer.train(batches(dataset, BATCH, ITERATIONS, seed=1))
+        session.train(batches(dataset, BATCH, ITERATIONS, seed=1))
 
         arena = store.storage
-        print(f"\nfinal loss: {trainer.history.losses[-1]:.3f}")
+        print(f"\nfinal loss: {session.history.losses[-1]:.3f}")
         print(
             f"activation memory reduction: {session.tracker.overall_ratio:.1f}x "
             "(physical serialized bytes)"
@@ -92,8 +96,8 @@ def main():
             f"({state_bytes / peak_resident:.1f}x reduction)"
         )
         assert store.peak_materialized_nbytes < param_bytes
-        trainer.close()  # stops workers, restores resident weights
-        assert len(arena) == 0, "all parameter entries released"
+    # close() stopped the workers and restored resident weights
+    assert len(arena) == 0, "all parameter entries released"
 
 
 if __name__ == "__main__":

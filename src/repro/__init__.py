@@ -21,7 +21,8 @@ Subpackages
 ``repro.core``
     The paper's contribution: error-propagation model (Eqs. 6-9),
     gradient assessment, adaptive error-bound controller, and the
-    :class:`~repro.core.framework.CompressedTraining` session.
+    :class:`~repro.core.framework.CompressedTraining` wiring that
+    ``build_session`` installs.
 ``repro.simulator``
     Roofline GPU cost model, interconnect models, and the throughput
     simulator behind Figure 11 and the overhead analysis.
@@ -41,9 +42,8 @@ Quick start::
         session.train(batches(ds, batch_size=32, num_batches=100))
         print(session.tracker.overall_ratio)  # activation memory reduction
 
-(The imperative ``Trainer`` + ``CompressedTraining`` pair still works —
-see :mod:`repro.core.framework` — and ``SessionConfig.from_json`` makes
-any run reproducible from a committed file.)
+``SessionConfig.from_json`` makes any run reproducible from a committed
+file.
 """
 
 import os

@@ -16,10 +16,9 @@ driven from one serializable :class:`SessionConfig`:
         session.train(batches(dataset, 32, 100, seed=1))
 
 ``cfg.to_json(path)`` / ``SessionConfig.from_json(path)`` round-trip
-the whole tree, so a committed JSON file reproduces a run bit-for-bit.
-The legacy constructors (``CompressedTraining``, ``Trainer``) remain as
-shims over the same machinery and expose their config twin via
-``session_config``.
+the whole tree, so a committed JSON file reproduces a run bit-for-bit,
+and ``session.capture()`` re-serializes a live session.
+:func:`build_session` is the only way to assemble a session.
 """
 
 from repro.api.config import (
@@ -33,8 +32,6 @@ from repro.api.config import (
     ProfilerSpec,
     SessionConfig,
     StorageSpec,
-    capture_session_config,
-    optimizer_spec_of,
 )
 from repro.api.session import Session, build_policy_table, build_session
 
@@ -49,8 +46,6 @@ __all__ = [
     "ProfilerSpec",
     "SessionConfig",
     "StorageSpec",
-    "capture_session_config",
-    "optimizer_spec_of",
     "Session",
     "build_policy_table",
     "build_session",

@@ -24,7 +24,10 @@ Design rules:
 * **Strict parsing** — :meth:`SessionConfig.from_dict` rejects unknown
   keys and wrong types with errors that name the offending section and
   list what *is* accepted; a typo'd knob fails loudly at load time, not
-  silently at iteration 400.
+  silently at iteration 400.  Every scalar field is checked against its
+  annotation by ``validate()`` — which ``from_dict`` and
+  ``build_session`` both run — so ``"false"`` is not a bool and ``"2"``
+  is not an int, whether the config came from JSON or from Python.
 * **Canonical serialization** — ``to_dict`` emits only non-default
   fields, so ``from_dict(to_dict(cfg))`` is identity and two configs
   compare equal iff their dicts do.
@@ -33,11 +36,13 @@ Design rules:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import re
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.error_model import THEORY_COEFFICIENT_A
 
@@ -53,8 +58,7 @@ __all__ = [
     "DistributedSpec",
     "ServerSpec",
     "SessionConfig",
-    "capture_session_config",
-    "optimizer_spec_of",
+    "check_scalar_types",
 ]
 
 
@@ -91,21 +95,143 @@ def _defaults(cls) -> Dict[str, Any]:
     return out
 
 
-def _sparse_dict(spec, nested: Dict[str, Any]) -> Dict[str, Any]:
-    """Dataclass -> dict with default-valued fields omitted; *nested*
-    maps field name -> already-serialized value (or None to omit)."""
-    out: Dict[str, Any] = {}
-    defaults = _defaults(type(spec))
-    for f in dataclasses.fields(spec):
-        if f.name in nested:
-            if nested[f.name] is not None:
-                out[f.name] = nested[f.name]
+_NONE = type(None)
+_TYPE_NAMES = {bool: "a bool", int: "an int", float: "a number", str: "a string", _NONE: "null"}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> Tuple[Dict[str, tuple], Dict[str, Tuple[type, bool]]]:
+    """``(scalars, sections)`` of a config dataclass, read from its
+    annotations: scalar field -> the types it admits (``Optional[int]``
+    is ``(int, NoneType)``), and nested-section field -> ``(section
+    class, is a list of them)``."""
+    hints = typing.get_type_hints(cls)
+    scalars: Dict[str, tuple] = {}
+    sections: Dict[str, Tuple[type, bool]] = {}
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        args = typing.get_args(tp) if typing.get_origin(tp) is Union else (tp,)
+        if all(a in _TYPE_NAMES for a in args):
+            scalars[f.name] = args
             continue
-        value = getattr(spec, f.name)
-        if f.name in defaults and value == defaults[f.name]:
-            continue
-        out[f.name] = value
-    return out
+        many = typing.get_origin(tp) is list
+        inner = typing.get_args(tp) if many else [a for a in args if a is not _NONE]
+        if len(inner) == 1 and isinstance(inner[0], type) and issubclass(inner[0], _Section):
+            sections[f.name] = (inner[0], many)
+    return scalars, sections
+
+
+def _admits(tp: type, value: Any) -> bool:
+    if tp is bool or isinstance(value, bool):
+        return tp is bool and isinstance(value, bool)  # a bool is not an int
+    if tp is float:
+        return isinstance(value, (int, float))  # an int is a number
+    return isinstance(value, tp)
+
+
+def check_scalar_types(spec, where: str) -> None:
+    """Raise :class:`ConfigError` unless every scalar field of the config
+    dataclass *spec* holds a value its annotation admits.  Range and
+    choice checks are each section's own."""
+    for name, types in _field_types(type(spec))[0].items():
+        value = getattr(spec, name)
+        if not any(_admits(tp, value) for tp in types):
+            expected = " or ".join(_TYPE_NAMES[tp] for tp in types)
+            raise ConfigError(f"{where}: {name} must be {expected}, got {value!r}")
+
+
+class _Section:
+    """The contract every config section shares.
+
+    * ``validate(where)`` — the scalar type check, each nested section's
+      own ``validate``, then the section's range / choice / cross-field
+      checks (:meth:`_check`); errors name *where*.
+    * ``from_dict(d, where)`` — unknown keys rejected with the accepted
+      list, nested sections parsed, the result validated.
+    * ``to_dict()`` — sparse: default-valued fields are omitted, so
+      ``from_dict(to_dict(spec)) == spec``.
+    """
+
+    #: the location errors name when the caller passes none
+    _name = ""
+
+    @classmethod
+    def _prefix(cls, where: str) -> str:
+        """How a nested section's location extends *where*."""
+        return f"{where}."
+
+    def validate(self, where: Optional[str] = None):
+        where = where or self._name
+        check_scalar_types(self, where)
+        prefix = self._prefix(where)
+        for name, (section, many) in _field_types(type(self))[1].items():
+            value = getattr(self, name)
+            if many and not isinstance(value, list):
+                raise ConfigError(f"{prefix}{name}: expected a list, got {type(value).__name__}")
+            items = value if many else [] if value is None else [value]
+            for i, item in enumerate(items):
+                at = f"{prefix}{name}[{i}]" if many else prefix + name
+                if not isinstance(item, section):
+                    raise ConfigError(
+                        f"{at}: expected a {section.__name__}, got {type(item).__name__}"
+                    )
+                item.validate(at)
+        self._check(where)
+        return self
+
+    def _check(self, where: str) -> None:
+        """Range, choice and cross-field checks (the types already hold)."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {}
+        defaults = _defaults(type(self))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in defaults and value == defaults[f.name]:
+                continue
+            if isinstance(value, _Section):
+                value = value.to_dict()
+            elif isinstance(value, list):
+                value = [v.to_dict() if isinstance(v, _Section) else v for v in value]
+            out[f.name] = value
+        return out
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any], where: Optional[str] = None):
+        where = where or cls._name
+        _check_keys(d, cls, where)
+        d = dict(d)
+        prefix = cls._prefix(where)
+        for name, (section, many) in _field_types(cls)[1].items():
+            if name not in d:
+                continue
+            if not many:
+                d[name] = section.from_dict(d[name], prefix + name)
+            elif isinstance(d[name], list):
+                d[name] = [
+                    section.from_dict(v, f"{prefix}{name}[{i}]") for i, v in enumerate(d[name])
+                ]
+            else:
+                raise ConfigError(
+                    f"{prefix}{name}: expected a list, got {type(d[name]).__name__}"
+                )
+        return cls(**d).validate(where)
+
+
+def _require_codec(spec: "CodecSpec", where: str, props: Tuple[str, ...], problem: str) -> None:
+    """Build *spec* once and require one of the codec properties *props*
+    (``lossless``, ``error_bounded``), closing the probe afterwards (a
+    process-pool chunked codec forks its pool eagerly)."""
+    from repro.compression.registry import get_codec
+
+    probe = get_codec(spec.name, **spec.options)
+    try:
+        if not any(getattr(probe, p, False) for p in props):
+            raise ConfigError(f"{where}: {spec.name!r} {problem}")
+    finally:
+        close = getattr(probe, "close", None)
+        if callable(close):
+            close()
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +240,7 @@ def _sparse_dict(spec, nested: Dict[str, Any]) -> Dict[str, Any]:
 
 
 @dataclass
-class CodecSpec:
+class CodecSpec(_Section):
     """A codec named by registry key + constructor options.
 
     ``CodecSpec("szlike", {"error_bound": 1e-4, "entropy": "zlib"})`` is
@@ -122,10 +248,12 @@ class CodecSpec:
     serializable.
     """
 
+    _name = "codec"
+
     name: str = "szlike"
     options: Dict[str, Any] = field(default_factory=dict)
 
-    def validate(self, where: str = "codec") -> None:
+    def _check(self, where: str) -> None:
         from repro.compression.registry import available_codecs
 
         if self.name.lower() not in available_codecs():
@@ -154,43 +282,24 @@ class CodecSpec:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"codec {self.name!r}: {exc}") from exc
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(self, {})
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "codec") -> "CodecSpec":
-        _check_keys(d, cls, where)
-        spec = cls(**d)
-        spec.validate(where)
-        return spec
-
-
-def _validate_grad_codec(spec: "CodecSpec", where: str) -> None:
+def _require_grad_codec(spec: CodecSpec, where: str) -> None:
     """A gradient codec must keep the exchange's accuracy contract:
     either a per-element error bound (lossy-bounded, szlike-style) or a
     bit-exact round-trip (lossless).  Unbounded lossy codecs (jpeg) have
     no story for how far the averaged gradient can drift."""
-    spec.validate(where)
-    from repro.compression.registry import get_codec
-
-    probe = get_codec(spec.name, **spec.options)
-    try:
-        if not (
-            getattr(probe, "error_bounded", False) or getattr(probe, "lossless", False)
-        ):
-            raise ConfigError(
-                f"{where}: {spec.name!r} is lossy without an error bound; "
-                f"gradient exchange needs an error-bounded ('szlike', "
-                f"'chunked') or lossless ('lossless', 'sparse-lossless') codec"
-            )
-    finally:
-        close = getattr(probe, "close", None)
-        if callable(close):
-            close()
+    _require_codec(
+        spec,
+        where,
+        ("error_bounded", "lossless"),
+        "is lossy without an error bound; gradient exchange needs an "
+        "error-bounded ('szlike', 'chunked') or lossless ('lossless', "
+        "'sparse-lossless') codec",
+    )
 
 
 @dataclass
-class PolicyRule:
+class PolicyRule(_Section):
     """One per-layer policy: glob-matched layers get their own regime.
 
     First match wins across ``SessionConfig.rules``; unmatched layers
@@ -240,6 +349,8 @@ class PolicyRule:
         (directly or inside ``chunked``); other codecs ignore it.
     """
 
+    _name = "rule"
+
     match: str = "*"
     match_kind: str = "glob"
     label: str = ""
@@ -257,8 +368,8 @@ class PolicyRule:
     def resolved_adaptive(self) -> bool:
         return self.adaptive if self.adaptive is not None else self.error_bound is None
 
-    def validate(self, where: str = "rule") -> None:
-        if not isinstance(self.match, str) or not self.match:
+    def _check(self, where: str) -> None:
+        if not self.match:
             raise ConfigError(f"{where}: match must be a non-empty pattern string")
         if self.match_kind not in ("glob", "regex"):
             raise ConfigError(
@@ -272,8 +383,6 @@ class PolicyRule:
                 raise ConfigError(
                     f"{where}: invalid regex {self.match!r}: {exc}"
                 ) from None
-        if self.codec is not None:
-            self.codec.validate(f"{where}.codec")
         if self.error_bound is not None and self.error_bound <= 0:
             raise ConfigError(
                 f"{where}: error_bound must be positive, got {self.error_bound}"
@@ -297,11 +406,7 @@ class PolicyRule:
                 f"{where}: need eb_min < eb_max, got {self.eb_min} >= {self.eb_max}"
             )
         if self.arena_budget is not None:
-            if (
-                not isinstance(self.arena_budget, int)
-                or isinstance(self.arena_budget, bool)
-                or self.arena_budget <= 0
-            ):
+            if self.arena_budget <= 0:
                 raise ConfigError(
                     f"{where}: arena_budget must be a positive int or omitted, "
                     f"got {self.arena_budget!r}"
@@ -312,7 +417,7 @@ class PolicyRule:
                     f"rule pins storage='inmem'"
                 )
         if self.grad_codec is not None:
-            _validate_grad_codec(self.grad_codec, f"{where}.grad_codec")
+            _require_grad_codec(self.grad_codec, f"{where}.grad_codec")
         if self.kernel_backend is not None:
             from repro.kernels import KERNEL_BACKENDS
 
@@ -322,30 +427,9 @@ class PolicyRule:
                     f"or omitted, got {self.kernel_backend!r}"
                 )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(
-            self,
-            {
-                "codec": self.codec.to_dict() if self.codec else None,
-                "grad_codec": self.grad_codec.to_dict() if self.grad_codec else None,
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "rule") -> "PolicyRule":
-        _check_keys(d, cls, where)
-        d = dict(d)
-        if "codec" in d:
-            d["codec"] = CodecSpec.from_dict(d["codec"], f"{where}.codec")
-        if "grad_codec" in d:
-            d["grad_codec"] = CodecSpec.from_dict(d["grad_codec"], f"{where}.grad_codec")
-        rule = cls(**d)
-        rule.validate(where)
-        return rule
-
 
 @dataclass
-class StorageSpec:
+class StorageSpec(_Section):
     """Where packed activations and parameters physically live.
 
     ``activations="arena"`` serializes packed activations into a
@@ -353,6 +437,8 @@ class StorageSpec:
     overflow, byte-exact tracker numbers); ``params="arena"`` moves
     weights and optimizer slots into a :class:`~repro.core.param_store.ParamStore`.
     """
+
+    _name = "storage"
 
     activations: str = "inmem"  # "inmem" | "arena"
     budget_bytes: int = 64 << 20
@@ -362,7 +448,7 @@ class StorageSpec:
     param_codec: Optional[CodecSpec] = None
     param_dirty_tracking: bool = True
 
-    def validate(self, where: str = "storage") -> None:
+    def _check(self, where: str) -> None:
         if self.activations not in ("inmem", "arena"):
             raise ConfigError(
                 f"{where}: activations must be 'inmem' or 'arena', "
@@ -374,45 +460,20 @@ class StorageSpec:
             )
         for attr in ("budget_bytes", "param_budget_bytes"):
             v = getattr(self, attr)
-            if not isinstance(v, int) or v < 0:
+            if v < 0:
                 raise ConfigError(f"{where}: {attr} must be an int >= 0, got {v!r}")
         if self.param_codec is not None:
-            self.param_codec.validate(f"{where}.param_codec")
-            from repro.compression.registry import get_codec
-
-            probe = get_codec(self.param_codec.name, **self.param_codec.options)
-            try:
-                if not getattr(probe, "lossless", False):
-                    raise ConfigError(
-                        f"{where}.param_codec: {self.param_codec.name!r} is lossy; "
-                        f"parameters must round-trip bit-exactly "
-                        f"(use 'lossless' or 'sparse-lossless')"
-                    )
-            finally:
-                # a probe ChunkedCodec may have eagerly forked a pool
-                close = getattr(probe, "close", None)
-                if callable(close):
-                    close()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(
-            self,
-            {"param_codec": self.param_codec.to_dict() if self.param_codec else None},
-        )
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "storage") -> "StorageSpec":
-        _check_keys(d, cls, where)
-        d = dict(d)
-        if "param_codec" in d:
-            d["param_codec"] = CodecSpec.from_dict(d["param_codec"], f"{where}.param_codec")
-        spec = cls(**d)
-        spec.validate(where)
-        return spec
+            _require_codec(
+                self.param_codec,
+                f"{where}.param_codec",
+                ("lossless",),
+                "is lossy; parameters must round-trip bit-exactly "
+                "(use 'lossless' or 'sparse-lossless')",
+            )
 
 
 @dataclass
-class EngineSpec:
+class EngineSpec(_Section):
     """Execution strategy for the saved-tensor path.
 
     ``unpack_depth`` controls the async engine's speculative-decompress
@@ -426,6 +487,8 @@ class EngineSpec:
     :mod:`repro.kernels`).
     """
 
+    _name = "engine"
+
     kind: str = "sync"  # "sync" | "async"
     workers: int = 2
     prefetch_depth: Union[int, str] = 2  # int or "auto"
@@ -436,57 +499,38 @@ class EngineSpec:
     bind_window_bytes: int = 0
     kernel_backend: str = "auto"
 
-    def validate(self, where: str = "engine") -> None:
+    def _check(self, where: str) -> None:
         if self.kind not in ("sync", "async"):
             raise ConfigError(
                 f"{where}: kind must be 'sync' or 'async', got {self.kind!r}"
             )
         if self.workers < 1:
             raise ConfigError(f"{where}: workers must be >= 1, got {self.workers}")
-        if isinstance(self.prefetch_depth, str):
-            if self.prefetch_depth != "auto":
-                raise ConfigError(
-                    f"{where}: prefetch_depth must be an int >= 0 or 'auto', "
-                    f"got {self.prefetch_depth!r}"
-                )
-        elif not isinstance(self.prefetch_depth, int) or self.prefetch_depth < 0:
+        if self.prefetch_depth != "auto" and (
+            isinstance(self.prefetch_depth, str) or self.prefetch_depth < 0
+        ):
             raise ConfigError(
                 f"{where}: prefetch_depth must be an int >= 0 or 'auto', "
                 f"got {self.prefetch_depth!r}"
             )
-        if isinstance(self.unpack_depth, str):
-            if self.unpack_depth != "auto":
-                raise ConfigError(
-                    f"{where}: unpack_depth must be an int >= 0, 'auto', or "
-                    f"omitted, got {self.unpack_depth!r}"
-                )
-        elif self.unpack_depth is not None and (
-            not isinstance(self.unpack_depth, int) or self.unpack_depth < 0
+        if self.unpack_depth not in (None, "auto") and (
+            isinstance(self.unpack_depth, str) or self.unpack_depth < 0
         ):
             raise ConfigError(
                 f"{where}: unpack_depth must be an int >= 0, 'auto', or "
                 f"omitted, got {self.unpack_depth!r}"
             )
-        if self.max_pending is not None and (
-            not isinstance(self.max_pending, int) or self.max_pending < 1
-        ):
+        if self.max_pending is not None and self.max_pending < 1:
             raise ConfigError(
                 f"{where}: max_pending must be an int >= 1 or omitted, "
                 f"got {self.max_pending!r}"
             )
-        if not isinstance(self.max_auto_depth, int) or self.max_auto_depth < 1:
+        if self.max_auto_depth < 1:
             raise ConfigError(
                 f"{where}: max_auto_depth must be an int >= 1, "
                 f"got {self.max_auto_depth!r}"
             )
-        if not isinstance(self.shared_codebook_cache, bool):
-            raise ConfigError(
-                f"{where}: shared_codebook_cache must be a bool, "
-                f"got {self.shared_codebook_cache!r}"
-            )
-        if not isinstance(self.bind_window_bytes, int) or isinstance(
-            self.bind_window_bytes, bool
-        ) or self.bind_window_bytes < 0:
+        if self.bind_window_bytes < 0:
             raise ConfigError(
                 f"{where}: bind_window_bytes must be an int >= 0, "
                 f"got {self.bind_window_bytes!r}"
@@ -513,22 +557,14 @@ class EngineSpec:
             unpack_depth=self.unpack_depth,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(self, {})
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "engine") -> "EngineSpec":
-        _check_keys(d, cls, where)
-        spec = cls(**d)
-        spec.validate(where)
-        return spec
-
 
 @dataclass
-class AdaptiveSpec:
+class AdaptiveSpec(_Section):
     """The Eq. 8/9 controller's knobs (defaults match
     ``CompressedTraining``'s: the paper's values with W scaled to
     CPU-sized runs)."""
+
+    _name = "adaptive"
 
     enabled: bool = True
     W: int = 50
@@ -542,7 +578,7 @@ class AdaptiveSpec:
     eb_max: float = 10.0
     min_nonzero_ratio: float = 1e-3
 
-    def validate(self, where: str = "adaptive") -> None:
+    def _check(self, where: str) -> None:
         try:
             self.to_adaptive_config()
         except ValueError as exc:
@@ -562,34 +598,20 @@ class AdaptiveSpec:
             min_nonzero_ratio=self.min_nonzero_ratio,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(self, {})
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "adaptive") -> "AdaptiveSpec":
-        _check_keys(d, cls, where)
-        spec = cls(**d)
-        spec.validate(where)
-        return spec
-
 
 @dataclass
-class ProfilerSpec:
-    """Hot-path stage profiling for the run (``Trainer(profiler=True)``)."""
+class ProfilerSpec(_Section):
+    """Hot-path stage profiling for the run: the codec's quantize /
+    predict / encode / decode stages, byte-arena I/O, engine waits and a
+    ``step`` stage per iteration, read through ``session.profiler``."""
+
+    _name = "profiler"
 
     enabled: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(self, {})
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "profiler") -> "ProfilerSpec":
-        _check_keys(d, cls, where)
-        return cls(**d)
-
 
 @dataclass
-class SanitizerSpec:
+class SanitizerSpec(_Section):
     """Runtime sanitizer for the session (:mod:`repro.core.sanitizer`).
 
     When ``enabled``, ``build_session`` turns the sanitizer on *before*
@@ -604,31 +626,19 @@ class SanitizerSpec:
     on ``put`` and every lock acquire takes a graph check.
     """
 
+    _name = "sanitizer"
+
     enabled: bool = False
     poison: bool = True
     lock_order: bool = True
     trap_double_release: bool = True
 
-    def validate(self, where: str = "sanitizer") -> None:
-        for attr in ("enabled", "poison", "lock_order", "trap_double_release"):
-            v = getattr(self, attr)
-            if not isinstance(v, bool):
-                raise ConfigError(f"{where}: {attr} must be a bool, got {v!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(self, {})
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "sanitizer") -> "SanitizerSpec":
-        _check_keys(d, cls, where)
-        spec = cls(**d)
-        spec.validate(where)
-        return spec
-
 
 @dataclass
-class OptimizerSpec:
+class OptimizerSpec(_Section):
     """Optimizer construction, so a config fully determines a run."""
+
+    _name = "optimizer"
 
     kind: str = "sgd"  # "sgd" | "adam"
     lr: float = 0.01
@@ -636,7 +646,7 @@ class OptimizerSpec:
     weight_decay: float = 0.0
     options: Dict[str, Any] = field(default_factory=dict)  # extras (adam betas/eps)
 
-    def validate(self, where: str = "optimizer") -> None:
+    def _check(self, where: str) -> None:
         if self.kind not in ("sgd", "adam"):
             raise ConfigError(
                 f"{where}: kind must be 'sgd' or 'adam', got {self.kind!r}"
@@ -668,19 +678,9 @@ class OptimizerSpec:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"optimizer {self.kind!r}: {exc}") from exc
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(self, {})
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "optimizer") -> "OptimizerSpec":
-        _check_keys(d, cls, where)
-        spec = cls(**d)
-        spec.validate(where)
-        return spec
-
 
 @dataclass
-class DistributedSpec:
+class DistributedSpec(_Section):
     """Data-parallel training across process-based worker ranks.
 
     ``world_size > 1`` makes :func:`~repro.api.session.build_session`
@@ -716,6 +716,8 @@ class DistributedSpec:
         inherits the session storage budget unchanged.
     """
 
+    _name = "distributed"
+
     world_size: int = 1
     grad_codec: Optional[CodecSpec] = None
     error_feedback: bool = True
@@ -728,57 +730,27 @@ class DistributedSpec:
             return self.grad_codec
         return CodecSpec("sparse-lossless")
 
-    def validate(self, where: str = "distributed") -> None:
-        if (
-            not isinstance(self.world_size, int)
-            or isinstance(self.world_size, bool)
-            or self.world_size < 1
-        ):
+    def _check(self, where: str) -> None:
+        if self.world_size < 1:
             raise ConfigError(
                 f"{where}: world_size must be an int >= 1, got {self.world_size!r}"
             )
         if self.grad_codec is not None:
-            _validate_grad_codec(self.grad_codec, f"{where}.grad_codec")
-        if not isinstance(self.error_feedback, bool):
-            raise ConfigError(
-                f"{where}: error_feedback must be a bool, "
-                f"got {self.error_feedback!r}"
-            )
+            _require_grad_codec(self.grad_codec, f"{where}.grad_codec")
         if self.reduce_order not in ("tree", "linear"):
             raise ConfigError(
                 f"{where}: reduce_order must be 'tree' or 'linear', "
                 f"got {self.reduce_order!r}"
             )
-        if self.rank_arena_budget is not None:
-            if (
-                not isinstance(self.rank_arena_budget, int)
-                or isinstance(self.rank_arena_budget, bool)
-                or self.rank_arena_budget <= 0
-            ):
-                raise ConfigError(
-                    f"{where}: rank_arena_budget must be a positive int or "
-                    f"omitted, got {self.rank_arena_budget!r}"
-                )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(
-            self,
-            {"grad_codec": self.grad_codec.to_dict() if self.grad_codec else None},
-        )
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "distributed") -> "DistributedSpec":
-        _check_keys(d, cls, where)
-        d = dict(d)
-        if "grad_codec" in d:
-            d["grad_codec"] = CodecSpec.from_dict(d["grad_codec"], f"{where}.grad_codec")
-        spec = cls(**d)
-        spec.validate(where)
-        return spec
+        if self.rank_arena_budget is not None and self.rank_arena_budget <= 0:
+            raise ConfigError(
+                f"{where}: rank_arena_budget must be a positive int or "
+                f"omitted, got {self.rank_arena_budget!r}"
+            )
 
 
 @dataclass
-class ServerSpec:
+class ServerSpec(_Section):
     """One multi-tenant :class:`~repro.server.SessionServer`'s knobs.
 
     Not a :class:`SessionConfig` section — a server *hosts* many session
@@ -828,6 +800,8 @@ class ServerSpec:
         endpoint (``port=0`` = ephemeral).
     """
 
+    _name = "server"
+
     pool_budget_bytes: int = 64 << 20
     max_tenants: int = 8
     admission: str = "reject"  # "reject" | "queue"
@@ -840,55 +814,32 @@ class ServerSpec:
     host: str = "127.0.0.1"
     port: int = 0
 
-    def validate(self, where: str = "server") -> None:
-        for attr in ("pool_budget_bytes",):
-            v = getattr(self, attr)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ConfigError(f"{where}: {attr} must be an int >= 0, got {v!r}")
+    def _check(self, where: str) -> None:
+        if self.pool_budget_bytes < 0:
+            raise ConfigError(
+                f"{where}: pool_budget_bytes must be an int >= 0, "
+                f"got {self.pool_budget_bytes!r}"
+            )
         for attr in ("max_tenants", "queue_depth", "workers", "max_batch_requests"):
             v = getattr(self, attr)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if v < 1:
                 raise ConfigError(f"{where}: {attr} must be an int >= 1, got {v!r}")
         if self.admission not in ("reject", "queue"):
             raise ConfigError(
                 f"{where}: admission must be 'reject' or 'queue', "
                 f"got {self.admission!r}"
             )
-        if not isinstance(self.overcommit, (int, float)) or isinstance(
-            self.overcommit, bool
-        ) or self.overcommit < 1.0:
+        if self.overcommit < 1.0:
             raise ConfigError(
                 f"{where}: overcommit must be a number >= 1.0, "
                 f"got {self.overcommit!r}"
             )
-        if not isinstance(self.shared_codebook_cache, bool):
-            raise ConfigError(
-                f"{where}: shared_codebook_cache must be a bool, "
-                f"got {self.shared_codebook_cache!r}"
-            )
-        if self.spill_dir is not None and not isinstance(self.spill_dir, str):
-            raise ConfigError(
-                f"{where}: spill_dir must be a string path or omitted, "
-                f"got {self.spill_dir!r}"
-            )
-        if not isinstance(self.host, str) or not self.host:
+        if not self.host:
             raise ConfigError(f"{where}: host must be a non-empty string")
-        if not isinstance(self.port, int) or isinstance(self.port, bool) or not (
-            0 <= self.port <= 65535
-        ):
+        if not 0 <= self.port <= 65535:
             raise ConfigError(
                 f"{where}: port must be an int in [0, 65535], got {self.port!r}"
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(self, {})
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "server") -> "ServerSpec":
-        _check_keys(d, cls, where)
-        spec = cls(**d)
-        spec.validate(where)
-        return spec
 
     @classmethod
     def from_json(cls, source: Union[str, "os.PathLike"]) -> "ServerSpec":
@@ -924,13 +875,15 @@ def _load_json_source(source: Union[str, "os.PathLike"]) -> Dict[str, Any]:
 
 
 @dataclass
-class SessionConfig:
+class SessionConfig(_Section):
     """Declarative description of one compressed-training session.
 
     ``build_session(network, config)`` turns it into a live
     :class:`~repro.api.session.Session`; :meth:`to_json` /
     :meth:`from_json` make runs reproducible from a committed file.
     """
+
+    _name = "session"
 
     codec: CodecSpec = field(default_factory=CodecSpec)
     rules: List[PolicyRule] = field(default_factory=list)
@@ -943,19 +896,16 @@ class SessionConfig:
     distributed: DistributedSpec = field(default_factory=DistributedSpec)
     #: False skips activation compression entirely (the session is then
     #: a plain trainer, optionally with out-of-core parameters /
-    #: profiler — what a bare ``Trainer(param_store=..., profiler=...)``
-    #: gives you today)
+    #: profiler)
     compress_activations: bool = True
 
-    def validate(self) -> "SessionConfig":
-        self.codec.validate("codec")
+    @classmethod
+    def _prefix(cls, where: str) -> str:
+        return ""  # the root's sections are named bare: "engine", "rules[0]"
+
+    def _check(self, where: str) -> None:
         labels = set()
         for i, rule in enumerate(self.rules):
-            if not isinstance(rule, PolicyRule):
-                raise ConfigError(
-                    f"rules[{i}]: expected a PolicyRule, got {type(rule).__name__}"
-                )
-            rule.validate(f"rules[{i}] (match={rule.match!r})")
             label = rule.label or f"rule{i}"
             if label in labels:
                 raise ConfigError(f"rules[{i}]: duplicate rule label {label!r}")
@@ -983,12 +933,6 @@ class SessionConfig:
                     f"inverted (eb_min={lo} >= eb_max={hi}, combining the rule's "
                     f"overrides with adaptive.eb_min/eb_max)"
                 )
-        self.storage.validate("storage")
-        self.engine.validate("engine")
-        self.adaptive.validate("adaptive")
-        self.sanitizer.validate("sanitizer")
-        self.optimizer.validate("optimizer")
-        self.distributed.validate("distributed")
         if self.distributed.world_size > 1:
             if (
                 self.distributed.rank_arena_budget is not None
@@ -1007,53 +951,8 @@ class SessionConfig:
                         f"applies to a data-parallel exchange; set "
                         f"distributed.world_size > 1"
                     )
-        return self
 
     # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return _sparse_dict(
-            self,
-            {
-                "codec": self.codec.to_dict() or None,
-                "rules": [r.to_dict() for r in self.rules] or None,
-                "storage": self.storage.to_dict() or None,
-                "engine": self.engine.to_dict() or None,
-                "adaptive": self.adaptive.to_dict() or None,
-                "profiler": self.profiler.to_dict() or None,
-                "sanitizer": self.sanitizer.to_dict() or None,
-                "optimizer": self.optimizer.to_dict() or None,
-                "distributed": self.distributed.to_dict() or None,
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "SessionConfig":
-        _check_keys(d, cls, "session")
-        d = dict(d)
-        parsers = {
-            "codec": CodecSpec.from_dict,
-            "storage": StorageSpec.from_dict,
-            "engine": EngineSpec.from_dict,
-            "adaptive": AdaptiveSpec.from_dict,
-            "profiler": ProfilerSpec.from_dict,
-            "sanitizer": SanitizerSpec.from_dict,
-            "optimizer": OptimizerSpec.from_dict,
-            "distributed": DistributedSpec.from_dict,
-        }
-        for key, parse in parsers.items():
-            if key in d:
-                d[key] = parse(d[key], key)
-        if "rules" in d:
-            if not isinstance(d["rules"], list):
-                raise ConfigError(
-                    f"rules: expected a list of rule mappings, "
-                    f"got {type(d['rules']).__name__}"
-                )
-            d["rules"] = [
-                PolicyRule.from_dict(r, f"rules[{i}]") for i, r in enumerate(d["rules"])
-            ]
-        return cls(**d).validate()
-
     def to_json(self, path: Optional[str] = None, *, indent: int = 2) -> str:
         """JSON form; also written to *path* when given."""
         text = json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
@@ -1067,171 +966,3 @@ class SessionConfig:
         """Parse from a JSON string, or from a file path if *source*
         names an existing file."""
         return cls.from_dict(_load_json_source(source))
-
-
-# ---------------------------------------------------------------------------
-# Capture: the legacy-shim bridge
-# ---------------------------------------------------------------------------
-
-
-def optimizer_spec_of(optimizer) -> Optional[OptimizerSpec]:
-    """:class:`OptimizerSpec` for a live :mod:`repro.nn.optim` optimizer.
-
-    Only non-default Adam extras go into ``options`` so the spec stays
-    sparse — ``from_dict(to_dict(spec))`` identity holds for captured
-    configs too.  Returns ``None`` for optimizer types the declarative
-    schema cannot describe.
-    """
-    from repro.nn.optim import SGD, Adam
-
-    if isinstance(optimizer, SGD):
-        return OptimizerSpec(
-            kind="sgd",
-            lr=optimizer.lr,
-            momentum=optimizer.momentum,
-            weight_decay=optimizer.weight_decay,
-        )
-    if isinstance(optimizer, Adam):
-        options: Dict[str, Any] = {}
-        if tuple(optimizer.betas) != (0.9, 0.999):
-            options["betas"] = list(optimizer.betas)
-        if optimizer.eps != 1e-8:
-            options["eps"] = optimizer.eps
-        return OptimizerSpec(
-            kind="adam",
-            lr=optimizer.lr,
-            weight_decay=optimizer.weight_decay,
-            options=options,
-        )
-    return None
-
-
-def capture_session_config(
-    *,
-    compressor=None,
-    adaptive_config=None,
-    adaptive_enabled: bool = True,
-    storage=None,
-    param_storage=None,
-    engine=None,
-    policy_table=None,
-    optimizer=None,
-) -> Optional[SessionConfig]:
-    """Best-effort :class:`SessionConfig` for a legacy
-    ``CompressedTraining(...)`` call's arguments.
-
-    Returns ``None`` when any argument is a live object the declarative
-    schema cannot describe (a non-registry codec, a hand-built engine
-    instance, a policy table without declarative source rules) — the
-    session still works, it just has no config twin.
-    """
-    from repro.compression.registry import spec_of
-    from repro.core.arena import ByteArena
-    from repro.core.engine import AsyncEngine, SyncEngine
-    from repro.core.param_store import ParamStore
-
-    cfg = SessionConfig()
-
-    if compressor is not None:
-        if isinstance(compressor, str):
-            cfg.codec = CodecSpec(name=compressor)
-        else:
-            try:
-                spec = spec_of(compressor)
-            except (TypeError, ValueError):
-                return None
-            cfg.codec = CodecSpec(name=spec["name"], options=spec["options"])
-
-    if adaptive_config is not None:
-        cfg.adaptive = AdaptiveSpec(
-            enabled=adaptive_enabled,
-            W=adaptive_config.W,
-            sigma_fraction=adaptive_config.sigma_fraction,
-            coefficient=float(adaptive_config.coefficient),
-            initial_rel_eb=adaptive_config.initial_rel_eb,
-            warmup_iterations=adaptive_config.warmup_iterations,
-            eb_min=adaptive_config.eb_min,
-            eb_max=adaptive_config.eb_max,
-            min_nonzero_ratio=adaptive_config.min_nonzero_ratio,
-        )
-    else:
-        cfg.adaptive.enabled = adaptive_enabled
-
-    if storage is not None:
-        if not isinstance(storage, ByteArena):
-            return None
-        cfg.storage.activations = "arena"
-        if storage.budget_bytes is not None:
-            cfg.storage.budget_bytes = int(storage.budget_bytes)
-
-    if param_storage is not None:
-        if isinstance(param_storage, ParamStore):
-            arena = param_storage.storage
-            codec = param_storage.codec
-            if codec is not None:
-                try:
-                    spec = spec_of(codec)
-                except (TypeError, ValueError):
-                    return None
-                cfg.storage.param_codec = CodecSpec(spec["name"], spec["options"])
-            cfg.storage.param_dirty_tracking = param_storage.dirty_tracking
-        elif isinstance(param_storage, ByteArena):
-            arena = param_storage
-        else:
-            return None
-        cfg.storage.params = "arena"
-        if arena.budget_bytes is not None:
-            cfg.storage.param_budget_bytes = int(arena.budget_bytes)
-
-    if engine is not None:
-        if isinstance(engine, str):
-            cfg.engine = EngineSpec(kind=engine.lower())
-        elif isinstance(engine, SyncEngine):
-            cfg.engine = EngineSpec(kind="sync")
-        elif isinstance(engine, AsyncEngine):
-            cfg.engine = EngineSpec(
-                kind="async",
-                workers=engine.workers,
-                prefetch_depth="auto" if engine.adaptive_prefetch else engine.prefetch_depth,
-                max_pending=engine.max_pending,
-                max_auto_depth=engine.max_auto_depth,
-                unpack_depth=engine.unpack_depth,
-            )
-        else:
-            return None
-
-    # The engine block above rebuilds EngineSpec wholesale, so knobs the
-    # spec hosts on behalf of other components apply afterwards.
-    if isinstance(param_storage, ParamStore) and param_storage.bind_window_bytes:
-        cfg.engine.bind_window_bytes = int(param_storage.bind_window_bytes)
-    if compressor is not None and not isinstance(compressor, str):
-        from repro.compression.szlike import SharedCodebookCache
-
-        probe = compressor
-        while True:
-            cache = getattr(probe, "codebook_cache", None)
-            if cache is not None:
-                if isinstance(cache, SharedCodebookCache):
-                    cfg.engine.shared_codebook_cache = True
-                break
-            inner = getattr(probe, "inner", None)
-            if inner is None:
-                break
-            probe = inner
-
-    if policy_table is not None:
-        rules = getattr(policy_table, "source_rules", None)
-        if rules is None:
-            return None  # hand-built table: matchers aren't serializable
-        cfg.rules = [dataclasses.replace(r) for r in rules]
-
-    if optimizer is not None:
-        spec = optimizer_spec_of(optimizer)
-        if spec is None:
-            return None
-        cfg.optimizer = spec
-
-    try:
-        return cfg.validate()
-    except ConfigError:
-        return None

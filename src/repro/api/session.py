@@ -1,7 +1,7 @@
 """The front door: ``build_session(network, config) -> Session``.
 
-One call composes the whole stack the previous PRs grew — codec
-registry, per-layer :class:`~repro.core.policy_table.PolicyTable`,
+One call composes the whole stack — codec registry, per-layer
+:class:`~repro.core.policy_table.PolicyTable`,
 :class:`~repro.core.arena.ByteArena` activation storage,
 :class:`~repro.core.param_store.ParamStore` out-of-core parameters,
 sync/async :mod:`~repro.core.engine`, the Eq. 8/9 adaptive controller,
@@ -15,14 +15,19 @@ and the stage profiler — from one declarative
         session.train(batches(dataset, 32, 100, seed=1))
         print(session.tracker.overall_ratio)
 
-Determinism contract: for the same network (same initial weights) and
-the same batch stream, a session built from a config is bit-identical
-to the equivalent hand-wired ``Trainer`` + ``CompressedTraining`` pair
-— the shim-equivalence tests in ``tests/api`` pin this.
+``build_session`` is the one way to assemble a session.  Determinism
+contract: for the same network (same initial weights), the same config
+and the same batch stream, two sessions train bit-identically — also
+across a ``to_json`` / ``from_json`` round trip and across the sync /
+async engines (pinned by ``tests/api``).  A build that fails leaves
+nothing behind: the profiler it activated is deactivated and every
+store it created is closed; a config the network cannot use (no
+compressible layer to compress) is a :class:`~repro.api.config.ConfigError`.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import List, Optional, Tuple
 
 from repro.api.config import ConfigError, PolicyRule, SessionConfig
@@ -57,8 +62,8 @@ def build_policy_table(rules: List[PolicyRule]) -> Optional[PolicyTable]:
     :class:`PolicyTable` (codec instances built once per rule and shared
     by every layer the rule matches).  Returns ``None`` for no rules.
 
-    The source rules are kept on the table (``table.source_rules``) so a
-    session built from it can reproduce its declarative config.
+    The source rules are kept on the table (``table.source_rules``), in
+    the order of ``table.rules``, for the per-rule kernel backends.
     """
     if not rules:
         return None
@@ -94,7 +99,7 @@ class Session:
     and profiler.  Also a context manager.
     """
 
-    def __init__(self, network, optimizer, trainer, config, compressed=None):
+    def __init__(self, network, optimizer, trainer, config, compressed=None, param_store=None):
         self.network = network
         self.optimizer = optimizer
         self.trainer = trainer
@@ -103,6 +108,9 @@ class Session:
         #: the underlying :class:`~repro.core.framework.CompressedTraining`
         #: (None when ``compress_activations=False``)
         self.compressed = compressed
+        #: the out-of-core :class:`~repro.core.param_store.ParamStore`
+        #: (None unless ``storage.params == "arena"``)
+        self.param_store = param_store
         self._closed = False
 
     # -- config round-trip -------------------------------------------------
@@ -144,13 +152,6 @@ class Session:
     @property
     def tracker(self):
         return self.compressed.tracker if self.compressed is not None else None
-
-    @property
-    def param_store(self):
-        if self.compressed is not None and self.compressed.param_store is not None:
-            return self.compressed.param_store
-        # a distributed coordinator has no resident trainer: its ranks own the stores
-        return self.trainer.param_store if self.trainer is not None else None
 
     @property
     def engine(self):
@@ -242,10 +243,10 @@ def build_session(
         ownership (the session does not close it).
     """
     from repro.core.arena import ByteArena
-    from repro.core.framework import CompressedTraining
     from repro.core.param_store import ParamStore
+    from repro.nn.network import iter_layers
     from repro.nn.trainer import Trainer
-    from repro.utils.deprecation import building_session
+    from repro.utils.profiler import StageProfiler
 
     if not isinstance(config, SessionConfig):
         raise ConfigError(
@@ -261,6 +262,14 @@ def build_session(
         from repro.distributed.session import build_distributed_session
 
         return build_distributed_session(network, config, optimizer=optimizer)
+
+    if config.compress_activations and not any(
+        layer.compressible for layer in iter_layers(network)
+    ):
+        raise ConfigError(
+            "network has no compressible (conv) layers; set "
+            "compress_activations=False to train it uncompressed"
+        )
 
     if config.sanitizer.enabled:
         # Turn the sanitizer on BEFORE constructing anything: arenas,
@@ -278,36 +287,59 @@ def build_session(
     if optimizer is None:
         optimizer = config.optimizer.build(network.parameters())
 
-    if config.storage.activations != "arena":
-        storage = None
-    elif storage is None:
-        storage = ByteArena(
-            budget_bytes=config.storage.budget_bytes,
-            spill_dir=config.storage.spill_dir,
-        )
-
-    param_storage = None
-    if config.storage.params == "arena":
-        param_storage = ParamStore(
-            budget_bytes=config.storage.param_budget_bytes,
-            codec=(
-                config.storage.param_codec.build()
-                if config.storage.param_codec is not None
-                else None
-            ),
-            dirty_tracking=config.storage.param_dirty_tracking,
-            spill_dir=config.storage.spill_dir,
-            bind_window_bytes=config.engine.bind_window_bytes,
-        )
-
-    profiler = True if config.profiler.enabled else None
-
-    if not config.compress_activations:
-        with building_session():
-            trainer = Trainer(
-                network, optimizer, param_store=param_storage, profiler=profiler
+    # Everything built below is undone if a later step raises.
+    with ExitStack() as undo:
+        if config.storage.activations != "arena":
+            storage = None
+        elif storage is None:
+            storage = ByteArena(
+                budget_bytes=config.storage.budget_bytes,
+                spill_dir=config.storage.spill_dir,
             )
-        return Session(network, optimizer, trainer, config)
+            undo.callback(storage.close)
+
+        param_store = None
+        if config.storage.params == "arena":
+            param_store = ParamStore(
+                budget_bytes=config.storage.param_budget_bytes,
+                codec=(
+                    config.storage.param_codec.build()
+                    if config.storage.param_codec is not None
+                    else None
+                ),
+                dirty_tracking=config.storage.param_dirty_tracking,
+                spill_dir=config.storage.spill_dir,
+                bind_window_bytes=config.engine.bind_window_bytes,
+            )
+            undo.callback(param_store.close)
+
+        trainer = Trainer(network, optimizer)
+        if config.profiler.enabled:
+            trainer.profiler = profiler = StageProfiler().activate()
+            undo.callback(profiler.deactivate)
+            trainer.close_hooks.append(lambda tr: profiler.deactivate())
+
+        if not config.compress_activations:
+            if param_store is not None:
+                param_store.attach(network, optimizer)
+                trainer.close_hooks.append(lambda tr: param_store.close())
+            session = Session(network, optimizer, trainer, config, param_store=param_store)
+        else:
+            compressed = _build_compressed(
+                network, optimizer, config, storage, param_store
+            ).attach(trainer)
+            session = Session(
+                network, optimizer, trainer, config,
+                compressed=compressed, param_store=param_store,
+            )
+        undo.pop_all()
+    return session
+
+
+def _build_compressed(network, optimizer, config: SessionConfig, storage, param_store):
+    """The :class:`~repro.core.framework.CompressedTraining` half of
+    :func:`build_session`: codecs, policy table, engine, controller."""
+    from repro.core.framework import CompressedTraining
 
     table = build_policy_table(config.rules)
     if storage is not None and table is not None:
@@ -347,17 +379,14 @@ def build_session(
                 if pol.codec is not None:
                     ensure_shared_codebook_cache(pol.codec)
 
-    with building_session():
-        trainer = Trainer(network, optimizer, profiler=profiler)
-        compressed = CompressedTraining(
-            network,
-            optimizer,
-            compressor=compressor,
-            config=config.adaptive.to_adaptive_config(),
-            storage=storage,
-            param_storage=param_storage,
-            engine=config.engine.build(),
-            policy_table=table,
-            adaptive=config.adaptive.enabled,
-        ).attach(trainer)
-    return Session(network, optimizer, trainer, config, compressed=compressed)
+    return CompressedTraining(
+        network,
+        optimizer,
+        compressor=compressor,
+        config=config.adaptive.to_adaptive_config(),
+        storage=storage,
+        param_storage=param_store,
+        engine=config.engine.build(),
+        policy_table=table,
+        adaptive=config.adaptive.enabled,
+    )

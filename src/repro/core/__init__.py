@@ -11,16 +11,11 @@ from repro.core.gradient_assessment import GradientAssessor
 from repro.core.memory_tracker import LayerMemoryRecord, MemoryTracker
 from repro.core.arena import ByteArena
 from repro.core.engine import AsyncEngine, CompressionEngine, SyncEngine, resolve_engine
-from repro.core.activation_store import (
-    BaseCompressionContext,
-    CompressingContext,
-    PackedActivation,
-)
+from repro.core.activation_store import CompressingContext, PackedActivation
 from repro.core.param_store import ParamStore, StoredEntry, StoreSlots
 from repro.core.policy_table import PolicyTable, ResolvedPolicy, compile_matcher
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.framework import CompressedTraining
-from repro.core.policies import CodecPolicy, FixedBoundSZPolicy, RawPolicy
 
 __all__ = [
     "PAPER_COEFFICIENT_A",
@@ -36,7 +31,6 @@ __all__ = [
     "CompressionEngine",
     "SyncEngine",
     "resolve_engine",
-    "BaseCompressionContext",
     "CompressingContext",
     "PackedActivation",
     "ParamStore",
@@ -48,7 +42,4 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptiveController",
     "CompressedTraining",
-    "CodecPolicy",
-    "FixedBoundSZPolicy",
-    "RawPolicy",
 ]

@@ -4,9 +4,9 @@ The paper's headline performance claim is that compression *overlaps*
 training: packing layer *i*'s activation runs concurrently with layer
 *i+1*'s forward compute, and spilled activations are prefetched ahead of
 the backward pass, so the memory savings come at near-zero wall-clock
-cost.  This module factors that scheduling decision out of the storage
-contexts (:mod:`repro.core.activation_store`, :mod:`repro.core.policies`)
-into a pluggable strategy object:
+cost.  This module factors that scheduling decision out of the saved-tensor
+context (:mod:`repro.core.activation_store`) into a pluggable strategy
+object:
 
 * :class:`SyncEngine` — compress/decompress inline on the caller's
   thread.  This is the historical behaviour, bit-for-bit.
@@ -52,7 +52,7 @@ __all__ = ["CompressionEngine", "SyncEngine", "AsyncEngine", "resolve_engine"]
 class CompressionEngine:
     """Strategy interface between a compression context and its codec work.
 
-    The owning context (a ``BaseCompressionContext``) calls
+    The owning context (a ``CompressingContext``) calls
     :meth:`submit_pack` / :meth:`obtain` / :meth:`ensure_packed` /
     :meth:`forget`; the engine decides *where and when* the pure codec
     work runs and calls back into the context's ``_finalize_pack`` /
@@ -655,24 +655,13 @@ class AsyncEngine(CompressionEngine):
         )
 
 
-def resolve_engine(
-    engine: Union["CompressionEngine", str, None], ctx: Any
-) -> CompressionEngine:
-    """Normalize an engine spec — ``None`` (sync), a name, or an
-    instance — and bind it to *ctx*."""
+def resolve_engine(engine: Optional[CompressionEngine], ctx: Any) -> CompressionEngine:
+    """Bind *engine* (``None`` is a :class:`SyncEngine`) to *ctx*.
+    Engines are named only in :class:`~repro.api.config.EngineSpec`."""
     if engine is None:
         engine = SyncEngine()
-    elif isinstance(engine, str):
-        key = engine.lower()
-        if key == "sync":
-            engine = SyncEngine()
-        elif key == "async":
-            engine = AsyncEngine()
-        else:
-            raise ValueError(f"unknown engine {engine!r}; expected 'sync' or 'async'")
     elif not isinstance(engine, CompressionEngine):
         raise TypeError(
-            f"engine must be a CompressionEngine, 'sync'/'async', or None, "
-            f"got {type(engine).__name__}"
+            f"engine must be a CompressionEngine or None, got {type(engine).__name__}"
         )
     return engine.bind(ctx)

@@ -18,11 +18,11 @@ Execution is staged through a pluggable **compression engine**
 (:mod:`repro.core.engine`), the paper's overlap pipeline:
 
 * **Pack stage** (forward): each conv activation is handed to the
-  engine; under ``engine="async"`` the compression job runs on a worker
-  pool so packing layer *i* overlaps layer *i+1*'s forward compute,
-  while the handle returns immediately.  Finalization (arena write +
-  tracker charge) happens in submission order, keeping accounting
-  byte-exact versus the sync path.
+  engine; under the :class:`~repro.core.engine.AsyncEngine` the
+  compression job runs on a worker pool so packing layer *i* overlaps
+  layer *i+1*'s forward compute, while the handle returns immediately.
+  Finalization (arena write + tracker charge) happens in submission
+  order, keeping accounting byte-exact versus the sync path.
 * **Prefetch stage** (between passes): the engine records the forward
   pack order and speculatively materializes outstanding handles —
   reading arena-spilled bytes back and decompressing — in *reverse*
@@ -32,37 +32,26 @@ Execution is staged through a pluggable **compression engine**
   zero-preserving filter; every handle is released to the tracker
   exactly once.
 
-``engine="sync"`` (the default) runs all three stages inline and defines
-the reference numbers: async results are bit-identical for every
-registry codec.
+The :class:`~repro.core.engine.SyncEngine` (the default) runs all three
+stages inline and defines the reference numbers: async results are
+bit-identical for every registry codec.
 
-Usage::
+Sessions are assembled by :func:`repro.api.build_session` from one
+serializable :class:`~repro.api.config.SessionConfig`; the live
+``CompressedTraining`` is ``session.compressed``::
 
-    session = CompressedTraining(network, optimizer, engine="async")
-    session.attach(trainer)
-    trainer.train(batches(...))
-    print(session.tracker.overall_ratio)
-    trainer.close()  # or session.close(): stops the engine's workers
-
-.. note::
-   New code should prefer the declarative front door,
-   :func:`repro.api.build_session`: one serializable
-   :class:`~repro.api.config.SessionConfig` composes the codec,
-   per-layer policy rules, storage, engine, adaptive controller, and
-   profiler, and round-trips through JSON for reproducible runs.
-   ``CompressedTraining(...)`` remains supported as a thin shim — its
-   declarative arguments are normalized into the same config tree
-   (exposed as :attr:`CompressedTraining.session_config`) and the two
-   construction paths are equivalence-tested bit-for-bit.
+    with build_session(network, SessionConfig(engine=EngineSpec(kind="async"))) as s:
+        s.train(batches(...))
+        print(s.compressed.tracker.overall_ratio)
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.compression.registry import Codec, get_codec
+from repro.compression.registry import Codec
 from repro.core.activation_store import CompressingContext
 from repro.core.arena import ByteArena
 from repro.core.engine import CompressionEngine
@@ -80,33 +69,6 @@ from repro.nn.trainer import IterationRecord, Trainer
 __all__ = ["CompressedTraining"]
 
 
-def _warn_legacy_compressed_training(**knobs) -> None:
-    """One DeprecationWarning per hand-wired construction, with a
-    migration hint for each constructor knob actually passed."""
-    from repro.utils.deprecation import warn_legacy
-
-    hints = {
-        "compressor": "compressor=... -> config.codec = CodecSpec(name, options)",
-        "config": "config=AdaptiveConfig(...) -> config.adaptive = AdaptiveSpec(...)",
-        "storage": "storage=ByteArena(...) -> config.storage.activations = 'arena' (+ budget_bytes)",
-        "param_storage": "param_storage=... -> config.storage.params = 'arena' (+ param_budget_bytes / param_codec)",
-        "engine": "engine=... -> config.engine = EngineSpec(kind, workers, ...)",
-        "policy_table": "policy_table=... -> config.rules = [PolicyRule(...), ...]",
-        "adaptive": "adaptive=False -> config.adaptive.enabled = False",
-    }
-    used = [
-        hints[name]
-        for name, value in knobs.items()
-        if value is not None and not (name == "adaptive" and value is True)
-    ]
-    lines = "".join(f"\n  {hint}" for hint in used)
-    warn_legacy(
-        "CompressedTraining(...) is a legacy shim; build the equivalent "
-        "session with repro.api.build_session(network, SessionConfig(...))."
-        + (lines if lines else "")
-    )
-
-
 class CompressedTraining:
     """Session object installing adaptive activation compression.
 
@@ -116,10 +78,8 @@ class CompressedTraining:
         The model whose conv layers will be compressed and the SGD
         optimizer whose momentum drives the gradient assessment.
     compressor:
-        Codec for activations: any object following the registry's
-        :class:`~repro.compression.registry.Codec` protocol, or a
-        registry key string (``"szlike"``, ``"chunked"``, ...) resolved
-        via :func:`~repro.compression.registry.get_codec`.  Defaults to
+        Codec instance for activations, following the registry's
+        :class:`~repro.compression.registry.Codec` protocol.  Defaults to
         the faithful cuSZ-style pipeline with the zero-preserving filter
         enabled.
     config:
@@ -131,74 +91,50 @@ class CompressedTraining:
         as serialized byte strings under the arena's in-memory budget
         (spill-to-disk overflow) and the tracker reports physical bytes.
     param_storage:
-        Optional :class:`~repro.core.param_store.ParamStore` (or a
-        :class:`ByteArena` to wrap in one) — the model's weights and the
-        optimizer's slots then live as arena-backed bytes too,
-        materialized just-in-time around each layer's
+        Optional :class:`~repro.core.param_store.ParamStore` — the model's
+        weights and the optimizer's slots then live as arena-backed
+        bytes too, materialized just-in-time around each layer's
         forward/backward/update, making the *whole* training state
-        out-of-core rather than just the activations.  Under
-        ``engine="async"`` the reverse-order prefetch stages upcoming
-        layers' spilled parameter bytes ahead of backward.
+        out-of-core rather than just the activations.  Under the async
+        engine the reverse-order prefetch stages upcoming layers'
+        spilled parameter bytes ahead of backward.
     engine:
-        ``"sync"`` (default), ``"async"``, or a
-        :class:`~repro.core.engine.CompressionEngine` instance — whether
-        pack/unpack run inline or overlap compute on a worker pool with
-        reverse-order prefetch (bit-identical results either way).
+        A :class:`~repro.core.engine.CompressionEngine` instance (``None``:
+        sync) — whether pack/unpack run inline or overlap compute on a
+        worker pool with reverse-order prefetch (bit-identical results
+        either way).
     policy_table:
         Optional :class:`~repro.core.policy_table.PolicyTable` — per-layer
         first-match rules giving matched layers their own codec, error
         bound (fixed or adaptive with per-rule clamps), and storage
         class; *compressor* and the adaptive regime stay the defaults
-        for unmatched layers.  Usually built declaratively through
-        :func:`repro.api.build_session`.
+        for unmatched layers.
     adaptive:
         ``False`` disables the Eq. 8/9 controller entirely: every layer
         keeps its warm-up or rule-pinned bound and no per-iteration
-        statistics are collected.  (The api layer's
-        ``AdaptiveSpec(enabled=False)`` maps here.)
+        statistics are collected (``AdaptiveSpec(enabled=False)``).
     """
 
     def __init__(
         self,
         network: Layer,
         optimizer: SGD,
-        compressor: Union[Codec, str, None] = None,
+        compressor: Optional[Codec] = None,
         config: Optional[AdaptiveConfig] = None,
         tracker: Optional[MemoryTracker] = None,
         storage: Optional[ByteArena] = None,
-        param_storage: Union[ParamStore, ByteArena, None] = None,
-        engine: Union[CompressionEngine, str, None] = None,
+        param_storage: Optional[ParamStore] = None,
+        engine: Optional[CompressionEngine] = None,
         policy_table: Optional[PolicyTable] = None,
         adaptive: bool = True,
     ):
-        _warn_legacy_compressed_training(
-            compressor=compressor,
-            config=config,
-            storage=storage,
-            param_storage=param_storage,
-            engine=engine,
-            policy_table=policy_table,
-            adaptive=adaptive,
-        )
         self.network = network
         self.optimizer = optimizer
         self.config = config or AdaptiveConfig(W=50)
         self.tracker = tracker or MemoryTracker()
-        #: the declarative arguments this shim was called with, kept so
-        #: :attr:`session_config` can rebuild the equivalent SessionConfig
-        self._shim_args = {
-            "compressor": compressor,
-            "storage": storage,
-            "param_storage": param_storage,
-            "engine": engine,
-            "policy_table": policy_table,
-        }
         self.adaptive_enabled = bool(adaptive)
-        if isinstance(compressor, str):
-            compressor = get_codec(compressor)
         self.ctx = CompressingContext(
-            compressor=compressor
-            or get_codec("szlike", entropy="huffman", zero_filter=True),
+            compressor=compressor,
             initial_rel_eb=self.config.initial_rel_eb,
             tracker=self.tracker,
             storage=storage,
@@ -213,8 +149,6 @@ class CompressedTraining:
         self.compressed_layers = set_saved_ctx(
             network, self.ctx, predicate=lambda l: l.compressible
         )
-        if self.compressed_layers == 0:
-            raise ValueError("network has no compressible (conv) layers")
         self._mark_relu_fed_convs()
 
         #: conv layer name -> its weight Parameter (per-layer momentum)
@@ -224,22 +158,18 @@ class CompressedTraining:
         # is disabled — fixed/rule-pinned bounds need no statistics)
         self._collect_next = self.adaptive_enabled
 
-        #: optional out-of-core parameter/optimizer state (the tentpole
-        #: knob): attach AFTER the taps so the JIT bind wrapper is
-        #: outermost — weights are materialized before the tapped
-        #: backward runs.
-        self.param_store: Optional[ParamStore] = None
+        #: optional out-of-core parameter/optimizer state: attached AFTER
+        #: the taps so the JIT bind wrapper is outermost — weights are
+        #: materialized before the tapped backward runs.
+        self.param_store = param_storage
         if param_storage is not None:
-            if isinstance(param_storage, ByteArena):
-                param_storage = ParamStore(storage=param_storage, tracker=self.tracker)
-            elif len(param_storage) == 0:
+            if len(param_storage) == 0:
                 # Nothing adopted yet: fold the store's accounting into
                 # the session tracker so persistent parameter bytes and
                 # activation bytes share one set of books.
                 param_storage.tracker = self.tracker
-            self.param_store = param_storage
-            self.param_store.attach(network, optimizer)
-            self.ctx.param_store = self.param_store
+            param_storage.attach(network, optimizer)
+            self.ctx.param_store = param_storage
 
     # -- wiring ------------------------------------------------------------
     def _mark_relu_fed_convs(self) -> None:
@@ -319,31 +249,6 @@ class CompressedTraining:
         )
 
     # -- reporting -----------------------------------------------------------
-    @property
-    def session_config(self):
-        """The :class:`~repro.api.config.SessionConfig` equivalent to this
-        session's declarative arguments, or ``None`` when the session was
-        built from live objects the config schema cannot describe (a
-        custom codec instance outside the registry, a hand-built engine,
-        a policy table without declarative source rules).
-
-        ``build_session(network, session.session_config)`` on a fresh
-        network reproduces this session bit-for-bit — the equivalence the
-        shim tests pin.
-        """
-        from repro.api.config import capture_session_config
-
-        return capture_session_config(
-            compressor=self._shim_args["compressor"],
-            adaptive_config=self.config,
-            adaptive_enabled=self.adaptive_enabled,
-            storage=self._shim_args["storage"],
-            param_storage=self._shim_args["param_storage"],
-            engine=self._shim_args["engine"],
-            policy_table=self._shim_args["policy_table"],
-            optimizer=self.optimizer,
-        )
-
     @property
     def error_bounds(self) -> Dict[str, float]:
         return dict(self.ctx.error_bounds)

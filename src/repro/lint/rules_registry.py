@@ -7,9 +7,10 @@ construction of a codec class — ``SZCompressor(...)``,
 Sessions must obtain codecs via
 :func:`repro.compression.registry.get_codec` (and describe them via
 ``spec_of``), because only registry-keyed construction round-trips
-through :class:`~repro.api.config.SessionConfig`: a codec instantiated
-by class is invisible to ``capture_session_config`` and breaks the
-"committed JSON reproduces the run" contract.
+through :class:`~repro.api.config.SessionConfig`: a session's codecs
+are its ``CodecSpec`` entries, which is what ``Session.capture()``
+re-serializes — a codec instantiated by class has no spec there and
+breaks the "committed JSON reproduces the run" contract.
 
 The class-name list mirrors the registry's registrations; adding a
 codec means registering it, at which point its name belongs here too.

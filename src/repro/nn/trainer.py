@@ -79,32 +79,10 @@ class Trainer:
         sessions register resource teardown here (e.g. the compression
         engine's worker pool).  The trainer is also a context manager:
         ``with Trainer(...) as tr: ...`` closes on exit.
-    param_store:
-        Optional :class:`~repro.core.param_store.ParamStore` — the
-        trainer attaches it to (network, optimizer) so weights and
-        optimizer slots live out-of-core, and registers its teardown
-        (weights restored to residency) on :meth:`close`.  Sessions that
-        manage their own store (``CompressedTraining(param_storage=...)``)
-        don't pass one here.
-    profiler:
-        ``True`` or a :class:`~repro.utils.profiler.StageProfiler` turns
-        on hot-path stage timing for the run: the codec's quantize /
-        predict / encode / decode stages, byte-arena I/O, and async-engine
-        waits accumulate into per-stage (seconds, calls) totals, plus a
-        ``step`` stage for whole iterations.  The profiler is installed
-        process-wide for the trainer's lifetime (deactivated by
-        :meth:`close`) and exposed as ``trainer.profiler``; read it with
-        ``trainer.profiler.snapshot()`` or ``.report_lines()``.
 
-    .. note::
-       The ``param_store`` / ``profiler`` knobs (and the compression
-       session attached on top) are also expressible declaratively:
-       :func:`repro.api.build_session` composes the same machinery from
-       one serializable :class:`~repro.api.config.SessionConfig`, which
-       is the preferred front door for new code.  A trainer built with
-       these knobs exposes the equivalent config as
-       :attr:`session_config`, and the two paths are equivalence-tested
-       bit-for-bit.
+    Sessions are assembled by :func:`repro.api.build_session`, which sets
+    :attr:`profiler` and registers the session's teardown (profiler,
+    parameter store, engine) in ``close_hooks``.
     """
 
     def __init__(
@@ -113,33 +91,11 @@ class Trainer:
         optimizer: SGD,
         loss: Optional[SoftmaxCrossEntropy] = None,
         lr_schedule=None,
-        param_store=None,
-        profiler=None,
     ):
-        from repro.utils.profiler import StageProfiler
-
-        if param_store is not None or profiler is not None:
-            from repro.utils.deprecation import warn_legacy
-
-            hints = []
-            if param_store is not None:
-                hints.append(
-                    "\n  param_store=... -> config.storage.params = 'arena' "
-                    "(+ param_budget_bytes / param_codec)"
-                )
-            if profiler is not None:
-                hints.append("\n  profiler=True -> config.profiler.enabled = True")
-            warn_legacy(
-                "Trainer's session-level knobs are a legacy shim; build the "
-                "equivalent session with repro.api.build_session(network, "
-                "SessionConfig(compress_activations=False, ...))."
-                + "".join(hints)
-            )
         self.network = network
         self.optimizer = optimizer
         self.loss = loss or SoftmaxCrossEntropy()
         self.lr_schedule = lr_schedule
-        self.param_store = param_store
         self.history = TrainHistory()
         self.post_backward_hooks: List[Callable] = []
         self.grad_transforms: List[Callable] = []
@@ -149,33 +105,9 @@ class Trainer:
         #: for parameter collection (the paper's L-bar is per conv layer;
         #: per-layer values come from the framework's layer taps).
         self.last_loss_value: float = float("nan")
-        if profiler is True:
-            profiler = StageProfiler()
-        self.profiler: Optional[StageProfiler] = profiler or None
-        if self.profiler is not None:
-            self.profiler.activate()
-            self.close_hooks.append(lambda tr: tr.profiler.deactivate())
-        if param_store is not None:
-            param_store.attach(network, optimizer)
-            self.close_hooks.append(lambda tr: param_store.close())
-
-    @property
-    def session_config(self):
-        """The :class:`~repro.api.config.SessionConfig` equivalent to
-        this bare trainer (``compress_activations=False``, plus any
-        param store / profiler knobs), or ``None`` when a knob cannot be
-        described declaratively.  ``build_session(net,
-        trainer.session_config)`` reproduces the trainer bit-for-bit."""
-        from repro.api.config import capture_session_config
-
-        cfg = capture_session_config(
-            param_storage=self.param_store, optimizer=self.optimizer
-        )
-        if cfg is None:
-            return None
-        cfg.compress_activations = False
-        cfg.profiler.enabled = self.profiler is not None
-        return cfg
+        #: optional :class:`~repro.utils.profiler.StageProfiler` timing each
+        #: iteration as a ``step`` stage (``config.profiler.enabled``)
+        self.profiler = None
 
     def train_step(self, images: np.ndarray, labels: np.ndarray) -> IterationRecord:
         """One forward/backward/update iteration; returns its record."""

@@ -47,7 +47,13 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.api.config import ConfigError, ServerSpec, SessionConfig, _load_json_source
+from repro.api.config import (
+    ConfigError,
+    ServerSpec,
+    SessionConfig,
+    _load_json_source,
+    check_scalar_types,
+)
 from repro.api.session import Session, build_session
 from repro.core.arena import ArenaPool
 from repro.models.registry import build_scaled_model
@@ -101,7 +107,8 @@ class TenantSpec:
     session: SessionConfig = field(default_factory=SessionConfig)
 
     def validate(self, where: str = "tenant") -> None:
-        if not isinstance(self.name, str) or not self.name:
+        check_scalar_types(self, where)
+        if not self.name:
             raise ConfigError(f"{where}: name must be a non-empty string")
         if self.kind not in ("train", "infer"):
             raise ConfigError(
@@ -109,10 +116,8 @@ class TenantSpec:
             )
         for attr in ("num_classes", "image_size", "batch_size"):
             v = getattr(self, attr)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if v < 1:
                 raise ConfigError(f"{where}: {attr} must be an int >= 1, got {v!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"{where}: seed must be an int, got {self.seed!r}")
         if not isinstance(self.session, SessionConfig):
             raise ConfigError(
                 f"{where}: session must be a SessionConfig section, "

@@ -12,7 +12,7 @@ on the hot path bracket their work with :func:`stage`:
 When no profiler is active (the default) ``stage`` returns a shared
 no-op context — one global read per call, nothing timed, so production
 paths pay effectively nothing.  Activating a :class:`StageProfiler`
-(directly or via ``Trainer(profiler=...)``) turns every bracketed
+(directly or via ``SessionConfig(profiler=ProfilerSpec(enabled=True))``) turns every bracketed
 region into a per-stage (total seconds, call count) accumulator,
 thread-safe so the async engine's workers and the chunked codec's pool
 threads can report concurrently.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 import pytest
 
 from repro.api import (
@@ -224,15 +227,9 @@ class TestReviewRegressions:
             SessionConfig.from_dict({"engine": {"kind": "async", "max_auto_depth": 0}})
 
     def test_adaptive_coefficient_round_trips(self):
-        from repro.api import capture_session_config
-        from repro.core import AdaptiveConfig
-
-        cfg = capture_session_config(
-            adaptive_config=AdaptiveConfig(W=10, coefficient=0.5)
-        )
-        assert cfg is not None
-        assert cfg.adaptive.coefficient == 0.5
+        cfg = SessionConfig(adaptive=AdaptiveSpec(W=10, coefficient=0.5))
         rebuilt = SessionConfig.from_json(cfg.to_json())
+        assert rebuilt.adaptive.coefficient == 0.5
         assert rebuilt.adaptive.to_adaptive_config().coefficient == 0.5
 
     def test_default_coefficient_stays_sparse(self):
@@ -329,7 +326,7 @@ class TestSanitizerSpec:
 
 class TestPipelineOverlapKnobs:
     """EngineSpec unpack/bind-window/shared-cache knobs and per-rule
-    arena budgets: round-trip, validation, capture."""
+    arena budgets: round-trip and validation."""
 
     def test_round_trip(self):
         cfg = SessionConfig(
@@ -375,40 +372,6 @@ class TestPipelineOverlapKnobs:
             SessionConfig(
                 rules=[PolicyRule(match="l0", arena_budget=4096)]
             ).validate()
-
-    def test_engine_capture_preserves_unpack_spec(self):
-        from repro.api import capture_session_config
-        from repro.core.engine import AsyncEngine
-
-        eng = AsyncEngine(workers=3, prefetch_depth=2, unpack_depth="auto")
-        cfg = capture_session_config(engine=eng)
-        eng.close()
-        assert cfg is not None
-        assert cfg.engine.unpack_depth == "auto"
-        rebuilt = SessionConfig.from_json(cfg.to_json())
-        assert rebuilt.engine.unpack_depth == "auto"
-
-    def test_capture_bind_window_and_shared_cache(self):
-        from repro.api import capture_session_config
-        from repro.compression.registry import ensure_shared_codebook_cache
-        from repro.core.engine import AsyncEngine
-        from repro.core.param_store import ParamStore
-
-        store = ParamStore(bind_window_bytes=1 << 20)
-        codec = get_codec(
-            "szlike", error_bound=1e-3, entropy="huffman", codebook_cache=True
-        )
-        ensure_shared_codebook_cache(codec)
-        eng = AsyncEngine(workers=2)
-        cfg = capture_session_config(
-            compressor=codec, param_storage=store, engine=eng
-        )
-        eng.close()
-        codec.codebook_cache.close()
-        store.close()
-        assert cfg is not None
-        assert cfg.engine.bind_window_bytes == 1 << 20
-        assert cfg.engine.shared_codebook_cache is True
 
 
 class TestDistributedSpec:
@@ -505,3 +468,76 @@ class TestDistributedSpec:
     def test_rank_arena_budget_must_be_positive(self):
         with pytest.raises(ConfigError, match="rank_arena_budget"):
             self.cfg(world_size=2, rank_arena_budget=-4).validate()
+
+
+def _scalar_fields(cls):
+    """(field, admitted types) for every scalar field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        args = typing.get_args(tp) if typing.get_origin(tp) is typing.Union else (tp,)
+        if all(a in (bool, int, float, str, type(None)) for a in args):
+            yield f.name, set(args)
+
+
+def _type_cases():
+    from repro.api.config import SanitizerSpec, ServerSpec
+    from repro.api import DistributedSpec, ProfilerSpec
+    from repro.server import TenantSpec
+
+    specs = [
+        CodecSpec, PolicyRule, StorageSpec, EngineSpec, AdaptiveSpec, ProfilerSpec,
+        SanitizerSpec, OptimizerSpec, DistributedSpec, ServerSpec, SessionConfig, TenantSpec,
+    ]
+    # one value of each JSON scalar type, with the annotations it satisfies
+    # (an int is a number; a bool is neither an int nor a number)
+    wrong = [("2", {str}), (2, {int, float}), (2.5, {float}), (True, {bool})]
+    for cls in specs:
+        for name, admitted in _scalar_fields(cls):
+            for value, satisfies in wrong:
+                if not admitted & satisfies:
+                    yield pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+
+
+class TestScalarTypes:
+    """One annotation-driven type check guards every scalar field of every
+    section, on the JSON path and the programmatic path alike."""
+
+    @pytest.mark.parametrize("cls,name,value", list(_type_cases()))
+    def test_wrong_type_is_a_config_error(self, cls, name, value):
+        base = {"name": "t"} if cls.__name__ == "TenantSpec" else {}
+        with pytest.raises(ConfigError, match=rf"{name} must be"):
+            cls.from_dict({**base, name: value})
+        spec = cls(**{**base, name: value})
+        with pytest.raises(ConfigError, match=rf"{name} must be"):
+            spec.validate()
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"engine": {"workers": "2"}},
+            {"optimizer": {"lr": "0.1"}},
+            {"optimizer": {"momentum": "x"}},
+            {"adaptive": {"W": "10"}},
+            {"adaptive": {"enabled": "false"}},
+            {"profiler": {"enabled": "false"}},
+            {"storage": {"param_dirty_tracking": "false"}},
+            {"rules": [{"match": "l0", "error_bound": "1e-3"}]},
+            {"compress_activations": "false"},
+        ],
+    )
+    def test_session_reproductions(self, d):
+        with pytest.raises(ConfigError):
+            SessionConfig.from_dict(d)
+
+    def test_nested_programmatic_config(self):
+        cfg = SessionConfig(engine=EngineSpec(workers="2"))
+        with pytest.raises(ConfigError, match="engine: workers must be an int"):
+            cfg.validate()
+
+    def test_int_is_accepted_where_a_float_is(self):
+        cfg = SessionConfig.from_dict(
+            {"optimizer": {"lr": 1, "momentum": 0}, "adaptive": {"eb_max": 10}}
+        )
+        assert cfg.optimizer.lr == 1 and cfg.adaptive.eb_max == 10
+

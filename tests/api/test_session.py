@@ -1,10 +1,10 @@
-"""build_session equivalence contracts.
+"""build_session contracts.
 
 Three things are pinned here:
 
-1. **Config == hand-wired**: a session built from a SessionConfig trains
-   bit-identically to the equivalent legacy ``Trainer`` +
-   ``CompressedTraining`` pair (the shims really are shims).
+1. **One way to build**: ``build_session`` assembles every session —
+   compressed or plain, resident or out-of-core — deterministically,
+   and a build that fails leaves no profiler active and no store open.
 2. **JSON == programmatic**: ``to_json -> from_json -> build_session``
    changes nothing — a committed file reproduces a run.
 3. **Per-layer policies behave**: rules resolve the right codec / bound /
@@ -33,9 +33,9 @@ from repro.api import (
 )
 from repro.compression.lossless import LosslessCompressedTensor
 from repro.compression.szlike import CompressedTensor
-from repro.core import AdaptiveConfig, CompressedTraining, ParamStore
+from repro.core import SyncEngine
 from repro.models import build_scaled_model
-from repro.nn import SGD, SyntheticImageDataset, Trainer, batches
+from repro.nn import SGD, Flatten, Linear, ReLU, Sequential, SyntheticImageDataset, batches
 
 MIXED_CONFIG = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "configs",
@@ -47,119 +47,111 @@ def make_net(model="alexnet", seed=42, image_size=16):
     return build_scaled_model(model, num_classes=8, image_size=image_size, rng=seed)
 
 
-def run(session_or_trainer, iters=5, batch=4, image_size=16, data_seed=7):
+def run(session, iters=5, batch=4, image_size=16, data_seed=7):
     dataset = SyntheticImageDataset(
         num_classes=8, image_size=image_size, signal=0.4, seed=data_seed
     )
-    session_or_trainer.train(batches(dataset, batch, iters, seed=1))
-    return session_or_trainer.history.losses
+    session.train(batches(dataset, batch, iters, seed=1))
+    return session.history.losses
 
 
-class TestShimEquivalence:
-    def test_default_config_matches_legacy_compressed_training(self):
-        with build_session(make_net(), SessionConfig(
-            adaptive=AdaptiveSpec(W=10, warmup_iterations=2)
-        )) as s:
-            losses_cfg = run(s)
-            ratios_cfg = list(s.tracker.iteration_ratios)
-            bounds_cfg = dict(s.error_bounds)
+class TestBuildSession:
+    CFG = SessionConfig(adaptive=AdaptiveSpec(W=10, warmup_iterations=2))
 
-        net = make_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        trainer = Trainer(net, opt)
-        legacy = CompressedTraining(
-            net, opt, config=AdaptiveConfig(W=10, warmup_iterations=2)
-        ).attach(trainer)
-        losses_legacy = run(trainer)
-        trainer.close()
+    def test_default_config_wires_figure_7(self):
+        with build_session(make_net(), self.CFG) as s:
+            assert isinstance(s.engine, SyncEngine)
+            assert s.compressed.ctx.compressor.name == "szlike"
+            assert s.param_store is None and s.profiler is None
+            losses = run(s)
+            ratios = list(s.tracker.iteration_ratios)
+            bounds = dict(s.error_bounds)
+            assert s.compressed.controller.updates > 0
+            assert all(r > 1 for r in ratios)
+        with build_session(make_net(), self.CFG) as s:
+            np.testing.assert_array_equal(run(s), losses)
+            assert list(s.tracker.iteration_ratios) == ratios
+            assert dict(s.error_bounds) == bounds
 
-        np.testing.assert_array_equal(losses_cfg, losses_legacy)
-        assert ratios_cfg == legacy.tracker.iteration_ratios
-        assert bounds_cfg == legacy.error_bounds
-
-    def test_legacy_session_config_twin_reproduces_bit_identically(self):
-        """CompressedTraining(...) builds a SessionConfig internally;
-        feeding it back through build_session is the same run."""
-        net = make_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        trainer = Trainer(net, opt)
-        legacy = CompressedTraining(
-            net, opt,
-            compressor="szlike",
-            config=AdaptiveConfig(W=10, warmup_iterations=2),
-            engine="async",
-        ).attach(trainer)
-        losses_legacy = run(trainer)
-        trainer.close()
-
-        twin = legacy.session_config
-        assert twin is not None
-        # the twin itself serializes
-        twin2 = SessionConfig.from_json(twin.to_json())
-        with build_session(make_net(), twin2) as s:
-            np.testing.assert_array_equal(run(s), losses_legacy)
-            assert s.tracker.iteration_ratios == legacy.tracker.iteration_ratios
-
-    def test_trainer_shim_config_twin(self):
-        """Bare Trainer(param_store=..., profiler=True) == its config."""
-        net = make_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        trainer = Trainer(
-            net, opt, param_store=ParamStore(budget_bytes=64 << 10), profiler=True
-        )
-        twin = trainer.session_config
-        assert twin is not None
-        assert twin.compress_activations is False
-        assert twin.storage.params == "arena"
-        assert twin.profiler.enabled is True
-        losses_legacy = run(trainer)
-        trainer.close()
-
-        with build_session(make_net(), twin) as s:
-            np.testing.assert_array_equal(run(s), losses_legacy)
-            assert s.compressed is None
-            assert s.param_store is not None
-            assert s.profiler is not None
-            assert s.profiler.total_seconds("step") > 0
-
-    def test_non_declarative_sessions_have_no_config_twin(self):
-        class WeirdCodec:
-            error_bounded = False
-            lossless = True
-
-            def compress(self, x, error_bound=None):
-                raise NotImplementedError
-
-            def decompress(self, ct):
-                raise NotImplementedError
-
-        net = make_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        legacy = CompressedTraining(net, opt, compressor=WeirdCodec())
-        assert legacy.session_config is None
-        legacy.close()
-
-    def test_out_of_core_param_config_matches_legacy(self):
+    def test_out_of_core_params_bit_identical_to_resident(self):
+        with build_session(make_net(), self.CFG) as s:
+            losses_resident = run(s)
         cfg = SessionConfig(
             storage=StorageSpec(params="arena", param_budget_bytes=64 << 10),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
         with build_session(make_net(), cfg) as s:
-            losses_cfg = run(s)
-            assert s.param_store is not None
+            np.testing.assert_array_equal(run(s), losses_resident)
+            assert s.param_store is s.compressed.param_store
             assert s.param_store.fetch_count > 0
 
+    def test_plain_session_with_param_store_and_profiler(self):
+        with build_session(make_net(), SessionConfig(compress_activations=False)) as s:
+            losses_plain = run(s)
+            assert s.compressed is None and s.param_store is None
+        cfg = SessionConfig(
+            compress_activations=False,
+            storage=StorageSpec(params="arena", param_budget_bytes=64 << 10),
+            profiler=ProfilerSpec(enabled=True),
+        )
+        with build_session(make_net(), cfg) as s:
+            np.testing.assert_array_equal(run(s), losses_plain)
+            assert s.compressed is None
+            assert s.param_store.fetch_count > 0
+            assert s.profiler.total_seconds("step") > 0
+
+    @staticmethod
+    def _arenas_created(monkeypatch):
+        from repro.core.arena import ByteArena
+
+        created = []
+        init = ByteArena.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(ByteArena, "__init__", spy)
+        return created
+
+    def test_network_without_conv_layers_fails_clean(self, monkeypatch):
+        from repro.utils import profiler
+
+        created = self._arenas_created(monkeypatch)
+        net = Sequential([Flatten(), Linear(3 * 16 * 16, 8, rng=1), ReLU()])
+        cfg = SessionConfig(
+            storage=StorageSpec(activations="arena", params="arena"),
+            profiler=ProfilerSpec(enabled=True),
+        )
+        with pytest.raises(ConfigError, match="no compressible"):
+            build_session(net, cfg)
+        assert profiler.get_active() is None
+        assert all(arena._closed for arena in created)
+        # the same network trains uncompressed
+        cfg.compress_activations = False
+        with build_session(net, cfg) as s:
+            run(s, iters=1)
+
+    def test_failed_build_leaves_nothing_behind(self, monkeypatch):
+        """A failure after the arenas, the param store and the profiler
+        exist (here: the session codec's options) undoes all of them."""
+        from repro.utils import profiler
+
+        created = self._arenas_created(monkeypatch)
         net = make_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        trainer = Trainer(net, opt)
-        CompressedTraining(
-            net, opt,
-            config=AdaptiveConfig(W=10, warmup_iterations=2),
-            param_storage=ParamStore(budget_bytes=64 << 10),
-        ).attach(trainer)
-        losses_legacy = run(trainer)
-        trainer.close()
-        np.testing.assert_array_equal(losses_cfg, losses_legacy)
+        cfg = SessionConfig(
+            codec=CodecSpec("szlike", {"entropy": "bogus"}),
+            storage=StorageSpec(activations="arena", params="arena"),
+            profiler=ProfilerSpec(enabled=True),
+        )
+        with pytest.raises(ConfigError, match="entropy"):
+            build_session(net, cfg)
+        assert profiler.get_active() is None
+        assert len(created) == 2  # the activation arena and the param store's
+        assert all(arena._closed for arena in created)
+        # nothing was attached to the network either: it trains as before
+        with build_session(net, self.CFG) as s:
+            assert np.isfinite(run(s, iters=1)).all()
 
 
 class TestJsonReproducibility:
@@ -237,19 +229,13 @@ class TestPolicyBehaviour:
 
         with self._mixed_session() as s:
             ctx = s.compressed.ctx
-            orig = ctx._make_pack_job
+            orig = ctx._finalize_pack
 
-            def spying(layer, arr):
-                job = orig(layer, arr)
+            def spying(handle, payload):
+                packed[handle.layer_name] = payload[0]
+                orig(handle, payload)
 
-                def wrapped():
-                    out = job()
-                    packed[layer.name] = out[0]
-                    return out
-
-                return wrapped
-
-            ctx._make_pack_job = spying
+            ctx._finalize_pack = spying
             run(s, iters=1)
         assert isinstance(packed["l4"], LosslessCompressedTensor)
         assert isinstance(packed["l0"], CompressedTensor)

@@ -355,14 +355,14 @@ class TestContextIntegration:
     def test_sync_async_bit_identical_with_cache(self, rng):
         """Per-layer keys keep cache decisions deterministic under the
         async engine's worker pool."""
-        from repro.core import CompressingContext, MemoryTracker
+        from repro.core import AsyncEngine, CompressingContext, MemoryTracker, SyncEngine
         from repro.nn import Conv2D
 
         results = {}
-        for engine in ("sync", "async"):
+        for engine in (SyncEngine, AsyncEngine):
             comp, _ = make_cached(eb=1e-2)
             tracker = MemoryTracker()
-            ctx = CompressingContext(comp, tracker=tracker, engine=engine)
+            ctx = CompressingContext(comp, tracker=tracker, engine=engine())
             convs = [Conv2D(3, 2, 3, rng=i + 1, name=f"c{i}") for i in range(3)]
             outs = []
             for it in range(3):
@@ -374,6 +374,6 @@ class TestContextIntegration:
                 )
             ctx.close()
             results[engine] = (outs, tracker.per_layer["c0"].stored_bytes)
-        for a, b in zip(results["sync"][0], results["async"][0]):
+        for a, b in zip(results[SyncEngine][0], results[AsyncEngine][0]):
             np.testing.assert_array_equal(a, b)
-        assert results["sync"][1] == results["async"][1]
+        assert results[SyncEngine][1] == results[AsyncEngine][1]

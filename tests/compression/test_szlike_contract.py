@@ -214,7 +214,7 @@ def test_both_grid_dtypes_are_reached_and_counted():
 )
 @settings(max_examples=200, deadline=None)
 def test_relu_recompute_equals_maximum_then_clamp(values, dtype):
-    """``_postprocess`` clamps without a boolean-mask store; the masked
+    """``_recompute_relu`` clamps without a boolean-mask store; the masked
     form is the oracle — negatives, ``-0.0``, values at exactly ``eb``
     (0.5 here), NaN and infinities included."""
     eb = 0.5
@@ -222,11 +222,10 @@ def test_relu_recompute_equals_maximum_then_clamp(values, dtype):
     want = np.maximum(x, 0)
     want[want <= eb] = 0
     ctx = CompressingContext()
-    ctx.relu_recompute_layers.add("conv")
     handle = PackedActivation(raw_nbytes=x.nbytes, compressed=SimpleNamespace(error_bound=eb))
-    got = ctx._postprocess(SimpleNamespace(name="conv"), handle, x.copy())
+    got = ctx._recompute_relu(handle, x.copy())
     assert got.tobytes() == want.tobytes()
     # a codec without a per-element bound only gets the ReLU itself
     handle = PackedActivation(raw_nbytes=x.nbytes, compressed=object())
-    got = ctx._postprocess(SimpleNamespace(name="conv"), handle, x.copy())
+    got = ctx._recompute_relu(handle, x.copy())
     np.testing.assert_array_equal(got, np.maximum(x, 0))

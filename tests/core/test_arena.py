@@ -347,16 +347,16 @@ class TestReleaseExactlyOnce:
         ctx.unpack(conv, "x", h)
         assert t._live_raw == 0 and t._live_stored == 0
 
-    def test_codec_policy_releases_once(self):
-        from repro.core import CodecPolicy
+    def test_lossless_codec_releases_once(self):
+        from repro.compression import get_codec
 
         t = MemoryTracker()
-        pol = CodecPolicy(SZCompressor(entropy="zlib"), tracker=t)
+        ctx = CompressingContext(get_codec("sparse-lossless"), tracker=t)
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         x = np.random.default_rng(0).standard_normal((1, 3, 8, 8)).astype(np.float32)
-        h = pol.pack(conv, "x", x)
-        pol.unpack(conv, "x", h)
-        pol.discard(conv, "x", h)
+        h = ctx.pack(conv, "x", x)
+        ctx.unpack(conv, "x", h)
+        ctx.discard(conv, "x", h)
         assert t._live_raw == 0 and t._live_stored == 0
 
     def test_layer_load_then_clear_saved(self):

@@ -15,7 +15,6 @@ from repro.core import (
     AdaptiveConfig,
     AsyncEngine,
     ByteArena,
-    CodecPolicy,
     CompressedTraining,
     CompressingContext,
     MemoryTracker,
@@ -48,6 +47,10 @@ def make_codec(name):
     return get_codec(name, **CODEC_SPECS[name])
 
 
+#: the two engines at their default knobs, by name
+ENGINES = {"sync": SyncEngine, "async": AsyncEngine}
+
+
 @pytest.fixture
 def conv():
     return Conv2D(3, 2, 3, rng=1, name="c")
@@ -63,15 +66,21 @@ class TestEngineResolution:
         ctx = CompressingContext(make_codec("szlike"))
         assert isinstance(ctx.engine, SyncEngine)
 
-    def test_string_keys(self):
-        assert isinstance(CompressingContext(engine="sync").engine, SyncEngine)
-        assert isinstance(CompressingContext(engine="async").engine, AsyncEngine)
+    def test_engine_instances(self):
+        assert isinstance(CompressingContext(engine=SyncEngine()).engine, SyncEngine)
+        eng = AsyncEngine()
+        assert CompressingContext(engine=eng).engine is eng
+        eng.close()
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            CompressingContext(engine="gpu")
-        with pytest.raises(TypeError):
-            CompressingContext(engine=42)
+    def test_engine_names_rejected(self):
+        # engines are named only in EngineSpec; the context takes instances
+        for bad in ("sync", "async", 42):
+            with pytest.raises(TypeError, match="CompressionEngine"):
+                CompressingContext(engine=bad)
+
+    def test_codec_names_rejected(self):
+        with pytest.raises(TypeError, match="codec instance"):
+            CompressingContext(compressor="szlike")
 
     def test_engine_binds_to_one_context(self):
         eng = AsyncEngine(workers=1)
@@ -98,7 +107,7 @@ class TestBitIdentityPerCodec:
             storage = ByteArena(budget_bytes=0) if use_arena else None
             ctx = CompressingContext(
                 make_codec(name), initial_rel_eb=1e-3,
-                tracker=tracker, storage=storage, engine=engine,
+                tracker=tracker, storage=storage, engine=ENGINES[engine](),
             )
             handles = [ctx.pack(conv, f"x{i}", act4d + i) for i in range(3)]
             outs = [ctx.unpack(conv, f"x{i}", h) for i, h in reversed(list(enumerate(handles)))]
@@ -139,7 +148,7 @@ def train_session(engine, storage=None, iters=8):
 
 class TestTrainingBitIdentity:
     def test_losses_and_tracker_match_sync(self):
-        tr_s, sess_s = train_session("sync")
+        tr_s, sess_s = train_session(SyncEngine())
         tr_a, sess_a = train_session(AsyncEngine(workers=2, prefetch_depth=2))
         np.testing.assert_array_equal(tr_s.history.losses, tr_a.history.losses)
         assert sess_s.tracker.iteration_ratios == sess_a.tracker.iteration_ratios
@@ -152,7 +161,7 @@ class TestTrainingBitIdentity:
         assert sess_a.tracker._live_raw == 0 and sess_a.tracker._live_stored == 0
 
     def test_arena_spill_prefetch_matches_sync(self):
-        tr_s, _ = train_session("sync")
+        tr_s, _ = train_session(SyncEngine())
         with ByteArena(budget_bytes=0) as arena:  # everything spills
             tr_a, sess_a = train_session(AsyncEngine(workers=2, prefetch_depth=2), storage=arena)
             np.testing.assert_array_equal(tr_s.history.losses, tr_a.history.losses)
@@ -186,8 +195,8 @@ class TestTrainingBitIdentity:
             assert len(arena) == 0
 
     def test_error_bounds_identical_across_engines(self):
-        _, sess_s = train_session("sync")
-        _, sess_a = train_session("async")
+        _, sess_s = train_session(SyncEngine())
+        _, sess_a = train_session(AsyncEngine())
         assert sess_s.error_bounds == sess_a.error_bounds
 
 
@@ -216,7 +225,7 @@ class TestKernelBackendBitIdentity:
     def test_backends_train_bit_identically(self):
         from repro.kernels import available_backends
 
-        results = {b: self.train_with_backend(b, "sync") for b in available_backends()}
+        results = {b: self.train_with_backend(b, SyncEngine()) for b in available_backends()}
         ref_losses, ref_ratios = results["numpy"]
         for backend, (losses, ratios) in results.items():
             np.testing.assert_array_equal(losses, ref_losses)
@@ -226,7 +235,7 @@ class TestKernelBackendBitIdentity:
         from repro.kernels import available_backends
 
         for backend in available_backends():
-            losses_s, _ = self.train_with_backend(backend, "sync")
+            losses_s, _ = self.train_with_backend(backend, SyncEngine())
             losses_a, _ = self.train_with_backend(
                 backend, AsyncEngine(workers=2, prefetch_depth=2)
             )
@@ -274,7 +283,7 @@ class TestConcurrencyStress:
         rng_s = np.random.default_rng(7)
         rng_a = np.random.default_rng(7)
         with ByteArena(budget_bytes=4096) as arena_s:
-            t_sync, out_sync = self._interleave("sync", arena_s, rng_s)
+            t_sync, out_sync = self._interleave(SyncEngine(), arena_s, rng_s)
             assert len(arena_s) == 0
         with ByteArena(budget_bytes=4096) as arena_a:
             t_async, out_async = self._interleave(
@@ -444,7 +453,7 @@ class TestAdaptivePrefetchDepth:
 
     @pytest.mark.parametrize("depth", [0, 1, 3, "auto"])
     def test_bit_identity_at_depth(self, depth):
-        tr_s, sess_s = train_session("sync")
+        tr_s, sess_s = train_session(SyncEngine())
         tr_a, sess_a = train_session(AsyncEngine(workers=2, prefetch_depth=depth))
         np.testing.assert_array_equal(tr_s.history.losses, tr_a.history.losses)
         assert sess_s.tracker.iteration_ratios == sess_a.tracker.iteration_ratios
@@ -468,7 +477,7 @@ class TestAdaptivePrefetchDepth:
         eng = AsyncEngine(workers=2, prefetch_depth="auto")
         with ByteArena(budget_bytes=0) as arena:
             tr_a, _ = train_session(eng, storage=arena)
-            tr_s, _ = train_session("sync")
+            tr_s, _ = train_session(SyncEngine())
             np.testing.assert_array_equal(tr_s.history.losses, tr_a.history.losses)
         # the latency model saw real gaps and jobs and settled on a depth
         assert eng._gap_ema is not None and eng._job_ema is not None
@@ -489,32 +498,33 @@ class TestAdaptivePrefetchDepth:
             AsyncEngine(prefetch_depth="auto", max_auto_depth=0)
 
 
-class TestCodecPolicyEngine:
-    """The unified base gives the baseline policies engines + storage."""
+class TestContextEngines:
+    """Engines and storage apply to any codec on the one context exactly
+    as to the adaptive SZ path."""
 
-    def test_codec_policy_async_matches_sync(self, conv, act4d):
+    def test_lossless_async_matches_sync(self, conv, act4d):
         outs = {}
         for engine in ("sync", "async"):
-            pol = CodecPolicy(get_codec("sparse-lossless"), engine=engine)
-            h = pol.pack(conv, "x", act4d)
-            outs[engine] = pol.unpack(conv, "x", h)
-            assert pol.tracker._live_raw == 0
-            pol.close()
+            ctx = CompressingContext(get_codec("sparse-lossless"), engine=ENGINES[engine]())
+            h = ctx.pack(conv, "x", act4d)
+            outs[engine] = ctx.unpack(conv, "x", h)
+            assert ctx.tracker._live_raw == 0
+            ctx.close()
         np.testing.assert_array_equal(outs["sync"], outs["async"])
+        np.testing.assert_array_equal(outs["sync"], act4d)
 
-    def test_codec_policy_with_arena_storage(self, conv, act4d):
+    def test_async_arena_storage(self, conv, act4d):
         with ByteArena(budget_bytes=0) as arena:
-            pol = CodecPolicy(
-                get_codec("szlike", error_bound=1e-3, entropy="zlib"),
-                storage=arena, engine="async",
+            ctx = CompressingContext(
+                get_codec("szlike", entropy="zlib"), storage=arena, engine=AsyncEngine(),
             )
-            h = pol.pack(conv, "x", act4d)
-            pol.flush()
+            h = ctx.pack(conv, "x", act4d)
+            ctx.flush()
             assert arena.spill_count == 1
-            y = pol.unpack(conv, "x", h)
-            assert np.abs(act4d - y).max() <= 1e-3 * (1 + 1e-6)
+            y = ctx.unpack(conv, "x", h)
+            assert np.abs(act4d - y).max() <= ctx.error_bounds["c"] * (1 + 1e-6)
             assert len(arena) == 0
-            pol.close()
+            ctx.close()
 
     def test_overlap_statistics_populated(self):
         eng = AsyncEngine(workers=2, prefetch_depth=2)

@@ -160,10 +160,11 @@ class TestSession:
         assert all(c.saved_ctx is sess.ctx for c in convs)
 
     def test_rejects_convless_network(self):
+        from repro.api import ConfigError, SessionConfig, build_session
+
         net = Sequential([Flatten(), Linear(12, 4, rng=1)])
-        opt = SGD(net.parameters(), lr=0.01)
-        with pytest.raises(ValueError):
-            CompressedTraining(net, opt)
+        with pytest.raises(ConfigError, match="no compressible"):
+            build_session(net, SessionConfig())
 
     def test_training_produces_ratio_history(self, dataset):
         net, opt, tr, sess = make_session(dataset)

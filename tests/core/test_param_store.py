@@ -13,11 +13,13 @@ import pytest
 from repro.compression import SZCompressor
 from repro.core import (
     AdaptiveConfig,
+    AsyncEngine,
     ByteArena,
     CompressedTraining,
     MemoryTracker,
     ParamStore,
     StoreSlots,
+    SyncEngine,
 )
 from repro.models import build_scaled_model
 from repro.nn import SGD, Adam, ResidentSlots, SyntheticImageDataset, Trainer, batches
@@ -300,9 +302,9 @@ class TestSessionIntegration:
         return losses, stats
 
     def test_param_storage_knob_bit_identical_sync_async(self):
-        l_none, _ = self._session_run(None, "sync")
-        l_sync, (sess_s, _) = self._session_run(ParamStore(budget_bytes=0), "sync")
-        l_async, (sess_a, _) = self._session_run(ParamStore(budget_bytes=0), "async")
+        l_none, _ = self._session_run(None, SyncEngine())
+        l_sync, (sess_s, _) = self._session_run(ParamStore(budget_bytes=0), SyncEngine())
+        l_async, (sess_a, _) = self._session_run(ParamStore(budget_bytes=0), AsyncEngine())
         np.testing.assert_array_equal(l_none, l_sync)
         np.testing.assert_array_equal(l_sync, l_async)
         # the session folded the store's books into its own tracker and
@@ -314,27 +316,32 @@ class TestSessionIntegration:
         """The reverse-order prefetch must stage spilled parameter bytes
         for upcoming layers (budget 0 => every fetch would otherwise be
         a cold disk read)."""
-        _, (session, _) = self._session_run(ParamStore(budget_bytes=0), "async")
+        _, (session, _) = self._session_run(ParamStore(budget_bytes=0), AsyncEngine())
         assert session.engine.param_stages_scheduled > 0
         assert session.param_store.storage.prefetch_count > 0
 
-    def test_byte_arena_accepted_as_param_storage(self):
+    def test_caller_arena_backs_param_store(self):
         arena = ByteArena(budget_bytes=0)
-        losses, (session, _) = self._session_run(arena, "sync")
+        losses, _ = self._session_run(ParamStore(storage=arena), SyncEngine())
         assert np.isfinite(losses).all()
         assert arena.spill_count > 0
         arena.close()
 
-    def test_trainer_knob(self):
+    def test_plain_session_param_store(self):
+        from repro.api import SessionConfig, StorageSpec, build_session
+
         net = small_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        store = ParamStore(budget_bytes=0)
-        with Trainer(net, opt, param_store=store) as trainer:
+        cfg = SessionConfig(
+            compress_activations=False,
+            storage=StorageSpec(params="arena", param_budget_bytes=0),
+        )
+        with build_session(net, cfg) as session:
             dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
-            trainer.train(batches(dataset, 4, 2, seed=1))
-            assert isinstance(opt.state, StoreSlots)
-        # close hook restored residency
-        assert isinstance(opt.state, ResidentSlots)
+            session.train(batches(dataset, 4, 2, seed=1))
+            assert isinstance(session.optimizer.state, StoreSlots)
+            assert session.param_store.fetch_count > 0
+        # close restored residency
+        assert isinstance(session.optimizer.state, ResidentSlots)
         assert np.isfinite(net.parameters()[0].data).all()
 
     def test_write_slot_casts_to_entry_dtype(self):

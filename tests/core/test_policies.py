@@ -1,26 +1,23 @@
-"""Baseline memory policies compared against the adaptive framework."""
+"""The Section 2.1 baselines, each a session config of the one context.
+
+Raw training is ``compress_activations=False``; lossless storage is a
+lossless codec with the adaptive controller off; a fixed-bound SZ
+ablation is one ``"*"`` rule with a fixed ``error_bound``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.compression import (
-    DeflateCompressor,
-    JpegLikeCompressor,
-    SparseLosslessCompressor,
-)
-from repro.core import CodecPolicy, FixedBoundSZPolicy, RawPolicy
+from repro.api import AdaptiveSpec, CodecSpec, PolicyRule, SessionConfig, build_session
 from repro.nn import (
     Conv2D,
     Flatten,
     Linear,
     MaxPool2D,
     ReLU,
-    SGD,
     Sequential,
     SyntheticImageDataset,
-    Trainer,
     batches,
-    set_saved_ctx,
 )
 
 
@@ -29,71 +26,64 @@ def dataset():
     return SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
 
 
-def net_with_policy(policy, seed=1):
-    net = Sequential([
+def small_net(seed=1):
+    return Sequential([
         Conv2D(3, 6, 3, padding=1, rng=seed), ReLU(), MaxPool2D(2),
         Conv2D(6, 8, 3, padding=1, rng=seed + 1), ReLU(), MaxPool2D(2),
         Flatten(), Linear(8 * 4 * 4, 4, rng=seed + 2),
     ])
-    if policy is not None:
-        set_saved_ctx(net, policy, predicate=lambda l: l.compressible)
-    return net
 
 
-def train_with(policy, dataset, iters=8):
-    net = net_with_policy(policy)
-    opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-    tr = Trainer(net, opt)
-    tr.train(batches(dataset, 8, iters, seed=0))
-    return tr
+RAW = SessionConfig(compress_activations=False)
 
 
-class TestRawPolicy:
-    def test_accounting_ratio_is_one(self, dataset):
-        pol = RawPolicy()
-        train_with(pol, dataset)
-        assert pol.tracker.overall_ratio == pytest.approx(1.0)
-
-    def test_training_identical_to_no_policy(self, dataset):
-        t1 = train_with(None, dataset)
-        t2 = train_with(RawPolicy(), dataset)
-        np.testing.assert_allclose(t1.history.losses, t2.history.losses, rtol=1e-6)
+def codec_only(name, **options):
+    """Every activation through *name*, no adaptive controller."""
+    return SessionConfig(codec=CodecSpec(name, options), adaptive=AdaptiveSpec(enabled=False))
 
 
-class TestCodecPolicy:
-    @pytest.mark.parametrize("codec,lossless", [
-        (DeflateCompressor(), True),
-        (SparseLosslessCompressor(), True),
-        (JpegLikeCompressor(quality=60), False),
-    ])
-    def test_training_runs_and_tracks(self, dataset, codec, lossless):
-        pol = CodecPolicy(codec)
-        tr = train_with(pol, dataset)
-        assert np.isfinite(tr.history.losses).all()
-        assert pol.tracker.overall_ratio > (0.9 if lossless else 1.0)
-
-    def test_lossless_policy_exactly_matches_baseline(self, dataset):
-        t1 = train_with(None, dataset)
-        t2 = train_with(CodecPolicy(SparseLosslessCompressor()), dataset)
-        np.testing.assert_allclose(t1.history.losses, t2.history.losses, rtol=1e-6)
-
-    def test_rejects_non_codec(self):
-        with pytest.raises(TypeError):
-            CodecPolicy(object())
+def fixed_bound(eb):
+    """One static SZ bound for every layer (the ablation against Eq. 9)."""
+    return SessionConfig(
+        codec=CodecSpec("szlike", {"entropy": "zlib"}),
+        rules=[PolicyRule(match="*", error_bound=eb)],
+    )
 
 
-class TestFixedBoundSZPolicy:
-    def test_near_lossless_bound_matches_baseline(self, dataset):
-        t1 = train_with(None, dataset)
-        t2 = train_with(FixedBoundSZPolicy(1e-7, entropy="zlib"), dataset)
-        np.testing.assert_allclose(t1.history.losses, t2.history.losses, atol=1e-4)
+def train(config, dataset, iters=8):
+    """(losses, overall activation ratio — 1.0 for raw training)."""
+    with build_session(small_net(), config) as s:
+        s.train(batches(dataset, 8, iters, seed=0))
+        ratio = s.tracker.overall_ratio if s.tracker is not None else 1.0
+        return s.history.losses, ratio
 
+
+class TestLossless:
+    @pytest.mark.parametrize("name", ["lossless", "sparse-lossless"])
+    def test_losses_bit_equal_to_raw(self, dataset, name):
+        raw, _ = train(RAW, dataset)
+        losses, ratio = train(codec_only(name), dataset)
+        np.testing.assert_array_equal(losses, raw)
+        assert ratio > 0.9
+
+
+class TestFixedBound:
     def test_coarser_bound_higher_ratio(self, dataset):
-        p1 = FixedBoundSZPolicy(1e-4, entropy="zlib")
-        p2 = FixedBoundSZPolicy(1e-2, entropy="zlib")
-        train_with(p1, dataset)
-        train_with(p2, dataset)
-        assert p2.tracker.overall_ratio > p1.tracker.overall_ratio
+        _, fine = train(fixed_bound(1e-4), dataset)
+        _, coarse = train(fixed_bound(1e-2), dataset)
+        assert coarse > fine
+
+    def test_rule_pins_every_layer(self, dataset):
+        with build_session(small_net(), fixed_bound(1e-2)) as s:
+            s.train(batches(dataset, 8, 3, seed=0))
+            assert set(s.error_bounds.values()) == {1e-2}
+
+
+class TestLossy:
+    def test_jpeg_trains(self, dataset):
+        losses, ratio = train(codec_only("jpeg", quality=60), dataset)
+        assert np.isfinite(losses).all()
+        assert ratio > 1.0
 
 
 class TestPolicyRanking:
@@ -103,10 +93,8 @@ class TestPolicyRanking:
         The bound is 1e-2 of unit-variance inputs, the paper's regime; at
         1e-3 this 16x16 net gives szlike 1.19x, which the plane-coded
         lossless baseline (1.24x, was 1.09x as raw DEFLATE) overtakes."""
-        raw = RawPolicy()
-        lossless = CodecPolicy(SparseLosslessCompressor())
-        sz = FixedBoundSZPolicy(1e-2, entropy="zlib")
-        for pol in (raw, lossless, sz):
-            train_with(pol, dataset, iters=4)
-        assert sz.tracker.overall_ratio > 2 * lossless.tracker.overall_ratio
-        assert lossless.tracker.overall_ratio >= raw.tracker.overall_ratio * 0.99
+        _, raw = train(RAW, dataset, iters=4)
+        _, lossless = train(codec_only("sparse-lossless"), dataset, iters=4)
+        _, sz = train(fixed_bound(1e-2), dataset, iters=4)
+        assert sz > 2 * lossless
+        assert lossless >= raw * 0.99

@@ -81,6 +81,18 @@ class TestEndpoint:
         code, _ = call(endpoint, "POST", "/tenants/a/steps", {"steps": 0})
         assert code == 400
 
+    @pytest.mark.parametrize(
+        "session",
+        [{"engine": {"workers": "2"}}, {"rules": [{"match": "l0", "error_bound": "1e-3"}]}],
+    )
+    def test_wrong_typed_session_scalar_is_400(self, endpoint, session):
+        body = {**tenant_body("t"), "session": session}
+        code, reply = call(endpoint, "POST", "/tenants", body)
+        assert code == 400
+        assert "must be" in reply["error"]
+        code, reply = call(endpoint, "GET", "/tenants")
+        assert code == 200 and reply["tenants"] == {}
+
     def test_unknown_tenant_is_404(self, endpoint):
         code, _ = call(endpoint, "POST", "/tenants/ghost/steps", {"steps": 1})
         assert code == 404

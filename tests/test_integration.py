@@ -5,10 +5,10 @@ paper relies on holds end to end."""
 import numpy as np
 import pytest
 
-from repro.compression import SZCompressor
-from repro.core import AdaptiveConfig, CompressedTraining
+from repro.api import AdaptiveSpec, CodecSpec, OptimizerSpec, PolicyRule, SessionConfig
+from repro.api import build_session
 from repro.models import build_scaled_model
-from repro.nn import SGD, SyntheticImageDataset, Trainer, batches
+from repro.nn import SyntheticImageDataset, batches
 
 
 @pytest.fixture(scope="module")
@@ -16,56 +16,54 @@ def dataset():
     return SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
 
 
+def fixed_bound(eb):
+    """One static SZ bound for every compressible layer."""
+    return SessionConfig(
+        codec=CodecSpec("szlike", {"entropy": "zlib"}),
+        rules=[PolicyRule(match="*", error_bound=eb)],
+    )
+
+
 @pytest.mark.parametrize("model", ["alexnet", "vgg16", "resnet18", "resnet50"])
 def test_every_architecture_trains_compressed(model, dataset):
     net = build_scaled_model(model, num_classes=4, image_size=16, rng=11)
-    opt = SGD(net.parameters(), lr=0.005, momentum=0.9)
-    tr = Trainer(net, opt)
-    sess = CompressedTraining(
-        net, opt,
-        compressor=SZCompressor(entropy="zlib"),
-        config=AdaptiveConfig(W=5, warmup_iterations=2),
-    ).attach(tr)
-    tr.train(batches(dataset, 8, 10, seed=0))
-    assert np.isfinite(tr.history.losses).all()
-    assert sess.tracker.overall_ratio > 1.5
-    assert len(sess.error_bounds) >= 3
+    cfg = SessionConfig(
+        codec=CodecSpec("szlike", {"entropy": "zlib"}),
+        adaptive=AdaptiveSpec(W=5, warmup_iterations=2),
+        optimizer=OptimizerSpec(lr=0.005),
+    )
+    with build_session(net, cfg) as s:
+        s.train(batches(dataset, 8, 10, seed=0))
+        assert np.isfinite(s.history.losses).all()
+        assert s.tracker.overall_ratio > 1.5
+        assert len(s.error_bounds) >= 3
 
 
 def test_identical_trajectory_when_bound_negligible(dataset):
     """The whole stack is exact when compression error is negligible."""
-    def run(eb=None):
+    def run(config):
         net = build_scaled_model("alexnet", num_classes=4, image_size=16, rng=5)
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        tr = Trainer(net, opt)
-        if eb is not None:
-            from repro.core.policies import FixedBoundSZPolicy
-            from repro.nn import set_saved_ctx
+        with build_session(net, config) as s:
+            s.train(batches(dataset, 8, 8, seed=0))
+            return s.history.losses
 
-            set_saved_ctx(net, FixedBoundSZPolicy(eb, entropy="zlib"),
-                          predicate=lambda l: l.compressible)
-        tr.train(batches(dataset, 8, 8, seed=0))
-        return tr.history.losses
-
-    np.testing.assert_allclose(run(None), run(1e-8), atol=1e-5)
+    np.testing.assert_allclose(
+        run(SessionConfig(compress_activations=False)), run(fixed_bound(1e-8)), atol=1e-5
+    )
 
 
 def test_absurd_bound_starves_conv_gradients(dataset):
     """An error bound far beyond the activation range quantizes every
     saved activation to zero, so conv weight gradients vanish — the
     failure mode Eq. 9's budget exists to avoid."""
-    from repro.core.policies import FixedBoundSZPolicy
-    from repro.nn import Conv2D, iter_layers, set_saved_ctx
+    from repro.nn import Conv2D, iter_layers
 
     def conv_weight_movement(eb):
         net = build_scaled_model("alexnet", num_classes=4, image_size=16, rng=5)
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        tr = Trainer(net, opt)
-        set_saved_ctx(net, FixedBoundSZPolicy(eb, entropy="zlib"),
-                      predicate=lambda l: l.compressible)
         convs = [l for l in iter_layers(net) if isinstance(l, Conv2D)]
         before = [c.weight.data.copy() for c in convs]
-        tr.train(batches(dataset, 16, 10, seed=0))
+        with build_session(net, fixed_bound(eb)) as s:
+            s.train(batches(dataset, 16, 10, seed=0))
         return sum(float(np.abs(c.weight.data - b).sum())
                    for c, b in zip(convs, before))
 
@@ -78,13 +76,15 @@ def test_session_coexists_with_lr_schedule_and_hooks(dataset):
     from repro.nn import StepLR
 
     net = build_scaled_model("alexnet", num_classes=4, image_size=16, rng=7)
-    opt = SGD(net.parameters(), lr=0.02, momentum=0.9)
-    sched = StepLR(opt, step_size=5, gamma=0.5)
-    tr = Trainer(net, opt, lr_schedule=sched)
-    calls = []
-    tr.post_backward_hooks.append(lambda t, r: calls.append(r.iteration))
-    sess = CompressedTraining(net, opt, config=AdaptiveConfig(W=3, warmup_iterations=1)).attach(tr)
-    tr.train(batches(dataset, 8, 11, seed=0))
-    assert opt.lr == pytest.approx(0.02 * 0.25)
-    assert calls == list(range(11))
-    assert sess.tracker.overall_ratio > 1
+    cfg = SessionConfig(
+        adaptive=AdaptiveSpec(W=3, warmup_iterations=1), optimizer=OptimizerSpec(lr=0.02)
+    )
+    with build_session(net, cfg) as s:
+        opt = s.optimizer
+        s.trainer.lr_schedule = StepLR(opt, step_size=5, gamma=0.5)
+        calls = []
+        s.trainer.post_backward_hooks.append(lambda t, r: calls.append(r.iteration))
+        s.train(batches(dataset, 8, 11, seed=0))
+        assert opt.lr == pytest.approx(0.02 * 0.25)
+        assert calls == list(range(11))
+        assert s.tracker.overall_ratio > 1

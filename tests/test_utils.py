@@ -198,23 +198,23 @@ class TestStageProfiler:
         p.reset()
         assert p.snapshot() == {}
 
-    def test_trainer_knob_profiles_hot_path(self):
-        """Trainer(profiler=True) activates stage timing end-to-end: the
-        codec stages and the step stage accumulate during training."""
-        from repro.core import AdaptiveConfig, CompressedTraining
+    def test_session_profiler_profiles_hot_path(self):
+        """ProfilerSpec(enabled=True) activates stage timing end-to-end:
+        the codec stages and the step stage accumulate during training."""
+        from repro.api import AdaptiveSpec, ProfilerSpec, SessionConfig
+        from repro.api import build_session
         from repro.models import build_scaled_model
-        from repro.nn import SGD, SyntheticImageDataset, Trainer, batches
+        from repro.nn import SyntheticImageDataset, batches
 
         net = build_scaled_model("alexnet", num_classes=4, image_size=16, rng=1)
-        opt = SGD(net.parameters(), lr=0.01)
-        trainer = Trainer(net, opt, profiler=True)
-        CompressedTraining(
-            net, opt, config=AdaptiveConfig(W=5, warmup_iterations=1)
-        ).attach(trainer)
-        ds = SyntheticImageDataset(num_classes=4, image_size=16, seed=5)
-        trainer.train(batches(ds, 4, 2, seed=1))
-        snap = trainer.profiler.snapshot()
-        trainer.close()
+        cfg = SessionConfig(
+            adaptive=AdaptiveSpec(W=5, warmup_iterations=1),
+            profiler=ProfilerSpec(enabled=True),
+        )
+        with build_session(net, cfg) as session:
+            ds = SyntheticImageDataset(num_classes=4, image_size=16, seed=5)
+            session.train(batches(ds, 4, 2, seed=1))
+            snap = session.profiler.snapshot()
         for stage_name in ("step", "quantize", "predict", "encode", "decode"):
             assert stage_name in snap, f"missing stage {stage_name}"
             assert snap[stage_name]["calls"] > 0
@@ -272,20 +272,20 @@ class TestOverlapSummary:
     def test_engine_run_populates_overlap_summary(self):
         """An async training run records unpack-ahead as hidden time and
         engine-wait as exposure, so the summary decomposes the overlap."""
-        from repro.core import AdaptiveConfig, AsyncEngine, CompressedTraining
+        from repro.api import AdaptiveSpec, EngineSpec, ProfilerSpec
+        from repro.api import SessionConfig, build_session
         from repro.models import build_scaled_model
-        from repro.nn import SGD, SyntheticImageDataset, Trainer, batches
+        from repro.nn import SyntheticImageDataset, batches
 
         net = build_scaled_model("alexnet", num_classes=4, image_size=16, rng=1)
-        opt = SGD(net.parameters(), lr=0.01)
-        trainer = Trainer(net, opt, profiler=True)
-        CompressedTraining(
-            net, opt, config=AdaptiveConfig(W=5, warmup_iterations=1),
-            engine=AsyncEngine(workers=2, prefetch_depth=2, unpack_depth=2),
-        ).attach(trainer)
-        ds = SyntheticImageDataset(num_classes=4, image_size=16, seed=5)
-        trainer.train(batches(ds, 4, 3, seed=1))
-        summary = trainer.profiler.overlap_summary()
-        trainer.close()
+        cfg = SessionConfig(
+            adaptive=AdaptiveSpec(W=5, warmup_iterations=1),
+            engine=EngineSpec(kind="async", workers=2, prefetch_depth=2, unpack_depth=2),
+            profiler=ProfilerSpec(enabled=True),
+        )
+        with build_session(net, cfg) as session:
+            ds = SyntheticImageDataset(num_classes=4, image_size=16, seed=5)
+            session.train(batches(ds, 4, 3, seed=1))
+            summary = session.profiler.overlap_summary()
         assert "unpack-ahead" in summary
         assert summary["unpack-ahead"]["hidden_seconds"] > 0.0
