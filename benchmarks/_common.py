@@ -150,36 +150,31 @@ def smooth_activation(rng, shape, sigma=1.5, relu=True):
 #: CI-scale smoke mode shared by every benchmark that honors it
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
 
-#: shared scale for the sync-vs-async engine axes (QUICK: CI smoke) —
+#: shared scale for the measured training runs (QUICK: CI smoke) —
 #: bench_overhead and bench_fig11 must measure the same configuration
-ENGINE_MODEL = "alexnet" if QUICK else "vgg16"
-ENGINE_IMAGE = 16 if QUICK else 32
-ENGINE_BATCH = 4 if QUICK else 16
+RUN_MODEL = "alexnet" if QUICK else "vgg16"
+RUN_IMAGE = 16 if QUICK else 32
+RUN_BATCH = 4 if QUICK else 16
 
 
-#: the committed declarative setup every engine-axis run starts from —
+#: the committed declarative setup every measured run starts from —
 #: codec, adaptive knobs, and optimizer pinned in one reviewable file
-ENGINE_CONFIG = os.path.join(os.path.dirname(__file__), "configs", "engine_session.json")
+RUN_CONFIG = os.path.join(os.path.dirname(__file__), "configs", "session.json")
 
 
-def timed_engine_run(engine, model=ENGINE_MODEL, image_size=ENGINE_IMAGE,
-                     batch=ENGINE_BATCH, iters=6, param_budget=None,
-                     unpack_depth=None, bind_window_bytes=0, profile=False):
-    """One compressed-training run for the sync-vs-async engine axes.
+def timed_run(model=RUN_MODEL, image_size=RUN_IMAGE, batch=RUN_BATCH, iters=6,
+              param_budget=None):
+    """One compressed-training run of the committed session config.
 
     Returns ``(seconds, losses, session)`` where *session* exposes the
-    compressed-training internals (``tracker``, ``param_store``,
-    ``engine``, and — with ``profile=True`` — ``profiler``).  The setup
-    is the committed JSON config ``configs/engine_session.json`` loaded
-    through the :mod:`repro.api` front door, with only the benchmark
-    axes (engine kind, parameter budget, unpack/bind-window overlap
-    knobs) overridden — so the benchmarked workload is reproducible
-    from a reviewable file.  Deterministically seeded: two runs that
-    differ only in *engine* (or any overlap knob, or in whether
-    parameters live out-of-core) must produce bit-identical losses and
-    tracker numbers.  ``param_budget`` (bytes) additionally moves
-    weights and optimizer slots into an arena-backed ``ParamStore``
-    with that in-memory budget — the full out-of-core regime.
+    compressed-training internals (``tracker``, ``param_store``).  The
+    setup is ``configs/session.json`` loaded through the :mod:`repro.api`
+    front door, so the benchmarked workload is reproducible from a
+    reviewable file.  Deterministically seeded: a run whose parameters
+    live out-of-core must produce losses and tracker numbers
+    bit-identical to the resident run.  ``param_budget`` (bytes) moves
+    weights and optimizer slots into an arena-backed ``ParamStore`` with
+    that in-memory budget — the full out-of-core regime.
     """
     import time
 
@@ -187,14 +182,7 @@ def timed_engine_run(engine, model=ENGINE_MODEL, image_size=ENGINE_IMAGE,
     from repro.models import build_scaled_model
     from repro.nn import SyntheticImageDataset, batches
 
-    cfg = SessionConfig.from_json(ENGINE_CONFIG)
-    cfg.engine.kind = engine
-    if unpack_depth is not None:
-        cfg.engine.unpack_depth = unpack_depth
-    if bind_window_bytes:
-        cfg.engine.bind_window_bytes = bind_window_bytes
-    if profile:
-        cfg.profiler.enabled = True
+    cfg = SessionConfig.from_json(RUN_CONFIG)
     if param_budget is not None:
         cfg.storage.params = "arena"
         cfg.storage.param_budget_bytes = param_budget

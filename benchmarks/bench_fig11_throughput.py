@@ -1,20 +1,19 @@
 """Figure 11: ResNet-50 training throughput (images/s) vs batch size N,
 single V100 and 4-node x 4-GPU, baseline vs our framework.
 
-Alongside the analytic simulator sweep, a *measured* engine axis runs a
-small compressed training stack for real and reports images/s with the
-sync versus the async (overlapped pack + prefetch) compression engine.
+Alongside the analytic simulator sweep, a *measured* run trains a small
+compressed stack for real and reports its images/s.
 """
 
 import numpy as np
 
 from _common import (
-    ENGINE_BATCH,
-    ENGINE_MODEL,
     QUICK,
+    RUN_BATCH,
+    RUN_MODEL,
     group_summary_doc,
     metric,
-    timed_engine_run,
+    timed_run,
     write_bench_json,
     write_report,
 )
@@ -22,13 +21,8 @@ from repro.simulator import BASELINE, TrainingSimulator, V100, our_policy
 
 BATCHES = [8, 16, 32, 64, 128, 256]
 
-#: measured engine axis: the shared _common engine scale, both engines
+#: measured run: the shared _common scale
 MEASURED_ITERS = 2 if QUICK else 4
-
-
-def measure_engine(engine):
-    dt, losses, compressed = timed_engine_run(engine, iters=MEASURED_ITERS)
-    return ENGINE_BATCH * MEASURED_ITERS / dt, losses, compressed
 
 
 def sweep_all():
@@ -64,17 +58,12 @@ def test_fig11_report(benchmark):
         "extends the feasible batch range — matched.",
     ]
 
-    # -- measured engine axis: sync vs async on a real (CPU-scale) stack --
-    ips_sync, losses_sync, sess_sync = measure_engine("sync")
-    ips_async, losses_async, _ = measure_engine("async")
-    np.testing.assert_array_equal(losses_sync, losses_async)  # same bits
+    # -- measured: the compressed stack at CPU scale -----------------------
+    dt, losses, sess = timed_run(iters=MEASURED_ITERS)
+    ips = RUN_BATCH * MEASURED_ITERS / dt
     rows += [
-        f"-- measured engine axis ({ENGINE_MODEL} scaled, batch {ENGINE_BATCH}) --",
-        f"{'engine':8s} {'img/s':>8s}",
-        f"{'sync':8s} {ips_sync:>8.1f}",
-        f"{'async':8s} {ips_async:>8.1f}",
-        f"async/sync throughput: {ips_async / ips_sync:.2f}x "
-        "(losses bit-identical, asserted)",
+        f"-- measured ({RUN_MODEL} scaled, batch {RUN_BATCH}) --",
+        f"img/s: {ips:.1f}",
     ]
     write_report("fig11_throughput", rows)
     write_bench_json(
@@ -90,19 +79,17 @@ def test_fig11_report(benchmark):
             ),
             "measured_sync_img_per_s": metric(
                 # Quick-mode measurement is ~2 tiny iterations: wide band.
-                ips_sync, "img/s", gate=True, tolerance=0.25 if not QUICK else 0.60
+                ips, "img/s", gate=True, tolerance=0.25 if not QUICK else 0.60
             ),
-            "measured_async_img_per_s": metric(ips_async, "img/s"),
-            "async_over_sync": metric(ips_async / ips_sync, "x"),
         },
         context={
-            "model": ENGINE_MODEL,
-            "batch": ENGINE_BATCH,
+            "model": RUN_MODEL,
+            "batch": RUN_BATCH,
             "iters": MEASURED_ITERS,
-            "memory_groups": group_summary_doc(sess_sync.tracker),
+            "memory_groups": group_summary_doc(sess.tracker),
         },
     )
-    assert ips_sync > 0 and ips_async > 0
+    assert ips > 0 and np.isfinite(losses).all()
 
     one = data["1 GPU"]["base"]
     assert one[256].images_per_s > one[8].images_per_s  # rising curve

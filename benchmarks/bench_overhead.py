@@ -4,28 +4,25 @@ Regenerates the paper's overhead numbers: ~17% at the same batch size
 (model-dependent; ~7% for VGG-16 when the saved memory funds a batch
 increase), the Layrub migration comparison (2.4x memory at 24.1% cost),
 plus codec throughput microbenchmarks on real activation tensors and a
-*measured* sync-vs-async compression-engine comparison (the paper's
-overlap claim) on a VGG-scale conv stack.
+*measured* resident-vs-out-of-core-parameters run on a VGG-scale conv
+stack.
 
-Set ``REPRO_BENCH_QUICK=1`` for a CI-scale smoke run of the engine
-comparison (tiny model, no speedup assertion — containers may have one
-core); the bit-identity assertions always run.
+Set ``REPRO_BENCH_QUICK=1`` for a CI-scale smoke run of the measured
+comparison (tiny model); the bit-identity assertions always run.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from _common import (
-    ENGINE_BATCH,
-    ENGINE_IMAGE,
-    ENGINE_MODEL,
     QUICK,
+    RUN_BATCH,
+    RUN_IMAGE,
+    RUN_MODEL,
     group_summary_doc,
     metric,
     smooth_activation,
-    timed_engine_run,
+    timed_run,
     write_bench_json,
     write_report,
 )
@@ -85,136 +82,72 @@ def test_overhead_policies_report(benchmark):
     assert 0.0 < vgg_ours < 0.15
 
 
-# -- sync vs async engine: the overlap claim, measured for real ------------
+# -- resident vs out-of-core parameters, measured for real ----------------
 
-ENGINE_ITERS = 2 if QUICK else 6
+RUN_ITERS = 2 if QUICK else 6
 
 
-def test_engine_overlap_report(benchmark):
-    """Async engine overlaps pack with the next layer's forward: same
-    bits, byte-exact tracker numbers, lower wall clock (multi-core)."""
+def test_out_of_core_report(benchmark):
+    """Out-of-core parameters (a small, bounded budget forces the spill
+    + JIT-rebind path) train bit-identically to resident parameters; the
+    overhead is the recorded cost of full out-of-core training."""
 
     def run():
         return {
-            "sync": timed_engine_run("sync", iters=ENGINE_ITERS),
-            "async": timed_engine_run("async", iters=ENGINE_ITERS),
-            # The decode-ahead axis: speculative unpack on top of the
-            # pack overlap, with the stage profiler recording how much
-            # decompress time the window actually hid.
-            "async+unpack": timed_engine_run(
-                "async", iters=ENGINE_ITERS, unpack_depth=2, profile=True
-            ),
+            "resident": timed_run(iters=RUN_ITERS),
+            "params": timed_run(iters=RUN_ITERS, param_budget=64 << 10),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    t_sync, losses_sync, sess_sync = results["sync"]
-    t_async, losses_async, sess_async = results["async"]
-    t_unp, losses_unp, sess_unp = results["async+unpack"]
+    t_res, losses_res, sess_res = results["resident"]
+    t_oov, losses_oov, sess_oov = results["params"]
 
-    # Contract before speed: async must be indistinguishable from sync.
-    np.testing.assert_array_equal(losses_sync, losses_async)
-    np.testing.assert_array_equal(losses_sync, losses_unp)
-    assert sess_sync.tracker.iteration_ratios == sess_async.tracker.iteration_ratios
-    assert sess_sync.tracker.iteration_ratios == sess_unp.tracker.iteration_ratios
-    assert sess_sync.tracker.peak_stored_bytes == sess_async.tracker.peak_stored_bytes
-    assert sess_async.tracker._live_raw == 0 and sess_async.tracker._live_stored == 0
-
-    # Out-of-core parameters on top (a small, bounded budget forces the
-    # spill + JIT-rebind path): losses must stay bit-identical and the
-    # overhead is the recorded cost of full out-of-core training.  Bind
-    # windows group the model's many small layers into one arena window.
-    t_oov, losses_oov, sess_oov = timed_engine_run(
-        "sync", iters=ENGINE_ITERS, param_budget=64 << 10,
-        bind_window_bytes=64 << 10,
-    )
-    np.testing.assert_array_equal(losses_sync, losses_oov)
+    # Contract before speed: out-of-core must be indistinguishable.
+    np.testing.assert_array_equal(losses_res, losses_oov)
+    assert sess_res.tracker.iteration_ratios == sess_oov.tracker.iteration_ratios
+    assert sess_res.tracker._live_raw == 0 and sess_res.tracker._live_stored == 0
     ps = sess_oov.param_store
-    oov_overhead = t_oov / t_sync - 1 if t_sync else 0.0
-
-    eng = sess_async.engine
-    eng_unp = sess_unp.engine
-    overlap = sess_unp.profiler.overlap_summary() if sess_unp.profiler else {}
-    hidden = overlap.get("unpack-ahead", {})
-    speedup = t_sync / t_async if t_async else 0.0
-    unpack_speedup = t_sync / t_unp if t_unp else 0.0
-    obtains = eng_unp.packs_submitted or 1
-    unpack_hit_rate = eng_unp.prefetch_hits / obtains
-    ips = ENGINE_BATCH * ENGINE_ITERS
+    oov_overhead = t_oov / t_res - 1 if t_res else 0.0
+    ips = RUN_BATCH * RUN_ITERS
     rows = [
-        f"Compression engine overlap — {ENGINE_MODEL} (image {ENGINE_IMAGE}, "
-        f"batch {ENGINE_BATCH}, {ENGINE_ITERS} iters)" + (" [QUICK]" if QUICK else ""),
-        f"{'engine':12s} {'wall clock':>11s} {'ratio':>7s}",
-        f"{'sync':12s} {t_sync:>10.3f}s {sess_sync.tracker.overall_ratio:>6.1f}x",
-        f"{'async':12s} {t_async:>10.3f}s {sess_async.tracker.overall_ratio:>6.1f}x",
-        f"{'async+unpack':12s} {t_unp:>10.3f}s {sess_unp.tracker.overall_ratio:>6.1f}x",
-        f"{'sync+params':12s} {t_oov:>10.3f}s {sess_oov.tracker.overall_ratio:>6.1f}x",
-        f"overlap speedup: {speedup:.2f}x "
-        f"(packs overlapped {eng.packs_overlapped}/{eng.packs_submitted}, "
-        f"prefetch hits {eng.prefetch_hits}/{eng.prefetches_scheduled})",
-        f"decode-ahead speedup: {unpack_speedup:.2f}x "
-        f"(unpack hits {eng_unp.prefetch_hits}/{obtains} = {unpack_hit_rate:.0%}, "
-        f"hidden decompress {hidden.get('hidden_seconds', 0.0):.3f}s of "
-        f"{hidden.get('seconds', 0.0):.3f}s)",
+        f"Out-of-core parameters — {RUN_MODEL} (image {RUN_IMAGE}, "
+        f"batch {RUN_BATCH}, {RUN_ITERS} iters)" + (" [QUICK]" if QUICK else ""),
+        f"{'params':12s} {'wall clock':>11s} {'ratio':>7s}",
+        f"{'resident':12s} {t_res:>10.3f}s {sess_res.tracker.overall_ratio:>6.1f}x",
+        f"{'arena':12s} {t_oov:>10.3f}s {sess_oov.tracker.overall_ratio:>6.1f}x",
         f"out-of-core params: {oov_overhead:+.1%} overhead "
         f"({ps.storage.spill_count} spills, "
-        f"peak materialized {ps.peak_materialized_nbytes >> 10} KiB, "
-        f"{ps.window_switches} window switches)",
+        f"peak materialized {ps.peak_materialized_nbytes >> 10} KiB)",
         "losses bit-identical, tracker byte-exact: yes (asserted)",
     ]
-    write_report("engine_overlap", rows)
+    write_report("out_of_core", rows)
     write_bench_json(
-        "engine_overlap",
+        "out_of_core",
         {
-            "sync_wall_clock_s": metric(t_sync, "s", higher_is_better=False),
-            "async_wall_clock_s": metric(t_async, "s", higher_is_better=False),
-            "async_unpack_wall_clock_s": metric(t_unp, "s", higher_is_better=False),
+            "resident_wall_clock_s": metric(t_res, "s", higher_is_better=False),
+            "out_of_core_wall_clock_s": metric(t_oov, "s", higher_is_better=False),
             # Wide band: the quick-mode run is tens of milliseconds, and
             # shared CI runners add scheduler noise well above 25%.
-            "sync_images_per_s": metric(
-                ips / t_sync, "img/s", gate=True, tolerance=0.25 if not QUICK else 0.60
-            ),
-            "overlap_speedup": metric(speedup, "x"),
-            "unpack_speedup": metric(unpack_speedup, "x"),
-            # Deterministic at fixed iteration count: gate it tightly.
-            "unpack_hit_rate": metric(
-                unpack_hit_rate, "frac", gate=True, tolerance=0.10
-            ),
-            "unpack_hidden_fraction": metric(
-                hidden.get("hidden_fraction", 0.0), "frac"
+            "resident_images_per_s": metric(
+                ips / t_res, "img/s", gate=True, tolerance=0.25 if not QUICK else 0.60
             ),
             "compression_ratio": metric(
-                sess_sync.tracker.overall_ratio, "x", gate=True, tolerance=0.10
+                sess_res.tracker.overall_ratio, "x", gate=True, tolerance=0.10
             ),
             "param_store_overhead": metric(oov_overhead, "frac", higher_is_better=False),
         },
         context={
-            "model": ENGINE_MODEL,
-            "image": ENGINE_IMAGE,
-            "batch": ENGINE_BATCH,
-            "iters": ENGINE_ITERS,
+            "model": RUN_MODEL,
+            "image": RUN_IMAGE,
+            "batch": RUN_BATCH,
+            "iters": RUN_ITERS,
             # Per-policy-group raw/stored accounting (empty when the
             # committed config has no policy rules — honest rather than
             # omitted, so a rule-ful config change shows up in the diff).
-            "memory_groups": group_summary_doc(sess_sync.tracker),
-            # Hidden-vs-exposed decomposition of the decode-ahead run's
-            # speculative stages (unpack-ahead / bind-window / engine-wait).
-            "overlap_stages": overlap,
-            "bind_windows": {
-                "bind_window_bytes": ps.bind_window_bytes,
-                "window_switches": ps.window_switches,
-            },
+            "memory_groups": group_summary_doc(sess_res.tracker),
         },
     )
-
-    assert eng.packs_submitted > 0
-    assert eng_unp.prefetch_hits > 0  # decode-ahead actually engaged
     assert ps.storage.spill_count > 0
-    if not QUICK and (os.cpu_count() or 1) >= 2:
-        assert speedup > 1.0, f"no overlap win (speedup {speedup:.2f}x)"
-        assert unpack_speedup >= speedup * 0.9, (
-            f"decode-ahead lost ground: {unpack_speedup:.2f}x vs plain "
-            f"async {speedup:.2f}x"
-        )
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,8 @@ memory tracker therefore reports physically real bytes (the exact
 serialized lengths), not accounting estimates, and the run demonstrates
 the chunked parallel codec on the pack/unpack hot path.
 
-With ``EngineSpec(kind="async")`` the compression pipeline overlaps
-training: packing runs on a worker pool while the next layer's forward
-computes, and spilled bytes are prefetched from disk in reverse pack
-order before backpropagation asks for them — with bit-identical results
-to the sync engine.
+Every pack, spill and read-back runs inline on the training thread
+(README, "Execution model").
 
     python examples/arena_out_of_core.py
 """
@@ -22,7 +19,6 @@ import os
 from repro.api import (
     AdaptiveSpec,
     CodecSpec,
-    EngineSpec,
     OptimizerSpec,
     SessionConfig,
     StorageSpec,
@@ -45,29 +41,26 @@ def main():
             "workers": 4, "min_chunk_nbytes": 1 << 18,
         }),
         storage=StorageSpec(activations="arena", budget_bytes=BUDGET),
-        engine=EngineSpec(kind="async"),  # overlap packing; prefetch spills for backward
         adaptive=AdaptiveSpec(W=10, warmup_iterations=3),
         optimizer=OptimizerSpec(lr=0.01, momentum=0.9, weight_decay=5e-4),
     )
 
     print(f"training with a {BUDGET >> 10} KiB arena budget "
           f"for {ITERATIONS} iterations (batch {BATCH})...")
-    with build_session(net, cfg) as session:  # close() stops the engine's workers
+    with build_session(net, cfg) as session:
         session.train(batches(dataset, BATCH, ITERATIONS, seed=1))
+        arena = session.compressed.ctx.storage
+        assert len(arena) == 0, "all packed activations released"
 
-    arena = session.compressed.ctx.storage
     print(f"\nfinal loss: {session.history.losses[-1]:.3f}")
     print(f"activation memory reduction: {session.tracker.overall_ratio:.1f}x "
           "(physical serialized bytes)")
     print(f"arena peak in-memory: {arena.peak_in_memory_nbytes >> 10} KiB "
           f"(budget {BUDGET >> 10} KiB)")
-    print(f"arena peak incl. disk: {arena.peak_total_nbytes >> 10} KiB, "
-          f"spilled {arena.spill_count} activations "
-          f"({arena.prefetch_count} prefetched back for backward)")
-    print(f"engine: {session.engine.packs_overlapped}/"
-          f"{session.engine.packs_submitted} packs overlapped, "
-          f"{session.engine.prefetch_hits} prefetch hits")
-    assert len(arena) == 0, "all packed activations released"
+    print(f"arena peak incl. disk: {arena.peak_total_nbytes >> 10} KiB")
+    print(f"arena spills: {arena.spill_count} activations written to disk "
+          f"({arena.spill_count / ITERATIONS:.1f} per step), each read back "
+          "when backpropagation reached its layer")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ Builds a 2-rank session straight from the committed
     }
 
 ``build_session`` spawns the rank processes behind the usual Session
-surface: each rank owns a full single-worker stack (arena, engine,
+surface: each rank owns a full single-worker stack (arena, param store,
 adaptive controller) and ships its bounded-lossy-compressed gradients
 to the coordinator every step; every rank applies the same bit-exact
 reduced broadcast, so rank weights stay bit-identical — which this

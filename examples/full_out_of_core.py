@@ -5,13 +5,11 @@ The previous demos made *activations* physically out-of-core
 VGG-scale model trains with:
 
 * compressed activations in a budgeted :class:`ByteArena` (spill-to-disk
-  overflow, async prefetch before backward), and
+  overflow, read back when backward reaches the layer), and
 * weights + SGD momentum in a :class:`ParamStore` whose arena budget is
   deliberately **smaller than the model's parameter footprint** — so the
   full training state can never be resident at once.  Weights are
-  materialized just-in-time around each layer's forward/backward/update,
-  and the async engine's reverse-order prefetch stages the upcoming
-  layers' spilled parameter bytes alongside the spilled activations.
+  materialized just-in-time around each layer's forward/backward/update.
 
 The result is bit-identical to resident training (the ParamStore
 round-trip is lossless by construction) — the only cost is wall clock.
@@ -23,7 +21,6 @@ import os
 
 from repro.api import (
     AdaptiveSpec,
-    EngineSpec,
     OptimizerSpec,
     SessionConfig,
     StorageSpec,
@@ -51,7 +48,6 @@ def main():
             activations="arena", budget_bytes=ACT_BUDGET,
             params="arena", param_budget_bytes=PARAM_BUDGET,
         ),
-        engine=EngineSpec(kind="async"),
         adaptive=AdaptiveSpec(W=10, warmup_iterations=3),
         optimizer=OptimizerSpec(lr=0.01, momentum=0.9, weight_decay=5e-4),
     )
@@ -75,19 +71,19 @@ def main():
         largest = max(p.size * 4 for p in net.parameters())
         print(
             f"param arena: peak in-memory {arena.peak_in_memory_nbytes >> 10} KiB "
-            f"(FIFO budget {PARAM_BUDGET >> 10} KiB + staging cap "
-            f"{PARAM_BUDGET >> 10} KiB + largest entry {largest >> 10} KiB transient), "
-            f"{arena.spill_count} spills, {arena.prefetch_count} staged back"
+            f"(FIFO budget {PARAM_BUDGET >> 10} KiB + largest entry "
+            f"{largest >> 10} KiB transient), {arena.spill_count} spills"
         )
-        assert arena.peak_in_memory_nbytes <= 2 * PARAM_BUDGET + 2 * largest
+        assert arena.peak_in_memory_nbytes <= PARAM_BUDGET + largest
         print(
             f"param store: peak materialized {store.peak_materialized_nbytes >> 10} KiB "
             f"of {state_bytes >> 10} KiB total state "
             f"({store.fetch_count} fetches, {store.writeback_count} write-backs)"
         )
+        act_arena = session.compressed.ctx.storage
         print(
-            f"engine: {session.engine.packs_overlapped}/{session.engine.packs_submitted} "
-            f"packs overlapped, {session.engine.param_stages_scheduled} param stagings"
+            f"activation arena: {act_arena.spill_count} spills "
+            f"({act_arena.spill_count / ITERATIONS:.1f} per step)"
         )
         peak_resident = store.peak_materialized_nbytes + arena.peak_in_memory_nbytes
         print(
@@ -96,7 +92,7 @@ def main():
             f"({state_bytes / peak_resident:.1f}x reduction)"
         )
         assert store.peak_materialized_nbytes < param_bytes
-    # close() stopped the workers and restored resident weights
+    # close() restored resident weights
     assert len(arena) == 0, "all parameter entries released"
 
 

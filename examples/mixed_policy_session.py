@@ -10,8 +10,8 @@ session where different VGG-16 layer groups get different treatment —
   loosened adaptive clamp (eb_max=0.05),
 * everything else: the session default (adaptive SZ + Huffman),
 
-all packed into a byte arena under an 8 MB budget with the async
-engine.  The same dict also round-trips through
+all packed into a byte arena under an 8 MB budget.  The same dict also
+round-trips through
 ``SessionConfig.to_json``/``from_json`` unchanged, so committing the
 file pins the run.
 
@@ -35,7 +35,7 @@ BATCH = 8
 def main():
     cfg = SessionConfig.from_json(CONFIG)
     print(f"loaded {os.path.basename(CONFIG)}: "
-          f"{len(cfg.rules)} policy rules, engine={cfg.engine.kind}, "
+          f"{len(cfg.rules)} policy rules, "
           f"arena budget {cfg.storage.budget_bytes >> 20} MB")
 
     net = build_scaled_model("vgg16", num_classes=8, image_size=16, rng=42)

@@ -1,16 +1,16 @@
 """repro.api — the declarative front door to the framework.
 
 Everything the stack can do — registry codecs, per-layer policy rules,
-byte-arena activation storage, out-of-core parameters, sync/async
-engines, the adaptive error-bound controller, stage profiling — is
-driven from one serializable :class:`SessionConfig`:
+byte-arena activation storage, out-of-core parameters, kernel backends,
+the adaptive error-bound controller, stage profiling — is driven from
+one serializable :class:`SessionConfig`:
 
-    from repro.api import SessionConfig, PolicyRule, CodecSpec, build_session
+    from repro.api import SessionConfig, PolicyRule, CodecSpec, StorageSpec, build_session
 
     cfg = SessionConfig(
         rules=[PolicyRule(match="l0", codec=CodecSpec("lossless")),
                PolicyRule(match="l[24]", error_bound=1e-4)],
-        engine=EngineSpec(kind="async"),
+        storage=StorageSpec(activations="arena", budget_bytes=8 << 20),
     )
     with build_session(network, cfg) as session:
         session.train(batches(dataset, 32, 100, seed=1))

@@ -2,7 +2,7 @@
 
 A :class:`SessionConfig` describes *everything* a compressed-training
 session is made of — default codec, per-layer policy rules, storage
-budgets, execution engine, adaptive controller, profiler, optimizer —
+budgets, kernel backend, adaptive controller, profiler, optimizer —
 as a tree of plain dataclasses that round-trips losslessly through
 ``dict`` and JSON:
 
@@ -10,7 +10,7 @@ as a tree of plain dataclasses that round-trips losslessly through
         codec=CodecSpec("szlike", {"entropy": "huffman"}),
         rules=[PolicyRule(match="l0", codec=CodecSpec("lossless")),
                PolicyRule(match="l[24]", error_bound=1e-4)],
-        engine=EngineSpec(kind="async"),
+        storage=StorageSpec(activations="arena", budget_bytes=8 << 20),
     )
     cfg.to_json("run.json")
     ...
@@ -472,69 +472,27 @@ class StorageSpec(_Section):
             )
 
 
+#: ``engine`` keys of the removed thread-overlap engine that are still
+#: accepted, and ignored: the committed ``benchmarks/e2e/configs/train_ooc.json``
+#: names all three (``train_sz.json`` names ``kind``) and may not be edited
+_IGNORED_ENGINE_KEYS = ("kind", "workers", "unpack_depth")
+
+
 @dataclass
 class EngineSpec(_Section):
-    """Execution strategy for the saved-tensor path.
-
-    ``unpack_depth`` controls the async engine's speculative-decompress
-    window (``None`` follows ``prefetch_depth``, ``0`` disables,
-    ``"auto"`` adapts); ``shared_codebook_cache`` upgrades process-pool
-    chunked codecs to a cross-process codebook segment;
-    ``bind_window_bytes`` groups adjacent small layers into one
-    param-store bind window (``0`` disables); ``kernel_backend`` picks
-    the compiled-kernel implementation for szlike-family codecs
-    (``"auto"`` probes Numba and falls back to NumPy — see
-    :mod:`repro.kernels`).
+    """How the codec work runs: inline on the training thread, with
+    ``kernel_backend`` picking the compiled-kernel implementation for
+    szlike-family codecs (``"auto"`` probes Numba and falls back to NumPy
+    — see :mod:`repro.kernels`) and ``shared_codebook_cache`` upgrading
+    process-pool chunked codecs to a cross-process codebook segment.
     """
 
     _name = "engine"
 
-    kind: str = "sync"  # "sync" | "async"
-    workers: int = 2
-    prefetch_depth: Union[int, str] = 2  # int or "auto"
-    max_pending: Optional[int] = None
-    max_auto_depth: int = 8
-    unpack_depth: Union[int, str, None] = None  # int, "auto", or follow prefetch
     shared_codebook_cache: bool = False
-    bind_window_bytes: int = 0
     kernel_backend: str = "auto"
 
     def _check(self, where: str) -> None:
-        if self.kind not in ("sync", "async"):
-            raise ConfigError(
-                f"{where}: kind must be 'sync' or 'async', got {self.kind!r}"
-            )
-        if self.workers < 1:
-            raise ConfigError(f"{where}: workers must be >= 1, got {self.workers}")
-        if self.prefetch_depth != "auto" and (
-            isinstance(self.prefetch_depth, str) or self.prefetch_depth < 0
-        ):
-            raise ConfigError(
-                f"{where}: prefetch_depth must be an int >= 0 or 'auto', "
-                f"got {self.prefetch_depth!r}"
-            )
-        if self.unpack_depth not in (None, "auto") and (
-            isinstance(self.unpack_depth, str) or self.unpack_depth < 0
-        ):
-            raise ConfigError(
-                f"{where}: unpack_depth must be an int >= 0, 'auto', or "
-                f"omitted, got {self.unpack_depth!r}"
-            )
-        if self.max_pending is not None and self.max_pending < 1:
-            raise ConfigError(
-                f"{where}: max_pending must be an int >= 1 or omitted, "
-                f"got {self.max_pending!r}"
-            )
-        if self.max_auto_depth < 1:
-            raise ConfigError(
-                f"{where}: max_auto_depth must be an int >= 1, "
-                f"got {self.max_auto_depth!r}"
-            )
-        if self.bind_window_bytes < 0:
-            raise ConfigError(
-                f"{where}: bind_window_bytes must be an int >= 0, "
-                f"got {self.bind_window_bytes!r}"
-            )
         from repro.kernels import KERNEL_BACKENDS
 
         if self.kernel_backend not in KERNEL_BACKENDS:
@@ -543,19 +501,11 @@ class EngineSpec(_Section):
                 f"got {self.kernel_backend!r}"
             )
 
-    def build(self):
-        from repro.core.engine import AsyncEngine, SyncEngine
-
-        self.validate()
-        if self.kind == "sync":
-            return SyncEngine()
-        return AsyncEngine(
-            workers=self.workers,
-            prefetch_depth=self.prefetch_depth,
-            max_pending=self.max_pending,
-            max_auto_depth=self.max_auto_depth,
-            unpack_depth=self.unpack_depth,
-        )
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any], where: Optional[str] = None):
+        if isinstance(d, dict):
+            d = {k: v for k, v in d.items() if k not in _IGNORED_ENGINE_KEYS}
+        return super().from_dict(d, where)
 
 
 @dataclass
@@ -602,8 +552,8 @@ class AdaptiveSpec(_Section):
 @dataclass
 class ProfilerSpec(_Section):
     """Hot-path stage profiling for the run: the codec's quantize /
-    predict / encode / decode stages, byte-arena I/O, engine waits and a
-    ``step`` stage per iteration, read through ``session.profiler``."""
+    predict / encode / decode stages, byte-arena I/O and a ``step``
+    stage per iteration, read through ``session.profiler``."""
 
     _name = "profiler"
 
@@ -685,7 +635,7 @@ class DistributedSpec(_Section):
 
     ``world_size > 1`` makes :func:`~repro.api.session.build_session`
     spawn that many rank processes, each with its own
-    ``ParamStore``/``ByteArena``/engine, and exchange gradients through
+    ``ParamStore``/``ByteArena``, and exchange gradients through
     the codec registry every step — the paper's bounded-lossy thesis
     applied to the dominant cost of data parallelism.
 

@@ -4,9 +4,9 @@ One call composes the whole stack — codec registry, per-layer
 :class:`~repro.core.policy_table.PolicyTable`,
 :class:`~repro.core.arena.ByteArena` activation storage,
 :class:`~repro.core.param_store.ParamStore` out-of-core parameters,
-sync/async :mod:`~repro.core.engine`, the Eq. 8/9 adaptive controller,
-and the stage profiler — from one declarative
-:class:`~repro.api.config.SessionConfig`, and hands back a
+the kernel backend, the Eq. 8/9 adaptive controller, and the stage
+profiler — from one declarative :class:`~repro.api.config.SessionConfig`,
+and hands back a
 :class:`Session` that owns every resource behind a single
 :meth:`~Session.close`.
 
@@ -18,8 +18,8 @@ and the stage profiler — from one declarative
 ``build_session`` is the one way to assemble a session.  Determinism
 contract: for the same network (same initial weights), the same config
 and the same batch stream, two sessions train bit-identically — also
-across a ``to_json`` / ``from_json`` round trip and across the sync /
-async engines (pinned by ``tests/api``).  A build that fails leaves
+across a ``to_json`` / ``from_json`` round trip (pinned by
+``tests/api``).  A build that fails leaves
 nothing behind: the profiler it activated is deactivated and every
 store it created is closed; a config the network cannot use (no
 compressible layer to compress) is a :class:`~repro.api.config.ConfigError`.
@@ -95,8 +95,8 @@ class Session:
     """A fully-wired training session: one object, one ``close()``.
 
     Owns the trainer, the compression machinery (when
-    ``compress_activations`` is on), the optional param store, engine,
-    and profiler.  Also a context manager.
+    ``compress_activations`` is on), the optional param store, and the
+    profiler.  Also a context manager.
     """
 
     def __init__(self, network, optimizer, trainer, config, compressed=None, param_store=None):
@@ -196,11 +196,10 @@ class Session:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Tear everything down exactly once: flush in-flight packs,
-        stop engine workers, restore out-of-core parameters, deactivate
-        the profiler.  Idempotent — the second and later calls are
-        no-ops (guarded here, and the trainer's close-hook chain is
-        swap-on-close as a second line of defense)."""
+        """Tear everything down exactly once: restore out-of-core
+        parameters, deactivate the profiler.  Idempotent — the second
+        and later calls are no-ops (guarded here, and the trainer's
+        close-hook chain is swap-on-close as a second line of defense)."""
         if self._closed:
             return
         self._closed = True
@@ -214,7 +213,7 @@ class Session:
 
     def __repr__(self) -> str:
         mode = "compressed" if self.compressed is not None else "plain"
-        return f"Session({mode}, engine={self.config.engine.kind!r}, iter={self.trainer.iteration})"
+        return f"Session({mode}, iter={self.trainer.iteration})"
 
 
 def build_session(
@@ -273,7 +272,7 @@ def build_session(
 
     if config.sanitizer.enabled:
         # Turn the sanitizer on BEFORE constructing anything: arenas,
-        # scratch pools, codebook caches, and engines instrument
+        # scratch pools, codebook caches and param stores instrument
         # themselves at construction time.  Process-wide and sticky
         # (see SanitizerSpec) — the same switch REPRO_SANITIZE=1 flips.
         from repro.core import sanitizer
@@ -309,7 +308,6 @@ def build_session(
                 ),
                 dirty_tracking=config.storage.param_dirty_tracking,
                 spill_dir=config.storage.spill_dir,
-                bind_window_bytes=config.engine.bind_window_bytes,
             )
             undo.callback(param_store.close)
 
@@ -338,7 +336,7 @@ def build_session(
 
 def _build_compressed(network, optimizer, config: SessionConfig, storage, param_store):
     """The :class:`~repro.core.framework.CompressedTraining` half of
-    :func:`build_session`: codecs, policy table, engine, controller."""
+    :func:`build_session`: codecs, policy table, controller."""
     from repro.core.framework import CompressedTraining
 
     table = build_policy_table(config.rules)
@@ -386,7 +384,6 @@ def _build_compressed(network, optimizer, config: SessionConfig, storage, param_
         config=config.adaptive.to_adaptive_config(),
         storage=storage,
         param_storage=param_store,
-        engine=config.engine.build(),
         policy_table=table,
         adaptive=config.adaptive.enabled,
     )

@@ -569,7 +569,7 @@ class ChunkedCodec:
         chiefly the Huffman codebook build's Python heap loop — at the
         price of pickling chunks across the process boundary.  The
         process pool is created eagerly at construction (forking lazily
-        from a multi-threaded engine worker would be hazardous).
+        from a multi-threaded process would be hazardous).
 
     Equivalence contract: the reconstruction is bit-identical to the
     unchunked path whenever the inner codec treats leading-axis slices
@@ -645,8 +645,8 @@ class ChunkedCodec:
         # would be pure overhead.  Threads are created lazily; a process
         # pool forks all its workers now (ProcessPoolExecutor spawns on
         # first submit, so a no-op is pushed through) while the process
-        # is still single-threaded — forking later from e.g. an async
-        # engine worker could inherit held locks into the children.
+        # is still single-threaded — forking later from e.g. a server
+        # scheduler thread could inherit held locks into the children.
         self._pool: Optional[Any] = None
         if executor == "process" and self.workers > 1:
             # workers == 1 always takes _run's inline path; don't fork a
@@ -674,8 +674,8 @@ class ChunkedCodec:
             return [inline(*args) for args in arg_lists]
         if self.executor == "process":
             # Never recreate a process pool lazily: after close() or
-            # unpickling, the process may be multi-threaded (async engine
-            # workers) and forking then can inherit held locks.  Degrade
+            # unpickling, the process may be multi-threaded (server
+            # scheduler threads) and forking then can inherit held locks.  Degrade
             # to inline serial execution instead.
             if self._pool is None:
                 return [inline(*args) for args in arg_lists]

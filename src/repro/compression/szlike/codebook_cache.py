@@ -31,10 +31,9 @@ and the cache decides, cheaply, whether the cached book is still good:
   stay under ``max_escape_ratio``) and otherwise forces a rebuild.
 
 Reuse decisions for a key depend only on that key's own lookup history,
-so per-layer keys keep the async engine bit-identical to the sync
-engine: each layer packs once per iteration, in a deterministic order.
-All state is behind one lock — the chunked codec's thread workers and
-the async engine's pack pool share a single compressor instance.
+so per-layer keys keep a run deterministic: each layer packs once per
+iteration, in a fixed order.  All state is behind one lock — the
+chunked codec's thread workers share a single compressor instance.
 """
 
 from __future__ import annotations
@@ -191,8 +190,7 @@ class CodebookCache:
 
         The expensive tree build runs *outside* the cache lock, so
         other keys' lookups never stall behind one key's rebuild (the
-        engine's pack workers and the chunked codec's pool share one
-        cache).  A concurrent rebuild of the same key is last-writer-wins
+        chunked codec's pool threads share one cache).  A concurrent rebuild of the same key is last-writer-wins
         — each caller returns the book it built, both valid for their
         own histograms.
         """

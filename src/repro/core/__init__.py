@@ -10,7 +10,7 @@ from repro.core.error_model import (
 from repro.core.gradient_assessment import GradientAssessor
 from repro.core.memory_tracker import LayerMemoryRecord, MemoryTracker
 from repro.core.arena import ByteArena
-from repro.core.engine import AsyncEngine, CompressionEngine, SyncEngine, resolve_engine
+from repro.core.engine import SyncEngine
 from repro.core.activation_store import CompressingContext, PackedActivation
 from repro.core.param_store import ParamStore, StoredEntry, StoreSlots
 from repro.core.policy_table import PolicyTable, ResolvedPolicy, compile_matcher
@@ -27,10 +27,7 @@ __all__ = [
     "LayerMemoryRecord",
     "MemoryTracker",
     "ByteArena",
-    "AsyncEngine",
-    "CompressionEngine",
     "SyncEngine",
-    "resolve_engine",
     "CompressingContext",
     "PackedActivation",
     "ParamStore",

@@ -9,16 +9,9 @@ backpropagation reaches the layer again and decompresses.
 release-exactly-once tracker accounting, the optional
 :class:`~repro.core.arena.ByteArena` storage, the paper's per-layer
 error bounds and observed statistics, and the Section 4.4
-ReLU-recompute filter.  *Execution* is delegated to an injected
-:class:`~repro.core.engine.CompressionEngine`:
-
-* :class:`~repro.core.engine.SyncEngine` (default): compress/decompress
-  inline; it defines the reference numbers.
-* :class:`~repro.core.engine.AsyncEngine`: compression of layer *i*'s
-  activation overlaps layer *i+1*'s forward on a worker pool, and
-  outstanding handles (including arena-spilled bytes) are prefetched in
-  reverse pack order ahead of the backward pass.  Reconstructions and
-  tracker numbers are bit-identical to sync for every registry codec.
+ReLU-recompute filter.  The codec work itself runs inline on the
+training thread, through the context's
+:class:`~repro.core.engine.SyncEngine`.
 
 Every baseline is a configuration of this one context rather than a
 class of its own: a lossless codec with the controller disabled stores
@@ -50,7 +43,7 @@ of ``unpack``/``discard`` reaches it first; repeated unpacks (e.g. via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -59,7 +52,7 @@ from repro.compression.registry import Codec, get_codec
 from repro.compression.registry import dumps as _codec_dumps
 from repro.compression.registry import loads as _codec_loads
 from repro.core.arena import ByteArena
-from repro.core.engine import CompressionEngine, resolve_engine
+from repro.core.engine import SyncEngine
 from repro.core.memory_tracker import MemoryTracker
 from repro.core.policy_table import PolicyTable, ResolvedPolicy
 from repro.nn.layers.base import Layer, SavedTensorContext
@@ -67,9 +60,8 @@ from repro.nn.layers.base import Layer, SavedTensorContext
 __all__ = ["CompressingContext", "PackedActivation"]
 
 
-# eq=False: handles are tracked by identity (engine _live/_pending lists
-# use index/remove); field-wise equality would compare compressed-tensor
-# ndarrays and is meaningless for a lifecycle object.
+# eq=False: a handle is a lifecycle object with an identity; field-wise
+# equality would compare compressed-tensor ndarrays.
 @dataclass(eq=False)
 class PackedActivation:
     """Handle stored in place of the raw activation tensor."""
@@ -90,14 +82,6 @@ class PackedActivation:
     #: policy-rule group label (empty without a PolicyTable) — flows
     #: into the tracker's per-rule ledger when the pack is finalized
     policy_label: str = ""
-    #: engine plumbing (internal): outstanding pack / prefetch futures
-    #: and the handle's slot in the engine's live-order record
-    _pack_future: Optional[object] = field(default=None, repr=False)
-    _prefetch_future: Optional[object] = field(default=None, repr=False)
-    _live_pos: Optional[int] = field(default=None, repr=False)
-    #: True while this handle's raw bytes are charged to the engine's
-    #: decode-ahead budget (speculative decompress in flight)
-    _unpack_charged: bool = field(default=False, repr=False)
 
 
 class CompressingContext(SavedTensorContext):
@@ -120,9 +104,6 @@ class CompressingContext(SavedTensorContext):
         Optional :class:`ByteArena`.  When given, packed activations are
         held as serialized byte strings in the arena instead of live
         Python objects, and the tracker charge is the physical length.
-    engine:
-        A :class:`~repro.core.engine.CompressionEngine` instance; ``None``
-        is a :class:`~repro.core.engine.SyncEngine`.
     policy_table:
         Optional :class:`~repro.core.policy_table.PolicyTable`.  With a
         table, *compressor* and *initial_rel_eb* become the defaults for
@@ -136,7 +117,6 @@ class CompressingContext(SavedTensorContext):
         initial_rel_eb: float = 1e-3,
         tracker: Optional[MemoryTracker] = None,
         storage: Optional[ByteArena] = None,
-        engine: Optional[CompressionEngine] = None,
         policy_table: Optional[PolicyTable] = None,
     ):
         if initial_rel_eb <= 0:
@@ -154,18 +134,12 @@ class CompressingContext(SavedTensorContext):
         self.initial_rel_eb = float(initial_rel_eb)
         self.tracker = tracker or MemoryTracker()
         self.storage = storage
-        self.engine = resolve_engine(engine, self)
+        self.engine = SyncEngine(self)
         self.policy_table = policy_table
-        #: layer name -> codec that packed it (written on the training
-        #: thread at submit time, read by engine workers at decompress;
-        #: needed because a PolicyTable makes the codec per-layer)
+        #: layer name -> codec that packed it (a PolicyTable makes the
+        #: codec per-layer, and unpack must use the packing one)
         self._layer_codec: Dict[str, object] = {}
         self.enabled = True
-        #: optional :class:`~repro.core.param_store.ParamStore` — when the
-        #: model's weights are arena-backed too, the async engine's
-        #: reverse-order prefetch stages the upcoming layers' spilled
-        #: parameter bytes alongside the spilled activations
-        self.param_store = None
         #: layers whose saved input is a ReLU output: after decompression
         #: the activation function is recomputed (``max(x, 0)``), the
         #: paper's first zero-preservation mechanism (Section 4.4) — it
@@ -211,20 +185,9 @@ class CompressingContext(SavedTensorContext):
         self.error_bounds[layer.name] = eb
         return eb
 
-    # -- engine-facing internals -------------------------------------------
-    _loads = staticmethod(_codec_loads)
-
-    def _decompress(self, ct, layer_name: str) -> np.ndarray:
-        """Decompress with the codec that packed *layer_name*
-        (thread-safe, deterministic)."""
-        return self._layer_codec.get(layer_name, self.compressor).decompress(ct)
-
+    # -- engine callbacks ----------------------------------------------------
     def _finalize_pack(self, handle: PackedActivation, payload: tuple) -> None:
-        """Commit a finished pack job: arena write, statistics, tracker charge.
-
-        Engines call this on the training thread, strictly in submission
-        order, so accounting sequences are identical across engines.
-        """
+        """Commit a finished pack job: arena write, statistics, tracker charge."""
         ct, blob, nz = payload
         if blob is not None:
             handle.stored_nbytes = len(blob)
@@ -256,9 +219,9 @@ class CompressingContext(SavedTensorContext):
         """
         ct = handle.compressed
         if ct is None:
-            ct = self._loads(self.storage.get(handle.arena_key))
+            ct = _codec_loads(self.storage.get(handle.arena_key))
             handle.compressed = ct
-        return self._decompress(ct, handle.layer_name)
+        return self._layer_codec.get(handle.layer_name, self.compressor).decompress(ct)
 
     def _recompute_relu(self, handle: PackedActivation, out: np.ndarray) -> np.ndarray:
         """Recompute the activation function (Section 4.4) on a
@@ -285,7 +248,6 @@ class CompressingContext(SavedTensorContext):
         if handle.released:
             return
         handle.released = True
-        self.engine.forget(handle)
         if handle.arena_key is not None and self.storage is not None:
             self.storage.discard(handle.arena_key)
         self.tracker.record_release(handle.raw_nbytes, handle.stored_nbytes)
@@ -295,10 +257,6 @@ class CompressingContext(SavedTensorContext):
         if not (self.enabled and isinstance(arr, np.ndarray) and arr.ndim == 4):
             return arr
         handle = PackedActivation(raw_nbytes=arr.nbytes, layer_name=layer.name)
-        # The bound and the (possibly per-rule) codec are resolved here,
-        # on the submitting thread: first-pack bound assignment mutates
-        # per-layer state and must happen in forward order regardless of
-        # the engine.
         eb = self.resolve_error_bound(layer, arr)
         pol = self._policy_for(layer.name)
         codec = pol.codec if pol is not None and pol.codec is not None else self.compressor
@@ -310,13 +268,12 @@ class CompressingContext(SavedTensorContext):
         # Per-layer cache keys let a codebook-caching codec amortize its
         # entropy setup across iterations: each conv layer packs once per
         # forward in a fixed order, so per-key cache decisions stay
-        # deterministic even under the async engine's worker pool.
+        # deterministic.
         kwargs = {"error_bound": eb}
         if getattr(codec, "supports_cache_key", False):
             kwargs["cache_key"] = layer.name
 
         def job():
-            # Pure compression work: it may run on an engine worker thread.
             ct = codec.compress(arr, **kwargs)
             nz = float(np.count_nonzero(arr)) / arr.size
             return ct, _codec_dumps(ct) if serialize else None, nz
@@ -335,15 +292,4 @@ class CompressingContext(SavedTensorContext):
 
     def discard(self, layer: Layer, key: str, handle) -> None:
         if isinstance(handle, PackedActivation):
-            # The tracker must see the pack before its release.
-            self.engine.ensure_packed(handle)
             self._release(handle)
-
-    # -- lifecycle ---------------------------------------------------------
-    def flush(self) -> None:
-        """Finalize every in-flight pack (no-op for the sync engine)."""
-        self.engine.flush()
-
-    def close(self) -> None:
-        """Shut down the engine's worker pool (safe mid-flight)."""
-        self.engine.close()

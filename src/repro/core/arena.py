@@ -12,13 +12,17 @@ Eviction is FIFO (oldest first), which is optimal for the training
 workload: backward consumes activations in reverse pack order, so the
 first-packed (earliest-layer) bytes are exactly the ones needed last.
 
-Every operation is serialized behind an internal re-entrant lock, so the
-arena is safe to share with the async compression engine's worker pool
-(:mod:`repro.core.engine`): concurrent ``put``/``get``/``discard``
-cannot corrupt the FIFO order, double-spill an entry, or tear the byte
-accounting.  :meth:`prefetch` stages spilled entries back into an
-in-memory cache ahead of need — the engine calls it in reverse pack
-order before the backward pass reads the bytes.
+Every operation is serialized behind an internal re-entrant lock, so
+the arena is safe to share across threads: an :class:`ArenaPool` spills
+a member arena from whichever tenant's thread overflowed the pool, and a
+server's stats thread reads the counters while steps run.  Concurrent
+``put``/``get``/``discard`` cannot corrupt the FIFO order, double-spill
+an entry, or tear the byte accounting.
+
+A spill writes the file before the entry leaves memory: a failed write
+(full disk, bad spill directory) leaves every stored entry readable, and
+the ``put`` that triggered it removes its own entry before re-raising,
+so no key is lost or leaked.
 
 Usage::
 
@@ -30,13 +34,14 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import tempfile
 import threading
 import uuid
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.utils import profiler
 
@@ -67,9 +72,6 @@ class ByteArena:
         self._mem: "OrderedDict[int, bytes]" = OrderedDict()
         #: key -> (path, nbytes) for spilled entries
         self._disk: Dict[int, Tuple[str, int]] = {}
-        #: key -> bytes staged back from disk by :meth:`prefetch`; the
-        #: disk entry stays authoritative until the key is discarded
-        self._staged: Dict[int, bytes] = {}
         self._next_key = 0
         #: key -> group label for entries stored with ``put(group=...)``
         self._group_of: Dict[int, str] = {}
@@ -85,9 +87,8 @@ class ByteArena:
         #: spill_dir cannot clobber each other's entries
         self._tag = uuid.uuid4().hex[:12]
         self._closed = False
-        #: serializes all mutation and read paths: the async engine's
-        #: workers call get/prefetch while the training thread puts and
-        #: discards
+        #: serializes all mutation and read paths: a pool's rebalance
+        #: spills this arena from another tenant's thread
         self._lock = threading.RLock()
         # -- statistics ---------------------------------------------------
         self.in_memory_nbytes = 0
@@ -96,10 +97,6 @@ class ByteArena:
         self.peak_total_nbytes = 0
         #: number of entries ever written to disk
         self.spill_count = 0
-        #: number of spilled entries ever staged back by :meth:`prefetch`
-        self.prefetch_count = 0
-        #: bytes currently held in the prefetch staging cache
-        self.prefetched_nbytes = 0
         from repro.core.sanitizer import maybe_instrument
 
         maybe_instrument(self, "arena")
@@ -123,11 +120,20 @@ class ByteArena:
         return self._spill_dir
 
     def _spill_entry(self, key: int) -> None:
-        """Write the entry for *key* to disk (callers hold the lock)."""
-        data = self._mem.pop(key)
+        """Move the entry for *key* to disk (callers hold the lock).
+
+        The file is written first: if that fails, the entry stays in
+        memory and no partial file is left behind."""
+        data = self._mem[key]
         path = os.path.join(self._ensure_spill_dir(), f"{self._tag}-{key}.bin")
-        with open(path, "wb") as f:
-            f.write(data)
+        try:
+            with open(path, "wb") as f:
+                f.write(data)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            raise
+        del self._mem[key]
         self._disk[key] = (path, len(data))
         self.in_memory_nbytes -= len(data)
         self.spilled_nbytes += len(data)
@@ -162,11 +168,7 @@ class ByteArena:
 
     def _track_peaks(self) -> None:
         """Update resident high-water marks (callers hold the lock)."""
-        # Resident bytes include the prefetch staging cache: it is real
-        # memory even though it duplicates disk and bypasses the FIFO
-        # budget (staging volume is bounded by the caller, not the arena).
-        resident = self.in_memory_nbytes + self.prefetched_nbytes
-        self.peak_in_memory_nbytes = max(self.peak_in_memory_nbytes, resident)
+        self.peak_in_memory_nbytes = max(self.peak_in_memory_nbytes, self.in_memory_nbytes)
         self.peak_total_nbytes = max(self.peak_total_nbytes, self.total_nbytes)
 
     # -- API ---------------------------------------------------------------
@@ -190,7 +192,11 @@ class ByteArena:
             # Peaks reflect the true resident high-water mark: the new entry
             # is held in memory before any spill relieves the budget.
             self._track_peaks()
-            self._maybe_spill()
+            try:
+                self._maybe_spill()
+            except BaseException:
+                self._remove(key)  # no caller will ever hold this key
+                raise
             return key
 
     def set_group_budget(self, group: str, budget_bytes: int) -> None:
@@ -229,24 +235,16 @@ class ByteArena:
             }
 
     def get(self, key: int) -> bytes:
-        """Read the bytes for *key* without releasing the entry.
-
-        A staged prefetch copy is consumed (handed off) by the first
-        read — the cache exists to bridge prefetch-to-use, not to hold a
-        duplicate of the spill file indefinitely."""
+        """Read the bytes for *key* without releasing the entry."""
         with self._lock:
             if key in self._mem:
                 return self._mem[key]
-            staged = self._staged.pop(key, None)
-            if staged is not None:
-                self.prefetched_nbytes -= len(staged)
-                return staged
             try:
                 path, _ = self._disk[key]
             except KeyError:
                 raise KeyError(f"arena key {key} not found") from None
-        # Disk read outside the lock so concurrent prefetch workers and
-        # the training thread overlap their I/O instead of serializing.
+        # Disk read outside the lock, so a pool rebalance spilling this
+        # arena from another thread does not wait on the I/O.
         try:
             with profiler.stage("arena-io"), open(path, "rb") as f:
                 return f.read()
@@ -257,73 +255,9 @@ class ByteArena:
             with self._lock:
                 if key in self._mem:
                     return self._mem[key]
-                staged = self._staged.pop(key, None)
-                if staged is not None:
-                    self.prefetched_nbytes -= len(staged)
-                    return staged
                 if key in self._disk:
                     raise  # entry still registered: a real disk error
             raise KeyError(f"arena key {key} not found") from None
-
-    def prefetch(self, keys: Iterable[int], max_bytes: Optional[int] = None) -> int:
-        """Stage spilled entries back into memory ahead of use.
-
-        Reads the spill files for every *key* still on disk into an
-        in-memory cache so the subsequent :meth:`get` (typically on the
-        backward pass's critical path) is memory-speed.  Unknown,
-        resident, or already-staged keys are skipped.  The disk entry and
-        byte accounting are untouched — staging is a one-shot read-side
-        handoff, consumed by the first :meth:`get` (or dropped at
-        :meth:`discard`), so the bytes are never held in duplicate
-        longer than the prefetch-to-use window.  Staged bytes are NOT
-        subject to the FIFO budget but do count toward the reported
-        resident peak; volume is bounded either by the caller (the async
-        engine stages at most its prefetch window) or by *max_bytes* —
-        a staging-cache ceiling enforced atomically under the arena lock
-        (so concurrent prefetchers cannot jointly overshoot), with one
-        entry always admitted when the cache is empty so progress is
-        guaranteed even when ``max_bytes`` is smaller than the entry.
-        Returns the number of entries staged.
-        """
-        staged = 0
-        for key in keys:
-            with self._lock:
-                if self._closed:
-                    break
-                if key in self._mem or key in self._staged:
-                    continue
-                entry = self._disk.get(key)
-                if entry is None:
-                    continue
-                if (
-                    max_bytes is not None
-                    and self._staged
-                    and self.prefetched_nbytes + entry[1] > max_bytes
-                ):
-                    break  # cap reached; keys are in priority order
-                path = entry[0]
-            # Read outside the lock (see get()); revalidate before
-            # inserting in case the entry was discarded meanwhile.
-            try:
-                with profiler.stage("arena-io"), open(path, "rb") as f:
-                    data = f.read()
-            except OSError:
-                continue
-            with self._lock:
-                if self._closed or key not in self._disk or key in self._staged:
-                    continue
-                if (
-                    max_bytes is not None
-                    and self._staged
-                    and self.prefetched_nbytes + len(data) > max_bytes
-                ):
-                    break  # lost the room to a concurrent prefetcher
-                self._staged[key] = data
-                self.prefetched_nbytes += len(data)
-                self.prefetch_count += 1
-                self._track_peaks()
-                staged += 1
-        return staged
 
     def spill_bytes(self, nbytes: int) -> int:
         """Force FIFO-oldest resident entries to disk until at least
@@ -337,8 +271,9 @@ class ByteArena:
                 return 0
             while self._mem and spilled < nbytes:
                 key = next(iter(self._mem))
-                spilled += len(self._mem[key])
+                size = len(self._mem[key])
                 self._spill_entry(key)
+                spilled += size
         return spilled
 
     def pop(self, key: int) -> bytes:
@@ -354,28 +289,26 @@ class ByteArena:
     def discard(self, key: int) -> None:
         """Release the entry without reading it; unknown keys are a no-op."""
         with self._lock:
-            staged = self._staged.pop(key, None)
-            if staged is not None:
-                self.prefetched_nbytes -= len(staged)
-                self._on_release(staged)
-            group = self._group_of.pop(key, None)
-            if key in self._mem:
-                buf = self._mem.pop(key)
-                self.in_memory_nbytes -= len(buf)
-                if group is not None:
-                    self._group_mem[group] -= len(buf)
-                self._on_release(buf)
-                return
-            entry = self._disk.pop(key, None)
-            if entry is not None:
-                path, nbytes = entry
-                self.spilled_nbytes -= nbytes
-                if group is not None:
-                    self._group_spilled[group] -= nbytes
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
+            self._remove(key)
+
+    def _remove(self, key: int) -> None:
+        """Drop *key* from memory or disk (callers hold the lock)."""
+        group = self._group_of.pop(key, None)
+        if key in self._mem:
+            buf = self._mem.pop(key)
+            self.in_memory_nbytes -= len(buf)
+            if group is not None:
+                self._group_mem[group] -= len(buf)
+            self._on_release(buf)
+            return
+        entry = self._disk.pop(key, None)
+        if entry is not None:
+            path, nbytes = entry
+            self.spilled_nbytes -= nbytes
+            if group is not None:
+                self._group_spilled[group] -= nbytes
+            with contextlib.suppress(OSError):
+                os.remove(path)
 
     def __contains__(self, key: int) -> bool:
         with self._lock:
@@ -400,10 +333,7 @@ class ByteArena:
                 return
             for buf in self._mem.values():
                 self._on_release(buf)
-            for buf in self._staged.values():
-                self._on_release(buf)
             self._mem.clear()
-            self._staged.clear()
             for path, _ in self._disk.values():
                 try:
                     os.remove(path)
@@ -415,7 +345,6 @@ class ByteArena:
             self._group_spilled.clear()
             self.in_memory_nbytes = 0
             self.spilled_nbytes = 0
-            self.prefetched_nbytes = 0
             if self._owns_spill_dir and self._spill_dir is not None:
                 shutil.rmtree(self._spill_dir, ignore_errors=True)
                 self._spill_dir = None
@@ -470,7 +399,12 @@ class _PooledArena(ByteArena):
         key = super().put(data, group=group)
         # Own lock released above; the pool may now take its lock and
         # spill across tenants without inverting the pool->member order.
-        self._pool._rebalance()
+        try:
+            self._pool._rebalance()
+        except BaseException:
+            with self._lock:
+                self._remove(key)  # no caller will ever hold this key
+            raise
         return key
 
     def close(self) -> None:

@@ -14,33 +14,21 @@ paper's Figure 7 describes, per convolutional layer per iteration:
    conv activation with its layer's bound on the forward pass and
    decompresses on backward (with the zero-preserving filter).
 
-Execution is staged through a pluggable **compression engine**
-(:mod:`repro.core.engine`), the paper's overlap pipeline:
+Each step's saved-tensor work runs inline on the training thread, in
+the order the paper's Figure 7 draws it:
 
-* **Pack stage** (forward): each conv activation is handed to the
-  engine; under the :class:`~repro.core.engine.AsyncEngine` the
-  compression job runs on a worker pool so packing layer *i* overlaps
-  layer *i+1*'s forward compute, while the handle returns immediately.
-  Finalization (arena write + tracker charge) happens in submission
-  order, keeping accounting byte-exact versus the sync path.
-* **Prefetch stage** (between passes): the engine records the forward
-  pack order and speculatively materializes outstanding handles —
-  reading arena-spilled bytes back and decompressing — in *reverse*
-  order, ahead of where backpropagation will need them.
-* **Unpack stage** (backward): each layer's reconstruction is either the
-  completed prefetch or an inline decompress, followed by the
-  zero-preserving filter; every handle is released to the tracker
-  exactly once.
-
-The :class:`~repro.core.engine.SyncEngine` (the default) runs all three
-stages inline and defines the reference numbers: async results are
-bit-identical for every registry codec.
+* **Pack** (forward): each conv activation is compressed under its
+  layer's bound; the compressed bytes go to the in-process handle or the
+  :class:`~repro.core.arena.ByteArena` and the tracker is charged.
+* **Unpack** (backward): each layer's activation is read back,
+  decompressed and passed through the zero-preserving filter; every
+  handle is released to the tracker exactly once.
 
 Sessions are assembled by :func:`repro.api.build_session` from one
 serializable :class:`~repro.api.config.SessionConfig`; the live
 ``CompressedTraining`` is ``session.compressed``::
 
-    with build_session(network, SessionConfig(engine=EngineSpec(kind="async"))) as s:
+    with build_session(network, SessionConfig(storage=StorageSpec(activations="arena"))) as s:
         s.train(batches(...))
         print(s.compressed.tracker.overall_ratio)
 """
@@ -54,7 +42,6 @@ import numpy as np
 from repro.compression.registry import Codec
 from repro.core.activation_store import CompressingContext
 from repro.core.arena import ByteArena
-from repro.core.engine import CompressionEngine
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.gradient_assessment import GradientAssessor
 from repro.core.memory_tracker import MemoryTracker
@@ -95,14 +82,7 @@ class CompressedTraining:
         weights and the optimizer's slots then live as arena-backed
         bytes too, materialized just-in-time around each layer's
         forward/backward/update, making the *whole* training state
-        out-of-core rather than just the activations.  Under the async
-        engine the reverse-order prefetch stages upcoming layers'
-        spilled parameter bytes ahead of backward.
-    engine:
-        A :class:`~repro.core.engine.CompressionEngine` instance (``None``:
-        sync) — whether pack/unpack run inline or overlap compute on a
-        worker pool with reverse-order prefetch (bit-identical results
-        either way).
+        out-of-core rather than just the activations.
     policy_table:
         Optional :class:`~repro.core.policy_table.PolicyTable` — per-layer
         first-match rules giving matched layers their own codec, error
@@ -124,7 +104,6 @@ class CompressedTraining:
         tracker: Optional[MemoryTracker] = None,
         storage: Optional[ByteArena] = None,
         param_storage: Optional[ParamStore] = None,
-        engine: Optional[CompressionEngine] = None,
         policy_table: Optional[PolicyTable] = None,
         adaptive: bool = True,
     ):
@@ -138,10 +117,9 @@ class CompressedTraining:
             initial_rel_eb=self.config.initial_rel_eb,
             tracker=self.tracker,
             storage=storage,
-            engine=engine,
             policy_table=policy_table,
         )
-        #: the resolved execution strategy (SyncEngine / AsyncEngine)
+        #: the context's :class:`~repro.core.engine.SyncEngine`
         self.engine = self.ctx.engine
         self.assessor = GradientAssessor(optimizer, self.config.sigma_fraction)
         self.controller = AdaptiveController(self.config, self.assessor, self.ctx)
@@ -169,7 +147,6 @@ class CompressedTraining:
                 # activation bytes share one set of books.
                 param_storage.tracker = self.tracker
             param_storage.attach(network, optimizer)
-            self.ctx.param_store = param_storage
 
     # -- wiring ------------------------------------------------------------
     def _mark_relu_fed_convs(self) -> None:
@@ -222,18 +199,14 @@ class CompressedTraining:
             layer.backward = tapped
 
     def attach(self, trainer: Trainer) -> "CompressedTraining":
-        """Register the per-iteration hook on *trainer* (and the engine
-        shutdown on ``trainer.close()``)."""
+        """Register the per-iteration hook on *trainer* (and
+        :meth:`close` on ``trainer.close()``)."""
         trainer.post_backward_hooks.append(self._on_iteration)
         trainer.close_hooks.append(lambda tr: self.close())
         return self
 
     # -- per-iteration hook --------------------------------------------------
     def _on_iteration(self, trainer: Trainer, record: IterationRecord) -> None:
-        # A handle packed but never consumed this iteration (layer saved a
-        # tensor backward didn't pop) must still be finalized before the
-        # iteration's accounting is read.
-        self.ctx.flush()
         ratio = self.tracker.end_iteration()
         record.extras["compression_ratio"] = ratio
         if self._collect_next:
@@ -271,11 +244,9 @@ class CompressedTraining:
             self.param_store.detach()
 
     def close(self) -> None:
-        """Finalize in-flight packs, stop the engine's worker pool, and
-        restore out-of-core parameters to residency.
+        """Restore out-of-core parameters to residency.
 
         Idempotent; also invoked through ``trainer.close()`` once the
         session is attached."""
-        self.ctx.close()
         if self.param_store is not None:
             self.param_store.close()

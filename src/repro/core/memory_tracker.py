@@ -19,7 +19,6 @@ group label and the tracker keeps a parallel **per-group** ledger —
 raw-vs-stored bytes per layer *and* per policy rule.
 
 Every mutation and read path is serialized behind one internal lock:
-the async engine's finalizers record packs off the training thread, and
 a multi-tenant server (:mod:`repro.server`) reads :meth:`group_summary`
 from its metrics endpoint while steps are in flight — snapshots must
 never tear or race a concurrent ``record_pack``.
@@ -54,7 +53,7 @@ class LayerMemoryRecord:
 class MemoryTracker:
     """Accumulates raw-vs-stored byte counts per layer and per iteration.
 
-    Thread-safe: recording (training/engine threads) and summary reads
+    Thread-safe: recording (training threads) and summary reads
     (metrics/stats threads) may interleave freely; summaries return
     consistent copies, never live records mid-mutation.
     """

@@ -1,10 +1,10 @@
 """Out-of-core parameter & optimizer state: arena-backed weights with
 just-in-time materialization.
 
-PR 1–2 made *activations* physically out-of-core (serialized bytes in a
-budgeted :class:`~repro.core.arena.ByteArena`, spill-to-disk overflow,
-async prefetch).  :class:`ParamStore` extends the same regime to the rest
-of the training state: every layer's weight tensors and per-parameter
+Activations are physically out-of-core under arena storage (serialized
+bytes in a budgeted :class:`~repro.core.arena.ByteArena`, spill-to-disk
+overflow).  :class:`ParamStore` extends the same regime to the rest of
+the training state: every layer's weight tensors and per-parameter
 optimizer slots (SGD momentum, Adam moments) are held as serialized byte
 strings in an arena — optionally lossless-compressed through the codec
 registry — and materialized only around the window that needs them:
@@ -16,11 +16,6 @@ registry — and materialized only around the window that needs them:
 * **update**: the optimizer's slot backend (:class:`StoreSlots`) binds
   the weights and materializes the slots for exactly one parameter,
   applies the in-place update, and writes both back as fresh bytes.
-* **prefetch**: the async compression engine's reverse-order prefetch
-  (:class:`~repro.core.engine.AsyncEngine`) stages the *upcoming*
-  layers' spilled parameter bytes back into arena memory alongside the
-  spilled activations it already prefetches, so backward-pass binds hit
-  memory, not disk.
 
 Serialization is bit-exact by construction: the default raw encoding is
 ``ndarray.tobytes()`` and any configured codec must be lossless — a
@@ -48,7 +43,7 @@ import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -60,7 +55,6 @@ from repro.core.memory_tracker import MemoryTracker
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.network import iter_layers
 from repro.nn.optim import Optimizer, SlotState
-from repro.utils import profiler
 
 __all__ = ["ParamStore", "StoreSlots", "StoredEntry"]
 
@@ -107,7 +101,7 @@ class ParamStore:
         storage) keeps the FIFO spill order meaningful for each stream.
     budget_bytes:
         In-memory budget for a store-owned arena; entries beyond it
-        spill to disk and are read back (or prefetched) on demand.
+        spill to disk and are read back on demand.
     spill_dir:
         Spill directory for a store-owned arena (``None`` = a private
         temp dir).  Declarative configs (``StorageSpec.spill_dir``)
@@ -127,17 +121,6 @@ class ParamStore:
         zero-gradient momentum, untouched Adam moments) skips the
         serialize + arena replace entirely — ``writeback_skipped``
         counts them.  Set ``False`` to force every write-back through.
-    bind_window_bytes:
-        ``0`` (default) binds strictly per layer — the historical
-        behaviour.  A positive threshold groups *adjacent* layers into
-        bind windows of up to that many raw parameter bytes: entering a
-        window materializes all its layers' weights in one arena pass,
-        and a layer's weights stay resident (refcount zero, "window
-        resident") until the walk leaves the window — so a run of small
-        layers pays one fetch each per pass instead of one per
-        forward/backward visit, at a peak-residency cost bounded by the
-        threshold.  Values round-trip through the arena untouched, so
-        losses stay bit-identical to per-layer binding.
     """
 
     def __init__(
@@ -148,7 +131,6 @@ class ParamStore:
         tracker: Optional[MemoryTracker] = None,
         dirty_tracking: bool = True,
         spill_dir: Optional[str] = None,
-        bind_window_bytes: int = 0,
     ):
         self._owns_storage = storage is None
         self.storage = (
@@ -163,18 +145,12 @@ class ParamStore:
                 f"ParamStore requires a lossless codec (parameters must "
                 f"round-trip bit-exactly); {getattr(codec, 'name', codec)!r} is lossy"
             )
-        if bind_window_bytes < 0:
-            raise ValueError(
-                f"bind_window_bytes must be >= 0, got {bind_window_bytes}"
-            )
         self.codec = codec
         self.dirty_tracking = bool(dirty_tracking)
-        self.bind_window_bytes = int(bind_window_bytes)
-        self._windowing = self.bind_window_bytes > 0
         self.tracker = tracker or MemoryTracker()
-        #: entry name -> StoredEntry; guarded by _lock (the async engine's
-        #: workers read arena keys for staging while the training thread
-        #: writes entries back)
+        #: entry name -> StoredEntry; guarded by _lock (a server runs a
+        #: tenant's steps on whichever scheduler thread is free, so the
+        #: store cannot assume one owning thread)
         self._entries: Dict[str, StoredEntry] = {}
         self._lock = threading.RLock()
         # -- attachment state ---------------------------------------------
@@ -184,16 +160,6 @@ class ParamStore:
         self._bound: Dict[str, int] = {}
         self._orig_methods: List[tuple] = []
         self._optimizer: Optional[Optimizer] = None
-        # -- bind windows (built in attach; immutable afterwards, so the
-        # -- engine's staging workers can read them without the lock) ------
-        self._layer_order: List[str] = []
-        self._layer_pos: Dict[str, int] = {}
-        self._window_of: Dict[str, int] = {}
-        self._window_members: Dict[int, List[str]] = {}
-        #: param names materialized at refcount zero because their bind
-        #: window is the current one (training-thread state)
-        self._window_resident: set = set()
-        self._current_window: Optional[int] = None
         # -- statistics ----------------------------------------------------
         #: bytes of parameter/slot arrays currently materialized (bound)
         self.materialized_nbytes = 0
@@ -203,11 +169,6 @@ class ParamStore:
         #: write-backs skipped because the value was byte-identical to
         #: the stored one (dirty tracking)
         self.writeback_skipped = 0
-        #: staging requests that failed (visible symptom of a prefetch
-        #: race/regression — healthy runs keep this at 0)
-        self.stage_errors = 0
-        #: bind-window transitions (one arena pass each)
-        self.window_switches = 0
         from repro.core.sanitizer import maybe_instrument
 
         maybe_instrument(self, "param_store")
@@ -294,68 +255,6 @@ class ParamStore:
         self.tracker.release_persistent(name)
         return out
 
-    def stage_layers(self, layer_names: Iterable[str]) -> int:
-        """Prefetch the spilled bytes of entries belonging to the given
-        layers back into arena memory (async-engine staging hook; safe
-        from worker threads).
-
-        Staged bytes bypass the arena's FIFO budget, so the staging
-        cache is capped at one budget's worth via
-        ``ByteArena.prefetch(..., max_bytes=...)`` — enforced atomically
-        under the arena's lock, so concurrent staging jobs cannot
-        jointly overshoot; memory-resident entries are skipped by the
-        arena without consuming any of the cap.  One entry is always
-        admitted when the cache is empty, so a zero-budget
-        (spill-everything) arena still gets its next layer prefetched."""
-        try:
-            wanted = set(layer_names)
-            with self._lock:
-                keys = [
-                    e.arena_key
-                    for e in self._entries.values()
-                    if e.layer_name in wanted
-                    and not self._bound.get(e.name, 0)
-                    and e.name not in self._window_resident
-                ]
-            if not keys:
-                return 0
-            return self.storage.prefetch(keys, max_bytes=self.storage.budget_bytes)
-        except Exception:
-            # Runs on engine workers whose futures nobody consumes:
-            # swallowing would hide breakage, raising would kill the
-            # worker silently — count it so the stats surface it.
-            self.stage_errors += 1
-            return 0
-
-    def stage_next_window(self, layer_name: str) -> int:
-        """Stage the *following* bind window's spilled parameter bytes
-        (forward-side weight double buffering; safe from worker threads).
-
-        The async engine calls this as each layer's pack is submitted —
-        i.e. while the next layer's forward computes — so by the time
-        the walk enters the next window, its weights are in arena
-        memory.  Without bind windows the "window" is the single next
-        layer.  Layers unknown to the store (fully parameter-free, or a
-        foreign network) are a no-op."""
-        try:
-            if self._windowing:
-                wid = self._window_of.get(layer_name)
-                if wid is None:
-                    return 0
-                names = self._window_members.get(wid + 1, [])
-            else:
-                pos = self._layer_pos.get(layer_name)
-                if pos is None:
-                    return 0
-                names = self._layer_order[pos + 1 : pos + 2]
-            if not names:
-                return 0
-            with profiler.stage("bind-window", hidden=True):
-                return self.stage_layers(names)
-        except Exception:
-            self.stage_errors += 1
-            return 0
-
     # -- attachment: JIT binding around forward/backward/update ------------
     def attach(self, network: Layer, optimizer: Optional[Optimizer] = None) -> "ParamStore":
         """Move *network*'s parameters (and *optimizer*'s slots) into the
@@ -369,42 +268,20 @@ class ParamStore:
         if self._attached:
             raise RuntimeError("ParamStore is already attached to a network")
         self._attached = True
-        layer_nbytes: Dict[str, int] = {}
         for layer in iter_layers(network):
             params = layer.parameters()
             if not params:
                 continue
             self._layers[layer.name] = params
-            self._layer_pos[layer.name] = len(self._layer_order)
-            self._layer_order.append(layer.name)
-            layer_nbytes[layer.name] = sum(p.data.nbytes for p in params)
             for p in params:
                 self.adopt(p.name, p.data, layer_name=layer.name)
                 self._stubs[p.name] = self._make_stub(p.data)
                 self._bound[p.name] = 0
                 p.data = self._stubs[p.name]
             self._wrap_layer(layer)
-        if self._windowing:
-            self._assign_windows(layer_nbytes)
         if optimizer is not None:
             self.attach_optimizer(optimizer)
         return self
-
-    def _assign_windows(self, layer_nbytes: Dict[str, int]) -> None:
-        """Greedily group adjacent layers into bind windows: a window
-        closes when adding the next layer would push its raw parameter
-        bytes past ``bind_window_bytes`` (an oversized single layer gets
-        a window to itself)."""
-        wid = -1
-        acc = 0
-        for name in self._layer_order:
-            nbytes = layer_nbytes[name]
-            if wid < 0 or acc + nbytes > self.bind_window_bytes:
-                wid += 1
-                acc = 0
-            self._window_of[name] = wid
-            self._window_members.setdefault(wid, []).append(name)
-            acc += nbytes
 
     def attach_optimizer(self, optimizer: Optimizer) -> "ParamStore":
         """Migrate *optimizer*'s slot arrays into the store (accumulated
@@ -444,72 +321,24 @@ class ParamStore:
         layer.backward = backward
 
     def _bind(self, layer_name: str) -> None:
-        if self._windowing:
-            wid = self._window_of.get(layer_name)
-            if wid is not None and wid != self._current_window:
-                self._switch_window(wid)
         for p in self._layers[layer_name]:
             if self._bound[p.name] == 0:
-                if p.name in self._window_resident:
-                    # Already materialized by the window pass: claiming
-                    # it just converts residency into a bound reference.
-                    self._window_resident.discard(p.name)
-                else:
-                    p.data = self.fetch(p.name)
-                    self.materialized_nbytes += p.data.nbytes
-                    self.peak_materialized_nbytes = max(
-                        self.peak_materialized_nbytes, self.materialized_nbytes
-                    )
+                p.data = self.fetch(p.name)
+                self.materialized_nbytes += p.data.nbytes
+                self.peak_materialized_nbytes = max(
+                    self.peak_materialized_nbytes, self.materialized_nbytes
+                )
             self._bound[p.name] += 1
-
-    def _switch_window(self, wid: int) -> None:
-        """Leave the current bind window and materialize the next one.
-
-        Dropping the old window's refcount-zero residents before
-        fetching the new one keeps peak residency at (roughly) one
-        window; the incoming fetches run as one batch, which is the
-        arena pass the engine's ``stage_next_window`` pre-warms.
-        """
-        with profiler.stage("bind-window"):
-            prev = self._current_window
-            if prev is not None:
-                for name in self._window_members.get(prev, ()):
-                    for p in self._layers[name]:
-                        if p.name in self._window_resident:
-                            self._window_resident.discard(p.name)
-                            self.materialized_nbytes -= p.data.nbytes
-                            p.data = self._stubs[p.name]
-            self._current_window = wid
-            self.window_switches += 1
-            for name in self._window_members.get(wid, ()):
-                for p in self._layers[name]:
-                    if self._bound.get(p.name, 0) == 0 and p.name not in self._window_resident:
-                        p.data = self.fetch(p.name)
-                        self.materialized_nbytes += p.data.nbytes
-                        self._window_resident.add(p.name)
-            self.peak_materialized_nbytes = max(
-                self.peak_materialized_nbytes, self.materialized_nbytes
-            )
 
     def _unbind(self, layer_name: str) -> None:
         # Forward/backward read but never mutate weights, so unbinding
         # just drops the materialization — the arena copy stays
-        # authoritative; only update_window writes back.  Inside the
-        # current bind window the materialization is *kept* (window
-        # residency) so the backward visit — or the next layer in the
-        # window — reuses it without another fetch.
-        sticky = (
-            self._windowing
-            and self._window_of.get(layer_name) == self._current_window
-        )
+        # authoritative; only update_window writes back.
         for p in self._layers[layer_name]:
             self._bound[p.name] -= 1
             if self._bound[p.name] == 0:
-                if sticky:
-                    self._window_resident.add(p.name)
-                else:
-                    self.materialized_nbytes -= p.data.nbytes
-                    p.data = self._stubs[p.name]
+                self.materialized_nbytes -= p.data.nbytes
+                p.data = self._stubs[p.name]
 
     @contextmanager
     def update_window(self, param: Parameter) -> Iterator[None]:
@@ -527,14 +356,6 @@ class ParamStore:
             yield
             self.writeback(param.name, param.data)
             return
-        if param.name in self._window_resident:
-            # Window residency is read-only reuse; an update must flow
-            # through the ordinary fetch/writeback cycle, so drop the
-            # residency first (the one extra fetch below is the price of
-            # keeping the accounting single-sourced).
-            self._window_resident.discard(param.name)
-            self.materialized_nbytes -= param.data.nbytes
-            param.data = self._stubs[param.name]
         param.data = self.fetch(param.name)
         self.materialized_nbytes += param.data.nbytes
         self.peak_materialized_nbytes = max(
@@ -570,12 +391,6 @@ class ParamStore:
         self._layers.clear()
         self._stubs.clear()
         self._bound.clear()
-        self._layer_order.clear()
-        self._layer_pos.clear()
-        self._window_of.clear()
-        self._window_members.clear()
-        self._window_resident.clear()
-        self._current_window = None
         self.materialized_nbytes = 0
         self._attached = False
 

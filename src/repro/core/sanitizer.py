@@ -1,8 +1,8 @@
 """Runtime sanitizer: instrumented locks and poisoned buffers.
 
 Set ``REPRO_SANITIZE=1`` (or enable :class:`~repro.api.config.SanitizerSpec`
-in a :class:`~repro.api.config.SessionConfig`) and every arena, scratch
-pool, codebook cache, param store, and async engine constructed
+in a :class:`~repro.api.config.SessionConfig`) and every arena, arena
+pool, scratch pool, codebook cache and param store constructed
 afterwards swaps in instrumented internals:
 
 * **Lock-order tracking** — every class-internal lock becomes a
@@ -38,7 +38,7 @@ import os
 import sys
 import threading
 import traceback
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
@@ -374,7 +374,7 @@ def maybe_instrument(obj, kind: str) -> None:
     Called (cheaply — one attribute read when disabled) from the
     ``__init__`` of every sanitizer-aware class.  *kind* selects the
     instrumentation: ``"arena"``, ``"arena_pool"``, ``"scratch"``,
-    ``"codebook_cache"``, ``"param_store"``, ``"engine"``.
+    ``"codebook_cache"``, ``"param_store"``.
     """
     if not _STATE.enabled:
         return
@@ -388,8 +388,6 @@ def maybe_instrument(obj, kind: str) -> None:
         _track_lock(obj, "_lock", f"codebook-{id(obj):#x}", reentrant=False)
     elif kind == "param_store" and _STATE.lock_order:
         _track_lock(obj, "_lock", f"param_store-{id(obj):#x}", reentrant=True)
-    elif kind == "engine" and _STATE.lock_order:
-        _track_lock(obj, "_ema_lock", f"engine-ema-{id(obj):#x}", reentrant=False)
     _STATE.instrumented += 1
 
 

@@ -180,10 +180,9 @@ class DistributedSession(Session):
             st.residual_norms.append(float(msg[4]))
 
         # reduce + broadcast: one bit-exact blob per parameter, applied
-        # identically by every rank.  The coordinator's work here is
-        # hidden *behind* the ranks' grad-exchange wait.
+        # identically by every rank (the ranks wait in grad-exchange).
         reduced_blobs: List[bytes] = []
-        with _profiler.stage("grad-reduce", hidden=True):
+        with _profiler.stage("grad-reduce"):
             for i in range(len(self._plan)):
                 codec = self._plan[i].codec
                 decoded = [

@@ -1,15 +1,15 @@
 """The rank process: a full single-worker session plus the exchange.
 
 Each rank owns a complete training stack — its own ``ByteArena`` /
-``ParamStore`` / engine / adaptive controller, built by the ordinary
+``ParamStore`` / adaptive controller, built by the ordinary
 :func:`~repro.api.session.build_session` from a *derived* local config
 (the session config with the ``distributed`` section stripped and the
 per-rank arena budget applied).  The only distributed-specific piece is
-a ``grad_transform`` on the rank's trainer: after backward (and after
-the compressed-context flush), it compresses the local gradients,
-ships them to the coordinator, blocks for the reduced result, and
-installs it in place — so ``optimizer.step()`` applies the *same*
-reduced gradient on every rank and the rank weights stay bit-identical.
+a ``grad_transform`` on the rank's trainer: after backward, it
+compresses the local gradients, ships them to the coordinator, blocks
+for the reduced result, and installs it in place — so
+``optimizer.step()`` applies the *same* reduced gradient on every rank
+and the rank weights stay bit-identical.
 
 Message protocol (tag-first tuples over a ``multiprocessing.Pipe``):
 
@@ -80,29 +80,17 @@ class RankExchange:
         plan: List[GradParam],
         *,
         error_feedback: bool,
-        engine=None,
     ):
         self.conn = conn
         self.rank = rank
         self.plan = plan
         self.feedback = ErrorFeedback(plan, enabled=error_feedback)
         self.downlink = downlink_codec_spec().build()
-        #: the rank's compression engine, asserted idle before every
-        #: exchange (the post-backward flush runs first by hook order;
-        #: shipping gradients while packs are still settling tracker
-        #: accounts would be an ordering bug)
-        self.engine = engine
         #: shard size of the in-flight step (set by the worker loop
         #: before ``train_step``; it is the reduction weight)
         self.batch_size = 0
 
     def transform(self, trainer) -> None:
-        if self.engine is not None and not self.engine.idle:
-            raise RuntimeError(
-                f"rank {self.rank}: compression engine still has in-flight "
-                f"work at gradient-exchange time; post-backward flush must "
-                f"run before the exchange"
-            )
         feedback = self.feedback
         feedback.begin_step()
         blobs: List[bytes] = []
@@ -161,7 +149,6 @@ def rank_main(conn, rank: int, world_size: int, net_blob: bytes, cfg_json: str) 
             rank,
             plan,
             error_feedback=config.distributed.error_feedback,
-            engine=session.engine,
         )
         session.trainer.grad_transforms.append(exchange.transform)
         while True:

@@ -31,7 +31,7 @@ __all__ = ["ResourceLifecycleRule"]
 _ACQUIRE_METHODS = {"put", "adopt"}
 _RELEASE_METHODS = {"discard", "pop", "release", "_release"}
 #: calls that may take the tracked variable without taking ownership
-_BORROW_METHODS = {"get", "prefetch", "__contains__"}
+_BORROW_METHODS = {"get", "__contains__"}
 
 
 def _call_method_name(call: ast.Call) -> Optional[str]:

@@ -7,9 +7,11 @@ acquires its underlying lock), every attribute that is *mutated* inside
 a ``with self._lock:`` block anywhere in the class is considered
 **guarded**.  Touching a guarded attribute (read or
 write) outside such a block, in any method, is a violation: the mix is
-exactly the pattern that tears multi-field invariants under the async
-engine's worker pool (e.g. reading ``in_memory_nbytes`` while a
-concurrent ``put`` is mid-update).
+exactly the pattern that tears multi-field invariants when threads
+share an object — an arena pool spilling a tenant's arena from another
+tenant's thread, a server's stats thread reading counters mid-step
+(e.g. reading ``in_memory_nbytes`` while a concurrent ``put`` is
+mid-update).
 
 **What counts as a mutation.** Assignment / augmented assignment /
 deletion of ``self.attr``, subscript stores like ``self.attr[k] = v``,
@@ -240,8 +242,8 @@ class LockDisciplineRule(Rule):
     name = "lock-discipline"
     rationale = (
         "Attributes mutated under a class's own lock must never be touched "
-        "outside it; a lock-free read of multi-field state races the async "
-        "engine's workers."
+        "outside it; a lock-free read of multi-field state races the other "
+        "threads sharing the object (arena pools, server schedulers)."
     )
 
     def check(self, module: LintModule, run: LintRun) -> Iterable[Violation]:

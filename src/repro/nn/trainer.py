@@ -76,13 +76,13 @@ class Trainer:
         before the update (used for the Figure 9 error-injection study).
     close_hooks:
         Callables ``hook(trainer)`` run once by :meth:`close` — attached
-        sessions register resource teardown here (e.g. the compression
-        engine's worker pool).  The trainer is also a context manager:
+        sessions register resource teardown here (e.g. restoring
+        out-of-core parameters).  The trainer is also a context manager:
         ``with Trainer(...) as tr: ...`` closes on exit.
 
     Sessions are assembled by :func:`repro.api.build_session`, which sets
     :attr:`profiler` and registers the session's teardown (profiler,
-    parameter store, engine) in ``close_hooks``.
+    parameter store) in ``close_hooks``.
     """
 
     def __init__(
@@ -162,8 +162,9 @@ class Trainer:
     def close(self) -> None:
         """Run registered close hooks exactly once (idempotent).
 
-        Attached sessions use this to stop worker pools and flush
-        engines; training after ``close`` is undefined for them."""
+        Attached sessions use this to restore out-of-core parameters
+        and deactivate profilers; training after ``close`` is undefined
+        for them."""
         hooks, self.close_hooks = self.close_hooks, []
         for hook in hooks:
             hook(self)

@@ -14,26 +14,15 @@ no-op context — one global read per call, nothing timed, so production
 paths pay effectively nothing.  Activating a :class:`StageProfiler`
 (directly or via ``SessionConfig(profiler=ProfilerSpec(enabled=True))``) turns every bracketed
 region into a per-stage (total seconds, call count) accumulator,
-thread-safe so the async engine's workers and the chunked codec's pool
-threads can report concurrently.
+thread-safe so the chunked codec's pool threads and a server's
+scheduler threads can report concurrently.
 
 Stages used by the framework: ``quantize`` / ``predict`` / ``encode``
 (compress side), ``decode`` (decompress side), ``arena-io`` (byte-arena
-put/get/spill), ``engine-wait`` (training thread blocked on an async
-pack or prefetch), ``unpack-ahead`` (speculative decompress on the
-worker pool), ``bind-window`` (param-store window materialization and
-next-window staging), ``step`` (whole training iteration, recorded by
-the trainer), and the distributed exchange's ``grad-pack`` /
+put/get/spill), ``step`` (whole training iteration, recorded by the
+trainer), and the distributed exchange's ``grad-pack`` /
 ``grad-exchange`` / ``grad-unpack`` (rank side) and ``grad-reduce``
-(coordinator side, hidden behind the ranks' exchange wait).  Custom
-stages are just new names.
-
-Overlap accounting: a stage bracketed with ``hidden=True`` runs off the
-critical path (engine worker threads) — its seconds count toward the
-stage total *and* toward a per-stage hidden accumulator, so
-:meth:`StageProfiler.overlap_summary` can report how much of each
-stage's time was hidden behind compute versus exposed on the training
-thread.
+(coordinator side).  Custom stages are just new names.
 """
 
 from __future__ import annotations
@@ -70,21 +59,18 @@ _NULL = _NullContext()
 class _StageContext:
     """Times one bracketed region and reports it to its profiler."""
 
-    __slots__ = ("_profiler", "_name", "_hidden", "_t0")
+    __slots__ = ("_profiler", "_name", "_t0")
 
-    def __init__(self, profiler: "StageProfiler", name: str, hidden: bool = False):
+    def __init__(self, profiler: "StageProfiler", name: str):
         self._profiler = profiler
         self._name = name
-        self._hidden = hidden
 
     def __enter__(self):
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
-        self._profiler.record(
-            self._name, time.perf_counter() - self._t0, hidden=self._hidden
-        )
+        self._profiler.record(self._name, time.perf_counter() - self._t0)
         return False
 
 
@@ -101,27 +87,18 @@ class StageProfiler:
         self._lock = threading.Lock()
         self._seconds: Dict[str, float] = {}
         self._calls: Dict[str, int] = {}
-        self._hidden: Dict[str, float] = {}
 
     # -- recording ---------------------------------------------------------
-    def stage(self, name: str, hidden: bool = False):
-        """Context manager timing one region under *name*.
-
-        ``hidden=True`` marks the region as off-critical-path work
-        (engine worker threads): it still accumulates into the stage
-        total, and additionally into the hidden-time bucket reported by
-        :meth:`overlap_summary`.
-        """
+    def stage(self, name: str):
+        """Context manager timing one region under *name*."""
         if not self.enabled:
             return _NULL
-        return _StageContext(self, name, hidden)
+        return _StageContext(self, name)
 
-    def record(self, name: str, seconds: float, hidden: bool = False) -> None:
+    def record(self, name: str, seconds: float) -> None:
         with self._lock:
             self._seconds[name] = self._seconds.get(name, 0.0) + float(seconds)
             self._calls[name] = self._calls.get(name, 0) + 1
-            if hidden:
-                self._hidden[name] = self._hidden.get(name, 0.0) + float(seconds)
 
     def merge(self, snapshot: Dict[str, Dict[str, float]]) -> None:
         """Fold another profiler's :meth:`snapshot` into this one.
@@ -135,53 +112,15 @@ class StageProfiler:
             for name, rec in snapshot.items():
                 self._seconds[name] = self._seconds.get(name, 0.0) + float(rec["seconds"])
                 self._calls[name] = self._calls.get(name, 0) + int(rec["calls"])
-                hidden = float(rec.get("hidden_seconds", 0.0))
-                if hidden:
-                    self._hidden[name] = self._hidden.get(name, 0.0) + hidden
 
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """``{stage: {"seconds": total, "calls": n}}`` at this instant.
-
-        Stages with hidden (worker-side) time carry an extra
-        ``"hidden_seconds"`` key; stages without stay two-key, so
-        snapshots from profilers that never used ``hidden=True`` are
-        unchanged.
-        """
+        """``{stage: {"seconds": total, "calls": n}}`` at this instant."""
         with self._lock:
-            out: Dict[str, Dict[str, float]] = {}
-            for name in sorted(self._seconds):
-                rec = {"seconds": self._seconds[name], "calls": self._calls[name]}
-                hidden = self._hidden.get(name, 0.0)
-                if hidden:
-                    rec["hidden_seconds"] = hidden
-                out[name] = rec
-            return out
-
-    def overlap_summary(self) -> Dict[str, Dict[str, float]]:
-        """Hidden-vs-exposed decomposition of the overlap stages.
-
-        Returns ``{stage: {"seconds", "hidden_seconds",
-        "exposed_seconds", "hidden_fraction"}}`` for every stage that
-        recorded hidden time, plus the always-exposed wait stages when
-        present — ``engine-wait`` (the training thread blocked on the
-        engine) and ``grad-exchange`` (a rank blocked on the reduced
-        gradient) — the two sides of the pipeline-overlap ledger.
-        """
-        with self._lock:
-            out: Dict[str, Dict[str, float]] = {}
-            for name in sorted(self._seconds):
-                hidden = self._hidden.get(name, 0.0)
-                if hidden <= 0.0 and name not in ("engine-wait", "grad-exchange"):
-                    continue
-                total = self._seconds[name]
-                out[name] = {
-                    "seconds": total,
-                    "hidden_seconds": hidden,
-                    "exposed_seconds": total - hidden,
-                    "hidden_fraction": hidden / total if total > 0.0 else 0.0,
-                }
-            return out
+            return {
+                name: {"seconds": self._seconds[name], "calls": self._calls[name]}
+                for name in sorted(self._seconds)
+            }
 
     def total_seconds(self, name: str) -> float:
         with self._lock:
@@ -206,7 +145,6 @@ class StageProfiler:
         with self._lock:
             self._seconds.clear()
             self._calls.clear()
-            self._hidden.clear()
 
     # -- activation --------------------------------------------------------
     def activate(self) -> "StageProfiler":
@@ -279,21 +217,21 @@ def bind_to_thread(profiler: Optional[StageProfiler]) -> _ThreadBinding:
     return _ThreadBinding(profiler)
 
 
-def stage(name: str, hidden: bool = False):
+def stage(name: str):
     """Time a region under the active profiler (no-op when none)."""
     p = getattr(_THREAD, "profiler", None)
     if p is None:
         p = _ACTIVE
     if p is None:
         return _NULL
-    return p.stage(name, hidden)
+    return p.stage(name)
 
 
 def merge_snapshots(snapshots) -> Dict[str, Dict[str, float]]:
     """Fold many :meth:`StageProfiler.snapshot` dicts into one merged
     view — the cross-tenant aggregate a server's metrics surface reports
-    next to the per-tenant breakdowns.  Seconds, calls, and hidden
-    seconds sum per stage; input snapshots are untouched."""
+    next to the per-tenant breakdowns.  Seconds and calls sum per
+    stage; input snapshots are untouched."""
     merged = StageProfiler()
     for snap in snapshots:
         merged.merge(snap)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import SessionConfig, build_session
-from repro.api.config import DistributedSpec, EngineSpec, StorageSpec
+from repro.api.config import DistributedSpec, StorageSpec
 from repro.models.specs import ConvS, FlattenS, LinearS, ReLUS, build_network
 from repro.nn import SyntheticImageDataset, batches
 
@@ -30,7 +30,6 @@ def data(iters=2, batch=8, image_size=12):
 class TestSingleWorkerDoubleClose:
     def test_close_hooks_run_exactly_once(self):
         cfg = SessionConfig(
-            engine=EngineSpec(kind="async"),
             storage=StorageSpec(activations="arena", budget_bytes=1 << 20),
         )
         session = build_session(make_net(), cfg)

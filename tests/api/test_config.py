@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import glob
+import json
+import os
 import typing
 
 import pytest
@@ -36,7 +39,7 @@ class TestRoundTrip:
             storage=StorageSpec(activations="arena", budget_bytes=1 << 20,
                                 params="arena", param_budget_bytes=1 << 18,
                                 param_codec=CodecSpec("lossless")),
-            engine=EngineSpec(kind="async", workers=3, prefetch_depth="auto"),
+            engine=EngineSpec(shared_codebook_cache=True),
             adaptive=AdaptiveSpec(W=25, warmup_iterations=3, eb_max=0.5),
             optimizer=OptimizerSpec(kind="adam", lr=1e-3,
                                     options={"betas": [0.9, 0.99], "eps": 1e-7}),
@@ -47,7 +50,7 @@ class TestRoundTrip:
     def test_json_round_trip_identity(self, tmp_path):
         cfg = SessionConfig(
             rules=[PolicyRule(match="l1?", error_bound=1e-3)],
-            engine=EngineSpec(kind="async"),
+            engine=EngineSpec(kernel_backend="numpy"),
         )
         path = tmp_path / "cfg.json"
         cfg.to_json(str(path))
@@ -56,8 +59,8 @@ class TestRoundTrip:
         assert SessionConfig.from_json(cfg.to_json()).to_dict() == cfg.to_dict()
 
     def test_sparse_serialization_omits_defaults(self):
-        d = SessionConfig(engine=EngineSpec(kind="async")).to_dict()
-        assert d == {"engine": {"kind": "async"}}
+        d = SessionConfig(engine=EngineSpec(kernel_backend="numpy")).to_dict()
+        assert d == {"engine": {"kernel_backend": "numpy"}}
 
     def test_committed_mixed_policy_config_round_trips(self):
         import os
@@ -80,7 +83,7 @@ class TestValidation:
             CodecSpec("szlik").validate()
 
     def test_unknown_key_names_section_and_accepted_keys(self):
-        with pytest.raises(ConfigError, match="engine: unknown key.*'worker'.*workers"):
+        with pytest.raises(ConfigError, match="engine: unknown key.*'worker'.*kernel_backend"):
             SessionConfig.from_dict({"engine": {"worker": 3}})
 
     def test_unknown_top_level_key(self):
@@ -112,10 +115,6 @@ class TestValidation:
         )
         with pytest.raises(ConfigError, match="duplicate rule label"):
             cfg.validate()
-
-    def test_bad_engine_kind(self):
-        with pytest.raises(ConfigError, match="'sync' or 'async'"):
-            EngineSpec(kind="turbo").validate()
 
     def test_live_objects_in_options_rejected(self):
         with pytest.raises(ConfigError, match="JSON-serializable"):
@@ -218,14 +217,6 @@ class TestReviewRegressions:
         # and a rule override that restores a valid pair passes
         SessionConfig(rules=[PolicyRule(match="l*", eb_min=20.0, eb_max=30.0)]).validate()
 
-    def test_engine_integer_knobs_validated(self):
-        with pytest.raises(ConfigError, match="prefetch_depth"):
-            SessionConfig.from_dict({"engine": {"kind": "async", "prefetch_depth": -3}})
-        with pytest.raises(ConfigError, match="max_pending"):
-            SessionConfig.from_dict({"engine": {"kind": "async", "max_pending": 0}})
-        with pytest.raises(ConfigError, match="max_auto_depth"):
-            SessionConfig.from_dict({"engine": {"kind": "async", "max_auto_depth": 0}})
-
     def test_adaptive_coefficient_round_trips(self):
         cfg = SessionConfig(adaptive=AdaptiveSpec(W=10, coefficient=0.5))
         rebuilt = SessionConfig.from_json(cfg.to_json())
@@ -324,41 +315,27 @@ class TestSanitizerSpec:
             cfg.validate()
 
 
-class TestPipelineOverlapKnobs:
-    """EngineSpec unpack/bind-window/shared-cache knobs and per-rule
-    arena budgets: round-trip and validation."""
+class TestEngineAndRuleKnobs:
+    """EngineSpec's two fields and per-rule arena budgets: round-trip and
+    validation."""
 
     def test_round_trip(self):
         cfg = SessionConfig(
             storage=StorageSpec(activations="arena"),
-            engine=EngineSpec(
-                kind="async", unpack_depth=3, shared_codebook_cache=True,
-                bind_window_bytes=1 << 20,
-            ),
+            engine=EngineSpec(shared_codebook_cache=True),
             rules=[PolicyRule(match="l0", label="front", arena_budget=4096)],
         )
         rebuilt = SessionConfig.from_json(cfg.to_json())
         assert rebuilt == cfg
-        assert rebuilt.engine.unpack_depth == 3
         assert rebuilt.engine.shared_codebook_cache is True
-        assert rebuilt.engine.bind_window_bytes == 1 << 20
         assert rebuilt.rules[0].arena_budget == 4096
 
-    def test_auto_unpack_depth_round_trips(self):
-        cfg = SessionConfig(engine=EngineSpec(kind="async", unpack_depth="auto"))
-        assert SessionConfig.from_json(cfg.to_json()).engine.unpack_depth == "auto"
-
-    def test_defaults_stay_sparse(self):
-        d = SessionConfig(engine=EngineSpec(kind="async")).to_dict()
-        assert d["engine"] == {"kind": "async"}
+    def test_two_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(EngineSpec)] == [
+            "shared_codebook_cache", "kernel_backend",
+        ]
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="unpack_depth"):
-            SessionConfig.from_dict({"engine": {"unpack_depth": -1}})
-        with pytest.raises(ConfigError, match="unpack_depth"):
-            SessionConfig.from_dict({"engine": {"unpack_depth": "turbo"}})
-        with pytest.raises(ConfigError, match="bind_window_bytes"):
-            SessionConfig.from_dict({"engine": {"bind_window_bytes": -5}})
         with pytest.raises(ConfigError, match="shared_codebook_cache"):
             SessionConfig.from_dict({"engine": {"shared_codebook_cache": "yes"}})
 
@@ -372,6 +349,78 @@ class TestPipelineOverlapKnobs:
             SessionConfig(
                 rules=[PolicyRule(match="l0", arena_budget=4096)]
             ).validate()
+
+
+#: knobs of the removed thread-overlap engine: the first three are still
+#: accepted and ignored, the rest are unknown keys (``kind`` and
+#: ``workers`` also name other sections' fields)
+REMOVED_KEYS = (
+    "kind", "workers", "unpack_depth",
+    "prefetch_depth", "max_pending", "max_auto_depth", "bind_window_bytes",
+)
+IGNORED_KEYS, REJECTED_KEYS = REMOVED_KEYS[:3], REMOVED_KEYS[3:]
+REPO = os.path.join(os.path.dirname(__file__), "..", "..")
+COMMITTED_CONFIGS = sorted(
+    path
+    for pattern in ("benchmarks/e2e/configs/*.json", "examples/configs/*.json",
+                    "benchmarks/configs/*.json")
+    for path in glob.glob(os.path.join(REPO, pattern))
+    if os.path.basename(path) != "workloads.json"  # the benchmark's plan, not a config
+)
+
+
+def _keys(tree) -> set:
+    if isinstance(tree, dict):
+        return set(tree) | {k for v in tree.values() for k in _keys(v)}
+    if isinstance(tree, list):
+        return {k for v in tree for k in _keys(v)}
+    return set()
+
+
+class TestRemovedEngineKeys:
+    @pytest.mark.parametrize(
+        "path", COMMITTED_CONFIGS, ids=[os.path.basename(p) for p in COMMITTED_CONFIGS]
+    )
+    def test_every_committed_config_loads(self, path):
+        with open(path) as f:
+            fleet = "tenants" in json.load(f)
+        if fleet:
+            from repro.server import load_server_config
+
+            spec, tenants = load_server_config(path)
+            dicts = [spec.to_dict()] + [t.to_dict() for t in tenants]
+            sessions = [t.session.to_dict() for t in tenants]
+        else:
+            dicts = sessions = [SessionConfig.from_json(path).to_dict()]
+        assert not _keys(dicts) & set(REMOVED_KEYS[2:])  # the unambiguous ones
+        for d in sessions:
+            assert not set(d.get("engine", {})) & set(REMOVED_KEYS)
+
+    def test_three_keys_accepted_and_ignored(self):
+        cfg = SessionConfig.from_dict({"engine": dict(zip(IGNORED_KEYS, ("async", 1, "auto")))})
+        assert cfg.engine == EngineSpec()
+        assert cfg.to_dict() == {}
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            (key, value)
+            for key, values in zip(IGNORED_KEYS, (("sync", "async"), (4,), (2, "auto")))
+            for value in values
+        ],
+    )
+    def test_ignored_key_leaves_other_fields_intact(self, key, value):
+        spec = EngineSpec.from_dict({key: value, "kernel_backend": "numpy"})
+        assert spec == EngineSpec(kernel_backend="numpy")
+        assert SessionConfig.from_dict({"engine": {key: value}}).to_dict() == {}
+
+    @pytest.mark.parametrize("key", REJECTED_KEYS)
+    def test_other_removed_keys_rejected(self, key):
+        with pytest.raises(
+            ConfigError,
+            match=rf"unknown key.*'{key}'.*accepted keys: kernel_backend, shared_codebook_cache",
+        ):
+            EngineSpec.from_dict({key: 2})
 
 
 class TestDistributedSpec:
@@ -515,7 +564,7 @@ class TestScalarTypes:
     @pytest.mark.parametrize(
         "d",
         [
-            {"engine": {"workers": "2"}},
+            {"engine": {"shared_codebook_cache": "no"}},
             {"optimizer": {"lr": "0.1"}},
             {"optimizer": {"momentum": "x"}},
             {"adaptive": {"W": "10"}},
@@ -531,8 +580,8 @@ class TestScalarTypes:
             SessionConfig.from_dict(d)
 
     def test_nested_programmatic_config(self):
-        cfg = SessionConfig(engine=EngineSpec(workers="2"))
-        with pytest.raises(ConfigError, match="engine: workers must be an int"):
+        cfg = SessionConfig(engine=EngineSpec(kernel_backend=2))
+        with pytest.raises(ConfigError, match="engine: kernel_backend must be a string"):
             cfg.validate()
 
     def test_int_is_accepted_where_a_float_is(self):

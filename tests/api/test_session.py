@@ -31,6 +31,7 @@ from repro.api import (
     StorageSpec,
     build_session,
 )
+from repro.api.config import _IGNORED_ENGINE_KEYS
 from repro.compression.lossless import LosslessCompressedTensor
 from repro.compression.szlike import CompressedTensor
 from repro.core import SyncEngine
@@ -160,7 +161,6 @@ class TestJsonReproducibility:
             codec=CodecSpec("szlike", {"entropy": "zlib"}),
             rules=[PolicyRule(match="l0", error_bound=1e-3)],
             storage=StorageSpec(activations="arena", budget_bytes=1 << 20),
-            engine=EngineSpec(kind="async"),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
         with build_session(make_net(), cfg) as s1:
@@ -290,26 +290,8 @@ class TestPolicyBehaviour:
             assert s.compressed.controller.updates == 0
             assert s.compressed.adaptive_enabled is False
 
-    def test_async_engine_bit_identical_to_sync_under_policies(self):
-        results = {}
-        for kind in ("sync", "async"):
-            cfg = SessionConfig(
-                rules=[
-                    PolicyRule(match="l0", label="pinned", error_bound=2e-3),
-                    PolicyRule(match="l4", label="loose", codec=CodecSpec("lossless")),
-                ],
-                storage=StorageSpec(activations="arena", budget_bytes=1 << 18),
-                engine=EngineSpec(kind=kind),
-                adaptive=AdaptiveSpec(W=2, warmup_iterations=2),
-            )
-            with build_session(make_net(), cfg) as s:
-                results[kind] = (run(s, iters=5), list(s.tracker.iteration_ratios))
-        np.testing.assert_array_equal(results["sync"][0], results["async"][0])
-        assert results["sync"][1] == results["async"][1]
-
     def test_session_close_is_idempotent_and_owned(self):
         cfg = SessionConfig(
-            engine=EngineSpec(kind="async"),
             storage=StorageSpec(params="arena", param_budget_bytes=32 << 10),
             profiler=ProfilerSpec(enabled=True),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
@@ -340,8 +322,9 @@ class TestPolicyBehaviour:
             assert s.optimizer.betas == (0.9, 0.99)
 
 
-class TestPipelineOverlapWiring:
-    """build_session threads the PR's overlap knobs into the live stack."""
+class TestStorageKnobWiring:
+    """build_session threads the storage and engine knobs into the live
+    stack."""
 
     def _cfg(self, **engine_kwargs):
         return SessionConfig(
@@ -349,7 +332,7 @@ class TestPipelineOverlapWiring:
                 activations="arena", budget_bytes=1 << 16,
                 params="arena", param_budget_bytes=1 << 16,
             ),
-            engine=EngineSpec(kind="async", workers=2, **engine_kwargs),
+            engine=EngineSpec(**engine_kwargs),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
 
@@ -364,13 +347,6 @@ class TestPipelineOverlapWiring:
             stats = s.compressed.ctx.storage.group_stats()
             assert stats["front"]["budget_bytes"] == 2048
             assert stats["front"]["spill_count"] > 0  # cap actually bites
-
-    def test_bind_window_bytes_reaches_param_store(self):
-        cfg = self._cfg(bind_window_bytes=32 << 10)
-        with build_session(make_net(), cfg) as s:
-            assert s.param_store.bind_window_bytes == 32 << 10
-            run(s, iters=3)
-            assert s.param_store.window_switches > 0
 
     def test_shared_codebook_cache_upgrades_codecs(self):
         from repro.compression.szlike import SharedCodebookCache
@@ -390,24 +366,23 @@ class TestPipelineOverlapWiring:
             assert isinstance(rule_codec.codebook_cache, SharedCodebookCache)
             run(s, iters=2)
 
-    def test_config_unpack_depth_bit_identical_to_sync(self):
-        sync_cfg = self._cfg()
-        sync_cfg.engine = EngineSpec(kind="sync")
-        with build_session(make_net(), sync_cfg) as s:
-            losses_sync = run(s)
-        for depth in (0, 2, "auto"):
-            cfg = self._cfg(prefetch_depth=2, unpack_depth=depth,
-                            bind_window_bytes=32 << 10)
-            with build_session(make_net(), cfg) as s:
-                losses = run(s)
-                assert s.engine.unpack_depth == depth
-            np.testing.assert_array_equal(losses_sync, losses)
+    @pytest.mark.parametrize(
+        "key,value", list(zip(_IGNORED_ENGINE_KEYS, ("async", 4, "auto")))
+    )
+    def test_ignored_engine_key_trains_bit_identically(self, key, value):
+        """The removed engine's still-accepted keys change nothing about
+        the run they appear in."""
+        with build_session(make_net(), self._cfg()) as s:
+            reference = run(s, iters=3)
+        cfg = SessionConfig.from_dict({**self._cfg().to_dict(), "engine": {key: value}})
+        with build_session(make_net(), cfg) as s:
+            assert isinstance(s.engine, SyncEngine)
+            np.testing.assert_array_equal(run(s, iters=3), reference)
 
     def test_knobs_round_trip_through_json(self, tmp_path):
-        cfg = self._cfg(unpack_depth=2, bind_window_bytes=1 << 20,
-                        shared_codebook_cache=True)
+        cfg = self._cfg(shared_codebook_cache=True)
         cfg.rules = [PolicyRule(match="l0", label="front", arena_budget=4096)]
-        path = tmp_path / "overlap.json"
+        path = tmp_path / "knobs.json"
         cfg.to_json(str(path))
         rebuilt = SessionConfig.from_json(str(path))
         assert rebuilt == cfg
@@ -431,7 +406,7 @@ class TestConfigRoundTripSurface:
     def test_capture_is_identity(self):
         cfg = SessionConfig(
             rules=[PolicyRule(match="l0", codec=CodecSpec("lossless"))],
-            engine=EngineSpec(kind="async", workers=2),
+            engine=EngineSpec(kernel_backend="numpy"),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
         with build_session(make_net(), cfg) as s:

@@ -350,30 +350,35 @@ class TestContextIntegration:
         assert cache.builds == 2  # one per layer
         assert cache.hits == 4  # two further iterations each
         assert len(cache) == 2
-        ctx.close()
 
-    def test_sync_async_bit_identical_with_cache(self, rng):
-        """Per-layer keys keep cache decisions deterministic under the
-        async engine's worker pool."""
-        from repro.core import AsyncEngine, CompressingContext, MemoryTracker, SyncEngine
+    def test_cache_decisions_identical_in_and_out_of_core(self):
+        """Per-layer keys make cache decisions depend only on each layer's
+        pack sequence: serialized arena storage reconstructs the same
+        arrays and the cache takes the same build/hit path."""
+        from repro.core import ByteArena, CompressingContext
         from repro.nn import Conv2D
 
-        results = {}
-        for engine in (SyncEngine, AsyncEngine):
-            comp, _ = make_cached(eb=1e-2)
-            tracker = MemoryTracker()
-            ctx = CompressingContext(comp, tracker=tracker, engine=engine())
+        results = []
+        for storage in (None, ByteArena(budget_bytes=0)):
+            comp, cache = make_cached(eb=1e-2)
+            ctx = CompressingContext(comp, storage=storage)
             convs = [Conv2D(3, 2, 3, rng=i + 1, name=f"c{i}") for i in range(3)]
+            xs = [
+                smoothish(rng=np.random.default_rng(100 + i), shape=(2, 3, 16, 16))
+                for i in range(3)
+            ]
             outs = []
-            for it in range(3):
-                x = smoothish(rng=np.random.default_rng(100 + it), shape=(2, 3, 16, 16))
-                handles = [ctx.pack(c, "x", x) for c in convs]
+            for _ in range(3):
+                handles = [ctx.pack(c, "x", x) for c, x in zip(convs, xs)]
                 outs.extend(
                     ctx.unpack(c, "x", h)
                     for c, h in zip(reversed(convs), reversed(handles))
                 )
-            ctx.close()
-            results[engine] = (outs, tracker.per_layer["c0"].stored_bytes)
-        for a, b in zip(results[SyncEngine][0], results[AsyncEngine][0]):
+            if storage is not None:
+                assert storage.spill_count == 9 and len(storage) == 0
+                storage.close()
+            results.append((outs, cache.builds, cache.hits))
+        (outs_a, *counts_a), (outs_b, *counts_b) = results
+        for a, b in zip(outs_a, outs_b):
             np.testing.assert_array_equal(a, b)
-        assert results[SyncEngine][1] == results[AsyncEngine][1]
+        assert counts_a == counts_b and counts_a[1] > 0

@@ -113,63 +113,41 @@ class TestByteArena:
         with pytest.raises(ValueError):
             ByteArena(budget_bytes=-1)
 
-    def test_prefetch_stages_spilled_entries(self, tmp_path):
-        a = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
-        keys = [a.put(bytes([i]) * 64) for i in range(4)]
-        assert a.prefetch(keys[:2]) == 2
-        assert a.prefetch_count == 2
-        assert a.prefetched_nbytes == 128
-        # staging is a cache: accounting and disk entries untouched
-        assert a.spilled_nbytes == 256
-        # re-prefetching already-staged keys is a no-op
-        assert a.prefetch(keys[:2]) == 0
-        assert a.prefetch_count == 2
-        # first get consumes the staged copy (one-shot handoff)...
-        assert a.get(keys[0]) == bytes([0]) * 64
-        assert a.prefetched_nbytes == 64
-        # ...while the entry itself stays live and re-readable from disk
-        assert a.get(keys[0]) == bytes([0]) * 64
-        # discard drops an unconsumed staged copy with the entry
-        a.discard(keys[1])
-        assert a.prefetched_nbytes == 0
-        for i, k in enumerate(keys[2:], start=2):
-            assert a.get(k) == bytes([i]) * 64
-        a.close()
-        assert a.prefetched_nbytes == 0
-
-    def test_prefetch_unknown_and_resident_keys_skipped(self):
-        with ByteArena(budget_bytes=None) as a:
-            k = a.put(b"resident")
-            assert a.prefetch([k, 999]) == 0
-
-    def test_prefetch_max_bytes_caps_staging_cache(self, tmp_path):
-        a = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
-        keys = [a.put(bytes([i]) * 64) for i in range(4)]
-        # cap admits entries until the cache would exceed max_bytes
-        assert a.prefetch(keys, max_bytes=128) == 2
-        assert a.prefetched_nbytes == 128
-        # cache full: further capped prefetches stage nothing
-        assert a.prefetch(keys[2:], max_bytes=128) == 0
-        # consuming a staged copy frees room for the next one
-        a.get(keys[0])
-        assert a.prefetch(keys[2:], max_bytes=128) == 1
+    def test_failed_spill_keeps_entries_and_leaks_no_key(self, tmp_path):
+        """A spill write that fails (here: the spill directory is a
+        regular file) leaves the older entry resident and readable, and
+        the put that triggered it removes its own entry."""
+        not_a_dir = tmp_path / "spill"
+        not_a_dir.write_bytes(b"")
+        a = ByteArena(budget_bytes=10, spill_dir=str(not_a_dir))
+        k1 = a.put(b"x" * 8)
+        with pytest.raises(OSError):
+            a.put(b"y" * 8)
+        assert k1 in a and a.get(k1) == b"x" * 8
+        assert len(a) == 1
+        assert a.in_memory_nbytes == 8 and a.spilled_nbytes == 0
+        assert a.spill_count == 0
+        assert sorted(os.listdir(tmp_path)) == ["spill"]  # no spill file
         a.close()
 
-    def test_prefetch_max_bytes_zero_still_admits_one(self, tmp_path):
-        """Progress guarantee: an empty staging cache admits one entry
-        even when max_bytes is smaller than the entry (the budget-0
-        spill-everything regime)."""
-        a = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
-        keys = [a.put(b"x" * 64) for _ in range(2)]
-        assert a.prefetch(keys, max_bytes=0) == 1
-        assert a.prefetched_nbytes == 64
-        assert a.prefetch(keys, max_bytes=0) == 0  # cache non-empty now
+    def test_failed_forced_spill_keeps_entries(self, tmp_path):
+        not_a_dir = tmp_path / "spill"
+        not_a_dir.write_bytes(b"")
+        a = ByteArena(budget_bytes=None, spill_dir=str(not_a_dir))
+        keys = [a.put(bytes([i]) * 16, group="g") for i in range(3)]
+        with pytest.raises(OSError):
+            a.spill_bytes(32)
+        with pytest.raises(OSError):
+            a.set_group_budget("g", 0)
+        assert [a.get(k) for k in keys] == [bytes([i]) * 16 for i in range(3)]
+        assert a.in_memory_nbytes == 48 and a.spilled_nbytes == 0
         a.close()
 
 
 class TestByteArenaThreadSafety:
-    """Concurrent engine workers must not corrupt the FIFO, double-spill,
-    or tear the byte accounting."""
+    """Threads sharing an arena (a pool's rebalance, a server's stats
+    reads) must not corrupt the FIFO, double-spill, or tear the byte
+    accounting."""
 
     def test_concurrent_put_get_discard(self, tmp_path):
         import threading
@@ -185,7 +163,6 @@ class TestByteArenaThreadSafety:
                     payload = bytes([seed]) * size
                     k = a.put(payload)
                     assert a.get(k) == payload
-                    a.prefetch((k,))
                     assert a.pop(k) == payload
                     assert k not in a
             except Exception as exc:  # pragma: no cover - failure path
@@ -200,7 +177,6 @@ class TestByteArenaThreadSafety:
         assert len(a) == 0
         assert a.in_memory_nbytes == 0
         assert a.spilled_nbytes == 0
-        assert a.prefetched_nbytes == 0
         a.close()
         assert os.listdir(tmp_path) == []
 
@@ -373,6 +349,76 @@ class TestReleaseExactlyOnce:
         assert t._live_raw == 0 and t._live_stored == 0
 
 
+#: constructor kwargs so every registry codec builds at test scale
+CODEC_SPECS = {
+    "szlike": dict(error_bound=1e-3, entropy="huffman"),
+    "jpeg": dict(quality=60),
+    "lossless": {},
+    "sparse-lossless": {},
+    "chunked": dict(inner="szlike", workers=2, min_chunk_nbytes=1 << 10, error_bound=1e-3),
+}
+
+
+class TestSavedTensorContract:
+    """The saved-tensor path's lifecycle, for every codec and storage
+    regime: each handle is charged once and released once, and every
+    arena key it took is given back."""
+
+    @pytest.mark.parametrize("name", sorted(CODEC_SPECS))
+    @pytest.mark.parametrize("use_arena", [False, True])
+    def test_every_codec_releases_once(self, name, use_arena, conv, act4d):
+        from repro.compression import available_codecs
+
+        assert sorted(CODEC_SPECS) == sorted(available_codecs())
+        tracker = MemoryTracker()
+        with ByteArena(budget_bytes=0) as arena:
+            ctx = CompressingContext(
+                get_codec(name, **CODEC_SPECS[name]), initial_rel_eb=1e-3,
+                tracker=tracker, storage=arena if use_arena else None,
+            )
+            handles = [ctx.pack(conv, f"x{i}", act4d + i) for i in range(3)]
+            assert len(arena) == (3 if use_arena else 0)
+            for i, h in reversed(list(enumerate(handles))):
+                ctx.unpack(conv, f"x{i}", h)
+                ctx.discard(conv, f"x{i}", h)
+            assert len(arena) == 0
+        assert tracker.per_layer["c"].packs == 3
+        assert tracker._live_raw == 0 and tracker._live_stored == 0
+
+    def test_interleaved_unpack_and_discard_release_every_key(self):
+        """Waves of forward packs with partial backward consumption in
+        between, then the rest drained in reverse order with every third
+        handle discarded unread: the tracker balances and the arena is
+        empty."""
+        rng = np.random.default_rng(7)
+        layers = [Conv2D(3, 2, 3, rng=i + 1, name=f"c{i}") for i in range(6)]
+        tracker = MemoryTracker()
+        with ByteArena(budget_bytes=4096) as arena:
+            ctx = CompressingContext(
+                get_codec("szlike", entropy="zlib"), initial_rel_eb=1e-3,
+                tracker=tracker, storage=arena,
+            )
+            handles, tensors = {}, {}
+            for wave in range(3):
+                for i, layer in enumerate(layers):
+                    tensors[wave, i] = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
+                    handles[wave, i] = ctx.pack(layer, f"x{wave}", tensors[wave, i])
+                for i in reversed(range(3, len(layers))):
+                    y = ctx.unpack(layers[i], f"x{wave}", handles.pop((wave, i)))
+                    assert np.abs(y - tensors[wave, i]).max() <= ctx.error_bounds[f"c{i}"] * (1 + 1e-6)
+            assert arena.spill_count > 0
+            for n, key in enumerate(sorted(handles, reverse=True)):
+                layer, tag = layers[key[1]], f"x{key[0]}"
+                if n % 3 == 0:
+                    ctx.discard(layer, tag, handles[key])
+                else:
+                    ctx.unpack(layer, tag, handles[key])
+            assert len(arena) == 0
+            assert arena.in_memory_nbytes == 0 and arena.spilled_nbytes == 0
+        assert sum(r.packs for r in tracker.per_layer.values()) == 18
+        assert tracker._live_raw == 0 and tracker._live_stored == 0
+
+
 class TestArenaTraining:
     def test_training_with_spill_stays_correct(self):
         """quickstart-scale training through a tight arena budget: spills
@@ -484,4 +530,3 @@ class TestGroupBudgets:
             assert stats["front"]["spill_count"] == 1  # over its 1-byte cap
             y = ctx.unpack(conv, "x", h)
             assert np.abs(x - y).max() <= max(ctx.error_bounds.values()) * (1 + 1e-6)
-            ctx.close()

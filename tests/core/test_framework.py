@@ -10,6 +10,7 @@ from repro.core import (
     GradientAssessor,
     MemoryTracker,
     PackedActivation,
+    SyncEngine,
 )
 from repro.compression.szlike import SZCompressor
 from repro.nn import (
@@ -92,6 +93,25 @@ class TestCompressingContext:
         conv = Conv2D(3, 2, 3, rng=1)
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         assert ctx.pack(conv, "x", x) is x
+
+    def test_codec_names_rejected(self):
+        with pytest.raises(TypeError, match="codec instance"):
+            CompressingContext(compressor="szlike")
+
+    def test_codec_work_runs_inline(self, rng):
+        """The pack is charged before ``pack`` returns, on the calling
+        thread, and no thread is started."""
+        import threading
+
+        threads = threading.active_count()
+        tracker = MemoryTracker()
+        ctx = CompressingContext(SZCompressor(entropy="zlib"), tracker=tracker)
+        assert isinstance(ctx.engine, SyncEngine)
+        conv = Conv2D(3, 2, 3, rng=1, name="c")
+        h = ctx.pack(conv, "x", rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
+        assert h.stored_nbytes > 0 and tracker.per_layer["c"].packs == 1
+        ctx.unpack(conv, "x", h)
+        assert threading.active_count() == threads
 
 
 class TestMemoryTracker:

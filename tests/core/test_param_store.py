@@ -13,16 +13,22 @@ import pytest
 from repro.compression import SZCompressor
 from repro.core import (
     AdaptiveConfig,
-    AsyncEngine,
     ByteArena,
     CompressedTraining,
     MemoryTracker,
     ParamStore,
     StoreSlots,
-    SyncEngine,
 )
 from repro.models import build_scaled_model
-from repro.nn import SGD, Adam, ResidentSlots, SyntheticImageDataset, Trainer, batches
+from repro.nn import (
+    SGD,
+    Adam,
+    ResidentSlots,
+    SyntheticImageDataset,
+    Trainer,
+    batches,
+    iter_layers,
+)
 
 
 def small_net(rng=42):
@@ -277,9 +283,41 @@ class TestAccounting:
         assert 0 < store.peak_materialized_nbytes < total
         assert store.materialized_nbytes == 0  # all unbound at rest
 
+    def test_bound_layer_counted_in_materialized_bytes(self):
+        """A bound layer's weights are charged once however deeply the
+        binding nests, and only until the last unbind."""
+        net = small_net()
+        store = ParamStore(budget_bytes=0)
+        store.attach(net, SGD(net.parameters(), lr=0.01, momentum=0.9))
+        first = next(iter(store._layers))
+        layer_bytes = sum(p.data.nbytes for p in store._layers[first])
+        store._bind(first)
+        store._bind(first)
+        assert store.materialized_nbytes == layer_bytes
+        store._unbind(first)
+        assert store.materialized_nbytes == layer_bytes
+        assert np.isfinite(store._layers[first][0].data).all()
+        store._unbind(first)
+        assert store.materialized_nbytes == 0
+        assert store.peak_materialized_nbytes == layer_bytes
+        store.close()
+
+    def test_peak_is_one_layer_not_the_model(self):
+        """Layers bind one at a time: the peak is the largest single
+        layer's weights, never the sum over layers."""
+        store = ParamStore(budget_bytes=0)
+        train_run(SGD, dict(lr=0.01, momentum=0.9), store, iters=2)
+        net = small_net()
+        per_layer = [
+            sum(p.data.nbytes for p in layer.parameters())
+            for layer in iter_layers(net) if layer.parameters()
+        ]
+        assert store.peak_materialized_nbytes == max(per_layer)
+        assert store.peak_materialized_nbytes < sum(per_layer)
+
 
 class TestSessionIntegration:
-    def _session_run(self, param_storage, engine):
+    def _session_run(self, param_storage):
         net = small_net()
         opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
         trainer = Trainer(net, opt)
@@ -291,7 +329,6 @@ class TestSessionIntegration:
             config=AdaptiveConfig(W=5, warmup_iterations=2),
             storage=arena,
             param_storage=param_storage,
-            engine=engine,
         ).attach(trainer)
         dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
         trainer.train(batches(dataset, 4, 4, seed=1))
@@ -301,28 +338,17 @@ class TestSessionIntegration:
         arena.close()
         return losses, stats
 
-    def test_param_storage_knob_bit_identical_sync_async(self):
-        l_none, _ = self._session_run(None, SyncEngine())
-        l_sync, (sess_s, _) = self._session_run(ParamStore(budget_bytes=0), SyncEngine())
-        l_async, (sess_a, _) = self._session_run(ParamStore(budget_bytes=0), AsyncEngine())
-        np.testing.assert_array_equal(l_none, l_sync)
-        np.testing.assert_array_equal(l_sync, l_async)
+    def test_param_storage_knob_bit_identical(self):
+        l_none, _ = self._session_run(None)
+        l_store, (sess, _) = self._session_run(ParamStore(budget_bytes=0))
+        np.testing.assert_array_equal(l_none, l_store)
         # the session folded the store's books into its own tracker and
         # close() released them
-        assert sess_s.tracker.persistent_stored_bytes == 0
-        assert sess_a.tracker.persistent_stored_bytes == 0
-
-    def test_async_engine_stages_upcoming_params(self):
-        """The reverse-order prefetch must stage spilled parameter bytes
-        for upcoming layers (budget 0 => every fetch would otherwise be
-        a cold disk read)."""
-        _, (session, _) = self._session_run(ParamStore(budget_bytes=0), AsyncEngine())
-        assert session.engine.param_stages_scheduled > 0
-        assert session.param_store.storage.prefetch_count > 0
+        assert sess.tracker.persistent_stored_bytes == 0
 
     def test_caller_arena_backs_param_store(self):
         arena = ByteArena(budget_bytes=0)
-        losses, _ = self._session_run(ParamStore(storage=arena), SyncEngine())
+        losses, _ = self._session_run(ParamStore(storage=arena))
         assert np.isfinite(losses).all()
         assert arena.spill_count > 0
         arena.close()

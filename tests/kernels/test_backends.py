@@ -28,7 +28,7 @@ from repro.kernels.backends import (
     _reset_probe_for_tests,
     warmup_backend,
 )
-from repro.kernels import numba_backend, numpy_backend
+from repro.kernels import numba_backend
 from repro.utils.scratch import ScratchPool
 
 
@@ -391,3 +391,49 @@ class TestCompressorIntegration:
         np.testing.assert_array_equal(
             codec.decompress(codec.compress(x)), clone.decompress(clone.compress(x))
         )
+
+
+class TestTrainingBitIdentity:
+    """Every available kernel backend trains bit-identically: the same
+    losses and the same per-iteration compression ratios."""
+
+    @staticmethod
+    def train_with_backend(backend):
+        from repro.compression.registry import get_codec
+        from repro.core import AdaptiveConfig, CompressedTraining
+        from repro.nn import (
+            SGD,
+            Conv2D,
+            Flatten,
+            Linear,
+            MaxPool2D,
+            ReLU,
+            Sequential,
+            SyntheticImageDataset,
+            Trainer,
+            batches,
+        )
+
+        net = Sequential([
+            Conv2D(3, 6, 3, padding=1, rng=1, name="c1"), ReLU(), MaxPool2D(2),
+            Conv2D(6, 8, 3, padding=1, rng=2, name="c2"), ReLU(), MaxPool2D(2),
+            Flatten(), Linear(8 * 4 * 4, 4, rng=3),
+        ])
+        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
+        tr = Trainer(net, opt)
+        sess = CompressedTraining(
+            net, opt,
+            compressor=get_codec("szlike", entropy="huffman", kernel_backend=backend),
+            config=AdaptiveConfig(W=5, warmup_iterations=2),
+        ).attach(tr)
+        ds = SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
+        tr.train(batches(ds, 8, 6, seed=0))
+        tr.close()
+        return tr.history.losses, sess.tracker.iteration_ratios
+
+    def test_backends_train_bit_identically(self):
+        results = {b: self.train_with_backend(b) for b in available_backends()}
+        ref_losses, ref_ratios = results["numpy"]
+        for losses, ratios in results.values():
+            np.testing.assert_array_equal(losses, ref_losses)
+            assert ratios == ref_ratios

@@ -136,6 +136,21 @@ class TestFairSpill:
             assert a.pool_spill_events == 0
             assert pool.stats()["forced_spill_count"] == 0
 
+    def test_failed_forced_spill_loses_and_leaks_nothing(self, tmp_path):
+        """A pool spill whose write fails (the spill directory is a
+        regular file) keeps every stored entry and removes the entry of
+        the put that triggered it."""
+        not_a_dir = tmp_path / "spill"
+        not_a_dir.write_bytes(b"")
+        with ArenaPool(budget_bytes=1_000, spill_dir=str(not_a_dir)) as pool:
+            a = pool.create_arena("a", budget_bytes=8_000)
+            k0 = a.put(blob(0, 700))
+            with pytest.raises(OSError):
+                a.put(blob(1, 700))
+            assert a.get(k0) == blob(0, 700)
+            assert len(a) == 1 and a.in_memory_nbytes == 700
+            assert pool.stats()["forced_spill_count"] == 0
+
 
 class TestAccounting:
     def test_stats_shape(self):

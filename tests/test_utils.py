@@ -198,6 +198,29 @@ class TestStageProfiler:
         p.reset()
         assert p.snapshot() == {}
 
+    def test_merge_folds_seconds_and_calls(self):
+        a, b = StageProfiler(), StageProfiler()
+        a.record("encode", 0.2)
+        b.record("encode", 0.3)
+        b.record("encode", 0.1)
+        b.record("decode", 0.05)
+        a.merge(b.snapshot())
+        snap = a.snapshot()
+        assert snap["encode"]["calls"] == 3
+        assert snap["encode"]["seconds"] == pytest.approx(0.6)
+        assert snap["decode"] == {"seconds": pytest.approx(0.05), "calls": 1}
+
+    def test_merge_snapshots_leaves_inputs_untouched(self):
+        a, b = StageProfiler(), StageProfiler()
+        a.record("grad-reduce", 0.1)
+        b.record("grad-reduce", 0.2)
+        snaps = [a.snapshot(), b.snapshot()]
+        merged = profiler_mod.merge_snapshots(snaps)
+        assert merged["grad-reduce"]["calls"] == 2
+        assert merged["grad-reduce"]["seconds"] == pytest.approx(0.3)
+        assert snaps[0]["grad-reduce"]["calls"] == 1
+        assert a.snapshot()["grad-reduce"]["seconds"] == pytest.approx(0.1)
+
     def test_session_profiler_profiles_hot_path(self):
         """ProfilerSpec(enabled=True) activates stage timing end-to-end:
         the codec stages and the step stage accumulate during training."""
@@ -220,72 +243,3 @@ class TestStageProfiler:
             assert snap[stage_name]["calls"] > 0
         assert profiler_mod.get_active() is None  # close() deactivated it
 
-
-class TestOverlapSummary:
-    """Hidden-vs-exposed stage decomposition (the overlap-efficiency
-    report the engine's speculative stages feed)."""
-
-    def test_hidden_time_tracked_separately(self):
-        p = StageProfiler()
-        p.record("unpack-ahead", 0.3, hidden=True)
-        p.record("unpack-ahead", 0.1)  # exposed: ran on the hot path
-        snap = p.snapshot()
-        assert snap["unpack-ahead"]["calls"] == 2
-        assert snap["unpack-ahead"]["seconds"] == pytest.approx(0.4)
-        assert snap["unpack-ahead"]["hidden_seconds"] == pytest.approx(0.3)
-        summary = p.overlap_summary()
-        assert summary["unpack-ahead"]["exposed_seconds"] == pytest.approx(0.1)
-        assert summary["unpack-ahead"]["hidden_fraction"] == pytest.approx(0.75)
-
-    def test_stage_context_hidden_flag(self):
-        p = StageProfiler()
-        with p:
-            with profiler_mod.stage("bind-window", hidden=True):
-                pass
-            with profiler_mod.stage("encode"):
-                pass
-        snap = p.snapshot()
-        assert snap["bind-window"]["hidden_seconds"] > 0.0
-        assert "hidden_seconds" not in snap["encode"]
-
-    def test_fully_exposed_stages_stay_out_of_summary(self):
-        p = StageProfiler()
-        p.record("encode", 0.2)
-        assert "encode" not in p.overlap_summary()
-        p.record("engine-wait", 0.1)  # always reported: it IS exposure
-        assert p.overlap_summary()["engine-wait"]["hidden_fraction"] == 0.0
-
-    def test_merge_folds_hidden_time(self):
-        a, b = StageProfiler(), StageProfiler()
-        a.record("unpack-ahead", 0.2, hidden=True)
-        b.record("unpack-ahead", 0.3, hidden=True)
-        a.merge(b.snapshot())
-        assert a.snapshot()["unpack-ahead"]["hidden_seconds"] == pytest.approx(0.5)
-
-    def test_reset_clears_hidden(self):
-        p = StageProfiler()
-        p.record("s", 0.1, hidden=True)
-        p.reset()
-        assert p.snapshot() == {}
-        assert p.overlap_summary() == {}
-
-    def test_engine_run_populates_overlap_summary(self):
-        """An async training run records unpack-ahead as hidden time and
-        engine-wait as exposure, so the summary decomposes the overlap."""
-        from repro.api import AdaptiveSpec, EngineSpec, ProfilerSpec
-        from repro.api import SessionConfig, build_session
-        from repro.models import build_scaled_model
-        from repro.nn import SyntheticImageDataset, batches
-
-        net = build_scaled_model("alexnet", num_classes=4, image_size=16, rng=1)
-        cfg = SessionConfig(
-            adaptive=AdaptiveSpec(W=5, warmup_iterations=1),
-            engine=EngineSpec(kind="async", workers=2, prefetch_depth=2, unpack_depth=2),
-            profiler=ProfilerSpec(enabled=True),
-        )
-        with build_session(net, cfg) as session:
-            ds = SyntheticImageDataset(num_classes=4, image_size=16, seed=5)
-            session.train(batches(ds, 4, 3, seed=1))
-            summary = session.profiler.overlap_summary()
-        assert "unpack-ahead" in summary
-        assert summary["unpack-ahead"]["hidden_seconds"] > 0.0
