@@ -3,11 +3,9 @@
 The compressing context sits on the hot path of every training
 iteration — each conv activation is compressed on forward and
 decompressed on backward.  :class:`ChunkedCodec` splits the activation
-along the batch axis and runs the chunks through a worker pool: threads
-by default (zlib and the vectorized NumPy stages release the GIL), or
-``executor="process"`` to also parallelize the GIL-bound Huffman
-codebook build at the price of pickling chunks across the process
-boundary — both axes are measured here against the single-threaded path.
+along the batch axis and runs the chunks through a thread pool (zlib and
+the vectorized NumPy stages release the GIL); each worker count is
+measured here against the single-threaded path.
 
 Set ``REPRO_BENCH_QUICK=1`` for a CI-scale smoke run (smaller tensor,
 fewer repeats, no speedup assertion — containers may have one core).
@@ -55,14 +53,6 @@ def test_chunked_codec_beats_single_thread(act, benchmark):
                 (f"chunked w={w}", ChunkedCodec(sz, workers=w, min_chunk_nbytes=MIN_CHUNK))
                 for w in WORKER_COUNTS
             ]
-            if entropy == "huffman":
-                # The codebook build is GIL-bound Python — the case the
-                # process executor exists for.
-                variants += [
-                    (f"proc w={w}", ChunkedCodec(
-                        sz, workers=w, min_chunk_nbytes=MIN_CHUNK, executor="process"))
-                    for w in WORKER_COUNTS[:2]
-                ]
             for label, codec in variants:
                 codec.decompress(codec.compress(act))  # warm-up
                 t_c, ct = _best_of(lambda c=codec: c.compress(act))
@@ -133,15 +123,3 @@ def test_chunked_matches_unchunked_bytes(act):
     np.testing.assert_array_equal(
         ck.decompress(ck.compress(act)), sz.decompress(sz.compress(act))
     )
-
-
-def test_process_executor_matches_threads(act):
-    """The process backend is a pure performance knob: identical bytes."""
-    sz = get_codec("szlike", error_bound=1e-3, entropy="huffman")
-    th = ChunkedCodec(sz, workers=2, min_chunk_nbytes=MIN_CHUNK)
-    pr = ChunkedCodec(sz, workers=2, min_chunk_nbytes=MIN_CHUNK, executor="process")
-    ct_t, ct_p = th.compress(act), pr.compress(act)
-    assert ct_t.nbytes == ct_p.nbytes
-    np.testing.assert_array_equal(th.decompress(ct_t), pr.decompress(ct_p))
-    th.close()
-    pr.close()

@@ -28,17 +28,15 @@ every number is still emitted to ``BENCH_hotpath.json`` and gated
 against the baseline).
 """
 
-import pickle
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from _common import QUICK, metric, smooth_activation, write_bench_json, write_report
 from repro.compression import CodebookCache, SZCompressor
-from repro.compression.szlike import SharedCodebookCache, build_codebook
+from repro.compression.szlike import build_codebook
 from repro.compression.szlike.huffman import _encode_bitplane, huffman_encode
 from repro.compression.szlike.lorenzo import lorenzo_encode
 from repro.compression.szlike.quantizer import codes_from_residuals, prequantize
@@ -54,15 +52,6 @@ STEPS = 3 if QUICK else 8
 SCRATCH_SHAPE = (16, 32, 56, 56)
 EB = 1e-3
 DICT = 1024
-
-
-def _probe_shared_compress(comp_bytes, x, key):
-    """Worker-side compress (module-level: the pool pickles it).  The
-    unpickled clone starts with zeroed counters, so the returned stats
-    measure exactly what *this* call did."""
-    comp = pickle.loads(comp_bytes)
-    comp.compress(x, cache_key=key)
-    return comp.codebook_cache.stats()
 
 
 @pytest.fixture(scope="module")
@@ -150,32 +139,6 @@ def test_hotpath_amortized_compress(stream, benchmark):
     scratch_ratio = (peak_words - len(payload)) / len(payload)
     legacy_ratio = (peak_bitplane - len(payload)) / len(payload)
 
-    # -- cross-process codebook cache: steady-state build count ----------
-    # PR 7's claim: process-pool workers adopt published canonical books
-    # from the shared segment instead of rebuilding per worker per step.
-    # Counters, not timings — build count is deterministic, IPC is not.
-    shared = SharedCodebookCache()
-    comp_shared = SZCompressor(EB, entropy="huffman", codebook_cache=shared)
-    rng = np.random.default_rng(12)
-    probe = smooth_activation(rng, (4, 8, 28, 28), sigma=1.2, relu=True)
-    blob = pickle.dumps(comp_shared)
-    worker_stats = []
-    try:
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            for _ in range(4):
-                worker_stats.append(
-                    pool.submit(
-                        _probe_shared_compress, blob, probe, ("bench", "shared")
-                    ).result()
-                )
-    finally:
-        shared.close()
-    cold_builds = worker_stats[0]["builds"]
-    steady_builds = sum(s["builds"] for s in worker_stats[1:])
-    steady_calls = len(worker_stats) - 1
-    steady_adoptions = sum(s["shared_adoptions"] for s in worker_stats[1:])
-    shared_adoption_rate = steady_adoptions / steady_calls
-
     # -- kernel backend axis: encode/decode per available backend --------
     # Same stream, one codec per backend.  "auto" probing + warmup ran at
     # import, so JIT compilation never lands inside these timings.
@@ -212,9 +175,6 @@ def test_hotpath_amortized_compress(stream, benchmark):
         f"rebuilds (delta/refresh/escape), {stats['escaped_symbols']} escaped symbols",
         f"encode scratch peak: {scratch_ratio:.2f}x payload "
         f"(bit-plane legacy: {legacy_ratio:.2f}x; acceptance: <= 2x)",
-        f"shared codebook cache (process pool): {cold_builds} cold build, "
-        f"{steady_builds} steady-state builds across {steady_calls} worker "
-        f"compresses ({steady_adoptions} segment adoptions)",
         f"kernel backends: {', '.join(backend_times)} (auto -> {auto_selected})",
     ]
     for backend, t in backend_times.items():
@@ -251,14 +211,6 @@ def test_hotpath_amortized_compress(stream, benchmark):
             "legacy_scratch_ratio": metric(
                 legacy_ratio, "x payload", higher_is_better=False
             ),
-            # Deterministic counters: steady-state worker builds must be
-            # zero; the adoption rate (1.0) is the tightly-gated form.
-            "shared_steady_builds": metric(
-                steady_builds, "builds", higher_is_better=False
-            ),
-            "shared_adoption_rate": metric(
-                shared_adoption_rate, "frac", gate=True, tolerance=0.01
-            ),
             # Per-backend throughput (ungated: the backend set varies by
             # host; the numba-vs-numpy ordering is hard-asserted below).
             **{
@@ -271,7 +223,6 @@ def test_hotpath_amortized_compress(stream, benchmark):
             "shape": list(SHAPE),
             "steps": STEPS,
             "cache": stats,
-            "shared_cache": {"cold": worker_stats[0], "steady": worker_stats[-1]},
             "kernel_backends": {
                 "available": list(backend_times),
                 "auto_selected": auto_selected,
@@ -287,8 +238,6 @@ def test_hotpath_amortized_compress(stream, benchmark):
     # is asserted only at full scale where timing noise is small.
     assert scratch_ratio <= 2.0, f"encode scratch {scratch_ratio:.2f}x payload"
     assert stats["hits"] >= STEPS - 1  # the cache actually amortized
-    assert cold_builds == 1 and steady_builds == 0, worker_stats
-    assert shared_adoption_rate == 1.0, worker_stats
     if not QUICK:
         assert speedup_vs_legacy >= 1.5, (
             f"steady-state compress only {speedup_vs_legacy:.2f}x faster than legacy"

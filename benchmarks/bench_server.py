@@ -5,7 +5,7 @@ Measures the server subsystem end to end: a fleet of training tenants
 specs, stepped round-robin by the shared scheduler while their arenas
 compete inside ONE :class:`~repro.core.arena.ArenaPool` budget sized
 *below* the sum of tenant budgets, and their codecs share one codebook
-segment.
+table.
 
 Records per run:
 

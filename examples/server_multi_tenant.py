@@ -6,7 +6,7 @@ and arena budget) plus one uncompressed inference tenant — over ONE
 shared 4 MB :class:`~repro.core.arena.ArenaPool` budget, although the
 tenants *declare* 8 MB between them.  The pool's fair cross-tenant
 spill keeps every tenant inside the shared budget; the shared codebook
-segment lets later tenants adopt the Huffman books earlier tenants
+table lets later tenants adopt the Huffman books earlier tenants
 built; and the step scheduler interleaves everyone's steps round-robin
 over a small worker pool.
 

@@ -220,18 +220,12 @@ class _Section:
 
 def _require_codec(spec: "CodecSpec", where: str, props: Tuple[str, ...], problem: str) -> None:
     """Build *spec* once and require one of the codec properties *props*
-    (``lossless``, ``error_bounded``), closing the probe afterwards (a
-    process-pool chunked codec forks its pool eagerly)."""
+    (``lossless``, ``error_bounded``)."""
     from repro.compression.registry import get_codec
 
     probe = get_codec(spec.name, **spec.options)
-    try:
-        if not any(getattr(probe, p, False) for p in props):
-            raise ConfigError(f"{where}: {spec.name!r} {problem}")
-    finally:
-        close = getattr(probe, "close", None)
-        if callable(close):
-            close()
+    if not any(getattr(probe, p, False) for p in props):
+        raise ConfigError(f"{where}: {spec.name!r} {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +477,11 @@ class EngineSpec(_Section):
     """How the codec work runs: inline on the training thread, with
     ``kernel_backend`` picking the compiled-kernel implementation for
     szlike-family codecs (``"auto"`` probes Numba and falls back to NumPy
-    — see :mod:`repro.kernels`) and ``shared_codebook_cache`` upgrading
-    process-pool chunked codecs to a cross-process codebook segment.
+    — see :mod:`repro.kernels`).
     """
 
     _name = "engine"
 
-    shared_codebook_cache: bool = False
     kernel_backend: str = "auto"
 
     def _check(self, where: str) -> None:
@@ -739,10 +731,10 @@ class ServerSpec(_Section):
         the next tenant — amortizes per-dispatch overhead under load
         without starving anyone.
     shared_codebook_cache:
-        Give every szlike-family tenant codec one shared codebook
-        segment, so tenant B adopts the canonical Huffman books tenant A
-        already built (reconstruction stays bit-identical; only the
-        entropy-stage build cost is shared).
+        Point every tenant codebook cache at the server's one in-memory
+        codebook table, so tenant B adopts the canonical Huffman books
+        tenant A already built (reconstruction stays bit-identical; only
+        the entropy-stage build cost is shared).
     spill_dir:
         Pool spill directory (defaults to an owned temp dir).
     host, port:

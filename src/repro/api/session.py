@@ -330,6 +330,9 @@ def build_session(
                 network, optimizer, trainer, config,
                 compressed=compressed, param_store=param_store,
             )
+        # last hook: the param store decodes through its codec on close
+        codecs = session_codecs(session)
+        trainer.close_hooks.append(lambda tr: close_codecs(codecs))
         undo.pop_all()
     return session
 
@@ -368,14 +371,6 @@ def _build_compressed(network, optimizer, config: SessionConfig, storage, param_
             _apply_kernel_backend(
                 pol.codec, backend, f"rule (match={rule.match!r}).kernel_backend"
             )
-    if config.engine.shared_codebook_cache:
-        from repro.compression.registry import ensure_shared_codebook_cache
-
-        ensure_shared_codebook_cache(compressor)
-        if table is not None:
-            for pol in table.rules:
-                if pol.codec is not None:
-                    ensure_shared_codebook_cache(pol.codec)
 
     return CompressedTraining(
         network,
@@ -387,3 +382,23 @@ def _build_compressed(network, optimizer, config: SessionConfig, storage, param_
         policy_table=table,
         adaptive=config.adaptive.enabled,
     )
+
+
+def session_codecs(session: Session) -> list:
+    """Every codec *session* built: the session codec, the policy-rule
+    codecs and the parameter codec."""
+    table = session.policy_table
+    codecs = [pol.codec for pol in table.rules] if table is not None else []
+    if session.compressed is not None:
+        codecs.append(session.compressed.ctx.compressor)
+    if session.param_store is not None:
+        codecs.append(session.param_store.codec)
+    return [codec for codec in codecs if codec is not None]
+
+
+def close_codecs(codecs) -> None:
+    """Stop the worker threads of every codec that has them
+    (:class:`~repro.compression.registry.ChunkedCodec`)."""
+    for codec in codecs:
+        if hasattr(codec, "close"):
+            codec.close()

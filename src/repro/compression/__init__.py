@@ -4,6 +4,7 @@ and the unified codec registry (:mod:`repro.compression.registry`)."""
 from repro.compression.errors import CorruptBlobError
 from repro.compression.szlike import (
     CodebookCache,
+    CodebookTable,
     CompressedTensor,
     SharedCodebookCache,
     SZCompressor,
@@ -36,6 +37,7 @@ __all__ = [
     "CorruptBlobError",
     "SZCompressor",
     "CodebookCache",
+    "CodebookTable",
     "SharedCodebookCache",
     "CompressedTensor",
     "JpegLikeCompressor",

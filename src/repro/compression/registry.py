@@ -21,8 +21,8 @@ registry for constructing them:
   physical representation a byte arena or a spill file stores.
 * :class:`ChunkedCodec` — a wrapper that splits activations along the
   batch axis and compresses/decompresses the chunks concurrently in a
-  thread pool (zlib and the vectorized NumPy stages release the GIL, so
-  real parallelism is available without processes).
+  thread pool (zlib and the vectorized NumPy stages release the GIL).
+  Every codec lives in the process that built it.
 
 Accounting convention (shared with ``CompressedTensor.nbytes``): every
 compressed object's ``nbytes`` counts its binary sections at their exact
@@ -45,7 +45,6 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, runtime
 
 import numpy as np
 
-from repro.utils import profiler as _profiler
 from repro.compression.errors import CorruptBlobError
 from repro.compression.jpeg_like import JpegCompressedTensor, JpegLikeCompressor
 from repro.compression.lossless import (
@@ -53,7 +52,7 @@ from repro.compression.lossless import (
     LosslessCompressedTensor,
     SparseLosslessCompressor,
 )
-from repro.compression.szlike import CompressedTensor, SharedCodebookCache, SZCompressor
+from repro.compression.szlike import CompressedTensor, SZCompressor
 from repro.compression.szlike import serialize as _szser
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "ChunkedCodec",
     "ChunkedCompressedTensor",
     "CHUNK_HEADER_BYTES",
-    "ensure_shared_codebook_cache",
 ]
 
 
@@ -202,8 +200,7 @@ def spec_of(codec: Codec) -> Dict[str, Any]:
         options.update(
             _nondefault_options(
                 codec,
-                ("workers", "min_chunk_nbytes", "executor", "share_codebook",
-                 "shared_cache"),
+                ("workers", "min_chunk_nbytes", "share_codebook"),
                 _ctor_defaults(ChunkedCodec),
             )
         )
@@ -419,12 +416,19 @@ def _loads(data: bytes) -> Any:
                     c.codebook = shared
         if pos != len(data):
             raise CorruptBlobError("trailing bytes in serialized tensor")
+        # the header must describe the chunks it frames: the writer only
+        # splits along axis 0 and never changes the dtype
+        shape = _sizes(*header["shape"])
+        dtype = np.dtype(header["dtype"])
+        if header["axis"] != 0 or any(np.dtype(c.dtype) != dtype for c in chunks):
+            raise CorruptBlobError("chunked header axis or dtype disagrees with its chunks")
+        shapes = [tuple(c.shape) for c in chunks]
+        if len(shapes) > 1 and all(s and s[1:] == shapes[0][1:] for s in shapes):
+            shapes = [(sum(s[0] for s in shapes), *shapes[0][1:])]
+        if shapes != [shape]:
+            raise CorruptBlobError("chunk shapes do not concatenate to the header shape")
         return ChunkedCompressedTensor(
-            shape=tuple(header["shape"]),
-            dtype=header["dtype"],
-            axis=header["axis"],
-            chunks=chunks,
-            shared_codebook=shared,
+            shape=shape, dtype=str(dtype), axis=0, chunks=chunks, shared_codebook=shared,
         )
     raise CorruptBlobError("not a serialized compressed tensor (bad magic)")
 
@@ -447,52 +451,6 @@ def wire_header_nbytes(data: bytes) -> int:
 
 #: fixed charge for the chunked container's own wire header
 CHUNK_HEADER_BYTES = 32
-
-
-# Module-level trampolines: ProcessPoolExecutor can only ship picklable
-# callables, so per-chunk work is expressed as (codec, args) tuples
-# rather than the bound-method closures the thread path uses.
-def _profiled_chunk_op(packed):
-    """Run a chunk trampoline in a worker *process* under a child-local
-    profiler and ship the per-stage timings back with the result.
-
-    Thread workers report straight into the parent's process-wide active
-    profiler; a process worker has its own (empty) module global, so the
-    encode/decode stage totals would silently vanish at the executor
-    boundary.  The parent merges the returned snapshots.
-    """
-    from repro.utils.profiler import StageProfiler
-
-    op, args = packed
-    prof = StageProfiler()
-    prof.activate()
-    try:
-        result = op(args)
-    finally:
-        prof.deactivate()
-    return result, prof.snapshot()
-
-
-def _chunk_compress(args):
-    codec, part, error_bound, codebook, cache_key = args
-    if codebook is not None:
-        return codec.compress(part, error_bound=error_bound, codebook=codebook)
-    if cache_key is not None:
-        # Per-chunk cache keys: in a process pool the worker's codec copy
-        # consults the (shared) codebook cache, so steady-state chunk
-        # compresses adopt published books instead of rebuilding.
-        return codec.compress(part, error_bound=error_bound, cache_key=cache_key)
-    return codec.compress(part, error_bound=error_bound)
-
-
-def _chunk_decompress(args):
-    codec, ct = args
-    return codec.decompress(ct)
-
-
-def _chunk_estimate(args):
-    codec, part, error_bound, kwargs = args
-    return codec.estimate_nbytes(part, error_bound=error_bound, **kwargs)
 
 
 @dataclass
@@ -557,19 +515,13 @@ class ChunkedCodec:
         A :class:`Codec` instance or a registry key (extra kwargs go to
         :func:`get_codec`).
     workers:
-        Worker count for whichever executor is selected.
+        Worker threads.  zlib's deflate/inflate and NumPy's vectorized
+        kernels drop the GIL, so threads deliver real concurrency
+        without serialization cost.  The pool starts on the first call
+        that splits a tensor and stops in :meth:`close`.
     min_chunk_nbytes:
         Tensors smaller than ``2 * min_chunk_nbytes`` are not split —
         chunking overhead would swamp the win.
-    executor:
-        ``"thread"`` (default): zlib's deflate/inflate and NumPy's
-        vectorized kernels drop the GIL, so threads deliver real
-        concurrency without serialization cost.  ``"process"``: a
-        process pool that also parallelizes the *GIL-bound* stages —
-        chiefly the Huffman codebook build's Python heap loop — at the
-        price of pickling chunks across the process boundary.  The
-        process pool is created eagerly at construction (forking lazily
-        from a multi-threaded process would be hazardous).
 
     Equivalence contract: the reconstruction is bit-identical to the
     unchunked path whenever the inner codec treats leading-axis slices
@@ -585,9 +537,8 @@ class ChunkedCodec:
     canonical codebook — freshly built with the escape marker reserved,
     or fetched from the inner codec's cross-iteration cache — is
     injected into the remaining chunks' compress calls.  That removes
-    the per-chunk GIL-bound tree builds (the reason
-    ``executor="process"`` exists) and makes the whole tensor's entropy
-    stage amortizable across training steps via ``cache_key``; chunk
+    the per-chunk GIL-bound tree builds and makes the whole tensor's
+    entropy stage amortizable across training steps via ``cache_key``; chunk
     symbols the shared book does not cover escape to the outlier
     channel, so the error bound is unaffected.  Disable with
     ``share_codebook=False`` to restore per-chunk builds.
@@ -604,9 +555,7 @@ class ChunkedCodec:
         *,
         workers: int = 4,
         min_chunk_nbytes: int = 1 << 20,
-        executor: str = "thread",
         share_codebook: bool = True,
-        shared_cache: bool = True,
         **inner_kwargs,
     ):
         if isinstance(inner, str):
@@ -617,44 +566,16 @@ class ChunkedCodec:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if min_chunk_nbytes < 1:
             raise ValueError(f"min_chunk_nbytes must be >= 1, got {min_chunk_nbytes}")
-        if executor not in ("thread", "process"):
-            raise ValueError(f"executor must be 'thread' or 'process', got {executor!r}")
         self.inner = inner
         self.workers = int(workers)
         self.min_chunk_nbytes = int(min_chunk_nbytes)
-        self.executor = executor
         self.share_codebook = bool(share_codebook)
-        self.shared_cache = bool(shared_cache)
-        # A plain CodebookCache empties itself at the process boundary,
-        # so a process-pool inner would rebuild canonical books in every
-        # worker.  Upgrade it to the serialized-segment shared cache —
-        # same keys, same staleness checks, same escape contract — so
-        # workers adopt published books instead of rebuilding.
-        inner_cache = getattr(inner, "codebook_cache", None)
-        if (
-            executor == "process"
-            and self.shared_cache
-            and inner_cache is not None
-            and not isinstance(inner_cache, SharedCodebookCache)
-        ):
-            inner.codebook_cache = SharedCodebookCache.from_cache(inner_cache)
         self.error_bounded = bool(getattr(inner, "error_bounded", False))
         self.lossless = bool(getattr(inner, "lossless", False))
         # Persistent pool: compress/decompress sit on the per-layer
         # per-iteration pack/unpack hot path, so worker churn per call
-        # would be pure overhead.  Threads are created lazily; a process
-        # pool forks all its workers now (ProcessPoolExecutor spawns on
-        # first submit, so a no-op is pushed through) while the process
-        # is still single-threaded — forking later from e.g. a server
-        # scheduler thread could inherit held locks into the children.
-        self._pool: Optional[Any] = None
-        if executor == "process" and self.workers > 1:
-            # workers == 1 always takes _run's inline path; don't fork a
-            # pool that could never be used.
-            from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
-
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            self._pool.submit(int).result()
+        # would be pure overhead.
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- helpers ---------------------------------------------------------
     def _num_chunks(self, x: np.ndarray) -> int:
@@ -663,52 +584,26 @@ class ChunkedCodec:
         by_size = max(1, x.nbytes // self.min_chunk_nbytes)
         return int(min(self.workers, x.shape[0], by_size))
 
-    def _run(self, op, arg_lists: List[tuple], inline) -> List[Any]:
-        """Fan per-chunk work out to the configured executor.
-
-        *op* is a module-level trampoline taking ``(inner, *args)`` (the
-        picklable form the process pool needs); *inline* is the
-        equivalent direct call used for the no-parallelism fast path.
-        """
+    def _run(self, fn, arg_lists: List[tuple]) -> List[Any]:
+        """``[fn(*args) for args in arg_lists]``, on the thread pool when
+        there is more than one chunk and more than one worker."""
         if self.workers <= 1 or len(arg_lists) <= 1:
-            return [inline(*args) for args in arg_lists]
-        if self.executor == "process":
-            # Never recreate a process pool lazily: after close() or
-            # unpickling, the process may be multi-threaded (server
-            # scheduler threads) and forking then can inherit held locks.  Degrade
-            # to inline serial execution instead.
-            if self._pool is None:
-                return [inline(*args) for args in arg_lists]
-            packed = [(self.inner, *args) for args in arg_lists]
-            active = _profiler.get_active()
-            if active is None:
-                return list(self._pool.map(op, packed))
-            # Profiling run: each chunk executes under a child-local
-            # profiler and its stage snapshot is merged back here, so
-            # encode/decode totals survive the process boundary.
-            results = []
-            for result, snap in self._pool.map(_profiled_chunk_op, [(op, p) for p in packed]):
-                active.merge(snap)
-                results.append(result)
-            return results
+            return [fn(*args) for args in arg_lists]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="chunked-codec"
             )
-        return list(self._pool.map(lambda args: inline(*args), arg_lists))
+        return list(self._pool.map(lambda args: fn(*args), arg_lists))
+
+    def _compress_part(self, part: np.ndarray, error_bound, kwargs: dict):
+        return self.inner.compress(part, error_bound=error_bound, **kwargs)
 
     def close(self) -> None:
-        """Shut down the worker pool.  A thread pool is recreated lazily
-        if the codec is used again; a closed process-backed codec keeps
-        working but runs its chunks inline (serially)."""
+        """Stop the worker threads (a later call that splits a tensor
+        starts a new pool)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_pool"] = None  # executors don't pickle; rebuilt on use
-        return state
 
     def __del__(self):
         try:
@@ -746,13 +641,8 @@ class ChunkedCodec:
                 cache_key=cache_key, reserve_marker=True,
             )
             shared = first.codebook  # None for book-less entropy stages
-            rest = self._run(
-                _chunk_compress,
-                [(p, error_bound, shared, None) for p in parts[1:]],
-                lambda p, eb, cb, ck: self.inner.compress(p, error_bound=eb, codebook=cb)
-                if cb is not None
-                else self.inner.compress(p, error_bound=eb),
-            )
+            kwargs = {"codebook": shared} if shared is not None else {}
+            rest = self._run(self._compress_part, [(p, error_bound, kwargs) for p in parts[1:]])
             chunks = [first] + rest
         elif n == 1 and cache_key is not None and supports_key:
             # unsplit tensors still amortize through the inner cache
@@ -764,19 +654,11 @@ class ChunkedCodec:
             # per-key independence the cache's determinism rests on).
             chunk_keys = supports_key and cache_key is not None
             chunks = self._run(
-                _chunk_compress,
+                self._compress_part,
                 [
-                    (
-                        p,
-                        error_bound,
-                        None,
-                        (cache_key, "chunk", i) if chunk_keys else None,
-                    )
+                    (p, error_bound, {"cache_key": (cache_key, "chunk", i)} if chunk_keys else {})
                     for i, p in enumerate(parts)
                 ],
-                lambda p, eb, cb, ck: self.inner.compress(p, error_bound=eb, cache_key=ck)
-                if ck is not None
-                else self.inner.compress(p, error_bound=eb),
             )
         container_book = None
         if shared is not None:
@@ -797,9 +679,7 @@ class ChunkedCodec:
     def decompress(self, ct: ChunkedCompressedTensor) -> np.ndarray:
         if not isinstance(ct, ChunkedCompressedTensor):
             return self.inner.decompress(ct)
-        parts = self._run(
-            _chunk_decompress, [(c,) for c in ct.chunks], self.inner.decompress
-        )
+        parts = self._run(self.inner.decompress, [(c,) for c in ct.chunks])
         out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=ct.axis)
         return out.reshape(ct.shape)
 
@@ -816,9 +696,8 @@ class ChunkedCodec:
         shares = self.share_codebook and getattr(self.inner, "supports_codebook_sharing", False)
         bookless = {"own_codebook": False} if shares else {}
         ests = self._run(
-            _chunk_estimate,
-            [(p, error_bound, bookless if i else {}) for i, p in enumerate(parts)],
-            lambda p, eb, kw: self.inner.estimate_nbytes(p, error_bound=eb, **kw),
+            lambda p, kw: self.inner.estimate_nbytes(p, error_bound=error_bound, **kw),
+            [(p, bookless if i else {}) for i, p in enumerate(parts)],
         )
         return float(sum(ests)) + CHUNK_HEADER_BYTES
 
@@ -827,40 +706,3 @@ class ChunkedCodec:
 
 
 register_codec("chunked", ChunkedCodec)
-
-
-def ensure_shared_codebook_cache(
-    codec: Any,
-    segment_path: Optional[str] = None,
-    owner: Optional[str] = None,
-) -> bool:
-    """Upgrade *codec*'s codebook cache to a :class:`SharedCodebookCache`.
-
-    Recurses through :class:`ChunkedCodec` wrappers to the inner codec.
-    Returns True when the codec now has (or already had) a shared cache;
-    False for codecs without a codebook cache (nothing to share — e.g.
-    jpeg/lossless, or ``codebook_cache=False``), which is a no-op, not
-    an error: a session-wide switch must tolerate mixed rule codecs.
-
-    *segment_path* points the cache at an existing shared segment (the
-    multi-tenant server passes one file every tenant adopts from; the
-    caller owns that file's lifetime).  A codec whose cache is already
-    shared but on a different segment is re-pointed, keeping its
-    staleness knobs.  *owner* labels this participant's publishes for
-    the segment's adoption ledger.
-    """
-    if isinstance(codec, ChunkedCodec):
-        return ensure_shared_codebook_cache(codec.inner, segment_path, owner)
-    cache = getattr(codec, "codebook_cache", None)
-    if cache is None:
-        return False
-    if isinstance(cache, SharedCodebookCache):
-        if segment_path is None or cache.segment_path == segment_path:
-            if owner is not None:
-                cache.owner = owner
-            return True
-        cache.close()  # drop the private segment before re-pointing
-    codec.codebook_cache = SharedCodebookCache.from_cache(
-        cache, segment_path=segment_path, owner=owner
-    )
-    return True

@@ -1,7 +1,9 @@
 """SZ/cuSZ-style error-bounded lossy compressor (CPU re-implementation)."""
 
 from repro.compression.szlike.compressor import SZCompressor, CompressedTensor
-from repro.compression.szlike.codebook_cache import CodebookCache, SharedCodebookCache
+from repro.compression.szlike.codebook_cache import (
+    CodebookCache, CodebookTable, SharedCodebookCache,
+)
 from repro.compression.szlike.huffman import (
     HuffmanCodebook,
     build_codebook,
@@ -27,6 +29,7 @@ __all__ = [
     "loads",
     "CompressedTensor",
     "CodebookCache",
+    "CodebookTable",
     "SharedCodebookCache",
     "HuffmanCodebook",
     "build_codebook",

@@ -3,11 +3,11 @@
 cuSZ (Tian et al. 2020) treats Huffman codebook construction as an
 amortizable *setup* cost: activation code distributions are stable
 across adjacent training iterations, so a codebook built at step *t* is
-near-optimal at step *t+1*.  Our canonical builder is a Python heap loop
-(:func:`~repro.compression.szlike.huffman._huffman_lengths`) — exactly
-the GIL-bound stage the chunked codec's process pool exists for — and
-the dense decode tables are another per-codebook build.  Reusing the
-book across steps removes both from the steady-state path.
+near-optimal at step *t+1*.  Our canonical builder is a GIL-bound
+Python heap loop
+(:func:`~repro.compression.szlike.huffman._huffman_lengths`), and the
+dense decode tables are another per-codebook build.  Reusing the book
+across steps removes both from the steady-state path.
 
 :class:`CodebookCache` keeps one canonical codebook per *tensor key*
 (the saved-tensor path passes the layer name, so each conv layer
@@ -34,27 +34,24 @@ Reuse decisions for a key depend only on that key's own lookup history,
 so per-layer keys keep a run deterministic: each layer packs once per
 iteration, in a fixed order.  All state is behind one lock — the
 chunked codec's thread workers share a single compressor instance.
+
+:class:`SharedCodebookCache` adds one in-memory :class:`CodebookTable`
+that several caches publish to and adopt from: the tenants of one
+:class:`~repro.server.server.SessionServer` amortize each other's
+builds through it.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.compression.szlike.huffman import HuffmanCodebook, entropy_bits_from_hist
 
-try:  # POSIX advisory file locking for the shared segment (see below)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-
-__all__ = ["CodebookCache", "SharedCodebookCache"]
+__all__ = ["CodebookCache", "CodebookTable", "SharedCodebookCache"]
 
 #: accounting price of one escaped symbol, in bits: the marker codeword
 #: is charged separately via ``lengths[0]``; the escaped residual itself
@@ -264,94 +261,82 @@ class CodebookCache:
                 self.rebuilds_delta + self.rebuilds_refresh + self.rebuilds_escape
             )
         return (
-            f"CodebookCache(entries={entries}, hits={hits}, "
+            f"{type(self).__name__}(entries={entries}, hits={hits}, "
             f"builds={builds}, rebuilds={rebuilds})"
         )
 
-    # Caches don't pickle their contents (the process-pool chunked codec
-    # ships the inner compressor to workers; each worker re-warms its
-    # own): state resets to empty, knobs survive.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_entries"] = OrderedDict()
-        state["_lock"] = None
-        return state
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+class CodebookTable:
+    """Published codebooks, ``{key: (lengths bytes, owner)}``, that a
+    fleet of :class:`SharedCodebookCache` instances publish to and adopt
+    from.
+
+    A canonical book is fully determined by its length array, so a
+    published entry costs one byte per alphabet symbol.  A multi-tenant
+    server owns one table; its tenants run on several scheduler
+    threads, so every access goes through one lock.
+    """
+
+    def __init__(self) -> None:
+        self._books: Dict[Hashable, Tuple[bytes, Optional[str]]] = {}
         self._lock = threading.Lock()
         from repro.core.sanitizer import maybe_instrument
 
         maybe_instrument(self, "codebook_cache")
 
+    def get(self, key: Hashable) -> Optional[Tuple[bytes, Optional[str]]]:
+        with self._lock:
+            return self._books.get(key)
+
+    def publish(self, key: Hashable, lengths: bytes, owner: Optional[str]) -> None:
+        """Record *key*'s book.  An unchanged book keeps its original
+        publisher, so re-publishing never relabels the tenant that
+        actually built it."""
+        with self._lock:
+            old = self._books.get(key)
+            if old is None or old[0] != lengths:
+                self._books[key] = (lengths, owner)
+
+    def invalidate(self, key: Hashable = None) -> None:
+        """Forget one key's published book (or all of them)."""
+        with self._lock:
+            if key is None:
+                self._books.clear()
+            else:
+                self._books.pop(key, None)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._books)
+
 
 class SharedCodebookCache(CodebookCache):
-    """Cross-process codebook cache over a serialized-segment file.
+    """A codebook cache that publishes to and adopts from a
+    :class:`CodebookTable`.
 
-    The plain :class:`CodebookCache` empties itself when pickled, so
-    every ``ChunkedCodec(executor="process")`` worker used to rebuild
-    canonical books from scratch — the exact amortization the cache
-    exists to provide, lost at the process boundary.  This subclass
-    backs the same API with one shared *segment*: a small file holding
-    ``{key: lengths_bytes}`` for every published codebook (canonical
-    books are fully determined by their length arrays, so the wire cost
-    is one byte per alphabet symbol per key).
-
-    * **Publish** — whenever a lookup (re)builds a book, the process's
-      entries are merged into the segment under an exclusive
-      ``fcntl.flock`` (read-merge-write, so concurrent publishers never
-      lose each other's keys).  Hits never publish.
+    * **Publish** — whenever a lookup (re)builds a book, it is recorded
+      in the table under this cache's ``owner``.  Hits never publish.
     * **Adopt** — a lookup for a locally unknown key first consults the
-      segment (shared ``flock``) and installs the published book via
+      table and installs the published book via
       :meth:`HuffmanCodebook.from_lengths` — an O(alphabet) canonical
       reconstruction, no heap loop.  The adopted entry then flows
       through the ordinary staleness checks, so the refresh/δ/escape
       contract (and the unconditional outlier-escape bound) is
       unchanged.
-    * **Degrade** — every segment error (unreadable, unwritable,
-      truncated) falls back to plain per-process caching and bumps
-      ``segment_errors``; correctness never depends on the segment.
 
-    Pickled copies (what process-pool workers receive) keep the segment
-    path but never own the file; the creator removes it in
-    :meth:`close`.  Determinism: publishes happen inside the worker's
-    task, before its result returns, and the chunked codec's ``map`` is
-    a barrier — so the set of published books visible at step *t+1* is a
-    deterministic function of the work completed through step *t*.
+    The two locks are never held together.  *knobs* are
+    :class:`CodebookCache`'s staleness knobs.
     """
 
-    def __init__(
-        self,
-        refresh_interval: int = 64,
-        delta: float = 0.10,
-        max_escape_ratio: float = 0.02,
-        max_entries: int = 512,
-        segment_path: Optional[str] = None,
-        owner: Optional[str] = None,
-    ):
-        super().__init__(
-            refresh_interval=refresh_interval,
-            delta=delta,
-            max_escape_ratio=max_escape_ratio,
-            max_entries=max_entries,
-        )
-        if segment_path is None:
-            fd, segment_path = tempfile.mkstemp(
-                prefix="repro-codebooks-", suffix=".seg"
-            )
-            os.close(fd)
-            self._owns_segment = True
-        else:
-            self._owns_segment = False
-        self.segment_path = segment_path
-        self._creator_pid = os.getpid()
+    def __init__(self, table: CodebookTable, owner: Optional[str] = None, **knobs):
+        super().__init__(**knobs)
+        self.table = table
         #: participant label stamped on published books (a server sets
         #: the tenant name here); None publishes anonymously
         self.owner = owner
-        # -- shared-segment statistics (guarded like the base counters) ----
-        self.shared_adoptions = 0  # entries adopted from the segment
-        self.publishes = 0  # merges written to the segment
-        self.segment_errors = 0  # degraded-to-local events
+        # -- sharing statistics (guarded like the base counters) -----------
+        self.shared_adoptions = 0  # entries adopted from the table
+        self.publishes = 0  # books published to the table
         #: publisher label -> books adopted from that publisher; the
         #: multi-tenant amortization ledger ("who warmed whose cache").
         #: Anonymous publishers count under "<anonymous>".
@@ -361,116 +346,26 @@ class SharedCodebookCache(CodebookCache):
     def from_cache(
         cls,
         cache: CodebookCache,
-        segment_path: Optional[str] = None,
+        table: CodebookTable,
         owner: Optional[str] = None,
     ) -> "SharedCodebookCache":
         """A shared cache with the same staleness knobs as *cache*."""
-        return cls(
-            refresh_interval=cache.refresh_interval,
-            delta=cache.delta,
-            max_escape_ratio=cache.max_escape_ratio,
-            max_entries=cache.max_entries,
-            segment_path=segment_path,
-            owner=owner,
-        )
-
-    # -- segment value format ----------------------------------------------
-    # Entries are ``(lengths_bytes, owner)``; bare ``bytes`` values from
-    # older segments are read as anonymously published.
-    @staticmethod
-    def _seg_lengths(value) -> Optional[bytes]:
-        if isinstance(value, tuple):
-            value = value[0]
-        return value if isinstance(value, bytes) and value else None
-
-    @staticmethod
-    def _seg_owner(value) -> str:
-        if isinstance(value, tuple) and isinstance(value[1], str):
-            return value[1]
-        return "<anonymous>"
-
-    # -- segment I/O (never under self._lock: file waits must not stall
-    # -- other keys' lookups, and the lock is non-reentrant) ---------------
-    def _decode_segment(self, raw: bytes) -> Dict[Hashable, bytes]:
-        if not raw:
-            return {}
-        try:
-            doc = pickle.loads(raw)
-        except Exception:
-            with self._lock:
-                self.segment_errors += 1
-            return {}
-        return doc if isinstance(doc, dict) else {}
-
-    def _read_segment(self) -> Dict[Hashable, bytes]:
-        try:
-            with open(self.segment_path, "rb") as f:
-                if fcntl is not None:
-                    fcntl.flock(f.fileno(), fcntl.LOCK_SH)
-                try:
-                    raw = f.read()
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(f.fileno(), fcntl.LOCK_UN)
-        except OSError:
-            with self._lock:
-                self.segment_errors += 1
-            return {}
-        return self._decode_segment(raw)
-
-    def _rewrite_segment(self, mutate: Callable[[Dict[Hashable, bytes]], None]) -> None:
-        """Read-merge-write the segment under an exclusive file lock.
-
-        In-place rewrite on the flocked fd keeps one stable inode for
-        every locker; without ``fcntl`` (non-POSIX) a tmp-file
-        ``os.replace`` keeps readers tear-free instead.
-        """
-        try:
-            with open(self.segment_path, "a+b") as f:
-                if fcntl is not None:
-                    fcntl.flock(f.fileno(), fcntl.LOCK_EX)
-                try:
-                    f.seek(0)
-                    merged = self._decode_segment(f.read())
-                    mutate(merged)
-                    payload = pickle.dumps(merged, protocol=pickle.HIGHEST_PROTOCOL)
-                    if fcntl is not None:
-                        f.seek(0)
-                        f.truncate()
-                        f.write(payload)
-                        f.flush()
-                    else:  # pragma: no cover - non-POSIX fallback
-                        tmp = self.segment_path + ".tmp"
-                        with open(tmp, "wb") as g:
-                            g.write(payload)
-                        os.replace(tmp, self.segment_path)
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(f.fileno(), fcntl.LOCK_UN)
-        except OSError:
-            with self._lock:
-                self.segment_errors += 1
-            return
-        with self._lock:
-            self.publishes += 1
+        knobs = ("refresh_interval", "delta", "max_escape_ratio", "max_entries")
+        return cls(table, owner, **{k: getattr(cache, k) for k in knobs})
 
     def _adopt(self, key: Hashable) -> None:
-        """Install *key*'s published codebook from the segment, if any."""
-        value = self._read_segment().get(key)
-        lengths = self._seg_lengths(value)
-        if lengths is None:
+        """Install *key*'s published codebook from the table, if any."""
+        published = self.table.get(key)
+        if published is None:
             return
-        book = HuffmanCodebook.from_lengths(
-            np.frombuffer(lengths, dtype=np.uint8).copy()
-        )
-        publisher = self._seg_owner(value)
+        lengths, publisher = published
+        book = HuffmanCodebook.from_lengths(np.frombuffer(lengths, dtype=np.uint8).copy())
+        publisher = publisher if publisher is not None else "<anonymous>"
         with self._lock:
             if key not in self._entries:
                 self._install(key, book)
                 self.shared_adoptions += 1
-                self.adoptions_from[publisher] = (
-                    self.adoptions_from.get(publisher, 0) + 1
-                )
+                self.adoptions_from[publisher] = self.adoptions_from.get(publisher, 0) + 1
 
     # -- API ---------------------------------------------------------------
     def lookup(self, key: Hashable, hist: np.ndarray) -> Tuple[HuffmanCodebook, bool]:
@@ -480,32 +375,14 @@ class SharedCodebookCache(CodebookCache):
             self._adopt(key)
         book, reused = super().lookup(key, hist)
         if not reused:
-            # Merge every local entry, not just this key: publishes heal
-            # any update another process lost to a crash mid-run.
+            self.table.publish(key, book.lengths.tobytes(), self.owner)
             with self._lock:
-                local = {
-                    k: (e.codebook.lengths.tobytes(), self.owner)
-                    for k, e in self._entries.items()
-                }
-
-            def merge(merged):
-                for k, v in local.items():
-                    # An unchanged book keeps its original publisher, so
-                    # re-merging an adopted entry never relabels the
-                    # tenant that actually built it.
-                    if self._seg_lengths(merged.get(k)) == v[0]:
-                        continue
-                    merged[k] = v
-
-            self._rewrite_segment(merge)
+                self.publishes += 1
         return book, reused
 
     def invalidate(self, key: Hashable = None) -> None:
         super().invalidate(key)
-        if key is None:
-            self._rewrite_segment(lambda merged: merged.clear())
-        else:
-            self._rewrite_segment(lambda merged: merged.pop(key, None))
+        self.table.invalidate(key)
 
     def stats(self) -> dict:
         out = super().stats()
@@ -513,58 +390,5 @@ class SharedCodebookCache(CodebookCache):
             out["owner"] = self.owner
             out["shared_adoptions"] = self.shared_adoptions
             out["publishes"] = self.publishes
-            out["segment_errors"] = self.segment_errors
             out["adoptions_from"] = dict(self.adoptions_from)
         return out
-
-    # -- lifecycle ---------------------------------------------------------
-    def close(self) -> None:
-        """Remove the owned segment file.  Pickled (worker-side) copies
-        never own it, so worker teardown cannot yank the segment out
-        from under the parent."""
-        if self._owns_segment and os.getpid() == self._creator_pid:
-            self._owns_segment = False
-            try:
-                os.remove(self.segment_path)
-            except OSError:
-                pass
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __getstate__(self):
-        state = super().__getstate__()
-        state["_owns_segment"] = False
-        # A pickled copy is a fresh participant (a pool worker): zero the
-        # counters so worker-side stats measure worker activity only —
-        # "builds == 0 in the worker" is the cross-process cache-hit
-        # assertion the tests pin.
-        for counter in (
-            "hits",
-            "builds",
-            "rebuilds_delta",
-            "rebuilds_refresh",
-            "rebuilds_escape",
-            "escaped_symbols",
-            "evictions",
-            "shared_adoptions",
-            "publishes",
-            "segment_errors",
-        ):
-            state[counter] = 0
-        state["adoptions_from"] = {}
-        return state
-
-    def __repr__(self) -> str:
-        with self._lock:
-            entries = len(self._entries)
-            adoptions = self.shared_adoptions
-            publishes = self.publishes
-        return (
-            f"SharedCodebookCache(entries={entries}, "
-            f"adoptions={adoptions}, publishes={publishes}, "
-            f"segment={os.path.basename(self.segment_path)!r})"
-        )

@@ -272,7 +272,7 @@ class SZCompressor:
         #: reusable scratch buffers for the quantize/predict/code
         #: intermediates (thread-safe; shared by ChunkedCodec workers)
         self._scratch = ScratchPool()
-        #: requested backend name (``"auto"`` re-resolves per process)
+        #: requested backend name
         self.kernel_backend = kernel_backend
         self._kernels = get_backend(kernel_backend)
 
@@ -292,25 +292,6 @@ class SZCompressor:
             )
         self._kernels = get_backend(kernel_backend)
         self.kernel_backend = kernel_backend
-
-    # Locks, scratch buffers, and kernel callables don't pickle;
-    # ChunkedCodec(executor="process") ships the inner codec to pool
-    # workers, so drop them and rebuild (``"auto"`` re-probes in the
-    # worker — a host-side numba never forces itself on a worker that
-    # lacks it).  A cached codebook state resets too (CodebookCache's
-    # own __getstate__) — workers re-warm independently.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_rng_lock"]
-        del state["_scratch"]
-        del state["_kernels"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._rng_lock = threading.Lock()
-        self._scratch = ScratchPool()
-        self._kernels = get_backend(self.kernel_backend)
 
     # -- helpers ---------------------------------------------------------
     def resolve_error_bound(self, x: np.ndarray) -> float:

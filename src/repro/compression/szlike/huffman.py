@@ -233,14 +233,6 @@ class HuffmanCodebook:
             self._tables = (tsym, tlen)
         return self._tables
 
-    # The cached tables are derived state: drop them when pickling (the
-    # process-pool chunked codec ships codebooks to workers) so the wire
-    # cost stays about one length byte per symbol.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_tables"] = None
-        return state
-
 
 def histogram(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Symbol frequency histogram (the one ``bincount`` the codebook

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.api.config import ConfigError, SessionConfig
-from repro.api.session import Session
+from repro.api.session import Session, close_codecs
 from repro.compression.registry import dumps, loads
 from repro.distributed.grad_compress import build_grad_plan, downlink_codec_spec
 from repro.distributed.reduce import reduce_arrays
@@ -273,6 +273,7 @@ class DistributedSession(Session):
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=5)
+            close_codecs([gp.codec for gp in self._plan] + [self._downlink])
             if self._profiler is not None:
                 self._profiler.deactivate()
 

@@ -16,8 +16,7 @@ Selection semantics:
   verifies bit-identity against the reference (so JIT compilation never
   lands inside a profiled stage, and a miscompiled kernel can never be
   selected).  Any probe failure degrades to numpy — counted in
-  :func:`kernel_stats`, never raised, the same degradation discipline
-  as ``SharedCodebookCache.segment_errors``.
+  :func:`kernel_stats`, never raised.
 
 A selected numba backend additionally degrades *per call*: a kernel
 that raises at runtime falls back to the reference implementation for

@@ -26,8 +26,8 @@ flagged like any other touch.
 
 **Exemptions.**
 
-* ``__init__`` / ``__getstate__`` / ``__setstate__`` / ``__del__``:
-  construction and (un)pickling run before/after any sharing.
+* ``__init__`` / ``__del__``: construction and teardown run
+  before/after any sharing.
 * Methods whose docstring states the **caller holds the lock** (the
   codebase convention, e.g. ``"(callers hold the lock)"``): their
   bodies execute under the caller's ``with`` block, so their touches
@@ -46,7 +46,7 @@ from repro.lint.engine import LintModule, LintRun, Rule, Violation
 __all__ = ["LockDisciplineRule"]
 
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
-_EXEMPT_METHODS = {"__init__", "__getstate__", "__setstate__", "__del__"}
+_EXEMPT_METHODS = {"__init__", "__del__"}
 _LOCK_HELD_DOC = re.compile(r"callers?\s+(?:must\s+)?holds?\s+the\s+lock", re.I)
 _MUTATING_METHODS = {
     "add",

@@ -2,7 +2,7 @@
 
 Host many concurrent :func:`~repro.api.session.build_session` sessions
 over shared infrastructure: one :class:`~repro.core.arena.ArenaPool`
-memory budget, one shared codebook segment, one step scheduler — with
+memory budget, one shared codebook table, one step scheduler — with
 admission control, per-tenant backpressure, and a metrics surface
 (:meth:`SessionServer.stats` / the :func:`serve` HTTP endpoint).
 """

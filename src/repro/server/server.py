@@ -11,11 +11,13 @@ server shares three things across the fleet:
   budget (not the sum of tenant budgets) bounds resident bytes, and a
   tenant bursting past its fair share spills before it starves the
   others.
-- **One codebook segment**: szlike-family tenant codecs share a
+- **One codebook table**: every tenant codebook cache becomes a
   :class:`~repro.compression.szlike.codebook_cache.SharedCodebookCache`
-  segment file, so tenant B adopts the canonical Huffman books tenant A
-  already built instead of rebuilding them.  Adoption is lossless —
-  per-tenant results stay bit-identical to standalone runs.
+  over the server's one in-memory
+  :class:`~repro.compression.szlike.codebook_cache.CodebookTable`, so
+  tenant B adopts the canonical Huffman books tenant A already built
+  instead of rebuilding them.  Adoption is lossless — per-tenant results
+  stay bit-identical to standalone runs.
 - **One scheduler**: step requests from all tenants drain through a
   shared :class:`~repro.server.scheduler.StepScheduler` (per-tenant
   FIFO, round-robin across tenants, optional request batching), with
@@ -29,7 +31,7 @@ budget, per :class:`~repro.api.config.ServerSpec.admission`.
 Determinism contract: a tenant admitted to a server trains bit-identically
 to the same ``(model, seed, session config)`` run standalone through
 ``build_session`` — the pool only moves bytes between RAM and disk, the
-shared segment only changes *compressed* bytes (never reconstructions),
+shared table only changes *compressed* bytes (never reconstructions),
 and the scheduler runs each tenant's steps serially in FIFO order.
 :func:`run_standalone` is the reference implementation the equivalence
 tests pin this against.
@@ -38,8 +40,6 @@ tests pin this against.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import threading
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -54,7 +54,8 @@ from repro.api.config import (
     _load_json_source,
     check_scalar_types,
 )
-from repro.api.session import Session, build_session
+from repro.api.session import Session, build_session, session_codecs
+from repro.compression.szlike import CodebookTable, SharedCodebookCache
 from repro.core.arena import ArenaPool
 from repro.models.registry import build_scaled_model
 from repro.nn.data import SyntheticImageDataset, batches
@@ -320,8 +321,8 @@ class SessionServer:
             max_batch_requests=self.spec.max_batch_requests,
             queue_depth=self.spec.queue_depth,
         )
-        self._segment_dir = tempfile.mkdtemp(prefix="repro-server-")
-        self._segment_path = os.path.join(self._segment_dir, "codebooks.seg")
+        #: the codebooks every tenant publishes to and adopts from
+        self.codebooks = CodebookTable()
         #: admission ledger: counters + a bounded decision log
         self.admitted_total = 0
         self.rejected_total = 0
@@ -394,26 +395,23 @@ class SessionServer:
         tenant.arena = arena
         tenant._stream = stream
         tenant.state = "running"
-        if self.spec.shared_codebook_cache and session.compressed is not None:
+        if self.spec.shared_codebook_cache:
             self._share_codebooks(spec.name, session)
         self._tenants[spec.name] = tenant
         self.scheduler.register(spec.name, profiler=session.profiler)
         self.admitted_total += 1
 
     def _share_codebooks(self, name: str, session: Session) -> None:
-        """Re-point every codec in *session* at the server's shared
-        codebook segment (no-op for codecs without codebook caches)."""
-        from repro.compression.registry import ensure_shared_codebook_cache
-
-        ctx = session.compressed.ctx
-        ensure_shared_codebook_cache(ctx.compressor, self._segment_path, owner=name)
-        table = getattr(ctx, "policy_table", None)
-        if table is not None:
-            for pol in table.rules:
-                if pol.codec is not None:
-                    ensure_shared_codebook_cache(
-                        pol.codec, self._segment_path, owner=name
-                    )
+        """Re-point every codebook cache in *session* (through a
+        :class:`~repro.compression.registry.ChunkedCodec` to its inner
+        codec) at the server's table, publishing as *name*."""
+        for codec in session_codecs(session):
+            codec = getattr(codec, "inner", codec)
+            cache = getattr(codec, "codebook_cache", None)
+            if cache is not None:
+                codec.codebook_cache = SharedCodebookCache.from_cache(
+                    cache, table=self.codebooks, owner=name
+                )
 
     def _decide(self, tenant: Tenant, decision: str, reason: Optional[str]) -> None:
         entry = {
@@ -552,8 +550,8 @@ class SessionServer:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Evict every tenant, stop the scheduler, close the pool, and
-        delete the shared codebook segment.  Idempotent."""
+        """Evict every tenant, stop the scheduler and close the pool.
+        Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -563,7 +561,6 @@ class SessionServer:
             self.evict(name)
         self.scheduler.close()
         self.pool.close()
-        shutil.rmtree(self._segment_dir, ignore_errors=True)
 
     def __enter__(self) -> "SessionServer":
         return self

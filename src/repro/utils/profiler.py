@@ -103,10 +103,9 @@ class StageProfiler:
     def merge(self, snapshot: Dict[str, Dict[str, float]]) -> None:
         """Fold another profiler's :meth:`snapshot` into this one.
 
-        Used to carry stage timings across a process boundary: pool
-        workers (e.g. ``ChunkedCodec(executor="process")``) time their
-        stages under a child-local profiler, return the snapshot with
-        the result, and the parent merges it here.
+        Used to carry stage timings across a process boundary: each
+        data-parallel rank returns its snapshot when it closes, and the
+        coordinator merges it here.
         """
         with self._lock:
             for name, rec in snapshot.items():

@@ -19,9 +19,6 @@ allocator/page-fault traffic for every activation on every iteration.
   (the :class:`~repro.compression.registry.ChunkedCodec` thread workers
   share one inner compressor) are safe — each take pops a distinct
   buffer under the pool lock, or allocates fresh when the pool is empty.
-
-Pools are deliberately *not* pickled (a process-pool worker rebuilds an
-empty one): the buffers are pure caches.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ class TestRoundTrip:
             storage=StorageSpec(activations="arena", budget_bytes=1 << 20,
                                 params="arena", param_budget_bytes=1 << 18,
                                 param_codec=CodecSpec("lossless")),
-            engine=EngineSpec(shared_codebook_cache=True),
+            engine=EngineSpec(kernel_backend="numpy"),
             adaptive=AdaptiveSpec(W=25, warmup_iterations=3, eb_max=0.5),
             optimizer=OptimizerSpec(kind="adam", lr=1e-3,
                                     options={"betas": [0.9, 0.99], "eps": 1e-7}),
@@ -230,20 +230,6 @@ class TestReviewRegressions:
         assert "coefficient" not in d["adaptive"]
         assert AdaptiveSpec().coefficient == float(THEORY_COEFFICIENT_A)
 
-    def test_param_codec_probe_does_not_leak_a_pool(self):
-        # validating a process-executor chunked param codec must close
-        # the probe instance's eagerly-forked pool
-        spec = StorageSpec(
-            params="arena",
-            param_codec=CodecSpec("chunked", {"inner": "lossless", "workers": 2,
-                                              "executor": "process"}),
-        )
-        import multiprocessing
-
-        before = len(multiprocessing.active_children())
-        spec.validate()
-        assert len(multiprocessing.active_children()) == before
-
 
 class TestMatchKind:
     def test_regex_rule_round_trips(self):
@@ -316,28 +302,26 @@ class TestSanitizerSpec:
 
 
 class TestEngineAndRuleKnobs:
-    """EngineSpec's two fields and per-rule arena budgets: round-trip and
+    """EngineSpec's one field and per-rule arena budgets: round-trip and
     validation."""
 
     def test_round_trip(self):
         cfg = SessionConfig(
             storage=StorageSpec(activations="arena"),
-            engine=EngineSpec(shared_codebook_cache=True),
+            engine=EngineSpec(kernel_backend="numpy"),
             rules=[PolicyRule(match="l0", label="front", arena_budget=4096)],
         )
         rebuilt = SessionConfig.from_json(cfg.to_json())
         assert rebuilt == cfg
-        assert rebuilt.engine.shared_codebook_cache is True
+        assert rebuilt.engine.kernel_backend == "numpy"
         assert rebuilt.rules[0].arena_budget == 4096
 
-    def test_two_settable_fields(self):
-        assert [f.name for f in dataclasses.fields(EngineSpec)] == [
-            "shared_codebook_cache", "kernel_backend",
-        ]
+    def test_one_settable_field(self):
+        assert [f.name for f in dataclasses.fields(EngineSpec)] == ["kernel_backend"]
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="shared_codebook_cache"):
-            SessionConfig.from_dict({"engine": {"shared_codebook_cache": "yes"}})
+        with pytest.raises(ConfigError, match="kernel_backend"):
+            SessionConfig.from_dict({"engine": {"kernel_backend": 2}})
 
     def test_arena_budget_validation(self):
         with pytest.raises(ConfigError, match="arena_budget"):
@@ -358,7 +342,8 @@ REMOVED_KEYS = (
     "kind", "workers", "unpack_depth",
     "prefetch_depth", "max_pending", "max_auto_depth", "bind_window_bytes",
 )
-IGNORED_KEYS, REJECTED_KEYS = REMOVED_KEYS[:3], REMOVED_KEYS[3:]
+#: plus the cross-process codebook switch (``ServerSpec`` keeps its own)
+IGNORED_KEYS, REJECTED_KEYS = REMOVED_KEYS[:3], REMOVED_KEYS[3:] + ("shared_codebook_cache",)
 REPO = os.path.join(os.path.dirname(__file__), "..", "..")
 COMMITTED_CONFIGS = sorted(
     path
@@ -418,7 +403,7 @@ class TestRemovedEngineKeys:
     def test_other_removed_keys_rejected(self, key):
         with pytest.raises(
             ConfigError,
-            match=rf"unknown key.*'{key}'.*accepted keys: kernel_backend, shared_codebook_cache",
+            match=rf"unknown key.*'{key}'.*accepted keys: kernel_backend$",
         ):
             EngineSpec.from_dict({key: 2})
 
@@ -564,7 +549,7 @@ class TestScalarTypes:
     @pytest.mark.parametrize(
         "d",
         [
-            {"engine": {"shared_codebook_cache": "no"}},
+            {"engine": {"kernel_backend": 1}},
             {"optimizer": {"lr": "0.1"}},
             {"optimizer": {"momentum": "x"}},
             {"adaptive": {"W": "10"}},

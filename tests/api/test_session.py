@@ -15,6 +15,7 @@ Three things are pinned here:
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -348,24 +349,6 @@ class TestStorageKnobWiring:
             assert stats["front"]["budget_bytes"] == 2048
             assert stats["front"]["spill_count"] > 0  # cap actually bites
 
-    def test_shared_codebook_cache_upgrades_codecs(self):
-        from repro.compression.szlike import SharedCodebookCache
-
-        cfg = self._cfg(shared_codebook_cache=True)
-        cfg.codec = CodecSpec("szlike", {"entropy": "huffman", "codebook_cache": True})
-        cfg.rules = [PolicyRule(
-            match="l0", label="front",
-            codec=CodecSpec("szlike", {"entropy": "huffman", "codebook_cache": True,
-                                       "error_bound": 1e-3}),
-        )]
-        with build_session(make_net(), cfg) as s:
-            assert isinstance(
-                s.compressed.ctx.compressor.codebook_cache, SharedCodebookCache
-            )
-            rule_codec = s.policy_table.rules[0].codec
-            assert isinstance(rule_codec.codebook_cache, SharedCodebookCache)
-            run(s, iters=2)
-
     @pytest.mark.parametrize(
         "key,value", list(zip(_IGNORED_ENGINE_KEYS, ("async", 4, "auto")))
     )
@@ -380,12 +363,40 @@ class TestStorageKnobWiring:
             np.testing.assert_array_equal(run(s, iters=3), reference)
 
     def test_knobs_round_trip_through_json(self, tmp_path):
-        cfg = self._cfg(shared_codebook_cache=True)
+        cfg = self._cfg(kernel_backend="numpy")
         cfg.rules = [PolicyRule(match="l0", label="front", arena_budget=4096)]
         path = tmp_path / "knobs.json"
         cfg.to_json(str(path))
         rebuilt = SessionConfig.from_json(str(path))
         assert rebuilt == cfg
+
+
+def _chunked_session_codec():
+    return SessionConfig(
+        codec=CodecSpec("chunked", {"inner": "szlike", "workers": 2,
+                                    "min_chunk_nbytes": 4096}),
+        adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
+    )
+
+
+def _mixed_policy():
+    cfg = SessionConfig.from_json(MIXED_CONFIG)
+    # the late layers of a 16x16 VGG are too small for the committed
+    # 256 KiB chunk floor; split them so the rule codec's pool starts
+    (rule,) = [r for r in cfg.rules if r.codec is not None and r.codec.name == "chunked"]
+    rule.codec.options["min_chunk_nbytes"] = 256
+    return cfg
+
+
+@pytest.mark.parametrize("make_cfg", [_chunked_session_codec, _mixed_policy])
+def test_close_stops_codec_threads(make_cfg):
+    """``Session.close()`` stops the worker threads of every codec the
+    session built: the session codec and the policy-rule codecs."""
+    before = threading.active_count()
+    with build_session(make_net("vgg16"), make_cfg()) as s:
+        run(s, iters=1)
+        assert threading.active_count() > before  # a chunked pool ran
+    assert threading.active_count() == before
 
 
 class TestConfigRoundTripSurface:

@@ -4,7 +4,7 @@ The cache is a pure performance mechanism — every test here pins down
 the ways it must NOT change semantics: the error bound holds under
 arbitrarily stale books (escape demotion), rebuild triggers fire on
 drift (δ) and on schedule (K), concurrent use under the chunked codec's
-executors is safe and deterministic, and shared-codebook references
+thread pool is safe and deterministic, and shared-codebook references
 serialize honestly (nbytes byte-exact vs ``dumps``).
 """
 
@@ -267,20 +267,6 @@ class TestChunkedSharing:
         for x, ct in zip(tensors, cts):
             y = ck.decompress(ct)
             assert np.abs(x.astype(np.float64) - y).max() <= 1e-2 * (1 + 1e-6)
-
-    def test_process_executor_matches_threads_with_sharing(self, act):
-        th = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
-                          error_bound=1e-2, entropy="huffman")
-        pr = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
-                          error_bound=1e-2, entropy="huffman", executor="process")
-        try:
-            ct_t = th.compress(act)
-            ct_p = pr.compress(act)
-            assert ct_t.nbytes == ct_p.nbytes
-            np.testing.assert_array_equal(th.decompress(ct_t), pr.decompress(ct_p))
-        finally:
-            th.close()
-            pr.close()
 
     def test_serialize_roundtrip_shared_references(self, act):
         ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,

@@ -16,6 +16,7 @@ import pytest
 from repro.compression import (
     ChunkedCodec,
     ChunkedCompressedTensor,
+    CorruptBlobError,
     SZCompressor,
     available_codecs,
     get_codec,
@@ -322,6 +323,44 @@ class TestCorruptLosslessSections:
                 loads(blob[:4] + struct.pack("<I", len(hbytes)) + hbytes + blob[8 + hlen :])
 
 
+@pytest.mark.parametrize(
+    "key,bad", [("shape", [2, 8, 6, 12]), ("shape", [-4, 8, 6, 6]),
+                ("dtype", "float64"), ("axis", 3)],
+)
+def test_chunked_header_must_describe_its_chunks(rng, key, bad):
+    """A chunked blob whose header disagrees with the chunks it frames is
+    corrupt, not a tensor of another shape, size or layout."""
+    ck = get_codec("chunked", inner="szlike", workers=2, min_chunk_nbytes=64)
+    try:
+        blob = dumps(ck.compress(rng.standard_normal((4, 8, 6, 6)).astype(np.float32)))
+    finally:
+        ck.close()
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8 : 8 + hlen])
+    assert len(header["chunk_lengths"]) == 2 and header[key] != bad
+    assert loads(blob).shape == (4, 8, 6, 6)
+    hbytes = json.dumps({**header, key: bad}).encode()
+    with pytest.raises(CorruptBlobError):
+        loads(blob[:4] + struct.pack("<I", len(hbytes)) + hbytes + blob[8 + hlen :])
+
+
+@pytest.mark.parametrize(
+    "inner,shape",
+    [("lossless", shape) for shape in [(), (7,), (1, 5), (0, 4), (4, 0, 3), (6, 2, 8, 8)]]
+    + [("szlike", (7,)), ("szlike", (5, 3, 4)), ("jpeg", (5, 3, 4))],
+)
+def test_every_shape_the_writer_emits_passes_the_header_check(rng, inner, shape):
+    ck = get_codec("chunked", inner=inner, workers=3, min_chunk_nbytes=8)
+    x = rng.standard_normal(shape).astype(np.float32)
+    try:
+        ct = ck.compress(x)
+        back = loads(dumps(ct))
+        assert (back.shape, back.dtype) == (x.shape, "float32")
+        np.testing.assert_array_equal(ck.decompress(back), ck.decompress(ct))
+    finally:
+        ck.close()
+
+
 class TestChunkedCodec:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_equivalent_to_unchunked(self, activation_tensor, workers):
@@ -398,74 +437,27 @@ class TestChunkedCodec:
         with pytest.raises(ValueError):
             ChunkedCodec("szlike", min_chunk_nbytes=0)
 
-    def test_rejects_bad_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            ChunkedCodec("szlike", executor="gpu")
+    def test_close_stops_the_pool_and_a_later_split_restarts_it(self, activation_tensor):
+        import threading
 
+        before = threading.active_count()
+        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14, error_bound=1e-3)
+        ct = ck.compress(activation_tensor)
+        assert len(ct.chunks) > 1
+        for _ in range(2):
+            ck.decompress(ct)
+            assert threading.active_count() > before
+            ck.close()
+            ck.close()  # idempotent
+            assert threading.active_count() == before
 
-class TestProcessExecutor:
-    """ChunkedCodec(executor='process'): the GIL-bound Huffman codebook
-    build parallelizes across processes, with identical results."""
-
-    @pytest.fixture()
-    def proc_codec(self):
-        ck = get_codec(
-            "chunked", inner="szlike", workers=2, min_chunk_nbytes=1 << 14,
-            executor="process", error_bound=1e-3, entropy="huffman",
-        )
-        yield ck
-        ck.close()
-
-    def test_matches_thread_executor_bit_for_bit(self, proc_codec, activation_tensor):
-        th = ChunkedCodec(
-            get_codec("szlike", error_bound=1e-3, entropy="huffman"),
-            workers=2, min_chunk_nbytes=1 << 14,
-        )
-        ct_p = proc_codec.compress(activation_tensor)
-        ct_t = th.compress(activation_tensor)
-        assert len(ct_p.chunks) == len(ct_t.chunks) > 1
-        assert ct_p.nbytes == ct_t.nbytes
-        np.testing.assert_array_equal(
-            proc_codec.decompress(ct_p), th.decompress(ct_t)
-        )
-
-    def test_closed_process_codec_degrades_to_inline(self, proc_codec, activation_tensor):
-        """A closed (or unpickled) process-backed codec must never fork a
-        new pool from a possibly multi-threaded process — it runs its
-        chunks inline instead, with identical results."""
-        ct = proc_codec.compress(activation_tensor)
-        proc_codec.close()
-        assert proc_codec._pool is None
-        ct2 = proc_codec.compress(activation_tensor)
-        assert proc_codec._pool is None  # not lazily recreated
-        assert ct2.nbytes == ct.nbytes
-        np.testing.assert_array_equal(
-            proc_codec.decompress(ct2), proc_codec.decompress(ct)
-        )
-
-    def test_estimate_through_processes(self, proc_codec, activation_tensor):
-        est = proc_codec.estimate_nbytes(activation_tensor)
-        actual = proc_codec.compress(activation_tensor).nbytes
-        assert 0.5 * actual < est < 1.5 * actual
-
-    def test_single_worker_never_forks_a_pool(self):
-        """workers=1 always runs inline, so no idle process is forked."""
-        ck = ChunkedCodec("szlike", workers=1, executor="process", error_bound=1e-3)
-        assert ck._pool is None
-        x = np.linspace(0, 1, 256, dtype=np.float32).reshape(1, 4, 8, 8)
-        np.testing.assert_allclose(ck.roundtrip(x), x, atol=1e-3)
-        assert ck._pool is None
-
-    def test_inner_codec_is_picklable(self):
-        """SZCompressor carries a thread lock; pickling (what the process
-        pool does per chunk) must survive and rebuild it."""
-        import pickle
-
-        sz = get_codec("szlike", error_bound=1e-3, entropy="huffman")
-        clone = pickle.loads(pickle.dumps(sz))
-        assert clone.error_bound == sz.error_bound
-        x = np.linspace(0, 1, 64, dtype=np.float32).reshape(1, 1, 8, 8)
-        np.testing.assert_array_equal(clone.roundtrip(x), sz.roundtrip(x))
+    @pytest.mark.parametrize("knob", ["executor", "shared_cache"])
+    def test_removed_knobs_rejected(self, knob):
+        """The process executor and its shared-cache switch are gone."""
+        with pytest.raises(TypeError):
+            ChunkedCodec(**{knob: "process"})
+        with pytest.raises(TypeError):
+            ChunkedCodec(get_codec("szlike"), **{knob: "process"})
 
 
 class TestCacheAwareEstimate:
@@ -544,48 +536,27 @@ class TestCacheAwareEstimate:
 
 
 class TestChunkedProfilerThreading:
-    """Per-stage timings must survive the executor boundary (PR 4 open
-    item): encode/decode totals are non-zero for chunked work under both
-    the thread pool and the process pool."""
+    """Per-stage timings survive the thread pool: encode/decode totals
+    are non-zero for chunked work, one call per chunk."""
 
-    def _run_chunked(self, executor):
+    def test_stage_totals_survive_thread_pool(self):
         from repro.utils.profiler import StageProfiler
 
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 8, 24, 24)).astype(np.float32)
         ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14,
-                          error_bound=1e-3, executor=executor,
-                          share_codebook=False)
+                          error_bound=1e-3, share_codebook=False)
         try:
-            assert ck._num_chunks(x) > 1
+            n = ck._num_chunks(x)
+            assert n > 1
             with StageProfiler() as prof:
-                ct = ck.compress(x)
-                out = ck.decompress(ct)
+                out = ck.decompress(ck.compress(x))
             np.testing.assert_allclose(out, x, atol=1e-3)
         finally:
             ck.close()
-        return ck._num_chunks(x), prof.snapshot()
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_stage_totals_survive_executor(self, executor):
-        n, snap = self._run_chunked(executor)
+        snap = prof.snapshot()
         assert snap["encode"]["seconds"] > 0
         assert snap["decode"]["seconds"] > 0
         # every chunk's stage work was reported, not just the caller's
         assert snap["encode"]["calls"] >= n
         assert snap["decode"]["calls"] >= n
-
-    def test_no_profiler_no_overhead_path(self):
-        """Without an active profiler the process path must not wrap ops
-        (the merge machinery only engages when one is active)."""
-        from repro.utils import profiler
-
-        assert profiler.get_active() is None
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((4, 8, 24, 24)).astype(np.float32)
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14,
-                          error_bound=1e-3, executor="process")
-        try:
-            np.testing.assert_allclose(ck.roundtrip(x), x, atol=1e-3)
-        finally:
-            ck.close()

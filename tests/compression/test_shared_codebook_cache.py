@@ -1,33 +1,29 @@
-"""Cross-process codebook cache: the serialized-segment contract.
+"""Shared codebook cache: publish to and adopt from one in-memory table.
 
-``SharedCodebookCache`` lets ``ChunkedCodec(executor="process")``
-workers adopt canonical Huffman books published by other processes
-instead of rebuilding them per worker per step.  Pinned here:
+``SharedCodebookCache`` lets several caches — the tenants of one
+session server — adopt the canonical Huffman books the others already
+built instead of rebuilding them.  Pinned here:
 
-* a fresh process-pool worker observes a cache **hit** for a key the
-  parent already built (``builds == 0`` worker-side, one adoption);
-* staleness refreshes propagate: a worker's rebuild republished to the
-  segment is adopted (not rebuilt) by the next worker;
-* ``invalidate()`` clears the segment, so stale books cannot be adopted;
-* segment I/O failures degrade to plain per-process caching — counted,
-  never raised;
-* the auto-upgrade wiring on ``ChunkedCodec(executor="process")`` and
-  the ``ensure_shared_codebook_cache`` helper;
+* cache B adopts (does not rebuild) a book cache A published, and the
+  adopted book is bit-identical to A's;
+* ``adoptions_from`` names the publisher, and re-publishing an
+  unchanged book never relabels it;
+* staleness refreshes propagate: B's rebuild is adopted by C;
+* ``invalidate()`` empties the table, so stale books cannot be adopted;
+* a chunked codec without codebook sharing publishes one key per chunk;
+* threads sharing caches and a table lose no publish and no count;
 * a sanitizer-instrumented run stays clean.
 """
 
 import os
-import pickle
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
 
 import numpy as np
-import pytest
 
-from repro.compression import ChunkedCodec, CodebookCache, SZCompressor, get_codec
-from repro.compression.registry import ensure_shared_codebook_cache
-from repro.compression.szlike import SharedCodebookCache
+from repro.compression import ChunkedCodec, CodebookCache, SZCompressor
+from repro.compression.szlike import CodebookTable, SharedCodebookCache
 
 
 def hist_for(seed, alphabet=256, scale=10_000):
@@ -35,212 +31,181 @@ def hist_for(seed, alphabet=256, scale=10_000):
     return (rng.dirichlet(np.full(alphabet, 0.5)) * scale).astype(np.int64) + 1
 
 
-# -- worker probes (module-level: the pool pickles them) --------------------
-
-def _probe_lookup(cache_bytes, key, hist):
-    cache = pickle.loads(cache_bytes)
-    book, reused = cache.lookup(key, hist)
-    return reused, cache.stats()
+def fleet(*owners):
+    table = CodebookTable()
+    return table, [SharedCodebookCache(table=table, owner=o) for o in owners]
 
 
-def _probe_compress(inner_bytes, arr, key):
-    inner = pickle.loads(inner_bytes)
-    inner.compress(arr, cache_key=key)
-    return inner.codebook_cache.stats()
+class TestPublishAndAdopt:
+    def test_adopts_the_published_book_bit_identically(self):
+        table, (a, b) = fleet("a", "b")
+        hist = hist_for(1)
+        book_a, reused = a.lookup("k", hist)
+        assert reused is False and a.stats()["publishes"] == 1 and len(table) == 1
+        book_b, reused = b.lookup("k", hist)
+        assert reused is True  # served by the adopted book
+        stats = b.stats()
+        assert stats["builds"] == 0 and stats["hits"] == 1
+        assert stats["shared_adoptions"] == 1 and stats["publishes"] == 0
+        np.testing.assert_array_equal(book_a.lengths, book_b.lengths)
+        np.testing.assert_array_equal(book_a.codes, book_b.codes)
 
+    def test_adoptions_from_names_the_publisher(self):
+        table, (a, b, c) = fleet("a", "b", None)
+        hist = hist_for(2)
+        a.lookup("k", hist)
+        b.lookup("k", hist)
+        assert b.stats()["adoptions_from"] == {"a": 1}
+        assert b.stats()["owner"] == "b"
+        # b publishing the book it adopted keeps a as the publisher
+        table.publish("k", table.get("k")[0], "b")
+        c.lookup("k", hist)
+        assert c.stats()["adoptions_from"] == {"a": 1}
+        c.lookup("j", hist_for(3))
+        d = SharedCodebookCache(table=table, owner="d")
+        d.lookup("j", hist_for(3))
+        assert d.stats()["adoptions_from"] == {"<anonymous>": 1}
 
-def shared_pair():
-    cache = SharedCodebookCache()
-    return cache, pickle.dumps(cache)
+    def test_refresh_propagates(self):
+        """A cache whose histogram flunks the delta check rebuilds and
+        republishes; the next cache adopts the refreshed book."""
+        table, (a, b, c) = fleet("a", "b", "c")
+        a.lookup("k", hist_for(3))
+        shifted = hist_for(99) * 1000  # far off the published book
+        book_b, reused = b.lookup("k", shifted)
+        assert reused is False  # adopted, then stale against the new distribution
+        assert b.stats()["rebuilds_delta"] == 1 and b.stats()["publishes"] == 1
+        book_c, reused = c.lookup("k", shifted)
+        assert reused is True  # adopted the *refreshed* book
+        assert c.stats()["builds"] == 0 and c.stats()["adoptions_from"] == {"b": 1}
+        np.testing.assert_array_equal(book_c.lengths, book_b.lengths)
 
-
-class TestWorkerAdoption:
-    def test_worker_hits_parent_published_book(self):
-        cache, blob = shared_pair()
-        try:
-            hist = hist_for(1)
-            _, reused = cache.lookup("k", hist)
-            assert reused is False and cache.stats()["publishes"] == 1
-            blob = pickle.dumps(cache)
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                reused, stats = pool.submit(_probe_lookup, blob, "k", hist).result()
-            assert reused is True
-            assert stats["builds"] == 0  # no per-worker rebuild
-            assert stats["shared_adoptions"] == 1
-            assert stats["hits"] == 1
-        finally:
-            cache.close()
-
-    def test_adopted_book_is_bit_identical(self):
-        """Adoption reconstructs the canonical book from its lengths —
-        same codes, so worker and parent streams are interchangeable."""
-        cache, _ = shared_pair()
-        try:
-            hist = hist_for(2)
-            parent_book, _ = cache.lookup("k", hist)
-            clone = pickle.loads(pickle.dumps(cache))
-            worker_book, reused = clone.lookup("k", hist)
-            assert reused is True
-            np.testing.assert_array_equal(parent_book.lengths, worker_book.lengths)
-            np.testing.assert_array_equal(parent_book.codes, worker_book.codes)
-        finally:
-            cache.close()
-
-    def test_refresh_propagates_through_segment(self):
-        """A worker whose histogram flunks the delta check rebuilds and
-        republishes; the next fresh worker adopts the refreshed book."""
-        cache, _ = shared_pair()
-        try:
-            cache.lookup("k", hist_for(3))
-            shifted = hist_for(99) * 1000  # far off the published book
-            clone1 = pickle.loads(pickle.dumps(cache))
-            _, reused = clone1.lookup("k", shifted)
-            assert reused is False  # stale against the new distribution
-            assert clone1.stats()["publishes"] == 1
-            clone2 = pickle.loads(pickle.dumps(cache))
-            book2, reused2 = clone2.lookup("k", shifted)
-            assert reused2 is True  # adopted the *refreshed* book
-            assert clone2.stats()["builds"] == 0
-            np.testing.assert_array_equal(
-                book2.lengths, clone1.lookup("k", shifted)[0].lengths
-            )
-        finally:
-            cache.close()
-
-    def test_invalidate_clears_segment(self):
-        cache, _ = shared_pair()
-        try:
-            hist = hist_for(4)
-            cache.lookup("k", hist)
-            cache.invalidate("k")
-            clone = pickle.loads(pickle.dumps(cache))
-            _, reused = clone.lookup("k", hist)
-            assert reused is False
-            assert clone.stats()["shared_adoptions"] == 0
-        finally:
-            cache.close()
-
-    def test_unwritable_segment_degrades_to_local(self):
-        cache = SharedCodebookCache(segment_path="/nonexistent-dir/books.seg")
-        hist = hist_for(5)
-        _, reused = cache.lookup("k", hist)
+    def test_invalidate_empties_the_table(self):
+        table, (a, b) = fleet("a", "b")
+        hist = hist_for(4)
+        a.lookup("k", hist)
+        a.lookup("j", hist)
+        a.invalidate("k")
+        assert table.get("k") is None and table.get("j") is not None
+        a.invalidate()
+        assert len(table) == 0 and len(a) == 0
+        _, reused = b.lookup("k", hist)
         assert reused is False
-        assert cache.stats()["segment_errors"] >= 1
-        # Local caching still works.
-        _, reused = cache.lookup("k", hist)
-        assert reused is True
-        cache.close()  # no-op: never owned a real file
+        assert b.stats()["shared_adoptions"] == 0
 
-
-class TestChunkedCodecWiring:
-    def test_process_executor_auto_upgrades_inner_cache(self):
-        ck = get_codec(
-            "chunked", inner="szlike", workers=2, executor="process",
-            error_bound=1e-3, entropy="huffman", codebook_cache=True,
+    def test_from_cache_keeps_the_staleness_knobs(self):
+        table = CodebookTable()
+        cache = SharedCodebookCache.from_cache(
+            CodebookCache(refresh_interval=3, delta=0.5), table, owner="a"
         )
-        try:
-            assert isinstance(ck.inner.codebook_cache, SharedCodebookCache)
-        finally:
-            ck.close()
+        assert (cache.refresh_interval, cache.delta, cache.owner) == (3, 0.5, "a")
+        cache.lookup("k", hist_for(5))
+        assert cache.table is table and len(table) == 1
 
-    def test_thread_executor_keeps_plain_cache(self):
-        ck = get_codec(
-            "chunked", inner="szlike", workers=2, executor="thread",
-            error_bound=1e-3, entropy="huffman", codebook_cache=True,
-        )
-        cache = ck.inner.codebook_cache
-        assert isinstance(cache, CodebookCache)
-        assert not isinstance(cache, SharedCodebookCache)
-        ck.close()
+    def test_compressor_adopts_through_its_cache(self):
+        """Two codecs over one table: the second compresses a tensor the
+        first already built a book for without building one."""
+        table = CodebookTable()
+        rng = np.random.default_rng(6)
+        arr = np.maximum(rng.standard_normal((2, 4, 16, 16)), 0).astype(np.float32)
+        codecs = [
+            SZCompressor(1e-3, entropy="huffman",
+                         codebook_cache=SharedCodebookCache(table=table, owner=o))
+            for o in ("a", "b")
+        ]
+        cts = [c.compress(arr, cache_key="l0") for c in codecs]
+        assert codecs[1].codebook_cache.stats()["builds"] == 0
+        assert codecs[1].codebook_cache.stats()["shared_adoptions"] == 1
+        np.testing.assert_array_equal(codecs[0].decompress(cts[0]), codecs[1].decompress(cts[1]))
 
-    def test_shared_cache_false_opts_out(self):
+    def test_chunked_publishes_per_chunk_keys(self):
+        """Without codebook sharing a chunked codec's chunks amortize one
+        by one: chunk i of ``layer0`` builds, publishes and later hits
+        under its own key ``("layer0", "chunk", i)``."""
+        table = CodebookTable()
         ck = ChunkedCodec(
-            "szlike", workers=2, executor="process", shared_cache=False,
+            "szlike", workers=2, min_chunk_nbytes=1 << 12, share_codebook=False,
             error_bound=1e-3, entropy="huffman", codebook_cache=True,
         )
         try:
-            assert not isinstance(ck.inner.codebook_cache, SharedCodebookCache)
-        finally:
-            ck.close()
-
-    def test_ensure_helper_upgrades_and_reports(self):
-        sz = SZCompressor(1e-3, entropy="huffman", codebook_cache=CodebookCache())
-        assert ensure_shared_codebook_cache(sz) is True
-        assert isinstance(sz.codebook_cache, SharedCodebookCache)
-        assert ensure_shared_codebook_cache(sz) is True  # idempotent
-        sz.codebook_cache.close()
-        assert ensure_shared_codebook_cache(SZCompressor(1e-3)) is False  # no cache
-        ck = ChunkedCodec(
-            "szlike", workers=2, error_bound=1e-3, entropy="huffman",
-            codebook_cache=True,
-        )
-        assert ensure_shared_codebook_cache(ck) is True  # recurses to inner
-        assert isinstance(ck.inner.codebook_cache, SharedCodebookCache)
-        ck.close()
-
-    def test_worker_side_compress_steady_state_no_builds(self):
-        """The tentpole number: a fresh worker compressing a chunk whose
-        key is already published does zero codebook builds."""
-        sz = SZCompressor(1e-3, entropy="huffman", codebook_cache=SharedCodebookCache())
-        try:
-            rng = np.random.default_rng(6)
-            arr = np.maximum(
-                rng.standard_normal((2, 4, 16, 16)), 0
-            ).astype(np.float32)
-            blob = pickle.dumps(sz)
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                first = pool.submit(_probe_compress, blob, arr, ("l0", "chunk", 0)).result()
-                assert first["builds"] == 1  # cold: built and published
-                steady = pool.submit(_probe_compress, blob, arr, ("l0", "chunk", 0)).result()
-            assert steady["builds"] == 0
-            assert steady["hits"] == 1
-            assert steady["shared_adoptions"] == 1
-        finally:
-            sz.codebook_cache.close()
-
-    def test_process_chunked_publishes_per_chunk_keys(self):
-        ck = get_codec(
-            "chunked", inner="szlike", workers=2, min_chunk_nbytes=1 << 12,
-            executor="process", share_codebook=False,
-            error_bound=1e-3, entropy="huffman", codebook_cache=True,
-        )
-        try:
+            ck.inner.codebook_cache = SharedCodebookCache.from_cache(
+                ck.inner.codebook_cache, table, owner="a"
+            )
             cache = ck.inner.codebook_cache
             rng = np.random.default_rng(7)
-            arr = np.maximum(
-                rng.standard_normal((4, 4, 16, 16)), 0
-            ).astype(np.float32)
+            arr = np.maximum(rng.standard_normal((4, 4, 16, 16)), 0).astype(np.float32)
             ct = ck.compress(arr, cache_key="layer0")
-            assert len(ct.chunks) > 1
-            published = cache._read_segment()
-            assert {("layer0", "chunk", i) for i in range(len(ct.chunks))} <= set(published)
+            n = len(ct.chunks)
+            assert n > 1
+            keys = {("layer0", "chunk", i) for i in range(n)}
+            assert all(table.get(k) is not None for k in keys)
+            assert cache.stats()["publishes"] == n and cache.stats()["builds"] == n
+            ct = ck.compress(arr, cache_key="layer0")
+            assert cache.stats()["hits"] == n and cache.stats()["publishes"] == n
             np.testing.assert_allclose(ck.decompress(ct), arr, atol=1e-3 * (1 + 1e-6))
         finally:
             ck.close()
-            cache.close()
+
+
+def test_many_threads_lose_no_publish_and_no_count():
+    """Eight threads over two caches (four per cache, as chunked-codec
+    workers share one) and one table, with a short switch interval: every
+    lookup is counted once, every (re)build is published, and every key
+    reaches the table."""
+    table, caches = fleet("a", "b")
+    keys, rounds = 6, 20
+
+    def work(cache, seed):
+        rng = np.random.default_rng(seed)
+        for i in range(rounds):
+            cache.lookup(f"k{i % keys}", hist_for(int(rng.integers(4))))
+
+    threads = [threading.Thread(target=work, args=(caches[i % 2], i)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for cache in caches:
+        s = cache.stats()
+        rebuilds = s["rebuilds_delta"] + s["rebuilds_refresh"] + s["rebuilds_escape"]
+        assert s["hits"] + s["builds"] + rebuilds == 4 * rounds
+        assert s["publishes"] == s["builds"] + rebuilds
+    assert len(table) == keys
 
 
 class TestSanitizerClean:
     def test_instrumented_shared_cache_run_is_clean(self, tmp_path):
-        """REPRO_SANITIZE=1: lock-order tracking on the shared cache
-        finds no cycles and no errors across publish/adopt traffic."""
+        """REPRO_SANITIZE=1: lock-order tracking on the caches and their
+        table finds no cycles and no errors across publish/adopt traffic
+        from several threads."""
         script = tmp_path / "run.py"
         script.write_text(
+            "import threading\n"
             "import numpy as np\n"
             "from repro.core import sanitizer\n"
-            "from repro.compression.szlike import SharedCodebookCache\n"
-            "cache = SharedCodebookCache()\n"
-            "rng = np.random.default_rng(0)\n"
-            "for i in range(8):\n"
-            "    hist = (rng.dirichlet(np.full(256, 0.5)) * 10000).astype(np.int64) + 1\n"
-            "    cache.lookup(f'k{i % 3}', hist)\n"
-            "import pickle\n"
-            "clone = pickle.loads(pickle.dumps(cache))\n"
-            "clone.lookup('k0', (rng.dirichlet(np.full(256, 0.5)) * 10000).astype(np.int64) + 1)\n"
-            "cache.close()\n"
+            "from repro.compression.szlike import CodebookTable, SharedCodebookCache\n"
+            "table = CodebookTable()\n"
+            "caches = [SharedCodebookCache(table=table, owner=str(i)) for i in range(3)]\n"
+            "def work(cache, seed):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    for i in range(8):\n"
+            "        hist = (rng.dirichlet(np.full(256, 0.5)) * 10000).astype(np.int64) + 1\n"
+            "        cache.lookup(f'k{i % 3}', hist)\n"
+            "threads = [threading.Thread(target=work, args=(c, i)) for i, c in enumerate(caches)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join()\n"
+            "caches[0].invalidate()\n"
             "rep = sanitizer.report()\n"
             "assert rep['enabled'], rep\n"
-            "assert rep['instrumented_objects'] >= 2, rep\n"
+            "assert rep['instrumented_objects'] >= 4, rep\n"
             "assert rep['lock_acquisitions'] > 0, rep\n"
         )
         env = dict(os.environ, REPRO_SANITIZE="1")

@@ -377,21 +377,6 @@ class TestCompressorIntegration:
         with pytest.raises(ValueError, match="must be one of"):
             get_codec("szlike", kernel_backend="cuda")
 
-    def test_pickled_codec_reresolves_backend(self):
-        import pickle
-
-        from repro.compression.registry import get_codec
-
-        codec = get_codec("szlike", kernel_backend="auto")
-        clone = pickle.loads(pickle.dumps(codec))
-        assert clone.kernel_backend == "auto"
-        assert clone.kernel_backend_selected in ("numpy", "numba")
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        np.testing.assert_array_equal(
-            codec.decompress(codec.compress(x)), clone.decompress(clone.compress(x))
-        )
-
 
 class TestTrainingBitIdentity:
     """Every available kernel backend trains bit-identically: the same

@@ -83,7 +83,7 @@ class TestEndpoint:
 
     @pytest.mark.parametrize(
         "session",
-        [{"engine": {"shared_codebook_cache": "yes"}}, {"rules": [{"match": "l0", "error_bound": "1e-3"}]}],
+        [{"profiler": {"enabled": "yes"}}, {"rules": [{"match": "l0", "error_bound": "1e-3"}]}],
     )
     def test_wrong_typed_session_scalar_is_400(self, endpoint, session):
         body = {**tenant_body("t"), "session": session}

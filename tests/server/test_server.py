@@ -4,7 +4,7 @@ The load-bearing ones:
 
 1. **Bit-identity**: a hosted tenant's training losses equal the same
    spec run standalone through ``build_session`` — sharing the pool,
-   the codebook segment, and the scheduler changes *where bytes live*,
+   the codebook table, and the scheduler changes *where bytes live*,
    never results.  Pinned against the committed example fleet.
 2. **Admission control**: oversubscribing tenants are rejected
    (``admission='reject'``) or parked and later promoted on eviction
@@ -158,6 +158,28 @@ class TestSharedInfrastructure:
             assert rows["a"]["codebook_cache"]["owner"] == "a"
             adoptions = rows["b"]["codebook_cache"]["adoptions_from"]
             assert adoptions.get("a", 0) > 0
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_every_tenant_cache_uses_the_server_table(self, shared):
+        """The session codec (through a chunked wrapper) and a policy
+        rule's codec both publish to the server's one table."""
+        from repro.compression.szlike import SharedCodebookCache
+
+        cached = {"inner": "szlike", "codebook_cache": True, "workers": 2}
+        session = {
+            "codec": {"name": "chunked", "options": cached},
+            "rules": [{"match": "l0", "codec": {"options": {"codebook_cache": True}}}],
+        }
+        with small_server(shared_codebook_cache=shared) as server:
+            tenant = server.admit(tenant_dict("a", session=session))
+            server.run(steps=1)
+            ctx = tenant.session.compressed.ctx
+            for codec in (ctx.compressor.inner, ctx.policy_table.rules[0].codec):
+                cache = codec.codebook_cache
+                assert isinstance(cache, SharedCodebookCache) is shared
+                if shared:
+                    assert cache.table is server.codebooks and cache.owner == "a"
+            assert (len(server.codebooks) > 0) is shared
 
     def test_pool_pressure_spills_but_preserves_results(self):
         # Pool far smaller than the tenants' combined working set: the
