@@ -440,7 +440,6 @@ class StorageSpec(_Section):
     params: str = "resident"  # "resident" | "arena"
     param_budget_bytes: int = 64 << 20
     param_codec: Optional[CodecSpec] = None
-    param_dirty_tracking: bool = True
 
     def _check(self, where: str) -> None:
         if self.activations not in ("inmem", "arena"):

@@ -306,7 +306,6 @@ def build_session(
                     if config.storage.param_codec is not None
                     else None
                 ),
-                dirty_tracking=config.storage.param_dirty_tracking,
                 spill_dir=config.storage.spill_dir,
             )
             undo.callback(param_store.close)

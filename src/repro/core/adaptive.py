@@ -77,6 +77,8 @@ class AdaptiveController:
         self.loss_scales: Dict[str, float] = {}
         #: latest combined element count per layer (batch x Ho x Wo)
         self.combined_elements: Dict[str, int] = {}
+        #: latest Eq. 8 sigma budget per adaptive layer (pre-update momentum)
+        self.sigma_budgets: Dict[str, float] = {}
         self.updates = 0
 
     def should_collect(self, iteration: int) -> bool:
@@ -85,11 +87,15 @@ class AdaptiveController:
             return True
         return iteration % self.config.W == 0
 
-    def record_loss(self, layer_name: str, dout: np.ndarray) -> None:
+    def record_loss(self, layer_name: str, dout: np.ndarray, param: "Parameter") -> None:
+        """Collect L_bar, M and (from *param*'s momentum, before the
+        layer's backward can update it) the Eq. 8 sigma budget."""
         d = dout.astype(np.float64)
         self.loss_scales[layer_name] = float(np.sqrt((d * d).mean()))
         n, _, ho, wo = dout.shape
         self.combined_elements[layer_name] = int(n * ho * wo)
+        if self.ctx.is_adaptive(layer_name):
+            self.sigma_budgets[layer_name] = self.assessor.sigma_budget(param)
 
     def update_error_bounds(self, conv_params: Dict[str, "Parameter"]) -> Dict[str, float]:
         """Refresh every known layer's error bound from current statistics.
@@ -104,11 +110,10 @@ class AdaptiveController:
                 # Rule-pinned fixed bound: this layer belongs to a
                 # non-adaptive policy group and keeps its configured eb.
                 continue
-            param = conv_params.get(name)
-            sigma = self.assessor.sigma_budget(param)
+            sigma = self.sigma_budgets.get(name, 0.0)
             if sigma <= 0:
                 # momentum not yet populated (first iterations)
-                sigma = self.assessor.gradient_fallback_budget(param)
+                sigma = self.assessor.gradient_fallback_budget(conv_params.get(name))
             if sigma <= 0 or lscale <= 0:
                 continue  # keep current bound; no usable signal this round
             m = self.combined_elements.get(name, 1)

@@ -1,28 +1,24 @@
 """Byte-arena activation storage: hold packed activations as real bytes.
 
-The compressing context historically kept live ``CompressedTensor``
-objects and *charged* their estimated footprint to the memory tracker.
-:class:`ByteArena` makes the footprint physical: packed activations are
-stored as serialized byte strings (``registry.dumps`` output), subject
-to a configurable in-memory budget with spill-to-disk overflow — the
-out-of-core regime an actual deployment hits when compressed activations
-still exceed device memory.
+:class:`ByteArena` stores packed activations as serialized byte strings
+(``registry.dumps`` output) under an in-memory budget with FIFO
+spill-to-disk overflow: backward consumes activations in reverse pack
+order, so the first-packed bytes are the ones needed last.
 
-Eviction is FIFO (oldest first), which is optimal for the training
-workload: backward consumes activations in reverse pack order, so the
-first-packed (earliest-layer) bytes are exactly the ones needed last.
+Every operation is serialized behind an internal re-entrant lock, so an
+:class:`ArenaPool` may spill a member arena from another tenant's thread
+and a server's stats thread may read the counters while steps run.
 
-Every operation is serialized behind an internal re-entrant lock, so
-the arena is safe to share across threads: an :class:`ArenaPool` spills
-a member arena from whichever tenant's thread overflowed the pool, and a
-server's stats thread reads the counters while steps run.  Concurrent
-``put``/``get``/``discard`` cannot corrupt the FIFO order, double-spill
-an entry, or tear the byte accounting.
-
-A spill writes the file before the entry leaves memory: a failed write
-(full disk, bad spill directory) leaves every stored entry readable, and
-the ``put`` that triggered it removes its own entry before re-raising,
-so no key is lost or leaked.
+Spilled entries share one append-only file per arena,
+``<spill_dir>/<tag>.spill``, held open from the first spill to
+:meth:`ByteArena.close` and indexed by ``(offset, nbytes)``: a spill is
+one ``pwrite``, a read one ``pread``, and a cleaner deleting the file
+takes no entry with it.  A discarded entry's bytes are dead space; the
+file is truncated when nothing is left on disk and compacted when the
+dead bytes outgrow the live ones.  A failed or short write cuts the file
+back to its old end and leaves the entry in memory, and the ``put`` that
+triggered it removes its own entry before re-raising, so no key is lost
+or leaked.
 
 Usage::
 
@@ -35,6 +31,7 @@ Usage::
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import shutil
 import tempfile
@@ -47,6 +44,9 @@ from repro.utils import profiler
 
 __all__ = ["ByteArena", "ArenaPool"]
 
+#: dead spill-file bytes tolerated beyond the live ones before compaction
+_COMPACT_SLACK = 4 << 20
+
 
 class ByteArena:
     """Budgeted byte-string store with FIFO spill-to-disk overflow.
@@ -57,8 +57,8 @@ class ByteArena:
         In-memory ceiling.  ``None`` disables spilling (everything stays
         resident); ``0`` spills every entry immediately.
     spill_dir:
-        Directory for spill files.  Defaults to a fresh temporary
-        directory created lazily on first spill and removed by
+        Directory for the arena's spill file.  Defaults to a fresh
+        temporary directory created lazily on first spill and removed by
         :meth:`close` (also invoked by ``__del__`` and context exit).
     """
 
@@ -70,8 +70,12 @@ class ByteArena:
         self._owns_spill_dir = spill_dir is None
         #: key -> bytes, insertion-ordered (FIFO eviction)
         self._mem: "OrderedDict[int, bytes]" = OrderedDict()
-        #: key -> (path, nbytes) for spilled entries
-        self._disk: Dict[int, Tuple[str, int]] = {}
+        #: key -> (offset, nbytes) in the spill file for spilled entries
+        self._disk: Dict[int, Tuple[int, int]] = {}
+        #: the spill file (open from the first spill) and its append offset
+        self._fd: Optional[int] = None
+        self._spill_path: Optional[str] = None
+        self._file_end = 0
         self._next_key = 0
         #: key -> group label for entries stored with ``put(group=...)``
         self._group_of: Dict[int, str] = {}
@@ -83,7 +87,7 @@ class ByteArena:
         self._group_spilled: Dict[str, int] = {}
         #: group label -> number of entries ever spilled from the group
         self._group_spill_count: Dict[str, int] = {}
-        #: unique per-arena spill-file prefix so arenas sharing a
+        #: unique per-arena spill-file name so arenas sharing a
         #: spill_dir cannot clobber each other's entries
         self._tag = uuid.uuid4().hex[:12]
         self._closed = False
@@ -111,30 +115,44 @@ class ByteArena:
         the sanitizer overrides this to NaN-poison the bytes."""
 
     # -- internals ----------------------------------------------------------
-    def _ensure_spill_dir(self) -> str:
-        """Create/return the spill directory (callers hold the lock)."""
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="repro-arena-")
-        else:
+    def _spill_fd(self) -> int:
+        """Open the spill file on first use (callers hold the lock)."""
+        if self._fd is None:
+            if self._spill_dir is None:
+                self._spill_dir = tempfile.mkdtemp(prefix="repro-arena-")
             os.makedirs(self._spill_dir, exist_ok=True)
-        return self._spill_dir
+            self._spill_path = os.path.join(self._spill_dir, f"{self._tag}.spill")
+            self._fd = os.open(self._spill_path, os.O_RDWR | os.O_CREAT, 0o600)
+        return self._fd
+
+    def _write_at(self, data: bytes, offset: int) -> None:
+        """``pwrite`` all of *data* or raise (callers hold the lock)."""
+        if os.pwrite(self._spill_fd(), data, offset) != len(data):
+            raise OSError(errno.ENOSPC, "short write to the arena spill file")
+
+    def _read_at(self, offset: int, nbytes: int) -> bytes:
+        """``pread`` exactly *nbytes* or raise (callers hold the lock)."""
+        data = os.pread(self._fd, nbytes, offset)
+        if len(data) != nbytes:
+            raise OSError(errno.EIO, "short read from the arena spill file")
+        return data
 
     def _spill_entry(self, key: int) -> None:
         """Move the entry for *key* to disk (callers hold the lock).
 
-        The file is written first: if that fails, the entry stays in
-        memory and no partial file is left behind."""
+        The bytes are appended first: if that fails, the file is cut
+        back to its old end and the entry stays in memory."""
         data = self._mem[key]
-        path = os.path.join(self._ensure_spill_dir(), f"{self._tag}-{key}.bin")
+        fd, offset = self._spill_fd(), self._file_end
         try:
-            with open(path, "wb") as f:
-                f.write(data)
+            self._write_at(data, offset)
         except BaseException:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.ftruncate(fd, offset)
             raise
+        self._file_end = offset + len(data)
         del self._mem[key]
-        self._disk[key] = (path, len(data))
+        self._disk[key] = (offset, len(data))
         self.in_memory_nbytes -= len(data)
         self.spilled_nbytes += len(data)
         self.spill_count += 1
@@ -143,10 +161,6 @@ class ByteArena:
             self._group_mem[group] -= len(data)
             self._group_spilled[group] = self._group_spilled.get(group, 0) + len(data)
             self._group_spill_count[group] = self._group_spill_count.get(group, 0) + 1
-
-    def _spill_oldest(self) -> None:
-        """Write the FIFO-oldest entry to disk (callers hold the lock)."""
-        self._spill_entry(next(iter(self._mem)))
 
     def _maybe_spill(self) -> None:
         """Spill until under the global and per-group budgets (callers
@@ -164,7 +178,7 @@ class ByteArena:
         if self.budget_bytes is None:
             return
         while self._mem and self.in_memory_nbytes > self.budget_bytes:
-            self._spill_oldest()
+            self._spill_entry(next(iter(self._mem)))
 
     def _track_peaks(self) -> None:
         """Update resident high-water marks (callers hold the lock)."""
@@ -240,24 +254,11 @@ class ByteArena:
             if key in self._mem:
                 return self._mem[key]
             try:
-                path, _ = self._disk[key]
+                offset, nbytes = self._disk[key]
             except KeyError:
                 raise KeyError(f"arena key {key} not found") from None
-        # Disk read outside the lock, so a pool rebalance spilling this
-        # arena from another thread does not wait on the I/O.
-        try:
-            with profiler.stage("arena-io"), open(path, "rb") as f:
-                return f.read()
-        except OSError:
-            # Either a genuine I/O failure, or we raced a concurrent
-            # discard/close of this key (which unlinks the file only
-            # after removing the key from _disk under the lock).
-            with self._lock:
-                if key in self._mem:
-                    return self._mem[key]
-                if key in self._disk:
-                    raise  # entry still registered: a real disk error
-            raise KeyError(f"arena key {key} not found") from None
+            with profiler.stage("arena-io"):
+                return self._read_at(offset, nbytes)
 
     def spill_bytes(self, nbytes: int) -> int:
         """Force FIFO-oldest resident entries to disk until at least
@@ -277,11 +278,10 @@ class ByteArena:
         return spilled
 
     def pop(self, key: int) -> bytes:
-        """Read and release the entry (spill files are deleted).
+        """Read and release the entry.
 
         The caller owns *key* (concurrent pops of the same key are a
-        caller bug), so the read happens outside the lock like
-        :meth:`get` and only the release itself serializes."""
+        caller bug), so the read and the release need not be atomic."""
         data = self.get(key)
         self.discard(key)
         return data
@@ -302,13 +302,31 @@ class ByteArena:
             self._on_release(buf)
             return
         entry = self._disk.pop(key, None)
-        if entry is not None:
-            path, nbytes = entry
-            self.spilled_nbytes -= nbytes
-            if group is not None:
-                self._group_spilled[group] -= nbytes
-            with contextlib.suppress(OSError):
-                os.remove(path)
+        if entry is None:
+            return
+        self.spilled_nbytes -= entry[1]
+        if group is not None:
+            self._group_spilled[group] -= entry[1]
+        if not self._disk:  # else its bytes are now dead space
+            os.ftruncate(self._fd, 0)
+            self._file_end = 0
+        elif self._file_end - self.spilled_nbytes > max(self.spilled_nbytes, _COMPACT_SLACK):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Move spilled entries toward the front of the file and cut the
+        tail (callers hold the lock).  An entry moves only into dead
+        bytes, and its index only after a complete write, so a failure
+        leaves every entry readable."""
+        end = 0
+        for key, (offset, nbytes) in sorted(self._disk.items(), key=lambda kv: kv[1][0]):
+            if offset - end >= nbytes:
+                self._write_at(self._read_at(offset, nbytes), end)
+                self._disk[key] = (end, nbytes)
+                offset = end
+            end = offset + nbytes
+        os.ftruncate(self._fd, end)
+        self._file_end = end
 
     def __contains__(self, key: int) -> bool:
         with self._lock:
@@ -325,20 +343,20 @@ class ByteArena:
             return self.in_memory_nbytes + self.spilled_nbytes
 
     def close(self) -> None:
-        """Drop every entry, delete spill files, and remove the owned
-        spill directory (a user-provided directory is left in place,
-        minus this arena's files)."""
+        """Drop every entry, close and delete the spill file, and remove
+        the owned spill directory (a user-provided directory is left in
+        place, minus this arena's file)."""
         with self._lock:
             if self._closed:
                 return
             for buf in self._mem.values():
                 self._on_release(buf)
             self._mem.clear()
-            for path, _ in self._disk.values():
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
+                with contextlib.suppress(OSError):  # a cleaner got there first
+                    os.remove(self._spill_path)
             self._disk.clear()
             self._group_of.clear()
             self._group_mem.clear()
@@ -428,8 +446,9 @@ class ArenaPool:
     (bytes move to disk, reads transparently follow), so tenants under
     pool pressure see latency, never wrong data.
 
-    All members share one spill directory (per-arena file tags keep them
-    disjoint); the pool owns it when none is supplied.  Thread-safety:
+    All members share one spill directory, each appending to its own
+    ``<tag>.spill`` file in it; the pool owns the directory when none is
+    supplied.  Thread-safety:
     member puts from concurrent tenant sessions serialize through the
     pool lock only during rebalance, and the lock order is always
     pool -> member, so tenant-side traffic never deadlocks against a

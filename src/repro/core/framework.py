@@ -184,7 +184,9 @@ class CompressedTraining:
         walk(self.network, False)
 
     def _install_taps(self) -> None:
-        """Wrap each conv layer's backward to observe dL/dout (L_bar)."""
+        """Wrap each conv layer's backward to observe dL/dout (L_bar) and,
+        before a ParamStore can fold the layer's update into its
+        backward, the layer's momentum (Eq. 8)."""
         for layer in iter_layers(self.network):
             if not isinstance(layer, Conv2D):
                 continue
@@ -193,7 +195,7 @@ class CompressedTraining:
 
             def tapped(dout, _layer=layer, _orig=orig):
                 if self._collect_next:
-                    self.controller.record_loss(_layer.name, dout)
+                    self.controller.record_loss(_layer.name, dout, _layer.weight)
                 return _orig(dout)
 
             layer.backward = tapped

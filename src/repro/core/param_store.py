@@ -1,31 +1,26 @@
 """Out-of-core parameter & optimizer state: arena-backed weights with
 just-in-time materialization.
 
-Activations are physically out-of-core under arena storage (serialized
-bytes in a budgeted :class:`~repro.core.arena.ByteArena`, spill-to-disk
-overflow).  :class:`ParamStore` extends the same regime to the rest of
-the training state: every layer's weight tensors and per-parameter
-optimizer slots (SGD momentum, Adam moments) are held as serialized byte
-strings in an arena — optionally lossless-compressed through the codec
-registry — and materialized only around the window that needs them:
+:class:`ParamStore` holds every layer's weight tensors and optimizer
+slots (SGD momentum, Adam moments) as serialized byte strings in a
+budgeted :class:`~repro.core.arena.ByteArena` — optionally
+lossless-compressed — and materializes them only around the window that
+needs them:
 
 * **forward / backward**: each layer's parameters are bound (fetched and
   installed as ``Parameter.data``) just before the layer runs and
   unbound (dropped back to a zero-byte stub) right after, so at most one
   layer's weights are resident at a time.
-* **update**: the optimizer's slot backend (:class:`StoreSlots`) binds
-  the weights and materializes the slots for exactly one parameter,
-  applies the in-place update, and writes both back as fresh bytes.
+* **update**: the optimizer's slot backend (:class:`StoreSlots`) applies
+  one parameter's in-place update and writes weights and slots back.
+  Unless the :class:`~repro.nn.trainer.Trainer` has gradient transforms,
+  it runs inside the layer's backward once ``dx`` is computed, while the
+  weights are still bound — bit-identical, and no third weight fetch.
 
-Serialization is bit-exact by construction: the default raw encoding is
-``ndarray.tobytes()`` and any configured codec must be lossless — a
-spill/reload cycle can therefore never perturb training (loss curves are
-bit-identical to resident training; the tests enforce it).
-
-Accounting flows through the existing :class:`MemoryTracker` as a
-*persistent* pool (charged on adopt/write-back, credited exactly once on
-release), so resident-vs-stored numbers stay byte-exact next to the
-activation path's per-iteration accounting.
+Serialization is bit-exact (raw ``tobytes()`` or a lossless codec), so
+training is bit-identical to resident training.  The :class:`MemoryTracker`
+charges entries to its *persistent* pool on adopt/write-back and credits
+them exactly once on release.
 
 Usage::
 
@@ -39,7 +34,6 @@ Usage::
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -70,19 +64,6 @@ class StoredEntry:
     raw_nbytes: int
     stored_nbytes: int
     arena_key: int
-    #: content fingerprint of the stored value (dirty tracking: a
-    #: write-back of identical bytes is skipped entirely)
-    digest: bytes = b""
-
-
-def _content_digest(arr: np.ndarray) -> bytes:
-    """128-bit BLAKE2b fingerprint of *arr*'s raw bytes (zero-copy for
-    contiguous arrays).  Hashing is an order of magnitude cheaper than
-    serialize + arena churn, which is the point of dirty tracking; a
-    collision (~2^-64 birthday risk across a training run) would keep a
-    stale value, so the digest is deliberately cryptographic rather
-    than a CRC."""
-    return hashlib.blake2b(np.ascontiguousarray(arr).data, digest_size=16).digest()
 
 
 def _slot_entry_name(param: Parameter, slot: str) -> str:
@@ -115,12 +96,6 @@ class ParamStore:
     tracker:
         Optional :class:`MemoryTracker`; the store charges its entries
         to the tracker's persistent pool.
-    dirty_tracking:
-        ``True`` (default): every entry carries a content digest, and a
-        :meth:`writeback` whose value is unchanged (frozen layers,
-        zero-gradient momentum, untouched Adam moments) skips the
-        serialize + arena replace entirely — ``writeback_skipped``
-        counts them.  Set ``False`` to force every write-back through.
     """
 
     def __init__(
@@ -129,7 +104,6 @@ class ParamStore:
         budget_bytes: Optional[int] = 64 << 20,
         codec: Union[Codec, str, None] = None,
         tracker: Optional[MemoryTracker] = None,
-        dirty_tracking: bool = True,
         spill_dir: Optional[str] = None,
     ):
         self._owns_storage = storage is None
@@ -146,7 +120,6 @@ class ParamStore:
                 f"round-trip bit-exactly); {getattr(codec, 'name', codec)!r} is lossy"
             )
         self.codec = codec
-        self.dirty_tracking = bool(dirty_tracking)
         self.tracker = tracker or MemoryTracker()
         #: entry name -> StoredEntry; guarded by _lock (a server runs a
         #: tenant's steps on whichever scheduler thread is free, so the
@@ -166,8 +139,7 @@ class ParamStore:
         self.peak_materialized_nbytes = 0
         self.fetch_count = 0
         self.writeback_count = 0
-        #: write-backs skipped because the value was byte-identical to
-        #: the stored one (dirty tracking)
+        #: always 0, every write-back is stored (a former counter)
         self.writeback_skipped = 0
         from repro.core.sanitizer import maybe_instrument
 
@@ -202,7 +174,6 @@ class ParamStore:
                 raw_nbytes=arr.nbytes,
                 stored_nbytes=len(blob),
                 arena_key=self.storage.put(blob),
-                digest=_content_digest(arr) if self.dirty_tracking else b"",
             )
             self._entries[name] = entry
         self.tracker.record_persistent(name, entry.raw_nbytes, entry.stored_nbytes)
@@ -222,26 +193,17 @@ class ParamStore:
         The value is cast to the entry's recorded dtype/shape (matching
         resident in-place assignment semantics); a size mismatch raises
         here, at write time, rather than corrupting the next fetch.
-        With dirty tracking, a value byte-identical to the stored one
-        skips serialization and the arena replace entirely (the stored
-        bytes are already it)."""
+        The old bytes are released only once the new ones are stored: a
+        failed ``put`` (a full spill disk) re-raises with the old value
+        still fetchable."""
         with self._lock:
             entry = self._entries[name]
-        arr = np.asarray(arr, dtype=entry.dtype).reshape(entry.shape)
-        if self.dirty_tracking:
-            digest = _content_digest(arr)
-            if digest == entry.digest:
-                self.writeback_skipped += 1
-                return
-        else:
-            digest = b""
-        blob = self._encode(arr)
+        blob = self._encode(np.asarray(arr, dtype=entry.dtype).reshape(entry.shape))
         with self._lock:
             entry = self._entries[name]
-            self.storage.discard(entry.arena_key)
-            entry.arena_key = self.storage.put(blob)
+            old_key, entry.arena_key = entry.arena_key, self.storage.put(blob)
             entry.stored_nbytes = len(blob)
-            entry.digest = digest
+            self.storage.discard(old_key)
         self.writeback_count += 1
         self.tracker.record_persistent(name, entry.raw_nbytes, entry.stored_nbytes)
 
@@ -303,38 +265,44 @@ class ParamStore:
         orig_forward, orig_backward = layer.forward, layer.backward
         self._orig_methods.append((layer, orig_forward, orig_backward))
 
-        def forward(x, _name=layer.name, _orig=orig_forward):
-            self._bind(_name)
+        params = self._layers[layer.name]
+
+        def forward(x, _orig=orig_forward):
+            self._bind(params)
             try:
                 return _orig(x)
             finally:
-                self._unbind(_name)
+                self._unbind(params)
 
-        def backward(dout, _name=layer.name, _orig=orig_backward):
-            self._bind(_name)
+        def backward(dout, _orig=orig_backward):
+            self._bind(params)
             try:
-                return _orig(dout)
+                dx = _orig(dout)
+                opt = self._optimizer
+                if opt is not None and opt.update_in_backward:
+                    # dx is computed: update while the weights are bound
+                    for p in params:
+                        opt.update(p)
+                return dx
             finally:
-                self._unbind(_name)
+                self._unbind(params)
 
         layer.forward = forward
         layer.backward = backward
 
-    def _bind(self, layer_name: str) -> None:
-        for p in self._layers[layer_name]:
+    def _bind(self, params: List[Parameter]) -> None:
+        for p in params:
             if self._bound[p.name] == 0:
                 p.data = self.fetch(p.name)
                 self.materialized_nbytes += p.data.nbytes
                 self.peak_materialized_nbytes = max(
-                    self.peak_materialized_nbytes, self.materialized_nbytes
-                )
+                    self.peak_materialized_nbytes, self.materialized_nbytes)
             self._bound[p.name] += 1
 
-    def _unbind(self, layer_name: str) -> None:
-        # Forward/backward read but never mutate weights, so unbinding
-        # just drops the materialization — the arena copy stays
-        # authoritative; only update_window writes back.
-        for p in self._layers[layer_name]:
+    def _unbind(self, params: List[Parameter]) -> None:
+        # Only update_window writes back; otherwise the arena copy stays
+        # authoritative and unbinding just drops the materialization.
+        for p in params:
             self._bound[p.name] -= 1
             if self._bound[p.name] == 0:
                 self.materialized_nbytes -= p.data.nbytes
@@ -342,31 +310,20 @@ class ParamStore:
 
     @contextmanager
     def update_window(self, param: Parameter) -> Iterator[None]:
-        """Materialize *param*'s weights for one optimizer update and
-        write the mutated values back on exit."""
+        """Materialize *param*'s weights for one optimizer update (the
+        enclosing backward may have them bound) and write them back on
+        exit."""
         with self._lock:
             has_data = param.name in self._entries
         if not has_data:
-            # Slots-only attachment: the weights never left residency.
-            yield
+            yield  # slots-only attachment: the weights never left residency
             return
-        if self._bound.get(param.name, 0):
-            # Already bound by an enclosing forward/backward window (not
-            # the training loop's shape, but be correct if it happens).
-            yield
-            self.writeback(param.name, param.data)
-            return
-        param.data = self.fetch(param.name)
-        self.materialized_nbytes += param.data.nbytes
-        self.peak_materialized_nbytes = max(
-            self.peak_materialized_nbytes, self.materialized_nbytes
-        )
+        self._bind([param])
         try:
             yield
         finally:
             self.writeback(param.name, param.data)
-            self.materialized_nbytes -= param.data.nbytes
-            param.data = self._stubs[param.name]
+            self._unbind([param])
 
     # -- teardown ----------------------------------------------------------
     def detach(self) -> None:
@@ -433,21 +390,17 @@ class StoreSlots(SlotState):
     """Slot backend holding optimizer state in a :class:`ParamStore`.
 
     Each ``update`` materializes one parameter's weights and slots,
-    applies the optimizer's in-place math, and writes everything back —
-    the only moment a parameter's full update state is resident.
+    applies the optimizer's in-place math, and writes everything back.
     """
 
     def __init__(self, store: ParamStore, optimizer: Optimizer):
         self.store = store
         self.optimizer = optimizer
 
-    def _layer_of(self, param: Parameter) -> str:
+    def init(self, param: Parameter, slots: Dict[str, np.ndarray]) -> None:
         with self.store._lock:
             entry = self.store._entries.get(param.name)
-        return entry.layer_name if entry is not None else ""
-
-    def init(self, param: Parameter, slots: Dict[str, np.ndarray]) -> None:
-        layer_name = self._layer_of(param)
+        layer_name = entry.layer_name if entry is not None else ""
         for slot, arr in slots.items():
             self.store.adopt(_slot_entry_name(param, slot), arr, layer_name=layer_name)
 
@@ -461,10 +414,8 @@ class StoreSlots(SlotState):
             try:
                 yield slots
             finally:
-                # Mirror resident semantics on exceptions too: in-place
-                # mutation persists whatever state apply_update reached,
-                # for weights (update_window's finally) AND slots alike —
-                # never one without the other.
+                # Like resident slots, persist whatever apply_update
+                # reached, for weights (update_window) and slots alike.
                 for slot, arr in slots.items():
                     self.store.writeback(_slot_entry_name(param, slot), arr)
 

@@ -98,15 +98,19 @@ class Optimizer:
 
     Subclasses declare ``slot_names`` and implement :meth:`apply_update`
     (pure in-place math over ``param.data`` / ``param.grad`` / the slot
-    arrays).  :meth:`step` fetches each parameter's slots from the
+    arrays).  :meth:`update` fetches one parameter's slots from the
     backend, applies the update, and lets the backend persist the result
     — which is what allows optimizer state to live out-of-core.
+    :meth:`step` updates every parameter not already updated this step.
     """
 
     #: names of the per-parameter state arrays this optimizer keeps
     slot_names: Tuple[str, ...] = ()
     #: the slot the paper's gradient assessment reads as "momentum"
     momentum_slot: str = ""
+    #: set by the Trainer during a backward whose gradients nothing edits:
+    #: a ParamStore then calls :meth:`update` inside each layer's backward
+    update_in_backward: bool = False
 
     def __init__(self, params: Sequence[Parameter], lr: float):
         if lr <= 0:
@@ -119,6 +123,8 @@ class Optimizer:
         self.state: SlotState = ResidentSlots()
         for p in self.params:
             self.state.init(p, self.init_slots(p))
+        #: id -> parameter not yet updated in the current step
+        self._pending: Dict[int, Parameter] = {id(p): p for p in self.params}
 
     # -- subclass interface ------------------------------------------------
     def init_slots(self, param: Parameter) -> Dict[str, np.ndarray]:
@@ -134,11 +140,21 @@ class Optimizer:
         for p in self.params:
             p.zero_grad()
 
+    def update(self, p: Parameter) -> None:
+        """Apply *p*'s update for this step now, unless it is done already
+        (or *p* is not this optimizer's)."""
+        if self._pending.pop(id(p), None) is None:
+            return
+        with self.state.update(p) as slots:
+            self.apply_update(p, slots)
+
     def step(self) -> None:
-        for p in self.params:
-            with self.state.update(p) as slots:
-                self.apply_update(p, slots)
+        """Update the parameters not yet updated this step, then advance
+        :attr:`iteration` once (Adam's ``t`` is the same for all)."""
+        for p in list(self._pending.values()):
+            self.update(p)
         self.iteration += 1
+        self._pending = {id(p): p for p in self.params}
 
     # -- state backend plumbing --------------------------------------------
     def use_slot_state(self, state: SlotState) -> None:

@@ -3,9 +3,9 @@
 The trainer is deliberately framework-shaped (Figure 1 of the paper):
 each iteration runs forward (activations saved through each layer's
 saved-tensor context), loss, backward (saved tensors consumed), then the
-optimizer step.  Callbacks fire after backward and before the weight
-update, which is where the paper's framework collects gradients, loss
-statistics, and momentum for its W-interval parameter collection.
+optimizer step.  Callbacks fire after backward, which is where the
+paper's framework collects gradients and loss statistics for its
+W-interval parameter collection.
 """
 
 from __future__ import annotations
@@ -71,9 +71,12 @@ class Trainer:
     post_backward_hooks:
         Callables ``hook(trainer, record)`` invoked after backward with
         gradients still present — the paper framework's collection point.
+        Under a ``ParamStore`` with no ``grad_transforms`` the store has
+        already updated the weights and momentum inside backward.
     grad_transforms:
         Callables ``transform(trainer)`` applied to parameter gradients
-        before the update (used for the Figure 9 error-injection study).
+        before the update (Figure 9 error injection, the DDP exchange);
+        any transform keeps the update in a separate pass.
     close_hooks:
         Callables ``hook(trainer)`` run once by :meth:`close` — attached
         sessions register resource teardown here (e.g. restoring
@@ -128,10 +131,12 @@ class Trainer:
         while isinstance(first, Sequential) and first.layers:
             first = first.layers[0]
         first.needs_input_grad = isinstance(first, Residual)
+        self.optimizer.update_in_backward = not self.grad_transforms
         try:
             self.network.backward(dlogits)
         finally:
             first.needs_input_grad = True
+            self.optimizer.update_in_backward = False
         self.last_loss_value = loss_value
 
         record = IterationRecord(

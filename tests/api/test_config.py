@@ -407,6 +407,11 @@ class TestRemovedEngineKeys:
         ):
             EngineSpec.from_dict({key: 2})
 
+    def test_param_dirty_tracking_rejected(self):
+        """The BLAKE2 dirty-tracking switch went with the digests."""
+        with pytest.raises(ConfigError, match=r"storage: unknown key.*'param_dirty_tracking'"):
+            SessionConfig.from_dict({"storage": {"param_dirty_tracking": True}})
+
 
 class TestDistributedSpec:
     def cfg(self, **kw):
@@ -555,7 +560,7 @@ class TestScalarTypes:
             {"adaptive": {"W": "10"}},
             {"adaptive": {"enabled": "false"}},
             {"profiler": {"enabled": "false"}},
-            {"storage": {"param_dirty_tracking": "false"}},
+            {"storage": {"param_budget_bytes": "0"}},
             {"rules": [{"match": "l0", "error_bound": "1e-3"}]},
             {"compress_activations": "false"},
         ],

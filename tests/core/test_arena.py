@@ -29,20 +29,24 @@ class TestByteArena:
         assert a.in_memory_nbytes <= 250
         assert a.spill_count == 2
         assert a.spilled_nbytes == 200
-        assert len(os.listdir(tmp_path)) == 2
+        assert os.listdir(tmp_path) == [a._tag + ".spill"]  # one file per arena
+        assert os.path.getsize(tmp_path / os.listdir(tmp_path)[0]) == 200
         # spilled entries read back intact
         for i, k in enumerate(keys):
             assert a.get(k) == bytes([i]) * 100
         a.close()
 
-    def test_pop_spilled_removes_file(self, tmp_path):
+    def test_pop_spilled_empties_file(self, tmp_path):
         a = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
         k = a.put(b"x" * 64)
         assert a.in_memory_nbytes == 0
         assert a.pop(k) == b"x" * 64
         assert a.spilled_nbytes == 0
-        assert os.listdir(tmp_path) == []
+        # nothing left on disk: the one spill file is truncated, not deleted
+        (name,) = os.listdir(tmp_path)
+        assert os.path.getsize(tmp_path / name) == 0
         a.close()
+        assert os.listdir(tmp_path) == []
 
     def test_no_budget_never_spills(self):
         a = ByteArena(budget_bytes=None)
@@ -94,11 +98,11 @@ class TestByteArena:
         assert b.get(kb) == b"B" * 50
         b.close()
 
-    def test_close_deletes_spill_files_in_user_dir(self, tmp_path):
+    def test_close_deletes_spill_file_in_user_dir(self, tmp_path):
         a = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
         a.put(b"x" * 64)
         a.put(b"y" * 64)
-        assert len(os.listdir(tmp_path)) == 2
+        assert len(os.listdir(tmp_path)) == 1  # one file per arena
         a.close()
         assert os.listdir(tmp_path) == []  # files gone, directory kept
         assert os.path.isdir(tmp_path)
@@ -129,6 +133,77 @@ class TestByteArena:
         assert a.spill_count == 0
         assert sorted(os.listdir(tmp_path)) == ["spill"]  # no spill file
         a.close()
+
+    def test_deleted_spill_file_keeps_entries(self, tmp_path):
+        """A cleaner removing everything in the spill directory takes no
+        entry with it: the arena reads through the fd it holds."""
+        a = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
+        keys = [a.put(bytes([i]) * (100 + i)) for i in range(3)]
+        for name in os.listdir(tmp_path):
+            os.remove(tmp_path / name)
+        assert [a.get(k) for k in keys] == [bytes([i]) * (100 + i) for i in range(3)]
+        k = a.put(b"after" * 10)  # spills keep working too
+        assert a.get(k) == b"after" * 10
+        a.close()
+
+    @pytest.mark.parametrize("short", [False, True])
+    def test_failed_append_truncates_and_keeps_entry(self, tmp_path, monkeypatch, short):
+        import errno
+
+        import repro.core.arena as arena_mod
+
+        a = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
+        k1 = a.put(b"x" * 100)
+        real_pwrite = os.pwrite
+
+        def failing_pwrite(fd, data, offset):
+            if short:
+                return real_pwrite(fd, bytes(data)[:10], offset)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(arena_mod.os, "pwrite", failing_pwrite)
+        with pytest.raises(OSError) as info:
+            a.put(b"y" * 100)
+        assert info.value.errno == errno.ENOSPC
+        monkeypatch.undo()
+        assert len(a) == 1 and a.get(k1) == b"x" * 100
+        assert a.spill_count == 1 and a.in_memory_nbytes == 0
+        (name,) = os.listdir(tmp_path)
+        assert os.path.getsize(tmp_path / name) == 100  # cut back to the old end
+        k2 = a.put(b"z" * 50)
+        assert a.get(k1) == b"x" * 100 and a.get(k2) == b"z" * 50
+        a.close()
+
+    def test_spill_file_stays_within_live_plus_slack(self, tmp_path):
+        """2 000 put/discard cycles through one file: dead bytes are
+        compacted away, so the file never exceeds live + 4 MiB, and every
+        live entry round-trips throughout."""
+        rng = np.random.default_rng(0)
+        a = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
+        live = {}
+        largest_file = written = 0
+        for i in range(2000):
+            payload = bytes([i % 251]) * int(rng.integers(1, 8 << 10))
+            live[a.put(payload)] = payload
+            written += len(payload)
+            if len(live) > 40:
+                victim = list(live)[int(rng.integers(0, len(live)))]
+                a.discard(victim)
+                del live[victim]
+            (name,) = os.listdir(tmp_path)
+            size = os.path.getsize(tmp_path / name)
+            assert size <= a.spilled_nbytes + (4 << 20)
+            largest_file = max(largest_file, size)
+            if i % 97 == 0:
+                assert all(a.get(k) == v for k, v in live.items())
+        assert a.spilled_nbytes == sum(map(len, live.values()))
+        assert all(a.get(k) == v for k, v in live.items())
+        assert largest_file < written  # compaction ran
+        for k in list(live):
+            a.discard(k)
+        assert os.path.getsize(tmp_path / name) == 0
+        a.close()
+        assert os.listdir(tmp_path) == []
 
     def test_failed_forced_spill_keeps_entries(self, tmp_path):
         not_a_dir = tmp_path / "spill"

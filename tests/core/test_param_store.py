@@ -7,6 +7,8 @@ to resident training — while the tracker's persistent pool stays
 byte-exact and every entry is released exactly once.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -35,12 +37,20 @@ def small_net(rng=42):
     return build_scaled_model("alexnet", num_classes=8, image_size=16, rng=rng)
 
 
-def train_run(opt_cls, opt_kwargs, param_store=None, iters=4, batch=4, before_detach=None):
+def halve_grads(trainer):
+    for p in trainer.optimizer.params:
+        p.grad *= 0.5
+
+
+def train_run(opt_cls, opt_kwargs, param_store=None, iters=4, batch=4, before_detach=None,
+              grad_transform=None):
     net = small_net()
     opt = opt_cls(net.parameters(), **opt_kwargs)
     if param_store is not None:
         param_store.attach(net, opt)
     trainer = Trainer(net, opt)
+    if grad_transform is not None:
+        trainer.grad_transforms.append(grad_transform)
     dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
     trainer.train(batches(dataset, batch, iters, seed=1))
     losses = trainer.history.losses.copy()
@@ -113,58 +123,97 @@ class TestEntryLifecycle:
         store.close()
 
 
-class TestDirtyTracking:
-    """Per-entry digests skip write-backs of unchanged bytes — pure I/O
-    elision, invisible to training results."""
+class TestWritebackFailure:
+    """A write-back whose ``put`` fails must leave the old value stored:
+    the error propagates, the entry stays fetchable and charged once."""
 
-    def test_unchanged_writeback_skipped(self, rng):
-        store = ParamStore(budget_bytes=None)
-        arr = rng.standard_normal((32, 8)).astype(np.float32)
-        store.adopt("w", arr)
-        store.writeback("w", arr.copy())  # identical bytes
-        assert store.writeback_count == 0
-        assert store.writeback_skipped == 1
-        changed = arr * 1.5
-        store.writeback("w", changed)
-        assert store.writeback_count == 1
-        np.testing.assert_array_equal(store.fetch("w"), changed)
-        store.writeback("w", changed.copy())  # unchanged again
-        assert store.writeback_count == 1
-        assert store.writeback_skipped == 2
+    def _adopted(self, rng, budget, spill_dir):
+        store = ParamStore(budget_bytes=budget, spill_dir=str(spill_dir))
+        old = rng.standard_normal((16, 8)).astype(np.float32)
+        store.adopt("w", old)
+        return store, old
+
+    def _assert_unchanged(self, store, old, entries, charged):
+        np.testing.assert_array_equal(store.fetch("w"), old)
+        assert len(store.storage) == entries and len(store) == 1
+        assert store.tracker.persistent_stored_bytes == charged
         store.close()
 
-    def test_zero_grad_step_skips_all_slot_writebacks(self):
-        """With zero gradients, SGD leaves velocity (0) and weights
-        unchanged: the whole optimizer step must write nothing back."""
+    def test_spill_dir_replaced_by_a_file(self, rng, tmp_path):
+        """The spill directory turns into a plain file after ``w`` was
+        spilled: the arena writes on through the descriptor it holds,
+        so the write-back lands and ``w`` stays fetchable."""
+        d = tmp_path / "spill"
+        store, old = self._adopted(rng, 0, d)
+        shutil.rmtree(d)
+        d.write_bytes(b"")
+        store.writeback("w", old * 2)
+        np.testing.assert_array_equal(store.fetch("w"), old * 2)
+        assert len(store.storage) == 1
+        store.close()
+
+    def test_unopenable_spill_file_keeps_old_value(self, rng, tmp_path):
+        """``w`` is resident and the spill file cannot be created: the
+        write-back's spill fails, and the old value survives it."""
+        d = tmp_path / "spill"
+        store, old = self._adopted(rng, 16 * 8 * 4, d)
+        d.write_bytes(b"")
+        charged = store.tracker.persistent_stored_bytes
+        assert store.storage.spilled_nbytes == 0
+        with pytest.raises(OSError):
+            store.writeback("w", old * 2)
+        self._assert_unchanged(store, old, 1, charged)
+
+    def test_enospc_keeps_old_value(self, rng, tmp_path, monkeypatch):
+        import errno
+
+        import repro.core.arena as arena_mod
+
+        store, old = self._adopted(rng, 0, tmp_path)
+        charged = store.tracker.persistent_stored_bytes
+
+        def enospc(fd, data, offset):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(arena_mod.os, "pwrite", enospc)
+        with pytest.raises(OSError, match="No space"):
+            store.writeback("w", old * 2)
+        monkeypatch.undo()
+        self._assert_unchanged(store, old, 1, charged)
+
+
+class TestFoldedUpdateIO:
+    """Under a Trainer with no gradient transforms each layer's update
+    runs inside its backward: weights are fetched once per pass, slots
+    once per step, and every entry is written back once."""
+
+    def _step_io(self, opt_cls, kw, transform=False):
         net = small_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
+        opt = opt_cls(net.parameters(), **kw)
         store = ParamStore(budget_bytes=0)
         store.attach(net, opt)
-        opt.zero_grad()
-        before_writes = store.writeback_count
-        opt.step()
-        assert store.writeback_count == before_writes  # nothing dirty
-        # one weight + one velocity skip per parameter
-        assert store.writeback_skipped == 2 * len(net.parameters())
+        trainer = Trainer(net, opt)
+        if transform:
+            trainer.grad_transforms.append(lambda tr: None)
+        dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
+        trainer.train(batches(dataset, 4, 1, seed=1))
+        io = (store.fetch_count, store.writeback_count, len(net.parameters()))
         store.close()
+        return io
 
-    def test_real_training_writes_back_dirty_entries(self):
-        """A real step mutates weights and velocity, so write-backs do
-        happen; the skip path must not eat genuine updates (covered
-        bit-exactly by TestTrainingEquivalence too)."""
-        store = ParamStore(budget_bytes=0)
-        losses, _, _ = train_run(SGD, dict(lr=0.01, momentum=0.9), store, iters=2)
-        assert np.isfinite(losses).all()
-        assert store.writeback_count > 0
+    @pytest.mark.parametrize(
+        "opt_cls, kw, slots",
+        [(SGD, dict(lr=0.01, momentum=0.9), 1), (Adam, dict(lr=1e-3), 2)],
+    )
+    def test_one_step_costs_two_weight_fetches(self, opt_cls, kw, slots):
+        fetches, writebacks, n = self._step_io(opt_cls, kw)
+        assert fetches == 2 * n + slots * n
+        assert writebacks == n + slots * n
 
-    def test_dirty_tracking_can_be_disabled(self, rng):
-        store = ParamStore(budget_bytes=None, dirty_tracking=False)
-        arr = rng.standard_normal((8, 8)).astype(np.float32)
-        store.adopt("w", arr)
-        store.writeback("w", arr.copy())
-        assert store.writeback_count == 1
-        assert store.writeback_skipped == 0
-        store.close()
+    def test_grad_transform_keeps_the_separate_pass(self):
+        fetches, writebacks, n = self._step_io(SGD, dict(lr=0.01, momentum=0.9), True)
+        assert fetches == 4 * n
+        assert writebacks == 2 * n
 
 
 class TestTrainingEquivalence:
@@ -186,6 +235,36 @@ class TestTrainingEquivalence:
         for name in base[2]:
             for slot in ("exp_avg", "exp_avg_sq"):
                 np.testing.assert_array_equal(base[2][name][slot], oov[2][name][slot])
+
+    @pytest.mark.parametrize("grad_transform", [None, halve_grads], ids=["folded", "transform"])
+    @pytest.mark.parametrize(
+        "opt_cls, kw",
+        [(SGD, dict(lr=0.01, momentum=0.9, weight_decay=5e-4)), (Adam, dict(lr=1e-3, weight_decay=1e-2))],
+        ids=["sgd", "adam"],
+    )
+    def test_weight_decay_bit_identical(self, opt_cls, kw, grad_transform):
+        """The update inside backward (no transform) and the separate
+        pass (a transform) both match resident training bit for bit."""
+        base = train_run(opt_cls, kw, grad_transform=grad_transform)
+        oov = train_run(opt_cls, kw, ParamStore(budget_bytes=0), grad_transform=grad_transform)
+        assert np.array_equal(base[0].view(np.uint64), oov[0].view(np.uint64))
+        assert np.array_equal(base[1].view(np.uint32), oov[1].view(np.uint32))
+        for name, slots in base[2].items():
+            for slot, value in slots.items():
+                assert np.array_equal(value.view(np.uint32), oov[2][name][slot].view(np.uint32))
+
+    def test_adam_iteration_advances_once_per_step(self):
+        net = small_net()
+        opt = Adam(net.parameters(), lr=1e-3)
+        store = ParamStore(budget_bytes=0)
+        store.attach(net, opt)
+        trainer = Trainer(net, opt)
+        dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
+        for i, (x, y) in enumerate(batches(dataset, 4, 3, seed=1)):
+            trainer.train_step(x, y)
+            assert opt.iteration == i + 1
+            assert not opt.update_in_backward
+        store.close()
 
     @pytest.mark.parametrize("opt_cls, kw", [(SGD, dict(lr=0.01, momentum=0.9)), (Adam, dict(lr=1e-3))])
     def test_lossless_codec_training_bit_identical(self, opt_cls, kw):
@@ -289,14 +368,14 @@ class TestAccounting:
         net = small_net()
         store = ParamStore(budget_bytes=0)
         store.attach(net, SGD(net.parameters(), lr=0.01, momentum=0.9))
-        first = next(iter(store._layers))
-        layer_bytes = sum(p.data.nbytes for p in store._layers[first])
+        first = next(iter(store._layers.values()))
+        layer_bytes = sum(p.data.nbytes for p in first)
         store._bind(first)
         store._bind(first)
         assert store.materialized_nbytes == layer_bytes
         store._unbind(first)
         assert store.materialized_nbytes == layer_bytes
-        assert np.isfinite(store._layers[first][0].data).all()
+        assert np.isfinite(first[0].data).all()
         store._unbind(first)
         assert store.materialized_nbytes == 0
         assert store.peak_materialized_nbytes == layer_bytes
@@ -369,6 +448,26 @@ class TestSessionIntegration:
         # close restored residency
         assert isinstance(session.optimizer.state, ResidentSlots)
         assert np.isfinite(net.parameters()[0].data).all()
+
+    def test_error_bounds_match_resident_session(self):
+        """Eq. 8 reads momentum before the layer's update: with the update
+        inside backward, a ParamStore-backed session still derives the
+        same bounds as a resident one (step 10 collects from momentum)."""
+        from repro.api import AdaptiveSpec, SessionConfig, StorageSpec, build_session
+
+        def bounds(params):
+            cfg = SessionConfig(
+                adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
+                storage=StorageSpec(params=params, param_budget_bytes=0),
+            )
+            with build_session(small_net(), cfg) as session:
+                dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
+                session.train(batches(dataset, 4, 12, seed=1))
+                assert session.compressed.controller.updates == 3
+                return session.compressed.error_bounds
+
+        resident = bounds("resident")
+        assert resident and resident == bounds("arena")
 
     def test_write_slot_casts_to_entry_dtype(self):
         """A float64 write to a float32 store-backed slot must cast (the
