@@ -5,6 +5,8 @@ over POST /tenants on an ephemeral port, stepped via
 POST /tenants/<name>/steps, inspected through GET /stats, and evicted —
 exercising admission, the shared pool, the scheduler, and the metrics
 surface exactly the way an operator would, with no Python-API shortcuts.
+Malformed tenant specs in between must each answer 400 and leave the
+admitted tenants stepping.
 """
 
 import json
@@ -73,6 +75,24 @@ def main():
                 f"admit {t['name']}: {code} {body}",
             )
             print(f"admitted {t['name']}")
+
+        # malformed tenants are a 400 each and leave the server serving
+        bad_tenants = {
+            "unbuildable param_codec": {"name": "bad-codec", "session": {"storage": {
+                "params": "arena",
+                "param_codec": {"name": "lossless", "options": {"bogus": 1}},
+            }}},
+            "unknown tenant key": {"name": "bad-key", "modle": "alexnet"},
+            "removed rule option": {"name": "bad-rule", "session": {
+                "rules": [{"match": "l0", "arena_budget": 4096}],
+            }},
+        }
+        for what, t in bad_tenants.items():
+            code, body = call(url, "POST", "/tenants", t)
+            expect(code == 400, f"{what}: expected 400, got {code} {body}")
+            print(f"rejected {what}: {body['error'][:80]}")
+        code, body = call(url, "GET", "/healthz")
+        expect(code == 200, f"healthz after bad requests: {code} {body}")
 
         for t in tenants:
             code, body = call(url, "POST", f"/tenants/{t['name']}/steps", {"steps": STEPS})

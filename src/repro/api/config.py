@@ -39,7 +39,6 @@ import dataclasses
 import functools
 import json
 import os
-import re
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -58,7 +57,6 @@ __all__ = [
     "DistributedSpec",
     "ServerSpec",
     "SessionConfig",
-    "check_scalar_types",
 ]
 
 
@@ -129,23 +127,13 @@ def _admits(tp: type, value: Any) -> bool:
     return isinstance(value, tp)
 
 
-def check_scalar_types(spec, where: str) -> None:
-    """Raise :class:`ConfigError` unless every scalar field of the config
-    dataclass *spec* holds a value its annotation admits.  Range and
-    choice checks are each section's own."""
-    for name, types in _field_types(type(spec))[0].items():
-        value = getattr(spec, name)
-        if not any(_admits(tp, value) for tp in types):
-            expected = " or ".join(_TYPE_NAMES[tp] for tp in types)
-            raise ConfigError(f"{where}: {name} must be {expected}, got {value!r}")
-
-
 class _Section:
     """The contract every config section shares.
 
-    * ``validate(where)`` — the scalar type check, each nested section's
-      own ``validate``, then the section's range / choice / cross-field
-      checks (:meth:`_check`); errors name *where*.
+    * ``validate(where)`` — every scalar field holds a value its
+      annotation admits, each nested section's own ``validate`` passes,
+      then the section's range / choice / cross-field checks
+      (:meth:`_check`); errors name *where*.
     * ``from_dict(d, where)`` — unknown keys rejected with the accepted
       list, nested sections parsed, the result validated.
     * ``to_dict()`` — sparse: default-valued fields are omitted, so
@@ -162,9 +150,14 @@ class _Section:
 
     def validate(self, where: Optional[str] = None):
         where = where or self._name
-        check_scalar_types(self, where)
+        scalars, sections = _field_types(type(self))
+        for name, types in scalars.items():
+            value = getattr(self, name)
+            if not any(_admits(tp, value) for tp in types):
+                expected = " or ".join(_TYPE_NAMES[tp] for tp in types)
+                raise ConfigError(f"{where}: {name} must be {expected}, got {value!r}")
         prefix = self._prefix(where)
-        for name, (section, many) in _field_types(type(self))[1].items():
+        for name, (section, many) in sections.items():
             value = getattr(self, name)
             if many and not isinstance(value, list):
                 raise ConfigError(f"{prefix}{name}: expected a list, got {type(value).__name__}")
@@ -220,10 +213,12 @@ class _Section:
 
 def _require_codec(spec: "CodecSpec", where: str, props: Tuple[str, ...], problem: str) -> None:
     """Build *spec* once and require one of the codec properties *props*
-    (``lossless``, ``error_bounded``)."""
-    from repro.compression.registry import get_codec
-
-    probe = get_codec(spec.name, **spec.options)
+    (``lossless``, ``error_bounded``); a codec its options cannot build
+    is a :class:`ConfigError` naming *where*."""
+    try:
+        probe = spec.build()
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     if not any(getattr(probe, p, False) for p in props):
         raise ConfigError(f"{where}: {spec.name!r} {problem}")
 
@@ -277,44 +272,30 @@ class CodecSpec(_Section):
             raise ConfigError(f"codec {self.name!r}: {exc}") from exc
 
 
-def _require_grad_codec(spec: CodecSpec, where: str) -> None:
-    """A gradient codec must keep the exchange's accuracy contract:
-    either a per-element error bound (lossy-bounded, szlike-style) or a
-    bit-exact round-trip (lossless).  Unbounded lossy codecs (jpeg) have
-    no story for how far the averaged gradient can drift."""
-    _require_codec(
-        spec,
-        where,
-        ("error_bounded", "lossless"),
-        "is lossy without an error bound; gradient exchange needs an "
-        "error-bounded ('szlike', 'chunked') or lossless ('lossless', "
-        "'sparse-lossless') codec",
-    )
-
-
 @dataclass
 class PolicyRule(_Section):
-    """One per-layer policy: glob-matched layers get their own regime.
+    """One per-layer policy: glob-matched layers get their own codec and
+    error-bound regime.
 
     First match wins across ``SessionConfig.rules``; unmatched layers
-    fall back to the session defaults.
+    fall back to the session defaults.  Everything else is session-wide:
+    under arena storage every compressed layer's bytes go to the one
+    arena budget, and a data-parallel exchange sends every gradient
+    through ``distributed.grad_codec``.
 
     Parameters
     ----------
     match:
-        Pattern over layer names.  With the default
-        ``match_kind="glob"`` it is an :mod:`fnmatch` glob (``"l0"``,
-        ``"l1?"``, ``"conv*"``); with ``match_kind="regex"`` it is a
-        full-match :mod:`re` pattern (``"l[0-9]+"``), validated at
-        config-parse time.
-    match_kind:
-        ``"glob"`` (default) or ``"regex"``.
+        An :mod:`fnmatch` glob over layer names, matched
+        case-sensitively (``"l0"``, ``"l1?"``, ``"l[02]"``, ``"conv*"``).
     label:
         Accounting-group name (auto ``"rule<i>"`` when empty) — per-rule
         raw/stored bytes appear under it in
         ``MemoryTracker.group_summary()``.
     codec:
         Codec for matched layers; ``None`` inherits the session codec.
+        ``engine.kernel_backend`` applies to it unless its options name
+        a ``kernel_backend`` of their own.
     error_bound:
         Fixed absolute bound for matched layers.  A fixed bound pins
         the layers — the controller skips them — and therefore
@@ -322,42 +303,20 @@ class PolicyRule(_Section):
         combination; use ``initial_rel_eb`` for an adaptive warm start).
     adaptive:
         ``None`` (default) resolves to ``error_bound is None``.
-    storage:
-        ``"arena"`` / ``"inmem"`` / ``None`` (inherit session storage).
     initial_rel_eb, eb_min, eb_max:
         Per-rule warm-up bound and controller clamp overrides.
-    arena_budget:
-        In-memory sub-budget (bytes) for this rule's packed activations,
-        carved out of the session arena — matched layers spill to disk
-        once their group exceeds it, independently of the global
-        ``storage.budget_bytes``.  Requires arena-backed activations.
-    grad_codec:
-        Codec for the matched layers' **gradients** in a data-parallel
-        exchange (``distributed.world_size > 1``); ``None`` inherits
-        ``distributed.grad_codec``.  Must be error-bounded or lossless —
-        the same contract the session-wide gradient codec obeys.
-    kernel_backend:
-        Kernel backend (``"numpy"``/``"numba"``/``"auto"``) for the
-        matched layers' codec; ``None`` inherits
-        ``engine.kernel_backend``.  Applies to szlike-family codecs
-        (directly or inside ``chunked``); other codecs ignore it.
     """
 
     _name = "rule"
 
     match: str = "*"
-    match_kind: str = "glob"
     label: str = ""
     codec: Optional[CodecSpec] = None
     error_bound: Optional[float] = None
     adaptive: Optional[bool] = None
-    storage: Optional[str] = None
     initial_rel_eb: Optional[float] = None
     eb_min: Optional[float] = None
     eb_max: Optional[float] = None
-    arena_budget: Optional[int] = None
-    grad_codec: Optional[CodecSpec] = None
-    kernel_backend: Optional[str] = None
 
     def resolved_adaptive(self) -> bool:
         return self.adaptive if self.adaptive is not None else self.error_bound is None
@@ -365,26 +324,9 @@ class PolicyRule(_Section):
     def _check(self, where: str) -> None:
         if not self.match:
             raise ConfigError(f"{where}: match must be a non-empty pattern string")
-        if self.match_kind not in ("glob", "regex"):
-            raise ConfigError(
-                f"{where}: match_kind must be 'glob' or 'regex', "
-                f"got {self.match_kind!r}"
-            )
-        if self.match_kind == "regex":
-            try:
-                re.compile(self.match)
-            except re.error as exc:
-                raise ConfigError(
-                    f"{where}: invalid regex {self.match!r}: {exc}"
-                ) from None
         if self.error_bound is not None and self.error_bound <= 0:
             raise ConfigError(
                 f"{where}: error_bound must be positive, got {self.error_bound}"
-            )
-        if self.storage not in (None, "arena", "inmem"):
-            raise ConfigError(
-                f"{where}: storage must be 'arena', 'inmem', or omitted, "
-                f"got {self.storage!r}"
             )
         if self.resolved_adaptive() and self.error_bound is not None:
             raise ConfigError(
@@ -399,27 +341,6 @@ class PolicyRule(_Section):
             raise ConfigError(
                 f"{where}: need eb_min < eb_max, got {self.eb_min} >= {self.eb_max}"
             )
-        if self.arena_budget is not None:
-            if self.arena_budget <= 0:
-                raise ConfigError(
-                    f"{where}: arena_budget must be a positive int or omitted, "
-                    f"got {self.arena_budget!r}"
-                )
-            if self.storage == "inmem":
-                raise ConfigError(
-                    f"{where}: arena_budget requires arena storage, but the "
-                    f"rule pins storage='inmem'"
-                )
-        if self.grad_codec is not None:
-            _require_grad_codec(self.grad_codec, f"{where}.grad_codec")
-        if self.kernel_backend is not None:
-            from repro.kernels import KERNEL_BACKENDS
-
-            if self.kernel_backend not in KERNEL_BACKENDS:
-                raise ConfigError(
-                    f"{where}: kernel_backend must be one of {KERNEL_BACKENDS} "
-                    f"or omitted, got {self.kernel_backend!r}"
-                )
 
 
 @dataclass
@@ -556,23 +477,21 @@ class SanitizerSpec(_Section):
     """Runtime sanitizer for the session (:mod:`repro.core.sanitizer`).
 
     When ``enabled``, ``build_session`` turns the sanitizer on *before*
-    constructing the stack, so every arena/scratch/codebook/param-store
-    lock is order-tracked (deadlock cycles raise
-    :class:`~repro.core.sanitizer.LockOrderError`), released buffers are
-    NaN-poisoned, and arena double-releases trap with acquisition-site
-    tracebacks.  The sanitizer is process-wide and sticky — objects
-    instrumented for this session stay instrumented (the same switch the
-    ``REPRO_SANITIZE=1`` environment variable flips at import time).
-    Meant for CI/stress runs, not production: poisoning copies buffers
-    on ``put`` and every lock acquire takes a graph check.
+    constructing the stack, with all three of its checks: every
+    arena/scratch/codebook/param-store lock is order-tracked (deadlock
+    cycles raise :class:`~repro.core.sanitizer.LockOrderError`), released
+    buffers are NaN-poisoned, and arena double-releases trap with
+    acquisition-site tracebacks.  There are no per-check switches.  The
+    sanitizer is process-wide and sticky — objects instrumented for this
+    session stay instrumented (the same switch the ``REPRO_SANITIZE=1``
+    environment variable flips at import time).  Meant for CI/stress
+    runs, not production: poisoning copies buffers on ``put`` and every
+    lock acquire takes a graph check.
     """
 
     _name = "sanitizer"
 
     enabled: bool = False
-    poison: bool = True
-    lock_order: bool = True
-    trap_double_release: bool = True
 
 
 @dataclass
@@ -639,8 +558,7 @@ class DistributedSpec(_Section):
         Codec for the gradient exchange; ``None`` resolves to
         ``sparse-lossless`` (bit-exact).  Must be error-bounded
         (``szlike``, ``chunked``) or lossless — unbounded lossy codecs
-        (``jpeg``) are rejected.  Per-layer overrides live on
-        ``PolicyRule.grad_codec``.
+        (``jpeg``) are rejected.  One codec serves every parameter.
     error_feedback:
         Keep a per-layer residual of what compression dropped and add
         it back into the next step's gradient before compressing, so
@@ -677,7 +595,17 @@ class DistributedSpec(_Section):
                 f"{where}: world_size must be an int >= 1, got {self.world_size!r}"
             )
         if self.grad_codec is not None:
-            _require_grad_codec(self.grad_codec, f"{where}.grad_codec")
+            # The exchange's accuracy contract: a per-element error bound
+            # or a bit-exact round trip.  Unbounded lossy codecs (jpeg)
+            # say nothing about how far the averaged gradient can drift.
+            _require_codec(
+                self.grad_codec,
+                f"{where}.grad_codec",
+                ("error_bounded", "lossless"),
+                "is lossy without an error bound; gradient exchange needs an "
+                "error-bounded ('szlike', 'chunked') or lossless ('lossless', "
+                "'sparse-lossless') codec",
+            )
         if self.reduce_order not in ("tree", "linear"):
             raise ConfigError(
                 f"{where}: reduce_order must be 'tree' or 'linear', "
@@ -851,18 +779,6 @@ class SessionConfig(_Section):
             if label in labels:
                 raise ConfigError(f"rules[{i}]: duplicate rule label {label!r}")
             labels.add(label)
-            if rule.storage == "arena" and self.storage.activations != "arena":
-                raise ConfigError(
-                    f"rules[{i}] (match={rule.match!r}): storage='arena' needs "
-                    f"storage.activations='arena' on the session (no arena is "
-                    f"configured to put the bytes in)"
-                )
-            if rule.arena_budget is not None and self.storage.activations != "arena":
-                raise ConfigError(
-                    f"rules[{i}] (match={rule.match!r}): arena_budget needs "
-                    f"storage.activations='arena' on the session (there is no "
-                    f"arena to carve the sub-budget out of)"
-                )
             # A partial clamp override combines with the session's global
             # clamp at runtime — cross-check here so the pair fails at
             # load time, not at the controller's first update.
@@ -874,24 +790,16 @@ class SessionConfig(_Section):
                     f"inverted (eb_min={lo} >= eb_max={hi}, combining the rule's "
                     f"overrides with adaptive.eb_min/eb_max)"
                 )
-        if self.distributed.world_size > 1:
-            if (
-                self.distributed.rank_arena_budget is not None
-                and self.storage.activations != "arena"
-            ):
-                raise ConfigError(
-                    "distributed: rank_arena_budget needs "
-                    "storage.activations='arena' on the session (there is no "
-                    "per-rank arena to apply the budget to)"
-                )
-        else:
-            for i, rule in enumerate(self.rules):
-                if rule.grad_codec is not None:
-                    raise ConfigError(
-                        f"rules[{i}] (match={rule.match!r}): grad_codec only "
-                        f"applies to a data-parallel exchange; set "
-                        f"distributed.world_size > 1"
-                    )
+        if (
+            self.distributed.world_size > 1
+            and self.distributed.rank_arena_budget is not None
+            and self.storage.activations != "arena"
+        ):
+            raise ConfigError(
+                "distributed: rank_arena_budget needs "
+                "storage.activations='arena' on the session (there is no "
+                "per-rank arena to apply the budget to)"
+            )
 
     # -- serialization -----------------------------------------------------
     def to_json(self, path: Optional[str] = None, *, indent: int = 2) -> str:

@@ -30,40 +30,42 @@ from __future__ import annotations
 from contextlib import ExitStack
 from typing import List, Optional, Tuple
 
-from repro.api.config import ConfigError, PolicyRule, SessionConfig
+from repro.api.config import CodecSpec, ConfigError, PolicyRule, SessionConfig
 from repro.core.policy_table import PolicyTable, ResolvedPolicy, compile_matcher
 
 __all__ = ["Session", "build_session", "build_policy_table"]
 
 
-def _apply_kernel_backend(codec, backend: str, where: str) -> None:
-    """Route *backend* to the szlike kernels inside *codec*.
+def _build_codec(spec: CodecSpec, kernel_backend: str):
+    """Build *spec* with *kernel_backend* (the session's
+    ``engine.kernel_backend``) routed to its szlike kernels, unless the
+    spec's options name a backend of their own.
 
     :class:`~repro.compression.registry.ChunkedCodec` wrappers are
     unwrapped to their inner codec; codecs without a kernel backend
-    (lossless, jpeg) silently ignore the setting.  An unavailable
-    explicit backend (``"numba"`` without numba installed) surfaces as
-    a :class:`ConfigError` naming the offending config location.
+    (lossless, jpeg) ignore the setting.  An unavailable explicit
+    backend (``"numba"`` without numba installed) is a
+    :class:`ConfigError` naming ``engine.kernel_backend``.
     """
-    inner = getattr(codec, "inner", None)
-    if inner is not None:
-        codec = inner
-    setter = getattr(codec, "set_kernel_backend", None)
-    if setter is None:
-        return
-    try:
-        setter(backend)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    codec = spec.build()
+    setter = getattr(getattr(codec, "inner", codec), "set_kernel_backend", None)
+    if setter is not None and "kernel_backend" not in spec.options:
+        try:
+            setter(kernel_backend)
+        except ValueError as exc:
+            raise ConfigError(f"engine.kernel_backend: {exc}") from exc
+    return codec
 
 
-def build_policy_table(rules: List[PolicyRule]) -> Optional[PolicyTable]:
+def build_policy_table(
+    rules: List[PolicyRule], kernel_backend: str = "auto"
+) -> Optional[PolicyTable]:
     """Compile declarative :class:`PolicyRule` specs into a live
     :class:`PolicyTable` (codec instances built once per rule and shared
     by every layer the rule matches).  Returns ``None`` for no rules.
 
-    The source rules are kept on the table (``table.source_rules``), in
-    the order of ``table.rules``, for the per-rule kernel backends.
+    *kernel_backend* (the session's ``engine.kernel_backend``) applies
+    to every rule codec whose options do not name a backend themselves.
     """
     if not rules:
         return None
@@ -72,23 +74,23 @@ def build_policy_table(rules: List[PolicyRule]) -> Optional[PolicyTable]:
         rule.validate(f"rules[{i}] (match={rule.match!r})")
         compiled.append(
             (
-                compile_matcher(rule.match, rule.match_kind),
+                compile_matcher(rule.match),
                 ResolvedPolicy(
                     label=rule.label or f"rule{i}",
-                    codec=rule.codec.build() if rule.codec is not None else None,
+                    codec=(
+                        _build_codec(rule.codec, kernel_backend)
+                        if rule.codec is not None
+                        else None
+                    ),
                     error_bound=rule.error_bound,
                     adaptive=rule.resolved_adaptive(),
-                    storage=rule.storage,
                     initial_rel_eb=rule.initial_rel_eb,
                     eb_min=rule.eb_min,
                     eb_max=rule.eb_max,
-                    arena_budget=rule.arena_budget,
                 ),
             )
         )
-    table = PolicyTable(compiled)
-    table.source_rules = [r for r in rules]
-    return table
+    return PolicyTable(compiled)
 
 
 class Session:
@@ -277,11 +279,7 @@ def build_session(
         # (see SanitizerSpec) — the same switch REPRO_SANITIZE=1 flips.
         from repro.core import sanitizer
 
-        sanitizer.enable(
-            poison=config.sanitizer.poison,
-            lock_order=config.sanitizer.lock_order,
-            trap_double_release=config.sanitizer.trap_double_release,
-        )
+        sanitizer.enable()
 
     if optimizer is None:
         optimizer = config.optimizer.build(network.parameters())
@@ -341,40 +339,11 @@ def _build_compressed(network, optimizer, config: SessionConfig, storage, param_
     :func:`build_session`: codecs, policy table, controller."""
     from repro.core.framework import CompressedTraining
 
-    table = build_policy_table(config.rules)
-    if storage is not None and table is not None:
-        for pol in table.rules:
-            if pol.arena_budget is not None:
-                storage.set_group_budget(pol.label, pol.arena_budget)
-
-    compressor = config.codec.build()
-    engine_backend = config.engine.kernel_backend
-    if "kernel_backend" not in config.codec.options:
-        # The engine-level default applies unless the codec spec pins
-        # its own backend explicitly.
-        _apply_kernel_backend(compressor, engine_backend, "engine.kernel_backend")
-    if table is not None:
-        for rule, pol in zip(table.source_rules, table.rules):
-            backend = rule.kernel_backend
-            if backend is None and pol.codec is not None:
-                opts = rule.codec.options if rule.codec is not None else {}
-                if "kernel_backend" not in opts:
-                    backend = engine_backend
-            if backend is None:
-                continue
-            if pol.codec is None:
-                # A per-layer backend override without a per-rule codec:
-                # the rule gets its own clone of the session codec so the
-                # override doesn't leak to unmatched layers.
-                pol.codec = config.codec.build()
-            _apply_kernel_backend(
-                pol.codec, backend, f"rule (match={rule.match!r}).kernel_backend"
-            )
-
+    table = build_policy_table(config.rules, config.engine.kernel_backend)
     return CompressedTraining(
         network,
         optimizer,
-        compressor=compressor,
+        compressor=_build_codec(config.codec, config.engine.kernel_backend),
         config=config.adaptive.to_adaptive_config(),
         storage=storage,
         param_storage=param_store,

@@ -487,34 +487,6 @@ class SZCompressor:
             raw_codes_dtype=raw_codes_dtype,
         )
 
-    def codebook_for(
-        self,
-        x: np.ndarray,
-        error_bound: Optional[float] = None,
-        cache_key: Optional[Hashable] = None,
-    ) -> HuffmanCodebook:
-        """The canonical codebook :meth:`compress` would use for *x*.
-
-        A utility for wrappers that inject a book into several compress
-        calls via ``codebook=`` (the chunked codec itself avoids the
-        extra pipeline pass by compressing its first chunk with
-        ``reserve_marker=True`` and sharing that chunk's book).  Goes
-        through the same cache/staleness machinery as :meth:`compress`;
-        a fresh build keeps the escape-marker codeword so uncovered
-        symbols in other tensors can demote through it.
-        """
-        if self.entropy not in ("huffman", "huffman+zlib"):
-            raise ValueError(f"entropy stage {self.entropy!r} has no codebook")
-        x = np.asarray(x)
-        eb = float(error_bound) if error_bound is not None else self.resolve_error_bound(x)
-        with ExitStack() as stack:
-            qr, _ = self._quantized_codes(x, eb, stack)
-            hist = histogram(qr.codes, self.dict_size)
-            book, _ = self._resolve_codebook(
-                hist, cache_key, x.shape, x.dtype, reserve_marker=True
-            )
-        return book
-
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         """Reconstruct the tensor; max abs error is ``ct.error_bound``."""
         with profiler.stage("decode"):

@@ -19,11 +19,11 @@ activations bit-exactly, and a ``"*"`` policy rule with a fixed
 ``error_bound`` is one static bound for every layer.
 
 An optional :class:`~repro.core.policy_table.PolicyTable` resolves each
-compressible layer, by first-match rules, to its **own** codec,
-error-bound regime (fixed or adaptive, with per-rule clamps), and
-storage class (arena vs in-process), falling back to the context
-defaults for unmatched layers.  Each pack carries its rule's group label
-into the tracker, so mixed-codec sessions account per rule as well as
+compressible layer, by first-match rules, to its **own** codec and
+error-bound regime (fixed or adaptive, with per-rule clamps), falling
+back to the context defaults for unmatched layers.  Each pack carries
+its rule's group label into the tracker (and, under arena storage, onto
+its arena entry), so mixed-codec sessions account per rule as well as
 per layer.
 
 Two storage regimes:
@@ -191,8 +191,8 @@ class CompressingContext(SavedTensorContext):
         ct, blob, nz = payload
         if blob is not None:
             handle.stored_nbytes = len(blob)
-            # The policy-group tag lets per-rule arena budgets attribute
-            # (and bound) this entry's residency.
+            # The policy-group tag attributes this entry's residency and
+            # spills to its rule in ``ByteArena.group_stats()``.
             handle.arena_key = self.storage.put(
                 blob, group=handle.policy_label or None
             )
@@ -263,8 +263,7 @@ class CompressingContext(SavedTensorContext):
         self._layer_codec[layer.name] = codec
         if self.policy_table is not None:
             handle.policy_label = self.policy_table.group_of(layer.name)
-        # Arena-serialize unless the rule pins the layer in-process.
-        serialize = self.storage is not None and (pol is None or pol.storage != "inmem")
+        serialize = self.storage is not None
         # Per-layer cache keys let a codebook-caching codec amortize its
         # entropy setup across iterations: each conv layer packs once per
         # forward in a fixed order, so per-key cache decisions stay

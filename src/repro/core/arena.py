@@ -79,8 +79,6 @@ class ByteArena:
         self._next_key = 0
         #: key -> group label for entries stored with ``put(group=...)``
         self._group_of: Dict[int, str] = {}
-        #: group label -> in-memory sub-budget (see :meth:`set_group_budget`)
-        self._group_budgets: Dict[str, int] = {}
         #: group label -> resident bytes currently charged to the group
         self._group_mem: Dict[str, int] = {}
         #: group label -> bytes currently spilled out of the group
@@ -163,18 +161,8 @@ class ByteArena:
             self._group_spill_count[group] = self._group_spill_count.get(group, 0) + 1
 
     def _maybe_spill(self) -> None:
-        """Spill until under the global and per-group budgets (callers
-        hold the lock).  Group budgets are enforced first so a hot group
-        spills its own oldest entries rather than pushing the overflow
-        onto unbudgeted groups via the global FIFO."""
-        for group, budget in self._group_budgets.items():
-            while self._group_mem.get(group, 0) > budget:
-                key = next(
-                    (k for k in self._mem if self._group_of.get(k) == group), None
-                )
-                if key is None:
-                    break
-                self._spill_entry(key)
+        """Spill oldest-first until under the budget (callers hold the
+        lock)."""
         if self.budget_bytes is None:
             return
         while self._mem and self.in_memory_nbytes > self.budget_bytes:
@@ -189,9 +177,9 @@ class ByteArena:
     def put(self, data: bytes, group: Optional[str] = None) -> int:
         """Store *data*; returns the key for :meth:`get`/:meth:`pop`.
 
-        *group* tags the entry for per-group budget accounting (see
-        :meth:`set_group_budget`); untagged entries are only subject to
-        the arena-wide budget."""
+        *group* tags the entry for the per-group residency and spill
+        rows of :meth:`group_stats`.  Every entry, tagged or not, is
+        subject to the one arena-wide budget."""
         with profiler.stage("arena-io"), self._lock:
             if self._closed:
                 raise RuntimeError("arena is closed")
@@ -213,34 +201,14 @@ class ByteArena:
                 raise
             return key
 
-    def set_group_budget(self, group: str, budget_bytes: int) -> None:
-        """Cap the resident bytes of entries tagged with *group*.
-
-        Entries stored via ``put(data, group=...)`` share the group's
-        sub-budget, carved out of (and enforced in addition to) the
-        arena-wide ``budget_bytes``; overflowing entries spill to disk
-        oldest-first within the group.  Takes effect immediately:
-        already-resident entries over the cap are spilled on the spot.
-        """
-        if budget_bytes < 0:
-            raise ValueError(f"budget_bytes must be >= 0, got {budget_bytes}")
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("arena is closed")
-            self._group_budgets[group] = budget_bytes
-            self._maybe_spill()
-
     def group_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-group accounting for every group with a budget or live
-        entries: budget (-1 when unbudgeted), resident bytes, spilled
-        bytes, and cumulative spill count."""
+        """Per-group accounting for every group ever tagged by
+        ``put(group=...)``: resident bytes, spilled bytes, and
+        cumulative spill count."""
         with self._lock:
-            groups = set(self._group_budgets)
-            groups.update(self._group_mem)
-            groups.update(self._group_spilled)
+            groups = set(self._group_mem) | set(self._group_spilled)
             return {
                 group: {
-                    "budget_bytes": self._group_budgets.get(group, -1),
                     "in_memory_nbytes": self._group_mem.get(group, 0),
                     "spilled_nbytes": self._group_spilled.get(group, 0),
                     "spill_count": self._group_spill_count.get(group, 0),

@@ -1,22 +1,21 @@
 """Per-layer compression policy resolution: the PolicyTable.
 
-Four PRs of growth left the framework with one global codec, one global
-error-bound regime, and one global storage class for every compressible
-layer.  Real cuSZ-style deployments tune per field: early conv layers
-(large, smooth activations) tolerate loose bounds and cheap codecs,
-late layers (small, gradient-critical) want tight bounds or lossless
-treatment.  The :class:`PolicyTable` makes that a first-class concept in
-the saved-tensor layer:
+The paper sets one error bound per conv layer.  Real cuSZ-style
+deployments also tune the codec per field: early conv layers (large,
+smooth activations) tolerate loose bounds and cheap codecs, late layers
+(small, gradient-critical) want tight bounds or lossless treatment.  The
+:class:`PolicyTable` makes that a first-class concept in the
+saved-tensor layer:
 
 * A table is an ordered list of ``(matcher, ResolvedPolicy)`` pairs.
   ``matcher`` is any ``Callable[[str], bool]`` over layer names —
-  typically an :func:`fnmatch.fnmatch` glob compiled by
+  typically an :func:`fnmatch.fnmatchcase` glob compiled by
   :func:`compile_matcher`, but arbitrary predicates work too.
 * Resolution is **first match wins**, cached per layer name (layer sets
   are static for a session, so the cache never invalidates).
 * A layer no rule matches falls back to the owning context's defaults
-  (session codec, adaptive error bound, session storage class), exactly
-  the pre-table behaviour.
+  (session codec, adaptive error bound), exactly the pre-table
+  behaviour.  Storage is the context's, for every layer.
 
 The table is deliberately declarative-friendly: the ``repro.api``
 package builds one from serializable :class:`~repro.api.config.PolicyRule`
@@ -26,7 +25,6 @@ specs, but nothing here depends on the api layer — contexts in
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -37,32 +35,23 @@ __all__ = ["ResolvedPolicy", "PolicyTable", "compile_matcher"]
 DEFAULT_GROUP = "default"
 
 
-def compile_matcher(pattern: str, kind: str = "glob") -> Callable[[str], bool]:
-    """Compile a *pattern* into a layer-name predicate.
+def compile_matcher(pattern: str) -> Callable[[str], bool]:
+    """Compile a glob *pattern* into a layer-name predicate.
 
-    ``kind="glob"`` (default) uses :func:`fnmatch.fnmatchcase`
-    (case-sensitive: layer names are identifiers, not filenames) —
-    ``"l*"`` matches every default layer name; ``"l0"`` exactly one;
-    ``"l[01]"`` a character class.  ``kind="regex"`` compiles an
-    :mod:`re` pattern matched against the **whole** name
-    (``fullmatch``), so ``"l[0-9]+"`` matches ``l12`` but not ``l12x``.
+    Matching is :func:`fnmatch.fnmatchcase` (case-sensitive: layer names
+    are identifiers, not filenames) — ``"l*"`` matches every default
+    layer name; ``"l0"`` exactly one; ``"l[01]"`` a character class;
+    ``"l1?"`` any two-digit name starting with 1.
     """
     if not isinstance(pattern, str) or not pattern:
         raise ValueError(f"match pattern must be a non-empty string, got {pattern!r}")
-    if kind == "glob":
-        return lambda name: fnmatchcase(name, pattern)
-    if kind == "regex":
-        try:
-            compiled = re.compile(pattern)
-        except re.error as exc:
-            raise ValueError(f"invalid regex pattern {pattern!r}: {exc}") from None
-        return lambda name: compiled.fullmatch(name) is not None
-    raise ValueError(f"match kind must be 'glob' or 'regex', got {kind!r}")
+    return lambda name: fnmatchcase(name, pattern)
 
 
 @dataclass
 class ResolvedPolicy:
-    """What one rule prescribes for the layers it matches.
+    """What one rule prescribes for the layers it matches: a codec and
+    an error-bound regime.
 
     ``None`` fields mean "inherit the session default" — the contexts
     interpret them, the table just carries them.
@@ -80,16 +69,11 @@ class ResolvedPolicy:
     #: False pins matched layers to their rule bound — the adaptive
     #: controller leaves them alone
     adaptive: bool = True
-    #: "arena" | "inmem" | None (inherit session storage class)
-    storage: Optional[str] = None
     #: per-rule warm-up relative bound and clamp overrides for the
     #: adaptive controller (None = the AdaptiveConfig globals)
     initial_rel_eb: Optional[float] = None
     eb_min: Optional[float] = None
     eb_max: Optional[float] = None
-    #: in-memory sub-budget (bytes) carved out of the session arena for
-    #: this rule's packed activations; None = share the global budget
-    arena_budget: Optional[int] = None
 
     def __post_init__(self):
         if not self.label:
@@ -99,28 +83,10 @@ class ResolvedPolicy:
                 f"rule {self.label!r}: error_bound must be positive, "
                 f"got {self.error_bound}"
             )
-        if self.storage not in (None, "arena", "inmem"):
-            raise ValueError(
-                f"rule {self.label!r}: storage must be 'arena', 'inmem', or None, "
-                f"got {self.storage!r}"
-            )
         for attr in ("initial_rel_eb", "eb_min", "eb_max"):
             v = getattr(self, attr)
             if v is not None and v <= 0:
                 raise ValueError(f"rule {self.label!r}: {attr} must be positive, got {v}")
-        if self.arena_budget is not None:
-            if not isinstance(self.arena_budget, int) or isinstance(
-                self.arena_budget, bool
-            ) or self.arena_budget <= 0:
-                raise ValueError(
-                    f"rule {self.label!r}: arena_budget must be a positive int "
-                    f"or None, got {self.arena_budget!r}"
-                )
-            if self.storage == "inmem":
-                raise ValueError(
-                    f"rule {self.label!r}: arena_budget requires arena storage, "
-                    f"but the rule pins storage='inmem'"
-                )
 
 
 class PolicyTable:
@@ -165,16 +131,6 @@ class PolicyTable:
         no rule matches)."""
         pol = self.resolve(layer_name)
         return pol.label if pol is not None else DEFAULT_GROUP
-
-    def coverage(self, layer_names: Sequence[str]) -> Dict[str, List[str]]:
-        """``{rule label: [matched layers]}`` over *layer_names* —
-        unmatched layers land under ``"default"``.  Diagnostic helper
-        for validation messages and tests."""
-        out: Dict[str, List[str]] = {p.label: [] for _, p in self._rules}
-        out.setdefault(DEFAULT_GROUP, [])
-        for name in layer_names:
-            out[self.group_of(name)].append(name)
-        return out
 
     def __len__(self) -> int:
         return len(self._rules)

@@ -3,7 +3,7 @@
 Set ``REPRO_SANITIZE=1`` (or enable :class:`~repro.api.config.SanitizerSpec`
 in a :class:`~repro.api.config.SessionConfig`) and every arena, arena
 pool, scratch pool, codebook cache and param store constructed
-afterwards swaps in instrumented internals:
+afterwards swaps in instrumented internals, with all three checks on:
 
 * **Lock-order tracking** — every class-internal lock becomes a
   :class:`TrackedLock` feeding one process-wide
@@ -198,9 +198,6 @@ class TrackedLock:
 class _State:
     def __init__(self) -> None:
         self.enabled = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-        self.poison = True
-        self.lock_order = True
-        self.trap_double_release = True
         self.monitor = LockOrderMonitor()
         self.poisoned_buffers = 0
         self.trapped_keys = 0
@@ -216,9 +213,7 @@ def enabled() -> bool:
     return _STATE.enabled
 
 
-def enable(
-    poison: bool = True, lock_order: bool = True, trap_double_release: bool = True
-) -> None:
+def enable() -> None:
     """Turn the sanitizer on for every object constructed afterwards.
 
     Process-wide and sticky by design: instrumentation happens at
@@ -227,9 +222,6 @@ def enable(
     ``config.sanitizer.enabled`` is set.
     """
     _STATE.enabled = True
-    _STATE.poison = poison
-    _STATE.lock_order = lock_order
-    _STATE.trap_double_release = trap_double_release
     _instrument_nn_workspace()
 
 
@@ -288,14 +280,10 @@ def _poison_array(arr: np.ndarray) -> None:
 
 
 def _instrument_arena(arena) -> None:
-    if _STATE.lock_order:
-        _track_lock(arena, "_lock", f"arena-{id(arena):#x}", reentrant=True)
-    if _STATE.poison:
-        # put() ingests into a mutable buffer so release can poison it
-        arena._copy_in = bytearray
-        arena._on_release = _poison_bytes
-    if not _STATE.trap_double_release:
-        return
+    _track_lock(arena, "_lock", f"arena-{id(arena):#x}", reentrant=True)
+    # put() ingests into a mutable buffer so release can poison it
+    arena._copy_in = bytearray
+    arena._on_release = _poison_bytes
 
     trap_lock = threading.Lock()
     live: Dict[int, str] = {}  # key -> acquisition site
@@ -348,16 +336,14 @@ def _instrument_arena(arena) -> None:
 
 
 def _instrument_scratch(pool) -> None:
-    if _STATE.lock_order:
-        _track_lock(pool, "_lock", f"scratch-{id(pool):#x}", reentrant=False)
-    if _STATE.poison:
-        orig_give = pool._give
+    _track_lock(pool, "_lock", f"scratch-{id(pool):#x}", reentrant=False)
+    orig_give = pool._give
 
-        def give(buf):
-            _poison_array(buf)
-            orig_give(buf)
+    def give(buf):
+        _poison_array(buf)
+        orig_give(buf)
 
-        pool._give = give
+    pool._give = give
 
 
 def _instrument_nn_workspace() -> None:
@@ -382,11 +368,11 @@ def maybe_instrument(obj, kind: str) -> None:
         _instrument_arena(obj)
     elif kind == "scratch":
         _instrument_scratch(obj)
-    elif kind == "arena_pool" and _STATE.lock_order:
+    elif kind == "arena_pool":
         _track_lock(obj, "_lock", f"arena-pool-{id(obj):#x}", reentrant=False)
-    elif kind == "codebook_cache" and _STATE.lock_order:
+    elif kind == "codebook_cache":
         _track_lock(obj, "_lock", f"codebook-{id(obj):#x}", reentrant=False)
-    elif kind == "param_store" and _STATE.lock_order:
+    elif kind == "param_store":
         _track_lock(obj, "_lock", f"param_store-{id(obj):#x}", reentrant=True)
     _STATE.instrumented += 1
 

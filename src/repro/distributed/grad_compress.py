@@ -1,14 +1,11 @@
-"""Gradient-side codec resolution and the error-feedback residual.
+"""The gradient exchange plan and the error-feedback residual.
 
 The data-parallel exchange compresses every parameter gradient through
-the codec registry.  Which codec a parameter gets is resolved exactly
-like the activation side's :class:`~repro.core.policy_table.PolicyTable`:
-first :class:`~repro.api.config.PolicyRule` whose pattern matches the
-owning layer's name *and* that carries a ``grad_codec`` wins; unmatched
-parameters fall back to ``distributed.grad_codec`` (default:
-``sparse-lossless``, bit-exact).  Worker ranks and the coordinator both
-derive the plan from the same pickled network and the same config, so
-the two sides agree on the codec of every parameter by construction.
+one codec, ``distributed.grad_codec`` (default: ``sparse-lossless``,
+bit-exact), built once from the registry and shared by every parameter.
+Worker ranks and the coordinator both derive the plan from the same
+pickled network and the same config, so the two sides agree on the
+parameter order and the codec by construction.
 
 Error feedback (``distributed.error_feedback``): each rank keeps a
 per-parameter residual of what compression dropped and folds it into
@@ -28,14 +25,12 @@ what the rank meant to send.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.api.config import CodecSpec, SessionConfig
-from repro.core.policy_table import compile_matcher
 
 __all__ = ["GradParam", "build_grad_plan", "downlink_codec_spec", "ErrorFeedback"]
 
@@ -60,41 +55,18 @@ class GradParam:
 
 def build_grad_plan(network, config: SessionConfig) -> List[GradParam]:
     """The exchange plan: one :class:`GradParam` per parameter, in
-    deterministic layer-traversal order.
-
-    One codec instance is built per *distinct* codec spec (stateful
-    codecs — codebook caches, worker pools — amortize across the
-    parameters that share a spec), via the registry only.
+    deterministic layer-traversal order, all sharing one codec instance
+    (stateful codecs — codebook caches, worker pools — amortize across
+    every parameter), built via the registry only.
     """
     from repro.nn.network import iter_layers
 
-    rules: List[Tuple[object, CodecSpec]] = [
-        (compile_matcher(rule.match, rule.match_kind), rule.grad_codec)
-        for rule in config.rules
-        if rule.grad_codec is not None
+    codec = config.distributed.resolved_grad_codec().build()
+    plan = [
+        GradParam(param=param, name=getattr(param, "name", None) or layer.name, codec=codec)
+        for layer in iter_layers(network)
+        for param in layer.parameters()
     ]
-    default_spec = config.distributed.resolved_grad_codec()
-    built: Dict[str, object] = {}
-    plan: List[GradParam] = []
-    for layer in iter_layers(network):
-        for param in layer.parameters():
-            spec = default_spec
-            for matcher, grad_spec in rules:
-                if matcher(layer.name):
-                    spec = grad_spec
-                    break
-            key = json.dumps(
-                {"name": spec.name, "options": spec.options}, sort_keys=True
-            )
-            if key not in built:
-                built[key] = spec.build()
-            plan.append(
-                GradParam(
-                    param=param,
-                    name=getattr(param, "name", None) or layer.name,
-                    codec=built[key],
-                )
-            )
     if not plan:
         raise ValueError("network has no parameters to exchange")
     return plan

@@ -32,7 +32,6 @@ arrival-order nondeterminism anywhere in the exchange.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import traceback
 from typing import List
@@ -56,17 +55,13 @@ def derive_rank_config(config: SessionConfig) -> SessionConfig:
     """The local single-worker config a rank builds its session from.
 
     The ``distributed`` section is reset (a rank *is* the single
-    worker), per-rank arena budgets replace the session activation
-    budget, and gradient-side rule fields are dropped (they configure
-    the exchange, which the local session knows nothing about).
+    worker) and per-rank arena budgets replace the session activation
+    budget; the rules are the session's.
     """
     local = SessionConfig.from_json(config.to_json())
     if config.distributed.rank_arena_budget is not None:
         local.storage.budget_bytes = config.distributed.rank_arena_budget
     local.distributed = DistributedSpec()
-    local.rules = [
-        dataclasses.replace(rule, grad_codec=None) for rule in local.rules
-    ]
     return local.validate()
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -52,7 +52,7 @@ from repro.api.config import (
     ServerSpec,
     SessionConfig,
     _load_json_source,
-    check_scalar_types,
+    _Section,
 )
 from repro.api.session import Session, build_session, session_codecs
 from repro.compression.szlike import CodebookTable, SharedCodebookCache
@@ -86,7 +86,7 @@ class AdmissionError(ServerError):
 
 
 @dataclass
-class TenantSpec:
+class TenantSpec(_Section):
     """One tenant: a model + synthetic workload + session config.
 
     The workload fields pin the tenant's data stream and initial weights
@@ -96,6 +96,8 @@ class TenantSpec:
     seed — exactly what :func:`run_standalone` replays outside the
     server for the bit-identity contract.
     """
+
+    _name = "tenant"
 
     name: str = ""
     kind: str = "train"  # "train" | "infer"
@@ -107,8 +109,7 @@ class TenantSpec:
     seed: int = 0
     session: SessionConfig = field(default_factory=SessionConfig)
 
-    def validate(self, where: str = "tenant") -> None:
-        check_scalar_types(self, where)
+    def _check(self, where: str) -> None:
         if not self.name:
             raise ConfigError(f"{where}: name must be a non-empty string")
         if self.kind not in ("train", "infer"):
@@ -119,12 +120,6 @@ class TenantSpec:
             v = getattr(self, attr)
             if v < 1:
                 raise ConfigError(f"{where}: {attr} must be an int >= 1, got {v!r}")
-        if not isinstance(self.session, SessionConfig):
-            raise ConfigError(
-                f"{where}: session must be a SessionConfig section, "
-                f"got {type(self.session).__name__}"
-            )
-        self.session.validate()
         if self.session.distributed.world_size > 1:
             raise ConfigError(
                 f"{where}: distributed sessions cannot be hosted as server "
@@ -138,35 +133,26 @@ class TenantSpec:
             return int(self.session.storage.budget_bytes)
         return 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"name": self.name}
-        defaults = TenantSpec()
-        for f in fields(self):
-            if f.name in ("name", "session"):
-                continue
-            v = getattr(self, f.name)
-            if v != getattr(defaults, f.name):
-                out[f.name] = v
-        session = self.session.to_dict()
-        if session:
-            out["session"] = session
-        return out
+
+@dataclass
+class _Fleet(_Section):
+    """A fleet file: ``{"server": {...}, "tenants": [...]}``."""
+
+    _name = "fleet config"
+
+    server: ServerSpec = field(default_factory=ServerSpec)
+    tenants: List[TenantSpec] = field(default_factory=list)
 
     @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str = "tenant") -> "TenantSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {unknown} (known: {sorted(known)})")
-        d = dict(d)
-        session = d.pop("session", None)
-        if session is not None:
-            if not isinstance(session, dict):
-                raise ConfigError(f"{where}: session must be an object")
-            d["session"] = SessionConfig.from_dict(session)
-        spec = cls(**d)
-        spec.validate(where)
-        return spec
+    def _prefix(cls, where: str) -> str:
+        return ""  # errors name "server", "tenants[0]"
+
+    def _check(self, where: str) -> None:
+        seen = set()
+        for i, t in enumerate(self.tenants):
+            if t.name in seen:
+                raise ConfigError(f"tenants[{i}]: duplicate tenant name {t.name!r}")
+            seen.add(t.name)
 
 
 def load_server_config(
@@ -175,23 +161,8 @@ def load_server_config(
     """Parse a fleet file — ``{"server": {...}, "tenants": [...]}`` —
     from a JSON string or path.  Both keys are optional (an empty object
     is a default server with no tenants); tenant names must be unique."""
-    d = _load_json_source(source)
-    if not isinstance(d, dict):
-        raise ConfigError("fleet config must be a JSON object")
-    unknown = sorted(set(d) - {"server", "tenants"})
-    if unknown:
-        raise ConfigError(f"fleet config: unknown keys {unknown}")
-    spec = ServerSpec.from_dict(d.get("server", {}) or {})
-    tenants = [
-        TenantSpec.from_dict(t, where=f"tenants[{i}]")
-        for i, t in enumerate(d.get("tenants", []) or [])
-    ]
-    seen = set()
-    for i, t in enumerate(tenants):
-        if t.name in seen:
-            raise ConfigError(f"tenants[{i}]: duplicate tenant name {t.name!r}")
-        seen.add(t.name)
-    return spec, tenants
+    fleet = _Fleet.from_dict(_load_json_source(source))
+    return fleet.server, fleet.tenants
 
 
 def _build_workload(spec: TenantSpec):

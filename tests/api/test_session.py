@@ -241,29 +241,25 @@ class TestPolicyBehaviour:
         assert isinstance(packed["l4"], LosslessCompressedTensor)
         assert isinstance(packed["l0"], CompressedTensor)
 
-    def test_per_rule_inmem_storage_under_arena_session(self):
+    def test_every_rule_layer_packs_into_the_session_arena(self):
         cfg = SessionConfig(
-            rules=[PolicyRule(match="l0", label="hot", storage="inmem")],
+            rules=[PolicyRule(match="l0", label="hot", codec=CodecSpec("lossless"))],
             storage=StorageSpec(activations="arena", budget_bytes=1 << 20),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
-        seen = {"hot_arena": 0, "other_arena": 0, "other_total": 0}
+        packed = []
         with build_session(make_net(), cfg) as s:
             ctx = s.compressed.ctx
             orig = ctx._finalize_pack
 
             def spying(handle, payload):
                 orig(handle, payload)
-                if handle.layer_name == "l0":
-                    assert handle.arena_key is None, "inmem rule must skip the arena"
-                    seen["hot_arena"] += handle.arena_key is not None
-                else:
-                    seen["other_total"] += 1
-                    seen["other_arena"] += handle.arena_key is not None
+                packed.append((handle.layer_name, handle.arena_key is not None))
 
             ctx._finalize_pack = spying
             run(s, iters=2)
-        assert seen["other_total"] > 0 and seen["other_arena"] == seen["other_total"]
+        assert ("l0", True) in packed
+        assert all(in_arena for _, in_arena in packed)
 
     def test_per_rule_group_accounting(self):
         with self._mixed_session() as s:
@@ -337,17 +333,20 @@ class TestStorageKnobWiring:
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
 
-    def test_rule_arena_budget_reaches_the_arena(self):
+    def test_rule_labels_tag_arena_entries(self):
+        """Each pack's arena entry carries its rule's label, so
+        ``group_stats()`` has one residency / spill row per rule."""
         cfg = self._cfg()
-        cfg.rules = [PolicyRule(
-            match="l0", label="front", codec=CodecSpec("lossless"),
-            arena_budget=2048,
-        )]
+        cfg.storage.budget_bytes = 4096
+        cfg.rules = [PolicyRule(match="l0", label="front", codec=CodecSpec("lossless"))]
         with build_session(make_net(), cfg) as s:
             run(s, iters=3)
-            stats = s.compressed.ctx.storage.group_stats()
-            assert stats["front"]["budget_bytes"] == 2048
-            assert stats["front"]["spill_count"] > 0  # cap actually bites
+            arena = s.compressed.ctx.storage
+            stats = arena.group_stats()
+            assert set(stats) == {"front", "default"}
+            assert sum(row["spill_count"] for row in stats.values()) == arena.spill_count > 0
+            assert all(row["in_memory_nbytes"] == row["spilled_nbytes"] == 0
+                       for row in stats.values())  # every pack released by backward
 
     @pytest.mark.parametrize(
         "key,value", list(zip(_IGNORED_ENGINE_KEYS, ("async", 4, "auto")))
@@ -364,7 +363,7 @@ class TestStorageKnobWiring:
 
     def test_knobs_round_trip_through_json(self, tmp_path):
         cfg = self._cfg(kernel_backend="numpy")
-        cfg.rules = [PolicyRule(match="l0", label="front", arena_budget=4096)]
+        cfg.rules = [PolicyRule(match="l0", label="front", eb_min=1e-6)]
         path = tmp_path / "knobs.json"
         cfg.to_json(str(path))
         rebuilt = SessionConfig.from_json(str(path))
@@ -459,20 +458,29 @@ class TestKernelBackendWiring:
             for key in ("numba_probed", "auto_fallbacks", "runtime_fallbacks"):
                 assert key in stats
 
-    def test_rule_backend_override_clones_session_codec(self):
+    def test_engine_backend_reaches_rule_codecs(self):
+        """``engine.kernel_backend`` applies to every rule codec whose
+        options do not name a backend, inside ``chunked`` too."""
+        chunked = {"inner": "szlike", "workers": 2}
         cfg = SessionConfig(
-            rules=[PolicyRule(match="l0", kernel_backend="numpy", label="pinned")],
+            rules=[
+                PolicyRule(match="l0", label="sz", codec=CodecSpec("szlike")),
+                PolicyRule(match="l2", label="chunked", codec=CodecSpec("chunked", chunked)),
+                PolicyRule(match="l4", label="pinned",
+                           codec=CodecSpec("szlike", {"kernel_backend": "auto"})),
+                PolicyRule(match="l5", label="inherits", error_bound=1e-3),
+            ],
+            engine=EngineSpec(kernel_backend="numpy"),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
         with build_session(make_net(), cfg) as s:
-            table = s.policy_table
-            pol = table.rules[0]
-            # the override got its own clone of the session codec ...
-            assert pol.codec is not None
-            session_codec = s.compressed.ctx.compressor
-            assert pol.codec is not session_codec
-            assert pol.codec.kernel_backend_selected == "numpy"
-            run(s, iters=2)
+            codecs = {pol.label: pol.codec for pol in s.policy_table.rules}
+            assert codecs["sz"].kernel_backend == "numpy"
+            assert codecs["chunked"].inner.kernel_backend == "numpy"
+            assert codecs["pinned"].kernel_backend == "auto"
+            assert codecs["inherits"] is None  # packs with the session codec
+            assert s.compressed.ctx.compressor.kernel_backend == "numpy"
+            run(s, iters=1)
 
     def test_explicit_numba_unavailable_fails_at_build(self):
         from repro.kernels import available_backends

@@ -212,8 +212,6 @@ class TestByteArena:
         keys = [a.put(bytes([i]) * 16, group="g") for i in range(3)]
         with pytest.raises(OSError):
             a.spill_bytes(32)
-        with pytest.raises(OSError):
-            a.set_group_budget("g", 0)
         assert [a.get(k) for k in keys] == [bytes([i]) * 16 for i in range(3)]
         assert a.in_memory_nbytes == 48 and a.spilled_nbytes == 0
         a.close()
@@ -523,67 +521,35 @@ class TestArenaTraining:
             assert all(r > 1 for r in sess.ratio_history())
 
 
-class TestGroupBudgets:
-    """Per-group sub-budgets: entries tagged with put(group=...) spill
-    independently of (and before) the arena-wide FIFO budget."""
+class TestGroupStats:
+    """Entries tagged with put(group=...) are accounted per group; the one
+    arena-wide budget spills them like any other entry."""
 
-    def test_group_overflow_spills_only_that_group(self):
-        with ByteArena(budget_bytes=None) as arena:
-            arena.set_group_budget("hot", 64)
-            k_cold = arena.put(b"c" * 100, group="cold")
-            k1 = arena.put(b"a" * 40, group="hot")
-            k2 = arena.put(b"b" * 40, group="hot")  # pushes hot to 80 > 64
+    def test_group_rows_follow_the_global_fifo(self):
+        with ByteArena(budget_bytes=100) as arena:
+            k_cold = arena.put(b"c" * 60, group="cold")
+            k_hot = arena.put(b"h" * 60, group="hot")  # 120 > 100: cold spills
+            arena.put(b"u" * 30)  # untagged entries have no row
             stats = arena.group_stats()
-            assert stats["hot"]["spill_count"] == 1
-            assert stats["hot"]["in_memory_nbytes"] == 40
-            assert stats["hot"]["spilled_nbytes"] == 40
-            # the untagged-budget group is untouched
-            assert stats["cold"]["spill_count"] == 0
-            assert stats["cold"]["in_memory_nbytes"] == 100
-            # oldest-first within the group, and reads stay exact
-            assert arena.get(k1) == b"a" * 40
-            assert arena.get(k2) == b"b" * 40
-            assert arena.get(k_cold) == b"c" * 100
-
-    def test_budget_applies_retroactively(self):
-        with ByteArena(budget_bytes=None) as arena:
-            for _ in range(4):
-                arena.put(b"x" * 32, group="g")
-            assert arena.group_stats()["g"]["spill_count"] == 0
-            arena.set_group_budget("g", 64)  # immediate enforcement
-            stats = arena.group_stats()
-            assert stats["g"]["in_memory_nbytes"] <= 64
-            assert stats["g"]["spill_count"] == 2
+            assert set(stats) == {"cold", "hot"}
+            assert stats["cold"] == {"in_memory_nbytes": 0, "spilled_nbytes": 60, "spill_count": 1}
+            assert stats["hot"] == {"in_memory_nbytes": 60, "spilled_nbytes": 0, "spill_count": 0}
+            assert arena.get(k_cold) == b"c" * 60 and arena.get(k_hot) == b"h" * 60
 
     def test_discard_releases_group_accounting(self):
-        with ByteArena(budget_bytes=None) as arena:
-            arena.set_group_budget("g", 64)
+        with ByteArena(budget_bytes=64) as arena:
             keys = [arena.put(b"y" * 40, group="g") for _ in range(3)]
+            assert arena.group_stats()["g"]["spill_count"] == 2
             for k in keys:
                 arena.discard(k)
             stats = arena.group_stats()
             assert stats["g"]["in_memory_nbytes"] == 0
             assert stats["g"]["spilled_nbytes"] == 0
-
-    def test_global_budget_still_enforced_on_top(self):
-        with ByteArena(budget_bytes=64) as arena:
-            arena.set_group_budget("g", 1 << 20)  # generous group cap
-            arena.put(b"z" * 60, group="g")
-            arena.put(b"w" * 60)  # untagged; global FIFO spills the oldest
-            assert arena.spill_count >= 1
-            assert arena.in_memory_nbytes <= 64
-
-    def test_validation_and_closed_arena(self):
-        arena = ByteArena(budget_bytes=None)
-        with pytest.raises(ValueError, match="budget_bytes"):
-            arena.set_group_budget("g", -1)
-        arena.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            arena.set_group_budget("g", 10)
+            assert stats["g"]["spill_count"] == 2  # cumulative
 
     def test_policy_label_tags_flow_from_context(self):
         """Arena-backed packs are tagged with their policy group, so a
-        rule's arena_budget bounds exactly its layers' bytes."""
+        rule's row counts exactly its layers' bytes."""
         from repro.core.policy_table import (
             PolicyTable, ResolvedPolicy, compile_matcher,
         )
@@ -592,8 +558,7 @@ class TestGroupBudgets:
             (compile_matcher("c"), ResolvedPolicy(label="front")),
         ])
         rng = np.random.default_rng(0)
-        with ByteArena(budget_bytes=None) as arena:
-            arena.set_group_budget("front", 1)
+        with ByteArena(budget_bytes=0) as arena:
             ctx = CompressingContext(
                 SZCompressor(entropy="zlib"), initial_rel_eb=1e-3,
                 storage=arena, policy_table=table,
@@ -602,6 +567,7 @@ class TestGroupBudgets:
             x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
             h = ctx.pack(conv, "x", x)
             stats = arena.group_stats()
-            assert stats["front"]["spill_count"] == 1  # over its 1-byte cap
+            assert stats["front"]["spill_count"] == 1  # over the 0-byte budget
+            assert stats["front"]["spilled_nbytes"] == h.stored_nbytes
             y = ctx.unpack(conv, "x", h)
             assert np.abs(x - y).max() <= max(ctx.error_bounds.values()) * (1 + 1e-6)

@@ -157,12 +157,16 @@ def test_build_session_enables_sanitizer_and_reports():
     )
     net = build_scaled_model("alexnet", num_classes=4, image_size=8, rng=0)
     dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=1)
+    before = sanitizer.report()
     try:
         with build_session(net, config) as session:
             session.train(batches(dataset, 2, 2, seed=2))
             report = session.sanitizer_report
             assert report["enabled"]
             assert report["instrumented_objects"] > 0
-            assert report["lock_acquisitions"] > 0
+            # all three checks are armed: locks tracked, releases
+            # poisoned, arena keys trapped
+            for counter in ("lock_acquisitions", "poisoned_buffers", "trapped_keys"):
+                assert report[counter] > before[counter], counter
     finally:
         sanitizer.disable()

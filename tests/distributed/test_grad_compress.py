@@ -39,25 +39,17 @@ class TestGradPlan:
         ids = [id(gp.param) for gp in plan]
         assert ids == [id(p) for p in net.parameters()]
 
-    def test_rule_grad_codec_wins_per_layer(self):
+    def test_one_grad_codec_object_serves_every_parameter(self):
         net = make_net()
         cfg = SessionConfig(
-            rules=[
-                PolicyRule(
-                    match="l0",
-                    grad_codec=CodecSpec("szlike", {"error_bound": 1e-3, "mode": "abs"}),
-                )
-            ],
-            distributed=DistributedSpec(world_size=2),
+            distributed=DistributedSpec(
+                world_size=2,
+                grad_codec=CodecSpec("szlike", {"error_bound": 1e-3, "mode": "abs"}),
+            ),
         )
         plan = build_grad_plan(net, cfg)
-        by_name = {gp.name: gp for gp in plan}
-        assert isinstance(by_name["l0.weight"].codec, SZCompressor)
-        assert isinstance(by_name["l0.bias"].codec, SZCompressor)
-        others = [gp for gp in plan if not gp.name.startswith("l0.")]
-        assert others and all(
-            isinstance(gp.codec, SparseLosslessCodec) for gp in others
-        )
+        (codec,) = {id(gp.codec): gp.codec for gp in plan}.values()
+        assert isinstance(codec, SZCompressor) and codec.error_bound == 1e-3
 
     def test_empty_network_rejected(self):
         from repro.nn import ReLU, Sequential
@@ -176,20 +168,13 @@ class TestDeriveRankConfig:
         assert cfg.distributed.world_size == 4
         assert cfg.storage.budget_bytes == 8 << 20
 
-    def test_strips_rule_grad_codecs_but_keeps_activation_side(self):
+    def test_keeps_the_rules(self):
         cfg = SessionConfig(
-            rules=[
-                PolicyRule(
-                    match="l0",
-                    error_bound=1e-3,
-                    grad_codec=CodecSpec("sparse-lossless"),
-                )
-            ],
+            rules=[PolicyRule(match="l0", error_bound=1e-3)],
             distributed=DistributedSpec(world_size=2),
         )
         local = derive_rank_config(cfg.validate())
-        assert local.rules[0].grad_codec is None
-        assert local.rules[0].error_bound == 1e-3
-        assert local.rules[0].match == "l0"
+        assert local.rules == cfg.rules
+        assert local.rules is not cfg.rules
         # derived config passes single-worker validation
         local.validate()

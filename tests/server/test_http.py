@@ -93,6 +93,25 @@ class TestEndpoint:
         code, reply = call(endpoint, "GET", "/tenants")
         assert code == 200 and reply["tenants"] == {}
 
+    @pytest.mark.parametrize(
+        "session,error",
+        [
+            (
+                {"storage": {"params": "arena",
+                             "param_codec": {"name": "lossless", "options": {"bogus": 1}}}},
+                "storage.param_codec",
+            ),
+            ({"rules": [{"match": "l0", "arena_budget": 4096}]}, "unknown key"),
+        ],
+        ids=["bad-param-codec", "removed-rule-key"],
+    )
+    def test_unbuildable_or_removed_session_option_is_400(self, endpoint, session, error):
+        code, reply = call(endpoint, "POST", "/tenants", {**tenant_body("t"), "session": session})
+        assert code == 400
+        assert error in reply["error"]
+        code, reply = call(endpoint, "GET", "/tenants")
+        assert code == 200 and reply["tenants"] == {}
+
     def test_unknown_tenant_is_404(self, endpoint):
         code, _ = call(endpoint, "POST", "/tenants/ghost/steps", {"steps": 1})
         assert code == 404

@@ -86,6 +86,7 @@ class TestTenantSpec:
             }
         )
         again = TenantSpec.from_dict(spec.to_dict())
+        assert again == spec
         assert again.to_dict() == spec.to_dict()
         assert again.session.to_dict() == spec.session.to_dict()
 
@@ -152,6 +153,21 @@ class TestLoadServerConfig:
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
             load_server_config(json.dumps([1, 2]))
+
+    @pytest.mark.parametrize(
+        "fleet,match",
+        [
+            ({"tenants": [1]}, r"^tenants\[0\]: expected a mapping, got int$"),
+            ({"tenants": ["ab"]}, r"^tenants\[0\]: expected a mapping, got str$"),
+            ({"tenants": {"x": 1}}, r"^tenants: expected a list, got dict$"),
+            ({"server": []}, r"^server: expected a mapping, got list$"),
+            ({"tenants": [{"name": "t", "kind": "batch"}]}, r"^tenants\[0\]: kind"),
+        ],
+        ids=["tenant-int", "tenant-str", "tenants-dict", "server-list", "tenant-kind"],
+    )
+    def test_malformed_sections_name_their_location(self, fleet, match):
+        with pytest.raises(ConfigError, match=match):
+            load_server_config(json.dumps(fleet))
 
     def test_committed_example_fleet_parses(self):
         import os
