@@ -5,11 +5,14 @@ over POST /tenants on an ephemeral port, stepped via
 POST /tenants/<name>/steps, inspected through GET /stats, and evicted —
 exercising admission, the shared pool, the scheduler, and the metrics
 surface exactly the way an operator would, with no Python-API shortcuts.
-Malformed tenant specs in between must each answer 400 and leave the
-admitted tenants stepping.
+Malformed tenant specs in between must each answer 400, a negative
+``Content-Length`` 400 and a stalled body 408 within a deadline, and
+all of them leave the admitted tenants stepping.
 """
 
+import http.client
 import json
+import socket
 import sys
 import urllib.error
 import urllib.request
@@ -18,6 +21,7 @@ sys.path.insert(0, "src")
 
 from repro.api.config import ServerSpec  # noqa: E402
 from repro.server import SessionServer, serve  # noqa: E402
+from repro.server.http import READ_TIMEOUT_S  # noqa: E402
 
 STEPS = 3
 
@@ -30,6 +34,24 @@ def call(url, method, path, body=None):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def raw_post(endpoint, content_length, body=b""):
+    """POST /tenants with a hand-written Content-Length over a raw socket:
+    the status and whether the server closed the connection, or a failure
+    when no answer arrives within the deadline."""
+    deadline = READ_TIMEOUT_S + 20
+    with socket.create_connection((endpoint.host, endpoint.port), timeout=deadline) as sock:
+        head = f"POST /tenants HTTP/1.1\r\nHost: x\r\nContent-Length: {content_length}\r\n\r\n"
+        sock.sendall(head.encode() + body)
+        resp = http.client.HTTPResponse(sock)
+        try:
+            resp.begin()
+        except socket.timeout:
+            raise SystemExit(f"server smoke FAILED: no answer within {deadline} s "
+                             f"to Content-Length {content_length}")
+        resp.read()
+        return resp.status, resp.getheader("Connection") == "close"
 
 
 def expect(cond, message):
@@ -91,6 +113,11 @@ def main():
             code, body = call(url, "POST", "/tenants", t)
             expect(code == 400, f"{what}: expected 400, got {code} {body}")
             print(f"rejected {what}: {body['error'][:80]}")
+        status, _ = raw_post(endpoint, -1)
+        expect(status == 400, f"negative Content-Length: expected 400, got {status}")
+        status, closed = raw_post(endpoint, 100, b'{"name": ')
+        expect(status == 408 and closed, f"stalled body: expected 408 + close, got {status}")
+        print("rejected negative Content-Length (400) and a stalled body (408)")
         code, body = call(url, "GET", "/healthz")
         expect(code == 200, f"healthz after bad requests: {code} {body}")
 

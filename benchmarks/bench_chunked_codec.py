@@ -5,7 +5,10 @@ iteration — each conv activation is compressed on forward and
 decompressed on backward.  :class:`ChunkedCodec` splits the activation
 along the batch axis and runs the chunks through a thread pool (zlib and
 the vectorized NumPy stages release the GIL); each worker count is
-measured here against the single-threaded path.
+measured here against the single-threaded path.  Every chunk is a
+self-contained blob — a Huffman chunk builds and carries its own
+codebook — so the parallel rows pay one codebook build and one codebook
+section per chunk, and the compression ratio they report includes them.
 
 Set ``REPRO_BENCH_QUICK=1`` for a CI-scale smoke run (smaller tensor,
 fewer repeats, no speedup assertion — containers may have one core).

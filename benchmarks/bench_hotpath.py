@@ -10,8 +10,8 @@ windows straight out of the packed bytes.  This benchmark records it
 instead of claiming it:
 
 * **legacy** — the pre-PR path, reconstructed from the same public
-  stages: fresh codebook build per step + the ``packer="bitplane"``
-  reference encoder.
+  stages: fresh codebook build per step + the bit-plane reference
+  encoder (``huffman._encode_bitplane``).
 * **cache-off** — the new kernels, fresh codebook per step.
 * **warm cache** — the new kernels with a per-key codebook cache in its
   steady state (built once, staleness-checked per step).

@@ -6,8 +6,8 @@ compressing saved-tensor context.  Real deployments of the paper's idea
 module defines the contract every codec speaks and a string-keyed
 registry for constructing them:
 
-* :class:`Codec` — the protocol: ``compress(x, error_bound=None)``,
-  ``decompress(ct)``, ``estimate_nbytes(x, error_bound=None)``, plus
+* :class:`Codec` — the protocol: ``compress(x, error_bound=None)`` and
+  ``decompress(ct)`` over self-describing compressed objects, plus
   ``name`` / ``error_bounded`` / ``lossless`` metadata attributes.
   ``error_bound`` is accepted by every codec; codecs without per-element
   error control (the JPEG-class baseline, the lossless baselines) ignore
@@ -22,7 +22,13 @@ registry for constructing them:
 * :class:`ChunkedCodec` — a wrapper that splits activations along the
   batch axis and compresses/decompresses the chunks concurrently in a
   thread pool (zlib and the vectorized NumPy stages release the GIL).
-  Every codec lives in the process that built it.
+  Each chunk is a self-contained blob with its own codebook.  Every
+  codec lives in the process that built it.
+
+A codec is described declaratively by its registry key and constructor
+options (``CodecSpec(name, options)`` in :mod:`repro.api.config`); the
+registry only builds codecs, it never reverse-engineers a spec from an
+instance.
 
 Accounting convention (shared with ``CompressedTensor.nbytes``): every
 compressed object's ``nbytes`` counts its binary sections at their exact
@@ -36,7 +42,6 @@ container-header charge.
 
 from __future__ import annotations
 
-import inspect
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -60,7 +65,6 @@ __all__ = [
     "register_codec",
     "get_codec",
     "available_codecs",
-    "spec_of",
     "dumps",
     "loads",
     "wire_header_nbytes",
@@ -91,10 +95,6 @@ class Codec(Protocol):
         ...
 
     def decompress(self, ct: Any) -> np.ndarray:
-        ...
-
-    def estimate_nbytes(self, x: np.ndarray, error_bound: Optional[float] = None) -> float:
-        """Expected compressed footprint of *x* (monitoring path)."""
         ...
 
 
@@ -133,85 +133,6 @@ def available_codecs() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _ctor_defaults(cls) -> Dict[str, Any]:
-    """Constructor-parameter defaults of *cls* — the single source of
-    truth ``spec_of`` compares against (no hand-copied default tables
-    that could drift when a constructor changes)."""
-    return {
-        name: p.default
-        for name, p in inspect.signature(cls.__init__).parameters.items()
-        if p.default is not inspect.Parameter.empty
-    }
-
-
-def _nondefault_options(codec, attrs, defaults) -> Dict[str, Any]:
-    return {
-        attr: getattr(codec, attr)
-        for attr in attrs
-        if getattr(codec, attr) != defaults[attr]
-    }
-
-
-def spec_of(codec: Codec) -> Dict[str, Any]:
-    """Declarative ``{"name": ..., "options": {...}}`` spec for *codec*.
-
-    The inverse of :func:`get_codec`: ``get_codec(spec["name"],
-    **spec["options"])`` builds an equivalent instance.  Only
-    non-default constructor options are emitted, so a default-built
-    codec round-trips to ``{"name": ..., "options": {}}`` — the stable
-    canonical form the api layer serializes to JSON.
-
-    Raises :class:`TypeError` for codec types the registry cannot
-    describe (hand-rolled codecs outside the registry), and
-    :class:`ValueError` for ablation-only modes
-    (``emulate_zero_drift``) that are deliberately not serializable.
-    """
-    if isinstance(codec, SZCompressor):
-        if codec.emulate_zero_drift:
-            raise ValueError(
-                "SZCompressor(emulate_zero_drift=True) is an ablation-only mode "
-                "and cannot be captured in a declarative codec spec"
-            )
-        d = _ctor_defaults(SZCompressor)
-        options = _nondefault_options(
-            codec,
-            ("error_bound", "mode", "dict_size", "lorenzo_ndim", "entropy",
-             "zero_filter", "zlib_level", "kernel_backend"),
-            d,
-        )
-        if codec.codebook_cache is not None:
-            options["codebook_cache"] = True
-            if codec.codebook_cache.refresh_interval != d["codebook_refresh"]:
-                options["codebook_refresh"] = codec.codebook_cache.refresh_interval
-            if codec.codebook_cache.delta != d["codebook_delta"]:
-                options["codebook_delta"] = codec.codebook_cache.delta
-        return {"name": "szlike", "options": options}
-    if isinstance(codec, JpegCodec):
-        options = _nondefault_options(
-            codec, ("quality", "zlib_level"), _ctor_defaults(JpegLikeCompressor)
-        )
-        return {"name": "jpeg", "options": options}
-    if isinstance(codec, (DeflateCodec, SparseLosslessCodec)):
-        options = _nondefault_options(codec, ("level",), _ctor_defaults(type(codec)))
-        return {"name": codec.name, "options": options}
-    if isinstance(codec, ChunkedCodec):
-        inner_spec = spec_of(codec.inner)
-        options = {"inner": inner_spec["name"], **inner_spec["options"]}
-        options.update(
-            _nondefault_options(
-                codec,
-                ("workers", "min_chunk_nbytes", "share_codebook"),
-                _ctor_defaults(ChunkedCodec),
-            )
-        )
-        return {"name": "chunked", "options": options}
-    raise TypeError(
-        f"cannot describe {type(codec).__name__} as a registry spec; "
-        f"declarative configs need a registry codec "
-        f"({', '.join(available_codecs())})"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Adapters for the non-SZ codecs (normalize the compress signature)
 # ---------------------------------------------------------------------------
@@ -222,18 +143,13 @@ class _IgnoreBoundMixin:
 
     ``error_bound`` is accepted and ignored — the only control these
     families offer is their own knob (quality / level), which is exactly
-    the drawback the paper argues against (Section 2.1).  The size
-    estimate compresses for real: these pipelines are cheap enough that
-    the estimate is the actual figure, exact by construction.
+    the drawback the paper argues against (Section 2.1).
     """
 
     error_bounded = False
 
     def compress(self, x, error_bound=None):
         return super().compress(x)
-
-    def estimate_nbytes(self, x, error_bound=None):
-        return float(self.compress(x).nbytes)
 
     def roundtrip(self, x, error_bound=None):
         return self.decompress(self.compress(x))
@@ -330,12 +246,7 @@ def dumps(ct: Any) -> bytes:
             "axis": ct.axis,
             "chunk_lengths": [len(b) for b in blobs],
         }
-        sections = list(blobs)
-        if ct.shared_codebook is not None:
-            # the shared codebook section is written once, after the chunks
-            sections.append(ct.shared_codebook.section())
-            header["shared_codebook_len"] = len(sections[-1])
-        return _dumps_generic(_CHUNKED_MAGIC, header, sections)
+        return _dumps_generic(_CHUNKED_MAGIC, header, blobs)
     raise TypeError(f"don't know how to serialize {type(ct).__name__}")
 
 
@@ -401,19 +312,6 @@ def _loads(data: bytes) -> Any:
         for length in _sizes(*header["chunk_lengths"]):
             chunks.append(loads(data[pos : pos + length]))
             pos += length
-        shared = None
-        (cb_len,) = _sizes(header.get("shared_codebook_len", 0))
-        if cb_len:
-            # the container owns the book of every chunk that serialized
-            # only a reference; they share one alphabet of 2 * radius codes
-            users = [c for c in chunks if getattr(c, "codebook_shared", False)]
-            if not users:
-                raise CorruptBlobError("shared codebook without a chunk that refers to it")
-            shared = _szser.codebook_from_section(data[pos : pos + cb_len], 2 * users[0].radius)
-            pos += cb_len
-            for c in users:
-                if c.codebook is None:
-                    c.codebook = shared
         if pos != len(data):
             raise CorruptBlobError("trailing bytes in serialized tensor")
         # the header must describe the chunks it frames: the writer only
@@ -427,9 +325,7 @@ def _loads(data: bytes) -> Any:
             shapes = [(sum(s[0] for s in shapes), *shapes[0][1:])]
         if shapes != [shape]:
             raise CorruptBlobError("chunk shapes do not concatenate to the header shape")
-        return ChunkedCompressedTensor(
-            shape=shape, dtype=str(dtype), axis=0, chunks=chunks, shared_codebook=shared,
-        )
+        return ChunkedCompressedTensor(shape=shape, dtype=str(dtype), axis=0, chunks=chunks)
     raise CorruptBlobError("not a serialized compressed tensor (bad magic)")
 
 
@@ -457,22 +353,15 @@ CHUNK_HEADER_BYTES = 32
 class ChunkedCompressedTensor:
     """Container for per-chunk compressed objects (split along one axis).
 
-    When the inner codec is Huffman-based, the chunks share **one**
-    canonical codebook (built or cache-fetched once per compress call
-    instead of once per chunk).  The container owns it: chunks are
-    flagged ``codebook_shared`` so their own ``nbytes``/serialized form
-    carry only a reference, and the container charges/serializes the
-    length table exactly once — "charge on first use, reference
-    thereafter".
+    Each chunk is a self-contained compressed object of the inner codec
+    — a Huffman chunk carries its own codebook — so any chunk decodes
+    on its own and the container is only framing.
     """
 
     shape: tuple
     dtype: str
     axis: int
     chunks: List[Any] = field(default_factory=list)
-    #: the one codebook the chunks reference (None when each chunk owns
-    #: its own, e.g. non-Huffman inner codecs)
-    shared_codebook: Optional[Any] = None
 
     header_nbytes = CHUNK_HEADER_BYTES
 
@@ -482,16 +371,9 @@ class ChunkedCompressedTensor:
 
     @property
     def nbytes(self) -> int:
-        """Sum of the chunk footprints plus the container header, plus
-        the shared codebook charged exactly once.
-
-        Each chunk's own ``nbytes`` already follows the exact-sections
-        convention (shared-codebook chunks charge only their reference).
-        """
-        n = sum(c.nbytes for c in self.chunks) + CHUNK_HEADER_BYTES
-        if self.shared_codebook is not None:
-            n += self.shared_codebook.nbytes
-        return n
+        """Sum of the chunk footprints (each following the exact-sections
+        convention) plus the container header."""
+        return sum(c.nbytes for c in self.chunks) + CHUNK_HEADER_BYTES
 
     @property
     def compression_ratio(self) -> float:
@@ -531,17 +413,11 @@ class ChunkedCodec:
     relative-mode error bound is resolved **once on the whole tensor** so
     every chunk compresses under the same absolute bound.
 
-    Codebook sharing: when the inner codec supports it (the
-    Huffman-based SZ compressor, ``supports_codebook_sharing``), the
-    first chunk is compressed inline on the calling thread and its
-    canonical codebook — freshly built with the escape marker reserved,
-    or fetched from the inner codec's cross-iteration cache — is
-    injected into the remaining chunks' compress calls.  That removes
-    the per-chunk GIL-bound tree builds and makes the whole tensor's
-    entropy stage amortizable across training steps via ``cache_key``; chunk
-    symbols the shared book does not cover escape to the outlier
-    channel, so the error bound is unaffected.  Disable with
-    ``share_codebook=False`` to restore per-chunk builds.
+    Every chunk is compressed independently, with its own Huffman
+    codebook.  Under a ``cache_key`` chunk *i* of a split tensor
+    amortizes its book through the inner codec's cross-iteration cache
+    under its own key ``(cache_key, "chunk", i)``, so its reuse
+    decisions depend only on that chunk's history.
     """
 
     name = "chunked"
@@ -555,7 +431,6 @@ class ChunkedCodec:
         *,
         workers: int = 4,
         min_chunk_nbytes: int = 1 << 20,
-        share_codebook: bool = True,
         **inner_kwargs,
     ):
         if isinstance(inner, str):
@@ -569,7 +444,6 @@ class ChunkedCodec:
         self.inner = inner
         self.workers = int(workers)
         self.min_chunk_nbytes = int(min_chunk_nbytes)
-        self.share_codebook = bool(share_codebook)
         self.error_bounded = bool(getattr(inner, "error_bounded", False))
         self.lossless = bool(getattr(inner, "lossless", False))
         # Persistent pool: compress/decompress sit on the per-layer
@@ -624,57 +498,19 @@ class ChunkedCodec:
             error_bound = self.inner.resolve_error_bound(x)
         n = self._num_chunks(x)
         parts = np.array_split(x, n, axis=0) if n > 1 else [x]
-        supports_key = getattr(self.inner, "supports_cache_key", False)
-        shared = None
-        if n > 1 and self.share_codebook and getattr(
-            self.inner, "supports_codebook_sharing", False
-        ):
-            # Compress the first chunk inline — its book (built with the
-            # escape marker reserved, or fetched from the inner codec's
-            # cross-iteration cache) becomes the shared book for the
-            # remaining chunks, which skip their own builds.  Batch-axis
-            # slices of one activation share their code distribution, so
-            # the first chunk is a representative sample; any symbol it
-            # missed escapes through the inner codec's outlier channel.
-            first = self.inner.compress(
-                parts[0], error_bound=error_bound,
-                cache_key=cache_key, reserve_marker=True,
-            )
-            shared = first.codebook  # None for book-less entropy stages
-            kwargs = {"codebook": shared} if shared is not None else {}
-            rest = self._run(self._compress_part, [(p, error_bound, kwargs) for p in parts[1:]])
-            chunks = [first] + rest
-        elif n == 1 and cache_key is not None and supports_key:
-            # unsplit tensors still amortize through the inner cache
-            chunks = [self.inner.compress(parts[0], error_bound=error_bound, cache_key=cache_key)]
-        else:
-            # Without codebook sharing, chunks amortize individually: each
-            # chunk index gets its own stable cache key, so its book reuse
-            # decisions depend only on that chunk's own history (the same
-            # per-key independence the cache's determinism rests on).
-            chunk_keys = supports_key and cache_key is not None
-            chunks = self._run(
-                self._compress_part,
-                [
-                    (p, error_bound, {"cache_key": (cache_key, "chunk", i)} if chunk_keys else {})
-                    for i, p in enumerate(parts)
-                ],
-            )
-        container_book = None
-        if shared is not None:
-            # The container owns the shared book; chunks that actually
-            # used it (a chunk falls back to a private build when the
-            # injected book lacks a usable outlier marker) carry only a
-            # reference in their own nbytes/serialized form.
-            for c in chunks:
-                if c.codebook is not None and np.array_equal(c.codebook.lengths, shared.lengths):
-                    c.codebook = shared
-                    c.codebook_shared = True
-                    container_book = shared
-        return ChunkedCompressedTensor(
-            shape=x.shape, dtype=str(x.dtype), axis=0, chunks=chunks,
-            shared_codebook=container_book,
+        # An unsplit tensor amortizes under the caller's key; chunk i of a
+        # split one under its own stable key, so its book reuse decisions
+        # depend only on that chunk's history (the per-key independence
+        # the cache's determinism rests on).
+        keyed = cache_key is not None and getattr(self.inner, "supports_cache_key", False)
+        kwargs = [
+            {"cache_key": cache_key if n == 1 else (cache_key, "chunk", i)} if keyed else {}
+            for i in range(n)
+        ]
+        chunks = self._run(
+            self._compress_part, [(p, error_bound, kw) for p, kw in zip(parts, kwargs)]
         )
+        return ChunkedCompressedTensor(shape=x.shape, dtype=str(x.dtype), axis=0, chunks=chunks)
 
     def decompress(self, ct: ChunkedCompressedTensor) -> np.ndarray:
         if not isinstance(ct, ChunkedCompressedTensor):
@@ -682,24 +518,6 @@ class ChunkedCodec:
         parts = self._run(self.inner.decompress, [(c,) for c in ct.chunks])
         out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=ct.axis)
         return out.reshape(ct.shape)
-
-    def estimate_nbytes(self, x: np.ndarray, error_bound: Optional[float] = None) -> float:
-        """Expected compressed footprint, cache-aware: under codebook
-        sharing the container-owned book is charged **once**, with the
-        first chunk, matching :attr:`ChunkedCompressedTensor.nbytes`
-        (shared-book chunks carry only a reference)."""
-        x = np.asarray(x)
-        if error_bound is None and hasattr(self.inner, "resolve_error_bound"):
-            error_bound = self.inner.resolve_error_bound(x)
-        n = self._num_chunks(x)
-        parts = np.array_split(x, n, axis=0) if n > 1 else [x]
-        shares = self.share_codebook and getattr(self.inner, "supports_codebook_sharing", False)
-        bookless = {"own_codebook": False} if shares else {}
-        ests = self._run(
-            lambda p, kw: self.inner.estimate_nbytes(p, error_bound=error_bound, **kw),
-            [(p, bookless if i else {}) for i, p in enumerate(parts)],
-        )
-        return float(sum(ests)) + CHUNK_HEADER_BYTES
 
     def roundtrip(self, x: np.ndarray, error_bound: Optional[float] = None) -> np.ndarray:
         return self.decompress(self.compress(x, error_bound))

@@ -7,7 +7,6 @@ from repro.compression.szlike.codebook_cache import (
 from repro.compression.szlike.huffman import (
     HuffmanCodebook,
     build_codebook,
-    entropy_bits,
     entropy_bits_from_hist,
     histogram,
     huffman_decode,
@@ -33,7 +32,6 @@ __all__ = [
     "SharedCodebookCache",
     "HuffmanCodebook",
     "build_codebook",
-    "entropy_bits",
     "entropy_bits_from_hist",
     "histogram",
     "huffman_decode",

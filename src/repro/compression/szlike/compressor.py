@@ -30,8 +30,8 @@ GPU streams data).  ``codebook_cache=True`` reproduces that economics:
 canonical codebooks are cached per tensor key
 (:class:`~repro.compression.szlike.codebook_cache.CodebookCache`) and
 reused across ``compress`` calls, with a one-``bincount`` staleness
-check (rebuild beyond a ``codebook_delta`` excess over the fresh-book
-floor, or every ``codebook_refresh`` uses) and an unconditional
+check (rebuild beyond a ``delta`` excess over the fresh-book floor, or
+every ``refresh_interval`` uses) and an unconditional
 correctness escape — symbols with no codeword under a cached book are
 demoted to the outlier channel, so the error bound never depends on
 cache freshness.  The whole hot path is also allocation-lean and moves
@@ -43,6 +43,11 @@ computed from the data selects ``int64``, see
 pair-packed/blocked variants in :mod:`~repro.compression.szlike.huffman`,
 and decompression multiplies the grid indices straight into the output
 dtype.
+
+The codec is two calls on self-describing objects, as cuSZ is:
+``compress(x)`` returns a :class:`CompressedTensor` that carries
+everything its decode needs (a Huffman stage's codebook included) and
+``decompress(ct)`` inverts it.
 """
 
 from __future__ import annotations
@@ -61,8 +66,6 @@ from repro.compression.szlike.codebook_cache import CodebookCache
 from repro.compression.szlike.huffman import (
     HuffmanCodebook,
     chunk_meta_nbytes,
-    codebook_nbytes_estimate,
-    entropy_bits_from_hist,
     histogram,
     huffman_decode,
     huffman_encode,
@@ -84,6 +87,8 @@ __all__ = ["SZCompressor", "CompressedTensor", "HEADER_BYTES"]
 HEADER_BYTES = 64
 
 _ENTROPY_STAGES = ("huffman", "zlib", "huffman+zlib", "none")
+#: DEFLATE level of the ``zlib`` / ``huffman+zlib`` entropy stages
+ZLIB_LEVEL = 1
 
 
 def _pack_outliers(outliers: np.ndarray) -> np.ndarray:
@@ -114,11 +119,6 @@ class CompressedTensor:
     codebook: Optional[HuffmanCodebook] = None
     zero_filter: bool = True
     raw_codes_dtype: str = "uint16"
-    #: True when the codebook is owned elsewhere (a chunked container's
-    #: shared book): ``nbytes`` and ``serialize.dumps`` then charge/emit
-    #: a reference instead of the length table — the owner charges it
-    #: exactly once.
-    codebook_shared: bool = False
 
     @property
     def original_nbytes(self) -> int:
@@ -137,12 +137,9 @@ class CompressedTensor:
         (the chunk table is bit-packed, the codebook its deflated length
         table: :func:`~repro.compression.szlike.huffman.chunk_meta_nbytes`,
         :attr:`HuffmanCodebook.nbytes`).
-        A shared codebook (``codebook_shared``) is charged by its owning
-        container, not here — the serialized chunk likewise carries only
-        a reference.
         """
         n = len(self.payload) + self.outliers.nbytes + HEADER_BYTES
-        if self.codebook is not None and not self.codebook_shared:
+        if self.codebook is not None:
             n += self.codebook.nbytes
         if self.chunk_offsets is not None:
             n += chunk_meta_nbytes(self.count)
@@ -180,17 +177,8 @@ class SZCompressor:
         ``cache_key=`` to :meth:`compress`; the saved-tensor contexts
         pass the layer name).  The error bound is unaffected either way
         — uncovered symbols under a cached book escape to the outlier
-        channel.
-    codebook_refresh:
-        Periodic-rebuild interval for a ``codebook_cache=True`` default
-        cache: a cached book is rebuilt after this many reuses even if
-        the staleness check stays quiet (0 disables).  Ignored when an
-        explicit cache instance is supplied.
-    codebook_delta:
-        Staleness tolerance δ for the default cache: rebuild when the
-        cached book's bits on the fresh histogram exceed
-        ``max(shannon_bits, count)`` by more than this fraction.
-        Ignored when an explicit cache instance is supplied.
+        channel.  ``True`` builds a default cache; other refresh or
+        staleness settings take an explicit instance.
     kernel_backend:
         Inner-loop implementation for the quantize/predict/entropy hot
         kernels: ``"numpy"`` (reference), ``"numba"`` (compiled; raises
@@ -206,9 +194,6 @@ class SZCompressor:
     lossless = False
     #: the saved-tensor contexts may pass ``cache_key=`` to compress
     supports_cache_key = True
-    #: compress accepts ``codebook=`` / ``reserve_marker=`` — the chunked
-    #: codec's intra-call codebook sharing protocol
-    supports_codebook_sharing = True
 
     def __init__(
         self,
@@ -219,11 +204,8 @@ class SZCompressor:
         lorenzo_ndim: int = 2,
         entropy: str = "huffman",
         zero_filter: bool = True,
-        zlib_level: int = 1,
         emulate_zero_drift: bool = False,
         codebook_cache: Union[bool, CodebookCache] = False,
-        codebook_refresh: int = 64,
-        codebook_delta: float = 0.10,
         kernel_backend: str = "auto",
         rng=None,
     ):
@@ -246,15 +228,10 @@ class SZCompressor:
         self.lorenzo_ndim = int(lorenzo_ndim)
         self.entropy = entropy
         self.zero_filter = bool(zero_filter)
-        self.zlib_level = int(zlib_level)
         if isinstance(codebook_cache, CodebookCache):
             self.codebook_cache: Optional[CodebookCache] = codebook_cache
-        elif codebook_cache:
-            self.codebook_cache = CodebookCache(
-                refresh_interval=codebook_refresh, delta=codebook_delta
-            )
         else:
-            self.codebook_cache = None
+            self.codebook_cache = CodebookCache() if codebook_cache else None
         # Unmodified cuSZ reconstructs runs of zeros as small values within
         # the error bound (the pathology motivating the Section 4.4 filter).
         # Our integer pipeline reconstructs zeros exactly, so the pathology
@@ -333,20 +310,14 @@ class SZCompressor:
         cache_key: Optional[Hashable],
         x_shape: tuple,
         x_dtype,
-        reserve_marker: bool = False,
     ):
         """Fresh build, cache lookup, or escape-vetted reuse.
 
         Returns ``(codebook, reused)``; ``reused`` means symbols may lack
-        codewords and the caller must demote them.  *reserve_marker*
-        keeps the outlier-marker codeword in a cache-less fresh build (a
-        book destined for sharing needs its escape hatch; cache builds
-        always reserve it).
+        codewords and the caller must demote them.
         """
         cache = self.codebook_cache
         if cache is None:
-            if reserve_marker:
-                hist = CodebookCache.reserve_marker(hist)
             return HuffmanCodebook.from_frequencies(hist), False
         key = cache_key if cache_key is not None else ("__auto__", x_shape, str(x_dtype))
         return cache.lookup(key, hist)
@@ -367,21 +338,14 @@ class SZCompressor:
         hist)`` carries the merged positional-order outlier array and
         the histogram of the mutated codes (corrected in O(alphabet),
         not re-counted); otherwise ``(None, 0, hist)``.
-        Requires the marker symbol itself to be covered — the
-        cache/viability checks guarantee that before reuse is allowed.
+        Requires the marker symbol itself to be covered and the book's
+        alphabet to span the histogram's — the cache's viability checks
+        guarantee both before reuse is allowed.
         """
-        lengths = codebook.lengths
-        # symbols beyond an injected book's smaller alphabet stay uncovered
-        bad_syms = hist > 0
-        bad_syms[: lengths.size] &= lengths[: hist.size] == 0
+        bad_syms = (hist > 0) & (codebook.lengths[: hist.size] == 0)
         n_escape = int(hist[bad_syms].sum())
         if n_escape == 0:
             return None, 0, hist
-        if lengths[0] == 0:
-            raise ValueError(
-                "codebook lacks the outlier marker codeword; cannot demote "
-                "uncovered symbols (rebuild the codebook instead)"
-            )
         codes[bad_syms[codes]] = 0
         hist = np.where(bad_syms, 0, hist)
         hist[0] += n_escape
@@ -398,18 +362,13 @@ class SZCompressor:
         error_bound: Optional[float] = None,
         *,
         cache_key: Optional[Hashable] = None,
-        codebook: Optional[HuffmanCodebook] = None,
-        reserve_marker: bool = False,
     ) -> CompressedTensor:
         """Compress *x* under the (per-call overridable) error bound.
 
         ``cache_key`` names the tensor stream for cross-iteration
         codebook amortization (only meaningful with ``codebook_cache``);
-        ``codebook`` injects an externally owned book (the chunked
-        codec's intra-call sharing) and ``reserve_marker`` keeps the
-        escape-marker codeword in a freshly built book so it *can* be
-        shared — uncovered symbols escape to the outlier channel either
-        way, so the error bound is unconditional.
+        symbols a cached book does not cover escape to the outlier
+        channel, so the error bound is unconditional.
         """
         x = np.asarray(x)
         if not np.issubdtype(x.dtype, np.floating):
@@ -433,39 +392,27 @@ class SZCompressor:
             raw_codes_dtype = str(qr.codes.dtype)
             if self.entropy in ("huffman", "huffman+zlib"):
                 with profiler.stage("encode"):
-                    # One histogram feeds the codebook build/cache check;
-                    # estimate_compressed_nbytes shares the same helper.
+                    # one histogram feeds the codebook build / cache check
+                    # and sizes the encoder's payload
                     hist = histogram(qr.codes, self.dict_size)
-                    if codebook is not None:
-                        out_codebook, reused = codebook, True
-                    else:
-                        out_codebook, reused = self._resolve_codebook(
-                            hist, cache_key, x.shape, x.dtype, reserve_marker
-                        )
+                    out_codebook, reused = self._resolve_codebook(
+                        hist, cache_key, x.shape, x.dtype
+                    )
                     if reused:
-                        try:
-                            escaped, n_escape, hist = self._demote_uncovered(
-                                qr.codes, flat_delta, hist, out_codebook
-                            )
-                        except ValueError:
-                            # Injected book without a usable marker: fall
-                            # back to a fresh local build (correctness
-                            # first; the container will not mark this
-                            # chunk as shared).
-                            out_codebook = HuffmanCodebook.from_frequencies(hist)
-                            escaped, n_escape = None, 0
+                        escaped, n_escape, hist = self._demote_uncovered(
+                            qr.codes, flat_delta, hist, out_codebook
+                        )
                         if escaped is not None:
                             outliers = escaped
-                            if self.codebook_cache is not None and codebook is None:
-                                self.codebook_cache.note_escapes(n_escape)
+                            self.codebook_cache.note_escapes(n_escape)
                     payload, total_bits, chunk_offsets = huffman_encode(
                         qr.codes, out_codebook, kernels=self._kernels, hist=hist
                     )
                     if self.entropy == "huffman+zlib":
-                        payload = zlib.compress(payload, self.zlib_level)
+                        payload = zlib.compress(payload, ZLIB_LEVEL)
             elif self.entropy == "zlib":
                 with profiler.stage("encode"):
-                    payload = zlib.compress(qr.codes.tobytes(), self.zlib_level)
+                    payload = zlib.compress(qr.codes.tobytes(), ZLIB_LEVEL)
             else:  # 'none'
                 payload = qr.codes.tobytes()
             packed_outliers = _pack_outliers(outliers)
@@ -491,11 +438,6 @@ class SZCompressor:
         """Reconstruct the tensor; max abs error is ``ct.error_bound``."""
         with profiler.stage("decode"):
             if ct.entropy in ("huffman", "huffman+zlib"):
-                if ct.codebook is None:
-                    raise ValueError(
-                        "compressed tensor references a shared codebook that is "
-                        "not attached; decompress it through its chunked container"
-                    )
                 payload = ct.payload
                 if ct.entropy == "huffman+zlib":
                     payload = inflate(payload, (ct.total_bits + 7) >> 3)
@@ -552,36 +494,3 @@ class SZCompressor:
     def roundtrip(self, x: np.ndarray, error_bound: Optional[float] = None) -> np.ndarray:
         """Convenience: decompress(compress(x))."""
         return self.decompress(self.compress(x, error_bound))
-
-    def estimate_compressed_nbytes(
-        self, x: np.ndarray, error_bound: Optional[float] = None, *, own_codebook: bool = True
-    ) -> float:
-        """Entropy-based size estimate (no bitstream materialization).
-
-        Used by the adaptive controller's monitoring path where only the
-        expected ratio is needed.  Charges every section at the same rate
-        ``CompressedTensor.nbytes`` does: outliers at their packed
-        itemsize and the chunk table through the same helper; the payload
-        is estimated at its Shannon lower bound and the codebook section
-        (left out with ``own_codebook=False``, for a chunk whose
-        container owns the book) by
-        :func:`~repro.compression.szlike.huffman.codebook_nbytes_estimate`
-        — there is a histogram here, not a book.  Shares one histogram
-        between the estimates, and runs over the same pooled scratch as
-        :meth:`compress`.
-        """
-        x = np.asarray(x)
-        eb = float(error_bound) if error_bound is not None else self.resolve_error_bound(x)
-        with ExitStack() as stack:
-            qr, _ = self._quantized_codes(x, eb, stack)
-            hist = histogram(qr.codes, self.dict_size)
-            bits = entropy_bits_from_hist(hist)
-            est = bits / 8.0 + _pack_outliers(qr.outliers).nbytes + HEADER_BYTES
-            if self.entropy in ("huffman", "huffman+zlib"):
-                est += chunk_meta_nbytes(qr.codes.size)
-                if own_codebook:
-                    est += codebook_nbytes_estimate(hist)
-        return est
-
-    # Registry-facing alias (the unified Codec API name).
-    estimate_nbytes = estimate_compressed_nbytes

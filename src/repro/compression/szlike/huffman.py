@@ -12,7 +12,7 @@ direction needs a Python-level per-symbol loop:
   make integer addition equal to bitwise OR.  Peak scratch is one
   output-sized word array plus O(block) temporaries, versus the
   8x-payload bit-expansion the previous bit-plane encoder materialized
-  (kept as ``packer="bitplane"``, the reference implementation the
+  (kept as ``_encode_bitplane``, the reference implementation the
   packed path is property-tested against).
 
 * **Decode** is sequential in nature (each codeword's start depends on
@@ -65,8 +65,9 @@ flattening, keeping the prefix table at 64Ki entries.
 
 The symbol histogram is a first-class input: :func:`histogram`,
 :meth:`HuffmanCodebook.from_frequencies`, and :func:`entropy_bits_from_hist`
-let one ``bincount`` feed the codebook build, the entropy estimate, and
-the codebook cache's staleness check instead of each running its own.
+let one ``bincount`` feed the codebook build, the encoder's payload
+sizing, and the codebook cache's staleness check instead of each
+running its own.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ __all__ = [
     "chunk_size_for",
     "chunk_layout",
     "chunk_meta_nbytes",
-    "codebook_nbytes_estimate",
-    "entropy_bits",
     "entropy_bits_from_hist",
 ]
 
@@ -163,8 +162,8 @@ class HuffmanCodebook:
     lengths: np.ndarray  # uint8, one entry per alphabet symbol
     codes: np.ndarray  # uint32 canonical codewords
     #: lazily built dense decode tables (``(tsym, tlen)`` over all 2^L
-    #: prefixes) — cached here so a codebook reused across iterations (or
-    #: shared across chunks) pays the table-build loop exactly once
+    #: prefixes) — cached here so a codebook reused across iterations
+    #: pays the table-build loop exactly once
     _tables: Optional[tuple] = field(default=None, repr=False, compare=False)
     #: the serialized length table (:meth:`section`), deflated once
     _section: Optional[bytes] = field(default=None, repr=False, compare=False)
@@ -236,7 +235,7 @@ class HuffmanCodebook:
 
 def histogram(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Symbol frequency histogram (the one ``bincount`` the codebook
-    build, the entropy estimate, and the cache staleness check share)."""
+    build, the encoder and the cache staleness check share)."""
     return np.bincount(symbols.reshape(-1), minlength=alphabet_size)
 
 
@@ -272,19 +271,9 @@ def chunk_layout(count: int) -> tuple:
 
 def chunk_meta_nbytes(count: int) -> int:
     """Serialized chunk-table bytes of a *count*-symbol stream (what
-    ``CompressedTensor.nbytes`` and the size estimates charge)."""
+    ``CompressedTensor.nbytes`` charges)."""
     _, n_chunks, width = chunk_layout(count)
     return -(-n_chunks * width // 8)
-
-
-def codebook_nbytes_estimate(hist: np.ndarray) -> int:
-    """Proxy for :attr:`HuffmanCodebook.nbytes` of the book *hist* would
-    build, for callers that hold a histogram and no book: 56 bytes plus
-    a quarter byte per used symbol, at most 224 (a full 1 024-entry table
-    of few distinct lengths deflates to 125-262) or the raw table —
-    within 2x of the section from 64 used symbols up, 1.3x on the
-    ``train_sz`` books."""
-    return min(int(hist.size), 224, 56 + int(np.count_nonzero(hist)) // 4)
 
 
 def _encode_bitplane(symbols: np.ndarray, codebook: HuffmanCodebook, chunk_size: int):
@@ -292,7 +281,7 @@ def _encode_bitplane(symbols: np.ndarray, codebook: HuffmanCodebook, chunk_size:
 
     Materializes a ``total_bits``-long uint8 array (8x the packed
     payload); kept as the property-test oracle for the word-packed path
-    and as the ``packer="bitplane"`` legacy baseline benchmarks measure
+    and as the legacy baseline ``benchmarks/bench_hotpath.py`` measures
     against.
     """
     lens = codebook.lengths[symbols].astype(np.int64)
@@ -317,7 +306,6 @@ def huffman_encode(
     symbols: np.ndarray,
     codebook: HuffmanCodebook,
     chunk_size: Optional[int] = None,
-    packer: str = "words",
     kernels=None,
     hist: Optional[np.ndarray] = None,
 ):
@@ -326,12 +314,10 @@ def huffman_encode(
     ``chunk_offsets`` records the starting bit of every *chunk_size*-symbol
     chunk (cuSZ's coarse-grained decode metadata); ``None`` derives the
     size from the symbol count (:func:`chunk_size_for`), ``0`` skips the
-    metadata.  ``packer`` selects the kernel: ``"words"`` (default,
-    blocked word-packing with O(block) scratch) or ``"bitplane"`` (the
-    legacy 8x-payload bit-expansion, kept as the reference oracle).
-    Both produce identical bytes.  *kernels* is a
-    :class:`~repro.kernels.backends.KernelBackend` for the ``"words"``
-    inner loop (default: the NumPy reference); *hist* is the
+    metadata.  The kernel is blocked word-packing with O(block) scratch,
+    byte-identical to the bit-plane oracle :func:`_encode_bitplane`.
+    *kernels* is a :class:`~repro.kernels.backends.KernelBackend` for
+    its inner loop (default: the NumPy reference); *hist* is the
     :func:`histogram` of *symbols* when the caller already holds it (it
     sizes the payload and vets codeword coverage without a pass over
     the stream).
@@ -341,14 +327,10 @@ def huffman_encode(
         return b"", 0, np.zeros(0, dtype=np.int64)
     if chunk_size is None:
         chunk_size = chunk_size_for(symbols.size)
-    if packer == "words":
-        kernels = kernels if kernels is not None else get_backend("numpy")
-        return kernels.huffman_pack_words(
-            symbols, codebook.lengths, codebook.codes, chunk_size, hist=hist
-        )
-    if packer == "bitplane":
-        return _encode_bitplane(symbols, codebook, chunk_size)
-    raise ValueError(f"packer must be 'words' or 'bitplane', got {packer!r}")
+    kernels = kernels if kernels is not None else get_backend("numpy")
+    return kernels.huffman_pack_words(
+        symbols, codebook.lengths, codebook.codes, chunk_size, hist=hist
+    )
 
 
 def _prefix_and_tables(payload: bytes, total_bits: int, codebook: HuffmanCodebook):
@@ -469,17 +451,3 @@ def entropy_bits_from_hist(hist: np.ndarray) -> float:
     freqs = hist[hist > 0].astype(np.float64)
     p = freqs / count
     return float(-np.sum(p * np.log2(p)) * count)
-
-
-def entropy_bits(symbols: np.ndarray, alphabet_size: int) -> float:
-    """Shannon-entropy lower bound (total bits) for coding *symbols*.
-
-    Used by the adaptive controller to estimate compressed size without
-    materializing a bitstream.  Callers that already hold the histogram
-    should use :func:`entropy_bits_from_hist` instead of paying a second
-    ``bincount``.
-    """
-    flat = symbols.reshape(-1)
-    if flat.size == 0:
-        return 0.0
-    return entropy_bits_from_hist(histogram(flat, alphabet_size))

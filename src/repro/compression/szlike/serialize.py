@@ -13,12 +13,15 @@ string padded to a byte, geometry and width being
 :func:`~repro.compression.szlike.huffman.chunk_layout` of the symbol
 count (10 bits per 64 symbols on the ``train_sz`` activations;
 :func:`loads` rebuilds the bit offsets with one ``cumsum``);
-**codebook** (unless shared) — :meth:`HuffmanCodebook.section`, the
+**codebook** (every Huffman stage) — :meth:`HuffmanCodebook.section`, the
 ``2 * radius`` length bytes deflated, or raw when the section is exactly
 that long; it is the rest of the blob.  v2 spent 2 bytes per chunk and
 1 024 per codebook, which priced chunks at 256 symbols; v3 holds four
 times the chunks in fewer bytes (333 719 against 334 771 for the six
 ``train_sz`` tensors at step 0).  No v2 reader: blobs live for a session.
+
+A blob is self-contained: a Huffman blob without its codebook section,
+or with a header key this writer never emits, is corrupt.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ _VERSION = 3
 
 #: fixed framing: magic + header-length word + payload-length word
 WIRE_FRAMING_BYTES = 16
+#: every key of a v3 header (``dumps`` writes exactly these)
+_HEADER_KEYS = frozenset((
+    "v", "shape", "dtype", "eb", "radius", "lorenzo_ndim", "entropy", "total_bits", "count",
+    "zero_filter", "raw_codes_dtype", "outlier_dtype", "outlier_count", "has_codebook",
+    "chunk_count",
+))
 
 
 def wire_header_nbytes(data: bytes) -> int:
@@ -85,21 +94,8 @@ def _unpack_uints(data: bytes, count: int, width: int) -> np.ndarray:
     return (win[bit >> 3] >> (24 - width - (bit & 7))) & ((1 << width) - 1)
 
 
-def codebook_from_section(section: bytes, alphabet_size: int) -> HuffmanCodebook:
-    """The codebook behind a serialized :meth:`HuffmanCodebook.section`
-    that must hold *alphabet_size* lengths (inflated with that bound)."""
-    lengths = np.frombuffer(expand(section, alphabet_size), dtype=np.uint8)
-    book = HuffmanCodebook.from_lengths(lengths)  # rejects lengths above MAX_CODE_LENGTH
-    book._section = bytes(section)
-    return book
-
-
 def dumps(ct: CompressedTensor) -> bytes:
     """Serialize *ct* to a self-describing byte string."""
-    # A shared codebook is serialized by its owning container (one length
-    # table for all chunks); the chunk itself carries only the reference
-    # flag — exactly what its ``nbytes`` charges.
-    write_codebook = ct.codebook is not None and not ct.codebook_shared
     header = {
         "v": _VERSION,
         "shape": list(ct.shape),
@@ -114,11 +110,9 @@ def dumps(ct: CompressedTensor) -> bytes:
         "raw_codes_dtype": ct.raw_codes_dtype,
         "outlier_dtype": str(ct.outliers.dtype),
         "outlier_count": int(ct.outliers.size),
-        "has_codebook": write_codebook,
+        "has_codebook": ct.codebook is not None,
         "chunk_count": 0 if ct.chunk_offsets is None else int(ct.chunk_offsets.size),
     }
-    if ct.codebook_shared:
-        header["codebook_shared"] = True
     hbytes = json.dumps(header, separators=(",", ":")).encode()
     parts = [_MAGIC, struct.pack("<I", len(hbytes)), hbytes]
     parts.append(struct.pack("<Q", len(ct.payload)))
@@ -127,7 +121,7 @@ def dumps(ct: CompressedTensor) -> bytes:
     if ct.chunk_offsets is not None:
         ends = np.append(ct.chunk_offsets[1:], ct.total_bits)
         parts.append(_pack_uints(ends - ct.chunk_offsets - 1, chunk_layout(ct.count)[2]))
-    if write_codebook:
+    if ct.codebook is not None:
         parts.append(ct.codebook.section())
     return b"".join(parts)
 
@@ -154,6 +148,8 @@ def _loads(data: bytes) -> CompressedTensor:
     header = json.loads(data[8 : 8 + hlen].decode())
     if header["v"] != _VERSION:
         raise CorruptBlobError(f"unsupported version {header['v']}")
+    if set(header) != _HEADER_KEYS:
+        raise CorruptBlobError(f"malformed header: keys {sorted(set(header) ^ _HEADER_KEYS)}")
     count, shape, entropy = header["count"], header["shape"], header["entropy"]
     total_bits, radius, n_outliers = header["total_bits"], header["radius"], header["outlier_count"]
     if (
@@ -163,8 +159,11 @@ def _loads(data: bytes) -> CompressedTensor:
     ):
         raise CorruptBlobError("entropy stage, shape, symbol count or a length field malformed")
     chunk_size, n_chunks, width = chunk_layout(count)
-    if header["chunk_count"] != (n_chunks if entropy.startswith("huffman") else 0):
+    huffman = entropy.startswith("huffman")
+    if header["chunk_count"] != (n_chunks if huffman else 0):
         raise CorruptBlobError("chunk count inconsistent with the symbol count")
+    if header["has_codebook"] is not huffman:
+        raise CorruptBlobError("a Huffman blob carries its codebook, no other blob has one")
     (plen,) = struct.unpack_from("<Q", data, 8 + hlen)
     if entropy == "huffman" and plen != (total_bits + 7) >> 3:
         raise CorruptBlobError("payload length inconsistent with its bit count")
@@ -191,9 +190,12 @@ def _loads(data: bytes) -> CompressedTensor:
             raise CorruptBlobError("chunk bit lengths inconsistent with the payload")
         chunk_offsets = np.cumsum(lens) - lens
     codebook = None
-    if header["has_codebook"]:
+    if huffman:
         # alphabet size = 2 * radius quantization codes; the section is the rest of the blob
-        codebook = codebook_from_section(section(len(data) - pos), 2 * radius)
+        book_section = section(len(data) - pos)
+        lengths = np.frombuffer(expand(book_section, 2 * radius), dtype=np.uint8)
+        codebook = HuffmanCodebook.from_lengths(lengths)  # rejects lengths above MAX_CODE_LENGTH
+        codebook._section = book_section
     if pos != len(data):
         raise CorruptBlobError(f"trailing bytes in serialized tensor ({len(data) - pos})")
     return CompressedTensor(
@@ -211,7 +213,4 @@ def _loads(data: bytes) -> CompressedTensor:
         codebook=codebook,
         zero_filter=header["zero_filter"],
         raw_codes_dtype=str(np.dtype(header["raw_codes_dtype"])),
-        # a shared-codebook chunk comes back bookless; the chunked
-        # container's loads() re-attaches the shared book
-        codebook_shared=header.get("codebook_shared", False),
     )

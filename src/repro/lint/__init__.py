@@ -24,8 +24,9 @@ DET001    determinism             No wall-clock, global-RNG, or set-ordered
                                   iteration in code reachable from
                                   ``build_session`` (see :mod:`.rules_determinism`).
 REG001    registry-hygiene        Codecs outside ``compression/`` are built
-                                  only via ``get_codec``/``spec_of``, so
-                                  ``Session.capture()`` re-serializes them
+                                  only via ``get_codec``: a class-built codec
+                                  has no ``CodecSpec`` naming it, so no
+                                  committed config reproduces it
                                   (see :mod:`.rules_registry`).
 BKD001    backend-discipline      ``compression/szlike/`` reaches the hot
                                   kernels via ``get_backend(...)``, never the

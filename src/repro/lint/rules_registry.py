@@ -5,12 +5,13 @@ live) and test files (``test_*.py`` / ``conftest.py``), direct
 construction of a codec class — ``SZCompressor(...)``,
 ``ChunkedCodec(...)``, ``JpegCodec(...)``, ... — is a violation.
 Sessions must obtain codecs via
-:func:`repro.compression.registry.get_codec` (and describe them via
-``spec_of``), because only registry-keyed construction round-trips
-through :class:`~repro.api.config.SessionConfig`: a session's codecs
-are its ``CodecSpec`` entries, which is what ``Session.capture()``
-re-serializes — a codec instantiated by class has no spec there and
-breaks the "committed JSON reproduces the run" contract.
+:func:`repro.compression.registry.get_codec`, because a codec is named
+only by a :class:`~repro.api.config.CodecSpec` (registry key plus
+constructor options): a session's codecs are its ``CodecSpec`` entries,
+which is what ``Session.capture()`` re-serializes.  A codec constructed
+by class has no ``CodecSpec`` that names it, so it cannot be reproduced
+from a committed config — it breaks the "committed JSON reproduces the
+run" contract.
 
 The class-name list mirrors the registry's registrations; adding a
 codec means registering it, at which point its name belongs here too.
@@ -42,9 +43,9 @@ class RegistryHygieneRule(Rule):
     id = "REG001"
     name = "registry-hygiene"
     rationale = (
-        "Codec objects outside compression/ must come from get_codec()/"
-        "spec_of(); class-constructed codecs cannot round-trip through "
-        "SessionConfig."
+        "Codec objects outside compression/ must come from get_codec(); a "
+        "class-constructed codec has no CodecSpec naming it, so no committed "
+        "config can reproduce it."
     )
 
     def check(self, module: LintModule, run: LintRun) -> Iterable[Violation]:

@@ -12,6 +12,10 @@ API gateway.
     POST /tenants/<name>/steps {"steps": n} -> run n steps, return results
     DELETE /tenants/<name>            -> evict
 
+A malformed request is a 400 (a negative ``Content-Length`` included); a
+body that stalls for :data:`READ_TIMEOUT_S` is a 408 and the connection
+closes.
+
 Start one with :func:`serve`; the returned endpoint knows its bound
 (possibly ephemeral) port and closes cleanly:
 
@@ -35,10 +39,19 @@ __all__ = ["Endpoint", "serve"]
 
 #: request bodies beyond this are refused (fleet specs are small)
 _MAX_BODY = 4 << 20
+#: seconds a connection may stall while a request is read; a body that
+#: stops short of its ``Content-Length`` then ends in 408, not a
+#: handler thread blocked forever
+READ_TIMEOUT_S = 10.0
+
+
+class _BodyTimeout(Exception):
+    """The request body stalled past the handler's read timeout."""
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT_S
 
     # -- plumbing ------------------------------------------------------------
     @property
@@ -48,21 +61,29 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # quiet by default
         pass
 
-    def _send(self, code: int, payload: dict) -> None:
+    def _send(self, code: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload, default=str).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            raise ValueError(f"negative Content-Length ({length})")
         if length > _MAX_BODY:
             raise ValueError(f"request body too large ({length} bytes)")
         if length == 0:
             return {}
-        data = json.loads(self.rfile.read(length))
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise _BodyTimeout from None
+        data = json.loads(raw)
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
         return data
@@ -104,6 +125,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": str(exc)})
         except ServerError as exc:
             self._send(409, {"error": str(exc)})
+        except _BodyTimeout:  # the rest of the body may still arrive: drop the connection
+            self._send(408, {"error": f"request body not received within {self.timeout} s"},
+                       close=True)
         except Exception as exc:  # keep the endpoint alive on surprises
             self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
 

@@ -21,7 +21,8 @@ from repro.api import (
     StorageSpec,
 )
 from repro.api.config import SanitizerSpec
-from repro.compression.registry import get_codec, spec_of
+from repro.compression import registry
+from repro.compression.registry import get_codec
 
 
 class TestRoundTrip:
@@ -150,44 +151,40 @@ class TestKernelBackendSpec:
         cfg = SessionConfig.from_dict({"engine": {"kernel_backend": "numba"}})
         assert cfg.engine.kernel_backend == "numba"
 
-    def test_codec_level_backend_in_spec_of(self):
-        codec = get_codec("szlike", kernel_backend="numpy")
-        spec = spec_of(codec)
-        assert spec["options"]["kernel_backend"] == "numpy"
-        clone = get_codec(spec["name"], **spec["options"])
-        assert clone.kernel_backend == "numpy"
+    def test_codec_level_backend_round_trips(self):
+        spec = CodecSpec("szlike", {"kernel_backend": "numpy"})
+        assert CodecSpec.from_dict(spec.to_dict()).build().kernel_backend == "numpy"
         # the default ("auto") stays sparse
-        assert "kernel_backend" not in spec_of(get_codec("szlike"))["options"]
+        assert CodecSpec("szlike").to_dict() == {}
+        assert CodecSpec("szlike").build().kernel_backend == "auto"
 
 
-class TestCodecSpecOf:
-    """spec_of is the inverse of get_codec for every registry family."""
+class TestCodecSpecRoundTrip:
+    """A ``CodecSpec`` names a codec: through ``to_dict`` / ``from_dict``
+    it builds one that compresses bit-identically to ``get_codec``."""
 
     @pytest.mark.parametrize(
         "name,options",
         [
             ("szlike", {}),
             ("szlike", {"error_bound": 1e-4, "entropy": "zlib", "zero_filter": False}),
-            ("szlike", {"codebook_cache": True, "codebook_refresh": 16}),
+            ("szlike", {"codebook_cache": True}),
             ("jpeg", {"quality": 75}),
             ("lossless", {"level": 3}),
             ("sparse-lossless", {}),
-            ("chunked", {"inner": "szlike", "workers": 2, "error_bound": 1e-3}),
+            ("chunked", {"inner": "szlike", "workers": 2, "error_bound": 1e-3,
+                         "min_chunk_nbytes": 1 << 12}),
         ],
     )
-    def test_spec_of_round_trip(self, name, options):
-        codec = get_codec(name, **options)
-        spec = spec_of(codec)
-        rebuilt = get_codec(spec["name"], **spec["options"])
-        assert spec_of(rebuilt) == spec
-
-    def test_spec_of_unknown_type_is_actionable(self):
-        with pytest.raises(TypeError, match="registry codec"):
-            spec_of(object())
-
-    def test_spec_of_refuses_ablation_mode(self):
-        with pytest.raises(ValueError, match="ablation"):
-            spec_of(get_codec("szlike", emulate_zero_drift=True))
+    def test_spec_round_trip_compresses_bit_identically(self, name, options, activation_tensor):
+        rebuilt = CodecSpec.from_dict(CodecSpec(name, options).to_dict()).build()
+        direct = get_codec(name, **options)
+        try:
+            blobs = [registry.dumps(c.compress(activation_tensor)) for c in (rebuilt, direct)]
+        finally:
+            for codec in (rebuilt, direct):
+                getattr(codec, "close", lambda: None)()
+        assert blobs[0] == blobs[1]
 
     def test_codec_spec_build_matches_get_codec(self):
         codec = CodecSpec("szlike", {"error_bound": 5e-4}).build()
@@ -399,6 +396,46 @@ class TestRemovedEngineKeys:
         assert [f.name for f in dataclasses.fields(SanitizerSpec)] == ["enabled"]
         resolved = {f.name for f in dataclasses.fields(ResolvedPolicy)}
         assert not resolved & {"storage", "arena_budget"}
+
+
+#: (codec, keyword, a value it once accepted) for the codec switches only
+#: tests set; ``packer`` was ``huffman_encode``'s
+REMOVED_CODEC_SWITCHES = [
+    ("szlike", "codebook_refresh", 16),
+    ("szlike", "codebook_delta", 0.25),
+    ("szlike", "zlib_level", 6),
+    ("chunked", "share_codebook", False),
+]
+SWITCH_IDS = [key for _, key, _ in REMOVED_CODEC_SWITCHES]
+
+
+class TestRemovedCodecSwitches:
+    @pytest.mark.parametrize("name,key,value", REMOVED_CODEC_SWITCHES, ids=SWITCH_IDS)
+    def test_unexpected_keyword_in_python(self, name, key, value):
+        with pytest.raises(TypeError, match=key):
+            get_codec(name, **{key: value})
+
+    def test_packer_is_not_a_huffman_encode_keyword(self):
+        import numpy as np
+
+        from repro.compression.szlike import build_codebook, huffman_encode
+
+        syms = np.arange(8, dtype=np.uint16)
+        with pytest.raises(TypeError, match="packer"):
+            huffman_encode(syms, build_codebook(syms, 8), packer="bitplane")
+
+    @pytest.mark.parametrize("where", ["codec", "rules[0].codec"])
+    @pytest.mark.parametrize("name,key,value", REMOVED_CODEC_SWITCHES, ids=SWITCH_IDS)
+    def test_config_error_naming_the_codec(self, name, key, value, where):
+        from repro.api import build_session
+        from repro.models import build_scaled_model
+
+        codec = {"name": name, "options": {key: value}}
+        d = {"codec": codec} if where == "codec" else {"rules": [{"match": "l0", "codec": codec}]}
+        cfg = SessionConfig.from_dict(d)
+        net = build_scaled_model("alexnet", num_classes=8, image_size=16, rng=1)
+        with pytest.raises(ConfigError, match=rf"codec '{name}': .*'{key}'"):
+            build_session(net, cfg)
 
 
 class TestDistributedSpec:

@@ -40,7 +40,9 @@ def _cached_book_demoted():
     # the second tensor is 1.3x wider than the one the cached book was
     # built on: 68 symbols without a codeword are demoted to outliers
     # (under the cache's 2% escape ceiling, so the book is reused)
-    opts = {"codebook_cache": True, "codebook_refresh": 0, "codebook_delta": 1e9}
+    from repro.compression.szlike import CodebookCache
+
+    opts = {"codebook_cache": CodebookCache(refresh_interval=0, delta=1e9)}
     return opts, [(_relu(10, (2, 8, 16, 16)), 0.04), (_relu(11, (2, 8, 16, 16), 1.3), 0.04)]
 
 

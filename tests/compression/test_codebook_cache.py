@@ -4,8 +4,9 @@ The cache is a pure performance mechanism — every test here pins down
 the ways it must NOT change semantics: the error bound holds under
 arbitrarily stale books (escape demotion), rebuild triggers fire on
 drift (δ) and on schedule (K), concurrent use under the chunked codec's
-thread pool is safe and deterministic, and shared-codebook references
-serialize honestly (nbytes byte-exact vs ``dumps``).
+thread pool is safe and deterministic, and every chunk of a chunked
+container owns and serializes its own book (nbytes byte-exact vs
+``dumps``).
 """
 
 import numpy as np
@@ -81,13 +82,13 @@ class TestCacheLifecycle:
         with pytest.raises(ValueError):
             CodebookCache(max_entries=0)
 
-    def test_compressor_builds_default_cache_from_knobs(self):
-        comp = SZCompressor(
-            1e-2, entropy="huffman", codebook_cache=True,
-            codebook_refresh=7, codebook_delta=0.25,
-        )
-        assert comp.codebook_cache.refresh_interval == 7
-        assert comp.codebook_cache.delta == 0.25
+    def test_compressor_takes_cache_settings_as_an_instance(self):
+        """``codebook_cache=True`` builds the default cache; other
+        settings come as a ``CodebookCache``, not as codec switches."""
+        default = SZCompressor(1e-2, codebook_cache=True).codebook_cache
+        assert (default.refresh_interval, default.delta) == (64, 0.10)
+        cache = CodebookCache(refresh_interval=7, delta=0.25)
+        assert SZCompressor(1e-2, codebook_cache=cache).codebook_cache is cache
 
 
 class TestErrorBoundUnderStaleness:
@@ -216,40 +217,37 @@ class TestAccountingWithCache:
             np.testing.assert_array_equal(y1, y2)
 
 
-class TestChunkedSharing:
-    """One shared book across chunks; thread/process safety; honest
-    serialization of the shared reference."""
+class TestChunkedBooks:
+    """One book per chunk, amortized per chunk key; thread safety; each
+    chunk's book serialized with it."""
 
     @pytest.fixture()
     def act(self, rng):
         return smoothish(rng, shape=(8, 4, 24, 24))
 
-    def test_chunks_share_one_codebook(self, act):
+    def test_every_chunk_owns_its_codebook(self, act):
         ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
                           error_bound=1e-2, entropy="huffman")
         ct = ck.compress(act)
         assert len(ct.chunks) > 1
-        assert ct.shared_codebook is not None
         books = {id(c.codebook) for c in ct.chunks}
-        assert books == {id(ct.shared_codebook)}
-        assert all(c.codebook_shared for c in ct.chunks)
+        assert len(books) == len(ct.chunks)
+        for c, part in zip(ct.chunks, np.array_split(act, len(ct.chunks))):
+            fresh = SZCompressor(1e-2, entropy="huffman").compress(part)
+            np.testing.assert_array_equal(c.codebook.lengths, fresh.codebook.lengths)
         y = ck.decompress(ct)
         assert np.abs(act.astype(np.float64) - y).max() <= 1e-2 * (1 + 1e-6)
 
-    def test_share_codebook_off_restores_per_chunk_builds(self, act):
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
-                          error_bound=1e-2, entropy="huffman", share_codebook=False)
-        ct = ck.compress(act)
-        assert ct.shared_codebook is None
-        assert not any(c.codebook_shared for c in ct.chunks)
-
     def test_cross_iteration_cache_through_chunked(self, act):
+        """Each chunk amortizes under its own key: one build per chunk,
+        then one hit per chunk."""
         inner = SZCompressor(1e-2, entropy="huffman", codebook_cache=True)
         ck = ChunkedCodec(inner, workers=2, min_chunk_nbytes=1 << 12)
+        n = len(ck.compress(act, cache_key="layer0").chunks)
         ck.compress(act, cache_key="layer0")
-        ck.compress(act, cache_key="layer0")
-        assert inner.codebook_cache.builds == 1
-        assert inner.codebook_cache.hits == 1
+        assert n > 1
+        assert inner.codebook_cache.builds == n
+        assert inner.codebook_cache.hits == n
 
     def test_thread_executor_concurrent_compress_safe(self, act):
         """Many concurrent compress calls against one cached compressor:
@@ -268,51 +266,35 @@ class TestChunkedSharing:
             y = ck.decompress(ct)
             assert np.abs(x.astype(np.float64) - y).max() <= 1e-2 * (1 + 1e-6)
 
-    def test_serialize_roundtrip_shared_references(self, act):
+    def test_serialize_roundtrip_own_books(self, act):
         ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
                           error_bound=1e-2, entropy="huffman")
         ct = ck.compress(act)
-        blob = dumps(ct)
-        back = loads(blob)
-        assert back.shared_codebook is not None
-        np.testing.assert_array_equal(
-            back.shared_codebook.lengths, ct.shared_codebook.lengths
-        )
-        # every shared chunk got the container book re-attached
-        assert all(c.codebook is back.shared_codebook for c in back.chunks)
+        back = loads(dumps(ct))
+        for c, b in zip(ct.chunks, back.chunks):
+            np.testing.assert_array_equal(b.codebook.lengths, c.codebook.lengths)
         np.testing.assert_array_equal(ck.decompress(back), ck.decompress(ct))
-        # the container charges the shared book exactly once, byte-exactly
         assert ct.nbytes == back.nbytes
 
-    def test_shared_chunk_blob_smaller_than_owned(self, act):
-        """A shared-reference chunk blob must not contain the length
-        table (that is the honest-accounting half of the contract), and
-        its nbytes must stay byte-exact against its own serialization."""
-        import dataclasses
-
+    def test_chunk_blob_holds_its_book_and_nbytes_is_exact(self, act):
+        """A chunk's blob ends in its own length table, and its nbytes
+        stays byte-exact against its own serialization."""
         ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
                           error_bound=1e-2, entropy="huffman")
         ct = ck.compress(act)
         for c in ct.chunks:
-            assert c.codebook_shared
-            blob_ref = sz_dumps(c)
-            # same chunk with an owned book: body grows by exactly the
-            # deflated length table (header size differences are normalized away)
-            blob_owned = sz_dumps(dataclasses.replace(c, codebook_shared=False))
-            body_ref = len(blob_ref) - wire_header_nbytes(blob_ref)
-            body_owned = len(blob_owned) - wire_header_nbytes(blob_owned)
-            assert body_owned - body_ref == c.codebook.nbytes < c.codebook.lengths.size == 1024
-            # nbytes parity holds for the reference form too
-            assert c.nbytes == body_ref + HEADER_BYTES
+            blob = sz_dumps(c)
+            assert blob.endswith(c.codebook.section())
+            assert c.codebook.nbytes < c.codebook.lengths.size == 1024
+            assert c.nbytes == len(blob) - wire_header_nbytes(blob) + HEADER_BYTES
 
-    def test_detached_shared_chunk_fails_loudly(self, act):
+    def test_detached_chunk_decodes_alone(self, act):
         ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
                           error_bound=1e-2, entropy="huffman")
         ct = ck.compress(act)
-        lone = sz_loads(sz_dumps(ct.chunks[1]))  # bookless reference
-        assert lone.codebook is None and lone.codebook_shared
-        with pytest.raises(ValueError, match="shared codebook"):
-            SZCompressor(1e-2, entropy="huffman").decompress(lone)
+        lone = sz_loads(sz_dumps(ct.chunks[1]))
+        y = SZCompressor(1e-2, entropy="huffman").decompress(lone)
+        np.testing.assert_array_equal(y, ck.decompress(ct)[lone.shape[0] : 2 * lone.shape[0]])
 
 
 class TestContextIntegration:

@@ -108,12 +108,6 @@ class TestRatios:
         lossless = DeflateCompressor().compress(activation_tensor)
         assert sz.compression_ratio > 2 * lossless.compression_ratio
 
-    def test_estimate_tracks_actual(self, activation_tensor):
-        c = SZCompressor(1e-3, entropy="huffman")
-        est = c.estimate_compressed_nbytes(activation_tensor)
-        actual = c.compress(activation_tensor).nbytes
-        assert 0.5 * actual < est < 1.5 * actual
-
     def test_nbytes_accounts_everything(self, activation_tensor):
         ct = SZCompressor(1e-3, entropy="huffman").compress(activation_tensor)
         assert ct.nbytes >= len(ct.payload)

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from repro.compression.szlike import (
     HuffmanCodebook,
     build_codebook,
-    entropy_bits,
+    entropy_bits_from_hist,
+    histogram,
     huffman_decode,
     huffman_encode,
 )
 from repro.compression.szlike.huffman import (
     DEFAULT_CHUNK,
     MAX_CODE_LENGTH,
+    _encode_bitplane,
     chunk_layout,
     chunk_meta_nbytes,
     chunk_size_for,
@@ -149,15 +151,16 @@ class TestCompression:
         syms = np.minimum(rng.geometric(0.4, size=50_000), 63).astype(np.uint16)
         cb = build_codebook(syms, 64)
         _, bits, _ = huffman_encode(syms, cb)
-        h = entropy_bits(syms, 64)
+        h = entropy_bits_from_hist(histogram(syms, 64))
         assert bits <= h + syms.size  # within 1 bit/symbol of entropy
 
     def test_entropy_bits_uniform(self):
         syms = np.arange(16, dtype=np.uint16).repeat(100)
-        assert entropy_bits(syms, 16) == pytest.approx(4.0 * syms.size)
+        assert entropy_bits_from_hist(histogram(syms, 16)) == pytest.approx(4.0 * syms.size)
 
     def test_entropy_bits_constant_is_zero(self):
-        assert entropy_bits(np.zeros(100, dtype=np.uint16), 16) == 0.0
+        assert entropy_bits_from_hist(histogram(np.zeros(100, dtype=np.uint16), 16)) == 0.0
+        assert entropy_bits_from_hist(np.zeros(16, dtype=np.int64)) == 0.0
 
 
 class TestErrors:
@@ -183,8 +186,8 @@ class TestWordPackedEncoder:
     def test_packers_bit_identical(self, rng, size):
         syms = np.minimum(rng.geometric(0.3, size=size), 255).astype(np.uint16)
         cb = build_codebook(syms, 256)
-        words = huffman_encode(syms, cb, packer="words")
-        bitplane = huffman_encode(syms, cb, packer="bitplane")
+        words = huffman_encode(syms, cb)
+        bitplane = _encode_bitplane(syms, cb, chunk_size_for(size))
         assert words[0] == bitplane[0]
         assert words[1] == bitplane[1]
         assert np.array_equal(words[2], bitplane[2])
@@ -194,14 +197,16 @@ class TestWordPackedEncoder:
 
         syms = rng.integers(0, 512, size=ENCODE_BLOCK + 123).astype(np.uint16)
         cb = build_codebook(syms, 512)
-        assert huffman_encode(syms, cb, packer="words")[0] == \
-            huffman_encode(syms, cb, packer="bitplane")[0]
+        assert huffman_encode(syms, cb)[0] == \
+            _encode_bitplane(syms, cb, chunk_size_for(syms.size))[0]
 
-    def test_unknown_packer_rejected(self, rng):
+    @pytest.mark.parametrize("packer", ["words", "bitplane"])
+    def test_packer_switch_is_gone(self, rng, packer):
+        """One encoder kernel: the bit-plane oracle is called directly."""
         syms = rng.integers(0, 8, size=10).astype(np.uint16)
         cb = build_codebook(syms, 8)
-        with pytest.raises(ValueError, match="packer"):
-            huffman_encode(syms, cb, packer="simd")
+        with pytest.raises(TypeError, match="packer"):
+            huffman_encode(syms, cb, packer=packer)
 
     def test_decode_tables_cached_on_codebook(self, rng):
         syms = rng.integers(0, 64, size=1000).astype(np.uint16)
@@ -296,7 +301,7 @@ class TestChunkGeometry:
         kernels = _python_loops_backend() if backend == "python-loops" else get_backend(backend)
         syms, cb = _alphabet(kind, count, deep_codebook)
         payload, bits, offsets = huffman_encode(syms, cb, kernels=kernels)
-        oracle = huffman_encode(syms, cb, packer="bitplane")
+        oracle = _encode_bitplane(syms, cb, chunk_size_for(count))
         assert (payload, bits) == oracle[:2]
         np.testing.assert_array_equal(offsets, oracle[2])
         assert offsets.size == chunk_layout(count)[1]
@@ -340,6 +345,6 @@ def test_property_roundtrip(values):
 def test_property_packers_agree(values):
     syms = np.array(values, dtype=np.uint16)
     cb = build_codebook(syms, 32)
-    w = huffman_encode(syms, cb, packer="words")
-    b = huffman_encode(syms, cb, packer="bitplane")
+    w = huffman_encode(syms, cb)
+    b = _encode_bitplane(syms, cb, chunk_size_for(syms.size))
     assert w[0] == b[0] and w[1] == b[1]

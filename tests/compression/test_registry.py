@@ -121,12 +121,6 @@ class TestCodecContract:
         y2 = codec.decompress(loads(dumps(ct)))
         np.testing.assert_array_equal(y1, y2)
 
-    def test_estimate_tracks_actual(self, name, activation_tensor):
-        codec = make(name)
-        est = codec.estimate_nbytes(activation_tensor, error_bound=1e-3)
-        actual = codec.compress(activation_tensor, error_bound=1e-3).nbytes
-        assert 0.5 * actual < est < 1.5 * actual
-
 
 def _relu_activation(rng):
     return np.maximum(rng.standard_normal((2, 3, 9, 10)), 0).astype(np.float32)
@@ -406,17 +400,36 @@ class TestChunkedCodec:
         ct = ck.compress(activation_tensor)
         from repro.compression.registry import CHUNK_HEADER_BYTES
 
-        # huffman inner -> one shared codebook, charged once by the
-        # container; the chunks themselves carry only references
-        assert ct.shared_codebook is not None
-        assert all(c.codebook_shared for c in ct.chunks)
-        assert ct.nbytes == (
-            sum(c.nbytes for c in ct.chunks)
-            + CHUNK_HEADER_BYTES
-            + ct.shared_codebook.nbytes
-        )
+        # huffman inner -> every chunk carries and charges its own book
+        assert len(ct.chunks) > 1
+        assert all(c.codebook is not None for c in ct.chunks)
+        assert ct.nbytes == sum(c.nbytes for c in ct.chunks) + CHUNK_HEADER_BYTES
         assert ct.original_nbytes == activation_tensor.nbytes
         assert ct.compression_ratio > 1
+
+    @pytest.mark.parametrize(
+        "inner,opts",
+        [("szlike", {"entropy": e}) for e in ("huffman", "huffman+zlib", "zlib", "none")]
+        + [("lossless", {}), ("jpeg", {})],
+    )
+    def test_each_chunk_round_trips_alone(self, activation_tensor, inner, opts):
+        """A container is a list of self-contained blobs: every chunk
+        decodes on its own, through the wire format, to its slice of the
+        container's reconstruction."""
+        ck = ChunkedCodec(inner, workers=2, min_chunk_nbytes=1 << 14, **opts)
+        try:
+            ct = ck.compress(activation_tensor)
+            whole = ck.decompress(ct)
+        finally:
+            ck.close()
+        assert len(ct.chunks) > 1
+        start = 0
+        for chunk in ct.chunks:
+            alone = ck.inner.decompress(loads(dumps(chunk)))
+            stop = start + alone.shape[0]
+            assert alone.tobytes() == whole[start:stop].tobytes()
+            start = stop
+        assert start == activation_tensor.shape[0]
 
     def test_serialization_roundtrip(self, activation_tensor):
         ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14, error_bound=1e-3)
@@ -451,88 +464,14 @@ class TestChunkedCodec:
             ck.close()  # idempotent
             assert threading.active_count() == before
 
-    @pytest.mark.parametrize("knob", ["executor", "shared_cache"])
+    @pytest.mark.parametrize("knob", ["executor", "shared_cache", "share_codebook"])
     def test_removed_knobs_rejected(self, knob):
-        """The process executor and its shared-cache switch are gone."""
+        """The process executor, its shared-cache switch and intra-call
+        codebook sharing are gone."""
         with pytest.raises(TypeError):
             ChunkedCodec(**{knob: "process"})
         with pytest.raises(TypeError):
             ChunkedCodec(get_codec("szlike"), **{knob: "process"})
-
-
-class TestCacheAwareEstimate:
-    """estimate_nbytes must follow the shared-codebook accounting: one
-    container-owned book, not one per chunk (ROADMAP PR 4 open item)."""
-
-    def _tensor(self, nbytes_scale=1):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((8 * nbytes_scale, 16, 28, 28)).astype(np.float32)
-        return x * (rng.random(x.shape) > 0.5)
-
-    def _codecs(self, **kw):
-        shared = ChunkedCodec("szlike", workers=4, min_chunk_nbytes=1 << 16,
-                              error_bound=1e-3, **kw)
-        private = ChunkedCodec("szlike", workers=4, min_chunk_nbytes=1 << 16,
-                               error_bound=1e-3, share_codebook=False, **kw)
-        return shared, private
-
-    def test_shared_estimate_charges_one_codebook(self):
-        x = self._tensor()
-        shared, private = self._codecs()
-        n = shared._num_chunks(x)
-        assert n > 1, "test needs an actually-chunked tensor"
-        est_shared = shared.estimate_nbytes(x)
-        est_private = private.estimate_nbytes(x)
-        # exactly the (n-1) later chunks' codebook charges removed
-        sz = shared.inner
-        books = [
-            sz.estimate_nbytes(p, error_bound=1e-3)
-            - sz.estimate_nbytes(p, error_bound=1e-3, own_codebook=False)
-            for p in np.array_split(x, n)[1:]
-        ]
-        assert all(56 < b <= 224 for b in books)
-        assert est_private - est_shared == pytest.approx(sum(books), abs=1e-6)
-
-    def test_estimate_pins_actual_nbytes_under_sharing(self):
-        """Regression: estimate vs actual for the shared-codebook path.
-
-        Before the fix the estimate overcharged (n-1) codebooks (~3 KB
-        on this tensor); now it must sit within 5% of the actual
-        footprint and must not overcharge codebooks (the payload
-        entropy estimate is a lower bound, so staying *below* actual +
-        one codebook is the pinned direction)."""
-        x = self._tensor()
-        shared, _ = self._codecs()
-        ct = shared.compress(x)
-        assert ct.shared_codebook is not None
-        actual = ct.nbytes
-        est = shared.estimate_nbytes(x)
-        assert abs(est - actual) / actual < 0.05
-        # the old bug inflated the estimate by whole codebooks; pin that
-        # the estimate no longer exceeds actual by even one book
-        assert est < actual + shared.inner.dict_size
-
-    def test_unshared_estimate_unchanged(self):
-        x = self._tensor()
-        _, private = self._codecs()
-        ct = private.compress(x)
-        est = private.estimate_nbytes(x)
-        assert abs(est - ct.nbytes) / ct.nbytes < 0.05
-
-    def test_non_huffman_inner_estimate_uncorrected(self):
-        """Book-less entropy stages have no codebook to decharge."""
-        ck = ChunkedCodec("szlike", workers=4, min_chunk_nbytes=1 << 16,
-                          error_bound=1e-3, entropy="zlib")
-        x = self._tensor()
-        est = ck.estimate_nbytes(x)
-        assert est > 0  # and no negative correction was applied
-        per_chunk = [
-            ck.inner.estimate_nbytes(p, error_bound=1e-3)
-            for p in np.array_split(x, ck._num_chunks(x), axis=0)
-        ]
-        from repro.compression.registry import CHUNK_HEADER_BYTES
-
-        assert est == pytest.approx(sum(per_chunk) + CHUNK_HEADER_BYTES)
 
 
 class TestChunkedProfilerThreading:
@@ -544,8 +483,7 @@ class TestChunkedProfilerThreading:
 
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 8, 24, 24)).astype(np.float32)
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14,
-                          error_bound=1e-3, share_codebook=False)
+        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14, error_bound=1e-3)
         try:
             n = ck._num_chunks(x)
             assert n > 1

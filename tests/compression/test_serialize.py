@@ -15,7 +15,6 @@ from repro.compression.szlike.huffman import (
     MAX_CODE_LENGTH,
     chunk_layout,
     chunk_meta_nbytes,
-    codebook_nbytes_estimate,
 )
 from repro.compression.szlike.serialize import (
     _pack_uints,
@@ -163,59 +162,17 @@ def test_table_packing_equals_the_bit_matrix_oracle(n, width):
 
 
 @pytest.mark.parametrize("count", sorted(GEOMETRY_SHAPES))
-def test_estimate_charges_the_blobs_sections(count):
-    """estimate_compressed_nbytes charges the chunk table through the
-    helper ``nbytes`` and ``dumps`` use, and the codebook section — it
-    holds a histogram, not a book — by the stated proxy."""
+def test_nbytes_charges_the_chunk_table_and_the_book_as_written(count):
+    """``nbytes`` charges the chunk table through the helper ``dumps``
+    sizes it with, and the codebook at its section's length."""
     x = _relu_field(GEOMETRY_SHAPES[count])
-    comp = SZCompressor(1e-3, entropy="huffman")
-    ct = comp.compress(x)
+    ct = SZCompressor(1e-3, entropy="huffman").compress(x)
     header, bounds = _sections(dumps(ct))
     on_the_wire = bounds[7] - bounds[6]
     charged = ct.nbytes - len(ct.payload) - ct.outliers.nbytes - ct.codebook.nbytes - HEADER_BYTES
-    bookless = comp.estimate_compressed_nbytes(x, own_codebook=False)
-    # the zlib stage's estimate is the same sum minus codebook and table
-    estimated = bookless - SZCompressor(1e-3, entropy="zlib").estimate_compressed_nbytes(x)
-    assert count == ct.count and on_the_wire == charged == round(estimated, 6)
+    assert count == ct.count and on_the_wire == charged
     assert on_the_wire == chunk_meta_nbytes(count) == -(-header["chunk_count"] * chunk_layout(count)[2] // 8)
-    proxy = comp.estimate_compressed_nbytes(x) - bookless
-    used = np.count_nonzero(ct.codebook.lengths)
-    assert proxy == min(224, 56 + used // 4)
     assert bounds[8] - bounds[7] == ct.codebook.nbytes <= 1024
-    assert ct.codebook.nbytes / 2 <= proxy <= ct.codebook.nbytes * 2 or used < 64
-
-
-def test_codebook_proxy_brackets_the_section_from_sparse_to_full_books():
-    """The stated tolerance of ``codebook_nbytes_estimate``: within 2x of
-    the deflated section for bell-shaped histograms of 64+ used symbols,
-    never above the raw table."""
-    from repro.compression.szlike import HuffmanCodebook
-
-    rng = np.random.default_rng(3)
-    seen = []
-    for sigma in (8, 15, 30, 60, 120, 400):
-        codes = np.clip(np.rint(rng.standard_normal(60_000) * sigma) + 512, 0, 1023).astype(int)
-        hist = np.bincount(codes, minlength=1024)
-        actual, proxy = HuffmanCodebook.from_frequencies(hist).nbytes, codebook_nbytes_estimate(hist)
-        seen.append(np.count_nonzero(hist))
-        assert seen[-1] >= 64 and actual / 2 <= proxy <= actual * 2
-    assert seen[0] < 100 and seen[-1] == 1024
-    assert codebook_nbytes_estimate(np.ones(16, dtype=np.int64)) == 16
-
-
-def test_chunked_estimate_charges_one_book_and_every_chunk_table():
-    from repro.compression import ChunkedCodec
-
-    x = _relu_field(GEOMETRY_SHAPES[16_384])
-    kw = dict(workers=2, min_chunk_nbytes=1 << 13, error_bound=1e-3)
-    huff, zl = ChunkedCodec("szlike", **kw), ChunkedCodec("szlike", entropy="zlib", **kw)
-    chunks = huff.compress(x).chunks
-    assert len(chunks) > 1
-    # the first chunk's book proxy + every chunk's own bit-packed table
-    first = np.array_split(x, len(chunks))[0]
-    book = huff.inner.estimate_nbytes(first) - huff.inner.estimate_nbytes(first, own_codebook=False)
-    estimated = huff.estimate_nbytes(x) - zl.estimate_nbytes(x) - book
-    assert book > 64 and round(estimated, 6) == sum(chunk_meta_nbytes(c.count) for c in chunks)
 
 
 @pytest.mark.parametrize("count", sorted(GEOMETRY_SHAPES))
@@ -235,7 +192,7 @@ def test_nbytes_is_the_blob_byte_for_byte_szlike_and_chunked(count):
         return
     ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 13, error_bound=1e-3)
     cct = ck.compress(x)
-    assert len(cct.chunks) > 1 and cct.shared_codebook is not None
+    assert len(cct.chunks) > 1 and all(c.codebook is not None for c in cct.chunks)
     data = registry.dumps(cct)
     cback = registry.loads(data)
     assert cback.nbytes == cct.nbytes
@@ -341,35 +298,52 @@ class TestLoadsRejectsMalformedBlobs:
         finally:
             tracemalloc.stop()
 
-    def test_chunked_container_shared_codebook_section(self):
+    def test_a_huffman_blob_carries_its_codebook(self, blob):
+        """A Huffman blob without its codebook section, or with the
+        retired ``codebook_shared`` flag, is corrupt at ``loads`` — not a
+        tensor that fails later at decode."""
+        from repro.compression import registry
+
+        header, bounds = _sections(blob)
+        bookless = blob[: bounds[7]]
+        for damaged in (
+            _reheader(bookless, has_codebook=False),
+            _reheader(bookless, has_codebook=False, codebook_shared=True),
+            _reheader(blob, codebook_shared=True),
+            _reheader(blob, codebook_shared=False),
+        ):
+            with pytest.raises(CorruptBlobError):
+                registry.loads(damaged)
+        zl = dumps(SZCompressor(1e-3, entropy="zlib").compress(_relu_field(GEOMETRY_SHAPES[216])))
+        with pytest.raises(CorruptBlobError, match="codebook"):
+            registry.loads(_reheader(zl, has_codebook=True))
+        assert loads(blob).codebook.nbytes == len(blob) - bounds[7]
+
+    def test_the_retired_shared_codebook_container_is_corrupt(self):
+        """The former chunked layout — bookless chunks flagged
+        ``codebook_shared`` and one book section after them — is no
+        longer a container ``registry.loads`` accepts."""
         from repro.compression import registry
         from repro.compression.registry import ChunkedCodec
 
         ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 13, error_bound=1e-3)
         cct = ck.compress(_relu_field((8, 8, 16, 16)))
-        assert len(cct.chunks) > 1 and cct.shared_codebook is not None
-        data = registry.dumps(cct)  # the shared codebook section is written last
+        ck.close()
+        data = registry.dumps(cct)
         (hlen,) = struct.unpack_from("<I", data, 4)
         header = json.loads(data[8 : 8 + hlen])
-        body = data[8 + hlen : len(data) - header["shared_codebook_len"]]
-        assert data[len(data) - header["shared_codebook_len"] :] == cct.shared_codebook.section()
-
-        def container(section, **changes):
-            hbytes = json.dumps({**header, "shared_codebook_len": len(section), **changes}).encode()
-            return data[:4] + struct.pack("<I", len(hbytes)) + hbytes + body + section
-
-        lengths = cct.shared_codebook.lengths
-        back = registry.loads(container(lengths.tobytes()))  # stored raw: same book
-        np.testing.assert_array_equal(back.shared_codebook.lengths, lengths)
-        hostile = lengths.copy()
-        hostile[-1] = MAX_CODE_LENGTH + 8
-        with pytest.raises(CorruptBlobError, match="MAX_CODE_LENGTH"):
-            registry.loads(container(zlib.compress(hostile.tobytes())))
-        for section in (zlib.compress(bytes(1025)), zlib.compress(bytes(64 << 20)), bytes(100)):
-            with pytest.raises(CorruptBlobError, match="deflate payload"):
-                registry.loads(container(section))
+        book = cct.chunks[0].codebook.section()
+        chunks = [
+            _reheader(dumps(c)[: len(dumps(c)) - c.codebook.nbytes], has_codebook=False,
+                      codebook_shared=True)
+            for c in cct.chunks
+        ]
+        old = {**header, "chunk_lengths": [len(c) for c in chunks],
+               "shared_codebook_len": len(book)}
+        hbytes = json.dumps(old).encode()
+        body = b"".join(chunks) + book
         with pytest.raises(CorruptBlobError):
-            registry.loads(container(lengths.tobytes(), shared_codebook_len=-1024))
+            registry.loads(data[:4] + struct.pack("<I", len(hbytes)) + hbytes + body)
 
     def test_header_must_be_self_consistent(self, blob):
         for changes in (

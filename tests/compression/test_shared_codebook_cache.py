@@ -119,12 +119,12 @@ class TestPublishAndAdopt:
         np.testing.assert_array_equal(codecs[0].decompress(cts[0]), codecs[1].decompress(cts[1]))
 
     def test_chunked_publishes_per_chunk_keys(self):
-        """Without codebook sharing a chunked codec's chunks amortize one
-        by one: chunk i of ``layer0`` builds, publishes and later hits
-        under its own key ``("layer0", "chunk", i)``."""
+        """A chunked codec's chunks amortize one by one: chunk i of
+        ``layer0`` builds, publishes and later hits under its own key
+        ``("layer0", "chunk", i)``."""
         table = CodebookTable()
         ck = ChunkedCodec(
-            "szlike", workers=2, min_chunk_nbytes=1 << 12, share_codebook=False,
+            "szlike", workers=2, min_chunk_nbytes=1 << 12,
             error_bound=1e-3, entropy="huffman", codebook_cache=True,
         )
         try:

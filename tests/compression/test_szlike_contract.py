@@ -162,12 +162,11 @@ def test_bytes_and_bits_equal_the_int64_float64_reference(backend, tensor, dict_
 
 
 @pytest.mark.parametrize("entropy", ENTROPY_STAGES)
-@pytest.mark.parametrize("share_codebook", [True, False], ids=["shared", "per-chunk"])
 @pytest.mark.parametrize("codebook_cache", [True, False], ids=["cached", "uncached"])
 @given(tensors())
 @settings(max_examples=25, deadline=None)
 def test_chunked_codec_keeps_the_bound_the_bytes_and_the_unchunked_reconstruction(
-    entropy, share_codebook, codebook_cache, tensor
+    entropy, codebook_cache, tensor
 ):
     """``chunked`` over szlike splits every tensor it can (one-byte chunk
     floor): each decoded value stays within the bound, the container
@@ -177,9 +176,7 @@ def test_chunked_codec_keeps_the_bound_the_bytes_and_the_unchunked_reconstructio
     so a cached book is reused across them."""
     x, eb = tensor
     opts = dict(entropy=entropy, codebook_cache=codebook_cache)
-    codec = ChunkedCodec(
-        "szlike", workers=2, min_chunk_nbytes=1, share_codebook=share_codebook, **opts
-    )
+    codec = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1, **opts)
     unchunked = SZCompressor(eb, **opts).decompress(SZCompressor(eb, **opts).compress(x))
     x64 = x.astype(np.float64)
     slack = 4 * float(np.spacing(np.abs(x64).max() + eb))

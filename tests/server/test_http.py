@@ -3,7 +3,9 @@ surface (health, stats, tenant admit/steps/evict) and its error codes."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -11,6 +13,7 @@ import pytest
 
 from repro.api.config import ServerSpec
 from repro.server import SessionServer, serve
+from repro.server import http as server_http
 
 
 @pytest.fixture()
@@ -28,6 +31,19 @@ def call(ep, method, path, body=None):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def raw_post(ep, content_length, body=b"", timeout=5.0):
+    """POST /tenants over a raw socket with a hand-written
+    ``Content-Length``; returns ``(socket, response)`` once the status
+    line and headers are in.  The client timeout turns a server that
+    never answers into a failure, not a hang."""
+    sock = socket.create_connection((ep.host, ep.port), timeout=timeout)
+    head = f"POST /tenants HTTP/1.1\r\nHost: {ep.host}\r\nContent-Length: {content_length}\r\n\r\n"
+    sock.sendall(head.encode() + body)
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    return sock, resp
 
 
 def tenant_body(name, seed=1, budget=1 << 20):
@@ -124,6 +140,28 @@ class TestEndpoint:
         call(endpoint, "POST", "/tenants", tenant_body("a"))
         code, _ = call(endpoint, "POST", "/tenants", tenant_body("a"))
         assert code == 409
+
+    def test_negative_content_length_is_400(self, endpoint):
+        sock, resp = raw_post(endpoint, -1)
+        with sock:
+            assert resp.status == 400
+            assert "negative Content-Length" in json.loads(resp.read())["error"]
+        assert call(endpoint, "GET", "/healthz")[0] == 200
+
+    def test_stalled_body_is_408_and_closes_the_connection(self, endpoint, monkeypatch):
+        """A body shorter than its declared length stalls the read: the
+        handler gives up after its read timeout instead of holding the
+        thread, and the server keeps serving."""
+        monkeypatch.setattr(server_http._Handler, "timeout", 0.5)
+        sock, resp = raw_post(endpoint, 100, b'{"name": ')
+        with sock:
+            assert resp.status == 408
+            assert resp.getheader("Connection") == "close"
+            assert "not received" in json.loads(resp.read())["error"]
+            assert sock.recv(1) == b""  # the server closed its end
+        assert call(endpoint, "GET", "/healthz")[0] == 200
+        code, reply = call(endpoint, "GET", "/tenants")
+        assert code == 200 and reply["tenants"] == {}
 
     def test_endpoint_close_leaves_server_usable(self):
         spec = ServerSpec(pool_budget_bytes=1 << 20, port=0)
