@@ -26,9 +26,12 @@ direction needs a Python-level per-symbol loop:
     L-bit window out of a 24-bit window-at-byte view of the payload (one
     gather + shift + mask), so scratch is ~4x the payload plus
     O(#chunks) per step plus the dense decode table (3 bytes per
-    prefix), which is **cached on the codebook** (one table build per
-    codebook lifetime, amortized by the cross-iteration
-    :class:`~repro.compression.szlike.codebook_cache.CodebookCache`).
+    prefix), which is **cached on the codebook**: a book the
+    cross-iteration
+    :class:`~repro.compression.szlike.codebook_cache.CodebookCache`
+    keeps builds it once, but every blob read back from bytes (an arena
+    entry, a spill, the wire) carries a fresh book, so the build is two
+    ``np.repeat`` calls over the canonical order rather than a loop.
     cuSZ sizes its chunks so that *chunks ~ hardware lanes*; here the
     "hardware" is one vectorized call that costs
     ``3.8 us x steps + 12.4 ns x symbols``, so the geometry is **per
@@ -65,8 +68,8 @@ flattening, keeping the prefix table at 64Ki entries.
 
 The symbol histogram is a first-class input: :func:`histogram`,
 :meth:`HuffmanCodebook.from_frequencies`, and :func:`entropy_bits_from_hist`
-let one ``bincount`` feed the codebook build, the encoder's payload
-sizing, and the codebook cache's staleness check instead of each
+let one blocked ``bincount`` feed the codebook build, the encoder's
+payload sizing, and the codebook cache's staleness check instead of each
 running its own.
 """
 
@@ -81,6 +84,7 @@ import numpy as np
 from repro.compression.lossless import shrink
 from repro.kernels import get_backend
 from repro.kernels.numpy_backend import ENCODE_BLOCK as ENCODE_BLOCK  # noqa: F401 (re-export)
+from repro.kernels.numpy_backend import block_bincount
 
 __all__ = [
     "MAX_CODE_LENGTH",
@@ -137,21 +141,28 @@ def _limit_lengths(freqs: np.ndarray, max_length: int) -> np.ndarray:
     return lengths
 
 
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical codes (increasing by (length, symbol)) from lengths."""
+def _canonical_order(lengths: np.ndarray) -> tuple:
+    """The present symbols in canonical (length, symbol) order, with their
+    lengths as ``int64``."""
     syms = np.nonzero(lengths)[0]
-    if syms.size == 0:
-        return np.zeros(lengths.size, dtype=np.uint32)
-    order = np.lexsort((syms, lengths[syms]))
+    lens = lengths[syms].astype(np.int64)
+    order = np.lexsort((syms, lens))
+    return syms[order], lens[order]
+
+
+def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
+    """Assign canonical codes (increasing by (length, symbol)) from lengths.
+
+    Left-justified to the longest length ``L``, each code starts where
+    the previous one's ``2^(L - l)`` prefixes end: one ``cumsum`` of the
+    widths, shifted back down to each code's own length."""
     codes = np.zeros(lengths.size, dtype=np.uint32)
-    code = 0
-    prev_len = int(lengths[syms[order[0]]])
-    for s in syms[order]:
-        l = int(lengths[s])
-        code <<= l - prev_len
-        codes[s] = code
-        code += 1
-        prev_len = l
+    syms, lens = _canonical_order(lengths)
+    if syms.size == 0:
+        return codes
+    shift = int(lens[-1]) - lens
+    start = np.cumsum(1 << shift) - (1 << shift)
+    codes[syms] = start >> shift
     return codes
 
 
@@ -175,11 +186,20 @@ class HuffmanCodebook:
 
     @classmethod
     def from_lengths(cls, lengths: np.ndarray) -> "HuffmanCodebook":
+        """The canonical book of stored *lengths*.  Only what
+        :meth:`from_frequencies` builds is accepted: a complete prefix
+        code (Kraft sum exactly 1), one symbol of length 1, or no symbol.
+        Anything else — a blob's length byte flipped — is a
+        ``ValueError``, never a book that decodes to wrong symbols."""
         lengths = np.asarray(lengths)
         # decode tables have 2^L entries: one flipped length byte must not size them
         if lengths.size and not 0 <= int(lengths.min()) <= int(lengths.max()) <= MAX_CODE_LENGTH:
             raise ValueError(f"codebook length outside [0, MAX_CODE_LENGTH = {MAX_CODE_LENGTH}]")
         lengths = lengths.astype(np.uint8)
+        used = lengths[lengths > 0].astype(np.int64)
+        kraft = int(np.sum(1 << (MAX_CODE_LENGTH - used)))
+        if used.size > 1 and kraft != 1 << MAX_CODE_LENGTH or used.size == 1 and used[0] != 1:
+            raise ValueError("codebook lengths are not a complete prefix code")
         return cls(lengths=lengths, codes=_canonical_codes(lengths))
 
     @property
@@ -222,21 +242,26 @@ class HuffmanCodebook:
             L = self.max_length
             if L == 0:
                 raise ValueError("codebook is empty")
+            # canonical codes cover the prefixes in (length, symbol) order,
+            # each 2^(L - l) wide; a single-symbol book's one 1-bit code
+            # leaves the upper half as (symbol 0, length 1) padding
+            syms, lens = _canonical_order(self.lengths)
+            width = 1 << (L - lens)
+            n = int(width.sum())
             tsym = np.zeros(1 << L, dtype=self.symbol_dtype)
             tlen = np.ones(1 << L, dtype=np.uint8)
-            for s in np.nonzero(self.lengths)[0]:
-                l = int(self.lengths[s])
-                c = int(self.codes[s])
-                tsym[c << (L - l) : (c + 1) << (L - l)] = s
-                tlen[c << (L - l) : (c + 1) << (L - l)] = l
+            tsym[:n] = np.repeat(syms, width)
+            tlen[:n] = np.repeat(lens, width)
             self._tables = (tsym, tlen)
         return self._tables
 
 
 def histogram(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Symbol frequency histogram (the one ``bincount`` the codebook
-    build, the encoder and the cache staleness check share)."""
-    return np.bincount(symbols.reshape(-1), minlength=alphabet_size)
+    build, the encoder and the cache staleness check share), counted
+    block by block: ``np.bincount(symbols, minlength=alphabet_size)``
+    without its stream-sized ``intp`` copy of the input."""
+    return block_bincount(symbols.reshape(-1), alphabet_size, ENCODE_BLOCK)
 
 
 def build_codebook(symbols: np.ndarray, alphabet_size: int) -> HuffmanCodebook:

@@ -1,26 +1,42 @@
 """Out-of-core parameter & optimizer state: arena-backed weights with
 just-in-time materialization.
 
-:class:`ParamStore` holds every layer's weight tensors and optimizer
-slots (SGD momentum, Adam moments) as serialized byte strings in a
-budgeted :class:`~repro.core.arena.ByteArena` — optionally
-lossless-compressed — and materializes them only around the window that
-needs them:
+:class:`ParamStore` holds every layer's weights and optimizer slots
+(SGD momentum, Adam moments) as serialized byte strings in a budgeted
+:class:`~repro.core.arena.ByteArena` — optionally lossless-compressed —
+one entry per layer and per (layer, slot):
 
-* **forward / backward**: each layer's parameters are bound (fetched and
-  installed as ``Parameter.data``) just before the layer runs and
-  unbound (dropped back to a zero-byte stub) right after, so at most one
+==========================  ==========================================
+entry                       holds
+==========================  ==========================================
+``layer.name``              the layer's parameters, flattened and
+                            concatenated in ``parameters()`` order
+``f"{layer.name}#{slot}"``  that slot of the layer's parameters the
+                            optimizer owns, in the same order
+==========================  ==========================================
+
+and materializes them only around the window that needs them:
+
+* **forward / backward**: each layer's entry is fetched once and every
+  ``Parameter.data`` becomes a view into it just before the layer runs;
+  right after, each drops back to a zero-byte stub, so at most one
   layer's weights are resident at a time.
-* **update**: the optimizer's slot backend (:class:`StoreSlots`) applies
-  one parameter's in-place update and writes weights and slots back.
-  Unless the :class:`~repro.nn.trainer.Trainer` has gradient transforms,
-  it runs inside the layer's backward once ``dx`` is computed, while the
-  weights are still bound — bit-identical, and no third weight fetch.
+* **update**: the optimizer's slot backend (:class:`StoreSlots`) fetches
+  the layer's slot entries once, applies every pending parameter's
+  in-place update through views, and writes the weights and each slot
+  entry back once.  Unless the :class:`~repro.nn.trainer.Trainer` has
+  gradient transforms, it runs inside the layer's backward once ``dx``
+  is computed, while the weights are still bound — bit-identical, and
+  no third weight fetch; otherwise ``Optimizer.step`` opens the same
+  layer window.
 
-Serialization is bit-exact (raw ``tobytes()`` or a lossless codec), so
-training is bit-identical to resident training.  The :class:`MemoryTracker`
-charges entries to its *persistent* pool on adopt/write-back and credits
-them exactly once on release.
+A parameter's slice is reachable alone (:meth:`ParamStore.read_param`,
+``Optimizer.read_slot`` / ``write_slot``); a write to one slice is a
+read-modify-write of its entry.  Serialization is bit-exact (raw
+``tobytes()`` or a lossless codec), so training is bit-identical to
+resident training.  The :class:`MemoryTracker` charges entries to its
+*persistent* pool on adopt/write-back and credits them exactly once on
+release.
 
 Usage::
 
@@ -37,7 +53,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,10 +71,9 @@ __all__ = ["ParamStore", "StoreSlots", "StoredEntry"]
 
 @dataclass
 class StoredEntry:
-    """One array (a weight tensor or an optimizer slot) living in the arena."""
+    """One array (a layer's weights or one of its slots) living in the arena."""
 
     name: str
-    layer_name: str
     shape: tuple
     dtype: str
     raw_nbytes: int
@@ -66,8 +81,24 @@ class StoredEntry:
     arena_key: int
 
 
-def _slot_entry_name(param: Parameter, slot: str) -> str:
-    return f"{param.name}#{slot}"
+class _Layout:
+    """The parameters one flat entry concatenates, and where each sits."""
+
+    def __init__(self, name: str, params: Sequence[Parameter]):
+        self.name = name
+        self.params = list(params)
+        self._at: Dict[int, slice] = {}
+        start = 0
+        for p in self.params:
+            self._at[id(p)] = slice(start, start + p.size)
+            start += p.size
+
+    @staticmethod
+    def join(arrays) -> np.ndarray:
+        return np.concatenate([np.asarray(a).reshape(-1) for a in arrays])
+
+    def view(self, flat: np.ndarray, p: Parameter) -> np.ndarray:
+        return flat[self._at[id(p)]].reshape(p.shape)
 
 
 class ParamStore:
@@ -128,9 +159,13 @@ class ParamStore:
         self._lock = threading.RLock()
         # -- attachment state ---------------------------------------------
         self._attached = False
-        self._layers: Dict[str, List[Parameter]] = {}
-        self._stubs: Dict[str, np.ndarray] = {}
+        #: layer name -> its weight entry's layout, and each parameter's
+        self._layers: Dict[str, _Layout] = {}
+        self._layer_of: Dict[int, _Layout] = {}
+        self._stubs: Dict[int, np.ndarray] = {}
+        #: layer name -> bind depth, and the bound layers' materialized entries
         self._bound: Dict[str, int] = {}
+        self._live: Dict[str, np.ndarray] = {}
         self._orig_methods: List[tuple] = []
         self._optimizer: Optional[Optimizer] = None
         # -- statistics ----------------------------------------------------
@@ -159,7 +194,7 @@ class ParamStore:
         return self.codec.decompress(_codec_loads(data))
 
     # -- entry lifecycle ---------------------------------------------------
-    def adopt(self, name: str, arr: np.ndarray, layer_name: str = "") -> StoredEntry:
+    def adopt(self, name: str, arr: np.ndarray) -> StoredEntry:
         """Take ownership of *arr*: serialize it into the arena and charge
         the tracker's persistent pool."""
         with self._lock:
@@ -168,7 +203,6 @@ class ParamStore:
             blob = self._encode(arr)
             entry = StoredEntry(
                 name=name,
-                layer_name=layer_name,
                 shape=tuple(arr.shape),
                 dtype=str(arr.dtype),
                 raw_nbytes=arr.nbytes,
@@ -217,6 +251,28 @@ class ParamStore:
         self.tracker.release_persistent(name)
         return out
 
+    def _read_part(self, name: str, layout: _Layout, p: Parameter) -> np.ndarray:
+        """*p*'s slice of entry *name* (a fresh array)."""
+        return layout.view(self.fetch(name), p)
+
+    def _write_part(self, name: str, layout: _Layout, p: Parameter, value) -> None:
+        """Read-modify-write *p*'s slice of entry *name*: cast to the
+        entry's dtype like resident in-place assignment, and a size
+        mismatch raises before anything is stored."""
+        flat = self.fetch(name)
+        layout.view(flat, p)[...] = np.asarray(value, dtype=flat.dtype).reshape(p.shape)
+        self.writeback(name, flat)
+
+    def read_param(self, p: Parameter) -> np.ndarray:
+        """The stored value of attached parameter *p*."""
+        layout = self._layer_of[id(p)]
+        return self._read_part(layout.name, layout, p)
+
+    def write_param(self, p: Parameter, value: np.ndarray) -> None:
+        """Store a new value for attached parameter *p*."""
+        layout = self._layer_of[id(p)]
+        self._write_part(layout.name, layout, p, value)
+
     # -- attachment: JIT binding around forward/backward/update ------------
     def attach(self, network: Layer, optimizer: Optional[Optimizer] = None) -> "ParamStore":
         """Move *network*'s parameters (and *optimizer*'s slots) into the
@@ -234,13 +290,15 @@ class ParamStore:
             params = layer.parameters()
             if not params:
                 continue
-            self._layers[layer.name] = params
+            layout = _Layout(layer.name, params)
+            self.adopt(layout.name, layout.join(p.data for p in params))
+            self._layers[layout.name] = layout
+            self._bound[layout.name] = 0
             for p in params:
-                self.adopt(p.name, p.data, layer_name=layer.name)
-                self._stubs[p.name] = self._make_stub(p.data)
-                self._bound[p.name] = 0
-                p.data = self._stubs[p.name]
-            self._wrap_layer(layer)
+                self._layer_of[id(p)] = layout
+                self._stubs[id(p)] = self._make_stub(p.data)
+                p.data = self._stubs[id(p)]
+            self._wrap_layer(layer, layout)
         if optimizer is not None:
             self.attach_optimizer(optimizer)
         return self
@@ -261,69 +319,67 @@ class ParamStore:
         # (loud), writes raise (broadcast views are read-only).
         return np.broadcast_to(np.asarray(np.nan, dtype=arr.dtype), arr.shape)
 
-    def _wrap_layer(self, layer: Layer) -> None:
+    def _wrap_layer(self, layer: Layer, layout: _Layout) -> None:
         orig_forward, orig_backward = layer.forward, layer.backward
         self._orig_methods.append((layer, orig_forward, orig_backward))
 
-        params = self._layers[layer.name]
-
         def forward(x, _orig=orig_forward):
-            self._bind(params)
+            self._bind(layout)
             try:
                 return _orig(x)
             finally:
-                self._unbind(params)
+                self._unbind(layout)
 
         def backward(dout, _orig=orig_backward):
-            self._bind(params)
+            self._bind(layout)
             try:
                 dx = _orig(dout)
                 opt = self._optimizer
                 if opt is not None and opt.update_in_backward:
                     # dx is computed: update while the weights are bound
-                    for p in params:
-                        opt.update(p)
+                    opt.update(layout.params)
                 return dx
             finally:
-                self._unbind(params)
+                self._unbind(layout)
 
         layer.forward = forward
         layer.backward = backward
 
-    def _bind(self, params: List[Parameter]) -> None:
-        for p in params:
-            if self._bound[p.name] == 0:
-                p.data = self.fetch(p.name)
-                self.materialized_nbytes += p.data.nbytes
-                self.peak_materialized_nbytes = max(
-                    self.peak_materialized_nbytes, self.materialized_nbytes)
-            self._bound[p.name] += 1
+    def _bind(self, layout: _Layout) -> None:
+        if self._bound[layout.name] == 0:
+            flat = self.fetch(layout.name)
+            self._live[layout.name] = flat
+            for p in layout.params:
+                p.data = layout.view(flat, p)
+            self.materialized_nbytes += flat.nbytes
+            self.peak_materialized_nbytes = max(
+                self.peak_materialized_nbytes, self.materialized_nbytes)
+        self._bound[layout.name] += 1
 
-    def _unbind(self, params: List[Parameter]) -> None:
+    def _unbind(self, layout: _Layout) -> None:
         # Only update_window writes back; otherwise the arena copy stays
         # authoritative and unbinding just drops the materialization.
-        for p in params:
-            self._bound[p.name] -= 1
-            if self._bound[p.name] == 0:
-                self.materialized_nbytes -= p.data.nbytes
-                p.data = self._stubs[p.name]
+        self._bound[layout.name] -= 1
+        if self._bound[layout.name] == 0:
+            self.materialized_nbytes -= self._live.pop(layout.name).nbytes
+            for p in layout.params:
+                p.data = self._stubs[id(p)]
 
     @contextmanager
-    def update_window(self, param: Parameter) -> Iterator[None]:
-        """Materialize *param*'s weights for one optimizer update (the
-        enclosing backward may have them bound) and write them back on
-        exit."""
-        with self._lock:
-            has_data = param.name in self._entries
-        if not has_data:
-            yield  # slots-only attachment: the weights never left residency
+    def update_window(self, layout: Optional[_Layout]) -> Iterator[None]:
+        """Materialize one layer's weights for its optimizer update (the
+        enclosing backward may have them bound) and write the entry back
+        on exit; ``None`` is a parameter the store does not hold, whose
+        weights never left residency."""
+        if layout is None:
+            yield
             return
-        self._bind([param])
+        self._bind(layout)
         try:
             yield
         finally:
-            self.writeback(param.name, param.data)
-            self._unbind([param])
+            self.writeback(layout.name, self._live[layout.name])
+            self._unbind(layout)
 
     # -- teardown ----------------------------------------------------------
     def detach(self) -> None:
@@ -342,12 +398,15 @@ class ParamStore:
             # (releasing its accounting) into the resident backend.
             self._optimizer.use_slot_state(ResidentSlots())
             self._optimizer = None
-        for params in self._layers.values():
-            for p in params:
-                p.data = self.release(p.name)
+        for layout in self._layers.values():
+            flat = self.release(layout.name)
+            for p in layout.params:
+                p.data = layout.view(flat, p).copy()
         self._layers.clear()
+        self._layer_of.clear()
         self._stubs.clear()
         self._bound.clear()
+        self._live.clear()
         self.materialized_nbytes = 0
         self._attached = False
 
@@ -389,44 +448,69 @@ class ParamStore:
 class StoreSlots(SlotState):
     """Slot backend holding optimizer state in a :class:`ParamStore`.
 
-    Each ``update`` materializes one parameter's weights and slots,
-    applies the optimizer's in-place math, and writes everything back.
+    The slots of the optimizer-owned parameters of one layer form a
+    group: entry ``f"{layer}#{slot}"`` concatenates them (a parameter the
+    store does not hold is a group of its own, under its name).  One
+    ``update`` window covers a group: it materializes the layer's
+    weights and each slot entry once, and writes everything back once.
     """
 
     def __init__(self, store: ParamStore, optimizer: Optimizer):
         self.store = store
         self.optimizer = optimizer
+        self._group_of: Dict[int, _Layout] = {}
 
-    def init(self, param: Parameter, slots: Dict[str, np.ndarray]) -> None:
-        with self.store._lock:
-            entry = self.store._entries.get(param.name)
-        layer_name = entry.layer_name if entry is not None else ""
-        for slot, arr in slots.items():
-            self.store.adopt(_slot_entry_name(param, slot), arr, layer_name=layer_name)
+    def _entries(self, layout: _Layout) -> Dict[str, str]:
+        return {slot: f"{layout.name}#{slot}" for slot in self.optimizer.slot_names}
+
+    def init(self, params: Sequence[Parameter], slots: Sequence[Dict[str, np.ndarray]]) -> None:
+        members: Dict[str, list] = {}
+        for p, s in zip(params, slots):
+            layer = self.store._layer_of.get(id(p))
+            members.setdefault(layer.name if layer is not None else p.name, []).append((p, s))
+        for name, pairs in members.items():
+            layout = _Layout(name, [p for p, _ in pairs])
+            for slot, entry in self._entries(layout).items():
+                self.store.adopt(entry, layout.join(s[slot] for _, s in pairs))
+            for p in layout.params:
+                self._group_of[id(p)] = layout
+
+    def groups(self, params: Sequence[Parameter]) -> List[List[Parameter]]:
+        groups: Dict[int, List[Parameter]] = {}
+        for p in params:
+            groups.setdefault(id(self._group_of[id(p)]), []).append(p)
+        return list(groups.values())
 
     @contextmanager
-    def update(self, param: Parameter) -> Iterator[Dict[str, np.ndarray]]:
-        with self.store.update_window(param):
-            slots = {
-                slot: self.store.fetch(_slot_entry_name(param, slot))
-                for slot in self.optimizer.slot_names
-            }
+    def update(self, params: Sequence[Parameter]) -> Iterator[List[Dict[str, np.ndarray]]]:
+        layout = self._group_of[id(params[0])]  # all of params are in it: see groups()
+        with self.store.update_window(self.store._layer_of.get(id(params[0]))):
+            flats = {slot: self.store.fetch(e) for slot, e in self._entries(layout).items()}
             try:
-                yield slots
+                yield [{slot: layout.view(f, p) for slot, f in flats.items()} for p in params]
             finally:
                 # Like resident slots, persist whatever apply_update
                 # reached, for weights (update_window) and slots alike.
-                for slot, arr in slots.items():
-                    self.store.writeback(_slot_entry_name(param, slot), arr)
+                for slot, entry in self._entries(layout).items():
+                    self.store.writeback(entry, flats[slot])
 
     def read(self, param: Parameter, slot: str) -> np.ndarray:
-        return self.store.fetch(_slot_entry_name(param, slot))
+        layout = self._group_of[id(param)]
+        return self.store._read_part(self._entries(layout)[slot], layout, param)
 
     def write(self, param: Parameter, slot: str, value: np.ndarray) -> None:
-        self.store.writeback(_slot_entry_name(param, slot), np.asarray(value))
+        layout = self._group_of[id(param)]
+        self.store._write_part(self._entries(layout)[slot], layout, param, value)
 
-    def drop(self, param: Parameter) -> Dict[str, np.ndarray]:
-        return {
-            slot: self.store.release(_slot_entry_name(param, slot))
-            for slot in self.optimizer.slot_names
-        }
+    def drop(self, params: Sequence[Parameter]) -> List[Dict[str, np.ndarray]]:
+        """Release the whole group of each of *params*."""
+        dropped: Dict[int, Dict[str, np.ndarray]] = {}
+        for p in params:
+            layout = self._group_of.get(id(p))
+            if layout is None:  # its group went with an earlier parameter
+                continue
+            flats = {slot: self.store.release(e) for slot, e in self._entries(layout).items()}
+            for q in layout.params:
+                dropped[id(q)] = {slot: layout.view(f, q) for slot, f in flats.items()}
+                del self._group_of[id(q)]
+        return [dropped[id(p)] for p in params]

@@ -4,7 +4,8 @@ This module is the single source of truth for the inner loops of the
 SZ pipeline's hot path.  Two layers live in this file:
 
 * **Building blocks** (public names): ``apply_outliers``, ``diff_axes``
-  / ``cumsum_axes``, ``pack_words``, ``unpack_window``.  The szlike
+  / ``cumsum_axes``, ``block_bincount``, ``pack_words``,
+  ``unpack_window``.  The szlike
   modules call these to keep their public reference API
   (``lorenzo_encode``, ``residuals_from_codes``, ...) working; each is
   dtype-generic — the reference API runs it in ``int64``, the hot path
@@ -51,6 +52,7 @@ __all__ = [
     "diff_axes",
     "diff_axes_alloc",
     "cumsum_axes",
+    "block_bincount",
     "pack_words",
     "unpack_window",
     "codes_dtype_for_radius",
@@ -176,6 +178,21 @@ def cumsum_axes(delta: np.ndarray, ndim: int, out: np.ndarray = None) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+def block_bincount(symbols: np.ndarray, minlength: int, block: int) -> np.ndarray:
+    """``np.bincount(symbols, minlength=minlength)`` over a flat stream,
+    *block* symbols at a time: ``bincount`` widens its input to ``intp``,
+    so a whole-stream call on ``uint16`` codes allocates four times the
+    stream; here the widened copy is O(block).  A symbol at or beyond
+    *minlength* lengthens the result, as ``np.bincount`` does."""
+    hist = np.zeros(minlength, dtype=np.intp)
+    for a in range(0, symbols.size, block):
+        part = np.bincount(symbols[a : a + block])
+        if part.size > hist.size:
+            hist = np.pad(hist, (0, part.size - hist.size))
+        hist[: part.size] += part
+    return hist
+
+
 def pack_words(symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chunk_size: int, hist=None):
     """Pair-packed blocked encoder (the low-allocation hot path).
 
@@ -201,13 +218,8 @@ def pack_words(symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chun
     block = ENCODE_BLOCK if not chunk_size else max(
         chunk_size, (ENCODE_BLOCK // chunk_size) * chunk_size
     )
-    if hist is None:
-        hist = np.zeros(lengths.size, dtype=np.int64)
-        for a in range(0, n, block):  # block by block: bincount widens its input to intp
-            part = np.bincount(symbols[a : a + block])
-            if part.size > hist.size:  # a symbol beyond the codebook: raised below
-                hist = np.pad(hist, (0, part.size - hist.size))
-            hist[: part.size] += part
+    if hist is None:  # a symbol beyond the codebook lengthens it: raised below
+        hist = block_bincount(symbols, lengths.size, block)
     if hist[lengths.size :].any():
         raise IndexError(f"symbol beyond the {lengths.size}-entry codebook")
     hist = hist[: lengths.size]

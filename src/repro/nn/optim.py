@@ -5,8 +5,8 @@ Optimizer state (SGD momentum, Adam moments) lives in named per-parameter
 the optimizer object.  The default :class:`ResidentSlots` keeps plain
 arrays (the historical behaviour bit-for-bit); the out-of-core
 :class:`~repro.core.param_store.ParamStore` supplies a backend that holds
-every slot as arena-backed bytes and materializes it just-in-time around
-each parameter's update.
+each layer's slots as one arena-backed entry and materializes it
+just-in-time around that layer's update.
 
 SGD with momentum is first-class here because the paper's gradient
 assessment (Eq. 8) budgets the acceptable gradient-error sigma against
@@ -36,23 +36,33 @@ __all__ = [
 
 
 class SlotState:
-    """Where a parameter's optimizer slots physically live.
+    """Where the optimizer's per-parameter slots physically live.
 
-    The optimizer calls :meth:`update` once per parameter per step; the
-    backend decides whether the yielded slot dict is the live storage
-    (resident) or a just-in-time materialization that is written back on
+    The optimizer updates parameters in **groups**: :meth:`groups` splits
+    the parameters a step still owes an update into the sets one
+    :meth:`update` window covers (all of them for resident slots; one
+    network layer's for a store, whose slot entries hold a layer each).
+    The backend decides whether the yielded slot dicts are the live
+    storage (resident) or just-in-time materializations written back on
     exit (store-backed).  :meth:`read` / :meth:`write` are the
-    introspection path (gradient assessment, snapshots).
+    introspection path (gradient assessment, snapshots); :meth:`init` /
+    :meth:`drop` move slot arrays in and out (state migration).
     """
 
-    def init(self, param: Parameter, slots: Dict[str, np.ndarray]) -> None:
-        """Adopt freshly initialized (or migrated) slot arrays for *param*."""
+    def init(self, params: Sequence[Parameter], slots: Sequence[Dict[str, np.ndarray]]) -> None:
+        """Adopt freshly initialized (or migrated) slot arrays, one dict
+        per parameter."""
+        raise NotImplementedError
+
+    def groups(self, params: Sequence[Parameter]) -> List[List[Parameter]]:
+        """*params* split into the sets one :meth:`update` window covers."""
         raise NotImplementedError
 
     @contextmanager
-    def update(self, param: Parameter) -> Iterator[Dict[str, np.ndarray]]:
-        """Yield *param*'s slots (and its materialized weights) for one
-        in-place update; persist any mutation on exit."""
+    def update(self, params: Sequence[Parameter]) -> Iterator[List[Dict[str, np.ndarray]]]:
+        """Yield the slots of one group's *params* (with their weights
+        materialized) for an in-place update; persist any mutation on
+        exit."""
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -64,8 +74,8 @@ class SlotState:
         """Overwrite one slot's value."""
         raise NotImplementedError
 
-    def drop(self, param: Parameter) -> Dict[str, np.ndarray]:
-        """Remove and return *param*'s slot arrays (state migration)."""
+    def drop(self, params: Sequence[Parameter]) -> List[Dict[str, np.ndarray]]:
+        """Remove and return every one of *params*' slot dicts."""
         raise NotImplementedError
 
 
@@ -75,13 +85,17 @@ class ResidentSlots(SlotState):
     def __init__(self) -> None:
         self._slots: Dict[int, Dict[str, np.ndarray]] = {}
 
-    def init(self, param: Parameter, slots: Dict[str, np.ndarray]) -> None:
-        self._slots[id(param)] = slots
+    def init(self, params: Sequence[Parameter], slots: Sequence[Dict[str, np.ndarray]]) -> None:
+        for p, s in zip(params, slots):
+            self._slots[id(p)] = s
+
+    def groups(self, params: Sequence[Parameter]) -> List[List[Parameter]]:
+        return [list(params)] if params else []
 
     @contextmanager
-    def update(self, param: Parameter) -> Iterator[Dict[str, np.ndarray]]:
-        # The live dict: in-place mutation *is* the persistence.
-        yield self._slots[id(param)]
+    def update(self, params: Sequence[Parameter]) -> Iterator[List[Dict[str, np.ndarray]]]:
+        # The live dicts: in-place mutation *is* the persistence.
+        yield [self._slots[id(p)] for p in params]
 
     def read(self, param: Parameter, slot: str) -> np.ndarray:
         return self._slots[id(param)][slot]
@@ -89,8 +103,8 @@ class ResidentSlots(SlotState):
     def write(self, param: Parameter, slot: str, value: np.ndarray) -> None:
         self._slots[id(param)][slot][...] = value
 
-    def drop(self, param: Parameter) -> Dict[str, np.ndarray]:
-        return self._slots.pop(id(param))
+    def drop(self, params: Sequence[Parameter]) -> List[Dict[str, np.ndarray]]:
+        return [self._slots.pop(id(p)) for p in params]
 
 
 class Optimizer:
@@ -98,10 +112,11 @@ class Optimizer:
 
     Subclasses declare ``slot_names`` and implement :meth:`apply_update`
     (pure in-place math over ``param.data`` / ``param.grad`` / the slot
-    arrays).  :meth:`update` fetches one parameter's slots from the
-    backend, applies the update, and lets the backend persist the result
-    — which is what allows optimizer state to live out-of-core.
-    :meth:`step` updates every parameter not already updated this step.
+    arrays).  :meth:`update` fetches a group of parameters' slots from
+    the backend, applies the updates, and lets the backend persist the
+    result — which is what allows optimizer state to live out-of-core.
+    :meth:`step` updates every parameter not already updated this step,
+    one backend group at a time.
     """
 
     #: names of the per-parameter state arrays this optimizer keeps
@@ -121,8 +136,7 @@ class Optimizer:
         self.lr = float(lr)
         self.iteration = 0
         self.state: SlotState = ResidentSlots()
-        for p in self.params:
-            self.state.init(p, self.init_slots(p))
+        self.state.init(self.params, [self.init_slots(p) for p in self.params])
         #: id -> parameter not yet updated in the current step
         self._pending: Dict[int, Parameter] = {id(p): p for p in self.params}
 
@@ -140,19 +154,22 @@ class Optimizer:
         for p in self.params:
             p.zero_grad()
 
-    def update(self, p: Parameter) -> None:
-        """Apply *p*'s update for this step now, unless it is done already
-        (or *p* is not this optimizer's)."""
-        if self._pending.pop(id(p), None) is None:
+    def update(self, params: Sequence[Parameter]) -> None:
+        """Apply this step's update now to those of *params* (one backend
+        group) that still owe it: a parameter already updated this step,
+        or not this optimizer's, is skipped."""
+        todo = [p for p in params if self._pending.pop(id(p), None) is not None]
+        if not todo:
             return
-        with self.state.update(p) as slots:
-            self.apply_update(p, slots)
+        with self.state.update(todo) as slots:
+            for p, s in zip(todo, slots):
+                self.apply_update(p, s)
 
     def step(self) -> None:
         """Update the parameters not yet updated this step, then advance
         :attr:`iteration` once (Adam's ``t`` is the same for all)."""
-        for p in list(self._pending.values()):
-            self.update(p)
+        for group in self.state.groups(list(self._pending.values())):
+            self.update(group)
         self.iteration += 1
         self._pending = {id(p): p for p in self.params}
 
@@ -160,8 +177,7 @@ class Optimizer:
     def use_slot_state(self, state: SlotState) -> None:
         """Swap the slot backend, migrating every parameter's current
         slot arrays (accumulated momentum survives the move)."""
-        for p in self.params:
-            state.init(p, self.state.drop(p))
+        state.init(self.params, self.state.drop(self.params))
         self.state = state
 
     def read_slot(self, param: Parameter, slot: str) -> np.ndarray:

@@ -43,7 +43,7 @@ def _read_param(p, optimizer: Optional[Optimizer]):
     # Read-only stub: the weights live out-of-core in a ParamStore.
     store = _param_store(optimizer)
     if store is not None:
-        return store.fetch(p.name)
+        return store.read_param(p)
     raise RuntimeError(
         f"parameter {p.name!r} is store-backed (ParamStore attached) and no "
         f"store-aware optimizer was passed; snapshot through the optimizer "
@@ -57,7 +57,7 @@ def _write_param(p, optimizer: Optional[Optimizer], value) -> None:
         return
     store = _param_store(optimizer)
     if store is not None:
-        store.writeback(p.name, value)
+        store.write_param(p, value)
         return
     raise RuntimeError(
         f"parameter {p.name!r} is store-backed (ParamStore attached) and no "

@@ -348,3 +348,134 @@ def test_property_packers_agree(values):
     w = huffman_encode(syms, cb)
     b = _encode_bitplane(syms, cb, chunk_size_for(syms.size))
     assert w[0] == b[0] and w[1] == b[1]
+
+
+# ---------------------------------------------------------------------------
+# Vectorized canonical codes and decode tables against the reference loops
+# ---------------------------------------------------------------------------
+
+
+def _loop_codes(lengths):
+    """Reference canonical codes: one symbol at a time in (length, symbol)
+    order, shifting the running code left as the length grows."""
+    codes = np.zeros(lengths.size, dtype=np.uint32)
+    syms = np.nonzero(lengths)[0]
+    if syms.size == 0:
+        return codes
+    code, prev = 0, None
+    for s in syms[np.lexsort((syms, lengths[syms]))]:
+        length = int(lengths[s])
+        code <<= length - (length if prev is None else prev)
+        codes[s] = code
+        code += 1
+        prev = length
+    return codes
+
+
+def _loop_tables(book):
+    """Reference dense tables: each codeword's ``2^(L - l)`` prefixes
+    filled one slice at a time; unused prefixes stay (symbol 0, length 1)."""
+    L = book.max_length
+    tsym = np.zeros(1 << L, dtype=book.symbol_dtype)
+    tlen = np.ones(1 << L, dtype=np.uint8)
+    for s in np.nonzero(book.lengths)[0]:
+        length, code = int(book.lengths[s]), int(book.codes[s])
+        tsym[code << (L - length) : (code + 1) << (L - length)] = s
+        tlen[code << (L - length) : (code + 1) << (L - length)] = length
+    return tsym, tlen
+
+
+def _assert_matches_loops(book):
+    np.testing.assert_array_equal(book.codes, _loop_codes(book.lengths))
+    tsym, tlen = book.decode_tables()
+    want_sym, want_len = _loop_tables(book)
+    assert tsym.dtype == want_sym.dtype and tlen.dtype == want_len.dtype
+    np.testing.assert_array_equal(tsym, want_sym)
+    np.testing.assert_array_equal(tlen, want_len)
+    # a book rebuilt from its stored lengths (what loads does) is the same book
+    again = HuffmanCodebook.from_lengths(book.lengths)
+    np.testing.assert_array_equal(again.codes, book.codes)
+
+
+@given(st.lists(st.integers(0, 1000), min_size=2, max_size=1100).filter(any))
+@settings(max_examples=80, deadline=None)
+def test_property_codes_and_tables_match_the_loops(freqs):
+    _assert_matches_loops(HuffmanCodebook.from_frequencies(np.array(freqs)))
+
+
+@given(st.lists(st.integers(0, 2**40), min_size=17, max_size=64).filter(lambda f: sum(f) > 0))
+@settings(max_examples=40, deadline=None)
+def test_property_deep_books_match_the_loops(freqs):
+    """Exponentially spread frequencies push the code to the 16-bit cap."""
+    _assert_matches_loops(HuffmanCodebook.from_frequencies(np.array(freqs, dtype=np.int64)))
+
+
+@given(st.integers(1, 2048), st.data())
+@settings(max_examples=40, deadline=None)
+def test_property_single_symbol_books_match_the_loops(alphabet, data):
+    """One 1-bit code: the table pads its unused upper half exactly as
+    the loop left it, (symbol 0, length 1)."""
+    freqs = np.zeros(alphabet, dtype=np.int64)
+    freqs[data.draw(st.integers(0, alphabet - 1))] = 5
+    book = HuffmanCodebook.from_frequencies(freqs)
+    assert book.max_length == 1 and book.decode_tables()[0].size == 2
+    _assert_matches_loops(book)
+
+
+def test_sixteen_bit_book_matches_the_loops(deep_codebook):
+    _assert_matches_loops(deep_codebook)
+    assert deep_codebook.decode_tables()[0].size == 1 << MAX_CODE_LENGTH
+
+
+class TestCompleteCodes:
+    """A book from stored lengths is accepted only if it is what
+    ``from_frequencies`` builds: a complete prefix code, one symbol of
+    length 1, or no symbol at all."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[1, 1], [1, 2, 2], [2, 2, 2, 2], [0, 1, 0], [0, 0, 0], [], [1, 2, 3, 3, 0]],
+    )
+    def test_complete_codes_accepted(self, lengths):
+        HuffmanCodebook.from_lengths(np.array(lengths, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[1, 1, 1], [2, 2, 2], [1, 2], [0, 2], [3], [1, 1, 16], [1, 2, 3]],
+        ids=["overfull", "incomplete", "short", "single-len2", "single-len3", "one-extra", "gap"],
+    )
+    def test_other_codes_rejected(self, lengths):
+        with pytest.raises(ValueError, match="complete prefix code"):
+            HuffmanCodebook.from_lengths(np.array(lengths, dtype=np.uint8))
+
+    def test_every_single_byte_edit_of_a_raw_book_raises_or_decodes_bit_equal(self):
+        """``outlier_heavy_r8``'s 16-symbol book is stored raw (deflate does
+        not shrink it), so no checksum covers it: every one-byte edit of
+        the section must be refused, never decode to other values."""
+        from pathlib import Path
+
+        from repro.compression import SZCompressor
+        from repro.compression.errors import CorruptBlobError
+        from repro.compression.szlike.serialize import loads
+
+        blob = (Path(__file__).parent / "golden" / "outlier_heavy_r8.blob").read_bytes()
+        ct = loads(blob)
+        section = len(ct.codebook.section())
+        assert section == ct.codebook.lengths.size == 16  # raw: one byte per symbol
+        codec = SZCompressor(dict_size=16)
+        want = codec.decompress(ct).tobytes()
+        edited = bytearray(blob)
+        accepted = 0
+        for pos in range(len(blob) - section, len(blob)):
+            for value in range(256):
+                if value == blob[pos]:
+                    continue
+                edited[pos] = value
+                try:
+                    got = codec.decompress(loads(bytes(edited)))
+                except CorruptBlobError:
+                    continue
+                accepted += 1
+                assert got.tobytes() == want
+            edited[pos] = blob[pos]
+        assert accepted == 0

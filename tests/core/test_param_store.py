@@ -70,7 +70,7 @@ class TestEntryLifecycle:
     def test_roundtrip_bit_exact(self, rng):
         store = ParamStore(budget_bytes=None)
         arr = rng.standard_normal((17, 5)).astype(np.float32)
-        store.adopt("w", arr, layer_name="l1")
+        store.adopt("w", arr)
         np.testing.assert_array_equal(store.fetch("w"), arr)
         store.close()
 
@@ -82,7 +82,7 @@ class TestEntryLifecycle:
             f"p{i}": rng.standard_normal((64, 33)).astype(np.float32) for i in range(8)
         }
         for name, arr in arrays.items():
-            store.adopt(name, arr, layer_name=name)
+            store.adopt(name, arr)
         assert store.storage.spill_count >= len(arrays)
         for name, arr in arrays.items():
             np.testing.assert_array_equal(store.fetch(name), arr)
@@ -181,11 +181,45 @@ class TestWritebackFailure:
         monkeypatch.undo()
         self._assert_unchanged(store, old, 1, charged)
 
+    def test_failed_layer_writeback_keeps_every_parameter(self, tmp_path, monkeypatch):
+        """A layer entry holds all of the layer's parameters: a write to
+        one of them whose ``put`` fails leaves every one at its old
+        value, the entry count and the charged bytes unchanged."""
+        import errno
+
+        import repro.core.arena as arena_mod
+
+        net = small_net()
+        store = ParamStore(budget_bytes=0, spill_dir=str(tmp_path))
+        store.attach(net, SGD(net.parameters(), lr=0.01, momentum=0.9))
+        layer = next(layer for layer in iter_layers(net) if len(layer.parameters()) > 1)
+        params = layer.parameters()
+        old = [store.read_param(p) for p in params]
+        entries, charged = len(store.storage), store.tracker.persistent_stored_bytes
+
+        def enospc(fd, data, offset):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(arena_mod.os, "pwrite", enospc)
+        with pytest.raises(OSError, match="No space"):
+            store.write_param(params[0], old[0] + 1)
+        monkeypatch.undo()
+        for p, value in zip(params, old):
+            assert store.read_param(p).tobytes() == value.tobytes()
+        assert len(store.storage) == entries
+        assert store.tracker.persistent_stored_bytes == charged
+        store.close()
+
+
+def n_layers(net):
+    return sum(1 for layer in iter_layers(net) if layer.parameters())
+
 
 class TestFoldedUpdateIO:
-    """Under a Trainer with no gradient transforms each layer's update
-    runs inside its backward: weights are fetched once per pass, slots
-    once per step, and every entry is written back once."""
+    """One entry per layer and per (layer, slot).  Under a Trainer with no
+    gradient transforms each layer's update runs inside its backward:
+    the layer's weights are fetched once per pass, its slot entries once
+    per step, and every entry is written back once."""
 
     def _step_io(self, opt_cls, kw, transform=False):
         net = small_net()
@@ -197,7 +231,7 @@ class TestFoldedUpdateIO:
             trainer.grad_transforms.append(lambda tr: None)
         dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
         trainer.train(batches(dataset, 4, 1, seed=1))
-        io = (store.fetch_count, store.writeback_count, len(net.parameters()))
+        io = (store.fetch_count, store.writeback_count, n_layers(net))
         store.close()
         return io
 
@@ -211,9 +245,29 @@ class TestFoldedUpdateIO:
         assert writebacks == n + slots * n
 
     def test_grad_transform_keeps_the_separate_pass(self):
+        """``Optimizer.step`` opens one window per layer: the weights and
+        the slot entry are fetched and written back once each."""
         fetches, writebacks, n = self._step_io(SGD, dict(lr=0.01, momentum=0.9), True)
         assert fetches == 4 * n
         assert writebacks == 2 * n
+
+    def test_pending_parameters_are_updated_once(self):
+        """A layer's folded update leaves nothing pending: the step that
+        follows the backward touches the store not once."""
+        net = small_net()
+        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
+        store = ParamStore(budget_bytes=0)
+        store.attach(net, opt)
+        trainer = Trainer(net, opt)
+        dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
+        (x, y), = batches(dataset, 4, 1, seed=1)
+        opt.update_in_backward = True
+        net.backward(trainer.loss.forward(net.forward(x), y)[1])
+        opt.update_in_backward = False
+        io = (store.fetch_count, store.writeback_count)
+        opt.step()
+        assert (store.fetch_count, store.writeback_count) == io
+        store.close()
 
 
 class TestTrainingEquivalence:
@@ -369,13 +423,13 @@ class TestAccounting:
         store = ParamStore(budget_bytes=0)
         store.attach(net, SGD(net.parameters(), lr=0.01, momentum=0.9))
         first = next(iter(store._layers.values()))
-        layer_bytes = sum(p.data.nbytes for p in first)
+        layer_bytes = sum(p.data.nbytes for p in first.params)
         store._bind(first)
         store._bind(first)
         assert store.materialized_nbytes == layer_bytes
         store._unbind(first)
         assert store.materialized_nbytes == layer_bytes
-        assert np.isfinite(first[0].data).all()
+        assert np.isfinite(first.params[0].data).all()
         store._unbind(first)
         assert store.materialized_nbytes == 0
         assert store.peak_materialized_nbytes == layer_bytes
@@ -500,9 +554,33 @@ class TestSessionIntegration:
         with np.load(path) as data:
             for p in net.parameters():
                 assert np.isfinite(data[f"param/{p.name}"]).all()
+                np.testing.assert_array_equal(data[f"param/{p.name}"], store.read_param(p))
+        saved = [store.read_param(p) for p in net.parameters()]
+        for p in net.parameters():  # every slice of every layer entry moves
+            store.write_param(p, store.read_param(p) + 1)
+            opt.write_slot(p, "velocity", np.ones(p.shape))
         load_snapshot(path, net, opt)
+        for p, value in zip(net.parameters(), saved):
+            assert store.read_param(p).tobytes() == value.tobytes()
+            assert not opt.read_slot(p, "velocity").any()
         with pytest.raises(RuntimeError, match="store-backed"):
             save_snapshot(path, net)  # no optimizer: store unreachable
+        store.close()
+
+    def test_write_slot_touches_only_its_slice(self):
+        """A slot entry holds the layer's parameters side by side: writing
+        one parameter's slot is a read-modify-write of its slice alone."""
+        net = small_net()
+        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
+        store = ParamStore(budget_bytes=0)
+        store.attach(net, opt)
+        params = next(l for l in iter_layers(net) if len(l.parameters()) > 1).parameters()
+        for i, p in enumerate(params):
+            opt.write_slot(p, "velocity", np.full(p.shape, i + 1.0))
+        opt.write_slot(params[0], "velocity", np.full(params[0].shape, -7.0))
+        np.testing.assert_array_equal(opt.read_slot(params[0], "velocity"), np.float32(-7.0))
+        for i, p in enumerate(params[1:], start=2):
+            np.testing.assert_array_equal(opt.read_slot(p, "velocity"), np.float32(i))
         store.close()
 
     def test_double_attach_rejected(self):
@@ -511,4 +589,89 @@ class TestSessionIntegration:
         store.attach(net)
         with pytest.raises(RuntimeError, match="already attached"):
             store.attach(net)
+        store.close()
+
+
+class TestLayerEntries:
+    """The store's entries are per layer and per (layer, slot); a slot
+    entry covers the layer's parameters the optimizer owns."""
+
+    def test_one_entry_per_layer_and_slot(self):
+        net = small_net()
+        store = ParamStore(budget_bytes=None)
+        store.attach(net, Adam(net.parameters(), lr=1e-3))
+        layers = [l for l in iter_layers(net) if l.parameters()]
+        names = {l.name for l in layers}
+        names |= {f"{l.name}#{slot}" for l in layers for slot in ("exp_avg", "exp_avg_sq")}
+        assert set(store._entries) == names
+        for layer in layers:
+            assert store._entries[layer.name].raw_nbytes == 4 * sum(p.size for p in layer.parameters())
+        store.close()
+
+    @pytest.mark.parametrize("grad_transform", [None, halve_grads], ids=["folded", "transform"])
+    def test_optimizer_over_part_of_a_layer(self, grad_transform):
+        """An optimizer owning only the weight tensors: the slot entries
+        hold only those, the biases never move, and training matches
+        resident training bit for bit on both update paths."""
+
+        def run(store):
+            net = small_net()
+            owned = [p for p in net.parameters() if p.data.ndim > 1]
+            opt = SGD(owned, lr=0.01, momentum=0.9)
+            if store is not None:
+                store.attach(net, opt)
+            trainer = Trainer(net, opt)
+            if grad_transform is not None:
+                trainer.grad_transforms.append(grad_transform)
+            dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
+            trainer.train(batches(dataset, 4, 3, seed=1))
+            if store is not None:
+                slot_bytes = sum(e.raw_nbytes for n, e in store._entries.items() if "#" in n)
+                assert slot_bytes == 4 * sum(p.size for p in owned)
+                store.detach()
+            return trainer.history.losses, [p.data.copy() for p in net.parameters()]
+
+        base, oov = run(None), run(ParamStore(budget_bytes=0))
+        assert base[0].tobytes() == oov[0].tobytes()
+        for a, b in zip(base[1], oov[1]):
+            assert a.tobytes() == b.tobytes()
+        initial = [p.data for p in small_net().parameters() if p.data.ndim == 1]
+        final = [w for w in oov[1] if w.ndim == 1]
+        assert initial and len(final) == len(initial)
+        for a, b in zip(final, initial):
+            assert a.tobytes() == b.tobytes()
+
+    def test_attach_optimizer_and_detach_migrate_slots(self):
+        """Momentum built up resident moves into the layer slot entries on
+        ``attach_optimizer`` and back out on ``detach``, value for value,
+        and training across both moves matches resident training."""
+        kw = dict(lr=0.01, momentum=0.9)
+        dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
+        data = list(batches(dataset, 4, 6, seed=1))
+
+        ref_net = small_net()
+        ref_opt = SGD(ref_net.parameters(), **kw)
+        Trainer(ref_net, ref_opt).train(data)
+
+        net = small_net()
+        opt = SGD(net.parameters(), **kw)
+        trainer = Trainer(net, opt)
+        trainer.train(data[:2])
+        before = [opt.read_slot(p, "velocity").copy() for p in net.parameters()]
+        store = ParamStore(budget_bytes=0)
+        store.attach(net)
+        store.attach_optimizer(opt)
+        assert isinstance(opt.state, StoreSlots)
+        for p, v in zip(net.parameters(), before):
+            assert opt.read_slot(p, "velocity").tobytes() == v.tobytes()
+        trainer.train(data[2:4])
+        moved = [opt.read_slot(p, "velocity").copy() for p in net.parameters()]
+        store.detach()
+        assert isinstance(opt.state, ResidentSlots) and len(store) == 0
+        for p, v in zip(net.parameters(), moved):
+            assert opt.read_slot(p, "velocity").tobytes() == v.tobytes()
+        trainer.train(data[4:])
+        for p, q in zip(net.parameters(), ref_net.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
+            assert opt.read_slot(p, "velocity").tobytes() == ref_opt.read_slot(q, "velocity").tobytes()
         store.close()

@@ -15,6 +15,8 @@ from contextlib import ExitStack
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernels import (
     KERNEL_BACKENDS,
@@ -422,3 +424,30 @@ class TestTrainingBitIdentity:
         for losses, ratios in results.values():
             np.testing.assert_array_equal(losses, ref_losses)
             assert ratios == ref_ratios
+
+
+# ---------------------------------------------------------------------------
+# The blocked histogram every bincount of a code stream goes through
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.lists(st.integers(0, 70), max_size=300),
+    st.integers(1, 64),
+    st.sampled_from([1, 3, 7, 64, 1 << 14]),
+    st.sampled_from([np.uint8, np.uint16, np.uint32]),
+)
+@settings(max_examples=80, deadline=None)
+def test_block_bincount_equals_bincount(values, minlength, block, dtype):
+    """Any block size (a multiple of the stream or not), symbols at or
+    beyond *minlength* included: the same counts, length and dtype as one
+    whole-stream ``np.bincount``."""
+    from repro.compression.szlike import histogram
+    from repro.kernels.numpy_backend import block_bincount
+
+    symbols = np.array(values, dtype=dtype)
+    want = np.bincount(symbols, minlength=minlength)
+    got = block_bincount(symbols, minlength, block)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(histogram(symbols.reshape(-1, 1), minlength), want)
