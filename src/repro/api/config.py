@@ -52,7 +52,6 @@ __all__ = [
     "EngineSpec",
     "AdaptiveSpec",
     "ProfilerSpec",
-    "SanitizerSpec",
     "OptimizerSpec",
     "DistributedSpec",
     "ServerSpec",
@@ -473,28 +472,6 @@ class ProfilerSpec(_Section):
 
 
 @dataclass
-class SanitizerSpec(_Section):
-    """Runtime sanitizer for the session (:mod:`repro.core.sanitizer`).
-
-    When ``enabled``, ``build_session`` turns the sanitizer on *before*
-    constructing the stack, with all three of its checks: every
-    arena/scratch/codebook/param-store lock is order-tracked (deadlock
-    cycles raise :class:`~repro.core.sanitizer.LockOrderError`), released
-    buffers are NaN-poisoned, and arena double-releases trap with
-    acquisition-site tracebacks.  There are no per-check switches.  The
-    sanitizer is process-wide and sticky — objects instrumented for this
-    session stay instrumented (the same switch the ``REPRO_SANITIZE=1``
-    environment variable flips at import time).  Meant for CI/stress
-    runs, not production: poisoning copies buffers on ``put`` and every
-    lock acquire takes a graph check.
-    """
-
-    _name = "sanitizer"
-
-    enabled: bool = False
-
-
-@dataclass
 class OptimizerSpec(_Section):
     """Optimizer construction, so a config fully determines a run."""
 
@@ -760,7 +737,6 @@ class SessionConfig(_Section):
     engine: EngineSpec = field(default_factory=EngineSpec)
     adaptive: AdaptiveSpec = field(default_factory=AdaptiveSpec)
     profiler: ProfilerSpec = field(default_factory=ProfilerSpec)
-    sanitizer: SanitizerSpec = field(default_factory=SanitizerSpec)
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     distributed: DistributedSpec = field(default_factory=DistributedSpec)
     #: False skips activation compression entirely (the session is then

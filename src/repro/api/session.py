@@ -272,15 +272,6 @@ def build_session(
             "compress_activations=False to train it uncompressed"
         )
 
-    if config.sanitizer.enabled:
-        # Turn the sanitizer on BEFORE constructing anything: arenas,
-        # scratch pools, codebook caches and param stores instrument
-        # themselves at construction time.  Process-wide and sticky
-        # (see SanitizerSpec) — the same switch REPRO_SANITIZE=1 flips.
-        from repro.core import sanitizer
-
-        sanitizer.enable()
-
     if optimizer is None:
         optimizer = config.optimizer.build(network.parameters())
 

@@ -149,7 +149,7 @@ class JpegLikeCompressor:
         coeff_nbytes = math.prod(ct.padded_shape) * np.dtype(ct.coeff_dtype).itemsize
         quant = np.frombuffer(inflate(ct.payload, coeff_nbytes), dtype=ct.coeff_dtype)
         quant = quant.reshape(ct.padded_shape).astype(np.float64)
-        coeffs = quant * self.qmatrix
+        coeffs = quant * _quality_scale(ct.quality)  # the blob's table, not self's
         tiled = self._idctn(coeffs, axes=(-2, -1), norm="ortho")
         hw = (ct.shape[-2], ct.shape[-1])
         plane = _unblockify(tiled, hw)

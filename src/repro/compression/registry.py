@@ -43,6 +43,7 @@ container-header charge.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -281,11 +282,21 @@ def _loads(data: bytes) -> Any:
             or padded_shape != (*shape[:-2], -(-shape[-2] // 8), -(-shape[-1] // 8), 8, 8)
         ):
             raise CorruptBlobError("coefficient layout inconsistent with the shape")
+        quality, scale = header["quality"], header["scale"]
+        if (
+            type(quality) is not int
+            or not 1 <= quality <= 100
+            or type(scale) is not float
+            or not math.isfinite(scale)
+            or scale <= 0
+            or np.dtype(header["dtype"]).kind != "f"
+        ):
+            raise CorruptBlobError("quality, scale or dtype malformed")
         return JpegCompressedTensor(
             shape=shape,
             dtype=str(np.dtype(header["dtype"])),
-            quality=header["quality"],
-            scale=float(header["scale"]),
+            quality=quality,
+            scale=scale,
             payload=bytes(data[pos:]),
             coeff_dtype=header["coeff_dtype"],
             padded_shape=padded_shape,

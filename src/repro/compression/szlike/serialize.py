@@ -158,6 +158,21 @@ def _loads(data: bytes) -> CompressedTensor:
         or count != math.prod(shape)
     ):
         raise CorruptBlobError("entropy stage, shape, symbol count or a length field malformed")
+    # every field as the writer can emit it, so no accepted blob decodes
+    # to a wrong or non-finite value
+    eb, ndim = header["eb"], header["lorenzo_ndim"]
+    if (
+        type(eb) is not float
+        or not math.isfinite(eb)
+        or eb <= 0
+        or type(ndim) is not int
+        or not 1 <= ndim <= min(3, len(shape))
+        or np.dtype(header["dtype"]).kind != "f"
+        or type(header["zero_filter"]) is not bool
+        or np.dtype(header["raw_codes_dtype"]).kind != "u"
+        or header["outlier_dtype"] not in ("int32", "int64")
+    ):
+        raise CorruptBlobError("error bound, Lorenzo axes, a dtype or a flag malformed")
     chunk_size, n_chunks, width = chunk_layout(count)
     huffman = entropy.startswith("huffman")
     if header["chunk_count"] != (n_chunks if huffman else 0):

@@ -139,7 +139,6 @@ class CompressingContext(SavedTensorContext):
         #: layer name -> codec that packed it (a PolicyTable makes the
         #: codec per-layer, and unpack must use the packing one)
         self._layer_codec: Dict[str, object] = {}
-        self.enabled = True
         #: layers whose saved input is a ReLU output: after decompression
         #: the activation function is recomputed (``max(x, 0)``), the
         #: paper's first zero-preservation mechanism (Section 4.4) — it
@@ -254,7 +253,7 @@ class CompressingContext(SavedTensorContext):
 
     # -- SavedTensorContext interface --------------------------------------
     def pack(self, layer: Layer, key: str, arr: np.ndarray):
-        if not (self.enabled and isinstance(arr, np.ndarray) and arr.ndim == 4):
+        if not (isinstance(arr, np.ndarray) and arr.ndim == 4):
             return arr
         handle = PackedActivation(raw_nbytes=arr.nbytes, layer_name=layer.name)
         eb = self.resolve_error_bound(layer, arr)

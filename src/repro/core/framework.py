@@ -235,16 +235,6 @@ class CompressedTraining:
     def ratio_history(self) -> List[float]:
         return list(self.tracker.iteration_ratios)
 
-    def detach(self) -> None:
-        """Restore plain storage and resident parameters (keeps tap
-        wrappers, which become no-ops)."""
-        from repro.nn.layers.base import SavedTensorContext
-
-        set_saved_ctx(self.network, SavedTensorContext(), predicate=lambda l: l.compressible)
-        self.ctx.enabled = False
-        if self.param_store is not None:
-            self.param_store.detach()
-
     def close(self) -> None:
         """Restore out-of-core parameters to residency.
 

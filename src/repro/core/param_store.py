@@ -30,9 +30,9 @@ and materializes them only around the window that needs them:
   no third weight fetch; otherwise ``Optimizer.step`` opens the same
   layer window.
 
-A parameter's slice is reachable alone (:meth:`ParamStore.read_param`,
-``Optimizer.read_slot`` / ``write_slot``); a write to one slice is a
-read-modify-write of its entry.  Serialization is bit-exact (raw
+Weights and slots are written only inside their layer's window; a
+parameter's slot slice is readable alone (``Optimizer.read_slot``, for
+the gradient assessment's momentum).  Serialization is bit-exact (raw
 ``tobytes()`` or a lossless codec), so training is bit-identical to
 resident training.  The :class:`MemoryTracker` charges entries to its
 *persistent* pool on adopt/write-back and credits them exactly once on
@@ -254,24 +254,6 @@ class ParamStore:
     def _read_part(self, name: str, layout: _Layout, p: Parameter) -> np.ndarray:
         """*p*'s slice of entry *name* (a fresh array)."""
         return layout.view(self.fetch(name), p)
-
-    def _write_part(self, name: str, layout: _Layout, p: Parameter, value) -> None:
-        """Read-modify-write *p*'s slice of entry *name*: cast to the
-        entry's dtype like resident in-place assignment, and a size
-        mismatch raises before anything is stored."""
-        flat = self.fetch(name)
-        layout.view(flat, p)[...] = np.asarray(value, dtype=flat.dtype).reshape(p.shape)
-        self.writeback(name, flat)
-
-    def read_param(self, p: Parameter) -> np.ndarray:
-        """The stored value of attached parameter *p*."""
-        layout = self._layer_of[id(p)]
-        return self._read_part(layout.name, layout, p)
-
-    def write_param(self, p: Parameter, value: np.ndarray) -> None:
-        """Store a new value for attached parameter *p*."""
-        layout = self._layer_of[id(p)]
-        self._write_part(layout.name, layout, p, value)
 
     # -- attachment: JIT binding around forward/backward/update ------------
     def attach(self, network: Layer, optimizer: Optional[Optimizer] = None) -> "ParamStore":
@@ -497,10 +479,6 @@ class StoreSlots(SlotState):
     def read(self, param: Parameter, slot: str) -> np.ndarray:
         layout = self._group_of[id(param)]
         return self.store._read_part(self._entries(layout)[slot], layout, param)
-
-    def write(self, param: Parameter, slot: str, value: np.ndarray) -> None:
-        layout = self._group_of[id(param)]
-        self.store._write_part(self._entries(layout)[slot], layout, param, value)
 
     def drop(self, params: Sequence[Parameter]) -> List[Dict[str, np.ndarray]]:
         """Release the whole group of each of *params*."""

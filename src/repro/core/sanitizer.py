@@ -1,8 +1,7 @@
 """Runtime sanitizer: instrumented locks and poisoned buffers.
 
-Set ``REPRO_SANITIZE=1`` (or enable :class:`~repro.api.config.SanitizerSpec`
-in a :class:`~repro.api.config.SessionConfig`) and every arena, arena
-pool, scratch pool, codebook cache and param store constructed
+Set ``REPRO_SANITIZE=1`` (or call :func:`enable`) and every arena,
+arena pool, scratch pool, codebook cache and param store constructed
 afterwards swaps in instrumented internals, with all three checks on:
 
 * **Lock-order tracking** — every class-internal lock becomes a
@@ -25,9 +24,9 @@ afterwards swaps in instrumented internals, with all three checks on:
   still a no-op, preserving ``discard``'s documented contract.
 
 The sanitizer is process-wide and sticky: :func:`enable` affects objects
-constructed *after* the call (``build_session`` enables it before
-constructing anything), plus the one pool built at import: the conv /
-pool workspace of ``repro.nn``.  It never changes behavior when disabled — the
+constructed *after* the call (enable it before building a session),
+plus the one pool built at import: the conv / pool workspace of
+``repro.nn``.  It never changes behavior when disabled — the
 production classes only expose tiny hook points
 (``ByteArena._copy_in``/``_on_release``) that default to no-ops.
 """
@@ -218,8 +217,6 @@ def enable() -> None:
 
     Process-wide and sticky by design: instrumentation happens at
     construction time and is never removed from live objects.
-    ``build_session`` calls this before constructing the stack when
-    ``config.sanitizer.enabled`` is set.
     """
     _STATE.enabled = True
     _instrument_nn_workspace()

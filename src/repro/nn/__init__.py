@@ -19,18 +19,9 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.network import Residual, Sequential, iter_layers, set_saved_ctx
-from repro.nn.optim import (
-    SGD,
-    Adam,
-    ConstantLR,
-    Optimizer,
-    ResidentSlots,
-    SlotState,
-    StepLR,
-)
+from repro.nn.optim import SGD, Adam, Optimizer, ResidentSlots, SlotState
 from repro.nn.trainer import IterationRecord, Trainer, TrainHistory
 from repro.nn.data import SyntheticImageDataset, batches
-from repro.nn.snapshot import load_snapshot, save_snapshot
 
 __all__ = [
     "AvgPool2D",
@@ -58,13 +49,9 @@ __all__ = [
     "Optimizer",
     "ResidentSlots",
     "SlotState",
-    "ConstantLR",
-    "StepLR",
     "IterationRecord",
     "Trainer",
     "TrainHistory",
     "SyntheticImageDataset",
     "batches",
-    "load_snapshot",
-    "save_snapshot",
 ]

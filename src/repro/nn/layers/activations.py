@@ -12,13 +12,11 @@ __all__ = ["ReLU", "Tanh", "Sigmoid"]
 class ReLU(Layer):
     """max(x, 0).
 
-    Saves only a bit mask for backward (the layer is the canonical
-    "recomputable" layer of Section 2.1: its output is trivially derived
-    from its input, which is why the paper can recompute the activation
-    function to restore exact zeros).
+    Saves only a bit mask for backward (Section 2.1's canonical layer
+    that is cheap to recompute: its output is trivially derived from its
+    input, which is why the paper can recompute the activation function
+    to restore exact zeros).
     """
-
-    recomputable = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.maximum(x, 0)
@@ -35,8 +33,6 @@ class ReLU(Layer):
 
 
 class Tanh(Layer):
-    recomputable = True
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.tanh(x)
         if self.training:
@@ -52,8 +48,6 @@ class Tanh(Layer):
 
 
 class Sigmoid(Layer):
-    recomputable = True
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = 1.0 / (1.0 + np.exp(-x))
         if self.training:

@@ -72,9 +72,6 @@ class Layer:
     #: True for layers whose saved input is a large conv activation —
     #: the tensors the paper targets for compression.
     compressible = False
-    #: True for layers cheap to recompute from their input (ReLU, pool),
-    #: eligible for the recomputation policy of Section 2.1.
-    recomputable = False
     #: False only while a ``Trainer`` runs the backward of the layer that
     #: reads the data batch: nobody consumes that gradient, so ``backward``
     #: may return ``None`` instead of computing it.

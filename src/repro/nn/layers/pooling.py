@@ -13,8 +13,6 @@ __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 class MaxPool2D(Layer):
     """Max pooling; backward routes gradients to per-window argmax."""
 
-    recomputable = True
-
     def __init__(self, kernel: int, stride: int = None, padding: int = 0, name=None):
         super().__init__(name)
         self.kernel = kernel
@@ -72,8 +70,6 @@ class MaxPool2D(Layer):
 class AvgPool2D(Layer):
     """Average pooling (count includes padding, TF/Caffe style)."""
 
-    recomputable = True
-
     def __init__(self, kernel: int, stride: int = None, padding: int = 0, name=None):
         super().__init__(name)
         self.kernel = kernel
@@ -114,8 +110,6 @@ class AvgPool2D(Layer):
 
 class GlobalAvgPool2D(Layer):
     """Mean over the spatial axes: ``(N, C, H, W) -> (N, C)``."""
-
-    recomputable = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:

@@ -1,4 +1,4 @@
-"""Optimizers, slot-based state, and learning-rate schedules.
+"""Optimizers and slot-based state.
 
 Optimizer state (SGD momentum, Adam moments) lives in named per-parameter
 **slots** behind a pluggable :class:`SlotState` backend rather than inside
@@ -30,8 +30,6 @@ __all__ = [
     "SlotState",
     "SGD",
     "Adam",
-    "StepLR",
-    "ConstantLR",
 ]
 
 
@@ -44,9 +42,9 @@ class SlotState:
     network layer's for a store, whose slot entries hold a layer each).
     The backend decides whether the yielded slot dicts are the live
     storage (resident) or just-in-time materializations written back on
-    exit (store-backed).  :meth:`read` / :meth:`write` are the
-    introspection path (gradient assessment, snapshots); :meth:`init` /
-    :meth:`drop` move slot arrays in and out (state migration).
+    exit (store-backed).  :meth:`read` is the introspection path (the
+    gradient assessment's momentum); :meth:`init` / :meth:`drop` move
+    slot arrays in and out (state migration).
     """
 
     def init(self, params: Sequence[Parameter], slots: Sequence[Dict[str, np.ndarray]]) -> None:
@@ -68,10 +66,6 @@ class SlotState:
 
     def read(self, param: Parameter, slot: str) -> np.ndarray:
         """Current value of one slot (live array or a fresh copy)."""
-        raise NotImplementedError
-
-    def write(self, param: Parameter, slot: str, value: np.ndarray) -> None:
-        """Overwrite one slot's value."""
         raise NotImplementedError
 
     def drop(self, params: Sequence[Parameter]) -> List[Dict[str, np.ndarray]]:
@@ -99,9 +93,6 @@ class ResidentSlots(SlotState):
 
     def read(self, param: Parameter, slot: str) -> np.ndarray:
         return self._slots[id(param)][slot]
-
-    def write(self, param: Parameter, slot: str, value: np.ndarray) -> None:
-        self._slots[id(param)][slot][...] = value
 
     def drop(self, params: Sequence[Parameter]) -> List[Dict[str, np.ndarray]]:
         return [self._slots.pop(id(p)) for p in params]
@@ -183,14 +174,10 @@ class Optimizer:
     def read_slot(self, param: Parameter, slot: str) -> np.ndarray:
         return self.state.read(param, slot)
 
-    def write_slot(self, param: Parameter, slot: str, value: np.ndarray) -> None:
-        self.state.write(param, slot, value)
-
     # -- introspection used by the paper's framework -----------------------
     def momentum_buffer(self, p: Parameter) -> np.ndarray:
-        """The momentum-class slot (live array under resident slots; a
-        materialized copy under a store backend — use :meth:`write_slot`
-        to persist mutations)."""
+        """The momentum-class slot, for reading (the live array under
+        resident slots; a fresh copy under a store backend)."""
         return self.state.read(p, self.momentum_slot)
 
     def average_momentum_magnitude(self) -> float:
@@ -290,31 +277,3 @@ class Adam(Optimizer):
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class ConstantLR:
-    """Fixed learning rate."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-
-    def step(self) -> float:
-        return self.optimizer.lr
-
-
-class StepLR:
-    """Multiply the LR by *gamma* every *step_size* optimizer steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._count = 0
-
-    def step(self) -> float:
-        self._count += 1
-        if self._count % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-        return self.optimizer.lr

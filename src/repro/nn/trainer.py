@@ -93,21 +93,15 @@ class Trainer:
         network: Layer,
         optimizer: SGD,
         loss: Optional[SoftmaxCrossEntropy] = None,
-        lr_schedule=None,
     ):
         self.network = network
         self.optimizer = optimizer
         self.loss = loss or SoftmaxCrossEntropy()
-        self.lr_schedule = lr_schedule
         self.history = TrainHistory()
         self.post_backward_hooks: List[Callable] = []
         self.grad_transforms: List[Callable] = []
         self.close_hooks: List[Callable] = []
         self.iteration = 0
-        #: mean |dlogits-propagated loss| of the latest iteration, exposed
-        #: for parameter collection (the paper's L-bar is per conv layer;
-        #: per-layer values come from the framework's layer taps).
-        self.last_loss_value: float = float("nan")
         #: optional :class:`~repro.utils.profiler.StageProfiler` timing each
         #: iteration as a ``step`` stage (``config.profiler.enabled``)
         self.profiler = None
@@ -137,7 +131,6 @@ class Trainer:
         finally:
             first.needs_input_grad = True
             self.optimizer.update_in_backward = False
-        self.last_loss_value = loss_value
 
         record = IterationRecord(
             iteration=self.iteration,
@@ -150,8 +143,6 @@ class Trainer:
         for transform in self.grad_transforms:
             transform(self)
         self.optimizer.step()
-        if self.lr_schedule is not None:
-            self.lr_schedule.step()
         self.history.append(record)
         self.iteration += 1
         return record

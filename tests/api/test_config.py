@@ -20,7 +20,6 @@ from repro.api import (
     SessionConfig,
     StorageSpec,
 )
-from repro.api.config import SanitizerSpec
 from repro.compression import registry
 from repro.compression.registry import get_codec
 
@@ -243,20 +242,6 @@ class TestGlobMatch:
         assert table.group_of("pool1") == "rest"
 
 
-class TestSanitizerSpec:
-    def test_round_trip_and_sparse_default(self):
-        assert "sanitizer" not in SessionConfig().to_dict()
-        cfg = SessionConfig(sanitizer=SanitizerSpec(enabled=True))
-        d = cfg.to_dict()
-        assert d["sanitizer"] == {"enabled": True}
-        assert SessionConfig.from_dict(d).to_dict() == d
-
-    def test_non_bool_flag_rejected(self):
-        cfg = SessionConfig(sanitizer=SanitizerSpec(enabled="yes"))
-        with pytest.raises(ConfigError, match="sanitizer"):
-            cfg.validate()
-
-
 class TestEngineAndRuleKnobs:
     """EngineSpec's one field and a rule's bound regime: round-trip and
     validation."""
@@ -299,17 +284,14 @@ COMMITTED_CONFIGS = sorted(
 )
 
 
-#: per-rule options and sanitizer switches no committed config or script
-#: set, with a value each once accepted
-SECTION_KEYS = [
-    ("rules", "match_kind", "regex"),
-    ("rules", "storage", "inmem"),
-    ("rules", "arena_budget", 4096),
-    ("rules", "kernel_backend", "numpy"),
-    ("rules", "grad_codec", {"name": "sparse-lossless"}),
-    ("sanitizer", "poison", False),
-    ("sanitizer", "lock_order", False),
-    ("sanitizer", "trap_double_release", False),
+#: per-rule options no committed config or script set, with a value
+#: each once accepted
+RULE_KEYS = [
+    ("match_kind", "regex"),
+    ("storage", "inmem"),
+    ("arena_budget", 4096),
+    ("kernel_backend", "numpy"),
+    ("grad_codec", {"name": "sparse-lossless"}),
 ]
 RULE_FIELDS = "adaptive, codec, eb_max, eb_min, error_bound, initial_rel_eb, label, match"
 
@@ -341,8 +323,7 @@ class TestRemovedEngineKeys:
         for d in sessions:
             assert not set(d.get("engine", {})) & set(REMOVED_KEYS)
             for rule in d.get("rules", []):
-                assert not set(rule) & {k for s, k, _ in SECTION_KEYS if s == "rules"}
-            assert set(d.get("sanitizer", {})) <= {"enabled"}
+                assert not set(rule) & {k for k, _ in RULE_KEYS}
 
     def test_three_keys_accepted_and_ignored(self):
         cfg = SessionConfig.from_dict({"engine": dict(zip(IGNORED_KEYS, ("async", 1, "auto")))})
@@ -375,25 +356,21 @@ class TestRemovedEngineKeys:
         with pytest.raises(ConfigError, match=r"storage: unknown key.*'param_dirty_tracking'"):
             SessionConfig.from_dict({"storage": {"param_dirty_tracking": True}})
 
-    @pytest.mark.parametrize("section,key,value", SECTION_KEYS, ids=[k for _, k, _ in SECTION_KEYS])
-    def test_removed_rule_and_sanitizer_keys_rejected(self, section, key, value):
-        """The per-rule options and sanitizer switches only tests set: an
-        unknown key in JSON, an unexpected keyword in Python."""
-        cls, accepted = (PolicyRule, RULE_FIELDS) if section == "rules" else (SanitizerSpec, "enabled")
-        d = {"rules": [{"match": "l0", key: value}]} if section == "rules" else {section: {key: value}}
-        where = r"rules\[0\]" if section == "rules" else section
+    @pytest.mark.parametrize("key,value", RULE_KEYS, ids=[k for k, _ in RULE_KEYS])
+    def test_removed_rule_keys_rejected(self, key, value):
+        """The per-rule options only tests set: an unknown key in JSON, an
+        unexpected keyword in Python."""
         with pytest.raises(
-            ConfigError, match=rf"^{where}: unknown key.*'{key}'.*accepted keys: {accepted}$"
+            ConfigError, match=rf"^rules\[0\]: unknown key.*'{key}'.*accepted keys: {RULE_FIELDS}$"
         ):
-            SessionConfig.from_dict(d)
+            SessionConfig.from_dict({"rules": [{"match": "l0", key: value}]})
         with pytest.raises(TypeError, match=key):
-            cls(**{key: value})
+            PolicyRule(**{key: value})
 
-    def test_rule_and_sanitizer_fields(self):
+    def test_rule_fields(self):
         from repro.core.policy_table import ResolvedPolicy
 
         assert ", ".join(sorted(f.name for f in dataclasses.fields(PolicyRule))) == RULE_FIELDS
-        assert [f.name for f in dataclasses.fields(SanitizerSpec)] == ["enabled"]
         resolved = {f.name for f in dataclasses.fields(ResolvedPolicy)}
         assert not resolved & {"storage", "arena_budget"}
 
@@ -540,7 +517,7 @@ def _type_cases():
 
     specs = [
         CodecSpec, PolicyRule, StorageSpec, EngineSpec, AdaptiveSpec, ProfilerSpec,
-        SanitizerSpec, OptimizerSpec, DistributedSpec, ServerSpec, SessionConfig, TenantSpec,
+        OptimizerSpec, DistributedSpec, ServerSpec, SessionConfig, TenantSpec,
     ]
     # one value of each JSON scalar type, with the annotations it satisfies
     # (an int is a number; a bool is neither an int nor a number)

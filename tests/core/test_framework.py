@@ -87,13 +87,6 @@ class TestCompressingContext:
         assert 0 < ctx.observed_nonzero["c"] < 1
         assert ctx.observed_ratio["c"] > 1
 
-    def test_disabled_context_passes_through(self, rng):
-        ctx = CompressingContext(SZCompressor(entropy="zlib"))
-        ctx.enabled = False
-        conv = Conv2D(3, 2, 3, rng=1)
-        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
-        assert ctx.pack(conv, "x", x) is x
-
     def test_codec_names_rejected(self):
         with pytest.raises(TypeError, match="codec instance"):
             CompressingContext(compressor="szlike")
@@ -217,14 +210,6 @@ class TestSession:
         net, opt, tr, sess = make_session(dataset)
         tr.train(batches(dataset, 16, 50, seed=0))
         assert tr.history.losses[-10:].mean() < tr.history.losses[:10].mean()
-
-    def test_detach_restores_plain_storage(self, dataset, rng):
-        net, opt, tr, sess = make_session(dataset)
-        sess.detach()
-        conv = next(l for l in iter_layers(net) if isinstance(l, Conv2D))
-        x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
-        conv.forward(x)
-        assert isinstance(conv._saved["x"], np.ndarray)
 
     def test_decompressed_activations_error_bounded(self, dataset, rng):
         """End-to-end: what backward sees differs from the true activation

@@ -182,8 +182,8 @@ class TestWritebackFailure:
         self._assert_unchanged(store, old, 1, charged)
 
     def test_failed_layer_writeback_keeps_every_parameter(self, tmp_path, monkeypatch):
-        """A layer entry holds all of the layer's parameters: a write to
-        one of them whose ``put`` fails leaves every one at its old
+        """A layer entry holds all of the layer's parameters: a write-back
+        of the entry whose ``put`` fails leaves every one at its old
         value, the entry count and the charged bytes unchanged."""
         import errno
 
@@ -194,7 +194,8 @@ class TestWritebackFailure:
         store.attach(net, SGD(net.parameters(), lr=0.01, momentum=0.9))
         layer = next(layer for layer in iter_layers(net) if len(layer.parameters()) > 1)
         params = layer.parameters()
-        old = [store.read_param(p) for p in params]
+        old = store.fetch(layer.name)
+        assert old.size == sum(p.size for p in params)
         entries, charged = len(store.storage), store.tracker.persistent_stored_bytes
 
         def enospc(fd, data, offset):
@@ -202,10 +203,9 @@ class TestWritebackFailure:
 
         monkeypatch.setattr(arena_mod.os, "pwrite", enospc)
         with pytest.raises(OSError, match="No space"):
-            store.write_param(params[0], old[0] + 1)
+            store.writeback(layer.name, old + 1)
         monkeypatch.undo()
-        for p, value in zip(params, old):
-            assert store.read_param(p).tobytes() == value.tobytes()
+        assert store.fetch(layer.name).tobytes() == old.tobytes()
         assert len(store.storage) == entries
         assert store.tracker.persistent_stored_bytes == charged
         store.close()
@@ -522,66 +522,6 @@ class TestSessionIntegration:
 
         resident = bounds("resident")
         assert resident and resident == bounds("arena")
-
-    def test_write_slot_casts_to_entry_dtype(self):
-        """A float64 write to a float32 store-backed slot must cast (the
-        resident in-place assignment semantics), not corrupt the entry."""
-        net = small_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        store = ParamStore(budget_bytes=0)
-        store.attach(net, opt)
-        p = net.parameters()[0]
-        opt.write_slot(p, "velocity", np.full(p.shape, 2.5))  # float64
-        v = opt.read_slot(p, "velocity")
-        assert v.dtype == np.float32
-        np.testing.assert_array_equal(v, np.float32(2.5))
-        with pytest.raises(ValueError):  # wrong size fails at write time
-            opt.write_slot(p, "velocity", np.zeros(3))
-        store.close()
-
-    def test_snapshot_roundtrip_store_backed(self, tmp_path):
-        """Snapshots must read/write through the store while attached —
-        never the NaN stubs — and raise loudly without a store-aware
-        optimizer."""
-        from repro.nn import load_snapshot, save_snapshot
-
-        net = small_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        store = ParamStore(budget_bytes=0)
-        store.attach(net, opt)
-        path = str(tmp_path / "snap.npz")
-        save_snapshot(path, net, opt)
-        with np.load(path) as data:
-            for p in net.parameters():
-                assert np.isfinite(data[f"param/{p.name}"]).all()
-                np.testing.assert_array_equal(data[f"param/{p.name}"], store.read_param(p))
-        saved = [store.read_param(p) for p in net.parameters()]
-        for p in net.parameters():  # every slice of every layer entry moves
-            store.write_param(p, store.read_param(p) + 1)
-            opt.write_slot(p, "velocity", np.ones(p.shape))
-        load_snapshot(path, net, opt)
-        for p, value in zip(net.parameters(), saved):
-            assert store.read_param(p).tobytes() == value.tobytes()
-            assert not opt.read_slot(p, "velocity").any()
-        with pytest.raises(RuntimeError, match="store-backed"):
-            save_snapshot(path, net)  # no optimizer: store unreachable
-        store.close()
-
-    def test_write_slot_touches_only_its_slice(self):
-        """A slot entry holds the layer's parameters side by side: writing
-        one parameter's slot is a read-modify-write of its slice alone."""
-        net = small_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        store = ParamStore(budget_bytes=0)
-        store.attach(net, opt)
-        params = next(l for l in iter_layers(net) if len(l.parameters()) > 1).parameters()
-        for i, p in enumerate(params):
-            opt.write_slot(p, "velocity", np.full(p.shape, i + 1.0))
-        opt.write_slot(params[0], "velocity", np.full(params[0].shape, -7.0))
-        np.testing.assert_array_equal(opt.read_slot(params[0], "velocity"), np.float32(-7.0))
-        for i, p in enumerate(params[1:], start=2):
-            np.testing.assert_array_equal(opt.read_slot(p, "velocity"), np.float32(i))
-        store.close()
 
     def test_double_attach_rejected(self):
         net = small_net()

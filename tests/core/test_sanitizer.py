@@ -1,5 +1,5 @@
 """Runtime sanitizer: buffer poisoning, double-release traps, lock-order
-cycle detection, and the build_session wiring.
+cycle detection, and a sanitized session's report.
 
 The sanitizer is process-wide and sticky, so every test that enables it
 disables it again; objects constructed after disable() are untouched.
@@ -145,19 +145,17 @@ def test_reentrant_lock_allows_nesting(sanitized):
             pass
 
 
-def test_build_session_enables_sanitizer_and_reports():
+def test_enabled_sanitizer_instruments_a_session_and_reports():
     from repro.api import SessionConfig, build_session
-    from repro.api.config import SanitizerSpec, StorageSpec
+    from repro.api.config import StorageSpec
     from repro.models import build_scaled_model
     from repro.nn import SyntheticImageDataset, batches
 
-    config = SessionConfig(
-        sanitizer=SanitizerSpec(enabled=True),
-        storage=StorageSpec(activations="arena", budget_bytes=1 << 20),
-    )
+    config = SessionConfig(storage=StorageSpec(activations="arena", budget_bytes=1 << 20))
     net = build_scaled_model("alexnet", num_classes=4, image_size=8, rng=0)
     dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=1)
     before = sanitizer.report()
+    sanitizer.enable()  # before the session: objects instrument at construction
     try:
         with build_session(net, config) as session:
             session.train(batches(dataset, 2, 2, seed=2))

@@ -119,11 +119,6 @@ class TestPooling:
         with pytest.raises(ValueError):
             MaxPool2D(2).forward(np.zeros((4, 4), dtype=np.float32))
 
-    def test_recomputable_flags(self):
-        assert MaxPool2D(2).recomputable
-        assert AvgPool2D(2).recomputable
-        assert ReLU().recomputable
-
 
 class TestActivations:
     def test_relu_clamps(self, x4):

@@ -1,9 +1,9 @@
-"""Optimizer and LR-schedule behaviour (momentum introspection included)."""
+"""Optimizer behaviour (momentum introspection included)."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Adam, ConstantLR, Parameter, ResidentSlots, SGD, StepLR
+from repro.nn import Adam, Parameter, ResidentSlots, SGD
 
 
 def _params(rng, n=2):
@@ -90,12 +90,6 @@ class TestSlotAPI:
         opt.step()
         np.testing.assert_allclose(opt.read_slot(ps[0], "velocity"), ps[0].grad)
 
-    def test_write_slot_persists(self, rng):
-        ps = _params(rng)
-        opt = SGD(ps, lr=0.1, momentum=0.9)
-        opt.write_slot(ps[0], "velocity", np.full((3, 3), 2.5))
-        np.testing.assert_allclose(opt.momentum_buffer(ps[0]), 2.5)
-
     def test_use_slot_state_migrates_values(self, rng):
         ps = _params(rng)
         opt = SGD(ps, lr=0.1, momentum=0.9)
@@ -150,25 +144,6 @@ class TestAdam:
             p.grad += 2 * (p.data - target)
             opt.step()
         np.testing.assert_allclose(p.data, target, atol=1e-2)
-
-
-class TestSchedules:
-    def test_constant(self, rng):
-        opt = SGD(_params(rng), lr=0.5)
-        sched = ConstantLR(opt)
-        for _ in range(5):
-            assert sched.step() == 0.5
-
-    def test_step_decay(self, rng):
-        opt = SGD(_params(rng), lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_step_validation(self, rng):
-        opt = SGD(_params(rng), lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
 
 
 class TestConvergence:

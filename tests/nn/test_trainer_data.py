@@ -15,7 +15,6 @@ from repro.nn import (
     Residual,
     SGD,
     Sequential,
-    StepLR,
     SyntheticImageDataset,
     Trainer,
     batches,
@@ -121,13 +120,6 @@ class TestTrainer:
         tr.train(batches(dataset, 8, 2, seed=0))
         for b, p in zip(before, net.parameters()):
             np.testing.assert_array_equal(b, p.data)  # updates nulled
-
-    def test_lr_schedule_steps(self, dataset):
-        net = tiny_net()
-        opt = SGD(net.parameters(), lr=1.0)
-        tr = Trainer(net, opt, lr_schedule=StepLR(opt, step_size=1, gamma=0.5))
-        tr.train(batches(dataset, 8, 3, seed=0))
-        assert opt.lr == pytest.approx(0.125)
 
     def test_evaluate_runs_in_eval_mode(self, dataset):
         net = tiny_net()

@@ -72,19 +72,14 @@ def test_absurd_bound_starves_conv_gradients(dataset):
     assert frozen < 0.01 * moving
 
 
-def test_session_coexists_with_lr_schedule_and_hooks(dataset):
-    from repro.nn import StepLR
-
+def test_session_coexists_with_user_hooks(dataset):
     net = build_scaled_model("alexnet", num_classes=4, image_size=16, rng=7)
     cfg = SessionConfig(
         adaptive=AdaptiveSpec(W=3, warmup_iterations=1), optimizer=OptimizerSpec(lr=0.02)
     )
     with build_session(net, cfg) as s:
-        opt = s.optimizer
-        s.trainer.lr_schedule = StepLR(opt, step_size=5, gamma=0.5)
         calls = []
         s.trainer.post_backward_hooks.append(lambda t, r: calls.append(r.iteration))
         s.train(batches(dataset, 8, 11, seed=0))
-        assert opt.lr == pytest.approx(0.02 * 0.25)
         assert calls == list(range(11))
         assert s.tracker.overall_ratio > 1

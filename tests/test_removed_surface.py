@@ -1,0 +1,73 @@
+"""Library surface that only tests reached is gone, and stays gone.
+
+Snapshots, the per-parameter write path, the LR-schedule hook,
+``CompressedTraining.detach``, the recompute-policy flags and the
+per-session sanitizer switch had no caller outside the test suite.
+"""
+
+import pytest
+
+from repro.api import ConfigError, SessionConfig
+from repro.core.activation_store import CompressingContext
+from repro.core.framework import CompressedTraining
+from repro.core.param_store import ParamStore, StoreSlots
+from repro.models.specs import LayerReport
+from repro.nn import SGD, Layer, Linear, Optimizer, ResidentSlots, SlotState, Trainer
+
+
+class TestRemovedSurface:
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro.nn", "save_snapshot"),
+            ("repro.nn", "load_snapshot"),
+            ("repro.nn", "StepLR"),
+            ("repro.nn", "ConstantLR"),
+            ("repro.nn.optim", "StepLR"),
+            ("repro.api.config", "SanitizerSpec"),
+        ],
+    )
+    def test_import_is_an_import_error(self, module, name):
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
+    def test_snapshot_module_is_gone(self):
+        with pytest.raises(ImportError):
+            import repro.nn.snapshot  # noqa: F401
+
+    def test_lr_schedule_is_not_a_trainer_keyword(self):
+        net = Linear(2, 2, rng=0)
+        with pytest.raises(TypeError, match="lr_schedule"):
+            Trainer(net, SGD(net.parameters(), lr=0.1), lr_schedule=None)
+
+    @pytest.mark.parametrize(
+        "value", [{"enabled": True}, {"poison": False}, {"lock_order": False}, {}]
+    )
+    def test_sanitizer_config_key_is_a_config_error(self, value):
+        with pytest.raises(ConfigError, match=r"^session: unknown key.*'sanitizer'"):
+            SessionConfig.from_dict({"sanitizer": value})
+        with pytest.raises(TypeError, match="sanitizer"):
+            SessionConfig(sanitizer=value)
+
+    @pytest.mark.parametrize(
+        "cls,attr",
+        [
+            (ParamStore, "read_param"),
+            (ParamStore, "write_param"),
+            (ParamStore, "_write_part"),
+            (Optimizer, "write_slot"),
+            (SlotState, "write"),
+            (ResidentSlots, "write"),
+            (StoreSlots, "write"),
+            (CompressedTraining, "detach"),
+            (Layer, "recomputable"),
+        ],
+    )
+    def test_attribute_is_gone(self, cls, attr):
+        assert not hasattr(cls, attr)
+
+    def test_instance_state_is_gone(self):
+        net = Linear(2, 2, rng=0)
+        assert not hasattr(Trainer(net, SGD(net.parameters(), lr=0.1)), "last_loss_value")
+        assert not hasattr(CompressingContext(), "enabled")
+        assert "recomputable" not in LayerReport.__dataclass_fields__
