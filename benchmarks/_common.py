@@ -150,8 +150,7 @@ def smooth_activation(rng, shape, sigma=1.5, relu=True):
 #: CI-scale smoke mode shared by every benchmark that honors it
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
 
-#: shared scale for the measured training runs (QUICK: CI smoke) —
-#: bench_overhead and bench_fig11 must measure the same configuration
+#: scale of bench_overhead's measured training runs (QUICK: CI smoke)
 RUN_MODEL = "alexnet" if QUICK else "vgg16"
 RUN_IMAGE = 16 if QUICK else 32
 RUN_BATCH = 4 if QUICK else 16

@@ -11,7 +11,7 @@ Baselines live in two places:
 
 * ``benchmarks/baselines/`` (committed): reference numbers from the
   development container.  Deterministic metrics (compression ratios,
-  simulator throughput) are portable and tightly gated; wall-clock
+  exact counters) are portable and tightly gated; wall-clock
   metrics carry wide bands because absolute speed is machine-dependent.
 * a CI cache directory (``--baseline-dir``): CI seeds it with
   ``--update-baseline`` on the first run per runner class, then compares

@@ -23,9 +23,6 @@ Subpackages
     gradient assessment, adaptive error-bound controller, and the
     :class:`~repro.core.framework.CompressedTraining` wiring that
     ``build_session`` installs.
-``repro.simulator``
-    Roofline GPU cost model, interconnect models, and the throughput
-    simulator behind Figure 11 and the overhead analysis.
 ``repro.analysis``
     Error-injection methodology and distribution diagnostics
     (Figures 3, 6, 8, 9).

@@ -17,51 +17,45 @@ direction needs a Python-level per-symbol loop:
 
 * **Decode** is sequential in nature (each codeword's start depends on
   the previous lengths), which is the same obstacle cuSZ's GPU decoder
-  faces.  Two data-parallel decoders are provided:
+  faces.  The decoder is *chunked*, as cuSZ's is: the encoder records
+  the bit offset of every symbol chunk; chunks decode independently,
+  and the decoder iterates over symbol slots while processing **all
+  chunks simultaneously**.  Each step reads the current codeword's
+  L-bit window out of a 24-bit window-at-byte view of the payload (one
+  gather + shift + mask), so scratch is ~4x the payload plus
+  O(#chunks) per step plus the dense decode table (3 bytes per
+  prefix), which is **cached on the codebook**: a book the
+  cross-iteration
+  :class:`~repro.compression.szlike.codebook_cache.CodebookCache`
+  keeps builds it once, but every blob read back from bytes (an arena
+  entry, a spill, the wire) carries a fresh book, so the build is two
+  ``np.repeat`` calls over the canonical order rather than a loop.
+  cuSZ sizes its chunks so that *chunks ~ hardware lanes*; here the
+  "hardware" is one vectorized call that costs
+  ``3.8 us x steps + 12.4 ns x symbols``, so the geometry is **per
+  tensor** (:func:`chunk_size_for`): as many lanes as the fixed cost
+  per step asks for, as few as the bytes of the chunk table allow.
+  It is a pure function of the symbol count, so encoder, decoder and
+  the byte accounting agree by construction and a blob carries no
+  chunk-size field.  Decode ms by chunk size (best of 15, one vCPU of
+  the numba-less dev container; the payload bytes are the same at
+  every size):
 
-  - *chunked* (default, and what cuSZ itself does): the encoder records
-    the bit offset of every symbol chunk; chunks decode independently,
-    and the decoder iterates over symbol slots while processing **all
-    chunks simultaneously**.  Each step reads the current codeword's
-    L-bit window out of a 24-bit window-at-byte view of the payload (one
-    gather + shift + mask), so scratch is ~4x the payload plus
-    O(#chunks) per step plus the dense decode table (3 bytes per
-    prefix), which is **cached on the codebook**: a book the
-    cross-iteration
-    :class:`~repro.compression.szlike.codebook_cache.CodebookCache`
-    keeps builds it once, but every blob read back from bytes (an arena
-    entry, a spill, the wire) carries a fresh book, so the build is two
-    ``np.repeat`` calls over the canonical order rather than a loop.
-    cuSZ sizes its chunks so that *chunks ~ hardware lanes*; here the
-    "hardware" is one vectorized call that costs
-    ``3.8 us x steps + 12.4 ns x symbols``, so the geometry is **per
-    tensor** (:func:`chunk_size_for`): as many lanes as the fixed cost
-    per step asks for, as few as the bytes of the chunk table allow.
-    It is a pure function of the symbol count, so encoder, decoder and
-    the byte accounting agree by construction and a blob carries no
-    chunk-size field.  Decode ms by chunk size (best of 15, one vCPU of
-    the numba-less dev container; the payload bytes are the same at
-    every size):
+  ===============================  =====  =====  =====  =====
+  symbols                           c=32   c=64  c=128  c=256
+  ===============================  =====  =====  =====  =====
+  327 680 in six tensors, step 0    3.40   4.34   5.47   9.01
+  the same six tensors, step 39     3.14   4.02   5.48   8.56
+  262 144, one stream, 7 bits/sym   2.88   2.53   2.80   3.41
+  524 288, one stream, 7 bits/sym   7.86   8.98   6.94   6.64
+  ===============================  =====  =====  =====  =====
 
-    ===============================  =====  =====  =====  =====
-    symbols                           c=32   c=64  c=128  c=256
-    ===============================  =====  =====  =====  =====
-    327 680 in six tensors, step 0    3.40   4.34   5.47   9.01
-    the same six tensors, step 39     3.14   4.02   5.48   8.56
-    262 144, one stream, 7 bits/sym   2.88   2.53   2.80   3.41
-    524 288, one stream, 7 bits/sym   7.86   8.98   6.94   6.64
-    ===============================  =====  =====  =====  =====
-
-    The six tensors are the ``train_sz`` activations (16 384 to 131 072
-    symbols each; the sqrt rule gave them 256, one of them 128): 64
-    takes a training step from 1 408 to 384 vectorized steps, and 32
-    would buy ~0.9 ms more for twice the table.  Past ~2 048 lanes a
-    step's gathers leave the cache and more lanes are *slower*, so the
-    chunk doubles with the count from there.
-  - *pointer jumping*: offset-metadata-free fallback that decodes
-    speculatively at every bit offset via a dense ``2^L`` prefix table
-    and recovers the true codeword chain with recursive doubling —
-    ``O(B log n)`` fully vectorized.
+  The six tensors are the ``train_sz`` activations (16 384 to 131 072
+  symbols each; the sqrt rule gave them 256, one of them 128): 64
+  takes a training step from 1 408 to 384 vectorized steps, and 32
+  would buy ~0.9 ms more for twice the table.  Past ~2 048 lanes a
+  step's gathers leave the cache and more lanes are *slower*, so the
+  chunk doubles with the count from there.
 
 Code lengths are limited to :data:`MAX_CODE_LENGTH` bits by frequency
 flattening, keeping the prefix table at 64Ki entries.
@@ -323,8 +317,13 @@ def _encode_bitplane(symbols: np.ndarray, codebook: HuffmanCodebook, chunk_size:
         mask = lens > k
         shift = (lens[mask] - 1 - k).astype(np.uint32)
         bits[offsets[mask] + k] = (codevals[mask] >> shift) & 1
-    chunk_offsets = offsets[::chunk_size].copy() if chunk_size else np.zeros(0, dtype=np.int64)
-    return np.packbits(bits).tobytes(), total_bits, chunk_offsets
+    return np.packbits(bits).tobytes(), total_bits, offsets[::chunk_size].copy()
+
+
+def _check_chunk_size(chunk_size: int) -> None:
+    """Every stream carries a chunk table: a chunk holds one symbol or more."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
 
 
 def huffman_encode(
@@ -338,9 +337,9 @@ def huffman_encode(
 
     ``chunk_offsets`` records the starting bit of every *chunk_size*-symbol
     chunk (cuSZ's coarse-grained decode metadata); ``None`` derives the
-    size from the symbol count (:func:`chunk_size_for`), ``0`` skips the
-    metadata.  The kernel is blocked word-packing with O(block) scratch,
-    byte-identical to the bit-plane oracle :func:`_encode_bitplane`.
+    size from the symbol count (:func:`chunk_size_for`).  The kernel is
+    blocked word-packing with O(block) scratch, byte-identical to the
+    bit-plane oracle :func:`_encode_bitplane`.
     *kernels* is a :class:`~repro.kernels.backends.KernelBackend` for
     its inner loop (default: the NumPy reference); *hist* is the
     :func:`histogram` of *symbols* when the caller already holds it (it
@@ -352,71 +351,10 @@ def huffman_encode(
         return b"", 0, np.zeros(0, dtype=np.int64)
     if chunk_size is None:
         chunk_size = chunk_size_for(symbols.size)
+    _check_chunk_size(chunk_size)
     kernels = kernels if kernels is not None else get_backend("numpy")
     return kernels.huffman_pack_words(
         symbols, codebook.lengths, codebook.codes, chunk_size, hist=hist
-    )
-
-
-def _prefix_and_tables(payload: bytes, total_bits: int, codebook: HuffmanCodebook):
-    """Pointer-jumping decode setup: per-offset L-bit prefixes and the
-    dense tables (only the offset-metadata-free fallback needs the full
-    prefix array; the chunked decoder reads windows directly)."""
-    L = codebook.max_length
-    if L == 0:
-        raise ValueError("codebook is empty")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:total_bits]
-    if bits.size != total_bits:
-        raise ValueError(f"payload holds {bits.size} bits, expected {total_bits}")
-    padded = np.concatenate([bits, np.zeros(L, dtype=np.uint8)])
-
-    # Speculative L-bit prefix at every offset (big-endian), one shift/or
-    # pass per bit plane.
-    prefix = np.zeros(total_bits + 1, dtype=np.uint32)
-    for j in range(L):
-        prefix[:total_bits] = (prefix[:total_bits] << 1) | padded[j : j + total_bits]
-
-    tsym, tlen = codebook.decode_tables()
-    return prefix, tsym, tlen
-
-
-def _decode_chunked(
-    payload: bytes,
-    total_bits: int,
-    count: int,
-    codebook: HuffmanCodebook,
-    chunk_offsets: np.ndarray,
-    chunk_size: Optional[int] = None,
-    kernels=None,
-) -> np.ndarray:
-    """Data-parallel chunked decode reading L-bit windows in place.
-
-    Metadata validation and the dense-table build live here (identical
-    errors on every backend); the window-gather loop is a backend
-    kernel (``huffman_unpack_window``).  The NumPy reference advances
-    all chunks one symbol per vectorized step, gathering each codeword's
-    window from a 24-bit window-at-byte view of the payload (three bytes
-    cover any 16-bit codeword at any bit phase) — no 8x bit expansion,
-    no 32x per-offset prefix array; the compiled backend walks each
-    chunk sequentially.
-    """
-    L = codebook.max_length
-    if L == 0:
-        raise ValueError("codebook is empty")
-    if 8 * len(payload) < total_bits:
-        raise ValueError(f"payload holds {8 * len(payload)} bits, expected {total_bits}")
-    tsym, tlen = codebook.decode_tables()
-    if chunk_size is None:
-        chunk_size = chunk_size_for(count)
-    n_chunks = chunk_offsets.size
-    if n_chunks != -(-count // chunk_size):
-        raise ValueError("chunk metadata inconsistent with symbol count")
-    pos = chunk_offsets.astype(np.int64, copy=False)  # the kernel works on its own copy
-    if pos.size and (int(pos.min()) < 0 or int(pos.max()) >= max(total_bits, 1)):
-        raise ValueError("chunk offsets out of range")
-    kernels = kernels if kernels is not None else get_backend("numpy")
-    return kernels.huffman_unpack_window(
-        payload, total_bits, count, tsym, tlen, L, pos, chunk_size
     )
 
 
@@ -425,47 +363,44 @@ def huffman_decode(
     total_bits: int,
     count: int,
     codebook: HuffmanCodebook,
-    chunk_offsets: np.ndarray = None,
+    chunk_offsets: np.ndarray,
     chunk_size: Optional[int] = None,
     kernels=None,
 ) -> np.ndarray:
-    """Decode *count* symbols from *payload*.
+    """Decode *count* symbols from *payload*, all chunks at once.
 
-    With ``chunk_offsets`` the chunked data-parallel decoder runs (all
-    chunks advance one symbol per vectorized step; ``chunk_size=None``
-    derives the geometry from *count* exactly as the encoder did);
-    without it the pointer-jumping
-    decoder reconstructs the codeword chain from scratch.  *kernels*
-    selects the chunked inner loop's backend (default: NumPy reference).
+    *chunk_offsets* is the encoder's chunk table; ``chunk_size=None``
+    derives the geometry from *count* exactly as the encoder did.
+    Metadata validation and the dense-table build live here (identical
+    errors on every backend); the window-gather loop is a backend
+    kernel (``huffman_unpack_window``, *kernels* selects the backend,
+    default: the NumPy reference).  The NumPy reference advances all
+    chunks one symbol per vectorized step, gathering each codeword's
+    window from a 24-bit window-at-byte view of the payload (three bytes
+    cover any 16-bit codeword at any bit phase); the compiled backend
+    walks each chunk sequentially.
     """
     if count == 0:
         return np.zeros(0, dtype=codebook.symbol_dtype)
-
-    if chunk_offsets is not None and chunk_offsets.size:
-        return _decode_chunked(
-            payload, total_bits, count, codebook, chunk_offsets, chunk_size, kernels
-        )
-
-    prefix, tsym, tlen = _prefix_and_tables(payload, total_bits, codebook)
-
-    # Jump array: next codeword start from every offset (sentinel at end).
-    step = np.empty(total_bits + 1, dtype=np.int64)
-    step[:total_bits] = np.arange(total_bits, dtype=np.int64) + tlen[prefix[:total_bits]]
-    np.minimum(step, total_bits, out=step)
-    step[total_bits] = total_bits
-
-    # Recursive doubling: seq holds true codeword starts for steps
-    # 0..2^i-1; jump advances 2^i steps at once.
-    seq = np.zeros(1, dtype=np.int64)
-    jump = step
-    while seq.size < count:
-        seq = np.concatenate([seq, jump[seq]])
-        if seq.size < count:
-            jump = jump[jump]
-    seq = seq[:count]
-    if int(seq[-1]) >= total_bits:
-        raise ValueError("bitstream exhausted before all symbols were decoded")
-    return tsym[prefix[seq]]
+    L = codebook.max_length
+    if L == 0:
+        raise ValueError("codebook is empty")
+    if 8 * len(payload) < total_bits:
+        raise ValueError(f"payload holds {8 * len(payload)} bits, expected {total_bits}")
+    tsym, tlen = codebook.decode_tables()
+    if chunk_size is None:
+        chunk_size = chunk_size_for(count)
+    _check_chunk_size(chunk_size)
+    n_chunks = chunk_offsets.size
+    if n_chunks != -(-count // chunk_size):
+        raise ValueError("chunk metadata inconsistent with symbol count")
+    pos = chunk_offsets.astype(np.int64, copy=False)  # the kernel works on its own copy
+    if int(pos.min()) < 0 or int(pos.max()) >= max(total_bits, 1):
+        raise ValueError("chunk offsets out of range")
+    kernels = kernels if kernels is not None else get_backend("numpy")
+    return kernels.huffman_unpack_window(
+        payload, total_bits, count, tsym, tlen, L, pos, chunk_size
+    )
 
 
 def entropy_bits_from_hist(hist: np.ndarray) -> float:

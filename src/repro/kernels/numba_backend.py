@@ -35,6 +35,7 @@ from repro.kernels.numpy_backend import (
     _numpy_quantize_decode,
     _numpy_quantize_encode,
     codes_dtype_for_radius,
+    grid_extent,
     validate_lorenzo,
 )
 
@@ -141,7 +142,7 @@ def _pack_pass2(symbols, lengths, codes64, chunk_size, out8, chunk_offsets):
     bitpos = 0
     byte_i = 0
     for i in range(symbols.size):
-        if chunk_size > 0 and i % chunk_size == 0:
+        if i % chunk_size == 0:
             chunk_offsets[i // chunk_size] = bitpos
         s = symbols[i]
         l = np.int64(lengths[s])
@@ -253,6 +254,7 @@ def make_kernel_functions(loops, on_fallback):
             raise ValueError(f"error bound must be positive, got {error_bound}")
         if radius < 2:
             raise ValueError(f"radius must be >= 2, got {radius}")
+        grid_extent(x, error_bound)  # int64 grid: a wrapped index is a silently wrong value
         try:
             xc = np.ascontiguousarray(x)
             delta = stack.enter_context(pool.take(xc.shape, np.int64))
@@ -318,7 +320,7 @@ def make_kernel_functions(loops, on_fallback):
             total_bits, first_bad = loops["pack_pass1"](sym, lengths)
             total_bits, first_bad = int(total_bits), int(first_bad)
             if first_bad < 0:
-                n_chunks = -(-sym.size // chunk_size) if chunk_size else 0
+                n_chunks = -(-sym.size // chunk_size)
                 out8 = np.zeros((total_bits + 7) >> 3, dtype=np.uint8)
                 chunk_offsets = np.zeros(n_chunks, dtype=np.int64)
                 loops["pack_pass2"](

@@ -53,6 +53,7 @@ __all__ = [
     "diff_axes_alloc",
     "cumsum_axes",
     "block_bincount",
+    "grid_extent",
     "pack_words",
     "unpack_window",
     "codes_dtype_for_radius",
@@ -86,6 +87,22 @@ def _grid_dtype(magnitude, kernel: str, shape, error_bound=None) -> np.dtype:
 
     note_wide_grid(kernel, shape, error_bound, magnitude)
     return np.dtype(np.int64)
+
+
+def grid_extent(x: np.ndarray, error_bound: float) -> float:
+    """The largest grid index magnitude ``rint(max|x| / (2 eb))`` of *x*
+    (dividing by a positive and rint are monotonic, so it belongs to an
+    extreme input: half the bytes to scan).  A ``ValueError`` when it
+    does not fit ``int64``, the widest grid: the cast would wrap the
+    index and the value would decode silently wrong."""
+    magnitude = max(-float(x.min()), float(x.max()))
+    q_max = np.rint(magnitude / (2.0 * error_bound))
+    if q_max >= 2.0**63:
+        raise ValueError(
+            f"error bound {error_bound:g} is too small for max|x| = {magnitude:g}: "
+            f"its grid index {q_max:g} does not fit int64"
+        )
+    return q_max
 
 
 def apply_outliers(codes: np.ndarray, outliers: np.ndarray, radius: int, dtype=np.int64) -> np.ndarray:
@@ -215,9 +232,7 @@ def pack_words(symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chun
     Returns ``(payload bytes, total_bits, chunk_offsets int64)``.
     """
     n = symbols.size
-    block = ENCODE_BLOCK if not chunk_size else max(
-        chunk_size, (ENCODE_BLOCK // chunk_size) * chunk_size
-    )
+    block = max(chunk_size, (ENCODE_BLOCK // chunk_size) * chunk_size)
     if hist is None:  # a symbol beyond the codebook lengthens it: raised below
         hist = block_bincount(symbols, lengths.size, block)
     if hist[lengths.size :].any():
@@ -230,12 +245,11 @@ def pack_words(symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chun
     total_bits = int(np.dot(hist, used.astype(np.int64)))
 
     table = (codes.astype(np.uint32) << 8) | lengths
-    if chunk_size:
-        # block is a multiple of chunk_size, so every chunk starts at the
-        # same block-local symbols: pair starts[i] >> 1, and — only for an
-        # odd chunk_size — that pair's second codeword
-        starts = np.arange(0, min(block, n), chunk_size)
-        start_pair, start_odd = starts >> 1, starts & 1
+    # block is a multiple of chunk_size, so every chunk starts at the
+    # same block-local symbols: pair starts[i] >> 1, and — only for an
+    # odd chunk_size — that pair's second codeword
+    starts = np.arange(0, min(block, n), chunk_size)
+    start_pair, start_odd = starts >> 1, starts & 1
     # The word array doubles as the output byte buffer: a uint8 array
     # viewed as big-endian uint32 for the merge writes, sliced to the
     # exact payload length at the end — no byteswap copy, no trim copy.
@@ -267,13 +281,12 @@ def pack_words(symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chun
         shift = 64 - plen  # before the cumsum overwrites the lengths
         np.cumsum(ends, out=ends)
         off = ends[:-1]
-        if chunk_size:
-            n_here = -(-m // chunk_size)
-            part = off[start_pair[:n_here]].astype(np.int64)
-            if chunk_size & 1:
-                part += start_odd[:n_here] * (even[start_pair[:n_here]] & 0xFF)
-            part += base_bits - r0
-            chunk_parts.append(part)
+        n_here = -(-m // chunk_size)
+        part = off[start_pair[:n_here]].astype(np.int64)
+        if chunk_size & 1:
+            part += start_odd[:n_here] * (even[start_pair[:n_here]] & 0xFF)
+        part += base_bits - r0
+        chunk_parts.append(part)
         # 64-bit window: bit r = off & 31 within word w, so the pair sits
         # at shift (64 - r - len); top half lands in word w, bottom half
         # in word w + 1.
@@ -358,6 +371,7 @@ def _numpy_quantize_encode(x, error_bound, radius, ndim, pool, stack):
         raise ValueError(f"radius must be >= 2, got {radius}")
     take = pool.take
     with profiler.stage("quantize"):
+        q_max = grid_extent(x, error_bound)
         # dtype=float64 forces the division into double precision even
         # for float32 input — the arithmetic of the allocating
         # ``prequantize``, so the two quantize bit-identically (rint keeps
@@ -365,9 +379,6 @@ def _numpy_quantize_encode(x, error_bound, radius, ndim, pool, stack):
         work = stack.enter_context(take(x.shape, np.float64))
         np.divide(x, 2.0 * error_bound, out=work, dtype=np.float64)
         np.rint(work, out=work)
-        # dividing by a positive and rint are monotonic, so the extreme
-        # grid indices belong to the extreme inputs (half the bytes to scan)
-        q_max = np.rint(max(-float(x.min()), float(x.max())) / (2.0 * error_bound))
         dtype = _grid_dtype(q_max * 2.0**ndim + radius, "quantize_encode", x.shape, error_bound)
         qa = stack.enter_context(take(x.shape, dtype))
         np.copyto(qa, work, casting="unsafe")  # values are integral floats

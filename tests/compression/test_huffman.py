@@ -1,4 +1,4 @@
-"""Huffman codec: prefix property, roundtrips, both decoders."""
+"""Huffman codec: prefix property, roundtrips, the chunked decoder."""
 
 import numpy as np
 import pytest
@@ -26,13 +26,15 @@ from repro.kernels.backends import KernelBackend
 from repro.kernels.numba_backend import make_kernel_functions, python_loops
 
 
-def _roundtrip(symbols, alphabet, chunked=True):
+def _roundtrip(symbols, alphabet, kernels=None):
     cb = build_codebook(symbols, alphabet)
-    payload, bits, chunks = huffman_encode(symbols, cb)
-    decoded = huffman_decode(
-        payload, bits, symbols.size, cb, chunk_offsets=chunks if chunked else None
-    )
+    payload, bits, chunks = huffman_encode(symbols, cb, kernels=kernels)
+    decoded = huffman_decode(payload, bits, symbols.size, cb, chunks, kernels=kernels)
     return decoded.astype(symbols.dtype)
+
+
+def _kernels(backend):
+    return _python_loops_backend() if backend == "python-loops" else get_backend(backend)
 
 
 class TestCodebook:
@@ -96,20 +98,20 @@ class TestCodebook:
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("chunked", [True, False])
-    def test_uniform_symbols(self, rng, chunked):
+    @pytest.mark.parametrize("backend", ["numpy", "python-loops"])
+    def test_uniform_symbols(self, rng, backend):
         syms = rng.integers(0, 256, size=10_000).astype(np.uint16)
-        assert np.array_equal(_roundtrip(syms, 256, chunked), syms)
+        assert np.array_equal(_roundtrip(syms, 256, _kernels(backend)), syms)
 
-    @pytest.mark.parametrize("chunked", [True, False])
-    def test_skewed_symbols(self, rng, chunked):
+    @pytest.mark.parametrize("backend", ["numpy", "python-loops"])
+    def test_skewed_symbols(self, rng, backend):
         syms = np.minimum(rng.geometric(0.3, size=20_000), 63).astype(np.uint16)
-        assert np.array_equal(_roundtrip(syms, 64, chunked), syms)
+        assert np.array_equal(_roundtrip(syms, 64, _kernels(backend)), syms)
 
-    @pytest.mark.parametrize("chunked", [True, False])
-    def test_single_distinct_symbol(self, chunked):
+    @pytest.mark.parametrize("backend", ["numpy", "python-loops"])
+    def test_single_distinct_symbol(self, backend):
         syms = np.full(500, 3, dtype=np.uint16)
-        assert np.array_equal(_roundtrip(syms, 8, chunked), syms)
+        assert np.array_equal(_roundtrip(syms, 8, _kernels(backend)), syms)
 
     def test_one_symbol_stream(self):
         syms = np.array([5], dtype=np.uint16)
@@ -120,23 +122,26 @@ class TestRoundtrip:
         assert np.array_equal(_roundtrip(syms, 16), syms)
 
     def test_decoders_agree(self, rng):
+        """The NumPy reference and the per-chunk loops write the same
+        bytes and read them back to the same symbols."""
         syms = rng.integers(0, 512, size=30_000).astype(np.uint16)
         cb = build_codebook(syms, 512)
-        payload, bits, chunks = huffman_encode(syms, cb)
-        a = huffman_decode(payload, bits, syms.size, cb, chunk_offsets=chunks)
-        b = huffman_decode(payload, bits, syms.size, cb, chunk_offsets=None)
-        assert np.array_equal(a, b)
+        numpy, loops = get_backend("numpy"), _python_loops_backend()
+        encoded = huffman_encode(syms, cb, kernels=numpy)
+        assert encoded[:2] == huffman_encode(syms, cb, kernels=loops)[:2]
+        a = huffman_decode(*encoded[:2], syms.size, cb, encoded[2], kernels=numpy)
+        b = huffman_decode(*encoded[:2], syms.size, cb, encoded[2], kernels=loops)
+        assert np.array_equal(a, b) and np.array_equal(a, syms)
 
     def test_empty_stream(self):
         cb = HuffmanCodebook.from_frequencies(np.array([1, 1]))
         payload, bits, chunks = huffman_encode(np.zeros(0, dtype=np.uint16), cb)
         assert payload == b""
-        out = huffman_decode(payload, bits, 0, cb)
-        # one symbol dtype on every path: empty, chunked, pointer-jumping
-        syms = np.array([0, 1, 1], dtype=np.uint16)
-        decoded = [huffman_decode(*huffman_encode(syms, cb)[:2], 3, cb, offsets)
-                   for offsets in (np.zeros(1, dtype=np.int64), None)]
-        assert out.size == 0 and {out.dtype, *(d.dtype for d in decoded)} == {cb.symbol_dtype}
+        out = huffman_decode(payload, bits, 0, cb, chunks)
+        # one symbol dtype on both paths: an empty stream and a decoded one
+        payload, bits, offsets = huffman_encode(np.array([0, 1, 1], dtype=np.uint16), cb)
+        decoded = huffman_decode(payload, bits, 3, cb, offsets)
+        assert out.size == 0 and out.dtype == decoded.dtype == cb.symbol_dtype
         assert cb.symbol_dtype == cb.decode_tables()[0].dtype == np.uint16
 
 
@@ -174,9 +179,9 @@ class TestErrors:
     def test_truncated_payload_detected(self, rng):
         syms = rng.integers(0, 8, size=100).astype(np.uint16)
         cb = build_codebook(syms, 8)
-        payload, bits, _ = huffman_encode(syms, cb)
-        with pytest.raises(ValueError):
-            huffman_decode(payload[: len(payload) // 2], bits, 100, cb, None)
+        payload, bits, chunks = huffman_encode(syms, cb)
+        with pytest.raises(ValueError, match="payload holds"):
+            huffman_decode(payload[: len(payload) // 2], bits, 100, cb, chunks)
 
 
 class TestWordPackedEncoder:
@@ -218,8 +223,7 @@ class TestWordPackedEncoder:
 GEOMETRY_COUNTS = [
     1, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 70_000, 2**17, 2**17 + 1, 2**20,
 ]
-#: the pointer-jumping decoder holds O(total_bits) int64 arrays and the
-#: uncompiled numba loops cost ~1 us per symbol per pass: both stop at
+#: the uncompiled numba loops cost ~1 us per symbol per pass: they stop at
 #: 70 000 symbols, which has the 64-symbol chunk of every stream from
 #: 4 096 to 2**17 symbols and crosses an ENCODE_BLOCK boundary; the
 #: 128- and 256-symbol chunks beyond run on NumPy alone
@@ -307,11 +311,9 @@ class TestChunkGeometry:
         assert offsets.size == chunk_layout(count)[1]
         decoded = huffman_decode(payload, bits, count, cb, chunk_offsets=offsets, kernels=kernels)
         np.testing.assert_array_equal(decoded, syms)
-        if count <= SLOW_PATH_MAX:
-            np.testing.assert_array_equal(huffman_decode(payload, bits, count, cb), decoded)
 
     @pytest.mark.parametrize("backend", ["numpy", "python-loops"])
-    @pytest.mark.parametrize("chunk_size", [7, 16, 1000])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 16, 1000])
     @pytest.mark.parametrize("count", [1, 17, 1000, 4097])
     def test_explicit_chunk_size_still_roundtrips(self, count, chunk_size, backend, deep_codebook):
         kernels = get_backend("numpy") if backend == "numpy" else _python_loops_backend()
@@ -320,10 +322,6 @@ class TestChunkGeometry:
         assert offsets.size == -(-count // chunk_size)
         decoded = huffman_decode(payload, bits, count, cb, offsets, chunk_size, kernels=kernels)
         np.testing.assert_array_equal(decoded, syms)
-        # 0 = no offsets: the pointer-jumping decoder takes over
-        payload0, bits0, none = huffman_encode(syms, cb, 0, kernels=kernels)
-        assert (payload0, bits0, none.size) == (payload, bits, 0)
-        np.testing.assert_array_equal(huffman_decode(payload, bits, count, cb, none), syms)
 
     def test_mismatched_geometry_rejected(self):
         syms, cb = _alphabet("relu", 5000, None)
@@ -331,13 +329,22 @@ class TestChunkGeometry:
         with pytest.raises(ValueError, match="chunk metadata inconsistent"):
             huffman_decode(payload, bits, syms.size, cb, offsets, chunk_size=4096)
 
+    @pytest.mark.parametrize("chunk_size", [0, -16])
+    def test_chunkless_geometry_rejected(self, chunk_size):
+        """A chunk holds at least one symbol, on the way in and out."""
+        syms, cb = _alphabet("relu", 5000, None)
+        with pytest.raises(ValueError, match=f"chunk_size must be >= 1, got {chunk_size}"):
+            huffman_encode(syms, cb, chunk_size)
+        payload, bits, offsets = huffman_encode(syms, cb)
+        with pytest.raises(ValueError, match=f"chunk_size must be >= 1, got {chunk_size}"):
+            huffman_decode(payload, bits, syms.size, cb, offsets, chunk_size)
+
 
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=3000))
 @settings(max_examples=60, deadline=None)
 def test_property_roundtrip(values):
     syms = np.array(values, dtype=np.uint16)
-    assert np.array_equal(_roundtrip(syms, 32, chunked=True), syms)
-    assert np.array_equal(_roundtrip(syms, 32, chunked=False), syms)
+    assert np.array_equal(_roundtrip(syms, 32), syms)
 
 
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=3000))

@@ -202,12 +202,12 @@ def test_chunked_codec_keeps_the_bound_the_bytes_and_the_unchunked_reconstructio
 
 
 @pytest.mark.parametrize("count", [1, 2, 255, 16_385, 40_001])
-@pytest.mark.parametrize("chunk_size", [None, 0, 7, 16, 1000])
+@pytest.mark.parametrize("chunk_size", [None, 1, 7, 16, 1000])
 def test_packer_equals_the_bitplane_oracle_with_or_without_the_histogram(
     count, chunk_size, deep_codebook
 ):
-    """Odd and even counts, one to three encode blocks, even / odd /
-    oversized / absent chunks: the pair-packed encoder sizes itself from
+    """Odd and even counts, one to three encode blocks, one-symbol /
+    even / odd / oversized chunks: the pair-packed encoder sizes itself from
     the caller's histogram or from its own block-wise count."""
     symbols = np.random.default_rng(count).integers(0, 1024, count).astype(np.uint16)
     size = chunk_size_for(count) if chunk_size is None else chunk_size

@@ -373,6 +373,50 @@ class TestCompressorIntegration:
         y = codec.decompress(codec.compress(x))
         assert np.abs(x.astype(np.float64) - y).max() <= 1e-3 * (1 + 1e-6)
 
+    @staticmethod
+    def _grid_codec(codec, error_bound):
+        from repro.compression.registry import get_codec
+
+        if codec == "chunked":
+            return get_codec("chunked", inner="szlike", error_bound=error_bound)
+        return get_codec("szlike", error_bound=error_bound, kernel_backend=codec[7:-1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "codec", [f"szlike[{b}]" for b in available_backends()] + ["chunked"]
+    )
+    def test_grid_past_int64_is_a_value_error(self, codec, dtype):
+        """max|x| / (2 eb) = 5e19 wrapped in the int64 cast and decoded
+        ~1e17 away from the input; 5e18 still fits and stays in bound."""
+        c = self._grid_codec(codec, 1e-3)
+        x = np.array([[1e17, -1e17], [0.5, 1.0]], dtype=dtype)
+        with pytest.raises(ValueError, match=r"error bound 0\.001 .*max\|x\| = 1e\+17"):
+            c.compress(x)
+        x[0] /= 10
+        err = np.abs(c.decompress(c.compress(x)).astype(np.float64) - x.astype(np.float64))
+        assert err.max() <= 1e-3 * (1 + 1e-6)
+
+    @pytest.mark.parametrize(
+        "codec", [f"szlike[{b}]" for b in available_backends()] + ["chunked"]
+    )
+    def test_grid_fits_int64_up_to_the_last_float_below_2_to_63(self, codec):
+        """At eb = 0.5 a grid index is the value itself: 2**63 - 1024,
+        the largest double under 2**63, decodes exactly, a sign-flipped
+        2**63 is refused."""
+        c = self._grid_codec(codec, 0.5)
+        top = 2.0**63 - 1024
+        x = np.array([[top, -top, 3.0], [0.0, 1.0, -2.0]])
+        np.testing.assert_array_equal(c.decompress(c.compress(x)), x)
+        x[1, 0] = -(2.0**63)
+        with pytest.raises(ValueError, match="does not fit int64"):
+            c.compress(x)
+
+    def test_grid_check_precedes_the_compiled_loops(self):
+        fallbacks = []
+        with pytest.raises(ValueError, match="does not fit int64"):
+            encode_with(python_backend(fallbacks), np.array([[3e16, 0.0]]), eb=1e-3)
+        assert fallbacks == []
+
     def test_bad_backend_name_rejected_at_construction(self):
         from repro.compression.registry import get_codec
 

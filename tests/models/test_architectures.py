@@ -84,6 +84,21 @@ class TestTable1Accounting:
         a256 = conv_activation_bytes("alexnet", batch=256)
         assert a256 == 4 * a64
 
+    @pytest.mark.parametrize("name,params_m", [
+        ("alexnet", 61), ("vgg16", 138), ("resnet18", 11.7), ("resnet50", 25.6),
+    ])
+    def test_weight_bytes_are_fp32_parameters(self, name, params_m):
+        assert weight_bytes(name) == pytest.approx(4e6 * params_m, rel=0.05)
+
+    @pytest.mark.parametrize("name", ["alexnet", "vgg16", "resnet18", "resnet50"])
+    def test_saved_bytes_scale_linearly_with_batch(self, name):
+        assert total_saved_bytes(name, batch=64) == 2 * total_saved_bytes(name, batch=32)
+
+    @pytest.mark.parametrize("name", ["alexnet", "vgg16", "resnet18", "resnet50"])
+    def test_conv_inputs_are_part_of_the_saved_bytes(self, name):
+        """Table 1 counts conv inputs; Figure 2 every saved tensor."""
+        assert 0 < conv_activation_bytes(name, batch=8) < total_saved_bytes(name, batch=8)
+
     def test_activations_dominate_weights(self):
         """Figure 2's point: activations >> weights for CNNs at batch 32+."""
         for name in ("vgg16", "resnet18", "resnet50"):

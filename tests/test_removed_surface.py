@@ -3,11 +3,16 @@
 Snapshots, the per-parameter write path, the LR-schedule hook,
 ``CompressedTraining.detach``, the recompute-policy flags and the
 per-session sanitizer switch had no caller outside the test suite.
+Neither had the Huffman decoder that worked without a chunk table.
+The V100 performance simulator measured nothing: every input was a
+constant.
 """
 
+import numpy as np
 import pytest
 
 from repro.api import ConfigError, SessionConfig
+from repro.compression.szlike import build_codebook, huffman_decode, huffman_encode
 from repro.core.activation_store import CompressingContext
 from repro.core.framework import CompressedTraining
 from repro.core.param_store import ParamStore, StoreSlots
@@ -34,6 +39,17 @@ class TestRemovedSurface:
     def test_snapshot_module_is_gone(self):
         with pytest.raises(ImportError):
             import repro.nn.snapshot  # noqa: F401
+
+    def test_simulator_package_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.simulator  # noqa: F401
+
+    def test_huffman_decode_requires_the_chunk_table(self):
+        syms = np.array([0, 1, 1, 2], dtype=np.uint16)
+        cb = build_codebook(syms, 4)
+        payload, bits, _ = huffman_encode(syms, cb)
+        with pytest.raises(TypeError, match="chunk_offsets"):
+            huffman_decode(payload, bits, syms.size, cb)
 
     def test_lr_schedule_is_not_a_trainer_keyword(self):
         net = Linear(2, 2, rng=0)
