@@ -108,6 +108,10 @@ def main():
             "removed rule option": {"name": "bad-rule", "session": {
                 "rules": [{"match": "l0", "arena_budget": 4096}],
             }},
+            # json.dumps writes NaN, and json.loads reads it back
+            "non-finite learning rate": {"name": "bad-lr", "session": {
+                "optimizer": {"lr": float("nan")},
+            }},
         }
         for what, t in bad_tenants.items():
             code, body = call(url, "POST", "/tenants", t)

@@ -27,7 +27,11 @@ Design rules:
   silently at iteration 400.  Every scalar field is checked against its
   annotation by ``validate()`` — which ``from_dict`` and
   ``build_session`` both run — so ``"false"`` is not a bool and ``"2"``
-  is not an int, whether the config came from JSON or from Python.
+  is not an int, whether the config came from JSON or from Python.  A
+  field declares its legal values next to its default (``knob(...,
+  ge=0)``, ``knob(..., choices=(...))``), the same check enforces them,
+  and every number must be finite: JSON's ``NaN`` / ``Infinity`` are
+  never a knob or an error bound.
 * **Canonical serialization** — ``to_dict`` emits only non-default
   fields, so ``from_dict(to_dict(cfg))`` is identity and two configs
   compare equal iff their dicts do.
@@ -38,12 +42,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
+import operator
 import os
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.error_model import THEORY_COEFFICIENT_A
+from repro.core.policy_table import DEFAULT_GROUP
+from repro.kernels import KERNEL_BACKENDS
 
 __all__ = [
     "CodecSpec",
@@ -57,6 +65,10 @@ __all__ = [
     "ServerSpec",
     "SessionConfig",
 ]
+
+#: the gradient reduction schedules ``distributed.reduce_order`` names
+#: (:func:`repro.distributed.reduce.reduce_arrays` runs them)
+REDUCE_ORDERS = ("tree", "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +108,46 @@ _NONE = type(None)
 _TYPE_NAMES = {bool: "a bool", int: "an int", float: "a number", str: "a string", _NONE: "null"}
 
 
+#: a bound's keyword -> (the test a legal value passes, how errors spell it)
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
+    "lt": (operator.lt, "<"),
+}
+
+
+def knob(default, *, choices: Tuple[str, ...] = (), ge=None, gt=None, le=None, lt=None):
+    """A scalar field's default together with its legal values: the
+    *choices* a string must be one of, or the bounds a number must lie
+    within.  ``validate()`` enforces them; ``None`` (an ``Optional``
+    field left unset) is always legal."""
+    bounds = {op: v for op, v in dict(ge=ge, gt=gt, le=le, lt=lt).items() if v is not None}
+    return field(default=default, metadata={"choices": tuple(choices), "bounds": bounds})
+
+
+def _violation(value: Any, legal) -> Optional[str]:
+    """What *value* must be and is not, under its field's :func:`knob`
+    declaration *legal* (None when it is legal).  Every float must be
+    finite, declared or not."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "a finite number"
+    if value is None or not legal:
+        return None
+    if legal["choices"] and value not in legal["choices"]:
+        return "one of " + ", ".join(map(repr, legal["choices"]))
+    bounds = legal["bounds"].items()
+    if not all(_BOUNDS[op][0](value, limit) for op, limit in bounds):
+        return " and ".join(f"{_BOUNDS[op][1]} {limit}" for op, limit in bounds)
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def _field_types(cls) -> Tuple[Dict[str, tuple], Dict[str, Tuple[type, bool]]]:
     """``(scalars, sections)`` of a config dataclass, read from its
-    annotations: scalar field -> the types it admits (``Optional[int]``
-    is ``(int, NoneType)``), and nested-section field -> ``(section
-    class, is a list of them)``."""
+    annotations: scalar field -> ``(the types it admits, its declared
+    legal values)`` (``Optional[int]`` admits ``(int, NoneType)``), and
+    nested-section field -> ``(section class, is a list of them)``."""
     hints = typing.get_type_hints(cls)
     scalars: Dict[str, tuple] = {}
     sections: Dict[str, Tuple[type, bool]] = {}
@@ -109,7 +155,7 @@ def _field_types(cls) -> Tuple[Dict[str, tuple], Dict[str, Tuple[type, bool]]]:
         tp = hints[f.name]
         args = typing.get_args(tp) if typing.get_origin(tp) is Union else (tp,)
         if all(a in _TYPE_NAMES for a in args):
-            scalars[f.name] = args
+            scalars[f.name] = (args, f.metadata)
             continue
         many = typing.get_origin(tp) is list
         inner = typing.get_args(tp) if many else [a for a in args if a is not _NONE]
@@ -130,9 +176,10 @@ class _Section:
     """The contract every config section shares.
 
     * ``validate(where)`` — every scalar field holds a value its
-      annotation admits, each nested section's own ``validate`` passes,
-      then the section's range / choice / cross-field checks
-      (:meth:`_check`); errors name *where*.
+      annotation admits and its :func:`knob` declaration allows (a float
+      is always finite), each nested section's own ``validate`` passes,
+      then the section's cross-field checks (:meth:`_check`); errors
+      name *where*.
     * ``from_dict(d, where)`` — unknown keys rejected with the accepted
       list, nested sections parsed, the result validated.
     * ``to_dict()`` — sparse: default-valued fields are omitted, so
@@ -150,10 +197,13 @@ class _Section:
     def validate(self, where: Optional[str] = None):
         where = where or self._name
         scalars, sections = _field_types(type(self))
-        for name, types in scalars.items():
+        for name, (types, legal) in scalars.items():
             value = getattr(self, name)
-            if not any(_admits(tp, value) for tp in types):
+            if any(_admits(tp, value) for tp in types):
+                expected = _violation(value, legal)
+            else:
                 expected = " or ".join(_TYPE_NAMES[tp] for tp in types)
+            if expected:
                 raise ConfigError(f"{where}: {name} must be {expected}, got {value!r}")
         prefix = self._prefix(where)
         for name, (section, many) in sections.items():
@@ -172,7 +222,8 @@ class _Section:
         return self
 
     def _check(self, where: str) -> None:
-        """Range, choice and cross-field checks (the types already hold)."""
+        """Cross-field checks and codec probes (each field already holds
+        a legal value)."""
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
@@ -311,11 +362,11 @@ class PolicyRule(_Section):
     match: str = "*"
     label: str = ""
     codec: Optional[CodecSpec] = None
-    error_bound: Optional[float] = None
+    error_bound: Optional[float] = knob(None, gt=0)
     adaptive: Optional[bool] = None
-    initial_rel_eb: Optional[float] = None
-    eb_min: Optional[float] = None
-    eb_max: Optional[float] = None
+    initial_rel_eb: Optional[float] = knob(None, gt=0)
+    eb_min: Optional[float] = knob(None, gt=0)
+    eb_max: Optional[float] = knob(None, gt=0)
 
     def resolved_adaptive(self) -> bool:
         return self.adaptive if self.adaptive is not None else self.error_bound is None
@@ -323,19 +374,15 @@ class PolicyRule(_Section):
     def _check(self, where: str) -> None:
         if not self.match:
             raise ConfigError(f"{where}: match must be a non-empty pattern string")
-        if self.error_bound is not None and self.error_bound <= 0:
+        if self.label == DEFAULT_GROUP:
             raise ConfigError(
-                f"{where}: error_bound must be positive, got {self.error_bound}"
+                f"{where}: label {DEFAULT_GROUP!r} is reserved for the layers no rule matches"
             )
         if self.resolved_adaptive() and self.error_bound is not None:
             raise ConfigError(
                 f"{where}: adaptive=True contradicts a fixed error_bound; "
                 f"drop one (a fixed bound implies adaptive=False)"
             )
-        for attr in ("initial_rel_eb", "eb_min", "eb_max"):
-            v = getattr(self, attr)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{where}: {attr} must be positive, got {v}")
         if self.eb_min is not None and self.eb_max is not None and self.eb_max <= self.eb_min:
             raise ConfigError(
                 f"{where}: need eb_min < eb_max, got {self.eb_min} >= {self.eb_max}"
@@ -354,27 +401,14 @@ class StorageSpec(_Section):
 
     _name = "storage"
 
-    activations: str = "inmem"  # "inmem" | "arena"
-    budget_bytes: int = 64 << 20
+    activations: str = knob("inmem", choices=("inmem", "arena"))
+    budget_bytes: int = knob(64 << 20, ge=0)
     spill_dir: Optional[str] = None
-    params: str = "resident"  # "resident" | "arena"
-    param_budget_bytes: int = 64 << 20
+    params: str = knob("resident", choices=("resident", "arena"))
+    param_budget_bytes: int = knob(64 << 20, ge=0)
     param_codec: Optional[CodecSpec] = None
 
     def _check(self, where: str) -> None:
-        if self.activations not in ("inmem", "arena"):
-            raise ConfigError(
-                f"{where}: activations must be 'inmem' or 'arena', "
-                f"got {self.activations!r}"
-            )
-        if self.params not in ("resident", "arena"):
-            raise ConfigError(
-                f"{where}: params must be 'resident' or 'arena', got {self.params!r}"
-            )
-        for attr in ("budget_bytes", "param_budget_bytes"):
-            v = getattr(self, attr)
-            if v < 0:
-                raise ConfigError(f"{where}: {attr} must be an int >= 0, got {v!r}")
         if self.param_codec is not None:
             _require_codec(
                 self.param_codec,
@@ -401,16 +435,7 @@ class EngineSpec(_Section):
 
     _name = "engine"
 
-    kernel_backend: str = "auto"
-
-    def _check(self, where: str) -> None:
-        from repro.kernels import KERNEL_BACKENDS
-
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ConfigError(
-                f"{where}: kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}"
-            )
+    kernel_backend: str = knob("auto", choices=KERNEL_BACKENDS)
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any], where: Optional[str] = None):
@@ -428,22 +453,23 @@ class AdaptiveSpec(_Section):
     _name = "adaptive"
 
     enabled: bool = True
-    W: int = 50
-    sigma_fraction: float = 0.01
+    W: int = knob(50, ge=1)
+    sigma_fraction: float = knob(0.01, gt=0, lt=1)
     #: Eq. 9 coefficient (the exact rms convention's 1/sqrt(3)); exposed
     #: so ablation configs round-trip too
-    coefficient: float = float(THEORY_COEFFICIENT_A)
-    initial_rel_eb: float = 1e-3
-    warmup_iterations: int = 5
-    eb_min: float = 1e-10
-    eb_max: float = 10.0
-    min_nonzero_ratio: float = 1e-3
+    coefficient: float = knob(float(THEORY_COEFFICIENT_A), gt=0)
+    initial_rel_eb: float = knob(1e-3, gt=0)
+    warmup_iterations: int = knob(5, ge=0)
+    eb_min: float = knob(1e-10, gt=0)
+    eb_max: float = knob(10.0, gt=0)
+    #: the floor of the observed nonzero ratio R, itself a ratio
+    min_nonzero_ratio: float = knob(1e-3, gt=0, le=1)
 
     def _check(self, where: str) -> None:
-        try:
-            self.to_adaptive_config()
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        if self.eb_max <= self.eb_min:
+            raise ConfigError(
+                f"{where}: need eb_min < eb_max, got {self.eb_min} >= {self.eb_max}"
+            )
 
     def to_adaptive_config(self):
         from repro.core.adaptive import AdaptiveConfig
@@ -477,19 +503,13 @@ class OptimizerSpec(_Section):
 
     _name = "optimizer"
 
-    kind: str = "sgd"  # "sgd" | "adam"
-    lr: float = 0.01
+    kind: str = knob("sgd", choices=("sgd", "adam"))
+    lr: float = knob(0.01, gt=0)
     momentum: float = 0.9  # sgd only
     weight_decay: float = 0.0
     options: Dict[str, Any] = field(default_factory=dict)  # extras (adam betas/eps)
 
     def _check(self, where: str) -> None:
-        if self.kind not in ("sgd", "adam"):
-            raise ConfigError(
-                f"{where}: kind must be 'sgd' or 'adam', got {self.kind!r}"
-            )
-        if self.lr <= 0:
-            raise ConfigError(f"{where}: lr must be positive, got {self.lr}")
         try:
             json.dumps(self.options)
         except TypeError as exc:
@@ -554,11 +574,11 @@ class DistributedSpec(_Section):
 
     _name = "distributed"
 
-    world_size: int = 1
+    world_size: int = knob(1, ge=1)
     grad_codec: Optional[CodecSpec] = None
     error_feedback: bool = True
-    reduce_order: str = "tree"  # "tree" | "linear"
-    rank_arena_budget: Optional[int] = None
+    reduce_order: str = knob("tree", choices=REDUCE_ORDERS)
+    rank_arena_budget: Optional[int] = knob(None, ge=1)
 
     def resolved_grad_codec(self) -> CodecSpec:
         """The codec the exchange actually uses (default: bit-exact)."""
@@ -567,10 +587,6 @@ class DistributedSpec(_Section):
         return CodecSpec("sparse-lossless")
 
     def _check(self, where: str) -> None:
-        if self.world_size < 1:
-            raise ConfigError(
-                f"{where}: world_size must be an int >= 1, got {self.world_size!r}"
-            )
         if self.grad_codec is not None:
             # The exchange's accuracy contract: a per-element error bound
             # or a bit-exact round trip.  Unbounded lossy codecs (jpeg)
@@ -582,16 +598,6 @@ class DistributedSpec(_Section):
                 "is lossy without an error bound; gradient exchange needs an "
                 "error-bounded ('szlike', 'chunked') or lossless ('lossless', "
                 "'sparse-lossless') codec",
-            )
-        if self.reduce_order not in ("tree", "linear"):
-            raise ConfigError(
-                f"{where}: reduce_order must be 'tree' or 'linear', "
-                f"got {self.reduce_order!r}"
-            )
-        if self.rank_arena_budget is not None and self.rank_arena_budget <= 0:
-            raise ConfigError(
-                f"{where}: rank_arena_budget must be a positive int or "
-                f"omitted, got {self.rank_arena_budget!r}"
             )
 
 
@@ -648,44 +654,21 @@ class ServerSpec(_Section):
 
     _name = "server"
 
-    pool_budget_bytes: int = 64 << 20
-    max_tenants: int = 8
-    admission: str = "reject"  # "reject" | "queue"
-    overcommit: float = 1.0
-    queue_depth: int = 64
-    workers: int = 1
-    max_batch_requests: int = 1
+    pool_budget_bytes: int = knob(64 << 20, ge=0)
+    max_tenants: int = knob(8, ge=1)
+    admission: str = knob("reject", choices=("reject", "queue"))
+    overcommit: float = knob(1.0, ge=1.0)
+    queue_depth: int = knob(64, ge=1)
+    workers: int = knob(1, ge=1)
+    max_batch_requests: int = knob(1, ge=1)
     shared_codebook_cache: bool = True
     spill_dir: Optional[str] = None
     host: str = "127.0.0.1"
-    port: int = 0
+    port: int = knob(0, ge=0, le=65535)
 
     def _check(self, where: str) -> None:
-        if self.pool_budget_bytes < 0:
-            raise ConfigError(
-                f"{where}: pool_budget_bytes must be an int >= 0, "
-                f"got {self.pool_budget_bytes!r}"
-            )
-        for attr in ("max_tenants", "queue_depth", "workers", "max_batch_requests"):
-            v = getattr(self, attr)
-            if v < 1:
-                raise ConfigError(f"{where}: {attr} must be an int >= 1, got {v!r}")
-        if self.admission not in ("reject", "queue"):
-            raise ConfigError(
-                f"{where}: admission must be 'reject' or 'queue', "
-                f"got {self.admission!r}"
-            )
-        if self.overcommit < 1.0:
-            raise ConfigError(
-                f"{where}: overcommit must be a number >= 1.0, "
-                f"got {self.overcommit!r}"
-            )
         if not self.host:
             raise ConfigError(f"{where}: host must be a non-empty string")
-        if not 0 <= self.port <= 65535:
-            raise ConfigError(
-                f"{where}: port must be an int in [0, 65535], got {self.port!r}"
-            )
 
     @classmethod
     def from_json(cls, source: Union[str, "os.PathLike"]) -> "ServerSpec":

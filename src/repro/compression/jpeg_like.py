@@ -41,6 +41,8 @@ JPEG_LUMINANCE_Q = np.array(
 )
 
 HEADER_BYTES = 64
+#: DEFLATE level of the quantized-coefficient payload
+ZLIB_LEVEL = 6
 
 
 def _quality_scale(quality: int) -> np.ndarray:
@@ -110,7 +112,7 @@ class JpegLikeCompressor:
     transform, mirroring JPEG-ACT's fixed-point front end.
     """
 
-    def __init__(self, quality: int = 50, zlib_level: int = 6):
+    def __init__(self, quality: int = 50):
         # scipy.fft is paid by whoever builds a jpeg codec, not by
         # ``import repro`` and not inside a step or on a worker thread
         from scipy.fft import dctn, idctn
@@ -118,7 +120,6 @@ class JpegLikeCompressor:
         self._dctn, self._idctn = dctn, idctn
         self.quality = int(quality)
         self.qmatrix = _quality_scale(self.quality)
-        self.zlib_level = int(zlib_level)
 
     def compress(self, x: np.ndarray) -> JpegCompressedTensor:
         x = np.asarray(x)
@@ -134,7 +135,7 @@ class JpegLikeCompressor:
         info = np.iinfo(np.int16)
         coeff_dtype = "int16" if (quant.min() >= info.min and quant.max() <= info.max) else "int32"
         quant = quant.astype(coeff_dtype)
-        payload = zlib.compress(quant.tobytes(), self.zlib_level)
+        payload = zlib.compress(quant.tobytes(), ZLIB_LEVEL)
         return JpegCompressedTensor(
             shape=x.shape,
             dtype=str(x.dtype),

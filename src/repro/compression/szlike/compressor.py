@@ -71,7 +71,7 @@ from repro.compression.szlike.huffman import (
     huffman_encode,
 )
 from repro.compression.szlike.quantizer import QuantizedResiduals
-from repro.kernels import KERNEL_BACKENDS, get_backend
+from repro.kernels import get_backend
 from repro.utils import profiler
 from repro.utils.scratch import ScratchPool
 
@@ -211,12 +211,8 @@ class SZCompressor:
     ):
         if mode not in ("abs", "rel"):
             raise ValueError(f"mode must be 'abs' or 'rel', got {mode!r}")
-        if kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, got {kernel_backend!r}"
-            )
-        if error_bound <= 0:
-            raise ValueError(f"error bound must be positive, got {error_bound}")
+        if not 0 < error_bound < np.inf:
+            raise ValueError(f"error bound must be positive and finite, got {error_bound}")
         if dict_size < 4 or dict_size & (dict_size - 1):
             raise ValueError(f"dict_size must be a power of two >= 4, got {dict_size}")
         if entropy not in _ENTROPY_STAGES:
@@ -263,10 +259,6 @@ class SZCompressor:
         """Re-point the hot loops at *kernel_backend* (same validation
         and resolution as the constructor; ``"numba"`` raises when
         unavailable)."""
-        if kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, got {kernel_backend!r}"
-            )
         self._kernels = get_backend(kernel_backend)
         self.kernel_backend = kernel_backend
 
@@ -378,8 +370,8 @@ class SZCompressor:
         if not np.all(np.isfinite(x)):
             raise ValueError("input contains non-finite values")
         eb = float(error_bound) if error_bound is not None else self.resolve_error_bound(x)
-        if eb <= 0:
-            raise ValueError(f"resolved error bound must be positive, got {eb}")
+        if not 0 < eb < np.inf:
+            raise ValueError(f"resolved error bound must be positive and finite, got {eb}")
         ndim = self._effective_ndim(x)
 
         with ExitStack() as stack:

@@ -33,8 +33,8 @@ __all__ = [
 
 def prequantize(x: np.ndarray, error_bound: float) -> np.ndarray:
     """Quantize *x* onto the ``2*eb`` grid, returning int64 grid indices."""
-    if error_bound <= 0:
-        raise ValueError(f"error bound must be positive, got {error_bound}")
+    if not 0 < error_bound < np.inf:
+        raise ValueError(f"error bound must be positive and finite, got {error_bound}")
     # rint keeps ties-to-even like cuSZ's round; int64 avoids overflow for
     # small error bounds on large-magnitude data.
     return np.rint(np.asarray(x, dtype=np.float64) / (2.0 * error_bound)).astype(np.int64)

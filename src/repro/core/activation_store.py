@@ -119,8 +119,8 @@ class CompressingContext(SavedTensorContext):
         storage: Optional[ByteArena] = None,
         policy_table: Optional[PolicyTable] = None,
     ):
-        if initial_rel_eb <= 0:
-            raise ValueError("initial_rel_eb must be positive")
+        if not 0 < initial_rel_eb < np.inf:
+            raise ValueError(f"initial_rel_eb must be positive and finite, got {initial_rel_eb}")
         if compressor is not None and not (
             hasattr(compressor, "compress") and hasattr(compressor, "decompress")
         ):

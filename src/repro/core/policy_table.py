@@ -25,6 +25,7 @@ specs, but nothing here depends on the api layer — contexts in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -78,15 +79,12 @@ class ResolvedPolicy:
     def __post_init__(self):
         if not self.label:
             raise ValueError("ResolvedPolicy needs a non-empty label")
-        if self.error_bound is not None and self.error_bound <= 0:
-            raise ValueError(
-                f"rule {self.label!r}: error_bound must be positive, "
-                f"got {self.error_bound}"
-            )
-        for attr in ("initial_rel_eb", "eb_min", "eb_max"):
+        for attr in ("error_bound", "initial_rel_eb", "eb_min", "eb_max"):
             v = getattr(self, attr)
-            if v is not None and v <= 0:
-                raise ValueError(f"rule {self.label!r}: {attr} must be positive, got {v}")
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(
+                    f"rule {self.label!r}: {attr} must be positive and finite, got {v}"
+                )
 
 
 class PolicyTable:
@@ -101,6 +99,10 @@ class PolicyTable:
                 raise TypeError(
                     f"rule {policy.label!r}: matcher must be callable, "
                     f"got {type(matcher).__name__}"
+                )
+            if policy.label == DEFAULT_GROUP:
+                raise ValueError(
+                    f"rule label {DEFAULT_GROUP!r} is reserved for the layers no rule matches"
                 )
             if policy.label in seen:
                 raise ValueError(f"duplicate rule label {policy.label!r}")

@@ -27,10 +27,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["REDUCE_ORDERS", "reduce_arrays"]
+from repro.api.config import REDUCE_ORDERS
 
-#: the reduction schedules DistributedSpec.reduce_order accepts
-REDUCE_ORDERS = ("tree", "linear")
+__all__ = ["REDUCE_ORDERS", "reduce_arrays"]
 
 
 def _fold(terms: List[np.ndarray], order: str) -> np.ndarray:

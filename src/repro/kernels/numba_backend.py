@@ -250,8 +250,8 @@ def make_kernel_functions(loops, on_fallback):
     """
 
     def quantize_encode(x, error_bound, radius, ndim, pool, stack):
-        if error_bound <= 0:
-            raise ValueError(f"error bound must be positive, got {error_bound}")
+        if not 0 < error_bound < np.inf:
+            raise ValueError(f"error bound must be positive and finite, got {error_bound}")
         if radius < 2:
             raise ValueError(f"radius must be >= 2, got {radius}")
         grid_extent(x, error_bound)  # int64 grid: a wrapped index is a silently wrong value

@@ -365,8 +365,8 @@ def _numpy_quantize_encode(x, error_bound, radius, ndim, pool, stack):
     pipeline: "quantize" covers the grid round, "predict" the residual
     transform and code mapping.
     """
-    if error_bound <= 0:
-        raise ValueError(f"error bound must be positive, got {error_bound}")
+    if not 0 < error_bound < math.inf:
+        raise ValueError(f"error bound must be positive and finite, got {error_bound}")
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     take = pool.take

@@ -34,9 +34,5 @@ class SoftmaxCrossEntropy:
         return loss, dlogits
 
     @staticmethod
-    def predictions(logits: np.ndarray) -> np.ndarray:
-        return logits.argmax(axis=1)
-
-    @staticmethod
     def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
         return float((logits.argmax(axis=1) == labels).mean())

@@ -190,10 +190,6 @@ class StepScheduler:
                 self._cond.notify()
         return ticket
 
-    def drain(self, tickets: List[Ticket], timeout: Optional[float] = None) -> List[object]:
-        """Wait on every ticket, returning their results in order."""
-        return [t.wait(timeout) for t in tickets]
-
     # -- worker loop ---------------------------------------------------------
     def _worker(self) -> None:
         while True:

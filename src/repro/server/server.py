@@ -53,6 +53,7 @@ from repro.api.config import (
     SessionConfig,
     _load_json_source,
     _Section,
+    knob,
 )
 from repro.api.session import Session, build_session, session_codecs
 from repro.compression.szlike import CodebookTable, SharedCodebookCache
@@ -100,11 +101,11 @@ class TenantSpec(_Section):
     _name = "tenant"
 
     name: str = ""
-    kind: str = "train"  # "train" | "infer"
+    kind: str = knob("train", choices=("train", "infer"))
     model: str = "alexnet"
-    num_classes: int = 8
-    image_size: int = 16
-    batch_size: int = 8
+    num_classes: int = knob(8, ge=1)
+    image_size: int = knob(16, ge=1)
+    batch_size: int = knob(8, ge=1)
     signal: float = 1.5
     seed: int = 0
     session: SessionConfig = field(default_factory=SessionConfig)
@@ -112,14 +113,6 @@ class TenantSpec(_Section):
     def _check(self, where: str) -> None:
         if not self.name:
             raise ConfigError(f"{where}: name must be a non-empty string")
-        if self.kind not in ("train", "infer"):
-            raise ConfigError(
-                f"{where}: kind must be 'train' or 'infer', got {self.kind!r}"
-            )
-        for attr in ("num_classes", "image_size", "batch_size"):
-            v = getattr(self, attr)
-            if v < 1:
-                raise ConfigError(f"{where}: {attr} must be an int >= 1, got {v!r}")
         if self.session.distributed.world_size > 1:
             raise ConfigError(
                 f"{where}: distributed sessions cannot be hosted as server "

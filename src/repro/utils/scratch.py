@@ -33,25 +33,18 @@ import numpy as np
 
 __all__ = ["ScratchPool"]
 
+#: free buffers a pool retains per dtype; a return beyond the cap drops
+#: the smallest free buffer, so the largest (most reusable) survive
+MAX_PER_DTYPE = 8
+#: ceiling on a pool's free bytes across all dtypes; a return that would
+#: exceed it evicts smallest-first
+MAX_TOTAL_BYTES = 256 << 20
+
 
 class ScratchPool:
-    """Thread-safe pool of reusable flat scratch buffers.
+    """Thread-safe pool of reusable flat scratch buffers."""
 
-    Parameters
-    ----------
-    max_per_dtype:
-        Free buffers retained per dtype; returns beyond the cap drop the
-        smallest free buffer so the largest (most reusable) survive.
-    max_total_bytes:
-        Ceiling on pooled (free) bytes across all dtypes; returning a
-        buffer that would exceed it evicts smallest-first.
-    """
-
-    def __init__(self, max_per_dtype: int = 8, max_total_bytes: int = 256 << 20):
-        if max_per_dtype < 1:
-            raise ValueError(f"max_per_dtype must be >= 1, got {max_per_dtype}")
-        self.max_per_dtype = int(max_per_dtype)
-        self.max_total_bytes = int(max_total_bytes)
+    def __init__(self):
         self._free: Dict[np.dtype, List[np.ndarray]] = {}
         self._lock = threading.Lock()
         # -- statistics ----------------------------------------------------
@@ -117,9 +110,7 @@ class ScratchPool:
             bucket.append(buf)
             self.free_bytes += buf.nbytes
             bucket.sort(key=lambda b: b.size)
-            while len(bucket) > self.max_per_dtype or (
-                self.free_bytes > self.max_total_bytes and bucket
-            ):
+            while len(bucket) > MAX_PER_DTYPE or (self.free_bytes > MAX_TOTAL_BYTES and bucket):
                 dropped = bucket.pop(0)  # smallest first
                 self.free_bytes -= dropped.nbytes
 

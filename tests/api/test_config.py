@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import glob
 import json
+import math
 import os
+import re
 import typing
 
 import pytest
@@ -14,12 +16,15 @@ from repro.api import (
     AdaptiveSpec,
     CodecSpec,
     ConfigError,
+    DistributedSpec,
     EngineSpec,
     OptimizerSpec,
     PolicyRule,
+    ProfilerSpec,
     SessionConfig,
     StorageSpec,
 )
+from repro.api.config import ServerSpec
 from repro.compression import registry
 from repro.compression.registry import get_codec
 
@@ -92,7 +97,7 @@ class TestValidation:
             SessionConfig.from_dict({"codecs": {}})
 
     def test_rule_errors_name_the_rule(self):
-        with pytest.raises(ConfigError, match=r"rules\[1\].*error_bound must be positive"):
+        with pytest.raises(ConfigError, match=r"rules\[1\]: error_bound must be > 0"):
             SessionConfig.from_dict(
                 {"rules": [{"match": "l0"}, {"match": "l1", "error_bound": -1.0}]}
             )
@@ -417,13 +422,9 @@ class TestRemovedCodecSwitches:
 
 class TestDistributedSpec:
     def cfg(self, **kw):
-        from repro.api import DistributedSpec
-
         return SessionConfig(distributed=DistributedSpec(**kw))
 
     def test_round_trip_identity(self):
-        from repro.api import DistributedSpec
-
         cfg = SessionConfig(
             distributed=DistributedSpec(
                 world_size=4,
@@ -510,19 +511,58 @@ def _scalar_fields(cls):
             yield f.name, set(args)
 
 
-def _type_cases():
-    from repro.api.config import ServerSpec
-    from repro.api import DistributedSpec, ProfilerSpec
+def _schema():
+    """Every scalar knob of every session section, the server and a
+    tenant, with its legal values: a tuple of choices, a dict of
+    ``{"ge" | "gt" | "le" | "lt": limit}`` bounds, or None (any value of
+    its annotated type; a float must still be finite)."""
     from repro.server import TenantSpec
 
-    specs = [
-        CodecSpec, PolicyRule, StorageSpec, EngineSpec, AdaptiveSpec, ProfilerSpec,
-        OptimizerSpec, DistributedSpec, ServerSpec, SessionConfig, TenantSpec,
-    ]
+    return {
+        SessionConfig: {"compress_activations": None},
+        CodecSpec: {"name": None},
+        PolicyRule: {
+            "match": None, "label": None, "error_bound": {"gt": 0}, "adaptive": None,
+            "initial_rel_eb": {"gt": 0}, "eb_min": {"gt": 0}, "eb_max": {"gt": 0},
+        },
+        StorageSpec: {
+            "activations": ("inmem", "arena"), "budget_bytes": {"ge": 0}, "spill_dir": None,
+            "params": ("resident", "arena"), "param_budget_bytes": {"ge": 0},
+        },
+        EngineSpec: {"kernel_backend": ("numpy", "numba", "auto")},
+        AdaptiveSpec: {
+            "enabled": None, "W": {"ge": 1}, "sigma_fraction": {"gt": 0, "lt": 1},
+            "coefficient": {"gt": 0}, "initial_rel_eb": {"gt": 0},
+            "warmup_iterations": {"ge": 0}, "eb_min": {"gt": 0}, "eb_max": {"gt": 0},
+            "min_nonzero_ratio": {"gt": 0, "le": 1},
+        },
+        ProfilerSpec: {"enabled": None},
+        OptimizerSpec: {
+            "kind": ("sgd", "adam"), "lr": {"gt": 0}, "momentum": None, "weight_decay": None,
+        },
+        DistributedSpec: {
+            "world_size": {"ge": 1}, "error_feedback": None, "reduce_order": ("tree", "linear"),
+            "rank_arena_budget": {"ge": 1},
+        },
+        ServerSpec: {
+            "pool_budget_bytes": {"ge": 0}, "max_tenants": {"ge": 1},
+            "admission": ("reject", "queue"), "overcommit": {"ge": 1.0},
+            "queue_depth": {"ge": 1}, "workers": {"ge": 1}, "max_batch_requests": {"ge": 1},
+            "shared_codebook_cache": None, "spill_dir": None, "host": None,
+            "port": {"ge": 0, "le": 65535},
+        },
+        TenantSpec: {
+            "name": None, "kind": ("train", "infer"), "model": None, "num_classes": {"ge": 1},
+            "image_size": {"ge": 1}, "batch_size": {"ge": 1}, "signal": None, "seed": None,
+        },
+    }
+
+
+def _type_cases():
     # one value of each JSON scalar type, with the annotations it satisfies
     # (an int is a number; a bool is neither an int nor a number)
     wrong = [("2", {str}), (2, {int, float}), (2.5, {float}), (True, {bool})]
-    for cls in specs:
+    for cls in _schema():
         for name, admitted in _scalar_fields(cls):
             for value, satisfies in wrong:
                 if not admitted & satisfies:
@@ -571,3 +611,96 @@ class TestScalarTypes:
         )
         assert cfg.optimizer.lr == 1 and cfg.adaptive.eb_max == 10
 
+
+
+#: a session section's key in a session config file
+SECTION_KEYS = {
+    CodecSpec: "codec", StorageSpec: "storage", EngineSpec: "engine", AdaptiveSpec: "adaptive",
+    ProfilerSpec: "profiler", OptimizerSpec: "optimizer", DistributedSpec: "distributed",
+}
+SYMBOLS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+
+
+def _both_ways(cls, name, value):
+    """``(where, parse)`` twice for a config whose only set knob is
+    ``cls.name = value``: parsed from JSON text by its entry point, and
+    built in Python, then validated."""
+    from repro.server import TenantSpec, load_server_config
+
+    kw = {name: value}
+    if cls is ServerSpec:
+        yield "server", lambda: load_server_config(json.dumps({"server": kw}))
+        yield "server", lambda: ServerSpec(**kw).validate()
+        return
+    if cls is TenantSpec:
+        kw = {"name": "t", **kw}
+        yield r"tenants\[0\]", lambda: load_server_config(json.dumps({"tenants": [kw]}))
+        yield "tenant", lambda: TenantSpec(**kw).validate()
+        return
+    if cls is SessionConfig:
+        doc, where, built = kw, "session", lambda: SessionConfig(**kw)
+    elif cls is PolicyRule:
+        kw = {"match": "l0", **kw}
+        doc, where = {"rules": [kw]}, r"rules\[0\]"
+        built = lambda: SessionConfig(rules=[PolicyRule(**kw)])  # noqa: E731
+    else:
+        key = SECTION_KEYS[cls]
+        doc, where = {key: kw}, key
+        built = lambda: SessionConfig(**{key: cls(**kw)})  # noqa: E731
+    yield where, lambda: SessionConfig.from_json(json.dumps(doc))
+    yield where, lambda: built().validate()
+
+
+def _nearest_illegal(op, limit, is_float):
+    if op in ("gt", "lt"):
+        return float(limit) if is_float else limit
+    if is_float:
+        return math.nextafter(limit, -math.inf if op == "ge" else math.inf)
+    return limit - 1 if op == "ge" else limit + 1
+
+
+def _schema_cases():
+    """``(cls, field, value, what the error says)``; None: legal."""
+    for cls, knobs in _schema().items():
+        types = dict(_scalar_fields(cls))
+        for name, legal in knobs.items():
+            at = f"{cls.__name__}.{name}"
+            is_float = float in types[name]
+            if is_float:
+                for v in (math.nan, math.inf, -math.inf):
+                    yield pytest.param(cls, name, v, "a finite number", id=f"{at}={v}")
+            if isinstance(legal, tuple):
+                yield pytest.param(cls, name, "bogus", "one of", id=f"{at}='bogus'")
+                for v in legal:
+                    yield pytest.param(cls, name, v, None, id=f"{at}={v!r}")
+            for op, limit in (legal.items() if isinstance(legal, dict) else ()):
+                v = _nearest_illegal(op, limit, is_float)
+                yield pytest.param(cls, name, v, f"{SYMBOLS[op]} {limit}", id=f"{at}={v!r}")
+                if op in ("ge", "le"):
+                    yield pytest.param(cls, name, limit, None, id=f"{at}={limit!r}")
+
+
+class TestDeclaredKnobs:
+    """Each knob's legal values are declared on its field, and one check
+    enforces them on the JSON path and the programmatic path alike."""
+
+    def test_schema_covers_every_scalar_field(self):
+        from repro.server import TenantSpec
+
+        schema = _schema()
+        assert set(schema) == {
+            CodecSpec, PolicyRule, StorageSpec, EngineSpec, AdaptiveSpec, ProfilerSpec,
+            OptimizerSpec, DistributedSpec, ServerSpec, SessionConfig, TenantSpec,
+        }
+        for cls, knobs in schema.items():
+            assert set(knobs) == {name for name, _ in _scalar_fields(cls)}, cls.__name__
+
+    @pytest.mark.parametrize("cls,name,value,problem", list(_schema_cases()))
+    def test_knob_holds_only_its_legal_values(self, cls, name, value, problem):
+        for where, parse in _both_ways(cls, name, value):
+            if problem is None:
+                parse()
+                continue
+            expected = rf"^{where}: {name} must be (.* )?{re.escape(problem)}"
+            with pytest.raises(ConfigError, match=expected):
+                parse()

@@ -270,6 +270,16 @@ class TestPolicyBehaviour:
             # group ledger is consistent with the per-layer ledger
             assert groups["pinned"].raw_bytes == s.tracker.per_layer["l0"].raw_bytes
 
+    def test_default_label_is_reserved_for_unmatched_layers(self):
+        """A rule labelled ``"default"`` shared the unmatched layers'
+        group: one ``group_summary()`` row for lossless l0 and szlike rest."""
+        rule = PolicyRule(match="l0", label="default", codec=CodecSpec("lossless"))
+        reserved = r"^rules\[0\]: label 'default' is reserved"
+        with pytest.raises(ConfigError, match=reserved):
+            SessionConfig.from_dict({"rules": [rule.to_dict()]})
+        with pytest.raises(ConfigError, match=reserved):
+            build_session(make_net("vgg16"), SessionConfig(rules=[rule]))
+
     def test_per_rule_eb_clamp_override(self):
         cfg = SessionConfig(
             rules=[PolicyRule(match="l0", label="capped", eb_max=1e-6)],

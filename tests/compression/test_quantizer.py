@@ -40,9 +40,10 @@ class TestPrequantize:
         # rint ties-to-even is symmetric
         assert np.array_equal(q_pos, -q_neg)
 
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            prequantize(np.ones(3), 0.0)
+    @pytest.mark.parametrize("bound", [0.0, float("nan"), float("inf")])
+    def test_rejects_bound_outside_zero_to_inf(self, bound):
+        with pytest.raises(ValueError, match="positive and finite"):
+            prequantize(np.ones(3), bound)
 
     def test_int64_for_small_bounds(self):
         """Tiny bounds on large values must not overflow."""

@@ -252,6 +252,20 @@ class TestFailures:
         assert tracker.per_layer["c"].packs == 3
         assert live_bytes(tracker) == (0, 0)
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0])
+    def test_bound_outside_zero_to_inf_is_a_value_error(self, bound):
+        with pytest.raises(ValueError, match="initial_rel_eb must be positive and finite"):
+            CompressingContext(get_codec("szlike"), initial_rel_eb=bound)
+        for attr in ("error_bound", "initial_rel_eb", "eb_min", "eb_max"):
+            with pytest.raises(ValueError, match=f"{attr} must be positive and finite"):
+                ResolvedPolicy(label="r", **{attr: bound})
+
+    def test_default_label_is_reserved(self):
+        """``"default"`` names the layers no rule matches; a rule with
+        that label merged its layers into their accounting group."""
+        with pytest.raises(ValueError, match="'default' is reserved"):
+            PolicyTable([(compile_matcher("c1"), ResolvedPolicy(label="default"))])
+
 
 def small_net():
     return Sequential([

@@ -411,6 +411,27 @@ class TestCompressorIntegration:
         with pytest.raises(ValueError, match="does not fit int64"):
             c.compress(x)
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "codec", [f"szlike[{b}]" for b in available_backends()] + ["chunked"]
+    )
+    def test_non_finite_error_bound_is_a_value_error(self, codec, bound):
+        """A NaN bound passed every ``eb <= 0`` guard and decoded every
+        value to NaN; an infinite one passed them too."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            self._grid_codec(codec, bound)
+        c = self._grid_codec(codec, 1e-3)
+        x = np.random.default_rng(0).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        with pytest.raises(ValueError, match="positive and finite"):
+            c.compress(x, error_bound=bound)
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("backend", ["numpy", "python-loops"])
+    def test_kernel_rejects_a_bound_outside_zero_to_inf(self, backend, bound):
+        b = get_backend("numpy") if backend == "numpy" else python_backend()
+        with pytest.raises(ValueError, match="positive and finite"):
+            encode_with(b, np.ones((4, 4)), eb=bound)
+
     def test_grid_check_precedes_the_compiled_loops(self):
         fallbacks = []
         with pytest.raises(ValueError, match="does not fit int64"):

@@ -5,7 +5,9 @@ Snapshots, the per-parameter write path, the LR-schedule hook,
 per-session sanitizer switch had no caller outside the test suite.
 Neither had the Huffman decoder that worked without a chunk table.
 The V100 performance simulator measured nothing: every input was a
-constant.
+constant.  Nothing passed a jpeg DEFLATE level or a scratch pool's caps,
+and nothing called ``StepScheduler.drain`` or
+``SoftmaxCrossEntropy.predictions``.
 """
 
 import numpy as np
@@ -17,7 +19,11 @@ from repro.core.activation_store import CompressingContext
 from repro.core.framework import CompressedTraining
 from repro.core.param_store import ParamStore, StoreSlots
 from repro.models.specs import LayerReport
+from repro.compression.jpeg_like import JpegLikeCompressor
 from repro.nn import SGD, Layer, Linear, Optimizer, ResidentSlots, SlotState, Trainer
+from repro.nn.layers.loss import SoftmaxCrossEntropy
+from repro.server.scheduler import StepScheduler
+from repro.utils import ScratchPool
 
 
 class TestRemovedSurface:
@@ -77,10 +83,25 @@ class TestRemovedSurface:
             (StoreSlots, "write"),
             (CompressedTraining, "detach"),
             (Layer, "recomputable"),
+            (StepScheduler, "drain"),
+            (SoftmaxCrossEntropy, "predictions"),
         ],
     )
     def test_attribute_is_gone(self, cls, attr):
         assert not hasattr(cls, attr)
+
+    @pytest.mark.parametrize(
+        "make,keyword",
+        [
+            (lambda: JpegLikeCompressor(zlib_level=6), "zlib_level"),
+            (lambda: ScratchPool(max_per_dtype=2), "max_per_dtype"),
+            (lambda: ScratchPool(max_total_bytes=1 << 20), "max_total_bytes"),
+        ],
+        ids=["jpeg-zlib_level", "scratch-max_per_dtype", "scratch-max_total_bytes"],
+    )
+    def test_constructor_option_is_a_type_error(self, make, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            make()
 
     def test_instance_state_is_gone(self):
         net = Linear(2, 2, rng=0)

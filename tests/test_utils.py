@@ -6,6 +6,7 @@ import pytest
 
 from repro.utils import ScratchPool, StageProfiler, ensure_rng, human_bytes, nbytes_of
 from repro.utils import profiler as profiler_mod
+from repro.utils import scratch
 
 
 class TestEnsureRng:
@@ -127,12 +128,18 @@ class TestScratchPool:
         assert pool.cross_dtype_hits == 0
         assert pool.misses == 2
 
-    def test_caps_bound_pool_footprint(self):
-        pool = ScratchPool(max_per_dtype=2, max_total_bytes=1 << 20)
-        for n in (100, 200, 300, 400):
+    def test_caps_bound_pool_footprint(self, monkeypatch):
+        pool = ScratchPool()
+        sizes = [100 * (i + 1) for i in range(scratch.MAX_PER_DTYPE + 2)]
+        for n in sizes:
             with pool.take((n,), np.float64):
                 pass
-        assert pool.free_bytes <= 2 * 400 * 8
+        # the largest MAX_PER_DTYPE buffers survive
+        assert pool.free_bytes == 8 * sum(sizes[-scratch.MAX_PER_DTYPE:])
+        monkeypatch.setattr(scratch, "MAX_TOTAL_BYTES", 8 * 1000)
+        with pool.take((900,), np.float64):
+            pass
+        assert pool.free_bytes <= 8 * 1000
 
     def test_clear_releases_everything(self):
         pool = ScratchPool()
@@ -141,10 +148,6 @@ class TestScratchPool:
         assert pool.free_bytes > 0
         pool.clear()
         assert pool.free_bytes == 0
-
-    def test_rejects_bad_caps(self):
-        with pytest.raises(ValueError):
-            ScratchPool(max_per_dtype=0)
 
 
 class TestStageProfiler:
