@@ -53,9 +53,9 @@ def main():
                   f"{rec.stored_bytes / 1e6:7.1f} MB stored   ({rec.ratio:4.1f}x)")
 
         print("\nper-layer error bounds (rule-pinned layers stay fixed):")
-        table = session.policy_table
+        policies = session.compressed.ctx.policies  # resolved once, at build
         for name, eb in sorted(session.error_bounds.items()):
-            print(f"  {name:6s} [{table.group_of(name):14s}] eb = {eb:9.3e}")
+            print(f"  {name:6s} [{policies[name].group:14s}] eb = {eb:9.3e}")
 
 
 if __name__ == "__main__":

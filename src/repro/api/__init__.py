@@ -33,7 +33,7 @@ from repro.api.config import (
     SessionConfig,
     StorageSpec,
 )
-from repro.api.session import Session, build_policy_table, build_session
+from repro.api.session import Session, build_session
 
 __all__ = [
     "AdaptiveSpec",
@@ -47,6 +47,5 @@ __all__ = [
     "SessionConfig",
     "StorageSpec",
     "Session",
-    "build_policy_table",
     "build_session",
 ]

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.error_model import THEORY_COEFFICIENT_A
-from repro.core.policy_table import DEFAULT_GROUP
+from repro.core.memory_tracker import DEFAULT_GROUP
 from repro.kernels import KERNEL_BACKENDS
 
 __all__ = [
@@ -328,7 +328,10 @@ class PolicyRule(_Section):
     error-bound regime.
 
     First match wins across ``SessionConfig.rules``; unmatched layers
-    fall back to the session defaults.  Everything else is session-wide:
+    fall back to the session defaults.  ``build_session`` resolves every
+    compressible layer's policy once, and a rule that is the first match
+    of no compressible layer is a :class:`ConfigError` there.  Everything
+    else is session-wide:
     under arena storage every compressed layer's bytes go to the one
     arena budget, and a data-parallel exchange sends every gradient
     through ``distributed.grad_codec``.
@@ -446,9 +449,10 @@ class EngineSpec(_Section):
 
 @dataclass
 class AdaptiveSpec(_Section):
-    """The Eq. 8/9 controller's knobs (defaults match
-    ``CompressedTraining``'s: the paper's values with W scaled to
-    CPU-sized runs)."""
+    """The Eq. 8/9 controller's knobs: the paper's values, with W scaled
+    to CPU-sized runs.  ``CompressedTraining`` takes this section as it
+    is; ``initial_rel_eb`` / ``eb_min`` / ``eb_max`` are the defaults a
+    policy rule overrides per layer."""
 
     _name = "adaptive"
 
@@ -470,20 +474,6 @@ class AdaptiveSpec(_Section):
             raise ConfigError(
                 f"{where}: need eb_min < eb_max, got {self.eb_min} >= {self.eb_max}"
             )
-
-    def to_adaptive_config(self):
-        from repro.core.adaptive import AdaptiveConfig
-
-        return AdaptiveConfig(
-            W=self.W,
-            sigma_fraction=self.sigma_fraction,
-            coefficient=self.coefficient,
-            initial_rel_eb=self.initial_rel_eb,
-            warmup_iterations=self.warmup_iterations,
-            eb_min=self.eb_min,
-            eb_max=self.eb_max,
-            min_nonzero_ratio=self.min_nonzero_ratio,
-        )
 
 
 @dataclass

@@ -1,8 +1,7 @@
 """The front door: ``build_session(network, config) -> Session``.
 
 One call composes the whole stack — codec registry, per-layer
-:class:`~repro.core.policy_table.PolicyTable`,
-:class:`~repro.core.arena.ByteArena` activation storage,
+policies, :class:`~repro.core.arena.ByteArena` activation storage,
 :class:`~repro.core.param_store.ParamStore` out-of-core parameters,
 the kernel backend, the Eq. 8/9 adaptive controller, and the stage
 profiler — from one declarative :class:`~repro.api.config.SessionConfig`,
@@ -22,18 +21,27 @@ across a ``to_json`` / ``from_json`` round trip (pinned by
 ``tests/api``).  A build that fails leaves
 nothing behind: the profiler it activated is deactivated and every
 store it created is closed; a config the network cannot use (no
-compressible layer to compress) is a :class:`~repro.api.config.ConfigError`.
+compressible layer to compress, or a policy rule that is the first match
+of no compressible layer) is a :class:`~repro.api.config.ConfigError`.
+
+Policy rules are resolved once, here: every compressible layer gets one
+:class:`~repro.core.activation_store.ResolvedPolicy` (its first matching
+rule over the ``adaptive`` section, or the session defaults), and the
+layer set never changes after build.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import List, Optional, Tuple
+from dataclasses import replace
+from fnmatch import fnmatchcase
+from typing import Dict, Optional
 
-from repro.api.config import CodecSpec, ConfigError, PolicyRule, SessionConfig
-from repro.core.policy_table import PolicyTable, ResolvedPolicy, compile_matcher
+from repro.api.config import CodecSpec, ConfigError, SessionConfig
+from repro.core.activation_store import ResolvedPolicy
+from repro.core.memory_tracker import DEFAULT_GROUP
 
-__all__ = ["Session", "build_session", "build_policy_table"]
+__all__ = ["Session", "build_session"]
 
 
 def _build_codec(spec: CodecSpec, kernel_backend: str):
@@ -57,40 +65,32 @@ def _build_codec(spec: CodecSpec, kernel_backend: str):
     return codec
 
 
-def build_policy_table(
-    rules: List[PolicyRule], kernel_backend: str = "auto"
-) -> Optional[PolicyTable]:
-    """Compile declarative :class:`PolicyRule` specs into a live
-    :class:`PolicyTable` (codec instances built once per rule and shared
-    by every layer the rule matches).  Returns ``None`` for no rules.
+def _first_matches(network, config: SessionConfig) -> Dict[str, Optional[int]]:
+    """Compressible layer name -> index of the first rule whose glob
+    matches it (``fnmatchcase``), or None.  A network without a
+    compressible layer, and a rule that is the first match of none, are
+    :class:`ConfigError`."""
+    from repro.nn.network import iter_layers
 
-    *kernel_backend* (the session's ``engine.kernel_backend``) applies
-    to every rule codec whose options do not name a backend themselves.
-    """
-    if not rules:
-        return None
-    compiled: List[Tuple[object, ResolvedPolicy]] = []
-    for i, rule in enumerate(rules):
-        rule.validate(f"rules[{i}] (match={rule.match!r})")
-        compiled.append(
-            (
-                compile_matcher(rule.match),
-                ResolvedPolicy(
-                    label=rule.label or f"rule{i}",
-                    codec=(
-                        _build_codec(rule.codec, kernel_backend)
-                        if rule.codec is not None
-                        else None
-                    ),
-                    error_bound=rule.error_bound,
-                    adaptive=rule.resolved_adaptive(),
-                    initial_rel_eb=rule.initial_rel_eb,
-                    eb_min=rule.eb_min,
-                    eb_max=rule.eb_max,
-                ),
-            )
+    names = [layer.name for layer in iter_layers(network) if layer.compressible]
+    if not names:
+        raise ConfigError(
+            "network has no compressible (conv) layers; set "
+            "compress_activations=False to train it uncompressed"
         )
-    return PolicyTable(compiled)
+    rules = config.rules
+    first = {
+        name: next((i for i, r in enumerate(rules) if fnmatchcase(name, r.match)), None)
+        for name in names
+    }
+    used = set(first.values())
+    for i, rule in enumerate(rules):
+        if i not in used:
+            raise ConfigError(
+                f"rules[{i}] (match={rule.match!r}) is the first match of no "
+                f"compressible layer; the compressible layers are {', '.join(names)}"
+            )
+    return first
 
 
 class Session:
@@ -158,10 +158,6 @@ class Session:
     @property
     def engine(self):
         return self.compressed.engine if self.compressed is not None else None
-
-    @property
-    def policy_table(self):
-        return self.compressed.ctx.policy_table if self.compressed is not None else None
 
     @property
     def error_bounds(self):
@@ -245,7 +241,6 @@ def build_session(
     """
     from repro.core.arena import ByteArena
     from repro.core.param_store import ParamStore
-    from repro.nn.network import iter_layers
     from repro.nn.trainer import Trainer
     from repro.utils.profiler import StageProfiler
 
@@ -257,20 +252,14 @@ def build_session(
         )
     config.validate()
 
+    first = _first_matches(network, config) if config.compress_activations else {}
+
     if config.distributed.world_size > 1:
         # N rank processes behind the same Session surface; the import
         # is deferred so single-process sessions never pay for it.
         from repro.distributed.session import build_distributed_session
 
         return build_distributed_session(network, config, optimizer=optimizer)
-
-    if config.compress_activations and not any(
-        layer.compressible for layer in iter_layers(network)
-    ):
-        raise ConfigError(
-            "network has no compressible (conv) layers; set "
-            "compress_activations=False to train it uncompressed"
-        )
 
     if optimizer is None:
         optimizer = config.optimizer.build(network.parameters())
@@ -312,7 +301,7 @@ def build_session(
             session = Session(network, optimizer, trainer, config, param_store=param_store)
         else:
             compressed = _build_compressed(
-                network, optimizer, config, storage, param_store
+                network, optimizer, config, first, storage, param_store
             ).attach(trainer)
             session = Session(
                 network, optimizer, trainer, config,
@@ -325,34 +314,65 @@ def build_session(
     return session
 
 
-def _build_compressed(network, optimizer, config: SessionConfig, storage, param_store):
+def _build_compressed(network, optimizer, config: SessionConfig, first, storage, param_store):
     """The :class:`~repro.core.framework.CompressedTraining` half of
-    :func:`build_session`: codecs, policy table, controller."""
+    :func:`build_session`: codecs, one :class:`ResolvedPolicy` per
+    compressible layer, controller.  Each rule's codec is built once and
+    shared by the layers it matches; a rule without a codec, and every
+    unmatched layer, use the session codec."""
     from repro.core.framework import CompressedTraining
 
-    table = build_policy_table(config.rules, config.engine.kernel_backend)
+    kernel_backend = config.engine.kernel_backend
+    adaptive = config.adaptive
+    base = ResolvedPolicy(
+        _build_codec(config.codec, kernel_backend),
+        initial_rel_eb=adaptive.initial_rel_eb,
+        eb_min=adaptive.eb_min,
+        eb_max=adaptive.eb_max,
+        group=DEFAULT_GROUP if config.rules else "",
+    )
+    resolved = []
+    for i, rule in enumerate(config.rules):
+        overrides = {
+            key: getattr(rule, key)
+            for key in ("initial_rel_eb", "eb_min", "eb_max")
+            if getattr(rule, key) is not None
+        }
+        resolved.append(
+            replace(
+                base,
+                codec=(
+                    _build_codec(rule.codec, kernel_backend)
+                    if rule.codec is not None
+                    else base.codec
+                ),
+                error_bound=rule.error_bound,
+                adaptive=rule.resolved_adaptive(),
+                group=rule.label or f"rule{i}",
+                **overrides,
+            )
+        )
     return CompressedTraining(
         network,
         optimizer,
-        compressor=_build_codec(config.codec, config.engine.kernel_backend),
-        config=config.adaptive.to_adaptive_config(),
+        compressor=base.codec,
+        config=adaptive,
         storage=storage,
         param_storage=param_store,
-        policy_table=table,
-        adaptive=config.adaptive.enabled,
+        policies={name: base if i is None else resolved[i] for name, i in first.items()},
     )
 
 
 def session_codecs(session: Session) -> list:
-    """Every codec *session* built: the session codec, the policy-rule
-    codecs and the parameter codec."""
-    table = session.policy_table
-    codecs = [pol.codec for pol in table.rules] if table is not None else []
+    """Every codec *session* built, once each: the session codec, the
+    policy-rule codecs and the parameter codec."""
+    codecs = []
     if session.compressed is not None:
-        codecs.append(session.compressed.ctx.compressor)
+        ctx = session.compressed.ctx
+        codecs = [ctx.compressor, *(pol.codec for pol in ctx.policies.values())]
     if session.param_store is not None:
         codecs.append(session.param_store.codec)
-    return [codec for codec in codecs if codec is not None]
+    return list({id(codec): codec for codec in codecs if codec is not None}.values())
 
 
 def close_codecs(codecs) -> None:

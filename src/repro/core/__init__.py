@@ -11,10 +11,9 @@ from repro.core.gradient_assessment import GradientAssessor
 from repro.core.memory_tracker import LayerMemoryRecord, MemoryTracker
 from repro.core.arena import ByteArena
 from repro.core.engine import SyncEngine
-from repro.core.activation_store import CompressingContext, PackedActivation
+from repro.core.activation_store import CompressingContext, PackedActivation, ResolvedPolicy
 from repro.core.param_store import ParamStore, StoredEntry, StoreSlots
-from repro.core.policy_table import PolicyTable, ResolvedPolicy, compile_matcher
-from repro.core.adaptive import AdaptiveConfig, AdaptiveController
+from repro.core.adaptive import AdaptiveController
 from repro.core.framework import CompressedTraining
 
 __all__ = [
@@ -30,13 +29,10 @@ __all__ = [
     "SyncEngine",
     "CompressingContext",
     "PackedActivation",
+    "ResolvedPolicy",
     "ParamStore",
     "StoredEntry",
     "StoreSlots",
-    "PolicyTable",
-    "ResolvedPolicy",
-    "compile_matcher",
-    "AdaptiveConfig",
     "AdaptiveController",
     "CompressedTraining",
 ]

@@ -18,13 +18,14 @@ class of its own: a lossless codec with the controller disabled stores
 activations bit-exactly, and a ``"*"`` policy rule with a fixed
 ``error_bound`` is one static bound for every layer.
 
-An optional :class:`~repro.core.policy_table.PolicyTable` resolves each
-compressible layer, by first-match rules, to its **own** codec and
-error-bound regime (fixed or adaptive, with per-rule clamps), falling
-back to the context defaults for unmatched layers.  Each pack carries
-its rule's group label into the tracker (and, under arena storage, onto
-its arena entry), so mixed-codec sessions account per rule as well as
-per layer.
+Each compressible layer packs under its own :class:`ResolvedPolicy`,
+read from the context's ``policies`` mapping: a codec, a fixed or
+adaptive bound with the controller's clamps, the warm-up bound and an
+accounting group.  :func:`repro.api.build_session` resolves the mapping
+once, from ``SessionConfig.rules`` over the ``adaptive`` section.  Each
+pack carries its layer's group label into the tracker (and, under arena
+storage, onto its arena entry), so mixed-codec sessions account per rule
+as well as per layer.
 
 Two storage regimes:
 
@@ -44,7 +45,7 @@ of ``unpack``/``discard`` reaches it first; repeated unpacks (e.g. via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -54,10 +55,36 @@ from repro.compression.registry import loads as _codec_loads
 from repro.core.arena import ByteArena
 from repro.core.engine import SyncEngine
 from repro.core.memory_tracker import MemoryTracker
-from repro.core.policy_table import PolicyTable, ResolvedPolicy
 from repro.nn.layers.base import Layer, SavedTensorContext
 
-__all__ = ["CompressingContext", "PackedActivation"]
+__all__ = ["CompressingContext", "PackedActivation", "ResolvedPolicy"]
+
+
+@dataclass(frozen=True)
+class ResolvedPolicy:
+    """How one compressible layer is packed, fully resolved.
+
+    The defaults are :class:`~repro.api.config.AdaptiveSpec`'s: a
+    context packs a layer missing from its ``policies`` under its own
+    codec and these.
+    """
+
+    #: codec instance; one instance serves every layer a rule matches,
+    #: so stateful codecs (codebook caches, worker pools) amortize
+    #: across the group
+    codec: Codec
+    #: fixed absolute bound (None: the warm-up bound, then the controller's)
+    error_bound: Optional[float] = None
+    #: False: the adaptive controller never rewrites this layer's bound
+    adaptive: bool = True
+    #: warm-up bound, as a fraction of the first activation's value range
+    initial_rel_eb: float = 1e-3
+    #: the adaptive controller's clamps for this layer
+    eb_min: float = 1e-10
+    eb_max: float = 10.0
+    #: accounting group: the tracker's per-group row and the arena's
+    #: ``group=`` tag ("" when the session has no policy rules)
+    group: str = ""
 
 
 # eq=False: a handle is a lifecycle object with an identity; field-wise
@@ -79,7 +106,7 @@ class PackedActivation:
     released: bool = False
     #: owning layer, for per-layer tracker/statistics keys
     layer_name: str = ""
-    #: policy-rule group label (empty without a PolicyTable) — flows
+    #: the layer's policy group (empty without policy rules) — flows
     #: into the tracker's per-rule ledger when the pack is finalized
     policy_label: str = ""
 
@@ -93,34 +120,25 @@ class CompressingContext(SavedTensorContext):
         Any codec following the registry protocol (``compress(x,
         error_bound=...)`` / ``decompress``), e.g. :class:`SZCompressor`
         or a ``ChunkedCodec`` wrapping it.
-    initial_rel_eb:
-        Until the controller assigns a layer an absolute bound, the first
-        pack resolves ``eb = initial_rel_eb * value_range`` — a
-        conservative warm-up choice.  A matching policy rule's
-        ``initial_rel_eb`` takes precedence for its layers.
     tracker:
         Optional :class:`MemoryTracker` for accounting.
     storage:
         Optional :class:`ByteArena`.  When given, packed activations are
         held as serialized byte strings in the arena instead of live
         Python objects, and the tracker charge is the physical length.
-    policy_table:
-        Optional :class:`~repro.core.policy_table.PolicyTable`.  With a
-        table, *compressor* and *initial_rel_eb* become the defaults for
-        layers no rule matches; rules with a fixed ``error_bound`` pin
-        their layers' bound (the adaptive controller skips them).
+    policies:
+        Layer name -> :class:`ResolvedPolicy`, kept as ``ctx.policies``.
+        A layer it does not name packs under ``default_policy``:
+        *compressor*, adaptive, from a ``1e-3`` relative warm-up bound.
     """
 
     def __init__(
         self,
         compressor: Optional[Codec] = None,
-        initial_rel_eb: float = 1e-3,
         tracker: Optional[MemoryTracker] = None,
         storage: Optional[ByteArena] = None,
-        policy_table: Optional[PolicyTable] = None,
+        policies: Optional[Mapping[str, ResolvedPolicy]] = None,
     ):
-        if not 0 < initial_rel_eb < np.inf:
-            raise ValueError(f"initial_rel_eb must be positive and finite, got {initial_rel_eb}")
         if compressor is not None and not (
             hasattr(compressor, "compress") and hasattr(compressor, "decompress")
         ):
@@ -131,14 +149,11 @@ class CompressingContext(SavedTensorContext):
         self.compressor = compressor or get_codec(
             "szlike", error_bound=1e-3, entropy="huffman"
         )
-        self.initial_rel_eb = float(initial_rel_eb)
         self.tracker = tracker or MemoryTracker()
         self.storage = storage
         self.engine = SyncEngine(self)
-        self.policy_table = policy_table
-        #: layer name -> codec that packed it (a PolicyTable makes the
-        #: codec per-layer, and unpack must use the packing one)
-        self._layer_codec: Dict[str, object] = {}
+        self.policies: Dict[str, ResolvedPolicy] = dict(policies or {})
+        self.default_policy = ResolvedPolicy(self.compressor)
         #: layers whose saved input is a ReLU output: after decompression
         #: the activation function is recomputed (``max(x, 0)``), the
         #: paper's first zero-preservation mechanism (Section 4.4) — it
@@ -152,21 +167,12 @@ class CompressingContext(SavedTensorContext):
         #: under arena storage)
         self.observed_ratio: Dict[str, float] = {}
 
-    # -- per-layer policy ----------------------------------------------------
-    def _policy_for(self, layer_name: str) -> Optional[ResolvedPolicy]:
-        if self.policy_table is None:
-            return None
-        return self.policy_table.resolve(layer_name)
-
-    def is_adaptive(self, layer_name: str) -> bool:
-        """May the adaptive controller rewrite this layer's bound?
-        False for layers whose policy rule pins a fixed bound."""
-        pol = self._policy_for(layer_name)
-        return pol is None or pol.adaptive
+    def policy(self, layer_name: str) -> ResolvedPolicy:
+        return self.policies.get(layer_name, self.default_policy)
 
     def resolve_error_bound(self, layer: Layer, arr: np.ndarray) -> float:
-        pol = self._policy_for(layer.name)
-        if pol is not None and pol.error_bound is not None:
+        pol = self.policy(layer.name)
+        if pol.error_bound is not None:
             # Rule-pinned absolute bound: recorded so reporting and the
             # controller's skip logic see one consistent value.
             self.error_bounds[layer.name] = pol.error_bound
@@ -174,13 +180,8 @@ class CompressingContext(SavedTensorContext):
         eb = self.error_bounds.get(layer.name)
         if eb is not None:
             return eb
-        rel = (
-            pol.initial_rel_eb
-            if pol is not None and pol.initial_rel_eb is not None
-            else self.initial_rel_eb
-        )
         vrange = float(arr.max() - arr.min())
-        eb = rel * vrange if vrange > 0 else rel
+        eb = pol.initial_rel_eb * vrange if vrange > 0 else pol.initial_rel_eb
         self.error_bounds[layer.name] = eb
         return eb
 
@@ -220,7 +221,7 @@ class CompressingContext(SavedTensorContext):
         if ct is None:
             ct = _codec_loads(self.storage.get(handle.arena_key))
             handle.compressed = ct
-        return self._layer_codec.get(handle.layer_name, self.compressor).decompress(ct)
+        return self.policy(handle.layer_name).codec.decompress(ct)
 
     def _recompute_relu(self, handle: PackedActivation, out: np.ndarray) -> np.ndarray:
         """Recompute the activation function (Section 4.4) on a
@@ -255,13 +256,12 @@ class CompressingContext(SavedTensorContext):
     def pack(self, layer: Layer, key: str, arr: np.ndarray):
         if not (isinstance(arr, np.ndarray) and arr.ndim == 4):
             return arr
-        handle = PackedActivation(raw_nbytes=arr.nbytes, layer_name=layer.name)
+        pol = self.policy(layer.name)
+        handle = PackedActivation(
+            raw_nbytes=arr.nbytes, layer_name=layer.name, policy_label=pol.group
+        )
         eb = self.resolve_error_bound(layer, arr)
-        pol = self._policy_for(layer.name)
-        codec = pol.codec if pol is not None and pol.codec is not None else self.compressor
-        self._layer_codec[layer.name] = codec
-        if self.policy_table is not None:
-            handle.policy_label = self.policy_table.group_of(layer.name)
+        codec = pol.codec
         serialize = self.storage is not None
         # Per-layer cache keys let a codebook-caching codec amortize its
         # entropy setup across iterations: each conv layer packs once per

@@ -25,7 +25,10 @@ the order the paper's Figure 7 draws it:
   handle is released to the tracker exactly once.
 
 Sessions are assembled by :func:`repro.api.build_session` from one
-serializable :class:`~repro.api.config.SessionConfig`; the live
+serializable :class:`~repro.api.config.SessionConfig`, which resolves
+each compressible layer's
+:class:`~repro.core.activation_store.ResolvedPolicy` once and hands
+``CompressedTraining`` the ``adaptive`` section as it is; the live
 ``CompressedTraining`` is ``session.compressed``::
 
     with build_session(network, SessionConfig(storage=StorageSpec(activations="arena"))) as s:
@@ -35,23 +38,25 @@ serializable :class:`~repro.api.config.SessionConfig`; the live
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.compression.registry import Codec
-from repro.core.activation_store import CompressingContext
+from repro.core.activation_store import CompressingContext, ResolvedPolicy
 from repro.core.arena import ByteArena
-from repro.core.adaptive import AdaptiveConfig, AdaptiveController
+from repro.core.adaptive import AdaptiveController
 from repro.core.gradient_assessment import GradientAssessor
 from repro.core.memory_tracker import MemoryTracker
 from repro.core.param_store import ParamStore
-from repro.core.policy_table import PolicyTable
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.layers.conv import Conv2D
 from repro.nn.network import iter_layers, set_saved_ctx
 from repro.nn.optim import SGD
 from repro.nn.trainer import IterationRecord, Trainer
+
+if TYPE_CHECKING:
+    from repro.api.config import AdaptiveSpec
 
 __all__ = ["CompressedTraining"]
 
@@ -70,9 +75,10 @@ class CompressedTraining:
         the faithful cuSZ-style pipeline with the zero-preserving filter
         enabled.
     config:
-        :class:`AdaptiveConfig`; defaults to the paper's settings except
-        W, which defaults lower (50) because CPU-scale experiments run
-        hundreds, not hundreds of thousands, of iterations.
+        The session's :class:`~repro.api.config.AdaptiveSpec`: the
+        controller's knobs, and ``enabled=False`` to turn the Eq. 8/9
+        controller off (every layer then keeps its warm-up or rule-pinned
+        bound and no per-iteration statistics are collected).
     storage:
         Optional :class:`ByteArena` — packed activations are then held
         as serialized byte strings under the arena's in-memory budget
@@ -83,16 +89,11 @@ class CompressedTraining:
         bytes too, materialized just-in-time around each layer's
         forward/backward/update, making the *whole* training state
         out-of-core rather than just the activations.
-    policy_table:
-        Optional :class:`~repro.core.policy_table.PolicyTable` — per-layer
-        first-match rules giving matched layers their own codec, error
-        bound (fixed or adaptive with per-rule clamps), and storage
-        class; *compressor* and the adaptive regime stay the defaults
-        for unmatched layers.
-    adaptive:
-        ``False`` disables the Eq. 8/9 controller entirely: every layer
-        keeps its warm-up or rule-pinned bound and no per-iteration
-        statistics are collected (``AdaptiveSpec(enabled=False)``).
+    policies:
+        Optional layer name -> :class:`~repro.core.activation_store.ResolvedPolicy`
+        mapping (``build_session`` resolves it from the policy rules).
+        A layer it does not name packs with *compressor* under
+        *config*'s warm-up bound and clamps.
     """
 
     def __init__(
@@ -100,29 +101,33 @@ class CompressedTraining:
         network: Layer,
         optimizer: SGD,
         compressor: Optional[Codec] = None,
-        config: Optional[AdaptiveConfig] = None,
+        *,
+        config: "AdaptiveSpec",
         tracker: Optional[MemoryTracker] = None,
         storage: Optional[ByteArena] = None,
         param_storage: Optional[ParamStore] = None,
-        policy_table: Optional[PolicyTable] = None,
-        adaptive: bool = True,
+        policies: Optional[Mapping[str, ResolvedPolicy]] = None,
     ):
         self.network = network
         self.optimizer = optimizer
-        self.config = config or AdaptiveConfig(W=50)
+        self.config = config
         self.tracker = tracker or MemoryTracker()
-        self.adaptive_enabled = bool(adaptive)
         self.ctx = CompressingContext(
             compressor=compressor,
-            initial_rel_eb=self.config.initial_rel_eb,
             tracker=self.tracker,
             storage=storage,
-            policy_table=policy_table,
+            policies=policies,
+        )
+        self.ctx.default_policy = ResolvedPolicy(
+            self.ctx.compressor,
+            initial_rel_eb=config.initial_rel_eb,
+            eb_min=config.eb_min,
+            eb_max=config.eb_max,
         )
         #: the context's :class:`~repro.core.engine.SyncEngine`
         self.engine = self.ctx.engine
-        self.assessor = GradientAssessor(optimizer, self.config.sigma_fraction)
-        self.controller = AdaptiveController(self.config, self.assessor, self.ctx)
+        self.assessor = GradientAssessor(optimizer, config.sigma_fraction)
+        self.controller = AdaptiveController(config, self.assessor, self.ctx)
 
         self.compressed_layers = set_saved_ctx(
             network, self.ctx, predicate=lambda l: l.compressible
@@ -134,7 +139,7 @@ class CompressedTraining:
         self._install_taps()
         # warm-up: collect from iteration 0 (never when the controller
         # is disabled — fixed/rule-pinned bounds need no statistics)
-        self._collect_next = self.adaptive_enabled
+        self._collect_next = config.enabled
 
         #: optional out-of-core parameter/optimizer state: attached AFTER
         #: the taps so the JIT bind wrapper is outermost — weights are
@@ -219,7 +224,7 @@ class CompressedTraining:
                 record.extras["mean_error_bound"] = float(
                     np.mean(list(new_bounds.values()))
                 )
-        self._collect_next = self.adaptive_enabled and self.controller.should_collect(
+        self._collect_next = self.config.enabled and self.controller.should_collect(
             trainer.iteration + 1
         )
 

@@ -12,9 +12,10 @@ charged on adopt/write-back, credited exactly once on release, survive
 :meth:`MemoryTracker.end_iteration`, and count toward the peak byte
 watermarks next to the live activation bytes.
 
-When the session runs under a :class:`~repro.core.policy_table.PolicyTable`
-(per-layer codec/error-bound rules), every pack also carries its rule's
-group label and the tracker keeps a parallel **per-group** ledger —
+When the session has policy rules (per-layer codec/error-bound rules,
+``SessionConfig.rules``), every pack also carries its layer's group
+label — the matching rule's, or :data:`DEFAULT_GROUP` for a layer no
+rule matches — and the tracker keeps a parallel **per-group** ledger —
 ``per_group`` / :meth:`group_summary` — so a mixed-codec session reports
 raw-vs-stored bytes per layer *and* per policy rule.
 
@@ -30,7 +31,10 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-__all__ = ["LayerMemoryRecord", "MemoryTracker"]
+__all__ = ["DEFAULT_GROUP", "LayerMemoryRecord", "MemoryTracker"]
+
+#: group label of the layers no policy rule matches
+DEFAULT_GROUP = "default"
 
 
 @dataclass
@@ -62,7 +66,7 @@ class MemoryTracker:
         self._lock = threading.Lock()
         self.per_layer: Dict[str, LayerMemoryRecord] = {}
         #: policy-rule group label -> cumulative record (only populated
-        #: when packs are recorded with a group, i.e. under a PolicyTable)
+        #: when packs are recorded with a group, i.e. under policy rules)
         self.per_group: Dict[str, LayerMemoryRecord] = {}
         self._iter_raw = 0
         self._iter_stored = 0

@@ -1,7 +1,9 @@
 """Coordinator side: ``DistributedSession`` behind the Session surface.
 
 ``build_session`` hands one of these back whenever
-``config.distributed.world_size > 1``.  The coordinator owns the rank
+``config.distributed.world_size > 1``, after checking the policy rules
+against the network (a dead rule fails here, not in a rank): each rank
+then resolves its layers' policies in its own local session.  The coordinator owns the rank
 processes: it shards every batch across them, mediates the compressed
 gradient exchange (receive in rank order, reduce on the fixed schedule,
 broadcast one bit-exact blob), aggregates the per-rank records into the
@@ -53,7 +55,7 @@ class DistributedSession(Session):
     """N rank processes behind the single-session surface.
 
     The activation-side accessors (``tracker``, ``engine``,
-    ``policy_table``, ...) are per-rank internals living in other
+    ``error_bounds``, ...) are per-rank internals living in other
     processes and read ``None``/empty here; what the coordinator *can*
     see — the training history, merged stage profiles, and the
     gradient-exchange ledger (:attr:`grad_exchange_stats`) — is exposed

@@ -211,7 +211,6 @@ class TestReviewRegressions:
         cfg = SessionConfig(adaptive=AdaptiveSpec(W=10, coefficient=0.5))
         rebuilt = SessionConfig.from_json(cfg.to_json())
         assert rebuilt.adaptive.coefficient == 0.5
-        assert rebuilt.adaptive.to_adaptive_config().coefficient == 0.5
 
     def test_default_coefficient_stays_sparse(self):
         from repro.core.error_model import THEORY_COEFFICIENT_A
@@ -219,32 +218,6 @@ class TestReviewRegressions:
         d = SessionConfig(adaptive=AdaptiveSpec(W=10)).to_dict()
         assert "coefficient" not in d["adaptive"]
         assert AdaptiveSpec().coefficient == float(THEORY_COEFFICIENT_A)
-
-
-class TestGlobMatch:
-    def test_matcher_is_a_case_sensitive_whole_name_glob(self):
-        from repro.core.policy_table import compile_matcher
-
-        assert compile_matcher("l1?")("l12")
-        assert not compile_matcher("l1?")("l1")
-        assert not compile_matcher("l1?")("L12")  # layer names are identifiers
-        assert not compile_matcher("l1")("l12")  # the whole name, not a prefix
-        assert [n for n in ("l0", "l1", "l2") if compile_matcher("l[02]")(n)] == ["l0", "l2"]
-
-    def test_glob_rules_select_layers_in_policy_table(self):
-        from repro.api.session import build_policy_table
-
-        cfg = SessionConfig(
-            rules=[
-                PolicyRule(match="conv[0-9]", error_bound=2e-3, label="conv"),
-                PolicyRule(match="*", codec=CodecSpec("lossless"), label="rest"),
-            ],
-        )
-        cfg.validate()
-        table = build_policy_table(cfg.rules)
-        assert table.group_of("conv1") == "conv"
-        assert table.group_of("fc2") == "rest"
-        assert table.group_of("pool1") == "rest"
 
 
 class TestEngineAndRuleKnobs:
@@ -373,11 +346,21 @@ class TestRemovedEngineKeys:
             PolicyRule(**{key: value})
 
     def test_rule_fields(self):
-        from repro.core.policy_table import ResolvedPolicy
+        from repro.core import ResolvedPolicy
 
         assert ", ".join(sorted(f.name for f in dataclasses.fields(PolicyRule))) == RULE_FIELDS
         resolved = {f.name for f in dataclasses.fields(ResolvedPolicy)}
         assert not resolved & {"storage", "arena_budget"}
+
+    def test_resolved_policy_defaults_are_the_adaptive_sections(self):
+        """A context packs a layer it holds no policy for under
+        ``ResolvedPolicy``'s defaults: the ``adaptive`` section's."""
+        from repro.core import ResolvedPolicy
+
+        pol, spec = ResolvedPolicy(codec=None), AdaptiveSpec()
+        assert (pol.initial_rel_eb, pol.eb_min, pol.eb_max) == (
+            spec.initial_rel_eb, spec.eb_min, spec.eb_max,
+        )
 
 
 #: (codec, keyword, a value it once accepted) for the codec switches only

@@ -15,6 +15,7 @@ Three things are pinned here:
 from __future__ import annotations
 
 import os
+import re
 import threading
 
 import numpy as np
@@ -183,17 +184,16 @@ class TestJsonReproducibility:
         with build_session(make_net("vgg16"), cfg) as s1:
             losses_file = run(s1, iters=4, batch=4)
             groups = {r.layer_name: r.packs for r in s1.tracker.group_summary()}
-            table = s1.policy_table
+            policies = s1.compressed.ctx.policies
             # globs spread the conv layers across >= 2 rule groups
             assert groups["early-tight"] > 0
             assert groups["mid-lossless"] > 0
             assert groups["late-chunked"] > 0
-            assert table.group_of("l0") == "early-tight"
-            assert table.group_of("l5") == "mid-lossless"
-            assert table.group_of("l10") == "late-chunked"
-            # distinct codecs actually packed: SZ for l0, lossless for l5
-            ctx = s1.compressed.ctx
-            assert type(ctx._layer_codec["l0"]) is not type(ctx._layer_codec["l5"])
+            assert policies["l0"].group == "early-tight"
+            assert policies["l5"].group == "mid-lossless"
+            assert policies["l10"].group == "late-chunked"
+            # distinct codecs: SZ for l0, lossless for l5
+            assert type(policies["l0"].codec) is not type(policies["l5"].codec)
             # distinct error-bound regimes: l0/l2 pinned, others adaptive
             assert s1.error_bounds["l0"] == pytest.approx(5e-4)
             assert s1.error_bounds["l2"] == pytest.approx(5e-4)
@@ -295,7 +295,7 @@ class TestPolicyBehaviour:
         with build_session(make_net(), cfg) as s:
             run(s, iters=5)
             assert s.compressed.controller.updates == 0
-            assert s.compressed.adaptive_enabled is False
+            assert s.compressed.config.enabled is False
 
     def test_session_close_is_idempotent_and_owned(self):
         cfg = SessionConfig(
@@ -327,6 +327,104 @@ class TestPolicyBehaviour:
             losses = run(s, iters=3)
             assert np.isfinite(losses).all()
             assert s.optimizer.betas == (0.9, 0.99)
+
+
+#: the compressible layers of the scaled ResNet-18 that
+#: ``TestRuleResolution`` matches its globs against
+RESNET_LAYERS = [
+    "l0", "l3.m0", "l3.m3", "l5.m0", "l5.m3", "l5.s0", "l7.m0", "l7.m3", "l7.s0",
+]
+
+#: rule lists: character classes, ``?``, overlapping globs, shadowing,
+#: case and whole-name matching
+GLOB_CASES = {
+    "class-qmark-catchall": ["l[0-3]*", "l5.?0", "*"],
+    "overlapping": ["l?.m?", "l5*", "*.s0"],
+    "negated-class": ["l7.[ms]0", "l[!7]*", "l7.m3"],
+    "partial-cover": ["*.s?", "l[35].m[03]"],
+    "shadowed-by-catchall": ["*", "l0"],
+    "shadowed-by-overlap": ["l?.m*", "l[357].m0", "l0"],
+    "case-sensitive": ["L0"],
+    "whole-name": ["l5"],
+}
+
+
+class TestRuleResolution:
+    """``build_session`` resolves each compressible layer's policy once:
+    its first matching rule (``fnmatchcase``) over the ``adaptive``
+    section.  A rule that is the first match of no layer is an error."""
+
+    @staticmethod
+    def _build(rules, **cfg):
+        net = build_scaled_model("resnet18", num_classes=8, image_size=16, rng=0)
+        return build_session(net, SessionConfig(rules=rules, **cfg))
+
+    @pytest.mark.parametrize("patterns", GLOB_CASES.values(), ids=GLOB_CASES.keys())
+    def test_label_is_the_brute_force_first_match(self, patterns):
+        from fnmatch import fnmatchcase
+
+        expected = {
+            name: next(
+                (f"r{i}" for i, p in enumerate(patterns) if fnmatchcase(name, p)), "default"
+            )
+            for name in RESNET_LAYERS
+        }
+        rules = [PolicyRule(match=p, label=f"r{i}") for i, p in enumerate(patterns)]
+        dead = [i for i in range(len(patterns)) if f"r{i}" not in expected.values()]
+        if dead:
+            with pytest.raises(ConfigError, match=rf"^rules\[{dead[0]}\] \(match="):
+                self._build(rules)
+            return
+        with self._build(rules) as s:
+            policies = s.compressed.ctx.policies
+            assert list(policies) == RESNET_LAYERS
+            assert {name: pol.group for name, pol in policies.items()} == expected
+
+    @pytest.mark.parametrize(
+        "rules,dead",
+        [
+            ([PolicyRule(match="conv*", codec=CodecSpec("lossless"))], 0),
+            ([PolicyRule(match="*"), PolicyRule(match="l0", codec=CodecSpec("lossless"))], 1),
+        ],
+        ids=["matches-nothing", "shadowed"],
+    )
+    def test_dead_rule_is_a_config_error(self, rules, dead):
+        """Ignoring a dead rule trains its layers wrongly: on the scaled
+        VGG (layers ``l0 ... l12``) a lossless ``conv*`` rule would leave
+        every layer lossy under the session codec."""
+        names = "l0, l2, l5, l7, l10, l12"
+        message = rf"^rules\[{dead}\] \(match='{re.escape(rules[dead].match)}'\).*{names}$"
+        with pytest.raises(ConfigError, match=message):
+            build_session(make_net("vgg16"), SessionConfig(rules=rules))
+
+    def test_one_record_per_rule_with_merged_clamps(self):
+        lossless = CodecSpec("lossless")
+        with self._build(
+            [
+                PolicyRule(match="l[05]*", label="front", codec=lossless, eb_max=1e-3),
+                PolicyRule(match="l3.m0", error_bound=2e-3),
+            ],
+            adaptive=AdaptiveSpec(initial_rel_eb=1e-2, eb_min=1e-9),
+        ) as s:
+            ctx = s.compressed.ctx
+            front = ctx.policies["l0"]
+            assert all(ctx.policies[n] is front for n in ("l5.m0", "l5.m3", "l5.s0"))
+            assert front.codec.name == "lossless"
+            assert (front.initial_rel_eb, front.eb_min, front.eb_max) == (1e-2, 1e-9, 1e-3)
+            assert front.adaptive and front.error_bound is None
+            pinned = ctx.policies["l3.m0"]
+            assert (pinned.group, pinned.codec, pinned.adaptive) == ("rule1", ctx.compressor, False)
+            assert pinned.error_bound == 2e-3
+            rest = ctx.policies["l7.m0"]
+            assert (rest.group, rest.codec, rest.eb_max) == ("default", ctx.compressor, 10.0)
+
+    def test_no_rules_no_group(self):
+        with self._build([]) as s:
+            ctx = s.compressed.ctx
+            assert {pol.group for pol in ctx.policies.values()} == {""}
+            assert all(pol.codec is ctx.compressor for pol in ctx.policies.values())
+            run(s, iters=1)
+            assert s.tracker.group_summary() == []
 
 
 class TestStorageKnobWiring:
@@ -475,20 +573,20 @@ class TestKernelBackendWiring:
         cfg = SessionConfig(
             rules=[
                 PolicyRule(match="l0", label="sz", codec=CodecSpec("szlike")),
-                PolicyRule(match="l2", label="chunked", codec=CodecSpec("chunked", chunked)),
-                PolicyRule(match="l4", label="pinned",
+                PolicyRule(match="l4", label="chunked", codec=CodecSpec("chunked", chunked)),
+                PolicyRule(match="l8", label="pinned",
                            codec=CodecSpec("szlike", {"kernel_backend": "auto"})),
-                PolicyRule(match="l5", label="inherits", error_bound=1e-3),
+                PolicyRule(match="l10", label="inherits", error_bound=1e-3),
             ],
             engine=EngineSpec(kernel_backend="numpy"),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
         with build_session(make_net(), cfg) as s:
-            codecs = {pol.label: pol.codec for pol in s.policy_table.rules}
+            codecs = {pol.group: pol.codec for pol in s.compressed.ctx.policies.values()}
             assert codecs["sz"].kernel_backend == "numpy"
             assert codecs["chunked"].inner.kernel_backend == "numpy"
             assert codecs["pinned"].kernel_backend == "auto"
-            assert codecs["inherits"] is None  # packs with the session codec
+            assert codecs["inherits"] is s.compressed.ctx.compressor
             assert s.compressed.ctx.compressor.kernel_backend == "numpy"
             run(s, iters=1)
 

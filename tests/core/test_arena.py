@@ -8,7 +8,13 @@ import pytest
 
 from repro.compression import SZCompressor, get_codec
 from repro.compression.registry import dumps as codec_dumps
-from repro.core import ByteArena, CompressingContext, MemoryTracker, PackedActivation
+from repro.core import (
+    ByteArena,
+    CompressingContext,
+    MemoryTracker,
+    PackedActivation,
+    ResolvedPolicy,
+)
 from repro.nn import Conv2D, SGD, Sequential, ReLU, Flatten, Linear, MaxPool2D
 
 
@@ -289,8 +295,9 @@ def act4d(rng):
 class TestArenaBackedContext:
     def test_pack_stores_bytes_and_unpack_restores(self, conv, act4d):
         with ByteArena(budget_bytes=1 << 20) as arena:
+            comp = SZCompressor(entropy="zlib")
             ctx = CompressingContext(
-                SZCompressor(entropy="zlib"), initial_rel_eb=1e-4, storage=arena
+                comp, storage=arena, policies={"c": ResolvedPolicy(comp, initial_rel_eb=1e-4)}
             )
             h = ctx.pack(conv, "x", act4d)
             assert isinstance(h, PackedActivation)
@@ -308,7 +315,7 @@ class TestArenaBackedContext:
                 SZCompressor(entropy="zlib"), tracker=tracker, storage=arena
             )
             comp = SZCompressor(entropy="zlib")
-            eb_probe = CompressingContext(comp, initial_rel_eb=1e-3)
+            eb_probe = CompressingContext(comp)
             expected = len(codec_dumps(comp.compress(act4d, eb_probe.resolve_error_bound(conv, act4d))))
             h = ctx.pack(conv, "x", act4d)
             assert h.stored_nbytes == expected
@@ -317,8 +324,9 @@ class TestArenaBackedContext:
 
     def test_spill_to_disk_roundtrips(self, conv, act4d, tmp_path):
         arena = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
+        comp = SZCompressor(entropy="zlib")
         ctx = CompressingContext(
-            SZCompressor(entropy="zlib"), initial_rel_eb=1e-4, storage=arena
+            comp, storage=arena, policies={"c": ResolvedPolicy(comp, initial_rel_eb=1e-4)}
         )
         h = ctx.pack(conv, "x", act4d)
         assert arena.spill_count == 1
@@ -352,7 +360,9 @@ class TestArenaBackedContext:
         ck = get_codec("chunked", inner="szlike", workers=2, min_chunk_nbytes=1 << 10,
                        error_bound=1e-3, entropy="zlib")
         with ByteArena() as arena:
-            ctx = CompressingContext(ck, initial_rel_eb=1e-4, storage=arena)
+            ctx = CompressingContext(
+                ck, storage=arena, policies={"c": ResolvedPolicy(ck, initial_rel_eb=1e-4)}
+            )
             h = ctx.pack(conv, "x", x)
             y = ctx.unpack(conv, "x", h)
             assert np.abs(x - y).max() <= ctx.error_bounds["c"] * (1 + 1e-6)
@@ -446,8 +456,7 @@ class TestSavedTensorContract:
         tracker = MemoryTracker()
         with ByteArena(budget_bytes=0) as arena:
             ctx = CompressingContext(
-                get_codec(name, **CODEC_SPECS[name]), initial_rel_eb=1e-3,
-                tracker=tracker, storage=arena if use_arena else None,
+                get_codec(name, **CODEC_SPECS[name]), tracker=tracker, storage=arena if use_arena else None,
             )
             handles = [ctx.pack(conv, f"x{i}", act4d + i) for i in range(3)]
             assert len(arena) == (3 if use_arena else 0)
@@ -468,8 +477,7 @@ class TestSavedTensorContract:
         tracker = MemoryTracker()
         with ByteArena(budget_bytes=4096) as arena:
             ctx = CompressingContext(
-                get_codec("szlike", entropy="zlib"), initial_rel_eb=1e-3,
-                tracker=tracker, storage=arena,
+                get_codec("szlike", entropy="zlib"), tracker=tracker, storage=arena
             )
             handles, tensors = {}, {}
             for wave in range(3):
@@ -496,7 +504,8 @@ class TestArenaTraining:
     def test_training_with_spill_stays_correct(self):
         """quickstart-scale training through a tight arena budget: spills
         happen, learning proceeds, live counters return to zero."""
-        from repro.core import AdaptiveConfig, CompressedTraining
+        from repro.api import AdaptiveSpec
+        from repro.core import CompressedTraining
         from repro.nn import SyntheticImageDataset, Trainer, batches
 
         net = Sequential([
@@ -510,7 +519,7 @@ class TestArenaTraining:
             sess = CompressedTraining(
                 net, opt,
                 compressor=SZCompressor(entropy="zlib"),
-                config=AdaptiveConfig(W=5, warmup_iterations=2),
+                config=AdaptiveSpec(W=5, warmup_iterations=2),
                 storage=arena,
             ).attach(tr)
             ds = SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
@@ -550,24 +559,24 @@ class TestGroupStats:
     def test_policy_label_tags_flow_from_context(self):
         """Arena-backed packs are tagged with their policy group, so a
         rule's row counts exactly its layers' bytes."""
-        from repro.core.policy_table import (
-            PolicyTable, ResolvedPolicy, compile_matcher,
-        )
+        from repro.api import CodecSpec, PolicyRule, SessionConfig, StorageSpec, build_session
 
-        table = PolicyTable([
-            (compile_matcher("c"), ResolvedPolicy(label="front")),
+        net = Sequential([
+            Conv2D(3, 2, 3, rng=1, name="c"), ReLU(), Conv2D(2, 2, 3, rng=2, name="d"),
         ])
+        cfg = SessionConfig(
+            codec=CodecSpec("szlike", {"entropy": "zlib"}),
+            rules=[PolicyRule(match="c", label="front")],
+            storage=StorageSpec(activations="arena", budget_bytes=0),
+        )
         rng = np.random.default_rng(0)
-        with ByteArena(budget_bytes=0) as arena:
-            ctx = CompressingContext(
-                SZCompressor(entropy="zlib"), initial_rel_eb=1e-3,
-                storage=arena, policy_table=table,
-            )
-            conv = Conv2D(3, 2, 3, rng=1, name="c")
-            x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
-            h = ctx.pack(conv, "x", x)
-            stats = arena.group_stats()
-            assert stats["front"]["spill_count"] == 1  # over the 0-byte budget
-            assert stats["front"]["spilled_nbytes"] == h.stored_nbytes
-            y = ctx.unpack(conv, "x", h)
-            assert np.abs(x - y).max() <= max(ctx.error_bounds.values()) * (1 + 1e-6)
+        with build_session(net, cfg) as s:
+            net.forward(rng.standard_normal((2, 3, 16, 16)).astype(np.float32))
+            stats = s.compressed.ctx.storage.group_stats()
+            for group, layer in (("front", "c"), ("default", "d")):
+                assert stats[group] == {
+                    "in_memory_nbytes": 0,  # over the 0-byte budget
+                    "spilled_nbytes": s.tracker.per_layer[layer].stored_bytes,
+                    "spill_count": 1,
+                }
+            net.clear_saved()

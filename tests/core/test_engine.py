@@ -18,17 +18,23 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import (
+    AdaptiveSpec,
+    CodecSpec,
+    PolicyRule,
+    SessionConfig,
+    StorageSpec,
+    build_session,
+)
 from repro.compression import available_codecs, get_codec
 from repro.compression.registry import dumps as codec_dumps
 from repro.core import (
-    AdaptiveConfig,
     ByteArena,
     CompressedTraining,
     CompressingContext,
     MemoryTracker,
     SyncEngine,
 )
-from repro.core.policy_table import PolicyTable, ResolvedPolicy, compile_matcher
 from repro.nn import (
     Conv2D,
     Flatten,
@@ -58,7 +64,7 @@ def make_codec(name):
 
 def make_ctx(name, use_arena, arena, tracker=None):
     return CompressingContext(
-        make_codec(name), initial_rel_eb=1e-3,
+        make_codec(name),
         tracker=tracker or MemoryTracker(),
         storage=arena if use_arena else None,
     )
@@ -100,7 +106,9 @@ class TestEngineResolution:
 
     def test_session_exposes_its_context_engine(self):
         net = small_net()
-        sess = CompressedTraining(net, SGD(net.parameters(), lr=0.01, momentum=0.9))
+        sess = CompressedTraining(
+            net, SGD(net.parameters(), lr=0.01, momentum=0.9), config=AdaptiveSpec()
+        )
         assert sess.engine is sess.ctx.engine
         assert isinstance(sess.engine, SyncEngine)
 
@@ -252,20 +260,6 @@ class TestFailures:
         assert tracker.per_layer["c"].packs == 3
         assert live_bytes(tracker) == (0, 0)
 
-    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0])
-    def test_bound_outside_zero_to_inf_is_a_value_error(self, bound):
-        with pytest.raises(ValueError, match="initial_rel_eb must be positive and finite"):
-            CompressingContext(get_codec("szlike"), initial_rel_eb=bound)
-        for attr in ("error_bound", "initial_rel_eb", "eb_min", "eb_max"):
-            with pytest.raises(ValueError, match=f"{attr} must be positive and finite"):
-                ResolvedPolicy(label="r", **{attr: bound})
-
-    def test_default_label_is_reserved(self):
-        """``"default"`` names the layers no rule matches; a rule with
-        that label merged its layers into their accounting group."""
-        with pytest.raises(ValueError, match="'default' is reserved"):
-            PolicyTable([(compile_matcher("c1"), ResolvedPolicy(label="default"))])
-
 
 def small_net():
     return Sequential([
@@ -284,29 +278,45 @@ def mixed_net():
     ])
 
 
-def mixed_table():
-    """Three codecs across the net: lossless, tight szlike, jpeg."""
-    return PolicyTable([
-        (compile_matcher("c1"), ResolvedPolicy(label="front", codec=get_codec("lossless"), adaptive=False)),
-        (compile_matcher("c2"), ResolvedPolicy(label="mid", error_bound=1e-4, adaptive=False)),
-        (compile_matcher("c3"), ResolvedPolicy(label="back", codec=get_codec("jpeg", quality=80), adaptive=False)),
-    ])
+#: three codecs across ``mixed_net``: lossless, tight szlike, jpeg
+MIXED_RULES = [
+    PolicyRule(match="c1", label="front", codec=CodecSpec("lossless"), adaptive=False),
+    PolicyRule(match="c2", label="mid", error_bound=1e-4),
+    PolicyRule(match="c3", label="back", codec=CodecSpec("jpeg", {"quality": 80}), adaptive=False),
+]
 
 
-def train_session(storage=None, iters=8, net_fn=small_net, policy_table=None):
-    net = net_fn()
+def train_session(storage=None, iters=8):
+    net = small_net()
     opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
     tr = Trainer(net, opt)
     sess = CompressedTraining(
         net, opt,
         compressor=get_codec("szlike", entropy="zlib"),
-        config=AdaptiveConfig(W=5, warmup_iterations=2),
-        storage=storage, policy_table=policy_table,
+        config=AdaptiveSpec(W=5, warmup_iterations=2),
+        storage=storage,
     ).attach(tr)
     ds = SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
     tr.train(batches(ds, 8, iters, seed=0))
     tr.close()
     return tr, sess
+
+
+def train_mixed(arena=None, iters=6):
+    """``mixed_net`` trained under ``MIXED_RULES``, held in process or
+    in *arena*."""
+    cfg = SessionConfig(
+        codec=CodecSpec("szlike", {"entropy": "zlib"}),
+        rules=MIXED_RULES,
+        storage=StorageSpec(activations="inmem" if arena is None else "arena"),
+        adaptive=AdaptiveSpec(W=5, warmup_iterations=2),
+    )
+    net = mixed_net()
+    opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
+    with build_session(net, cfg, optimizer=opt, storage=arena) as s:
+        ds = SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
+        s.train(batches(ds, 8, iters, seed=0))
+    return s
 
 
 class TestTrainingBitIdentity:
@@ -331,32 +341,28 @@ class TestTrainingBitIdentity:
     def test_mixed_policy_codecs_through_spilled_arena(self):
         """Three codecs behind policy rules, every byte spilled: training
         is bit-identical to the same run held in process."""
-        tr_ref, sess_ref = train_session(iters=6, net_fn=mixed_net, policy_table=mixed_table())
+        ref = train_mixed()
         with ByteArena(budget_bytes=0) as arena:
-            tr, sess = train_session(
-                storage=arena, iters=6, net_fn=mixed_net, policy_table=mixed_table()
-            )
+            s = train_mixed(arena)
             assert len(arena) == 0
-        np.testing.assert_array_equal(tr_ref.history.losses, tr.history.losses)
+        np.testing.assert_array_equal(ref.history.losses, s.history.losses)
         for name in ("c1", "c2", "c3"):
-            a, b = sess_ref.tracker.per_layer[name], sess.tracker.per_layer[name]
+            a, b = ref.tracker.per_layer[name], s.tracker.per_layer[name]
             assert (a.raw_bytes, a.packs) == (b.raw_bytes, b.packs)
-        assert set(sess.tracker.per_group) >= {"front", "mid", "back"}
+        assert set(s.tracker.per_group) == {"front", "mid", "back"}
 
     def test_abandoned_step_releases_everything(self):
         """A forward pass whose backward never runs (a step abandoned
         mid-stream) is cleaned up by ``clear_saved``: live bytes and
         arena entries return to zero."""
         with ByteArena(budget_bytes=0) as arena:
-            tr, sess = train_session(
-                storage=arena, iters=2, net_fn=mixed_net, policy_table=mixed_table()
-            )
+            s = train_mixed(arena, iters=2)
             x, _ = SyntheticImageDataset(
                 num_classes=4, image_size=16, channels=3, seed=3
             ).sample(8, rng=0)
-            tr.network.forward(x)
+            s.network.forward(x)
             assert len(arena) == 3
-            assert sess.tracker._live_raw > 0
-            tr.network.clear_saved()
+            assert s.tracker._live_raw > 0
+            s.network.clear_saved()
             assert len(arena) == 0
-            assert live_bytes(sess.tracker) == (0, 0)
+            assert live_bytes(s.tracker) == (0, 0)

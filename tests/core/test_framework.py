@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.api import AdaptiveSpec
 from repro.core import (
-    AdaptiveConfig,
     CompressedTraining,
     CompressingContext,
     GradientAssessor,
     MemoryTracker,
     PackedActivation,
+    ResolvedPolicy,
     SyncEngine,
 )
 from repro.compression.szlike import SZCompressor
@@ -49,7 +50,7 @@ def make_session(dataset, W=5, **cfg):
     sess = CompressedTraining(
         net, opt,
         compressor=SZCompressor(entropy="zlib"),
-        config=AdaptiveConfig(W=W, warmup_iterations=2, **cfg),
+        config=AdaptiveSpec(W=W, warmup_iterations=2, **cfg),
     ).attach(tr)
     return net, opt, tr, sess
 
@@ -64,7 +65,8 @@ class TestCompressingContext:
         assert ctx.pack(conv, "x", x2) is x2  # non-4D passes through
 
     def test_unpack_respects_error_bound(self, rng):
-        ctx = CompressingContext(SZCompressor(entropy="zlib"), initial_rel_eb=1e-4)
+        comp = SZCompressor(entropy="zlib")
+        ctx = CompressingContext(comp, policies={"c": ResolvedPolicy(comp, initial_rel_eb=1e-4)})
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         h = ctx.pack(conv, "x", x)

@@ -12,9 +12,9 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.api import AdaptiveSpec
 from repro.compression import SZCompressor
 from repro.core import (
-    AdaptiveConfig,
     ByteArena,
     CompressedTraining,
     MemoryTracker,
@@ -459,7 +459,7 @@ class TestSessionIntegration:
             net,
             opt,
             compressor=SZCompressor(entropy="zlib", zero_filter=True),
-            config=AdaptiveConfig(W=5, warmup_iterations=2),
+            config=AdaptiveSpec(W=5, warmup_iterations=2),
             storage=arena,
             param_storage=param_storage,
         ).attach(trainer)

@@ -4,7 +4,8 @@ decompression so ReLU zeros survive regardless of codec behaviour."""
 import numpy as np
 
 from repro.compression import SZCompressor
-from repro.core import AdaptiveConfig, CompressedTraining
+from repro.api import AdaptiveSpec
+from repro.core import CompressedTraining
 from repro.nn import (
     BatchNorm2D,
     Conv2D,
@@ -24,7 +25,7 @@ def _session(net):
     return CompressedTraining(
         net, opt,
         compressor=SZCompressor(entropy="zlib"),
-        config=AdaptiveConfig(W=5, warmup_iterations=1),
+        config=AdaptiveSpec(W=5, warmup_iterations=1),
     )
 
 
@@ -98,7 +99,7 @@ class TestEffect:
         comp = SZCompressor(1e-2, entropy="zlib", zero_filter=False,
                             emulate_zero_drift=True, rng=4)
         sess = CompressedTraining(net, opt, compressor=comp,
-                                  config=AdaptiveConfig(W=5, warmup_iterations=1))
+                                  config=AdaptiveSpec(W=5, warmup_iterations=1))
         conv2 = net[2]
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         out = net.forward(x)

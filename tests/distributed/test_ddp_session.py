@@ -223,7 +223,7 @@ class TestSurfaceAndGuards:
         coordinator does not have and raised AttributeError."""
         with build_session(make_net(), ddp_config()) as s:
             assert s.param_store is None
-            assert s.tracker is None and s.engine is None and s.policy_table is None
+            assert s.tracker is None and s.engine is None
             s.train(data(1))
             assert s.param_store is None
 

@@ -452,7 +452,8 @@ class TestTrainingBitIdentity:
     @staticmethod
     def train_with_backend(backend):
         from repro.compression.registry import get_codec
-        from repro.core import AdaptiveConfig, CompressedTraining
+        from repro.api import AdaptiveSpec
+        from repro.core import CompressedTraining
         from repro.nn import (
             SGD,
             Conv2D,
@@ -476,7 +477,7 @@ class TestTrainingBitIdentity:
         sess = CompressedTraining(
             net, opt,
             compressor=get_codec("szlike", entropy="huffman", kernel_backend=backend),
-            config=AdaptiveConfig(W=5, warmup_iterations=2),
+            config=AdaptiveSpec(W=5, warmup_iterations=2),
         ).attach(tr)
         ds = SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
         tr.train(batches(ds, 8, 6, seed=0))

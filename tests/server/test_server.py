@@ -174,7 +174,7 @@ class TestSharedInfrastructure:
             tenant = server.admit(tenant_dict("a", session=session))
             server.run(steps=1)
             ctx = tenant.session.compressed.ctx
-            for codec in (ctx.compressor.inner, ctx.policy_table.rules[0].codec):
+            for codec in (ctx.compressor.inner, ctx.policies["l0"].codec):
                 cache = codec.codebook_cache
                 assert isinstance(cache, SharedCodebookCache) is shared
                 if shared:

@@ -7,13 +7,16 @@ Neither had the Huffman decoder that worked without a chunk table.
 The V100 performance simulator measured nothing: every input was a
 constant.  Nothing passed a jpeg DEFLATE level or a scratch pool's caps,
 and nothing called ``StepScheduler.drain`` or
-``SoftmaxCrossEntropy.predictions``.
+``SoftmaxCrossEntropy.predictions``.  The core's ``AdaptiveConfig`` and
+``PolicyTable`` mirrored the ``adaptive`` section and the policy rules:
+``build_session`` resolves each layer's policy once, and
+``CompressedTraining`` takes the ``AdaptiveSpec`` itself.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import ConfigError, SessionConfig
+from repro.api import AdaptiveSpec, ConfigError, Session, SessionConfig
 from repro.compression.szlike import build_codebook, huffman_decode, huffman_encode
 from repro.core.activation_store import CompressingContext
 from repro.core.framework import CompressedTraining
@@ -26,6 +29,11 @@ from repro.server.scheduler import StepScheduler
 from repro.utils import ScratchPool
 
 
+def _training(**kwargs):
+    net = Linear(2, 2, rng=0)
+    return CompressedTraining(net, SGD(net.parameters(), lr=0.1), config=AdaptiveSpec(), **kwargs)
+
+
 class TestRemovedSurface:
     @pytest.mark.parametrize(
         "module,name",
@@ -36,6 +44,12 @@ class TestRemovedSurface:
             ("repro.nn", "ConstantLR"),
             ("repro.nn.optim", "StepLR"),
             ("repro.api.config", "SanitizerSpec"),
+            ("repro.core", "AdaptiveConfig"),
+            ("repro.core", "PolicyTable"),
+            ("repro.core", "compile_matcher"),
+            ("repro.core.adaptive", "AdaptiveConfig"),
+            ("repro.api", "build_policy_table"),
+            ("repro.api.session", "build_policy_table"),
         ],
     )
     def test_import_is_an_import_error(self, module, name):
@@ -45,6 +59,10 @@ class TestRemovedSurface:
     def test_snapshot_module_is_gone(self):
         with pytest.raises(ImportError):
             import repro.nn.snapshot  # noqa: F401
+
+    def test_policy_table_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.policy_table  # noqa: F401
 
     def test_simulator_package_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
@@ -85,6 +103,8 @@ class TestRemovedSurface:
             (Layer, "recomputable"),
             (StepScheduler, "drain"),
             (SoftmaxCrossEntropy, "predictions"),
+            (AdaptiveSpec, "to_adaptive_config"),
+            (Session, "policy_table"),
         ],
     )
     def test_attribute_is_gone(self, cls, attr):
@@ -96,8 +116,16 @@ class TestRemovedSurface:
             (lambda: JpegLikeCompressor(zlib_level=6), "zlib_level"),
             (lambda: ScratchPool(max_per_dtype=2), "max_per_dtype"),
             (lambda: ScratchPool(max_total_bytes=1 << 20), "max_total_bytes"),
+            (lambda: CompressingContext(policy_table=None), "policy_table"),
+            (lambda: CompressingContext(initial_rel_eb=1e-3), "initial_rel_eb"),
+            (lambda: _training(policy_table=None), "policy_table"),
+            (lambda: _training(adaptive=True), "adaptive"),
         ],
-        ids=["jpeg-zlib_level", "scratch-max_per_dtype", "scratch-max_total_bytes"],
+        ids=[
+            "jpeg-zlib_level", "scratch-max_per_dtype", "scratch-max_total_bytes",
+            "context-policy_table", "context-initial_rel_eb",
+            "training-policy_table", "training-adaptive",
+        ],
     )
     def test_constructor_option_is_a_type_error(self, make, keyword):
         with pytest.raises(TypeError, match=keyword):
