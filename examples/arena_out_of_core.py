@@ -5,8 +5,7 @@ holds every packed activation as a *serialized byte string* in a
 :class:`ByteArena` with a deliberately tight in-memory budget — overflow
 spills to disk and is read back when backpropagation needs it.  The
 memory tracker therefore reports physically real bytes (the exact
-serialized lengths), not accounting estimates, and the run demonstrates
-the chunked parallel codec on the pack/unpack hot path.
+serialized lengths), not accounting estimates.
 
 Every pack, spill and read-back runs inline on the training thread
 (README, "Execution model").
@@ -36,10 +35,7 @@ def main():
     dataset = SyntheticImageDataset(num_classes=8, image_size=32, signal=0.4, seed=7)
     net = build_scaled_model("alexnet", num_classes=8, image_size=32, rng=42)
     cfg = SessionConfig(
-        codec=CodecSpec("chunked", {
-            "inner": "szlike", "entropy": "zlib", "zero_filter": True,
-            "workers": 4, "min_chunk_nbytes": 1 << 18,
-        }),
+        codec=CodecSpec("szlike", {"entropy": "zlib", "zero_filter": True}),
         storage=StorageSpec(activations="arena", budget_bytes=BUDGET),
         adaptive=AdaptiveSpec(W=10, warmup_iterations=3),
         optimizer=OptimizerSpec(lr=0.01, momentum=0.9, weight_decay=5e-4),

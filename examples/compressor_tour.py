@@ -51,13 +51,6 @@ def main():
         ct = sz.compress(x)
         report(f"sz  eb={eb:g}", ct.compression_ratio, sz.decompress(ct))
 
-    # min_chunk_nbytes lowered so the 1.6 MB demo tensor actually splits
-    ck = get_codec("chunked", inner="szlike", workers=4, min_chunk_nbytes=1 << 18,
-                   error_bound=1e-3, entropy="huffman", zero_filter=True)
-    ct = ck.compress(x)
-    report(f"sz  eb=0.001 chunked x{len(ct.chunks)}", ct.compression_ratio,
-           ck.decompress(ct))
-
     print("\nSZ reconstruction error is uniform (Figure 3):")
     sz = SZCompressor(1e-3, entropy="zlib", zero_filter=False)
     y = sz.roundtrip(x)

@@ -6,7 +6,7 @@ session where different VGG-16 layer groups get different treatment —
 * ``l0``/``l2`` (early convs): a *fixed* tight error bound (5e-4) with
   a codebook-caching SZ codec,
 * ``l5``/``l7`` (middle convs): sparsity-aware lossless compression,
-* ``l10``/``l12`` (late convs): batch-chunked parallel SZ with a
+* ``l10``/``l12`` (late convs): SZ with a zlib entropy stage and a
   loosened adaptive clamp (eb_max=0.05),
 * everything else: the session default (adaptive SZ + Huffman),
 

@@ -312,14 +312,27 @@ class CodecSpec(_Section):
                 f"pass declarative values, not live objects"
             ) from None
 
-    def build(self):
+    def build(self, kernel_backend: Optional[str] = None):
+        """The codec, with *kernel_backend* (a session's
+        ``engine.kernel_backend``) routed to its szlike kernels unless
+        the options name a backend of their own.  Codecs without a
+        kernel backend (lossless, jpeg) ignore it; an unavailable one
+        (``"numba"`` without numba installed) is a :class:`ConfigError`
+        naming ``engine.kernel_backend``."""
         from repro.compression.registry import get_codec
 
         self.validate()
         try:
-            return get_codec(self.name, **self.options)
+            codec = get_codec(self.name, **self.options)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"codec {self.name!r}: {exc}") from exc
+        routed = kernel_backend is not None and "kernel_backend" not in self.options
+        if routed and hasattr(codec, "set_kernel_backend"):
+            try:
+                codec.set_kernel_backend(kernel_backend)
+            except ValueError as exc:
+                raise ConfigError(f"engine.kernel_backend: {exc}") from exc
+        return codec
 
 
 @dataclass
@@ -544,8 +557,9 @@ class DistributedSpec(_Section):
     grad_codec:
         Codec for the gradient exchange; ``None`` resolves to
         ``sparse-lossless`` (bit-exact).  Must be error-bounded
-        (``szlike``, ``chunked``) or lossless — unbounded lossy codecs
-        (``jpeg``) are rejected.  One codec serves every parameter.
+        (``szlike``) or lossless — unbounded lossy codecs (``jpeg``) are
+        rejected.  One codec serves every parameter, on the session's
+        ``engine.kernel_backend``.
     error_feedback:
         Keep a per-layer residual of what compression dropped and add
         it back into the next step's gradient before compressing, so
@@ -586,7 +600,7 @@ class DistributedSpec(_Section):
                 f"{where}.grad_codec",
                 ("error_bounded", "lossless"),
                 "is lossy without an error bound; gradient exchange needs an "
-                "error-bounded ('szlike', 'chunked') or lossless ('lossless', "
+                "error-bounded ('szlike') or lossless ('lossless', "
                 "'sparse-lossless') codec",
             )
 

@@ -37,32 +37,11 @@ from dataclasses import replace
 from fnmatch import fnmatchcase
 from typing import Dict, Optional
 
-from repro.api.config import CodecSpec, ConfigError, SessionConfig
+from repro.api.config import ConfigError, SessionConfig
 from repro.core.activation_store import ResolvedPolicy
 from repro.core.memory_tracker import DEFAULT_GROUP
 
 __all__ = ["Session", "build_session"]
-
-
-def _build_codec(spec: CodecSpec, kernel_backend: str):
-    """Build *spec* with *kernel_backend* (the session's
-    ``engine.kernel_backend``) routed to its szlike kernels, unless the
-    spec's options name a backend of their own.
-
-    :class:`~repro.compression.registry.ChunkedCodec` wrappers are
-    unwrapped to their inner codec; codecs without a kernel backend
-    (lossless, jpeg) ignore the setting.  An unavailable explicit
-    backend (``"numba"`` without numba installed) is a
-    :class:`ConfigError` naming ``engine.kernel_backend``.
-    """
-    codec = spec.build()
-    setter = getattr(getattr(codec, "inner", codec), "set_kernel_backend", None)
-    if setter is not None and "kernel_backend" not in spec.options:
-        try:
-            setter(kernel_backend)
-        except ValueError as exc:
-            raise ConfigError(f"engine.kernel_backend: {exc}") from exc
-    return codec
 
 
 def _first_matches(network, config: SessionConfig) -> Dict[str, Optional[int]]:
@@ -188,7 +167,6 @@ class Session:
             if self.compressed is not None
             else None
         )
-        codec = getattr(codec, "inner", codec)
         stats["selected_backend"] = getattr(codec, "kernel_backend_selected", None)
         return stats
 
@@ -307,9 +285,6 @@ def build_session(
                 network, optimizer, trainer, config,
                 compressed=compressed, param_store=param_store,
             )
-        # last hook: the param store decodes through its codec on close
-        codecs = session_codecs(session)
-        trainer.close_hooks.append(lambda tr: close_codecs(codecs))
         undo.pop_all()
     return session
 
@@ -325,7 +300,7 @@ def _build_compressed(network, optimizer, config: SessionConfig, first, storage,
     kernel_backend = config.engine.kernel_backend
     adaptive = config.adaptive
     base = ResolvedPolicy(
-        _build_codec(config.codec, kernel_backend),
+        config.codec.build(kernel_backend),
         initial_rel_eb=adaptive.initial_rel_eb,
         eb_min=adaptive.eb_min,
         eb_max=adaptive.eb_max,
@@ -342,7 +317,7 @@ def _build_compressed(network, optimizer, config: SessionConfig, first, storage,
             replace(
                 base,
                 codec=(
-                    _build_codec(rule.codec, kernel_backend)
+                    rule.codec.build(kernel_backend)
                     if rule.codec is not None
                     else base.codec
                 ),
@@ -373,11 +348,3 @@ def session_codecs(session: Session) -> list:
     if session.param_store is not None:
         codecs.append(session.param_store.codec)
     return list({id(codec): codec for codec in codecs if codec is not None}.values())
-
-
-def close_codecs(codecs) -> None:
-    """Stop the worker threads of every codec that has them
-    (:class:`~repro.compression.registry.ChunkedCodec`)."""
-    for codec in codecs:
-        if hasattr(codec, "close"):
-            codec.close()

@@ -16,8 +16,6 @@ from repro.compression.lossless import (
     LosslessCompressedTensor,
 )
 from repro.compression.registry import (
-    ChunkedCodec,
-    ChunkedCompressedTensor,
     Codec,
     available_codecs,
     get_codec,
@@ -46,8 +44,6 @@ __all__ = [
     "SparseLosslessCompressor",
     "LosslessCompressedTensor",
     "Codec",
-    "ChunkedCodec",
-    "ChunkedCompressedTensor",
     "available_codecs",
     "get_codec",
     "register_codec",

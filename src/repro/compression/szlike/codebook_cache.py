@@ -32,8 +32,8 @@ and the cache decides, cheaply, whether the cached book is still good:
 
 Reuse decisions for a key depend only on that key's own lookup history,
 so per-layer keys keep a run deterministic: each layer packs once per
-iteration, in a fixed order.  All state is behind one lock — the
-chunked codec's thread workers share a single compressor instance.
+iteration, in a fixed order.  All state is behind one lock — a
+server's scheduler may run a tenant's steps on any of its threads.
 
 :class:`SharedCodebookCache` adds one in-memory :class:`CodebookTable`
 that several caches publish to and adopt from: the tenants of one
@@ -186,8 +186,8 @@ class CodebookCache:
         outlier channel when ``reused`` is True.
 
         The expensive tree build runs *outside* the cache lock, so
-        other keys' lookups never stall behind one key's rebuild (the
-        chunked codec's pool threads share one cache).  A concurrent rebuild of the same key is last-writer-wins
+        other keys' lookups never stall behind one key's rebuild.  A
+        concurrent rebuild of the same key is last-writer-wins
         — each caller returns the book it built, both valid for their
         own histograms.
         """

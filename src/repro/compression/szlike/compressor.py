@@ -239,11 +239,11 @@ class SZCompressor:
         from repro.utils.rng import ensure_rng
 
         self._rng = ensure_rng(rng)
-        # numpy Generators are not thread-safe; decompress may run
-        # concurrently per chunk under a ChunkedCodec wrapper.
+        # numpy Generators are not thread-safe; a server's scheduler may
+        # run a tenant's steps on any of its threads.
         self._rng_lock = threading.Lock()
         #: reusable scratch buffers for the quantize/predict/code
-        #: intermediates (thread-safe; shared by ChunkedCodec workers)
+        #: intermediates (thread-safe, like the rest of the codec)
         self._scratch = ScratchPool()
         #: requested backend name
         self.kernel_backend = kernel_backend
@@ -264,12 +264,7 @@ class SZCompressor:
 
     # -- helpers ---------------------------------------------------------
     def resolve_error_bound(self, x: np.ndarray) -> float:
-        """The absolute bound a compress() call on *x* would use.
-
-        Public so wrappers (e.g. the chunked codec) can resolve a
-        relative-mode bound once on the whole tensor and hand every chunk
-        the same absolute bound.
-        """
+        """The absolute bound a compress() call on *x* would use."""
         if self.mode == "abs":
             return self.error_bound
         vrange = float(x.max() - x.min()) if x.size else 0.0

@@ -70,7 +70,7 @@ class ResolvedPolicy:
     """
 
     #: codec instance; one instance serves every layer a rule matches,
-    #: so stateful codecs (codebook caches, worker pools) amortize
+    #: so a stateful codec (its codebook cache) amortizes
     #: across the group
     codec: Codec
     #: fixed absolute bound (None: the warm-up bound, then the controller's)
@@ -118,8 +118,7 @@ class CompressingContext(SavedTensorContext):
     ----------
     compressor:
         Any codec following the registry protocol (``compress(x,
-        error_bound=...)`` / ``decompress``), e.g. :class:`SZCompressor`
-        or a ``ChunkedCodec`` wrapping it.
+        error_bound=...)`` / ``decompress``), e.g. :class:`SZCompressor`.
     tracker:
         Optional :class:`MemoryTracker` for accounting.
     storage:

@@ -56,12 +56,12 @@ class GradParam:
 def build_grad_plan(network, config: SessionConfig) -> List[GradParam]:
     """The exchange plan: one :class:`GradParam` per parameter, in
     deterministic layer-traversal order, all sharing one codec instance
-    (stateful codecs — codebook caches, worker pools — amortize across
-    every parameter), built via the registry only.
+    (a codebook cache amortizes across every parameter), built via the
+    registry only and on the session's ``engine.kernel_backend``.
     """
     from repro.nn.network import iter_layers
 
-    codec = config.distributed.resolved_grad_codec().build()
+    codec = config.distributed.resolved_grad_codec().build(config.engine.kernel_backend)
     plan = [
         GradParam(param=param, name=getattr(param, "name", None) or layer.name, codec=codec)
         for layer in iter_layers(network)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.api.config import ConfigError, SessionConfig
-from repro.api.session import Session, close_codecs
+from repro.api.session import Session
 from repro.compression.registry import dumps, loads
 from repro.distributed.grad_compress import build_grad_plan, downlink_codec_spec
 from repro.distributed.reduce import reduce_arrays
@@ -275,7 +275,6 @@ class DistributedSession(Session):
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=5)
-            close_codecs([gp.codec for gp in self._plan] + [self._downlink])
             if self._profiler is not None:
                 self._profiler.deactivate()
 
@@ -298,6 +297,10 @@ def build_distributed_session(network, config: SessionConfig, *, optimizer=None)
             "processes (slot state is keyed by live parameter identity); "
             "describe it declaratively via config.optimizer instead"
         )
+    # The coordinator's codecs come first: a gradient codec the config
+    # cannot build (an unavailable kernel backend) fails before any rank
+    # starts.
+    plan = build_grad_plan(network, config)
     # Ship the untouched network and the full config; ranks derive their
     # local single-worker view themselves (derive_rank_config).  Fork
     # keeps startup cheap on Linux; spawn works too since everything
@@ -325,8 +328,5 @@ def build_distributed_session(network, config: SessionConfig, *, optimizer=None)
         for proc in processes:
             proc.terminate()
         raise
-    # Coordinator-side codecs are built only after every fork: worker
-    # pools and locks must never be inherited mid-state by a child.
-    plan = build_grad_plan(network, config)
     profiler = StageProfiler().activate() if config.profiler.enabled else None
     return DistributedSession(network, config, processes, conns, plan, profiler)

@@ -3,7 +3,7 @@
 **Rule.** Outside ``compression/`` modules (where the codec classes
 live) and test files (``test_*.py`` / ``conftest.py``), direct
 construction of a codec class — ``SZCompressor(...)``,
-``ChunkedCodec(...)``, ``JpegCodec(...)``, ... — is a violation.
+``JpegCodec(...)``, ... — is a violation.
 Sessions must obtain codecs via
 :func:`repro.compression.registry.get_codec`, because a codec is named
 only by a :class:`~repro.api.config.CodecSpec` (registry key plus
@@ -29,7 +29,6 @@ __all__ = ["RegistryHygieneRule"]
 #: every registered codec class plus the compressor base classes they wrap
 _CODEC_CLASSES = {
     "SZCompressor",
-    "ChunkedCodec",
     "JpegCodec",
     "DeflateCodec",
     "SparseLosslessCodec",

@@ -177,7 +177,6 @@ class LayerReport:
     saved_numel: int
     saved_itemsize: int
     is_conv: bool
-    flops: float  # forward multiply-accumulates x2
 
     @property
     def saved_bytes(self) -> int:
@@ -217,14 +216,13 @@ def _walk_one(spec, shape, reports) -> Tuple:
         ho, wo = conv_output_hw(h, w, spec.kernel, spec.stride, spec.padding)
         out_shape = (n, spec.out_channels, ho, wo)
         wcount = spec.out_channels * c_in * spec.kernel**2 + (spec.out_channels if spec.bias else 0)
-        flops = 2.0 * n * ho * wo * spec.out_channels * c_in * spec.kernel**2
-        reports.append(LayerReport("conv", shape, out_shape, wcount, _numel(shape), 4, True, flops))
+        reports.append(LayerReport("conv", shape, out_shape, wcount, _numel(shape), 4, True))
         return out_shape
     if isinstance(spec, ReLUS):
-        reports.append(LayerReport("relu", shape, shape, 0, _numel(shape), 1, False, _numel(shape)))
+        reports.append(LayerReport("relu", shape, shape, 0, _numel(shape), 1, False))
         return shape
     if isinstance(spec, LRNS):
-        reports.append(LayerReport("lrn", shape, shape, 0, _numel(shape), 4, False, 6.0 * _numel(shape) * spec.size))
+        reports.append(LayerReport("lrn", shape, shape, 0, _numel(shape), 4, False))
         return shape
     if isinstance(spec, (MaxPoolS, AvgPoolS)):
         k = spec.kernel
@@ -233,26 +231,26 @@ def _walk_one(spec, shape, reports) -> Tuple:
         out_shape = (n, shape[1], ho, wo)
         kind = "maxpool" if isinstance(spec, MaxPoolS) else "avgpool"
         saved = _numel(out_shape) if kind == "maxpool" else 0
-        reports.append(LayerReport(kind, shape, out_shape, 0, saved, 2, False, _numel(shape)))
+        reports.append(LayerReport(kind, shape, out_shape, 0, saved, 2, False))
         return out_shape
     if isinstance(spec, GlobalAvgPoolS):
         out_shape = (n, shape[1])
-        reports.append(LayerReport("gap", shape, out_shape, 0, 0, 4, False, _numel(shape)))
+        reports.append(LayerReport("gap", shape, out_shape, 0, 0, 4, False))
         return out_shape
     if isinstance(spec, BatchNormS):
-        reports.append(LayerReport("bn", shape, shape, 2 * shape[1], _numel(shape), 4, False, 4.0 * _numel(shape)))
+        reports.append(LayerReport("bn", shape, shape, 2 * shape[1], _numel(shape), 4, False))
         return shape
     if isinstance(spec, DropoutS):
-        reports.append(LayerReport("dropout", shape, shape, 0, _numel(shape), 4, False, _numel(shape)))
+        reports.append(LayerReport("dropout", shape, shape, 0, _numel(shape), 4, False))
         return shape
     if isinstance(spec, FlattenS):
         out_shape = (n, _numel(shape[1:]))
-        reports.append(LayerReport("flatten", shape, out_shape, 0, 0, 4, False, 0.0))
+        reports.append(LayerReport("flatten", shape, out_shape, 0, 0, 4, False))
         return out_shape
     if isinstance(spec, LinearS):
         out_shape = (n, spec.out_features)
         wcount = spec.out_features * shape[1] + spec.out_features
-        reports.append(LayerReport("linear", shape, out_shape, wcount, _numel(shape), 4, False, 2.0 * n * shape[1] * spec.out_features))
+        reports.append(LayerReport("linear", shape, out_shape, wcount, _numel(shape), 4, False))
         return out_shape
     if isinstance(spec, ResidualS):
         s = shape

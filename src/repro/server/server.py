@@ -366,11 +366,9 @@ class SessionServer:
         self.admitted_total += 1
 
     def _share_codebooks(self, name: str, session: Session) -> None:
-        """Re-point every codebook cache in *session* (through a
-        :class:`~repro.compression.registry.ChunkedCodec` to its inner
-        codec) at the server's table, publishing as *name*."""
+        """Re-point every codebook cache in *session* at the server's
+        table, publishing as *name*."""
         for codec in session_codecs(session):
-            codec = getattr(codec, "inner", codec)
             cache = getattr(codec, "codebook_cache", None)
             if cache is not None:
                 codec.codebook_cache = SharedCodebookCache.from_cache(

@@ -14,8 +14,7 @@ no-op context — one global read per call, nothing timed, so production
 paths pay effectively nothing.  Activating a :class:`StageProfiler`
 (directly or via ``SessionConfig(profiler=ProfilerSpec(enabled=True))``) turns every bracketed
 region into a per-stage (total seconds, call count) accumulator,
-thread-safe so the chunked codec's pool threads and a server's
-scheduler threads can report concurrently.
+thread-safe so a server's scheduler threads can report concurrently.
 
 Stages used by the framework: ``quantize`` / ``predict`` / ``encode``
 (compress side), ``decode`` (decompress side), ``arena-io`` (byte-arena

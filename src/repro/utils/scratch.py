@@ -16,9 +16,10 @@ allocator/page-fault traffic for every activation on every iteration.
   backends request different shapes/dtypes than the NumPy reference,
   which used to defeat the pool on every backend switch).
 * The context-manager form returns the buffer on exit; concurrent takes
-  (the :class:`~repro.compression.registry.ChunkedCodec` thread workers
-  share one inner compressor) are safe — each take pops a distinct
-  buffer under the pool lock, or allocates fresh when the pool is empty.
+  (the server scheduler's worker threads step different tenants at once
+  and share the conv ``WORKSPACE`` pool) are safe — each take pops a
+  distinct buffer under the pool lock, or allocates fresh when the pool
+  is empty.
 """
 
 from __future__ import annotations

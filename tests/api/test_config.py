@@ -163,6 +163,35 @@ class TestKernelBackendSpec:
         assert CodecSpec("szlike").build().kernel_backend == "auto"
 
 
+class TestCodecSpecBuildBackend:
+    """``CodecSpec.build(kernel_backend)`` is how a session's
+    ``engine.kernel_backend`` reaches every codec it builds: activation,
+    rule and gradient codecs alike."""
+
+    def test_szlike_runs_on_the_given_backend(self):
+        codec = CodecSpec("szlike").build("numpy")
+        assert (codec.kernel_backend, codec.kernel_backend_selected) == ("numpy", "numpy")
+
+    def test_a_backend_in_the_options_wins(self):
+        assert CodecSpec("szlike", {"kernel_backend": "auto"}).build("numpy").kernel_backend == "auto"
+
+    def test_no_backend_keeps_the_codec_default(self):
+        assert CodecSpec("szlike").build(None).kernel_backend == "auto"
+
+    @pytest.mark.parametrize("name", ["jpeg", "lossless", "sparse-lossless"])
+    def test_codecs_without_kernels_ignore_it(self, name):
+        codec = CodecSpec(name).build("numba")  # not checked: nothing to run it on
+        assert not hasattr(codec, "kernel_backend")
+
+    def test_an_unavailable_backend_is_a_config_error(self):
+        from repro.kernels import available_backends
+
+        if "numba" in available_backends():
+            pytest.skip("numba installed: explicit selection succeeds here")
+        with pytest.raises(ConfigError, match="^engine.kernel_backend: .*unavailable"):
+            CodecSpec("szlike").build("numba")
+
+
 class TestCodecSpecRoundTrip:
     """A ``CodecSpec`` names a codec: through ``to_dict`` / ``from_dict``
     it builds one that compresses bit-identically to ``get_codec``."""
@@ -176,18 +205,13 @@ class TestCodecSpecRoundTrip:
             ("jpeg", {"quality": 75}),
             ("lossless", {"level": 3}),
             ("sparse-lossless", {}),
-            ("chunked", {"inner": "szlike", "workers": 2, "error_bound": 1e-3,
-                         "min_chunk_nbytes": 1 << 12}),
+            ("szlike", {"error_bound": 1e-3, "mode": "rel", "entropy": "huffman+zlib"}),
         ],
     )
     def test_spec_round_trip_compresses_bit_identically(self, name, options, activation_tensor):
         rebuilt = CodecSpec.from_dict(CodecSpec(name, options).to_dict()).build()
         direct = get_codec(name, **options)
-        try:
-            blobs = [registry.dumps(c.compress(activation_tensor)) for c in (rebuilt, direct)]
-        finally:
-            for codec in (rebuilt, direct):
-                getattr(codec, "close", lambda: None)()
+        blobs = [registry.dumps(c.compress(activation_tensor)) for c in (rebuilt, direct)]
         assert blobs[0] == blobs[1]
 
     def test_codec_spec_build_matches_get_codec(self):
@@ -369,7 +393,6 @@ REMOVED_CODEC_SWITCHES = [
     ("szlike", "codebook_refresh", 16),
     ("szlike", "codebook_delta", 0.25),
     ("szlike", "zlib_level", 6),
-    ("chunked", "share_codebook", False),
 ]
 SWITCH_IDS = [key for _, key, _ in REMOVED_CODEC_SWITCHES]
 

@@ -40,10 +40,8 @@ from repro.core import SyncEngine
 from repro.models import build_scaled_model
 from repro.nn import SGD, Flatten, Linear, ReLU, Sequential, SyntheticImageDataset, batches
 
-MIXED_CONFIG = os.path.join(
-    os.path.dirname(__file__), "..", "..", "examples", "configs",
-    "mixed_policy_vgg.json",
-)
+REPO = os.path.join(os.path.dirname(__file__), "..", "..")
+MIXED_CONFIG = os.path.join(REPO, "examples", "configs", "mixed_policy_vgg.json")
 
 
 def make_net(model="alexnet", seed=42, image_size=16):
@@ -188,12 +186,15 @@ class TestJsonReproducibility:
             # globs spread the conv layers across >= 2 rule groups
             assert groups["early-tight"] > 0
             assert groups["mid-lossless"] > 0
-            assert groups["late-chunked"] > 0
+            assert groups["late-zlib"] > 0
             assert policies["l0"].group == "early-tight"
             assert policies["l5"].group == "mid-lossless"
-            assert policies["l10"].group == "late-chunked"
-            # distinct codecs: SZ for l0, lossless for l5
+            assert policies["l10"].group == "late-zlib"
+            # distinct codecs: SZ for l0, lossless for l5, zlib-stage SZ for l10
             assert type(policies["l0"].codec) is not type(policies["l5"].codec)
+            assert (policies["l0"].codec.entropy, policies["l10"].codec.entropy) == (
+                "huffman", "zlib",
+            )
             # distinct error-bound regimes: l0/l2 pinned, others adaptive
             assert s1.error_bounds["l0"] == pytest.approx(5e-4)
             assert s1.error_bounds["l2"] == pytest.approx(5e-4)
@@ -478,32 +479,59 @@ class TestStorageKnobWiring:
         assert rebuilt == cfg
 
 
-def _chunked_session_codec():
-    return SessionConfig(
-        codec=CodecSpec("chunked", {"inner": "szlike", "workers": 2,
-                                    "min_chunk_nbytes": 4096}),
+#: every committed config of a single-process session
+SINGLE_PROCESS_CONFIGS = [
+    MIXED_CONFIG,
+    os.path.join(REPO, "benchmarks", "configs", "session.json"),
+    *(
+        os.path.join(REPO, "benchmarks", "e2e", "configs", f"train_{name}.json")
+        for name in ("raw", "sz", "ooc")
+    ),
+]
+
+
+@pytest.mark.parametrize("path", SINGLE_PROCESS_CONFIGS, ids=os.path.basename)
+def test_single_process_session_starts_no_thread(path):
+    """Every pack, unpack, spill and fetch is a call on the training
+    thread: building, training and closing a session from a committed
+    single-process config leaves the process's threads as they were."""
+    before = threading.enumerate()
+    cfg = SessionConfig.from_json(path)
+    assert cfg.distributed.world_size == 1
+    dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
+    with build_session(make_net("vgg16"), cfg) as s:
+        assert threading.enumerate() == before
+        for images, labels in batches(dataset, 4, 3, seed=1):
+            s.train_step(images, labels)
+            assert threading.enumerate() == before
+    assert threading.enumerate() == before
+
+
+def test_session_codecs_lists_every_built_codec_once():
+    """What the server re-points at its codebook table: the session
+    codec, each rule's own codec and the parameter codec, once each."""
+    from repro.api.session import session_codecs
+
+    cfg = SessionConfig(
+        rules=[
+            PolicyRule(match="l0", codec=CodecSpec("szlike", {"entropy": "zlib"})),
+            PolicyRule(match="l[48]", codec=CodecSpec("lossless")),
+            PolicyRule(match="l10", error_bound=1e-3),
+        ],
+        storage=StorageSpec(params="arena", param_codec=CodecSpec("lossless")),
         adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
     )
-
-
-def _mixed_policy():
-    cfg = SessionConfig.from_json(MIXED_CONFIG)
-    # the late layers of a 16x16 VGG are too small for the committed
-    # 256 KiB chunk floor; split them so the rule codec's pool starts
-    (rule,) = [r for r in cfg.rules if r.codec is not None and r.codec.name == "chunked"]
-    rule.codec.options["min_chunk_nbytes"] = 256
-    return cfg
-
-
-@pytest.mark.parametrize("make_cfg", [_chunked_session_codec, _mixed_policy])
-def test_close_stops_codec_threads(make_cfg):
-    """``Session.close()`` stops the worker threads of every codec the
-    session built: the session codec and the policy-rule codecs."""
-    before = threading.active_count()
-    with build_session(make_net("vgg16"), make_cfg()) as s:
-        run(s, iters=1)
-        assert threading.active_count() > before  # a chunked pool ran
-    assert threading.active_count() == before
+    with build_session(make_net(), cfg) as s:
+        ctx = s.compressed.ctx
+        codecs = session_codecs(s)
+        assert codecs == [
+            ctx.compressor, ctx.policies["l0"].codec, ctx.policies["l4"].codec,
+            s.param_store.codec,
+        ]
+        assert ctx.policies["l4"].codec is ctx.policies["l8"].codec
+        assert ctx.policies["l10"].codec is ctx.compressor
+    with build_session(make_net(), SessionConfig(compress_activations=False)) as s:
+        assert session_codecs(s) == []
 
 
 class TestConfigRoundTripSurface:
@@ -566,14 +594,24 @@ class TestKernelBackendWiring:
             for key in ("numba_probed", "auto_fallbacks", "runtime_fallbacks"):
                 assert key in stats
 
+    def test_session_codec_without_kernels_selects_no_backend(self):
+        cfg = SessionConfig(
+            codec=CodecSpec("lossless"),
+            engine=EngineSpec(kernel_backend="numpy"),
+            adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
+        )
+        with build_session(make_net(), cfg) as s:
+            assert s.kernel_stats["selected_backend"] is None
+        with build_session(make_net(), SessionConfig(compress_activations=False)) as s:
+            assert s.kernel_stats["selected_backend"] is None
+
     def test_engine_backend_reaches_rule_codecs(self):
         """``engine.kernel_backend`` applies to every rule codec whose
-        options do not name a backend, inside ``chunked`` too."""
-        chunked = {"inner": "szlike", "workers": 2}
+        options do not name a backend; a codec without kernels ignores it."""
         cfg = SessionConfig(
             rules=[
                 PolicyRule(match="l0", label="sz", codec=CodecSpec("szlike")),
-                PolicyRule(match="l4", label="chunked", codec=CodecSpec("chunked", chunked)),
+                PolicyRule(match="l4", label="lossless", codec=CodecSpec("lossless")),
                 PolicyRule(match="l8", label="pinned",
                            codec=CodecSpec("szlike", {"kernel_backend": "auto"})),
                 PolicyRule(match="l10", label="inherits", error_bound=1e-3),
@@ -584,7 +622,7 @@ class TestKernelBackendWiring:
         with build_session(make_net(), cfg) as s:
             codecs = {pol.group: pol.codec for pol in s.compressed.ctx.policies.values()}
             assert codecs["sz"].kernel_backend == "numpy"
-            assert codecs["chunked"].inner.kernel_backend == "numpy"
+            assert not hasattr(codecs["lossless"], "kernel_backend")
             assert codecs["pinned"].kernel_backend == "auto"
             assert codecs["inherits"] is s.compressed.ctx.compressor
             assert s.compressed.ctx.compressor.kernel_backend == "numpy"

@@ -65,7 +65,7 @@ def test_szlike_session_loads_no_scipy_submodule_until_one_is_used():
     assert report["after_import"] == []
     assert report["after_step"] == [], report["after_step"][:10]
     assert report["loss"] > 0
-    assert report["codecs"] == ["chunked", "jpeg", "lossless", "sparse-lossless", "szlike"]
+    assert report["codecs"] == ["jpeg", "lossless", "sparse-lossless", "szlike"]
     assert report["jpeg_ok"] and report["fft_after_jpeg"]
     assert not report["stats_after_jpeg"]
     assert 0.0 < report["pvalue"] <= 1.0

@@ -3,16 +3,15 @@
 The cache is a pure performance mechanism — every test here pins down
 the ways it must NOT change semantics: the error bound holds under
 arbitrarily stale books (escape demotion), rebuild triggers fire on
-drift (δ) and on schedule (K), concurrent use under the chunked codec's
-thread pool is safe and deterministic, and every chunk of a chunked
-container owns and serializes its own book (nbytes byte-exact vs
-``dumps``).
+drift (δ) and on schedule (K), concurrent use from several threads is
+safe, and every blob owns and serializes its own book (nbytes
+byte-exact vs ``dumps``).
 """
 
 import numpy as np
 import pytest
 
-from repro.compression import ChunkedCodec, CodebookCache, SZCompressor
+from repro.compression import CodebookCache, SZCompressor
 from repro.compression.registry import dumps, loads, wire_header_nbytes
 from repro.compression.szlike.compressor import HEADER_BYTES
 from repro.compression.szlike import dumps as sz_dumps
@@ -217,84 +216,81 @@ class TestAccountingWithCache:
             np.testing.assert_array_equal(y1, y2)
 
 
-class TestChunkedBooks:
-    """One book per chunk, amortized per chunk key; thread safety; each
-    chunk's book serialized with it."""
+class TestBlobBooks:
+    """One book per key, amortized across calls; thread safety; each
+    blob's book serialized with it."""
 
     @pytest.fixture()
     def act(self, rng):
         return smoothish(rng, shape=(8, 4, 24, 24))
 
-    def test_every_chunk_owns_its_codebook(self, act):
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
-                          error_bound=1e-2, entropy="huffman")
-        ct = ck.compress(act)
-        assert len(ct.chunks) > 1
-        books = {id(c.codebook) for c in ct.chunks}
-        assert len(books) == len(ct.chunks)
-        for c, part in zip(ct.chunks, np.array_split(act, len(ct.chunks))):
-            fresh = SZCompressor(1e-2, entropy="huffman").compress(part)
-            np.testing.assert_array_equal(c.codebook.lengths, fresh.codebook.lengths)
-        y = ck.decompress(ct)
-        assert np.abs(act.astype(np.float64) - y).max() <= 1e-2 * (1 + 1e-6)
+    def test_keyed_calls_decode_to_the_uncached_values(self, act):
+        """A built book and a reused one change bytes, never values."""
+        comp, cache = make_cached(eb=1e-2)
+        plain = SZCompressor(1e-2, entropy="huffman")
+        for scale in (1.0, 1.1):
+            x = act * scale
+            y = comp.decompress(comp.compress(x, cache_key="layer0"))
+            np.testing.assert_array_equal(y, plain.decompress(plain.compress(x)))
+            assert np.abs(x.astype(np.float64) - y).max() <= 1e-2 * (1 + 1e-6)
+        assert (cache.builds, cache.hits) == (1, 1)
 
-    def test_cross_iteration_cache_through_chunked(self, act):
-        """Each chunk amortizes under its own key: one build per chunk,
-        then one hit per chunk."""
-        inner = SZCompressor(1e-2, entropy="huffman", codebook_cache=True)
-        ck = ChunkedCodec(inner, workers=2, min_chunk_nbytes=1 << 12)
-        n = len(ck.compress(act, cache_key="layer0").chunks)
-        ck.compress(act, cache_key="layer0")
-        assert n > 1
-        assert inner.codebook_cache.builds == n
-        assert inner.codebook_cache.hits == n
+    def test_cross_iteration_cache_per_key(self, act):
+        """Each key amortizes on its own: one build per key, then one hit
+        per key."""
+        comp, cache = make_cached(eb=1e-2)
+        for _ in range(2):
+            for key in ("layer0", "layer1"):
+                comp.compress(act, cache_key=key)
+        assert cache.builds == 2
+        assert cache.hits == 2
 
     def test_thread_executor_concurrent_compress_safe(self, act):
         """Many concurrent compress calls against one cached compressor:
         no corruption, every result within the bound."""
         from concurrent.futures import ThreadPoolExecutor
 
-        inner = SZCompressor(1e-2, entropy="huffman", codebook_cache=True)
-        ck = ChunkedCodec(inner, workers=2, min_chunk_nbytes=1 << 12)
+        comp, _ = make_cached(eb=1e-2)
         tensors = [act * s for s in (0.5, 1.0, 1.5, 2.0)]
         with ThreadPoolExecutor(max_workers=4) as pool:
             cts = list(pool.map(
-                lambda xi: ck.compress(xi[1], cache_key=f"k{xi[0]}"),
+                lambda xi: comp.compress(xi[1], cache_key=f"k{xi[0] % 2}"),
                 enumerate(tensors),
             ))
         for x, ct in zip(tensors, cts):
-            y = ck.decompress(ct)
+            y = comp.decompress(ct)
             assert np.abs(x.astype(np.float64) - y).max() <= 1e-2 * (1 + 1e-6)
 
-    def test_serialize_roundtrip_own_books(self, act):
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
-                          error_bound=1e-2, entropy="huffman")
-        ct = ck.compress(act)
-        back = loads(dumps(ct))
-        for c, b in zip(ct.chunks, back.chunks):
-            np.testing.assert_array_equal(b.codebook.lengths, c.codebook.lengths)
-        np.testing.assert_array_equal(ck.decompress(back), ck.decompress(ct))
-        assert ct.nbytes == back.nbytes
+    def test_serialize_roundtrip_own_book(self, act):
+        comp, _ = make_cached(eb=1e-2)
+        for _ in range(2):  # a built book, then a reused one
+            ct = comp.compress(act, cache_key="layer0")
+            back = loads(dumps(ct))
+            np.testing.assert_array_equal(back.codebook.lengths, ct.codebook.lengths)
+            np.testing.assert_array_equal(comp.decompress(back), comp.decompress(ct))
+            assert ct.nbytes == back.nbytes
 
-    def test_chunk_blob_holds_its_book_and_nbytes_is_exact(self, act):
-        """A chunk's blob ends in its own length table, and its nbytes
-        stays byte-exact against its own serialization."""
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
-                          error_bound=1e-2, entropy="huffman")
-        ct = ck.compress(act)
-        for c in ct.chunks:
-            blob = sz_dumps(c)
-            assert blob.endswith(c.codebook.section())
-            assert c.codebook.nbytes < c.codebook.lengths.size == 1024
-            assert c.nbytes == len(blob) - wire_header_nbytes(blob) + HEADER_BYTES
+    def test_blob_holds_its_book_and_nbytes_is_exact(self, act):
+        """A blob ends in its own length table, and its nbytes stays
+        byte-exact against its own serialization."""
+        comp, _ = make_cached(eb=1e-2)
+        for _ in range(2):
+            ct = comp.compress(act, cache_key="layer0")
+            blob = sz_dumps(ct)
+            assert blob.endswith(ct.codebook.section())
+            assert ct.codebook.nbytes < ct.codebook.lengths.size == 1024
+            assert ct.nbytes == len(blob) - wire_header_nbytes(blob) + HEADER_BYTES
 
-    def test_detached_chunk_decodes_alone(self, act):
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 12,
-                          error_bound=1e-2, entropy="huffman")
-        ct = ck.compress(act)
-        lone = sz_loads(sz_dumps(ct.chunks[1]))
+    def test_blob_decodes_without_the_cache(self, act):
+        """A reused book travels with the blob: a codec that never saw
+        the cache decodes it to the same values."""
+        comp, cache = make_cached(eb=1e-2)
+        comp.compress(act, cache_key="layer0")
+        ct = comp.compress(act * 1.1, cache_key="layer0")
+        assert cache.hits == 1
+        lone = sz_loads(sz_dumps(ct))
         y = SZCompressor(1e-2, entropy="huffman").decompress(lone)
-        np.testing.assert_array_equal(y, ck.decompress(ct)[lone.shape[0] : 2 * lone.shape[0]])
+        np.testing.assert_array_equal(y, comp.decompress(ct))
 
 
 class TestContextIntegration:

@@ -63,8 +63,8 @@ class TestCodebook:
 
     def test_from_lengths_rejects_lengths_above_the_limit(self, deep_codebook):
         """The decode tables have 2^L entries, so every way of building a
-        book from stored lengths (a blob's own, the chunked container's
-        shared one, a direct caller) must refuse L > MAX_CODE_LENGTH."""
+        book from stored lengths (a blob's own, a direct caller) must
+        refuse L > MAX_CODE_LENGTH."""
         assert deep_codebook.max_length == MAX_CODE_LENGTH  # the limit itself is fine
         for bad in (MAX_CODE_LENGTH + 1, 24, 255):
             hostile = deep_codebook.lengths.copy()

@@ -1,4 +1,4 @@
-"""The unified codec registry: construction, shared contract, chunking.
+"""The unified codec registry: construction, shared contract, wire format.
 
 Every registered codec must pass the same contract suite — roundtrip,
 error-bound behaviour, and nbytes/serialization parity — so the
@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from repro.compression import (
-    ChunkedCodec,
-    ChunkedCompressedTensor,
     CorruptBlobError,
     SZCompressor,
     available_codecs,
@@ -31,12 +29,12 @@ CODEC_SPECS = {
     "jpeg": dict(quality=50),
 }
 
-#: every registered leaf codec (the chunked wrapper has its own class
-#: below); a newly registered codec is pulled into the contract suite
-#: automatically.  szlike additionally runs once per available kernel
-#: backend (``szlike[numpy]``, and ``szlike[numba]`` where installed) so
-#: every backend satisfies the full contract, not just a roundtrip.
-LEAF_CODECS = sorted(n for n in available_codecs() if n != "chunked") + [
+#: every registered codec; a newly registered codec is pulled into the
+#: contract suite automatically.  szlike additionally runs once per
+#: available kernel backend (``szlike[numpy]``, and ``szlike[numba]``
+#: where installed) so every backend satisfies the full contract, not
+#: just a roundtrip.
+LEAF_CODECS = sorted(available_codecs()) + [
     f"szlike[{b}]" for b in available_backends()
 ]
 
@@ -52,8 +50,7 @@ def make(name):
 
 class TestRegistry:
     def test_required_codecs_registered(self):
-        for name in ("szlike", "jpeg", "lossless", "sparse-lossless", "chunked"):
-            assert name in available_codecs()
+        assert available_codecs() == ("jpeg", "lossless", "sparse-lossless", "szlike")
 
     def test_get_codec_constructs_with_kwargs(self):
         sz = get_codec("szlike", error_bound=5e-4, entropy="zlib")
@@ -69,10 +66,21 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_codec("szlike", SZCompressor)
 
-    def test_chunked_constructible_by_name(self):
-        ck = get_codec("chunked", inner="szlike", workers=2, error_bound=1e-3)
-        assert isinstance(ck, ChunkedCodec)
-        assert ck.error_bounded
+
+class TestSzlikeBounds:
+    def test_relative_bound_resolves_on_the_whole_tensor(self, dense_tensor):
+        sz = get_codec("szlike", error_bound=1e-3, mode="rel", entropy="zlib")
+        ct = sz.compress(dense_tensor)
+        span = float(dense_tensor.max() - dense_tensor.min())
+        assert ct.error_bound == sz.resolve_error_bound(dense_tensor) == 1e-3 * span
+        err = np.abs(dense_tensor.astype(np.float64) - sz.decompress(ct)).max()
+        assert err <= ct.error_bound * (1 + 1e-6)
+
+    def test_per_call_bound_overrides_the_constructor(self, activation_tensor):
+        sz = get_codec("szlike", error_bound=1e-3)
+        ct = sz.compress(activation_tensor, error_bound=5e-3)
+        assert ct.error_bound == 5e-3
+        assert np.abs(activation_tensor - sz.decompress(ct)).max() <= 5e-3 * (1 + 1e-6)
 
 
 @pytest.mark.parametrize("name", LEAF_CODECS)
@@ -318,183 +326,14 @@ class TestCorruptLosslessSections:
 
 
 @pytest.mark.parametrize(
-    "key,bad", [("shape", [2, 8, 6, 12]), ("shape", [-4, 8, 6, 6]),
-                ("dtype", "float64"), ("axis", 3)],
-)
-def test_chunked_header_must_describe_its_chunks(rng, key, bad):
-    """A chunked blob whose header disagrees with the chunks it frames is
-    corrupt, not a tensor of another shape, size or layout."""
-    ck = get_codec("chunked", inner="szlike", workers=2, min_chunk_nbytes=64)
-    try:
-        blob = dumps(ck.compress(rng.standard_normal((4, 8, 6, 6)).astype(np.float32)))
-    finally:
-        ck.close()
-    (hlen,) = struct.unpack_from("<I", blob, 4)
-    header = json.loads(blob[8 : 8 + hlen])
-    assert len(header["chunk_lengths"]) == 2 and header[key] != bad
-    assert loads(blob).shape == (4, 8, 6, 6)
-    hbytes = json.dumps({**header, key: bad}).encode()
-    with pytest.raises(CorruptBlobError):
-        loads(blob[:4] + struct.pack("<I", len(hbytes)) + hbytes + blob[8 + hlen :])
-
-
-@pytest.mark.parametrize(
-    "inner,shape",
+    "name,shape",
     [("lossless", shape) for shape in [(), (7,), (1, 5), (0, 4), (4, 0, 3), (6, 2, 8, 8)]]
-    + [("szlike", (7,)), ("szlike", (5, 3, 4)), ("jpeg", (5, 3, 4))],
+    + [("sparse-lossless", (0, 4)), ("szlike", (7,)), ("szlike", (5, 3, 4)), ("jpeg", (5, 3, 4))],
 )
-def test_every_shape_the_writer_emits_passes_the_header_check(rng, inner, shape):
-    ck = get_codec("chunked", inner=inner, workers=3, min_chunk_nbytes=8)
+def test_every_shape_the_writer_emits_passes_the_header_check(rng, name, shape):
+    codec = get_codec(name)
     x = rng.standard_normal(shape).astype(np.float32)
-    try:
-        ct = ck.compress(x)
-        back = loads(dumps(ct))
-        assert (back.shape, back.dtype) == (x.shape, "float32")
-        np.testing.assert_array_equal(ck.decompress(back), ck.decompress(ct))
-    finally:
-        ck.close()
-
-
-class TestChunkedCodec:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_equivalent_to_unchunked(self, activation_tensor, workers):
-        """Chunks are independent along the batch axis for the SZ codec,
-        so the reconstruction is bit-identical to the unchunked path."""
-        sz = get_codec("szlike", error_bound=1e-3, entropy="zlib")
-        ck = ChunkedCodec(sz, workers=workers, min_chunk_nbytes=1 << 14)
-        y_single = sz.decompress(sz.compress(activation_tensor))
-        ct = ck.compress(activation_tensor)
-        assert isinstance(ct, ChunkedCompressedTensor)
-        assert len(ct.chunks) > 1
-        np.testing.assert_array_equal(ck.decompress(ct), y_single)
-
-    def test_relative_mode_resolved_once(self, dense_tensor):
-        """rel-mode bounds resolve on the whole tensor, not per chunk."""
-        sz = get_codec("szlike", error_bound=1e-3, mode="rel", entropy="zlib")
-        ck = ChunkedCodec(sz, workers=2, min_chunk_nbytes=1 << 14)
-        ct = ck.compress(dense_tensor)
-        assert len(ct.chunks) > 1
-        ebs = {c.error_bound for c in ct.chunks}
-        assert len(ebs) == 1
-        assert ct.error_bound == sz.resolve_error_bound(dense_tensor)
-        np.testing.assert_array_equal(
-            ck.decompress(ct), sz.decompress(sz.compress(dense_tensor))
-        )
-
-    def test_small_tensor_not_split(self, rng):
-        ck = ChunkedCodec(get_codec("szlike", error_bound=1e-3, entropy="zlib"), workers=4)
-        x = rng.standard_normal((4, 2, 8, 8)).astype(np.float32)
-        ct = ck.compress(x)
-        assert len(ct.chunks) == 1
-        np.testing.assert_array_equal(
-            ck.decompress(ct), ck.inner.decompress(ck.inner.compress(x))
-        )
-
-    def test_error_bound_honored_through_chunks(self, activation_tensor):
-        ck = ChunkedCodec("szlike", workers=4, min_chunk_nbytes=1 << 14, error_bound=1e-3)
-        y = ck.roundtrip(activation_tensor, error_bound=5e-3)
-        assert np.abs(activation_tensor - y).max() <= 5e-3 * (1 + 1e-6)
-
-    def test_nbytes_sums_chunks(self, activation_tensor):
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14, error_bound=1e-3)
-        ct = ck.compress(activation_tensor)
-        from repro.compression.registry import CHUNK_HEADER_BYTES
-
-        # huffman inner -> every chunk carries and charges its own book
-        assert len(ct.chunks) > 1
-        assert all(c.codebook is not None for c in ct.chunks)
-        assert ct.nbytes == sum(c.nbytes for c in ct.chunks) + CHUNK_HEADER_BYTES
-        assert ct.original_nbytes == activation_tensor.nbytes
-        assert ct.compression_ratio > 1
-
-    @pytest.mark.parametrize(
-        "inner,opts",
-        [("szlike", {"entropy": e}) for e in ("huffman", "huffman+zlib", "zlib", "none")]
-        + [("lossless", {}), ("jpeg", {})],
-    )
-    def test_each_chunk_round_trips_alone(self, activation_tensor, inner, opts):
-        """A container is a list of self-contained blobs: every chunk
-        decodes on its own, through the wire format, to its slice of the
-        container's reconstruction."""
-        ck = ChunkedCodec(inner, workers=2, min_chunk_nbytes=1 << 14, **opts)
-        try:
-            ct = ck.compress(activation_tensor)
-            whole = ck.decompress(ct)
-        finally:
-            ck.close()
-        assert len(ct.chunks) > 1
-        start = 0
-        for chunk in ct.chunks:
-            alone = ck.inner.decompress(loads(dumps(chunk)))
-            stop = start + alone.shape[0]
-            assert alone.tobytes() == whole[start:stop].tobytes()
-            start = stop
-        assert start == activation_tensor.shape[0]
-
-    def test_serialization_roundtrip(self, activation_tensor):
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14, error_bound=1e-3)
-        ct = ck.compress(activation_tensor)
-        back = loads(dumps(ct))
-        assert isinstance(back, ChunkedCompressedTensor)
-        np.testing.assert_array_equal(ck.decompress(back), ck.decompress(ct))
-
-    def test_lossless_inner_exact(self, activation_tensor):
-        ck = ChunkedCodec("lossless", workers=2, min_chunk_nbytes=1 << 14)
-        np.testing.assert_array_equal(ck.roundtrip(activation_tensor), activation_tensor)
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            ChunkedCodec("szlike", workers=0)
-
-    def test_rejects_bad_min_chunk_nbytes(self):
-        with pytest.raises(ValueError):
-            ChunkedCodec("szlike", min_chunk_nbytes=0)
-
-    def test_close_stops_the_pool_and_a_later_split_restarts_it(self, activation_tensor):
-        import threading
-
-        before = threading.active_count()
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14, error_bound=1e-3)
-        ct = ck.compress(activation_tensor)
-        assert len(ct.chunks) > 1
-        for _ in range(2):
-            ck.decompress(ct)
-            assert threading.active_count() > before
-            ck.close()
-            ck.close()  # idempotent
-            assert threading.active_count() == before
-
-    @pytest.mark.parametrize("knob", ["executor", "shared_cache", "share_codebook"])
-    def test_removed_knobs_rejected(self, knob):
-        """The process executor, its shared-cache switch and intra-call
-        codebook sharing are gone."""
-        with pytest.raises(TypeError):
-            ChunkedCodec(**{knob: "process"})
-        with pytest.raises(TypeError):
-            ChunkedCodec(get_codec("szlike"), **{knob: "process"})
-
-
-class TestChunkedProfilerThreading:
-    """Per-stage timings survive the thread pool: encode/decode totals
-    are non-zero for chunked work, one call per chunk."""
-
-    def test_stage_totals_survive_thread_pool(self):
-        from repro.utils.profiler import StageProfiler
-
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((8, 8, 24, 24)).astype(np.float32)
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 14, error_bound=1e-3)
-        try:
-            n = ck._num_chunks(x)
-            assert n > 1
-            with StageProfiler() as prof:
-                out = ck.decompress(ck.compress(x))
-            np.testing.assert_allclose(out, x, atol=1e-3)
-        finally:
-            ck.close()
-        snap = prof.snapshot()
-        assert snap["encode"]["seconds"] > 0
-        assert snap["decode"]["seconds"] > 0
-        # every chunk's stage work was reported, not just the caller's
-        assert snap["encode"]["calls"] >= n
-        assert snap["decode"]["calls"] >= n
+    ct = codec.compress(x)
+    back = loads(dumps(ct))
+    assert (tuple(back.shape), back.dtype) == (x.shape, "float32")
+    np.testing.assert_array_equal(codec.decompress(back), codec.decompress(ct))

@@ -176,8 +176,7 @@ def test_nbytes_charges_the_chunk_table_and_the_book_as_written(count):
 
 
 @pytest.mark.parametrize("count", sorted(GEOMETRY_SHAPES))
-def test_nbytes_is_the_blob_byte_for_byte_szlike_and_chunked(count):
-    from repro.compression import ChunkedCodec
+def test_nbytes_is_the_blob_byte_for_byte(count):
     from repro.compression import registry
 
     x = _relu_field(GEOMETRY_SHAPES[count])
@@ -188,21 +187,10 @@ def test_nbytes_is_the_blob_byte_for_byte_szlike_and_chunked(count):
     np.testing.assert_array_equal(back.chunk_offsets, ct.chunk_offsets)
     np.testing.assert_array_equal(back.codebook.lengths, ct.codebook.lengths)
     assert back.codebook.section() == ct.codebook.section() == blob[_sections(blob)[1][7] :]
-    if count < 16_384:
-        return
-    ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 13, error_bound=1e-3)
-    cct = ck.compress(x)
-    assert len(cct.chunks) > 1 and all(c.codebook is not None for c in cct.chunks)
-    data = registry.dumps(cct)
-    cback = registry.loads(data)
-    assert cback.nbytes == cct.nbytes
-    assert cct.nbytes == len(data) - registry.wire_header_nbytes(data) + cct.header_nbytes + sum(
-        HEADER_BYTES - wire_header_nbytes(dumps(c)) for c in cct.chunks
-    )
-    for chunk in cback.chunks:
-        blob = dumps(chunk)
-        assert chunk.nbytes == len(blob) - wire_header_nbytes(blob) + HEADER_BYTES
-    np.testing.assert_array_equal(ck.decompress(cback), ck.decompress(cct))
+    # the registry frames an szlike blob as the codec does
+    assert registry.dumps(ct) == blob
+    assert registry.wire_header_nbytes(blob) == wire_header_nbytes(blob)
+    assert registry.loads(blob).nbytes == ct.nbytes
 
 
 def test_small_tensors_store_the_codebook_raw_when_deflate_does_not_pay():
@@ -319,31 +307,34 @@ class TestLoadsRejectsMalformedBlobs:
             registry.loads(_reheader(zl, has_codebook=True))
         assert loads(blob).codebook.nbytes == len(blob) - bounds[7]
 
-    def test_the_retired_shared_codebook_container_is_corrupt(self):
-        """The former chunked layout — bookless chunks flagged
-        ``codebook_shared`` and one book section after them — is no
-        longer a container ``registry.loads`` accepts."""
+    def test_the_retired_chunked_containers_are_corrupt(self):
+        """The former ``CKRP`` container, in both of its layouts — chunks
+        that each carry a book, and bookless chunks flagged
+        ``codebook_shared`` with one book section after them — is no
+        longer a blob ``registry.loads`` accepts."""
         from repro.compression import registry
-        from repro.compression.registry import ChunkedCodec
 
-        ck = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1 << 13, error_bound=1e-3)
-        cct = ck.compress(_relu_field((8, 8, 16, 16)))
-        ck.close()
-        data = registry.dumps(cct)
-        (hlen,) = struct.unpack_from("<I", data, 4)
-        header = json.loads(data[8 : 8 + hlen])
-        book = cct.chunks[0].codebook.section()
-        chunks = [
-            _reheader(dumps(c)[: len(dumps(c)) - c.codebook.nbytes], has_codebook=False,
+        x = _relu_field((8, 8, 16, 16))
+        cts = [SZCompressor(1e-3).compress(part) for part in np.array_split(x, 2)]
+        own_books = [dumps(c) for c in cts]
+        shared_book = [
+            _reheader(blob[: len(blob) - c.codebook.nbytes], has_codebook=False,
                       codebook_shared=True)
-            for c in cct.chunks
+            for blob, c in zip(own_books, cts)
         ]
-        old = {**header, "chunk_lengths": [len(c) for c in chunks],
-               "shared_codebook_len": len(book)}
-        hbytes = json.dumps(old).encode()
-        body = b"".join(chunks) + book
-        with pytest.raises(CorruptBlobError):
-            registry.loads(data[:4] + struct.pack("<I", len(hbytes)) + hbytes + body)
+        header = {"shape": list(x.shape), "dtype": "float32", "axis": 0}
+        for chunks, extra, tail in (
+            (own_books, {}, b""),
+            (shared_book, {"shared_codebook_len": cts[0].codebook.nbytes},
+             cts[0].codebook.section()),
+        ):
+            hbytes = json.dumps({**header, "chunk_lengths": [len(c) for c in chunks],
+                                 **extra}).encode()
+            blob = b"CKRP" + struct.pack("<I", len(hbytes)) + hbytes + b"".join(chunks) + tail
+            with pytest.raises(CorruptBlobError, match="bad magic"):
+                registry.loads(blob)
+            with pytest.raises(CorruptBlobError, match="bad magic"):
+                registry.wire_header_nbytes(blob)
 
     def test_header_must_be_self_consistent(self, blob):
         for changes in (

@@ -10,7 +10,7 @@ built instead of rebuilding them.  Pinned here:
   unchanged book never relabels it;
 * staleness refreshes propagate: B's rebuild is adopted by C;
 * ``invalidate()`` empties the table, so stale books cannot be adopted;
-* a chunked codec without codebook sharing publishes one key per chunk;
+* a codec publishes one entry per cache key and later hits it;
 * threads sharing caches and a table lose no publish and no count;
 * a sanitizer-instrumented run stays clean.
 """
@@ -22,7 +22,7 @@ import threading
 
 import numpy as np
 
-from repro.compression import ChunkedCodec, CodebookCache, SZCompressor
+from repro.compression import CodebookCache, SZCompressor
 from repro.compression.szlike import CodebookTable, SharedCodebookCache
 
 
@@ -118,38 +118,32 @@ class TestPublishAndAdopt:
         assert codecs[1].codebook_cache.stats()["shared_adoptions"] == 1
         np.testing.assert_array_equal(codecs[0].decompress(cts[0]), codecs[1].decompress(cts[1]))
 
-    def test_chunked_publishes_per_chunk_keys(self):
-        """A chunked codec's chunks amortize one by one: chunk i of
-        ``layer0`` builds, publishes and later hits under its own key
-        ``("layer0", "chunk", i)``."""
+    def test_codec_publishes_one_entry_per_key(self):
+        """Each cache key (one per layer in a session) builds, publishes
+        and later hits on its own."""
         table = CodebookTable()
-        ck = ChunkedCodec(
-            "szlike", workers=2, min_chunk_nbytes=1 << 12,
-            error_bound=1e-3, entropy="huffman", codebook_cache=True,
+        codec = SZCompressor(1e-3, entropy="huffman", codebook_cache=True)
+        codec.codebook_cache = SharedCodebookCache.from_cache(
+            codec.codebook_cache, table, owner="a"
         )
-        try:
-            ck.inner.codebook_cache = SharedCodebookCache.from_cache(
-                ck.inner.codebook_cache, table, owner="a"
-            )
-            cache = ck.inner.codebook_cache
-            rng = np.random.default_rng(7)
-            arr = np.maximum(rng.standard_normal((4, 4, 16, 16)), 0).astype(np.float32)
-            ct = ck.compress(arr, cache_key="layer0")
-            n = len(ct.chunks)
-            assert n > 1
-            keys = {("layer0", "chunk", i) for i in range(n)}
-            assert all(table.get(k) is not None for k in keys)
-            assert cache.stats()["publishes"] == n and cache.stats()["builds"] == n
-            ct = ck.compress(arr, cache_key="layer0")
-            assert cache.stats()["hits"] == n and cache.stats()["publishes"] == n
-            np.testing.assert_allclose(ck.decompress(ct), arr, atol=1e-3 * (1 + 1e-6))
-        finally:
-            ck.close()
+        cache = codec.codebook_cache
+        rng = np.random.default_rng(7)
+        arrs = {
+            f"layer{i}": np.maximum(rng.standard_normal((4, 4, 16, 16)), 0).astype(np.float32)
+            for i in range(3)
+        }
+        for key, arr in arrs.items():
+            codec.compress(arr, cache_key=key)
+        assert all(table.get(key) is not None for key in arrs)
+        assert cache.stats()["publishes"] == cache.stats()["builds"] == len(arrs)
+        for key, arr in arrs.items():
+            ct = codec.compress(arr, cache_key=key)
+            np.testing.assert_allclose(codec.decompress(ct), arr, atol=1e-3 * (1 + 1e-6))
+        assert cache.stats()["hits"] == cache.stats()["publishes"] == len(arrs)
 
 
 def test_many_threads_lose_no_publish_and_no_count():
-    """Eight threads over two caches (four per cache, as chunked-codec
-    workers share one) and one table, with a short switch interval: every
+    """Eight threads over two caches (four per cache) and one table, with a short switch interval: every
     lookup is counted once, every (re)build is published, and every key
     reaches the table."""
     table, caches = fleet("a", "b")

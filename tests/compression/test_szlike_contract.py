@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import registry
-from repro.compression.registry import ChunkedCodec
 from repro.compression.szlike import (
     QuantizedResiduals,
     SZCompressor,
@@ -165,40 +164,34 @@ def test_bytes_and_bits_equal_the_int64_float64_reference(backend, tensor, dict_
 @pytest.mark.parametrize("codebook_cache", [True, False], ids=["cached", "uncached"])
 @given(tensors())
 @settings(max_examples=25, deadline=None)
-def test_chunked_codec_keeps_the_bound_the_bytes_and_the_unchunked_reconstruction(
+def test_keyed_calls_keep_the_bound_the_bytes_and_the_fresh_reconstruction(
     entropy, codebook_cache, tensor
 ):
-    """``chunked`` over szlike splits every tensor it can (one-byte chunk
-    floor): each decoded value stays within the bound, the container
-    survives the registry's wire format bit-equal, its ``nbytes`` is the
-    blob's, and the reconstruction is the unchunked codec's whenever
-    Lorenzo leaves the batch axis alone.  Two calls share one cache key,
-    so a cached book is reused across them."""
+    """Two calls under one cache key (so a cached book is reused by the
+    second): each decoded value stays within the bound, the blob survives
+    the registry's wire format bit-equal, its ``nbytes`` is the blob's,
+    and the reconstruction is a fresh uncached codec's — a reused book
+    changes bytes, never values."""
     x, eb = tensor
-    opts = dict(entropy=entropy, codebook_cache=codebook_cache)
-    codec = ChunkedCodec("szlike", workers=2, min_chunk_nbytes=1, **opts)
-    unchunked = SZCompressor(eb, **opts).decompress(SZCompressor(eb, **opts).compress(x))
+    codec = SZCompressor(eb, entropy=entropy, codebook_cache=codebook_cache)
+    fresh = SZCompressor(eb, entropy=entropy, codebook_cache=False)
+    want = fresh.decompress(fresh.compress(x))
     x64 = x.astype(np.float64)
     slack = 4 * float(np.spacing(np.abs(x64).max() + eb))
     if x.dtype != np.float64:
         slack += 0.5 * float(np.spacing(x.dtype.type(np.abs(x).max() + eb)))
-    try:
-        for _ in range(2):
-            ct = codec.compress(x, error_bound=eb, cache_key="layer")
-            y = codec.decompress(ct)
-            assert y.dtype == x.dtype and y.shape == x.shape
-            assert np.abs(x64 - y.astype(np.float64)).max() <= eb + slack
-            if x.ndim > codec.inner.lorenzo_ndim:
-                assert y.tobytes() == unchunked.tobytes()
-            data = registry.dumps(ct)
-            back = registry.loads(data)
-            assert codec.decompress(back).tobytes() == y.tobytes()
-            assert back.nbytes == ct.nbytes == (
-                len(data) - registry.wire_header_nbytes(data) + ct.header_nbytes
-                + sum(HEADER_BYTES - wire_header_nbytes(dumps(c)) for c in ct.chunks)
-            )
-    finally:
-        codec.close()
+    for _ in range(2):
+        ct = codec.compress(x, error_bound=eb, cache_key="layer")
+        y = codec.decompress(ct)
+        assert y.dtype == x.dtype and y.shape == x.shape
+        assert np.abs(x64 - y.astype(np.float64)).max() <= eb + slack
+        assert y.tobytes() == want.tobytes()
+        data = registry.dumps(ct)
+        back = registry.loads(data)
+        assert codec.decompress(back).tobytes() == y.tobytes()
+        assert back.nbytes == ct.nbytes == (
+            len(data) - registry.wire_header_nbytes(data) + ct.header_nbytes
+        )
 
 
 @pytest.mark.parametrize("count", [1, 2, 255, 16_385, 40_001])

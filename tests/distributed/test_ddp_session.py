@@ -240,6 +240,23 @@ class TestSurfaceAndGuards:
         with pytest.raises(ConfigError, match="pre-built optimizer"):
             build_session(net, ddp_config(), optimizer=opt)
 
+    def test_unbuildable_grad_codec_fails_before_any_rank_starts(self):
+        """``engine.kernel_backend`` reaches the gradient codec, and the
+        coordinator builds it before forking: an unavailable backend is
+        a ``ConfigError`` with no rank process left behind."""
+        import multiprocessing
+
+        from repro.api import EngineSpec
+        from repro.kernels import available_backends
+
+        if "numba" in available_backends():
+            pytest.skip("numba installed: explicit selection succeeds here")
+        cfg = ddp_config(grad_codec=SZ_GRAD)
+        cfg.engine = EngineSpec(kernel_backend="numba")
+        with pytest.raises(ConfigError, match="engine.kernel_backend"):
+            build_session(make_net(), cfg)
+        assert multiprocessing.active_children() == []
+
     def test_worker_error_surfaces_with_traceback(self):
         with build_session(make_net(), ddp_config()) as s:
             s._conns[0].send(("bogus-tag",))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import CodecSpec, PolicyRule, SessionConfig, StorageSpec
+from repro.api import CodecSpec, ConfigError, EngineSpec, PolicyRule, SessionConfig, StorageSpec
 from repro.api.config import DistributedSpec
 from repro.compression.registry import SparseLosslessCodec
 from repro.compression.szlike import SZCompressor
@@ -50,6 +50,33 @@ class TestGradPlan:
         plan = build_grad_plan(net, cfg)
         (codec,) = {id(gp.codec): gp.codec for gp in plan}.values()
         assert isinstance(codec, SZCompressor) and codec.error_bound == 1e-3
+
+    @staticmethod
+    def _szlike_grads(engine_backend, **options):
+        return SessionConfig(
+            engine=EngineSpec(kernel_backend=engine_backend),
+            distributed=DistributedSpec(
+                world_size=2, grad_codec=CodecSpec("szlike", {"error_bound": 1e-3, **options})
+            ),
+        )
+
+    def test_grad_codec_runs_on_the_engine_kernel_backend(self):
+        """``engine.kernel_backend`` reaches the gradient codec as it
+        reaches the activation codecs, unless its options pin one."""
+        (codec,) = {gp.codec for gp in build_grad_plan(make_net(), self._szlike_grads("numpy"))}
+        assert codec.kernel_backend == "numpy"
+        assert codec.kernel_backend_selected == "numpy"
+        cfg = self._szlike_grads("numpy", kernel_backend="auto")
+        (codec,) = {gp.codec for gp in build_grad_plan(make_net(), cfg)}
+        assert codec.kernel_backend == "auto"
+
+    def test_grad_codec_on_an_unavailable_backend_is_a_config_error(self):
+        from repro.kernels import available_backends
+
+        if "numba" in available_backends():
+            pytest.skip("numba installed: explicit selection succeeds here")
+        with pytest.raises(ConfigError, match="engine.kernel_backend.*unavailable"):
+            build_grad_plan(make_net(), self._szlike_grads("numba"))
 
     def test_empty_network_rejected(self):
         from repro.nn import ReLU, Sequential

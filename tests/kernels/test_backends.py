@@ -377,13 +377,11 @@ class TestCompressorIntegration:
     def _grid_codec(codec, error_bound):
         from repro.compression.registry import get_codec
 
-        if codec == "chunked":
-            return get_codec("chunked", inner="szlike", error_bound=error_bound)
         return get_codec("szlike", error_bound=error_bound, kernel_backend=codec[7:-1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
-        "codec", [f"szlike[{b}]" for b in available_backends()] + ["chunked"]
+        "codec", [f"szlike[{b}]" for b in (*available_backends(), "auto")]
     )
     def test_grid_past_int64_is_a_value_error(self, codec, dtype):
         """max|x| / (2 eb) = 5e19 wrapped in the int64 cast and decoded
@@ -397,7 +395,7 @@ class TestCompressorIntegration:
         assert err.max() <= 1e-3 * (1 + 1e-6)
 
     @pytest.mark.parametrize(
-        "codec", [f"szlike[{b}]" for b in available_backends()] + ["chunked"]
+        "codec", [f"szlike[{b}]" for b in (*available_backends(), "auto")]
     )
     def test_grid_fits_int64_up_to_the_last_float_below_2_to_63(self, codec):
         """At eb = 0.5 a grid index is the value itself: 2**63 - 1024,
@@ -413,7 +411,7 @@ class TestCompressorIntegration:
 
     @pytest.mark.parametrize("bound", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize(
-        "codec", [f"szlike[{b}]" for b in available_backends()] + ["chunked"]
+        "codec", [f"szlike[{b}]" for b in (*available_backends(), "auto")]
     )
     def test_non_finite_error_bound_is_a_value_error(self, codec, bound):
         """A NaN bound passed every ``eb <= 0`` guard and decoded every

@@ -78,10 +78,6 @@ class TestBuildWalkAgreement:
         assert pool.saved_bytes == 2 * 4 * 4 * 4 * 2  # int16 argmax
         assert drop.saved_bytes == 2 * 4 * 4 * 4 * 4  # fp32 mask
 
-    def test_flops_conv_formula(self):
-        r = walk_shapes([ConvS(8, 3, stride=1, padding=1)], (1, 4, 8, 8))[0]
-        assert r.flops == 2.0 * 1 * 8 * 8 * 8 * 4 * 9
-
     def test_residual_shape_mismatch_rejected(self):
         bad = [ResidualS(main=(ConvS(8, 3, stride=2, padding=1),),
                          shortcut=(ConvS(8, 1, stride=1),))]

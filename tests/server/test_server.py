@@ -161,20 +161,21 @@ class TestSharedInfrastructure:
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_every_tenant_cache_uses_the_server_table(self, shared):
-        """The session codec (through a chunked wrapper) and a policy
-        rule's codec both publish to the server's one table."""
+        """The session codec and a policy rule's codec both publish to
+        the server's one table."""
         from repro.compression.szlike import SharedCodebookCache
 
-        cached = {"inner": "szlike", "codebook_cache": True, "workers": 2}
+        cached = {"codebook_cache": True, "entropy": "huffman+zlib"}
         session = {
-            "codec": {"name": "chunked", "options": cached},
+            "codec": {"name": "szlike", "options": cached},
             "rules": [{"match": "l0", "codec": {"options": {"codebook_cache": True}}}],
         }
         with small_server(shared_codebook_cache=shared) as server:
             tenant = server.admit(tenant_dict("a", session=session))
             server.run(steps=1)
             ctx = tenant.session.compressed.ctx
-            for codec in (ctx.compressor.inner, ctx.policies["l0"].codec):
+            assert ctx.compressor is not ctx.policies["l0"].codec
+            for codec in (ctx.compressor, ctx.policies["l0"].codec):
                 cache = codec.codebook_cache
                 assert isinstance(cache, SharedCodebookCache) is shared
                 if shared:

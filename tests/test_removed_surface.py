@@ -11,17 +11,28 @@ and nothing called ``StepScheduler.drain`` or
 ``PolicyTable`` mirrored the ``adaptive`` section and the policy rules:
 ``build_session`` resolves each layer's policy once, and
 ``CompressedTraining`` takes the ``AdaptiveSpec`` itself.
+``LayerReport.flops`` lost its one reader with the simulator.  The
+``"chunked"`` codec split tensors no workload ever sent it; its thread
+pool, its ``CKRP`` container and the close hook that stopped the pools
+went with it.
 """
+
+import json
+import struct
+
 
 import numpy as np
 import pytest
 
-from repro.api import AdaptiveSpec, ConfigError, Session, SessionConfig
+from repro.api import AdaptiveSpec, CodecSpec, ConfigError, PolicyRule, Session, SessionConfig
+from repro.api.config import DistributedSpec
+from repro.compression import CorruptBlobError, SZCompressor, get_codec
+from repro.compression.registry import dumps, loads, wire_header_nbytes
 from repro.compression.szlike import build_codebook, huffman_decode, huffman_encode
 from repro.core.activation_store import CompressingContext
 from repro.core.framework import CompressedTraining
 from repro.core.param_store import ParamStore, StoreSlots
-from repro.models.specs import LayerReport
+from repro.models.specs import ConvS, LayerReport, walk_shapes
 from repro.compression.jpeg_like import JpegLikeCompressor
 from repro.nn import SGD, Layer, Linear, Optimizer, ResidentSlots, SlotState, Trainer
 from repro.nn.layers.loss import SoftmaxCrossEntropy
@@ -50,6 +61,12 @@ class TestRemovedSurface:
             ("repro.core.adaptive", "AdaptiveConfig"),
             ("repro.api", "build_policy_table"),
             ("repro.api.session", "build_policy_table"),
+            ("repro.compression", "ChunkedCodec"),
+            ("repro.compression", "ChunkedCompressedTensor"),
+            ("repro.compression.registry", "ChunkedCodec"),
+            ("repro.compression.registry", "ChunkedCompressedTensor"),
+            ("repro.compression.registry", "CHUNK_HEADER_BYTES"),
+            ("repro.api.session", "close_codecs"),
         ],
     )
     def test_import_is_an_import_error(self, module, name):
@@ -136,3 +153,39 @@ class TestRemovedSurface:
         assert not hasattr(Trainer(net, SGD(net.parameters(), lr=0.1)), "last_loss_value")
         assert not hasattr(CompressingContext(), "enabled")
         assert "recomputable" not in LayerReport.__dataclass_fields__
+
+    def test_layer_report_has_no_flops(self):
+        (report,) = walk_shapes([ConvS(8, 3, padding=1)], (1, 4, 8, 8))
+        assert not hasattr(report, "flops")
+        assert "flops" not in LayerReport.__dataclass_fields__
+
+
+class TestChunkedCodecIsGone:
+    def test_registry_key_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown codec 'chunked'"):
+            get_codec("chunked", inner="szlike", workers=2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda spec: SessionConfig(codec=spec),
+            lambda spec: SessionConfig(rules=[PolicyRule(match="l0", codec=spec)]),
+            lambda spec: SessionConfig(distributed=DistributedSpec(world_size=2, grad_codec=spec)),
+        ],
+        ids=["session", "rule", "grad"],
+    )
+    def test_config_naming_it_is_a_config_error(self, make):
+        spec = CodecSpec("chunked", {"inner": "szlike", "workers": 2})
+        with pytest.raises(ConfigError, match="unknown codec 'chunked'"):
+            make(spec).validate()
+
+    def test_ckrp_blob_is_corrupt(self):
+        chunk = dumps(SZCompressor(1e-3).compress(np.ones((2, 3, 4, 4), np.float32)))
+        header = json.dumps(
+            {"shape": [2, 3, 4, 4], "dtype": "float32", "axis": 0, "chunk_lengths": [len(chunk)]}
+        ).encode()
+        blob = b"CKRP" + struct.pack("<I", len(header)) + header + chunk
+        with pytest.raises(CorruptBlobError, match="bad magic"):
+            loads(blob)
+        with pytest.raises(CorruptBlobError, match="bad magic"):
+            wire_header_nbytes(blob)

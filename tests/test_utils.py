@@ -193,6 +193,35 @@ class TestStageProfiler:
         assert snap["s"]["calls"] == 400
         assert snap["s"]["seconds"] == pytest.approx(0.4)
 
+    def test_codec_stages_land_in_each_threads_bound_profiler(self):
+        """A server's scheduler threads each bind their tenant's
+        profiler: a codec call records into the one its thread bound,
+        and an unbound thread falls back to the process-wide one."""
+        import threading
+
+        from repro.compression import get_codec
+
+        x = np.random.default_rng(3).standard_normal((2, 4, 12, 12)).astype(np.float32)
+        bound = [StageProfiler(), StageProfiler()]
+
+        def work(p):
+            codec = get_codec("szlike", error_bound=1e-3)
+            with profiler_mod.bind_to_thread(p):
+                codec.decompress(codec.compress(x))
+
+        with StageProfiler() as process_wide:
+            threads = [threading.Thread(target=work, args=(p,)) for p in bound]
+            threads.append(threading.Thread(target=work, args=(None,)))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for p in (*bound, process_wide):
+            snap = p.snapshot()
+            assert snap["encode"]["calls"] == snap["decode"]["calls"] == 1
+            assert snap["encode"]["seconds"] > 0 and snap["decode"]["seconds"] > 0
+
     def test_report_lines_and_reset(self):
         p = StageProfiler()
         p.record("quantize", 0.5)
