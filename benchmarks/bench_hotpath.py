@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from _common import QUICK, metric, smooth_activation, write_bench_json, write_report
-from repro.compression import CodebookCache, SZCompressor
+from repro.compression import SZCompressor
 from repro.compression.szlike import build_codebook
 from repro.compression.szlike.huffman import _encode_bitplane, huffman_encode
 from repro.compression.szlike.lorenzo import lorenzo_encode
@@ -263,7 +263,7 @@ def test_hotpath_cache_matches_fresh_bits(stream):
     from repro.compression.szlike.compressor import HEADER_BYTES
     from repro.compression.szlike.serialize import wire_header_nbytes
 
-    comp = SZCompressor(EB, entropy="huffman", codebook_cache=CodebookCache())
+    comp = SZCompressor(EB, entropy="huffman", codebook_cache=True)
     for x in stream[:3]:
         ct = comp.compress(x, cache_key="bench")
         blob = dumps(ct)

@@ -28,7 +28,7 @@ import os
 
 import numpy as np
 
-from repro.api import Session
+from repro.api import SessionConfig, build_session
 from repro.models import build_scaled_model
 from repro.nn import SyntheticImageDataset, batches
 
@@ -44,7 +44,7 @@ def main():
     net = build_scaled_model("vgg16", num_classes=8, image_size=16, rng=42)
     print(f"2-rank data-parallel training from {os.path.basename(CONFIG)} "
           f"({ITERATIONS} iterations, global batch {BATCH})...")
-    with Session.from_json(CONFIG, net) as session:
+    with build_session(net, SessionConfig.from_json(CONFIG)) as session:
         session.train(batches(dataset, BATCH, ITERATIONS, seed=1))
         acc = session.evaluate(eval_x, eval_y)
 

@@ -18,11 +18,14 @@ and hands back a
 contract: for the same network (same initial weights), the same config
 and the same batch stream, two sessions train bit-identically — also
 across a ``to_json`` / ``from_json`` round trip (pinned by
-``tests/api``).  A build that fails leaves
-nothing behind: the profiler it activated is deactivated and every
-store it created is closed; a config the network cannot use (no
-compressible layer to compress, or a policy rule that is the first match
-of no compressible layer) is a :class:`~repro.api.config.ConfigError`.
+``tests/api``).  Everything the build creates (the activation arena,
+the param store, the active profiler) is registered on one
+:class:`~contextlib.ExitStack`: a build that fails unwinds it and leaves
+nothing behind, and a built session owns it, so
+:meth:`Session.close` undoes it in reverse order.  A config the network
+cannot use (no compressible layer to compress, or a policy rule that is
+the first match of no compressible layer) is a
+:class:`~repro.api.config.ConfigError`.
 
 Policy rules are resolved once, here: every compressible layer gets one
 :class:`~repro.core.activation_store.ResolvedPolicy` (its first matching
@@ -75,12 +78,16 @@ def _first_matches(network, config: SessionConfig) -> Dict[str, Optional[int]]:
 class Session:
     """A fully-wired training session: one object, one ``close()``.
 
-    Owns the trainer, the compression machinery (when
-    ``compress_activations`` is on), the optional param store, and the
-    profiler.  Also a context manager.
+    Holds the trainer, the compression machinery (when
+    ``compress_activations`` is on) and the optional param store, and
+    owns *owned*: the :class:`~contextlib.ExitStack` of everything
+    ``build_session`` created.  Also a context manager.
     """
 
-    def __init__(self, network, optimizer, trainer, config, compressed=None, param_store=None):
+    def __init__(
+        self, network, optimizer, trainer, config, owned: ExitStack,
+        compressed=None, param_store=None,
+    ):
         self.network = network
         self.optimizer = optimizer
         self.trainer = trainer
@@ -92,18 +99,9 @@ class Session:
         #: the out-of-core :class:`~repro.core.param_store.ParamStore`
         #: (None unless ``storage.params == "arena"``)
         self.param_store = param_store
-        self._closed = False
+        self._owned = owned
 
     # -- config round-trip -------------------------------------------------
-    @classmethod
-    def from_json(cls, path, network, *, optimizer=None) -> "Session":
-        """Build a session for *network* straight from a config file:
-        ``Session.from_json("run.json", net)`` is
-        ``build_session(net, SessionConfig.from_json("run.json"))``."""
-        return build_session(
-            network, SessionConfig.from_json(path), optimizer=optimizer
-        )
-
     def capture(self) -> SessionConfig:
         """Re-serialize this live session to the :class:`SessionConfig`
         that builds it: ``build_session(net, session.capture())`` is the
@@ -147,13 +145,6 @@ class Session:
         return self.compressed.compression_ratios if self.compressed is not None else {}
 
     @property
-    def sanitizer_report(self) -> dict:
-        """Process-wide sanitizer counters (see :mod:`repro.core.sanitizer`)."""
-        from repro.core import sanitizer
-
-        return sanitizer.report()
-
-    @property
     def kernel_stats(self) -> dict:
         """Process-wide kernel-backend counters (probe outcome, auto
         fallbacks, runtime fallbacks — see :mod:`repro.kernels`) plus
@@ -172,14 +163,11 @@ class Session:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Tear everything down exactly once: restore out-of-core
-        parameters, deactivate the profiler.  Idempotent — the second
-        and later calls are no-ops (guarded here, and the trainer's
-        close-hook chain is swap-on-close as a second line of defense)."""
-        if self._closed:
-            return
-        self._closed = True
-        self.trainer.close()
+        """Undo everything ``build_session`` created, in reverse order:
+        deactivate the profiler, restore out-of-core parameters to
+        residency, close the activation arena (not one the caller passed
+        in).  Idempotent: the stack is empty after the first call."""
+        self._owned.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -218,6 +206,7 @@ def build_session(
         ownership (the session does not close it).
     """
     from repro.core.arena import ByteArena
+    from repro.core.memory_tracker import MemoryTracker
     from repro.core.param_store import ParamStore
     from repro.nn.trainer import Trainer
     from repro.utils.profiler import StageProfiler
@@ -242,8 +231,9 @@ def build_session(
     if optimizer is None:
         optimizer = config.optimizer.build(network.parameters())
 
-    # Everything built below is undone if a later step raises.
-    with ExitStack() as undo:
+    # Everything built below is undone if a later step raises, and owned
+    # by the session (closed by Session.close) once the build succeeds.
+    with ExitStack() as owned:
         if config.storage.activations != "arena":
             storage = None
         elif storage is None:
@@ -251,8 +241,10 @@ def build_session(
                 budget_bytes=config.storage.budget_bytes,
                 spill_dir=config.storage.spill_dir,
             )
-            undo.callback(storage.close)
+            owned.callback(storage.close)
 
+        # one set of books for activation and persistent parameter bytes
+        tracker = MemoryTracker()
         param_store = None
         if config.storage.params == "arena":
             param_store = ParamStore(
@@ -262,34 +254,32 @@ def build_session(
                     if config.storage.param_codec is not None
                     else None
                 ),
+                tracker=tracker,
                 spill_dir=config.storage.spill_dir,
             )
-            undo.callback(param_store.close)
+            owned.callback(param_store.close)
 
         trainer = Trainer(network, optimizer)
         if config.profiler.enabled:
             trainer.profiler = profiler = StageProfiler().activate()
-            undo.callback(profiler.deactivate)
-            trainer.close_hooks.append(lambda tr: profiler.deactivate())
+            owned.callback(profiler.deactivate)
 
-        if not config.compress_activations:
-            if param_store is not None:
-                param_store.attach(network, optimizer)
-                trainer.close_hooks.append(lambda tr: param_store.close())
-            session = Session(network, optimizer, trainer, config, param_store=param_store)
-        else:
+        compressed = None
+        if config.compress_activations:
             compressed = _build_compressed(
-                network, optimizer, config, first, storage, param_store
+                network, optimizer, config, first, storage, tracker
             ).attach(trainer)
-            session = Session(
-                network, optimizer, trainer, config,
-                compressed=compressed, param_store=param_store,
-            )
-        undo.pop_all()
-    return session
+        if param_store is not None:
+            # After the conv taps, so the store's bind wrapper is outermost:
+            # weights are materialized before a tapped backward runs.
+            param_store.attach(network, optimizer)
+        return Session(
+            network, optimizer, trainer, config, owned.pop_all(),
+            compressed=compressed, param_store=param_store,
+        )
 
 
-def _build_compressed(network, optimizer, config: SessionConfig, first, storage, param_store):
+def _build_compressed(network, optimizer, config: SessionConfig, first, storage, tracker):
     """The :class:`~repro.core.framework.CompressedTraining` half of
     :func:`build_session`: codecs, one :class:`ResolvedPolicy` per
     compressible layer, controller.  Each rule's codec is built once and
@@ -332,8 +322,8 @@ def _build_compressed(network, optimizer, config: SessionConfig, first, storage,
         optimizer,
         compressor=base.codec,
         config=adaptive,
+        tracker=tracker,
         storage=storage,
-        param_storage=param_store,
         policies={name: base if i is None else resolved[i] for name, i in first.items()},
     )
 

@@ -20,15 +20,15 @@ and the cache decides, cheaply, whether the cached book is still good:
   symbols priced at the escape cost below).  The best any fresh book
   could do is bounded below by ``max(shannon_bits(hist), count)``
   (canonical Huffman spends at least one bit per symbol).  When the
-  cached cost exceeds that floor by more than ``delta``, rebuild.
+  cached cost exceeds that floor by more than :data:`DELTA`, rebuild.
 * **Refresh interval** — rebuild unconditionally every
-  ``refresh_interval`` uses, a drift backstop independent of δ.
+  :data:`REFRESH_INTERVAL` uses, a drift backstop independent of δ.
 * **Correctness escape** — symbols with *no codeword* under the cached
   book cannot be encoded.  The compressor demotes them to the existing
   outlier channel (marker code 0, residual stored verbatim), so the
   error bound holds unconditionally; the cache only vets viability
   (the marker itself must have a codeword, and the escape volume must
-  stay under ``max_escape_ratio``) and otherwise forces a rebuild.
+  stay under :data:`MAX_ESCAPE_RATIO`) and otherwise forces a rebuild.
 
 Reuse decisions for a key depend only on that key's own lookup history,
 so per-layer keys keep a run deterministic: each layer packs once per
@@ -58,6 +58,20 @@ __all__ = ["CodebookCache", "CodebookTable", "SharedCodebookCache"]
 #: is stored verbatim as (at least) an int32 outlier
 ESCAPE_BITS = 32
 
+#: rebuild a key's codebook after this many reuses regardless of the
+#: staleness check
+REFRESH_INTERVAL = 64
+#: staleness tolerance: rebuild when the cached book's actual bits on the
+#: new histogram exceed the fresh-codebook estimate by more than this
+#: fraction
+DELTA = 0.10
+#: ceiling on the fraction of symbols that may be demoted to the outlier
+#: channel under a cached book; beyond it a rebuild is cheaper than the
+#: escape traffic
+MAX_ESCAPE_RATIO = 0.02
+#: LRU capacity (one entry per tensor key)
+MAX_ENTRIES = 512
+
 
 class _Entry:
     __slots__ = ("codebook", "uses_since_build")
@@ -68,44 +82,11 @@ class _Entry:
 
 
 class CodebookCache:
-    """Per-key reuse of canonical Huffman codebooks across iterations.
+    """Per-key reuse of canonical Huffman codebooks across iterations,
+    under the module's :data:`REFRESH_INTERVAL`, :data:`DELTA`,
+    :data:`MAX_ESCAPE_RATIO` and :data:`MAX_ENTRIES`."""
 
-    Parameters
-    ----------
-    refresh_interval:
-        Rebuild a key's codebook after this many reuses regardless of
-        the staleness check (``0`` disables the periodic refresh).
-    delta:
-        Staleness tolerance: rebuild when the cached book's actual
-        bits on the new histogram exceed the fresh-codebook floor
-        ``max(shannon_bits, count)`` by more than this fraction.
-    max_escape_ratio:
-        Ceiling on the fraction of symbols that may be demoted to the
-        outlier channel under a cached book; beyond it a rebuild is
-        cheaper than the escape traffic.
-    max_entries:
-        LRU capacity (one entry per tensor key).
-    """
-
-    def __init__(
-        self,
-        refresh_interval: int = 64,
-        delta: float = 0.10,
-        max_escape_ratio: float = 0.02,
-        max_entries: int = 512,
-    ):
-        if refresh_interval < 0:
-            raise ValueError(f"refresh_interval must be >= 0, got {refresh_interval}")
-        if delta < 0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
-        if not 0 <= max_escape_ratio <= 1:
-            raise ValueError(f"max_escape_ratio must be in [0, 1], got {max_escape_ratio}")
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.refresh_interval = int(refresh_interval)
-        self.delta = float(delta)
-        self.max_escape_ratio = float(max_escape_ratio)
-        self.max_entries = int(max_entries)
+    def __init__(self) -> None:
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         # -- statistics ----------------------------------------------------
@@ -138,7 +119,7 @@ class CodebookCache:
         if entry is None:
             self._entries[key] = _Entry(book)
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > MAX_ENTRIES:
                 self._entries.popitem(last=False)
                 self.evictions += 1
         else:
@@ -148,7 +129,7 @@ class CodebookCache:
     def _stale_reason(self, entry: _Entry, hist: np.ndarray) -> Optional[str]:
         """Why the cached book must be rebuilt for *hist* (None = fresh
         enough; escapes, if any, are viable)."""
-        if self.refresh_interval and entry.uses_since_build >= self.refresh_interval:
+        if entry.uses_since_build >= REFRESH_INTERVAL:
             return "refresh"
         lengths = entry.codebook.lengths
         if lengths.size < hist.size:
@@ -160,7 +141,7 @@ class CodebookCache:
         if escaped:
             # Demotion is only expressible through the outlier marker, and
             # only worthwhile in small volume.
-            if lengths[0] == 0 or escaped > self.max_escape_ratio * count:
+            if lengths[0] == 0 or escaped > MAX_ESCAPE_RATIO * count:
                 return "escape"
         actual_bits = float(np.dot(hist[covered].astype(np.float64), lengths[covered]))
         actual_bits += escaped * (int(lengths[0]) + ESCAPE_BITS)
@@ -174,7 +155,7 @@ class CodebookCache:
         fresh_est = max(
             entropy_bits_from_hist(hist) + (p1 + 0.086) * count, float(count)
         )
-        if actual_bits > (1.0 + self.delta) * fresh_est:
+        if actual_bits > (1.0 + DELTA) * fresh_est:
             return "delta"
         return None
 
@@ -219,14 +200,6 @@ class CodebookCache:
         cached book (called by the compressor after demotion)."""
         with self._lock:
             self.escaped_symbols += int(n)
-
-    def invalidate(self, key: Hashable = None) -> None:
-        """Forget one key's codebook (or all of them)."""
-        with self._lock:
-            if key is None:
-                self._entries.clear()
-            else:
-                self._entries.pop(key, None)
 
     @property
     def rebuilds(self) -> int:
@@ -297,14 +270,6 @@ class CodebookTable:
             if old is None or old[0] != lengths:
                 self._books[key] = (lengths, owner)
 
-    def invalidate(self, key: Hashable = None) -> None:
-        """Forget one key's published book (or all of them)."""
-        with self._lock:
-            if key is None:
-                self._books.clear()
-            else:
-                self._books.pop(key, None)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._books)
@@ -324,12 +289,11 @@ class SharedCodebookCache(CodebookCache):
       contract (and the unconditional outlier-escape bound) is
       unchanged.
 
-    The two locks are never held together.  *knobs* are
-    :class:`CodebookCache`'s staleness knobs.
+    The two locks are never held together.
     """
 
-    def __init__(self, table: CodebookTable, owner: Optional[str] = None, **knobs):
-        super().__init__(**knobs)
+    def __init__(self, table: CodebookTable, owner: Optional[str] = None):
+        super().__init__()
         self.table = table
         #: participant label stamped on published books (a server sets
         #: the tenant name here); None publishes anonymously
@@ -341,17 +305,6 @@ class SharedCodebookCache(CodebookCache):
         #: multi-tenant amortization ledger ("who warmed whose cache").
         #: Anonymous publishers count under "<anonymous>".
         self.adoptions_from: Dict[str, int] = {}
-
-    @classmethod
-    def from_cache(
-        cls,
-        cache: CodebookCache,
-        table: CodebookTable,
-        owner: Optional[str] = None,
-    ) -> "SharedCodebookCache":
-        """A shared cache with the same staleness knobs as *cache*."""
-        knobs = ("refresh_interval", "delta", "max_escape_ratio", "max_entries")
-        return cls(table, owner, **{k: getattr(cache, k) for k in knobs})
 
     def _adopt(self, key: Hashable) -> None:
         """Install *key*'s published codebook from the table, if any."""
@@ -379,10 +332,6 @@ class SharedCodebookCache(CodebookCache):
             with self._lock:
                 self.publishes += 1
         return book, reused
-
-    def invalidate(self, key: Hashable = None) -> None:
-        super().invalidate(key)
-        self.table.invalidate(key)
 
     def stats(self) -> dict:
         out = super().stats()

@@ -30,8 +30,8 @@ GPU streams data).  ``codebook_cache=True`` reproduces that economics:
 canonical codebooks are cached per tensor key
 (:class:`~repro.compression.szlike.codebook_cache.CodebookCache`) and
 reused across ``compress`` calls, with a one-``bincount`` staleness
-check (rebuild beyond a ``delta`` excess over the fresh-book floor, or
-every ``refresh_interval`` uses) and an unconditional
+check (rebuild beyond a ``DELTA`` excess over the fresh-book estimate,
+or every ``REFRESH_INTERVAL`` uses) and an unconditional
 correctness escape — symbols with no codeword under a cached book are
 demoted to the outlier channel, so the error bound never depends on
 cache freshness.  The whole hot path is also allocation-lean and moves
@@ -57,7 +57,7 @@ import threading
 import zlib
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Hashable, Optional, Union
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -171,14 +171,13 @@ class SZCompressor:
         Apply the paper's Section 4.4 re-zeroing filter at decompression.
     codebook_cache:
         ``False`` (default): build a fresh canonical Huffman codebook
-        per compress call.  ``True`` or a
+        per compress call.  ``True``: amortize codebooks across calls
+        per tensor key in a
         :class:`~repro.compression.szlike.codebook_cache.CodebookCache`
-        instance: amortize codebooks across calls per tensor key (pass
-        ``cache_key=`` to :meth:`compress`; the saved-tensor contexts
-        pass the layer name).  The error bound is unaffected either way
-        — uncovered symbols under a cached book escape to the outlier
-        channel.  ``True`` builds a default cache; other refresh or
-        staleness settings take an explicit instance.
+        (pass ``cache_key=`` to :meth:`compress`; the saved-tensor
+        contexts pass the layer name).  The error bound is unaffected
+        either way — uncovered symbols under a cached book escape to
+        the outlier channel.
     kernel_backend:
         Inner-loop implementation for the quantize/predict/entropy hot
         kernels: ``"numpy"`` (reference), ``"numba"`` (compiled; raises
@@ -205,7 +204,7 @@ class SZCompressor:
         entropy: str = "huffman",
         zero_filter: bool = True,
         emulate_zero_drift: bool = False,
-        codebook_cache: Union[bool, CodebookCache] = False,
+        codebook_cache: bool = False,
         kernel_backend: str = "auto",
         rng=None,
     ):
@@ -224,10 +223,13 @@ class SZCompressor:
         self.lorenzo_ndim = int(lorenzo_ndim)
         self.entropy = entropy
         self.zero_filter = bool(zero_filter)
-        if isinstance(codebook_cache, CodebookCache):
-            self.codebook_cache: Optional[CodebookCache] = codebook_cache
-        else:
-            self.codebook_cache = CodebookCache() if codebook_cache else None
+        if not isinstance(codebook_cache, bool):
+            raise TypeError(
+                f"codebook_cache must be True or False, got {type(codebook_cache).__name__}"
+            )
+        self.codebook_cache: Optional[CodebookCache] = (
+            CodebookCache() if codebook_cache else None
+        )
         # Unmodified cuSZ reconstructs runs of zeros as small values within
         # the error bound (the pathology motivating the Section 4.4 filter).
         # Our integer pipeline reconstructs zeros exactly, so the pathology

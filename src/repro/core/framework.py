@@ -48,7 +48,6 @@ from repro.core.arena import ByteArena
 from repro.core.adaptive import AdaptiveController
 from repro.core.gradient_assessment import GradientAssessor
 from repro.core.memory_tracker import MemoryTracker
-from repro.core.param_store import ParamStore
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.layers.conv import Conv2D
 from repro.nn.network import iter_layers, set_saved_ctx
@@ -83,12 +82,11 @@ class CompressedTraining:
         Optional :class:`ByteArena` — packed activations are then held
         as serialized byte strings under the arena's in-memory budget
         (spill-to-disk overflow) and the tracker reports physical bytes.
-    param_storage:
-        Optional :class:`~repro.core.param_store.ParamStore` — the model's
-        weights and the optimizer's slots then live as arena-backed
-        bytes too, materialized just-in-time around each layer's
-        forward/backward/update, making the *whole* training state
-        out-of-core rather than just the activations.
+    tracker:
+        Optional :class:`MemoryTracker` to charge; ``build_session``
+        passes the one it also gives the session's
+        :class:`~repro.core.param_store.ParamStore`, so persistent
+        parameter bytes and activation bytes share one set of books.
     policies:
         Optional layer name -> :class:`~repro.core.activation_store.ResolvedPolicy`
         mapping (``build_session`` resolves it from the policy rules).
@@ -105,7 +103,6 @@ class CompressedTraining:
         config: "AdaptiveSpec",
         tracker: Optional[MemoryTracker] = None,
         storage: Optional[ByteArena] = None,
-        param_storage: Optional[ParamStore] = None,
         policies: Optional[Mapping[str, ResolvedPolicy]] = None,
     ):
         self.network = network
@@ -140,18 +137,6 @@ class CompressedTraining:
         # warm-up: collect from iteration 0 (never when the controller
         # is disabled — fixed/rule-pinned bounds need no statistics)
         self._collect_next = config.enabled
-
-        #: optional out-of-core parameter/optimizer state: attached AFTER
-        #: the taps so the JIT bind wrapper is outermost — weights are
-        #: materialized before the tapped backward runs.
-        self.param_store = param_storage
-        if param_storage is not None:
-            if len(param_storage) == 0:
-                # Nothing adopted yet: fold the store's accounting into
-                # the session tracker so persistent parameter bytes and
-                # activation bytes share one set of books.
-                param_storage.tracker = self.tracker
-            param_storage.attach(network, optimizer)
 
     # -- wiring ------------------------------------------------------------
     def _mark_relu_fed_convs(self) -> None:
@@ -206,10 +191,8 @@ class CompressedTraining:
             layer.backward = tapped
 
     def attach(self, trainer: Trainer) -> "CompressedTraining":
-        """Register the per-iteration hook on *trainer* (and
-        :meth:`close` on ``trainer.close()``)."""
+        """Register the per-iteration hook on *trainer*."""
         trainer.post_backward_hooks.append(self._on_iteration)
-        trainer.close_hooks.append(lambda tr: self.close())
         return self
 
     # -- per-iteration hook --------------------------------------------------
@@ -239,11 +222,3 @@ class CompressedTraining:
 
     def ratio_history(self) -> List[float]:
         return list(self.tracker.iteration_ratios)
-
-    def close(self) -> None:
-        """Restore out-of-core parameters to residency.
-
-        Idempotent; also invoked through ``trainer.close()`` once the
-        session is attached."""
-        if self.param_store is not None:
-            self.param_store.close()

@@ -38,14 +38,16 @@ resident training.  The :class:`MemoryTracker` charges entries to its
 *persistent* pool on adopt/write-back and credits them exactly once on
 release.
 
-Usage::
+Usage (what :func:`repro.api.build_session` does under
+``storage.params="arena"``, with the session's tracker, after any other
+wrapper of the layers' methods so the store's binding is outermost)::
 
     net = build_scaled_model("vgg16", image_size=32)
     opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
     store = ParamStore(budget_bytes=256 << 10)   # weights live out-of-core
     store.attach(net, opt)
     ...train...
-    store.detach()                               # weights resident again
+    store.close()                # weights resident again, arena closed
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.compression.registry import Codec, get_codec
+from repro.compression.registry import Codec
 from repro.compression.registry import dumps as _codec_dumps
 from repro.compression.registry import loads as _codec_loads
 from repro.core.arena import ByteArena
@@ -106,24 +108,23 @@ class ParamStore:
 
     Parameters
     ----------
-    storage:
-        The :class:`ByteArena` holding the serialized bytes.  ``None``
-        creates a private arena with *budget_bytes* (closed again by
-        :meth:`close`).  A dedicated arena (not shared with activation
-        storage) keeps the FIFO spill order meaningful for each stream.
     budget_bytes:
-        In-memory budget for a store-owned arena; entries beyond it
-        spill to disk and are read back on demand.
+        In-memory budget of the store's own :class:`ByteArena` (closed
+        again by :meth:`close`); entries beyond it spill to disk and are
+        read back on demand.  A dedicated arena (not shared with
+        activation storage) keeps the FIFO spill order meaningful for
+        each stream.
     spill_dir:
-        Spill directory for a store-owned arena (``None`` = a private
+        Spill directory for the store's arena (``None`` = a private
         temp dir).  Declarative configs (``StorageSpec.spill_dir``)
         route here so param and activation spill files can share one
         operator-chosen location.
     codec:
         ``None`` (default) stores raw ``tobytes()`` — zero codec cost,
-        bit-exact trivially.  A registry key or :class:`Codec` instance
-        adds lossless compression on the wire; lossy codecs are rejected
-        because a parameter round-trip must be bit-exact.
+        bit-exact trivially.  A lossless :class:`Codec` instance (e.g.
+        ``get_codec("lossless")``) adds compression on the wire; lossy
+        codecs are rejected because a parameter round-trip must be
+        bit-exact.
     tracker:
         Optional :class:`MemoryTracker`; the store charges its entries
         to the tracker's persistent pool.
@@ -131,20 +132,12 @@ class ParamStore:
 
     def __init__(
         self,
-        storage: Optional[ByteArena] = None,
         budget_bytes: Optional[int] = 64 << 20,
-        codec: Union[Codec, str, None] = None,
+        codec: Optional[Codec] = None,
         tracker: Optional[MemoryTracker] = None,
         spill_dir: Optional[str] = None,
     ):
-        self._owns_storage = storage is None
-        self.storage = (
-            storage
-            if storage is not None
-            else ByteArena(budget_bytes=budget_bytes, spill_dir=spill_dir)
-        )
-        if isinstance(codec, str):
-            codec = get_codec(codec)
+        self.storage = ByteArena(budget_bytes=budget_bytes, spill_dir=spill_dir)
         if codec is not None and not getattr(codec, "lossless", False):
             raise ValueError(
                 f"ParamStore requires a lossless codec (parameters must "
@@ -393,10 +386,9 @@ class ParamStore:
         self._attached = False
 
     def close(self) -> None:
-        """Detach (restoring resident state) and close an owned arena."""
+        """Detach (restoring resident state) and close the arena."""
         self.detach()
-        if self._owns_storage:
-            self.storage.close()
+        self.storage.close()
 
     def __enter__(self) -> "ParamStore":
         return self

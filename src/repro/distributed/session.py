@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+from contextlib import ExitStack
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -63,7 +64,8 @@ class DistributedSession(Session):
     """
 
     def __init__(self, network, config: SessionConfig, processes, conns, plan, profiler):
-        super().__init__(network, None, None, config)
+        # nothing on the session's stack: close() below stops the ranks
+        super().__init__(network, None, None, config, ExitStack())
         self._processes = processes
         self._conns = conns
         self._plan = plan

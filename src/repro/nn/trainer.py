@@ -77,15 +77,10 @@ class Trainer:
         Callables ``transform(trainer)`` applied to parameter gradients
         before the update (Figure 9 error injection, the DDP exchange);
         any transform keeps the update in a separate pass.
-    close_hooks:
-        Callables ``hook(trainer)`` run once by :meth:`close` — attached
-        sessions register resource teardown here (e.g. restoring
-        out-of-core parameters).  The trainer is also a context manager:
-        ``with Trainer(...) as tr: ...`` closes on exit.
 
     Sessions are assembled by :func:`repro.api.build_session`, which sets
-    :attr:`profiler` and registers the session's teardown (profiler,
-    parameter store) in ``close_hooks``.
+    :attr:`profiler`; the trainer owns no resource, and the
+    :class:`~repro.api.session.Session` closes what the build created.
     """
 
     def __init__(
@@ -100,7 +95,6 @@ class Trainer:
         self.history = TrainHistory()
         self.post_backward_hooks: List[Callable] = []
         self.grad_transforms: List[Callable] = []
-        self.close_hooks: List[Callable] = []
         self.iteration = 0
         #: optional :class:`~repro.utils.profiler.StageProfiler` timing each
         #: iteration as a ``step`` stage (``config.profiler.enabled``)
@@ -154,22 +148,6 @@ class Trainer:
                 break
             self.train_step(images, labels)
         return self.history
-
-    def close(self) -> None:
-        """Run registered close hooks exactly once (idempotent).
-
-        Attached sessions use this to restore out-of-core parameters
-        and deactivate profilers; training after ``close`` is undefined
-        for them."""
-        hooks, self.close_hooks = self.close_hooks, []
-        for hook in hooks:
-            hook(self)
-
-    def __enter__(self) -> "Trainer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
         """Top-1 accuracy on a held-out set (eval mode, no saved tensors)."""

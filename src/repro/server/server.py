@@ -369,11 +369,8 @@ class SessionServer:
         """Re-point every codebook cache in *session* at the server's
         table, publishing as *name*."""
         for codec in session_codecs(session):
-            cache = getattr(codec, "codebook_cache", None)
-            if cache is not None:
-                codec.codebook_cache = SharedCodebookCache.from_cache(
-                    cache, table=self.codebooks, owner=name
-                )
+            if getattr(codec, "codebook_cache", None) is not None:
+                codec.codebook_cache = SharedCodebookCache(self.codebooks, owner=name)
 
     def _decide(self, tenant: Tenant, decision: str, reason: Optional[str]) -> None:
         entry = {

@@ -39,10 +39,9 @@ def _relu(seed: int, shape: tuple, scale: float = 1.0) -> np.ndarray:
 def _cached_book_demoted():
     # the second tensor is 1.3x wider than the one the cached book was
     # built on: 68 symbols without a codeword are demoted to outliers
-    # (under the cache's 2% escape ceiling, so the book is reused)
-    from repro.compression.szlike import CodebookCache
-
-    opts = {"codebook_cache": CodebookCache(refresh_interval=0, delta=1e9)}
+    # (under the cache's 2% escape ceiling and 10% staleness tolerance,
+    # so the book is reused)
+    opts = {"codebook_cache": True}
     return opts, [(_relu(10, (2, 8, 16, 16)), 0.04), (_relu(11, (2, 8, 16, 16), 1.3), 0.04)]
 
 

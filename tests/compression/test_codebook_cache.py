@@ -5,7 +5,8 @@ the ways it must NOT change semantics: the error bound holds under
 arbitrarily stale books (escape demotion), rebuild triggers fire on
 drift (δ) and on schedule (K), concurrent use from several threads is
 safe, and every blob owns and serializes its own book (nbytes
-byte-exact vs ``dumps``).
+byte-exact vs ``dumps``).  The cache's settings are module constants;
+a test that needs others patches them (the ``settings`` fixture).
 """
 
 import numpy as np
@@ -15,12 +16,28 @@ from repro.compression import CodebookCache, SZCompressor
 from repro.compression.registry import dumps, loads, wire_header_nbytes
 from repro.compression.szlike.compressor import HEADER_BYTES
 from repro.compression.szlike import dumps as sz_dumps
+from repro.compression.szlike import codebook_cache
 from repro.compression.szlike import loads as sz_loads
 
+#: a refresh interval no test reaches
+NEVER = 1 << 62
 
-def make_cached(eb=1e-2, **cache_kwargs):
-    cache = CodebookCache(**cache_kwargs)
-    return SZCompressor(eb, entropy="huffman", codebook_cache=cache), cache
+
+@pytest.fixture()
+def settings(monkeypatch):
+    """``settings(delta=..., refresh_interval=...)`` sets the cache's
+    module constants for this test."""
+
+    def set_(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(codebook_cache, name.upper(), value)
+
+    return set_
+
+
+def make_cached(eb=1e-2):
+    comp = SZCompressor(eb, entropy="huffman", codebook_cache=True)
+    return comp, comp.codebook_cache
 
 
 def smoothish(rng, shape=(4, 4, 16, 16), scale=1.0):
@@ -63,42 +80,38 @@ class TestCacheLifecycle:
         ct = comp.compress(smoothish(rng), cache_key="ignored")
         assert ct.codebook is not None
 
-    def test_eviction_bounded(self, rng):
-        comp, cache = make_cached(max_entries=2)
+    def test_eviction_bounded(self, rng, settings):
+        settings(max_entries=2)
+        comp, cache = make_cached()
         x = smoothish(rng, shape=(2, 2, 8, 8))
         for i in range(5):
             comp.compress(x, cache_key=f"k{i}")
         assert len(cache) == 2
         assert cache.evictions == 3
 
-    def test_knob_validation(self):
-        with pytest.raises(ValueError):
-            CodebookCache(refresh_interval=-1)
-        with pytest.raises(ValueError):
-            CodebookCache(delta=-0.1)
-        with pytest.raises(ValueError):
-            CodebookCache(max_escape_ratio=1.5)
-        with pytest.raises(ValueError):
-            CodebookCache(max_entries=0)
+    def test_settings_are_module_constants(self):
+        assert (
+            codebook_cache.REFRESH_INTERVAL, codebook_cache.DELTA,
+            codebook_cache.MAX_ESCAPE_RATIO, codebook_cache.MAX_ENTRIES,
+        ) == (64, 0.10, 0.02, 512)
 
-    def test_compressor_takes_cache_settings_as_an_instance(self):
-        """``codebook_cache=True`` builds the default cache; other
-        settings come as a ``CodebookCache``, not as codec switches."""
-        default = SZCompressor(1e-2, codebook_cache=True).codebook_cache
-        assert (default.refresh_interval, default.delta) == (64, 0.10)
-        cache = CodebookCache(refresh_interval=7, delta=0.25)
-        assert SZCompressor(1e-2, codebook_cache=cache).codebook_cache is cache
+    def test_compressor_takes_a_bool(self):
+        assert isinstance(SZCompressor(1e-2, codebook_cache=True).codebook_cache, CodebookCache)
+        with pytest.raises(TypeError, match="codebook_cache"):
+            SZCompressor(1e-2, codebook_cache=CodebookCache())
 
 
 class TestErrorBoundUnderStaleness:
     """The acceptance contract: |x - roundtrip(x)| <= eb no matter how
     stale the cached book is."""
 
-    def test_bound_holds_with_forced_stale_book(self, rng):
+    @pytest.fixture(autouse=True)
+    def stale_forever(self, settings):
         # delta=inf-ish and no refresh: the first book is reused forever
-        comp, cache = make_cached(
-            eb=1e-2, delta=1e9, refresh_interval=0, max_escape_ratio=1.0
-        )
+        settings(delta=1e9, refresh_interval=NEVER, max_escape_ratio=1.0)
+
+    def test_bound_holds_with_forced_stale_book(self, rng):
+        comp, cache = make_cached(eb=1e-2)
         x1 = smoothish(rng, scale=0.3)
         comp.compress(x1, cache_key="l")
         for scale in (1.0, 3.0, 10.0):  # progressively worse mismatch
@@ -110,9 +123,7 @@ class TestErrorBoundUnderStaleness:
         assert cache.builds == 1 and cache.rebuilds == 0  # truly stale reuse
 
     def test_unseen_symbols_escape_to_outliers(self, rng):
-        comp, cache = make_cached(
-            eb=1e-2, delta=1e9, refresh_interval=0, max_escape_ratio=1.0
-        )
+        comp, cache = make_cached(eb=1e-2)
         x1 = smoothish(rng, scale=0.2)  # narrow residual range
         ct1 = comp.compress(x1, cache_key="l")
         x2 = x1.copy()
@@ -126,7 +137,7 @@ class TestErrorBoundUnderStaleness:
         assert np.abs(x2.astype(np.float64) - y).max() <= 1e-2 * (1 + 1e-6) + ulp
 
     def test_zero_preservation_survives_cache(self, rng):
-        comp, _ = make_cached(eb=1e-2, delta=1e9, refresh_interval=0, max_escape_ratio=1.0)
+        comp, _ = make_cached(eb=1e-2)
         x1 = smoothish(rng, scale=0.3)
         comp.compress(x1, cache_key="l")
         x2 = smoothish(rng, scale=2.0)
@@ -135,11 +146,12 @@ class TestErrorBoundUnderStaleness:
 
 
 class TestRebuildTriggers:
-    def test_delta_trigger_rebuilds_on_frequency_flip(self):
+    def test_delta_trigger_rebuilds_on_frequency_flip(self, settings):
         """Same symbol support, inverted frequencies: every symbol still
         has a codeword (no escapes), but the cached lengths are badly
         mismatched — exactly the case the δ dot-product must catch."""
-        cache = CodebookCache(delta=0.10, refresh_interval=0)
+        settings(refresh_interval=NEVER)
+        cache = CodebookCache()
         hist1 = np.zeros(16, dtype=np.int64)
         hist1[1:9] = [100_000, 30_000, 8_000, 2_000, 500, 120, 30, 8]
         book1, reused = cache.lookup("k", hist1)
@@ -154,11 +166,12 @@ class TestRebuildTriggers:
         _, reused = cache.lookup("k", hist2)
         assert reused and cache.hits == 1
 
-    def test_fresh_distribution_is_never_stale(self):
+    def test_fresh_distribution_is_never_stale(self, settings):
         """Gallager-bound fresh estimate: a book rebuilt on the exact
         distribution it sees must pass its own staleness check, even for
         highly skewed (sparse-activation-like) histograms."""
-        cache = CodebookCache(delta=0.05, refresh_interval=0)
+        settings(delta=0.05, refresh_interval=NEVER)
+        cache = CodebookCache()
         hist = np.zeros(1024, dtype=np.int64)
         hist[512] = 900_000  # ReLU zeros dominate
         hist[500:512] = 1_000
@@ -169,14 +182,16 @@ class TestRebuildTriggers:
             assert reused
         assert cache.rebuilds == 0
 
-    def test_drift_rebuilds_through_compress(self, rng):
-        comp, cache = make_cached(eb=1e-2, delta=0.02, refresh_interval=0)
+    def test_drift_rebuilds_through_compress(self, rng, settings):
+        settings(delta=0.02, refresh_interval=NEVER)
+        comp, cache = make_cached(eb=1e-2)
         comp.compress(smoothish(rng, scale=0.2), cache_key="l")
         comp.compress(smoothish(rng, scale=30.0), cache_key="l")
         assert cache.rebuilds == 1  # δ or escape volume — either is drift
 
-    def test_refresh_interval_rebuilds_on_schedule(self, rng):
-        comp, cache = make_cached(eb=1e-2, refresh_interval=2, delta=1e9)
+    def test_refresh_interval_rebuilds_on_schedule(self, rng, settings):
+        settings(refresh_interval=2, delta=1e9)
+        comp, cache = make_cached(eb=1e-2)
         x = smoothish(rng)
         for _ in range(5):
             comp.compress(x, cache_key="l")
@@ -185,10 +200,9 @@ class TestRebuildTriggers:
         assert cache.rebuilds_refresh == 1
         assert cache.hits == 3
 
-    def test_escape_volume_forces_rebuild(self, rng):
-        comp, cache = make_cached(
-            eb=1e-2, delta=1e9, refresh_interval=0, max_escape_ratio=0.001
-        )
+    def test_escape_volume_forces_rebuild(self, rng, settings):
+        settings(delta=1e9, refresh_interval=NEVER, max_escape_ratio=0.001)
+        comp, cache = make_cached(eb=1e-2)
         x1 = smoothish(rng, scale=0.2)
         comp.compress(x1, cache_key="l")
         x2 = smoothish(rng, scale=50.0)  # nearly everything unseen
@@ -200,11 +214,12 @@ class TestRebuildTriggers:
 
 
 class TestAccountingWithCache:
-    def test_nbytes_byte_exact_vs_dumps_with_cache(self, rng):
+    def test_nbytes_byte_exact_vs_dumps_with_cache(self, rng, settings):
         """The acceptance criterion: CompressedTensor.nbytes stays
         byte-exact against serialize.dumps when books come from the
         cache (including stale-reuse and escape cases)."""
-        comp, _ = make_cached(eb=1e-2, delta=1e9, refresh_interval=0, max_escape_ratio=1.0)
+        settings(delta=1e9, refresh_interval=NEVER, max_escape_ratio=1.0)
+        comp, _ = make_cached(eb=1e-2)
         x1 = smoothish(rng, scale=0.2)
         x2 = smoothish(rng, scale=2.0)  # reused (stale) book + escapes
         for x in (x1, x2):

@@ -9,7 +9,6 @@ built instead of rebuilding them.  Pinned here:
 * ``adoptions_from`` names the publisher, and re-publishing an
   unchanged book never relabels it;
 * staleness refreshes propagate: B's rebuild is adopted by C;
-* ``invalidate()`` empties the table, so stale books cannot be adopted;
 * a codec publishes one entry per cache key and later hits it;
 * threads sharing caches and a table lose no publish and no count;
 * a sanitizer-instrumented run stays clean.
@@ -22,7 +21,7 @@ import threading
 
 import numpy as np
 
-from repro.compression import CodebookCache, SZCompressor
+from repro.compression import SZCompressor
 from repro.compression.szlike import CodebookTable, SharedCodebookCache
 
 
@@ -80,39 +79,15 @@ class TestPublishAndAdopt:
         assert c.stats()["builds"] == 0 and c.stats()["adoptions_from"] == {"b": 1}
         np.testing.assert_array_equal(book_c.lengths, book_b.lengths)
 
-    def test_invalidate_empties_the_table(self):
-        table, (a, b) = fleet("a", "b")
-        hist = hist_for(4)
-        a.lookup("k", hist)
-        a.lookup("j", hist)
-        a.invalidate("k")
-        assert table.get("k") is None and table.get("j") is not None
-        a.invalidate()
-        assert len(table) == 0 and len(a) == 0
-        _, reused = b.lookup("k", hist)
-        assert reused is False
-        assert b.stats()["shared_adoptions"] == 0
-
-    def test_from_cache_keeps_the_staleness_knobs(self):
-        table = CodebookTable()
-        cache = SharedCodebookCache.from_cache(
-            CodebookCache(refresh_interval=3, delta=0.5), table, owner="a"
-        )
-        assert (cache.refresh_interval, cache.delta, cache.owner) == (3, 0.5, "a")
-        cache.lookup("k", hist_for(5))
-        assert cache.table is table and len(table) == 1
-
     def test_compressor_adopts_through_its_cache(self):
         """Two codecs over one table: the second compresses a tensor the
         first already built a book for without building one."""
         table = CodebookTable()
         rng = np.random.default_rng(6)
         arr = np.maximum(rng.standard_normal((2, 4, 16, 16)), 0).astype(np.float32)
-        codecs = [
-            SZCompressor(1e-3, entropy="huffman",
-                         codebook_cache=SharedCodebookCache(table=table, owner=o))
-            for o in ("a", "b")
-        ]
+        codecs = [SZCompressor(1e-3, entropy="huffman", codebook_cache=True) for _ in "ab"]
+        for codec, owner in zip(codecs, "ab"):
+            codec.codebook_cache = SharedCodebookCache(table, owner=owner)
         cts = [c.compress(arr, cache_key="l0") for c in codecs]
         assert codecs[1].codebook_cache.stats()["builds"] == 0
         assert codecs[1].codebook_cache.stats()["shared_adoptions"] == 1
@@ -123,9 +98,7 @@ class TestPublishAndAdopt:
         and later hits on its own."""
         table = CodebookTable()
         codec = SZCompressor(1e-3, entropy="huffman", codebook_cache=True)
-        codec.codebook_cache = SharedCodebookCache.from_cache(
-            codec.codebook_cache, table, owner="a"
-        )
+        codec.codebook_cache = SharedCodebookCache(table, owner="a")
         cache = codec.codebook_cache
         rng = np.random.default_rng(7)
         arrs = {
@@ -196,7 +169,6 @@ class TestSanitizerClean:
             "    t.start()\n"
             "for t in threads:\n"
             "    t.join()\n"
-            "caches[0].invalidate()\n"
             "rep = sanitizer.report()\n"
             "assert rep['enabled'], rep\n"
             "assert rep['instrumented_objects'] >= 4, rep\n"

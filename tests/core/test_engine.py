@@ -300,7 +300,6 @@ def train_session(storage=None, iters=8):
     ).attach(tr)
     ds = SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
     tr.train(batches(ds, 8, iters, seed=0))
-    tr.close()
     return tr, sess
 
 

@@ -13,14 +13,8 @@ import numpy as np
 import pytest
 
 from repro.api import AdaptiveSpec
-from repro.compression import SZCompressor
-from repro.core import (
-    ByteArena,
-    CompressedTraining,
-    MemoryTracker,
-    ParamStore,
-    StoreSlots,
-)
+from repro.compression import SZCompressor, get_codec
+from repro.core import MemoryTracker, ParamStore, StoreSlots
 from repro.models import build_scaled_model
 from repro.nn import (
     SGD,
@@ -95,7 +89,7 @@ class TestEntryLifecycle:
         store.close()
 
     def test_lossless_codec_roundtrip(self, rng):
-        store = ParamStore(budget_bytes=0, codec="lossless")
+        store = ParamStore(budget_bytes=0, codec=get_codec("lossless"))
         arr = rng.standard_normal((32, 32)).astype(np.float32)
         store.adopt("w", arr)
         np.testing.assert_array_equal(store.fetch("w"), arr)
@@ -330,7 +324,7 @@ class TestTrainingEquivalence:
             sizes.update(stored=store.stored_nbytes, raw=store.raw_nbytes)
 
         base = train_run(opt_cls, kw)
-        oov = train_run(opt_cls, kw, ParamStore(budget_bytes=0, codec="lossless"),
+        oov = train_run(opt_cls, kw, ParamStore(budget_bytes=0, codec=get_codec("lossless")),
                         before_detach=measure)
         assert np.array_equal(base[0].view(np.uint64), oov[0].view(np.uint64))  # losses
         assert np.array_equal(base[1].view(np.uint32), oov[1].view(np.uint32))
@@ -450,41 +444,32 @@ class TestAccounting:
 
 
 class TestSessionIntegration:
-    def _session_run(self, param_storage):
-        net = small_net()
-        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
-        trainer = Trainer(net, opt)
-        arena = ByteArena(budget_bytes=32 << 10)
-        session = CompressedTraining(
-            net,
-            opt,
-            compressor=SZCompressor(entropy="zlib", zero_filter=True),
-            config=AdaptiveSpec(W=5, warmup_iterations=2),
-            storage=arena,
-            param_storage=param_storage,
-        ).attach(trainer)
-        dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
-        trainer.train(batches(dataset, 4, 4, seed=1))
-        losses = trainer.history.losses.copy()
-        stats = (session, trainer)
-        trainer.close()
-        arena.close()
-        return losses, stats
+    @staticmethod
+    def _session_run(params):
+        from repro.api import CodecSpec, SessionConfig, StorageSpec, build_session
 
-    def test_param_storage_knob_bit_identical(self):
-        l_none, _ = self._session_run(None)
-        l_store, (sess, _) = self._session_run(ParamStore(budget_bytes=0))
+        cfg = SessionConfig(
+            codec=CodecSpec("szlike", {"entropy": "zlib"}),
+            adaptive=AdaptiveSpec(W=5, warmup_iterations=2),
+            storage=StorageSpec(
+                activations="arena", budget_bytes=32 << 10,
+                params=params, param_budget_bytes=0,
+            ),
+        )
+        with build_session(small_net(), cfg) as session:
+            dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
+            session.train(batches(dataset, 4, 4, seed=1))
+            if session.param_store is not None:
+                assert session.param_store.tracker is session.tracker
+                assert session.tracker.persistent_stored_bytes > 0
+        return session.history.losses.copy(), session
+
+    def test_session_param_store_bit_identical(self):
+        l_none, _ = self._session_run("resident")
+        l_store, session = self._session_run("arena")
         np.testing.assert_array_equal(l_none, l_store)
-        # the session folded the store's books into its own tracker and
-        # close() released them
-        assert sess.tracker.persistent_stored_bytes == 0
-
-    def test_caller_arena_backs_param_store(self):
-        arena = ByteArena(budget_bytes=0)
-        losses, _ = self._session_run(ParamStore(storage=arena))
-        assert np.isfinite(losses).all()
-        assert arena.spill_count > 0
-        arena.close()
+        # the store charged the session's tracker, and close() released it
+        assert session.tracker.persistent_stored_bytes == 0
 
     def test_plain_session_param_store(self):
         from repro.api import SessionConfig, StorageSpec, build_session

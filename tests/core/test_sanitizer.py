@@ -159,7 +159,7 @@ def test_enabled_sanitizer_instruments_a_session_and_reports():
     try:
         with build_session(net, config) as session:
             session.train(batches(dataset, 2, 2, seed=2))
-            report = session.sanitizer_report
+            report = sanitizer.report()
             assert report["enabled"]
             assert report["instrumented_objects"] > 0
             # all three checks are armed: locks tracked, releases

@@ -479,7 +479,6 @@ class TestTrainingBitIdentity:
         ).attach(tr)
         ds = SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
         tr.train(batches(ds, 8, 6, seed=0))
-        tr.close()
         return tr.history.losses, sess.tracker.iteration_ratios
 
     def test_backends_train_bit_identically(self):

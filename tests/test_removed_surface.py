@@ -14,7 +14,13 @@ and nothing called ``StepScheduler.drain`` or
 ``LayerReport.flops`` lost its one reader with the simulator.  The
 ``"chunked"`` codec split tensors no workload ever sent it; its thread
 pool, its ``CKRP`` container and the close hook that stopped the pools
-went with it.
+went with it.  ``Session.close()`` closes the stack ``build_session``
+fills, so the trainer's close hooks, ``CompressedTraining``'s param-store
+wiring and ``close()``, and the ``ParamStore`` arena and codec-key
+shortcuts nothing used are gone; so are ``Session.from_json`` (a second
+front door), ``Session.sanitizer_report`` and the codebook cache's
+per-instance settings and ``invalidate()``, which no caller set or
+called.
 """
 
 import json
@@ -28,7 +34,14 @@ from repro.api import AdaptiveSpec, CodecSpec, ConfigError, PolicyRule, Session,
 from repro.api.config import DistributedSpec
 from repro.compression import CorruptBlobError, SZCompressor, get_codec
 from repro.compression.registry import dumps, loads, wire_header_nbytes
-from repro.compression.szlike import build_codebook, huffman_decode, huffman_encode
+from repro.compression.szlike import (
+    CodebookCache,
+    CodebookTable,
+    SharedCodebookCache,
+    build_codebook,
+    huffman_decode,
+    huffman_encode,
+)
 from repro.core.activation_store import CompressingContext
 from repro.core.framework import CompressedTraining
 from repro.core.param_store import ParamStore, StoreSlots
@@ -122,6 +135,14 @@ class TestRemovedSurface:
             (SoftmaxCrossEntropy, "predictions"),
             (AdaptiveSpec, "to_adaptive_config"),
             (Session, "policy_table"),
+            (Session, "from_json"),
+            (Session, "sanitizer_report"),
+            (Trainer, "close"),
+            (Trainer, "__enter__"),
+            (CompressedTraining, "close"),
+            (CodebookCache, "invalidate"),
+            (CodebookTable, "invalidate"),
+            (SharedCodebookCache, "from_cache"),
         ],
     )
     def test_attribute_is_gone(self, cls, attr):
@@ -137,11 +158,16 @@ class TestRemovedSurface:
             (lambda: CompressingContext(initial_rel_eb=1e-3), "initial_rel_eb"),
             (lambda: _training(policy_table=None), "policy_table"),
             (lambda: _training(adaptive=True), "adaptive"),
+            (lambda: _training(param_storage=None), "param_storage"),
+            (lambda: ParamStore(storage=None), "storage"),
+            (lambda: CodebookCache(delta=0.5), "delta"),
+            (lambda: SharedCodebookCache(CodebookTable(), refresh_interval=3), "refresh_interval"),
         ],
         ids=[
             "jpeg-zlib_level", "scratch-max_per_dtype", "scratch-max_total_bytes",
             "context-policy_table", "context-initial_rel_eb",
-            "training-policy_table", "training-adaptive",
+            "training-policy_table", "training-adaptive", "training-param_storage",
+            "param_store-storage", "codebook_cache-delta", "shared_cache-refresh_interval",
         ],
     )
     def test_constructor_option_is_a_type_error(self, make, keyword):
@@ -152,6 +178,8 @@ class TestRemovedSurface:
         net = Linear(2, 2, rng=0)
         assert not hasattr(Trainer(net, SGD(net.parameters(), lr=0.1)), "last_loss_value")
         assert not hasattr(CompressingContext(), "enabled")
+        assert not hasattr(Trainer(net, SGD(net.parameters(), lr=0.1)), "close_hooks")
+        assert not hasattr(_training(), "param_store")
         assert "recomputable" not in LayerReport.__dataclass_fields__
 
     def test_layer_report_has_no_flops(self):
