@@ -35,8 +35,9 @@ or every ``REFRESH_INTERVAL`` uses) and an unconditional
 correctness escape — symbols with no codeword under a cached book are
 demoted to the outlier channel, so the error bound never depends on
 cache freshness.  The whole hot path is also allocation-lean and moves
-few bytes per value: the quantize/predict/code intermediates live in a
-reusable :class:`~repro.utils.scratch.ScratchPool` in the narrowest
+few bytes per value: the quantize/predict/code intermediates are borrowed
+from the process-wide :data:`~repro.utils.scratch.WORKSPACE` (the conv
+layers' buffers, never in use while a tensor is packed) in the narrowest
 integer dtype that is exact for the tensor (``int32`` unless a guard
 computed from the data selects ``int64``, see
 :mod:`repro.kernels.numpy_backend`), the entropy kernels are the
@@ -73,7 +74,7 @@ from repro.compression.szlike.huffman import (
 from repro.compression.szlike.quantizer import QuantizedResiduals
 from repro.kernels import get_backend
 from repro.utils import profiler
-from repro.utils.scratch import ScratchPool
+from repro.utils.scratch import WORKSPACE
 
 __all__ = ["SZCompressor", "CompressedTensor", "HEADER_BYTES"]
 
@@ -244,9 +245,6 @@ class SZCompressor:
         # numpy Generators are not thread-safe; a server's scheduler may
         # run a tenant's steps on any of its threads.
         self._rng_lock = threading.Lock()
-        #: reusable scratch buffers for the quantize/predict/code
-        #: intermediates (thread-safe, like the rest of the codec)
-        self._scratch = ScratchPool()
         #: requested backend name
         self.kernel_backend = kernel_backend
         self._kernels = get_backend(kernel_backend)
@@ -286,7 +284,7 @@ class SZCompressor:
         """
         ndim = self._effective_ndim(x)
         codes, outliers, flat = self._kernels.quantize_encode(
-            x, eb, self.radius, ndim, self._scratch, stack
+            x, eb, self.radius, ndim, WORKSPACE, stack
         )
         qr = QuantizedResiduals(
             codes=codes, outliers=outliers, radius=self.radius, shape=x.shape

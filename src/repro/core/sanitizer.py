@@ -25,8 +25,9 @@ afterwards swaps in instrumented internals, with all three checks on:
 
 The sanitizer is process-wide and sticky: :func:`enable` affects objects
 constructed *after* the call (enable it before building a session),
-plus the one pool built at import: the conv / pool workspace of
-``repro.nn``.  It never changes behavior when disabled — the
+plus the one pool built at import: the workspace
+(``repro.utils.scratch.WORKSPACE``) that conv / pool layers and the SZ
+codec borrow from.  It never changes behavior when disabled — the
 production classes only expose tiny hook points
 (``ByteArena._copy_in``/``_on_release``) that default to no-ops.
 """
@@ -219,7 +220,7 @@ def enable() -> None:
     construction time and is never removed from live objects.
     """
     _STATE.enabled = True
-    _instrument_nn_workspace()
+    _instrument_workspace()
 
 
 def disable() -> None:
@@ -343,12 +344,13 @@ def _instrument_scratch(pool) -> None:
     pool._give = give
 
 
-def _instrument_nn_workspace() -> None:
-    """The one pool that outlives sessions: built when ``repro.nn`` is
-    imported, so usually before anything enables the sanitizer."""
-    conv = sys.modules.get("repro.nn.layers.conv")
-    if conv is not None and "_give" not in vars(conv.WORKSPACE):
-        maybe_instrument(conv.WORKSPACE, "scratch")
+def _instrument_workspace() -> None:
+    """The one pool that outlives sessions: built when
+    ``repro.utils.scratch`` is imported, so usually before anything
+    enables the sanitizer."""
+    scratch = sys.modules.get("repro.utils.scratch")
+    if scratch is not None and "_give" not in vars(scratch.WORKSPACE):
+        maybe_instrument(scratch.WORKSPACE, "scratch")
 
 
 def maybe_instrument(obj, kind: str) -> None:
@@ -375,4 +377,4 @@ def maybe_instrument(obj, kind: str) -> None:
 
 
 if _STATE.enabled:  # REPRO_SANITIZE=1, and a pool was built before this import
-    _instrument_nn_workspace()
+    _instrument_workspace()

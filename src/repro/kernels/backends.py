@@ -112,7 +112,7 @@ def note_wide_grid(kernel: str, shape, error_bound, magnitude: float) -> None:
 def warmup_backend(backend: KernelBackend, reference: KernelBackend = _NUMPY) -> None:
     """One-shot warmup: run all five kernels on tiny inputs and verify
     bit-identity against *reference*.  Raises on any mismatch."""
-    from repro.utils.scratch import ScratchPool
+    from repro.utils.scratch import WORKSPACE
 
     rng = np.random.default_rng(0)
     x = (rng.standard_normal((2, 3, 5, 5)) * 3).astype(np.float32)
@@ -121,9 +121,8 @@ def warmup_backend(backend: KernelBackend, reference: KernelBackend = _NUMPY) ->
 
     results = []
     for b in (backend, reference):
-        pool = ScratchPool()
         with ExitStack() as stack:
-            codes, outliers, flat = b.quantize_encode(x, eb, radius, ndim, pool, stack)
+            codes, outliers, flat = b.quantize_encode(x, eb, radius, ndim, WORKSPACE, stack)
             codes, outliers, flat = codes.copy(), outliers.copy(), flat.copy()
         q = b.quantize_decode(codes, outliers, radius, x.shape, ndim)
         pred = b.lorenzo_predict(q.astype(np.int64), ndim)

@@ -6,7 +6,7 @@
 passed to ``self._save`` is a violation.  Such an array has the same
 shape on every step; freshly allocated, it goes back to the kernel and is
 page-faulted in again on every pass, so it is borrowed from
-``repro.nn.layers.conv.WORKSPACE``.  What a layer returns or saves stays
+``repro.utils.scratch.WORKSPACE``.  What a layer returns or saves stays
 a plain array: pooling the tensors compression exists to free would pin them.
 """
 
@@ -35,7 +35,7 @@ class LayerAllocationRule(Rule):
     name = "layer-allocation"
     rationale = (
         "an array that dies inside a layer's forward/backward is borrowed from "
-        "the conv workspace; only what is returned or saved is allocated."
+        "the shared workspace; only what is returned or saved is allocated."
     )
 
     def check(self, module: LintModule, run: LintRun) -> Iterable[Violation]:
@@ -78,5 +78,6 @@ class LayerAllocationRule(Rule):
                     module,
                     node,
                     f"np.{node.func.attr}(...) in {fn.name}() is neither returned nor "
-                    f"saved; borrow the temporary from WORKSPACE.take(shape, dtype)",
+                    f"saved; borrow the temporary from "
+                    "repro.utils.scratch.WORKSPACE.take(shape, dtype)",
                 )

@@ -8,10 +8,14 @@ training frameworks checkpoint convolutions.
 The patch matrix is channel-major, ``(C*k*k, N*Ho*Wo)``: it is filled by
 ``k*k`` slab copies out of a zero-bordered buffer, each one a strided view
 whose rows stay contiguous along ``W``, so no element-wise gather is ever
-made.  Forward is the one GEMM ``W(Cout, C*k*k) @ cols``; backward is
+made.  Forward is the GEMM ``W(Cout, C*k*k) @ cols``; backward is
 ``dW = dmat @ cols.T`` and ``dcols = W.T @ dmat`` plus :func:`col2im`,
-which scatter-adds the same ``k*k`` slabs.  Every array that does not
-outlive the call is borrowed from :data:`WORKSPACE`.
+which scatter-adds the same ``k*k`` slabs.  A layer builds the patch
+matrix for one batch slice at a time, of as many images as fit in
+:data:`PATCH_BUDGET_BYTES` (at least one), and writes each slice's result
+into the NCHW output or ``dx``: a pass holds one slice's patches, not
+the batch's.  Every array that does not outlive the call is borrowed
+from :data:`repro.utils.scratch.WORKSPACE`.
 """
 
 from __future__ import annotations
@@ -23,15 +27,16 @@ import numpy as np
 
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.init import kaiming_uniform
-from repro.utils.scratch import ScratchPool
+from repro.utils.scratch import WORKSPACE
 
-__all__ = ["Conv2D", "WORKSPACE", "im2col", "col2im", "conv_output_hw", "padded", "slabs"]
+__all__ = ["Conv2D", "im2col", "col2im", "conv_output_hw", "padded", "slabs"]
 
-#: Conv and pooling layers borrow here every array that dies inside one
-#: ``forward`` / ``backward`` (best fit by capacity: the largest layer's set,
-#: not one per layer).  What a layer returns or saves is never pooled: those
-#: are the tensors compression exists to free.
-WORKSPACE = ScratchPool()
+#: bytes of patch matrix a conv pass builds at once: the batch is cut into
+#: slices of as many images as fit (one when a single image does not).
+#: Each slice adds fixed NumPy call overhead (its ``k*k`` slab copies and
+#: pool takes): of 256 KiB - 2 MiB, this is the smallest budget that does
+#: not slow the e2e benchmark's ``train_raw`` step.
+PATCH_BUDGET_BYTES = 1 << 20
 
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> Tuple[int, int]:
@@ -134,48 +139,63 @@ class Conv2D(Layer):
     def parameters(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
 
+    def _batch_slices(self, x: np.ndarray, ho: int, wo: int) -> Iterator[slice]:
+        """The batch slices a pass over ``x`` visits, each one's patch
+        matrix within :data:`PATCH_BUDGET_BYTES`."""
+        image = self.weight.data[0].size * ho * wo * x.dtype.itemsize
+        step = max(1, PATCH_BUDGET_BYTES // image)
+        return (slice(lo, lo + step) for lo in range(0, x.shape[0], step))
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"{self.name}: expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        n = x.shape[0]
         ho, wo = conv_output_hw(x.shape[2], x.shape[3], self.kernel, self.stride, self.padding)
         wmat = self.weight.data.reshape(self.out_channels, -1)
-        with WORKSPACE.take((wmat.shape[1], n * ho * wo), x.dtype) as cols, WORKSPACE.take(
-            (self.out_channels, n * ho * wo), np.result_type(wmat, x)
-        ) as mat:
-            im2col(x, self.kernel, self.stride, self.padding, out=cols)
-            np.matmul(wmat, cols, out=mat)
-            if self.bias is not None:
-                mat += self.bias.data[:, None]
-            out = mat.reshape(self.out_channels, n, ho, wo).transpose(1, 0, 2, 3).copy()
+        out = np.empty((x.shape[0], self.out_channels, ho, wo), np.result_type(wmat, x))
+        for sl in self._batch_slices(x, ho, wo):
+            xs = x[sl]
+            m = len(xs) * ho * wo
+            with WORKSPACE.take((wmat.shape[1], m), x.dtype) as cols, WORKSPACE.take(
+                (self.out_channels, m), out.dtype
+            ) as mat:
+                im2col(xs, self.kernel, self.stride, self.padding, out=cols)
+                np.matmul(wmat, cols, out=mat)
+                if self.bias is not None:
+                    mat += self.bias.data[:, None]
+                out[sl] = mat.reshape(self.out_channels, -1, ho, wo).transpose(1, 0, 2, 3)
         if self.training:
             self._save("x", x)
-            self._x_shape = x.shape
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x = self._pop("x")
-        n, cout, ho, wo = dout.shape
+        cout, ho, wo = dout.shape[1:]
         wmat = self.weight.data.reshape(cout, -1)
-        cols_shape = (wmat.shape[1], n * ho * wo)
-        with WORKSPACE.take((cout, n, ho, wo), dout.dtype) as d4:
-            d4[...] = dout.transpose(1, 0, 2, 3)
-            dmat = d4.reshape(cout, -1)
-            with WORKSPACE.take(cols_shape, x.dtype) as cols:
-                im2col(x, self.kernel, self.stride, self.padding, out=cols)
-                # dW = dmat @ cols.T, taken as (cols @ dmat.T).T: BLAS streams the long
-                # N*Ho*Wo axis of the big operand row by row instead of column by column.
-                self.weight.grad += (cols @ dmat.T).T.reshape(self.weight.data.shape)
-            if self.bias is not None:
-                self.bias.grad += dmat.sum(axis=1)
-            if not self.needs_input_grad:
-                return None
-            # dW is taken: the pool hands the patch buffer straight back for dcols
-            with WORKSPACE.take(cols_shape, np.result_type(wmat, dmat)) as dcols:
-                np.matmul(wmat.T, dmat, out=dcols)
-                return col2im(dcols, x.shape, self.kernel, self.stride, self.padding)
+        dx = None
+        if self.needs_input_grad:
+            dx = np.empty(x.shape, np.result_type(wmat, dout))
+        for sl in self._batch_slices(x, ho, wo):
+            xs, ds = x[sl], dout[sl]
+            cols_shape = (wmat.shape[1], len(ds) * ho * wo)
+            with WORKSPACE.take((cout, len(ds), ho, wo), dout.dtype) as d4:
+                d4[...] = ds.transpose(1, 0, 2, 3)
+                dmat = d4.reshape(cout, -1)
+                with WORKSPACE.take(cols_shape, x.dtype) as cols:
+                    im2col(xs, self.kernel, self.stride, self.padding, out=cols)
+                    # dW = dmat @ cols.T, taken as (cols @ dmat.T).T: BLAS streams the long
+                    # N*Ho*Wo axis of the big operand row by row instead of column by column.
+                    self.weight.grad += (cols @ dmat.T).T.reshape(self.weight.data.shape)
+                if self.bias is not None:
+                    self.bias.grad += dmat.sum(axis=1)
+                if dx is None:
+                    continue
+                # dW is taken: the pool hands the patch buffer straight back for dcols
+                with WORKSPACE.take(cols_shape, dx.dtype) as dcols:
+                    np.matmul(wmat.T, dmat, out=dcols)
+                    dx[sl] = col2im(dcols, xs.shape, self.kernel, self.stride, self.padding)
+        return dx
 
     def output_shape(self, in_shape):
         n, c, h, w = in_shape

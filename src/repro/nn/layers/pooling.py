@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers.base import Layer
-from repro.nn.layers.conv import WORKSPACE, conv_output_hw, padded, slabs
+from repro.nn.layers.conv import conv_output_hw, padded, slabs
+from repro.utils.scratch import WORKSPACE
 
 __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 

@@ -17,9 +17,12 @@ allocator/page-fault traffic for every activation on every iteration.
   which used to defeat the pool on every backend switch).
 * The context-manager form returns the buffer on exit; concurrent takes
   (the server scheduler's worker threads step different tenants at once
-  and share the conv ``WORKSPACE`` pool) are safe — each take pops a
-  distinct buffer under the pool lock, or allocates fresh when the pool
-  is empty.
+  and share :data:`WORKSPACE`) are safe — each take pops a distinct
+  buffer under the pool lock, or allocates fresh when the pool is empty.
+
+:data:`WORKSPACE` is the one pool the library itself uses: the conv /
+pool layers' temporaries and the codec's intermediates come from it, so
+a step's scratch is the largest single set of them, not one set each.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Dict, Iterator, List
 
 import numpy as np
 
-__all__ = ["ScratchPool"]
+__all__ = ["ScratchPool", "WORKSPACE"]
 
 #: free buffers a pool retains per dtype; a return beyond the cap drops
 #: the smallest free buffer, so the largest (most reusable) survive
@@ -53,10 +56,11 @@ class ScratchPool:
         self.misses = 0
         self.cross_dtype_hits = 0
         self.free_bytes = 0
-        # Looked up, not imported: ``repro.nn`` builds its workspace pool
-        # while ``repro.core`` (which imports ``repro.nn``) cannot be imported
-        # yet.  A sanitizer nobody has loaded cannot be enabled either; it
-        # picks that pool up itself when it is (``sanitizer.enable``).
+        # Looked up, not imported: ``WORKSPACE`` is built while ``repro`` is
+        # being imported, when ``repro.core`` (which imports ``repro.nn``,
+        # which imports this module) cannot be imported yet.  A sanitizer
+        # nobody has loaded cannot be enabled either; it picks that pool up
+        # itself when it is (``sanitizer.enable``).
         sanitizer = sys.modules.get("repro.core.sanitizer")
         if sanitizer is not None:
             sanitizer.maybe_instrument(self, "scratch")
@@ -143,3 +147,13 @@ class ScratchPool:
             n = sum(len(b) for b in self._free.values())
             free_bytes = self.free_bytes
         return f"ScratchPool(free_buffers={n}, free_bytes={free_bytes})"
+
+
+#: The process-wide pool.  Conv and pooling layers borrow here every array
+#: that dies inside one ``forward`` / ``backward``, and the SZ codec its
+#: quantize / predict / code intermediates: the two never hold buffers at
+#: once on one thread (a layer packs what it saves after its borrows end,
+#: and unpacks before it borrows), so one set of buffers serves both.
+#: What a layer returns or saves is never pooled: those are the tensors
+#: compression exists to free.
+WORKSPACE = ScratchPool()

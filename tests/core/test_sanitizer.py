@@ -97,13 +97,13 @@ def test_scratch_buffers_poisoned_on_return(sanitized):
 
 
 def test_enable_reaches_the_nn_workspace_built_before_it(monkeypatch):
-    """The conv / pool workspace is built when ``repro.nn`` is imported;
+    """The workspace is built when ``repro.utils.scratch`` is imported;
     instrumenting only what is constructed after ``enable()`` would leave
-    the one pool whose buffers every layer shares unpoisoned."""
-    from repro.nn.layers import conv
+    the one pool whose buffers every layer and codec shares unpoisoned."""
+    from repro.utils import scratch
 
     pool = ScratchPool()  # built with the sanitizer off, as at import
-    monkeypatch.setattr(conv, "WORKSPACE", pool)
+    monkeypatch.setattr(scratch, "WORKSPACE", pool)
     sanitizer.enable()
     try:
         sanitizer.enable()  # a second session: still one poisoning wrapper

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.nn.layers.conv import WORKSPACE
+from repro.utils.scratch import WORKSPACE
 
 
 def helper(v):

@@ -1,20 +1,26 @@
-"""The conv / pool workspace: what is borrowed, what escapes, who shares it.
+"""The workspace: what is borrowed, what escapes, who shares it.
 
-Every test swaps the process-wide pool for a fresh one that overwrites a
-buffer with ``0xFF`` bytes (NaN as a float) the moment it comes back, as
-the runtime sanitizer does: a stale border, a stale tail or a returned
-view of a pooled buffer shows up as NaN instead of as yesterday's
-plausible numbers.
+The layer tests swap the process-wide pool for a fresh one that
+overwrites a buffer with ``0xFF`` bytes (NaN as a float) the moment it
+comes back, as the runtime sanitizer does: a stale border, a stale tail
+or a returned view of a pooled buffer shows up as NaN instead of as
+yesterday's plausible numbers.  The session tests run the real pool,
+which the conv / pool layers and the SZ codec share.
 """
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.api import SessionConfig, build_session
+from repro.compression.szlike import SZCompressor
 from repro.models import build_scaled_model
 from repro.nn import (
     SGD,
@@ -27,6 +33,7 @@ from repro.nn import (
     iter_layers,
 )
 from repro.nn.layers import col2im, conv, conv_output_hw, im2col, pooling
+from repro.utils import scratch
 from repro.utils.scratch import ScratchPool
 
 TOL = {np.dtype(np.float32): dict(rtol=1e-4, atol=1e-4), np.dtype(np.float64): dict(rtol=1e-10, atol=1e-10)}
@@ -130,11 +137,12 @@ def avgpool_fresh(x, k, s, p):
 # ----------------------------------------------------------- (a) footprint
 def conv_temporaries_nbytes(layer, in_shape):
     """Bordered input + patch matrix + GEMM output of one float32 conv
-    pass: what the layer holds at once."""
+    pass over one batch slice: what the layer holds at once."""
     n, c, h, w = in_shape
     _, cout, ho, wo = layer.output_shape(in_shape)
     p, k = layer.padding, layer.kernel
-    return 4 * (n * c * (h + 2 * p) * (w + 2 * p) + (c * k * k + cout) * n * ho * wo)
+    m = min(n, max(1, conv.PATCH_BUDGET_BYTES // (4 * c * k * k * ho * wo)))
+    return 4 * m * (c * (h + 2 * p) * (w + 2 * p) + (c * k * k + cout) * ho * wo)
 
 
 def test_steady_state_borrows_nothing_new_and_holds_one_layers_worth(pool):
@@ -153,10 +161,11 @@ def test_steady_state_borrows_nothing_new_and_holds_one_layers_worth(pool):
     for _ in range(10):
         assert np.isfinite(trainer.train_step(*next(data)).loss)
     assert pool.misses == misses and pool.hits > hits and pool.out == 0
-    # best fit by capacity: the largest layer's set (plus the smaller buffers
-    # that were allocated before it came along), far from one set per layer
+    # best fit by capacity: the largest slice's set (plus the smaller buffers
+    # that were allocated before it came along: slices of every layer are of
+    # a size), far from one set per layer
     assert len(per_conv) > 4
-    assert pool.free_bytes <= 1.5 * max(per_conv)
+    assert pool.free_bytes <= 2 * max(per_conv)
     assert pool.free_bytes < 0.5 * sum(per_conv)
 
 
@@ -225,6 +234,38 @@ def test_pools_on_a_poisoned_pool_match_fresh_allocation_bit_for_bit(pool, rng, 
             dout = rng.standard_normal(out.shape).astype(dtype)
             np.testing.assert_array_equal(layer.backward(dout), grad(dout))
     assert pool.out == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+def test_a_batch_cut_into_uneven_slices_matches_fresh_allocation(
+    pool, rng, monkeypatch, kernel, stride, padding, dtype
+):
+    """Five images, two to a slice: the one-image tail runs in the buffers
+    the two-image slices poisoned, so a stale tail reads as NaN."""
+    layer = Conv2D(3, 4, kernel, stride=stride, padding=padding, rng=1)
+    layer.bias.data[:] = rng.standard_normal(4)
+    x = rng.standard_normal((5, 3, 9, 7)).astype(dtype)
+    _, _, ho, wo = layer.output_shape(x.shape)
+    image = 3 * kernel * kernel * ho * wo * x.itemsize
+    monkeypatch.setattr(conv, "PATCH_BUDGET_BYTES", 3 * image - 1)
+    sliced, im2col_whole = [], conv.im2col
+
+    def im2col(xs, *args, **kwargs):
+        sliced.append(len(xs))
+        return im2col_whole(xs, *args, **kwargs)
+
+    monkeypatch.setattr(conv, "im2col", im2col)
+    _, want, grads = conv_fresh(x, layer.weight.data, layer.bias.data, kernel, stride, padding)
+    out = layer.forward(x)
+    np.testing.assert_allclose(out, want, **TOL[out.dtype])
+    dout = rng.standard_normal(out.shape).astype(dtype)
+    dx = layer.backward(dout)
+    dw, db, dx_want = grads(dout)
+    np.testing.assert_allclose(dx, dx_want, **TOL[dx.dtype])
+    np.testing.assert_allclose(layer.weight.grad, dw, rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(layer.bias.grad, db, rtol=1e-4, atol=1e-4)
+    assert sliced == [2, 2, 1] * 2 and pool.out == 0
 
 
 # ------------------------------------------------------- (c) nothing escapes
@@ -310,6 +351,75 @@ def test_two_trainers_on_two_threads_share_the_pool_bit_for_bit(pool):
     assert pool.out == 0
 
 
+def test_the_codec_borrows_from_the_layers_workspace(monkeypatch, rng):
+    codec = SZCompressor(error_bound=1e-2)
+    pools, encode = [], codec._kernels.quantize_encode
+
+    def quantize_encode(x, eb, radius, ndim, pool, stack):
+        pools.append(pool)
+        return encode(x, eb, radius, ndim, pool, stack)
+
+    kernels = dataclasses.replace(codec._kernels, quantize_encode=quantize_encode)
+    monkeypatch.setattr(codec, "_kernels", kernels)
+    codec.compress(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+    assert len(pools) == 1 and pools[0] is scratch.WORKSPACE is conv.WORKSPACE is pooling.WORKSPACE
+
+
+E2E = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks", "e2e", "configs")
+
+
+def train_sz_steps():
+    """A fresh ``train_sz`` session on the benchmark's task, as a stream
+    of step results, with the workspace emptied first."""
+    with open(os.path.join(E2E, "workloads.json")) as f:
+        task = json.load(f)["task"]
+    dataset = SyntheticImageDataset(
+        num_classes=task["num_classes"], image_size=task["image_size"], signal=task["signal"], seed=3
+    )
+    net = build_scaled_model(
+        task["model"],
+        num_classes=task["num_classes"],
+        image_size=task["image_size"],
+        batch=task["batch_size"],
+        rng=np.random.default_rng(task["weight_seed"]),
+    )
+    scratch.WORKSPACE.clear()
+    with build_session(net, SessionConfig.from_json(os.path.join(E2E, "train_sz.json"))) as session:
+        for images, labels in batches(dataset, task["batch_size"], 12, seed=3):
+            yield session.train_step(images, labels)
+
+
+def test_a_train_sz_step_borrows_nothing_new_after_warm_up():
+    steps = train_sz_steps()
+    for _ in range(2):
+        next(steps)
+    misses = scratch.WORKSPACE.misses
+    assert all(np.isfinite(step.loss) for step in steps)
+    assert scratch.WORKSPACE.misses == misses
+
+
+#: traced high-water mark of three steady-state steps of a ``train_sz``
+#: session traced from its build, pool included: 7.2 MiB measured, x 1.2.
+#: Full-batch patch matrices plus a private codec pool read 13.9 MiB.
+TRACED_PEAK_CEILING = int(7.2 * 1.2 * 2**20)
+
+
+def test_train_sz_steps_trace_under_the_ceiling():
+    steps = train_sz_steps()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            next(steps)
+        tracemalloc.reset_peak()
+        for _ in range(3):
+            next(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        steps.close()
+    assert peak < TRACED_PEAK_CEILING
+
+
 # ------------------------------------------------- the import cycle is gone
 @pytest.mark.parametrize("sanitize", ["", "1"])
 def test_the_pool_is_built_while_nn_is_imported_without_repro_core(sanitize):
@@ -317,11 +427,28 @@ def test_the_pool_is_built_while_nn_is_imported_without_repro_core(sanitize):
     ``repro.core`` package, which imports ``repro.nn`` back."""
     code = (
         "import sys, numpy as np\n"
-        "from repro.nn.layers.conv import WORKSPACE\n"
+        "import repro.nn\n"
+        "from repro.utils.scratch import WORKSPACE\n"
         f"assert ('repro.core' in sys.modules) == {bool(sanitize)}\n"
         "with WORKSPACE.take((4,), np.float32) as buf:\n"
         "    buf[:] = 1.0\n"
         f"assert bool(np.isnan(buf).all()) == {bool(sanitize)}\n"
+    )
+    env = dict(os.environ, REPRO_SANITIZE=sanitize, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("sanitize", ["", "1"])
+def test_a_buffer_the_codec_returns_to_the_workspace_is_poisoned(sanitize):
+    code = (
+        "import numpy as np\n"
+        "from repro.compression.szlike import SZCompressor\n"
+        "from repro.utils.scratch import WORKSPACE\n"
+        "x = np.random.default_rng(0).standard_normal((4, 8, 8)).astype(np.float32)\n"
+        "SZCompressor(error_bound=1e-2).compress(x)\n"
+        "(work,) = WORKSPACE._free[np.dtype(np.float64)]\n"
+        f"assert bool(np.isnan(work).all()) == {bool(sanitize)}\n"
     )
     env = dict(os.environ, REPRO_SANITIZE=sanitize, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
