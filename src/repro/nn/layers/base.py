@@ -112,6 +112,9 @@ class Layer:
 
     # -- saved-tensor plumbing ---------------------------------------------
     def _save(self, key: str, arr: np.ndarray) -> None:
+        # a handle still here belongs to a forward whose backward never ran
+        if key in self._saved:
+            self.saved_ctx.discard(self, key, self._saved.pop(key))
         self._saved[key] = self.saved_ctx.pack(self, key, arr)
 
     def _load(self, key: str) -> np.ndarray:

@@ -1,21 +1,33 @@
 """2-D convolution with exact analytic backward pass (im2col formulation).
 
 The layer's saved tensor is its *input activation* — the tensor the paper
-compresses.  ``im2col`` patches are recomputed during backward rather than
+compresses.  Patch matrices are recomputed during backward rather than
 saved (they are ``k*k`` times larger than the activation), matching how
 training frameworks checkpoint convolutions.
 
 The patch matrix is channel-major, ``(C*k*k, N*Ho*Wo)``: it is filled by
 ``k*k`` slab copies out of a zero-bordered buffer, each one a strided view
 whose rows stay contiguous along ``W``, so no element-wise gather is ever
-made.  Forward is the GEMM ``W(Cout, C*k*k) @ cols``; backward is
-``dW = dmat @ cols.T`` and ``dcols = W.T @ dmat`` plus :func:`col2im`,
-which scatter-adds the same ``k*k`` slabs.  A layer builds the patch
-matrix for one batch slice at a time, of as many images as fit in
-:data:`PATCH_BUDGET_BYTES` (at least one), and writes each slice's result
-into the NCHW output or ``dx``: a pass holds one slice's patches, not
-the batch's.  Every array that does not outlive the call is borrowed
-from :data:`repro.utils.scratch.WORKSPACE`.
+made.  Forward is the GEMM ``W(Cout, C*k*k) @ cols``, batched over the
+images' column blocks and written straight into the NCHW output.  Backward
+takes one of two paths, chosen by the geometry alone:
+
+* stride 1 and ``padding <= k-1``: the transposed convolution.  One patch
+  matrix of the upstream gradient, ``D = im2col(dout, k, 1, k-1-p)``, has
+  exactly the input's ``N*H*W`` columns; ``dx = Wflip @ D`` (``W`` with
+  both spatial axes flipped and its channel axes swapped) is batched
+  straight into NCHW ``dx``, and ``dW`` is ``D @ X.T`` (``X`` the input as
+  ``(C, N*H*W)``) read at flipped window offsets.  There is no
+  :func:`col2im` and no ``(C*k*k, N*H*W)`` gradient matrix.
+* any other geometry: ``dW = dmat @ cols.T`` and ``dcols = W.T @ dmat``,
+  scatter-added back by :func:`col2im`.  At stride ``s`` the transposed
+  form would need a dilated ``dout`` with ``s*s`` times the columns.
+
+A pass builds its patch matrix for one batch slice at a time, of as many
+images as fit in :data:`PATCH_BUDGET_BYTES` (at least one), and writes
+each slice's result into the NCHW output or ``dx``: a pass holds one
+slice's patches, not the batch's.  Every array that does not outlive the
+call is borrowed from :data:`repro.utils.scratch.WORKSPACE`.
 """
 
 from __future__ import annotations
@@ -105,6 +117,18 @@ def col2im(
         return dxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3).copy()
 
 
+def batch_slices(n: int, image_bytes: int) -> Iterator[slice]:
+    """Slices of a batch of ``n`` whose patch matrices, ``image_bytes`` per
+    image, each fit in :data:`PATCH_BUDGET_BYTES`."""
+    step = max(1, PATCH_BUDGET_BYTES // image_bytes)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def per_image(mat: np.ndarray, n: int) -> np.ndarray:
+    """``(R, n*m)`` as the ``(n, R, m)`` view of its per-image column blocks."""
+    return mat.reshape(len(mat), n, -1).transpose(1, 0, 2)
+
+
 class Conv2D(Layer):
     """``(N, C_in, H, W) -> (N, C_out, Ho, Wo)`` convolution layer."""
 
@@ -139,13 +163,6 @@ class Conv2D(Layer):
     def parameters(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
 
-    def _batch_slices(self, x: np.ndarray, ho: int, wo: int) -> Iterator[slice]:
-        """The batch slices a pass over ``x`` visits, each one's patch
-        matrix within :data:`PATCH_BUDGET_BYTES`."""
-        image = self.weight.data[0].size * ho * wo * x.dtype.itemsize
-        step = max(1, PATCH_BUDGET_BYTES // image)
-        return (slice(lo, lo + step) for lo in range(0, x.shape[0], step))
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
@@ -154,29 +171,57 @@ class Conv2D(Layer):
         ho, wo = conv_output_hw(x.shape[2], x.shape[3], self.kernel, self.stride, self.padding)
         wmat = self.weight.data.reshape(self.out_channels, -1)
         out = np.empty((x.shape[0], self.out_channels, ho, wo), np.result_type(wmat, x))
-        for sl in self._batch_slices(x, ho, wo):
+        for sl in batch_slices(len(x), wmat.shape[1] * ho * wo * x.itemsize):
             xs = x[sl]
-            m = len(xs) * ho * wo
-            with WORKSPACE.take((wmat.shape[1], m), x.dtype) as cols, WORKSPACE.take(
-                (self.out_channels, m), out.dtype
-            ) as mat:
+            with WORKSPACE.take((wmat.shape[1], len(xs) * ho * wo), x.dtype) as cols:
                 im2col(xs, self.kernel, self.stride, self.padding, out=cols)
-                np.matmul(wmat, cols, out=mat)
-                if self.bias is not None:
-                    mat += self.bias.data[:, None]
-                out[sl] = mat.reshape(self.out_channels, -1, ho, wo).transpose(1, 0, 2, 3)
+                outs = out[sl].reshape(len(xs), self.out_channels, -1)
+                np.matmul(wmat, per_image(cols, len(xs)), out=outs)
+            if self.bias is not None:
+                outs += self.bias.data[:, None]
         if self.training:
             self._save("x", x)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x = self._pop("x")
-        cout, ho, wo = dout.shape[1:]
-        wmat = self.weight.data.reshape(cout, -1)
         dx = None
         if self.needs_input_grad:
-            dx = np.empty(x.shape, np.result_type(wmat, dout))
-        for sl in self._batch_slices(x, ho, wo):
+            dx = np.empty(x.shape, np.result_type(self.weight.data, dout))
+        if self.bias is not None:
+            self.bias.grad += dout.sum(axis=(0, 2, 3))
+        if self.stride == 1 and self.padding < self.kernel:
+            self._backward_transposed(x, dout, dx)
+        else:
+            self._backward_col2im(x, dout, dx)
+        return dx
+
+    def _backward_transposed(self, x, dout, dx) -> None:
+        """Stride 1, ``padding <= k-1``: ``dW`` and ``dx`` from one patch
+        matrix of ``dout`` per slice, whose columns are the input's pixels."""
+        k, (_, c, h, w), cout = self.kernel, x.shape, dout.shape[1]
+        rows = cout * k * k
+        # Wflip[c, (co, i, j)] = W[co, c, k-1-i, k-1-j]
+        wflip = self.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, rows)
+        for sl in batch_slices(len(x), rows * h * w * dout.itemsize):
+            xs, ds = x[sl], dout[sl]
+            with WORKSPACE.take((rows, len(ds) * h * w), dout.dtype) as d, WORKSPACE.take(
+                (c, len(xs), h, w), x.dtype
+            ) as xt:
+                im2col(ds, k, 1, k - 1 - self.padding, out=d)
+                xt[...] = xs.transpose(1, 0, 2, 3)
+                # dW[co, c, i, j] = (X @ D.T)[c, (co, k-1-i, k-1-j)], taken as D @ X.T:
+                # BLAS streams the long N*H*W axis of the big operand row by row
+                dw = (d @ xt.reshape(c, -1).T).reshape(cout, k, k, c)
+                self.weight.grad += dw[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+                if dx is not None:
+                    np.matmul(wflip, per_image(d, len(ds)), out=dx[sl].reshape(len(ds), c, -1))
+
+    def _backward_col2im(self, x, dout, dx) -> None:
+        """Any other geometry: ``im2col(x)`` for ``dW``, :func:`col2im` for ``dx``."""
+        cout, ho, wo = dout.shape[1:]
+        wmat = self.weight.data.reshape(cout, -1)
+        for sl in batch_slices(len(x), wmat.shape[1] * ho * wo * x.itemsize):
             xs, ds = x[sl], dout[sl]
             cols_shape = (wmat.shape[1], len(ds) * ho * wo)
             with WORKSPACE.take((cout, len(ds), ho, wo), dout.dtype) as d4:
@@ -187,15 +232,12 @@ class Conv2D(Layer):
                     # dW = dmat @ cols.T, taken as (cols @ dmat.T).T: BLAS streams the long
                     # N*Ho*Wo axis of the big operand row by row instead of column by column.
                     self.weight.grad += (cols @ dmat.T).T.reshape(self.weight.data.shape)
-                if self.bias is not None:
-                    self.bias.grad += dmat.sum(axis=1)
                 if dx is None:
                     continue
                 # dW is taken: the pool hands the patch buffer straight back for dcols
                 with WORKSPACE.take(cols_shape, dx.dtype) as dcols:
                     np.matmul(wmat.T, dmat, out=dcols)
                     dx[sl] = col2im(dcols, xs.shape, self.kernel, self.stride, self.padding)
-        return dx
 
     def output_shape(self, in_shape):
         n, c, h, w = in_shape

@@ -530,6 +530,50 @@ class TestArenaTraining:
             assert sess.tracker._live_raw == 0
             assert all(r > 1 for r in sess.ratio_history())
 
+    def test_a_forward_whose_backward_never_ran_leaks_no_key(self, monkeypatch):
+        """A training forward left without its backward (the loss raised, or
+        backward raised part way): the next forward's saves discard the
+        handles they replace, so the following step leaves the arena empty."""
+        from repro.api import AdaptiveSpec
+        from repro.core import CompressedTraining
+        from repro.nn import SyntheticImageDataset, Trainer, batches
+
+        net = Sequential([
+            Conv2D(3, 6, 3, padding=1, rng=1), ReLU(), MaxPool2D(2),
+            Conv2D(6, 8, 3, padding=1, rng=2), ReLU(), MaxPool2D(2),
+            Flatten(), Linear(8 * 4 * 4, 4, rng=3),
+        ])
+        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
+        tr = Trainer(net, opt)
+        ds = SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
+        steps = batches(ds, 8, 4, seed=0)
+        with ByteArena(budget_bytes=2048) as arena:
+            tracker = CompressedTraining(
+                net, opt, compressor=SZCompressor(entropy="zlib"),
+                config=AdaptiveSpec(W=5, warmup_iterations=2), storage=arena,
+            ).attach(tr).tracker
+            images, labels = next(steps)
+            net.forward(images)
+            one_forward = len(arena), tracker._live_raw, tracker._live_stored
+            assert one_forward[0] > 0
+            net.forward(images)  # replaces every handle: one forward's worth, not two
+            assert (len(arena), tracker._live_raw, tracker._live_stored) == one_forward
+            tr.train_step(*next(steps))
+            assert len(arena) == 0
+            assert tracker._live_raw == 0 and tracker._live_stored == 0
+
+            def raising(dout):
+                raise RuntimeError("backward failed")
+
+            monkeypatch.setattr(net.layers[4], "backward", raising)
+            with pytest.raises(RuntimeError, match="backward failed"):
+                tr.train_step(*next(steps))
+            assert len(arena) > 0  # the layers below the failure kept their handles
+            monkeypatch.undo()
+            tr.train_step(*next(steps))
+            assert len(arena) == 0
+            assert tracker._live_raw == 0 and tracker._live_stored == 0
+
 
 class TestGroupStats:
     """Entries tagged with put(group=...) are accounted per group; the one

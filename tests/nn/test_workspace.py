@@ -136,13 +136,27 @@ def avgpool_fresh(x, k, s, p):
 
 # ----------------------------------------------------------- (a) footprint
 def conv_temporaries_nbytes(layer, in_shape):
-    """Bordered input + patch matrix + GEMM output of one float32 conv
-    pass over one batch slice: what the layer holds at once."""
+    """What one float32 conv pass over one batch slice holds at once, the
+    larger of the two passes.  Forward: the bordered input and its patch
+    matrix.  Backward at stride 1, ``p <= k-1``: the bordered ``dout``, its
+    patch matrix and the channel-major input; at any other geometry: the
+    transposed ``dout``, the input's patch matrix (then ``dcols``) and the
+    bordered input (then ``col2im``'s bordered target)."""
     n, c, h, w = in_shape
     _, cout, ho, wo = layer.output_shape(in_shape)
     p, k = layer.padding, layer.kernel
-    m = min(n, max(1, conv.PATCH_BUDGET_BYTES // (4 * c * k * k * ho * wo)))
-    return 4 * m * (c * (h + 2 * p) * (w + 2 * p) + (c * k * k + cout) * ho * wo)
+
+    def per_slice(patch_elems, held_elems):
+        return 4 * min(n, max(1, conv.PATCH_BUDGET_BYTES // (4 * patch_elems))) * held_elems
+
+    bordered = c * (h + 2 * p) * (w + 2 * p)
+    forward = per_slice(c * k * k * ho * wo, bordered + c * k * k * ho * wo)
+    if layer.stride == 1 and p < k:
+        q = k - 1 - p
+        held = cout * (ho + 2 * q) * (wo + 2 * q) + cout * k * k * h * w + c * h * w
+        return max(forward, per_slice(cout * k * k * h * w, held))
+    held = cout * ho * wo + c * k * k * ho * wo + bordered
+    return max(forward, per_slice(c * k * k * ho * wo, held))
 
 
 def test_steady_state_borrows_nothing_new_and_holds_one_layers_worth(pool):
@@ -236,36 +250,115 @@ def test_pools_on_a_poisoned_pool_match_fresh_allocation_bit_for_bit(pool, rng, 
     assert pool.out == 0
 
 
+def transposed(kernel, stride, padding) -> bool:
+    """Whether the backward takes the transposed (``col2im``-free) path."""
+    return stride == 1 and padding < kernel
+
+
+def count_patch_matrices(monkeypatch):
+    """Record ``(channels, images)`` of every ``im2col`` call and count the
+    ``col2im`` calls a layer makes."""
+    calls = dict(im2col=[], col2im=0)
+    im2col_whole, col2im_whole = conv.im2col, conv.col2im
+
+    def im2col(xs, *args, **kwargs):
+        calls["im2col"].append(xs.shape[:2][::-1])
+        return im2col_whole(xs, *args, **kwargs)
+
+    def col2im(*args, **kwargs):
+        calls["col2im"] += 1
+        return col2im_whole(*args, **kwargs)
+
+    monkeypatch.setattr(conv, "im2col", im2col)
+    monkeypatch.setattr(conv, "col2im", col2im)
+    return calls
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
 def test_a_batch_cut_into_uneven_slices_matches_fresh_allocation(
     pool, rng, monkeypatch, kernel, stride, padding, dtype
 ):
-    """Five images, two to a slice: the one-image tail runs in the buffers
-    the two-image slices poisoned, so a stale tail reads as NaN."""
+    """Five images, two to a slice in each pass: the one-image tail runs in
+    the buffers the two-image slices poisoned, so a stale tail reads as NaN.
+    Each pass slices by its own patch matrix: forward by ``im2col(x)``'s
+    ``3*k*k`` rows of ``Ho*Wo`` columns an image, the transposed backward by
+    ``im2col(dout)``'s ``4*k*k`` rows of ``H*W``."""
     layer = Conv2D(3, 4, kernel, stride=stride, padding=padding, rng=1)
     layer.bias.data[:] = rng.standard_normal(4)
     x = rng.standard_normal((5, 3, 9, 7)).astype(dtype)
     _, _, ho, wo = layer.output_shape(x.shape)
     image = 3 * kernel * kernel * ho * wo * x.itemsize
-    monkeypatch.setattr(conv, "PATCH_BUDGET_BYTES", 3 * image - 1)
-    sliced, im2col_whole = [], conv.im2col
-
-    def im2col(xs, *args, **kwargs):
-        sliced.append(len(xs))
-        return im2col_whole(xs, *args, **kwargs)
-
-    monkeypatch.setattr(conv, "im2col", im2col)
+    backward_image = image
+    if transposed(kernel, stride, padding):
+        backward_image = 4 * kernel * kernel * 9 * 7 * x.itemsize
+    calls = count_patch_matrices(monkeypatch)
     _, want, grads = conv_fresh(x, layer.weight.data, layer.bias.data, kernel, stride, padding)
+    monkeypatch.setattr(conv, "PATCH_BUDGET_BYTES", 3 * image - 1)
     out = layer.forward(x)
     np.testing.assert_allclose(out, want, **TOL[out.dtype])
     dout = rng.standard_normal(out.shape).astype(dtype)
+    monkeypatch.setattr(conv, "PATCH_BUDGET_BYTES", 3 * backward_image - 1)
     dx = layer.backward(dout)
     dw, db, dx_want = grads(dout)
     np.testing.assert_allclose(dx, dx_want, **TOL[dx.dtype])
     np.testing.assert_allclose(layer.weight.grad, dw, rtol=1e-4, atol=1e-4)
     np.testing.assert_allclose(layer.bias.grad, db, rtol=1e-4, atol=1e-4)
-    assert sliced == [2, 2, 1] * 2 and pool.out == 0
+    patched = 4 if transposed(kernel, stride, padding) else 3
+    assert calls["im2col"] == [(3, 2), (3, 2), (3, 1), (patched, 2), (patched, 2), (patched, 1)]
+    assert pool.out == 0
+
+
+STRIDE_ONE = [g for g in GEOMETRIES if g[1] == 1]
+
+
+@pytest.mark.parametrize(
+    "case", ["f32", "f64", "f64-input-f32-dout", "strided-views", "one-image", "one-filter"]
+)
+@pytest.mark.parametrize("kernel,stride,padding", STRIDE_ONE)
+def test_the_stride_one_backward_matches_fresh_allocation(pool, rng, kernel, stride, padding, case):
+    n, cout = {"one-image": (1, 4), "one-filter": (3, 1)}.get(case, (3, 4))
+    x_dtype = np.float64 if case.startswith("f64") else np.float32
+    d_dtype = np.float64 if case == "f64" else np.float32
+    layer = Conv2D(3, cout, kernel, stride=stride, padding=padding, rng=1)
+    layer.bias.data[:] = rng.standard_normal(cout)
+    x = rng.standard_normal((n, 3, 9, 7)).astype(x_dtype)
+    if case == "strided-views":  # channel-reversed, every other row and column
+        x = rng.standard_normal((n, 3, 18, 14)).astype(x_dtype)[:, ::-1, ::2, 1::2]
+    _, want, grads = conv_fresh(x, layer.weight.data, layer.bias.data, kernel, stride, padding)
+    out = layer.forward(x)
+    np.testing.assert_allclose(out, want, **TOL[out.dtype])
+    dout = rng.standard_normal(out.shape).astype(d_dtype)
+    if case == "strided-views":
+        wide = out.shape[:2] + (2 * out.shape[2], out.shape[3])
+        dout = rng.standard_normal(wide).astype(d_dtype)[:, :, ::2]
+        assert not (x.flags.c_contiguous or dout.flags.c_contiguous)
+    dx = layer.backward(dout)
+    dw, db, dx_want = grads(dout)
+    assert dx.shape == x.shape and dx.dtype == np.result_type(np.float32, d_dtype)
+    np.testing.assert_allclose(dx, dx_want, **TOL[dx.dtype])
+    np.testing.assert_allclose(layer.weight.grad, dw, rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(layer.bias.grad, db, rtol=1e-4, atol=1e-4)
+    assert np.isfinite(dx).all() and pool.out == 0
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_only_a_strided_backward_scatters_through_col2im(pool, rng, monkeypatch, stride):
+    """A stride-1 backward builds one patch matrix of ``dout`` per slice
+    and no ``col2im``; a stride-2 one patches ``x`` and scatters back."""
+    layer = Conv2D(3, 4, 3, stride=stride, padding=1, rng=1)
+    x = rng.standard_normal((5, 3, 9, 7)).astype(np.float32)
+    dout = rng.standard_normal(layer.forward(x).shape).astype(np.float32)
+    calls = count_patch_matrices(monkeypatch)
+    _, _, ho, wo = dout.shape
+    image = 4 * (4 * 9 * 9 * 7 if stride == 1 else 3 * 9 * ho * wo)  # float32 patch bytes
+    monkeypatch.setattr(conv, "PATCH_BUDGET_BYTES", 2 * image)
+    layer.backward(dout)
+    if stride == 1:
+        assert calls == dict(im2col=[(4, 2), (4, 2), (4, 1)], col2im=0)
+    else:
+        assert calls == dict(im2col=[(3, 2), (3, 2), (3, 1)], col2im=3)
+    assert pool.out == 0
 
 
 # ------------------------------------------------------- (c) nothing escapes
