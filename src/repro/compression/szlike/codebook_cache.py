@@ -4,7 +4,7 @@ cuSZ (Tian et al. 2020) treats Huffman codebook construction as an
 amortizable *setup* cost: activation code distributions are stable
 across adjacent training iterations, so a codebook built at step *t* is
 near-optimal at step *t+1*.  Our canonical builder is a GIL-bound
-Python heap loop
+Python two-queue loop
 (:func:`~repro.compression.szlike.huffman._huffman_lengths`), and the
 dense decode tables are another per-codebook build.  Reusing the book
 across steps removes both from the steady-state path.

@@ -34,16 +34,20 @@ check (rebuild beyond a ``DELTA`` excess over the fresh-book estimate,
 or every ``REFRESH_INTERVAL`` uses) and an unconditional
 correctness escape — symbols with no codeword under a cached book are
 demoted to the outlier channel, so the error bound never depends on
-cache freshness.  The whole hot path is also allocation-lean and moves
-few bytes per value: the quantize/predict/code intermediates are borrowed
-from the process-wide :data:`~repro.utils.scratch.WORKSPACE` (the conv
-layers' buffers, never in use while a tensor is packed) in the narrowest
-integer dtype that is exact for the tensor (``int32`` unless a guard
-computed from the data selects ``int64``, see
-:mod:`repro.kernels.numpy_backend`), the entropy kernels are the
-pair-packed/blocked variants in :mod:`~repro.compression.szlike.huffman`,
-and decompression multiplies the grid indices straight into the output
-dtype.
+cache freshness.
+
+**Sliced halves.**  Planes over the last ``lorenzo_ndim`` axes predict
+independently, so both halves run over whole planes, at most
+:data:`SLICE_VALUES` values at a time, and the bytes are those of one
+whole-tensor pass: ``compress`` copies each slice's codes into one code
+array and appends its outliers; ``decompress`` decodes that array, then
+multiplies each slice's grid indices straight into the output dtype,
+handing it the next as many outliers as it holds markers.  What dies
+inside a call is borrowed from :data:`~repro.utils.scratch.WORKSPACE`
+(only the decode kernel allocates its grid, one slice's worth), in the
+narrowest integer dtype exact for the slice (see
+:mod:`repro.kernels.numpy_backend`), so compression adds nothing to what
+the conv layers already hold there.
 
 The codec is two calls on self-describing objects, as cuSZ is:
 ``compress(x)`` returns a :class:`CompressedTensor` that carries
@@ -71,8 +75,8 @@ from repro.compression.szlike.huffman import (
     huffman_decode,
     huffman_encode,
 )
-from repro.compression.szlike.quantizer import QuantizedResiduals
 from repro.kernels import get_backend
+from repro.kernels.numpy_backend import codes_dtype_for_radius
 from repro.utils import profiler
 from repro.utils.scratch import WORKSPACE
 
@@ -90,6 +94,27 @@ HEADER_BYTES = 64
 _ENTROPY_STAGES = ("huffman", "zlib", "huffman+zlib", "none")
 #: DEFLATE level of the ``zlib`` / ``huffman+zlib`` entropy stages
 ZLIB_LEVEL = 1
+#: values either half of the codec works on at once, in whole planes (one
+#: at least).  An encode slice borrows 19 B a value, 608 KiB: with the
+#: largest ``train_sz`` activation's 256 KiB of codes beneath it, under
+#: the 1.26 MiB the conv layers hold in the workspace.
+SLICE_VALUES = 1 << 15
+
+
+def _slices(shape: tuple, ndim: int):
+    """``(start, stop, shape)`` of each slice of a C-order *shape* whose
+    trailing *ndim* axes are Lorenzo-predicted: flat value ranges of
+    whole planes over the leading axes, or the one whole tensor when
+    there is no leading axis."""
+    lead = len(shape) - ndim
+    if lead <= 0:
+        yield 0, math.prod(shape), tuple(shape)
+        return
+    n, plane = math.prod(shape[:lead]), math.prod(shape[lead:])
+    step = max(1, SLICE_VALUES // max(plane, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield lo * plane, hi * plane, (hi - lo, *shape[lead:])
 
 
 def _pack_outliers(outliers: np.ndarray) -> np.ndarray:
@@ -273,23 +298,21 @@ class SZCompressor:
     def _effective_ndim(self, x: np.ndarray) -> int:
         return max(1, min(self.lorenzo_ndim, x.ndim))
 
-    def _quantized_codes(self, x: np.ndarray, eb: float, stack: ExitStack):
-        """Run quantize -> predict -> codes over pooled scratch buffers.
-
-        The whole front half is one backend kernel (``quantize_encode``:
-        grid round, Lorenzo prediction, bounded-code mapping — fused on
-        compiled backends).  Returns ``(qr, flat_delta)``; both
-        reference pooled memory owned by *stack*, so they are valid only
-        until the stack closes.
-        """
-        ndim = self._effective_ndim(x)
-        codes, outliers, flat = self._kernels.quantize_encode(
-            x, eb, self.radius, ndim, WORKSPACE, stack
-        )
-        qr = QuantizedResiduals(
-            codes=codes, outliers=outliers, radius=self.radius, shape=x.shape
-        )
-        return qr, flat
+    def _quantize_slices(self, x: np.ndarray, eb: float, ndim: int, codes: np.ndarray):
+        """The front half, one slice at a time: the ``quantize_encode``
+        kernel's codes copied into *codes*; returns the outliers, in
+        positional order."""
+        flat = x.reshape(-1)
+        parts = []
+        for start, stop, shape in _slices(x.shape, ndim):
+            with ExitStack() as stack:
+                part, outliers, _ = self._kernels.quantize_encode(
+                    flat[start:stop].reshape(shape), eb, self.radius, ndim, WORKSPACE, stack
+                )
+                codes[start:stop] = part.reshape(-1)
+            if outliers.size:
+                parts.append(outliers)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def _resolve_codebook(
         self,
@@ -312,9 +335,10 @@ class SZCompressor:
     @staticmethod
     def _demote_uncovered(
         codes: np.ndarray,
-        flat_delta: np.ndarray,
+        outliers: np.ndarray,
         hist: np.ndarray,
         codebook: HuffmanCodebook,
+        radius: int,
     ):
         """Escape symbols without codewords to the outlier channel.
 
@@ -333,14 +357,20 @@ class SZCompressor:
         n_escape = int(hist[bad_syms].sum())
         if n_escape == 0:
             return None, 0, hist
-        codes[bad_syms[codes]] = 0
+        # The outlier stream in positional order, as the decode consumes
+        # it: the stored residual at an existing marker, ``code - radius``
+        # at a freshly demoted position.
+        escapes = bad_syms.copy()
+        escapes[0] = True
+        at = escapes[codes]
+        merged = codes[at].astype(np.int64)
+        stored = merged == 0
+        merged -= radius
+        merged[stored] = outliers
+        codes[at] = 0
         hist = np.where(bad_syms, 0, hist)
         hist[0] += n_escape
-        # Recompute the outlier stream in positional order: existing
-        # markers and the freshly demoted positions interleave exactly as
-        # residuals_from_codes will consume them.
-        outliers = flat_delta[codes.reshape(-1) == 0].astype(np.int64)
-        return outliers, n_escape, hist
+        return merged, n_escape, hist
 
     # -- API -------------------------------------------------------------
     def compress(
@@ -362,7 +392,8 @@ class SZCompressor:
             raise TypeError(f"SZCompressor expects floating-point input, got {x.dtype}")
         if x.size == 0:
             raise ValueError("cannot compress an empty tensor")
-        if not np.all(np.isfinite(x)):
+        # NaN and +-inf both reach an extreme: no stream-sized mask
+        if not (math.isfinite(float(x.min())) and math.isfinite(float(x.max()))):
             raise ValueError("input contains non-finite values")
         eb = float(error_bound) if error_bound is not None else self.resolve_error_bound(x)
         if not 0 < eb < np.inf:
@@ -370,38 +401,38 @@ class SZCompressor:
         ndim = self._effective_ndim(x)
 
         with ExitStack() as stack:
-            qr, flat_delta = self._quantized_codes(x, eb, stack)
+            codes = stack.enter_context(
+                WORKSPACE.take((x.size,), codes_dtype_for_radius(self.radius))
+            )
+            outliers = self._quantize_slices(x, eb, ndim, codes)
             out_codebook = None
             total_bits = 0
             chunk_offsets = None
-            outliers = qr.outliers
-            count = int(qr.codes.size)
-            raw_codes_dtype = str(qr.codes.dtype)
             if self.entropy in ("huffman", "huffman+zlib"):
                 with profiler.stage("encode"):
                     # one histogram feeds the codebook build / cache check
                     # and sizes the encoder's payload
-                    hist = histogram(qr.codes, self.dict_size)
+                    hist = histogram(codes, self.dict_size)
                     out_codebook, reused = self._resolve_codebook(
                         hist, cache_key, x.shape, x.dtype
                     )
                     if reused:
                         escaped, n_escape, hist = self._demote_uncovered(
-                            qr.codes, flat_delta, hist, out_codebook
+                            codes, outliers, hist, out_codebook, self.radius
                         )
                         if escaped is not None:
                             outliers = escaped
                             self.codebook_cache.note_escapes(n_escape)
                     payload, total_bits, chunk_offsets = huffman_encode(
-                        qr.codes, out_codebook, kernels=self._kernels, hist=hist
+                        codes, out_codebook, kernels=self._kernels, hist=hist
                     )
                     if self.entropy == "huffman+zlib":
                         payload = zlib.compress(payload, ZLIB_LEVEL)
             elif self.entropy == "zlib":
                 with profiler.stage("encode"):
-                    payload = zlib.compress(qr.codes.tobytes(), ZLIB_LEVEL)
+                    payload = zlib.compress(codes, ZLIB_LEVEL)
             else:  # 'none'
-                payload = qr.codes.tobytes()
+                payload = codes.tobytes()
             packed_outliers = _pack_outliers(outliers)
 
         return CompressedTensor(
@@ -413,17 +444,18 @@ class SZCompressor:
             entropy=self.entropy,
             payload=payload,
             total_bits=total_bits,
-            count=count,
+            count=x.size,
             outliers=packed_outliers,
             chunk_offsets=chunk_offsets,
             codebook=out_codebook,
             zero_filter=self.zero_filter,
-            raw_codes_dtype=raw_codes_dtype,
+            raw_codes_dtype=str(codes.dtype),
         )
 
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         """Reconstruct the tensor; max abs error is ``ct.error_bound``."""
-        with profiler.stage("decode"):
+        x = np.empty(ct.shape, dtype=ct.dtype)
+        with profiler.stage("decode"), ExitStack() as stack:
             if ct.entropy in ("huffman", "huffman+zlib"):
                 payload = ct.payload
                 if ct.entropy == "huffman+zlib":
@@ -435,6 +467,9 @@ class SZCompressor:
                     ct.codebook,
                     chunk_offsets=ct.chunk_offsets,
                     kernels=self._kernels,
+                    out=stack.enter_context(
+                        WORKSPACE.take((ct.count,), ct.codebook.symbol_dtype)
+                    ),
                 )
             else:
                 codes_dtype = np.dtype(ct.raw_codes_dtype)
@@ -446,19 +481,10 @@ class SZCompressor:
                 codes = np.frombuffer(payload, dtype=codes_dtype)
                 if codes.size != ct.count:
                     raise ValueError(f"payload holds {codes.size} codes, expected {ct.count}")
-
-            # The back half is one backend kernel (``quantize_decode``:
-            # outlier re-injection + per-axis cumulative sums, fused on
-            # compiled backends); the kernel picks the grid dtype.
-            q = self._kernels.quantize_decode(
-                codes, ct.outliers, ct.radius, ct.shape, ct.lorenzo_ndim
-            )
-            # ``reconstruct`` without its temporaries: the same float64
-            # product, rounded once into the output dtype.
-            x = np.empty(ct.shape, dtype=ct.dtype)
-            np.multiply(q, 2.0 * ct.error_bound, out=x, dtype=np.float64, casting="unsafe")
+            self._dequantize_slices(codes, ct, x.reshape(-1))
         if self.emulate_zero_drift:
-            zeros = q == 0
+            # q = 0 is the one grid index that reconstructs to 0
+            zeros = x == 0
             n_zero = int(zeros.sum())
             if n_zero:
                 with self._rng_lock:
@@ -477,6 +503,32 @@ class SZCompressor:
         ):
             x[np.abs(x) <= ct.error_bound] = 0
         return x
+
+    def _dequantize_slices(self, codes: np.ndarray, ct: CompressedTensor, out: np.ndarray) -> None:
+        """The back half, one slice at a time: the ``quantize_decode``
+        kernel's grid indices times ``2 * eb`` in float64, rounded once
+        into *out*.  Each slice takes the next as many outliers as it
+        holds markers; a total that differs is corruption."""
+        outliers, cursor = ct.outliers, 0
+        for start, stop, shape in _slices(ct.shape, ct.lorenzo_ndim):
+            part = codes[start:stop]
+            n_out = part.size - int(np.count_nonzero(part))
+            if cursor + n_out > outliers.size:
+                cursor = -1  # more markers than outliers
+                break
+            q = self._kernels.quantize_decode(
+                part, outliers[cursor : cursor + n_out], ct.radius, shape, ct.lorenzo_ndim
+            )
+            cursor += n_out
+            np.multiply(
+                q.reshape(-1), 2.0 * ct.error_bound, out=out[start:stop],
+                dtype=np.float64, casting="unsafe",
+            )
+        if cursor != outliers.size:
+            markers = codes.size - int(np.count_nonzero(codes))
+            raise ValueError(
+                f"outlier bookkeeping mismatch: {markers} markers vs {outliers.size} stored values"
+            )
 
     def roundtrip(self, x: np.ndarray, error_bound: Optional[float] = None) -> np.ndarray:
         """Convenience: decompress(compress(x))."""

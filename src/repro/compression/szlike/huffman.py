@@ -22,8 +22,9 @@ direction needs a Python-level per-symbol loop:
   and the decoder iterates over symbol slots while processing **all
   chunks simultaneously**.  Each step reads the current codeword's
   L-bit window out of a 24-bit window-at-byte view of the payload (one
-  gather + shift + mask), so scratch is ~4x the payload plus
-  O(#chunks) per step plus the dense decode table (3 bytes per
+  gather + shift + mask), so scratch is ~4x the payload (borrowed
+  from the workspace, as the symbols are when the caller passes
+  ``out=``) plus O(#chunks) per step plus the dense decode table (3 bytes per
   prefix), which is **cached on the codebook**: a book the
   cross-iteration
   :class:`~repro.compression.szlike.codebook_cache.CodebookCache`
@@ -69,7 +70,6 @@ running its own.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,7 +97,13 @@ MAX_CODE_LENGTH = 16
 
 
 def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
-    """Code length per symbol from frequencies (0 for absent symbols)."""
+    """Code length per symbol from frequencies (0 for absent symbols).
+
+    Two queues: the leaves sorted by (frequency, symbol) and the internal
+    nodes in creation order, whose frequencies never fall.  Each merge
+    takes the two smallest heads, a tie going to the leaf — the tree of a
+    heap keyed ``(frequency, symbol or creation count past every symbol)``.
+    A node's depth is its parent's plus one, read back from the root."""
     present = np.nonzero(freqs)[0]
     lengths = np.zeros(freqs.size, dtype=np.uint8)
     if present.size == 0:
@@ -105,22 +111,26 @@ def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
     if present.size == 1:
         lengths[present[0]] = 1
         return lengths
-    # Standard heap construction; nodes carry their leaf sets so depths can
-    # be assigned when the tree is complete.  Alphabet size is small (<= 64Ki
-    # in practice ~1Ki) and the CodebookCache amortizes rebuilds across
-    # iterations, so this Python loop stays off the steady-state hot path.
-    heap = [(int(freqs[s]), int(s), [int(s)]) for s in present]
-    heapq.heapify(heap)
-    counter = int(freqs.size)
-    while len(heap) > 1:
-        f1, _, s1 = heapq.heappop(heap)
-        f2, _, s2 = heapq.heappop(heap)
-        for s in s1:
-            lengths[s] += 1
-        for s in s2:
-            lengths[s] += 1
-        counter += 1
-        heapq.heappush(heap, (f1 + f2, counter, s1 + s2))
+    leaves = present[np.lexsort((present, freqs[present]))]
+    # nodes 0 .. n-1 are the leaves in queue order, node n + k the k-th merge
+    weight = freqs[leaves].tolist()
+    n = len(weight)
+    parent = [0] * (2 * n - 1)
+    leaf, node = 0, n  # the two queue heads
+    for new in range(n, 2 * n - 1):
+        total = 0
+        for _ in range(2):
+            if leaf < n and (node == new or weight[leaf] <= weight[node]):
+                pick, leaf = leaf, leaf + 1
+            else:
+                pick, node = node, node + 1
+            parent[pick] = new
+            total += weight[pick]
+        weight.append(total)
+    depth = [0] * (2 * n - 1)
+    for i in range(2 * n - 3, -1, -1):
+        depth[i] = depth[parent[i]] + 1
+    lengths[leaves] = depth[:n]
     return lengths
 
 
@@ -239,13 +249,14 @@ class HuffmanCodebook:
             # canonical codes cover the prefixes in (length, symbol) order,
             # each 2^(L - l) wide; a single-symbol book's one 1-bit code
             # leaves the upper half as (symbol 0, length 1) padding
+            # (repeating the narrow arrays: no 8 B-per-prefix temporaries)
             syms, lens = _canonical_order(self.lengths)
             width = 1 << (L - lens)
             n = int(width.sum())
             tsym = np.zeros(1 << L, dtype=self.symbol_dtype)
             tlen = np.ones(1 << L, dtype=np.uint8)
-            tsym[:n] = np.repeat(syms, width)
-            tlen[:n] = np.repeat(lens, width)
+            tsym[:n] = np.repeat(syms.astype(tsym.dtype), width)
+            tlen[:n] = np.repeat(lens.astype(np.uint8), width)
             self._tables = (tsym, tlen)
         return self._tables
 
@@ -366,11 +377,14 @@ def huffman_decode(
     chunk_offsets: np.ndarray,
     chunk_size: Optional[int] = None,
     kernels=None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Decode *count* symbols from *payload*, all chunks at once.
 
     *chunk_offsets* is the encoder's chunk table; ``chunk_size=None``
     derives the geometry from *count* exactly as the encoder did.
+    *out*, a *count*-long array in the book's :attr:`~HuffmanCodebook.symbol_dtype`,
+    receives the symbols instead of a fresh array.
     Metadata validation and the dense-table build live here (identical
     errors on every backend); the window-gather loop is a backend
     kernel (``huffman_unpack_window``, *kernels* selects the backend,
@@ -381,7 +395,7 @@ def huffman_decode(
     walks each chunk sequentially.
     """
     if count == 0:
-        return np.zeros(0, dtype=codebook.symbol_dtype)
+        return np.zeros(0, dtype=codebook.symbol_dtype) if out is None else out
     L = codebook.max_length
     if L == 0:
         raise ValueError("codebook is empty")
@@ -399,7 +413,7 @@ def huffman_decode(
         raise ValueError("chunk offsets out of range")
     kernels = kernels if kernels is not None else get_backend("numpy")
     return kernels.huffman_unpack_window(
-        payload, total_bits, count, tsym, tlen, L, pos, chunk_size
+        payload, total_bits, count, tsym, tlen, L, pos, chunk_size, out=out
     )
 
 

@@ -56,6 +56,7 @@ from repro.core.arena import ByteArena
 from repro.core.engine import SyncEngine
 from repro.core.memory_tracker import MemoryTracker
 from repro.nn.layers.base import Layer, SavedTensorContext
+from repro.utils.scratch import WORKSPACE
 
 __all__ = ["CompressingContext", "PackedActivation", "ResolvedPolicy"]
 
@@ -234,10 +235,11 @@ class CompressingContext(SavedTensorContext):
         if eb is not None:
             # ``out[out <= eb] = 0`` without the boolean-mask store
             # (~4 ns per element on a half-sparse mask): multiply by
-            # the keep-mask, then ``+ 0.0`` turns a zeroed ``-0.0``
-            # back into ``+0.0``.  NaN and +inf pass through as they
-            # do in the masked form.
-            np.multiply(out, out > eb, out=out)
+            # the (borrowed) keep-mask, then ``+ 0.0`` turns a zeroed
+            # ``-0.0`` back into ``+0.0``.  NaN and +inf pass through as
+            # they do in the masked form.
+            with WORKSPACE.take(out.shape, bool) as keep:
+                np.multiply(out, np.greater(out, eb, out=keep), out=out)
             out += 0.0
         return out
 

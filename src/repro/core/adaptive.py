@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.activation_store import CompressingContext
 from repro.core.error_model import error_bound_for_sigma
 from repro.core.gradient_assessment import GradientAssessor
+from repro.utils.scratch import WORKSPACE
 
 if TYPE_CHECKING:
     from repro.api.config import AdaptiveSpec
@@ -70,8 +71,9 @@ class AdaptiveController:
     def record_loss(self, layer_name: str, dout: np.ndarray, param: "Parameter") -> None:
         """Collect L_bar, M and (from *param*'s momentum, before the
         layer's backward can update it) the Eq. 8 sigma budget."""
-        d = dout.astype(np.float64)
-        self.loss_scales[layer_name] = float(np.sqrt((d * d).mean()))
+        with WORKSPACE.take(dout.shape, np.float64) as sq:
+            np.square(dout, out=sq, dtype=np.float64)
+            self.loss_scales[layer_name] = float(np.sqrt(sq.mean()))
         n, _, ho, wo = dout.shape
         self.combined_elements[layer_name] = int(n * ho * wo)
         if self.ctx.policy(layer_name).adaptive:

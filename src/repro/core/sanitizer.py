@@ -12,10 +12,11 @@ afterwards swaps in instrumented internals, with all three checks on:
   crisp exception with both hold sites instead of a silent deadlock.
 * **Release poisoning** — bytes leaving the arena (``discard``/
   ``close``) are filled with ``0xFF`` (NaN when reinterpreted as
-  float32/float64); scratch buffers returning to the pool are filled
-  with NaN (float dtypes) or the dtype max (ints).  Code that keeps a
-  reference past release produces loud garbage instead of silently
-  reading stale activations.
+  float32/float64), and so is every region a scratch take releases:
+  the next take on that thread's stack gets the same bytes, so a view
+  kept past its ``take`` reads NaN (or ``-1`` / the dtype max as an
+  integer).  Code that keeps a reference past release produces loud
+  garbage instead of silently reading stale activations.
 * **Double-release trapping** — arena ``put``/``get``/``discard``/
   ``pop`` are wrapped per instance; a second release of a live-then-dead
   key raises :class:`DoubleReleaseError`, a ``get``/``pop`` after
@@ -263,20 +264,6 @@ def _poison_bytes(buf) -> None:
             _STATE.poisoned_buffers += 1
 
 
-def _poison_array(arr: np.ndarray) -> None:
-    flat = arr.reshape(-1)
-    if flat.dtype.kind == "f":
-        flat.fill(np.nan)
-    elif flat.dtype.kind in ("i", "u"):
-        flat.fill(np.iinfo(flat.dtype).max)
-    elif flat.dtype.kind == "c":
-        flat.fill(complex(np.nan, np.nan))
-    else:
-        return
-    with _counter_lock:
-        _STATE.poisoned_buffers += 1
-
-
 def _instrument_arena(arena) -> None:
     _track_lock(arena, "_lock", f"arena-{id(arena):#x}", reentrant=True)
     # put() ingests into a mutable buffer so release can poison it
@@ -333,15 +320,17 @@ def _instrument_arena(arena) -> None:
     arena.pop = pop
 
 
+def _poison_region(raw: np.ndarray) -> None:
+    """Fill a released scratch region with ``0xFF`` bytes: NaN as any
+    float view, ``-1`` / the maximum as an integer one."""
+    raw.fill(0xFF)
+    with _counter_lock:
+        _STATE.poisoned_buffers += 1
+
+
 def _instrument_scratch(pool) -> None:
     _track_lock(pool, "_lock", f"scratch-{id(pool):#x}", reentrant=False)
-    orig_give = pool._give
-
-    def give(buf):
-        _poison_array(buf)
-        orig_give(buf)
-
-    pool._give = give
+    pool._on_release = _poison_region
 
 
 def _instrument_workspace() -> None:
@@ -349,7 +338,7 @@ def _instrument_workspace() -> None:
     ``repro.utils.scratch`` is imported, so usually before anything
     enables the sanitizer."""
     scratch = sys.modules.get("repro.utils.scratch")
-    if scratch is not None and "_give" not in vars(scratch.WORKSPACE):
+    if scratch is not None and "_on_release" not in vars(scratch.WORKSPACE):
         maybe_instrument(scratch.WORKSPACE, "scratch")
 
 

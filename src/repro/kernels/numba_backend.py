@@ -335,10 +335,12 @@ def make_kernel_functions(loops, on_fallback):
             f"has no codeword in this codebook"
         )
 
-    def huffman_unpack_window(payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size):
+    def huffman_unpack_window(
+        payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size, out=None
+    ):
         try:
             buf = np.frombuffer(payload + bytes(2 * chunk_size + 4), dtype=np.uint8)
-            out = np.empty(count, dtype=tsym.dtype)
+            syms = np.empty(count, dtype=tsym.dtype) if out is None else out
             loops["unpack_loop"](
                 buf,
                 np.ascontiguousarray(chunk_offsets, dtype=np.int64),
@@ -347,13 +349,13 @@ def make_kernel_functions(loops, on_fallback):
                 tsym,
                 tlen,
                 L,
-                out,
+                syms,
             )
-            return out
+            return syms
         except Exception:
             on_fallback("huffman_unpack_window")
             return _numpy_huffman_unpack_window(
-                payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size
+                payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size, out
             )
 
     return {

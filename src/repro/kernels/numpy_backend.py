@@ -34,8 +34,10 @@ they fit, else ``int64`` through the *same* code (counted in
   sum of every axis adds at most ``span`` residuals, so a hostile
   outlier selects ``int64``, never an overflow.
 
-This module imports only numpy and the stage profiler: the kernels
-layer sits *below* the codec layer and must never import from it.
+This module imports only numpy, the stage profiler and the workspace
+(:data:`repro.utils.scratch.WORKSPACE`, which the Huffman kernels borrow
+their scratch from): the kernels layer sits *below* the codec layer and
+must never import from it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import math
 import numpy as np
 
 from repro.utils import profiler
+from repro.utils.scratch import WORKSPACE
 
 __all__ = [
     "apply_outliers",
@@ -226,7 +229,7 @@ def pack_words(symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chun
     (``compress`` does); it sizes the output exactly and answers "does
     every symbol have a codeword?" in O(alphabet).  Without it one
     ``bincount`` over the stream rebuilds it.  Scratch is O(block)
-    temporaries plus one output-sized word array: ~1x the packed payload
+    temporaries plus one borrowed word array: ~1x the packed payload
     plus a constant, versus the bit-plane encoder's 8x.
 
     Returns ``(payload bytes, total_bits, chunk_offsets int64)``.
@@ -250,57 +253,57 @@ def pack_words(symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chun
     # odd chunk_size — that pair's second codeword
     starts = np.arange(0, min(block, n), chunk_size)
     start_pair, start_odd = starts >> 1, starts & 1
-    # The word array doubles as the output byte buffer: a uint8 array
-    # viewed as big-endian uint32 for the merge writes, sliced to the
-    # exact payload length at the end — no byteswap copy, no trim copy.
-    out8 = np.zeros(4 * (((total_bits + 31) >> 5) + 1), dtype=np.uint8)  # +1 word: lo spill
-    words = out8.view(">u4")
-    chunk_parts = []
-    base_bits = 0
-    for a in range(0, n, block):
-        s = symbols[a : a + block]
-        m = s.size
-        half = (m + 1) >> 1
-        if m & 1:  # pad the last pair with an empty codeword
-            cl = np.zeros(2 * half, dtype=np.uint32)
-            table.take(s, out=cl[:m])
-        else:
-            cl = table.take(s)
-        even, odd = cl[0::2], cl[1::2]
-        pair = ((even >> 8) << (odd & 0xFF)) | (odd >> 8)
-        # Bit positions relative to the block's first output word w0, so
-        # they fit uint32 (a block holds at most 16 * block bits): one
-        # in-place cumsum turns [r0, len_0, len_1, ...] into every pair's
-        # start and, in the last slot, the block's end.
-        w0, r0 = base_bits >> 5, base_bits & 31
-        ends = np.empty(half + 1, dtype=np.uint32)
-        ends[0] = r0
-        plen = ends[1:]
-        np.add(even, odd, out=plen)
-        plen &= 0xFF  # lengths are <= 16 each: the sum never carries out of the low byte
-        shift = 64 - plen  # before the cumsum overwrites the lengths
-        np.cumsum(ends, out=ends)
-        off = ends[:-1]
-        n_here = -(-m // chunk_size)
-        part = off[start_pair[:n_here]].astype(np.int64)
-        if chunk_size & 1:
-            part += start_odd[:n_here] * (even[start_pair[:n_here]] & 0xFF)
-        part += base_bits - r0
-        chunk_parts.append(part)
-        # 64-bit window: bit r = off & 31 within word w, so the pair sits
-        # at shift (64 - r - len); top half lands in word w, bottom half
-        # in word w + 1.
-        w = off >> 5
-        shift -= off & 31
-        val = pair.astype(np.uint64) << shift.astype(np.uint64)
-        n_local = int(w[-1]) + 2
-        acc = np.bincount(w, weights=val >> 32, minlength=n_local)
-        lo = np.bincount(w, weights=val & 0xFFFFFFFF, minlength=n_local)
-        acc[1:] += lo[:-1]
-        words[w0 : w0 + n_local] |= acc.astype(">u4")
-        base_bits += int(ends[-1]) - r0
-
-    payload = out8[: (total_bits + 7) >> 3].tobytes()
+    # The word array doubles as the output byte buffer: a borrowed uint8
+    # array viewed as big-endian uint32 for the merge writes, sliced to
+    # the exact payload length at the end — no byteswap copy, no trim copy.
+    with WORKSPACE.take((4 * (((total_bits + 31) >> 5) + 1),), np.uint8) as out8:  # +1 word: lo spill
+        out8.fill(0)
+        words = out8.view(">u4")
+        chunk_parts = []
+        base_bits = 0
+        for a in range(0, n, block):
+            s = symbols[a : a + block]
+            m = s.size
+            half = (m + 1) >> 1
+            if m & 1:  # pad the last pair with an empty codeword
+                cl = np.zeros(2 * half, dtype=np.uint32)
+                table.take(s, out=cl[:m])
+            else:
+                cl = table.take(s)
+            even, odd = cl[0::2], cl[1::2]
+            pair = ((even >> 8) << (odd & 0xFF)) | (odd >> 8)
+            # Bit positions relative to the block's first output word w0, so
+            # they fit uint32 (a block holds at most 16 * block bits): one
+            # in-place cumsum turns [r0, len_0, len_1, ...] into every pair's
+            # start and, in the last slot, the block's end.
+            w0, r0 = base_bits >> 5, base_bits & 31
+            ends = np.empty(half + 1, dtype=np.uint32)
+            ends[0] = r0
+            plen = ends[1:]
+            np.add(even, odd, out=plen)
+            plen &= 0xFF  # lengths are <= 16 each: the sum never carries out of the low byte
+            shift = 64 - plen  # before the cumsum overwrites the lengths
+            np.cumsum(ends, out=ends)
+            off = ends[:-1]
+            n_here = -(-m // chunk_size)
+            part = off[start_pair[:n_here]].astype(np.int64)
+            if chunk_size & 1:
+                part += start_odd[:n_here] * (even[start_pair[:n_here]] & 0xFF)
+            part += base_bits - r0
+            chunk_parts.append(part)
+            # 64-bit window: bit r = off & 31 within word w, so the pair sits
+            # at shift (64 - r - len); top half lands in word w, bottom half
+            # in word w + 1.
+            w = off >> 5
+            shift -= off & 31
+            val = pair.astype(np.uint64) << shift.astype(np.uint64)
+            n_local = int(w[-1]) + 2
+            acc = np.bincount(w, weights=val >> 32, minlength=n_local)
+            lo = np.bincount(w, weights=val & 0xFFFFFFFF, minlength=n_local)
+            acc[1:] += lo[:-1]
+            words[w0 : w0 + n_local] |= acc.astype(">u4")
+            base_bits += int(ends[-1]) - r0
+        payload = out8[: (total_bits + 7) >> 3].tobytes()
     if chunk_parts:
         chunk_offsets = np.concatenate(chunk_parts) if len(chunk_parts) > 1 else chunk_parts[0]
     else:
@@ -317,6 +320,7 @@ def unpack_window(
     L: int,
     chunk_offsets: np.ndarray,
     chunk_size: int,
+    out: np.ndarray = None,
 ) -> np.ndarray:
     """Data-parallel chunked decode reading L-bit windows in place.
 
@@ -325,30 +329,37 @@ def unpack_window(
     ~``sqrt(count)`` symbols.  The 24-bit big-endian window starting at
     every payload byte (three bytes cover any 16-bit codeword at any bit
     phase) is built once per call, making each step one gather + shift +
-    mask; scratch is that window array (4x the payload), the output, and
-    O(#chunks) per-step temporaries.  The buffer is padded by what a
-    chunk of maximal codewords can over-run (2 bytes per step, +4 for
-    the window), so no cursor — not even one started by a hostile offset
-    just below ``total_bits`` — can gather out of bounds.  The caller
-    validated the chunk metadata and built the dense ``(tsym, tlen)``
-    tables; the symbols come back in ``tsym``'s dtype.
+    mask; scratch is that window array (4x the payload) and the padded
+    payload, both borrowed from the workspace, and O(#chunks) per-step
+    temporaries.  The payload is padded by what a chunk of maximal
+    codewords can over-run (2 bytes per step, +4 for the window), so no
+    cursor — not even one started by a hostile offset just below
+    ``total_bits`` — can gather out of bounds.  The caller validated the
+    chunk metadata and built the dense ``(tsym, tlen)`` tables; the
+    symbols come back in ``tsym``'s dtype, in *out* when given.
     """
-    n_chunks = chunk_offsets.size
-    buf = np.frombuffer(payload + bytes(2 * chunk_size + 4), dtype=np.uint8)
-    win = buf[:-2].astype(np.int32)
-    win <<= 8
-    win |= buf[1:-1]
-    win <<= 8
-    win |= buf[2:]
-    out = np.empty((n_chunks, chunk_size), dtype=tsym.dtype)
-    pos = chunk_offsets.astype(np.int64)
-    base = 24 - L
-    mask = (1 << L) - 1
-    for i in range(min(chunk_size, count)):
-        p = (win[pos >> 3] >> (base - (pos & 7))) & mask
-        out[:, i] = tsym[p]
-        pos += tlen[p]
-    return out.reshape(-1)[:count]
+    if out is None:
+        out = np.empty(count, dtype=tsym.dtype)
+    n = len(payload)
+    with WORKSPACE.take((n + 2 * chunk_size + 4,), np.uint8) as buf, WORKSPACE.take(
+        (n + 2 * chunk_size + 2,), np.int32
+    ) as win:
+        buf[:n] = np.frombuffer(payload, dtype=np.uint8)
+        buf[n:] = 0
+        win[...] = buf[:-2]
+        win <<= 8
+        win |= buf[1:-1]
+        win <<= 8
+        win |= buf[2:]
+        pos = chunk_offsets.astype(np.int64)
+        base = 24 - L
+        mask = (1 << L) - 1
+        for i in range(min(chunk_size, count)):
+            p = (win[pos >> 3] >> (base - (pos & 7))) & mask
+            lanes = out[i::chunk_size]  # symbol i of every chunk that has one
+            lanes[...] = tsym[p[: lanes.size]]
+            pos += tlen[p]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,5 +442,7 @@ def _numpy_huffman_pack_words(symbols, lengths, codes, chunk_size, hist=None):
     return pack_words(symbols, lengths, codes, chunk_size, hist)
 
 
-def _numpy_huffman_unpack_window(payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size):
-    return unpack_window(payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size)
+def _numpy_huffman_unpack_window(
+    payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size, out=None
+):
+    return unpack_window(payload, total_bits, count, tsym, tlen, L, chunk_offsets, chunk_size, out)

@@ -1,28 +1,27 @@
-"""Reusable scratch-buffer pool for hot-path array temporaries.
+"""Per-thread scratch stack for hot-path array temporaries.
 
-The SZ compress pipeline historically allocated three-plus full-size
-temporaries per tensor per call (the float64 quantization grid, the
-Lorenzo residuals, the shifted code array) — tens of megabytes of
-allocator/page-fault traffic for every activation on every iteration.
-:class:`ScratchPool` keeps those buffers alive between calls:
+Every array that dies inside one layer pass or one codec call is taken
+from a :class:`ScratchPool`, so a training step reuses one area of
+memory instead of allocating (and page-faulting) its temporaries anew:
 
-* ``take(shape, dtype)`` hands out a writable array view backed by a
-  pooled flat buffer.  Buffers are keyed by dtype and matched by
-  capacity (best fit), so one pooled buffer serves *every* layer shape
-  of that dtype — the pool's footprint is bounded by the largest tensor,
-  not the number of distinct shapes.  When a dtype bucket has nothing
-  big enough, an oversized buffer of *another* dtype is served as a
-  byte-capacity view instead of allocating fresh (the compiled kernel
-  backends request different shapes/dtypes than the NumPy reference,
-  which used to defeat the pool on every backend switch).
-* The context-manager form returns the buffer on exit; concurrent takes
-  (the server scheduler's worker threads step different tenants at once
-  and share :data:`WORKSPACE`) are safe — each take pops a distinct
-  buffer under the pool lock, or allocates fresh when the pool is empty.
+* Each thread owns a LIFO stack over one byte slab.  ``take(shape,
+  dtype)`` is a context manager: it hands out a writable ``dtype`` view
+  at the top of the calling thread's stack, and leaving it pops the
+  view.  Takes nest, and release in reverse order; a region released
+  out of order is popped once everything above it is.
+* A take that does not fit in the slab is served by a fresh allocation
+  and counted as a miss.  The stack records how deep it went, and once
+  the thread's stack is empty again the slab grows to that high-water,
+  so after a warm-up pass every take is a hit and the slab is the
+  largest set of temporaries the thread held at once.
+* Threads never share a slab, so the server scheduler's threads stepping
+  different tenants at once never alias (the one lock guards the hit /
+  miss counters).
 
 :data:`WORKSPACE` is the one pool the library itself uses: the conv /
-pool layers' temporaries and the codec's intermediates come from it, so
-a step's scratch is the largest single set of them, not one set each.
+pool layers' temporaries, the codec's intermediates and the adaptive
+controller's statistics come from it, so a step's scratch is the largest
+single set of them, not one set each.
 """
 
 from __future__ import annotations
@@ -31,31 +30,40 @@ import math
 import sys
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List
+from typing import Iterator
 
 import numpy as np
 
 __all__ = ["ScratchPool", "WORKSPACE"]
 
-#: free buffers a pool retains per dtype; a return beyond the cap drops
-#: the smallest free buffer, so the largest (most reusable) survive
-MAX_PER_DTYPE = 8
-#: ceiling on a pool's free bytes across all dtypes; a return that would
-#: exceed it evicts smallest-first
-MAX_TOTAL_BYTES = 256 << 20
+#: every take starts on a multiple of this many bytes of the slab, so a
+#: view of any dtype is aligned
+ALIGN = 64
+
+
+class _Stack(threading.local):
+    """One thread's slab and the ``[start, end, live]`` frame of each of
+    its outstanding takes, in take order."""
+
+    def __init__(self):
+        self.slab = np.empty(0, dtype=np.uint8)
+        self.frames = []
+        self.high_water = 0
 
 
 class ScratchPool:
-    """Thread-safe pool of reusable flat scratch buffers."""
+    """Per-thread LIFO stacks of scratch views over one slab each."""
+
+    #: called with the raw bytes of every released take (the sanitizer
+    #: poisons them); ``None`` costs nothing
+    _on_release = None
 
     def __init__(self):
-        self._free: Dict[np.dtype, List[np.ndarray]] = {}
+        self._stack = _Stack()
         self._lock = threading.Lock()
         # -- statistics ----------------------------------------------------
         self.hits = 0
         self.misses = 0
-        self.cross_dtype_hits = 0
-        self.free_bytes = 0
         # Looked up, not imported: ``WORKSPACE`` is built while ``repro`` is
         # being imported, when ``repro.core`` (which imports ``repro.nn``,
         # which imports this module) cannot be imported yet.  A sanitizer
@@ -65,95 +73,55 @@ class ScratchPool:
         if sanitizer is not None:
             sanitizer.maybe_instrument(self, "scratch")
 
-    def _borrow(self, size: int, dtype: np.dtype) -> np.ndarray:
-        """Pop a free buffer with capacity for ``size`` ``dtype`` elements.
-
-        The returned buffer keeps its *own* dtype — it may come from
-        another dtype's bucket when that bucket holds the only adequate
-        byte capacity; :meth:`take` reinterprets the bytes and
-        :meth:`_give` files it back under its original dtype.
-        """
-        nbytes = size * dtype.itemsize
-        with self._lock:
-            bucket = self._free.get(dtype)
-            if bucket:
-                # Best fit: smallest free buffer with enough capacity.
-                best = None
-                for i, buf in enumerate(bucket):
-                    if buf.size >= size and (best is None or buf.size < bucket[best].size):
-                        best = i
-                if best is not None:
-                    buf = bucket.pop(best)
-                    self.free_bytes -= buf.nbytes
-                    self.hits += 1
-                    return buf
-            # Cross-dtype rescue: smallest free buffer of any other dtype
-            # with enough *byte* capacity, rather than allocating fresh.
-            best_pick = None
-            for key, other in self._free.items():
-                if key == dtype:
-                    continue
-                for i, buf in enumerate(other):
-                    if buf.nbytes >= nbytes and (
-                        best_pick is None or buf.nbytes < best_pick[2].nbytes
-                    ):
-                        best_pick = (key, i, buf)
-            if best_pick is not None:
-                key, i, raw = best_pick
-                self._free[key].pop(i)
-                self.free_bytes -= raw.nbytes
-                self.hits += 1
-                self.cross_dtype_hits += 1
-                return raw
-            self.misses += 1
-        return np.empty(size, dtype=dtype)
-
-    def _give(self, buf: np.ndarray) -> None:
-        dtype = buf.dtype
-        with self._lock:
-            bucket = self._free.setdefault(dtype, [])
-            bucket.append(buf)
-            self.free_bytes += buf.nbytes
-            bucket.sort(key=lambda b: b.size)
-            while len(bucket) > MAX_PER_DTYPE or (self.free_bytes > MAX_TOTAL_BYTES and bucket):
-                dropped = bucket.pop(0)  # smallest first
-                self.free_bytes -= dropped.nbytes
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the calling thread's slab: its stack's high-water once
+        the stack has emptied after the deepest pass."""
+        return self._stack.slab.nbytes
 
     @contextmanager
     def take(self, shape, dtype) -> Iterator[np.ndarray]:
         """Yield a writable ``shape``/*dtype* array view (contents
-        undefined); the backing buffer returns to the pool on exit."""
+        undefined) at the top of the calling thread's stack; the view is
+        popped on exit and must not be used after it."""
         dtype = np.dtype(dtype)
-        size = math.prod(shape)
-        buf = self._borrow(size, dtype)
-        try:
-            if buf.dtype == dtype:
-                yield buf[:size].reshape(shape)
+        st = self._stack
+        start = -(-st.frames[-1][1] // ALIGN) * ALIGN if st.frames else 0
+        end = start + math.prod(shape) * dtype.itemsize
+        st.high_water = max(st.high_water, end)
+        hit = end <= st.slab.size
+        raw = st.slab[start:end] if hit else np.empty(end - start, dtype=np.uint8)
+        with self._lock:
+            if hit:
+                self.hits += 1
             else:
-                # Cross-dtype buffer: reinterpret the leading bytes.
-                view = buf.view(np.uint8)[: size * dtype.itemsize].view(dtype)
-                yield view.reshape(shape)
+                self.misses += 1
+        frame = [start, end, True]
+        st.frames.append(frame)
+        try:
+            yield raw.view(dtype).reshape(shape)
         finally:
-            self._give(buf)
+            if self._on_release is not None:
+                self._on_release(raw)
+            frame[2] = False
+            while st.frames and not st.frames[-1][2]:
+                st.frames.pop()
+            if not st.frames and st.high_water > st.slab.size:
+                st.slab = np.empty(st.high_water, dtype=np.uint8)
 
     def clear(self) -> None:
-        """Drop every pooled buffer (frees the memory)."""
-        with self._lock:
-            self._free.clear()
-            self.free_bytes = 0
-
-    def __repr__(self) -> str:
-        with self._lock:
-            n = sum(len(b) for b in self._free.values())
-            free_bytes = self.free_bytes
-        return f"ScratchPool(free_buffers={n}, free_bytes={free_bytes})"
+        """Drop the calling thread's slab and forget its high-water."""
+        st = self._stack
+        st.slab = np.empty(0, dtype=np.uint8)
+        st.high_water = st.frames[-1][1] if st.frames else 0
 
 
 #: The process-wide pool.  Conv and pooling layers borrow here every array
-#: that dies inside one ``forward`` / ``backward``, and the SZ codec its
-#: quantize / predict / code intermediates: the two never hold buffers at
-#: once on one thread (a layer packs what it saves after its borrows end,
-#: and unpacks before it borrows), so one set of buffers serves both.
-#: What a layer returns or saves is never pooled: those are the tensors
+#: that dies inside one ``forward`` / ``backward``, the SZ codec its
+#: quantize / predict / code intermediates and the adaptive controller its
+#: float64 statistics: none of them calls another while it holds a take (a
+#: layer packs what it saves after its takes end, and unpacks before it
+#: takes), so the slab is sized by the largest of their sets alone.  What
+#: a layer returns or saves is never pooled: those are the tensors
 #: compression exists to free.
 WORKSPACE = ScratchPool()

@@ -1,5 +1,7 @@
 """Huffman codec: prefix property, roundtrips, the chunked decoder."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.compression.szlike.huffman import (
     DEFAULT_CHUNK,
     MAX_CODE_LENGTH,
     _encode_bitplane,
+    _huffman_lengths,
     chunk_layout,
     chunk_meta_nbytes,
     chunk_size_for,
@@ -355,6 +358,70 @@ def test_property_packers_agree(values):
     w = huffman_encode(syms, cb)
     b = _encode_bitplane(syms, cb, chunk_size_for(syms.size))
     assert w[0] == b[0] and w[1] == b[1]
+
+
+# ---------------------------------------------------------------------------
+# Two-queue code lengths against the heap construction
+# ---------------------------------------------------------------------------
+
+
+def _heap_lengths(freqs):
+    """The heap construction the two queues replaced: a leaf's tiebreak
+    is its symbol, an internal node's its creation count past every
+    symbol, and every merge deepens the leaves under it by one."""
+    present = np.nonzero(freqs)[0]
+    lengths = np.zeros(freqs.size, dtype=np.uint8)
+    if present.size == 1:
+        lengths[present[0]] = 1
+        return lengths
+    heap = [(int(freqs[s]), int(s), [int(s)]) for s in present]
+    heapq.heapify(heap)
+    counter = int(freqs.size)
+    while len(heap) > 1:
+        f1, _, s1 = heapq.heappop(heap)
+        f2, _, s2 = heapq.heappop(heap)
+        for s in s1 + s2:
+            lengths[s] += 1
+        counter += 1
+        heapq.heappush(heap, (f1 + f2, counter, s1 + s2))
+    return lengths
+
+
+@pytest.mark.parametrize(
+    "freqs",
+    [
+        [5],  # one symbol
+        [0, 0, 7, 0],
+        [1, 1],
+        [3, 3, 3, 3, 3, 3, 3],  # ties everywhere: leaves before internal nodes
+        [2, 1, 1, 2, 4, 4, 8, 8],  # sums that tie with leaves
+        [1, 2, 3, 5, 8, 13, 21, 34, 55, 89],  # Fibonacci: the deepest tree
+        [10**9, 1, 1, 1, 0, 1, 10**6],  # skewed
+    ],
+)
+def test_two_queue_lengths_equal_the_heap(freqs):
+    freqs = np.array(freqs, dtype=np.int64)
+    np.testing.assert_array_equal(_huffman_lengths(freqs), _heap_lengths(freqs))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_two_queue_lengths_equal_the_heap_on_wide_alphabets(seed):
+    """1 024-symbol alphabets: quantization-code-shaped (peaked at the
+    radius, sparse tails), uniform with many ties, and mostly absent."""
+    rng = np.random.default_rng(seed)
+    peaked = np.bincount(np.clip(rng.laplace(512, 1 + seed, 50_000), 1, 1023).astype(int), minlength=1024)
+    ties = rng.integers(1, 4, 1024)
+    sparse = np.where(rng.random(1024) < 0.05, rng.integers(1, 10**6, 1024), 0)
+    sparse[seed] = 1
+    for freqs in (peaked, ties, sparse):
+        np.testing.assert_array_equal(_huffman_lengths(freqs), _heap_lengths(freqs))
+
+
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=300).filter(any))
+@settings(max_examples=200, deadline=None)
+def test_property_two_queue_lengths_equal_the_heap(freqs):
+    freqs = np.array(freqs, dtype=np.int64)
+    np.testing.assert_array_equal(_huffman_lengths(freqs), _heap_lengths(freqs))
 
 
 # ---------------------------------------------------------------------------

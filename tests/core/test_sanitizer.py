@@ -96,6 +96,59 @@ def test_scratch_buffers_poisoned_on_return(sanitized):
     assert np.isnan(view).all()
 
 
+def test_a_view_kept_past_its_take_reads_poison_where_the_next_take_lands(sanitized):
+    """A stack hands the released bytes to the very next take."""
+    pool = ScratchPool()
+    with pool.take((256,), np.uint8):
+        pass
+    with pool.take((8,), np.float32) as stale:
+        stale[:] = 2.0
+    with pool.take((8,), np.int32) as ints:
+        assert np.shares_memory(ints, stale)
+        assert (ints == -1).all()  # 0xFF bytes
+        ints[:] = 7
+    assert np.isnan(stale).all()
+
+
+def test_takes_nest_lifo_and_a_release_poisons_only_its_own_region(sanitized):
+    pool = ScratchPool()
+    with pool.take((256,), np.uint8):
+        pass
+    with pool.take((4,), np.float64) as outer:
+        outer[:] = 1.0
+        with pool.take((4,), np.float64) as inner:
+            inner[:] = 2.0
+        assert np.isnan(inner).all() and (outer == 1.0).all()
+        with pool.take((4,), np.float64) as again:  # popped: same bytes
+            assert np.shares_memory(again, inner)
+    assert np.isnan(outer).all()
+
+
+def test_two_threads_takes_never_alias(sanitized):
+    pool = ScratchPool()
+    held, done = threading.Event(), threading.Event()
+    seen = {}
+
+    def hold():
+        with pool.take((64,), np.float64) as mine:
+            mine[:] = 3.0
+            seen["held"] = mine
+            held.set()
+            done.wait(timeout=30)
+            seen["intact"] = bool((mine == 3.0).all())
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    assert held.wait(timeout=30)
+    for _ in range(2):  # a miss, then a hit on this thread's own slab
+        with pool.take((64,), np.float64) as ours:
+            assert not np.shares_memory(ours, seen["held"])
+            ours[:] = 4.0
+    done.set()
+    thread.join(timeout=30)
+    assert seen["intact"]
+
+
 def test_enable_reaches_the_nn_workspace_built_before_it(monkeypatch):
     """The workspace is built when ``repro.utils.scratch`` is imported;
     instrumenting only what is constructed after ``enable()`` would leave

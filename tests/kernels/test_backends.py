@@ -259,6 +259,27 @@ class TestUnpackLoopShape:
         assert outs[0][0] == 1023 and offsets[0] == 0  # caller's array untouched
 
 
+@pytest.mark.parametrize("backend", [*available_backends(), "python-loops"])
+@pytest.mark.parametrize("count", [5, 64, 200, 256, 1000])
+def test_unpack_window_decodes_into_the_callers_array(backend, count, deep_codebook):
+    """``out=``: the symbols land in the caller's array (here a view with
+    a sentinel tail, so a write past *count* would show), a short last
+    chunk included, and the same array comes back."""
+    from repro.compression.szlike.huffman import huffman_encode
+
+    kernels = python_backend() if backend == "python-loops" else get_backend(backend)
+    symbols = np.random.default_rng(count).integers(0, 1024, size=count).astype(np.uint16)
+    payload, total_bits, offsets = huffman_encode(symbols, deep_codebook, 64)
+    tsym, tlen = deep_codebook.decode_tables()
+    buf = np.full(count + 8, 0xBEEF, dtype=np.uint16)
+    out = kernels.huffman_unpack_window(
+        payload, total_bits, count, tsym, tlen, 16, offsets, 64, out=buf[:count]
+    )
+    assert np.shares_memory(out, buf) and out.shape == (count,)
+    np.testing.assert_array_equal(buf[:count], symbols)
+    assert (buf[count:] == 0xBEEF).all()
+
+
 class TestDegradation:
     def test_contract_errors_raise_identically_without_fallback(self):
         fallbacks = []

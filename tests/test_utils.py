@@ -57,21 +57,60 @@ class TestHumanBytes:
 
 
 class TestScratchPool:
-    def test_reuse_across_shapes_same_dtype(self):
+    def test_a_take_that_does_not_fit_is_fresh_and_the_slab_grows_once_the_stack_empties(self):
         pool = ScratchPool()
-        with pool.take((4, 8), np.int64) as a:
-            a[...] = 7
-            first_base = a.base
-        # a smaller request of the same dtype reuses the same flat buffer
-        with pool.take((2, 3), np.int64) as b:
-            assert b.base is first_base
-            assert b.shape == (2, 3)
-        assert pool.hits == 1 and pool.misses == 1
+        with pool.take((4, 8), np.int64) as a, pool.take((3,), np.float32) as b:
+            a[...], b[...] = 7, 1.5
+            assert pool.nbytes == 0  # grows only when the stack is empty again
+        assert pool.misses == 2 and pool.hits == 0
+        assert pool.nbytes == scratch.ALIGN * 4 + 3 * 4  # the high-water of the pair
+        with pool.take((4, 8), np.int64) as a, pool.take((3,), np.float32) as b:
+            assert a.shape == (4, 8) and b.shape == (3,)
+        assert pool.misses == 2 and pool.hits == 2
+
+    def test_one_slab_serves_every_shape_and_dtype(self):
+        pool = ScratchPool()
+        with pool.take((64,), np.float64):  # a miss: the slab grows to 512 B
+            pass
+        slab = pool._stack.slab
+        with pool.take((100,), np.int32) as b, pool.take((5, 6), np.bool_) as c:
+            assert np.shares_memory(b, slab) and np.shares_memory(c, slab)
+            assert b.dtype == np.int32 and c.shape == (5, 6)
+            b[...] = -5
+            assert int(b.sum()) == -500
+        assert pool.misses == 1 and pool.hits == 2
+
+    def test_takes_nest_last_in_first_out(self):
+        pool = ScratchPool()
+        with pool.take((1024,), np.uint8):
+            pass
+        with pool.take((10,), np.float64) as outer:
+            with pool.take((10,), np.float64) as inner:
+                assert not np.shares_memory(outer, inner)
+                inner_addr = inner.__array_interface__["data"][0]
+            # the inner take popped: the next one lands where it was
+            with pool.take((10,), np.float64) as again:
+                assert again.__array_interface__["data"][0] == inner_addr
+        assert pool.misses == 1
+
+    def test_a_region_released_out_of_order_is_popped_after_what_is_above_it(self):
+        pool = ScratchPool()
+        with pool.take((4096,), np.uint8):
+            pass
+        first, second = pool.take((64,), np.float64), pool.take((64,), np.float64)
+        a = first.__enter__()
+        b = second.__enter__()
+        first.__exit__(None, None, None)  # released under a live take
+        with pool.take((64,), np.float64) as c:
+            assert not np.shares_memory(c, b)
+        second.__exit__(None, None, None)
+        with pool.take((64,), np.float64) as d:  # the stack is empty again
+            assert np.shares_memory(d, a)
 
     def test_concurrent_takes_get_distinct_buffers(self):
         pool = ScratchPool()
         with pool.take((16,), np.float64) as a, pool.take((16,), np.float64) as b:
-            assert a.base is not b.base
+            assert not np.shares_memory(a, b)
             a[...] = 1.0
             b[...] = 2.0
             assert float(a.sum()) == 16.0
@@ -89,65 +128,16 @@ class TestScratchPool:
         with ThreadPoolExecutor(max_workers=8) as ex:
             assert all(ex.map(work, range(64)))
 
-    def test_cross_dtype_view_from_oversized_buffer(self):
-        pool = ScratchPool()
-        with pool.take((64,), np.float64):  # 512 bytes cached as float64
-            pass
-        assert pool.misses == 1
-        # an int32 request fits in the cached float64 bytes: no fresh alloc
-        with pool.take((100,), np.int32) as a:
-            assert a.dtype == np.int32 and a.shape == (100,)
-            a[...] = -5
-            assert int(a.sum()) == -500
-        assert pool.misses == 1
-        assert pool.hits == 1
-        assert pool.cross_dtype_hits == 1
-        # the buffer went back to its original (float64) bucket
-        with pool.take((64,), np.float64):
-            pass
-        assert pool.hits == 2 and pool.misses == 1
-
-    def test_cross_dtype_picks_smallest_adequate_buffer(self):
-        pool = ScratchPool()
-        # concurrent takes allocate two distinct buffers
-        with pool.take((1024,), np.float64), pool.take((16,), np.float32):
-            pass
-        # 40 bytes fit in the 64-byte float32 buffer; the 8 KiB float64
-        # buffer must stay untouched for bigger requests
-        with pool.take((10,), np.int32) as a:
-            assert a.nbytes == 40
-        assert pool.cross_dtype_hits == 1
-        assert pool.free_bytes == 1024 * 8 + 16 * 4
-
-    def test_cross_dtype_insufficient_bytes_allocates_fresh(self):
-        pool = ScratchPool()
-        with pool.take((4,), np.int8):  # 4 cached bytes
-            pass
-        with pool.take((128,), np.float64) as a:
-            assert a.nbytes == 1024
-        assert pool.cross_dtype_hits == 0
-        assert pool.misses == 2
-
-    def test_caps_bound_pool_footprint(self, monkeypatch):
-        pool = ScratchPool()
-        sizes = [100 * (i + 1) for i in range(scratch.MAX_PER_DTYPE + 2)]
-        for n in sizes:
-            with pool.take((n,), np.float64):
-                pass
-        # the largest MAX_PER_DTYPE buffers survive
-        assert pool.free_bytes == 8 * sum(sizes[-scratch.MAX_PER_DTYPE:])
-        monkeypatch.setattr(scratch, "MAX_TOTAL_BYTES", 8 * 1000)
-        with pool.take((900,), np.float64):
-            pass
-        assert pool.free_bytes <= 8 * 1000
-
     def test_clear_releases_everything(self):
         pool = ScratchPool()
         with pool.take((64,), np.float32):
             pass
-        assert pool.free_bytes > 0
+        assert pool.nbytes > 0
         pool.clear()
-        assert pool.free_bytes == 0
+        assert pool.nbytes == 0
+        with pool.take((8,), np.float32):
+            pass
+        assert pool.nbytes == 32  # the high-water was forgotten too
 
 
 class TestStageProfiler:
