@@ -4,7 +4,7 @@ Pipeline (cuSZ, Tian et al. 2020, as used by the paper):
 
     float tensor
       --(dual-quantization, pitch 2*eb)-->  int grid indices
-      --(Lorenzo prediction)-->             residuals
+      --(Lorenzo prediction, or none)-->    residuals
       --(linear-scaling codes + outliers)-> bounded quantization codes
       --(canonical Huffman / DEFLATE)-->    compressed payload
 
@@ -22,12 +22,26 @@ re-zeroes any reconstructed value with ``|x'| <= eb`` so that
 ReLU-produced zeros are never turned into small non-zero values — is
 implemented via ``zero_filter=True`` (the default, as in the paper).
 
+**Predict only where it pays.**  Under dual quantization the predictor
+is a lossless transform of integer grid indices, so it changes bytes,
+never a decoded value.  On ReLU-sparse activations 2-D Lorenzo costs
+bits: it turns runs of exact zeros into non-zero residuals (``train_sz``
+layer ``l2`` at step 0 needs 4.92 bits a value unpredicted and 8.88
+under Lorenzo, Shannon bound plus outliers).  So ``compress`` picks one
+predictor per tensor, as SZ 2 (Liang et al. 2018) picks one per block:
+it quantizes the tensor's first :data:`CHOICE_VALUES`-value slice under
+Lorenzo and then unpredicted (codes ``q + radius``), prices each by the
+Shannon bits of its code histogram plus :data:`OUTLIER_BITS` an outlier,
+and keeps Lorenzo unless no prediction is strictly cheaper.  The blob
+records the choice in ``lorenzo_ndim``, 0 meaning none, and
+``decompress`` of a 0 blob runs no prefix sum.
+
 **Amortized entropy stage.**  cuSZ treats Huffman codebook construction
 as a setup cost amortized across the run, because quantization-code
 distributions are stable between adjacent training iterations (Tian et
 al. 2020, Section 4; the tree build happens once on the host while the
 GPU streams data).  ``codebook_cache=True`` reproduces that economics:
-canonical codebooks are cached per tensor key
+canonical codebooks are cached per tensor key and chosen predictor
 (:class:`~repro.compression.szlike.codebook_cache.CodebookCache`) and
 reused across ``compress`` calls, with a one-``bincount`` staleness
 check (rebuild beyond a ``DELTA`` excess over the fresh-book estimate,
@@ -37,8 +51,9 @@ demoted to the outlier channel, so the error bound never depends on
 cache freshness.
 
 **Sliced halves.**  Planes over the last ``lorenzo_ndim`` axes predict
-independently, so both halves run over whole planes, at most
-:data:`SLICE_VALUES` values at a time, and the bytes are those of one
+independently (at 0, every value is its own plane), so both halves run
+over whole planes, at most :data:`SLICE_VALUES` values at a time (the
+predictor choice has its own constant), and the bytes are those of one
 whole-tensor pass: ``compress`` copies each slice's codes into one code
 array and appends its outliers; ``decompress`` decodes that array, then
 multiplies each slice's grid indices straight into the output dtype,
@@ -71,6 +86,7 @@ from repro.compression.szlike.codebook_cache import CodebookCache
 from repro.compression.szlike.huffman import (
     HuffmanCodebook,
     chunk_meta_nbytes,
+    entropy_bits_from_hist,
     histogram,
     huffman_decode,
     huffman_encode,
@@ -99,20 +115,30 @@ ZLIB_LEVEL = 1
 #: largest ``train_sz`` activation's 256 KiB of codes beneath it, under
 #: the 1.26 MiB the conv layers hold in the workspace.
 SLICE_VALUES = 1 << 15
+#: values of the slice the predictor is chosen on: the first slice a
+#: tensor is quantized in, and a constant of its own, so the blob does
+#: not depend on :data:`SLICE_VALUES`
+CHOICE_VALUES = SLICE_VALUES
+#: price of one outlier in the predictor choice, in bits: its residual is
+#: stored verbatim, as an int32 at least
+OUTLIER_BITS = 32
 
 
-def _slices(shape: tuple, ndim: int):
+def _slices(shape: tuple, ndim: int, first: int = 0, values: Optional[int] = None):
     """``(start, stop, shape)`` of each slice of a C-order *shape* whose
-    trailing *ndim* axes are Lorenzo-predicted: flat value ranges of
-    whole planes over the leading axes, or the one whole tensor when
-    there is no leading axis."""
+    trailing *ndim* axes are Lorenzo-predicted, from flat offset *first*
+    (a plane boundary) on: flat value ranges of whole planes over the
+    leading axes, at most *values* (default :data:`SLICE_VALUES`) values
+    each unless one plane is more, or the one whole tensor when there is
+    no leading axis.  At ``ndim=0`` every value is its own plane."""
     lead = len(shape) - ndim
     if lead <= 0:
-        yield 0, math.prod(shape), tuple(shape)
+        if first == 0:
+            yield 0, math.prod(shape), tuple(shape)
         return
     n, plane = math.prod(shape[:lead]), math.prod(shape[lead:])
-    step = max(1, SLICE_VALUES // max(plane, 1))
-    for lo in range(0, n, step):
+    step = max(1, (SLICE_VALUES if values is None else values) // max(plane, 1))
+    for lo in range(first // max(plane, 1), n, step):
         hi = min(lo + step, n)
         yield lo * plane, hi * plane, (hi - lo, *shape[lead:])
 
@@ -187,8 +213,11 @@ class SZCompressor:
     dict_size:
         Quantization-code alphabet size (cuSZ default 1024 -> radius 512).
     lorenzo_ndim:
-        Number of trailing axes covered by the Lorenzo predictor
-        (2 treats ``(N, C, H, W)`` activations as per-map 2-D fields).
+        Number of trailing axes covered by the Lorenzo predictor when
+        the codec predicts (2 treats ``(N, C, H, W)`` activations as
+        per-map 2-D fields).  Each tensor is stored under it or
+        unpredicted, whichever its first slice says costs fewer bits;
+        the blob's ``lorenzo_ndim`` is the choice, 0 for none.
     entropy:
         Final entropy stage: ``'huffman'`` (faithful to cuSZ),
         ``'zlib'`` (fast DEFLATE over the code stream, analogous to SZ's
@@ -296,23 +325,54 @@ class SZCompressor:
         return self.error_bound * vrange if vrange > 0 else self.error_bound
 
     def _effective_ndim(self, x: np.ndarray) -> int:
+        """The axes Lorenzo predicts *x* over when the codec predicts."""
         return max(1, min(self.lorenzo_ndim, x.ndim))
 
-    def _quantize_slices(self, x: np.ndarray, eb: float, ndim: int, codes: np.ndarray):
-        """The front half, one slice at a time: the ``quantize_encode``
-        kernel's codes copied into *codes*; returns the outliers, in
-        positional order."""
+    def _bits(self, codes: np.ndarray, outliers: np.ndarray) -> float:
+        """What one candidate's slice would store, in bits: the Shannon
+        bound of its codes plus its outliers verbatim."""
+        hist = histogram(codes, self.dict_size)
+        return entropy_bits_from_hist(hist) + OUTLIER_BITS * outliers.size
+
+    def _quantize_into(self, x: np.ndarray, eb: float, ndim: int, codes: np.ndarray) -> np.ndarray:
+        """One slice through the ``quantize_encode`` kernel: its codes
+        copied into *codes*; returns its outliers, in positional order."""
+        with ExitStack() as stack:
+            got, outliers, _ = self._kernels.quantize_encode(
+                x, eb, self.radius, ndim, WORKSPACE, stack
+            )
+            codes[...] = got.reshape(-1)
+        return outliers
+
+    def _quantize_slices(self, x: np.ndarray, eb: float, lorenzo: int, codes: np.ndarray):
+        """The front half, one slice at a time, codes into *codes*.
+
+        The predictor is chosen once per tensor, on its first
+        :data:`CHOICE_VALUES`-value slice: quantized under Lorenzo over
+        *lorenzo* axes, then unpredicted, one after the other, and kept
+        unpredicted when that costs fewer :meth:`_bits`.  Every later
+        slice runs under the choice.  Returns ``(chosen ndim, outliers
+        in positional order)``.
+        """
         flat = x.reshape(-1)
-        parts = []
-        for start, stop, shape in _slices(x.shape, ndim):
-            with ExitStack() as stack:
-                part, outliers, _ = self._kernels.quantize_encode(
-                    flat[start:stop].reshape(shape), eb, self.radius, ndim, WORKSPACE, stack
-                )
-                codes[start:stop] = part.reshape(-1)
-            if outliers.size:
-                parts.append(outliers)
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        _, end, shape = next(_slices(x.shape, lorenzo, values=CHOICE_VALUES))
+        sample = flat[:end].reshape(shape)
+        outliers = self._quantize_into(sample, eb, lorenzo, codes[:end])
+        ndim = lorenzo
+        with ExitStack() as stack:
+            plain, plain_outliers, _ = self._kernels.quantize_encode(
+                sample, eb, self.radius, 0, WORKSPACE, stack
+            )
+            with profiler.stage("predict"):
+                if self._bits(plain, plain_outliers) < self._bits(codes[:end], outliers):
+                    codes[:end] = plain.reshape(-1)
+                    ndim, outliers = 0, plain_outliers
+        parts = [outliers]
+        for start, stop, shape in _slices(x.shape, lorenzo, first=end):
+            parts.append(
+                self._quantize_into(flat[start:stop].reshape(shape), eb, ndim, codes[start:stop])
+            )
+        return ndim, np.concatenate(parts)
 
     def _resolve_codebook(
         self,
@@ -320,17 +380,20 @@ class SZCompressor:
         cache_key: Optional[Hashable],
         x_shape: tuple,
         x_dtype,
+        ndim: int,
     ):
         """Fresh build, cache lookup, or escape-vetted reuse.
 
         Returns ``(codebook, reused)``; ``reused`` means symbols may lack
-        codewords and the caller must demote them.
+        codewords and the caller must demote them.  A cached book is
+        keyed by the chosen predictor too: one built for Lorenzo
+        residuals is never reused for unpredicted grid indices.
         """
         cache = self.codebook_cache
         if cache is None:
             return HuffmanCodebook.from_frequencies(hist), False
         key = cache_key if cache_key is not None else ("__auto__", x_shape, str(x_dtype))
-        return cache.lookup(key, hist)
+        return cache.lookup((key, ndim), hist)
 
     @staticmethod
     def _demote_uncovered(
@@ -398,13 +461,11 @@ class SZCompressor:
         eb = float(error_bound) if error_bound is not None else self.resolve_error_bound(x)
         if not 0 < eb < np.inf:
             raise ValueError(f"resolved error bound must be positive and finite, got {eb}")
-        ndim = self._effective_ndim(x)
-
         with ExitStack() as stack:
             codes = stack.enter_context(
                 WORKSPACE.take((x.size,), codes_dtype_for_radius(self.radius))
             )
-            outliers = self._quantize_slices(x, eb, ndim, codes)
+            ndim, outliers = self._quantize_slices(x, eb, self._effective_ndim(x), codes)
             out_codebook = None
             total_bits = 0
             chunk_offsets = None
@@ -414,7 +475,7 @@ class SZCompressor:
                     # and sizes the encoder's payload
                     hist = histogram(codes, self.dict_size)
                     out_codebook, reused = self._resolve_codebook(
-                        hist, cache_key, x.shape, x.dtype
+                        hist, cache_key, x.shape, x.dtype, ndim
                     )
                     if reused:
                         escaped, n_escape, hist = self._demote_uncovered(

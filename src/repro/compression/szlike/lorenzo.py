@@ -35,6 +35,7 @@ def lorenzo_encode(
     For integer input the transform is exact (losslessly invertible by
     :func:`lorenzo_decode`).  The first element along each axis is
     predicted as 0, i.e. residuals at the boundary equal the raw values.
+    ``ndim=0`` predicts nothing: the residuals are *q* itself.
 
     With *out* (and, for ``ndim >= 2``, *work*) the per-axis differences
     ping-pong between the two caller-owned buffers instead of allocating

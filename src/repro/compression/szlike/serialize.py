@@ -21,7 +21,10 @@ times the chunks in fewer bytes (333 719 against 334 771 for the six
 ``train_sz`` tensors at step 0).  No v2 reader: blobs live for a session.
 
 A blob is self-contained: a Huffman blob without its codebook section,
-or with a header key this writer never emits, is corrupt.
+or with a header key this writer never emits, is corrupt.  Its
+``lorenzo_ndim`` is the predictor ``compress`` chose: 1 to
+``min(3, len(shape))`` Lorenzo axes, or 0 for grid indices stored
+unpredicted.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def _loads(data: bytes) -> CompressedTensor:
         or not math.isfinite(eb)
         or eb <= 0
         or type(ndim) is not int
-        or not 1 <= ndim <= min(3, len(shape))
+        or not 0 <= ndim <= min(3, len(shape))
         or np.dtype(header["dtype"]).kind != "f"
         or type(header["zero_filter"]) is not bool
         or np.dtype(header["raw_codes_dtype"]).kind != "u"

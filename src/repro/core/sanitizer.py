@@ -35,6 +35,7 @@ production classes only expose tiny hook points
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import threading
@@ -88,6 +89,12 @@ class LockOrderMonitor:
     another code path takes the same locks in the opposite order —
     raised as :class:`LockOrderError` *before* blocking on the inner
     lock, so stress tests fail loudly instead of hanging.
+
+    The graph is edited under the monitor's own lock.  An allocation in
+    there can run garbage collection, and with it a finalizer that takes
+    a tracked lock (an unreachable arena's ``__del__`` closes it); that
+    nested acquire on the same thread skips the graph rather than wait
+    on the lock its own thread holds.
     """
 
     def __init__(self) -> None:
@@ -96,6 +103,19 @@ class LockOrderMonitor:
         self._names: Dict[int, str] = {}
         self._tls = threading.local()
         self.acquisitions = 0
+
+    @contextlib.contextmanager
+    def _graph(self):
+        """The graph lock, with this thread marked inside it."""
+        self._tls.inside = True
+        try:
+            with self._graph_lock:
+                yield
+        finally:
+            self._tls.inside = False
+
+    def _inside(self) -> bool:
+        return getattr(self._tls, "inside", False)
 
     def _held(self) -> List[int]:
         held = getattr(self._tls, "held", None)
@@ -126,9 +146,9 @@ class LockOrderMonitor:
                 f"thread already holding it (self-deadlock)"
             )
         outer = set(held)
-        if not outer:
+        if not outer or self._inside():
             return
-        with self._graph_lock:
+        with self._graph():
             self._names[lock_id] = lock.name
             for h in outer:
                 self._edges.setdefault(h, set()).add(lock_id)
@@ -143,8 +163,9 @@ class LockOrderMonitor:
     def after_acquire(self, lock: "TrackedLock") -> None:
         self._held().append(id(lock))
         self.acquisitions += 1
-        with self._graph_lock:
-            self._names.setdefault(id(lock), lock.name)
+        if not self._inside():
+            with self._graph():
+                self._names.setdefault(id(lock), lock.name)
 
     def on_release(self, lock: "TrackedLock") -> None:
         held = self._held()

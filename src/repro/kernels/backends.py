@@ -110,8 +110,10 @@ def note_wide_grid(kernel: str, shape, error_bound, magnitude: float) -> None:
 
 
 def warmup_backend(backend: KernelBackend, reference: KernelBackend = _NUMPY) -> None:
-    """One-shot warmup: run all five kernels on tiny inputs and verify
-    bit-identity against *reference*.  Raises on any mismatch."""
+    """One-shot warmup: run all five kernels on tiny inputs, the two
+    quantize kernels under 2-D Lorenzo and unpredicted (``ndim=0``, the
+    codec's other candidate), and verify bit-identity against
+    *reference*.  Raises on any mismatch."""
     from repro.utils.scratch import WORKSPACE
 
     rng = np.random.default_rng(0)
@@ -125,6 +127,9 @@ def warmup_backend(backend: KernelBackend, reference: KernelBackend = _NUMPY) ->
             codes, outliers, flat = b.quantize_encode(x, eb, radius, ndim, WORKSPACE, stack)
             codes, outliers, flat = codes.copy(), outliers.copy(), flat.copy()
         q = b.quantize_decode(codes, outliers, radius, x.shape, ndim)
+        with ExitStack() as stack:
+            plain = [a.copy() for a in b.quantize_encode(x, eb, radius, 0, WORKSPACE, stack)]
+        plain.append(b.quantize_decode(plain[0], plain[1], radius, x.shape, 0))
         pred = b.lorenzo_predict(q.astype(np.int64), ndim)
         lengths = np.zeros(2 * radius, dtype=np.uint8)
         lengths[: 2 * radius] = 4  # fixed-length book covers every code
@@ -136,7 +141,7 @@ def warmup_backend(backend: KernelBackend, reference: KernelBackend = _NUMPY) ->
         syms = b.huffman_unpack_window(
             payload, total_bits, int(codes.size), tsym, tlen, L, chunk_offsets, 16
         )
-        results.append((codes, outliers, flat, q, pred, payload, total_bits, syms))
+        results.append((codes, outliers, flat, q, pred, payload, total_bits, syms, *plain))
 
     got, want = results
     for i, (g, w) in enumerate(zip(got, want)):

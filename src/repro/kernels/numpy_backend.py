@@ -133,8 +133,10 @@ def apply_outliers(codes: np.ndarray, outliers: np.ndarray, radius: int, dtype=n
 
 
 def validate_lorenzo(arr: np.ndarray, ndim: int) -> int:
-    if ndim < 1 or ndim > 3:
-        raise ValueError(f"Lorenzo prediction supports 1-3 dims, got {ndim}")
+    """*ndim* itself: 1-3 predicted trailing axes of *arr*, or 0, no
+    prediction (the residuals are the grid indices)."""
+    if ndim < 0 or ndim > 3:
+        raise ValueError(f"Lorenzo prediction supports 0-3 dims, got {ndim}")
     if arr.ndim < ndim:
         raise ValueError(
             f"array with {arr.ndim} axes cannot be Lorenzo-predicted over {ndim} axes"

@@ -15,6 +15,9 @@ format v3 (PR 24: 64-symbol decode chunks, a bit-packed chunk table, a
 deflated codebook section): the container moved, the payload section of
 every case is byte-identical to its v2 blob — ``test_golden_blobs.py``
 re-encodes each code stream at the v2 chunk geometry to pin that.
+They were rewritten a second time when the codec began to choose its
+predictor per tensor: eight cases flipped to no prediction and record
+``lorenzo_ndim`` 0, with their ``.npy`` reconstructions byte-identical.
 
 Each case is ``(codec options, [(x, error_bound), ...])``: the tensors
 are compressed in order under one cache key and the **last** one is the
@@ -45,6 +48,13 @@ def _cached_book_demoted():
     return opts, [(_relu(10, (2, 8, 16, 16)), 0.04), (_relu(11, (2, 8, 16, 16), 1.3), 0.04)]
 
 
+def _smooth(seed: int, shape: tuple) -> np.ndarray:
+    """Noise integrated along both map axes: 2-D Lorenzo turns it back
+    into the noise, so the codec keeps predicting."""
+    x = np.random.default_rng(seed).standard_normal(shape)
+    return np.cumsum(np.cumsum(x, axis=-2), axis=-1).astype(np.float32)
+
+
 def _wide_grid():
     # |x| / eb ~ 2^33: grid indices overflow int32, the int64 path is mandatory
     x = np.random.default_rng(12).standard_normal((2, 3, 8, 8)) * 1e6
@@ -71,6 +81,9 @@ CASES = {
     "lorenzo3_none": lambda: (
         {"lorenzo_ndim": 3, "entropy": "none"}, [(_relu(9, (2, 3, 6, 6)), 1e-2)]
     ),
+    # the one case whose blob records Lorenzo (lorenzo_ndim 2) beside the
+    # constant: every other tensor here is white noise, stored unpredicted
+    "smooth_f32_lorenzo": lambda: ({}, [(_smooth(13, (2, 4, 16, 16)), 1e-2)]),
     "cached_book_demoted": _cached_book_demoted,
     "wide_grid_int64": _wide_grid,
 }

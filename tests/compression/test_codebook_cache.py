@@ -113,14 +113,18 @@ class TestErrorBoundUnderStaleness:
     def test_bound_holds_with_forced_stale_book(self, rng):
         comp, cache = make_cached(eb=1e-2)
         x1 = smoothish(rng, scale=0.3)
-        comp.compress(x1, cache_key="l")
+        predictors = {comp.compress(x1, cache_key="l").lorenzo_ndim}
         for scale in (1.0, 3.0, 10.0):  # progressively worse mismatch
             x2 = smoothish(rng, scale=scale)
             ct = comp.compress(x2, cache_key="l")
+            predictors.add(ct.lorenzo_ndim)
             y = comp.decompress(ct)
             ulp = float(np.spacing(np.float32(np.abs(x2).max())))
             assert np.abs(x2.astype(np.float64) - y).max() <= 1e-2 * (1 + 1e-6) + ulp
-        assert cache.builds == 1 and cache.rebuilds == 0  # truly stale reuse
+        # truly stale reuse: one book per predictor the key was stored
+        # under (the wider fields stop paying for Lorenzo), never rebuilt
+        assert predictors == {0, 2}
+        assert cache.builds == len(predictors) and cache.rebuilds == 0
 
     def test_unseen_symbols_escape_to_outliers(self, rng):
         comp, cache = make_cached(eb=1e-2)

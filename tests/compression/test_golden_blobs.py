@@ -7,7 +7,10 @@ moved to narrow dtypes.  Every backend must reproduce them byte for byte
 and decode them bit for bit, so a change of format, chunk geometry or
 arithmetic is a deliberate act (regenerate the files and say so), never
 a side effect.  Format v3 was such an act on the container alone: the
-Huffman bitstream of every case is the one its v2 blob carried.
+Huffman bitstream of every case is the one its v2 blob carried.  The
+per-tensor predictor choice was another, on the codes alone: eight cases
+now store their grid indices unpredicted, and every reconstruction is
+the one written before it.
 """
 
 from __future__ import annotations
@@ -96,3 +99,19 @@ def test_wide_grid_case_needs_int64():
     x, eb = calls[-1]
     assert np.abs(x).max() / eb > 2**29
     assert np.abs(np.rint(x / (2 * eb))).max() * 4 >= 2**31
+
+
+def test_white_noise_is_stored_unpredicted_and_a_smooth_field_is_predicted():
+    """The choice on the committed blobs: the post-ReLU and dense noise
+    cases record no prediction; the integrated-noise field and the
+    constant keep 2-D Lorenzo, where it saves bits; a tie (all zeros,
+    one element, a grid where every value is an outlier either way)
+    keeps Lorenzo too."""
+    ndims = {
+        name: loads((GOLDEN / f"{name}.blob").read_bytes()).lorenzo_ndim
+        for name in make_golden.CASES
+    }
+    assert {name for name, ndim in ndims.items() if ndim} == {
+        "smooth_f32_lorenzo", "constant", "all_zero", "one_element", "wide_grid_int64"
+    }
+    assert all(ndims[f"relu_f32_{n}x{n}"] == 0 for n in (8, 16, 32))

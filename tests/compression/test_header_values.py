@@ -3,8 +3,9 @@
 ``loads`` checks each header field against what ``dumps`` could have
 written for the blob's other fields: a value no writer emits (a bound
 that is not a finite positive float, a Lorenzo axis count the shape
-cannot have, a non-floating dtype, a non-bool flag, a signed code dtype,
-a float outlier dtype, a JPEG quality outside 1..100) is a
+cannot have (0, no prediction, is one a writer emits), a non-floating
+dtype, a non-bool flag, a signed code dtype, a float outlier dtype, a
+JPEG quality outside 1..100) is a
 ``CorruptBlobError`` at ``loads``, never a wrong or non-finite decode.
 A JPEG blob dequantizes with the table of the quality it records.
 """
@@ -24,7 +25,7 @@ NAN, INF = float("nan"), float("inf")
 SZ_EDITS = [
     ("eb", -0.01), ("eb", 0.0), ("eb", NAN), ("eb", INF), ("eb", -INF), ("eb", "0.01"),
     ("eb", 1), ("eb", None),
-    ("lorenzo_ndim", 0), ("lorenzo_ndim", 9), ("lorenzo_ndim", 4), ("lorenzo_ndim", 1.5),
+    ("lorenzo_ndim", -1), ("lorenzo_ndim", 9), ("lorenzo_ndim", 4), ("lorenzo_ndim", 1.5),
     ("lorenzo_ndim", "2"), ("lorenzo_ndim", True),
     ("dtype", "complex64"), ("dtype", "int32"), ("dtype", "bool"), ("dtype", "uint8"),
     ("zero_filter", "no"), ("zero_filter", 1), ("zero_filter", None),

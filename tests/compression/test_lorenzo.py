@@ -70,10 +70,15 @@ class TestValidation:
         with pytest.raises(TypeError):
             lorenzo_encode(np.zeros((4, 4), dtype=np.float32), 2)
 
-    @pytest.mark.parametrize("ndim", [0, 4])
+    @pytest.mark.parametrize("ndim", [-1, 4])
     def test_rejects_bad_ndim(self, ndim):
         with pytest.raises(ValueError):
             lorenzo_encode(np.zeros((4, 4, 4, 4), dtype=np.int64), ndim)
+
+    def test_zero_axes_is_no_prediction(self):
+        q = np.arange(-30, 34, dtype=np.int64).reshape(4, 4, 4)
+        np.testing.assert_array_equal(lorenzo_encode(q, 0), q)
+        np.testing.assert_array_equal(lorenzo_decode(q, 0), q)
 
     def test_rejects_insufficient_axes(self):
         with pytest.raises(ValueError):

@@ -210,6 +210,19 @@ class TestLoadsRejectsMalformedBlobs:
     def blob(self):
         return dumps(SZCompressor(1e-3).compress(_relu_field(GEOMETRY_SHAPES[216])))
 
+    def test_every_lorenzo_axis_count_the_shape_allows_loads(self, blob):
+        """0 (no prediction) through min(3, axes): the same codes decode
+        under each, and the writer's own count gives the written tensor."""
+        header, _ = _sections(blob)
+        comp = SZCompressor(1e-3)
+        want = comp.decompress(loads(blob))
+        for shape in ([6, 6, 6], [36, 6], [216]):
+            for ndim in range(min(3, len(shape)) + 1):
+                ct = loads(_reheader(blob, shape=shape, lorenzo_ndim=ndim))
+                assert (ct.shape, ct.lorenzo_ndim) == (tuple(shape), ndim)
+                if (shape, ndim) == ([6, 6, 6], header["lorenzo_ndim"]):
+                    np.testing.assert_array_equal(comp.decompress(ct), want)
+
     def test_older_format_blob(self, blob):
         for old in (1, 2):  # no v1 or v2 reader is kept
             with pytest.raises(CorruptBlobError, match=f"unsupported version {old}"):
@@ -341,6 +354,10 @@ class TestLoadsRejectsMalformedBlobs:
             dict(count=217), dict(shape=[6, 6, 7]), dict(shape=[2.4, 90]), dict(entropy="huffmao"),
             dict(dtype="float33"), dict(outlier_dtype="int31"), dict(count="216"),
             dict(radius=-512), dict(radius=512.0), dict(outlier_count=-1), dict(total_bits=None),
+            # Lorenzo axes: 0 (no prediction) to min(3, axes) of the shape, an int
+            dict(lorenzo_ndim=-1), dict(lorenzo_ndim=4), dict(shape=[36, 6], lorenzo_ndim=3),
+            dict(shape=[216], lorenzo_ndim=2), dict(lorenzo_ndim=True), dict(lorenzo_ndim=False),
+            dict(lorenzo_ndim=2.0), dict(lorenzo_ndim=0.0), dict(lorenzo_ndim=None),
         ):
             with pytest.raises(CorruptBlobError):
                 SZCompressor(1e-3).decompress(loads(_reheader(blob, **changes)))

@@ -105,9 +105,11 @@ class TestPublishAndAdopt:
             f"layer{i}": np.maximum(rng.standard_normal((4, 4, 16, 16)), 0).astype(np.float32)
             for i in range(3)
         }
-        for key, arr in arrs.items():
-            codec.compress(arr, cache_key=key)
-        assert all(table.get(key) is not None for key in arrs)
+        # a book is published under the key and the predictor it codes
+        published = [
+            (key, codec.compress(arr, cache_key=key).lorenzo_ndim) for key, arr in arrs.items()
+        ]
+        assert all(table.get(entry) is not None for entry in published)
         assert cache.stats()["publishes"] == cache.stats()["builds"] == len(arrs)
         for key, arr in arrs.items():
             ct = codec.compress(arr, cache_key=key)

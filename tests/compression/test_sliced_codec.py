@@ -3,7 +3,8 @@
 ``SZCompressor`` quantizes, predicts and codes at most
 ``compressor.SLICE_VALUES`` values at once, and decodes the same way
 with a running outlier cursor.  Planes of the Lorenzo axes are
-independent, so the slice size is invisible in the bytes and the bits:
+independent, and the predictor is chosen on a slice of its own
+constant size, so the slice size is invisible in the bytes and the bits:
 every blob and reconstruction here is compared against one slice (the
 committed golden files, or the same codec with slices larger than the
 tensor).

@@ -7,7 +7,9 @@ into the output dtype).  The oracle is the allocating int64 / float64
 reference API the repo keeps for exactly this purpose — ``prequantize``
 -> ``lorenzo_encode`` -> ``codes_from_residuals`` -> ``_encode_bitplane``
 and back through ``reconstruct`` with the explicit Section 4.4 zero
-filter — and the contract is equality of every byte and every bit,
+filter, at the predictor the blob records (Lorenzo, or 0 axes when the
+codes of the unpredicted grid are cheaper) — and the contract is
+equality of every byte and every bit,
 down to the serialized container: the format-v3 chunk table against a
 ``np.packbits`` bit matrix, the codebook section against ``zlib``.
 """
@@ -40,6 +42,7 @@ from repro.compression.szlike.huffman import (
     MAX_CODE_LENGTH,
     _encode_bitplane,
     chunk_size_for,
+    entropy_bits_from_hist,
     histogram,
     huffman_encode,
 )
@@ -95,25 +98,39 @@ def test_bytes_and_bits_equal_the_int64_float64_reference(backend, tensor, dict_
     codec = SZCompressor(
         eb, dict_size=dict_size, lorenzo_ndim=ndim, entropy=entropy, kernel_backend=backend
     )
-    radius, ndim = codec.radius, min(ndim, x.ndim)
-
+    radius, lorenzo = codec.radius, min(ndim, x.ndim)
     q_ref = prequantize(x, eb)
-    delta_ref = lorenzo_encode(q_ref, ndim)
-    qr_ref = codes_from_residuals(delta_ref, radius)
 
-    # the two quantize kernels, directly
+    # the two quantize kernels, directly, under both predictor candidates
     kernels = get_backend(backend)
-    with ExitStack() as stack:
-        codes, outliers, flat = kernels.quantize_encode(x, eb, radius, ndim, ScratchPool(), stack)
-        assert codes.dtype == qr_ref.codes.dtype
-        np.testing.assert_array_equal(codes, qr_ref.codes)
-        np.testing.assert_array_equal(outliers, qr_ref.outliers)
-        np.testing.assert_array_equal(flat, delta_ref.reshape(-1))
-        q = kernels.quantize_decode(codes, outliers, radius, x.shape, ndim)
-    np.testing.assert_array_equal(q, q_ref)
+    candidates = {}
+    for ndim in (lorenzo, 0):
+        delta_ref = lorenzo_encode(q_ref, ndim)
+        qr_ref = codes_from_residuals(delta_ref, radius)
+        with ExitStack() as stack:
+            codes, outliers, flat = kernels.quantize_encode(
+                x, eb, radius, ndim, ScratchPool(), stack
+            )
+            assert codes.dtype == qr_ref.codes.dtype
+            np.testing.assert_array_equal(codes, qr_ref.codes)
+            np.testing.assert_array_equal(outliers, qr_ref.outliers)
+            np.testing.assert_array_equal(flat, delta_ref.reshape(-1))
+            q = kernels.quantize_decode(codes, outliers, radius, x.shape, ndim)
+        np.testing.assert_array_equal(q, q_ref)
+        candidates[ndim] = qr_ref
+
+    # the choice (every tensor here is one slice): Shannon bits of the
+    # codes plus 32 bits an outlier, no prediction only when strictly cheaper
+    ct = codec.compress(x)
+    bits = {
+        ndim: entropy_bits_from_hist(histogram(qr.codes, dict_size)) + 32 * qr.outliers.size
+        for ndim, qr in candidates.items()
+    }
+    ndim = 0 if bits[0] < bits[lorenzo] else lorenzo
+    assert ct.lorenzo_ndim == ndim
+    qr_ref = candidates[ndim]
 
     # the blob, section by section
-    ct = codec.compress(x)
     assert (ct.count, ct.raw_codes_dtype) == (x.size, str(qr_ref.codes.dtype))
     want_outliers = _pack_outliers(qr_ref.outliers)
     assert ct.outliers.dtype == want_outliers.dtype
@@ -158,6 +175,33 @@ def test_bytes_and_bits_equal_the_int64_float64_reference(backend, tensor, dict_
     if x.dtype != np.float64:
         slack += 0.5 * float(np.spacing(x.dtype.type(np.abs(x).max() + eb)))
     assert np.abs(x64 - y.astype(np.float64)).max() <= eb + slack
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@given(tensors(), st.sampled_from([1, 2, 3]), st.sampled_from(ENTROPY_STAGES), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_the_chosen_predictor_changes_no_decoded_value(backend, tensor, ndim, entropy, cached):
+    """A blob under the chosen predictor decodes bit for bit to the blob
+    the codec writes when Lorenzo is forced, under the same or a
+    different code, and each blob's ``nbytes`` is its serialized size:
+    the predictor is a lossless transform of the grid indices."""
+    x, eb = tensor
+    options = dict(
+        lorenzo_ndim=ndim, entropy=entropy, codebook_cache=cached, kernel_backend=backend
+    )
+    codec = SZCompressor(eb, **options)
+    chosen = codec.compress(x, cache_key="layer")
+    with pytest.MonkeyPatch.context() as mp:
+        # no candidate is ever strictly cheaper: Lorenzo stays
+        mp.setattr(SZCompressor, "_bits", lambda self, codes, outliers: 0.0)
+        forced = SZCompressor(eb, **options).compress(x, cache_key="layer")
+    assert forced.lorenzo_ndim == min(ndim, x.ndim)
+    assert chosen.lorenzo_ndim in (0, forced.lorenzo_ndim)
+    assert codec.decompress(chosen).tobytes() == codec.decompress(forced).tobytes()
+    for ct in (chosen, forced):
+        blob = registry.dumps(ct)
+        assert ct.nbytes == len(blob) - registry.wire_header_nbytes(blob) + HEADER_BYTES
+        assert codec.decompress(registry.loads(blob)).tobytes() == codec.decompress(ct).tobytes()
 
 
 @pytest.mark.parametrize("entropy", ENTROPY_STAGES)

@@ -198,6 +198,39 @@ def test_reentrant_lock_allows_nesting(sanitized):
             pass
 
 
+def test_a_finalizer_run_inside_the_monitor_does_not_deadlock_it(sanitized):
+    """Garbage collection can run an arena's ``__del__`` at an allocation
+    inside the monitor's graph section; that finalizer's acquire must not
+    wait on the monitor lock its own thread holds."""
+    monitor = LockOrderMonitor()
+    outer, inner, finalizer = (
+        TrackedLock(threading.Lock(), name, False, monitor)
+        for name in ("outer", "inner", "finalizer")
+    )
+    search = monitor._path_exists
+
+    def path_exists(src, targets):
+        monitor._path_exists = search  # once, as one collection would
+        with finalizer:
+            pass
+        return search(src, targets)
+
+    monitor._path_exists = path_exists
+
+    def run():
+        with outer, inner:
+            pass
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert monitor.acquisitions == 3
+    with inner:  # the graph still holds outer -> inner
+        with pytest.raises(LockOrderError):
+            outer.acquire()
+
+
 def test_enabled_sanitizer_instruments_a_session_and_reports():
     from repro.api import SessionConfig, build_session
     from repro.api.config import StorageSpec

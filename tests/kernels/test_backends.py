@@ -9,6 +9,7 @@ suite over the *compiled* loops.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import sys
 from contextlib import ExitStack
@@ -117,11 +118,38 @@ class TestRegistry:
         with pytest.raises(ValueError, match="warmup mismatch"):
             warmup_backend(python_backend(fallbacks, loops))
 
+    def test_warmup_rejects_a_kernel_wrong_only_unpredicted(self, fresh_probe):
+        good = python_backend()
+
+        def quantize_decode(codes, outliers, radius, shape, ndim):
+            q = good.quantize_decode(codes, outliers, radius, shape, ndim)
+            return q + 1 if ndim == 0 else q
+
+        with pytest.raises(ValueError, match="warmup mismatch"):
+            warmup_backend(dataclasses.replace(good, quantize_decode=quantize_decode))
+
+
+@pytest.mark.parametrize("backend", [*available_backends(), "python-loops"])
+@pytest.mark.parametrize("radius", [8, 512])
+def test_unpredicted_residuals_are_the_grid_indices_on_every_backend(backend, radius):
+    """``ndim=0``: codes are ``q + radius`` (outliers escaped as usual),
+    and decode runs no prefix sum."""
+    x = (np.random.default_rng(5).standard_normal((3, 4, 6, 5)) * 5).astype(np.float32)
+    kernels = python_backend() if backend == "python-loops" else get_backend(backend)
+    codes, outliers, flat = encode_with(kernels, x, radius=radius, ndim=0)
+    q = np.rint(x.astype(np.float64) / 2e-3).astype(np.int64)
+    np.testing.assert_array_equal(flat, q.reshape(-1))
+    inlier = np.abs(q.reshape(-1)) < radius
+    np.testing.assert_array_equal(codes, np.where(inlier, q.reshape(-1) + radius, 0))
+    np.testing.assert_array_equal(outliers, q.reshape(-1)[~inlier])
+    assert outliers.size and inlier.any()
+    np.testing.assert_array_equal(kernels.quantize_decode(codes, outliers, radius, x.shape, 0), q)
+
 
 class TestBitIdentity:
     """The uncompiled numba algorithms against the reference backend."""
 
-    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("ndim", [0, 1, 2, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_quantize_encode_decode(self, ndim, dtype):
         rng = np.random.default_rng(7 + ndim)
@@ -139,7 +167,7 @@ class TestBitIdentity:
             q2 = alt.quantize_decode(c2, o2, radius, x.shape, ndim)
             np.testing.assert_array_equal(q1, q2)
 
-    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("ndim", [0, 1, 2, 3])
     def test_lorenzo_predict(self, ndim):
         rng = np.random.default_rng(11)
         q = rng.integers(-1000, 1000, size=(2, 3, 7, 4), dtype=np.int64)
