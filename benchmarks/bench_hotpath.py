@@ -171,8 +171,9 @@ def test_hotpath_amortized_compress(stream, benchmark):
         f"(acceptance: >= 1.5x)",
         f"warm cache vs fresh-build (same kernels): {cache_speedup:.2f}x",
         f"cache: {stats['hits']} hits / {stats['builds']} builds / "
-        f"{stats['rebuilds_delta']}+{stats['rebuilds_refresh']}+{stats['rebuilds_escape']} "
-        f"rebuilds (delta/refresh/escape), {stats['escaped_symbols']} escaped symbols",
+        f"{stats['rebuilds_delta']}+{stats['rebuilds_refresh']}+{stats['rebuilds_escape']}"
+        f"+{stats['rebuilds_predictor']} rebuilds (delta/refresh/escape/predictor), "
+        f"{stats['escaped_symbols']} escaped symbols",
         f"encode scratch peak: {scratch_ratio:.2f}x payload "
         f"(bit-plane legacy: {legacy_ratio:.2f}x; acceptance: <= 2x)",
         f"kernel backends: {', '.join(backend_times)} (auto -> {auto_selected})",

@@ -30,6 +30,19 @@ and the cache decides, cheaply, whether the cached book is still good:
   (the marker itself must have a codeword, and the escape volume must
   stay under :data:`MAX_ESCAPE_RATIO`) and otherwise forces a rebuild.
 
+**The predictor is amortized with the book.**  An entry also records
+the predictor (the codec's Lorenzo axis count, 0 for none) its book
+was built to code, and a lookup under another predictor rebuilds.
+Once a lookup has reused the book, :meth:`CodebookCache.predictor`
+hands that predictor back, and the codec quantizes the key's next
+tensor under it without pricing the alternative; it prices again only
+on a key's first call and on the call after any (re)build.  The
+predictor is a lossless transform of the grid indices, so this moves
+bytes, never a decoded value or the error bound; in a drifting stream
+the choice trails by at most one book lifetime (:data:`REFRESH_INTERVAL`
+uses, or until the next staleness rebuild).  Living on the entry, the
+predictor is evicted, locked and shared with its book.
+
 Reuse decisions for a key depend only on that key's own lookup history,
 so per-layer keys keep a run deterministic: each layer packs once per
 iteration, in a fixed order.  All state is behind one lock — a
@@ -74,10 +87,12 @@ MAX_ENTRIES = 512
 
 
 class _Entry:
-    __slots__ = ("codebook", "uses_since_build")
+    __slots__ = ("codebook", "predictor", "uses_since_build")
 
-    def __init__(self, codebook: HuffmanCodebook):
+    def __init__(self, codebook: HuffmanCodebook, predictor: Optional[int]):
         self.codebook = codebook
+        #: the predictor the book was built to code
+        self.predictor = predictor
         self.uses_since_build = 0
 
 
@@ -95,6 +110,7 @@ class CodebookCache:
         self.rebuilds_delta = 0  # staleness check tripped
         self.rebuilds_refresh = 0  # periodic refresh tripped
         self.rebuilds_escape = 0  # escape path not viable
+        self.rebuilds_predictor = 0  # looked up under another predictor
         self.escaped_symbols = 0  # symbols demoted under cached books
         self.evictions = 0
         from repro.core.sanitizer import maybe_instrument
@@ -113,17 +129,19 @@ class CodebookCache:
             hist[0] = 1
         return hist
 
-    def _install(self, key: Hashable, book: HuffmanCodebook) -> None:
-        """Store a freshly built book for *key* (callers hold the lock)."""
+    def _install(self, key: Hashable, book: HuffmanCodebook, predictor: Optional[int]) -> None:
+        """Store a freshly built book for *key* and the predictor it
+        codes (callers hold the lock)."""
         entry = self._entries.get(key)
         if entry is None:
-            self._entries[key] = _Entry(book)
+            self._entries[key] = _Entry(book, predictor)
             self._entries.move_to_end(key)
             while len(self._entries) > MAX_ENTRIES:
                 self._entries.popitem(last=False)
                 self.evictions += 1
         else:
             entry.codebook = book
+            entry.predictor = predictor
             entry.uses_since_build = 0
 
     def _stale_reason(self, entry: _Entry, hist: np.ndarray) -> Optional[str]:
@@ -160,11 +178,25 @@ class CodebookCache:
         return None
 
     # -- API ---------------------------------------------------------------
-    def lookup(self, key: Hashable, hist: np.ndarray) -> Tuple[HuffmanCodebook, bool]:
+    def predictor(self, key: Hashable) -> Optional[int]:
+        """The predictor *key*'s book codes, once the key's last lookup
+        reused that book; None on a key's first call and on the call
+        after any (re)build, when the caller prices the predictor
+        afresh.  So a choice lives as long as its book."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry.uses_since_build == 0:
+                return None
+            return entry.predictor
+
+    def lookup(
+        self, key: Hashable, hist: np.ndarray, predictor: Optional[int] = None
+    ) -> Tuple[HuffmanCodebook, bool]:
         """Return ``(codebook, reused)`` for *key* given the fresh symbol
-        histogram.  ``reused`` is False when the book was (re)built this
-        call — the caller must still demote any uncovered symbols to the
-        outlier channel when ``reused`` is True.
+        histogram of codes under *predictor*.  ``reused`` is False when
+        the book was (re)built this call — the caller must still demote
+        any uncovered symbols to the outlier channel when ``reused`` is
+        True.  A book built for another predictor is never reused.
 
         The expensive tree build runs *outside* the cache lock, so
         other keys' lookups never stall behind one key's rebuild.  A
@@ -179,7 +211,10 @@ class CodebookCache:
                 self.builds += 1
             else:
                 self._entries.move_to_end(key)
-                reason = self._stale_reason(entry, hist)
+                if entry.predictor != predictor:
+                    reason = "predictor"
+                else:
+                    reason = self._stale_reason(entry, hist)
                 if reason is None:
                     entry.uses_since_build += 1
                     self.hits += 1
@@ -188,11 +223,13 @@ class CodebookCache:
                     self.rebuilds_delta += 1
                 elif reason == "refresh":
                     self.rebuilds_refresh += 1
-                else:
+                elif reason == "escape":
                     self.rebuilds_escape += 1
+                else:
+                    self.rebuilds_predictor += 1
         book = HuffmanCodebook.from_frequencies(self.reserve_marker(hist))
         with self._lock:
-            self._install(key, book)
+            self._install(key, book, predictor)
         return book, False
 
     def note_escapes(self, n: int) -> None:
@@ -204,7 +241,10 @@ class CodebookCache:
     @property
     def rebuilds(self) -> int:
         with self._lock:
-            return self.rebuilds_delta + self.rebuilds_refresh + self.rebuilds_escape
+            return (
+                self.rebuilds_delta + self.rebuilds_refresh + self.rebuilds_escape
+                + self.rebuilds_predictor
+            )
 
     def stats(self) -> dict:
         with self._lock:
@@ -215,6 +255,7 @@ class CodebookCache:
                 "rebuilds_delta": self.rebuilds_delta,
                 "rebuilds_refresh": self.rebuilds_refresh,
                 "rebuilds_escape": self.rebuilds_escape,
+                "rebuilds_predictor": self.rebuilds_predictor,
                 "escaped_symbols": self.escaped_symbols,
                 "evictions": self.evictions,
             }
@@ -232,6 +273,7 @@ class CodebookCache:
             builds = self.builds
             rebuilds = (
                 self.rebuilds_delta + self.rebuilds_refresh + self.rebuilds_escape
+                + self.rebuilds_predictor
             )
         return (
             f"{type(self).__name__}(entries={entries}, hits={hits}, "
@@ -240,35 +282,38 @@ class CodebookCache:
 
 
 class CodebookTable:
-    """Published codebooks, ``{key: (lengths bytes, owner)}``, that a
-    fleet of :class:`SharedCodebookCache` instances publish to and adopt
-    from.
+    """Published codebooks, ``{key: (lengths bytes, predictor, owner)}``,
+    that a fleet of :class:`SharedCodebookCache` instances publish to and
+    adopt from.
 
     A canonical book is fully determined by its length array, so a
-    published entry costs one byte per alphabet symbol.  A multi-tenant
+    published entry costs one byte per alphabet symbol, plus the
+    predictor the book codes.  A multi-tenant
     server owns one table; its tenants run on several scheduler
     threads, so every access goes through one lock.
     """
 
     def __init__(self) -> None:
-        self._books: Dict[Hashable, Tuple[bytes, Optional[str]]] = {}
+        self._books: Dict[Hashable, Tuple[bytes, Optional[int], Optional[str]]] = {}
         self._lock = threading.Lock()
         from repro.core.sanitizer import maybe_instrument
 
         maybe_instrument(self, "codebook_cache")
 
-    def get(self, key: Hashable) -> Optional[Tuple[bytes, Optional[str]]]:
+    def get(self, key: Hashable) -> Optional[Tuple[bytes, Optional[int], Optional[str]]]:
         with self._lock:
             return self._books.get(key)
 
-    def publish(self, key: Hashable, lengths: bytes, owner: Optional[str]) -> None:
-        """Record *key*'s book.  An unchanged book keeps its original
-        publisher, so re-publishing never relabels the tenant that
-        actually built it."""
+    def publish(
+        self, key: Hashable, lengths: bytes, owner: Optional[str], predictor: Optional[int] = None
+    ) -> None:
+        """Record *key*'s book and the predictor it codes.  An unchanged
+        book keeps its original publisher, so re-publishing never
+        relabels the tenant that actually built it."""
         with self._lock:
             old = self._books.get(key)
-            if old is None or old[0] != lengths:
-                self._books[key] = (lengths, owner)
+            if old is None or old[:2] != (lengths, predictor):
+                self._books[key] = (lengths, predictor, owner)
 
     def __len__(self) -> int:
         with self._lock:
@@ -282,12 +327,12 @@ class SharedCodebookCache(CodebookCache):
     * **Publish** — whenever a lookup (re)builds a book, it is recorded
       in the table under this cache's ``owner``.  Hits never publish.
     * **Adopt** — a lookup for a locally unknown key first consults the
-      table and installs the published book via
+      table and installs the published book, with its predictor, via
       :meth:`HuffmanCodebook.from_lengths` — an O(alphabet) canonical
       reconstruction, no heap loop.  The adopted entry then flows
-      through the ordinary staleness checks, so the refresh/δ/escape
-      contract (and the unconditional outlier-escape bound) is
-      unchanged.
+      through the ordinary predictor and staleness checks, so the
+      refresh/δ/escape contract (and the unconditional outlier-escape
+      bound) is unchanged.
 
     The two locks are never held together.
     """
@@ -311,24 +356,26 @@ class SharedCodebookCache(CodebookCache):
         published = self.table.get(key)
         if published is None:
             return
-        lengths, publisher = published
+        lengths, predictor, publisher = published
         book = HuffmanCodebook.from_lengths(np.frombuffer(lengths, dtype=np.uint8).copy())
         publisher = publisher if publisher is not None else "<anonymous>"
         with self._lock:
             if key not in self._entries:
-                self._install(key, book)
+                self._install(key, book, predictor)
                 self.shared_adoptions += 1
                 self.adoptions_from[publisher] = self.adoptions_from.get(publisher, 0) + 1
 
     # -- API ---------------------------------------------------------------
-    def lookup(self, key: Hashable, hist: np.ndarray) -> Tuple[HuffmanCodebook, bool]:
+    def lookup(
+        self, key: Hashable, hist: np.ndarray, predictor: Optional[int] = None
+    ) -> Tuple[HuffmanCodebook, bool]:
         with self._lock:
             known = key in self._entries
         if not known:
             self._adopt(key)
-        book, reused = super().lookup(key, hist)
+        book, reused = super().lookup(key, hist, predictor)
         if not reused:
-            self.table.publish(key, book.lengths.tobytes(), self.owner)
+            self.table.publish(key, book.lengths.tobytes(), self.owner, predictor)
             with self._lock:
                 self.publishes += 1
         return book, reused

@@ -34,21 +34,29 @@ Lorenzo and then unpredicted (codes ``q + radius``), prices each by the
 Shannon bits of its code histogram plus :data:`OUTLIER_BITS` an outlier,
 and keeps Lorenzo unless no prediction is strictly cheaper.  The blob
 records the choice in ``lorenzo_ndim``, 0 meaning none, and
-``decompress`` of a 0 blob runs no prefix sum.
+``decompress`` of a 0 blob runs no prefix sum.  ``lorenzo_ndim=0``
+configures no prediction at all: nothing is priced.
 
-**Amortized entropy stage.**  cuSZ treats Huffman codebook construction
-as a setup cost amortized across the run, because quantization-code
-distributions are stable between adjacent training iterations (Tian et
-al. 2020, Section 4; the tree build happens once on the host while the
-GPU streams data).  ``codebook_cache=True`` reproduces that economics:
-canonical codebooks are cached per tensor key and chosen predictor
-(:class:`~repro.compression.szlike.codebook_cache.CodebookCache`) and
-reused across ``compress`` calls, with a one-``bincount`` staleness
+**Amortized entropy stage, and predictor with it.**  cuSZ treats
+Huffman codebook construction as a setup cost amortized across the run,
+because quantization-code distributions are stable between adjacent
+training iterations (Tian et al. 2020, Section 4; the tree build happens
+once on the host while the GPU streams data).  ``codebook_cache=True``
+reproduces that economics: canonical codebooks are cached per tensor
+key (:class:`~repro.compression.szlike.codebook_cache.CodebookCache`)
+and reused across ``compress`` calls, with a one-``bincount`` staleness
 check (rebuild beyond a ``DELTA`` excess over the fresh-book estimate,
 or every ``REFRESH_INTERVAL`` uses) and an unconditional
 correctness escape — symbols with no codeword under a cached book are
 demoted to the outlier channel, so the error bound never depends on
-cache freshness.
+cache freshness.  The predictor choice is amortized with the book: an
+entry records the predictor its book codes, a key prices the choice
+only on its first call and on the call after its book was (re)built,
+and every other call quantizes each slice once, under the reused book's
+predictor.  In a drifting stream the choice trails by at most one book
+lifetime (``REFRESH_INTERVAL`` uses, or until the next staleness
+rebuild); the predictor being lossless, that costs bytes, never the
+bound.
 
 **Sliced halves.**  Planes over the last ``lorenzo_ndim`` axes predict
 independently (at 0, every value is its own plane), so both halves run
@@ -214,10 +222,11 @@ class SZCompressor:
         Quantization-code alphabet size (cuSZ default 1024 -> radius 512).
     lorenzo_ndim:
         Number of trailing axes covered by the Lorenzo predictor when
-        the codec predicts (2 treats ``(N, C, H, W)`` activations as
-        per-map 2-D fields).  Each tensor is stored under it or
+        the codec predicts, 0-3 (2 treats ``(N, C, H, W)`` activations
+        as per-map 2-D fields).  Each tensor is stored under it or
         unpredicted, whichever its first slice says costs fewer bits;
-        the blob's ``lorenzo_ndim`` is the choice, 0 for none.
+        the blob's ``lorenzo_ndim`` is the choice, 0 for none.  At 0
+        every tensor is stored unpredicted and nothing is priced.
     entropy:
         Final entropy stage: ``'huffman'`` (faithful to cuSZ),
         ``'zlib'`` (fast DEFLATE over the code stream, analogous to SZ's
@@ -226,13 +235,18 @@ class SZCompressor:
         Apply the paper's Section 4.4 re-zeroing filter at decompression.
     codebook_cache:
         ``False`` (default): build a fresh canonical Huffman codebook
-        per compress call.  ``True``: amortize codebooks across calls
-        per tensor key in a
+        and price the predictor per compress call.  ``True``: amortize
+        codebooks across calls per tensor key in a
         :class:`~repro.compression.szlike.codebook_cache.CodebookCache`
         (pass ``cache_key=`` to :meth:`compress`; the saved-tensor
-        contexts pass the layer name).  The error bound is unaffected
-        either way — uncovered symbols under a cached book escape to
-        the outlier channel.
+        contexts pass the layer name), and each book's predictor with
+        it: a key prices the predictor on its first call and on the
+        call after its book was (re)built, and otherwise runs under the
+        predictor its reused book codes, so the choice trails a drifting
+        stream by at most one book lifetime.  The error bound is
+        unaffected either way — the predictor is lossless, and
+        uncovered symbols under a cached book escape to the outlier
+        channel.
     kernel_backend:
         Inner-loop implementation for the quantize/predict/entropy hot
         kernels: ``"numpy"`` (reference), ``"numba"`` (compiled; raises
@@ -271,6 +285,12 @@ class SZCompressor:
             raise ValueError(f"dict_size must be a power of two >= 4, got {dict_size}")
         if entropy not in _ENTROPY_STAGES:
             raise ValueError(f"entropy must be one of {_ENTROPY_STAGES}, got {entropy!r}")
+        if (
+            isinstance(lorenzo_ndim, bool)
+            or not isinstance(lorenzo_ndim, (int, np.integer))
+            or not 0 <= lorenzo_ndim <= 3
+        ):
+            raise ValueError(f"lorenzo_ndim must be an integer 0-3, got {lorenzo_ndim!r}")
         self.error_bound = float(error_bound)
         self.mode = mode
         self.dict_size = int(dict_size)
@@ -325,8 +345,9 @@ class SZCompressor:
         return self.error_bound * vrange if vrange > 0 else self.error_bound
 
     def _effective_ndim(self, x: np.ndarray) -> int:
-        """The axes Lorenzo predicts *x* over when the codec predicts."""
-        return max(1, min(self.lorenzo_ndim, x.ndim))
+        """The axes Lorenzo predicts *x* over when the codec predicts (0:
+        it never does)."""
+        return min(self.lorenzo_ndim, x.ndim)
 
     def _bits(self, codes: np.ndarray, outliers: np.ndarray) -> float:
         """What one candidate's slice would store, in bits: the Shannon
@@ -344,56 +365,43 @@ class SZCompressor:
             codes[...] = got.reshape(-1)
         return outliers
 
-    def _quantize_slices(self, x: np.ndarray, eb: float, lorenzo: int, codes: np.ndarray):
+    def _quantize_slices(
+        self, x: np.ndarray, eb: float, lorenzo: int, codes: np.ndarray,
+        predictor: Optional[int] = None,
+    ):
         """The front half, one slice at a time, codes into *codes*.
 
-        The predictor is chosen once per tensor, on its first
+        Every slice runs under *predictor* when one is given (the one a
+        reused codebook codes, see :meth:`compress`).  Otherwise the
+        predictor is chosen on the tensor's first
         :data:`CHOICE_VALUES`-value slice: quantized under Lorenzo over
         *lorenzo* axes, then unpredicted, one after the other, and kept
-        unpredicted when that costs fewer :meth:`_bits`.  Every later
-        slice runs under the choice.  Returns ``(chosen ndim, outliers
-        in positional order)``.
+        unpredicted when that costs fewer :meth:`_bits`; every later
+        slice runs under the choice.  At ``lorenzo=0`` there is nothing
+        to choose.  Returns ``(ndim, outliers in positional order)``.
         """
         flat = x.reshape(-1)
-        _, end, shape = next(_slices(x.shape, lorenzo, values=CHOICE_VALUES))
-        sample = flat[:end].reshape(shape)
-        outliers = self._quantize_into(sample, eb, lorenzo, codes[:end])
-        ndim = lorenzo
-        with ExitStack() as stack:
-            plain, plain_outliers, _ = self._kernels.quantize_encode(
-                sample, eb, self.radius, 0, WORKSPACE, stack
-            )
-            with profiler.stage("predict"):
-                if self._bits(plain, plain_outliers) < self._bits(codes[:end], outliers):
-                    codes[:end] = plain.reshape(-1)
-                    ndim, outliers = 0, plain_outliers
-        parts = [outliers]
-        for start, stop, shape in _slices(x.shape, lorenzo, first=end):
+        ndim, end, parts = lorenzo, 0, []
+        if predictor is not None:
+            ndim = predictor
+        elif lorenzo:
+            _, end, shape = next(_slices(x.shape, lorenzo, values=CHOICE_VALUES))
+            sample = flat[:end].reshape(shape)
+            outliers = self._quantize_into(sample, eb, lorenzo, codes[:end])
+            with ExitStack() as stack:
+                plain, plain_outliers, _ = self._kernels.quantize_encode(
+                    sample, eb, self.radius, 0, WORKSPACE, stack
+                )
+                with profiler.stage("predict"):
+                    if self._bits(plain, plain_outliers) < self._bits(codes[:end], outliers):
+                        codes[:end] = plain.reshape(-1)
+                        ndim, outliers = 0, plain_outliers
+            parts.append(outliers)
+        for start, stop, shape in _slices(x.shape, ndim, first=end):
             parts.append(
                 self._quantize_into(flat[start:stop].reshape(shape), eb, ndim, codes[start:stop])
             )
         return ndim, np.concatenate(parts)
-
-    def _resolve_codebook(
-        self,
-        hist: np.ndarray,
-        cache_key: Optional[Hashable],
-        x_shape: tuple,
-        x_dtype,
-        ndim: int,
-    ):
-        """Fresh build, cache lookup, or escape-vetted reuse.
-
-        Returns ``(codebook, reused)``; ``reused`` means symbols may lack
-        codewords and the caller must demote them.  A cached book is
-        keyed by the chosen predictor too: one built for Lorenzo
-        residuals is never reused for unpredicted grid indices.
-        """
-        cache = self.codebook_cache
-        if cache is None:
-            return HuffmanCodebook.from_frequencies(hist), False
-        key = cache_key if cache_key is not None else ("__auto__", x_shape, str(x_dtype))
-        return cache.lookup((key, ndim), hist)
 
     @staticmethod
     def _demote_uncovered(
@@ -446,9 +454,10 @@ class SZCompressor:
         """Compress *x* under the (per-call overridable) error bound.
 
         ``cache_key`` names the tensor stream for cross-iteration
-        codebook amortization (only meaningful with ``codebook_cache``);
-        symbols a cached book does not cover escape to the outlier
-        channel, so the error bound is unconditional.
+        codebook and predictor amortization (only meaningful with
+        ``codebook_cache`` and a Huffman stage); symbols a cached book
+        does not cover escape to the outlier channel, so the error bound
+        is unconditional.
         """
         x = np.asarray(x)
         if not np.issubdtype(x.dtype, np.floating):
@@ -461,11 +470,21 @@ class SZCompressor:
         eb = float(error_bound) if error_bound is not None else self.resolve_error_bound(x)
         if not 0 < eb < np.inf:
             raise ValueError(f"resolved error bound must be positive and finite, got {eb}")
+        lorenzo = self._effective_ndim(x)
+        cache = self.codebook_cache if self.entropy in ("huffman", "huffman+zlib") else None
+        key = predictor = None
+        if cache is not None:
+            key = cache_key if cache_key is not None else ("__auto__", x.shape, str(x.dtype))
+            # the predictor a reused book codes, unless the key's tensors
+            # changed their axes since
+            predictor = cache.predictor(key)
+            if predictor not in (0, lorenzo):
+                predictor = None
         with ExitStack() as stack:
             codes = stack.enter_context(
                 WORKSPACE.take((x.size,), codes_dtype_for_radius(self.radius))
             )
-            ndim, outliers = self._quantize_slices(x, eb, self._effective_ndim(x), codes)
+            ndim, outliers = self._quantize_slices(x, eb, lorenzo, codes, predictor)
             out_codebook = None
             total_bits = 0
             chunk_offsets = None
@@ -474,16 +493,17 @@ class SZCompressor:
                     # one histogram feeds the codebook build / cache check
                     # and sizes the encoder's payload
                     hist = histogram(codes, self.dict_size)
-                    out_codebook, reused = self._resolve_codebook(
-                        hist, cache_key, x.shape, x.dtype, ndim
-                    )
+                    if cache is None:
+                        out_codebook, reused = HuffmanCodebook.from_frequencies(hist), False
+                    else:
+                        out_codebook, reused = cache.lookup(key, hist, ndim)
                     if reused:
                         escaped, n_escape, hist = self._demote_uncovered(
                             codes, outliers, hist, out_codebook, self.radius
                         )
                         if escaped is not None:
                             outliers = escaped
-                            self.codebook_cache.note_escapes(n_escape)
+                            cache.note_escapes(n_escape)
                     payload, total_bits, chunk_offsets = huffman_encode(
                         codes, out_codebook, kernels=self._kernels, hist=hist
                     )

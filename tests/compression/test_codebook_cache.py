@@ -6,7 +6,8 @@ arbitrarily stale books (escape demotion), rebuild triggers fire on
 drift (δ) and on schedule (K), concurrent use from several threads is
 safe, and every blob owns and serializes its own book (nbytes
 byte-exact vs ``dumps``).  The cache's settings are module constants;
-a test that needs others patches them (the ``settings`` fixture).
+a test that needs others patches them (the ``settings`` fixture of
+``conftest.py``).
 """
 
 import numpy as np
@@ -21,18 +22,6 @@ from repro.compression.szlike import loads as sz_loads
 
 #: a refresh interval no test reaches
 NEVER = 1 << 62
-
-
-@pytest.fixture()
-def settings(monkeypatch):
-    """``settings(delta=..., refresh_interval=...)`` sets the cache's
-    module constants for this test."""
-
-    def set_(**values):
-        for name, value in values.items():
-            monkeypatch.setattr(codebook_cache, name.upper(), value)
-
-    return set_
 
 
 def make_cached(eb=1e-2):
@@ -121,9 +110,10 @@ class TestErrorBoundUnderStaleness:
             y = comp.decompress(ct)
             ulp = float(np.spacing(np.float32(np.abs(x2).max())))
             assert np.abs(x2.astype(np.float64) - y).max() <= 1e-2 * (1 + 1e-6) + ulp
-        # truly stale reuse: one book per predictor the key was stored
-        # under (the wider fields stop paying for Lorenzo), never rebuilt
-        assert predictors == {0, 2}
+        # truly stale reuse: one book, never rebuilt, and the predictor
+        # it was built for with it (the wider fields would stop paying
+        # for Lorenzo, but a reused book's predictor is not re-priced)
+        assert predictors == {2}
         assert cache.builds == len(predictors) and cache.rebuilds == 0
 
     def test_unseen_symbols_escape_to_outliers(self, rng):

@@ -105,11 +105,10 @@ class TestPublishAndAdopt:
             f"layer{i}": np.maximum(rng.standard_normal((4, 4, 16, 16)), 0).astype(np.float32)
             for i in range(3)
         }
-        # a book is published under the key and the predictor it codes
-        published = [
-            (key, codec.compress(arr, cache_key=key).lorenzo_ndim) for key, arr in arrs.items()
-        ]
-        assert all(table.get(entry) is not None for entry in published)
+        # a book is published under the key, with the predictor it codes
+        for key, arr in arrs.items():
+            ct = codec.compress(arr, cache_key=key)
+            assert table.get(key)[:2] == (ct.codebook.lengths.tobytes(), ct.lorenzo_ndim)
         assert cache.stats()["publishes"] == cache.stats()["builds"] == len(arrs)
         for key, arr in arrs.items():
             ct = codec.compress(arr, cache_key=key)
