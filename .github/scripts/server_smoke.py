@@ -75,10 +75,7 @@ def main():
                 "image_size": 12,
                 "batch_size": 4,
                 "seed": 1,
-                "session": {
-                    "codec": {"options": {"codebook_cache": True}},
-                    "storage": {"activations": "arena", "budget_bytes": 2 << 20},
-                },
+                "session": {"storage": {"activations": "arena", "budget_bytes": 2 << 20}},
             },
             {
                 "name": "infer-b",

@@ -12,9 +12,10 @@ instead of claiming it:
 * **legacy** — the pre-PR path, reconstructed from the same public
   stages: fresh codebook build per step + the bit-plane reference
   encoder (``huffman._encode_bitplane``).
-* **cache-off** — the new kernels, fresh codebook per step.
-* **warm cache** — the new kernels with a per-key codebook cache in its
-  steady state (built once, staleness-checked per step).
+* **cache-off** — the new kernels, unkeyed calls: a fresh codebook per
+  step.
+* **warm cache** — the new kernels, keyed calls: the key's cached
+  codebook in its steady state (built once, staleness-checked per step).
 
 Steps feed *evolving* activations (base field + small per-step
 perturbation) so the cache's staleness check runs against realistic
@@ -81,7 +82,7 @@ def _legacy_compress(x):
 
 def test_hotpath_amortized_compress(stream, benchmark):
     comp_off = SZCompressor(EB, entropy="huffman")
-    comp_on = SZCompressor(EB, entropy="huffman", codebook_cache=True)
+    comp_on = SZCompressor(EB, entropy="huffman")
     profiler = StageProfiler()
 
     def run():
@@ -264,7 +265,7 @@ def test_hotpath_cache_matches_fresh_bits(stream):
     from repro.compression.szlike.compressor import HEADER_BYTES
     from repro.compression.szlike.serialize import wire_header_nbytes
 
-    comp = SZCompressor(EB, entropy="huffman", codebook_cache=True)
+    comp = SZCompressor(EB, entropy="huffman")
     for x in stream[:3]:
         ct = comp.compress(x, cache_key="bench")
         blob = dumps(ct)

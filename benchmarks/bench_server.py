@@ -52,10 +52,7 @@ def fleet_config():
             "image_size": IMAGE,
             "batch_size": 4,
             "seed": 100 + i,
-            "session": {
-                "codec": {"options": {"codebook_cache": True}},
-                "storage": {"activations": "arena", "budget_bytes": TENANT_BUDGET},
-            },
+            "session": {"storage": {"activations": "arena", "budget_bytes": TENANT_BUDGET}},
         }
         for i, model in enumerate(MODELS)
     ]

@@ -292,6 +292,15 @@ class CodecSpec(_Section):
     name: str = "szlike"
     options: Dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any], where: Optional[str] = None):
+        # The committed benchmarks/e2e/configs/{train_sz,train_ooc,server_hosted}.json
+        # name the removed opt-in cache; ROADMAP D's cleanup deletes this with the engine keys.
+        options = d.get("options") if isinstance(d, dict) else None
+        if isinstance(options, dict) and options.get("codebook_cache") is True:
+            d = {**d, "options": {k: v for k, v in options.items() if k != "codebook_cache"}}
+        return super().from_dict(d, where)
+
     def _check(self, where: str) -> None:
         from repro.compression.registry import available_codecs
 

@@ -41,22 +41,25 @@ configures no prediction at all: nothing is priced.
 Huffman codebook construction as a setup cost amortized across the run,
 because quantization-code distributions are stable between adjacent
 training iterations (Tian et al. 2020, Section 4; the tree build happens
-once on the host while the GPU streams data).  ``codebook_cache=True``
-reproduces that economics: canonical codebooks are cached per tensor
-key (:class:`~repro.compression.szlike.codebook_cache.CodebookCache`)
-and reused across ``compress`` calls, with a one-``bincount`` staleness
-check (rebuild beyond a ``DELTA`` excess over the fresh-book estimate,
-or every ``REFRESH_INTERVAL`` uses) and an unconditional
-correctness escape — symbols with no codeword under a cached book are
-demoted to the outlier channel, so the error bound never depends on
-cache freshness.  The predictor choice is amortized with the book: an
-entry records the predictor its book codes, a key prices the choice
-only on its first call and on the call after its book was (re)built,
-and every other call quantizes each slice once, under the reused book's
-predictor.  In a drifting stream the choice trails by at most one book
-lifetime (``REFRESH_INTERVAL`` uses, or until the next staleness
-rebuild); the predictor being lossless, that costs bytes, never the
-bound.
+once on the host while the GPU streams data).  The Huffman stage does
+the same for every keyed stream: a ``compress`` call that passes
+``cache_key`` (the saved-tensor contexts pass the layer name) codes
+under the key's canonical codebook in the codec's
+:class:`~repro.compression.szlike.codebook_cache.CodebookCache`, reused
+across calls with a one-``bincount`` staleness check (rebuild beyond a
+``DELTA`` excess over the fresh-book estimate, or every
+``REFRESH_INTERVAL`` uses) and an unconditional correctness escape —
+symbols with no codeword under a cached book are demoted to the outlier
+channel, so the error bound never depends on cache freshness.  The
+predictor choice is amortized with the book: an entry records the
+predictor its book codes, a key prices the choice only on its first call
+and on the call after its book was (re)built, and every other call
+quantizes each slice once, under the reused book's predictor.  In a
+drifting stream the choice trails by at most one book lifetime
+(``REFRESH_INTERVAL`` uses, or until the next staleness rebuild); the
+predictor being lossless, that costs bytes, never the bound.  A call
+without a key builds a fresh book and prices the predictor, so its blob
+depends on no earlier call.
 
 **Sliced halves.**  Planes over the last ``lorenzo_ndim`` axes predict
 independently (at 0, every value is its own plane), so both halves run
@@ -115,8 +118,8 @@ __all__ = ["SZCompressor", "CompressedTensor", "HEADER_BYTES"]
 # serializer writes is for debuggability).
 HEADER_BYTES = 64
 
-_ENTROPY_STAGES = ("huffman", "zlib", "huffman+zlib", "none")
-#: DEFLATE level of the ``zlib`` / ``huffman+zlib`` entropy stages
+_ENTROPY_STAGES = ("huffman", "zlib", "none")
+#: DEFLATE level of the ``zlib`` entropy stage
 ZLIB_LEVEL = 1
 #: values either half of the codec works on at once, in whole planes (one
 #: at least).  An encode slice borrows 19 B a value, 608 KiB: with the
@@ -230,23 +233,11 @@ class SZCompressor:
     entropy:
         Final entropy stage: ``'huffman'`` (faithful to cuSZ),
         ``'zlib'`` (fast DEFLATE over the code stream, analogous to SZ's
-        zstd stage), ``'huffman+zlib'``, or ``'none'``.
+        zstd stage), or ``'none'``.  Under ``'huffman'`` a keyed
+        :meth:`compress` call reuses its key's codebook and predictor
+        from :attr:`codebook_cache`; an unkeyed call builds both afresh.
     zero_filter:
         Apply the paper's Section 4.4 re-zeroing filter at decompression.
-    codebook_cache:
-        ``False`` (default): build a fresh canonical Huffman codebook
-        and price the predictor per compress call.  ``True``: amortize
-        codebooks across calls per tensor key in a
-        :class:`~repro.compression.szlike.codebook_cache.CodebookCache`
-        (pass ``cache_key=`` to :meth:`compress`; the saved-tensor
-        contexts pass the layer name), and each book's predictor with
-        it: a key prices the predictor on its first call and on the
-        call after its book was (re)built, and otherwise runs under the
-        predictor its reused book codes, so the choice trails a drifting
-        stream by at most one book lifetime.  The error bound is
-        unaffected either way — the predictor is lossless, and
-        uncovered symbols under a cached book escape to the outlier
-        channel.
     kernel_backend:
         Inner-loop implementation for the quantize/predict/entropy hot
         kernels: ``"numpy"`` (reference), ``"numba"`` (compiled; raises
@@ -273,7 +264,6 @@ class SZCompressor:
         entropy: str = "huffman",
         zero_filter: bool = True,
         emulate_zero_drift: bool = False,
-        codebook_cache: bool = False,
         kernel_backend: str = "auto",
         rng=None,
     ):
@@ -298,13 +288,9 @@ class SZCompressor:
         self.lorenzo_ndim = int(lorenzo_ndim)
         self.entropy = entropy
         self.zero_filter = bool(zero_filter)
-        if not isinstance(codebook_cache, bool):
-            raise TypeError(
-                f"codebook_cache must be True or False, got {type(codebook_cache).__name__}"
-            )
-        self.codebook_cache: Optional[CodebookCache] = (
-            CodebookCache() if codebook_cache else None
-        )
+        #: one book and predictor per ``cache_key`` (a server re-points
+        #: it at a shared table)
+        self.codebook_cache = CodebookCache()
         # Unmodified cuSZ reconstructs runs of zeros as small values within
         # the error bound (the pathology motivating the Section 4.4 filter).
         # Our integer pipeline reconstructs zeros exactly, so the pathology
@@ -454,10 +440,10 @@ class SZCompressor:
         """Compress *x* under the (per-call overridable) error bound.
 
         ``cache_key`` names the tensor stream for cross-iteration
-        codebook and predictor amortization (only meaningful with
-        ``codebook_cache`` and a Huffman stage); symbols a cached book
-        does not cover escape to the outlier channel, so the error bound
-        is unconditional.
+        codebook and predictor amortization under the Huffman stage
+        (without one, the call builds a fresh book); symbols a cached
+        book does not cover escape to the outlier channel, so the error
+        bound is unconditional.
         """
         x = np.asarray(x)
         if not np.issubdtype(x.dtype, np.floating):
@@ -471,13 +457,13 @@ class SZCompressor:
         if not 0 < eb < np.inf:
             raise ValueError(f"resolved error bound must be positive and finite, got {eb}")
         lorenzo = self._effective_ndim(x)
-        cache = self.codebook_cache if self.entropy in ("huffman", "huffman+zlib") else None
-        key = predictor = None
+        huffman = self.entropy == "huffman"
+        cache = self.codebook_cache if huffman and cache_key is not None else None
+        predictor = None
         if cache is not None:
-            key = cache_key if cache_key is not None else ("__auto__", x.shape, str(x.dtype))
             # the predictor a reused book codes, unless the key's tensors
             # changed their axes since
-            predictor = cache.predictor(key)
+            predictor = cache.predictor(cache_key)
             if predictor not in (0, lorenzo):
                 predictor = None
         with ExitStack() as stack:
@@ -488,7 +474,7 @@ class SZCompressor:
             out_codebook = None
             total_bits = 0
             chunk_offsets = None
-            if self.entropy in ("huffman", "huffman+zlib"):
+            if huffman:
                 with profiler.stage("encode"):
                     # one histogram feeds the codebook build / cache check
                     # and sizes the encoder's payload
@@ -496,7 +482,7 @@ class SZCompressor:
                     if cache is None:
                         out_codebook, reused = HuffmanCodebook.from_frequencies(hist), False
                     else:
-                        out_codebook, reused = cache.lookup(key, hist, ndim)
+                        out_codebook, reused = cache.lookup(cache_key, hist, ndim)
                     if reused:
                         escaped, n_escape, hist = self._demote_uncovered(
                             codes, outliers, hist, out_codebook, self.radius
@@ -507,8 +493,6 @@ class SZCompressor:
                     payload, total_bits, chunk_offsets = huffman_encode(
                         codes, out_codebook, kernels=self._kernels, hist=hist
                     )
-                    if self.entropy == "huffman+zlib":
-                        payload = zlib.compress(payload, ZLIB_LEVEL)
             elif self.entropy == "zlib":
                 with profiler.stage("encode"):
                     payload = zlib.compress(codes, ZLIB_LEVEL)
@@ -537,12 +521,9 @@ class SZCompressor:
         """Reconstruct the tensor; max abs error is ``ct.error_bound``."""
         x = np.empty(ct.shape, dtype=ct.dtype)
         with profiler.stage("decode"), ExitStack() as stack:
-            if ct.entropy in ("huffman", "huffman+zlib"):
-                payload = ct.payload
-                if ct.entropy == "huffman+zlib":
-                    payload = inflate(payload, (ct.total_bits + 7) >> 3)
+            if ct.entropy == "huffman":
                 codes = huffman_decode(
-                    payload,
+                    ct.payload,
                     ct.total_bits,
                     ct.count,
                     ct.codebook,

@@ -177,7 +177,7 @@ def _loads(data: bytes) -> CompressedTensor:
     ):
         raise CorruptBlobError("error bound, Lorenzo axes, a dtype or a flag malformed")
     chunk_size, n_chunks, width = chunk_layout(count)
-    huffman = entropy.startswith("huffman")
+    huffman = entropy == "huffman"
     if header["chunk_count"] != (n_chunks if huffman else 0):
         raise CorruptBlobError("chunk count inconsistent with the symbol count")
     if header["has_codebook"] is not huffman:

@@ -55,9 +55,11 @@ class GradParam:
 
 def build_grad_plan(network, config: SessionConfig) -> List[GradParam]:
     """The exchange plan: one :class:`GradParam` per parameter, in
-    deterministic layer-traversal order, all sharing one codec instance
-    (a codebook cache amortizes across every parameter), built via the
-    registry only and on the session's ``engine.kernel_backend``.
+    deterministic layer-traversal order, all sharing one codec instance,
+    built via the registry only and on the session's
+    ``engine.kernel_backend``.  Gradients are compressed without a
+    ``cache_key``, so a Huffman codec codes each one with a fresh book
+    (keying them is ROADMAP O(iii)).
     """
     from repro.nn.network import iter_layers
 

@@ -56,7 +56,7 @@ from repro.api.config import (
     knob,
 )
 from repro.api.session import Session, build_session, session_codecs
-from repro.compression.szlike import CodebookTable, SharedCodebookCache
+from repro.compression.szlike import CodebookTable, SharedCodebookCache, SZCompressor
 from repro.core.arena import ArenaPool
 from repro.models.registry import build_scaled_model
 from repro.nn.data import SyntheticImageDataset, batches
@@ -366,10 +366,10 @@ class SessionServer:
         self.admitted_total += 1
 
     def _share_codebooks(self, name: str, session: Session) -> None:
-        """Re-point every codebook cache in *session* at the server's
-        table, publishing as *name*."""
+        """Re-point every szlike codec's codebook cache in *session* at
+        the server's table, publishing as *name*."""
         for codec in session_codecs(session):
-            if getattr(codec, "codebook_cache", None) is not None:
+            if isinstance(codec, SZCompressor):
                 codec.codebook_cache = SharedCodebookCache(self.codebooks, owner=name)
 
     def _decide(self, tenant: Tenant, decision: str, reason: Optional[str]) -> None:
@@ -497,11 +497,8 @@ class SessionServer:
 
     @staticmethod
     def _cache_stats(session: Session) -> Optional[dict]:
-        codec = getattr(session.compressed.ctx, "compressor", None) if session.compressed else None
-        codec = getattr(codec, "inner", codec)
-        cache = getattr(codec, "codebook_cache", None)
-        stats = getattr(cache, "stats", None)
-        return stats() if callable(stats) else None
+        codec = session.compressed.ctx.compressor if session.compressed else None
+        return codec.codebook_cache.stats() if isinstance(codec, SZCompressor) else None
 
     def capture(self) -> ServerSpec:
         """Re-serialize the live server's spec (round-trip identity)."""

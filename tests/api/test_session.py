@@ -470,6 +470,33 @@ class TestStorageKnobWiring:
             assert isinstance(s.engine, SyncEngine)
             np.testing.assert_array_equal(run(s, iters=3), reference)
 
+    def test_codebook_cache_true_trains_bit_identically(self):
+        """A codec naming the removed ``codebook_cache`` switch as true
+        (the committed benchmark configs do) trains as one without it;
+        any other value is an unknown codec option."""
+        with build_session(make_net(), self._cfg()) as s:
+            reference = run(s, iters=3)
+
+        def cfg(value):
+            codec = {"name": "szlike", "options": {"codebook_cache": value}}
+            return SessionConfig.from_dict({**self._cfg().to_dict(), "codec": codec})
+
+        assert cfg(True).codec == CodecSpec("szlike")
+        with build_session(make_net(), cfg(True)) as s:
+            np.testing.assert_array_equal(run(s, iters=3), reference)
+        with pytest.raises(ConfigError, match="codebook_cache"):
+            build_session(make_net(), cfg(False))
+
+    def test_a_default_session_caches_one_book_per_layer(self):
+        """Saved tensors are keyed by layer name, so a session's Huffman
+        codec reuses each layer's book from its second step on."""
+        with build_session(make_net(), self._cfg()) as s:
+            run(s, iters=3)
+            ctx = s.compressed.ctx
+            stats = ctx.compressor.codebook_cache.stats()
+        assert stats["entries"] == len(ctx.policies) > 0
+        assert stats["builds"] == stats["entries"] and stats["hits"] > 0
+
     def test_knobs_round_trip_through_json(self, tmp_path):
         cfg = self._cfg(kernel_backend="numpy")
         cfg.rules = [PolicyRule(match="l0", label="front", eb_min=1e-6)]

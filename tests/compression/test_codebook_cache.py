@@ -25,7 +25,7 @@ NEVER = 1 << 62
 
 
 def make_cached(eb=1e-2):
-    comp = SZCompressor(eb, entropy="huffman", codebook_cache=True)
+    comp = SZCompressor(eb, entropy="huffman")
     return comp, comp.codebook_cache
 
 
@@ -56,18 +56,20 @@ class TestCacheLifecycle:
         comp.compress(x, cache_key="a")
         assert cache.hits == 1
 
-    def test_auto_key_without_cache_key(self, rng):
+    def test_unkeyed_calls_build_fresh_books(self, rng):
+        """Without a key nothing is cached: two tensors of one shape
+        never share a book, and each blob carries its own."""
         comp, cache = make_cached()
         x = smoothish(rng)
-        comp.compress(x)
-        comp.compress(x)
-        assert cache.builds == 1 and cache.hits == 1
+        ct1, ct2 = comp.compress(x), comp.compress(x)
+        assert (cache.builds, cache.hits, len(cache)) == (0, 0, 0)
+        assert ct1.codebook is not ct2.codebook and ct1.payload == ct2.payload
 
-    def test_cache_off_by_default(self, rng):
-        comp = SZCompressor(1e-2, entropy="huffman")
-        assert comp.codebook_cache is None
+    def test_only_the_huffman_stage_caches(self, rng):
+        comp = SZCompressor(1e-2, entropy="zlib")
+        assert isinstance(comp.codebook_cache, CodebookCache)
         ct = comp.compress(smoothish(rng), cache_key="ignored")
-        assert ct.codebook is not None
+        assert ct.codebook is None and len(comp.codebook_cache) == 0
 
     def test_eviction_bounded(self, rng, settings):
         settings(max_entries=2)
@@ -84,10 +86,10 @@ class TestCacheLifecycle:
             codebook_cache.MAX_ESCAPE_RATIO, codebook_cache.MAX_ENTRIES,
         ) == (64, 0.10, 0.02, 512)
 
-    def test_compressor_takes_a_bool(self):
-        assert isinstance(SZCompressor(1e-2, codebook_cache=True).codebook_cache, CodebookCache)
-        with pytest.raises(TypeError, match="codebook_cache"):
-            SZCompressor(1e-2, codebook_cache=CodebookCache())
+    def test_every_codec_has_its_own_cache(self):
+        a, b = SZCompressor(1e-2), SZCompressor(1e-2)
+        assert isinstance(a.codebook_cache, CodebookCache)
+        assert a.codebook_cache is not b.codebook_cache
 
 
 class TestErrorBoundUnderStaleness:

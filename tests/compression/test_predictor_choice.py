@@ -6,7 +6,7 @@ benchmark's ``train_sz`` workload).  The predictor is a lossless
 transform of the grid, so a session trains bit-identically with and
 without the choice; what moves is the bytes the tracker counts.
 
-With a codebook cache the choice is amortized with the book: a key
+Under a keyed Huffman stream the choice is amortized with the book: a key
 prices it on its first call and on the call after its book was
 (re)built, and otherwise runs under the predictor its reused book
 codes.  Pinned here: when pricing runs, that the blobs are those of a
@@ -144,7 +144,7 @@ def test_a_drifting_key_moves_to_lorenzo_on_the_call_after_its_next_rebuild(sett
         SZCompressor, "_bits", lambda self, c, o: priced.append(len(chosen)) or bits(self, c, o)
     )
     relu, smooth = _relu_and_smooth()
-    codec = SZCompressor(0.02, codebook_cache=True)
+    codec = SZCompressor(0.02)
     for x in [relu] * 2 + [smooth] * 6:
         ct = codec.compress(x, cache_key="l")
         chosen.append(ct.lorenzo_ndim)
@@ -158,18 +158,18 @@ def test_a_drifting_key_moves_to_lorenzo_on_the_call_after_its_next_rebuild(sett
 
 
 @pytest.mark.parametrize(
-    "options", [dict(codebook_cache=False), dict(codebook_cache=True, entropy="zlib")]
+    "entropy, key", [("huffman", None), ("zlib", "l")], ids=["unkeyed", "keyed-zlib"]
 )
-def test_without_a_cached_book_every_call_prices(options, monkeypatch):
+def test_without_a_cached_book_every_call_prices(entropy, key, monkeypatch):
     priced = []
     bits = SZCompressor._bits
     monkeypatch.setattr(
         SZCompressor, "_bits", lambda self, c, o: priced.append(1) or bits(self, c, o)
     )
     relu, _ = _relu_and_smooth()
-    codec = SZCompressor(0.02, **options)
+    codec = SZCompressor(0.02, entropy=entropy)
     for _ in range(4):
-        assert codec.compress(relu, cache_key="l").lorenzo_ndim == 0
+        assert codec.compress(relu, cache_key=key).lorenzo_ndim == 0
     assert len(priced) == 2 * 4
 
 
@@ -188,13 +188,13 @@ def test_a_config_with_lorenzo_ndim_9_is_a_config_error():
         build_session(net, config)
 
 
-@pytest.mark.parametrize("cached", [False, True])
-def test_lorenzo_ndim_0_stores_unpredicted_and_prices_nothing(cached, monkeypatch):
+@pytest.mark.parametrize("key", [None, "l"], ids=["unkeyed", "keyed"])
+def test_lorenzo_ndim_0_stores_unpredicted_and_prices_nothing(key, monkeypatch):
     monkeypatch.setattr(SZCompressor, "_bits", lambda self, c, o: pytest.fail("priced"))
     _, smooth = _relu_and_smooth()
-    codec = SZCompressor(0.02, lorenzo_ndim=0, codebook_cache=cached)
+    codec = SZCompressor(0.02, lorenzo_ndim=0)
     for x in (smooth, smooth, np.float32(3.0), smooth[0, 0, 0]):
-        ct = codec.compress(x, cache_key="l")
+        ct = codec.compress(x, cache_key=key)
         assert ct.lorenzo_ndim == 0
         assert np.abs(codec.decompress(ct) - x).max() <= 0.02 * (1 + 1e-6)
 

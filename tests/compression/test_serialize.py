@@ -27,7 +27,7 @@ from repro.kernels.backends import KernelBackend
 from repro.kernels.numba_backend import make_kernel_functions, python_loops
 
 
-@pytest.mark.parametrize("entropy", ["huffman", "zlib", "huffman+zlib", "none"])
+@pytest.mark.parametrize("entropy", ["huffman", "zlib", "none"])
 def test_roundtrip_all_entropy_stages(activation_tensor, entropy):
     comp = SZCompressor(1e-3, entropy=entropy)
     ct = comp.compress(activation_tensor)
@@ -38,7 +38,7 @@ def test_roundtrip_all_entropy_stages(activation_tensor, entropy):
     np.testing.assert_array_equal(y1, y2)
 
 
-@pytest.mark.parametrize("entropy", ["huffman", "zlib", "huffman+zlib", "none"])
+@pytest.mark.parametrize("entropy", ["huffman", "zlib", "none"])
 def test_nbytes_matches_serialized_length_exactly(activation_tensor, entropy):
     """The accounting contract: nbytes equals the physical byte string,
     with the variable wire header charged at the fixed HEADER_BYTES."""
@@ -452,9 +452,9 @@ class TestBlobFuzz:
         assert back is None or out.shape == (32,)
         np.testing.assert_array_equal(loads(dumps(ct)).chunk_offsets, [0, 256])
 
-    @pytest.mark.parametrize("entropy", ["zlib", "huffman+zlib"])
+    @pytest.mark.parametrize("entropy", ["zlib"])
     def test_every_byte_flip_and_truncation_of_a_deflated_blob(self, backend, entropy):
-        """The deflate stages inflate through ``lossless.inflate`` with
+        """The deflate stage inflates through ``lossless.inflate`` with
         the size the header implies: damage anywhere ends in ValueError
         (never ``zlib.error``) or in a tensor of the recorded shape."""
         comp = _codec(backend, 1e-2, entropy=entropy, dict_size=64)

@@ -85,7 +85,7 @@ class TestPublishAndAdopt:
         table = CodebookTable()
         rng = np.random.default_rng(6)
         arr = np.maximum(rng.standard_normal((2, 4, 16, 16)), 0).astype(np.float32)
-        codecs = [SZCompressor(1e-3, entropy="huffman", codebook_cache=True) for _ in "ab"]
+        codecs = [SZCompressor(1e-3, entropy="huffman") for _ in "ab"]
         for codec, owner in zip(codecs, "ab"):
             codec.codebook_cache = SharedCodebookCache(table, owner=owner)
         cts = [c.compress(arr, cache_key="l0") for c in codecs]
@@ -97,7 +97,7 @@ class TestPublishAndAdopt:
         """Each cache key (one per layer in a session) builds, publishes
         and later hits on its own."""
         table = CodebookTable()
-        codec = SZCompressor(1e-3, entropy="huffman", codebook_cache=True)
+        codec = SZCompressor(1e-3, entropy="huffman")
         codec.codebook_cache = SharedCodebookCache(table, owner="a")
         cache = codec.codebook_cache
         rng = np.random.default_rng(7)

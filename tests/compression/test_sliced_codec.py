@@ -32,7 +32,7 @@ _spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_gol
 make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
 
-ENTROPY_STAGES = ("huffman", "zlib", "huffman+zlib", "none")
+ENTROPY_STAGES = ("huffman", "zlib", "none")
 WHOLE = 1 << 40  # slices larger than any tensor here: one slice
 
 

@@ -51,7 +51,7 @@ from repro.core.activation_store import CompressingContext, PackedActivation
 from repro.kernels import available_backends, get_backend, kernel_stats
 from repro.utils.scratch import ScratchPool
 
-ENTROPY_STAGES = ("huffman", "zlib", "huffman+zlib", "none")
+ENTROPY_STAGES = ("huffman", "zlib", "none")
 
 
 @st.composite
@@ -136,12 +136,11 @@ def test_bytes_and_bits_equal_the_int64_float64_reference(backend, tensor, dict_
     assert ct.outliers.dtype == want_outliers.dtype
     np.testing.assert_array_equal(ct.outliers, want_outliers)
     blob = dumps(ct)
-    if entropy.startswith("huffman"):
+    if entropy == "huffman":
         payload, total_bits, offsets = _encode_bitplane(
             qr_ref.codes, ct.codebook, chunk_size_for(x.size)
         )
-        got = zlib.decompress(ct.payload) if entropy == "huffman+zlib" else ct.payload
-        assert (got, ct.total_bits) == (payload, total_bits)
+        assert (ct.payload, ct.total_bits) == (payload, total_bits)
         np.testing.assert_array_equal(ct.chunk_offsets, offsets)
         # the container: table and book sections close the blob
         width = (chunk_size_for(x.size) * MAX_CODE_LENGTH - 1).bit_length()
@@ -180,21 +179,20 @@ def test_bytes_and_bits_equal_the_int64_float64_reference(backend, tensor, dict_
 @pytest.mark.parametrize("backend", available_backends())
 @given(tensors(), st.sampled_from([1, 2, 3]), st.sampled_from(ENTROPY_STAGES), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_the_chosen_predictor_changes_no_decoded_value(backend, tensor, ndim, entropy, cached):
+def test_the_chosen_predictor_changes_no_decoded_value(backend, tensor, ndim, entropy, keyed):
     """A blob under the chosen predictor decodes bit for bit to the blob
     the codec writes when Lorenzo is forced, under the same or a
     different code, and each blob's ``nbytes`` is its serialized size:
     the predictor is a lossless transform of the grid indices."""
     x, eb = tensor
-    options = dict(
-        lorenzo_ndim=ndim, entropy=entropy, codebook_cache=cached, kernel_backend=backend
-    )
+    options = dict(lorenzo_ndim=ndim, entropy=entropy, kernel_backend=backend)
+    key = "layer" if keyed else None
     codec = SZCompressor(eb, **options)
-    chosen = codec.compress(x, cache_key="layer")
+    chosen = codec.compress(x, cache_key=key)
     with pytest.MonkeyPatch.context() as mp:
         # no candidate is ever strictly cheaper: Lorenzo stays
         mp.setattr(SZCompressor, "_bits", lambda self, codes, outliers: 0.0)
-        forced = SZCompressor(eb, **options).compress(x, cache_key="layer")
+        forced = SZCompressor(eb, **options).compress(x, cache_key=key)
     assert forced.lorenzo_ndim == min(ndim, x.ndim)
     assert chosen.lorenzo_ndim in (0, forced.lorenzo_ndim)
     assert codec.decompress(chosen).tobytes() == codec.decompress(forced).tobytes()
@@ -205,27 +203,27 @@ def test_the_chosen_predictor_changes_no_decoded_value(backend, tensor, ndim, en
 
 
 @pytest.mark.parametrize("entropy", ENTROPY_STAGES)
-@pytest.mark.parametrize("codebook_cache", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("key", ["layer", None], ids=["keyed", "unkeyed"])
 @given(tensors())
 @settings(max_examples=25, deadline=None)
-def test_keyed_calls_keep_the_bound_the_bytes_and_the_fresh_reconstruction(
-    entropy, codebook_cache, tensor
+def test_repeated_calls_keep_the_bound_the_bytes_and_the_fresh_reconstruction(
+    entropy, key, tensor
 ):
-    """Two calls under one cache key (so a cached book is reused by the
-    second): each decoded value stays within the bound, the blob survives
-    the registry's wire format bit-equal, its ``nbytes`` is the blob's,
-    and the reconstruction is a fresh uncached codec's — a reused book
-    changes bytes, never values."""
+    """Two calls, under one cache key (so a cached book is reused by the
+    second) or under none: each decoded value stays within the bound,
+    the blob survives the registry's wire format bit-equal, its
+    ``nbytes`` is the blob's, and the reconstruction is a fresh codec's
+    unkeyed one — a reused book changes bytes, never values."""
     x, eb = tensor
-    codec = SZCompressor(eb, entropy=entropy, codebook_cache=codebook_cache)
-    fresh = SZCompressor(eb, entropy=entropy, codebook_cache=False)
+    codec = SZCompressor(eb, entropy=entropy)
+    fresh = SZCompressor(eb, entropy=entropy)
     want = fresh.decompress(fresh.compress(x))
     x64 = x.astype(np.float64)
     slack = 4 * float(np.spacing(np.abs(x64).max() + eb))
     if x.dtype != np.float64:
         slack += 0.5 * float(np.spacing(x.dtype.type(np.abs(x).max() + eb)))
     for _ in range(2):
-        ct = codec.compress(x, error_bound=eb, cache_key="layer")
+        ct = codec.compress(x, error_bound=eb, cache_key=key)
         y = codec.decompress(ct)
         assert y.dtype == x.dtype and y.shape == x.shape
         assert np.abs(x64 - y.astype(np.float64)).max() <= eb + slack

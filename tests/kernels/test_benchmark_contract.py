@@ -36,7 +36,7 @@ def test_kernel_throughput_probe_call_shapes():
     from repro.kernels import get_backend
 
     assert isinstance(DEFAULT_CHUNK, int) and DEFAULT_CHUNK > 0
-    codec = get_codec("szlike", error_bound=1e-3, entropy="huffman", codebook_cache=True)
+    codec = get_codec("szlike", error_bound=1e-3, entropy="huffman")
     x, eb = _activation(), 1e-3
     backend = get_backend(codec.kernel_backend_selected)
     radius, ndim = codec.radius, min(codec.lorenzo_ndim, x.ndim)
@@ -65,7 +65,7 @@ def test_codec_attributes_stats_keys_and_stage_names():
     from repro.compression.registry import get_codec
     from repro.kernels import kernel_stats
 
-    codec = get_codec("szlike", error_bound=1e-3, entropy="huffman", codebook_cache=True)
+    codec = get_codec("szlike", error_bound=1e-3, entropy="huffman")
     assert codec.kernel_backend_selected in ("numpy", "numba")
     assert (codec.radius, codec.dict_size) == (512, 1024) and codec.lorenzo_ndim == 2
     x = _activation()

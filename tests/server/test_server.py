@@ -145,10 +145,7 @@ class TestSharedInfrastructure:
             assert set(server.stats()["pool"]["tenants"]) == {"b"}
 
     def test_codebook_adoption_across_tenants(self):
-        cached = {
-            "codec": {"options": {"codebook_cache": True}},
-            "storage": {"activations": "arena", "budget_bytes": 1 << 20},
-        }
+        cached = {"storage": {"activations": "arena", "budget_bytes": 1 << 20}}
         with small_server() as server:
             server.admit(tenant_dict("a", session=cached))
             server.admit(tenant_dict("b", seed=2, session=cached))
@@ -165,10 +162,9 @@ class TestSharedInfrastructure:
         the server's one table."""
         from repro.compression.szlike import SharedCodebookCache
 
-        cached = {"codebook_cache": True, "entropy": "huffman+zlib"}
         session = {
-            "codec": {"name": "szlike", "options": cached},
-            "rules": [{"match": "l0", "codec": {"options": {"codebook_cache": True}}}],
+            "codec": {"name": "szlike", "options": {"entropy": "huffman"}},
+            "rules": [{"match": "l0", "codec": {"name": "szlike"}}],
         }
         with small_server(shared_codebook_cache=shared) as server:
             tenant = server.admit(tenant_dict("a", session=session))
