@@ -426,6 +426,28 @@ class TestRemovedCodecSwitches:
             build_session(net, cfg)
 
 
+class TestCodebookCacheShim:
+    """``"codebook_cache": true``, which committed benchmark configs still
+    name, is dropped wherever a codec spec is read; the cache it once
+    switched on is how every keyed Huffman stream is coded now."""
+
+    @pytest.mark.parametrize("where", ["codec", "rules[0].codec"])
+    def test_true_is_dropped_and_the_other_options_kept(self, where):
+        codec = {"name": "szlike", "options": {"codebook_cache": True, "entropy": "zlib"}}
+        d = {"codec": codec} if where == "codec" else {"rules": [{"match": "l0", "codec": codec}]}
+        cfg = SessionConfig.from_dict(d)
+        spec = cfg.codec if where == "codec" else cfg.rules[0].codec
+        assert spec == CodecSpec("szlike", {"entropy": "zlib"})
+        assert "codebook_cache" not in json.dumps(cfg.to_dict())
+
+    @pytest.mark.parametrize("value", [False, 1, "true", None], ids=repr)
+    def test_any_other_value_is_an_unknown_option(self, value):
+        spec = CodecSpec.from_dict({"name": "szlike", "options": {"codebook_cache": value}})
+        assert spec.options == {"codebook_cache": value}
+        with pytest.raises(ConfigError, match=r"codec 'szlike': .*'codebook_cache'"):
+            spec.build()
+
+
 class TestDistributedSpec:
     def cfg(self, **kw):
         return SessionConfig(distributed=DistributedSpec(**kw))
