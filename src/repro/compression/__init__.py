@@ -19,7 +19,6 @@ from repro.compression.registry import (
     Codec,
     available_codecs,
     get_codec,
-    register_codec,
 )
 from repro.compression.metrics import (
     compression_ratio,
@@ -46,7 +45,6 @@ __all__ = [
     "Codec",
     "available_codecs",
     "get_codec",
-    "register_codec",
     "compression_ratio",
     "error_stats",
     "max_abs_error",

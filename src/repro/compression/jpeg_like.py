@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -112,6 +113,11 @@ class JpegLikeCompressor:
     transform, mirroring JPEG-ACT's fixed-point front end.
     """
 
+    #: registry metadata (see :mod:`repro.compression.registry`)
+    name = "jpeg"
+    error_bounded = False
+    lossless = False
+
     def __init__(self, quality: int = 50):
         # scipy.fft is paid by whoever builds a jpeg codec, not by
         # ``import repro`` and not inside a step or on a worker thread
@@ -121,7 +127,15 @@ class JpegLikeCompressor:
         self.quality = int(quality)
         self.qmatrix = _quality_scale(self.quality)
 
-    def compress(self, x: np.ndarray) -> JpegCompressedTensor:
+    def compress(
+        self,
+        x: np.ndarray,
+        error_bound: Optional[float] = None,
+        *,
+        cache_key: Optional[Hashable] = None,
+    ) -> JpegCompressedTensor:
+        """Compress *x* at :attr:`quality`; *error_bound* and *cache_key*
+        are ignored, because quality is the only control this family has."""
         x = np.asarray(x)
         if not np.issubdtype(x.dtype, np.floating):
             raise TypeError(f"expected floating-point input, got {x.dtype}")

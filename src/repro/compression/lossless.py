@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -125,13 +126,25 @@ class LosslessCompressedTensor:
 class DeflateCompressor:
     """Plane-coded lossless compression; zeros elided when they pay."""
 
+    #: registry metadata (see :mod:`repro.compression.registry`)
+    name = "lossless"
+    error_bounded = False
+    lossless = True
+
     #: elide zeros when at most this share of the elements is non-zero
     elide_below = 0.9
 
     def __init__(self, level: int = 1):
         self.level = int(level)
 
-    def compress(self, x: np.ndarray) -> LosslessCompressedTensor:
+    def compress(
+        self,
+        x: np.ndarray,
+        error_bound: Optional[float] = None,
+        *,
+        cache_key: Optional[Hashable] = None,
+    ) -> LosslessCompressedTensor:
+        """Compress *x* exactly; *error_bound* and *cache_key* are ignored."""
         x = np.asarray(x)
         flat = np.ascontiguousarray(x).reshape(-1)
         size = flat.dtype.itemsize
@@ -187,4 +200,5 @@ class DeflateCompressor:
 class SparseLosslessCompressor(DeflateCompressor):
     """The same coder, zero bitmap always on: CDMA-style sparsity exploitation."""
 
+    name = "sparse-lossless"
     elide_below = 1.0

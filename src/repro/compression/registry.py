@@ -3,19 +3,21 @@
 The framework originally hard-wired :class:`SZCompressor` into the
 compressing saved-tensor context.  Real deployments of the paper's idea
 (cuSZ-style codecs behind a ``pack_hook``) swap codecs freely, so this
-module defines the contract every codec speaks and a string-keyed
-registry for constructing them:
+module defines the contract every codec speaks and a fixed string-keyed
+table for constructing them:
 
-* :class:`Codec` — the protocol: ``compress(x, error_bound=None)`` and
-  ``decompress(ct)`` over self-describing compressed objects, plus
-  ``name`` / ``error_bounded`` / ``lossless`` metadata attributes.
-  ``error_bound`` is accepted by every codec; codecs without per-element
-  error control (the JPEG-class baseline, the lossless baselines) ignore
-  it — which is exactly the drawback the paper argues against
-  (Section 2.1) and the contract makes explicit.
-* :func:`register_codec` / :func:`get_codec` / :func:`available_codecs`
-  — the registry.  ``get_codec("szlike", error_bound=1e-3)`` replaces
-  direct constructor calls throughout examples and benchmarks.
+* :class:`Codec` — the protocol: ``compress(x, error_bound=None, *,
+  cache_key=None)`` and ``decompress(ct)`` over self-describing
+  compressed objects, plus ``name`` / ``error_bounded`` / ``lossless``
+  class attributes.  Each codec class implements it itself.  Every codec
+  accepts ``error_bound``; codecs without per-element error control (the
+  JPEG-class baseline, the lossless baselines) ignore it — which is
+  exactly the drawback the paper argues against (Section 2.1) and the
+  contract makes explicit.  ``cache_key`` names the tensor stream (the
+  saved-tensor context passes the layer name); only szlike uses it.
+* :func:`get_codec` / :func:`available_codecs` — the table.
+  ``get_codec("szlike", error_bound=1e-3)`` replaces direct constructor
+  calls throughout examples and benchmarks.
 * :func:`dumps` / :func:`loads` — byte-level serialization for *any*
   registered codec's compressed object (dispatch by type / magic), the
   physical representation a byte arena or a spill file stores.
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Hashable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -54,7 +56,6 @@ from repro.compression.szlike import serialize as _szser
 
 __all__ = [
     "Codec",
-    "register_codec",
     "get_codec",
     "available_codecs",
     "dumps",
@@ -68,7 +69,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@runtime_checkable
 class Codec(Protocol):
     """What every registered codec provides."""
 
@@ -79,8 +79,15 @@ class Codec(Protocol):
     #: True when decompress(compress(x)) == x bit-for-bit
     lossless: bool
 
-    def compress(self, x: np.ndarray, error_bound: Optional[float] = None) -> Any:
-        """Compress *x*; codecs without error control ignore the bound."""
+    def compress(
+        self,
+        x: np.ndarray,
+        error_bound: Optional[float] = None,
+        *,
+        cache_key: Optional[Hashable] = None,
+    ) -> Any:
+        """Compress *x*; codecs without error control ignore the bound,
+        codecs without per-stream state ignore the key."""
         ...
 
     def decompress(self, ct: Any) -> np.ndarray:
@@ -91,84 +98,25 @@ class Codec(Protocol):
 # Registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: Dict[str, Callable[..., Codec]] = {}
-
-
-def register_codec(name: str, factory: Optional[Callable[..., Codec]] = None):
-    """Register *factory* under *name* (usable as a decorator)."""
-
-    def _register(f: Callable[..., Codec]):
-        key = name.lower()
-        if key in _REGISTRY:
-            raise ValueError(f"codec {key!r} is already registered")
-        _REGISTRY[key] = f
-        return f
-
-    return _register(factory) if factory is not None else _register
+_REGISTRY = {
+    codec.name: codec
+    for codec in (SZCompressor, JpegLikeCompressor, DeflateCompressor, SparseLosslessCompressor)
+}
 
 
 def get_codec(name: str, **kwargs) -> Codec:
     """Construct a codec by registry key, e.g. ``get_codec("szlike", error_bound=1e-3)``."""
     try:
-        factory = _REGISTRY[name.lower()]
+        cls = _REGISTRY[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown codec {name!r}; available: {', '.join(available_codecs())}"
         ) from None
-    return factory(**kwargs)
+    return cls(**kwargs)
 
 
 def available_codecs() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-# ---------------------------------------------------------------------------
-# Adapters for the non-SZ codecs (normalize the compress signature)
-# ---------------------------------------------------------------------------
-
-
-class _IgnoreBoundMixin:
-    """Adapter for codecs without per-element error control.
-
-    ``error_bound`` is accepted and ignored — the only control these
-    families offer is their own knob (quality / level), which is exactly
-    the drawback the paper argues against (Section 2.1).
-    """
-
-    error_bounded = False
-
-    def compress(self, x, error_bound=None):
-        return super().compress(x)
-
-    def roundtrip(self, x, error_bound=None):
-        return self.decompress(self.compress(x))
-
-
-class JpegCodec(_IgnoreBoundMixin, JpegLikeCompressor):
-    """JPEG-ACT-style baseline behind the unified Codec API."""
-
-    name = "jpeg"
-    lossless = False
-
-
-class DeflateCodec(_IgnoreBoundMixin, DeflateCompressor):
-    """GZIP-class lossless baseline behind the unified Codec API."""
-
-    name = "lossless"
-    lossless = True
-
-
-class SparseLosslessCodec(_IgnoreBoundMixin, SparseLosslessCompressor):
-    """CDMA-style sparsity-aware lossless baseline behind the Codec API."""
-
-    name = "sparse-lossless"
-    lossless = True
-
-
-register_codec("szlike", SZCompressor)
-register_codec("jpeg", JpegCodec)
-register_codec("lossless", DeflateCodec)
-register_codec("sparse-lossless", SparseLosslessCodec)
 
 
 # ---------------------------------------------------------------------------

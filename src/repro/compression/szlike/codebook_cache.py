@@ -17,10 +17,14 @@ and the cache decides, cheaply, whether the cached book is still good:
 
 * **Staleness (δ) check** — the exact cost of coding the new data with
   the cached book is one dot product, ``hist · lengths`` (unseen
-  symbols priced at the escape cost below).  The best any fresh book
-  could do is bounded below by ``max(shannon_bits(hist), count)``
-  (canonical Huffman spends at least one bit per symbol).  When the
-  cached cost exceeds that floor by more than :data:`DELTA`, rebuild.
+  symbols priced at the escape cost below).  A fresh book's cost is
+  estimated, without building it, by Gallager's (1978) upper bound on
+  Huffman redundancy, ``max(H + (p1 + 0.086)·n, n)`` (``H`` the Shannon
+  bits of the histogram, ``p1`` its most frequent symbol's share, ``n``
+  its count; canonical Huffman spends at least one bit per symbol).
+  When the cached cost exceeds that estimate by more than
+  :data:`DELTA`, rebuild.  Being an upper bound, the estimate lets a
+  reused book cost more than ``1 + DELTA`` times a fresh book's bits.
 * **Refresh interval** — rebuild unconditionally every
   :data:`REFRESH_INTERVAL` uses, a drift backstop independent of δ.
 * **Correctness escape** — symbols with *no codeword* under the cached
@@ -41,12 +45,15 @@ predictor is a lossless transform of the grid indices, so this moves
 bytes, never a decoded value or the error bound; in a drifting stream
 the choice trails by at most one book lifetime (:data:`REFRESH_INTERVAL`
 uses, or until the next staleness rebuild).  Living on the entry, the
-predictor is evicted, locked and shared with its book.
+predictor is locked and shared with its book.
 
 Reuse decisions for a key depend only on that key's own lookup history,
 so per-layer keys keep a run deterministic: each layer packs once per
-iteration, in a fixed order.  All state is behind one lock — a
-server's scheduler may run a tenant's steps on any of its threads.
+iteration, in a fixed order.  An entry is never evicted: the keys come
+from the saved-tensor context, one per compressible layer, so the cache
+holds one entry per layer for as long as its codec lives.  All state is
+behind one lock — a server's scheduler may run a tenant's steps on any
+of its threads.
 
 :class:`SharedCodebookCache` adds one in-memory :class:`CodebookTable`
 that several caches publish to and adopt from: the tenants of one
@@ -57,7 +64,6 @@ builds through it.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
@@ -82,8 +88,6 @@ DELTA = 0.10
 #: channel under a cached book; beyond it a rebuild is cheaper than the
 #: escape traffic
 MAX_ESCAPE_RATIO = 0.02
-#: LRU capacity (one entry per tensor key)
-MAX_ENTRIES = 512
 
 
 class _Entry:
@@ -98,11 +102,11 @@ class _Entry:
 
 class CodebookCache:
     """Per-key reuse of canonical Huffman codebooks across iterations,
-    under the module's :data:`REFRESH_INTERVAL`, :data:`DELTA`,
-    :data:`MAX_ESCAPE_RATIO` and :data:`MAX_ENTRIES`."""
+    under the module's :data:`REFRESH_INTERVAL`, :data:`DELTA` and
+    :data:`MAX_ESCAPE_RATIO`."""
 
     def __init__(self) -> None:
-        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
+        self._entries: Dict[Hashable, _Entry] = {}
         self._lock = threading.Lock()
         # -- statistics ----------------------------------------------------
         self.hits = 0  # lookups served by the cached book
@@ -112,7 +116,6 @@ class CodebookCache:
         self.rebuilds_escape = 0  # escape path not viable
         self.rebuilds_predictor = 0  # looked up under another predictor
         self.escaped_symbols = 0  # symbols demoted under cached books
-        self.evictions = 0
         from repro.core.sanitizer import maybe_instrument
 
         maybe_instrument(self, "codebook_cache")
@@ -135,10 +138,6 @@ class CodebookCache:
         entry = self._entries.get(key)
         if entry is None:
             self._entries[key] = _Entry(book, predictor)
-            self._entries.move_to_end(key)
-            while len(self._entries) > MAX_ENTRIES:
-                self._entries.popitem(last=False)
-                self.evictions += 1
         else:
             entry.codebook = book
             entry.predictor = predictor
@@ -210,7 +209,6 @@ class CodebookCache:
             if entry is None:
                 self.builds += 1
             else:
-                self._entries.move_to_end(key)
                 if entry.predictor != predictor:
                     reason = "predictor"
                 else:
@@ -257,7 +255,6 @@ class CodebookCache:
                 "rebuilds_escape": self.rebuilds_escape,
                 "rebuilds_predictor": self.rebuilds_predictor,
                 "escaped_symbols": self.escaped_symbols,
-                "evictions": self.evictions,
             }
 
     def __len__(self) -> int:

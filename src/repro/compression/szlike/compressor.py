@@ -251,8 +251,6 @@ class SZCompressor:
     name = "szlike"
     error_bounded = True
     lossless = False
-    #: the saved-tensor contexts may pass ``cache_key=`` to compress
-    supports_cache_key = True
 
     def __init__(
         self,
@@ -443,7 +441,9 @@ class SZCompressor:
         codebook and predictor amortization under the Huffman stage
         (without one, the call builds a fresh book); symbols a cached
         book does not cover escape to the outlier channel, so the error
-        bound is unconditional.
+        bound is unconditional.  A key's entry is never evicted: it
+        lives as long as the codec.  The saved-tensor context passes one
+        key per compressible layer, so the cache holds one entry each.
         """
         x = np.asarray(x)
         if not np.issubdtype(x.dtype, np.floating):

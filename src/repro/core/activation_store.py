@@ -95,7 +95,6 @@ class PackedActivation:
     """Handle stored in place of the raw activation tensor."""
 
     raw_nbytes: int
-    nonzero_ratio: float = 0.0
     #: bytes charged to the tracker: physical serialized length under
     #: arena storage, the ``nbytes`` accounting convention otherwise
     stored_nbytes: int = 0
@@ -199,7 +198,6 @@ class CompressingContext(SavedTensorContext):
         else:
             handle.stored_nbytes = ct.nbytes
             handle.compressed = ct
-        handle.nonzero_ratio = nz
         self.observed_nonzero[handle.layer_name] = nz
         self.observed_ratio[handle.layer_name] = (
             handle.raw_nbytes / handle.stored_nbytes if handle.stored_nbytes else 0.0
@@ -264,16 +262,13 @@ class CompressingContext(SavedTensorContext):
         eb = self.resolve_error_bound(layer, arr)
         codec = pol.codec
         serialize = self.storage is not None
-        # Per-layer cache keys let a codebook-caching codec amortize its
-        # entropy setup across iterations: each conv layer packs once per
-        # forward in a fixed order, so per-key cache decisions stay
-        # deterministic.
-        kwargs = {"error_bound": eb}
-        if getattr(codec, "supports_cache_key", False):
-            kwargs["cache_key"] = layer.name
 
         def job():
-            ct = codec.compress(arr, **kwargs)
+            # The layer name keys the stream, so a codebook-caching codec
+            # amortizes its entropy setup across iterations: each layer
+            # packs once per forward in a fixed order, so per-key cache
+            # decisions stay deterministic.
+            ct = codec.compress(arr, error_bound=eb, cache_key=layer.name)
             nz = float(np.count_nonzero(arr)) / arr.size
             return ct, _codec_dumps(ct) if serialize else None, nz
 

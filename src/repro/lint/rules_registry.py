@@ -3,7 +3,7 @@
 **Rule.** Outside ``compression/`` modules (where the codec classes
 live) and test files (``test_*.py`` / ``conftest.py``), direct
 construction of a codec class — ``SZCompressor(...)``,
-``JpegCodec(...)``, ... — is a violation.
+``JpegLikeCompressor(...)``, ... — is a violation.
 Sessions must obtain codecs via
 :func:`repro.compression.registry.get_codec`, because a codec is named
 only by a :class:`~repro.api.config.CodecSpec` (registry key plus
@@ -13,8 +13,8 @@ by class has no ``CodecSpec`` that names it, so it cannot be reproduced
 from a committed config — it breaks the "committed JSON reproduces the
 run" contract.
 
-The class-name list mirrors the registry's registrations; adding a
-codec means registering it, at which point its name belongs here too.
+The class-name list mirrors the registry's table; adding a codec means
+adding its class there, at which point its name belongs here too.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ from repro.lint.engine import LintModule, LintRun, Rule, Violation
 
 __all__ = ["RegistryHygieneRule"]
 
-#: every registered codec class plus the compressor base classes they wrap
+#: every registered codec class
 _CODEC_CLASSES = {
     "SZCompressor",
-    "JpegCodec",
-    "DeflateCodec",
-    "SparseLosslessCodec",
     "JpegLikeCompressor",
     "DeflateCompressor",
     "SparseLosslessCompressor",

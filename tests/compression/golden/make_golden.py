@@ -23,6 +23,13 @@ Each case is ``(codec options, [(x, error_bound), ...])``: the **last**
 tensor is the golden.  A one-call case compresses it unkeyed, under a
 fresh codebook; a case of several calls compresses them in order under
 one cache key, so the earlier ones warm the codebook cache.
+
+:data:`BASELINE_CASES` pin the baseline codecs' formats the same way, one
+ReLU activation each, serialized by ``registry.dumps``: ``lossless``
+(the parameter store's codec), ``sparse-lossless`` (the default gradient
+codec) and ``jpeg``.  The two lossless blobs are re-encoded byte for
+byte; the ``jpeg`` blob is pinned by its decode only, because its
+forward DCT comes from scipy.
 """
 
 from __future__ import annotations
@@ -89,6 +96,14 @@ CASES = {
 }
 
 
+#: case -> (registry key, constructor options, input)
+BASELINE_CASES = {
+    "lossless_relu": lambda: ("lossless", {}, _relu(14, (2, 4, 16, 16))),
+    "sparse_lossless_relu": lambda: ("sparse-lossless", {}, _relu(15, (2, 4, 16, 16))),
+    "jpeg_relu": lambda: ("jpeg", {}, _relu(16, (2, 4, 16, 16))),
+}
+
+
 def compress_case(name: str, codec_factory):
     """The golden compressed tensor of case *name*; *codec_factory* builds
     the codec from the case's options (the test injects its backend)."""
@@ -101,6 +116,7 @@ def compress_case(name: str, codec_factory):
 
 
 def main() -> None:
+    from repro.compression import registry
     from repro.compression.szlike import SZCompressor
     from repro.compression.szlike.serialize import dumps, loads
 
@@ -110,6 +126,13 @@ def main() -> None:
         (HERE / f"{name}.blob").write_bytes(blob)
         np.save(HERE / f"{name}.npy", codec.decompress(loads(blob)))
         print(f"{name}: {len(blob)} B blob, nbytes {ct.nbytes}, {ct.outliers.size} outliers")
+    for name, case in BASELINE_CASES.items():
+        key, options, x = case()
+        codec = registry.get_codec(key, **options)
+        blob = registry.dumps(codec.compress(x))
+        (HERE / f"{name}.blob").write_bytes(blob)
+        np.save(HERE / f"{name}.npy", codec.decompress(registry.loads(blob)))
+        print(f"{name}: {len(blob)} B blob")
 
 
 if __name__ == "__main__":

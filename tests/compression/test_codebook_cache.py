@@ -71,20 +71,10 @@ class TestCacheLifecycle:
         ct = comp.compress(smoothish(rng), cache_key="ignored")
         assert ct.codebook is None and len(comp.codebook_cache) == 0
 
-    def test_eviction_bounded(self, rng, settings):
-        settings(max_entries=2)
-        comp, cache = make_cached()
-        x = smoothish(rng, shape=(2, 2, 8, 8))
-        for i in range(5):
-            comp.compress(x, cache_key=f"k{i}")
-        assert len(cache) == 2
-        assert cache.evictions == 3
-
     def test_settings_are_module_constants(self):
         assert (
-            codebook_cache.REFRESH_INTERVAL, codebook_cache.DELTA,
-            codebook_cache.MAX_ESCAPE_RATIO, codebook_cache.MAX_ENTRIES,
-        ) == (64, 0.10, 0.02, 512)
+            codebook_cache.REFRESH_INTERVAL, codebook_cache.DELTA, codebook_cache.MAX_ESCAPE_RATIO
+        ) == (64, 0.10, 0.02)
 
     def test_every_codec_has_its_own_cache(self):
         a, b = SZCompressor(1e-2), SZCompressor(1e-2)

@@ -11,6 +11,11 @@ Huffman bitstream of every case is the one its v2 blob carried.  The
 per-tensor predictor choice was another, on the codes alone: eight cases
 now store their grid indices unpredicted, and every reconstruction is
 the one written before it.
+
+The baseline codecs' formats are pinned beside them: the ``lossless``
+and ``sparse-lossless`` blobs are re-encoded byte for byte, the ``jpeg``
+blob only decoded (its forward DCT is scipy's, so its bytes are not this
+repository's to pin).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.compression import registry
 from repro.compression.szlike import SZCompressor
 from repro.compression.szlike.compressor import HEADER_BYTES
 from repro.compression.szlike.huffman import chunk_size_for, huffman_decode, huffman_encode
@@ -88,9 +94,30 @@ def test_payload_section_is_the_bitstream_of_the_v2_geometry(name):
     np.testing.assert_array_equal(ct.chunk_offsets[::finer], offsets)
 
 
+@pytest.mark.parametrize("name", list(make_golden.BASELINE_CASES))
+def test_baseline_golden_blob_decoded(name):
+    key, options, x = make_golden.BASELINE_CASES[name]()
+    want = np.load(GOLDEN / f"{name}.npy")
+    codec = registry.get_codec(key, **options)
+    got = codec.decompress(registry.loads((GOLDEN / f"{name}.blob").read_bytes()))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if codec.lossless:
+        assert got.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, case in make_golden.BASELINE_CASES.items() if case()[0] != "jpeg"]
+)
+def test_lossless_golden_blob_reproduced(name):
+    key, options, x = make_golden.BASELINE_CASES[name]()
+    blob = registry.dumps(registry.get_codec(key, **options).compress(x))
+    assert blob == (GOLDEN / f"{name}.blob").read_bytes()
+
+
 def test_every_case_has_its_files_and_no_strays():
     names = {p.stem for p in GOLDEN.iterdir() if p.suffix in (".blob", ".npy")}
-    assert names == set(make_golden.CASES)
+    assert names == set(make_golden.CASES) | set(make_golden.BASELINE_CASES)
 
 
 def test_wide_grid_case_needs_int64():

@@ -18,7 +18,6 @@ from repro.compression import (
     SZCompressor,
     available_codecs,
     get_codec,
-    register_codec,
 )
 from repro.compression.registry import dumps, loads, wire_header_nbytes
 from repro.kernels import available_backends
@@ -62,10 +61,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown codec"):
             get_codec("zstd-turbo")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_codec("szlike", SZCompressor)
-
 
 class TestSzlikeBounds:
     def test_relative_bound_resolves_on_the_whole_tensor(self, dense_tensor):
@@ -88,10 +83,36 @@ class TestCodecContract:
     """The shared suite every registered codec must pass."""
 
     def test_metadata(self, name):
+        """Each class implements the contract itself: its metadata are
+        class attributes, ``name`` its registry key."""
         codec = make(name)
-        assert codec.name == name.split("[")[0]
-        assert isinstance(codec.error_bounded, bool)
-        assert isinstance(codec.lossless, bool)
+        cls = type(codec)
+        assert cls.name == name.split("[")[0]
+        assert isinstance(cls.error_bounded, bool)
+        assert isinstance(cls.lossless, bool)
+        assert not {"name", "error_bounded", "lossless"} & set(vars(codec))
+
+    def test_compress_takes_a_bound_and_a_key(self, name, activation_tensor):
+        codec = make(name)
+        ct = codec.compress(activation_tensor, error_bound=1e-2, cache_key="k")
+        y = codec.decompress(ct)
+        assert (y.shape, y.dtype) == (activation_tensor.shape, activation_tensor.dtype)
+
+    def test_context_packs_and_unpacks_a_conv_input(self, name, activation_tensor):
+        from repro.core import CompressingContext
+        from repro.nn import Conv2D
+
+        codec = make(name)
+        ctx = CompressingContext(codec)
+        conv = Conv2D(activation_tensor.shape[1], 2, 3, rng=1, name="c")
+        y = ctx.unpack(conv, "x", ctx.pack(conv, "x", activation_tensor))
+        assert (y.shape, y.dtype) == (activation_tensor.shape, activation_tensor.dtype)
+        if codec.lossless:
+            np.testing.assert_array_equal(y, activation_tensor)
+        elif codec.error_bounded:
+            err = np.abs(activation_tensor.astype(np.float64) - y).max()
+            ulp = float(np.spacing(np.float32(np.abs(activation_tensor).max())))
+            assert err <= ctx.error_bounds["c"] + ulp
 
     def test_roundtrip_shape_and_dtype(self, name, activation_tensor):
         codec = make(name)

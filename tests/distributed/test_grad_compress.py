@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import CodecSpec, ConfigError, EngineSpec, PolicyRule, SessionConfig, StorageSpec
 from repro.api.config import DistributedSpec
-from repro.compression.registry import SparseLosslessCodec
+from repro.compression import SparseLosslessCompressor
 from repro.compression.szlike import SZCompressor
 from repro.distributed import (
     ErrorFeedback,
@@ -28,7 +28,7 @@ class TestGradPlan:
         cfg = SessionConfig(distributed=DistributedSpec(world_size=2))
         plan = build_grad_plan(net, cfg)
         assert len(plan) == len(list(net.parameters()))
-        assert all(isinstance(gp.codec, SparseLosslessCodec) for gp in plan)
+        assert all(isinstance(gp.codec, SparseLosslessCompressor) for gp in plan)
         # one shared instance across every parameter with the same spec
         assert len({id(gp.codec) for gp in plan}) == 1
 

@@ -23,7 +23,11 @@ per-instance settings and ``invalidate()``, which no caller set or
 called.  ``SZCompressor(codebook_cache=...)`` went when every keyed
 Huffman stream took the cached book, and the ``huffman+zlib`` entropy
 stage, whose DEFLATE pass bought 0.6% of ``train_sz``'s bytes for
-3.9 ms a step, with it.
+3.9 ms a step, with it.  The baseline codecs implement the codec
+contract themselves, so their registry adapter classes, the open
+``register_codec`` and the ``supports_cache_key`` flag are gone; so are
+the codebook cache's LRU bound, which no model's layer count came near,
+and ``PackedActivation.nonzero_ratio``, which nothing read.
 """
 
 import json
@@ -45,7 +49,7 @@ from repro.compression.szlike import (
     huffman_decode,
     huffman_encode,
 )
-from repro.core.activation_store import CompressingContext
+from repro.core.activation_store import CompressingContext, PackedActivation
 from repro.core.framework import CompressedTraining
 from repro.core.param_store import ParamStore, StoreSlots
 from repro.models.specs import ConvS, LayerReport, walk_shapes
@@ -83,6 +87,12 @@ class TestRemovedSurface:
             ("repro.compression.registry", "ChunkedCompressedTensor"),
             ("repro.compression.registry", "CHUNK_HEADER_BYTES"),
             ("repro.api.session", "close_codecs"),
+            ("repro.compression", "register_codec"),
+            ("repro.compression.registry", "register_codec"),
+            ("repro.compression.registry", "JpegCodec"),
+            ("repro.compression.registry", "DeflateCodec"),
+            ("repro.compression.registry", "SparseLosslessCodec"),
+            ("repro.compression.szlike.codebook_cache", "MAX_ENTRIES"),
         ],
     )
     def test_import_is_an_import_error(self, module, name):
@@ -146,6 +156,7 @@ class TestRemovedSurface:
             (CodebookCache, "invalidate"),
             (CodebookTable, "invalidate"),
             (SharedCodebookCache, "from_cache"),
+            (SZCompressor, "supports_cache_key"),
         ],
     )
     def test_attribute_is_gone(self, cls, attr):
@@ -186,6 +197,9 @@ class TestRemovedSurface:
         assert not hasattr(Trainer(net, SGD(net.parameters(), lr=0.1)), "close_hooks")
         assert not hasattr(_training(), "param_store")
         assert "recomputable" not in LayerReport.__dataclass_fields__
+        assert "nonzero_ratio" not in PackedActivation.__dataclass_fields__
+        assert not hasattr(CodebookCache(), "evictions")
+        assert "evictions" not in CodebookCache().stats()
 
     def test_layer_report_has_no_flops(self):
         (report,) = walk_shapes([ConvS(8, 3, padding=1)], (1, 4, 8, 8))
