@@ -67,13 +67,24 @@ over whole planes, at most :data:`SLICE_VALUES` values at a time (the
 predictor choice has its own constant), and the bytes are those of one
 whole-tensor pass: ``compress`` copies each slice's codes into one code
 array and appends its outliers; ``decompress`` decodes that array, then
-multiplies each slice's grid indices straight into the output dtype,
-handing it the next as many outliers as it holds markers.  What dies
-inside a call is borrowed from :data:`~repro.utils.scratch.WORKSPACE`
-(only the decode kernel allocates its grid, one slice's worth), in the
+multiplies each block of rows' grid indices straight into the output
+dtype, handing it the next as many outliers as it holds markers.  What
+dies inside a call is borrowed from :data:`~repro.utils.scratch.WORKSPACE`
+(only the decode kernel allocates its grid, one block's worth), in the
 narrowest integer dtype exact for the slice (see
 :mod:`repro.kernels.numpy_backend`), so compression adds nothing to what
 the conv layers already hold there.
+
+**Decode where it is consumed.**  The two decode steps are separate
+calls: the entropy stage decodes the whole code array once (a Huffman
+call runs its chunk size in vectorized steps whatever its lane count, so
+cutting it would pay the steps' fixed cost once a cut), and
+dequantization runs over any range of rows of the leading axis, in
+order, under the running outlier cursor.
+``decompress`` is both over every row; :meth:`SZCompressor.decompress_rows`
+returns a :class:`DecodedRows` whose ``read`` dequantizes only the rows
+asked for, straight into the caller's buffer whatever its strides, so a
+conv backward holds one batch slice of its input instead of all of it.
 
 The codec is two calls on self-describing objects, as cuSZ is:
 ``compress(x)`` returns a :class:`CompressedTensor` that carries
@@ -107,7 +118,7 @@ from repro.kernels.numpy_backend import codes_dtype_for_radius
 from repro.utils import profiler
 from repro.utils.scratch import WORKSPACE
 
-__all__ = ["SZCompressor", "CompressedTensor", "HEADER_BYTES"]
+__all__ = ["SZCompressor", "CompressedTensor", "DecodedRows", "HEADER_BYTES"]
 
 # Fixed serialization overhead we charge per compressed tensor (shape,
 # dtype tag, error bound, counts); matches cuSZ's on-GPU header scale.
@@ -152,6 +163,33 @@ def _slices(shape: tuple, ndim: int, first: int = 0, values: Optional[int] = Non
     for lo in range(first // max(plane, 1), n, step):
         hi = min(lo + step, n)
         yield lo * plane, hi * plane, (hi - lo, *shape[lead:])
+
+
+def _row_blocks(shape: tuple, ndim: int, lo: int = 0, hi: Optional[int] = None):
+    """The blocks rows ``[lo, hi)`` of a C-order *shape* whose trailing
+    *ndim* axes are Lorenzo-predicted are dequantized in, as ``(start,
+    stop, index)``: the block's flat value range, and the basic index
+    that picks it out of an array of those rows (a view, whatever its
+    strides).  A block is whole planes, at most :data:`SLICE_VALUES`
+    values unless one plane is more: runs of whole rows while a row fits,
+    else each row cut the same way along its own leading axis.  With no
+    leading axis the tensor is one plane, read whole."""
+    if len(shape) <= ndim:
+        if lo != 0 or hi not in (None, shape[0] if shape else 1):
+            raise ValueError("a tensor predicted over all its axes is read whole")
+        yield 0, math.prod(shape), (Ellipsis,)
+        return
+    hi = shape[0] if hi is None else hi
+    row = math.prod(shape[1:])
+    step = SLICE_VALUES // max(row, 1)
+    if step:
+        for r in range(lo, hi, step):
+            end = min(r + step, hi)
+            yield r * row, end * row, (slice(r - lo, end - lo),)
+        return
+    for r in range(lo, hi):
+        for start, stop, index in _row_blocks(shape[1:], ndim):
+            yield r * row + start, r * row + stop, (r - lo, *index)
 
 
 def _pack_outliers(outliers: np.ndarray) -> np.ndarray:
@@ -521,29 +559,84 @@ class SZCompressor:
         """Reconstruct the tensor; max abs error is ``ct.error_bound``."""
         x = np.empty(ct.shape, dtype=ct.dtype)
         with profiler.stage("decode"), ExitStack() as stack:
+            out = None
             if ct.entropy == "huffman":
-                codes = huffman_decode(
-                    ct.payload,
-                    ct.total_bits,
-                    ct.count,
-                    ct.codebook,
-                    chunk_offsets=ct.chunk_offsets,
-                    kernels=self._kernels,
-                    out=stack.enter_context(
-                        WORKSPACE.take((ct.count,), ct.codebook.symbol_dtype)
-                    ),
-                )
-            else:
-                codes_dtype = np.dtype(ct.raw_codes_dtype)
-                if codes_dtype.kind != "u":
-                    raise ValueError(f"quantization codes cannot be {codes_dtype}")
-                payload = ct.payload
-                if ct.entropy == "zlib":
-                    payload = inflate(payload, ct.count * codes_dtype.itemsize)
-                codes = np.frombuffer(payload, dtype=codes_dtype)
-                if codes.size != ct.count:
-                    raise ValueError(f"payload holds {codes.size} codes, expected {ct.count}")
-            self._dequantize_slices(codes, ct, x.reshape(-1))
+                out = stack.enter_context(WORKSPACE.take((ct.count,), ct.codebook.symbol_dtype))
+            self._dequantize_rows(self._decode_codes(ct, out), ct, x)
+        self._filter_zeros(ct, x)
+        return x
+
+    def decompress_rows(self, ct: CompressedTensor) -> "DecodedRows":
+        """*ct* to be reconstructed a range of leading-axis rows at a time
+        (:class:`DecodedRows`): the code array is decoded here, once, into
+        a fresh array rather than the workspace (it lives while the caller
+        takes its own scratch), and each ``read`` dequantizes only its
+        rows.  Every row reads bit-identical to ``decompress(ct)``'s."""
+        with profiler.stage("decode"):
+            codes = self._decode_codes(ct, None)
+        return DecodedRows(self, ct, codes)
+
+    def _decode_codes(self, ct: CompressedTensor, out: Optional[np.ndarray]) -> np.ndarray:
+        """The entropy half of the decode: *ct*'s whole code array.  A
+        Huffman stream decodes into *out* (``ct.count`` symbols of the
+        book's dtype) or a fresh array; the others are read from the
+        payload."""
+        if ct.entropy == "huffman":
+            return huffman_decode(
+                ct.payload,
+                ct.total_bits,
+                ct.count,
+                ct.codebook,
+                chunk_offsets=ct.chunk_offsets,
+                kernels=self._kernels,
+                out=out,
+            )
+        codes_dtype = np.dtype(ct.raw_codes_dtype)
+        if codes_dtype.kind != "u":
+            raise ValueError(f"quantization codes cannot be {codes_dtype}")
+        payload = ct.payload
+        if ct.entropy == "zlib":
+            payload = inflate(payload, ct.count * codes_dtype.itemsize)
+        codes = np.frombuffer(payload, dtype=codes_dtype)
+        if codes.size != ct.count:
+            raise ValueError(f"payload holds {codes.size} codes, expected {ct.count}")
+        return codes
+
+    def _dequantize_rows(
+        self, codes: np.ndarray, ct: CompressedTensor, out: np.ndarray, lo: int = 0,
+        cursor: int = 0,
+    ) -> int:
+        """The back half over rows ``[lo, lo + len(out))`` of *ct*, one
+        :func:`_row_blocks` block at a time: the ``quantize_decode``
+        kernel's grid indices times ``2 * eb`` in float64, rounded once
+        into the block's view of *out*.  Each block takes the next as
+        many outliers as it holds markers, from *cursor* (the outliers of
+        the rows before *lo*) on; returns the cursor after the last row.
+        A total that differs at the tensor's last row is corruption."""
+        outliers = ct.outliers
+        n_rows = ct.shape[0] if ct.shape else 1
+        hi = lo + (len(out) if ct.shape else 1)
+        for start, stop, index in _row_blocks(ct.shape, ct.lorenzo_ndim, lo, hi):
+            part, dst = codes[start:stop], out[index]
+            n_out = part.size - int(np.count_nonzero(part))
+            if cursor + n_out > outliers.size:
+                cursor = -1  # more markers than outliers
+                break
+            q = self._kernels.quantize_decode(
+                part, outliers[cursor : cursor + n_out], ct.radius, dst.shape, ct.lorenzo_ndim
+            )
+            cursor += n_out
+            np.multiply(q, 2.0 * ct.error_bound, out=dst, dtype=np.float64, casting="unsafe")
+        if cursor < 0 or hi == n_rows and cursor != outliers.size:
+            markers = codes.size - int(np.count_nonzero(codes))
+            raise ValueError(
+                f"outlier bookkeeping mismatch: {markers} markers vs {outliers.size} stored values"
+            )
+        return cursor
+
+    def _filter_zeros(self, ct: CompressedTensor, x: np.ndarray) -> None:
+        """The zero pathology, emulated, and the Section 4.4 filter, on a
+        reconstruction *x* (the whole tensor or rows of it, in order)."""
         if self.emulate_zero_drift:
             # q = 0 is the one grid index that reconstructs to 0
             zeros = x == 0
@@ -564,34 +657,39 @@ class SZCompressor:
             self.emulate_zero_drift or ct.error_bound < np.finfo(x.dtype).tiny
         ):
             x[np.abs(x) <= ct.error_bound] = 0
-        return x
-
-    def _dequantize_slices(self, codes: np.ndarray, ct: CompressedTensor, out: np.ndarray) -> None:
-        """The back half, one slice at a time: the ``quantize_decode``
-        kernel's grid indices times ``2 * eb`` in float64, rounded once
-        into *out*.  Each slice takes the next as many outliers as it
-        holds markers; a total that differs is corruption."""
-        outliers, cursor = ct.outliers, 0
-        for start, stop, shape in _slices(ct.shape, ct.lorenzo_ndim):
-            part = codes[start:stop]
-            n_out = part.size - int(np.count_nonzero(part))
-            if cursor + n_out > outliers.size:
-                cursor = -1  # more markers than outliers
-                break
-            q = self._kernels.quantize_decode(
-                part, outliers[cursor : cursor + n_out], ct.radius, shape, ct.lorenzo_ndim
-            )
-            cursor += n_out
-            np.multiply(
-                q.reshape(-1), 2.0 * ct.error_bound, out=out[start:stop],
-                dtype=np.float64, casting="unsafe",
-            )
-        if cursor != outliers.size:
-            markers = codes.size - int(np.count_nonzero(codes))
-            raise ValueError(
-                f"outlier bookkeeping mismatch: {markers} markers vs {outliers.size} stored values"
-            )
 
     def roundtrip(self, x: np.ndarray, error_bound: Optional[float] = None) -> np.ndarray:
         """Convenience: decompress(compress(x))."""
         return self.decompress(self.compress(x, error_bound))
+
+
+class DecodedRows:
+    """A compressed tensor whose code array is decoded, reconstructed a
+    range of leading-axis rows at a time (what
+    :meth:`SZCompressor.decompress_rows` returns).
+
+    ``read(rows, out=None)`` returns rows ``rows`` (a ``slice``) of the
+    reconstruction, in *out* (any strides) when given, else in a fresh
+    array.  Reads in increasing order carry the outlier cursor along; a
+    read elsewhere first counts the markers before it.
+    """
+
+    def __init__(self, codec: SZCompressor, ct: CompressedTensor, codes: np.ndarray):
+        self.shape = tuple(ct.shape)
+        self.dtype = np.dtype(ct.dtype)
+        self._codec, self._ct, self._codes = codec, ct, codes
+        #: the row the cursor stands at, and the outliers of the rows before it
+        self._row = self._cursor = 0
+
+    def read(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0] if self.shape else 1)
+        if out is None:
+            out = np.empty((hi - lo, *self.shape[1:]) if self.shape else (), self.dtype)
+        if lo != self._row:
+            start = lo * math.prod(self.shape[1:])
+            self._cursor = start - int(np.count_nonzero(self._codes[:start]))
+        with profiler.stage("decode"):
+            self._cursor = self._codec._dequantize_rows(self._codes, self._ct, out, lo, self._cursor)
+        self._row = hi
+        self._codec._filter_zeros(self._ct, out)
+        return out

@@ -25,12 +25,13 @@ direction needs a Python-level per-symbol loop:
   gather + shift + mask), so scratch is ~4x the payload (borrowed
   from the workspace, as the symbols are when the caller passes
   ``out=``) plus O(#chunks) per step plus the dense decode table (3 bytes per
-  prefix), which is **cached on the codebook**: a book the
-  cross-iteration
-  :class:`~repro.compression.szlike.codebook_cache.CodebookCache`
-  keeps builds it once, but every blob read back from bytes (an arena
-  entry, a spill, the wire) carries a fresh book, so the build is two
-  ``np.repeat`` calls over the canonical order rather than a loop.
+  prefix), which is **built per decode call in the workspace**, not kept
+  on the codebook: a book lives as long as its blob or its
+  :class:`~repro.compression.szlike.codebook_cache.CodebookCache` entry,
+  and six 14-16-bit tables held for a run cost more resident memory than
+  rebuilding one per call costs time.  The build is one broadcast slice
+  assignment per code length over the canonical order, with no
+  prefix-sized temporary.
   cuSZ sizes its chunks so that *chunks ~ hardware lanes*; here the
   "hardware" is one vectorized call that costs
   ``3.8 us x steps + 12.4 ns x symbols``, so the geometry is **per
@@ -79,6 +80,7 @@ from repro.compression.lossless import shrink
 from repro.kernels import get_backend
 from repro.kernels.numpy_backend import ENCODE_BLOCK as ENCODE_BLOCK  # noqa: F401 (re-export)
 from repro.kernels.numpy_backend import block_bincount
+from repro.utils.scratch import WORKSPACE
 
 __all__ = [
     "MAX_CODE_LENGTH",
@@ -176,10 +178,6 @@ class HuffmanCodebook:
 
     lengths: np.ndarray  # uint8, one entry per alphabet symbol
     codes: np.ndarray  # uint32 canonical codewords
-    #: lazily built dense decode tables (``(tsym, tlen)`` over all 2^L
-    #: prefixes) — cached here so a codebook reused across iterations
-    #: pays the table-build loop exactly once
-    _tables: Optional[tuple] = field(default=None, repr=False, compare=False)
     #: the serialized length table (:meth:`section`), deflated once
     _section: Optional[bytes] = field(default=None, repr=False, compare=False)
 
@@ -216,7 +214,7 @@ class HuffmanCodebook:
         (canonical codes follow from the lengths), deflated — most of a
         1 024-entry table is zeros — or raw when that is not larger;
         a reader tells the two apart by the section's length.  Built
-        once per codebook and cached beside the decode tables."""
+        once per codebook and cached on it."""
         if self._section is None:
             self._section = shrink(np.asarray(self.lengths, dtype=np.uint8).tobytes(), 6)
         return self._section
@@ -238,27 +236,38 @@ class HuffmanCodebook:
 
     def decode_tables(self) -> tuple:
         """Dense decode tables ``(tsym, tlen)`` over all ``2^L`` L-bit
-        prefixes, built once and cached on the codebook: ``tsym`` in
-        :attr:`symbol_dtype`, ``tlen`` as ``uint8`` — 3 bytes per prefix, so
-        a 16-bit book costs 192 KiB and stays cache-resident while the
-        decoder gathers from it."""
-        if self._tables is None:
-            L = self.max_length
-            if L == 0:
-                raise ValueError("codebook is empty")
-            # canonical codes cover the prefixes in (length, symbol) order,
-            # each 2^(L - l) wide; a single-symbol book's one 1-bit code
-            # leaves the upper half as (symbol 0, length 1) padding
-            # (repeating the narrow arrays: no 8 B-per-prefix temporaries)
-            syms, lens = _canonical_order(self.lengths)
-            width = 1 << (L - lens)
-            n = int(width.sum())
-            tsym = np.zeros(1 << L, dtype=self.symbol_dtype)
-            tlen = np.ones(1 << L, dtype=np.uint8)
-            tsym[:n] = np.repeat(syms.astype(tsym.dtype), width)
-            tlen[:n] = np.repeat(lens.astype(np.uint8), width)
-            self._tables = (tsym, tlen)
-        return self._tables
+        prefixes, freshly allocated: ``tsym`` in :attr:`symbol_dtype`,
+        ``tlen`` as ``uint8`` — 3 bytes per prefix, 192 KiB for a 16-bit
+        book.  :func:`huffman_decode` fills borrowed ones instead."""
+        L = self.max_length
+        if L == 0:
+            raise ValueError("codebook is empty")
+        tables = np.empty(1 << L, dtype=self.symbol_dtype), np.empty(1 << L, dtype=np.uint8)
+        self._fill_decode_tables(*tables)
+        return tables
+
+    def _fill_decode_tables(self, tsym: np.ndarray, tlen: np.ndarray) -> None:
+        """Write the decode tables into *tsym* / *tlen* (``2^L`` entries
+        each, contents undefined).  Canonical codes cover the prefixes in
+        (length, symbol) order, each code of length ``l`` ``2^(L - l)``
+        wide, so the codes of one length fill one contiguous run: a
+        ``(count, width)`` view of it takes their symbols by broadcast.
+        A single-symbol book's one 1-bit code leaves the upper half as
+        (symbol 0, length 1) padding."""
+        L = self.max_length
+        syms, lens = _canonical_order(self.lengths)
+        syms = syms.astype(tsym.dtype)  # a broadcast that casts is ~2x slower
+        per_length = np.bincount(lens, minlength=L + 1).tolist()
+        pos = at = 0
+        for length in range(1, L + 1):
+            count, width = per_length[length], 1 << (L - length)
+            if count:
+                end = pos + count * width
+                tsym[pos:end].reshape(count, width)[...] = syms[at : at + count, None]
+                tlen[pos:end] = length
+                pos, at = end, at + count
+        tsym[pos:] = 0
+        tlen[pos:] = 1
 
 
 def histogram(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
@@ -385,8 +394,9 @@ def huffman_decode(
     derives the geometry from *count* exactly as the encoder did.
     *out*, a *count*-long array in the book's :attr:`~HuffmanCodebook.symbol_dtype`,
     receives the symbols instead of a fresh array.
-    Metadata validation and the dense-table build live here (identical
-    errors on every backend); the window-gather loop is a backend
+    Metadata validation and the dense-table build (into two workspace
+    takes, released on return) live here (identical errors on every
+    backend); the window-gather loop is a backend
     kernel (``huffman_unpack_window``, *kernels* selects the backend,
     default: the NumPy reference).  The NumPy reference advances all
     chunks one symbol per vectorized step, gathering each codeword's
@@ -401,7 +411,6 @@ def huffman_decode(
         raise ValueError("codebook is empty")
     if 8 * len(payload) < total_bits:
         raise ValueError(f"payload holds {8 * len(payload)} bits, expected {total_bits}")
-    tsym, tlen = codebook.decode_tables()
     if chunk_size is None:
         chunk_size = chunk_size_for(count)
     _check_chunk_size(chunk_size)
@@ -412,9 +421,13 @@ def huffman_decode(
     if int(pos.min()) < 0 or int(pos.max()) >= max(total_bits, 1):
         raise ValueError("chunk offsets out of range")
     kernels = kernels if kernels is not None else get_backend("numpy")
-    return kernels.huffman_unpack_window(
-        payload, total_bits, count, tsym, tlen, L, pos, chunk_size, out=out
-    )
+    with WORKSPACE.take((1 << L,), codebook.symbol_dtype) as tsym, WORKSPACE.take(
+        (1 << L,), np.uint8
+    ) as tlen:
+        codebook._fill_decode_tables(tsym, tlen)
+        return kernels.huffman_unpack_window(
+            payload, total_bits, count, tsym, tlen, L, pos, chunk_size, out=out
+        )
 
 
 def entropy_bits_from_hist(hist: np.ndarray) -> float:

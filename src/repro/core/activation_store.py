@@ -38,14 +38,20 @@ Two storage regimes:
   byte-exact rather than estimates.
 
 Each packed handle is released to the tracker exactly once, on whichever
-of ``unpack``/``discard`` reaches it first; repeated unpacks (e.g. via
-``Layer._load``) keep returning data without double-releasing.
+of ``unpack``/``unpack_rows``/``discard`` reaches it first; repeated
+unpacks (e.g. via ``Layer._load``) keep returning data without
+double-releasing.  ``unpack_rows`` (a conv backward reading its input
+slice by slice) releases when its ``with`` block ends, on any path.
+Under a codec with ``decompress_rows`` (szlike) each slice is
+reconstructed, ReLU recompute included, only when the layer reads it;
+any other codec decompresses whole.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -55,7 +61,7 @@ from repro.compression.registry import loads as _codec_loads
 from repro.core.arena import ByteArena
 from repro.core.engine import SyncEngine
 from repro.core.memory_tracker import MemoryTracker
-from repro.nn.layers.base import Layer, SavedTensorContext
+from repro.nn.layers.base import Layer, SavedRows, SavedTensorContext
 from repro.utils.scratch import WORKSPACE
 
 __all__ = ["CompressingContext", "PackedActivation", "ResolvedPolicy"]
@@ -209,17 +215,19 @@ class CompressingContext(SavedTensorContext):
             group=handle.policy_label,
         )
 
-    def _materialize(self, handle: PackedActivation) -> np.ndarray:
-        """Decompress *handle*, reading arena bytes if necessary.
+    def _compressed(self, handle: PackedActivation):
+        """*handle*'s compressed object, read from the arena on first use.
 
-        The compressed object is kept on the handle so repeated unpacks
-        keep working after the arena entry is released.
+        It is kept on the handle so repeated unpacks keep working after
+        the arena entry is released.
         """
-        ct = handle.compressed
-        if ct is None:
-            ct = _codec_loads(self.storage.get(handle.arena_key))
-            handle.compressed = ct
-        return self.policy(handle.layer_name).codec.decompress(ct)
+        if handle.compressed is None:
+            handle.compressed = _codec_loads(self.storage.get(handle.arena_key))
+        return handle.compressed
+
+    def _materialize(self, handle: PackedActivation) -> np.ndarray:
+        """Decompress *handle*, reading arena bytes if necessary."""
+        return self.policy(handle.layer_name).codec.decompress(self._compressed(handle))
 
     def _recompute_relu(self, handle: PackedActivation, out: np.ndarray) -> np.ndarray:
         """Recompute the activation function (Section 4.4) on a
@@ -284,6 +292,33 @@ class CompressingContext(SavedTensorContext):
         self._release(handle)
         return out
 
+    @contextmanager
+    def unpack_rows(self, layer: Layer, key: str, handle) -> Iterator[SavedRows]:
+        if not isinstance(handle, PackedActivation):
+            yield SavedRows(handle)
+            return
+        try:
+            codec = self.policy(handle.layer_name).codec
+            ct = self._compressed(handle)
+            decompress_rows = getattr(codec, "decompress_rows", None)
+            rows = decompress_rows(ct) if decompress_rows else SavedRows(codec.decompress(ct))
+            if layer.name in self.relu_recompute_layers:
+                rows = _ReluRecomputed(rows, lambda out: self._recompute_relu(handle, out))
+            yield rows
+        finally:
+            self._release(handle)
+
     def discard(self, layer: Layer, key: str, handle) -> None:
         if isinstance(handle, PackedActivation):
             self._release(handle)
+
+
+class _ReluRecomputed:
+    """Rows of which every read gets the Section 4.4 ReLU recompute."""
+
+    def __init__(self, rows, recompute):
+        self.shape, self.dtype = rows.shape, rows.dtype
+        self._rows, self._recompute = rows, recompute
+
+    def read(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._recompute(self._rows.read(rows, out))

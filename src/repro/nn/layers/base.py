@@ -7,15 +7,22 @@ context keeps plain references; the paper's framework
 (:mod:`repro.core.activation_store`) swaps in a context that compresses on
 ``pack`` (forward pass) and decompresses on ``unpack`` (backward pass) —
 exactly the interception point the paper instruments in Caffe/TensorFlow.
+
+A layer that consumes a saved tensor one batch slice at a time (the
+convolution's backward) pops it with :meth:`Layer._pop_rows` instead:
+the context hands back rows to ``read`` range by range, so a
+compressing context can reconstruct each range only when it is
+consumed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-__all__ = ["Parameter", "SavedTensorContext", "Layer"]
+__all__ = ["Parameter", "SavedRows", "SavedTensorContext", "Layer"]
 
 
 class Parameter:
@@ -43,6 +50,25 @@ class Parameter:
         return f"Parameter({self.name}, shape={self.data.shape})"
 
 
+class SavedRows:
+    """A saved tensor read one range of its leading axis at a time.
+
+    ``read(rows, out=None)`` returns rows ``rows`` (a ``slice``), copied
+    into *out* when given.  This one holds the whole array and hands out
+    views of it; a context may yield any object with the same ``shape``,
+    ``dtype`` and ``read``.
+    """
+
+    def __init__(self, arr: np.ndarray):
+        self.shape, self.dtype, self._arr = arr.shape, arr.dtype, arr
+
+    def read(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            return self._arr[rows]
+        out[...] = self._arr[rows]
+        return out
+
+
 class SavedTensorContext:
     """Default pass-through storage for tensors saved for backward."""
 
@@ -53,6 +79,13 @@ class SavedTensorContext:
     def unpack(self, layer: "Layer", key: str, handle) -> np.ndarray:
         """Called on backward to recover the tensor from its handle."""
         return handle
+
+    @contextmanager
+    def unpack_rows(self, layer: "Layer", key: str, handle) -> Iterator[SavedRows]:
+        """Called on backward to read the tensor behind *handle* a range
+        of rows at a time, inside the ``with`` block; leaving it, on any
+        path, is the end of the handle.  By default: :meth:`unpack`, whole."""
+        yield SavedRows(self.unpack(layer, key, handle))
 
     def discard(self, layer: "Layer", key: str, handle) -> None:
         """Called when a handle is dropped without being unpacked."""
@@ -124,6 +157,14 @@ class Layer:
         """Load and release a saved tensor (normal backward-pass use)."""
         handle = self._saved.pop(key)
         return self.saved_ctx.unpack(self, key, handle)
+
+    @contextmanager
+    def _pop_rows(self, key: str) -> Iterator[SavedRows]:
+        """Pop a saved tensor to read a leading-axis range at a time
+        (``rows.read(slice, out=None)``) inside the ``with`` block."""
+        handle = self._saved.pop(key)
+        with self.saved_ctx.unpack_rows(self, key, handle) as rows:
+            yield rows
 
     def clear_saved(self) -> None:
         for key, handle in self._saved.items():

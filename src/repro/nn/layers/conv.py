@@ -26,8 +26,12 @@ takes one of two paths, chosen by the geometry alone:
 A pass builds its patch matrix for one batch slice at a time, of as many
 images as fit in :data:`PATCH_BUDGET_BYTES` (at least one), and writes
 each slice's result into the NCHW output or ``dx``: a pass holds one
-slice's patches, not the batch's.  Every array that does not outlive the
-call is borrowed from :data:`repro.utils.scratch.WORKSPACE`.
+slice's patches, not the batch's.  Backward reads its saved input the
+same way, slice by slice (:meth:`~repro.nn.layers.base.Layer._pop_rows`):
+under a compressing context a slice is reconstructed only when its
+patches are built, in the transposed path straight into the ``(C, N,
+H, W)`` buffer the ``dW`` GEMM reads.  Every array that does not outlive
+the call is borrowed from :data:`repro.utils.scratch.WORKSPACE`.
 """
 
 from __future__ import annotations
@@ -184,16 +188,16 @@ class Conv2D(Layer):
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x = self._pop("x")
-        dx = None
-        if self.needs_input_grad:
-            dx = np.empty(x.shape, np.result_type(self.weight.data, dout))
-        if self.bias is not None:
-            self.bias.grad += dout.sum(axis=(0, 2, 3))
-        if self.stride == 1 and self.padding < self.kernel:
-            self._backward_transposed(x, dout, dx)
-        else:
-            self._backward_col2im(x, dout, dx)
+        with self._pop_rows("x") as x:
+            dx = None
+            if self.needs_input_grad:
+                dx = np.empty(x.shape, np.result_type(self.weight.data, dout))
+            if self.bias is not None:
+                self.bias.grad += dout.sum(axis=(0, 2, 3))
+            if self.stride == 1 and self.padding < self.kernel:
+                self._backward_transposed(x, dout, dx)
+            else:
+                self._backward_col2im(x, dout, dx)
         return dx
 
     def _backward_transposed(self, x, dout, dx) -> None:
@@ -203,13 +207,13 @@ class Conv2D(Layer):
         rows = cout * k * k
         # Wflip[c, (co, i, j)] = W[co, c, k-1-i, k-1-j]
         wflip = self.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, rows)
-        for sl in batch_slices(len(x), rows * h * w * dout.itemsize):
-            xs, ds = x[sl], dout[sl]
+        for sl in batch_slices(len(dout), rows * h * w * dout.itemsize):
+            ds = dout[sl]
             with WORKSPACE.take((rows, len(ds) * h * w), dout.dtype) as d, WORKSPACE.take(
-                (c, len(xs), h, w), x.dtype
+                (c, len(ds), h, w), x.dtype
             ) as xt:
+                x.read(sl, out=xt.transpose(1, 0, 2, 3))
                 im2col(ds, k, 1, k - 1 - self.padding, out=d)
-                xt[...] = xs.transpose(1, 0, 2, 3)
                 # dW[co, c, i, j] = (X @ D.T)[c, (co, k-1-i, k-1-j)], taken as D @ X.T:
                 # BLAS streams the long N*H*W axis of the big operand row by row
                 dw = (d @ xt.reshape(c, -1).T).reshape(cout, k, k, c)
@@ -221,8 +225,8 @@ class Conv2D(Layer):
         """Any other geometry: ``im2col(x)`` for ``dW``, :func:`col2im` for ``dx``."""
         cout, ho, wo = dout.shape[1:]
         wmat = self.weight.data.reshape(cout, -1)
-        for sl in batch_slices(len(x), wmat.shape[1] * ho * wo * x.itemsize):
-            xs, ds = x[sl], dout[sl]
+        for sl in batch_slices(len(dout), wmat.shape[1] * ho * wo * x.dtype.itemsize):
+            xs, ds = x.read(sl), dout[sl]
             cols_shape = (wmat.shape[1], len(ds) * ho * wo)
             with WORKSPACE.take((cout, len(ds), ho, wo), dout.dtype) as d4:
                 d4[...] = ds.transpose(1, 0, 2, 3)

@@ -119,9 +119,10 @@ class ScratchPool:
 #: The process-wide pool.  Conv and pooling layers borrow here every array
 #: that dies inside one ``forward`` / ``backward``, the SZ codec its
 #: quantize / predict / code intermediates and the adaptive controller its
-#: float64 statistics: none of them calls another while it holds a take (a
-#: layer packs what it saves after its takes end, and unpacks before it
-#: takes), so the slab is sized by the largest of their sets alone.  What
+#: float64 statistics.  A layer packs what it saves after its takes end,
+#: and a conv backward's slice-by-slice read of its saved input borrows
+#: only the ReLU recompute's one-slice mask on top of the layer's takes,
+#: so the slab is sized by the largest layer's set.  What
 #: a layer returns or saves is never pooled: those are the tensors
 #: compression exists to free.
 WORKSPACE = ScratchPool()

@@ -216,11 +216,33 @@ class TestWordPackedEncoder:
         with pytest.raises(TypeError, match="packer"):
             huffman_encode(syms, cb, packer=packer)
 
-    def test_decode_tables_cached_on_codebook(self, rng):
+    def test_decode_tables_are_built_per_call_and_borrowed_by_the_decoder(self, rng, monkeypatch):
+        """Nothing is kept on the book: ``decode_tables`` returns fresh
+        arrays every call, and ``huffman_decode`` fills two workspace
+        takes (``2^L`` symbols and ``2^L`` lengths) that end with it."""
+        from repro.compression.szlike import huffman
+        from repro.utils.scratch import ScratchPool
+
         syms = rng.integers(0, 64, size=1000).astype(np.uint16)
         cb = build_codebook(syms, 64)
-        t1 = cb.decode_tables()
-        assert cb.decode_tables() is t1  # built once
+        (s1, l1), (s2, l2) = cb.decode_tables(), cb.decode_tables()
+        assert s1 is not s2 and l1 is not l2
+        np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(l1, l2)
+        assert "_tables" not in vars(cb)
+
+        taken = []
+
+        class Spy(ScratchPool):
+            def take(self, shape, dtype):
+                taken.append((shape, np.dtype(dtype)))
+                return super().take(shape, dtype)
+
+        monkeypatch.setattr(huffman, "WORKSPACE", Spy())
+        payload, total_bits, offsets = huffman_encode(syms, cb)
+        np.testing.assert_array_equal(huffman_decode(payload, total_bits, syms.size, cb, offsets), syms)
+        size = 1 << cb.max_length
+        assert taken == [((size,), cb.symbol_dtype), ((size,), np.dtype(np.uint8))]
 
 
 GEOMETRY_COUNTS = [
@@ -464,6 +486,12 @@ def _assert_matches_loops(book):
     tsym, tlen = book.decode_tables()
     want_sym, want_len = _loop_tables(book)
     assert tsym.dtype == want_sym.dtype and tlen.dtype == want_len.dtype
+    np.testing.assert_array_equal(tsym, want_sym)
+    np.testing.assert_array_equal(tlen, want_len)
+    # the decoder fills borrowed buffers holding anything: every entry is written
+    tsym.fill(np.iinfo(tsym.dtype).max)
+    tlen.fill(0xFF)
+    book._fill_decode_tables(tsym, tlen)
     np.testing.assert_array_equal(tsym, want_sym)
     np.testing.assert_array_equal(tlen, want_len)
     # a book rebuilt from its stored lengths (what loads does) is the same book

@@ -1,5 +1,7 @@
 """The CompressedTraining session: wiring, accounting, adaptivity."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -219,15 +221,24 @@ class TestSession:
         net, opt, tr, sess = make_session(dataset)
         conv = next(l for l in iter_layers(net) if isinstance(l, Conv2D))
         seen = {}
-        orig_unpack = sess.ctx.unpack
+        orig_pack, orig_rows = sess.ctx.pack, sess.ctx.unpack_rows
 
-        def spy_unpack(layer, key, handle):
-            out = orig_unpack(layer, key, handle)
-            if layer is conv and isinstance(handle, PackedActivation):
-                seen["eb"] = handle.compressed.error_bound
-            return out
+        def spy_pack(layer, key, arr):
+            if layer is conv:
+                seen["x"] = arr.copy()
+            return orig_pack(layer, key, arr)
 
-        sess.ctx.unpack = spy_unpack
+        @contextmanager
+        def spy_rows(layer, key, handle):
+            with orig_rows(layer, key, handle) as rows:
+                if layer is conv and isinstance(handle, PackedActivation):
+                    seen["eb"] = handle.compressed.error_bound
+                    seen["decoded"] = rows.read(slice(None)).copy()
+                yield rows
+
+        sess.ctx.pack, sess.ctx.unpack_rows = spy_pack, spy_rows
         x, y = dataset.sample(8, rng=0)
         tr.train_step(x, y)
         assert seen["eb"] > 0
+        err = np.abs(seen["decoded"].astype(np.float64) - seen["x"]).max()
+        assert err <= seen["eb"] * (1 + 1e-5)  # float32 rounds half an ulp past it

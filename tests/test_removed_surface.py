@@ -27,7 +27,10 @@ stage, whose DEFLATE pass bought 0.6% of ``train_sz``'s bytes for
 contract themselves, so their registry adapter classes, the open
 ``register_codec`` and the ``supports_cache_key`` flag are gone; so are
 the codebook cache's LRU bound, which no model's layer count came near,
-and ``PackedActivation.nonzero_ratio``, which nothing read.
+and ``PackedActivation.nonzero_ratio``, which nothing read.  A Huffman
+codebook no longer keeps its decode tables (``HuffmanCodebook._tables``):
+each decode builds them in the workspace, cheaper than holding them for
+the run.
 """
 
 import json
@@ -44,6 +47,7 @@ from repro.compression.registry import dumps, loads, wire_header_nbytes
 from repro.compression.szlike import (
     CodebookCache,
     CodebookTable,
+    HuffmanCodebook,
     SharedCodebookCache,
     build_codebook,
     huffman_decode,
@@ -200,6 +204,13 @@ class TestRemovedSurface:
         assert "nonzero_ratio" not in PackedActivation.__dataclass_fields__
         assert not hasattr(CodebookCache(), "evictions")
         assert "evictions" not in CodebookCache().stats()
+        assert "_tables" not in HuffmanCodebook.__dataclass_fields__
+        symbols = np.arange(200, dtype=np.uint16) % 8
+        book = build_codebook(symbols, 8)
+        payload, total_bits, offsets = huffman_encode(symbols, book)
+        huffman_decode(payload, total_bits, symbols.size, book, offsets)
+        book.decode_tables()
+        assert not hasattr(book, "_tables")
 
     def test_layer_report_has_no_flops(self):
         (report,) = walk_shapes([ConvS(8, 3, padding=1)], (1, 4, 8, 8))
