@@ -81,10 +81,11 @@ call runs its chunk size in vectorized steps whatever its lane count, so
 cutting it would pay the steps' fixed cost once a cut), and
 dequantization runs over any range of rows of the leading axis, in
 order, under the running outlier cursor.
-``decompress`` is both over every row; :meth:`SZCompressor.decompress_rows`
-returns a :class:`DecodedRows` whose ``read`` dequantizes only the rows
-asked for, straight into the caller's buffer whatever its strides, so a
-conv backward holds one batch slice of its input instead of all of it.
+``decompress(ct)`` is both over every row; ``decompress`` of a
+:class:`RowReader`'s :class:`CompressedRows` dequantizes only the rows
+it names, straight into the caller's buffer whatever its strides, so a
+conv backward holds one batch slice of its input instead of all of it
+and every read still passes through the codec's one decode entry point.
 
 The codec is two calls on self-describing objects, as cuSZ is:
 ``compress(x)`` returns a :class:`CompressedTensor` that carries
@@ -99,7 +100,7 @@ import threading
 import zlib
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable, NamedTuple, Optional
 
 import numpy as np
 
@@ -118,7 +119,7 @@ from repro.kernels.numpy_backend import codes_dtype_for_radius
 from repro.utils import profiler
 from repro.utils.scratch import WORKSPACE
 
-__all__ = ["SZCompressor", "CompressedTensor", "DecodedRows", "HEADER_BYTES"]
+__all__ = ["SZCompressor", "CompressedTensor", "CompressedRows", "RowReader", "HEADER_BYTES"]
 
 # Fixed serialization overhead we charge per compressed tensor (shape,
 # dtype tag, error bound, counts); matches cuSZ's on-GPU header scale.
@@ -173,7 +174,10 @@ def _row_blocks(shape: tuple, ndim: int, lo: int = 0, hi: Optional[int] = None):
     strides).  A block is whole planes, at most :data:`SLICE_VALUES`
     values unless one plane is more: runs of whole rows while a row fits,
     else each row cut the same way along its own leading axis.  With no
-    leading axis the tensor is one plane, read whole."""
+    leading axis the tensor is one plane, read whole.  No rows, no
+    blocks."""
+    if hi is not None and hi == lo:
+        return
     if len(shape) <= ndim:
         if lo != 0 or hi not in (None, shape[0] if shape else 1):
             raise ValueError("a tensor predicted over all its axes is read whole")
@@ -555,8 +559,12 @@ class SZCompressor:
             raw_codes_dtype=str(codes.dtype),
         )
 
-    def decompress(self, ct: CompressedTensor) -> np.ndarray:
-        """Reconstruct the tensor; max abs error is ``ct.error_bound``."""
+    def decompress(self, ct) -> np.ndarray:
+        """Reconstruct the tensor; max abs error is ``ct.error_bound``.
+        Given a :class:`CompressedRows`, only its rows (see
+        :class:`RowReader`)."""
+        if isinstance(ct, CompressedRows):
+            return self._decompress_rows(*ct)
         x = np.empty(ct.shape, dtype=ct.dtype)
         with profiler.stage("decode"), ExitStack() as stack:
             out = None
@@ -566,15 +574,28 @@ class SZCompressor:
         self._filter_zeros(ct, x)
         return x
 
-    def decompress_rows(self, ct: CompressedTensor) -> "DecodedRows":
-        """*ct* to be reconstructed a range of leading-axis rows at a time
-        (:class:`DecodedRows`): the code array is decoded here, once, into
-        a fresh array rather than the workspace (it lives while the caller
-        takes its own scratch), and each ``read`` dequantizes only its
-        rows.  Every row reads bit-identical to ``decompress(ct)``'s."""
+    def _decompress_rows(
+        self, reader: "RowReader", rows: slice, out: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Rows *rows* of *reader*'s tensor, the next ones it has not
+        read, into *out* or a fresh array.  The first read decodes the
+        code array, an empty one only that."""
+        ct = reader.ct
+        n_rows = ct.shape[0] if ct.shape else 1
+        lo, hi, _ = rows.indices(n_rows)
+        if lo != reader.row:
+            raise ValueError(f"rows are read in order: row {reader.row} is next, not {lo}")
+        if out is None:
+            out = np.empty((hi - lo, *ct.shape[1:]) if ct.shape else (), ct.dtype)
         with profiler.stage("decode"):
-            codes = self._decode_codes(ct, None)
-        return DecodedRows(self, ct, codes)
+            if reader.codes is None:
+                reader.codes = self._decode_codes(ct, None)
+            reader.cursor = self._dequantize_rows(reader.codes, ct, out, lo, reader.cursor)
+        reader.row = hi
+        if hi == n_rows:
+            reader.codes = None
+        self._filter_zeros(ct, out)
+        return out
 
     def _decode_codes(self, ct: CompressedTensor, out: Optional[np.ndarray]) -> np.ndarray:
         """The entropy half of the decode: *ct*'s whole code array.  A
@@ -663,33 +684,34 @@ class SZCompressor:
         return self.decompress(self.compress(x, error_bound))
 
 
-class DecodedRows:
-    """A compressed tensor whose code array is decoded, reconstructed a
-    range of leading-axis rows at a time (what
-    :meth:`SZCompressor.decompress_rows` returns).
+class RowReader:
+    """A compressed tensor reconstructed a range of leading-axis rows at a
+    time, in increasing order, each range by the codec's own
+    ``decompress``: ``codec.decompress(reader.rows(rows, out=None))``
+    returns rows *rows* (a ``slice``) of ``codec.decompress(ct)``, bit
+    for bit, in *out* (any strides) when given, else in a fresh array.
 
-    ``read(rows, out=None)`` returns rows ``rows`` (a ``slice``) of the
-    reconstruction, in *out* (any strides) when given, else in a fresh
-    array.  Reads in increasing order carry the outlier cursor along; a
-    read elsewhere first counts the markers before it.
+    The first read decodes the whole code array, once, into a fresh array
+    rather than the workspace (it lives while the caller takes its own
+    scratch); the read that reaches the last row drops it.  A read of no
+    rows (``slice(0, 0)``) decodes it and nothing else, so a caller can
+    have the decode's own scratch come and go before it takes its own.
     """
 
-    def __init__(self, codec: SZCompressor, ct: CompressedTensor, codes: np.ndarray):
-        self.shape = tuple(ct.shape)
-        self.dtype = np.dtype(ct.dtype)
-        self._codec, self._ct, self._codes = codec, ct, codes
-        #: the row the cursor stands at, and the outliers of the rows before it
-        self._row = self._cursor = 0
+    def __init__(self, ct: CompressedTensor):
+        self.ct = ct
+        self.codes: Optional[np.ndarray] = None
+        #: the next row to read, and the outliers of the rows before it
+        self.row = self.cursor = 0
 
-    def read(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
-        lo, hi, _ = rows.indices(self.shape[0] if self.shape else 1)
-        if out is None:
-            out = np.empty((hi - lo, *self.shape[1:]) if self.shape else (), self.dtype)
-        if lo != self._row:
-            start = lo * math.prod(self.shape[1:])
-            self._cursor = start - int(np.count_nonzero(self._codes[:start]))
-        with profiler.stage("decode"):
-            self._cursor = self._codec._dequantize_rows(self._codes, self._ct, out, lo, self._cursor)
-        self._row = hi
-        self._codec._filter_zeros(self._ct, out)
-        return out
+    def rows(self, rows: slice, out: Optional[np.ndarray] = None) -> "CompressedRows":
+        return CompressedRows(self, rows, out)
+
+
+class CompressedRows(NamedTuple):
+    """One read of a :class:`RowReader`: a compressed object of its own,
+    which :meth:`SZCompressor.decompress` reconstructs."""
+
+    reader: RowReader
+    rows: slice
+    out: Optional[np.ndarray] = None

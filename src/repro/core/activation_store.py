@@ -42,9 +42,10 @@ of ``unpack``/``unpack_rows``/``discard`` reaches it first; repeated
 unpacks (e.g. via ``Layer._load``) keep returning data without
 double-releasing.  ``unpack_rows`` (a conv backward reading its input
 slice by slice) releases when its ``with`` block ends, on any path.
-Under a codec with ``decompress_rows`` (szlike) each slice is
-reconstructed, ReLU recompute included, only when the layer reads it;
-any other codec decompresses whole.
+Under the szlike codec each slice is reconstructed, ReLU recompute
+included, only when the layer reads it, by the engine's ``obtain`` and
+the codec's ``decompress`` as a whole unpack is; any other codec
+unpacks whole.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import numpy as np
 from repro.compression.registry import Codec, get_codec
 from repro.compression.registry import dumps as _codec_dumps
 from repro.compression.registry import loads as _codec_loads
+from repro.compression.szlike.compressor import RowReader, SZCompressor
 from repro.core.arena import ByteArena
 from repro.core.engine import SyncEngine
 from repro.core.memory_tracker import MemoryTracker
@@ -115,6 +117,8 @@ class PackedActivation:
     #: the layer's policy group (empty without policy rules) — flows
     #: into the tracker's per-rule ledger when the pack is finalized
     policy_label: str = ""
+    #: the in-order reader of a slice-by-slice unpack, while it runs
+    reader: Optional[RowReader] = None
 
 
 class CompressingContext(SavedTensorContext):
@@ -215,19 +219,26 @@ class CompressingContext(SavedTensorContext):
             group=handle.policy_label,
         )
 
-    def _compressed(self, handle: PackedActivation):
-        """*handle*'s compressed object, read from the arena on first use.
+    def _materialize(
+        self, handle: PackedActivation, rows: Optional[slice] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Decompress *handle*, reading arena bytes if necessary; with
+        *rows*, only those rows (the next in order: see
+        :class:`~repro.compression.szlike.compressor.RowReader`), into
+        *out* when given.
 
-        It is kept on the handle so repeated unpacks keep working after
-        the arena entry is released.
+        The compressed object is kept on the handle so repeated unpacks
+        keep working after the arena entry is released.
         """
-        if handle.compressed is None:
-            handle.compressed = _codec_loads(self.storage.get(handle.arena_key))
-        return handle.compressed
-
-    def _materialize(self, handle: PackedActivation) -> np.ndarray:
-        """Decompress *handle*, reading arena bytes if necessary."""
-        return self.policy(handle.layer_name).codec.decompress(self._compressed(handle))
+        ct = handle.compressed
+        if ct is None:
+            ct = _codec_loads(self.storage.get(handle.arena_key))
+            handle.compressed = ct
+        if rows is not None:
+            if handle.reader is None:
+                handle.reader = RowReader(ct)
+            ct = handle.reader.rows(rows, out)
+        return self.policy(handle.layer_name).codec.decompress(ct)
 
     def _recompute_relu(self, handle: PackedActivation, out: np.ndarray) -> np.ndarray:
         """Recompute the activation function (Section 4.4) on a
@@ -294,18 +305,17 @@ class CompressingContext(SavedTensorContext):
 
     @contextmanager
     def unpack_rows(self, layer: Layer, key: str, handle) -> Iterator[SavedRows]:
-        if not isinstance(handle, PackedActivation):
-            yield SavedRows(handle)
+        if not (
+            isinstance(handle, PackedActivation)
+            and isinstance(self.policy(handle.layer_name).codec, SZCompressor)
+        ):
+            with super().unpack_rows(layer, key, handle) as rows:
+                yield rows
             return
         try:
-            codec = self.policy(handle.layer_name).codec
-            ct = self._compressed(handle)
-            decompress_rows = getattr(codec, "decompress_rows", None)
-            rows = decompress_rows(ct) if decompress_rows else SavedRows(codec.decompress(ct))
-            if layer.name in self.relu_recompute_layers:
-                rows = _ReluRecomputed(rows, lambda out: self._recompute_relu(handle, out))
-            yield rows
+            yield _PackedRows(self, handle, layer.name in self.relu_recompute_layers)
         finally:
+            handle.reader = None
             self._release(handle)
 
     def discard(self, layer: Layer, key: str, handle) -> None:
@@ -313,12 +323,19 @@ class CompressingContext(SavedTensorContext):
             self._release(handle)
 
 
-class _ReluRecomputed:
-    """Rows of which every read gets the Section 4.4 ReLU recompute."""
+class _PackedRows:
+    """A packed handle read a range of rows at a time through the
+    context's engine, each read with the Section 4.4 ReLU recompute when
+    *relu*."""
 
-    def __init__(self, rows, recompute):
-        self.shape, self.dtype = rows.shape, rows.dtype
-        self._rows, self._recompute = rows, recompute
+    def __init__(self, ctx: CompressingContext, handle: PackedActivation, relu: bool):
+        self._ctx, self._handle, self._relu = ctx, handle, relu
+        # an empty read decodes the codes now, before the layer takes its
+        # scratch: inside its takes the Huffman decode tables would stack
+        # on them and grow the workspace slab past raw training's
+        ctx.engine.obtain(handle, slice(0, 0))
+        self.shape, self.dtype = tuple(handle.compressed.shape), np.dtype(handle.compressed.dtype)
 
     def read(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return self._recompute(self._rows.read(rows, out))
+        out = self._ctx.engine.obtain(self._handle, rows, out)
+        return self._ctx._recompute_relu(self._handle, out) if self._relu else out

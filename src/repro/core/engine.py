@@ -1,7 +1,8 @@
 """The saved-tensor path's execution: codec work runs inline.
 
 :class:`~repro.core.activation_store.CompressingContext` hands every
-pack and unpack to its :class:`SyncEngine`, which runs the codec on the
+pack and unpack (each slice a conv backward reads is one ``obtain``) to
+its :class:`SyncEngine`, which runs the codec on the
 calling (training) thread and calls back into the context for the
 stateful half: the arena write and tracker charge on pack, the arena
 read on unpack.  Nothing is queued, so nothing is ever outstanding and
@@ -16,7 +17,7 @@ gain under the GIL and was removed (README, "Execution model").
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 __all__ = ["SyncEngine"]
 
@@ -38,9 +39,10 @@ class SyncEngine:
         if handle.arena_key is not None:
             self.packs_submitted += 1
 
-    def obtain(self, handle: Any):
-        """Return the decompressed array for a packed *handle*."""
-        return self._ctx._materialize(handle)
+    def obtain(self, handle: Any, rows: Optional[slice] = None, out: Any = None):
+        """Return the decompressed array for a packed *handle*, or only
+        rows *rows* of it (read in order, into *out* when given)."""
+        return self._ctx._materialize(handle, rows, out)
 
     def flush(self) -> None:
         """Nothing is ever outstanding: a no-op."""

@@ -1,11 +1,12 @@
-"""Decode where it is consumed: ``SZCompressor.decompress_rows``.
+"""Decode where it is consumed: ``decompress`` of a ``RowReader``'s rows.
 
-The code array is decoded once; each ``read(rows, out=None)`` dequantizes
-only its rows of the leading axis, under the running outlier cursor, and
-runs the zero filter over them.  Whatever the cut — one image at a time,
-uneven slices, bounds in the middle of a Huffman chunk, out of order —
-and whatever the destination's strides, the rows are
-``decompress(ct)``'s, bit for bit, under every kernel backend.
+The code array is decoded once, by the first read; each
+``codec.decompress(reader.rows(rows, out=None))`` dequantizes only its
+rows of the leading axis, under the running outlier cursor, and runs the
+zero filter over them.  Whatever the cut — one image at a time, uneven
+slices, bounds in the middle of a Huffman chunk — and whatever the
+destination's strides, the rows are ``decompress(ct)``'s, bit for bit,
+under every kernel backend.  Rows are read in increasing order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.szlike import SZCompressor, compressor
+from repro.compression.szlike.compressor import RowReader
 from repro.compression.szlike.huffman import chunk_size_for
 from repro.compression.szlike.serialize import dumps, loads
 from repro.kernels import available_backends
@@ -49,24 +51,26 @@ CUTS = {
     "one image at a time": lambda n: [(i, i + 1) for i in range(n)],
     "first, then the rest": lambda n: [(0, 1), (1, n)] if n > 1 else [(0, 1)],
     "whole": lambda n: [(0, n)],
-    "backwards": lambda n: [(i, i + 1) for i in reversed(range(n))],
 }
 
 
-def _read(rows, bounds, strided: bool) -> np.ndarray:
-    """The reconstruction assembled from reads of *bounds*; *strided*
-    reads into the ``(N, C, H, W)`` view of a ``(C, N, H, W)`` buffer,
-    the conv backward's ``xt``, pre-filled with NaN so a row left
-    unwritten shows."""
-    got = np.full(rows.shape, np.nan, rows.dtype)
+def _read(codec, ct, bounds, strided: bool) -> np.ndarray:
+    """The reconstruction assembled from reads of *bounds* by a fresh
+    reader; *strided* reads into the ``(N, C, H, W)`` view of a ``(C, N,
+    H, W)`` buffer, the conv backward's ``xt``, pre-filled with NaN so a
+    row left unwritten shows.  The reader drops its codes at the last
+    row."""
+    reader = RowReader(ct)
+    got = np.full(ct.shape, np.nan, ct.dtype)
     for lo, hi in bounds:
         if strided:
-            buf = np.full((rows.shape[1], hi - lo, *rows.shape[2:]), np.nan, rows.dtype)
-            out = rows.read(slice(lo, hi), out=buf.transpose(1, 0, 2, 3))
+            buf = np.full((ct.shape[1], hi - lo, *ct.shape[2:]), np.nan, ct.dtype)
+            out = codec.decompress(reader.rows(slice(lo, hi), out=buf.transpose(1, 0, 2, 3)))
             assert np.shares_memory(out, buf)
         else:
-            out = rows.read(slice(lo, hi))
+            out = codec.decompress(reader.rows(slice(lo, hi)))
         got[lo:hi] = out
+    assert reader.codes is None
     return got
 
 
@@ -76,7 +80,7 @@ def _assert_rows_are_decompress(codec, ct) -> None:
     want = codec.decompress(ct).tobytes()
     for i, cut in enumerate(CUTS.values()):
         strided = i % 2 == 1 and len(ct.shape) == 4
-        assert _read(codec.decompress_rows(ct), cut(ct.shape[0]), strided).tobytes() == want
+        assert _read(codec, ct, cut(ct.shape[0]), strided).tobytes() == want
 
 
 @pytest.mark.parametrize("name", list(make_golden.CASES))
@@ -150,7 +154,7 @@ def test_property_any_cut_of_any_tensor_reads_decompress(backend, case, ndim, en
     if len(ct.shape) <= ct.lorenzo_ndim:
         cuts = []  # one plane: read whole
     bounds = list(zip([0, *cuts], [*cuts, x.shape[0]]))
-    got = _read(codec.decompress_rows(ct), bounds, strided=False)
+    got = _read(codec, ct, bounds, strided=False)
     assert got.tobytes() == codec.decompress(ct).tobytes()
 
 
@@ -164,7 +168,7 @@ def test_the_zero_filter_runs_per_read(backend):
     want = codec.decompress(ct)
     assert (want == 0).any() and (np.abs(want) <= 1e-39).sum() == (want == 0).sum()
     for cut in CUTS:
-        assert _read(codec.decompress_rows(ct), CUTS[cut](4), True).tobytes() == want.tobytes()
+        assert _read(codec, ct, CUTS[cut](4), True).tobytes() == want.tobytes()
 
 
 def test_emulated_drift_draws_the_same_stream_read_by_read():
@@ -174,7 +178,7 @@ def test_emulated_drift_draws_the_same_stream_read_by_read():
     ct = SZCompressor(0.05).compress(x)
     want = SZCompressor(0.05, emulate_zero_drift=True, rng=7).decompress(ct)
     codec = SZCompressor(0.05, emulate_zero_drift=True, rng=7)
-    got = _read(codec.decompress_rows(ct), CUTS["one image at a time"](3), True)
+    got = _read(codec, ct, CUTS["one image at a time"](3), True)
     assert got.tobytes() == want.tobytes()
 
 
@@ -188,11 +192,11 @@ def test_an_outlier_count_that_is_not_the_markers_raises_by_the_last_row(edit):
         "one-fewer": ct.outliers[:-1],
         "none": ct.outliers[:0],
     }[edit]
-    rows = SZCompressor(1e-2, dict_size=16).decompress_rows(ct)
+    codec, reader = SZCompressor(1e-2, dict_size=16), RowReader(ct)
     want = f"outlier bookkeeping mismatch: {markers} markers vs {ct.outliers.size} stored values"
     with pytest.raises(ValueError, match=want):
         for i in range(4):
-            rows.read(slice(i, i + 1))
+            codec.decompress(reader.rows(slice(i, i + 1)))
 
 
 def test_a_tensor_predicted_over_all_its_axes_is_read_whole():
@@ -200,6 +204,37 @@ def test_a_tensor_predicted_over_all_its_axes_is_read_whole():
     codec = SZCompressor(1e-2, lorenzo_ndim=2)
     ct = codec.compress(x)
     assert ct.lorenzo_ndim == 2
-    assert codec.decompress_rows(ct).read(slice(0, 4)).tobytes() == codec.decompress(ct).tobytes()
+    whole = codec.decompress(RowReader(ct).rows(slice(0, 4)))
+    assert whole.tobytes() == codec.decompress(ct).tobytes()
     with pytest.raises(ValueError, match="read whole"):
-        codec.decompress_rows(ct).read(slice(0, 2))
+        codec.decompress(RowReader(ct).rows(slice(0, 2)))
+
+
+def test_an_empty_read_decodes_the_codes_and_nothing_else():
+    """So a caller can decode before it takes its own scratch; the rows
+    that follow read as from a fresh reader."""
+    x = _field(0, (4, 2, 8, 8), 0)
+    codec = SZCompressor(1e-2, dict_size=16, lorenzo_ndim=0)
+    ct = codec.compress(x)
+    reader = RowReader(ct)
+    empty = codec.decompress(reader.rows(slice(0, 0)))
+    assert empty.shape == (0, 2, 8, 8) and reader.codes is not None and reader.row == 0
+    got = np.concatenate([codec.decompress(reader.rows(slice(i, i + 2))) for i in (0, 2)])
+    assert got.tobytes() == codec.decompress(ct).tobytes()
+
+
+@pytest.mark.parametrize("bounds", [[(1, 2)], [(0, 2), (0, 2)], [(0, 1), (2, 4)], [(0, 4), (0, 1)]])
+def test_rows_are_read_in_order(bounds):
+    """A read that does not start at the next unread row raises, before
+    it decodes anything: a row skipped, read twice or read again after
+    the last."""
+    x = _field(0, (4, 2, 8, 8), 0)
+    codec = SZCompressor(1e-2, dict_size=16, lorenzo_ndim=0)
+    reader = RowReader(codec.compress(x))
+    *ok, (lo, hi) = bounds
+    for a, b in ok:
+        codec.decompress(reader.rows(slice(a, b)))
+    row = reader.row
+    with pytest.raises(ValueError, match=f"row {row} is next, not {lo}"):
+        codec.decompress(reader.rows(slice(lo, hi)))
+    assert reader.row == row

@@ -84,9 +84,9 @@ def test_gradients_of_a_sliced_read_are_those_of_the_whole_reconstruction(
         assert g.tobytes() == w.tobytes()
 
 
-def test_a_codec_without_row_reads_decompresses_whole():
-    """``lossless`` has no ``decompress_rows``: the context hands the
-    layer views of one whole decode, and the gradients are raw
+def test_a_codec_other_than_szlike_unpacks_whole():
+    """``lossless`` is unpacked whole, as ``unpack`` does: the context
+    hands the layer views of one decode, and the gradients are raw
     training's."""
     x = _input()
     got = _grads(_conv(3, 1, 1, _context(get_codec("lossless"), relu=True)), x)
@@ -168,11 +168,12 @@ def test_clear_saved_before_backward_releases_once(monkeypatch, arena):
     counted.assert_released_once()
 
 
-@pytest.mark.parametrize("codec", ["szlike", "lossless"])
+@pytest.mark.parametrize("codec, released_while_read", [("szlike", 0), ("lossless", 1)])
 @pytest.mark.parametrize("arena", [False, True])
-def test_a_backward_releases_once_when_it_ends(monkeypatch, arena, codec):
-    """Released when the reads end, not when they start: every slice is
-    still read from the compressed tensor until then."""
+def test_a_backward_releases_once_when_it_ends(monkeypatch, arena, codec, released_while_read):
+    """szlike is released when the reads end, not when they start: every
+    slice is still read from the compressed tensor until then.  A whole
+    unpack (lossless) is released by it, before the first slice."""
     monkeypatch.setattr(conv_module, "PATCH_BUDGET_BYTES", 1)
     counted = _Counted(monkeypatch, arena)
     layer = counted.layer(codec)
@@ -181,5 +182,35 @@ def test_a_backward_releases_once_when_it_ends(monkeypatch, arena, codec):
     _spy_im2col(monkeypatch, lambda n: seen.append(counted.releases))
     layer.backward(np.ones_like(out))
     layer.clear_saved()
-    assert seen == [0] * len(out)
+    assert seen == [released_while_read] * len(out)
     counted.assert_released_once()
+
+
+@pytest.mark.parametrize("arena", [False, True])
+@pytest.mark.parametrize("geometry", [(3, 1, 1), (3, 2, 1)])
+def test_every_slice_read_passes_through_obtain_and_decompress(monkeypatch, geometry, arena):
+    """A wrapper set on the engine's ``obtain`` and on the codec's
+    one-argument ``decompress`` (as an outside trace sets them) sees
+    every slice the backward reads, and the slices add up to the input;
+    the first call, of no rows, is the code array's decode."""
+    monkeypatch.setattr(conv_module, "PATCH_BUDGET_BYTES", 1)  # one image a slice
+    x = _input()
+    with ByteArena() if arena else nullcontext() as storage:
+        codec = SZCompressor(0.05)
+        ctx = _context(codec, relu=True, storage=storage)
+        obtained, decoded = [], []
+        obtain, decompress = ctx.engine.obtain, codec.decompress
+
+        def probed_obtain(*args, **kwargs):
+            obtained.append(1)
+            return obtain(*args, **kwargs)
+
+        def probed_decompress(ct):
+            out = decompress(ct)
+            decoded.append(out.nbytes)
+            return out
+
+        ctx.engine.obtain, codec.decompress = probed_obtain, probed_decompress
+        _grads(_conv(*geometry, ctx), x)
+    assert len(obtained) == len(decoded) == 1 + len(x)
+    assert decoded == [0] + [x[0].nbytes] * len(x)
