@@ -12,7 +12,11 @@ __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 
 
 class MaxPool2D(Layer):
-    """Max pooling; backward routes gradients to per-window argmax."""
+    """Max pooling; backward routes gradients to per-window argmax.
+
+    Saves each window's argmax offset ``0 .. k*k-1`` in the narrowest
+    unsigned type that holds it (``uint8`` for any kernel up to 16).
+    """
 
     def __init__(self, kernel: int, stride: int = None, padding: int = 0, name=None):
         super().__init__(name)
@@ -25,12 +29,13 @@ class MaxPool2D(Layer):
             raise ValueError(f"{self.name}: expected 4-D input, got {x.shape}")
         k, s, p = self.kernel, self.stride, self.padding
         ho, wo = conv_output_hw(x.shape[2], x.shape[3], k, s, p)
+        offset = np.min_scalar_type(k * k - 1)
         # Running max over the k*k window offsets; a strict ``>`` keeps the
         # first of tied elements (post-ReLU windows are mostly ties).
-        with padded(x, p, -np.inf) as xp, WORKSPACE.take(x.shape[:2] + (ho, wo), np.int16) as won:
+        with padded(x, p, -np.inf) as xp, WORKSPACE.take(x.shape[:2] + (ho, wo), offset) as won:
             views = slabs(xp, k, s, ho, wo)
             out = next(views).copy()
-            idx = np.zeros(out.shape, dtype=np.int16)
+            idx = np.zeros(out.shape, dtype=offset)
             for t, slab in enumerate(views, 1):
                 # idx = t where slab > out: t exceeds every offset seen so far,
                 # so two dense passes do what a boolean-mask scatter did

@@ -168,7 +168,7 @@ class TestMaxPoolSlabs:
         mp = MaxPool2D(kernel, stride=stride, padding=padding)
         out = mp.forward(x)
         want, idx = maxpool_flat_argmax(x, kernel, stride, padding)
-        assert mp._saved["idx"].dtype == np.int16
+        assert mp._saved["idx"].dtype == np.uint8  # offsets 0 .. k*k-1 <= 8
         np.testing.assert_array_equal(mp._saved["idx"], idx)
         np.testing.assert_array_equal(out, want)
         assert out.flags.c_contiguous and out.dtype == x.dtype
