@@ -102,15 +102,10 @@ def main():
                 "param_codec": {"name": "lossless", "options": {"bogus": 1}},
             }}},
             "unknown tenant key": {"name": "bad-key", "modle": "alexnet"},
-            "removed rule option": {"name": "bad-rule", "session": {
-                "rules": [{"match": "l0", "arena_budget": 4096}],
+            # per-layer policy rules are gone: the key is an unknown one
+            "removed policy rules": {"name": "bad-rules", "session": {
+                "rules": [{"match": "l0", "codec": {"name": "lossless"}}],
             }},
-            # alexnet's conv layers are l0, l4, l8, l10, l12: a rule that is
-            # the first match of none is a dead rule, not a silent no-op
-            "dead policy rule": {"name": "bad-glob", "model": "alexnet", "image_size": 12,
-                                 "session": {"rules": [
-                                     {"match": "conv*", "codec": {"name": "lossless"}},
-                                 ]}},
             # json.dumps writes NaN, and json.loads reads it back
             "non-finite learning rate": {"name": "bad-lr", "session": {
                 "optimizer": {"lr": float("nan")},

@@ -112,28 +112,6 @@ def latency_metrics(
     return out
 
 
-def group_summary_doc(tracker) -> list:
-    """Per-policy-group memory accounting rows for a bench JSON context.
-
-    Serializes ``MemoryTracker.group_summary()`` — one row per policy
-    label with raw/stored bytes, pack count, and achieved ratio — so the
-    regression record shows *where* the bytes went, not just the total.
-    Sessions without policy rules have no groups: returns ``[]``.
-    """
-    rows = []
-    for rec in tracker.group_summary():
-        rows.append(
-            {
-                "group": rec.layer_name,
-                "raw_bytes": int(rec.raw_bytes),
-                "stored_bytes": int(rec.stored_bytes),
-                "packs": int(rec.packs),
-                "ratio": float(rec.ratio),
-            }
-        )
-    return rows
-
-
 def smooth_activation(rng, shape, sigma=1.5, relu=True):
     """Realistic conv activation sample: band-limited field (+ ReLU)."""
     import numpy as np

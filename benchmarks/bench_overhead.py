@@ -15,7 +15,6 @@ from _common import (
     RUN_BATCH,
     RUN_IMAGE,
     RUN_MODEL,
-    group_summary_doc,
     metric,
     smooth_activation,
     timed_run,
@@ -88,10 +87,6 @@ def test_out_of_core_report(benchmark):
             "image": RUN_IMAGE,
             "batch": RUN_BATCH,
             "iters": RUN_ITERS,
-            # Per-policy-group raw/stored accounting (empty when the
-            # committed config has no policy rules — honest rather than
-            # omitted, so a rule-ful config change shows up in the diff).
-            "memory_groups": group_summary_doc(sess_res.tracker),
         },
     )
     assert ps.storage.spill_count > 0

@@ -15,8 +15,7 @@ The whole framework is one config object::
         print(session.tracker.overall_ratio)
 
 ``cfg.to_json(path)`` commits the exact run to a file;
-``SessionConfig.from_json(path)`` reproduces it bit-for-bit (see
-``examples/mixed_policy_session.py`` for per-layer policy rules).
+``SessionConfig.from_json(path)`` reproduces it bit-for-bit.
 
     python examples/quickstart.py
 

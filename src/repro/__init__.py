@@ -5,8 +5,8 @@ Subpackages
 -----------
 ``repro.api``
     The declarative front door: :class:`~repro.api.config.SessionConfig`
-    (serializable codec / per-layer policy-rule / storage / engine /
-    adaptive / profiler / optimizer specs) and
+    (serializable codec / storage / engine / adaptive / profiler /
+    optimizer specs) and
     :func:`~repro.api.session.build_session`, which composes the whole
     stack into one :class:`~repro.api.session.Session`.
 ``repro.compression``

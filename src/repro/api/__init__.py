@@ -1,15 +1,14 @@
 """repro.api — the declarative front door to the framework.
 
-Everything the stack can do — registry codecs, per-layer policy rules,
-byte-arena activation storage, out-of-core parameters, kernel backends,
-the adaptive error-bound controller, stage profiling — is driven from
-one serializable :class:`SessionConfig`:
+Everything the stack can do — registry codecs, byte-arena activation
+storage, out-of-core parameters, kernel backends, the adaptive
+error-bound controller, stage profiling — is driven from one
+serializable :class:`SessionConfig`:
 
-    from repro.api import SessionConfig, PolicyRule, CodecSpec, StorageSpec, build_session
+    from repro.api import SessionConfig, CodecSpec, StorageSpec, build_session
 
     cfg = SessionConfig(
-        rules=[PolicyRule(match="l0", codec=CodecSpec("lossless")),
-               PolicyRule(match="l[24]", error_bound=1e-4)],
+        codec=CodecSpec("szlike", {"entropy": "huffman"}),
         storage=StorageSpec(activations="arena", budget_bytes=8 << 20),
     )
     with build_session(network, cfg) as session:
@@ -28,7 +27,6 @@ from repro.api.config import (
     DistributedSpec,
     EngineSpec,
     OptimizerSpec,
-    PolicyRule,
     ProfilerSpec,
     SessionConfig,
     StorageSpec,
@@ -42,7 +40,6 @@ __all__ = [
     "DistributedSpec",
     "EngineSpec",
     "OptimizerSpec",
-    "PolicyRule",
     "ProfilerSpec",
     "SessionConfig",
     "StorageSpec",

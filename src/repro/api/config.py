@@ -1,15 +1,14 @@
 """Declarative session configuration: the serializable half of the front door.
 
 A :class:`SessionConfig` describes *everything* a compressed-training
-session is made of — default codec, per-layer policy rules, storage
-budgets, kernel backend, adaptive controller, profiler, optimizer —
+session is made of — the activation codec, storage budgets, kernel
+backend, adaptive controller, profiler, optimizer —
 as a tree of plain dataclasses that round-trips losslessly through
 ``dict`` and JSON:
 
     cfg = SessionConfig(
         codec=CodecSpec("szlike", {"entropy": "huffman"}),
-        rules=[PolicyRule(match="l0", codec=CodecSpec("lossless")),
-               PolicyRule(match="l[24]", error_bound=1e-4)],
+        adaptive=AdaptiveSpec(W=20, warmup_iterations=3),
         storage=StorageSpec(activations="arena", budget_bytes=8 << 20),
     )
     cfg.to_json("run.json")
@@ -47,15 +46,13 @@ import operator
 import os
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.error_model import THEORY_COEFFICIENT_A
-from repro.core.memory_tracker import DEFAULT_GROUP
 from repro.kernels import KERNEL_BACKENDS
 
 __all__ = [
     "CodecSpec",
-    "PolicyRule",
     "StorageSpec",
     "EngineSpec",
     "AdaptiveSpec",
@@ -345,76 +342,6 @@ class CodecSpec(_Section):
 
 
 @dataclass
-class PolicyRule(_Section):
-    """One per-layer policy: glob-matched layers get their own codec and
-    error-bound regime.
-
-    First match wins across ``SessionConfig.rules``; unmatched layers
-    fall back to the session defaults.  ``build_session`` resolves every
-    compressible layer's policy once, and a rule that is the first match
-    of no compressible layer is a :class:`ConfigError` there.  Everything
-    else is session-wide:
-    under arena storage every compressed layer's bytes go to the one
-    arena budget, and a data-parallel exchange sends every gradient
-    through ``distributed.grad_codec``.
-
-    Parameters
-    ----------
-    match:
-        An :mod:`fnmatch` glob over layer names, matched
-        case-sensitively (``"l0"``, ``"l1?"``, ``"l[02]"``, ``"conv*"``).
-    label:
-        Accounting-group name (auto ``"rule<i>"`` when empty) — per-rule
-        raw/stored bytes appear under it in
-        ``MemoryTracker.group_summary()``.
-    codec:
-        Codec for matched layers; ``None`` inherits the session codec.
-        ``engine.kernel_backend`` applies to it unless its options name
-        a ``kernel_backend`` of their own.
-    error_bound:
-        Fixed absolute bound for matched layers.  A fixed bound pins
-        the layers — the controller skips them — and therefore
-        contradicts ``adaptive=True`` (validation rejects the
-        combination; use ``initial_rel_eb`` for an adaptive warm start).
-    adaptive:
-        ``None`` (default) resolves to ``error_bound is None``.
-    initial_rel_eb, eb_min, eb_max:
-        Per-rule warm-up bound and controller clamp overrides.
-    """
-
-    _name = "rule"
-
-    match: str = "*"
-    label: str = ""
-    codec: Optional[CodecSpec] = None
-    error_bound: Optional[float] = knob(None, gt=0)
-    adaptive: Optional[bool] = None
-    initial_rel_eb: Optional[float] = knob(None, gt=0)
-    eb_min: Optional[float] = knob(None, gt=0)
-    eb_max: Optional[float] = knob(None, gt=0)
-
-    def resolved_adaptive(self) -> bool:
-        return self.adaptive if self.adaptive is not None else self.error_bound is None
-
-    def _check(self, where: str) -> None:
-        if not self.match:
-            raise ConfigError(f"{where}: match must be a non-empty pattern string")
-        if self.label == DEFAULT_GROUP:
-            raise ConfigError(
-                f"{where}: label {DEFAULT_GROUP!r} is reserved for the layers no rule matches"
-            )
-        if self.resolved_adaptive() and self.error_bound is not None:
-            raise ConfigError(
-                f"{where}: adaptive=True contradicts a fixed error_bound; "
-                f"drop one (a fixed bound implies adaptive=False)"
-            )
-        if self.eb_min is not None and self.eb_max is not None and self.eb_max <= self.eb_min:
-            raise ConfigError(
-                f"{where}: need eb_min < eb_max, got {self.eb_min} >= {self.eb_max}"
-            )
-
-
-@dataclass
 class StorageSpec(_Section):
     """Where packed activations and parameters physically live.
 
@@ -473,8 +400,10 @@ class EngineSpec(_Section):
 class AdaptiveSpec(_Section):
     """The Eq. 8/9 controller's knobs: the paper's values, with W scaled
     to CPU-sized runs.  ``CompressedTraining`` takes this section as it
-    is; ``initial_rel_eb`` / ``eb_min`` / ``eb_max`` are the defaults a
-    policy rule overrides per layer."""
+    is.  Enabled, each conv layer packs from ``initial_rel_eb`` of its
+    first activation's value range, then under the controller's Eq. 9
+    bound clipped to ``eb_min`` / ``eb_max``; disabled, every layer packs
+    under the codec's own ``error_bound`` / ``mode``."""
 
     _name = "adaptive"
 
@@ -728,7 +657,6 @@ class SessionConfig(_Section):
     _name = "session"
 
     codec: CodecSpec = field(default_factory=CodecSpec)
-    rules: List[PolicyRule] = field(default_factory=list)
     storage: StorageSpec = field(default_factory=StorageSpec)
     engine: EngineSpec = field(default_factory=EngineSpec)
     adaptive: AdaptiveSpec = field(default_factory=AdaptiveSpec)
@@ -742,26 +670,9 @@ class SessionConfig(_Section):
 
     @classmethod
     def _prefix(cls, where: str) -> str:
-        return ""  # the root's sections are named bare: "engine", "rules[0]"
+        return ""  # the root's sections are named bare: "engine", "storage.param_codec"
 
     def _check(self, where: str) -> None:
-        labels = set()
-        for i, rule in enumerate(self.rules):
-            label = rule.label or f"rule{i}"
-            if label in labels:
-                raise ConfigError(f"rules[{i}]: duplicate rule label {label!r}")
-            labels.add(label)
-            # A partial clamp override combines with the session's global
-            # clamp at runtime — cross-check here so the pair fails at
-            # load time, not at the controller's first update.
-            lo = rule.eb_min if rule.eb_min is not None else self.adaptive.eb_min
-            hi = rule.eb_max if rule.eb_max is not None else self.adaptive.eb_max
-            if hi <= lo:
-                raise ConfigError(
-                    f"rules[{i}] (match={rule.match!r}): effective eb clamps are "
-                    f"inverted (eb_min={lo} >= eb_max={hi}, combining the rule's "
-                    f"overrides with adaptive.eb_min/eb_max)"
-                )
         if (
             self.distributed.world_size > 1
             and self.distributed.rank_arena_budget is not None

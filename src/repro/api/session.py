@@ -1,7 +1,7 @@
 """The front door: ``build_session(network, config) -> Session``.
 
-One call composes the whole stack — codec registry, per-layer
-policies, :class:`~repro.core.arena.ByteArena` activation storage,
+One call composes the whole stack — the activation codec,
+:class:`~repro.core.arena.ByteArena` activation storage,
 :class:`~repro.core.param_store.ParamStore` out-of-core parameters,
 the kernel backend, the Eq. 8/9 adaptive controller, and the stage
 profiler — from one declarative :class:`~repro.api.config.SessionConfig`,
@@ -23,56 +23,22 @@ the param store, the active profiler) is registered on one
 :class:`~contextlib.ExitStack`: a build that fails unwinds it and leaves
 nothing behind, and a built session owns it, so
 :meth:`Session.close` undoes it in reverse order.  A config the network
-cannot use (no compressible layer to compress, or a policy rule that is
-the first match of no compressible layer) is a
-:class:`~repro.api.config.ConfigError`.
+cannot use (activation compression on a network with no compressible
+layer) is a :class:`~repro.api.config.ConfigError`.
 
-Policy rules are resolved once, here: every compressible layer gets one
-:class:`~repro.core.activation_store.ResolvedPolicy` (its first matching
-rule over the ``adaptive`` section, or the session defaults), and the
-layer set never changes after build.
+Every compressible layer packs with the session's one codec under the
+``adaptive`` section: the controller's per-layer bounds when it is
+enabled, the codec's own ``error_bound`` when it is not.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import replace
-from fnmatch import fnmatchcase
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.api.config import ConfigError, SessionConfig
-from repro.core.activation_store import ResolvedPolicy
-from repro.core.memory_tracker import DEFAULT_GROUP
 
 __all__ = ["Session", "build_session"]
-
-
-def _first_matches(network, config: SessionConfig) -> Dict[str, Optional[int]]:
-    """Compressible layer name -> index of the first rule whose glob
-    matches it (``fnmatchcase``), or None.  A network without a
-    compressible layer, and a rule that is the first match of none, are
-    :class:`ConfigError`."""
-    from repro.nn.network import iter_layers
-
-    names = [layer.name for layer in iter_layers(network) if layer.compressible]
-    if not names:
-        raise ConfigError(
-            "network has no compressible (conv) layers; set "
-            "compress_activations=False to train it uncompressed"
-        )
-    rules = config.rules
-    first = {
-        name: next((i for i, r in enumerate(rules) if fnmatchcase(name, r.match)), None)
-        for name in names
-    }
-    used = set(first.values())
-    for i, rule in enumerate(rules):
-        if i not in used:
-            raise ConfigError(
-                f"rules[{i}] (match={rule.match!r}) is the first match of no "
-                f"compressible layer; the compressible layers are {', '.join(names)}"
-            )
-    return first
 
 
 class Session:
@@ -206,8 +172,10 @@ def build_session(
         ownership (the session does not close it).
     """
     from repro.core.arena import ByteArena
+    from repro.core.framework import CompressedTraining
     from repro.core.memory_tracker import MemoryTracker
     from repro.core.param_store import ParamStore
+    from repro.nn.network import iter_layers
     from repro.nn.trainer import Trainer
     from repro.utils.profiler import StageProfiler
 
@@ -219,7 +187,13 @@ def build_session(
         )
     config.validate()
 
-    first = _first_matches(network, config) if config.compress_activations else {}
+    if config.compress_activations and not any(
+        layer.compressible for layer in iter_layers(network)
+    ):
+        raise ConfigError(
+            "network has no compressible (conv) layers; set "
+            "compress_activations=False to train it uncompressed"
+        )
 
     if config.distributed.world_size > 1:
         # N rank processes behind the same Session surface; the import
@@ -266,8 +240,13 @@ def build_session(
 
         compressed = None
         if config.compress_activations:
-            compressed = _build_compressed(
-                network, optimizer, config, first, storage, tracker
+            compressed = CompressedTraining(
+                network,
+                optimizer,
+                compressor=config.codec.build(config.engine.kernel_backend),
+                config=config.adaptive,
+                tracker=tracker,
+                storage=storage,
             ).attach(trainer)
         if param_store is not None:
             # After the conv taps, so the store's bind wrapper is outermost:
@@ -279,62 +258,12 @@ def build_session(
         )
 
 
-def _build_compressed(network, optimizer, config: SessionConfig, first, storage, tracker):
-    """The :class:`~repro.core.framework.CompressedTraining` half of
-    :func:`build_session`: codecs, one :class:`ResolvedPolicy` per
-    compressible layer, controller.  Each rule's codec is built once and
-    shared by the layers it matches; a rule without a codec, and every
-    unmatched layer, use the session codec."""
-    from repro.core.framework import CompressedTraining
-
-    kernel_backend = config.engine.kernel_backend
-    adaptive = config.adaptive
-    base = ResolvedPolicy(
-        config.codec.build(kernel_backend),
-        initial_rel_eb=adaptive.initial_rel_eb,
-        eb_min=adaptive.eb_min,
-        eb_max=adaptive.eb_max,
-        group=DEFAULT_GROUP if config.rules else "",
-    )
-    resolved = []
-    for i, rule in enumerate(config.rules):
-        overrides = {
-            key: getattr(rule, key)
-            for key in ("initial_rel_eb", "eb_min", "eb_max")
-            if getattr(rule, key) is not None
-        }
-        resolved.append(
-            replace(
-                base,
-                codec=(
-                    rule.codec.build(kernel_backend)
-                    if rule.codec is not None
-                    else base.codec
-                ),
-                error_bound=rule.error_bound,
-                adaptive=rule.resolved_adaptive(),
-                group=rule.label or f"rule{i}",
-                **overrides,
-            )
-        )
-    return CompressedTraining(
-        network,
-        optimizer,
-        compressor=base.codec,
-        config=adaptive,
-        tracker=tracker,
-        storage=storage,
-        policies={name: base if i is None else resolved[i] for name, i in first.items()},
-    )
-
-
 def session_codecs(session: Session) -> list:
-    """Every codec *session* built, once each: the session codec, the
-    policy-rule codecs and the parameter codec."""
+    """Every codec *session* built: the session codec and the parameter
+    codec."""
     codecs = []
     if session.compressed is not None:
-        ctx = session.compressed.ctx
-        codecs = [ctx.compressor, *(pol.codec for pol in ctx.policies.values())]
+        codecs.append(session.compressed.ctx.compressor)
     if session.param_store is not None:
         codecs.append(session.param_store.codec)
-    return list({id(codec): codec for codec in codecs if codec is not None}.values())
+    return [codec for codec in codecs if codec is not None]

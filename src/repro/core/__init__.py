@@ -11,7 +11,7 @@ from repro.core.gradient_assessment import GradientAssessor
 from repro.core.memory_tracker import LayerMemoryRecord, MemoryTracker
 from repro.core.arena import ByteArena
 from repro.core.engine import SyncEngine
-from repro.core.activation_store import CompressingContext, PackedActivation, ResolvedPolicy
+from repro.core.activation_store import CompressingContext, PackedActivation
 from repro.core.param_store import ParamStore, StoredEntry, StoreSlots
 from repro.core.adaptive import AdaptiveController
 from repro.core.framework import CompressedTraining
@@ -29,7 +29,6 @@ __all__ = [
     "SyncEngine",
     "CompressingContext",
     "PackedActivation",
-    "ResolvedPolicy",
     "ParamStore",
     "StoredEntry",
     "StoreSlots",

@@ -15,17 +15,16 @@ training thread, through the context's
 
 Every baseline is a configuration of this one context rather than a
 class of its own: a lossless codec with the controller disabled stores
-activations bit-exactly, and a ``"*"`` policy rule with a fixed
-``error_bound`` is one static bound for every layer.
+activations bit-exactly, and an ``szlike`` codec with a fixed
+``error_bound`` and the controller disabled is one static bound for
+every layer (the ablation against Eq. 9).
 
-Each compressible layer packs under its own :class:`ResolvedPolicy`,
-read from the context's ``policies`` mapping: a codec, a fixed or
-adaptive bound with the controller's clamps, the warm-up bound and an
-accounting group.  :func:`repro.api.build_session` resolves the mapping
-once, from ``SessionConfig.rules`` over the ``adaptive`` section.  Each
-pack carries its layer's group label into the tracker (and, under arena
-storage, onto its arena entry), so mixed-codec sessions account per rule
-as well as per layer.
+Every compressible layer packs with the one codec, under the session's
+:class:`~repro.api.config.AdaptiveSpec`: with the controller enabled a
+layer's first pack uses ``initial_rel_eb`` of its value range and every
+later pack the controller's bound; disabled, every pack uses the codec's
+own ``error_bound`` / ``mode``, and ``error_bounds`` records the bound
+each blob was written under.
 
 Two storage regimes:
 
@@ -52,7 +51,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -66,34 +65,10 @@ from repro.core.memory_tracker import MemoryTracker
 from repro.nn.layers.base import Layer, SavedRows, SavedTensorContext
 from repro.utils.scratch import WORKSPACE
 
-__all__ = ["CompressingContext", "PackedActivation", "ResolvedPolicy"]
+if TYPE_CHECKING:
+    from repro.api.config import AdaptiveSpec
 
-
-@dataclass(frozen=True)
-class ResolvedPolicy:
-    """How one compressible layer is packed, fully resolved.
-
-    The defaults are :class:`~repro.api.config.AdaptiveSpec`'s: a
-    context packs a layer missing from its ``policies`` under its own
-    codec and these.
-    """
-
-    #: codec instance; one instance serves every layer a rule matches,
-    #: so a stateful codec (its codebook cache) amortizes
-    #: across the group
-    codec: Codec
-    #: fixed absolute bound (None: the warm-up bound, then the controller's)
-    error_bound: Optional[float] = None
-    #: False: the adaptive controller never rewrites this layer's bound
-    adaptive: bool = True
-    #: warm-up bound, as a fraction of the first activation's value range
-    initial_rel_eb: float = 1e-3
-    #: the adaptive controller's clamps for this layer
-    eb_min: float = 1e-10
-    eb_max: float = 10.0
-    #: accounting group: the tracker's per-group row and the arena's
-    #: ``group=`` tag ("" when the session has no policy rules)
-    group: str = ""
+__all__ = ["CompressingContext", "PackedActivation"]
 
 
 # eq=False: a handle is a lifecycle object with an identity; field-wise
@@ -114,9 +89,6 @@ class PackedActivation:
     released: bool = False
     #: owning layer, for per-layer tracker/statistics keys
     layer_name: str = ""
-    #: the layer's policy group (empty without policy rules) — flows
-    #: into the tracker's per-rule ledger when the pack is finalized
-    policy_label: str = ""
     #: the in-order reader of a slice-by-slice unpack, while it runs
     reader: Optional[RowReader] = None
 
@@ -135,10 +107,10 @@ class CompressingContext(SavedTensorContext):
         Optional :class:`ByteArena`.  When given, packed activations are
         held as serialized byte strings in the arena instead of live
         Python objects, and the tracker charge is the physical length.
-    policies:
-        Layer name -> :class:`ResolvedPolicy`, kept as ``ctx.policies``.
-        A layer it does not name packs under ``default_policy``:
-        *compressor*, adaptive, from a ``1e-3`` relative warm-up bound.
+    adaptive:
+        The session's :class:`~repro.api.config.AdaptiveSpec`, kept as
+        ``ctx.adaptive``: its ``enabled`` and ``initial_rel_eb`` decide
+        each pack's bound (see :meth:`resolve_error_bound`).
     """
 
     def __init__(
@@ -146,7 +118,8 @@ class CompressingContext(SavedTensorContext):
         compressor: Optional[Codec] = None,
         tracker: Optional[MemoryTracker] = None,
         storage: Optional[ByteArena] = None,
-        policies: Optional[Mapping[str, ResolvedPolicy]] = None,
+        *,
+        adaptive: "AdaptiveSpec",
     ):
         if compressor is not None and not (
             hasattr(compressor, "compress") and hasattr(compressor, "decompress")
@@ -161,14 +134,14 @@ class CompressingContext(SavedTensorContext):
         self.tracker = tracker or MemoryTracker()
         self.storage = storage
         self.engine = SyncEngine(self)
-        self.policies: Dict[str, ResolvedPolicy] = dict(policies or {})
-        self.default_policy = ResolvedPolicy(self.compressor)
+        self.adaptive = adaptive
         #: layers whose saved input is a ReLU output: after decompression
         #: the activation function is recomputed (``max(x, 0)``), the
         #: paper's first zero-preservation mechanism (Section 4.4) — it
         #: restores exact zeros even when the codec drifts them.
         self.relu_recompute_layers: set = set()
-        #: per-layer absolute error bounds, written by the controller
+        #: per-layer absolute error bounds: the controller's, or with it
+        #: disabled the bound each layer's latest blob was written under
         self.error_bounds: Dict[str, float] = {}
         #: per-layer nonzero ratio R observed at the latest pack
         self.observed_nonzero: Dict[str, float] = {}
@@ -176,22 +149,19 @@ class CompressingContext(SavedTensorContext):
         #: under arena storage)
         self.observed_ratio: Dict[str, float] = {}
 
-    def policy(self, layer_name: str) -> ResolvedPolicy:
-        return self.policies.get(layer_name, self.default_policy)
-
-    def resolve_error_bound(self, layer: Layer, arr: np.ndarray) -> float:
-        pol = self.policy(layer.name)
-        if pol.error_bound is not None:
-            # Rule-pinned absolute bound: recorded so reporting and the
-            # controller's skip logic see one consistent value.
-            self.error_bounds[layer.name] = pol.error_bound
-            return pol.error_bound
+    def resolve_error_bound(self, layer: Layer, arr: np.ndarray) -> Optional[float]:
+        """The bound *layer*'s next pack is compressed under: the
+        controller's, or on the layer's first pack ``initial_rel_eb`` of
+        *arr*'s value range; None (the codec's own ``error_bound`` /
+        ``mode``) when the controller is disabled."""
+        if not self.adaptive.enabled:
+            return None
         eb = self.error_bounds.get(layer.name)
-        if eb is not None:
-            return eb
-        vrange = float(arr.max() - arr.min())
-        eb = pol.initial_rel_eb * vrange if vrange > 0 else pol.initial_rel_eb
-        self.error_bounds[layer.name] = eb
+        if eb is None:
+            rel = self.adaptive.initial_rel_eb
+            vrange = float(arr.max() - arr.min())
+            eb = rel * vrange if vrange > 0 else rel
+            self.error_bounds[layer.name] = eb
         return eb
 
     # -- engine callbacks ----------------------------------------------------
@@ -200,24 +170,17 @@ class CompressingContext(SavedTensorContext):
         ct, blob, nz = payload
         if blob is not None:
             handle.stored_nbytes = len(blob)
-            # The policy-group tag attributes this entry's residency and
-            # spills to its rule in ``ByteArena.group_stats()``.
-            handle.arena_key = self.storage.put(
-                blob, group=handle.policy_label or None
-            )
+            handle.arena_key = self.storage.put(blob)
         else:
             handle.stored_nbytes = ct.nbytes
             handle.compressed = ct
+        if not self.adaptive.enabled and getattr(ct, "error_bound", None) is not None:
+            self.error_bounds[handle.layer_name] = ct.error_bound
         self.observed_nonzero[handle.layer_name] = nz
         self.observed_ratio[handle.layer_name] = (
             handle.raw_nbytes / handle.stored_nbytes if handle.stored_nbytes else 0.0
         )
-        self.tracker.record_pack(
-            handle.layer_name,
-            handle.raw_nbytes,
-            handle.stored_nbytes,
-            group=handle.policy_label,
-        )
+        self.tracker.record_pack(handle.layer_name, handle.raw_nbytes, handle.stored_nbytes)
 
     def _materialize(
         self, handle: PackedActivation, rows: Optional[slice] = None, out: Optional[np.ndarray] = None
@@ -238,7 +201,7 @@ class CompressingContext(SavedTensorContext):
             if handle.reader is None:
                 handle.reader = RowReader(ct)
             ct = handle.reader.rows(rows, out)
-        return self.policy(handle.layer_name).codec.decompress(ct)
+        return self.compressor.decompress(ct)
 
     def _recompute_relu(self, handle: PackedActivation, out: np.ndarray) -> np.ndarray:
         """Recompute the activation function (Section 4.4) on a
@@ -274,12 +237,9 @@ class CompressingContext(SavedTensorContext):
     def pack(self, layer: Layer, key: str, arr: np.ndarray):
         if not (isinstance(arr, np.ndarray) and arr.ndim == 4):
             return arr
-        pol = self.policy(layer.name)
-        handle = PackedActivation(
-            raw_nbytes=arr.nbytes, layer_name=layer.name, policy_label=pol.group
-        )
+        handle = PackedActivation(raw_nbytes=arr.nbytes, layer_name=layer.name)
         eb = self.resolve_error_bound(layer, arr)
-        codec = pol.codec
+        codec = self.compressor
         serialize = self.storage is not None
 
         def job():
@@ -307,7 +267,7 @@ class CompressingContext(SavedTensorContext):
     def unpack_rows(self, layer: Layer, key: str, handle) -> Iterator[SavedRows]:
         if not (
             isinstance(handle, PackedActivation)
-            and isinstance(self.policy(handle.layer_name).codec, SZCompressor)
+            and isinstance(self.compressor, SZCompressor)
         ):
             with super().unpack_rows(layer, key, handle) as rows:
                 yield rows

@@ -16,12 +16,8 @@ coefficient exact.
 A short warm-up collects every iteration so compression starts from
 measured statistics rather than guesses.
 
-Each layer's :class:`~repro.core.activation_store.ResolvedPolicy` says
-how the controller treats it: a layer whose policy rule pins its bound
-(``adaptive=False``) is left alone entirely, and an adaptive layer's
-bound is clipped to its own ``eb_min``/``eb_max`` — so a "tight early
-layers, loose late layers" policy holds even while Eqs. 8–9 keep
-re-deriving the bounds inside each group.
+Every conv layer gets its own bound from its own statistics, clipped to
+the session's ``adaptive.eb_min`` / ``adaptive.eb_max``.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ class AdaptiveController:
         self.loss_scales: Dict[str, float] = {}
         #: latest combined element count per layer (batch x Ho x Wo)
         self.combined_elements: Dict[str, int] = {}
-        #: latest Eq. 8 sigma budget per adaptive layer (pre-update momentum)
+        #: latest Eq. 8 sigma budget per layer (pre-update momentum)
         self.sigma_budgets: Dict[str, float] = {}
         self.updates = 0
 
@@ -76,8 +72,7 @@ class AdaptiveController:
             self.loss_scales[layer_name] = float(np.sqrt(sq.mean()))
         n, _, ho, wo = dout.shape
         self.combined_elements[layer_name] = int(n * ho * wo)
-        if self.ctx.policy(layer_name).adaptive:
-            self.sigma_budgets[layer_name] = self.assessor.sigma_budget(param)
+        self.sigma_budgets[layer_name] = self.assessor.sigma_budget(param)
 
     def update_error_bounds(self, conv_params: Dict[str, "Parameter"]) -> Dict[str, float]:
         """Refresh every known layer's error bound from current statistics.
@@ -88,11 +83,6 @@ class AdaptiveController:
         cfg = self.config
         new_bounds: Dict[str, float] = {}
         for name, lscale in self.loss_scales.items():
-            pol = self.ctx.policy(name)
-            if not pol.adaptive:
-                # Rule-pinned fixed bound: this layer belongs to a
-                # non-adaptive policy group and keeps its configured eb.
-                continue
             sigma = self.sigma_budgets.get(name, 0.0)
             if sigma <= 0:
                 # momentum not yet populated (first iterations)
@@ -104,7 +94,7 @@ class AdaptiveController:
             eb = error_bound_for_sigma(
                 sigma, lscale, m, nonzero_ratio=r, coefficient=cfg.coefficient
             )
-            eb = float(np.clip(eb, pol.eb_min, pol.eb_max))
+            eb = float(np.clip(eb, cfg.eb_min, cfg.eb_max))
             new_bounds[name] = eb
             self.ctx.error_bounds[name] = eb
         self.updates += 1

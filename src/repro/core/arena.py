@@ -23,7 +23,7 @@ or leaked.
 Usage::
 
     arena = ByteArena(budget_bytes=32 << 20)
-    ctx = CompressingContext(compressor, storage=arena)
+    ctx = CompressingContext(compressor, storage=arena, adaptive=AdaptiveSpec())
     # ... training ...
     print(arena.in_memory_nbytes, arena.spilled_nbytes, arena.spill_count)
 """

@@ -25,11 +25,10 @@ the order the paper's Figure 7 draws it:
   handle is released to the tracker exactly once.
 
 Sessions are assembled by :func:`repro.api.build_session` from one
-serializable :class:`~repro.api.config.SessionConfig`, which resolves
-each compressible layer's
-:class:`~repro.core.activation_store.ResolvedPolicy` once and hands
-``CompressedTraining`` the ``adaptive`` section as it is; the live
-``CompressedTraining`` is ``session.compressed``::
+serializable :class:`~repro.api.config.SessionConfig`, which builds the
+session's one codec and hands ``CompressedTraining`` the ``adaptive``
+section as it is; the live ``CompressedTraining`` is
+``session.compressed``::
 
     with build_session(network, SessionConfig(storage=StorageSpec(activations="arena"))) as s:
         s.train(batches(...))
@@ -38,12 +37,12 @@ each compressible layer's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro.compression.registry import Codec
-from repro.core.activation_store import CompressingContext, ResolvedPolicy
+from repro.core.activation_store import CompressingContext
 from repro.core.arena import ByteArena
 from repro.core.adaptive import AdaptiveController
 from repro.core.gradient_assessment import GradientAssessor
@@ -76,8 +75,8 @@ class CompressedTraining:
     config:
         The session's :class:`~repro.api.config.AdaptiveSpec`: the
         controller's knobs, and ``enabled=False`` to turn the Eq. 8/9
-        controller off (every layer then keeps its warm-up or rule-pinned
-        bound and no per-iteration statistics are collected).
+        controller off (every layer is then packed under the codec's own
+        ``error_bound`` and no per-iteration statistics are collected).
     storage:
         Optional :class:`ByteArena` — packed activations are then held
         as serialized byte strings under the arena's in-memory budget
@@ -87,11 +86,6 @@ class CompressedTraining:
         passes the one it also gives the session's
         :class:`~repro.core.param_store.ParamStore`, so persistent
         parameter bytes and activation bytes share one set of books.
-    policies:
-        Optional layer name -> :class:`~repro.core.activation_store.ResolvedPolicy`
-        mapping (``build_session`` resolves it from the policy rules).
-        A layer it does not name packs with *compressor* under
-        *config*'s warm-up bound and clamps.
     """
 
     def __init__(
@@ -103,7 +97,6 @@ class CompressedTraining:
         config: "AdaptiveSpec",
         tracker: Optional[MemoryTracker] = None,
         storage: Optional[ByteArena] = None,
-        policies: Optional[Mapping[str, ResolvedPolicy]] = None,
     ):
         self.network = network
         self.optimizer = optimizer
@@ -113,13 +106,7 @@ class CompressedTraining:
             compressor=compressor,
             tracker=self.tracker,
             storage=storage,
-            policies=policies,
-        )
-        self.ctx.default_policy = ResolvedPolicy(
-            self.ctx.compressor,
-            initial_rel_eb=config.initial_rel_eb,
-            eb_min=config.eb_min,
-            eb_max=config.eb_max,
+            adaptive=config,
         )
         #: the context's :class:`~repro.core.engine.SyncEngine`
         self.engine = self.ctx.engine
@@ -135,7 +122,7 @@ class CompressedTraining:
         self.conv_params: Dict[str, Parameter] = {}
         self._install_taps()
         # warm-up: collect from iteration 0 (never when the controller
-        # is disabled — fixed/rule-pinned bounds need no statistics)
+        # is disabled — the codec's fixed bound needs no statistics)
         self._collect_next = config.enabled
 
     # -- wiring ------------------------------------------------------------

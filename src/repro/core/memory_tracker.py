@@ -12,17 +12,10 @@ charged on adopt/write-back, credited exactly once on release, survive
 :meth:`MemoryTracker.end_iteration`, and count toward the peak byte
 watermarks next to the live activation bytes.
 
-When the session has policy rules (per-layer codec/error-bound rules,
-``SessionConfig.rules``), every pack also carries its layer's group
-label — the matching rule's, or :data:`DEFAULT_GROUP` for a layer no
-rule matches — and the tracker keeps a parallel **per-group** ledger —
-``per_group`` / :meth:`group_summary` — so a mixed-codec session reports
-raw-vs-stored bytes per layer *and* per policy rule.
-
 Every mutation and read path is serialized behind one internal lock:
-a multi-tenant server (:mod:`repro.server`) reads :meth:`group_summary`
-from its metrics endpoint while steps are in flight — snapshots must
-never tear or race a concurrent ``record_pack``.
+a multi-tenant server (:mod:`repro.server`) reads :meth:`summary` (one
+row per layer) from its metrics endpoint while steps are in flight —
+snapshots must never tear or race a concurrent ``record_pack``.
 """
 
 from __future__ import annotations
@@ -31,10 +24,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-__all__ = ["DEFAULT_GROUP", "LayerMemoryRecord", "MemoryTracker"]
-
-#: group label of the layers no policy rule matches
-DEFAULT_GROUP = "default"
+__all__ = ["LayerMemoryRecord", "MemoryTracker"]
 
 
 @dataclass
@@ -65,9 +55,6 @@ class MemoryTracker:
     def __init__(self):
         self._lock = threading.Lock()
         self.per_layer: Dict[str, LayerMemoryRecord] = {}
-        #: policy-rule group label -> cumulative record (only populated
-        #: when packs are recorded with a group, i.e. under policy rules)
-        self.per_group: Dict[str, LayerMemoryRecord] = {}
         self._iter_raw = 0
         self._iter_stored = 0
         self.iteration_ratios: List[float] = []
@@ -89,19 +76,12 @@ class MemoryTracker:
             self.peak_stored_bytes, self._live_stored + self.persistent_stored_bytes
         )
 
-    def record_pack(
-        self, layer_name: str, raw_bytes: int, stored_bytes: int, group: str = ""
-    ) -> None:
+    def record_pack(self, layer_name: str, raw_bytes: int, stored_bytes: int) -> None:
         with self._lock:
             rec = self.per_layer.setdefault(layer_name, LayerMemoryRecord(layer_name))
             rec.raw_bytes += raw_bytes
             rec.stored_bytes += stored_bytes
             rec.packs += 1
-            if group:
-                grec = self.per_group.setdefault(group, LayerMemoryRecord(group))
-                grec.raw_bytes += raw_bytes
-                grec.stored_bytes += stored_bytes
-                grec.packs += 1
             self._iter_raw += raw_bytes
             self._iter_stored += stored_bytes
             self._live_raw += raw_bytes
@@ -154,20 +134,13 @@ class MemoryTracker:
             return raw / stored if stored else 0.0
 
     def summary(self) -> List[LayerMemoryRecord]:
-        with self._lock:
-            return sorted(
-                (r.copy() for r in self.per_layer.values()),
-                key=lambda r: r.layer_name,
-            )
-
-    def group_summary(self) -> List[LayerMemoryRecord]:
-        """Per-policy-rule cumulative records (empty without a table).
+        """Per-layer cumulative records, sorted by layer name.
 
         Returns consistent copies: a concurrent ``record_pack`` on the
         training thread cannot mutate a row after this snapshot returns
         (the contract the server's live metrics endpoint relies on)."""
         with self._lock:
             return sorted(
-                (r.copy() for r in self.per_group.values()),
+                (r.copy() for r in self.per_layer.values()),
                 key=lambda r: r.layer_name,
             )

@@ -1,10 +1,10 @@
 """Coordinator side: ``DistributedSession`` behind the Session surface.
 
 ``build_session`` hands one of these back whenever
-``config.distributed.world_size > 1``, after checking the policy rules
-against the network (a dead rule fails here, not in a rank): each rank
-then resolves its layers' policies in its own local session.  The coordinator owns the rank
-processes: it shards every batch across them, mediates the compressed
+``config.distributed.world_size > 1``, after checking that the network
+has a layer to compress (a network without one fails here, not in a
+rank): each rank then builds its own local session from the same
+config.  The coordinator owns the rank processes: it shards every batch across them, mediates the compressed
 gradient exchange (receive in rank order, reduce on the fixed schedule,
 broadcast one bit-exact blob), aggregates the per-rank records into the
 usual :class:`~repro.nn.trainer.TrainHistory`, and tears everything

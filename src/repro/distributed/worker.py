@@ -56,7 +56,7 @@ def derive_rank_config(config: SessionConfig) -> SessionConfig:
 
     The ``distributed`` section is reset (a rank *is* the single
     worker) and per-rank arena budgets replace the session activation
-    budget; the rules are the session's.
+    budget; the codec and the ``adaptive`` section are the session's.
     """
     local = SessionConfig.from_json(config.to_json())
     if config.distributed.rank_arena_budget is not None:

@@ -470,7 +470,7 @@ class SessionServer:
                 session = tenant.session
                 if session is not None:
                     if session.tracker is not None:
-                        row["memory"] = session.tracker.group_summary()
+                        row["memory"] = session.tracker.summary()
                     if session.profiler is not None:
                         snap = session.profiler.snapshot()
                         row["profiler"] = snap

@@ -19,7 +19,6 @@ from repro.api import (
     DistributedSpec,
     EngineSpec,
     OptimizerSpec,
-    PolicyRule,
     ProfilerSpec,
     SessionConfig,
     StorageSpec,
@@ -36,12 +35,6 @@ class TestRoundTrip:
     def test_dict_round_trip_identity(self):
         cfg = SessionConfig(
             codec=CodecSpec("szlike", {"entropy": "zlib", "error_bound": 1e-4}),
-            rules=[
-                PolicyRule(match="l0", codec=CodecSpec("lossless"), label="a"),
-                PolicyRule(match="l[24]", error_bound=2e-4, label="b",
-                           eb_min=1e-6, eb_max=1e-2),
-                PolicyRule(match="l*", adaptive=True, initial_rel_eb=1e-2),
-            ],
             storage=StorageSpec(activations="arena", budget_bytes=1 << 20,
                                 params="arena", param_budget_bytes=1 << 18,
                                 param_codec=CodecSpec("lossless")),
@@ -55,8 +48,9 @@ class TestRoundTrip:
 
     def test_json_round_trip_identity(self, tmp_path):
         cfg = SessionConfig(
-            rules=[PolicyRule(match="l1?", error_bound=1e-3)],
+            codec=CodecSpec("szlike", {"error_bound": 1e-3}),
             engine=EngineSpec(kernel_backend="numpy"),
+            adaptive=AdaptiveSpec(enabled=False),
         )
         path = tmp_path / "cfg.json"
         cfg.to_json(str(path))
@@ -64,24 +58,27 @@ class TestRoundTrip:
         # and from a raw JSON string
         assert SessionConfig.from_json(cfg.to_json()).to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize(
+        "options,eb",
+        [
+            ({"error_bound": 1e-2}, 1e-2),
+            ({"error_bound": 1e-3, "mode": "rel"}, 1e-3),
+            ({"error_bound": 5e-4, "entropy": "zlib"}, 5e-4),
+        ],
+        ids=["abs", "rel", "zlib"],
+    )
+    def test_fixed_bound_spelling_round_trips(self, options, eb):
+        """The fixed-bound ablation is two sections, and both survive
+        JSON: the codec's bound and the disabled controller."""
+        d = {"adaptive": {"enabled": False}, "codec": {"options": options}}  # szlike
+        cfg = SessionConfig.from_json(json.dumps(d))
+        assert cfg.to_dict() == d
+        assert cfg.adaptive.enabled is False
+        assert cfg.codec.build().error_bound == eb
+
     def test_sparse_serialization_omits_defaults(self):
         d = SessionConfig(engine=EngineSpec(kernel_backend="numpy")).to_dict()
         assert d == {"engine": {"kernel_backend": "numpy"}}
-
-    def test_committed_mixed_policy_config_round_trips(self):
-        import os
-
-        path = os.path.join(
-            os.path.dirname(__file__), "..", "..", "examples", "configs",
-            "mixed_policy_vgg.json",
-        )
-        cfg = SessionConfig.from_json(path)
-        assert len(cfg.rules) == 3
-        # two genuinely distinct codec families and distinct bound regimes
-        names = {r.codec.name for r in cfg.rules if r.codec is not None}
-        assert len(names) >= 2
-        assert SessionConfig.from_json(cfg.to_json()).to_dict() == cfg.to_dict()
-
 
 class TestValidation:
     def test_unknown_codec_lists_available(self):
@@ -96,15 +93,9 @@ class TestValidation:
         with pytest.raises(ConfigError, match="session: unknown key"):
             SessionConfig.from_dict({"codecs": {}})
 
-    def test_rule_errors_name_the_rule(self):
-        with pytest.raises(ConfigError, match=r"rules\[1\]: error_bound must be > 0"):
-            SessionConfig.from_dict(
-                {"rules": [{"match": "l0"}, {"match": "l1", "error_bound": -1.0}]}
-            )
-
-    def test_fixed_bound_contradicts_adaptive(self):
-        with pytest.raises(ConfigError, match="adaptive=True contradicts"):
-            PolicyRule(match="l0", error_bound=1e-3, adaptive=True).validate()
+    def test_nested_section_errors_name_the_section(self):
+        with pytest.raises(ConfigError, match=r"^distributed\.grad_codec: unknown codec 'szlik'"):
+            SessionConfig.from_dict({"distributed": {"grad_codec": {"name": "szlik"}}})
 
     def test_lossy_param_codec_rejected(self):
         with pytest.raises(ConfigError, match="lossy"):
@@ -114,13 +105,6 @@ class TestValidation:
         bad = {"name": "lossless", "options": {"bogus": 1}}
         with pytest.raises(ConfigError, match=r"storage\.param_codec: .*'bogus'"):
             SessionConfig.from_dict({"storage": {"params": "arena", "param_codec": bad}})
-
-    def test_duplicate_rule_labels_rejected(self):
-        cfg = SessionConfig(
-            rules=[PolicyRule(match="a", label="x"), PolicyRule(match="b", label="x")]
-        )
-        with pytest.raises(ConfigError, match="duplicate rule label"):
-            cfg.validate()
 
     def test_live_objects_in_options_rejected(self):
         with pytest.raises(ConfigError, match="JSON-serializable"):
@@ -222,14 +206,16 @@ class TestCodecSpecRoundTrip:
 class TestReviewRegressions:
     """Pin the load-time-vs-runtime validation fixes."""
 
-    def test_partial_rule_clamp_conflict_fails_at_load_time(self):
-        # rule eb_min above the session's global eb_max would only have
-        # exploded at the controller's first update; must fail in validate
-        cfg = SessionConfig(rules=[PolicyRule(match="l*", eb_min=20.0)])
-        with pytest.raises(ConfigError, match="effective eb clamps are inverted"):
+    def test_inverted_clamps_fail_at_load_time(self):
+        # eb_min above eb_max would only have exploded at the
+        # controller's first update; must fail in validate
+        cfg = SessionConfig(adaptive=AdaptiveSpec(eb_min=20.0))
+        with pytest.raises(ConfigError, match=r"^adaptive: need eb_min < eb_max"):
             cfg.validate()
-        # and a rule override that restores a valid pair passes
-        SessionConfig(rules=[PolicyRule(match="l*", eb_min=20.0, eb_max=30.0)]).validate()
+        with pytest.raises(ConfigError, match=r"^adaptive: need eb_min < eb_max"):
+            SessionConfig.from_dict({"adaptive": {"eb_min": 20.0}})
+        # and a pair that restores the order passes
+        SessionConfig(adaptive=AdaptiveSpec(eb_min=20.0, eb_max=30.0)).validate()
 
     def test_adaptive_coefficient_round_trips(self):
         cfg = SessionConfig(adaptive=AdaptiveSpec(W=10, coefficient=0.5))
@@ -244,20 +230,20 @@ class TestReviewRegressions:
         assert AdaptiveSpec().coefficient == float(THEORY_COEFFICIENT_A)
 
 
-class TestEngineAndRuleKnobs:
-    """EngineSpec's one field and a rule's bound regime: round-trip and
-    validation."""
+class TestEngineAndBoundKnobs:
+    """EngineSpec's one field and the session's bound regime: round-trip
+    and validation."""
 
     def test_round_trip(self):
         cfg = SessionConfig(
             storage=StorageSpec(activations="arena"),
             engine=EngineSpec(kernel_backend="numpy"),
-            rules=[PolicyRule(match="l0", label="front", eb_max=0.5)],
+            adaptive=AdaptiveSpec(eb_max=0.5),
         )
         rebuilt = SessionConfig.from_json(cfg.to_json())
         assert rebuilt == cfg
         assert rebuilt.engine.kernel_backend == "numpy"
-        assert rebuilt.rules[0].eb_max == 0.5
+        assert rebuilt.adaptive.eb_max == 0.5
 
     def test_one_settable_field(self):
         assert [f.name for f in dataclasses.fields(EngineSpec)] == ["kernel_backend"]
@@ -286,18 +272,6 @@ COMMITTED_CONFIGS = sorted(
 )
 
 
-#: per-rule options no committed config or script set, with a value
-#: each once accepted
-RULE_KEYS = [
-    ("match_kind", "regex"),
-    ("storage", "inmem"),
-    ("arena_budget", 4096),
-    ("kernel_backend", "numpy"),
-    ("grad_codec", {"name": "sparse-lossless"}),
-]
-RULE_FIELDS = "adaptive, codec, eb_max, eb_min, error_bound, initial_rel_eb, label, match"
-
-
 def _keys(tree) -> set:
     if isinstance(tree, dict):
         return set(tree) | {k for v in tree.values() for k in _keys(v)}
@@ -324,8 +298,6 @@ class TestRemovedEngineKeys:
         assert not _keys(dicts) & set(REMOVED_KEYS[2:])  # the unambiguous ones
         for d in sessions:
             assert not set(d.get("engine", {})) & set(REMOVED_KEYS)
-            for rule in d.get("rules", []):
-                assert not set(rule) & {k for k, _ in RULE_KEYS}
 
     def test_three_keys_accepted_and_ignored(self):
         cfg = SessionConfig.from_dict({"engine": dict(zip(IGNORED_KEYS, ("async", 1, "auto")))})
@@ -358,34 +330,6 @@ class TestRemovedEngineKeys:
         with pytest.raises(ConfigError, match=r"storage: unknown key.*'param_dirty_tracking'"):
             SessionConfig.from_dict({"storage": {"param_dirty_tracking": True}})
 
-    @pytest.mark.parametrize("key,value", RULE_KEYS, ids=[k for k, _ in RULE_KEYS])
-    def test_removed_rule_keys_rejected(self, key, value):
-        """The per-rule options only tests set: an unknown key in JSON, an
-        unexpected keyword in Python."""
-        with pytest.raises(
-            ConfigError, match=rf"^rules\[0\]: unknown key.*'{key}'.*accepted keys: {RULE_FIELDS}$"
-        ):
-            SessionConfig.from_dict({"rules": [{"match": "l0", key: value}]})
-        with pytest.raises(TypeError, match=key):
-            PolicyRule(**{key: value})
-
-    def test_rule_fields(self):
-        from repro.core import ResolvedPolicy
-
-        assert ", ".join(sorted(f.name for f in dataclasses.fields(PolicyRule))) == RULE_FIELDS
-        resolved = {f.name for f in dataclasses.fields(ResolvedPolicy)}
-        assert not resolved & {"storage", "arena_budget"}
-
-    def test_resolved_policy_defaults_are_the_adaptive_sections(self):
-        """A context packs a layer it holds no policy for under
-        ``ResolvedPolicy``'s defaults: the ``adaptive`` section's."""
-        from repro.core import ResolvedPolicy
-
-        pol, spec = ResolvedPolicy(codec=None), AdaptiveSpec()
-        assert (pol.initial_rel_eb, pol.eb_min, pol.eb_max) == (
-            spec.initial_rel_eb, spec.eb_min, spec.eb_max,
-        )
-
 
 #: (codec, keyword, a value it once accepted) for the codec switches only
 #: tests set; ``packer`` was ``huffman_encode``'s
@@ -412,18 +356,17 @@ class TestRemovedCodecSwitches:
         with pytest.raises(TypeError, match="packer"):
             huffman_encode(syms, build_codebook(syms, 8), packer="bitplane")
 
-    @pytest.mark.parametrize("where", ["codec", "rules[0].codec"])
+    @pytest.mark.parametrize("where", ["codec", "distributed.grad_codec"])
     @pytest.mark.parametrize("name,key,value", REMOVED_CODEC_SWITCHES, ids=SWITCH_IDS)
     def test_config_error_naming_the_codec(self, name, key, value, where):
         from repro.api import build_session
         from repro.models import build_scaled_model
 
         codec = {"name": name, "options": {key: value}}
-        d = {"codec": codec} if where == "codec" else {"rules": [{"match": "l0", "codec": codec}]}
-        cfg = SessionConfig.from_dict(d)
+        d = {"codec": codec} if where == "codec" else {"distributed": {"grad_codec": codec}}
         net = build_scaled_model("alexnet", num_classes=8, image_size=16, rng=1)
         with pytest.raises(ConfigError, match=rf"codec '{name}': .*'{key}'"):
-            build_session(net, cfg)
+            build_session(net, SessionConfig.from_dict(d))
 
 
 class TestCodebookCacheShim:
@@ -431,12 +374,12 @@ class TestCodebookCacheShim:
     name, is dropped wherever a codec spec is read; the cache it once
     switched on is how every keyed Huffman stream is coded now."""
 
-    @pytest.mark.parametrize("where", ["codec", "rules[0].codec"])
+    @pytest.mark.parametrize("where", ["codec", "distributed.grad_codec"])
     def test_true_is_dropped_and_the_other_options_kept(self, where):
         codec = {"name": "szlike", "options": {"codebook_cache": True, "entropy": "zlib"}}
-        d = {"codec": codec} if where == "codec" else {"rules": [{"match": "l0", "codec": codec}]}
+        d = {"codec": codec} if where == "codec" else {"distributed": {"grad_codec": codec}}
         cfg = SessionConfig.from_dict(d)
-        spec = cfg.codec if where == "codec" else cfg.rules[0].codec
+        spec = cfg.codec if where == "codec" else cfg.distributed.grad_codec
         assert spec == CodecSpec("szlike", {"entropy": "zlib"})
         assert "codebook_cache" not in json.dumps(cfg.to_dict())
 
@@ -549,10 +492,6 @@ def _schema():
     return {
         SessionConfig: {"compress_activations": None},
         CodecSpec: {"name": None},
-        PolicyRule: {
-            "match": None, "label": None, "error_bound": {"gt": 0}, "adaptive": None,
-            "initial_rel_eb": {"gt": 0}, "eb_min": {"gt": 0}, "eb_max": {"gt": 0},
-        },
         StorageSpec: {
             "activations": ("inmem", "arena"), "budget_bytes": {"ge": 0}, "spill_dir": None,
             "params": ("resident", "arena"), "param_budget_bytes": {"ge": 0},
@@ -620,7 +559,7 @@ class TestScalarTypes:
             {"adaptive": {"enabled": "false"}},
             {"profiler": {"enabled": "false"}},
             {"storage": {"param_budget_bytes": "0"}},
-            {"rules": [{"match": "l0", "error_bound": "1e-3"}]},
+            {"adaptive": {"eb_min": "1e-3"}},
             {"compress_activations": "false"},
         ],
     )
@@ -667,10 +606,6 @@ def _both_ways(cls, name, value):
         return
     if cls is SessionConfig:
         doc, where, built = kw, "session", lambda: SessionConfig(**kw)
-    elif cls is PolicyRule:
-        kw = {"match": "l0", **kw}
-        doc, where = {"rules": [kw]}, r"rules\[0\]"
-        built = lambda: SessionConfig(rules=[PolicyRule(**kw)])  # noqa: E731
     else:
         key = SECTION_KEYS[cls]
         doc, where = {key: kw}, key
@@ -717,7 +652,7 @@ class TestDeclaredKnobs:
 
         schema = _schema()
         assert set(schema) == {
-            CodecSpec, PolicyRule, StorageSpec, EngineSpec, AdaptiveSpec, ProfilerSpec,
+            CodecSpec, StorageSpec, EngineSpec, AdaptiveSpec, ProfilerSpec,
             OptimizerSpec, DistributedSpec, ServerSpec, SessionConfig, TenantSpec,
         }
         for cls, knobs in schema.items():

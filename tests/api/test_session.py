@@ -7,15 +7,15 @@ Three things are pinned here:
    and a build that fails leaves no profiler active and no store open.
 2. **JSON == programmatic**: ``to_json -> from_json -> build_session``
    changes nothing — a committed file reproduces a run.
-3. **Per-layer policies behave**: rules resolve the right codec / bound /
-   storage per layer, fixed bounds survive the adaptive controller,
-   per-rule accounting lands in the tracker.
+3. **One codec, one bound regime**: every compressible layer packs with
+   the session codec, under the controller's clamped per-layer bounds
+   when it is enabled and under the codec's own bound when it is not;
+   accounting lands in the tracker per layer.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import threading
 
 import numpy as np
@@ -27,13 +27,13 @@ from repro.api import (
     ConfigError,
     EngineSpec,
     OptimizerSpec,
-    PolicyRule,
     ProfilerSpec,
     SessionConfig,
     StorageSpec,
     build_session,
 )
 from repro.api.config import _IGNORED_ENGINE_KEYS
+from repro.compression.jpeg_like import JpegCompressedTensor
 from repro.compression.lossless import LosslessCompressedTensor
 from repro.compression.szlike import CompressedTensor
 from repro.core import SyncEngine
@@ -41,7 +41,6 @@ from repro.models import build_scaled_model
 from repro.nn import SGD, Flatten, Linear, ReLU, Sequential, SyntheticImageDataset, batches
 
 REPO = os.path.join(os.path.dirname(__file__), "..", "..")
-MIXED_CONFIG = os.path.join(REPO, "examples", "configs", "mixed_policy_vgg.json")
 
 
 def make_net(model="alexnet", seed=42, image_size=16):
@@ -159,7 +158,6 @@ class TestJsonReproducibility:
     def test_json_round_trip_trains_bit_identically(self):
         cfg = SessionConfig(
             codec=CodecSpec("szlike", {"entropy": "zlib"}),
-            rules=[PolicyRule(match="l0", error_bound=1e-3)],
             storage=StorageSpec(activations="arena", budget_bytes=1 << 20),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
@@ -171,65 +169,32 @@ class TestJsonReproducibility:
             np.testing.assert_array_equal(run(s2), losses_direct)
             assert list(s2.tracker.iteration_ratios) == ratios_direct
 
-    def test_committed_mixed_policy_config_acceptance(self):
-        """The acceptance artifact: the committed JSON builds a
-        mixed-policy VGG session (>= 2 distinct codecs and bound
-        regimes via globs), round-trips unchanged, and trains
-        bit-identically to the programmatically-built equivalent."""
-        cfg = SessionConfig.from_json(MIXED_CONFIG)
-        assert SessionConfig.from_json(cfg.to_json()).to_dict() == cfg.to_dict()
-
-        with build_session(make_net("vgg16"), cfg) as s1:
-            losses_file = run(s1, iters=4, batch=4)
-            groups = {r.layer_name: r.packs for r in s1.tracker.group_summary()}
-            policies = s1.compressed.ctx.policies
-            # globs spread the conv layers across >= 2 rule groups
-            assert groups["early-tight"] > 0
-            assert groups["mid-lossless"] > 0
-            assert groups["late-zlib"] > 0
-            assert policies["l0"].group == "early-tight"
-            assert policies["l5"].group == "mid-lossless"
-            assert policies["l10"].group == "late-zlib"
-            # distinct codecs: SZ for l0, lossless for l5, zlib-stage SZ for l10
-            assert type(policies["l0"].codec) is not type(policies["l5"].codec)
-            assert (policies["l0"].codec.entropy, policies["l10"].codec.entropy) == (
-                "huffman", "zlib",
-            )
-            # distinct error-bound regimes: l0/l2 pinned, others adaptive
-            assert s1.error_bounds["l0"] == pytest.approx(5e-4)
-            assert s1.error_bounds["l2"] == pytest.approx(5e-4)
-            assert s1.error_bounds["l10"] != pytest.approx(5e-4)
-
-        # programmatic twin: same tree built in Python, not parsed
-        with build_session(make_net("vgg16"), SessionConfig.from_dict(cfg.to_dict())) as s2:
-            np.testing.assert_array_equal(run(s2, iters=4, batch=4), losses_file)
-
-
-class TestPolicyBehaviour:
-    def _mixed_session(self, **overrides):
-        defaults = dict(
-            rules=[
-                PolicyRule(match="l0", label="pinned", error_bound=2e-3),
-                PolicyRule(match="l4", label="loose", codec=CodecSpec("lossless")),
-            ],
-            adaptive=AdaptiveSpec(W=2, warmup_iterations=2),
+    def test_fixed_bound_session_round_trips_bit_identically(self):
+        cfg = SessionConfig(
+            codec=CodecSpec("szlike", {"entropy": "zlib", "error_bound": 2e-3}),
+            adaptive=AdaptiveSpec(enabled=False),
         )
-        defaults.update(overrides)
-        return build_session(make_net(), SessionConfig(**defaults))
+        assert SessionConfig.from_json(cfg.to_json()) == cfg
+        with build_session(make_net(), cfg) as s1:
+            losses_direct = run(s1)
+        with build_session(make_net(), SessionConfig.from_json(cfg.to_json())) as s2:
+            np.testing.assert_array_equal(run(s2), losses_direct)
 
-    def test_fixed_bound_survives_adaptive_updates(self):
-        with self._mixed_session() as s:
-            run(s, iters=6)
-            assert s.compressed.controller.updates > 0
-            assert s.error_bounds["l0"] == pytest.approx(2e-3)
-            # unmatched layers were adapted away from the pinned value
-            others = [v for k, v in s.error_bounds.items() if k not in ("l0",)]
-            assert any(v != pytest.approx(2e-3) for v in others)
 
-    def test_rule_codec_actually_packs_that_family(self):
+class TestBoundRegime:
+    @pytest.mark.parametrize(
+        "codec,family",
+        [
+            (CodecSpec("lossless"), LosslessCompressedTensor),
+            (CodecSpec("sparse-lossless"), LosslessCompressedTensor),
+            (CodecSpec("szlike"), CompressedTensor),
+            (CodecSpec("jpeg"), JpegCompressedTensor),
+        ],
+        ids=["lossless", "sparse-lossless", "szlike", "jpeg"],
+    )
+    def test_session_codec_packs_every_layer(self, codec, family):
         packed = {}
-
-        with self._mixed_session() as s:
+        with build_session(make_net(), SessionConfig(codec=codec)) as s:
             ctx = s.compressed.ctx
             orig = ctx._finalize_pack
 
@@ -239,12 +204,12 @@ class TestPolicyBehaviour:
 
             ctx._finalize_pack = spying
             run(s, iters=1)
-        assert isinstance(packed["l4"], LosslessCompressedTensor)
-        assert isinstance(packed["l0"], CompressedTensor)
+            assert set(packed) == set(s.tracker.per_layer) == {"l0", "l4", "l8", "l10", "l12"}
+        assert all(type(ct) is family for ct in packed.values())
 
-    def test_every_rule_layer_packs_into_the_session_arena(self):
+    def test_every_layer_packs_into_the_session_arena(self):
         cfg = SessionConfig(
-            rules=[PolicyRule(match="l0", label="hot", codec=CodecSpec("lossless"))],
+            codec=CodecSpec("lossless"),
             storage=StorageSpec(activations="arena", budget_bytes=1 << 20),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
@@ -262,41 +227,79 @@ class TestPolicyBehaviour:
         assert ("l0", True) in packed
         assert all(in_arena for _, in_arena in packed)
 
-    def test_per_rule_group_accounting(self):
-        with self._mixed_session() as s:
+    def test_per_layer_accounting(self):
+        with build_session(make_net(), SessionConfig(adaptive=AdaptiveSpec(W=2))) as s:
             run(s, iters=3)
-            groups = {r.layer_name: r for r in s.tracker.group_summary()}
-            assert set(groups) >= {"pinned", "loose", "default"}
-            assert groups["pinned"].packs == 3  # one conv1 pack per iteration
-            # group ledger is consistent with the per-layer ledger
-            assert groups["pinned"].raw_bytes == s.tracker.per_layer["l0"].raw_bytes
+            rows = s.tracker.summary()
+            assert [r.layer_name for r in rows] == ["l0", "l10", "l12", "l4", "l8"]
+            assert all(r.packs == 3 and r.raw_bytes > r.stored_bytes for r in rows)
 
-    def test_default_label_is_reserved_for_unmatched_layers(self):
-        """A rule labelled ``"default"`` shared the unmatched layers'
-        group: one ``group_summary()`` row for lossless l0 and szlike rest."""
-        rule = PolicyRule(match="l0", label="default", codec=CodecSpec("lossless"))
-        reserved = r"^rules\[0\]: label 'default' is reserved"
-        with pytest.raises(ConfigError, match=reserved):
-            SessionConfig.from_dict({"rules": [rule.to_dict()]})
-        with pytest.raises(ConfigError, match=reserved):
-            build_session(make_net("vgg16"), SessionConfig(rules=[rule]))
-
-    def test_per_rule_eb_clamp_override(self):
+    @pytest.mark.parametrize("eb_min,eb_max", [(1e-12, 1e-6), (1.0, 2.0)], ids=["cap", "floor"])
+    def test_controller_bounds_stay_inside_the_clamps(self, eb_min, eb_max):
+        """Every bound the controller writes is clipped to the session's
+        ``adaptive.eb_min`` / ``eb_max``, on every layer."""
         cfg = SessionConfig(
-            rules=[PolicyRule(match="l0", label="capped", eb_max=1e-6)],
-            adaptive=AdaptiveSpec(W=2, warmup_iterations=2),
+            adaptive=AdaptiveSpec(W=2, warmup_iterations=2, eb_min=eb_min, eb_max=eb_max)
         )
         with build_session(make_net(), cfg) as s:
-            run(s, iters=6)
-            assert s.compressed.controller.updates > 0
-            assert s.error_bounds["l0"] <= 1e-6
+            written = []
+            controller = s.compressed.controller
+            update = controller.update_error_bounds
 
-    def test_adaptive_disabled_keeps_warmup_bounds(self):
-        cfg = SessionConfig(adaptive=AdaptiveSpec(enabled=False, W=2))
+            def spying(params):
+                new = update(params)
+                written.extend(new.values())
+                return new
+
+            controller.update_error_bounds = spying
+            run(s, iters=6)
+            assert controller.updates > 0
+            assert written and all(eb_min <= eb <= eb_max for eb in written)
+            assert set(s.error_bounds) == {"l0", "l4", "l8", "l10", "l12"}
+
+    @pytest.mark.parametrize("activations", ["inmem", "arena"])
+    @pytest.mark.parametrize("mode", ["abs", "rel"])
+    def test_adaptive_disabled_packs_under_the_codec_bound(self, mode, activations):
+        """With the controller off, every layer is compressed under the
+        codec's own ``error_bound`` / ``mode``, and ``error_bounds``
+        records the bound its latest blob was written under."""
+        cfg = SessionConfig(
+            codec=CodecSpec("szlike", {"error_bound": 2e-3, "mode": mode}),
+            storage=StorageSpec(activations=activations),
+            adaptive=AdaptiveSpec(enabled=False, W=2),
+        )
+        blobs = {}
         with build_session(make_net(), cfg) as s:
+            ctx = s.compressed.ctx
+            orig = ctx._finalize_pack
+
+            def spying(handle, payload):
+                blobs[handle.layer_name] = payload[0]
+                orig(handle, payload)
+
+            ctx._finalize_pack = spying
             run(s, iters=5)
             assert s.compressed.controller.updates == 0
             assert s.compressed.config.enabled is False
+            assert s.error_bounds == {name: ct.error_bound for name, ct in blobs.items()}
+        assert set(blobs) == {"l0", "l4", "l8", "l10", "l12"}
+        if mode == "abs":
+            assert set(s.error_bounds.values()) == {2e-3}
+        else:  # 2e-3 of each tensor's value range
+            assert all(eb != 2e-3 for eb in s.error_bounds.values())
+
+    def test_adaptive_disabled_collects_no_statistics(self):
+        """A disabled controller never taps a backward: no loss scale,
+        no sigma budget, no Eq. 9 bound."""
+        cfg = SessionConfig(
+            codec=CodecSpec("szlike", {"error_bound": 2e-3}),
+            adaptive=AdaptiveSpec(enabled=False, W=1, warmup_iterations=3),
+        )
+        with build_session(make_net(), cfg) as s:
+            run(s, iters=3)
+            controller = s.compressed.controller
+            assert controller.loss_scales == controller.sigma_budgets == {}
+            assert not any("mean_error_bound" in r.extras for r in s.history.records)
 
     def test_session_close_is_idempotent_and_owned(self):
         cfg = SessionConfig(
@@ -330,104 +333,6 @@ class TestPolicyBehaviour:
             assert s.optimizer.betas == (0.9, 0.99)
 
 
-#: the compressible layers of the scaled ResNet-18 that
-#: ``TestRuleResolution`` matches its globs against
-RESNET_LAYERS = [
-    "l0", "l3.m0", "l3.m3", "l5.m0", "l5.m3", "l5.s0", "l7.m0", "l7.m3", "l7.s0",
-]
-
-#: rule lists: character classes, ``?``, overlapping globs, shadowing,
-#: case and whole-name matching
-GLOB_CASES = {
-    "class-qmark-catchall": ["l[0-3]*", "l5.?0", "*"],
-    "overlapping": ["l?.m?", "l5*", "*.s0"],
-    "negated-class": ["l7.[ms]0", "l[!7]*", "l7.m3"],
-    "partial-cover": ["*.s?", "l[35].m[03]"],
-    "shadowed-by-catchall": ["*", "l0"],
-    "shadowed-by-overlap": ["l?.m*", "l[357].m0", "l0"],
-    "case-sensitive": ["L0"],
-    "whole-name": ["l5"],
-}
-
-
-class TestRuleResolution:
-    """``build_session`` resolves each compressible layer's policy once:
-    its first matching rule (``fnmatchcase``) over the ``adaptive``
-    section.  A rule that is the first match of no layer is an error."""
-
-    @staticmethod
-    def _build(rules, **cfg):
-        net = build_scaled_model("resnet18", num_classes=8, image_size=16, rng=0)
-        return build_session(net, SessionConfig(rules=rules, **cfg))
-
-    @pytest.mark.parametrize("patterns", GLOB_CASES.values(), ids=GLOB_CASES.keys())
-    def test_label_is_the_brute_force_first_match(self, patterns):
-        from fnmatch import fnmatchcase
-
-        expected = {
-            name: next(
-                (f"r{i}" for i, p in enumerate(patterns) if fnmatchcase(name, p)), "default"
-            )
-            for name in RESNET_LAYERS
-        }
-        rules = [PolicyRule(match=p, label=f"r{i}") for i, p in enumerate(patterns)]
-        dead = [i for i in range(len(patterns)) if f"r{i}" not in expected.values()]
-        if dead:
-            with pytest.raises(ConfigError, match=rf"^rules\[{dead[0]}\] \(match="):
-                self._build(rules)
-            return
-        with self._build(rules) as s:
-            policies = s.compressed.ctx.policies
-            assert list(policies) == RESNET_LAYERS
-            assert {name: pol.group for name, pol in policies.items()} == expected
-
-    @pytest.mark.parametrize(
-        "rules,dead",
-        [
-            ([PolicyRule(match="conv*", codec=CodecSpec("lossless"))], 0),
-            ([PolicyRule(match="*"), PolicyRule(match="l0", codec=CodecSpec("lossless"))], 1),
-        ],
-        ids=["matches-nothing", "shadowed"],
-    )
-    def test_dead_rule_is_a_config_error(self, rules, dead):
-        """Ignoring a dead rule trains its layers wrongly: on the scaled
-        VGG (layers ``l0 ... l12``) a lossless ``conv*`` rule would leave
-        every layer lossy under the session codec."""
-        names = "l0, l2, l5, l7, l10, l12"
-        message = rf"^rules\[{dead}\] \(match='{re.escape(rules[dead].match)}'\).*{names}$"
-        with pytest.raises(ConfigError, match=message):
-            build_session(make_net("vgg16"), SessionConfig(rules=rules))
-
-    def test_one_record_per_rule_with_merged_clamps(self):
-        lossless = CodecSpec("lossless")
-        with self._build(
-            [
-                PolicyRule(match="l[05]*", label="front", codec=lossless, eb_max=1e-3),
-                PolicyRule(match="l3.m0", error_bound=2e-3),
-            ],
-            adaptive=AdaptiveSpec(initial_rel_eb=1e-2, eb_min=1e-9),
-        ) as s:
-            ctx = s.compressed.ctx
-            front = ctx.policies["l0"]
-            assert all(ctx.policies[n] is front for n in ("l5.m0", "l5.m3", "l5.s0"))
-            assert front.codec.name == "lossless"
-            assert (front.initial_rel_eb, front.eb_min, front.eb_max) == (1e-2, 1e-9, 1e-3)
-            assert front.adaptive and front.error_bound is None
-            pinned = ctx.policies["l3.m0"]
-            assert (pinned.group, pinned.codec, pinned.adaptive) == ("rule1", ctx.compressor, False)
-            assert pinned.error_bound == 2e-3
-            rest = ctx.policies["l7.m0"]
-            assert (rest.group, rest.codec, rest.eb_max) == ("default", ctx.compressor, 10.0)
-
-    def test_no_rules_no_group(self):
-        with self._build([]) as s:
-            ctx = s.compressed.ctx
-            assert {pol.group for pol in ctx.policies.values()} == {""}
-            assert all(pol.codec is ctx.compressor for pol in ctx.policies.values())
-            run(s, iters=1)
-            assert s.tracker.group_summary() == []
-
-
 class TestStorageKnobWiring:
     """build_session threads the storage and engine knobs into the live
     stack."""
@@ -441,21 +346,6 @@ class TestStorageKnobWiring:
             engine=EngineSpec(**engine_kwargs),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
-
-    def test_rule_labels_tag_arena_entries(self):
-        """Each pack's arena entry carries its rule's label, so
-        ``group_stats()`` has one residency / spill row per rule."""
-        cfg = self._cfg()
-        cfg.storage.budget_bytes = 4096
-        cfg.rules = [PolicyRule(match="l0", label="front", codec=CodecSpec("lossless"))]
-        with build_session(make_net(), cfg) as s:
-            run(s, iters=3)
-            arena = s.compressed.ctx.storage
-            stats = arena.group_stats()
-            assert set(stats) == {"front", "default"}
-            assert sum(row["spill_count"] for row in stats.values()) == arena.spill_count > 0
-            assert all(row["in_memory_nbytes"] == row["spilled_nbytes"] == 0
-                       for row in stats.values())  # every pack released by backward
 
     @pytest.mark.parametrize(
         "key,value", list(zip(_IGNORED_ENGINE_KEYS, ("async", 4, "auto")))
@@ -494,12 +384,12 @@ class TestStorageKnobWiring:
             run(s, iters=3)
             ctx = s.compressed.ctx
             stats = ctx.compressor.codebook_cache.stats()
-        assert stats["entries"] == len(ctx.policies) > 0
+        assert stats["entries"] == len(s.tracker.per_layer) > 0
         assert stats["builds"] == stats["entries"] and stats["hits"] > 0
 
     def test_knobs_round_trip_through_json(self, tmp_path):
         cfg = self._cfg(kernel_backend="numpy")
-        cfg.rules = [PolicyRule(match="l0", label="front", eb_min=1e-6)]
+        cfg.adaptive.eb_min = 1e-6
         path = tmp_path / "knobs.json"
         cfg.to_json(str(path))
         rebuilt = SessionConfig.from_json(str(path))
@@ -508,7 +398,6 @@ class TestStorageKnobWiring:
 
 #: every committed config of a single-process session
 SINGLE_PROCESS_CONFIGS = [
-    MIXED_CONFIG,
     os.path.join(REPO, "benchmarks", "configs", "session.json"),
     *(
         os.path.join(REPO, "benchmarks", "e2e", "configs", f"train_{name}.json")
@@ -534,31 +423,22 @@ def test_single_process_session_starts_no_thread(path):
     assert threading.enumerate() == before
 
 
-def test_session_codecs_lists_every_built_codec_once():
+def test_session_codecs_lists_every_built_codec():
     """What the server re-points at its codebook table: the session
-    codec, each rule's own codec and the parameter codec, once each."""
+    codec, then the parameter codec."""
     from repro.api.session import session_codecs
 
-    cfg = SessionConfig(
-        rules=[
-            PolicyRule(match="l0", codec=CodecSpec("szlike", {"entropy": "zlib"})),
-            PolicyRule(match="l[48]", codec=CodecSpec("lossless")),
-            PolicyRule(match="l10", error_bound=1e-3),
-        ],
-        storage=StorageSpec(params="arena", param_codec=CodecSpec("lossless")),
-        adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
-    )
+    param_codec = StorageSpec(params="arena", param_codec=CodecSpec("lossless"))
+    cfg = SessionConfig(storage=param_codec, adaptive=AdaptiveSpec(W=10, warmup_iterations=2))
     with build_session(make_net(), cfg) as s:
-        ctx = s.compressed.ctx
-        codecs = session_codecs(s)
-        assert codecs == [
-            ctx.compressor, ctx.policies["l0"].codec, ctx.policies["l4"].codec,
-            s.param_store.codec,
-        ]
-        assert ctx.policies["l4"].codec is ctx.policies["l8"].codec
-        assert ctx.policies["l10"].codec is ctx.compressor
+        assert session_codecs(s) == [s.compressed.ctx.compressor, s.param_store.codec]
+    with build_session(make_net(), SessionConfig()) as s:
+        assert session_codecs(s) == [s.compressed.ctx.compressor]
     with build_session(make_net(), SessionConfig(compress_activations=False)) as s:
         assert session_codecs(s) == []
+    cfg = SessionConfig(compress_activations=False, storage=param_codec)
+    with build_session(make_net(), cfg) as s:
+        assert session_codecs(s) == [s.param_store.codec]
 
 
 class TestConfigRoundTripSurface:
@@ -566,7 +446,7 @@ class TestConfigRoundTripSurface:
 
     def test_capture_is_identity(self):
         cfg = SessionConfig(
-            rules=[PolicyRule(match="l0", codec=CodecSpec("lossless"))],
+            codec=CodecSpec("lossless"),
             engine=EngineSpec(kernel_backend="numpy"),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
@@ -620,27 +500,16 @@ class TestKernelBackendWiring:
         with build_session(make_net(), SessionConfig(compress_activations=False)) as s:
             assert s.kernel_stats["selected_backend"] is None
 
-    def test_engine_backend_reaches_rule_codecs(self):
-        """``engine.kernel_backend`` applies to every rule codec whose
-        options do not name a backend; a codec without kernels ignores it."""
+    def test_codec_options_backend_wins_over_the_engine(self):
+        """``engine.kernel_backend`` applies to the session codec unless
+        its options name a backend of their own."""
         cfg = SessionConfig(
-            rules=[
-                PolicyRule(match="l0", label="sz", codec=CodecSpec("szlike")),
-                PolicyRule(match="l4", label="lossless", codec=CodecSpec("lossless")),
-                PolicyRule(match="l8", label="pinned",
-                           codec=CodecSpec("szlike", {"kernel_backend": "auto"})),
-                PolicyRule(match="l10", label="inherits", error_bound=1e-3),
-            ],
+            codec=CodecSpec("szlike", {"kernel_backend": "auto"}),
             engine=EngineSpec(kernel_backend="numpy"),
             adaptive=AdaptiveSpec(W=10, warmup_iterations=2),
         )
         with build_session(make_net(), cfg) as s:
-            codecs = {pol.group: pol.codec for pol in s.compressed.ctx.policies.values()}
-            assert codecs["sz"].kernel_backend == "numpy"
-            assert not hasattr(codecs["lossless"], "kernel_backend")
-            assert codecs["pinned"].kernel_backend == "auto"
-            assert codecs["inherits"] is s.compressed.ctx.compressor
-            assert s.compressed.ctx.compressor.kernel_backend == "numpy"
+            assert s.compressed.ctx.compressor.kernel_backend == "auto"
             run(s, iters=1)
 
     def test_explicit_numba_unavailable_fails_at_build(self):

@@ -298,11 +298,12 @@ class TestContextIntegration:
     def test_layer_keys_flow_from_saved_tensor_path(self, rng):
         """CompressingContext passes layer names as cache keys, so each
         conv layer amortizes its codebook independently."""
+        from repro.api import AdaptiveSpec
         from repro.core import CompressingContext
         from repro.nn import Conv2D
 
         comp, cache = make_cached(eb=1e-2)
-        ctx = CompressingContext(comp)
+        ctx = CompressingContext(comp, adaptive=AdaptiveSpec())
         convs = [Conv2D(3, 2, 3, rng=i + 1, name=f"conv{i}") for i in range(2)]
         # A stable activation stream (the amortization premise); evolving
         # streams and their rebuild triggers are covered above and by
@@ -320,13 +321,14 @@ class TestContextIntegration:
         """Per-layer keys make cache decisions depend only on each layer's
         pack sequence: serialized arena storage reconstructs the same
         arrays and the cache takes the same build/hit path."""
+        from repro.api import AdaptiveSpec
         from repro.core import ByteArena, CompressingContext
         from repro.nn import Conv2D
 
         results = []
         for storage in (None, ByteArena(budget_bytes=0)):
             comp, cache = make_cached(eb=1e-2)
-            ctx = CompressingContext(comp, storage=storage)
+            ctx = CompressingContext(comp, storage=storage, adaptive=AdaptiveSpec())
             convs = [Conv2D(3, 2, 3, rng=i + 1, name=f"c{i}") for i in range(3)]
             xs = [
                 smoothish(rng=np.random.default_rng(100 + i), shape=(2, 3, 16, 16))

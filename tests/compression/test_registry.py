@@ -99,11 +99,12 @@ class TestCodecContract:
         assert (y.shape, y.dtype) == (activation_tensor.shape, activation_tensor.dtype)
 
     def test_context_packs_and_unpacks_a_conv_input(self, name, activation_tensor):
+        from repro.api import AdaptiveSpec
         from repro.core import CompressingContext
         from repro.nn import Conv2D
 
         codec = make(name)
-        ctx = CompressingContext(codec)
+        ctx = CompressingContext(codec, adaptive=AdaptiveSpec())
         conv = Conv2D(activation_tensor.shape[1], 2, 3, rng=1, name="c")
         y = ctx.unpack(conv, "x", ctx.pack(conv, "x", activation_tensor))
         assert (y.shape, y.dtype) == (activation_tensor.shape, activation_tensor.dtype)

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import AdaptiveSpec
 from repro.compression import registry
 from repro.compression.szlike import (
     QuantizedResiduals,
@@ -298,7 +299,7 @@ def test_relu_recompute_equals_maximum_then_clamp(values, dtype):
     x = np.array(values, dtype=dtype)
     want = np.maximum(x, 0)
     want[want <= eb] = 0
-    ctx = CompressingContext()
+    ctx = CompressingContext(adaptive=AdaptiveSpec())
     handle = PackedActivation(raw_nbytes=x.nbytes, compressed=SimpleNamespace(error_bound=eb))
     got = ctx._recompute_relu(handle, x.copy())
     assert got.tobytes() == want.tobytes()

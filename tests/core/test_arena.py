@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import AdaptiveSpec
 from repro.compression import SZCompressor, get_codec
 from repro.compression.registry import dumps as codec_dumps
 from repro.core import (
@@ -13,7 +14,6 @@ from repro.core import (
     CompressingContext,
     MemoryTracker,
     PackedActivation,
-    ResolvedPolicy,
 )
 from repro.nn import Conv2D, SGD, Sequential, ReLU, Flatten, Linear, MaxPool2D
 
@@ -297,7 +297,7 @@ class TestArenaBackedContext:
         with ByteArena(budget_bytes=1 << 20) as arena:
             comp = SZCompressor(entropy="zlib")
             ctx = CompressingContext(
-                comp, storage=arena, policies={"c": ResolvedPolicy(comp, initial_rel_eb=1e-4)}
+                comp, storage=arena, adaptive=AdaptiveSpec(initial_rel_eb=1e-4)
             )
             h = ctx.pack(conv, "x", act4d)
             assert isinstance(h, PackedActivation)
@@ -312,10 +312,11 @@ class TestArenaBackedContext:
         tracker = MemoryTracker()
         with ByteArena(budget_bytes=None) as arena:
             ctx = CompressingContext(
-                SZCompressor(entropy="zlib"), tracker=tracker, storage=arena
+                SZCompressor(entropy="zlib"), tracker=tracker, storage=arena,
+                adaptive=AdaptiveSpec(),
             )
             comp = SZCompressor(entropy="zlib")
-            eb_probe = CompressingContext(comp)
+            eb_probe = CompressingContext(comp, adaptive=AdaptiveSpec())
             expected = len(codec_dumps(comp.compress(act4d, eb_probe.resolve_error_bound(conv, act4d))))
             h = ctx.pack(conv, "x", act4d)
             assert h.stored_nbytes == expected
@@ -326,7 +327,7 @@ class TestArenaBackedContext:
         arena = ByteArena(budget_bytes=0, spill_dir=str(tmp_path))
         comp = SZCompressor(entropy="zlib")
         ctx = CompressingContext(
-            comp, storage=arena, policies={"c": ResolvedPolicy(comp, initial_rel_eb=1e-4)}
+            comp, storage=arena, adaptive=AdaptiveSpec(initial_rel_eb=1e-4)
         )
         h = ctx.pack(conv, "x", act4d)
         assert arena.spill_count == 1
@@ -338,7 +339,7 @@ class TestArenaBackedContext:
     def test_repeated_unpack_still_works_after_release(self, conv, act4d):
         with ByteArena() as arena:
             ctx = CompressingContext(
-                SZCompressor(entropy="zlib"), storage=arena
+                SZCompressor(entropy="zlib"), storage=arena, adaptive=AdaptiveSpec()
             )
             h = ctx.pack(conv, "x", act4d)
             y1 = ctx.unpack(conv, "x", h)
@@ -348,7 +349,7 @@ class TestArenaBackedContext:
     def test_relu_recompute_with_unbounded_codec(self, conv, rng):
         """Codecs without an error bound (jpeg/lossless) get the ReLU
         recompute but no eb-band clamp — and must not crash."""
-        ctx = CompressingContext(get_codec("jpeg", quality=75))
+        ctx = CompressingContext(get_codec("jpeg", quality=75), adaptive=AdaptiveSpec())
         ctx.relu_recompute_layers.add("c")
         x = np.maximum(rng.standard_normal((1, 3, 16, 16)), 0).astype(np.float32)
         h = ctx.pack(conv, "x", x)
@@ -360,7 +361,7 @@ class TestArenaBackedContext:
         sz = get_codec("szlike", error_bound=1e-3, entropy="zlib")
         with ByteArena() as arena:
             ctx = CompressingContext(
-                sz, storage=arena, policies={"c": ResolvedPolicy(sz, initial_rel_eb=1e-4)}
+                sz, storage=arena, adaptive=AdaptiveSpec(initial_rel_eb=1e-4)
             )
             h = ctx.pack(conv, "x", x)
             y = ctx.unpack(conv, "x", h)
@@ -373,7 +374,7 @@ class TestReleaseExactlyOnce:
 
     def _packed(self, tracker, storage=None):
         ctx = CompressingContext(
-            SZCompressor(entropy="zlib"), tracker=tracker, storage=storage
+            SZCompressor(entropy="zlib"), tracker=tracker, storage=storage, adaptive=AdaptiveSpec()
         )
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         rng = np.random.default_rng(0)
@@ -409,7 +410,7 @@ class TestReleaseExactlyOnce:
         from repro.compression import get_codec
 
         t = MemoryTracker()
-        ctx = CompressingContext(get_codec("sparse-lossless"), tracker=t)
+        ctx = CompressingContext(get_codec("sparse-lossless"), tracker=t, adaptive=AdaptiveSpec())
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         x = np.random.default_rng(0).standard_normal((1, 3, 8, 8)).astype(np.float32)
         h = ctx.pack(conv, "x", x)
@@ -421,7 +422,7 @@ class TestReleaseExactlyOnce:
         """End-to-end through the Layer plumbing: _load leaves the handle
         in _saved, clear_saved discards it afterwards."""
         t = MemoryTracker()
-        ctx = CompressingContext(SZCompressor(entropy="zlib"), tracker=t)
+        ctx = CompressingContext(SZCompressor(entropy="zlib"), tracker=t, adaptive=AdaptiveSpec())
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         conv.saved_ctx = ctx
         x = np.random.default_rng(0).standard_normal((1, 3, 8, 8)).astype(np.float32)
@@ -458,6 +459,7 @@ class TestSavedTensorContract:
         with ByteArena(budget_bytes=0) as arena:
             ctx = CompressingContext(
                 get_codec(key, **kwargs), tracker=tracker, storage=arena if use_arena else None,
+                adaptive=AdaptiveSpec(),
             )
             handles = [ctx.pack(conv, f"x{i}", act4d + i) for i in range(3)]
             assert len(arena) == (3 if use_arena else 0)
@@ -478,7 +480,8 @@ class TestSavedTensorContract:
         tracker = MemoryTracker()
         with ByteArena(budget_bytes=4096) as arena:
             ctx = CompressingContext(
-                get_codec("szlike", entropy="zlib"), tracker=tracker, storage=arena
+                get_codec("szlike", entropy="zlib"), tracker=tracker, storage=arena,
+                adaptive=AdaptiveSpec(),
             )
             handles, tensors = {}, {}
             for wave in range(3):
@@ -505,7 +508,6 @@ class TestArenaTraining:
     def test_training_with_spill_stays_correct(self):
         """quickstart-scale training through a tight arena budget: spills
         happen, learning proceeds, live counters return to zero."""
-        from repro.api import AdaptiveSpec
         from repro.core import CompressedTraining
         from repro.nn import SyntheticImageDataset, Trainer, batches
 
@@ -534,7 +536,6 @@ class TestArenaTraining:
         """A training forward left without its backward (the loss raised, or
         backward raised part way): the next forward's saves discard the
         handles they replace, so the following step leaves the arena empty."""
-        from repro.api import AdaptiveSpec
         from repro.core import CompressedTraining
         from repro.nn import SyntheticImageDataset, Trainer, batches
 
@@ -601,27 +602,26 @@ class TestGroupStats:
             assert stats["g"]["spilled_nbytes"] == 0
             assert stats["g"]["spill_count"] == 2  # cumulative
 
-    def test_policy_label_tags_flow_from_context(self):
-        """Arena-backed packs are tagged with their policy group, so a
-        rule's row counts exactly its layers' bytes."""
-        from repro.api import CodecSpec, PolicyRule, SessionConfig, StorageSpec, build_session
+    def test_session_packs_spill_exactly_their_tracked_bytes(self):
+        """Under a 0-byte budget every pack of a session spills, and the
+        arena holds on disk exactly what the tracker charged per layer;
+        the context tags no entry with a group."""
+        from repro.api import CodecSpec, SessionConfig, StorageSpec, build_session
 
         net = Sequential([
             Conv2D(3, 2, 3, rng=1, name="c"), ReLU(), Conv2D(2, 2, 3, rng=2, name="d"),
         ])
         cfg = SessionConfig(
             codec=CodecSpec("szlike", {"entropy": "zlib"}),
-            rules=[PolicyRule(match="c", label="front")],
             storage=StorageSpec(activations="arena", budget_bytes=0),
         )
         rng = np.random.default_rng(0)
         with build_session(net, cfg) as s:
             net.forward(rng.standard_normal((2, 3, 16, 16)).astype(np.float32))
-            stats = s.compressed.ctx.storage.group_stats()
-            for group, layer in (("front", "c"), ("default", "d")):
-                assert stats[group] == {
-                    "in_memory_nbytes": 0,  # over the 0-byte budget
-                    "spilled_nbytes": s.tracker.per_layer[layer].stored_bytes,
-                    "spill_count": 1,
-                }
+            arena = s.compressed.ctx.storage
+            stored = [s.tracker.per_layer[layer].stored_bytes for layer in ("c", "d")]
+            assert arena.in_memory_nbytes == 0  # over the 0-byte budget
+            assert arena.spilled_nbytes == sum(stored) and arena.spill_count == 2
+            assert arena.group_stats() == {}
             net.clear_saved()
+            assert arena.spilled_nbytes == 0

@@ -39,26 +39,27 @@ def run_threads(target, n=THREADS):
 
 
 class TestMemoryTrackerUnderPressure:
-    def test_group_summary_consistent_during_concurrent_packs(self):
+    def test_summary_consistent_during_concurrent_packs(self):
         tracker = MemoryTracker()
         stop = threading.Event()
         snapshots = []
 
         def writer(i):
-            group = f"g{i % 3}"
+            layer = f"layer{i % 3}"
             for k in range(OPS):
-                tracker.record_pack(f"layer{i}", 1000, 100, group=group)
+                tracker.record_pack(layer, 1000, 100)
                 tracker.record_release(1000, 100)
                 if k % 25 == 0:
                     tracker.end_iteration()
 
         def reader():
             while not stop.is_set():
-                for rec in tracker.group_summary():
+                rows = tracker.summary()
+                for rec in rows:
                     # a consistent snapshot: never a torn record where
                     # bytes moved but the pack count did not
-                    assert rec.raw_bytes == 10 * rec.stored_bytes
-                snapshots.append(len(tracker.summary()))
+                    assert rec.raw_bytes == 10 * rec.stored_bytes == 1000 * rec.packs
+                snapshots.append(len(rows))
 
         r = threading.Thread(target=reader)
         r.start()
@@ -68,9 +69,9 @@ class TestMemoryTrackerUnderPressure:
             stop.set()
             r.join()
 
-        total_packs = sum(rec.packs for rec in tracker.group_summary())
-        assert total_packs == THREADS * OPS
-        assert sum(rec.packs for rec in tracker.summary()) == THREADS * OPS
+        rows = tracker.summary()
+        assert [rec.layer_name for rec in rows] == ["layer0", "layer1", "layer2"]
+        assert sum(rec.packs for rec in rows) == THREADS * OPS
 
     def test_ratio_accounting_balances_after_race(self):
         tracker = MemoryTracker()
@@ -141,7 +142,7 @@ class TestArenaUnderPressure:
     def test_tracker_and_pool_together(self):
         """The server-shaped composite: every thread is a 'tenant'
         putting packed bytes into its pool member arena while recording
-        into one shared MemoryTracker, with group_summary() read
+        into one shared MemoryTracker, with summary() read
         concurrently — the exact pattern the stats() endpoint drives."""
         tracker = MemoryTracker()
         stop = threading.Event()
@@ -153,7 +154,7 @@ class TestArenaUnderPressure:
                 for k in range(OPS):
                     data = bytes([k % 256]) * 300
                     key = arena.put(data)
-                    tracker.record_pack(f"conv{i}", 3000, 300, group=f"tenant{i % 4}")
+                    tracker.record_pack(f"conv{i % 4}", 3000, 300)
                     assert arena.pop(key) == data
                     tracker.record_release(3000, 300)
                     if k % 50 == 0:
@@ -162,7 +163,7 @@ class TestArenaUnderPressure:
             def observer():
                 while not stop.is_set():
                     pool.stats()
-                    tracker.group_summary()
+                    tracker.summary()
 
             obs = threading.Thread(target=observer)
             obs.start()
@@ -171,5 +172,5 @@ class TestArenaUnderPressure:
             finally:
                 stop.set()
                 obs.join()
-            assert sum(r.packs for r in tracker.group_summary()) == 4 * OPS
+            assert sum(r.packs for r in tracker.summary()) == 4 * OPS
             assert tracker.overall_ratio == 10.0

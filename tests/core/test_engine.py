@@ -21,7 +21,6 @@ import pytest
 from repro.api import (
     AdaptiveSpec,
     CodecSpec,
-    PolicyRule,
     SessionConfig,
     StorageSpec,
     build_session,
@@ -69,6 +68,7 @@ def make_ctx(name, use_arena, arena, tracker=None):
         make_codec(name),
         tracker=tracker or MemoryTracker(),
         storage=arena if use_arena else None,
+        adaptive=AdaptiveSpec(),
     )
 
 
@@ -94,13 +94,13 @@ def arena():
 
 class TestEngineResolution:
     def test_default_is_sync(self):
-        ctx = CompressingContext(make_codec("szlike"))
+        ctx = CompressingContext(make_codec("szlike"), adaptive=AdaptiveSpec())
         assert isinstance(ctx.engine, SyncEngine)
         assert ctx.engine.packs_submitted == 0
 
     def test_each_context_owns_its_engine(self, conv, act4d):
-        a = CompressingContext(make_codec("szlike"))
-        b = CompressingContext(make_codec("szlike"))
+        a = CompressingContext(make_codec("szlike"), adaptive=AdaptiveSpec())
+        b = CompressingContext(make_codec("szlike"), adaptive=AdaptiveSpec())
         assert a.engine is not b.engine
         a.pack(conv, "x", act4d)
         assert a.tracker.per_layer["c"].packs == 1
@@ -250,7 +250,8 @@ class TestFailures:
         tracker = MemoryTracker()
         arena = ByteArena(budget_bytes=0)
         ctx = CompressingContext(
-            get_codec("szlike", entropy="zlib"), tracker=tracker, storage=arena
+            get_codec("szlike", entropy="zlib"), tracker=tracker, storage=arena,
+            adaptive=AdaptiveSpec(),
         )
         handles = [ctx.pack(conv, f"x{i}", act4d) for i in range(3)]
         arena.close()
@@ -271,7 +272,7 @@ def small_net():
     ])
 
 
-def mixed_net():
+def three_conv_net():
     return Sequential([
         Conv2D(3, 6, 3, padding=1, rng=1, name="c1"), ReLU(), MaxPool2D(2),
         Conv2D(6, 8, 3, padding=1, rng=2, name="c2"), ReLU(), MaxPool2D(2),
@@ -280,12 +281,13 @@ def mixed_net():
     ])
 
 
-#: three codecs across ``mixed_net``: lossless, tight szlike, jpeg
-MIXED_RULES = [
-    PolicyRule(match="c1", label="front", codec=CodecSpec("lossless"), adaptive=False),
-    PolicyRule(match="c2", label="mid", error_bound=1e-4),
-    PolicyRule(match="c3", label="back", codec=CodecSpec("jpeg", {"quality": 80}), adaptive=False),
-]
+#: one session codec per case, each under its own fixed bound regime
+#: (the adaptive controller is off): lossless, tight szlike, jpeg
+SESSION_CODECS = {
+    "lossless": CodecSpec("lossless"),
+    "szlike-tight": CodecSpec("szlike", {"entropy": "zlib", "error_bound": 1e-4}),
+    "jpeg": CodecSpec("jpeg", {"quality": 80}),
+}
 
 
 def train_session(storage=None, iters=8):
@@ -303,16 +305,15 @@ def train_session(storage=None, iters=8):
     return tr, sess
 
 
-def train_mixed(arena=None, iters=6):
-    """``mixed_net`` trained under ``MIXED_RULES``, held in process or
-    in *arena*."""
+def train_codec(case, arena=None, iters=6):
+    """``three_conv_net`` trained with ``SESSION_CODECS[case]`` on every
+    layer, held in process or in *arena*."""
     cfg = SessionConfig(
-        codec=CodecSpec("szlike", {"entropy": "zlib"}),
-        rules=MIXED_RULES,
+        codec=SESSION_CODECS[case],
         storage=StorageSpec(activations="inmem" if arena is None else "arena"),
-        adaptive=AdaptiveSpec(W=5, warmup_iterations=2),
+        adaptive=AdaptiveSpec(enabled=False),
     )
-    net = mixed_net()
+    net = three_conv_net()
     opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
     with build_session(net, cfg, optimizer=opt, storage=arena) as s:
         ds = SyntheticImageDataset(num_classes=4, image_size=16, channels=3, seed=3)
@@ -339,25 +340,34 @@ class TestTrainingBitIdentity:
         assert sess_ref.engine.packs_submitted == 0
         assert live_bytes(sess.tracker) == (0, 0)
 
-    def test_mixed_policy_codecs_through_spilled_arena(self):
-        """Three codecs behind policy rules, every byte spilled: training
-        is bit-identical to the same run held in process."""
-        ref = train_mixed()
-        with ByteArena(budget_bytes=0) as arena:
-            s = train_mixed(arena)
+    @pytest.mark.parametrize("budget", [0, 4096], ids=["all-spilled", "partial-spill"])
+    @pytest.mark.parametrize("case", SESSION_CODECS)
+    def test_session_codec_through_spilled_arena(self, case, budget):
+        """Each codec, its bytes spilled: training is bit-identical to
+        the same run held in process, and every entry is released."""
+        ref = train_codec(case)
+        with ByteArena(budget_bytes=budget) as arena:
+            s = train_codec(case, arena)
+            if budget == 0:
+                assert arena.spill_count == 3 * 6  # three convs, six steps
+            assert arena.spill_count > 0
             assert len(arena) == 0
         np.testing.assert_array_equal(ref.history.losses, s.history.losses)
+        # the codec's own bound on every layer; codecs without one record none
+        bounds = {n: 1e-4 for n in ("c1", "c2", "c3")} if case == "szlike-tight" else {}
+        assert ref.error_bounds == s.error_bounds == bounds
         for name in ("c1", "c2", "c3"):
             a, b = ref.tracker.per_layer[name], s.tracker.per_layer[name]
             assert (a.raw_bytes, a.packs) == (b.raw_bytes, b.packs)
-        assert set(s.tracker.per_group) == {"front", "mid", "back"}
+        assert live_bytes(s.tracker) == (0, 0)
 
-    def test_abandoned_step_releases_everything(self):
+    @pytest.mark.parametrize("case", SESSION_CODECS)
+    def test_abandoned_step_releases_everything(self, case):
         """A forward pass whose backward never runs (a step abandoned
         mid-stream) is cleaned up by ``clear_saved``: live bytes and
         arena entries return to zero."""
         with ByteArena(budget_bytes=0) as arena:
-            s = train_mixed(arena, iters=2)
+            s = train_codec(case, arena, iters=2)
             x, _ = SyntheticImageDataset(
                 num_classes=4, image_size=16, channels=3, seed=3
             ).sample(8, rng=0)

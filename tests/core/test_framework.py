@@ -12,7 +12,6 @@ from repro.core import (
     GradientAssessor,
     MemoryTracker,
     PackedActivation,
-    ResolvedPolicy,
     SyncEngine,
 )
 from repro.compression.szlike import SZCompressor
@@ -59,7 +58,7 @@ def make_session(dataset, W=5, **cfg):
 
 class TestCompressingContext:
     def test_pack_compresses_4d_only(self, rng):
-        ctx = CompressingContext(SZCompressor(entropy="zlib"))
+        ctx = CompressingContext(SZCompressor(entropy="zlib"), adaptive=AdaptiveSpec())
         conv = Conv2D(3, 2, 3, rng=1)
         x4 = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         x2 = rng.standard_normal((4, 10)).astype(np.float32)
@@ -68,7 +67,7 @@ class TestCompressingContext:
 
     def test_unpack_respects_error_bound(self, rng):
         comp = SZCompressor(entropy="zlib")
-        ctx = CompressingContext(comp, policies={"c": ResolvedPolicy(comp, initial_rel_eb=1e-4)})
+        ctx = CompressingContext(comp, adaptive=AdaptiveSpec(initial_rel_eb=1e-4))
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         h = ctx.pack(conv, "x", x)
@@ -76,7 +75,7 @@ class TestCompressingContext:
         assert np.abs(x - y).max() <= ctx.error_bounds["c"] * (1 + 1e-6)
 
     def test_controller_bound_used_once_set(self, rng):
-        ctx = CompressingContext(SZCompressor(entropy="zlib"))
+        ctx = CompressingContext(SZCompressor(entropy="zlib"), adaptive=AdaptiveSpec())
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         ctx.error_bounds["c"] = 0.05
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
@@ -84,7 +83,7 @@ class TestCompressingContext:
         assert h.compressed.error_bound == 0.05
 
     def test_observed_statistics_recorded(self, rng):
-        ctx = CompressingContext(SZCompressor(entropy="zlib"))
+        ctx = CompressingContext(SZCompressor(entropy="zlib"), adaptive=AdaptiveSpec())
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         x = np.maximum(rng.standard_normal((1, 3, 8, 8)), 0).astype(np.float32)
         ctx.pack(conv, "x", x)
@@ -93,7 +92,7 @@ class TestCompressingContext:
 
     def test_codec_names_rejected(self):
         with pytest.raises(TypeError, match="codec instance"):
-            CompressingContext(compressor="szlike")
+            CompressingContext(compressor="szlike", adaptive=AdaptiveSpec())
 
     def test_codec_work_runs_inline(self, rng):
         """The pack is charged before ``pack`` returns, on the calling
@@ -102,13 +101,75 @@ class TestCompressingContext:
 
         threads = threading.active_count()
         tracker = MemoryTracker()
-        ctx = CompressingContext(SZCompressor(entropy="zlib"), tracker=tracker)
+        ctx = CompressingContext(
+            SZCompressor(entropy="zlib"), tracker=tracker, adaptive=AdaptiveSpec()
+        )
         assert isinstance(ctx.engine, SyncEngine)
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         h = ctx.pack(conv, "x", rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
         assert h.stored_nbytes > 0 and tracker.per_layer["c"].packs == 1
         ctx.unpack(conv, "x", h)
         assert threading.active_count() == threads
+
+
+#: case -> (registry key, options, the bound a blob records or None)
+FIXED_CODECS = {
+    "szlike-abs": ("szlike", {"error_bound": 0.02, "entropy": "zlib"}, 0.02),
+    "szlike-rel": ("szlike", {"error_bound": 0.01, "mode": "rel"}, "rel"),
+    "lossless": ("lossless", {}, None),
+    "sparse-lossless": ("sparse-lossless", {}, None),
+    "jpeg": ("jpeg", {"quality": 70}, None),
+}
+
+
+class TestBoundRegime:
+    """The context's two regimes: the controller's bound (first pack:
+    ``initial_rel_eb`` of the value range), or the codec's own."""
+
+    @pytest.mark.parametrize("case", FIXED_CODECS)
+    def test_disabled_controller_packs_under_the_codec_bound(self, case, rng):
+        from repro.compression import get_codec
+
+        key, options, recorded = FIXED_CODECS[case]
+        codec = get_codec(key, **options)
+        calls = []
+        compress = codec.compress
+
+        def spying(x, error_bound=None, *, cache_key=None):
+            calls.append((error_bound, cache_key))
+            return compress(x, error_bound, cache_key=cache_key)
+
+        codec.compress = spying
+        ctx = CompressingContext(codec, adaptive=AdaptiveSpec(enabled=False))
+        conv = Conv2D(3, 2, 3, rng=1, name="c")
+        x = np.maximum(rng.standard_normal((2, 3, 8, 8)), 0).astype(np.float32) * 4
+        assert ctx.resolve_error_bound(conv, x) is None
+        h = ctx.pack(conv, "x", x)
+        assert calls == [(None, "c")]
+        if recorded is None:
+            assert ctx.error_bounds == {}
+        else:
+            eb = 0.01 * float(x.max() - x.min()) if recorded == "rel" else recorded
+            assert ctx.error_bounds == {"c": h.compressed.error_bound}
+            assert h.compressed.error_bound == pytest.approx(eb, rel=1e-12)
+            assert np.abs(ctx.unpack(conv, "x", h) - x).max() <= eb * (1 + 1e-6)
+
+    @pytest.mark.parametrize("rel", [1e-3, 1e-2])
+    @pytest.mark.parametrize("constant", [False, True], ids=["ranged", "constant"])
+    def test_first_pack_warms_up_from_initial_rel_eb(self, rel, constant, rng):
+        """The first pack's bound is ``initial_rel_eb`` of the value
+        range (of 1 for a constant tensor); later packs reuse it until
+        the controller writes another."""
+        adaptive = AdaptiveSpec(initial_rel_eb=rel)
+        ctx = CompressingContext(SZCompressor(entropy="zlib"), adaptive=adaptive)
+        conv = Conv2D(3, 2, 3, rng=1, name="c")
+        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
+        if constant:
+            x[:] = 2.5
+        want = rel if constant else rel * float(x.max() - x.min())
+        assert ctx.pack(conv, "x", x).compressed.error_bound == pytest.approx(want)
+        assert ctx.pack(conv, "x", x * 10).compressed.error_bound == pytest.approx(want)
+        assert ctx.error_bounds == {"c": pytest.approx(want)}
 
 
 class TestMemoryTracker:

@@ -2,13 +2,14 @@
 
 Raw training is ``compress_activations=False``; lossless storage is a
 lossless codec with the adaptive controller off; a fixed-bound SZ
-ablation is one ``"*"`` rule with a fixed ``error_bound``.
+ablation is an szlike codec with a fixed ``error_bound`` and the
+controller off.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import AdaptiveSpec, CodecSpec, PolicyRule, SessionConfig, build_session
+from repro.api import AdaptiveSpec, CodecSpec, SessionConfig, build_session
 from repro.nn import (
     Conv2D,
     Flatten,
@@ -44,10 +45,7 @@ def codec_only(name, **options):
 
 def fixed_bound(eb):
     """One static SZ bound for every layer (the ablation against Eq. 9)."""
-    return SessionConfig(
-        codec=CodecSpec("szlike", {"entropy": "zlib"}),
-        rules=[PolicyRule(match="*", error_bound=eb)],
-    )
+    return codec_only("szlike", entropy="zlib", error_bound=eb)
 
 
 def train(config, dataset, iters=8):
@@ -68,10 +66,35 @@ class TestLossless:
 
 
 class TestFixedBound:
-    def test_coarser_bound_higher_ratio(self, dataset):
-        _, fine = train(fixed_bound(1e-4), dataset)
-        _, coarse = train(fixed_bound(1e-2), dataset)
-        assert coarse > fine
+    @pytest.mark.parametrize("fine,coarse", [(1e-4, 1e-3), (1e-3, 1e-2), (1e-4, 1e-2)])
+    def test_coarser_bound_higher_ratio(self, dataset, fine, coarse):
+        _, fine_ratio = train(fixed_bound(fine), dataset)
+        _, coarse_ratio = train(fixed_bound(coarse), dataset)
+        assert coarse_ratio > fine_ratio
+
+    @pytest.mark.parametrize("eb", [1e-4, 1e-3, 1e-2])
+    def test_every_saved_activation_is_within_the_bound(self, dataset, eb):
+        """Each pack is compressed under the codec's own bound, so every
+        reconstruction is within it, element by element (up to the
+        float32 cast's half ulp, the codec's contract)."""
+        saved = []
+        with build_session(small_net(), fixed_bound(eb)) as s:
+            ctx = s.compressed.ctx
+            pack = ctx.pack
+
+            def spying(layer, key, arr):
+                handle = pack(layer, key, arr)
+                saved.append((arr.copy(), handle))
+                return handle
+
+            ctx.pack = spying
+            s.train(batches(dataset, 8, 2, seed=0))
+            assert len(saved) == 4  # two convs, two steps
+            for arr, handle in saved:
+                assert handle.compressed.error_bound == eb
+                err = np.abs(ctx.compressor.decompress(handle.compressed) - arr).max()
+                ulp = float(np.spacing(np.float32(np.abs(arr).max())))
+                assert err <= eb * (1 + 1e-6) + ulp
 
     def test_rule_pins_every_layer(self, dataset):
         with build_session(small_net(), fixed_bound(1e-2)) as s:

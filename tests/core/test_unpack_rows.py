@@ -15,6 +15,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from repro.api import AdaptiveSpec
 from repro.compression import SZCompressor, get_codec
 from repro.core import ByteArena, CompressingContext, MemoryTracker
 from repro.kernels import available_backends
@@ -33,7 +34,9 @@ def _conv(kernel, stride, padding, ctx=None) -> Conv2D:
 
 
 def _context(codec, relu: bool, storage=None, tracker=None) -> CompressingContext:
-    ctx = CompressingContext(codec, tracker=tracker, storage=storage)
+    """A context that packs under *codec*'s own bound (the controller off)."""
+    adaptive = AdaptiveSpec(enabled=False)
+    ctx = CompressingContext(codec, tracker=tracker, storage=storage, adaptive=adaptive)
     if relu:
         ctx.relu_recompute_layers.add("c")
     return ctx

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import CodecSpec, ConfigError, EngineSpec, PolicyRule, SessionConfig, StorageSpec
+from repro.api import (
+    AdaptiveSpec,
+    CodecSpec,
+    ConfigError,
+    EngineSpec,
+    SessionConfig,
+    StorageSpec,
+)
 from repro.api.config import DistributedSpec
 from repro.compression import SparseLosslessCompressor
 from repro.compression.szlike import SZCompressor
@@ -195,13 +202,14 @@ class TestDeriveRankConfig:
         assert cfg.distributed.world_size == 4
         assert cfg.storage.budget_bytes == 8 << 20
 
-    def test_keeps_the_rules(self):
+    def test_keeps_the_codec_and_bound_regime(self):
         cfg = SessionConfig(
-            rules=[PolicyRule(match="l0", error_bound=1e-3)],
+            codec=CodecSpec("szlike", {"error_bound": 1e-3}),
+            adaptive=AdaptiveSpec(enabled=False),
             distributed=DistributedSpec(world_size=2),
         )
         local = derive_rank_config(cfg.validate())
-        assert local.rules == cfg.rules
-        assert local.rules is not cfg.rules
+        assert (local.codec, local.adaptive) == (cfg.codec, cfg.adaptive)
+        assert local.codec is not cfg.codec and local.adaptive is not cfg.adaptive
         # derived config passes single-worker validation
         local.validate()

@@ -99,7 +99,7 @@ class TestEndpoint:
 
     @pytest.mark.parametrize(
         "session",
-        [{"profiler": {"enabled": "yes"}}, {"rules": [{"match": "l0", "error_bound": "1e-3"}]}],
+        [{"profiler": {"enabled": "yes"}}, {"adaptive": {"eb_min": "1e-3"}}],
     )
     def test_wrong_typed_session_scalar_is_400(self, endpoint, session):
         body = {**tenant_body("t"), "session": session}
@@ -117,7 +117,7 @@ class TestEndpoint:
                              "param_codec": {"name": "lossless", "options": {"bogus": 1}}}},
                 "storage.param_codec",
             ),
-            ({"rules": [{"match": "l0", "arena_budget": 4096}]}, "unknown key"),
+            ({"rules": [{"match": "l0", "error_bound": 1e-3}]}, "unknown key"),
         ],
         ids=["bad-param-codec", "removed-rule-key"],
     )

@@ -158,25 +158,40 @@ class TestSharedInfrastructure:
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_every_tenant_cache_uses_the_server_table(self, shared):
-        """The session codec and a policy rule's codec both publish to
-        the server's one table."""
+        """The session codec publishes to the server's one table; the
+        lossless parameter codec has no book to share."""
         from repro.compression.szlike import SharedCodebookCache
 
         session = {
             "codec": {"name": "szlike", "options": {"entropy": "huffman"}},
-            "rules": [{"match": "l0", "codec": {"name": "szlike"}}],
+            "storage": {"params": "arena", "param_codec": {"name": "lossless"}},
         }
         with small_server(shared_codebook_cache=shared) as server:
             tenant = server.admit(tenant_dict("a", session=session))
             server.run(steps=1)
-            ctx = tenant.session.compressed.ctx
-            assert ctx.compressor is not ctx.policies["l0"].codec
-            for codec in (ctx.compressor, ctx.policies["l0"].codec):
-                cache = codec.codebook_cache
-                assert isinstance(cache, SharedCodebookCache) is shared
-                if shared:
-                    assert cache.table is server.codebooks and cache.owner == "a"
+            cache = tenant.session.compressed.ctx.compressor.codebook_cache
+            assert isinstance(cache, SharedCodebookCache) is shared
+            if shared:
+                assert cache.table is server.codebooks and cache.owner == "a"
+            assert not hasattr(tenant.session.param_store.codec, "codebook_cache")
             assert (len(server.codebooks) > 0) is shared
+
+    def test_fixed_bound_tenant_matches_standalone(self):
+        """A tenant whose session packs under the codec's own bound (the
+        controller off) trains as it does standalone, under a shared
+        codebook table."""
+        session = {
+            "codec": {"name": "szlike", "options": {"error_bound": 1e-2}},
+            "adaptive": {"enabled": False},
+            "storage": {"activations": "arena", "budget_bytes": 1 << 20},
+        }
+        spec = TenantSpec.from_dict(tenant_dict("fixed", session=session))
+        with small_server(shared_codebook_cache=True) as server:
+            tenant = server.admit(spec)
+            hosted = server.run(steps=3)
+            assert set(tenant.session.error_bounds.values()) == {1e-2}
+        alone = run_standalone(spec, 3)
+        assert [r["loss"] for r in hosted["fixed"]] == [r["loss"] for r in alone]
 
     def test_pool_pressure_spills_but_preserves_results(self):
         # Pool far smaller than the tenants' combined working set: the
@@ -239,11 +254,27 @@ class TestOperability:
             assert row["state"] == "running"
             assert row["executed"] == 2
             assert "latency_p50_ms" in row and "latency_p99_ms" in row
-            assert "memory" in row  # MemoryTracker.group_summary rows
+            assert "memory" in row  # MemoryTracker.summary rows
             assert row["profiler"]["step"]["calls"] == 2
             assert stats["profiler_merged"]["step"]["calls"] == 2
             # stats() must be JSON-serializable: it backs the endpoint
             json.dumps(stats, default=str)
+
+    @pytest.mark.parametrize("activations", ["arena", "inmem"])
+    def test_memory_row_lists_each_compressed_layer(self, activations):
+        """A compressing tenant's memory row has one record per conv
+        layer, each storing fewer bytes than it would have kept raw; a
+        tenant that compresses nothing has no row."""
+        with small_server() as server:
+            storage = {"activations": activations, "budget_bytes": 1 << 20}
+            server.admit(tenant_dict("a", session={"storage": storage}))
+            server.admit(tenant_dict("b", kind="infer", session={"compress_activations": False}))
+            server.run(steps=2, names=["a"])
+            rows = server.stats()["tenants"]
+        memory = rows["a"]["memory"]
+        assert sorted(r.layer_name for r in memory) == ["l0", "l10", "l12", "l4", "l8"]
+        assert all(r.packs == 2 and r.raw_bytes > r.stored_bytes > 0 for r in memory)
+        assert "memory" not in rows["b"]
 
     def test_capture_round_trips_spec(self):
         spec = ServerSpec(pool_budget_bytes=1 << 20, workers=2, admission="queue")

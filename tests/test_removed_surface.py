@@ -30,7 +30,11 @@ the codebook cache's LRU bound, which no model's layer count came near,
 and ``PackedActivation.nonzero_ratio``, which nothing read.  A Huffman
 codebook no longer keeps its decode tables (``HuffmanCodebook._tables``):
 each decode builds them in the workspace, cheaper than holding them for
-the run.
+the run.  Per-layer policy rules (``SessionConfig.rules``, ``PolicyRule``,
+the core's ``ResolvedPolicy`` records and the tracker's per-rule groups)
+had no committed workload: a session packs every layer with one codec
+under one bound regime, and the fixed-bound ablation is a codec
+``error_bound`` with the controller off.
 """
 
 import json
@@ -40,7 +44,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.api import AdaptiveSpec, CodecSpec, ConfigError, PolicyRule, Session, SessionConfig
+from repro.api import AdaptiveSpec, CodecSpec, ConfigError, Session, SessionConfig, StorageSpec
 from repro.api.config import DistributedSpec
 from repro.compression import CorruptBlobError, SZCompressor, get_codec
 from repro.compression.registry import dumps, loads, wire_header_nbytes
@@ -55,6 +59,7 @@ from repro.compression.szlike import (
 )
 from repro.core.activation_store import CompressingContext, PackedActivation
 from repro.core.framework import CompressedTraining
+from repro.core.memory_tracker import MemoryTracker
 from repro.core.param_store import ParamStore, StoreSlots
 from repro.models.specs import ConvS, LayerReport, walk_shapes
 from repro.compression.jpeg_like import JpegLikeCompressor
@@ -62,6 +67,10 @@ from repro.nn import SGD, Layer, Linear, Optimizer, ResidentSlots, SlotState, Tr
 from repro.nn.layers.loss import SoftmaxCrossEntropy
 from repro.server.scheduler import StepScheduler
 from repro.utils import ScratchPool
+
+
+def _context(**kwargs):
+    return CompressingContext(adaptive=AdaptiveSpec(), **kwargs)
 
 
 def _training(**kwargs):
@@ -97,6 +106,15 @@ class TestRemovedSurface:
             ("repro.compression.registry", "DeflateCodec"),
             ("repro.compression.registry", "SparseLosslessCodec"),
             ("repro.compression.szlike.codebook_cache", "MAX_ENTRIES"),
+            ("repro.api", "PolicyRule"),
+            ("repro.api.config", "PolicyRule"),
+            ("repro.core", "ResolvedPolicy"),
+            ("repro.core.activation_store", "ResolvedPolicy"),
+            ("repro.core.memory_tracker", "DEFAULT_GROUP"),
+            ("repro.api.config", "DEFAULT_GROUP"),
+            ("repro.api.session", "DEFAULT_GROUP"),
+            ("repro.api.session", "_first_matches"),
+            ("repro.api.session", "_build_compressed"),
         ],
     )
     def test_import_is_an_import_error(self, module, name):
@@ -121,6 +139,40 @@ class TestRemovedSurface:
         payload, bits, _ = huffman_encode(syms, cb)
         with pytest.raises(TypeError, match="chunk_offsets"):
             huffman_decode(payload, bits, syms.size, cb)
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            [{"match": "*", "error_bound": 1e-2}],
+            [{"match": "l0", "codec": {"name": "lossless"}}],
+            [],
+        ],
+        ids=["fixed-bound", "codec", "empty"],
+    )
+    def test_rules_config_key_is_a_config_error(self, rules):
+        with pytest.raises(ConfigError, match=r"^session: unknown key.*'rules'"):
+            SessionConfig.from_dict({"rules": rules})
+        with pytest.raises(TypeError, match="rules"):
+            SessionConfig(rules=rules)
+
+    def test_tenant_session_rules_are_a_config_error(self):
+        from repro.server import load_server_config
+
+        fleet = {"tenants": [{"name": "t", "session": {"rules": [{"match": "l0"}]}}]}
+        with pytest.raises(ConfigError, match=r"^tenants\[0\]\.session: unknown key.*'rules'"):
+            load_server_config(json.dumps(fleet))
+
+    @pytest.mark.parametrize(
+        "make,attr",
+        [
+            (_context, "policies"),
+            (_context, "default_policy"),
+            (MemoryTracker, "per_group"),
+        ],
+        ids=["context-policies", "context-default_policy", "tracker-per_group"],
+    )
+    def test_instance_attribute_is_gone(self, make, attr):
+        assert not hasattr(make(), attr)
 
     def test_lr_schedule_is_not_a_trainer_keyword(self):
         net = Linear(2, 2, rng=0)
@@ -161,6 +213,8 @@ class TestRemovedSurface:
             (CodebookTable, "invalidate"),
             (SharedCodebookCache, "from_cache"),
             (SZCompressor, "supports_cache_key"),
+            (CompressingContext, "policy"),
+            (MemoryTracker, "group_summary"),
         ],
     )
     def test_attribute_is_gone(self, cls, attr):
@@ -172,8 +226,8 @@ class TestRemovedSurface:
             (lambda: JpegLikeCompressor(zlib_level=6), "zlib_level"),
             (lambda: ScratchPool(max_per_dtype=2), "max_per_dtype"),
             (lambda: ScratchPool(max_total_bytes=1 << 20), "max_total_bytes"),
-            (lambda: CompressingContext(policy_table=None), "policy_table"),
-            (lambda: CompressingContext(initial_rel_eb=1e-3), "initial_rel_eb"),
+            (lambda: _context(policy_table=None), "policy_table"),
+            (lambda: _context(initial_rel_eb=1e-3), "initial_rel_eb"),
             (lambda: _training(policy_table=None), "policy_table"),
             (lambda: _training(adaptive=True), "adaptive"),
             (lambda: _training(param_storage=None), "param_storage"),
@@ -181,13 +235,17 @@ class TestRemovedSurface:
             (lambda: CodebookCache(delta=0.5), "delta"),
             (lambda: SharedCodebookCache(CodebookTable(), refresh_interval=3), "refresh_interval"),
             (lambda: SZCompressor(1e-3, codebook_cache=True), "codebook_cache"),
+            (lambda: _context(policies={}), "policies"),
+            (lambda: _training(policies={}), "policies"),
+            (lambda: MemoryTracker().record_pack("l0", 2, 1, group="g"), "group"),
         ],
         ids=[
             "jpeg-zlib_level", "scratch-max_per_dtype", "scratch-max_total_bytes",
             "context-policy_table", "context-initial_rel_eb",
             "training-policy_table", "training-adaptive", "training-param_storage",
             "param_store-storage", "codebook_cache-delta", "shared_cache-refresh_interval",
-            "szlike-codebook_cache",
+            "szlike-codebook_cache", "context-policies", "training-policies",
+            "tracker-record_pack-group",
         ],
     )
     def test_constructor_option_is_a_type_error(self, make, keyword):
@@ -197,11 +255,12 @@ class TestRemovedSurface:
     def test_instance_state_is_gone(self):
         net = Linear(2, 2, rng=0)
         assert not hasattr(Trainer(net, SGD(net.parameters(), lr=0.1)), "last_loss_value")
-        assert not hasattr(CompressingContext(), "enabled")
+        assert not hasattr(_context(), "enabled")
         assert not hasattr(Trainer(net, SGD(net.parameters(), lr=0.1)), "close_hooks")
         assert not hasattr(_training(), "param_store")
         assert "recomputable" not in LayerReport.__dataclass_fields__
         assert "nonzero_ratio" not in PackedActivation.__dataclass_fields__
+        assert "policy_label" not in PackedActivation.__dataclass_fields__
         assert not hasattr(CodebookCache(), "evictions")
         assert "evictions" not in CodebookCache().stats()
         assert "_tables" not in HuffmanCodebook.__dataclass_fields__
@@ -227,10 +286,10 @@ class TestChunkedCodecIsGone:
         "make",
         [
             lambda spec: SessionConfig(codec=spec),
-            lambda spec: SessionConfig(rules=[PolicyRule(match="l0", codec=spec)]),
+            lambda spec: SessionConfig(storage=StorageSpec(params="arena", param_codec=spec)),
             lambda spec: SessionConfig(distributed=DistributedSpec(world_size=2, grad_codec=spec)),
         ],
-        ids=["session", "rule", "grad"],
+        ids=["session", "param", "grad"],
     )
     def test_config_naming_it_is_a_config_error(self, make):
         spec = CodecSpec("chunked", {"inner": "szlike", "workers": 2})
