@@ -632,7 +632,8 @@ class SZCompressor:
         kernel's grid indices times ``2 * eb`` in float64, rounded once
         into the block's view of *out*.  Each block takes the next as
         many outliers as it holds markers, from *cursor* (the outliers of
-        the rows before *lo*) on; returns the cursor after the last row.
+        the rows before *lo*) on, and hands the kernel that count, so the
+        markers are counted once; returns the cursor after the last row.
         A total that differs at the tensor's last row is corruption."""
         outliers = ct.outliers
         n_rows = ct.shape[0] if ct.shape else 1
@@ -644,7 +645,8 @@ class SZCompressor:
                 cursor = -1  # more markers than outliers
                 break
             q = self._kernels.quantize_decode(
-                part, outliers[cursor : cursor + n_out], ct.radius, dst.shape, ct.lorenzo_ndim
+                part, outliers[cursor : cursor + n_out], ct.radius, dst.shape, ct.lorenzo_ndim,
+                markers=n_out,
             )
             cursor += n_out
             np.multiply(q, 2.0 * ct.error_bound, out=dst, dtype=np.float64, casting="unsafe")

@@ -44,14 +44,15 @@ slice by slice) releases when its ``with`` block ends, on any path.
 Under the szlike codec each slice is reconstructed, ReLU recompute
 included, only when the layer reads it, by the engine's ``obtain`` and
 the codec's ``decompress`` as a whole unpack is; any other codec
-unpacks whole.
+unpacks whole.  The recompute runs only where it can change a value:
+the szlike codec without drift emulation reconstructs a non-negative
+input as ``+0.0`` or above its bound, which the recompute keeps as is.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
@@ -203,6 +204,25 @@ class CompressingContext(SavedTensorContext):
             ct = handle.reader.rows(rows, out)
         return self.compressor.decompress(ct)
 
+    def _relu_may_change(self, layer: Layer, handle: PackedActivation) -> bool:
+        """Whether the Section 4.4 recompute can change a reconstruction
+        of *handle*, which *layer* saved: only on a layer whose input is
+        provably non-negative (``relu_recompute_layers``), and there not
+        under the szlike codec without drift emulation at a bound of at
+        least the dtype's smallest normal.  A non-negative input has grid
+        indices ``q >= 0``, which reconstruct to ``+0.0`` or to at least
+        ``2 * eb`` rounded into the dtype, above ``eb`` (the argument
+        ``SZCompressor._filter_zeros`` makes): the ReLU and the sub-bound
+        clamp are then the identity.  The compressed object is loaded."""
+        if layer.name not in self.relu_recompute_layers:
+            return False
+        codec, ct = self.compressor, handle.compressed
+        return not (
+            isinstance(codec, SZCompressor)
+            and not codec.emulate_zero_drift
+            and ct.error_bound >= np.finfo(np.dtype(ct.dtype)).tiny
+        )
+
     def _recompute_relu(self, handle: PackedActivation, out: np.ndarray) -> np.ndarray:
         """Recompute the activation function (Section 4.4) on a
         reconstruction: negative drift is erased by the ReLU; positive
@@ -258,25 +278,27 @@ class CompressingContext(SavedTensorContext):
         if not isinstance(handle, PackedActivation):
             return handle
         out = self.engine.obtain(handle)
-        if layer.name in self.relu_recompute_layers:
+        if self._relu_may_change(layer, handle):
             out = self._recompute_relu(handle, out)
         self._release(handle)
         return out
 
-    @contextmanager
-    def unpack_rows(self, layer: Layer, key: str, handle) -> Iterator[SavedRows]:
+    def unpack_rows(self, layer: Layer, key: str, handle) -> SavedRows:
         if not (
             isinstance(handle, PackedActivation)
             and isinstance(self.compressor, SZCompressor)
         ):
-            with super().unpack_rows(layer, key, handle) as rows:
-                yield rows
-            return
+            return super().unpack_rows(layer, key, handle)
         try:
-            yield _PackedRows(self, handle, layer.name in self.relu_recompute_layers)
-        finally:
-            handle.reader = None
-            self._release(handle)
+            return _PackedRows(self, handle, layer)
+        except BaseException:
+            self._end_rows(handle)
+            raise
+
+    def _end_rows(self, handle: PackedActivation) -> None:
+        """The end of a slice-by-slice read, on any path."""
+        handle.reader = None
+        self._release(handle)
 
     def discard(self, layer: Layer, key: str, handle) -> None:
         if isinstance(handle, PackedActivation):
@@ -285,17 +307,25 @@ class CompressingContext(SavedTensorContext):
 
 class _PackedRows:
     """A packed handle read a range of rows at a time through the
-    context's engine, each read with the Section 4.4 ReLU recompute when
-    *relu*."""
+    context's engine, each read with the Section 4.4 ReLU recompute where
+    it can change the rows; leaving its ``with`` block releases the
+    handle."""
 
-    def __init__(self, ctx: CompressingContext, handle: PackedActivation, relu: bool):
-        self._ctx, self._handle, self._relu = ctx, handle, relu
+    def __init__(self, ctx: CompressingContext, handle: PackedActivation, layer: Layer):
+        self._ctx, self._handle = ctx, handle
         # an empty read decodes the codes now, before the layer takes its
         # scratch: inside its takes the Huffman decode tables would stack
         # on them and grow the workspace slab past raw training's
         ctx.engine.obtain(handle, slice(0, 0))
+        self._relu = ctx._relu_may_change(layer, handle)
         self.shape, self.dtype = tuple(handle.compressed.shape), np.dtype(handle.compressed.dtype)
 
     def read(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
         out = self._ctx.engine.obtain(self._handle, rows, out)
         return self._ctx._recompute_relu(self._handle, out) if self._relu else out
+
+    def __enter__(self) -> "_PackedRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._ctx._end_rows(self._handle)

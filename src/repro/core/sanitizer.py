@@ -350,7 +350,7 @@ def _poison_region(raw: np.ndarray) -> None:
 
 
 def _instrument_scratch(pool) -> None:
-    _track_lock(pool, "_lock", f"scratch-{id(pool):#x}", reentrant=False)
+    # a pool has no lock to track: each thread's stack and counters are its own
     pool._on_release = _poison_region
 
 

@@ -275,22 +275,24 @@ def make_kernel_functions(loops, on_fallback):
             on_fallback("quantize_encode")
             return _numpy_quantize_encode(x, error_bound, radius, ndim, pool, stack)
 
-    def quantize_decode(codes, outliers, radius, shape, ndim):
-        markers = None
+    def quantize_decode(codes, outliers, radius, shape, ndim, markers=None):
+        # the loop counts the markers as it decodes them, so a caller's
+        # count (*markers*) saves nothing here; the reference takes it
+        counted = None
         try:
             flat_codes = np.ascontiguousarray(codes).reshape(-1)
             out64 = np.asarray(outliers, dtype=np.int64)
             q = np.empty(flat_codes.size, dtype=np.int64)
-            markers = int(loops["decode_codes"](flat_codes, out64, radius, q))
-            if markers == outliers.size:
+            counted = int(loops["decode_codes"](flat_codes, out64, radius, q))
+            if counted == outliers.size:
                 for view in _axis_views(q, tuple(shape), min(ndim, len(shape))):
                     loops["cumsum_inplace"](view)
                 return q.reshape(shape)
         except Exception:
             on_fallback("quantize_decode")
-            return _numpy_quantize_decode(codes, outliers, radius, shape, ndim)
+            return _numpy_quantize_decode(codes, outliers, radius, shape, ndim, markers)
         raise ValueError(
-            f"outlier bookkeeping mismatch: {markers} markers vs "
+            f"outlier bookkeeping mismatch: {counted} markers vs "
             f"{outliers.size} stored values"
         )
 

@@ -108,16 +108,20 @@ def grid_extent(x: np.ndarray, error_bound: float) -> float:
     return q_max
 
 
-def apply_outliers(codes: np.ndarray, outliers: np.ndarray, radius: int, dtype=np.int64) -> np.ndarray:
+def apply_outliers(
+    codes: np.ndarray, outliers: np.ndarray, radius: int, dtype=np.int64, markers=None
+) -> np.ndarray:
     """Flat *dtype* residuals ``code - radius`` from codes (the inverse of
     the code mapping; the caller picked a *dtype* that holds them).
 
     Marker positions (code 0) take their residual from *outliers* in
     order of appearance; a marker/outlier count mismatch is corruption.
+    *markers* is the marker count when the caller has counted them
+    already, else they are counted here.
     """
     flat = codes.reshape(-1)
     delta = np.subtract(flat, radius, dtype=dtype, casting="unsafe")
-    n_out = flat.size - int(np.count_nonzero(flat))
+    n_out = flat.size - int(np.count_nonzero(flat)) if markers is None else markers
     if n_out != outliers.size:
         raise ValueError(
             f"outlier bookkeeping mismatch: {n_out} markers vs {outliers.size} stored values"
@@ -418,14 +422,15 @@ def _numpy_quantize_encode(x, error_bound, radius, ndim, pool, stack):
     return codes, outliers, flat
 
 
-def _numpy_quantize_decode(codes, outliers, radius, shape, ndim):
-    """Invert the encode front half: codes + outliers → grid indices."""
+def _numpy_quantize_decode(codes, outliers, radius, shape, ndim, markers=None):
+    """Invert the encode front half: codes + outliers → grid indices
+    (*markers*: the caller's count of the code-0 markers, if it has one)."""
     span = math.prod(shape[max(len(shape) - ndim, 0) :])
     big = max(radius, int(codes.max()) - radius) if codes.size else radius
     if outliers.size:
         big = max(big, -int(outliers.min()), int(outliers.max()))
     dtype = _grid_dtype(span * big, "quantize_decode", shape)
-    delta = apply_outliers(codes, outliers, radius, dtype).reshape(shape)
+    delta = apply_outliers(codes, outliers, radius, dtype, markers).reshape(shape)
     validate_lorenzo(delta, ndim)
     return cumsum_axes(delta, ndim, out=delta)
 

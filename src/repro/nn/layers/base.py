@@ -17,8 +17,7 @@ consumed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -55,8 +54,8 @@ class SavedRows:
 
     ``read(rows, out=None)`` returns rows ``rows`` (a ``slice``), copied
     into *out* when given.  This one holds the whole array and hands out
-    views of it; a context may yield any object with the same ``shape``,
-    ``dtype`` and ``read``.
+    views of it; a context may return any context manager that enters as
+    an object with the same ``shape``, ``dtype`` and ``read``.
     """
 
     def __init__(self, arr: np.ndarray):
@@ -67,6 +66,12 @@ class SavedRows:
             return self._arr[rows]
         out[...] = self._arr[rows]
         return out
+
+    def __enter__(self) -> "SavedRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
 
 
 class SavedTensorContext:
@@ -80,12 +85,12 @@ class SavedTensorContext:
         """Called on backward to recover the tensor from its handle."""
         return handle
 
-    @contextmanager
-    def unpack_rows(self, layer: "Layer", key: str, handle) -> Iterator[SavedRows]:
+    def unpack_rows(self, layer: "Layer", key: str, handle) -> SavedRows:
         """Called on backward to read the tensor behind *handle* a range
-        of rows at a time, inside the ``with`` block; leaving it, on any
-        path, is the end of the handle.  By default: :meth:`unpack`, whole."""
-        yield SavedRows(self.unpack(layer, key, handle))
+        of rows at a time: a context manager whose ``with`` block reads
+        them; leaving it, on any path, is the end of the handle.  By
+        default: :meth:`unpack`, whole."""
+        return SavedRows(self.unpack(layer, key, handle))
 
     def discard(self, layer: "Layer", key: str, handle) -> None:
         """Called when a handle is dropped without being unpacked."""
@@ -158,13 +163,11 @@ class Layer:
         handle = self._saved.pop(key)
         return self.saved_ctx.unpack(self, key, handle)
 
-    @contextmanager
-    def _pop_rows(self, key: str) -> Iterator[SavedRows]:
+    def _pop_rows(self, key: str) -> SavedRows:
         """Pop a saved tensor to read a leading-axis range at a time
-        (``rows.read(slice, out=None)``) inside the ``with`` block."""
-        handle = self._saved.pop(key)
-        with self.saved_ctx.unpack_rows(self, key, handle) as rows:
-            yield rows
+        (``rows.read(slice, out=None)``) inside the ``with`` block of the
+        context manager this returns."""
+        return self.saved_ctx.unpack_rows(self, key, self._saved.pop(key))
 
     def clear_saved(self) -> None:
         for key, handle in self._saved.items():

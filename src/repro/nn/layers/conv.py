@@ -6,10 +6,11 @@ saved (they are ``k*k`` times larger than the activation), matching how
 training frameworks checkpoint convolutions.
 
 The patch matrix is channel-major, ``(C*k*k, N*Ho*Wo)``: it is filled by
-``k*k`` slab copies out of a zero-bordered buffer, each one a strided view
-whose rows stay contiguous along ``W``, so no element-wise gather is ever
-made.  Forward is the GEMM ``W(Cout, C*k*k) @ cols``, batched over the
-images' column blocks and written straight into the NCHW output.  Backward
+one copy out of a zero-bordered buffer, from a strided view of all its
+windows (:func:`windows`, ``(C, k, k, N, Ho, Wo)``) whose rows stay
+contiguous along ``W``, so no element-wise gather is ever made.  Forward
+is the GEMM ``W(Cout, C*k*k) @ cols``, batched over the images' column
+blocks and written straight into the NCHW output.  Backward
 takes one of two paths, chosen by the geometry alone:
 
 * stride 1 and ``padding <= k-1``: the transposed convolution.  One patch
@@ -36,10 +37,10 @@ the call is borrowed from :data:`repro.utils.scratch.WORKSPACE`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterator, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.init import kaiming_uniform
@@ -49,9 +50,10 @@ __all__ = ["Conv2D", "im2col", "col2im", "conv_output_hw", "padded", "slabs"]
 
 #: bytes of patch matrix a conv pass builds at once: the batch is cut into
 #: slices of as many images as fit (one when a single image does not).
-#: Each slice adds fixed NumPy call overhead (its ``k*k`` slab copies and
-#: pool takes): of 256 KiB - 2 MiB, this is the smallest budget that does
-#: not slow the e2e benchmark's ``train_raw`` step.
+#: Each slice adds fixed NumPy call overhead (its patch copy, pool takes
+#: and GEMM calls): of 256 KiB - 2 MiB, this is the smallest budget that
+#: does not slow the e2e benchmark's ``train_raw`` step (swept when a
+#: patch matrix took ``k*k`` slab copies).
 PATCH_BUDGET_BYTES = 1 << 20
 
 
@@ -66,18 +68,36 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> Tu
     return ho, wo
 
 
-@contextmanager
-def padded(x: np.ndarray, padding: int, fill: float = 0.0) -> Iterator[np.ndarray]:
-    """``x`` inside a border of ``fill`` on both spatial axes, in a
-    borrowed buffer (``x`` itself when there is no padding)."""
-    if not padding:
-        yield x
-        return
-    n, c, h, w = x.shape
-    with WORKSPACE.take((n, c, h + 2 * padding, w + 2 * padding), x.dtype) as xp:
-        xp.fill(fill)
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-        yield xp
+class padded:
+    """``with padded(x, padding, fill) as xp``: ``x`` inside a border of
+    ``fill`` on both spatial axes, in a borrowed buffer (``x`` itself when
+    there is no padding).  A plain context manager, not a generator: a
+    step enters one per padded conv / pool pass."""
+
+    __slots__ = ("_x", "_padding", "_fill", "_take")
+
+    def __init__(self, x: np.ndarray, padding: int, fill: float = 0.0):
+        self._x, self._padding, self._fill, self._take = x, padding, fill, None
+
+    def __enter__(self) -> np.ndarray:
+        x, p = self._x, self._padding
+        if not p:
+            return x
+        n, c, h, w = x.shape
+        self._take = WORKSPACE.take((n, c, h + 2 * p, w + 2 * p), x.dtype)
+        xp = self._take.__enter__()
+        try:
+            xp.fill(self._fill)
+            xp[:, :, p : p + h, p : p + w] = x
+        except BaseException:
+            self.__exit__(None, None, None)
+            raise
+        return xp
+
+    def __exit__(self, *exc) -> None:
+        if self._take is not None:
+            self._take.__exit__(*exc)
+            self._take = None
 
 
 def slabs(xp: np.ndarray, kernel: int, stride: int, ho: int, wo: int):
@@ -89,17 +109,31 @@ def slabs(xp: np.ndarray, kernel: int, stride: int, ho: int, wo: int):
             yield xp[..., i : i + stride * ho : stride, j : j + stride * wo : stride]
 
 
+def windows(xp: np.ndarray, kernel: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Every window of an ``(N, C, Hp, Wp)`` padded buffer as one
+    read-only strided view, ``(C, k, k, N, Ho, Wo)``: element ``[c, i, j,
+    n, y, x]`` is ``xp[n, c, s*y + i, s*x + j]`` (the :func:`slabs`,
+    stacked on axes 1-2, channel-major)."""
+    sn, sc, sh, sw = xp.strides
+    shape = (xp.shape[1], kernel, kernel, xp.shape[0], ho, wo)
+    strides = (sc, sh, sw, sn, stride * sh, stride * sw)
+    if xp.flags.c_contiguous:  # the usual case, a borrowed buffer: no interface round trip
+        view = np.ndarray(shape, xp.dtype, xp, 0, strides)
+    else:
+        view = as_strided(xp, shape, strides)
+    view.flags.writeable = False
+    return view
+
+
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int, out=None) -> np.ndarray:
     """Extract conv patches: ``(N, C, H, W) -> (C*k*k, N*Ho*Wo)``, into
-    ``out`` when given."""
+    ``out`` when given, with one strided copy out of the padded buffer."""
     n, c, h, w = x.shape
     ho, wo = conv_output_hw(h, w, kernel, stride, padding)
     if out is None:
         out = np.empty((c * kernel * kernel, n * ho * wo), dtype=x.dtype)
-    cols = out.reshape(c, kernel * kernel, n, ho, wo)
     with padded(x, padding) as xp:
-        for t, slab in enumerate(slabs(xp.transpose(1, 0, 2, 3), kernel, stride, ho, wo)):
-            cols[:, t] = slab
+        out.reshape(c, kernel, kernel, n, ho, wo)[...] = windows(xp, kernel, stride, ho, wo)
     return out
 
 

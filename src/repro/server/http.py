@@ -62,7 +62,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _send(self, code: int, payload: dict, close: bool = False) -> None:
-        body = json.dumps(payload, default=str).encode()
+        body = json.dumps(payload).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

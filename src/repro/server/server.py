@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -470,7 +470,7 @@ class SessionServer:
                 session = tenant.session
                 if session is not None:
                     if session.tracker is not None:
-                        row["memory"] = session.tracker.summary()
+                        row["memory"] = [asdict(r) for r in session.tracker.summary()]
                     if session.profiler is not None:
                         snap = session.profiler.snapshot()
                         row["profiler"] = snap

@@ -22,6 +22,7 @@ import pytest
 
 from repro.api import SessionConfig, build_session
 from repro.compression.szlike import SZCompressor
+from repro.core import activation_store
 from repro.models import build_scaled_model
 from repro.nn import (
     SGD,
@@ -517,6 +518,63 @@ def test_compressed_training_settles_at_the_raw_workspace_high_water():
         assert all(np.isfinite(step.loss) for step in session_steps(workload))
         high_water[workload] = scratch.WORKSPACE.nbytes
     assert high_water["train_sz"] == high_water["train_raw"] > 0
+
+
+#: per steady step of the benchmark's VGG-16 task: workspace takes (the
+#: codec's on top of the layers'), ``im2col`` calls and ReLU recomputes,
+#: which the szlike codec never needs on a non-negative input
+STEADY_STEP_COUNTS = {
+    "train_raw": dict(takes=114, im2col=38, recomputes=0),
+    "train_sz": dict(takes=205, im2col=38, recomputes=0),
+}
+
+
+class CountedCopies(np.ndarray):
+    """A patch buffer that counts the assignments into it and its views."""
+
+    copies = 0
+
+    def __setitem__(self, index, value):
+        CountedCopies.copies += 1
+        super().__setitem__(index, value)
+
+
+@pytest.mark.parametrize("workload", sorted(STEADY_STEP_COUNTS))
+def test_a_steady_step_makes_the_counted_calls(monkeypatch, workload):
+    """One copy per ``im2col`` (not one per window offset), no ReLU
+    recompute where the codec cannot have moved a value out of
+    ``{0} | (eb, inf)`` (a non-negative input has grid indices
+    ``>= 0``), and the takes of a step, counted by wrapping the
+    functions here."""
+    calls = dict(takes=0, im2col=0, recomputes=0)
+    take, im2col_whole = scratch.WORKSPACE.take, conv.im2col
+    recompute = activation_store.CompressingContext._recompute_relu
+
+    def counted_take(shape, dtype):
+        calls["takes"] += 1
+        return take(shape, dtype)
+
+    def counted_im2col(x, kernel, stride, padding, out=None):
+        calls["im2col"] += 1
+        return im2col_whole(x, kernel, stride, padding, out=out.view(CountedCopies))
+
+    def counted_recompute(ctx, handle, out):
+        calls["recomputes"] += 1
+        return recompute(ctx, handle, out)
+
+    monkeypatch.setitem(vars(scratch.WORKSPACE), "take", counted_take)  # undone by deletion
+    monkeypatch.setattr(conv, "im2col", counted_im2col)
+    monkeypatch.setattr(activation_store.CompressingContext, "_recompute_relu", counted_recompute)
+    monkeypatch.setattr(CountedCopies, "copies", 0)
+    steps = session_steps(workload, steps=6)
+    for _ in range(5):  # the controller collects at iterations 0 and 1
+        next(steps)
+    for key in calls:
+        calls[key] = 0
+    CountedCopies.copies = 0
+    assert np.isfinite(next(steps).loss)
+    assert calls == STEADY_STEP_COUNTS[workload]
+    assert CountedCopies.copies == calls["im2col"]
 
 
 #: traced high-water marks of steady-state steps 2-10 (the window holds

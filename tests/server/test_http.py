@@ -85,6 +85,19 @@ class TestEndpoint:
         code, _ = call(endpoint, "GET", "/tenants")
         assert code == 200
 
+    def test_stats_memory_rows_are_json_objects(self, endpoint):
+        """Each tenant's per-layer memory record reaches a client as an
+        object with integer byte counts, not as a Python repr string."""
+        call(endpoint, "POST", "/tenants", tenant_body("a"))
+        call(endpoint, "POST", "/tenants/a/steps", {"steps": 2})
+        code, body = call(endpoint, "GET", "/stats")
+        assert code == 200
+        memory = body["tenants"]["a"]["memory"]
+        assert memory and all(isinstance(r, dict) for r in memory)
+        for r in memory:
+            assert type(r["raw_bytes"]) is int and type(r["stored_bytes"]) is int
+            assert r["raw_bytes"] > r["stored_bytes"] > 0 and r["packs"] == 2
+
     def test_admission_conflict_is_409(self, endpoint):
         call(endpoint, "POST", "/tenants", tenant_body("a", budget=4 << 20))
         code, body = call(endpoint, "POST", "/tenants", tenant_body("b", budget=4 << 20))

@@ -254,11 +254,11 @@ class TestOperability:
             assert row["state"] == "running"
             assert row["executed"] == 2
             assert "latency_p50_ms" in row and "latency_p99_ms" in row
-            assert "memory" in row  # MemoryTracker.summary rows
+            assert "memory" in row  # MemoryTracker.summary rows, as dicts
             assert row["profiler"]["step"]["calls"] == 2
             assert stats["profiler_merged"]["step"]["calls"] == 2
-            # stats() must be JSON-serializable: it backs the endpoint
-            json.dumps(stats, default=str)
+            # stats() must be JSON-serializable as it is: it backs the endpoint
+            json.dumps(stats)
 
     @pytest.mark.parametrize("activations", ["arena", "inmem"])
     def test_memory_row_lists_each_compressed_layer(self, activations):
@@ -272,8 +272,8 @@ class TestOperability:
             server.run(steps=2, names=["a"])
             rows = server.stats()["tenants"]
         memory = rows["a"]["memory"]
-        assert sorted(r.layer_name for r in memory) == ["l0", "l10", "l12", "l4", "l8"]
-        assert all(r.packs == 2 and r.raw_bytes > r.stored_bytes > 0 for r in memory)
+        assert sorted(r["layer_name"] for r in memory) == ["l0", "l10", "l12", "l4", "l8"]
+        assert all(r["packs"] == 2 and r["raw_bytes"] > r["stored_bytes"] > 0 for r in memory)
         assert "memory" not in rows["b"]
 
     def test_capture_round_trips_spec(self):

@@ -1,6 +1,8 @@
 """Utility helpers: RNG normalization, byte accounting, scratch pool,
 and the hot-path stage profiler."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,7 @@ class TestScratchPool:
         with pool.take((4096,), np.uint8):
             pass
         first, second = pool.take((64,), np.float64), pool.take((64,), np.float64)
+        assert pool._stack.frames == []  # a take holds no frame until it is entered
         a = first.__enter__()
         b = second.__enter__()
         first.__exit__(None, None, None)  # released under a live take
@@ -121,12 +124,65 @@ class TestScratchPool:
         pool = ScratchPool()
 
         def work(i):
-            with pool.take((1024,), np.int64) as buf:
-                buf[...] = i
-                return int(buf[0]) == i and int(buf[-1]) == i
+            ok = True
+            for _ in range(50):
+                with pool.take((1024,), np.int64) as buf:
+                    buf[...] = i
+                    ok &= int(buf[0]) == i and int(buf[-1]) == i
+            return ok
 
-        with ThreadPoolExecutor(max_workers=8) as ex:
-            assert all(ex.map(work, range(64)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter over inside takes
+        try:
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                assert all(ex.map(work, range(64), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        # per-thread counters: no take is lost from the totals
+        assert pool.hits + pool.misses == 64 * 50
+
+    def test_an_exception_inside_the_block_pops_and_releases_the_frame(self):
+        released = []
+
+        class Recording(ScratchPool):
+            def _on_release(self, raw):
+                released.append(raw.nbytes)
+
+        pool = Recording()
+        with pool.take((256,), np.uint8):
+            pass
+        with pool.take((8,), np.float64) as outer:
+            with pytest.raises(ZeroDivisionError):
+                with pool.take((4,), np.float64):
+                    1 / 0
+            assert len(pool._stack.frames) == 1  # only the outer take is left
+            with pool.take((4,), np.float64) as again:  # lands where the failed one was
+                assert not np.shares_memory(again, outer)
+        assert pool._stack.frames == [] and released == [256, 32, 32, 64]
+
+    def test_each_thread_has_its_own_stack_and_the_totals_add_up(self):
+        import threading
+
+        pool = ScratchPool()
+        with pool.take((32,), np.float32):  # a miss on this thread
+            pass
+        seen = {}
+
+        def work():
+            seen["frames"] = list(pool._stack.frames)  # not this thread's frames
+            for _ in range(3):  # one miss, then hits on its own slab
+                with pool.take((32,), np.float32) as buf:
+                    buf[...] = 1.0
+            seen["nbytes"] = pool.nbytes
+
+        with pool.take((16,), np.float64) as mine:
+            mine[...] = 2.0
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(timeout=30)
+            assert (mine == 2.0).all()
+        assert seen == {"frames": [], "nbytes": 128}
+        assert (pool.misses, pool.hits) == (2, 3)
 
     def test_clear_releases_everything(self):
         pool = ScratchPool()
