@@ -136,7 +136,7 @@ ZLIB_LEVEL = 1
 #: values either half of the codec works on at once, in whole planes (one
 #: at least).  An encode slice borrows 19 B a value, 608 KiB: with the
 #: largest ``train_sz`` activation's 256 KiB of codes beneath it, under
-#: the 1.26 MiB the conv layers hold in the workspace.
+#: the 1.21 MiB the conv layers hold in the workspace.
 SLICE_VALUES = 1 << 15
 #: values of the slice the predictor is chosen on: the first slice a
 #: tensor is quantized in, and a constant of its own, so the blob does
@@ -145,6 +145,10 @@ CHOICE_VALUES = SLICE_VALUES
 #: price of one outlier in the predictor choice, in bits: its residual is
 #: stored verbatim, as an int32 at least
 OUTLIER_BITS = 32
+#: codes :meth:`SZCompressor._demote_uncovered` gathers at once: ``np.take``
+#: copies them to ``intp`` first, 64 KiB a block (1 MiB for the largest
+#: ``train_sz`` stream taken whole, which raised its peak RSS)
+GATHER_VALUES = 1 << 13
 
 
 def _slices(shape: tuple, ndim: int, first: int = 0, values: Optional[int] = None):
@@ -459,7 +463,14 @@ class SZCompressor:
         # at a freshly demoted position.
         escapes = bad_syms.copy()
         escapes[0] = True
-        at = escapes[codes]
+        # One gather over the stream, then only the escaped positions are
+        # touched.  ``take`` is ~2x as fast as ``escapes[codes]`` but first
+        # copies its indices to ``intp``: block by block, that copy stays small.
+        at = np.empty(codes.size, dtype=bool)
+        for lo in range(0, codes.size, GATHER_VALUES):
+            hi = lo + GATHER_VALUES
+            np.take(escapes, codes[lo:hi], out=at[lo:hi])
+        at = np.flatnonzero(at)
         merged = codes[at].astype(np.int64)
         stored = merged == 0
         merged -= radius

@@ -5,24 +5,34 @@ compresses.  Patch matrices are recomputed during backward rather than
 saved (they are ``k*k`` times larger than the activation), matching how
 training frameworks checkpoint convolutions.
 
-The patch matrix is channel-major, ``(C*k*k, N*Ho*Wo)``: it is filled by
-one copy out of a zero-bordered buffer, from a strided view of all its
-windows (:func:`windows`, ``(C, k, k, N, Ho, Wo)``) whose rows stay
-contiguous along ``W``, so no element-wise gather is ever made.  Forward
-is the GEMM ``W(Cout, C*k*k) @ cols``, batched over the images' column
-blocks and written straight into the NCHW output.  Backward
-takes one of two paths, chosen by the geometry alone:
+Patch matrices are channel-major, one row per ``(c, i, j)``, and are
+filled by one strided copy out of a zero-bordered buffer, so no
+element-wise gather is ever made.  Both passes take one of two paths,
+chosen by the geometry alone:
 
-* stride 1 and ``padding <= k-1``: the transposed convolution.  One patch
-  matrix of the upstream gradient, ``D = im2col(dout, k, 1, k-1-p)``, has
-  exactly the input's ``N*H*W`` columns; ``dx = Wflip @ D`` (``W`` with
-  both spatial axes flipped and its channel axes swapped) is batched
-  straight into NCHW ``dx``, and ``dW`` is ``D @ X.T`` (``X`` the input as
-  ``(C, N*H*W)``) read at flipped window offsets.  There is no
-  :func:`col2im` and no ``(C*k*k, N*H*W)`` gradient matrix.
-* any other geometry: ``dW = dmat @ cols.T`` and ``dcols = W.T @ dmat``,
-  scatter-added back by :func:`col2im`.  At stride ``s`` the transposed
-  form would need a dilated ``dout`` with ``s*s`` times the columns.
+* stride 1 and ``padding <= k-1``: the padded-width grid
+  (:func:`im2col_rows`).  The patch matrix is ``(C*k*k, N*Ho*Wp)``, ``Wp =
+  W + 2p``, with a column for every ``u < Wp`` of each output row, so
+  each of its rows is one run of ``Ho*Wp`` elements of the bordered
+  buffer; only the columns ``u < Wo`` are output pixels.  Forward is the
+  GEMM ``W(Cout, C*k*k) @ cols``, batched over the images' column blocks
+  into a borrowed result, whose valid columns one copy moves into the
+  NCHW output before the bias is added.  Backward is the transposed
+  convolution: one patch matrix of the upstream gradient, ``D =
+  im2col_rows(dout, k, k-1-p)``, lies on the input's own grid (``H``
+  rows of ``W + k-1``); ``dx = Wflip @ D`` (``W`` with both spatial axes
+  flipped and its channel axes swapped) is batched into a borrowed
+  result and its valid columns copied into ``dx``, and ``dW = D @ X.T``
+  reads the input as ``X``, ``(C, N, H, W + k-1)`` with zero columns
+  ``u >= W`` that cancel ``D``'s out-of-border ones, at flipped window
+  offsets.  There is no :func:`col2im`.
+* any other geometry: :func:`im2col`'s compact ``(C*k*k, N*Ho*Wo)``
+  matrix, from a strided view of every window (:func:`windows`), whose
+  rows are ``Ho`` runs of ``Wo`` an image.  Forward writes its GEMM
+  straight into the NCHW output; backward is ``dW = dmat @ cols.T`` and
+  ``dcols = W.T @ dmat``, scatter-added back by :func:`col2im`.  At
+  stride ``s`` the transposed form would need a dilated ``dout`` with
+  ``s*s`` times the columns.
 
 A pass builds its patch matrix for one batch slice at a time, of as many
 images as fit in :data:`PATCH_BUDGET_BYTES` (at least one), and writes
@@ -30,13 +40,15 @@ each slice's result into the NCHW output or ``dx``: a pass holds one
 slice's patches, not the batch's.  Backward reads its saved input the
 same way, slice by slice (:meth:`~repro.nn.layers.base.Layer._pop_rows`):
 under a compressing context a slice is reconstructed only when its
-patches are built, in the transposed path straight into the ``(C, N,
-H, W)`` buffer the ``dW`` GEMM reads.  Every array that does not outlive
-the call is borrowed from :data:`repro.utils.scratch.WORKSPACE`.
+patches are built, in the transposed path straight into the columns
+``u < W`` of the ``X`` buffer the ``dW`` GEMM reads.  Every array that
+does not outlive the call, GEMM results on the padded-width grid
+included, is borrowed from :data:`repro.utils.scratch.WORKSPACE`.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -46,7 +58,7 @@ from repro.nn.layers.base import Layer, Parameter
 from repro.nn.init import kaiming_uniform
 from repro.utils.scratch import WORKSPACE
 
-__all__ = ["Conv2D", "im2col", "col2im", "conv_output_hw", "padded", "slabs"]
+__all__ = ["Conv2D", "im2col", "im2col_rows", "col2im", "conv_output_hw", "padded", "slabs"]
 
 #: bytes of patch matrix a conv pass builds at once: the batch is cut into
 #: slices of as many images as fit (one when a single image does not).
@@ -137,6 +149,35 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int, out=None) -> n
     return out
 
 
+def im2col_rows(x: np.ndarray, kernel: int, padding: int, out=None) -> np.ndarray:
+    """Stride-1 conv patches on the padded-width grid: ``(N, C, H, W) ->
+    (C*k*k, N*Ho*Wp)``, ``Wp = W + 2*padding``, into ``out`` when given.
+
+    Column ``(n, y, u)`` holds the window at ``(y, u)`` for every ``u <
+    Wp``: the columns ``u < Wo`` are :func:`im2col`'s, the others read
+    past the right border into the next row (finite values a caller
+    discards or multiplies by zero).  Row ``(c, i, j)`` of image ``n`` is
+    then one run of ``Ho*Wp`` elements of the zero-bordered buffer,
+    starting at ``(i, j)``, so the copy moves whole padded rows; the
+    buffer ends in ``k-1`` zeroed slack elements that the last runs
+    overshoot into."""
+    n, c, h, w = x.shape
+    ho, _ = conv_output_hw(h, w, kernel, 1, padding)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if out is None:
+        out = np.empty((c * kernel * kernel, n * ho * wp), dtype=x.dtype)
+    image, s = c * hp * wp, x.itemsize
+    with WORKSPACE.take((n * image + kernel - 1,), x.dtype) as flat:
+        flat.fill(0)
+        xp = flat[: n * image].reshape(n, c, hp, wp)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+        # element [c, i, j, n, t] is flat[n*image + c*hp*wp + i*wp + j + t]
+        strides = (hp * wp * s, wp * s, s, image * s, s)
+        runs = np.ndarray((c, kernel, kernel, n, ho * wp), x.dtype, flat, 0, strides)
+        out.reshape(c, kernel, kernel, n, ho * wp)[...] = runs
+    return out
+
+
 def col2im(
     dcols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -165,6 +206,15 @@ def batch_slices(n: int, image_bytes: int) -> Iterator[slice]:
 def per_image(mat: np.ndarray, n: int) -> np.ndarray:
     """``(R, n*m)`` as the ``(n, R, m)`` view of its per-image column blocks."""
     return mat.reshape(len(mat), n, -1).transpose(1, 0, 2)
+
+
+def gemm_result(dst: np.ndarray, grid: int):
+    """Where a batched GEMM writes the ``(n, R, Ho, grid)`` result whose
+    columns ``[..., :Wo]`` are *dst*, ``(n, R, Ho, Wo)``: a borrowed buffer
+    the caller copies them out of, or *dst* itself when ``grid == Wo``."""
+    if grid == dst.shape[3]:
+        return nullcontext(dst)
+    return WORKSPACE.take(dst.shape[:3] + (grid,), dst.dtype)
 
 
 class Conv2D(Layer):
@@ -201,22 +251,36 @@ class Conv2D(Layer):
     def parameters(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
 
+    def _on_rows_grid(self) -> bool:
+        """Stride 1 with ``padding <= k-1``: both passes build their patch
+        matrices with :func:`im2col_rows`."""
+        return self.stride == 1 and self.padding < self.kernel
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"{self.name}: expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        ho, wo = conv_output_hw(x.shape[2], x.shape[3], self.kernel, self.stride, self.padding)
+        k, p = self.kernel, self.padding
+        ho, wo = conv_output_hw(x.shape[2], x.shape[3], k, self.stride, p)
         wmat = self.weight.data.reshape(self.out_channels, -1)
         out = np.empty((x.shape[0], self.out_channels, ho, wo), np.result_type(wmat, x))
-        for sl in batch_slices(len(x), wmat.shape[1] * ho * wo * x.itemsize):
-            xs = x[sl]
-            with WORKSPACE.take((wmat.shape[1], len(xs) * ho * wo), x.dtype) as cols:
-                im2col(xs, self.kernel, self.stride, self.padding, out=cols)
-                outs = out[sl].reshape(len(xs), self.out_channels, -1)
-                np.matmul(wmat, per_image(cols, len(xs)), out=outs)
+        rows = self._on_rows_grid()
+        grid = x.shape[3] + 2 * p if rows else wo  # columns of a patch-matrix row
+        for sl in batch_slices(len(x), wmat.shape[1] * ho * grid * x.itemsize):
+            xs, outs = x[sl], out[sl]
+            with WORKSPACE.take((wmat.shape[1], len(xs) * ho * grid), x.dtype) as cols:
+                if rows:
+                    im2col_rows(xs, k, p, out=cols)
+                else:
+                    im2col(xs, k, self.stride, p, out=cols)
+                with gemm_result(outs, grid) as res:
+                    np.matmul(wmat, per_image(cols, len(xs)), out=res.reshape(*res.shape[:2], -1))
+                    if res is not outs:
+                        outs[...] = res[..., :wo]
             if self.bias is not None:
-                outs += self.bias.data[:, None]
+                # a contiguous pass: fused into the strided copy above, it reads slower
+                outs += self.bias.data[:, None, None]
         if self.training:
             self._save("x", x)
         return out
@@ -228,7 +292,7 @@ class Conv2D(Layer):
                 dx = np.empty(x.shape, np.result_type(self.weight.data, dout))
             if self.bias is not None:
                 self.bias.grad += dout.sum(axis=(0, 2, 3))
-            if self.stride == 1 and self.padding < self.kernel:
+            if self._on_rows_grid():
                 self._backward_transposed(x, dout, dx)
             else:
                 self._backward_col2im(x, dout, dx)
@@ -236,24 +300,31 @@ class Conv2D(Layer):
 
     def _backward_transposed(self, x, dout, dx) -> None:
         """Stride 1, ``padding <= k-1``: ``dW`` and ``dx`` from one patch
-        matrix of ``dout`` per slice, whose columns are the input's pixels."""
+        matrix of ``dout`` per slice, on the input's padded-width grid."""
         k, (_, c, h, w), cout = self.kernel, x.shape, dout.shape[1]
-        rows = cout * k * k
+        rows, grid = cout * k * k, w + k - 1
         # Wflip[c, (co, i, j)] = W[co, c, k-1-i, k-1-j]
         wflip = self.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, rows)
-        for sl in batch_slices(len(dout), rows * h * w * dout.itemsize):
+        for sl in batch_slices(len(dout), rows * h * grid * dout.itemsize):
             ds = dout[sl]
-            with WORKSPACE.take((rows, len(ds) * h * w), dout.dtype) as d, WORKSPACE.take(
-                (c, len(ds), h, w), x.dtype
+            with WORKSPACE.take((rows, len(ds) * h * grid), dout.dtype) as d, WORKSPACE.take(
+                (c, len(ds), h, grid), x.dtype
             ) as xt:
-                x.read(sl, out=xt.transpose(1, 0, 2, 3))
-                im2col(ds, k, 1, k - 1 - self.padding, out=d)
+                # zero columns u >= W: they meet D's columns that read past the border
+                xt[..., w:] = 0
+                x.read(sl, out=xt[..., :w].transpose(1, 0, 2, 3))
+                im2col_rows(ds, k, k - 1 - self.padding, out=d)
                 # dW[co, c, i, j] = (X @ D.T)[c, (co, k-1-i, k-1-j)], taken as D @ X.T:
-                # BLAS streams the long N*H*W axis of the big operand row by row
+                # BLAS streams the long N*H*(W+k-1) axis of the big operand row by row
                 dw = (d @ xt.reshape(c, -1).T).reshape(cout, k, k, c)
                 self.weight.grad += dw[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-                if dx is not None:
-                    np.matmul(wflip, per_image(d, len(ds)), out=dx[sl].reshape(len(ds), c, -1))
+                if dx is None:
+                    continue
+                dxs = dx[sl]
+                with gemm_result(dxs, grid) as res:
+                    np.matmul(wflip, per_image(d, len(ds)), out=res.reshape(*res.shape[:2], -1))
+                    if res is not dxs:
+                        dxs[...] = res[..., :w]
 
     def _backward_col2im(self, x, dout, dx) -> None:
         """Any other geometry: ``im2col(x)`` for ``dW``, :func:`col2im` for ``dx``."""

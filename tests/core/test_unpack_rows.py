@@ -127,17 +127,17 @@ class _Counted:
             self.storage.close()
 
 
-def _spy_im2col(monkeypatch, on_call):
-    """Run *on_call* (the call count) before each of ``Conv2D``'s
-    ``im2col`` calls from here on: one per batch slice."""
-    calls, im2col = [], conv_module.im2col
+def _spy_im2col_rows(monkeypatch, on_call):
+    """Run *on_call* (the call count) before each of a stride-1
+    ``Conv2D``'s ``im2col_rows`` calls from here on: one per batch slice."""
+    calls, im2col_rows = [], conv_module.im2col_rows
 
     def spied(*args, **kwargs):
         calls.append(1)
         on_call(len(calls))
-        return im2col(*args, **kwargs)
+        return im2col_rows(*args, **kwargs)
 
-    monkeypatch.setattr(conv_module, "im2col", spied)
+    monkeypatch.setattr(conv_module, "im2col_rows", spied)
     return calls
 
 
@@ -152,7 +152,7 @@ def test_a_backward_that_raises_between_slices_releases_once(monkeypatch, arena)
         if n == 2:
             raise RuntimeError("boom")
 
-    calls = _spy_im2col(monkeypatch, fail_second)
+    calls = _spy_im2col_rows(monkeypatch, fail_second)
     with pytest.raises(RuntimeError, match="boom"):
         layer.backward(np.ones_like(out))
     assert len(calls) == 2
@@ -182,7 +182,7 @@ def test_a_backward_releases_once_when_it_ends(monkeypatch, arena, codec, releas
     layer = counted.layer(codec)
     out = layer.forward(_input())
     seen = []
-    _spy_im2col(monkeypatch, lambda n: seen.append(counted.releases))
+    _spy_im2col_rows(monkeypatch, lambda n: seen.append(counted.releases))
     layer.backward(np.ones_like(out))
     layer.clear_saved()
     assert seen == [released_while_read] * len(out)

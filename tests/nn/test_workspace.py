@@ -151,28 +151,48 @@ def avgpool_fresh(x, k, s, p):
 
 
 # ----------------------------------------------------------- (a) footprint
-def conv_temporaries_nbytes(layer, in_shape):
+def conv_temporaries_nbytes(layer, in_shape, input_grad=True):
     """What one float32 conv pass over one batch slice holds at once, the
-    larger of the two passes.  Forward: the bordered input and its patch
-    matrix.  Backward at stride 1, ``p <= k-1``: the bordered ``dout``, its
-    patch matrix and the channel-major input; at any other geometry: the
-    transposed ``dout``, the input's patch matrix (then ``dcols``) and the
-    bordered input (then ``col2im``'s bordered target)."""
+    larger of the two passes; takes stack at multiples of the alignment.
+    At stride 1, ``p <= k-1`` (the padded-width grid, ``Wp = W + 2p``):
+    forward holds the patch matrix, then on top of it the bordered input
+    with its ``k-1`` slack elements or the GEMM result; backward holds
+    the patch matrix of ``dout``, the channel-major input on ``dout``'s
+    grid (``W + k-1`` wide), then the bordered ``dout`` or, given
+    *input_grad*, ``dx``'s GEMM result.  At any other geometry: forward
+    the bordered input and its patch matrix; backward the transposed
+    ``dout``, the input's patch matrix (then ``dcols``) and the bordered
+    input (then ``col2im``'s bordered target)."""
     n, c, h, w = in_shape
     _, cout, ho, wo = layer.output_shape(in_shape)
     p, k = layer.padding, layer.kernel
 
-    def per_slice(patch_elems, held_elems):
-        return 4 * min(n, max(1, conv.PATCH_BUDGET_BYTES // (4 * patch_elems))) * held_elems
+    def images(patch_elems):
+        return min(n, max(1, conv.PATCH_BUDGET_BYTES // (4 * patch_elems)))
 
-    bordered = c * (h + 2 * p) * (w + 2 * p)
-    forward = per_slice(c * k * k * ho * wo, bordered + c * k * k * ho * wo)
+    def stacked(*frames):
+        end = 0
+        for nbytes in frames:
+            end = -(-end // scratch.ALIGN) * scratch.ALIGN + nbytes
+        return end
+
     if layer.stride == 1 and p < k:
-        q = k - 1 - p
-        held = cout * (ho + 2 * q) * (wo + 2 * q) + cout * k * k * h * w + c * h * w
-        return max(forward, per_slice(cout * k * k * h * w, held))
-    held = cout * ho * wo + c * k * k * ho * wo + bordered
-    return max(forward, per_slice(c * k * k * ho * wo, held))
+        hp, wp, grid = h + 2 * p, w + 2 * p, w + k - 1
+        m = images(c * k * k * ho * wp)
+        cols = 4 * m * c * k * k * ho * wp
+        forward = max(
+            stacked(cols, 4 * (m * c * hp * wp + k - 1)), stacked(cols, 4 * m * cout * ho * wp)
+        )
+        m = images(cout * k * k * h * grid)
+        held = (4 * m * cout * k * k * h * grid, 4 * m * c * h * grid)
+        on_top = [4 * (m * cout * (h + k - 1) * grid + k - 1)]
+        if input_grad:
+            on_top.append(4 * m * c * h * grid)
+        return max(forward, *(stacked(*held, top) for top in on_top))
+    bordered = c * (h + 2 * p) * (w + 2 * p)
+    m = images(c * k * k * ho * wo)
+    forward = 4 * m * (bordered + c * k * k * ho * wo)
+    return max(forward, 4 * m * (cout * ho * wo + c * k * k * ho * wo + bordered))
 
 
 def test_steady_state_borrows_nothing_new_and_holds_one_layers_worth(pool):
@@ -180,8 +200,8 @@ def test_steady_state_borrows_nothing_new_and_holds_one_layers_worth(pool):
     net = build_scaled_model("vgg16", num_classes=4, image_size=32, batch=8, rng=0)
     per_conv = []
     for layer in iter_layers(net):
-        if isinstance(layer, Conv2D):
-            per_conv.append(conv_temporaries_nbytes(layer, shape))
+        if isinstance(layer, Conv2D):  # the first conv's input gradient is never taken
+            per_conv.append(conv_temporaries_nbytes(layer, shape, input_grad=bool(per_conv)))
         shape = layer.output_shape(shape)
     trainer = Trainer(net, SGD(net.parameters(), lr=0.01))
     data = batches(SyntheticImageDataset(num_classes=4, image_size=32, seed=1), 8, 12, seed=2)
@@ -191,8 +211,7 @@ def test_steady_state_borrows_nothing_new_and_holds_one_layers_worth(pool):
     for _ in range(10):
         assert np.isfinite(trainer.train_step(*next(data)).loss)
     assert pool.misses == misses and pool.hits > hits and pool.out == 0
-    # one stack: the slab is exactly the largest slice's set (every buffer
-    # here is a multiple of the alignment), not one set per layer
+    # one stack: the slab is exactly the largest slice's set, not one set per layer
     assert len(per_conv) > 4
     assert pool.nbytes == max(per_conv)
 
@@ -265,25 +284,34 @@ def test_pools_on_a_poisoned_pool_match_fresh_allocation_bit_for_bit(pool, rng, 
 
 
 def transposed(kernel, stride, padding) -> bool:
-    """Whether the backward takes the transposed (``col2im``-free) path."""
+    """Whether the backward takes the transposed (``col2im``-free) path,
+    and both passes build their patch matrices on the padded-width grid
+    (``im2col_rows``)."""
     return stride == 1 and padding < kernel
 
 
 def count_patch_matrices(monkeypatch):
-    """Record ``(channels, images)`` of every ``im2col`` call and count the
-    ``col2im`` calls a layer makes."""
-    calls = dict(im2col=[], col2im=0)
-    im2col_whole, col2im_whole = conv.im2col, conv.col2im
+    """Record ``(builder, channels, images)`` of every patch matrix a
+    layer builds (``im2col``, or ``im2col_rows`` on the padded-width
+    grid) and count the ``col2im`` calls it makes."""
+    calls = dict(patches=[], col2im=0)
+    col2im_whole = conv.col2im
 
-    def im2col(xs, *args, **kwargs):
-        calls["im2col"].append(xs.shape[:2][::-1])
-        return im2col_whole(xs, *args, **kwargs)
+    def spy(name):
+        whole = getattr(conv, name)
+
+        def built(xs, *args, **kwargs):
+            calls["patches"].append((name, *xs.shape[:2][::-1]))
+            return whole(xs, *args, **kwargs)
+
+        monkeypatch.setattr(conv, name, built)
 
     def col2im(*args, **kwargs):
         calls["col2im"] += 1
         return col2im_whole(*args, **kwargs)
 
-    monkeypatch.setattr(conv, "im2col", im2col)
+    spy("im2col")
+    spy("im2col_rows")
     monkeypatch.setattr(conv, "col2im", col2im)
     return calls
 
@@ -296,16 +324,19 @@ def test_a_batch_cut_into_uneven_slices_matches_fresh_allocation(
     """Five images, two to a slice in each pass: the one-image tail runs in
     the buffers the two-image slices poisoned, so a stale tail reads as NaN.
     Each pass slices by its own patch matrix: forward by ``im2col(x)``'s
-    ``3*k*k`` rows of ``Ho*Wo`` columns an image, the transposed backward by
-    ``im2col(dout)``'s ``4*k*k`` rows of ``H*W``."""
+    ``3*k*k`` rows of ``Ho*Wo`` columns an image (``Ho*Wp``, ``Wp = W +
+    2p``, on the padded-width grid), the transposed backward by
+    ``im2col_rows(dout)``'s ``4*k*k`` rows of ``H*(W+k-1)``."""
     layer = Conv2D(3, 4, kernel, stride=stride, padding=padding, rng=1)
     layer.bias.data[:] = rng.standard_normal(4)
     x = rng.standard_normal((5, 3, 9, 7)).astype(dtype)
     _, _, ho, wo = layer.output_shape(x.shape)
     image = 3 * kernel * kernel * ho * wo * x.itemsize
-    backward_image = image
+    backward_image, builder = image, "im2col"
     if transposed(kernel, stride, padding):
-        backward_image = 4 * kernel * kernel * 9 * 7 * x.itemsize
+        image = 3 * kernel * kernel * ho * (7 + 2 * padding) * x.itemsize
+        backward_image = 4 * kernel * kernel * 9 * (7 + kernel - 1) * x.itemsize
+        builder = "im2col_rows"
     calls = count_patch_matrices(monkeypatch)
     _, want, grads = conv_fresh(x, layer.weight.data, layer.bias.data, kernel, stride, padding)
     monkeypatch.setattr(conv, "PATCH_BUDGET_BYTES", 3 * image - 1)
@@ -319,7 +350,8 @@ def test_a_batch_cut_into_uneven_slices_matches_fresh_allocation(
     np.testing.assert_allclose(layer.weight.grad, dw, rtol=1e-4, atol=1e-4)
     np.testing.assert_allclose(layer.bias.grad, db, rtol=1e-4, atol=1e-4)
     patched = 4 if transposed(kernel, stride, padding) else 3
-    assert calls["im2col"] == [(3, 2), (3, 2), (3, 1), (patched, 2), (patched, 2), (patched, 1)]
+    shapes = [(3, 2), (3, 2), (3, 1), (patched, 2), (patched, 2), (patched, 1)]
+    assert calls["patches"] == [(builder, *shape) for shape in shapes]
     assert pool.out == 0
 
 
@@ -356,22 +388,55 @@ def test_the_stride_one_backward_matches_fresh_allocation(pool, rng, kernel, str
     assert np.isfinite(dx).all() and pool.out == 0
 
 
+def conv_pass(layer, x, dout):
+    """``(out, dx, dW)`` of one forward and backward, from zeroed gradients."""
+    for prm in layer.parameters():
+        prm.zero_grad()
+    out = layer.forward(x)
+    return out, layer.backward(dout), layer.weight.grad.copy()
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [g for g in STRIDE_ONE if transposed(*g)])
+def test_a_poisoned_pool_moves_no_bit_of_a_stride_one_pass(
+    pool, rng, monkeypatch, kernel, stride, padding
+):
+    """On the padded-width grid the last windows of the bordered buffer
+    overshoot into its ``k-1`` slack elements, and ``dW = D @ X.T`` meets
+    the columns of ``D`` that read past the border with ``X``'s zero
+    columns: both come from the pool, and ``NaN * 0`` is NaN, so a slack or
+    a column left unwritten carries the poison into ``dW``."""
+    layer = Conv2D(3, 4, kernel, stride=stride, padding=padding, rng=1)
+    x = rng.standard_normal((3, 3, 9, 7)).astype(np.float32)
+    dout = rng.standard_normal(layer.output_shape(x.shape)).astype(np.float32)
+    monkeypatch.setattr(conv, "PATCH_BUDGET_BYTES", 1)  # one image a slice
+    conv_pass(layer, x, dout)  # grows the slab ...
+    pool._stack.slab.fill(0xFF)  # ... which starts out poisoned, as released takes are
+    poisoned = conv_pass(layer, x, dout)
+    monkeypatch.setattr(conv, "WORKSPACE", ScratchPool())
+    plain = conv_pass(layer, x, dout)
+    for got, want in zip(poisoned, plain):
+        assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
+    assert pool.out == 0
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_only_a_strided_backward_scatters_through_col2im(pool, rng, monkeypatch, stride):
-    """A stride-1 backward builds one patch matrix of ``dout`` per slice
-    and no ``col2im``; a stride-2 one patches ``x`` and scatters back."""
+    """A stride-1 backward builds one patch matrix of ``dout`` per slice,
+    on the input's padded-width grid, and no ``col2im``; a stride-2 one
+    patches ``x`` and scatters back."""
     layer = Conv2D(3, 4, 3, stride=stride, padding=1, rng=1)
     x = rng.standard_normal((5, 3, 9, 7)).astype(np.float32)
     dout = rng.standard_normal(layer.forward(x).shape).astype(np.float32)
     calls = count_patch_matrices(monkeypatch)
     _, _, ho, wo = dout.shape
-    image = 4 * (4 * 9 * 9 * 7 if stride == 1 else 3 * 9 * ho * wo)  # float32 patch bytes
+    image = 4 * (4 * 9 * 9 * (7 + 2) if stride == 1 else 3 * 9 * ho * wo)  # float32 patch bytes
     monkeypatch.setattr(conv, "PATCH_BUDGET_BYTES", 2 * image)
     layer.backward(dout)
     if stride == 1:
-        assert calls == dict(im2col=[(4, 2), (4, 2), (4, 1)], col2im=0)
+        want = dict(patches=[("im2col_rows", 4, m) for m in (2, 2, 1)], col2im=0)
     else:
-        assert calls == dict(im2col=[(3, 2), (3, 2), (3, 1)], col2im=3)
+        want = dict(patches=[("im2col", 3, m) for m in (2, 2, 1)], col2im=3)
+    assert calls == want
     assert pool.out == 0
 
 
@@ -521,11 +586,12 @@ def test_compressed_training_settles_at_the_raw_workspace_high_water():
 
 
 #: per steady step of the benchmark's VGG-16 task: workspace takes (the
-#: codec's on top of the layers'), ``im2col`` calls and ReLU recomputes,
-#: which the szlike codec never needs on a non-negative input
+#: codec's on top of the layers'), ``im2col_rows`` calls (every conv is
+#: 3x3, stride 1, padding 1) and ReLU recomputes, which the szlike codec
+#: never needs on a non-negative input
 STEADY_STEP_COUNTS = {
-    "train_raw": dict(takes=114, im2col=38, recomputes=0),
-    "train_sz": dict(takes=205, im2col=38, recomputes=0),
+    "train_raw": dict(takes=146, im2col_rows=38, recomputes=0),
+    "train_sz": dict(takes=237, im2col_rows=38, recomputes=0),
 }
 
 
@@ -541,29 +607,29 @@ class CountedCopies(np.ndarray):
 
 @pytest.mark.parametrize("workload", sorted(STEADY_STEP_COUNTS))
 def test_a_steady_step_makes_the_counted_calls(monkeypatch, workload):
-    """One copy per ``im2col`` (not one per window offset), no ReLU
-    recompute where the codec cannot have moved a value out of
-    ``{0} | (eb, inf)`` (a non-negative input has grid indices
-    ``>= 0``), and the takes of a step, counted by wrapping the
+    """One copy per ``im2col_rows`` (not one per window offset or per
+    output row), no ReLU recompute where the codec cannot have moved a
+    value out of ``{0} | (eb, inf)`` (a non-negative input has grid
+    indices ``>= 0``), and the takes of a step, counted by wrapping the
     functions here."""
-    calls = dict(takes=0, im2col=0, recomputes=0)
-    take, im2col_whole = scratch.WORKSPACE.take, conv.im2col
+    calls = dict(takes=0, im2col_rows=0, recomputes=0)
+    take, im2col_rows = scratch.WORKSPACE.take, conv.im2col_rows
     recompute = activation_store.CompressingContext._recompute_relu
 
     def counted_take(shape, dtype):
         calls["takes"] += 1
         return take(shape, dtype)
 
-    def counted_im2col(x, kernel, stride, padding, out=None):
-        calls["im2col"] += 1
-        return im2col_whole(x, kernel, stride, padding, out=out.view(CountedCopies))
+    def counted_im2col_rows(x, kernel, padding, out=None):
+        calls["im2col_rows"] += 1
+        return im2col_rows(x, kernel, padding, out=out.view(CountedCopies))
 
     def counted_recompute(ctx, handle, out):
         calls["recomputes"] += 1
         return recompute(ctx, handle, out)
 
     monkeypatch.setitem(vars(scratch.WORKSPACE), "take", counted_take)  # undone by deletion
-    monkeypatch.setattr(conv, "im2col", counted_im2col)
+    monkeypatch.setattr(conv, "im2col_rows", counted_im2col_rows)
     monkeypatch.setattr(activation_store.CompressingContext, "_recompute_relu", counted_recompute)
     monkeypatch.setattr(CountedCopies, "copies", 0)
     steps = session_steps(workload, steps=6)
@@ -574,7 +640,7 @@ def test_a_steady_step_makes_the_counted_calls(monkeypatch, workload):
     CountedCopies.copies = 0
     assert np.isfinite(next(steps).loss)
     assert calls == STEADY_STEP_COUNTS[workload]
-    assert CountedCopies.copies == calls["im2col"]
+    assert CountedCopies.copies == calls["im2col_rows"]
 
 
 #: traced high-water marks of steady-state steps 2-10 (the window holds
@@ -583,7 +649,8 @@ def test_a_steady_step_makes_the_counted_calls(monkeypatch, workload):
 #: measured in a process that runs only those steps, x 1.2 (pytest with
 #: this file alone reads ~0.1-0.2 MiB less).  Since ReLU and dropout save
 #: packed bits and the pool ``uint8`` offsets, ``train_sz`` reads 4.07 MiB
-#: and ``train_raw`` 3.98; with a byte per mask element and ``int16``
+#: and ``train_raw`` 3.98 (4.01 and 3.93 with stride-1 convs on the
+#: padded-width grid); with a byte per mask element and ``int16``
 #: offsets they read 4.18 and 4.22.  With the conv backward decoding its
 #: input whole and the codebooks caching their decode tables the
 #: ``train_sz`` window read 4.76 MiB; before one scratch stack, a sliced
