@@ -3,7 +3,12 @@ installs on convolutional layers (Section 4.4, "adaptive compression").
 
 ``pack`` runs during the forward pass: the activation is compressed and
 only the compressed representation is retained.  ``unpack`` runs when
-backpropagation reaches the layer again and decompresses.
+backpropagation reaches the layer again and decompresses.  Only
+intermediate activations are compressed: a layer whose input needs no
+gradient (``Layer.needs_input_grad`` false, which a training step sets
+on the layer fed the data batch) saves a reference to the batch the
+caller holds anyway, with no blob, arena entry or tracker charge, as
+cuSZp's ``pack_hook`` passes through tensors that do not require grad.
 
 :class:`CompressingContext` owns the handle lifecycle, the
 release-exactly-once tracker accounting, the optional
@@ -144,8 +149,12 @@ class CompressingContext(SavedTensorContext):
         #: per-layer absolute error bounds: the controller's, or with it
         #: disabled the bound each layer's latest blob was written under
         self.error_bounds: Dict[str, float] = {}
-        #: per-layer nonzero ratio R observed at the latest pack
+        #: per-layer nonzero ratio R observed at the latest pack that
+        #: counted it
         self.observed_nonzero: Dict[str, float] = {}
+        #: whether a pack counts R; the framework clears it on iterations
+        #: whose statistics the controller does not read
+        self.count_nonzero = True
         #: per-layer latest achieved compression ratio (physical bytes
         #: under arena storage)
         self.observed_ratio: Dict[str, float] = {}
@@ -177,7 +186,8 @@ class CompressingContext(SavedTensorContext):
             handle.compressed = ct
         if not self.adaptive.enabled and getattr(ct, "error_bound", None) is not None:
             self.error_bounds[handle.layer_name] = ct.error_bound
-        self.observed_nonzero[handle.layer_name] = nz
+        if nz is not None:
+            self.observed_nonzero[handle.layer_name] = nz
         self.observed_ratio[handle.layer_name] = (
             handle.raw_nbytes / handle.stored_nbytes if handle.stored_nbytes else 0.0
         )
@@ -255,12 +265,16 @@ class CompressingContext(SavedTensorContext):
 
     # -- SavedTensorContext interface --------------------------------------
     def pack(self, layer: Layer, key: str, arr: np.ndarray):
-        if not (isinstance(arr, np.ndarray) and arr.ndim == 4):
+        # A layer whose input needs no gradient is fed the caller's data
+        # batch, not an intermediate activation: the caller holds it for
+        # the whole step, so a blob of it would free nothing.
+        if not (isinstance(arr, np.ndarray) and arr.ndim == 4 and layer.needs_input_grad):
             return arr
         handle = PackedActivation(raw_nbytes=arr.nbytes, layer_name=layer.name)
         eb = self.resolve_error_bound(layer, arr)
         codec = self.compressor
         serialize = self.storage is not None
+        count = self.count_nonzero
 
         def job():
             # The layer name keys the stream, so a codebook-caching codec
@@ -268,7 +282,7 @@ class CompressingContext(SavedTensorContext):
             # packs once per forward in a fixed order, so per-key cache
             # decisions stay deterministic.
             ct = codec.compress(arr, error_bound=eb, cache_key=layer.name)
-            nz = float(np.count_nonzero(arr)) / arr.size
+            nz = float(np.count_nonzero(arr)) / arr.size if count else None
             return ct, _codec_dumps(ct) if serialize else None, nz
 
         self.engine.submit_pack(handle, job)

@@ -6,7 +6,10 @@ paper's Figure 7 describes, per convolutional layer per iteration:
 1. **Parameter collection** — backward taps record each conv layer's
    loss magnitude L_bar; the compressing context records activation
    sparsity R at pack time; the optimizer exposes momentum.  Collection
-   runs every W iterations (plus a warm-up).
+   runs every W iterations (plus a warm-up), and only then does a pack
+   count R.  The conv fed the data batch is not compressed (its input
+   is the caller's batch, not an intermediate activation), so it has
+   no tap and no bound.
 2. **Gradient assessment** — Eq. 8 turns momentum into a sigma budget.
 3. **Activation assessment** — Eq. 9 turns the budget into a per-layer
    absolute error bound.
@@ -51,7 +54,7 @@ from repro.nn.layers.base import Layer, Parameter
 from repro.nn.layers.conv import Conv2D
 from repro.nn.network import iter_layers, set_saved_ctx
 from repro.nn.optim import SGD
-from repro.nn.trainer import IterationRecord, Trainer
+from repro.nn.trainer import IterationRecord, Trainer, batch_fed_layer
 
 if TYPE_CHECKING:
     from repro.api.config import AdaptiveSpec
@@ -118,12 +121,13 @@ class CompressedTraining:
         )
         self._mark_relu_fed_convs()
 
-        #: conv layer name -> its weight Parameter (per-layer momentum)
+        #: packing conv layer name -> its weight Parameter (per-layer momentum)
         self.conv_params: Dict[str, Parameter] = {}
         self._install_taps()
         # warm-up: collect from iteration 0 (never when the controller
-        # is disabled — the codec's fixed bound needs no statistics)
-        self._collect_next = config.enabled
+        # is disabled — the codec's fixed bound needs no statistics); a
+        # pack counts R only when the controller will read it
+        self._collect_next = self.ctx.count_nonzero = config.enabled
 
     # -- wiring ------------------------------------------------------------
     def _mark_relu_fed_convs(self) -> None:
@@ -163,9 +167,12 @@ class CompressedTraining:
     def _install_taps(self) -> None:
         """Wrap each conv layer's backward to observe dL/dout (L_bar) and,
         before a ParamStore can fold the layer's update into its
-        backward, the layer's momentum (Eq. 8)."""
+        backward, the layer's momentum (Eq. 8).  The conv a training step
+        feeds the data batch packs nothing, so it gets no tap and no
+        Eq. 9 bound."""
+        skip = batch_fed_layer(self.network)
         for layer in iter_layers(self.network):
-            if not isinstance(layer, Conv2D):
+            if not isinstance(layer, Conv2D) or layer is skip:
                 continue
             self.conv_params[layer.name] = layer.weight
             orig = layer.backward
@@ -194,8 +201,8 @@ class CompressedTraining:
                 record.extras["mean_error_bound"] = float(
                     np.mean(list(new_bounds.values()))
                 )
-        self._collect_next = self.config.enabled and self.controller.should_collect(
-            trainer.iteration + 1
+        self._collect_next = self.ctx.count_nonzero = (
+            self.config.enabled and self.controller.should_collect(trainer.iteration + 1)
         )
 
     # -- reporting -----------------------------------------------------------

@@ -110,9 +110,10 @@ class Layer:
     #: True for layers whose saved input is a large conv activation —
     #: the tensors the paper targets for compression.
     compressible = False
-    #: False only while a ``Trainer`` runs the backward of the layer that
-    #: reads the data batch: nobody consumes that gradient, so ``backward``
-    #: may return ``None`` instead of computing it.
+    #: False only while a ``Trainer`` step runs the layer that reads the
+    #: data batch: nobody consumes that gradient, so ``backward`` may
+    #: return ``None`` instead of computing it, and a compressing context
+    #: keeps the layer's saved input (the caller's batch) by reference.
     needs_input_grad = True
 
     _instance_counter = 0

@@ -20,7 +20,18 @@ from repro.nn.layers.loss import SoftmaxCrossEntropy
 from repro.nn.network import Residual, Sequential
 from repro.nn.optim import SGD
 
-__all__ = ["IterationRecord", "TrainHistory", "Trainer"]
+__all__ = ["IterationRecord", "TrainHistory", "Trainer", "batch_fed_layer"]
+
+
+def batch_fed_layer(network: Layer) -> Optional[Layer]:
+    """The layer a training step feeds the data batch alone: the first
+    leaf of *network*'s leading ``Sequential`` chain, or None when that
+    chain starts with a ``Residual``, which sums its two branches' input
+    gradients and so needs them."""
+    first = network
+    while isinstance(first, Sequential) and first.layers:
+        first = first.layers[0]
+    return None if isinstance(first, Residual) else first
 
 
 @dataclass
@@ -110,20 +121,22 @@ class Trainer:
     def _train_step(self, images: np.ndarray, labels: np.ndarray) -> IterationRecord:
         self.network.train(True)
         self.optimizer.zero_grad()
-        logits = self.network.forward(images)
-        loss_value, dlogits = self.loss.forward(logits, labels)
-        acc = self.loss.accuracy(logits, labels)
-        # Nothing reads the data batch's gradient, so the layer fed by the batch
-        # alone may skip it; a ``Residual`` root sums its two branches' and cannot.
-        first = self.network
-        while isinstance(first, Sequential) and first.layers:
-            first = first.layers[0]
-        first.needs_input_grad = isinstance(first, Residual)
-        self.optimizer.update_in_backward = not self.grad_transforms
+        # Nothing reads the data batch's gradient, so the layer fed by the
+        # batch alone may skip it, and a compressing context keeps that
+        # layer's saved input (the batch, which the caller holds anyway) by
+        # reference: the flag spans forward and backward.
+        first = batch_fed_layer(self.network)
+        if first is not None:
+            first.needs_input_grad = False
         try:
+            logits = self.network.forward(images)
+            loss_value, dlogits = self.loss.forward(logits, labels)
+            acc = self.loss.accuracy(logits, labels)
+            self.optimizer.update_in_backward = not self.grad_transforms
             self.network.backward(dlogits)
         finally:
-            first.needs_input_grad = True
+            if first is not None:
+                first.needs_input_grad = True
             self.optimizer.update_in_backward = False
 
         record = IterationRecord(

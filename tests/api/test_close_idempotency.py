@@ -25,7 +25,11 @@ REPO = os.path.join(os.path.dirname(__file__), "..", "..")
 
 
 def make_net(seed=42, image_size=12, batch=8):
-    specs = [ConvS(8, 3, padding=1), ReLUS(), FlattenS(), LinearS(8)]
+    # two convs: a training step keeps the first one's input (the data
+    # batch) by reference, so only the second packs into the arena
+    specs = [
+        ConvS(8, 3, padding=1), ReLUS(), ConvS(8, 3, padding=1), ReLUS(), FlattenS(), LinearS(8),
+    ]
     return build_network(specs, (batch, 3, image_size, image_size), rng=seed)
 
 

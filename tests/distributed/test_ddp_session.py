@@ -28,6 +28,7 @@ from repro.api import (
     build_session,
 )
 from repro.api.config import DistributedSpec
+from repro.core import MemoryTracker
 from repro.distributed import DistributedSession
 from repro.models.specs import ConvS, FlattenS, LinearS, MaxPoolS, ReLUS, build_network
 from repro.nn import SGD, SyntheticImageDataset, batches
@@ -274,9 +275,21 @@ class TestSurfaceAndGuards:
         with pytest.raises(RuntimeError, match="closed"):
             s.train_step(images, labels)
 
-    def test_compressed_activations_compose_with_ddp(self):
+    def test_compressed_activations_compose_with_ddp(self, tmp_path, monkeypatch):
         """The full stack: per-rank arenas + activation compression +
-        gradient exchange, from the committed config shape."""
+        gradient exchange, from the committed config shape.  Each rank
+        packs its second conv (``l3``) and keeps its batch-fed conv's
+        input (``l0``, the rank's shard) by reference: the forked ranks
+        log every tracker charge to a file."""
+        log = tmp_path / "packs"
+        record_pack = MemoryTracker.record_pack
+
+        def logged(tracker, layer_name, raw_bytes, stored_bytes):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {layer_name}\n")
+            record_pack(tracker, layer_name, raw_bytes, stored_bytes)
+
+        monkeypatch.setattr(MemoryTracker, "record_pack", logged)
         cfg = SessionConfig.from_json(DDP_CONFIG)
         net = make_net()
         with build_session(net, cfg) as s:
@@ -285,3 +298,6 @@ class TestSurfaceAndGuards:
             w0, w1 = s.rank_weights(0), s.rank_weights(1)
             for a, b in zip(w0, w1):
                 np.testing.assert_array_equal(a, b)
+        packs = [line.split() for line in log.read_text().splitlines()]
+        assert len({pid for pid, _ in packs}) == 2 and os.getpid() not in {int(p) for p, _ in packs}
+        assert sorted(name for _, name in packs) == ["l3", "l3"]

@@ -263,7 +263,8 @@ class TestOperability:
     @pytest.mark.parametrize("activations", ["arena", "inmem"])
     def test_memory_row_lists_each_compressed_layer(self, activations):
         """A compressing tenant's memory row has one record per conv
-        layer, each storing fewer bytes than it would have kept raw; a
+        layer whose input needs a gradient (not ``l0``, fed the data
+        batch), each storing fewer bytes than it would have kept raw; a
         tenant that compresses nothing has no row."""
         with small_server() as server:
             storage = {"activations": activations, "budget_bytes": 1 << 20}
@@ -272,7 +273,7 @@ class TestOperability:
             server.run(steps=2, names=["a"])
             rows = server.stats()["tenants"]
         memory = rows["a"]["memory"]
-        assert sorted(r["layer_name"] for r in memory) == ["l0", "l10", "l12", "l4", "l8"]
+        assert sorted(r["layer_name"] for r in memory) == ["l10", "l12", "l4", "l8"]
         assert all(r["packs"] == 2 and r["raw_bytes"] > r["stored_bytes"] > 0 for r in memory)
         assert "memory" not in rows["b"]
 
