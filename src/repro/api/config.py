@@ -440,41 +440,24 @@ class ProfilerSpec(_Section):
 
 @dataclass
 class OptimizerSpec(_Section):
-    """Optimizer construction, so a config fully determines a run."""
+    """SGD with momentum, whose velocity Eq. 8 budgets against; a
+    config fully determines a run."""
 
     _name = "optimizer"
 
-    kind: str = knob("sgd", choices=("sgd", "adam"))
+    kind: str = knob("sgd", choices=("sgd",))
     lr: float = knob(0.01, gt=0)
-    momentum: float = 0.9  # sgd only
-    weight_decay: float = 0.0
-    options: Dict[str, Any] = field(default_factory=dict)  # extras (adam betas/eps)
-
-    def _check(self, where: str) -> None:
-        try:
-            json.dumps(self.options)
-        except TypeError as exc:
-            raise ConfigError(f"{where}: options must be JSON-serializable ({exc})") from None
+    momentum: float = knob(0.9, ge=0, lt=1)
+    weight_decay: float = knob(0.0, ge=0)
 
     def build(self, params):
-        from repro.nn.optim import SGD, Adam
+        from repro.nn.optim import SGD
 
         self.validate()
         try:
-            if self.kind == "sgd":
-                return SGD(
-                    params,
-                    lr=self.lr,
-                    momentum=self.momentum,
-                    weight_decay=self.weight_decay,
-                    **self.options,
-                )
-            opts = dict(self.options)
-            if "betas" in opts:
-                opts["betas"] = tuple(opts["betas"])
-            return Adam(params, lr=self.lr, weight_decay=self.weight_decay, **opts)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"optimizer {self.kind!r}: {exc}") from exc
+            return SGD(params, lr=self.lr, momentum=self.momentum, weight_decay=self.weight_decay)
+        except ValueError as exc:  # the knobs are valid: the network has no parameters
+            raise ConfigError(f"optimizer: {exc}") from exc
 
 
 @dataclass

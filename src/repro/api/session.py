@@ -24,7 +24,8 @@ the param store, the active profiler) is registered on one
 nothing behind, and a built session owns it, so
 :meth:`Session.close` undoes it in reverse order.  A config the network
 cannot use (activation compression on a network with no compressible
-layer) is a :class:`~repro.api.config.ConfigError`.
+layer but the one fed the data batch) is a
+:class:`~repro.api.config.ConfigError`.
 
 Every compressible layer packs with the session's one codec under the
 ``adaptive`` section: the controller's per-layer bounds when it is
@@ -175,8 +176,7 @@ def build_session(
     from repro.core.framework import CompressedTraining
     from repro.core.memory_tracker import MemoryTracker
     from repro.core.param_store import ParamStore
-    from repro.nn.network import iter_layers
-    from repro.nn.trainer import Trainer
+    from repro.nn.trainer import Trainer, packing_convs
     from repro.utils.profiler import StageProfiler
 
     if not isinstance(config, SessionConfig):
@@ -187,11 +187,10 @@ def build_session(
         )
     config.validate()
 
-    if config.compress_activations and not any(
-        layer.compressible for layer in iter_layers(network)
-    ):
+    if config.compress_activations and not packing_convs(network):
         raise ConfigError(
-            "network has no compressible (conv) layers; set "
+            "network has no compressible (conv) layer but the one fed the "
+            "data batch, which is saved by reference; set "
             "compress_activations=False to train it uncompressed"
         )
 

@@ -7,7 +7,6 @@ from repro.core.error_model import (
     fit_coefficient,
     predict_sigma,
 )
-from repro.core.gradient_assessment import GradientAssessor
 from repro.core.memory_tracker import LayerMemoryRecord, MemoryTracker
 from repro.core.arena import ByteArena
 from repro.core.engine import SyncEngine
@@ -22,7 +21,6 @@ __all__ = [
     "error_bound_for_sigma",
     "fit_coefficient",
     "predict_sigma",
-    "GradientAssessor",
     "LayerMemoryRecord",
     "MemoryTracker",
     "ByteArena",

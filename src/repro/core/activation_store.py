@@ -43,9 +43,9 @@ Two storage regimes:
 
 Each packed handle is released to the tracker exactly once, on whichever
 of ``unpack``/``unpack_rows``/``discard`` reaches it first; repeated
-unpacks (e.g. via ``Layer._load``) keep returning data without
-double-releasing.  ``unpack_rows`` (a conv backward reading its input
-slice by slice) releases when its ``with`` block ends, on any path.
+unpacks of one handle keep returning data without double-releasing.
+``unpack_rows`` (a conv backward reading its input slice by slice)
+releases when its ``with`` block ends, on any path.
 Under the szlike codec each slice is reconstructed, ReLU recompute
 included, only when the layer reads it, by the engine's ``obtain`` and
 the codec's ``decompress`` as a whole unpack is; any other codec

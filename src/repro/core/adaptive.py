@@ -13,6 +13,16 @@ with M the combined element count (batch x conv output positions) — see
 :mod:`repro.core.error_model` for why the rms convention makes the
 coefficient exact.
 
+Gradient assessment (Section 4.2): the acceptable gradient error sigma
+is a fixed fraction of the layer's mean SGD momentum magnitude, 1 % by
+default (``adaptive.sigma_fraction``), the paper's choice after the
+Figure 9 study showed 5 % diverges and 2 % is marginal.  Momentum is
+used rather than the raw gradient because the momentum vector is what
+actually steers the weight update, and its normally distributed error
+averages out across iterations (Section 3.3).  Until momentum has
+accumulated (the first iterations), the budget is the same fraction of
+the layer's mean gradient magnitude.
+
 A short warm-up collects every iteration so compression starts from
 measured statistics rather than guesses.
 
@@ -28,11 +38,12 @@ import numpy as np
 
 from repro.core.activation_store import CompressingContext
 from repro.core.error_model import error_bound_for_sigma
-from repro.core.gradient_assessment import GradientAssessor
 from repro.utils.scratch import WORKSPACE
 
 if TYPE_CHECKING:
     from repro.api.config import AdaptiveSpec
+    from repro.nn.layers.base import Parameter
+    from repro.nn.optim import SGD
 
 __all__ = ["AdaptiveController"]
 
@@ -43,11 +54,11 @@ class AdaptiveController:
     def __init__(
         self,
         config: "AdaptiveSpec",
-        assessor: GradientAssessor,
+        optimizer: "SGD",
         ctx: CompressingContext,
     ):
         self.config = config
-        self.assessor = assessor
+        self.optimizer = optimizer
         self.ctx = ctx
         #: latest rms |dL/dout| per conv layer (the paper's L_bar in the
         #: exact rms convention)
@@ -72,7 +83,17 @@ class AdaptiveController:
             self.loss_scales[layer_name] = float(np.sqrt(sq.mean()))
         n, _, ho, wo = dout.shape
         self.combined_elements[layer_name] = int(n * ho * wo)
-        self.sigma_budgets[layer_name] = self.assessor.sigma_budget(param)
+        self.sigma_budgets[layer_name] = self.sigma_budget(param)
+
+    def sigma_budget(self, param: "Parameter") -> float:
+        """Eq. 8: ``sigma_fraction`` x the mean |momentum| of *param*."""
+        m_avg = float(np.abs(self.optimizer.momentum_buffer(param)).mean())
+        return self.config.sigma_fraction * m_avg
+
+    def gradient_fallback_budget(self, param: "Parameter") -> float:
+        """The budget before momentum has accumulated: ``sigma_fraction``
+        x the mean |gradient| of *param*."""
+        return self.config.sigma_fraction * float(np.abs(param.grad).mean())
 
     def update_error_bounds(self, conv_params: Dict[str, "Parameter"]) -> Dict[str, float]:
         """Refresh every known layer's error bound from current statistics.
@@ -86,7 +107,7 @@ class AdaptiveController:
             sigma = self.sigma_budgets.get(name, 0.0)
             if sigma <= 0:
                 # momentum not yet populated (first iterations)
-                sigma = self.assessor.gradient_fallback_budget(conv_params.get(name))
+                sigma = self.gradient_fallback_budget(conv_params[name])
             if sigma <= 0 or lscale <= 0:
                 continue  # keep current bound; no usable signal this round
             m = self.combined_elements.get(name, 1)

@@ -48,13 +48,12 @@ from repro.compression.registry import Codec
 from repro.core.activation_store import CompressingContext
 from repro.core.arena import ByteArena
 from repro.core.adaptive import AdaptiveController
-from repro.core.gradient_assessment import GradientAssessor
 from repro.core.memory_tracker import MemoryTracker
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.layers.conv import Conv2D
-from repro.nn.network import iter_layers, set_saved_ctx
+from repro.nn.network import set_saved_ctx
 from repro.nn.optim import SGD
-from repro.nn.trainer import IterationRecord, Trainer, batch_fed_layer
+from repro.nn.trainer import IterationRecord, Trainer, packing_convs
 
 if TYPE_CHECKING:
     from repro.api.config import AdaptiveSpec
@@ -69,7 +68,7 @@ class CompressedTraining:
     ----------
     network, optimizer:
         The model whose conv layers will be compressed and the SGD
-        optimizer whose momentum drives the gradient assessment.
+        optimizer whose momentum the controller's Eq. 8 budget reads.
     compressor:
         Codec instance for activations, following the registry's
         :class:`~repro.compression.registry.Codec` protocol.  Defaults to
@@ -113,8 +112,7 @@ class CompressedTraining:
         )
         #: the context's :class:`~repro.core.engine.SyncEngine`
         self.engine = self.ctx.engine
-        self.assessor = GradientAssessor(optimizer, config.sigma_fraction)
-        self.controller = AdaptiveController(config, self.assessor, self.ctx)
+        self.controller = AdaptiveController(config, optimizer, self.ctx)
 
         self.compressed_layers = set_saved_ctx(
             network, self.ctx, predicate=lambda l: l.compressible
@@ -165,15 +163,12 @@ class CompressedTraining:
         walk(self.network, False)
 
     def _install_taps(self) -> None:
-        """Wrap each conv layer's backward to observe dL/dout (L_bar) and,
-        before a ParamStore can fold the layer's update into its
-        backward, the layer's momentum (Eq. 8).  The conv a training step
-        feeds the data batch packs nothing, so it gets no tap and no
-        Eq. 9 bound."""
-        skip = batch_fed_layer(self.network)
-        for layer in iter_layers(self.network):
-            if not isinstance(layer, Conv2D) or layer is skip:
-                continue
+        """Wrap the backward of each conv a training step packs
+        (:func:`~repro.nn.trainer.packing_convs`) to observe dL/dout
+        (L_bar) and, before a ParamStore can fold the layer's update into
+        its backward, the layer's momentum (Eq. 8).  The conv fed the
+        data batch packs nothing, so it gets no tap and no Eq. 9 bound."""
+        for layer in packing_convs(self.network):
             self.conv_params[layer.name] = layer.weight
             orig = layer.backward
 

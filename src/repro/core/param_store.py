@@ -1,19 +1,19 @@
 """Out-of-core parameter & optimizer state: arena-backed weights with
 just-in-time materialization.
 
-:class:`ParamStore` holds every layer's weights and optimizer slots
-(SGD momentum, Adam moments) as serialized byte strings in a budgeted
+:class:`ParamStore` holds every layer's weights and their SGD velocity
+as serialized byte strings in a budgeted
 :class:`~repro.core.arena.ByteArena` — optionally lossless-compressed —
-one entry per layer and per (layer, slot):
+two entries per layer:
 
-==========================  ==========================================
-entry                       holds
-==========================  ==========================================
-``layer.name``              the layer's parameters, flattened and
-                            concatenated in ``parameters()`` order
-``f"{layer.name}#{slot}"``  that slot of the layer's parameters the
-                            optimizer owns, in the same order
-==========================  ==========================================
+==============================  ======================================
+entry                           holds
+==============================  ======================================
+``layer.name``                  the layer's parameters, flattened and
+                                concatenated in ``parameters()`` order
+``f"{layer.name}#velocity"``    the velocity of the layer's parameters
+                                the optimizer owns, in the same order
+==============================  ======================================
 
 and materializes them only around the window that needs them:
 
@@ -22,17 +22,17 @@ and materializes them only around the window that needs them:
   right after, each drops back to a zero-byte stub, so at most one
   layer's weights are resident at a time.
 * **update**: the optimizer's slot backend (:class:`StoreSlots`) fetches
-  the layer's slot entries once, applies every pending parameter's
-  in-place update through views, and writes the weights and each slot
-  entry back once.  Unless the :class:`~repro.nn.trainer.Trainer` has
+  the layer's velocity entry once, applies every pending parameter's
+  in-place update through views, and writes the weights and the
+  velocity back once.  Unless the :class:`~repro.nn.trainer.Trainer` has
   gradient transforms, it runs inside the layer's backward once ``dx``
   is computed, while the weights are still bound — bit-identical, and
-  no third weight fetch; otherwise ``Optimizer.step`` opens the same
-  layer window.
+  no third weight fetch; otherwise ``SGD.step`` opens the same layer
+  window.
 
-Weights and slots are written only inside their layer's window; a
-parameter's slot slice is readable alone (``Optimizer.read_slot``, for
-the gradient assessment's momentum).  Serialization is bit-exact (raw
+Weights and velocities are written only inside their layer's window; a
+parameter's velocity slice is readable alone (``SGD.momentum_buffer``,
+for the controller's Eq. 8 budget).  Serialization is bit-exact (raw
 ``tobytes()`` or a lossless codec), so training is bit-identical to
 resident training.  The :class:`MemoryTracker` charges entries to its
 *persistent* pool on adopt/write-back and credits them exactly once on
@@ -66,14 +66,14 @@ from repro.core.arena import ByteArena
 from repro.core.memory_tracker import MemoryTracker
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.network import iter_layers
-from repro.nn.optim import Optimizer, SlotState
+from repro.nn.optim import SGD, SlotState
 
 __all__ = ["ParamStore", "StoreSlots", "StoredEntry"]
 
 
 @dataclass
 class StoredEntry:
-    """One array (a layer's weights or one of its slots) living in the arena."""
+    """One array (a layer's weights or their velocity) living in the arena."""
 
     name: str
     shape: tuple
@@ -160,7 +160,7 @@ class ParamStore:
         self._bound: Dict[str, int] = {}
         self._live: Dict[str, np.ndarray] = {}
         self._orig_methods: List[tuple] = []
-        self._optimizer: Optional[Optimizer] = None
+        self._optimizer: Optional[SGD] = None
         # -- statistics ----------------------------------------------------
         #: bytes of parameter/slot arrays currently materialized (bound)
         self.materialized_nbytes = 0
@@ -249,8 +249,8 @@ class ParamStore:
         return layout.view(self.fetch(name), p)
 
     # -- attachment: JIT binding around forward/backward/update ------------
-    def attach(self, network: Layer, optimizer: Optional[Optimizer] = None) -> "ParamStore":
-        """Move *network*'s parameters (and *optimizer*'s slots) into the
+    def attach(self, network: Layer, optimizer: Optional[SGD] = None) -> "ParamStore":
+        """Move *network*'s parameters (and *optimizer*'s velocity) into the
         store and wrap each layer so weights materialize just-in-time.
 
         After this call ``Parameter.data`` outside a layer's
@@ -278,19 +278,19 @@ class ParamStore:
             self.attach_optimizer(optimizer)
         return self
 
-    def attach_optimizer(self, optimizer: Optimizer) -> "ParamStore":
-        """Migrate *optimizer*'s slot arrays into the store (accumulated
+    def attach_optimizer(self, optimizer: SGD) -> "ParamStore":
+        """Migrate *optimizer*'s velocity into the store (accumulated
         momentum survives) and install the store-backed slot state."""
         if self._optimizer is not None:
             raise RuntimeError("ParamStore already has an optimizer attached")
         self._optimizer = optimizer
-        optimizer.use_slot_state(StoreSlots(self, optimizer))
+        optimizer.use_slot_state(StoreSlots(self))
         return self
 
     @staticmethod
     def _make_stub(arr: np.ndarray) -> np.ndarray:
         # Zero-byte placeholder with the real shape/dtype: shape-dependent
-        # code (init_slots, grad reshapes) keeps working, reads give NaN
+        # code (grad reshapes) keeps working, reads give NaN
         # (loud), writes raise (broadcast views are read-only).
         return np.broadcast_to(np.asarray(np.nan, dtype=arr.dtype), arr.shape)
 
@@ -369,7 +369,7 @@ class ParamStore:
         if self._optimizer is not None:
             from repro.nn.optim import ResidentSlots
 
-            # use_slot_state migrates: drops each slot from the store
+            # use_slot_state migrates: drops each velocity from the store
             # (releasing its accounting) into the resident backend.
             self._optimizer.use_slot_state(ResidentSlots())
             self._optimizer = None
@@ -422,30 +422,29 @@ class ParamStore:
 class StoreSlots(SlotState):
     """Slot backend holding optimizer state in a :class:`ParamStore`.
 
-    The slots of the optimizer-owned parameters of one layer form a
-    group: entry ``f"{layer}#{slot}"`` concatenates them (a parameter the
-    store does not hold is a group of its own, under its name).  One
+    The velocities of the optimizer-owned parameters of one layer form a
+    group: entry ``f"{layer}#velocity"`` concatenates them (a parameter
+    the store does not hold is a group of its own, under its name).  One
     ``update`` window covers a group: it materializes the layer's
-    weights and each slot entry once, and writes everything back once.
+    weights and velocity entry once, and writes both back once.
     """
 
-    def __init__(self, store: ParamStore, optimizer: Optimizer):
+    def __init__(self, store: ParamStore):
         self.store = store
-        self.optimizer = optimizer
         self._group_of: Dict[int, _Layout] = {}
 
-    def _entries(self, layout: _Layout) -> Dict[str, str]:
-        return {slot: f"{layout.name}#{slot}" for slot in self.optimizer.slot_names}
+    @staticmethod
+    def _entry(layout: _Layout) -> str:
+        return f"{layout.name}#velocity"
 
-    def init(self, params: Sequence[Parameter], slots: Sequence[Dict[str, np.ndarray]]) -> None:
+    def init(self, params: Sequence[Parameter], velocities: Sequence[np.ndarray]) -> None:
         members: Dict[str, list] = {}
-        for p, s in zip(params, slots):
+        for p, v in zip(params, velocities):
             layer = self.store._layer_of.get(id(p))
-            members.setdefault(layer.name if layer is not None else p.name, []).append((p, s))
+            members.setdefault(layer.name if layer is not None else p.name, []).append((p, v))
         for name, pairs in members.items():
             layout = _Layout(name, [p for p, _ in pairs])
-            for slot, entry in self._entries(layout).items():
-                self.store.adopt(entry, layout.join(s[slot] for _, s in pairs))
+            self.store.adopt(self._entry(layout), layout.join(v for _, v in pairs))
             for p in layout.params:
                 self._group_of[id(p)] = layout
 
@@ -456,31 +455,30 @@ class StoreSlots(SlotState):
         return list(groups.values())
 
     @contextmanager
-    def update(self, params: Sequence[Parameter]) -> Iterator[List[Dict[str, np.ndarray]]]:
+    def update(self, params: Sequence[Parameter]) -> Iterator[List[np.ndarray]]:
         layout = self._group_of[id(params[0])]  # all of params are in it: see groups()
         with self.store.update_window(self.store._layer_of.get(id(params[0]))):
-            flats = {slot: self.store.fetch(e) for slot, e in self._entries(layout).items()}
+            flat = self.store.fetch(self._entry(layout))
             try:
-                yield [{slot: layout.view(f, p) for slot, f in flats.items()} for p in params]
+                yield [layout.view(flat, p) for p in params]
             finally:
-                # Like resident slots, persist whatever apply_update
-                # reached, for weights (update_window) and slots alike.
-                for slot, entry in self._entries(layout).items():
-                    self.store.writeback(entry, flats[slot])
+                # Like resident slots, persist whatever the update
+                # reached, for weights (update_window) and velocity alike.
+                self.store.writeback(self._entry(layout), flat)
 
-    def read(self, param: Parameter, slot: str) -> np.ndarray:
+    def read(self, param: Parameter) -> np.ndarray:
         layout = self._group_of[id(param)]
-        return self.store._read_part(self._entries(layout)[slot], layout, param)
+        return self.store._read_part(self._entry(layout), layout, param)
 
-    def drop(self, params: Sequence[Parameter]) -> List[Dict[str, np.ndarray]]:
+    def drop(self, params: Sequence[Parameter]) -> List[np.ndarray]:
         """Release the whole group of each of *params*."""
-        dropped: Dict[int, Dict[str, np.ndarray]] = {}
+        dropped: Dict[int, np.ndarray] = {}
         for p in params:
             layout = self._group_of.get(id(p))
             if layout is None:  # its group went with an earlier parameter
                 continue
-            flats = {slot: self.store.release(e) for slot, e in self._entries(layout).items()}
+            flat = self.store.release(self._entry(layout))
             for q in layout.params:
-                dropped[id(q)] = {slot: layout.view(f, q) for slot, f in flats.items()}
+                dropped[id(q)] = layout.view(flat, q)
                 del self._group_of[id(q)]
         return [dropped[id(p)] for p in params]

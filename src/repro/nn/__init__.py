@@ -19,7 +19,7 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.network import Residual, Sequential, iter_layers, set_saved_ctx
-from repro.nn.optim import SGD, Adam, Optimizer, ResidentSlots, SlotState
+from repro.nn.optim import SGD, ResidentSlots, SlotState
 from repro.nn.trainer import IterationRecord, Trainer, TrainHistory
 from repro.nn.data import SyntheticImageDataset, batches
 
@@ -45,8 +45,6 @@ __all__ = [
     "iter_layers",
     "set_saved_ctx",
     "SGD",
-    "Adam",
-    "Optimizer",
     "ResidentSlots",
     "SlotState",
     "IterationRecord",

@@ -103,8 +103,8 @@ class Layer:
     """Base class: forward/backward pair over NumPy arrays.
 
     Subclasses implement :meth:`forward` and :meth:`backward`; tensors
-    needed by backward must go through :meth:`_save`/:meth:`_load` so
-    memory policies can intercept them.
+    needed by backward must go through :meth:`_save` and :meth:`_pop` /
+    :meth:`_pop_rows` so memory policies can intercept them.
     """
 
     #: True for layers whose saved input is a large conv activation —
@@ -155,9 +155,6 @@ class Layer:
         if key in self._saved:
             self.saved_ctx.discard(self, key, self._saved.pop(key))
         self._saved[key] = self.saved_ctx.pack(self, key, arr)
-
-    def _load(self, key: str) -> np.ndarray:
-        return self.saved_ctx.unpack(self, key, self._saved[key])
 
     def _pop(self, key: str) -> np.ndarray:
         """Load and release a saved tensor (normal backward-pass use)."""

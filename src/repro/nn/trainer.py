@@ -17,10 +17,10 @@ import numpy as np
 
 from repro.nn.layers.base import Layer
 from repro.nn.layers.loss import SoftmaxCrossEntropy
-from repro.nn.network import Residual, Sequential
+from repro.nn.network import Residual, Sequential, iter_layers
 from repro.nn.optim import SGD
 
-__all__ = ["IterationRecord", "TrainHistory", "Trainer", "batch_fed_layer"]
+__all__ = ["IterationRecord", "TrainHistory", "Trainer", "batch_fed_layer", "packing_convs"]
 
 
 def batch_fed_layer(network: Layer) -> Optional[Layer]:
@@ -32,6 +32,16 @@ def batch_fed_layer(network: Layer) -> Optional[Layer]:
     while isinstance(first, Sequential) and first.layers:
         first = first.layers[0]
     return None if isinstance(first, Residual) else first
+
+
+def packing_convs(network: Layer) -> List[Layer]:
+    """The conv layers a training step compresses: every compressible
+    layer but :func:`batch_fed_layer`, whose input is the caller's
+    batch, saved by reference."""
+    skip = batch_fed_layer(network)
+    return [
+        layer for layer in iter_layers(network) if layer.compressible and layer is not skip
+    ]
 
 
 @dataclass

@@ -40,8 +40,7 @@ class TestRoundTrip:
                                 param_codec=CodecSpec("lossless")),
             engine=EngineSpec(kernel_backend="numpy"),
             adaptive=AdaptiveSpec(W=25, warmup_iterations=3, eb_max=0.5),
-            optimizer=OptimizerSpec(kind="adam", lr=1e-3,
-                                    options={"betas": [0.9, 0.99], "eps": 1e-7}),
+            optimizer=OptimizerSpec(lr=0.05, momentum=0.5, weight_decay=5e-4),
         )
         d = cfg.to_dict()
         assert SessionConfig.from_dict(d).to_dict() == d
@@ -505,7 +504,8 @@ def _schema():
         },
         ProfilerSpec: {"enabled": None},
         OptimizerSpec: {
-            "kind": ("sgd", "adam"), "lr": {"gt": 0}, "momentum": None, "weight_decay": None,
+            "kind": ("sgd",), "lr": {"gt": 0}, "momentum": {"ge": 0, "lt": 1},
+            "weight_decay": {"ge": 0},
         },
         DistributedSpec: {
             "world_size": {"ge": 1}, "error_feedback": None, "reduce_order": ("tree", "linear"),
@@ -555,6 +555,8 @@ class TestScalarTypes:
             {"engine": {"kernel_backend": 1}},
             {"optimizer": {"lr": "0.1"}},
             {"optimizer": {"momentum": "x"}},
+            {"optimizer": {"momentum": 1.5}},
+            {"optimizer": {"weight_decay": -1.0}},
             {"adaptive": {"W": "10"}},
             {"adaptive": {"enabled": "false"}},
             {"profiler": {"enabled": "false"}},

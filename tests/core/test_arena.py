@@ -418,16 +418,16 @@ class TestReleaseExactlyOnce:
         ctx.discard(conv, "x", h)
         assert t._live_raw == 0 and t._live_stored == 0
 
-    def test_layer_load_then_clear_saved(self):
-        """End-to-end through the Layer plumbing: _load leaves the handle
-        in _saved, clear_saved discards it afterwards."""
+    def test_layer_unpack_then_clear_saved(self):
+        """End-to-end through the Layer plumbing: an unpack that leaves
+        the handle in _saved, then clear_saved discards it."""
         t = MemoryTracker()
         ctx = CompressingContext(SZCompressor(entropy="zlib"), tracker=t, adaptive=AdaptiveSpec())
         conv = Conv2D(3, 2, 3, rng=1, name="c")
         conv.saved_ctx = ctx
         x = np.random.default_rng(0).standard_normal((1, 3, 8, 8)).astype(np.float32)
         conv._save("x", x)
-        conv._load("x")  # unpack without popping
+        ctx.unpack(conv, "x", conv._saved["x"])  # unpack without popping
         conv.clear_saved()  # discard the same handle
         assert t._live_raw == 0 and t._live_stored == 0
 

@@ -7,9 +7,9 @@ import pytest
 
 from repro.api import AdaptiveSpec
 from repro.core import (
+    AdaptiveController,
     CompressedTraining,
     CompressingContext,
-    GradientAssessor,
     MemoryTracker,
     PackedActivation,
     SyncEngine,
@@ -210,29 +210,29 @@ class TestMemoryTracker:
         assert rec.ratio == pytest.approx(5.0)
 
 
-class TestGradientAssessor:
+class TestEq8Budget:
+    """The controller's Section 4.2 budget: a fraction of the layer's
+    mean |momentum|, or of its mean |gradient| before momentum fills."""
+
+    @staticmethod
+    def _controller(opt):
+        spec = AdaptiveSpec(sigma_fraction=0.01)
+        return AdaptiveController(spec, opt, CompressingContext(adaptive=spec))
+
     def test_budget_is_fraction_of_momentum(self):
         p = Parameter(np.zeros((4,)))
         opt = SGD([p], lr=0.1, momentum=0.9)
         p.grad[:] = 2.0
         opt.step()
-        a = GradientAssessor(opt, sigma_fraction=0.01)
-        assert a.sigma_budget(p) == pytest.approx(0.02)
-        assert a.sigma_budget() == pytest.approx(0.02)
+        assert self._controller(opt).sigma_budget(p) == pytest.approx(0.02)
 
     def test_fallback_uses_gradient(self):
         p = Parameter(np.zeros((4,)))
         opt = SGD([p], lr=0.1, momentum=0.9)
         p.grad[:] = 3.0
-        a = GradientAssessor(opt, sigma_fraction=0.01)
-        assert a.sigma_budget(p) == 0.0  # no momentum yet
-        assert a.gradient_fallback_budget(p) == pytest.approx(0.03)
-
-    def test_fraction_validated(self):
-        p = Parameter(np.zeros((4,)))
-        opt = SGD([p], lr=0.1)
-        with pytest.raises(ValueError):
-            GradientAssessor(opt, sigma_fraction=0.0)
+        controller = self._controller(opt)
+        assert controller.sigma_budget(p) == 0.0  # no momentum yet
+        assert controller.gradient_fallback_budget(p) == pytest.approx(0.03)
 
 
 class TestSession:

@@ -1,6 +1,6 @@
 """Out-of-core parameter & optimizer state (ParamStore).
 
-The contract under test: moving weights and optimizer slots into an
+The contract under test: moving weights and SGD velocities into an
 arena (with spill-to-disk pressure, with or without a lossless codec)
 must be *invisible* to training — losses and final weights bit-identical
 to resident training — while the tracker's persistent pool stays
@@ -18,7 +18,6 @@ from repro.core import MemoryTracker, ParamStore, StoreSlots
 from repro.models import build_scaled_model
 from repro.nn import (
     SGD,
-    Adam,
     ResidentSlots,
     SyntheticImageDataset,
     Trainer,
@@ -36,10 +35,10 @@ def halve_grads(trainer):
         p.grad *= 0.5
 
 
-def train_run(opt_cls, opt_kwargs, param_store=None, iters=4, batch=4, before_detach=None,
+def train_run(opt_kwargs, param_store=None, iters=4, batch=4, before_detach=None,
               grad_transform=None):
     net = small_net()
-    opt = opt_cls(net.parameters(), **opt_kwargs)
+    opt = SGD(net.parameters(), **opt_kwargs)
     if param_store is not None:
         param_store.attach(net, opt)
     trainer = Trainer(net, opt)
@@ -53,11 +52,8 @@ def train_run(opt_cls, opt_kwargs, param_store=None, iters=4, batch=4, before_de
             before_detach(param_store)
         param_store.detach()
     weights = np.concatenate([p.data.ravel() for p in net.parameters()])
-    slots = {
-        p.name: {s: opt.read_slot(p, s).copy() for s in opt.slot_names}
-        for p in net.parameters()
-    }
-    return losses, weights, slots
+    velocities = {p.name: opt.momentum_buffer(p).copy() for p in net.parameters()}
+    return losses, weights, velocities
 
 
 class TestEntryLifecycle:
@@ -210,14 +206,14 @@ def n_layers(net):
 
 
 class TestFoldedUpdateIO:
-    """One entry per layer and per (layer, slot).  Under a Trainer with no
-    gradient transforms each layer's update runs inside its backward:
-    the layer's weights are fetched once per pass, its slot entries once
-    per step, and every entry is written back once."""
+    """Two entries per layer: weights and velocity.  Under a Trainer with
+    no gradient transforms each layer's update runs inside its backward:
+    the layer's weights are fetched once per pass, its velocity entry
+    once per step, and every entry is written back once."""
 
-    def _step_io(self, opt_cls, kw, transform=False):
+    def _step_io(self, transform=False):
         net = small_net()
-        opt = opt_cls(net.parameters(), **kw)
+        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
         store = ParamStore(budget_bytes=0)
         store.attach(net, opt)
         trainer = Trainer(net, opt)
@@ -229,19 +225,15 @@ class TestFoldedUpdateIO:
         store.close()
         return io
 
-    @pytest.mark.parametrize(
-        "opt_cls, kw, slots",
-        [(SGD, dict(lr=0.01, momentum=0.9), 1), (Adam, dict(lr=1e-3), 2)],
-    )
-    def test_one_step_costs_two_weight_fetches(self, opt_cls, kw, slots):
-        fetches, writebacks, n = self._step_io(opt_cls, kw)
-        assert fetches == 2 * n + slots * n
-        assert writebacks == n + slots * n
+    def test_one_step_costs_two_weight_fetches(self):
+        fetches, writebacks, n = self._step_io()
+        assert fetches == 3 * n
+        assert writebacks == 2 * n
 
     def test_grad_transform_keeps_the_separate_pass(self):
-        """``Optimizer.step`` opens one window per layer: the weights and
-        the slot entry are fetched and written back once each."""
-        fetches, writebacks, n = self._step_io(SGD, dict(lr=0.01, momentum=0.9), True)
+        """``SGD.step`` opens one window per layer: the weights and the
+        velocity entry are fetched and written back once each."""
+        fetches, writebacks, n = self._step_io(True)
         assert fetches == 4 * n
         assert writebacks == 2 * n
 
@@ -267,55 +259,38 @@ class TestFoldedUpdateIO:
 class TestTrainingEquivalence:
     def test_sgd_losses_and_weights_bit_identical(self):
         kw = dict(lr=0.01, momentum=0.9, weight_decay=5e-4)
-        base = train_run(SGD, kw)
-        oov = train_run(SGD, kw, ParamStore(budget_bytes=0))
+        base = train_run(kw)
+        oov = train_run(kw, ParamStore(budget_bytes=0))
         np.testing.assert_array_equal(base[0], oov[0])  # losses
         np.testing.assert_array_equal(base[1], oov[1])  # weights
-        for name in base[2]:  # momentum slots, 0 ulp
-            np.testing.assert_array_equal(base[2][name]["velocity"], oov[2][name]["velocity"])
-
-    def test_adam_losses_and_slots_bit_identical(self):
-        kw = dict(lr=1e-3)
-        base = train_run(Adam, kw)
-        oov = train_run(Adam, kw, ParamStore(budget_bytes=0))
-        np.testing.assert_array_equal(base[0], oov[0])
-        np.testing.assert_array_equal(base[1], oov[1])
-        for name in base[2]:
-            for slot in ("exp_avg", "exp_avg_sq"):
-                np.testing.assert_array_equal(base[2][name][slot], oov[2][name][slot])
+        for name in base[2]:  # velocities, 0 ulp
+            np.testing.assert_array_equal(base[2][name], oov[2][name])
 
     @pytest.mark.parametrize("grad_transform", [None, halve_grads], ids=["folded", "transform"])
-    @pytest.mark.parametrize(
-        "opt_cls, kw",
-        [(SGD, dict(lr=0.01, momentum=0.9, weight_decay=5e-4)), (Adam, dict(lr=1e-3, weight_decay=1e-2))],
-        ids=["sgd", "adam"],
-    )
-    def test_weight_decay_bit_identical(self, opt_cls, kw, grad_transform):
+    def test_weight_decay_bit_identical(self, grad_transform):
         """The update inside backward (no transform) and the separate
         pass (a transform) both match resident training bit for bit."""
-        base = train_run(opt_cls, kw, grad_transform=grad_transform)
-        oov = train_run(opt_cls, kw, ParamStore(budget_bytes=0), grad_transform=grad_transform)
+        kw = dict(lr=0.01, momentum=0.9, weight_decay=5e-4)
+        base = train_run(kw, grad_transform=grad_transform)
+        oov = train_run(kw, ParamStore(budget_bytes=0), grad_transform=grad_transform)
         assert np.array_equal(base[0].view(np.uint64), oov[0].view(np.uint64))
         assert np.array_equal(base[1].view(np.uint32), oov[1].view(np.uint32))
-        for name, slots in base[2].items():
-            for slot, value in slots.items():
-                assert np.array_equal(value.view(np.uint32), oov[2][name][slot].view(np.uint32))
+        for name, value in base[2].items():
+            assert np.array_equal(value.view(np.uint32), oov[2][name].view(np.uint32))
 
-    def test_adam_iteration_advances_once_per_step(self):
+    def test_update_in_backward_is_off_after_each_step(self):
         net = small_net()
-        opt = Adam(net.parameters(), lr=1e-3)
+        opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
         store = ParamStore(budget_bytes=0)
         store.attach(net, opt)
         trainer = Trainer(net, opt)
         dataset = SyntheticImageDataset(num_classes=8, image_size=16, signal=0.4, seed=7)
-        for i, (x, y) in enumerate(batches(dataset, 4, 3, seed=1)):
+        for x, y in batches(dataset, 4, 3, seed=1):
             trainer.train_step(x, y)
-            assert opt.iteration == i + 1
             assert not opt.update_in_backward
         store.close()
 
-    @pytest.mark.parametrize("opt_cls, kw", [(SGD, dict(lr=0.01, momentum=0.9)), (Adam, dict(lr=1e-3))])
-    def test_lossless_codec_training_bit_identical(self, opt_cls, kw):
+    def test_lossless_codec_training_bit_identical(self):
         """Bit patterns, not values: ``assert_array_equal`` would let a
         ``-0.0`` come back as ``+0.0``."""
         sizes = {}
@@ -323,20 +298,20 @@ class TestTrainingEquivalence:
         def measure(store):
             sizes.update(stored=store.stored_nbytes, raw=store.raw_nbytes)
 
-        base = train_run(opt_cls, kw)
-        oov = train_run(opt_cls, kw, ParamStore(budget_bytes=0, codec=get_codec("lossless")),
+        kw = dict(lr=0.01, momentum=0.9)
+        base = train_run(kw)
+        oov = train_run(kw, ParamStore(budget_bytes=0, codec=get_codec("lossless")),
                         before_detach=measure)
         assert np.array_equal(base[0].view(np.uint64), oov[0].view(np.uint64))  # losses
         assert np.array_equal(base[1].view(np.uint32), oov[1].view(np.uint32))
-        for name, slots in base[2].items():
-            for slot, value in slots.items():
-                assert np.array_equal(value.view(np.uint32), oov[2][name][slot].view(np.uint32))
+        for name, value in base[2].items():
+            assert np.array_equal(value.view(np.uint32), oov[2][name].view(np.uint32))
         assert 0 < sizes["stored"] < sizes["raw"]
 
     def test_spill_and_reload_mid_epoch(self):
         """A tight budget forces spill + reload within a single epoch."""
         store = ParamStore(budget_bytes=8 << 10)
-        losses, _, _ = train_run(SGD, dict(lr=0.01, momentum=0.9), store, iters=3)
+        losses, _, _ = train_run(dict(lr=0.01, momentum=0.9), store, iters=3)
         assert np.isfinite(losses).all()
         # every fetch after a spill is a reload from disk
         assert store.storage.spill_count > 0
@@ -395,7 +370,7 @@ class TestAccounting:
         new entry before the FIFO spill relieves it)."""
         budget = 8 << 10
         store = ParamStore(budget_bytes=budget)
-        train_run(SGD, dict(lr=0.01, momentum=0.9), store, iters=2)
+        train_run(dict(lr=0.01, momentum=0.9), store, iters=2)
         largest = max(p.size * 4 for p in small_net().parameters())
         assert store.storage.peak_in_memory_nbytes <= budget + largest
 
@@ -403,7 +378,7 @@ class TestAccounting:
         """JIT binding keeps at most ~one layer resident: the peak
         materialized bytes must be far below the full parameter set."""
         store = ParamStore(budget_bytes=0)
-        train_run(SGD, dict(lr=0.01, momentum=0.9), store, iters=2)
+        train_run(dict(lr=0.01, momentum=0.9), store, iters=2)
         # detach() already ran, so compare against the footprint of an
         # identical model: data + velocity, 4 bytes per element.
         total = 2 * sum(p.size * 4 for p in small_net().parameters())
@@ -433,7 +408,7 @@ class TestAccounting:
         """Layers bind one at a time: the peak is the largest single
         layer's weights, never the sum over layers."""
         store = ParamStore(budget_bytes=0)
-        train_run(SGD, dict(lr=0.01, momentum=0.9), store, iters=2)
+        train_run(dict(lr=0.01, momentum=0.9), store, iters=2)
         net = small_net()
         per_layer = [
             sum(p.data.nbytes for p in layer.parameters())
@@ -518,16 +493,15 @@ class TestSessionIntegration:
 
 
 class TestLayerEntries:
-    """The store's entries are per layer and per (layer, slot); a slot
-    entry covers the layer's parameters the optimizer owns."""
+    """The store's entries are per layer, weights and velocity; a
+    velocity entry covers the layer's parameters the optimizer owns."""
 
-    def test_one_entry_per_layer_and_slot(self):
+    def test_one_weight_and_one_velocity_entry_per_layer(self):
         net = small_net()
         store = ParamStore(budget_bytes=None)
-        store.attach(net, Adam(net.parameters(), lr=1e-3))
+        store.attach(net, SGD(net.parameters(), lr=0.01, momentum=0.9))
         layers = [l for l in iter_layers(net) if l.parameters()]
-        names = {l.name for l in layers}
-        names |= {f"{l.name}#{slot}" for l in layers for slot in ("exp_avg", "exp_avg_sq")}
+        names = {l.name for l in layers} | {f"{l.name}#velocity" for l in layers}
         assert set(store._entries) == names
         for layer in layers:
             assert store._entries[layer.name].raw_nbytes == 4 * sum(p.size for p in layer.parameters())
@@ -582,21 +556,21 @@ class TestLayerEntries:
         opt = SGD(net.parameters(), **kw)
         trainer = Trainer(net, opt)
         trainer.train(data[:2])
-        before = [opt.read_slot(p, "velocity").copy() for p in net.parameters()]
+        before = [opt.momentum_buffer(p).copy() for p in net.parameters()]
         store = ParamStore(budget_bytes=0)
         store.attach(net)
         store.attach_optimizer(opt)
         assert isinstance(opt.state, StoreSlots)
         for p, v in zip(net.parameters(), before):
-            assert opt.read_slot(p, "velocity").tobytes() == v.tobytes()
+            assert opt.momentum_buffer(p).tobytes() == v.tobytes()
         trainer.train(data[2:4])
-        moved = [opt.read_slot(p, "velocity").copy() for p in net.parameters()]
+        moved = [opt.momentum_buffer(p).copy() for p in net.parameters()]
         store.detach()
         assert isinstance(opt.state, ResidentSlots) and len(store) == 0
         for p, v in zip(net.parameters(), moved):
-            assert opt.read_slot(p, "velocity").tobytes() == v.tobytes()
+            assert opt.momentum_buffer(p).tobytes() == v.tobytes()
         trainer.train(data[4:])
         for p, q in zip(net.parameters(), ref_net.parameters()):
             assert p.data.tobytes() == q.data.tobytes()
-            assert opt.read_slot(p, "velocity").tobytes() == ref_opt.read_slot(q, "velocity").tobytes()
+            assert opt.momentum_buffer(p).tobytes() == ref_opt.momentum_buffer(q).tobytes()
         store.close()

@@ -34,7 +34,11 @@ the run.  Per-layer policy rules (``SessionConfig.rules``, ``PolicyRule``,
 the core's ``ResolvedPolicy`` records and the tracker's per-rule groups)
 had no committed workload: a session packs every layer with one codec
 under one bound regime, and the fixed-bound ablation is a codec
-``error_bound`` with the controller off.
+``error_bound`` with the controller off.  No workload trained with Adam
+or set ``optimizer.options``: SGD with momentum, whose velocity Eq. 8
+budgets against, is the one optimizer, so the ``Optimizer`` base and its
+named slots are gone, and the Eq. 8 budget lives in the
+``AdaptiveController`` instead of a ``GradientAssessor``.
 """
 
 import json
@@ -44,7 +48,15 @@ import struct
 import numpy as np
 import pytest
 
-from repro.api import AdaptiveSpec, CodecSpec, ConfigError, Session, SessionConfig, StorageSpec
+from repro.api import (
+    AdaptiveSpec,
+    CodecSpec,
+    ConfigError,
+    OptimizerSpec,
+    Session,
+    SessionConfig,
+    StorageSpec,
+)
 from repro.api.config import DistributedSpec
 from repro.compression import CorruptBlobError, SZCompressor, get_codec
 from repro.compression.registry import dumps, loads, wire_header_nbytes
@@ -63,7 +75,7 @@ from repro.core.memory_tracker import MemoryTracker
 from repro.core.param_store import ParamStore, StoreSlots
 from repro.models.specs import ConvS, LayerReport, walk_shapes
 from repro.compression.jpeg_like import JpegLikeCompressor
-from repro.nn import SGD, Layer, Linear, Optimizer, ResidentSlots, SlotState, Trainer
+from repro.nn import SGD, Layer, Linear, ResidentSlots, SlotState, Trainer
 from repro.nn.layers.loss import SoftmaxCrossEntropy
 from repro.server.scheduler import StepScheduler
 from repro.utils import ScratchPool
@@ -115,6 +127,11 @@ class TestRemovedSurface:
             ("repro.api.session", "DEFAULT_GROUP"),
             ("repro.api.session", "_first_matches"),
             ("repro.api.session", "_build_compressed"),
+            ("repro.nn", "Adam"),
+            ("repro.nn", "Optimizer"),
+            ("repro.nn.optim", "Adam"),
+            ("repro.nn.optim", "Optimizer"),
+            ("repro.core", "GradientAssessor"),
         ],
     )
     def test_import_is_an_import_error(self, module, name):
@@ -128,6 +145,28 @@ class TestRemovedSurface:
     def test_policy_table_module_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
             import repro.core.policy_table  # noqa: F401
+
+    def test_gradient_assessment_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.gradient_assessment  # noqa: F401
+
+    def test_adam_is_a_config_error_listing_the_choices(self):
+        with pytest.raises(ConfigError, match=r"^optimizer: kind must be one of 'sgd', got 'adam'"):
+            OptimizerSpec(kind="adam").validate()
+        with pytest.raises(ConfigError, match="one of 'sgd'"):
+            SessionConfig.from_dict({"optimizer": {"kind": "adam"}})
+
+    def test_optimizer_options_key_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^optimizer: unknown key.*'options'"):
+            SessionConfig.from_dict({"optimizer": {"options": {}}})
+        with pytest.raises(TypeError, match="options"):
+            OptimizerSpec(options={})
+
+    def test_sgd_counts_no_iterations(self):
+        net = Linear(2, 2, rng=0)
+        opt = SGD(net.parameters(), lr=0.1)
+        opt.step()
+        assert not hasattr(opt, "iteration")
 
     def test_simulator_package_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
@@ -194,7 +233,13 @@ class TestRemovedSurface:
             (ParamStore, "read_param"),
             (ParamStore, "write_param"),
             (ParamStore, "_write_part"),
-            (Optimizer, "write_slot"),
+            (SGD, "write_slot"),
+            (SGD, "read_slot"),
+            (SGD, "slot_names"),
+            (SGD, "momentum_slot"),
+            (SGD, "init_slots"),
+            (SGD, "apply_update"),
+            (SGD, "average_momentum_magnitude"),
             (SlotState, "write"),
             (ResidentSlots, "write"),
             (StoreSlots, "write"),
@@ -258,6 +303,7 @@ class TestRemovedSurface:
         assert not hasattr(_context(), "enabled")
         assert not hasattr(Trainer(net, SGD(net.parameters(), lr=0.1)), "close_hooks")
         assert not hasattr(_training(), "param_store")
+        assert not hasattr(_training(), "assessor")
         assert "recomputable" not in LayerReport.__dataclass_fields__
         assert "nonzero_ratio" not in PackedActivation.__dataclass_fields__
         assert "policy_label" not in PackedActivation.__dataclass_fields__
