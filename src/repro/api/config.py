@@ -48,7 +48,6 @@ import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.core.error_model import THEORY_COEFFICIENT_A
 from repro.kernels import KERNEL_BACKENDS
 
 __all__ = [
@@ -62,11 +61,6 @@ __all__ = [
     "ServerSpec",
     "SessionConfig",
 ]
-
-#: the gradient reduction schedules ``distributed.reduce_order`` names
-#: (:func:`repro.distributed.reduce.reduce_arrays` runs them)
-REDUCE_ORDERS = ("tree", "linear")
-
 
 # ---------------------------------------------------------------------------
 # Strict-parsing helpers
@@ -402,29 +396,17 @@ class AdaptiveSpec(_Section):
     to CPU-sized runs.  ``CompressedTraining`` takes this section as it
     is.  Enabled, each conv layer packs from ``initial_rel_eb`` of its
     first activation's value range, then under the controller's Eq. 9
-    bound clipped to ``eb_min`` / ``eb_max``; disabled, every layer packs
-    under the codec's own ``error_bound`` / ``mode``."""
+    bound (its coefficient and clamps are constants of
+    :mod:`repro.core.adaptive`); disabled, every layer packs under the
+    codec's own ``error_bound`` / ``mode``."""
 
     _name = "adaptive"
 
     enabled: bool = True
     W: int = knob(50, ge=1)
     sigma_fraction: float = knob(0.01, gt=0, lt=1)
-    #: Eq. 9 coefficient (the exact rms convention's 1/sqrt(3)); exposed
-    #: so ablation configs round-trip too
-    coefficient: float = knob(float(THEORY_COEFFICIENT_A), gt=0)
     initial_rel_eb: float = knob(1e-3, gt=0)
     warmup_iterations: int = knob(5, ge=0)
-    eb_min: float = knob(1e-10, gt=0)
-    eb_max: float = knob(10.0, gt=0)
-    #: the floor of the observed nonzero ratio R, itself a ratio
-    min_nonzero_ratio: float = knob(1e-3, gt=0, le=1)
-
-    def _check(self, where: str) -> None:
-        if self.eb_max <= self.eb_min:
-            raise ConfigError(
-                f"{where}: need eb_min < eb_max, got {self.eb_min} >= {self.eb_max}"
-            )
 
 
 @dataclass
@@ -487,10 +469,9 @@ class DistributedSpec(_Section):
         the *accumulated* applied gradient tracks the true one and
         convergence matches the single-worker run within the bound.
     reduce_order:
-        ``"tree"`` (fixed binary rank-tree) or ``"linear"`` (left fold
-        over ranks).  Both are deterministic — the choice only changes
-        the float-summation order, and therefore which bit-exact result
-        a committed config reproduces.
+        ``"tree"``, the one legal value: rank gradients are summed over a
+        fixed binary rank-tree (:mod:`repro.distributed.reduce`), so a
+        committed config reproduces the same bits.
     rank_arena_budget:
         Per-rank override (bytes) for ``storage.budget_bytes`` so N
         rank arenas don't multiply the single-process budget; ``None``
@@ -502,7 +483,7 @@ class DistributedSpec(_Section):
     world_size: int = knob(1, ge=1)
     grad_codec: Optional[CodecSpec] = None
     error_feedback: bool = True
-    reduce_order: str = knob("tree", choices=REDUCE_ORDERS)
+    reduce_order: str = knob("tree", choices=("tree",))
     rank_arena_budget: Optional[int] = knob(None, ge=1)
 
     def resolved_grad_codec(self) -> CodecSpec:

@@ -44,7 +44,7 @@ def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     m = mse(original, reconstructed)
     if m == 0:
         return float("inf")
-    vrange = float(original.max() - original.min())
+    vrange = float(original.max()) - float(original.min())
     if vrange == 0:
         return float("-inf")
     return 10.0 * np.log10(vrange**2 / m)

@@ -371,7 +371,7 @@ class SZCompressor:
         """The absolute bound a compress() call on *x* would use."""
         if self.mode == "abs":
             return self.error_bound
-        vrange = float(x.max() - x.min()) if x.size else 0.0
+        vrange = float(x.max()) - float(x.min()) if x.size else 0.0
         return self.error_bound * vrange if vrange > 0 else self.error_bound
 
     def _effective_ndim(self, x: np.ndarray) -> int:

@@ -169,7 +169,7 @@ class CompressingContext(SavedTensorContext):
         eb = self.error_bounds.get(layer.name)
         if eb is None:
             rel = self.adaptive.initial_rel_eb
-            vrange = float(arr.max() - arr.min())
+            vrange = float(arr.max()) - float(arr.min())
             eb = rel * vrange if vrange > 0 else rel
             self.error_bounds[layer.name] = eb
         return eb

@@ -27,7 +27,11 @@ A short warm-up collects every iteration so compression starts from
 measured statistics rather than guesses.
 
 Every conv layer gets its own bound from its own statistics, clipped to
-the session's ``adaptive.eb_min`` / ``adaptive.eb_max``.
+``[EB_MIN, EB_MAX]``.  The coefficient ``a`` is ``THEORY_COEFFICIENT_A``
+for every layer of every network (the paper's claim that it "is
+unchanged for different neural networks"), and ``R`` is floored at
+``MIN_NONZERO_RATIO`` so an all-zero activation still gets a finite
+bound.  None of these is a session setting.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import TYPE_CHECKING, Dict
 import numpy as np
 
 from repro.core.activation_store import CompressingContext
-from repro.core.error_model import error_bound_for_sigma
+from repro.core.error_model import THEORY_COEFFICIENT_A, error_bound_for_sigma
 from repro.utils.scratch import WORKSPACE
 
 if TYPE_CHECKING:
@@ -45,7 +49,13 @@ if TYPE_CHECKING:
     from repro.nn.layers.base import Parameter
     from repro.nn.optim import SGD
 
-__all__ = ["AdaptiveController"]
+__all__ = ["AdaptiveController", "EB_MIN", "EB_MAX", "MIN_NONZERO_RATIO"]
+
+#: the clamps every Eq. 9 bound is clipped to
+EB_MIN = 1e-10
+EB_MAX = 10.0
+#: the floor of the observed nonzero ratio R
+MIN_NONZERO_RATIO = 1e-3
 
 
 class AdaptiveController:
@@ -101,7 +111,6 @@ class AdaptiveController:
         Returns the new per-layer bounds (also installed into the
         compressing context for the next forward pass).
         """
-        cfg = self.config
         new_bounds: Dict[str, float] = {}
         for name, lscale in self.loss_scales.items():
             sigma = self.sigma_budgets.get(name, 0.0)
@@ -111,11 +120,11 @@ class AdaptiveController:
             if sigma <= 0 or lscale <= 0:
                 continue  # keep current bound; no usable signal this round
             m = self.combined_elements.get(name, 1)
-            r = max(self.ctx.observed_nonzero.get(name, 1.0), cfg.min_nonzero_ratio)
+            r = max(self.ctx.observed_nonzero.get(name, 1.0), MIN_NONZERO_RATIO)
             eb = error_bound_for_sigma(
-                sigma, lscale, m, nonzero_ratio=r, coefficient=cfg.coefficient
+                sigma, lscale, m, nonzero_ratio=r, coefficient=THEORY_COEFFICIENT_A
             )
-            eb = float(np.clip(eb, cfg.eb_min, cfg.eb_max))
+            eb = float(np.clip(eb, EB_MIN, EB_MAX))
             new_bounds[name] = eb
             self.ctx.error_bounds[name] = eb
         self.updates += 1

@@ -14,7 +14,7 @@ ordinary :func:`~repro.api.session.build_session` front door::
         session.train(batches(dataset, 32, 100, seed=1))
         print(session.grad_exchange_stats)
 
-Reduction follows a fixed rank-tree (or linear fold) with float64
+Reduction follows a fixed rank-tree with float64
 accumulation, and the reduced gradient is broadcast as one bit-exact
 blob — so a run is bit-reproducible from the committed config and rank
 weights never drift apart.
@@ -26,12 +26,11 @@ from repro.distributed.grad_compress import (
     build_grad_plan,
     downlink_codec_spec,
 )
-from repro.distributed.reduce import REDUCE_ORDERS, reduce_arrays
+from repro.distributed.reduce import reduce_arrays
 from repro.distributed.session import DistributedSession, build_distributed_session
 from repro.distributed.worker import RankExchange, derive_rank_config, rank_main
 
 __all__ = [
-    "REDUCE_ORDERS",
     "reduce_arrays",
     "GradParam",
     "ErrorFeedback",

@@ -1,19 +1,14 @@
 """Deterministic weighted gradient reduction.
 
 Floating-point addition is not associative, so the *schedule* of a
-reduction is part of a run's identity: two orders give two (slightly)
-different float results, and bit-reproducibility from a committed config
-requires pinning one.  This module implements the two schedules
-:class:`~repro.api.config.DistributedSpec` names:
+reduction is part of a run's identity: bit-reproducibility from a
+committed config requires pinning one.  This module sums over a fixed
+binary rank-tree, ``(0+1) + (2+3)`` then up (``distributed.reduce_order``
+names it ``"tree"``, its one legal value).  The pairing depends only on
+the rank indices, never on arrival order or hash state.
 
-* ``"tree"`` — fixed binary rank-tree: ``(0+1) + (2+3)`` then up.  The
-  pairing depends only on the rank indices, never on arrival order or
-  hash state.
-* ``"linear"`` — left fold ``((0+1)+2)+3`` in rank order.
-
-Both accumulate in float64 and cast the weighted mean back to float32
-at the end, so the schedule's rounding differences stay in the last
-float32 bit and the result is independent of *when* each rank's
+Terms accumulate in float64 and the weighted mean is cast back to
+float32 at the end, so the result is independent of *when* each rank's
 gradient arrived (the coordinator always receives in rank order).
 
 The weights are the ranks' shard sizes: with per-rank losses averaged
@@ -27,18 +22,11 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.api.config import REDUCE_ORDERS
-
-__all__ = ["REDUCE_ORDERS", "reduce_arrays"]
+__all__ = ["reduce_arrays"]
 
 
-def _fold(terms: List[np.ndarray], order: str) -> np.ndarray:
-    if order == "linear":
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = acc + t
-        return acc
-    # tree: combine fixed adjacent pairs until one term remains
+def _tree_sum(terms: List[np.ndarray]) -> np.ndarray:
+    """Combine fixed adjacent pairs until one term remains."""
     while len(terms) > 1:
         nxt = []
         for i in range(0, len(terms) - 1, 2):
@@ -49,22 +37,14 @@ def _fold(terms: List[np.ndarray], order: str) -> np.ndarray:
     return terms[0]
 
 
-def reduce_arrays(
-    arrays: Sequence[np.ndarray],
-    weights: Sequence[float],
-    order: str = "tree",
-) -> np.ndarray:
-    """Weighted mean of *arrays* under a fixed summation schedule.
+def reduce_arrays(arrays: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """Weighted mean of *arrays* summed over the fixed rank-tree.
 
     ``arrays[r]`` is rank *r*'s gradient, ``weights[r]`` its shard size.
-    Terms are promoted to float64, combined in the schedule *order*
-    prescribes, divided by the (identically scheduled) weight total, and
-    cast to float32 — the same bits every time for the same inputs.
+    Terms are promoted to float64, tree-summed, divided by the
+    (identically summed) weight total, and cast to float32 — the same
+    bits every time for the same inputs.
     """
-    if order not in REDUCE_ORDERS:
-        raise ValueError(
-            f"reduce order must be one of {REDUCE_ORDERS}, got {order!r}"
-        )
     if not arrays:
         raise ValueError("reduce_arrays needs at least one array")
     if len(arrays) != len(weights):
@@ -83,5 +63,5 @@ def reduce_arrays(
             raise ValueError(
                 f"rank gradients disagree on shape: {shape} vs {t.shape}"
             )
-    total = _fold([np.float64(w) for w in weights], order)
-    return (_fold(terms, order) / total).astype(np.float32)
+    total = _tree_sum([np.float64(w) for w in weights])
+    return (_tree_sum(terms) / total).astype(np.float32)

@@ -193,9 +193,7 @@ class DistributedSession(Session):
                     np.asarray(codec.decompress(loads(msg[1][i])), dtype=np.float32)
                     for msg in uplinks
                 ]
-                reduced = reduce_arrays(
-                    decoded, weights, self.config.distributed.reduce_order
-                )
+                reduced = reduce_arrays(decoded, weights)
                 blob = dumps(self._downlink.compress(reduced))
                 self._downlink_raw += reduced.nbytes
                 self._downlink_compressed += len(blob)

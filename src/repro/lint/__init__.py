@@ -1,8 +1,8 @@
 """reprolint — project-specific static analysis for the repro codebase.
 
-Run it as ``python -m repro.lint src/`` (add ``--json`` for machine
-output).  Violations can be suppressed per line or per ``def``/``class``
-header with ``# reprolint: disable=RULE[,RULE...]`` (or ``disable=all``).
+Run it as ``python -m repro.lint src/``; every rule runs over every
+file, and no finding can be silenced inline (``--list-rules`` prints
+the catalog).
 
 Rule catalog
 ============
@@ -51,7 +51,6 @@ from repro.lint.engine import (
     collect_files,
     default_rules,
     lint_paths,
-    render_json,
     render_text,
 )
 
@@ -63,6 +62,5 @@ __all__ = [
     "collect_files",
     "default_rules",
     "lint_paths",
-    "render_json",
     "render_text",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.lint.engine import default_rules, lint_paths, render_json, render_text
+from repro.lint.engine import default_rules, lint_paths, render_text
 
 
 def main(argv=None) -> int:
@@ -20,35 +20,18 @@ def main(argv=None) -> int:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--json", action="store_true", help="emit violations as a JSON document"
-    )
-    parser.add_argument(
-        "--rules",
-        help="comma-separated rule IDs to run (default: all)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
     args = parser.parse_args(argv)
 
-    rules = default_rules()
     if args.list_rules:
-        for rule in rules:
+        for rule in default_rules():
             print(f"{rule.id}  {rule.name}")
             print(f"        {rule.rationale}")
         return 0
-    if args.rules:
-        wanted = {r.strip().upper() for r in args.rules.split(",") if r.strip()}
-        unknown = wanted - {r.id for r in rules}
-        if unknown:
-            parser.error(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-        rules = [r for r in rules if r.id in wanted]
 
-    violations, files_checked = lint_paths(args.paths, rules=rules)
-    if args.json:
-        print(render_json(violations, files_checked))
-    else:
-        print(render_text(violations, files_checked))
+    violations, files_checked = lint_paths(args.paths)
+    print(render_text(violations, files_checked))
     return 1 if violations else 0
 
 

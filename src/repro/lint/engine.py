@@ -1,24 +1,18 @@
-"""The reprolint rule engine: file walking, parsing, suppression, output.
+"""The reprolint rule engine: file walking, parsing, output.
 
 A lint run is deliberately simple and dependency-free:
 
 1. Collect ``*.py`` files under the requested paths (sorted walk,
    skipping hidden directories and ``__pycache__``).
 2. Parse each into a :class:`LintModule` — the ``ast`` tree plus the
-   source lines, the dotted module name (when the file lives under a
-   ``repro`` package root), and the per-line suppression table.
+   dotted module name (when the file lives under a ``repro`` package
+   root).
 3. Hand every module to every :class:`Rule`; collect
    :class:`Violation` records.
-4. Filter suppressed violations and render the rest as human-readable
-   lines or a JSON document (``--json``).
+4. Render them as human-readable lines.
 
-Suppressions
-------------
-``# reprolint: disable=RULE`` (comma-separate several IDs) on a line
-suppresses those rules for that line.  When the comment sits on a
-``def``/``class`` header line, the suppression covers the whole body —
-that is the idiom for documented exceptions such as caller-holds-lock
-helper methods.  ``disable=all`` suppresses every rule.
+No finding can be silenced inline: a documented exception (such as
+LCK001's caller-holds-lock helpers) is part of the rule itself.
 
 Cross-module context
 --------------------
@@ -30,10 +24,8 @@ can see every collected module.  Single-module rules just ignore it.
 from __future__ import annotations
 
 import ast
-import json
 import os
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
@@ -44,10 +36,7 @@ __all__ = [
     "collect_files",
     "lint_paths",
     "render_text",
-    "render_json",
 ]
-
-_SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 
 @dataclass(frozen=True)
@@ -62,15 +51,6 @@ class Violation:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
 
 
 class Rule:
@@ -104,16 +84,11 @@ class LintModule:
 
     path: str
     display_path: str
-    source: str
     tree: ast.Module
     #: dotted module name when the file lives under a ``repro`` package
     #: root (``.../repro/core/arena.py`` -> ``repro.core.arena``); None
     #: for files outside any such root (e.g. test fixtures)
     module_name: Optional[str] = None
-    #: per-line suppressed rule IDs (``{"all"}`` suppresses everything)
-    line_suppressions: Dict[int, Set[str]] = field(default_factory=dict)
-    #: (start, end, rules) for suppressions on def/class header lines
-    block_suppressions: List[Tuple[int, int, Set[str]]] = field(default_factory=list)
 
     @property
     def parts(self) -> Tuple[str, ...]:
@@ -122,17 +97,6 @@ class LintModule:
     @property
     def filename(self) -> str:
         return os.path.basename(self.path)
-
-    def is_suppressed(self, violation: Violation) -> bool:
-        rules = self.line_suppressions.get(violation.line)
-        if rules and (violation.rule_id in rules or "all" in rules):
-            return True
-        for start, end, blocked in self.block_suppressions:
-            if start <= violation.line <= end and (
-                violation.rule_id in blocked or "all" in blocked
-            ):
-                return True
-        return False
 
     def imported_modules(self) -> Set[str]:
         """Every module name this file imports (top-level and nested),
@@ -172,23 +136,6 @@ def _derive_module_name(path: str) -> Optional[str]:
     if dotted[-1] == "__init__":
         dotted = dotted[:-1]
     return ".".join(dotted)
-
-
-def _collect_suppressions(module: LintModule) -> None:
-    for lineno, line in enumerate(module.source.splitlines(), start=1):
-        m = _SUPPRESS_RE.search(line)
-        if m:
-            rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-            module.line_suppressions[lineno] = rules
-    if not module.line_suppressions:
-        return
-    for node in ast.walk(module.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            rules = module.line_suppressions.get(node.lineno)
-            if rules:
-                module.block_suppressions.append(
-                    (node.lineno, node.end_lineno or node.lineno, rules)
-                )
 
 
 class LintRun:
@@ -259,11 +206,9 @@ def load_module(path: str) -> Tuple[Optional[LintModule], Optional[Violation]]:
     module = LintModule(
         path=path,
         display_path=os.path.relpath(path),
-        source=source,
         tree=tree,
         module_name=_derive_module_name(path),
     )
-    _collect_suppressions(module)
     return module, None
 
 
@@ -289,15 +234,13 @@ def default_rules() -> List[Rule]:
     ]
 
 
-def lint_paths(
-    paths: Sequence[str], rules: Optional[Sequence[Rule]] = None
-) -> Tuple[List[Violation], int]:
-    """Run *rules* (default: the full catalog) over *paths*.
+def lint_paths(paths: Sequence[str]) -> Tuple[List[Violation], int]:
+    """Run every rule of the catalog over *paths*.
 
-    Returns ``(violations, files_checked)`` with suppressed violations
-    already filtered and the rest sorted by location.
+    Returns ``(violations, files_checked)`` with the violations sorted
+    by location.
     """
-    rules = list(rules) if rules is not None else default_rules()
+    rules = default_rules()
     modules: List[LintModule] = []
     violations: List[Violation] = []
     for path in collect_files(paths):
@@ -309,9 +252,7 @@ def lint_paths(
     run = LintRun(modules)
     for module in modules:
         for rule in rules:
-            for violation in rule.check(module, run):
-                if not module.is_suppressed(violation):
-                    violations.append(violation)
+            violations.extend(rule.check(module, run))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     return violations, len(modules)
 
@@ -326,11 +267,3 @@ def render_text(violations: Sequence[Violation], files_checked: int) -> str:
     lines.append(summary)
     return "\n".join(lines)
 
-
-def render_json(violations: Sequence[Violation], files_checked: int) -> str:
-    doc = {
-        "files_checked": files_checked,
-        "violation_count": len(violations),
-        "violations": [v.to_dict() for v in violations],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

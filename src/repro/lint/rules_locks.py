@@ -32,7 +32,9 @@ flagged like any other touch.
   codebase convention, e.g. ``"(callers hold the lock)"``): their
   bodies execute under the caller's ``with`` block, so their touches
   count as guarded — including as guarded-mutation evidence.
-* Line/``def``-scoped ``# reprolint: disable=LCK001`` for the rest.
+
+There is no other way out: a touch outside the lock is either moved
+under it or documented as one of the above.
 """
 
 from __future__ import annotations

@@ -14,9 +14,7 @@ from repro.nn.layers import (
     Parameter,
     ReLU,
     SavedTensorContext,
-    Sigmoid,
     SoftmaxCrossEntropy,
-    Tanh,
 )
 from repro.nn.network import Residual, Sequential, iter_layers, set_saved_ctx
 from repro.nn.optim import SGD, ResidentSlots, SlotState
@@ -37,9 +35,7 @@ __all__ = [
     "Parameter",
     "ReLU",
     "SavedTensorContext",
-    "Sigmoid",
     "SoftmaxCrossEntropy",
-    "Tanh",
     "Residual",
     "Sequential",
     "iter_layers",

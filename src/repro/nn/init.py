@@ -1,4 +1,4 @@
-"""Weight initializers (Kaiming / Xavier families)."""
+"""Weight initializer (Kaiming uniform)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.utils.rng import ensure_rng
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform"]
+__all__ = ["kaiming_uniform"]
 
 
 def kaiming_uniform(shape, fan_in: int, rng=None) -> np.ndarray:
@@ -16,17 +16,3 @@ def kaiming_uniform(shape, fan_in: int, rng=None) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return ensure_rng(rng).uniform(-bound, bound, size=shape).astype(np.float32)
 
-
-def kaiming_normal(shape, fan_in: int, rng=None) -> np.ndarray:
-    """He et al. normal init: N(0, sqrt(2/fan_in))."""
-    if fan_in <= 0:
-        raise ValueError(f"fan_in must be positive, got {fan_in}")
-    return (ensure_rng(rng).standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
-
-
-def xavier_uniform(shape, fan_in: int, fan_out: int, rng=None) -> np.ndarray:
-    """Glorot uniform init: U(+-sqrt(6/(fan_in+fan_out)))."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fans must be positive")
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return ensure_rng(rng).uniform(-bound, bound, size=shape).astype(np.float32)

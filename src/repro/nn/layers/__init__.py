@@ -3,7 +3,7 @@
 from repro.nn.layers.base import Layer, Parameter, SavedTensorContext
 from repro.nn.layers.conv import Conv2D, col2im, conv_output_hw, im2col
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.activations import ReLU, Sigmoid, Tanh
+from repro.nn.layers.activations import ReLU
 from repro.nn.layers.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
 from repro.nn.layers.norm import BatchNorm2D, LocalResponseNorm
 from repro.nn.layers.dropout import Dropout
@@ -20,8 +20,6 @@ __all__ = [
     "im2col",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "AvgPool2D",
     "GlobalAvgPool2D",
     "MaxPool2D",

@@ -1,4 +1,4 @@
-"""Elementwise activation layers."""
+"""The elementwise activation layer."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn.layers.base import Layer
 from repro.utils.scratch import WORKSPACE
 
-__all__ = ["ReLU", "Tanh", "Sigmoid"]
+__all__ = ["ReLU"]
 
 
 class ReLU(Layer):
@@ -38,32 +38,3 @@ class ReLU(Layer):
     def output_shape(self, in_shape):
         return in_shape
 
-
-class Tanh(Layer):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.tanh(x)
-        if self.training:
-            self._save("y", out)
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        y = self._pop("y")
-        return dout * (1.0 - y * y)
-
-    def output_shape(self, in_shape):
-        return in_shape
-
-
-class Sigmoid(Layer):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = 1.0 / (1.0 + np.exp(-x))
-        if self.training:
-            self._save("y", out)
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        y = self._pop("y")
-        return dout * y * (1.0 - y)
-
-    def output_shape(self, in_shape):
-        return in_shape

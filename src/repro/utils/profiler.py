@@ -120,10 +120,6 @@ class StageProfiler:
                 for name in sorted(self._seconds)
             }
 
-    def total_seconds(self, name: str) -> float:
-        with self._lock:
-            return self._seconds.get(name, 0.0)
-
     def report_lines(self) -> list:
         """Human-readable per-stage breakdown, widest stages first."""
         snap = self.snapshot()
@@ -138,11 +134,6 @@ class StageProfiler:
                 f"{rec['calls']:7d} calls {mean_ms:9.3f} ms/call"
             )
         return lines
-
-    def reset(self) -> None:
-        with self._lock:
-            self._seconds.clear()
-            self._calls.clear()
 
     # -- activation --------------------------------------------------------
     def activate(self) -> "StageProfiler":

@@ -39,7 +39,7 @@ class TestRoundTrip:
                                 params="arena", param_budget_bytes=1 << 18,
                                 param_codec=CodecSpec("lossless")),
             engine=EngineSpec(kernel_backend="numpy"),
-            adaptive=AdaptiveSpec(W=25, warmup_iterations=3, eb_max=0.5),
+            adaptive=AdaptiveSpec(W=25, warmup_iterations=3, initial_rel_eb=1e-4),
             optimizer=OptimizerSpec(lr=0.05, momentum=0.5, weight_decay=5e-4),
         )
         d = cfg.to_dict()
@@ -202,33 +202,6 @@ class TestCodecSpecRoundTrip:
         assert codec.error_bound == 5e-4
 
 
-class TestReviewRegressions:
-    """Pin the load-time-vs-runtime validation fixes."""
-
-    def test_inverted_clamps_fail_at_load_time(self):
-        # eb_min above eb_max would only have exploded at the
-        # controller's first update; must fail in validate
-        cfg = SessionConfig(adaptive=AdaptiveSpec(eb_min=20.0))
-        with pytest.raises(ConfigError, match=r"^adaptive: need eb_min < eb_max"):
-            cfg.validate()
-        with pytest.raises(ConfigError, match=r"^adaptive: need eb_min < eb_max"):
-            SessionConfig.from_dict({"adaptive": {"eb_min": 20.0}})
-        # and a pair that restores the order passes
-        SessionConfig(adaptive=AdaptiveSpec(eb_min=20.0, eb_max=30.0)).validate()
-
-    def test_adaptive_coefficient_round_trips(self):
-        cfg = SessionConfig(adaptive=AdaptiveSpec(W=10, coefficient=0.5))
-        rebuilt = SessionConfig.from_json(cfg.to_json())
-        assert rebuilt.adaptive.coefficient == 0.5
-
-    def test_default_coefficient_stays_sparse(self):
-        from repro.core.error_model import THEORY_COEFFICIENT_A
-
-        d = SessionConfig(adaptive=AdaptiveSpec(W=10)).to_dict()
-        assert "coefficient" not in d["adaptive"]
-        assert AdaptiveSpec().coefficient == float(THEORY_COEFFICIENT_A)
-
-
 class TestEngineAndBoundKnobs:
     """EngineSpec's one field and the session's bound regime: round-trip
     and validation."""
@@ -237,12 +210,12 @@ class TestEngineAndBoundKnobs:
         cfg = SessionConfig(
             storage=StorageSpec(activations="arena"),
             engine=EngineSpec(kernel_backend="numpy"),
-            adaptive=AdaptiveSpec(eb_max=0.5),
+            adaptive=AdaptiveSpec(sigma_fraction=0.02),
         )
         rebuilt = SessionConfig.from_json(cfg.to_json())
         assert rebuilt == cfg
         assert rebuilt.engine.kernel_backend == "numpy"
-        assert rebuilt.adaptive.eb_max == 0.5
+        assert rebuilt.adaptive.sigma_fraction == 0.02
 
     def test_one_settable_field(self):
         assert [f.name for f in dataclasses.fields(EngineSpec)] == ["kernel_backend"]
@@ -400,7 +373,6 @@ class TestDistributedSpec:
                 world_size=4,
                 grad_codec=CodecSpec("szlike", {"error_bound": 1e-3, "mode": "abs"}),
                 error_feedback=False,
-                reduce_order="linear",
                 rank_arena_budget=1 << 20,
             ),
             storage=StorageSpec(activations="arena", budget_bytes=4 << 20),
@@ -498,9 +470,7 @@ def _schema():
         EngineSpec: {"kernel_backend": ("numpy", "numba", "auto")},
         AdaptiveSpec: {
             "enabled": None, "W": {"ge": 1}, "sigma_fraction": {"gt": 0, "lt": 1},
-            "coefficient": {"gt": 0}, "initial_rel_eb": {"gt": 0},
-            "warmup_iterations": {"ge": 0}, "eb_min": {"gt": 0}, "eb_max": {"gt": 0},
-            "min_nonzero_ratio": {"gt": 0, "le": 1},
+            "initial_rel_eb": {"gt": 0}, "warmup_iterations": {"ge": 0},
         },
         ProfilerSpec: {"enabled": None},
         OptimizerSpec: {
@@ -508,7 +478,7 @@ def _schema():
             "weight_decay": {"ge": 0},
         },
         DistributedSpec: {
-            "world_size": {"ge": 1}, "error_feedback": None, "reduce_order": ("tree", "linear"),
+            "world_size": {"ge": 1}, "error_feedback": None, "reduce_order": ("tree",),
             "rank_arena_budget": {"ge": 1},
         },
         ServerSpec: {
@@ -561,7 +531,7 @@ class TestScalarTypes:
             {"adaptive": {"enabled": "false"}},
             {"profiler": {"enabled": "false"}},
             {"storage": {"param_budget_bytes": "0"}},
-            {"adaptive": {"eb_min": "1e-3"}},
+            {"adaptive": {"initial_rel_eb": "1e-3"}},
             {"compress_activations": "false"},
         ],
     )
@@ -576,9 +546,9 @@ class TestScalarTypes:
 
     def test_int_is_accepted_where_a_float_is(self):
         cfg = SessionConfig.from_dict(
-            {"optimizer": {"lr": 1, "momentum": 0}, "adaptive": {"eb_max": 10}}
+            {"optimizer": {"lr": 1, "momentum": 0}, "adaptive": {"initial_rel_eb": 1}}
         )
-        assert cfg.optimizer.lr == 1 and cfg.adaptive.eb_max == 10
+        assert cfg.optimizer.lr == 1 and cfg.adaptive.initial_rel_eb == 1
 
 
 

@@ -104,7 +104,7 @@ class TestBuildSession:
             np.testing.assert_array_equal(run(s), losses_plain)
             assert s.compressed is None
             assert s.param_store.fetch_count > 0
-            assert s.profiler.total_seconds("step") > 0
+            assert s.profiler.snapshot()["step"]["seconds"] > 0
 
     @staticmethod
     def _arenas_created(monkeypatch):
@@ -260,12 +260,14 @@ class TestBoundRegime:
             assert all(r.packs == 3 and r.raw_bytes > r.stored_bytes for r in rows)
 
     @pytest.mark.parametrize("eb_min,eb_max", [(1e-12, 1e-6), (1.0, 2.0)], ids=["cap", "floor"])
-    def test_controller_bounds_stay_inside_the_clamps(self, eb_min, eb_max):
-        """Every bound the controller writes is clipped to the session's
-        ``adaptive.eb_min`` / ``eb_max``, on every layer."""
-        cfg = SessionConfig(
-            adaptive=AdaptiveSpec(W=2, warmup_iterations=2, eb_min=eb_min, eb_max=eb_max)
-        )
+    def test_controller_bounds_stay_inside_the_clamps(self, eb_min, eb_max, monkeypatch):
+        """Every bound the controller writes is clipped to
+        ``EB_MIN`` / ``EB_MAX``, on every layer."""
+        from repro.core import adaptive
+
+        monkeypatch.setattr(adaptive, "EB_MIN", eb_min)
+        monkeypatch.setattr(adaptive, "EB_MAX", eb_max)
+        cfg = SessionConfig(adaptive=AdaptiveSpec(W=2, warmup_iterations=2))
         with build_session(make_net(), cfg) as s:
             written = []
             controller = s.compressed.controller
@@ -403,7 +405,7 @@ class TestStorageKnobWiring:
 
     def test_knobs_round_trip_through_json(self, tmp_path):
         cfg = self._cfg(kernel_backend="numpy")
-        cfg.adaptive.eb_min = 1e-6
+        cfg.adaptive.initial_rel_eb = 1e-4
         path = tmp_path / "knobs.json"
         cfg.to_json(str(path))
         rebuilt = SessionConfig.from_json(str(path))

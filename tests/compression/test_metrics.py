@@ -40,6 +40,11 @@ class TestBasicMetrics:
         x = np.linspace(0, 1, 100)
         assert psnr(x, x) == np.inf
 
+    def test_psnr_of_a_range_wider_than_float32(self):
+        x = np.array([-3e38, 3e38], dtype=np.float32)
+        with np.errstate(over="raise"):
+            assert np.isfinite(psnr(x, x * np.float32(0.5)))
+
     def test_psnr_decreases_with_error(self, rng):
         x = rng.standard_normal(1000)
         p1 = psnr(x, x + 0.01 * rng.standard_normal(1000))

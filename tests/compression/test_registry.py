@@ -66,7 +66,7 @@ class TestSzlikeBounds:
     def test_relative_bound_resolves_on_the_whole_tensor(self, dense_tensor):
         sz = get_codec("szlike", error_bound=1e-3, mode="rel", entropy="zlib")
         ct = sz.compress(dense_tensor)
-        span = float(dense_tensor.max() - dense_tensor.min())
+        span = float(dense_tensor.max()) - float(dense_tensor.min())
         assert ct.error_bound == sz.resolve_error_bound(dense_tensor) == 1e-3 * span
         err = np.abs(dense_tensor.astype(np.float64) - sz.decompress(ct)).max()
         assert err <= ct.error_bound * (1 + 1e-6)

@@ -176,6 +176,29 @@ class TestBoundRegime:
         assert ctx.pack(conv, "x", x * 10).compressed.error_bound == pytest.approx(want)
         assert ctx.error_bounds == {"c": pytest.approx(want)}
 
+    @pytest.mark.parametrize("path", ["codec-rel", "first-pack"])
+    def test_float32_range_wider_than_float32_round_trips(self, path, rng):
+        """A float32 tensor spanning +-3e38 has a value range float32
+        cannot hold; the range is taken in float64, so both rel-bound
+        paths resolve a finite bound and honour it."""
+        from repro.compression import get_codec
+
+        x = (rng.uniform(-1, 1, (2, 3, 8, 8)) * 3e38).astype(np.float32)
+        span = float(x.max()) - float(x.min())
+        if path == "codec-rel":
+            ctx = CompressingContext(
+                get_codec("szlike", mode="rel"), adaptive=AdaptiveSpec(enabled=False)
+            )
+        else:
+            ctx = CompressingContext(SZCompressor(entropy="zlib"), adaptive=AdaptiveSpec())
+        conv = Conv2D(3, 2, 3, rng=1, name="c")
+        with np.errstate(over="raise"):
+            h = ctx.pack(conv, "x", x)
+        eb = ctx.error_bounds["c"]
+        assert eb == pytest.approx(1e-3 * span, rel=1e-12)
+        y = ctx.unpack(conv, "x", h).astype(np.float64)
+        assert np.abs(y - x.astype(np.float64)).max() <= eb
+
 
 class TestMemoryTracker:
     def test_ratio_accounting(self):
@@ -233,6 +256,62 @@ class TestEq8Budget:
         controller = self._controller(opt)
         assert controller.sigma_budget(p) == 0.0  # no momentum yet
         assert controller.gradient_fallback_budget(p) == pytest.approx(0.03)
+
+
+class TestEq9Bound:
+    """The controller's Eq. 9 bound under the module's constants: the
+    theory coefficient, the nonzero-ratio floor and the clamps."""
+
+    @staticmethod
+    def _update(sigma, lscale=2.0, m=64, nonzero=0.5, grad=1.0):
+        p = Parameter(np.zeros((4,)))
+        p.grad[:] = grad
+        spec = AdaptiveSpec()
+        ctx = CompressingContext(adaptive=spec)
+        controller = AdaptiveController(spec, SGD([p], lr=0.1, momentum=0.9), ctx)
+        controller.loss_scales["c"] = lscale
+        controller.sigma_budgets["c"] = sigma
+        controller.combined_elements["c"] = m
+        ctx.observed_nonzero["c"] = nonzero
+        return controller.update_error_bounds({"c": p}), ctx
+
+    def test_constants_keep_their_values(self):
+        from repro.core import adaptive
+        from repro.core.error_model import THEORY_COEFFICIENT_A
+
+        assert THEORY_COEFFICIENT_A == pytest.approx(1 / np.sqrt(3))
+        assert (adaptive.EB_MIN, adaptive.EB_MAX) == (1e-10, 10.0)
+        assert adaptive.MIN_NONZERO_RATIO == 1e-3
+
+    def test_bound_uses_the_theory_coefficient(self):
+        bounds, ctx = self._update(sigma=1e-3, lscale=2.0, m=64, nonzero=0.5)
+        want = 1e-3 / (2.0 * np.sqrt(64 * 0.5) / np.sqrt(3))
+        assert bounds == {"c": pytest.approx(want, rel=1e-12)}
+        assert ctx.error_bounds == bounds
+
+    @pytest.mark.parametrize("nonzero", [0.0, 1e-6, 1e-4])
+    def test_nonzero_ratio_is_floored(self, nonzero):
+        from repro.core.adaptive import MIN_NONZERO_RATIO
+
+        floored, _ = self._update(1e-6, nonzero=nonzero)
+        at_floor, _ = self._update(1e-6, nonzero=MIN_NONZERO_RATIO)
+        assert np.isfinite(floored["c"]) and floored == at_floor
+
+    @pytest.mark.parametrize("sigma,clamp", [(1e6, "EB_MAX"), (1e-30, "EB_MIN")],
+                             ids=["cap", "floor"])
+    def test_bound_is_clipped(self, sigma, clamp):
+        from repro.core import adaptive
+
+        bounds, _ = self._update(sigma)
+        assert bounds == {"c": getattr(adaptive, clamp)}
+
+    @pytest.mark.parametrize("lscale,grad", [(0.0, 1.0), (2.0, 0.0)],
+                             ids=["no-loss-signal", "no-gradient"])
+    def test_no_signal_keeps_the_current_bound(self, lscale, grad):
+        # sigma 0 falls back to the gradient budget; with that also 0, or
+        # no loss signal, the layer keeps the bound it had
+        bounds, ctx = self._update(0.0, lscale=lscale, grad=grad)
+        assert bounds == {} and ctx.error_bounds == {}
 
 
 class TestSession:

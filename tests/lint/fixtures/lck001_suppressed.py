@@ -1,4 +1,4 @@
-"""Same pattern as lck001_bad.py but explicitly suppressed."""
+"""Same pattern as lck001_bad.py, with a suppression comment reprolint ignores."""
 
 import threading
 

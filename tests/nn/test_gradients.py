@@ -15,9 +15,7 @@ from repro.nn import (
     ReLU,
     Residual,
     Sequential,
-    Sigmoid,
     SoftmaxCrossEntropy,
-    Tanh,
 )
 from repro.nn.gradcheck import check_layer_gradients
 
@@ -48,12 +46,6 @@ class TestLayerGradients:
 
     def test_relu(self, x4):
         check_layer_gradients(ReLU(), x4 + 0.2)  # shift off the kink
-
-    def test_tanh(self, x4):
-        check_layer_gradients(Tanh(), x4)
-
-    def test_sigmoid(self, x4):
-        check_layer_gradients(Sigmoid(), x4)
 
     @pytest.fixture
     def x4_tiefree(self, rng):
@@ -104,7 +96,7 @@ class TestCompositeGradients:
         check_layer_gradients(net, x4)
 
     def test_residual_identity(self, x4):
-        block = Residual(Sequential([Conv2D(3, 3, 3, padding=1, rng=1), Tanh()]))
+        block = Residual(Sequential([Conv2D(3, 3, 3, padding=1, rng=1), ReLU()]))
         check_layer_gradients(block, x4)
 
     def test_residual_projection(self, x4):
@@ -114,8 +106,9 @@ class TestCompositeGradients:
         )
         check_layer_gradients(block, x4)
 
-    def test_conv_bn_relu_pipeline(self, x4):
-        net = Sequential([Conv2D(3, 4, 3, padding=1, rng=1), BatchNorm2D(4), Tanh()])
+    def test_conv_bn_pool_pipeline(self, x4):
+        # smooth after the norm: its outputs straddle ReLU's kink at 0
+        net = Sequential([Conv2D(3, 4, 3, padding=1, rng=1), BatchNorm2D(4), AvgPool2D(2)])
         check_layer_gradients(net, x4)
 
 

@@ -14,9 +14,8 @@ from repro.nn import (
     LocalResponseNorm,
     MaxPool2D,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
+from repro.nn.init import kaiming_uniform
 
 
 @pytest.fixture
@@ -139,13 +138,18 @@ class TestActivations:
         r = np.count_nonzero(out) / out.size
         assert 0.4 < r < 0.6
 
-    def test_tanh_range(self, x4):
-        out = Tanh().forward(10 * x4)
-        assert np.all(np.abs(out) <= 1.0)
 
-    def test_sigmoid_range(self, x4):
-        out = Sigmoid().forward(x4)
-        assert np.all((out > 0) & (out < 1))
+class TestKaimingUniform:
+    def test_draws_within_the_he_bound(self):
+        w = kaiming_uniform((64, 27), fan_in=27, rng=0)
+        bound = np.sqrt(6.0 / 27)
+        assert w.dtype == np.float32 and w.shape == (64, 27)
+        assert np.abs(w).max() <= bound and np.abs(w).max() > 0.9 * bound
+
+    @pytest.mark.parametrize("fan_in", [0, -3])
+    def test_rejects_nonpositive_fan_in(self, fan_in):
+        with pytest.raises(ValueError, match="fan_in"):
+            kaiming_uniform((2, 2), fan_in=fan_in)
 
 
 class TestBatchNorm:

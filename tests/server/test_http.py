@@ -112,7 +112,7 @@ class TestEndpoint:
 
     @pytest.mark.parametrize(
         "session",
-        [{"profiler": {"enabled": "yes"}}, {"adaptive": {"eb_min": "1e-3"}}],
+        [{"profiler": {"enabled": "yes"}}, {"adaptive": {"sigma_fraction": "1e-3"}}],
     )
     def test_wrong_typed_session_scalar_is_400(self, endpoint, session):
         body = {**tenant_body("t"), "session": session}

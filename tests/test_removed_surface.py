@@ -38,12 +38,20 @@ under one bound regime, and the fixed-bound ablation is a codec
 or set ``optimizer.options``: SGD with momentum, whose velocity Eq. 8
 budgets against, is the one optimizer, so the ``Optimizer`` base and its
 named slots are gone, and the Eq. 8 budget lives in the
-``AdaptiveController`` instead of a ``GradientAssessor``.
+``AdaptiveController`` instead of a ``GradientAssessor``.  Eq. 9's
+coefficient, the bound clamps and the nonzero-ratio floor are constants
+of ``repro.core.adaptive``, not ``adaptive`` keys; ``reduce_order`` has
+one schedule, the rank-tree.  reprolint runs every rule over every file:
+no inline suppression, ``--rules`` or ``--json``.  Nothing used the
+``Tanh`` / ``Sigmoid`` layers, the normal and Xavier initializers, or
+``StageProfiler.reset`` / ``total_seconds``.
 """
 
 import json
+import os
 import struct
-
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,12 +81,14 @@ from repro.core.activation_store import CompressingContext, PackedActivation
 from repro.core.framework import CompressedTraining
 from repro.core.memory_tracker import MemoryTracker
 from repro.core.param_store import ParamStore, StoreSlots
+from repro.distributed import reduce_arrays
+from repro.lint import LintModule, Violation, lint_paths
 from repro.models.specs import ConvS, LayerReport, walk_shapes
 from repro.compression.jpeg_like import JpegLikeCompressor
 from repro.nn import SGD, Layer, Linear, ResidentSlots, SlotState, Trainer
 from repro.nn.layers.loss import SoftmaxCrossEntropy
 from repro.server.scheduler import StepScheduler
-from repro.utils import ScratchPool
+from repro.utils import ScratchPool, StageProfiler
 
 
 def _context(**kwargs):
@@ -132,6 +142,16 @@ class TestRemovedSurface:
             ("repro.nn.optim", "Adam"),
             ("repro.nn.optim", "Optimizer"),
             ("repro.core", "GradientAssessor"),
+            ("repro.nn", "Tanh"),
+            ("repro.nn", "Sigmoid"),
+            ("repro.nn.layers", "Tanh"),
+            ("repro.nn.layers", "Sigmoid"),
+            ("repro.nn.init", "kaiming_normal"),
+            ("repro.nn.init", "xavier_uniform"),
+            ("repro.api.config", "REDUCE_ORDERS"),
+            ("repro.distributed", "REDUCE_ORDERS"),
+            ("repro.lint", "render_json"),
+            ("repro.lint.engine", "render_json"),
         ],
     )
     def test_import_is_an_import_error(self, module, name):
@@ -260,6 +280,10 @@ class TestRemovedSurface:
             (SZCompressor, "supports_cache_key"),
             (CompressingContext, "policy"),
             (MemoryTracker, "group_summary"),
+            (StageProfiler, "reset"),
+            (StageProfiler, "total_seconds"),
+            (Violation, "to_dict"),
+            (LintModule, "is_suppressed"),
         ],
     )
     def test_attribute_is_gone(self, cls, attr):
@@ -283,6 +307,7 @@ class TestRemovedSurface:
             (lambda: _context(policies={}), "policies"),
             (lambda: _training(policies={}), "policies"),
             (lambda: MemoryTracker().record_pack("l0", 2, 1, group="g"), "group"),
+            (lambda: lint_paths([], rules=[]), "rules"),
         ],
         ids=[
             "jpeg-zlib_level", "scratch-max_per_dtype", "scratch-max_total_bytes",
@@ -290,7 +315,7 @@ class TestRemovedSurface:
             "training-policy_table", "training-adaptive", "training-param_storage",
             "param_store-storage", "codebook_cache-delta", "shared_cache-refresh_interval",
             "szlike-codebook_cache", "context-policies", "training-policies",
-            "tracker-record_pack-group",
+            "tracker-record_pack-group", "lint_paths-rules",
         ],
     )
     def test_constructor_option_is_a_type_error(self, make, keyword):
@@ -316,6 +341,40 @@ class TestRemovedSurface:
         huffman_decode(payload, total_bits, symbols.size, book, offsets)
         book.decode_tables()
         assert not hasattr(book, "_tables")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("coefficient", 0.5), ("eb_min", 1e-6), ("eb_max", 1.0), ("min_nonzero_ratio", 0.01)],
+    )
+    def test_adaptive_constant_is_not_a_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^adaptive: unknown key.*'{key}'"):
+            SessionConfig.from_json(json.dumps({"adaptive": {key: value}}))
+        with pytest.raises(TypeError, match=key):
+            AdaptiveSpec(**{key: value})
+
+    def test_linear_reduce_order_is_a_config_error_naming_tree(self):
+        with pytest.raises(ConfigError, match=r"^distributed: reduce_order must be one of 'tree'"):
+            SessionConfig.from_dict({"distributed": {"world_size": 2, "reduce_order": "linear"}})
+
+    def test_reduce_arrays_takes_no_order(self):
+        a = np.ones(3, np.float32)
+        with pytest.raises(TypeError, match="order"):
+            reduce_arrays([a, a], [1.0, 1.0], order="tree")
+
+    def test_lint_module_keeps_no_suppressions(self):
+        fields = LintModule.__dataclass_fields__
+        assert "line_suppressions" not in fields and "block_suppressions" not in fields
+
+    @pytest.mark.parametrize("option", [["--json"], ["--rules", "LCK001"]], ids=["json", "rules"])
+    def test_lint_cli_option_is_a_usage_error(self, option):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.lint", *option, src],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
 
     def test_layer_report_has_no_flops(self):
         (report,) = walk_shapes([ConvS(8, 3, padding=1)], (1, 4, 8, 8))
